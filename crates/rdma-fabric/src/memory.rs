@@ -72,6 +72,9 @@ fn next_key() -> u64 {
 #[derive(Debug)]
 pub(crate) struct RegionInner {
     pub(crate) data: RwLock<Vec<u8>>,
+    /// Fixed at registration (regions never resize), so bounds checks need
+    /// no lock.
+    len: usize,
     lkey: u64,
     rkey: u64,
     access: AccessFlags,
@@ -99,6 +102,7 @@ impl MemoryRegion {
         // allocator always allocates page-aligned buffers (Sec. IV-B).
         MemoryRegion {
             inner: Arc::new(RegionInner {
+                len: data.len(),
                 data: RwLock::new(data),
                 lkey: next_key(),
                 rkey: next_key(),
@@ -110,7 +114,7 @@ impl MemoryRegion {
 
     /// Length of the region in bytes.
     pub fn len(&self) -> usize {
-        self.inner.data.read().len()
+        self.inner.len
     }
 
     /// Whether the region is empty.
@@ -141,9 +145,15 @@ impl MemoryRegion {
 
     /// Copy of the bytes in `[offset, offset + len)`.
     pub fn read(&self, offset: usize, len: usize) -> Result<Vec<u8>> {
-        let data = self.inner.data.read();
-        check_bounds(offset, len, data.len())?;
-        Ok(data[offset..offset + len].to_vec())
+        check_bounds(offset, len, self.len())?;
+        Ok(self.inner.data.read()[offset..offset + len].to_vec())
+    }
+
+    /// Copy `[offset, offset + dst.len())` into `dst` (no allocation).
+    pub fn read_into(&self, offset: usize, dst: &mut [u8]) -> Result<()> {
+        check_bounds(offset, dst.len(), self.len())?;
+        dst.copy_from_slice(&self.inner.data.read()[offset..offset + dst.len()]);
+        Ok(())
     }
 
     /// Copy of the full contents.
@@ -153,9 +163,45 @@ impl MemoryRegion {
 
     /// Overwrite `[offset, offset + src.len())` with `src`.
     pub fn write(&self, offset: usize, src: &[u8]) -> Result<()> {
-        let mut data = self.inner.data.write();
-        check_bounds(offset, src.len(), data.len())?;
-        data[offset..offset + src.len()].copy_from_slice(src);
+        check_bounds(offset, src.len(), self.len())?;
+        self.inner.data.write()[offset..offset + src.len()].copy_from_slice(src);
+        Ok(())
+    }
+
+    /// Copy `len` bytes from `[offset, offset + len)` of this region straight
+    /// into `[dst_offset, dst_offset + len)` of `dst` — the one copy a
+    /// modelled DMA makes, with no staging buffer in between. Equivalent to
+    /// `dst.write(dst_offset, &self.read(offset, len)?)`, including which
+    /// bounds error wins (source first) and overlapping ranges when `dst` is
+    /// this same region.
+    ///
+    /// The source read-guard and the destination write-guard are taken in
+    /// region-address order, so two threads copying in opposite directions
+    /// between the same pair of regions cannot deadlock.
+    pub fn copy_to(
+        &self,
+        offset: usize,
+        dst: &MemoryRegion,
+        dst_offset: usize,
+        len: usize,
+    ) -> Result<()> {
+        check_bounds(offset, len, self.len())?;
+        check_bounds(dst_offset, len, dst.len())?;
+        if self.same_region(dst) {
+            self.inner
+                .data
+                .write()
+                .copy_within(offset..offset + len, dst_offset);
+            return Ok(());
+        }
+        let (src_guard, mut dst_guard) = if Arc::as_ptr(&self.inner) < Arc::as_ptr(&dst.inner) {
+            let src_guard = self.inner.data.read();
+            (src_guard, dst.inner.data.write())
+        } else {
+            let dst_guard = dst.inner.data.write();
+            (self.inner.data.read(), dst_guard)
+        };
+        dst_guard[dst_offset..dst_offset + len].copy_from_slice(&src_guard[offset..offset + len]);
         Ok(())
     }
 
@@ -171,10 +217,9 @@ impl MemoryRegion {
 
     /// Read an 8-byte little-endian word (used by atomics and headers).
     pub fn read_u64(&self, offset: usize) -> Result<u64> {
-        let bytes = self.read(offset, 8)?;
-        Ok(u64::from_le_bytes(
-            bytes.try_into().expect("read returned 8 bytes"),
-        ))
+        let mut bytes = [0u8; 8];
+        self.read_into(offset, &mut bytes)?;
+        Ok(u64::from_le_bytes(bytes))
     }
 
     /// Write an 8-byte little-endian word.
@@ -207,12 +252,15 @@ impl MemoryRegion {
     }
 }
 
+/// Whether `[offset, offset + len)` lies inside a region of `region_len`
+/// bytes, with the end computed without overflow. The one range test behind
+/// every local and remote bounds error of the fabric.
+pub(crate) fn in_bounds(offset: usize, len: usize, region_len: usize) -> bool {
+    offset.checked_add(len).is_some_and(|end| end <= region_len)
+}
+
 fn check_bounds(offset: usize, len: usize, region_len: usize) -> Result<()> {
-    if offset
-        .checked_add(len)
-        .map(|end| end <= region_len)
-        .unwrap_or(false)
-    {
+    if in_bounds(offset, len, region_len) {
         Ok(())
     } else {
         Err(FabricError::LocalAccessOutOfBounds {
@@ -287,6 +335,7 @@ mod tests {
         assert_eq!(mr.read_u64(8).unwrap(), 0xDEAD_BEEF_1234_5678);
         assert!(mr.read_u64(1).is_ok()); // unaligned reads allowed locally
         assert!(mr.read_u64(12).is_err()); // out of bounds
+        assert!(mr.read_u64(usize::MAX).is_err()); // overflow, not a panic
     }
 
     #[test]
@@ -321,6 +370,73 @@ mod tests {
         assert_eq!(mr.read_all(), vec![3, 2, 1]);
         let sum: u32 = mr.with_bytes(|b| b.iter().map(|&x| x as u32).sum());
         assert_eq!(sum, 6);
+    }
+
+    #[test]
+    fn copy_to_moves_bytes_between_and_within_regions() {
+        let src = MemoryRegion::from_vec((0u8..16).collect(), AccessFlags::LOCAL_ONLY);
+        let dst = MemoryRegion::zeroed(8, AccessFlags::REMOTE_WRITE);
+        src.copy_to(4, &dst, 2, 4).unwrap();
+        assert_eq!(dst.read_all(), vec![0, 0, 4, 5, 6, 7, 0, 0]);
+        // Same region, overlapping ranges: memmove semantics.
+        src.copy_to(0, &src.clone(), 2, 6).unwrap();
+        assert_eq!(src.read(0, 8).unwrap(), vec![0, 1, 0, 1, 2, 3, 4, 5]);
+        // The source bounds error wins over the destination's.
+        assert_eq!(
+            src.copy_to(12, &dst, 7, 8),
+            Err(FabricError::LocalAccessOutOfBounds {
+                offset: 12,
+                len: 8,
+                region_len: 16
+            })
+        );
+        assert_eq!(
+            src.copy_to(0, &dst, usize::MAX, 2),
+            Err(FabricError::LocalAccessOutOfBounds {
+                offset: usize::MAX,
+                len: 2,
+                region_len: 8
+            })
+        );
+    }
+
+    proptest::proptest! {
+        // The region→region copy is the old staged model, `read` into a
+        // `Vec` then `write`, in every observable respect: result (including
+        // which out-of-bounds error), and the bytes of both regions after.
+        #[test]
+        fn prop_copy_to_matches_read_then_write(
+            src_offset in 0usize..80,
+            dst_offset in 0usize..80,
+            len in 0usize..80,
+            same_region: bool,
+            wrap: u8,
+            seed: u8
+        ) {
+            const LEN: usize = 64;
+            // One request in eight aims each end near `usize::MAX`: the
+            // overflow case.
+            let src_offset = if wrap & 7 == 0 { usize::MAX - src_offset } else { src_offset };
+            let dst_offset = if wrap & 7 == 1 { usize::MAX - dst_offset } else { dst_offset };
+            let fill = |salt: u8| (0..LEN).map(|i| (i as u8).wrapping_mul(31) ^ seed ^ salt).collect();
+            let region = |bytes: Vec<u8>| MemoryRegion::from_vec(bytes, AccessFlags::REMOTE_ALL);
+
+            let (model_src, real_src) = (region(fill(0)), region(fill(0)));
+            let (model_dst, real_dst) = if same_region {
+                (model_src.clone(), real_src.clone())
+            } else {
+                (region(fill(0xA5)), region(fill(0xA5)))
+            };
+
+            let staged = model_src
+                .read(src_offset, len)
+                .and_then(|bytes| model_dst.write(dst_offset, &bytes));
+            let direct = real_src.copy_to(src_offset, &real_dst, dst_offset, len);
+
+            proptest::prop_assert_eq!(direct, staged);
+            proptest::prop_assert_eq!(real_src.read_all(), model_src.read_all());
+            proptest::prop_assert_eq!(real_dst.read_all(), model_dst.read_all());
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@ use crate::cq::CompletionQueue;
 use crate::device::{DeviceFunction, NicProfile};
 use crate::error::{FabricError, Result};
 use crate::fabric::{Fabric, FabricNode};
-use crate::memory::{MemoryRegion, RemoteMemoryHandle};
+use crate::memory::{in_bounds, MemoryRegion, RemoteMemoryHandle};
 use crate::pd::ProtectionDomain;
 use crate::srq::SharedReceiveQueue;
 use crate::verbs::{CompletionStatus, OpCode, RecvRequest, SendRequest, Sge, WorkCompletion};
@@ -376,7 +376,8 @@ impl QueuePair {
         }
         let peer = self.connected_peer("post_send")?;
         self.inner.ops_posted.fetch_add(1, Ordering::Relaxed);
-        self.write_remote_bytes(wr_id, data, remote, imm, &peer, signaled, false)
+        let source = WriteSource::Inline(data);
+        self.write_remote_bytes(wr_id, source, remote, imm, &peer, signaled, false)
     }
 
     fn post_send_inner(
@@ -494,8 +495,8 @@ impl QueuePair {
         Ok(peer)
     }
 
-    fn profile(&self) -> NicProfile {
-        self.inner.fabric.profile().clone()
+    fn profile(&self) -> &NicProfile {
+        self.inner.fabric.profile()
     }
 
     fn issue(&self, payload: usize, chained: bool) -> SimTime {
@@ -505,7 +506,7 @@ impl QueuePair {
         } else {
             profile.issue_cost(payload)
         };
-        let cost = issue + self.inner.function.message_overhead(&profile);
+        let cost = issue + self.inner.function.message_overhead(profile);
         self.inner.clock.advance(cost)
     }
 
@@ -527,8 +528,12 @@ impl QueuePair {
                 buffer_len: recv.local.len,
             });
         }
-        let data = local.region.read(local.offset, local.len)?;
-        recv.local.region.write(recv.local.offset, &data)?;
+        local.region.copy_to(
+            local.offset,
+            &recv.local.region,
+            recv.local.offset,
+            local.len,
+        )?;
 
         let ready = self.issue(local.len, chained);
         let timing = self
@@ -569,17 +574,18 @@ impl QueuePair {
         signaled: bool,
         chained: bool,
     ) -> Result<()> {
-        let data = local.region.read(local.offset, local.len)?;
-        self.write_remote_bytes(wr_id, &data, remote, imm, peer, signaled, chained)
+        let source = WriteSource::Gathered(local);
+        self.write_remote_bytes(wr_id, source, remote, imm, peer, signaled, chained)
     }
 
-    /// Shared body of buffered and inline writes: `data` already left the
-    /// initiator's memory (gathered from the SGE or copied into the WQE).
+    /// Shared body of buffered and inline writes: the NIC moves `source`
+    /// (the SGE it gathers from, or the bytes already copied into the WQE)
+    /// into the target region in one copy.
     #[allow(clippy::too_many_arguments)]
     fn write_remote_bytes(
         &self,
         wr_id: u64,
-        data: &[u8],
+        source: WriteSource<'_>,
         remote: &RemoteMemoryHandle,
         imm: Option<u32>,
         peer: &Arc<QpInner>,
@@ -587,20 +593,14 @@ impl QueuePair {
         chained: bool,
     ) -> Result<()> {
         let profile = self.profile();
-        let len = data.len();
+        let len = source.len();
         let target = peer.pd.lookup(remote.rkey)?;
         if !target.access().remote_write {
             return Err(FabricError::RemoteAccessDenied {
                 required: "REMOTE_WRITE",
             });
         }
-        if remote.offset + len > target.len() {
-            return Err(FabricError::RemoteAccessOutOfBounds {
-                offset: remote.offset,
-                len,
-                region_len: target.len(),
-            });
-        }
+        check_remote_bounds(remote, len, target.len())?;
         // Write-with-immediate additionally consumes a posted receive so the
         // remote CPU learns about the delivery.
         let consumed_recv = if imm.is_some() {
@@ -609,7 +609,14 @@ impl QueuePair {
             None
         };
 
-        target.write(remote.offset, data)?;
+        match source {
+            WriteSource::Gathered(local) => {
+                local
+                    .region
+                    .copy_to(local.offset, &target, remote.offset, len)?
+            }
+            WriteSource::Inline(data) => target.write(remote.offset, data)?,
+        }
 
         let ready = self.issue(len, chained);
         let timing = self
@@ -661,15 +668,8 @@ impl QueuePair {
                 required: "REMOTE_READ",
             });
         }
-        if remote.offset + local.len > source.len() {
-            return Err(FabricError::RemoteAccessOutOfBounds {
-                offset: remote.offset,
-                len: local.len,
-                region_len: source.len(),
-            });
-        }
-        let data = source.read(remote.offset, local.len)?;
-        local.region.write(local.offset, &data)?;
+        check_remote_bounds(remote, local.len, source.len())?;
+        source.copy_to(remote.offset, &local.region, local.offset, local.len)?;
 
         // Request travels to the target, the response streams the data back.
         let ready = self.issue(0, chained);
@@ -710,7 +710,7 @@ impl QueuePair {
                 required: "REMOTE_ATOMIC",
             });
         }
-        if !remote.offset.is_multiple_of(8) || remote.offset + 8 > target.len() {
+        if !remote.offset.is_multiple_of(8) || !in_bounds(remote.offset, 8, target.len()) {
             return Err(FabricError::InvalidAtomicTarget {
                 offset: remote.offset,
             });
@@ -763,20 +763,47 @@ impl QueuePair {
     }
 }
 
+/// Where the bytes of a write come from.
+#[derive(Clone, Copy)]
+enum WriteSource<'a> {
+    /// A registered local buffer the NIC gathers from by DMA.
+    Gathered(&'a Sge),
+    /// Bytes the CPU already copied into the WQE at post time.
+    Inline(&'a [u8]),
+}
+
+impl WriteSource<'_> {
+    fn len(&self) -> usize {
+        match self {
+            WriteSource::Gathered(local) => local.len,
+            WriteSource::Inline(data) => data.len(),
+        }
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 enum AtomicOp {
     FetchAdd(u64),
     CompareSwap { compare: u64, swap: u64 },
 }
 
+/// `[remote.offset, remote.offset + len)` must lie inside the target
+/// registration of a one-sided write or read.
+fn check_remote_bounds(remote: &RemoteMemoryHandle, len: usize, region_len: usize) -> Result<()> {
+    if in_bounds(remote.offset, len, region_len) {
+        Ok(())
+    } else {
+        Err(FabricError::RemoteAccessOutOfBounds {
+            offset: remote.offset,
+            len,
+            region_len,
+        })
+    }
+}
+
 fn validate_sge(sge: &Sge) -> Result<()> {
     let region_len = sge.region.len();
-    if sge
-        .offset
-        .checked_add(sge.len)
-        .map(|end| end <= region_len)
-        .unwrap_or(false)
-    {
+    if in_bounds(sge.offset, sge.len, region_len) {
         Ok(())
     } else {
         Err(FabricError::LocalAccessOutOfBounds {
@@ -1029,6 +1056,95 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, FabricError::RemoteAccessOutOfBounds { .. }));
+    }
+
+    #[test]
+    fn remote_offset_overflow_is_out_of_bounds_not_a_panic() {
+        // Regression: write / read / atomic tested `offset + len > region`
+        // with an unchecked add, which panics in debug builds and wraps past
+        // the check in release builds.
+        let (client, server, _f) = connected_pair();
+        let local = client.pd().register(8, AccessFlags::LOCAL_ONLY);
+        let target = server.pd().register(64, AccessFlags::REMOTE_ALL);
+        let at = |offset| RemoteMemoryHandle {
+            rkey: target.rkey(),
+            offset,
+            len: 8,
+        };
+        let out_of_bounds = FabricError::RemoteAccessOutOfBounds {
+            offset: usize::MAX,
+            len: 8,
+            region_len: 64,
+        };
+        let write = SendRequest::Write {
+            local: Sge::whole(&local),
+            remote: at(usize::MAX),
+        };
+        assert_eq!(client.post_send(1, write, true), Err(out_of_bounds.clone()));
+        assert_eq!(
+            client.post_write_inline(2, &[0u8; 8], &at(usize::MAX), None, true),
+            Err(out_of_bounds.clone())
+        );
+        let read = SendRequest::Read {
+            local: Sge::whole(&local),
+            remote: at(usize::MAX),
+        };
+        assert_eq!(client.post_send(3, read, true), Err(out_of_bounds));
+        // The last 8-aligned offset: passes the alignment test, overflows
+        // the range test.
+        let atomic = SendRequest::AtomicFetchAdd {
+            local: Sge::whole(&local),
+            remote: at(usize::MAX - 7),
+            add: 1,
+        };
+        assert_eq!(
+            client.post_send(4, atomic, true),
+            Err(FabricError::InvalidAtomicTarget {
+                offset: usize::MAX - 7
+            })
+        );
+        assert_eq!(target.read_all(), vec![0u8; 64]);
+        assert_eq!(client.send_cq().pending(), 0);
+    }
+
+    #[test]
+    fn opposite_direction_writes_between_two_regions_do_not_deadlock() {
+        // Each side's write holds its own region for reading and the peer's
+        // for writing. Taken in post order, the two threads would each hold
+        // one region and wait for the other; address order rules that out.
+        const ITERATIONS: u64 = 10_000;
+        let (left, right, _f) = connected_pair();
+        let left_region = left.pd().register(4096, AccessFlags::REMOTE_WRITE);
+        let right_region = right.pd().register(4096, AccessFlags::REMOTE_WRITE);
+        let start = Arc::new(std::sync::Barrier::new(2));
+        let (finished, done) = std::sync::mpsc::channel();
+        let spawn = |qp: QueuePair, local: MemoryRegion, remote: MemoryRegion| {
+            let (start, finished) = (Arc::clone(&start), finished.clone());
+            std::thread::spawn(move || {
+                start.wait();
+                for wr_id in 0..ITERATIONS {
+                    let write = SendRequest::Write {
+                        local: Sge::whole(&local),
+                        remote: remote.remote_handle(),
+                    };
+                    qp.post_send(wr_id, write, false).unwrap();
+                }
+                finished.send(()).unwrap();
+            })
+        };
+        let threads = [
+            spawn(left.clone(), left_region.clone(), right_region.clone()),
+            spawn(right.clone(), right_region, left_region),
+        ];
+        for _ in &threads {
+            done.recv_timeout(std::time::Duration::from_secs(120))
+                .expect("both writers finish: no lock inversion between the two regions");
+        }
+        for thread in threads {
+            thread.join().unwrap();
+        }
+        assert_eq!(left.ops_posted(), ITERATIONS);
+        assert_eq!(right.ops_posted(), ITERATIONS);
     }
 
     #[test]

@@ -120,10 +120,13 @@ impl Buffer {
     }
 
     /// Decode `len` payload bytes through codec `C` (the typed equivalent of
-    /// [`Buffer::read_payload`]).
+    /// [`Buffer::read_payload`]), straight from the registered region: the
+    /// decoded value is the only copy made.
     pub fn read_decoded<C: Codec + ?Sized>(&self, len: usize) -> Result<C::Owned> {
-        let bytes = self.read_payload(len)?;
-        C::decode(&bytes)
+        crate::codec::check_capacity(len, self.capacity())?;
+        let start = self.header_space;
+        self.region
+            .with_bytes(|bytes| C::decode(&bytes[start..start + len]))
     }
 
     /// Remote handle covering the payload area (what the executor writes to).

@@ -34,12 +34,15 @@ use rdma_fabric::{
 #[cfg(test)]
 use sandbox::SandboxType;
 use sandbox::{
-    CodePackage, FaultTracker, FunctionError, FunctionRegistry, ImageRegistry, Sandbox,
-    SandboxSnapshot, SpawnBreakdown, StateAccess, WarmPool, SNAPSHOT_PAGE_BYTES,
+    CodePackage, FaultTracker, FunctionError, FunctionOutcome, FunctionRegistry, ImageRegistry,
+    Sandbox, SandboxSnapshot, SharedFunction, SpawnBreakdown, StateAccess, WarmPool,
+    SNAPSHOT_PAGE_BYTES,
 };
 use sim_core::sync::{ranks, OrderedMutex};
 use sim_core::{SimDuration, SimTime, VirtualClock};
-use state_plane::{StateClient, StateClientStats, StateError, StateMode, StateSpec};
+use state_plane::{
+    StateClient, StateClientStats, StateError, StateKey, StateMode, StateSpec, StateValues,
+};
 
 use crate::billing::BillingClient;
 use crate::config::{PollingMode, RFaasConfig};
@@ -132,10 +135,11 @@ impl ForkFaultState {
 
 /// Executor-side attachment to a state plane: one caching [`StateClient`]
 /// per executor process, plus the per-function key declarations registered
-/// at bind time. The dispatcher materialises a function's declared keys into
-/// worker-local buffers before dispatch and writes dirty read-write keys
-/// back after completion, so the function body itself never takes a
-/// control-plane round trip.
+/// at bind time. The dispatcher resolves a function's declared keys into the
+/// client's pre-registered cache before dispatch, runs the function over a
+/// window that *borrows* them from that cache, and writes dirty read-write
+/// keys back after completion, so the function body itself never takes a
+/// control-plane round trip and a cache-hit read moves no value bytes.
 pub struct ExecutorStateBinding {
     client: StateClient,
     specs: HashMap<String, StateSpec>,
@@ -177,84 +181,94 @@ impl ExecutorStateBinding {
         self.client.stats()
     }
 
-    /// Materialise the keys `function` declared into worker-local buffers.
-    /// A key deleted since bind time materialises empty (the function
-    /// observes a fresh value, exactly as a first writer would).
-    fn materialize(&mut self, function: &str) -> Result<MaterializedState> {
-        let spec = self.specs.get(function).cloned().unwrap_or_default();
-        let mut entries = Vec::with_capacity(spec.keys().len());
-        for key in spec.keys() {
-            let bytes = match self.client.get(&key.name) {
-                Ok(bytes) => bytes,
-                Err(StateError::UnknownKey(_)) => Vec::new(),
-                Err(e) => return Err(RFaasError::StatePlane(e)),
-            };
-            entries.push(MaterializedEntry {
-                name: key.name.clone(),
-                mode: key.mode,
-                bytes,
-                dirty: false,
-            });
-        }
-        Ok(MaterializedState { entries })
-    }
-
-    /// Push every dirty read-write key back to the plane, in declaration
-    /// order (the write-back schedule is deterministic).
-    fn write_back(&mut self, state: MaterializedState) -> Result<()> {
-        for entry in state.entries {
-            if entry.dirty && entry.mode == StateMode::ReadWrite {
-                self.client
-                    .put(&entry.name, &entry.bytes)
-                    .map_err(RFaasError::StatePlane)?;
+    /// Run the stateful `function` over the keys it declared. The window
+    /// borrows every value from the cache region (the caller holds the
+    /// binding lock, which serialises the cache for the whole invocation); a
+    /// key deleted since bind time reads empty, exactly as a first writer
+    /// would see it. Dirty read-write keys are pushed back to the plane in
+    /// declaration order once the function succeeded and the borrowed view
+    /// is gone; a failing function leaves cache and plane untouched.
+    fn invoke(
+        &mut self,
+        function: &SharedFunction,
+        input: &[u8],
+        output: &mut [u8],
+    ) -> FunctionOutcome {
+        let state_error =
+            |e: StateError| FunctionError::StateAccess(RFaasError::StatePlane(e).to_string());
+        let keys = self
+            .specs
+            .get(function.name())
+            .map_or(&[][..], StateSpec::keys);
+        let names = keys.iter().map(|key| key.name.as_str());
+        let (outcome, written) = self
+            .client
+            .get_many_with(names, |values| {
+                let mut window = StateWindow {
+                    keys,
+                    values,
+                    written: Vec::new(),
+                };
+                let outcome = function.invoke_stateful(input, &mut window, output);
+                (outcome, window.written)
+            })
+            .map_err(state_error)?;
+        let produced = outcome?;
+        for (key, bytes) in keys.iter().zip(written) {
+            if let Some(bytes) = bytes {
+                self.client.put(&key.name, &bytes).map_err(state_error)?;
             }
         }
-        Ok(())
+        Ok(produced)
     }
 }
 
-struct MaterializedEntry {
-    name: String,
-    mode: StateMode,
-    bytes: Vec<u8>,
-    dirty: bool,
+/// The `StateAccess` window handed to one stateful invocation: reads borrow
+/// the declared keys' values where the state client cached them, the first
+/// `write()` of a read-write key copies its value into an overlay that is
+/// written back after completion, and any access outside the declared set
+/// (or a write to a read-only key) fails the invocation.
+struct StateWindow<'a> {
+    keys: &'a [StateKey],
+    values: StateValues<'a>,
+    /// Copy-on-write overlay, one slot per declared key — sized on the first
+    /// write, so a read-only invocation allocates nothing.
+    written: Vec<Option<Vec<u8>>>,
 }
 
-/// The declared keys of one stateful invocation, materialised into
-/// worker-local byte buffers. This is the `StateAccess` window handed to the
-/// function body: reads see the materialised copies, writes mark them dirty
-/// for the post-completion write-back, and any access outside the declared
-/// set (or a write to a read-only key) fails the invocation.
-struct MaterializedState {
-    entries: Vec<MaterializedEntry>,
+impl<'a> StateWindow<'a> {
+    fn index_of(&self, key: &str) -> std::result::Result<usize, FunctionError> {
+        self.keys.iter().position(|k| k.name == key).ok_or_else(|| {
+            FunctionError::StateAccess(format!("key '{key}' was not declared via with_state"))
+        })
+    }
+
+    fn committed(&self, index: usize) -> &'a [u8] {
+        self.values.get(index).unwrap_or(&[])
+    }
 }
 
-impl StateAccess for MaterializedState {
+impl StateAccess for StateWindow<'_> {
     fn read(&self, key: &str) -> std::result::Result<&[u8], FunctionError> {
-        self.entries
-            .iter()
-            .find(|e| e.name == key)
-            .map(|e| e.bytes.as_slice())
-            .ok_or_else(|| {
-                FunctionError::StateAccess(format!("key '{key}' was not declared via with_state"))
-            })
+        let index = self.index_of(key)?;
+        Ok(match self.written.get(index) {
+            Some(Some(bytes)) => bytes,
+            _ => self.committed(index),
+        })
     }
 
     fn write(&mut self, key: &str) -> std::result::Result<&mut Vec<u8>, FunctionError> {
-        let entry = self
-            .entries
-            .iter_mut()
-            .find(|e| e.name == key)
-            .ok_or_else(|| {
-                FunctionError::StateAccess(format!("key '{key}' was not declared via with_state"))
-            })?;
-        if entry.mode == StateMode::Read {
+        let index = self.index_of(key)?;
+        if self.keys[index].mode == StateMode::Read {
             return Err(FunctionError::StateAccess(format!(
                 "key '{key}' is declared read-only"
             )));
         }
-        entry.dirty = true;
-        Ok(&mut entry.bytes)
+        if self.written.is_empty() {
+            self.written.resize_with(self.keys.len(), || None);
+        }
+        let committed = self.committed(index);
+        Ok(self.written[index].get_or_insert_with(|| committed.to_vec()))
     }
 }
 
@@ -544,6 +558,39 @@ fn connect_worker(
     })
 }
 
+/// Stateful dispatch: run `function` against its declared state window. The
+/// time the state client spends on its own clock (cache misses, remote
+/// reads, push writes) is re-billed onto the worker's clock so the
+/// invocation round trip carries it.
+fn invoke_stateful(
+    function: &SharedFunction,
+    input: &[u8],
+    output: &mut [u8],
+    state_binding: &OrderedMutex<Option<ExecutorStateBinding>>,
+    shared: &WorkerShared,
+) -> FunctionOutcome {
+    let mut guard = state_binding.lock();
+    let Some(binding) = guard.as_mut() else {
+        return Err(FunctionError::StateAccess(
+            "no state plane is attached to this executor process".into(),
+        ));
+    };
+    // The binding's clock may lag the worker's (it only moves on state
+    // traffic); sync before measuring so the access is billed its real cost,
+    // not the catch-up to the worker's present.
+    binding.sync_to(shared.clock.now());
+    let state_started = binding.now();
+    let outcome = binding.invoke(function, input, output);
+    let spent = binding.now().saturating_since(state_started);
+    shared.clock.advance(spent);
+    {
+        let mut stats = shared.stats.lock();
+        stats.state_invocations += 1;
+        stats.state_time += spent;
+    }
+    outcome
+}
+
 /// Serve one invocation completion on its owning worker: charge the pickup
 /// on the worker's clock per its polling mode, apply the retrospective
 /// hot-poll accounting, enforce the lease, acquire the core, run the
@@ -656,10 +703,10 @@ fn serve_completion(
     let imm = wc.imm.unwrap_or(0);
     let (invocation_id, function_index) = ImmValue::parse_request(imm);
     let total_len = wc.byte_len;
-    let header_bytes = match conn.input.read(0, INVOCATION_HEADER_BYTES) {
-        Ok(bytes) => bytes,
-        Err(_) => return,
-    };
+    let mut header_bytes = [0u8; INVOCATION_HEADER_BYTES];
+    if conn.input.read_into(0, &mut header_bytes).is_err() {
+        return;
+    }
     let Ok(header) = InvocationHeader::decode(&header_bytes) else {
         return;
     };
@@ -734,63 +781,24 @@ fn serve_completion(
     // Dispatch: header parse, function lookup, argument setup.
     shared.clock.advance(config.dispatch_cost);
 
-    let function = package.function_by_index(function_index as usize).cloned();
-    let response = match function {
+    let response = match package.function_by_index(function_index as usize) {
         None => (0usize, ResultStatus::FunctionFailed),
         Some(function) => {
-            let input_bytes = conn
-                .input
-                .read(INVOCATION_HEADER_BYTES, payload_len)
-                .unwrap_or_default();
             let started = shared.clock.now();
-            let outcome = if function.is_stateful() {
-                // Stateful path: materialise the declared keys into
-                // worker-local buffers, run the function against the state
-                // window, write dirty keys back. The time the state client
-                // spends on its own clock (cache misses, remote reads, push
-                // writes) is re-billed onto this worker's clock so the
-                // invocation round trip carries it.
-                let mut guard = state_binding.lock();
-                match guard.as_mut() {
-                    None => Err(FunctionError::StateAccess(
-                        "no state plane is attached to this executor process".into(),
-                    )),
-                    Some(binding) => {
-                        // The binding's clock may lag the worker's (it only
-                        // moves on state traffic); sync before measuring so
-                        // the access is billed its real cost, not the
-                        // catch-up to the worker's present.
-                        binding.sync_to(shared.clock.now());
-                        let state_started = binding.now();
-                        let outcome = match binding.materialize(function.name()) {
-                            Err(e) => Err(FunctionError::StateAccess(e.to_string())),
-                            Ok(mut window) => {
-                                let run = conn.output.with_bytes_mut(|buf| {
-                                    function.invoke_stateful(&input_bytes, &mut window, buf)
-                                });
-                                match run {
-                                    Ok(n) => match binding.write_back(window) {
-                                        Ok(()) => Ok(n),
-                                        Err(e) => Err(FunctionError::StateAccess(e.to_string())),
-                                    },
-                                    Err(e) => Err(e),
-                                }
-                            }
-                        };
-                        let spent = binding.now().saturating_since(state_started);
-                        shared.clock.advance(spent);
-                        {
-                            let mut stats = shared.stats.lock();
-                            stats.state_invocations += 1;
-                            stats.state_time += spent;
-                        }
-                        outcome
+            // The function reads its payload where the client's write put it
+            // and produces its result where the reply is gathered from.
+            let outcome = conn.input.with_bytes(|input| {
+                let payload = input
+                    .get(INVOCATION_HEADER_BYTES..INVOCATION_HEADER_BYTES + payload_len)
+                    .unwrap_or(&[]);
+                conn.output.with_bytes_mut(|output| {
+                    if function.is_stateful() {
+                        invoke_stateful(function, payload, output, state_binding, &shared)
+                    } else {
+                        function.invoke(payload, output)
                     }
-                }
-            } else {
-                conn.output
-                    .with_bytes_mut(|buf| function.invoke(&input_bytes, buf))
-            };
+                })
+            });
             shared.clock.advance(function.compute_cost(payload_len));
             let busy = shared.clock.now().saturating_since(started);
             {
@@ -1955,6 +1963,169 @@ mod tests {
             1
         );
         exec
+    }
+
+    /// A state plane with a session-side writer and an executor-side binding
+    /// whose cache holds `cache_bytes`; `keys` are bound to every function
+    /// the tests invoke.
+    fn state_binding(
+        cache_bytes: usize,
+        keys: impl IntoIterator<Item = StateKey>,
+    ) -> (StateClient, ExecutorStateBinding) {
+        let fabric = Fabric::with_defaults();
+        let plane = state_plane::StatePlane::new(&fabric, "state-0", 1 << 20);
+        let attach = |name: &str, cache_bytes| {
+            let node = fabric.add_node(name);
+            plane.attach(name, &node, &VirtualClock::shared(), cache_bytes)
+        };
+        let writer = attach("session", 64 * 1024);
+        let mut binding = ExecutorStateBinding::new(attach("executor", cache_bytes));
+        let spec = StateSpec::new(keys);
+        for function in ["first-byte", "append", "append-then-fail", "rogue"] {
+            binding.bind(function, spec.clone());
+        }
+        (writer, binding)
+    }
+
+    /// Replies with the first byte and the length of every declared key.
+    fn first_byte_function(keys: &'static [&'static str]) -> SharedFunction {
+        SharedFunction::from_stateful_fn("first-byte", move |_input, state, output| {
+            for (slot, key) in output.chunks_exact_mut(2).zip(keys) {
+                let value = state.read(key)?;
+                slot[0] = value.first().copied().unwrap_or(0);
+                slot[1] = value.len() as u8;
+            }
+            Ok(2 * keys.len())
+        })
+    }
+
+    #[test]
+    fn read_only_view_sees_the_value_an_invalidating_put_committed() {
+        let (mut writer, mut binding) = state_binding(4096, [StateKey::read("model")]);
+        let peek = first_byte_function(&["model"]);
+        let mut out = [0u8; 2];
+        writer.put("model", &[1u8; 16]).unwrap();
+        assert_eq!(binding.invoke(&peek, &[], &mut out), Ok(2));
+        assert_eq!(out, [1, 16]);
+        // A put from another client invalidates the executor's cached copy;
+        // the next borrowed view is over the freshly fetched bytes.
+        writer.put("model", &[2u8; 32]).unwrap();
+        assert_eq!(binding.invoke(&peek, &[], &mut out), Ok(2));
+        assert_eq!(out, [2, 32]);
+        assert_eq!(binding.invoke(&peek, &[], &mut out), Ok(2));
+        let stats = binding.stats();
+        assert_eq!(stats.invalidations_applied, 1);
+        assert_eq!(
+            (stats.gets, stats.remote_reads, stats.cache_hits),
+            (3, 2, 1)
+        );
+        assert_eq!(stats.puts, 0, "a read-only key is never written back");
+    }
+
+    #[test]
+    fn a_write_is_visible_to_later_reads_of_the_same_invocation() {
+        let (mut writer, mut binding) = state_binding(4096, [StateKey::read_write("log")]);
+        let append = SharedFunction::from_stateful_fn("append", |input, state, output| {
+            let before = state.read("log")?.len();
+            state.write("log")?.extend_from_slice(input);
+            let after = state.read("log")?;
+            output[0] = before as u8;
+            output[1..=after.len()].copy_from_slice(after);
+            Ok(1 + after.len())
+        });
+        let mut out = [0u8; 16];
+        writer.put("log", &[7, 8]).unwrap();
+        assert_eq!(binding.invoke(&append, &[9], &mut out), Ok(4));
+        assert_eq!(out[..4], [2, 7, 8, 9]);
+        // The overlay was written back once the invocation succeeded.
+        assert_eq!(writer.get("log").unwrap(), vec![7, 8, 9]);
+        assert_eq!(binding.invoke(&append, &[10], &mut out), Ok(5));
+        assert_eq!(out[..5], [3, 7, 8, 9, 10]);
+        assert_eq!(binding.stats().puts, 2);
+    }
+
+    #[test]
+    fn failing_stateful_function_leaves_cache_and_plane_untouched() {
+        let (mut writer, mut binding) = state_binding(4096, [StateKey::read_write("log")]);
+        let fail = SharedFunction::from_stateful_fn("append-then-fail", |_in, state, _out| {
+            let log = state.write("log")?;
+            log.clear();
+            log.push(0xFF);
+            Err(FunctionError::ExecutionFailed("after mutating".into()))
+        });
+        writer.put("log", &[7, 8]).unwrap();
+        let mut out = [0u8; 2];
+        assert_eq!(
+            binding.invoke(&fail, &[], &mut out),
+            Err(FunctionError::ExecutionFailed("after mutating".into()))
+        );
+        assert_eq!(binding.stats().puts, 0, "nothing is written back");
+        assert_eq!(writer.get("log").unwrap(), vec![7, 8]);
+        // The executor's cached copy is the committed value, served as a hit.
+        let hits = binding.stats().cache_hits;
+        let peek = first_byte_function(&["log"]);
+        assert_eq!(binding.invoke(&peek, &[], &mut out), Ok(2));
+        assert_eq!(out, [7, 2]);
+        assert_eq!(binding.stats().cache_hits, hits + 1);
+    }
+
+    #[test]
+    fn declared_set_larger_than_the_cache_is_served_from_owned_copies() {
+        // Three 400-byte values against a 1000-byte cache: fetching the
+        // third evicts the first, which the window already points at.
+        let keys = [
+            StateKey::read("a"),
+            StateKey::read("b"),
+            StateKey::read_write("c"),
+        ];
+        let (mut writer, mut binding) = state_binding(1000, keys.clone());
+        for (key, fill) in [("a", 1u8), ("b", 2), ("c", 3)] {
+            writer.put(key, &[fill; 400]).unwrap();
+        }
+        let bump = SharedFunction::from_stateful_fn("first-byte", |_in, state, output| {
+            let c = state.write("c")?;
+            c[0] += 10;
+            for (slot, key) in output.iter_mut().zip(["a", "b", "c"]) {
+                *slot = state.read(key)?[0];
+            }
+            Ok(3)
+        });
+        let mut out = [0u8; 3];
+        assert_eq!(binding.invoke(&bump, &[], &mut out), Ok(3));
+        assert_eq!(out, [1, 2, 13]);
+        assert_eq!(binding.invoke(&bump, &[], &mut out), Ok(3));
+        assert_eq!(out, [1, 2, 23]);
+        assert_eq!(writer.get("c").unwrap()[0], 23);
+
+        // The same invocations through a cache too small for any two values
+        // cost exactly what per-key copies cost: every read is a miss.
+        let (mut writer, mut binding) = state_binding(500, keys);
+        for (key, fill) in [("a", 1u8), ("b", 2), ("c", 3)] {
+            writer.put(key, &[fill; 400]).unwrap();
+        }
+        assert_eq!(binding.invoke(&bump, &[], &mut out), Ok(3));
+        assert_eq!(out, [1, 2, 13]);
+        let stats = binding.stats();
+        assert_eq!(
+            (stats.gets, stats.remote_reads, stats.cache_hits),
+            (3, 3, 0)
+        );
+    }
+
+    #[test]
+    fn writing_a_read_only_key_is_a_state_access_violation() {
+        let (mut writer, mut binding) = state_binding(4096, [StateKey::read("model")]);
+        writer.put("model", &[1u8; 16]).unwrap();
+        let rogue = SharedFunction::from_stateful_fn("rogue", |_in, state, _out| {
+            state.write("model")?.push(0);
+            Ok(0)
+        });
+        let err = binding.invoke(&rogue, &[], &mut []).unwrap_err();
+        assert!(
+            matches!(&err, FunctionError::StateAccess(why) if why.contains("read-only")),
+            "{err:?}"
+        );
+        assert_eq!(writer.get("model").unwrap(), vec![1u8; 16]);
     }
 
     #[test]

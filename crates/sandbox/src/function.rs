@@ -59,12 +59,13 @@ pub type FunctionOutcome = Result<usize, FunctionError>;
 
 /// The state window handed to a stateful function body.
 ///
-/// The executor materialises the keys the binding *declared* into
-/// worker-visible buffers before dispatch; this trait is the function's view
-/// of that window. Reads hand out borrowed bytes (no staging copy inside the
-/// function), writes hand out the mutable value buffer and mark it dirty so
-/// the executor writes it back after completion. Touching an undeclared key,
-/// or writing a key declared read-only, is a [`FunctionError::StateAccess`].
+/// The executor resolves the keys the binding *declared* into its state
+/// cache before dispatch; this trait is the function's view of that window.
+/// Reads hand out bytes borrowed where the executor cached them (no
+/// per-invocation copy of the value), writes hand out a mutable copy of the
+/// value — made on the key's first write — and mark it dirty so the executor
+/// writes it back after completion. Touching an undeclared key, or writing
+/// a key declared read-only, is a [`FunctionError::StateAccess`].
 pub trait StateAccess {
     /// Borrow the current value of a declared key.
     fn read(&self, key: &str) -> Result<&[u8], FunctionError>;

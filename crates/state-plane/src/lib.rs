@@ -34,6 +34,8 @@ mod spec;
 
 pub use error::{Result, StateError};
 pub use frame::StateFrame;
-pub use plane::{StateClient, StateClientStats, StatePlacement, StatePlane, StatePlaneStats};
+pub use plane::{
+    StateClient, StateClientStats, StatePlacement, StatePlane, StatePlaneStats, StateValues,
+};
 pub use region::{RegionAllocator, Span};
 pub use spec::{StateKey, StateMode, StateSpec};

@@ -228,6 +228,7 @@ impl StatePlane {
             cache,
             cache_alloc: RegionAllocator::new(cache_bytes),
             entries: BTreeMap::new(),
+            pins: Vec::new(),
             tick: 0,
             counters: StateClientStats::default(),
         }
@@ -482,6 +483,38 @@ struct CacheEntry {
     last_use: u64,
 }
 
+/// Where one value of an in-progress [`StateClient::get_many_with`] lives.
+#[derive(Debug)]
+enum Pinned {
+    /// In the cache region, at this span.
+    Cached { offset: usize, len: usize },
+    /// Copied out, because resolving a later key (an LRU eviction or an
+    /// invalidation that arrived meanwhile) reclaimed the span.
+    Owned(Vec<u8>),
+    /// The key does not exist in the plane.
+    Missing,
+}
+
+/// The values of one [`StateClient::get_many_with`] call, borrowed from the
+/// client's cache region for the duration of the callback.
+#[derive(Debug, Clone, Copy)]
+pub struct StateValues<'a> {
+    cache: &'a [u8],
+    pins: &'a [Pinned],
+}
+
+impl<'a> StateValues<'a> {
+    /// Value of the `index`-th requested key; `None` when that key does not
+    /// exist in the plane.
+    pub fn get(&self, index: usize) -> Option<&'a [u8]> {
+        match &self.pins[index] {
+            Pinned::Cached { offset, len } => Some(&self.cache[*offset..*offset + *len]),
+            Pinned::Owned(bytes) => Some(bytes),
+            Pinned::Missing => None,
+        }
+    }
+}
+
 /// One attached client: a pre-registered cache region, a version-checked
 /// directory of cached keys, and a datagram socket for the control path.
 ///
@@ -497,6 +530,8 @@ pub struct StateClient {
     cache: MemoryRegion,
     cache_alloc: RegionAllocator,
     entries: BTreeMap<String, CacheEntry>,
+    /// Spans an in-progress `get_many_with` still points at; empty otherwise.
+    pins: Vec<Pinned>,
     tick: u64,
     counters: StateClientStats,
 }
@@ -542,12 +577,29 @@ impl StateClient {
         self.entries.get(key).map(|e| e.version)
     }
 
+    /// Hand the cache span of a dropped entry back to the allocator. A value
+    /// an in-progress `get_many_with` resolved earlier is copied out first:
+    /// the caller still sees the bytes it was promised, exactly as if each
+    /// key had been copied out when it was read.
+    fn reclaim(&mut self, entry: CacheEntry) {
+        for pin in &mut self.pins {
+            let Pinned::Cached { offset, len } = *pin else {
+                continue;
+            };
+            if (offset, len) == (entry.offset, entry.len) {
+                let bytes = self.cache.read(offset, len);
+                *pin = Pinned::Owned(bytes.expect("a cached span lies inside the cache region"));
+            }
+        }
+        self.cache_alloc.release(entry.offset, entry.len);
+    }
+
     /// Apply one invalidation: the cached copy (if any) is stale or deleted.
     fn invalidate(&mut self, key: &str, version: u64) {
         if let Some(entry) = self.entries.get(key).copied() {
             if version == 0 || entry.version < version {
                 self.entries.remove(key);
-                self.cache_alloc.release(entry.offset, entry.len);
+                self.reclaim(entry);
                 self.counters.invalidations_applied += 1;
             }
         }
@@ -594,7 +646,7 @@ impl StateClient {
                 .min_by_key(|(_, e)| e.last_use)
                 .map(|(k, _)| k.clone())?;
             let entry = self.entries.remove(&victim).expect("victim exists");
-            self.cache_alloc.release(entry.offset, entry.len);
+            self.reclaim(entry);
         }
     }
 
@@ -642,14 +694,10 @@ impl StateClient {
         // pre-registered cache region. The owner's CPU is not involved.
         self.clock
             .advance(self.plane.inner.fabric.profile().state_read_cost(len));
-        let bytes = self
-            .plane
+        self.plane
             .inner
             .arena
-            .read(offset, len)
-            .map_err(StateError::Fabric)?;
-        self.cache
-            .write(cache_offset, &bytes)
+            .copy_to(offset, &self.cache, cache_offset, len)
             .map_err(StateError::Fabric)?;
         self.counters.remote_reads += 1;
         self.counters.bytes_read += len as u64;
@@ -678,6 +726,45 @@ impl StateClient {
         Ok(self
             .cache
             .with_bytes(|bytes| f(&bytes[offset..offset + len])))
+    }
+
+    /// Read every key of `keys`, in order and with exactly the accounting of
+    /// one [`Self::get_with`] per key (same hits, misses, evictions and
+    /// clock charges), then hand `f` all the values at once, borrowed from
+    /// the pre-registered cache region. A key that does not exist in the
+    /// plane reads as `None`; any other failure aborts the call at that key.
+    ///
+    /// When the keys cannot all stay resident — the LRU evicts an earlier
+    /// key to make room for a later one — the evicted value is copied out
+    /// just before its span is reused, so `f` still sees every value.
+    pub fn get_many_with<'k, R>(
+        &mut self,
+        keys: impl IntoIterator<Item = &'k str>,
+        f: impl FnOnce(StateValues<'_>) -> R,
+    ) -> Result<R> {
+        self.pins.clear();
+        for key in keys {
+            let pin = match self.ensure_cached(key) {
+                Ok((offset, len)) => {
+                    self.counters.gets += 1;
+                    Pinned::Cached { offset, len }
+                }
+                Err(StateError::UnknownKey(_)) => Pinned::Missing,
+                Err(e) => {
+                    self.pins.clear();
+                    return Err(e);
+                }
+            };
+            self.pins.push(pin);
+        }
+        let result = self.cache.with_bytes(|cache| {
+            f(StateValues {
+                cache,
+                pins: &self.pins,
+            })
+        });
+        self.pins.clear();
+        Ok(result)
     }
 
     /// Read `key` into an owned buffer (convenience over [`Self::get_with`]).
@@ -749,7 +836,7 @@ impl StateClient {
         // Write-through into the local cache (skipped when the value cannot
         // fit — it then simply lives remotely).
         if let Some(entry) = self.entries.remove(key) {
-            self.cache_alloc.release(entry.offset, entry.len);
+            self.reclaim(entry);
         }
         if value.len() <= self.cache_alloc.capacity() {
             if let Some(cache_offset) = self.cache_reserve(value.len()) {
@@ -787,7 +874,7 @@ impl StateClient {
             }
         };
         if let Some(entry) = self.entries.remove(key) {
-            self.cache_alloc.release(entry.offset, entry.len);
+            self.reclaim(entry);
         }
         self.counters.deletes += 1;
         Ok(existed)
@@ -958,7 +1045,76 @@ mod tests {
         );
     }
 
+    #[test]
+    fn get_many_keeps_an_evicted_value_readable() {
+        let (_fabric, _plane, mut a, mut b) = setup(1000);
+        for (key, fill) in [("x", 1u8), ("y", 2), ("z", 3)] {
+            a.put(key, &[fill; 400]).unwrap();
+        }
+        // Fetching "z" evicts "x" (the LRU) from b's 1000-byte cache while
+        // the call still owes the caller x's bytes.
+        let firsts = b
+            .get_many_with(["x", "y", "absent", "z"], |values| {
+                assert_eq!(values.get(0), Some(&[1u8; 400][..]));
+                assert_eq!(values.get(2), None);
+                [values.get(1).unwrap()[0], values.get(3).unwrap()[399]]
+            })
+            .unwrap();
+        assert_eq!(firsts, [2, 3]);
+        assert_eq!(b.cached_version("x"), None);
+        assert_eq!(b.stats().gets, 3);
+        assert_eq!(b.stats().remote_reads, 3);
+        // A failure other than an unknown key aborts the call.
+        a.put("huge", &[9u8; 2048]).unwrap();
+        assert!(matches!(
+            b.get_many_with(["y", "huge"], |_| ()),
+            Err(StateError::ValueTooLarge { .. })
+        ));
+    }
+
     proptest::proptest! {
+        // One `get_many_with` is observably a sequence of `get`s: same
+        // values, same counters, same virtual time — whatever the cache
+        // can or cannot keep resident.
+        #[test]
+        fn prop_get_many_matches_sequential_gets(batches: Vec<(u8, u8)>, cache_slots in 1usize..5) {
+            // Two identical worlds (clients of one plane share its clock, so
+            // they could not be compared on time): a writer and a reader.
+            let world = || {
+                let (_fabric, plane, writer, reader) = setup(cache_slots * 100);
+                (plane, writer, reader)
+            };
+            let (_plane_a, mut writer_a, mut one_by_one) = world();
+            let (_plane_b, mut writer_b, mut batched) = world();
+            let value = |k: u8, fill: u8| vec![fill; 50 + 10 * k as usize];
+            for k in 0..6u8 {
+                for writer in [&mut writer_a, &mut writer_b] {
+                    writer.put(&format!("k{k}"), &value(k, k)).unwrap();
+                }
+            }
+            for (selector, overwrite) in batches {
+                if overwrite % 4 == 0 {
+                    let k = overwrite % 6;
+                    for writer in [&mut writer_a, &mut writer_b] {
+                        writer.put(&format!("k{k}"), &value(k, overwrite)).unwrap();
+                    }
+                }
+                // Four keys per batch; "k6" and "k7" never exist.
+                let keys: Vec<String> =
+                    (0..4).map(|i| format!("k{}", (selector >> (2 * i)) % 8)).collect();
+                let expected: Vec<Option<Vec<u8>>> =
+                    keys.iter().map(|k| one_by_one.get(k).ok()).collect();
+                let got = batched
+                    .get_many_with(keys.iter().map(String::as_str), |values| {
+                        (0..keys.len()).map(|i| values.get(i).map(<[u8]>::to_vec)).collect::<Vec<_>>()
+                    })
+                    .unwrap();
+                proptest::prop_assert_eq!(got, expected);
+                proptest::prop_assert_eq!(batched.stats(), one_by_one.stats());
+                proptest::prop_assert_eq!(batched.now(), one_by_one.now());
+            }
+        }
+
         // No lost invalidation: across any interleaving of puts, deletes
         // and reads by two clients, a read always returns the latest
         // committed value — never a stale cached copy.
