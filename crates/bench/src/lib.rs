@@ -109,7 +109,15 @@ pub fn state_touch_function() -> SharedFunction {
         let fingerprint = dataset.len() as u64
             + *dataset.first().unwrap_or(&0) as u64
             + *dataset.last().unwrap_or(&0) as u64;
-        output[..8].copy_from_slice(&fingerprint.to_le_bytes());
+        // The window is what the client can receive, possibly under 8 B.
+        let capacity = output.len();
+        let slot = output
+            .get_mut(..8)
+            .ok_or(sandbox::FunctionError::OutputTooLarge {
+                required: 8,
+                capacity,
+            })?;
+        slot.copy_from_slice(&fingerprint.to_le_bytes());
         Ok(8)
     })
 }

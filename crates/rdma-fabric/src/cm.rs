@@ -10,8 +10,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use parking_lot::Mutex;
 use sim_core::SimTime;
 
+use crate::cq::CqNotifier;
 use crate::error::{FabricError, Result};
 use crate::fabric::Fabric;
 use crate::pool::ConnectionPool;
@@ -31,6 +33,9 @@ pub(crate) struct ConnectRequest {
 #[derive(Clone)]
 pub(crate) struct ListenerHandle {
     tx: Sender<ConnectRequest>,
+    /// Signalled after each request is queued (shared with the [`Listener`],
+    /// which attaches it after `bind`).
+    notifier: Arc<Mutex<Option<CqNotifier>>>,
     token: u64,
 }
 
@@ -47,6 +52,7 @@ pub struct Listener {
     fabric: Arc<Fabric>,
     address: String,
     rx: Receiver<ConnectRequest>,
+    notifier: Arc<Mutex<Option<CqNotifier>>>,
     token: u64,
 }
 
@@ -64,13 +70,32 @@ impl Listener {
     pub fn bind(fabric: &Arc<Fabric>, address: &str) -> Listener {
         let (tx, rx) = unbounded();
         let token = Fabric::next_listener_token();
-        fabric.register_listener(address, ListenerHandle { tx, token });
+        let notifier = Arc::new(Mutex::new(None));
+        fabric.register_listener(
+            address,
+            ListenerHandle {
+                tx,
+                notifier: Arc::clone(&notifier),
+                token,
+            },
+        );
         Listener {
             fabric: Arc::clone(fabric),
             address: address.to_string(),
             rx,
+            notifier,
             token,
         }
+    }
+
+    /// Signal `notifier` whenever a connection request is queued here, so an
+    /// event loop parked on it (usually a [`crate::CqSet`]'s) wakes for new
+    /// clients as it does for completions, instead of re-polling
+    /// [`Listener::try_accept`] on a timer. Replaces any earlier attachment.
+    /// Requests already queued are not re-announced: poll once after
+    /// attaching.
+    pub fn attach_notifier(&self, notifier: &CqNotifier) {
+        *self.notifier.lock() = Some(notifier.clone());
     }
 
     /// The address this listener is bound to.
@@ -118,7 +143,7 @@ impl Listener {
     }
 
     fn finish_accept(&self, endpoint: &Endpoint, request: ConnectRequest) -> Result<QueuePair> {
-        let profile = self.fabric.profile().clone();
+        let profile = self.fabric.profile();
         let server_qp = QueuePair::new(endpoint);
         QueuePair::connect_pair(&request.client_qp, &server_qp)?;
         // The server observes the request one propagation delay after the
@@ -162,7 +187,7 @@ pub fn connect_with_timeout(
     address: &str,
     timeout: Duration,
 ) -> Result<QueuePair> {
-    connect_inner(endpoint, address, timeout, false)
+    connect_inner(endpoint, address, timeout, false, |_| Ok(()))
 }
 
 /// Connect through a [`ConnectionPool`]: when the pool holds a warmth token
@@ -179,8 +204,25 @@ pub fn connect_pooled(
     key: &str,
     timeout: Duration,
 ) -> Result<(QueuePair, bool)> {
+    connect_pooled_with(endpoint, address, pool, key, timeout, |_| Ok(()))
+}
+
+/// [`connect_pooled`], with `on_init` run on the new queue pair while it is
+/// still unconnected and before the request leaves: the place to post the
+/// receives the peer's first message will land in (ibverbs practice — a QP
+/// accepts receives from INIT on), so the server can send the moment it
+/// accepts and never meets `ReceiverNotReady`. An error from `on_init`
+/// abandons the connect.
+pub fn connect_pooled_with(
+    endpoint: &Endpoint,
+    address: &str,
+    pool: &ConnectionPool,
+    key: &str,
+    timeout: Duration,
+    on_init: impl FnOnce(&QueuePair) -> Result<()>,
+) -> Result<(QueuePair, bool)> {
     let warm = pool.lease(key);
-    let qp = connect_inner(endpoint, address, timeout, warm)?;
+    let qp = connect_inner(endpoint, address, timeout, warm, on_init)?;
     Ok((qp, warm))
 }
 
@@ -189,17 +231,23 @@ fn connect_inner(
     address: &str,
     timeout: Duration,
     warm: bool,
+    on_init: impl FnOnce(&QueuePair) -> Result<()>,
 ) -> Result<QueuePair> {
     let handle = endpoint
         .fabric
         .listener(address)
         .ok_or_else(|| FabricError::UnknownAddress(address.to_string()))?;
-    let profile = endpoint.fabric.profile().clone();
+    let profile = endpoint.fabric.profile();
     let client_qp = QueuePair::new(endpoint);
+    // The request's departure instant is taken before `on_init` charges the
+    // client clock, so the server's accept instant does not depend on what
+    // the client prepared first.
+    let client_time = endpoint.clock.now();
+    on_init(&client_qp)?;
     let (reply_tx, reply_rx) = bounded(1);
     let request = ConnectRequest {
         client_qp: client_qp.clone(),
-        client_time: endpoint.clock.now(),
+        client_time,
         warm,
         reply: reply_tx,
     };
@@ -207,6 +255,11 @@ fn connect_inner(
         .tx
         .send(request)
         .map_err(|_| FabricError::UnknownAddress(address.to_string()))?;
+    // Queue first, signal second: a woken acceptor must find the request.
+    let notifier = handle.notifier.lock().clone();
+    if let Some(notifier) = notifier {
+        notifier.signal();
+    }
     match reply_rx.recv_timeout(timeout) {
         Ok(()) => {}
         Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
@@ -586,6 +639,143 @@ mod tests {
         // though the client dropped its reply receiver.
         let qp = listener.accept(&server_ep).unwrap();
         assert!(qp.is_connected());
+    }
+
+    #[test]
+    fn connect_request_wakes_a_set_watching_the_listener() {
+        let fabric = Fabric::with_defaults();
+        let server_node = fabric.add_node("server");
+        let client_node = fabric.add_node("client");
+        let listener = Listener::bind(&fabric, "server:watched");
+        let server_ep = Endpoint::new(&fabric, &server_node);
+        let set = crate::CqSet::new();
+        listener.attach_notifier(set.notifier());
+        // Nothing pending: a quiet timeout.
+        assert!(!set.wait(Duration::from_millis(5)));
+
+        let (parked_tx, parked_rx) = bounded(1);
+        let client_ep = Endpoint::new(&fabric, &client_node);
+        let client = thread::spawn(move || {
+            parked_rx.recv().unwrap();
+            // Give the acceptor time to actually be asleep in `wait`.
+            thread::sleep(Duration::from_millis(20));
+            connect(&client_ep, "server:watched").unwrap()
+        });
+        parked_tx.send(()).unwrap();
+        let started = std::time::Instant::now();
+        assert!(set.wait(Duration::from_secs(5)), "woken by the request");
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "the wait must end at the request, not at its timeout"
+        );
+        assert!(listener.try_accept(&server_ep).unwrap().is_some());
+        assert!(client.join().unwrap().is_connected());
+    }
+
+    #[test]
+    fn parked_acceptor_never_loses_a_connect_wakeup() {
+        // The dispatcher's accept protocol — snapshot the sequence, poll the
+        // listener, park on the snapshot — against 10k back-to-back connects.
+        // One lost wake-up parks the acceptor for the full 30 s bound, which
+        // the connecting side's own timeout turns into a failure.
+        const ROUNDS: usize = 10_000;
+        let fabric = Fabric::with_defaults();
+        let server_node = fabric.add_node("server");
+        let client_node = fabric.add_node("client");
+        let listener = Listener::bind(&fabric, "server:churn");
+        let server_ep = Endpoint::new(&fabric, &server_node);
+        let set = crate::CqSet::new();
+        listener.attach_notifier(set.notifier());
+
+        let client_ep = Endpoint::new(&fabric, &client_node);
+        let client = thread::spawn(move || {
+            for _ in 0..ROUNDS {
+                connect_with_timeout(&client_ep, "server:churn", Duration::from_secs(10))
+                    .expect("the acceptor was woken")
+                    .disconnect();
+            }
+        });
+        let mut accepted = 0;
+        while accepted < ROUNDS {
+            let seen = set.notifier().sequence();
+            match listener.try_accept(&server_ep).unwrap() {
+                Some(_) => accepted += 1,
+                None => {
+                    set.wait_since(seen, Duration::from_secs(30));
+                }
+            }
+        }
+        client.join().unwrap();
+    }
+
+    #[test]
+    fn receives_posted_on_init_are_ready_when_the_server_accepts() {
+        let fabric = Fabric::with_defaults();
+        let server_node = fabric.add_node("server");
+        let client_node = fabric.add_node("client");
+        let listener = Listener::bind(&fabric, "server:hello");
+        let server_ep = Endpoint::new(&fabric, &server_node);
+        let client_ep = Endpoint::new(&fabric, &client_node);
+        let pool = ConnectionPool::new();
+        let inbox = client_ep.pd.register(8, AccessFlags::LOCAL_ONLY);
+
+        let server = thread::spawn(move || {
+            let qp = listener.accept(&server_ep).unwrap();
+            let accepted_at = server_ep.clock.now();
+            let hello = qp
+                .pd()
+                .register_from(b"hello".to_vec(), AccessFlags::LOCAL_ONLY);
+            // No retry loop: the receive was posted before the request left.
+            qp.post_send(
+                0,
+                SendRequest::Send {
+                    local: Sge::whole(&hello),
+                },
+                false,
+            )
+            .unwrap();
+            (qp, accepted_at, listener)
+        });
+        let departed = client_ep.clock.now();
+        let (qp, _warm) = connect_pooled_with(
+            &client_ep,
+            "server:hello",
+            &pool,
+            "server",
+            Duration::from_secs(5),
+            |qp| {
+                qp.post_recv(RecvRequest {
+                    wr_id: 9,
+                    local: Sge::whole(&inbox),
+                })
+            },
+        )
+        .unwrap();
+        let (_server_qp, accepted_at, _listener) = server.join().unwrap();
+        let wc = qp
+            .recv_cq()
+            .blocking_wait_timeout(Duration::from_secs(5))
+            .unwrap();
+        assert_eq!((wc.wr_id, wc.byte_len), (9, 5));
+        assert_eq!(&inbox.read(0, 5).unwrap(), b"hello");
+        // The accept instant is the request's departure plus propagation and
+        // the server's half of the handshake — not shifted by the receive
+        // the client posted (and was charged for) first.
+        let profile = fabric.profile();
+        assert_eq!(
+            accepted_at,
+            departed + profile.one_way_latency + profile.connection_setup / 2
+        );
+        // An `on_init` error abandons the connect before anything is sent.
+        let err = connect_pooled_with(
+            &client_ep,
+            "server:hello",
+            &pool,
+            "server",
+            Duration::from_secs(5),
+            |_| Err(FabricError::NotConnected),
+        );
+        assert_eq!(err.unwrap_err(), FabricError::NotConnected);
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! channel.
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -47,35 +48,43 @@ struct CqInner {
 }
 
 #[derive(Debug, Default)]
-struct NotifierState {
-    seq: u64,
-}
-
-#[derive(Debug, Default)]
 struct NotifierInner {
-    state: Mutex<NotifierState>,
+    /// Event count. Bumped only while holding `sleepers` (so a sleeper that
+    /// checked it under that lock cannot miss the bump), read without it.
+    seq: AtomicU64,
+    sleepers: Mutex<()>,
     changed: Condvar,
 }
 
 /// Edge notification channel shared by every member of a [`CqSet`]: each
 /// delivery (or disconnect) on any member bumps a sequence number and wakes
 /// sleepers, so one thread can block on N rings at once without busy
-/// re-scanning them.
+/// re-scanning them. Sources other than completion queues join the same
+/// channel: a [`crate::Listener`] signals it per connection request, and an
+/// owner stopping the event loop signals it after raising its stop flag.
 #[derive(Debug, Clone, Default)]
 pub struct CqNotifier {
     inner: Arc<NotifierInner>,
 }
 
 impl CqNotifier {
-    fn signal(&self) {
-        let mut state = self.inner.state.lock();
-        state.seq = state.seq.wrapping_add(1);
-        drop(state);
+    /// Record an event and wake every sleeper. Publish the state the woken
+    /// thread will look for (a queued request, a raised flag) *before*
+    /// signalling.
+    pub fn signal(&self) {
+        let sleepers = self.inner.sleepers.lock();
+        self.inner.seq.fetch_add(1, Ordering::SeqCst);
+        drop(sleepers);
         self.inner.changed.notify_all();
     }
 
-    fn sequence(&self) -> u64 {
-        self.inner.state.lock().seq
+    /// The current event sequence number. An event loop snapshots it before
+    /// it examines its sources and hands the snapshot to
+    /// [`CqSet::wait_since`]: an event landing anywhere in between moves the
+    /// sequence past the snapshot, so the wait returns at once instead of
+    /// sleeping through it. Lock-free: a spinning loop snapshots every turn.
+    pub fn sequence(&self) -> u64 {
+        self.inner.seq.load(Ordering::SeqCst)
     }
 
     /// Block until the sequence number moves past `seen` or the wall-clock
@@ -83,15 +92,15 @@ impl CqNotifier {
     fn wait_past(&self, seen: u64, timeout: Duration) -> bool {
         // simlint::allow(wall_clock, reason = "bounds how long the host thread parks; virtual time is charged by the pickup cost model, not here")
         let deadline = std::time::Instant::now() + timeout;
-        let mut state = self.inner.state.lock();
-        while state.seq == seen {
+        let mut sleepers = self.inner.sleepers.lock();
+        while self.sequence() == seen {
             if self
                 .inner
                 .changed
-                .wait_until(&mut state, deadline)
+                .wait_until(&mut sleepers, deadline)
                 .timed_out()
             {
-                return state.seq != seen;
+                return self.sequence() != seen;
             }
         }
         true
@@ -412,16 +421,30 @@ impl CqSet {
             .expect("CqSet member was deregistered")
     }
 
+    /// The set's notification channel, for attaching event sources that are
+    /// not completion queues (see [`CqNotifier`]).
+    pub fn notifier(&self) -> &CqNotifier {
+        &self.notifier
+    }
+
     /// Block until any member has a queued completion, any member
-    /// disconnects, or the wall-clock timeout expires. Returns `true` if
-    /// there may be work (queued completions or a disconnect edge), `false`
-    /// on a quiet timeout. Never charges virtual time: like an empty poll,
-    /// waiting is not useful virtual work.
+    /// disconnects, the notifier is signalled, or the wall-clock timeout
+    /// expires. Returns `true` if there may be work (queued completions, a
+    /// disconnect edge or a signal), `false` on a quiet timeout. Never
+    /// charges virtual time: like an empty poll, waiting is not useful
+    /// virtual work.
     pub fn wait(&self, timeout: Duration) -> bool {
         // Snapshot the sequence number *before* re-checking the members: a
         // delivery racing with this wait bumps the sequence and the
         // `wait_past` below returns immediately instead of losing the wakeup.
-        let seen = self.notifier.sequence();
+        self.wait_since(self.notifier.sequence(), timeout)
+    }
+
+    /// [`CqSet::wait`] against a sequence snapshot the caller took earlier
+    /// ([`CqNotifier::sequence`]), for loops that examine sources the set
+    /// does not hold — listeners, stop flags — between the snapshot and the
+    /// wait.
+    pub fn wait_since(&self, seen: u64, timeout: Duration) -> bool {
         if self
             .members
             .iter()

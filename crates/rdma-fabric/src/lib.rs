@@ -52,7 +52,8 @@ pub mod srq;
 pub mod verbs;
 
 pub use cm::{
-    connect, connect_pooled, connect_with_timeout, DatagramMessage, DatagramSocket, Listener,
+    connect, connect_pooled, connect_pooled_with, connect_with_timeout, DatagramMessage,
+    DatagramSocket, Listener,
 };
 pub use cq::{CompletionQueue, CqNotifier, CqSet, WaitMode};
 pub use device::{DeviceFunction, NicProfile};
@@ -60,7 +61,7 @@ pub use error::{FabricError, Result};
 pub use fabric::{Fabric, FabricNode, TransferTiming};
 pub use fork::{FaultBatch, PrefetchPlan};
 pub use memory::{AccessFlags, MemoryRegion, RemoteMemoryHandle, PAGE_SIZE};
-pub use pd::ProtectionDomain;
+pub use pd::{OwnedRegion, ProtectionDomain};
 pub use pool::{ConnectionPool, PoolStats};
 pub use qp::{Endpoint, QpState, QueuePair};
 pub use ring::{ReceiveRing, RingCompletion, RingState};

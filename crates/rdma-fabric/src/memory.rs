@@ -10,6 +10,15 @@
 //! In the software fabric a region is an `Arc`'d, lock-protected byte buffer.
 //! Page alignment is emulated so the cost model can charge the same
 //! non-aligned penalty the paper's design guidelines mention.
+//!
+//! A registration is *demand-committed*: it has its full logical length from
+//! the start (bounds checks, keys, [`MemoryRegion::len`], every virtual-time
+//! charge), but host memory backs only the prefix up to the highest page ever
+//! written. Everything past that mark reads as zeros, so a fresh region is
+//! observationally a zero-filled buffer of its full length — the way an
+//! anonymous mapping is, which is what this models: the OS commits pages on
+//! first touch; the NIC's registration cost is charged in virtual time and
+//! is unaffected.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -71,9 +80,11 @@ fn next_key() -> u64 {
 
 #[derive(Debug)]
 pub(crate) struct RegionInner {
-    pub(crate) data: RwLock<Vec<u8>>,
-    /// Fixed at registration (regions never resize), so bounds checks need
-    /// no lock.
+    /// The committed prefix `[0, data.len())` of the region; the rest,
+    /// `[data.len(), len)`, is untouched and reads as zeros.
+    data: RwLock<Vec<u8>>,
+    /// Logical length, fixed at registration (regions never resize), so
+    /// bounds checks need no lock.
     len: usize,
     lkey: u64,
     rkey: u64,
@@ -91,18 +102,24 @@ pub struct MemoryRegion {
 }
 
 impl MemoryRegion {
-    /// Register a zero-initialised region of `len` bytes.
+    /// Register a zero-initialised region of `len` bytes. Nothing is
+    /// committed until it is written.
     pub fn zeroed(len: usize, access: AccessFlags) -> MemoryRegion {
-        Self::from_vec(vec![0u8; len], access)
+        Self::with_committed(Vec::new(), len, access)
     }
 
-    /// Register a region initialised from `data`.
+    /// Register a region initialised from `data` (fully committed).
     pub fn from_vec(data: Vec<u8>, access: AccessFlags) -> MemoryRegion {
+        let len = data.len();
+        Self::with_committed(data, len, access)
+    }
+
+    fn with_committed(data: Vec<u8>, len: usize, access: AccessFlags) -> MemoryRegion {
         // The simulation treats every registration as page-aligned: rFaaS's
         // allocator always allocates page-aligned buffers (Sec. IV-B).
         MemoryRegion {
             inner: Arc::new(RegionInner {
-                len: data.len(),
+                len,
                 data: RwLock::new(data),
                 lkey: next_key(),
                 rkey: next_key(),
@@ -146,25 +163,33 @@ impl MemoryRegion {
     /// Copy of the bytes in `[offset, offset + len)`.
     pub fn read(&self, offset: usize, len: usize) -> Result<Vec<u8>> {
         check_bounds(offset, len, self.len())?;
-        Ok(self.inner.data.read()[offset..offset + len].to_vec())
+        let data = self.inner.data.read();
+        let mut out = Vec::with_capacity(len);
+        out.extend_from_slice(committed(&data, offset, len));
+        out.resize(len, 0);
+        Ok(out)
     }
 
     /// Copy `[offset, offset + dst.len())` into `dst` (no allocation).
     pub fn read_into(&self, offset: usize, dst: &mut [u8]) -> Result<()> {
         check_bounds(offset, dst.len(), self.len())?;
-        dst.copy_from_slice(&self.inner.data.read()[offset..offset + dst.len()]);
+        let data = self.inner.data.read();
+        copy_zero_extended(committed(&data, offset, dst.len()), dst);
         Ok(())
     }
 
     /// Copy of the full contents.
     pub fn read_all(&self) -> Vec<u8> {
-        self.inner.data.read().clone()
+        self.read(0, self.len())
+            .expect("the whole region is in bounds")
     }
 
     /// Overwrite `[offset, offset + src.len())` with `src`.
     pub fn write(&self, offset: usize, src: &[u8]) -> Result<()> {
         check_bounds(offset, src.len(), self.len())?;
-        self.inner.data.write()[offset..offset + src.len()].copy_from_slice(src);
+        let mut data = self.inner.data.write();
+        commit(&mut data, offset + src.len(), self.len());
+        data[offset..offset + src.len()].copy_from_slice(src);
         Ok(())
     }
 
@@ -173,7 +198,8 @@ impl MemoryRegion {
     /// modelled DMA makes, with no staging buffer in between. Equivalent to
     /// `dst.write(dst_offset, &self.read(offset, len)?)`, including which
     /// bounds error wins (source first) and overlapping ranges when `dst` is
-    /// this same region.
+    /// this same region. Commits the destination range only: the part of the
+    /// source past its committed mark arrives as zeros without being backed.
     ///
     /// The source read-guard and the destination write-guard are taken in
     /// region-address order, so two threads copying in opposite directions
@@ -188,10 +214,16 @@ impl MemoryRegion {
         check_bounds(offset, len, self.len())?;
         check_bounds(dst_offset, len, dst.len())?;
         if self.same_region(dst) {
-            self.inner
-                .data
-                .write()
-                .copy_within(offset..offset + len, dst_offset);
+            let mut data = self.inner.data.write();
+            commit(&mut data, dst_offset + len, self.len());
+            // The destination is committed, so whatever of the source is
+            // still past the mark lies behind the destination range and is
+            // not overwritten by it: move the backed part, zero the rest.
+            let backed = committed(&data, offset, len).len();
+            if backed > 0 {
+                data.copy_within(offset..offset + backed, dst_offset);
+            }
+            data[dst_offset + backed..dst_offset + len].fill(0);
             return Ok(());
         }
         let (src_guard, mut dst_guard) = if Arc::as_ptr(&self.inner) < Arc::as_ptr(&dst.inner) {
@@ -201,18 +233,49 @@ impl MemoryRegion {
             let dst_guard = dst.inner.data.write();
             (self.inner.data.read(), dst_guard)
         };
-        dst_guard[dst_offset..dst_offset + len].copy_from_slice(&src_guard[offset..offset + len]);
+        commit(&mut dst_guard, dst_offset + len, dst.len());
+        copy_zero_extended(
+            committed(&src_guard, offset, len),
+            &mut dst_guard[dst_offset..dst_offset + len],
+        );
         Ok(())
     }
 
-    /// Run `f` over an immutable view of the region.
-    pub fn with_bytes<R>(&self, f: impl FnOnce(&[u8]) -> R) -> R {
-        f(&self.inner.data.read())
+    /// Run `f` over an immutable view of `[offset, offset + len)`. A view
+    /// reaching past the committed mark commits up to its end first (a
+    /// slice needs backing bytes); a view inside the mark commits nothing.
+    pub fn with_bytes<R>(
+        &self,
+        offset: usize,
+        len: usize,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R> {
+        check_bounds(offset, len, self.len())?;
+        let end = offset + len;
+        {
+            let data = self.inner.data.read();
+            if end <= data.len() {
+                return Ok(f(&data[offset..end]));
+            }
+        }
+        let mut data = self.inner.data.write();
+        commit(&mut data, end, self.len());
+        Ok(f(&data[offset..end]))
     }
 
-    /// Run `f` over a mutable view of the region.
-    pub fn with_bytes_mut<R>(&self, f: impl FnOnce(&mut [u8]) -> R) -> R {
-        f(&mut self.inner.data.write())
+    /// Run `f` over a mutable view of `[offset, offset + len)`, committing
+    /// the region up to the view's end (and no page past it).
+    pub fn with_bytes_mut<R>(
+        &self,
+        offset: usize,
+        len: usize,
+        f: impl FnOnce(&mut [u8]) -> R,
+    ) -> Result<R> {
+        check_bounds(offset, len, self.len())?;
+        let end = offset + len;
+        let mut data = self.inner.data.write();
+        commit(&mut data, end, self.len());
+        Ok(f(&mut data[offset..end]))
     }
 
     /// Read an 8-byte little-endian word (used by atomics and headers).
@@ -257,6 +320,37 @@ impl MemoryRegion {
 /// every local and remote bounds error of the fabric.
 pub(crate) fn in_bounds(offset: usize, len: usize, region_len: usize) -> bool {
     offset.checked_add(len).is_some_and(|end| end <= region_len)
+}
+
+/// The part of the in-bounds range `[offset, offset + len)` that the
+/// committed prefix `data` backs; the remainder of the range reads as zeros.
+fn committed(data: &[u8], offset: usize, len: usize) -> &[u8] {
+    let end = (offset + len).min(data.len());
+    &data[offset.min(end)..end]
+}
+
+/// Fill `dst` with `backed` followed by zeros (the uncommitted remainder).
+fn copy_zero_extended(backed: &[u8], dst: &mut [u8]) {
+    let (head, tail) = dst.split_at_mut(backed.len());
+    head.copy_from_slice(backed);
+    tail.fill(0);
+}
+
+/// Grow the committed prefix, zero-filled, to cover `[0, end)` — in whole
+/// pages, as first-touch commit does, so a small region is backed in one
+/// step rather than by a few-byte heap chunk sharing cache lines with its
+/// neighbours. Capacity doubles so a region written front to back
+/// re-allocates O(log n) times, but never past the registered length.
+fn commit(data: &mut Vec<u8>, end: usize, region_len: usize) {
+    if end <= data.len() {
+        return;
+    }
+    let end = end.next_multiple_of(PAGE_SIZE).min(region_len);
+    if end > data.capacity() {
+        let capacity = end.max(data.capacity() * 2).min(region_len);
+        data.reserve_exact(capacity - data.len());
+    }
+    data.resize(end, 0);
 }
 
 fn check_bounds(offset: usize, len: usize, region_len: usize) -> Result<()> {
@@ -364,12 +458,45 @@ mod tests {
     }
 
     #[test]
-    fn with_bytes_mut_mutates_in_place() {
-        let mr = MemoryRegion::from_vec(vec![1, 2, 3], AccessFlags::LOCAL_ONLY);
-        mr.with_bytes_mut(|b| b.reverse());
-        assert_eq!(mr.read_all(), vec![3, 2, 1]);
-        let sum: u32 = mr.with_bytes(|b| b.iter().map(|&x| x as u32).sum());
-        assert_eq!(sum, 6);
+    fn views_are_range_scoped_and_mutate_in_place() {
+        let mr = MemoryRegion::from_vec(vec![1, 2, 3, 4], AccessFlags::LOCAL_ONLY);
+        mr.with_bytes_mut(1, 3, |b| b.reverse()).unwrap();
+        assert_eq!(mr.read_all(), vec![1, 4, 3, 2]);
+        let sum: u32 = mr
+            .with_bytes(2, 2, |b| b.iter().map(|&x| x as u32).sum())
+            .unwrap();
+        assert_eq!(sum, 5);
+        assert_eq!(mr.with_bytes(4, 0, |b| b.len()), Ok(0));
+        assert!(mr.with_bytes(3, 2, |_| ()).is_err());
+        assert!(mr.with_bytes_mut(usize::MAX, 2, |_| ()).is_err());
+    }
+
+    #[test]
+    fn only_touched_bytes_are_committed() {
+        let committed = |mr: &MemoryRegion| mr.inner.data.read().len();
+        let mr = MemoryRegion::zeroed(8 << 20, AccessFlags::REMOTE_WRITE);
+        assert_eq!((mr.len(), committed(&mr)), (8 << 20, 0));
+        // Reads past the mark yield zeros and commit nothing.
+        assert_eq!(mr.read(4 << 20, 4).unwrap(), vec![0; 4]);
+        let mut word = [7u8; 8];
+        mr.read_into((8 << 20) - 8, &mut word).unwrap();
+        assert_eq!(word, [0; 8]);
+        let sink = MemoryRegion::zeroed(64, AccessFlags::LOCAL_ONLY);
+        mr.copy_to(1 << 20, &sink, 0, 64).unwrap();
+        assert_eq!(committed(&mr), 0);
+        // A write or a view commits the pages up to its end, no further.
+        mr.write(100, &[1, 2, 3]).unwrap();
+        assert_eq!(committed(&mr), PAGE_SIZE);
+        assert_eq!(mr.read(98, 8).unwrap(), vec![0, 0, 1, 2, 3, 0, 0, 0]);
+        mr.with_bytes_mut(PAGE_SIZE, 16, |b| assert_eq!(b.len(), 16))
+            .unwrap();
+        assert_eq!(committed(&mr), 2 * PAGE_SIZE);
+        mr.with_bytes(8, 16, |_| ()).unwrap();
+        assert_eq!(committed(&mr), 2 * PAGE_SIZE);
+        // The last page of a region ends with the region.
+        let small = MemoryRegion::zeroed(100, AccessFlags::LOCAL_ONLY);
+        small.write(0, &[1]).unwrap();
+        assert_eq!(committed(&small), 100);
     }
 
     #[test]
@@ -436,6 +563,86 @@ mod tests {
             proptest::prop_assert_eq!(direct, staged);
             proptest::prop_assert_eq!(real_src.read_all(), model_src.read_all());
             proptest::prop_assert_eq!(real_dst.read_all(), model_dst.read_all());
+        }
+
+        // A demand-committed region is, through every accessor, the eagerly
+        // zero-filled buffer it replaced: same bytes, same errors, whatever
+        // mix of writes, reads, copies (same region, overlapping, from a
+        // source only partly committed), views and atomic-style updates
+        // runs against it, reads past the committed mark and out-of-bounds
+        // requests included.
+        #[test]
+        fn prop_region_matches_eager_model(script in 0u64..u64::MAX) {
+            const LENS: [usize; 2] = [96, 64];
+            let mut rng = proptest::TestRng::new(script);
+            let regions = LENS.map(|len| MemoryRegion::zeroed(len, AccessFlags::REMOTE_ALL));
+            let mut models = LENS.map(|n| vec![0u8; n]);
+            for step in 0..48u8 {
+                let which = rng.below(2) as usize;
+                let region_len = LENS[which];
+                // Mostly in bounds, sometimes straddling the end, rarely
+                // near `usize::MAX`.
+                let offset = match rng.below(16) {
+                    0 => usize::MAX - rng.below(4) as usize,
+                    _ => rng.below(region_len as u64 + 8) as usize,
+                };
+                let len = rng.below(40) as usize;
+                let expected = check_bounds(offset, len, region_len);
+                match rng.below(6) {
+                    0 => {
+                        let bytes: Vec<u8> = (0..len).map(|i| step ^ (i as u8) | 1).collect();
+                        proptest::prop_assert_eq!(regions[which].write(offset, &bytes), expected.clone());
+                        if expected.is_ok() {
+                            models[which][offset..offset + len].copy_from_slice(&bytes);
+                        }
+                    }
+                    1 => {
+                        let want = expected.map(|()| models[which][offset..offset + len].to_vec());
+                        proptest::prop_assert_eq!(regions[which].read(offset, len), want);
+                    }
+                    2 => {
+                        let mut got = vec![0xEE; len];
+                        proptest::prop_assert_eq!(regions[which].read_into(offset, &mut got), expected.clone());
+                        if expected.is_ok() {
+                            proptest::prop_assert_eq!(&got[..], &models[which][offset..offset + len]);
+                        }
+                    }
+                    3 => {
+                        let to = rng.below(2) as usize;
+                        let to_offset = rng.below(LENS[to] as u64 + 8) as usize;
+                        let want = expected.and_then(|()| check_bounds(to_offset, len, LENS[to]));
+                        let got = regions[which].copy_to(offset, &regions[to].clone(), to_offset, len);
+                        proptest::prop_assert_eq!(got, want.clone());
+                        if want.is_ok() {
+                            let staged = models[which][offset..offset + len].to_vec();
+                            models[to][to_offset..to_offset + len].copy_from_slice(&staged);
+                        }
+                    }
+                    4 => {
+                        // What `execute_atomic` does to its 8-byte target.
+                        let expected = check_bounds(offset, 8, region_len);
+                        let got = regions[which].with_bytes_mut(offset, 8, |slot| {
+                            let old = u64::from_le_bytes(slot.try_into().unwrap());
+                            slot.copy_from_slice(&old.wrapping_add(script).to_le_bytes());
+                            old
+                        });
+                        let want = expected.map(|()| {
+                            let slot = &mut models[which][offset..offset + 8];
+                            let old = u64::from_le_bytes((&*slot).try_into().unwrap());
+                            slot.copy_from_slice(&old.wrapping_add(script).to_le_bytes());
+                            old
+                        });
+                        proptest::prop_assert_eq!(got, want);
+                    }
+                    _ => {
+                        let want = expected.map(|()| models[which][offset..offset + len].to_vec());
+                        proptest::prop_assert_eq!(regions[which].with_bytes(offset, len, <[u8]>::to_vec), want);
+                    }
+                }
+            }
+            for (region, model) in regions.iter().zip(&models) {
+                proptest::prop_assert_eq!(&region.read_all(), model);
+            }
         }
     }
 

@@ -64,6 +64,15 @@ impl ProtectionDomain {
         mr
     }
 
+    /// Register a zero-initialised region of `len` bytes that stays in this
+    /// domain exactly as long as the returned handle lives.
+    pub fn register_owned(&self, len: usize, access: AccessFlags) -> OwnedRegion {
+        OwnedRegion {
+            pd: self.clone(),
+            region: self.register(len, access),
+        }
+    }
+
     /// Deregister a region. Remote handles pointing at it become invalid.
     pub fn deregister(&self, mr: &MemoryRegion) -> bool {
         self.inner.regions.write().remove(&mr.rkey()).is_some()
@@ -92,6 +101,30 @@ impl ProtectionDomain {
     /// Whether two handles refer to the same domain.
     pub fn same_domain(&self, other: &ProtectionDomain) -> bool {
         Arc::ptr_eq(&self.inner, &other.inner)
+    }
+}
+
+/// A registration tied to its holder ([`ProtectionDomain::register_owned`]):
+/// dropping it deregisters the region, so its keys stop resolving and the
+/// domain's own clone stops keeping the bytes alive. Work requests that
+/// still reference the region keep the bytes, not the registration.
+#[derive(Debug)]
+pub struct OwnedRegion {
+    pd: ProtectionDomain,
+    region: MemoryRegion,
+}
+
+impl std::ops::Deref for OwnedRegion {
+    type Target = MemoryRegion;
+
+    fn deref(&self) -> &MemoryRegion {
+        &self.region
+    }
+}
+
+impl Drop for OwnedRegion {
+    fn drop(&mut self) {
+        self.pd.deregister(&self.region);
     }
 }
 
@@ -136,6 +169,18 @@ mod tests {
         assert!(!pd.deregister(&mr));
         assert!(pd.lookup(mr.rkey()).is_err());
         assert_eq!(pd.registered_bytes(), 0);
+    }
+
+    #[test]
+    fn owned_region_deregisters_on_drop() {
+        let pd = ProtectionDomain::new();
+        let owned = pd.register_owned(32, AccessFlags::REMOTE_WRITE);
+        let rkey = owned.rkey();
+        assert_eq!((pd.region_count(), owned.len()), (1, 32));
+        assert!(pd.lookup(rkey).is_ok());
+        drop(owned);
+        assert_eq!(pd.region_count(), 0);
+        assert!(pd.lookup(rkey).is_err());
     }
 
     #[test]

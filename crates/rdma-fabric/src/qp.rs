@@ -724,9 +724,8 @@ impl QueuePair {
         }
         // The read-modify-write is atomic because the region lock is held for
         // the whole update.
-        let original = target.with_bytes_mut(|bytes| {
-            let slot = &mut bytes[remote.offset..remote.offset + 8];
-            let old = u64::from_le_bytes(slot.try_into().expect("8-byte slot"));
+        let original = target.with_bytes_mut(remote.offset, 8, |slot| {
+            let old = u64::from_le_bytes((&*slot).try_into().expect("8-byte slot"));
             let new = match op {
                 AtomicOp::FetchAdd(add) => old.wrapping_add(add),
                 AtomicOp::CompareSwap { compare, swap } => {
@@ -739,7 +738,7 @@ impl QueuePair {
             };
             slot.copy_from_slice(&new.to_le_bytes());
             old
-        });
+        })?;
         local.region.write(local.offset, &original.to_le_bytes())?;
 
         let ready = self.issue(8, chained);

@@ -25,7 +25,8 @@ use std::collections::VecDeque;
 use parking_lot::Mutex;
 
 use crate::error::{FabricError, Result};
-use crate::memory::{AccessFlags, MemoryRegion};
+use crate::memory::AccessFlags;
+use crate::pd::{OwnedRegion, ProtectionDomain};
 use crate::qp::{Endpoint, QueuePair};
 use crate::srq::SharedReceiveQueue;
 use crate::verbs::{RecvRequest, Sge, WorkCompletion};
@@ -141,7 +142,9 @@ pub struct RingCompletion {
 #[derive(Debug)]
 pub struct ReceiveRing {
     backing: RingBacking,
-    region: MemoryRegion,
+    /// The slot slab, registered for as long as the ring lives. Receives
+    /// still posted when it drops keep the bytes, not the registration.
+    region: OwnedRegion,
     slot_len: usize,
     /// Immutable after construction; duplicated outside the state mutex so
     /// hot-path callers (per-submission overflow checks, adopt) read it
@@ -213,7 +216,7 @@ impl ReceiveRing {
 
     fn build(
         backing: RingBacking,
-        pd: crate::pd::ProtectionDomain,
+        pd: ProtectionDomain,
         depth: usize,
         slot_len: usize,
         auto_repost: bool,
@@ -223,7 +226,7 @@ impl ReceiveRing {
                 limit: "receive ring depth must be non-zero",
             });
         }
-        let region = pd.register(depth * slot_len.max(1), AccessFlags::LOCAL_ONLY);
+        let region = pd.register_owned(depth * slot_len.max(1), AccessFlags::LOCAL_ONLY);
         let ring = ReceiveRing {
             backing,
             region,

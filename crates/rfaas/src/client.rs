@@ -12,8 +12,9 @@ use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use rdma_fabric::{
-    connect_pooled, AccessFlags, ConnectionPool, DatagramSocket, Endpoint, Fabric, MemoryRegion,
-    ProtectionDomain, QueuePair, ReceiveRing, RecvRequest, RemoteMemoryHandle, SendRequest, Sge,
+    connect_pooled_with, AccessFlags, ConnectionPool, DatagramSocket, Endpoint, Fabric,
+    MemoryRegion, OwnedRegion, ProtectionDomain, QueuePair, ReceiveRing, RecvRequest,
+    RemoteMemoryHandle, SendRequest, Sge,
 };
 use sandbox::CodePackage;
 use sim_core::sync::{ranks, OrderedMutex};
@@ -37,21 +38,22 @@ use crate::reactor::{CompletionSource, Reactor};
 /// payload, exactly like the paper's allocator ("automatically expanded with
 /// the function's header"); output buffers are registered with remote-write
 /// access so the executor can deposit results without client involvement.
+/// Clones share one registration, which is released with the last of them.
 #[derive(Debug, Clone)]
 pub struct Buffer {
-    region: MemoryRegion,
+    registration: Arc<OwnedRegion>,
     header_space: usize,
 }
 
 impl Buffer {
     /// Bytes of payload the buffer can hold.
     pub fn capacity(&self) -> usize {
-        self.region.len() - self.header_space
+        self.region().len() - self.header_space
     }
 
     /// The underlying registered region (header space included).
     pub fn region(&self) -> &MemoryRegion {
-        &self.region
+        &self.registration
     }
 
     /// Offset of the payload within the region.
@@ -67,7 +69,7 @@ impl Buffer {
                 capacity: self.capacity(),
             });
         }
-        self.region
+        self.region()
             .write(self.header_space, data)
             .map_err(RFaasError::from)?;
         Ok(data.len())
@@ -83,7 +85,7 @@ impl Buffer {
                 capacity: self.capacity(),
             });
         }
-        self.region
+        self.region()
             .read(self.header_space, len)
             .map_err(RFaasError::from)
     }
@@ -114,9 +116,8 @@ impl Buffer {
         // Guards the slice below, not just the encode: encode_into checks
         // against the slice it receives, which must exist first.
         crate::codec::check_capacity(len, self.capacity())?;
-        let start = self.header_space;
-        self.region
-            .with_bytes_mut(|bytes| value.encode_into(&mut bytes[start..start + len]))
+        self.region()
+            .with_bytes_mut(self.header_space, len, |bytes| value.encode_into(bytes))?
     }
 
     /// Decode `len` payload bytes through codec `C` (the typed equivalent of
@@ -124,14 +125,13 @@ impl Buffer {
     /// decoded value is the only copy made.
     pub fn read_decoded<C: Codec + ?Sized>(&self, len: usize) -> Result<C::Owned> {
         crate::codec::check_capacity(len, self.capacity())?;
-        let start = self.header_space;
-        self.region
-            .with_bytes(|bytes| C::decode(&bytes[start..start + len]))
+        self.region()
+            .with_bytes(self.header_space, len, C::decode)?
     }
 
     /// Remote handle covering the payload area (what the executor writes to).
     pub fn remote_handle(&self) -> RemoteMemoryHandle {
-        self.region
+        self.region()
             .remote_handle_range(self.header_space, self.capacity())
             .expect("payload range within region")
     }
@@ -149,9 +149,10 @@ impl BufferAllocator {
     /// header slot is added in front automatically.
     pub fn input(&self, capacity: usize) -> Buffer {
         Buffer {
-            region: self
-                .pd
-                .register(INVOCATION_HEADER_BYTES + capacity, AccessFlags::LOCAL_ONLY),
+            registration: Arc::new(
+                self.pd
+                    .register_owned(INVOCATION_HEADER_BYTES + capacity, AccessFlags::LOCAL_ONLY),
+            ),
             header_space: INVOCATION_HEADER_BYTES,
         }
     }
@@ -160,7 +161,7 @@ impl BufferAllocator {
     /// into remotely.
     pub fn output(&self, capacity: usize) -> Buffer {
         Buffer {
-            region: self.pd.register(capacity, AccessFlags::REMOTE_WRITE),
+            registration: Arc::new(self.pd.register_owned(capacity, AccessFlags::REMOTE_WRITE)),
             header_space: 0,
         }
     }
@@ -219,7 +220,7 @@ struct WorkerConnection {
     ring: ReceiveRing,
     /// Scratch for overflow receives posted when more invocations are in
     /// flight than the ring holds slots.
-    overflow_scratch: MemoryRegion,
+    overflow_scratch: OwnedRegion,
     outstanding: AtomicUsize,
     completed: OrderedMutex<HashMap<u32, (usize, ResultStatus)>>,
     /// Token under which this connection is registered with the invoker's
@@ -634,6 +635,12 @@ impl Invoker {
         &self.clock
     }
 
+    /// Live registrations in the invoker's protection domain.
+    #[cfg(test)]
+    pub(crate) fn registered_regions(&self) -> usize {
+        self.pd.region_count()
+    }
+
     /// Buffer allocator bound to the invoker's protection domain.
     pub fn allocator(&self) -> BufferAllocator {
         BufferAllocator {
@@ -858,23 +865,27 @@ impl Invoker {
             };
             // Worker addresses are fresh per lease, but the executor *node*
             // stays warm across lease churn: a pooled token keyed by the node
-            // buys the cheap re-establishment tier.
-            let (qp, _warm) = connect_pooled(
+            // buys the cheap re-establishment tier. The receive for the
+            // worker's "hello" (it advertises the input buffer) is posted
+            // while the queue pair is still unconnected, so the worker can
+            // send it the moment it accepts.
+            let hello = self
+                .pd
+                .register_owned(INVOCATION_HEADER_BYTES, AccessFlags::LOCAL_ONLY);
+            let (qp, _warm) = connect_pooled_with(
                 &endpoint,
                 &worker.address,
                 &self.pool,
                 pool_key,
                 self.config.connect_timeout,
+                |qp| {
+                    qp.post_recv(RecvRequest {
+                        wr_id: u64::MAX,
+                        local: Sge::whole(&hello),
+                    })
+                },
             )?;
             self.connections_opened.fetch_add(1, Ordering::Relaxed);
-            // Receive the worker's "hello" advertising its input buffer.
-            let hello = self
-                .pd
-                .register(INVOCATION_HEADER_BYTES, AccessFlags::LOCAL_ONLY);
-            qp.post_recv(RecvRequest {
-                wr_id: u64::MAX,
-                local: Sge::whole(&hello),
-            })?;
             let wc = qp
                 .recv_cq()
                 .blocking_wait_timeout(self.config.connect_timeout)
@@ -882,7 +893,10 @@ impl Invoker {
             if !wc.is_success() {
                 return Err(RFaasError::ExecutorLost(worker.address.clone()));
             }
-            let advertised = InvocationHeader::decode(&hello.read_all())?;
+            let mut advertised = [0u8; INVOCATION_HEADER_BYTES];
+            hello.read_into(0, &mut advertised)?;
+            drop(hello);
+            let advertised = InvocationHeader::decode(&advertised)?;
             let remote_input = RemoteMemoryHandle {
                 rkey: advertised.result_rkey,
                 offset: advertised.result_offset as usize,
@@ -895,7 +909,7 @@ impl Invoker {
                 .recv_queue_depth
                 .clamp(1, self.fabric.profile().max_recv_queue_depth);
             let ring = ReceiveRing::new(&qp, ring_depth, 8)?;
-            let overflow_scratch = self.pd.register(8, AccessFlags::LOCAL_ONLY);
+            let overflow_scratch = self.pd.register_owned(8, AccessFlags::LOCAL_ONLY);
             let connection = Arc::new(WorkerConnection {
                 qp,
                 remote_input,
@@ -1312,10 +1326,10 @@ impl Invoker {
             // fetch, no heap allocation.
             let mut wire = [0u8; INLINE_STACK];
             wire[..INVOCATION_HEADER_BYTES].copy_from_slice(&header.encode());
-            input.region().with_bytes(|bytes| {
-                let payload = &bytes[input.payload_offset()..input.payload_offset() + payload_len];
-                wire[INVOCATION_HEADER_BYTES..wire_len].copy_from_slice(payload);
-            });
+            input.region().read_into(
+                input.payload_offset(),
+                &mut wire[INVOCATION_HEADER_BYTES..wire_len],
+            )?;
             connection.qp.post_write_inline(
                 invocation_id as u64,
                 &wire[..wire_len],
@@ -1741,6 +1755,85 @@ mod tests {
         invoker.deallocate().unwrap();
         assert_eq!(invoker.worker_count(), 0);
         assert_eq!(manager.lease_count(), 0);
+    }
+
+    #[test]
+    fn registrations_return_to_baseline_after_every_lease() {
+        // Each lease registers a hello slot, a result-ring slab and an
+        // overflow scratch word in the invoker-wide domain; all of it, and
+        // every buffer the caller dropped, must be gone after the teardown.
+        let (_fabric, manager, mut invoker) = platform(2);
+        invoker.deallocate().unwrap();
+        let baseline = invoker.registered_regions();
+        for cycle in 0..32u8 {
+            invoker
+                .allocate(
+                    LeaseRequest::single_worker("pkg").with_cores(2),
+                    PollingMode::Warm,
+                )
+                .unwrap();
+            assert!(invoker.registered_regions() > baseline);
+            {
+                let alloc = invoker.allocator();
+                let (input, output) = (alloc.input(256), alloc.output(256));
+                input.write_payload(&[cycle; 100]).unwrap();
+                let (len, _) = invoker.invoke_sync("echo", &input, 100, &output).unwrap();
+                assert_eq!(output.read_payload(len).unwrap(), vec![cycle; 100]);
+            }
+            invoker.deallocate().unwrap();
+            assert_eq!(invoker.registered_regions(), baseline, "cycle {cycle}");
+        }
+        assert_eq!(manager.lease_count(), 0);
+    }
+
+    #[test]
+    fn reaping_still_connected_warm_processes_does_not_wait_out_a_park() {
+        // A warm worker with its client still connected leaves the
+        // dispatcher parked; stopping it must wake it, not wait for the
+        // park bound (20 × 50 ms when nothing signals).
+        let fabric = Fabric::with_defaults();
+        let registry = FunctionRegistry::new();
+        registry.deploy(CodePackage::minimal("pkg").with_function(echo_function()));
+        let manager = ResourceManager::new(&fabric, RFaasConfig::default());
+        let executor = SpotExecutor::new(
+            &fabric,
+            "exec-0",
+            NodeResources {
+                cores: 36,
+                memory_mib: 128 * 1024,
+            },
+            registry,
+            RFaasConfig::default(),
+        );
+        manager.register_executor(&executor);
+        let invokers: Vec<Invoker> = (0..20)
+            .map(|i| {
+                let mut invoker = Invoker::new(
+                    &fabric,
+                    &format!("client-{i}"),
+                    &manager,
+                    RFaasConfig::default(),
+                );
+                invoker
+                    .allocate(LeaseRequest::single_worker("pkg"), PollingMode::Warm)
+                    .unwrap();
+                invoker
+            })
+            .collect();
+        assert_eq!(executor.allocator().process_count(), 20);
+        // Let every dispatcher finish its hello turn and park.
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        let started = std::time::Instant::now();
+        let reaped = executor
+            .allocator()
+            .reap_expired(SimTime::from_secs(1_000_000));
+        let elapsed = started.elapsed();
+        assert_eq!(reaped, 20);
+        assert!(
+            elapsed < std::time::Duration::from_millis(200),
+            "20 sequential reaps took {elapsed:?}"
+        );
+        drop(invokers);
     }
 
     #[test]

@@ -27,8 +27,8 @@ use std::time::Duration;
 
 use cluster_sim::NodeResources;
 use rdma_fabric::{
-    AccessFlags, CqSet, DeviceFunction, Endpoint, Fabric, FabricNode, FaultBatch, Listener,
-    MemoryRegion, NicProfile, PrefetchPlan, QueuePair, ReceiveRing, SendRequest, Sge,
+    AccessFlags, CqNotifier, CqSet, DeviceFunction, Endpoint, Fabric, FabricNode, FaultBatch,
+    Listener, NicProfile, OwnedRegion, PrefetchPlan, QueuePair, ReceiveRing, SendRequest, Sge,
     SharedReceiveQueue, SrqStats, WorkCompletion,
 };
 #[cfg(test)]
@@ -453,9 +453,9 @@ struct WorkerSlot {
 /// Live connection state of one worker, from accept until retirement.
 struct WorkerConn {
     qp: QueuePair,
-    input: MemoryRegion,
-    output: MemoryRegion,
-    hello_region: MemoryRegion,
+    input: OwnedRegion,
+    output: OwnedRegion,
+    hello_region: OwnedRegion,
     hello_sent: bool,
     /// This worker's receive-CQ token in the dispatcher's [`CqSet`].
     token: usize,
@@ -473,6 +473,11 @@ struct WorkerConn {
 
 /// Everything one dispatcher thread needs to serve a whole executor process.
 struct DispatcherContext {
+    /// The multiplexed set every connected worker's receive CQ joins. Built
+    /// by the allocator so that its notifier is already attached to every
+    /// worker listener, and held by the process for `stop_serving`, before
+    /// the thread runs.
+    cqset: CqSet,
     workers: Vec<WorkerSlot>,
     package: CodePackage,
     config: RFaasConfig,
@@ -493,8 +498,10 @@ struct DispatcherContext {
     state_binding: Arc<OrderedMutex<Option<ExecutorStateBinding>>>,
 }
 
-/// Release a worker's resources and mark it finished. Dropping the
-/// connection disconnects the queue pair and frees the registered buffers.
+/// Release a worker's resources and mark it finished: the connection's
+/// queue pair is disconnected and, as the connection drops, its buffers
+/// leave the worker's protection domain — the keys the client was given
+/// stop resolving.
 fn retire_worker(slot: &mut WorkerSlot, cqset: &mut CqSet) {
     if let Some(conn) = slot.conn.take() {
         if conn.holds_core {
@@ -519,14 +526,14 @@ fn connect_worker(
 ) -> Option<WorkerConn> {
     // Registered buffers: clients write [header | payload] into `input`; the
     // function produces its result in `output` before it is written back.
-    let input = slot.endpoint.pd.register(
+    let input = slot.endpoint.pd.register_owned(
         INVOCATION_HEADER_BYTES + slot.max_payload,
         AccessFlags::REMOTE_WRITE,
     );
     let output = slot
         .endpoint
         .pd
-        .register(slot.max_payload, AccessFlags::LOCAL_ONLY);
+        .register_owned(slot.max_payload, AccessFlags::LOCAL_ONLY);
 
     // No private receive ring: the QP consumes pre-posted receives from the
     // process-wide SRQ, capped by a per-worker flow-control credit so one
@@ -543,7 +550,8 @@ fn connect_worker(
     let hello_region = slot
         .endpoint
         .pd
-        .register_from(hello.encode().to_vec(), AccessFlags::LOCAL_ONLY);
+        .register_owned(INVOCATION_HEADER_BYTES, AccessFlags::LOCAL_ONLY);
+    hello_region.write(0, &hello.encode()).ok()?;
     let token = cqset.register(qp.recv_cq());
     Some(WorkerConn {
         qp,
@@ -786,19 +794,24 @@ fn serve_completion(
         Some(function) => {
             let started = shared.clock.now();
             // The function reads its payload where the client's write put it
-            // and produces its result where the reply is gathered from.
-            let outcome = conn.input.with_bytes(|input| {
-                let payload = input
-                    .get(INVOCATION_HEADER_BYTES..INVOCATION_HEADER_BYTES + payload_len)
-                    .unwrap_or(&[]);
-                conn.output.with_bytes_mut(|output| {
-                    if function.is_stateful() {
-                        invoke_stateful(function, payload, output, state_binding, &shared)
-                    } else {
-                        function.invoke(payload, output)
-                    }
+            // and produces its result where the reply is gathered from. Its
+            // output window is what the client can receive, not the whole
+            // buffer: a larger result fails the invocation either way, and
+            // the window is all of the buffer this lease ever commits.
+            let window = slot.max_payload.min(result_handle.len);
+            let outcome = conn
+                .input
+                .with_bytes(INVOCATION_HEADER_BYTES, payload_len, |payload| {
+                    conn.output.with_bytes_mut(0, window, |output| {
+                        if function.is_stateful() {
+                            invoke_stateful(function, payload, output, state_binding, &shared)
+                        } else {
+                            function.invoke(payload, output)
+                        }
+                    })
                 })
-            });
+                .and_then(|in_window| in_window)
+                .unwrap_or_else(|e| Err(FunctionError::InvalidInput(e.to_string())));
             shared.clock.advance(function.compute_cost(payload_len));
             let busy = shared.clock.now().saturating_since(started);
             {
@@ -809,7 +822,9 @@ fn serve_completion(
                 b.record_compute(busy);
             }
             match outcome {
-                Ok(n) if n <= result_handle.len => (n, ResultStatus::Success),
+                // Within the window is within both the output buffer the
+                // reply is gathered from and the client's result buffer.
+                Ok(n) if n <= window => (n, ResultStatus::Success),
                 Ok(_) | Err(_) => (0, ResultStatus::FunctionFailed),
             }
         }
@@ -856,14 +871,18 @@ fn serve_completion(
 /// order and serves the completions on their owning workers. When a turn
 /// makes no progress the loop spins only if some worker busy-polls;
 /// otherwise it parks on the set's notifier like a warm worker parks on its
-/// completion channel.
+/// completion channel. Everything the loop reacts to signals that notifier —
+/// a delivery or disconnect on a member CQ, a connection request at a worker
+/// listener, `stop_serving` — so no wait on the lease path is paced by
+/// wall-clock time.
 fn dispatcher_main(ctx: DispatcherContext) {
-    /// How often an idle dispatcher re-polls its listeners while a worker
-    /// connection is still being established. Replaces the old hard-coded
-    /// 200µs `thread::sleep`: same accept cadence, but routed through the
-    /// CqSet notifier so completions and disconnects cut the wait short.
-    const SETUP_ACCEPT_POLL: Duration = Duration::from_micros(200);
+    /// Upper bound on one park. Nothing is due when it expires: it only
+    /// limits the damage of an event source that failed to signal (and
+    /// paces the hello retry towards a client that connected without
+    /// posting its receive first, which the rFaaS client never does).
+    const PARK_BOUND: Duration = Duration::from_millis(50);
     let DispatcherContext {
+        mut cqset,
         mut workers,
         package,
         config,
@@ -875,11 +894,20 @@ fn dispatcher_main(ctx: DispatcherContext) {
         state_binding,
     } = ctx;
 
-    let mut cqset = CqSet::new();
     // Member token -> worker index, in registration (= drain) order.
     let mut owner: Vec<usize> = Vec::new();
     // Scratch reused across turns: the steady-state drain never allocates.
     let mut scratch: Vec<(usize, WorkCompletion)> = Vec::new();
+
+    // The notifier sequence as it stood before the current turn, once a turn
+    // has come up idle. Parking takes two idle turns: the first arms this
+    // snapshot, the second examines every source *after* it — so a stop
+    // request, connection request or completion that the second turn misses
+    // has moved the sequence past the snapshot, and the park returns at once
+    // instead of sleeping through it. Busy turns and spinning hot workers
+    // never touch the notifier (the client signals it on every delivery;
+    // polling it from a spin loop would bounce its cache line per request).
+    let mut armed: Option<u64> = None;
 
     loop {
         if shutdown.load(Ordering::Acquire) {
@@ -917,9 +945,9 @@ fn dispatcher_main(ctx: DispatcherContext) {
             let conn = slot.conn.as_mut().unwrap();
             if !conn.hello_sent {
                 // Advertise the input buffer to the client ("hello"). The
-                // client posts its receive right after connecting; retry
-                // every turn to cover the race between accept() returning
-                // on both sides.
+                // rFaaS client posts the receive for it before its
+                // connection request leaves, so this succeeds on the first
+                // turn after the accept; any other peer is retried.
                 match conn.qp.post_send(
                     0,
                     SendRequest::Send {
@@ -983,44 +1011,28 @@ fn dispatcher_main(ctx: DispatcherContext) {
             break;
         }
         if progressed {
+            armed = None;
             continue;
         }
 
-        // Idle policy: spin while any hot worker busy-polls, otherwise
-        // park on the set's notifier — a delivery or disconnect on any
-        // member CQ wakes the loop immediately, so the timeout only bounds
-        // how often host-side conditions the notifier cannot observe
-        // (shutdown flags, new connections on the listeners) are re-polled.
-        // Adaptive workers park too: their spin window is *virtual* time,
-        // which an idle host thread cannot observe passing; the window is
-        // enforced where it matters — in the billing decision against the
-        // next completion's virtual timestamp.
-        let mut spin = false;
-        let mut setting_up = false;
-        for slot in &workers {
-            if slot.done {
-                continue;
-            }
-            match &slot.conn {
-                None => setting_up = true,
-                Some(conn) if !conn.hello_sent => setting_up = true,
-                Some(_) => match *slot.shared.mode.lock() {
-                    PollingMode::Hot => spin = true,
-                    PollingMode::Adaptive | PollingMode::Warm => {}
-                },
-            }
-        }
+        // Idle policy: spin while any connected hot worker busy-polls,
+        // otherwise park on the set's notifier until one of the event
+        // sources listed above signals it. Adaptive workers park too: their
+        // spin window is *virtual* time, which an idle host thread cannot
+        // observe passing; the window is enforced where it matters — in the
+        // billing decision against the next completion's virtual timestamp.
+        let spin = workers.iter().any(|slot| {
+            !slot.done
+                && slot.conn.as_ref().is_some_and(|conn| conn.hello_sent)
+                && matches!(*slot.shared.mode.lock(), PollingMode::Hot)
+        });
         if spin {
             std::hint::spin_loop();
             std::thread::yield_now();
-        } else if setting_up {
-            // A connection is still being set up: the notifier cannot see
-            // listener activity, so wait with the accept-poll interval
-            // instead of a bare sleep — queued completions still wake the
-            // loop instantly.
-            cqset.wait(SETUP_ACCEPT_POLL);
+        } else if let Some(seen) = armed.take() {
+            cqset.wait_since(seen, PARK_BOUND);
         } else {
-            cqset.wait(Duration::from_millis(50));
+            armed = Some(cqset.notifier().sequence());
         }
     }
 
@@ -1071,6 +1083,8 @@ pub struct ExecutorProcess {
     /// The one event-loop thread multiplexing every worker's receive CQ.
     dispatcher: Option<JoinHandle<()>>,
     dispatcher_shutdown: Arc<AtomicBool>,
+    /// The notifier the dispatcher parks on.
+    dispatcher_wake: CqNotifier,
     /// The process-wide shared receive queue the dispatcher's workers
     /// consume from (kept for statistics; the dispatcher owns a clone).
     srq: SharedReceiveQueue,
@@ -1175,6 +1189,9 @@ impl ExecutorProcess {
             w.request_shutdown();
         }
         self.dispatcher_shutdown.store(true, Ordering::Release);
+        // Flags first, signal second: a dispatcher parked with warm clients
+        // still connected wakes now, not at its park bound.
+        self.dispatcher_wake.signal();
         if let Some(dispatcher) = self.dispatcher.take() {
             let _ = dispatcher.join();
         }
@@ -1432,6 +1449,12 @@ impl LightweightAllocator {
         let srq = SharedReceiveQueue::new(&dispatch_endpoint, srq_depth);
         let shared_ring = ReceiveRing::on_srq(&dispatch_endpoint, &srq, srq_depth, 8);
 
+        // The dispatcher's event channel exists before anything that
+        // signals it: every worker listener attaches it at bind time, and
+        // the process keeps a handle for `stop_serving`.
+        let cqset = CqSet::new();
+        let dispatcher_wake = cqset.notifier().clone();
+
         let process_id = NEXT_PROCESS_ID.fetch_add(1, Ordering::Relaxed);
         let billing = self.billing.lock().clone();
         let deadline = Arc::new(LeaseDeadline::new(lease.expires_at));
@@ -1455,6 +1478,7 @@ impl LightweightAllocator {
             let worker_id = NEXT_WORKER_ID.fetch_add(1, Ordering::Relaxed);
             let address = format!("rfaas://{}/{}/{}", self.node_name, process_id, worker_id);
             let listener = Listener::bind(&self.fabric, &address);
+            listener.attach_notifier(&dispatcher_wake);
             let worker_clock = Arc::new(VirtualClock::starting_at(start_time));
             let shared = Arc::new(WorkerShared {
                 shutdown: AtomicBool::new(false),
@@ -1496,6 +1520,7 @@ impl LightweightAllocator {
         if spawn_error.is_none() {
             if let Ok(ring) = shared_ring {
                 let context = DispatcherContext {
+                    cqset,
                     workers: std::mem::take(&mut slots),
                     package: package.clone(),
                     config: self.config.clone(),
@@ -1542,6 +1567,7 @@ impl LightweightAllocator {
             workers: handles,
             dispatcher,
             dispatcher_shutdown,
+            dispatcher_wake,
             srq,
             leased_cores: lease.cores,
             memory_mib: lease.memory_mib,

@@ -178,7 +178,6 @@ impl Reactor {
         let _serialised = self.inner.turn_lock.lock();
         let mut sweep = self.inner.sweep.lock();
         let mut events = self.inner.events.lock();
-        sweep.clear();
         sweep.extend(
             self.inner
                 .state
@@ -214,6 +213,10 @@ impl Reactor {
                 .dispatched
                 .fetch_add(dispatched, Ordering::Relaxed);
         }
+        // The scratch keeps its capacity, not its contents: a source the
+        // owner has unregistered must not stay alive (with its registered
+        // receive ring) until the next turn happens to overwrite it.
+        sweep.clear();
         self.inner
             .pumped
             .fetch_add(progressed as u64, Ordering::Relaxed);

@@ -50,8 +50,9 @@ use state_plane::{StateClientStats, StateError, StateKey, StatePlane, StateSpec}
 /// floor keeps tiny inputs from allocating unusably small result buffers.
 const MIN_OUTPUT_CAPACITY: usize = 4096;
 
-/// Upper bound on buffer pairs the session's pool retains; beyond it,
-/// released buffers are dropped (deregistered) instead of cached.
+/// Upper bound on buffer pairs the session's pool retains; beyond it, a
+/// released pair is dropped — and, being the last holder of each buffer,
+/// deregisters it — instead of cached.
 const MAX_POOLED_PAIRS: usize = 64;
 
 /// Fluent builder for a [`Session`]: lease shape, sandbox, polling mode and
@@ -979,6 +980,29 @@ mod tests {
         let (reply, rtt) = echo_f64.invoke_timed(&values[..]).unwrap();
         assert_eq!(reply, values.to_vec());
         assert!(rtt.as_micros_f64() > 0.0);
+    }
+
+    #[test]
+    fn buffers_released_past_the_pool_bound_are_deregistered() {
+        let (_f, _m, session) = platform(1);
+        let baseline = session.invoker.registered_regions();
+        let allocator = session.allocator();
+        let pairs: Vec<(Buffer, Buffer)> = (0..MAX_POOLED_PAIRS + 6)
+            .map(|_| session.pool.acquire(&allocator, 64, 64))
+            .collect();
+        assert_eq!(
+            session.invoker.registered_regions(),
+            baseline + 2 * (MAX_POOLED_PAIRS + 6)
+        );
+        for pair in pairs {
+            session.pool.release(pair);
+        }
+        // The pool kept its bound; the six pairs past it are gone from the
+        // protection domain, not merely from the pool.
+        assert_eq!(
+            session.invoker.registered_regions(),
+            baseline + 2 * MAX_POOLED_PAIRS
+        );
     }
 
     #[test]

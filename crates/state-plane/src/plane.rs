@@ -723,9 +723,9 @@ impl StateClient {
     pub fn get_with<R>(&mut self, key: &str, f: impl FnOnce(&[u8]) -> R) -> Result<R> {
         let (offset, len) = self.ensure_cached(key)?;
         self.counters.gets += 1;
-        Ok(self
-            .cache
-            .with_bytes(|bytes| f(&bytes[offset..offset + len])))
+        self.cache
+            .with_bytes(offset, len, f)
+            .map_err(StateError::Fabric)
     }
 
     /// Read every key of `keys`, in order and with exactly the accounting of
@@ -757,14 +757,25 @@ impl StateClient {
             };
             self.pins.push(pin);
         }
-        let result = self.cache.with_bytes(|cache| {
+        // One view over everything the cached pins point at: they were all
+        // filled by a copy, so it lies inside the cache's committed prefix.
+        let end = self
+            .pins
+            .iter()
+            .map(|pin| match pin {
+                Pinned::Cached { offset, len } => offset + len,
+                Pinned::Owned(_) | Pinned::Missing => 0,
+            })
+            .max()
+            .unwrap_or(0);
+        let result = self.cache.with_bytes(0, end, |cache| {
             f(StateValues {
                 cache,
                 pins: &self.pins,
             })
         });
         self.pins.clear();
-        Ok(result)
+        result.map_err(StateError::Fabric)
     }
 
     /// Read `key` into an owned buffer (convenience over [`Self::get_with`]).

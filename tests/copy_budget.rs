@@ -1,5 +1,6 @@
 //! Copy-budget regression: steady-state heap traffic per operation on the
-//! three data paths whose budget DESIGN.md ("Data path: copy budget") states.
+//! three data paths, and per lease, whose budget DESIGN.md ("Data path: copy
+//! budget") states.
 //!
 //! A byte may be copied only where the modelled hardware moves it (a DMA
 //! between registered regions) or at a codec boundary (the decoded result
@@ -14,7 +15,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use rfaas::{PollingMode, Session, StateKey, StatePlane};
+use rdma_fabric::ConnectionPool;
+use rfaas::{AllocationPolicy, PollingMode, RFaasConfig, Session, StateKey, StatePlane};
 use rfaas_bench::{Testbed, DATASET_KEY};
 use sandbox::SandboxType;
 
@@ -147,5 +149,36 @@ fn steady_state_heap_traffic_stays_within_the_copy_budget() {
         let executor = session.stats().state_executor.unwrap();
         assert_eq!(executor.remote_reads, 1, "every measured read was a hit");
         session.close().unwrap();
+    }
+
+    // Lease: one steady-state episode (fork from the parked parent, four
+    // 64 B warm echoes, release) commits what it touches of its registered
+    // buffers — not the 2 × 8 MiB worker buffers a lease registers.
+    {
+        let config = RFaasConfig {
+            warm_pool_capacity: 2,
+            ..RFaasConfig::paper_calibration()
+        };
+        let testbed = Testbed::with_config(1, config);
+        let pool = ConnectionPool::new();
+        let (_, bytes) = per_operation(|| {
+            let session = testbed
+                .session("budget-client")
+                .sandbox(SandboxType::BareMetal)
+                .polling(PollingMode::Warm)
+                .allocation_policy(AllocationPolicy::Fork)
+                .connection_pool(&pool)
+                .connect()
+                .unwrap();
+            let echo = session.function::<[u8], [u8]>("echo").unwrap();
+            for _ in 0..4 {
+                assert_eq!(echo.invoke(&[9u8; 64][..]).unwrap(), [9u8; 64]);
+            }
+            session.close().unwrap();
+        });
+        assert!(
+            bytes < (128 * 1024) as f64,
+            "a lease episode allocates {bytes} B"
+        );
     }
 }
