@@ -1,4 +1,4 @@
-//! Shared harness for the figure-regeneration binaries and Criterion benches.
+//! Shared harness for the figure-regeneration binaries.
 //!
 //! Every evaluation binary stands up the same testbed: an RDMA fabric with a
 //! resource manager, a set of spot executors offering the evaluation nodes'
@@ -137,7 +137,7 @@ pub fn evaluation_package() -> CodePackage {
 }
 
 /// One row of a results table printed by a figure binary.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct ResultRow {
     /// Series label (platform, configuration, ...).
     pub series: String,
@@ -149,6 +149,48 @@ pub struct ResultRow {
     pub p99: f64,
     /// Unit of the metric (`us`, `ms`, `s`, `%`).
     pub unit: String,
+}
+
+impl ResultRow {
+    /// The row as one compact JSON object, fields in declaration order: the
+    /// line format `scripts/perf_snapshot.py` scrapes and
+    /// `BENCH_BASELINE.json` gates.
+    fn to_json(&self) -> String {
+        // JSON has no Infinity/NaN: non-finite values print as `null`.
+        let number = |x: f64| {
+            if x.is_finite() {
+                x.to_string()
+            } else {
+                "null".to_string()
+            }
+        };
+        format!(
+            r#"{{"series":{},"x":{},"median":{},"p99":{},"unit":{}}}"#,
+            json_string(&self.series),
+            number(self.x),
+            number(self.median),
+            number(self.p99),
+            json_string(&self.unit),
+        )
+    }
+}
+
+/// `s` as a quoted JSON string.
+fn json_string(s: &str) -> String {
+    let mut out = String::from('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
 }
 
 /// Print a results table both as an aligned text table and as JSON lines
@@ -167,7 +209,7 @@ pub fn print_table(title: &str, rows: &[ResultRow]) {
     }
     println!("## json");
     for row in rows {
-        println!("{}", serde_json::to_string(row).expect("row serialises"));
+        println!("{}", row.to_json());
     }
 }
 
@@ -295,16 +337,35 @@ mod tests {
         assert!(err(&["thumbnailer", "extra"]).contains("extra"));
     }
 
+    /// Byte-exact pin of the `## json` rows that `scripts/perf_snapshot.py`
+    /// and every committed report were written against.
     #[test]
-    fn result_rows_serialise() {
-        let row = ResultRow {
-            series: "rFaaS hot".into(),
-            x: 1024.0,
-            median: 3.96,
-            p99: 4.2,
-            unit: "us".into(),
+    fn result_rows_are_byte_exact_json() {
+        let row = |series: &str, x, median, p99, unit: &str| ResultRow {
+            series: series.into(),
+            x,
+            median,
+            p99,
+            unit: unit.into(),
         };
-        let json = serde_json::to_string(&row).unwrap();
-        assert!(json.contains("rFaaS hot"));
+        // An integer-valued `x` prints without a fraction; fractions stay.
+        assert_eq!(
+            row("rFaaS hot", 1024.0, 3.96, 4.2, "us").to_json(),
+            r#"{"series":"rFaaS hot","x":1024,"median":3.96,"p99":4.2,"unit":"us"}"#
+        );
+        // Quote, backslash, named and unnamed control characters; NaN.
+        assert_eq!(
+            row("a\"b\\c\u{1}d\ne\tf\rg", 0.5, 1e21, f64::NAN, "%").to_json(),
+            r#"{"series":"a\"b\\c\u0001d\ne\tf\rg","x":0.5,"median":1000000000000000000000,"p99":null,"unit":"%"}"#
+        );
+        // Infinities, negative zero, a small fraction; non-ASCII passes through.
+        assert_eq!(
+            row("é \u{1f}", -0.0, 1e-7, f64::INFINITY, "ms").to_json(),
+            r#"{"series":"é \u001f","x":-0,"median":0.0000001,"p99":null,"unit":"ms"}"#
+        );
+        assert_eq!(
+            row("inf", 1e15, 1e16, f64::NEG_INFINITY, "s").to_json(),
+            r#"{"series":"inf","x":1000000000000000,"median":10000000000000000,"p99":null,"unit":"s"}"#
+        );
     }
 }

@@ -8,13 +8,12 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
 use sim_core::{DeterministicRng, SimDuration, SimTime};
 
 use crate::node::{ClusterNode, NodeResources};
 
 /// One batch job.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BatchJob {
     /// Job identifier.
     pub id: u64,

@@ -6,11 +6,10 @@
 //! end-to-end round-trip time is the sum over the request and response
 //! directions plus the function execution itself.
 
-use serde::{Deserialize, Serialize};
 use sim_core::{DeterministicRng, SimDuration};
 
 /// One hop/component on the invocation path.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PathComponent {
     /// Human-readable component name (gateway, controller, message bus, ...).
     pub name: String,
@@ -52,7 +51,7 @@ impl PathComponent {
 }
 
 /// The full invocation path of one platform.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct InvocationPath {
     /// Components in traversal order.
     pub components: Vec<PathComponent>,

@@ -5,13 +5,12 @@
 //! the component costs so the end-to-end warm-invocation latency and goodput
 //! match the paper's measurements (Fig. 1).
 
-use serde::{Deserialize, Serialize};
 use sim_core::{DeterministicRng, SimDuration};
 
 use crate::path::{InvocationPath, PathComponent};
 
 /// A baseline FaaS platform: its warm invocation path and cold-start model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BaselinePlatform {
     /// Platform name as used in figures ("AWS", "OpenWhisk", "nightcore").
     pub name: String,

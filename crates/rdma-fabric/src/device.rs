@@ -11,11 +11,10 @@
 //! * blocking completion waits several microseconds slower than busy polling,
 //! * SR-IOV virtual functions add ~50 ns (hot) / ~650 ns (warm) per invocation.
 
-use serde::{Deserialize, Serialize};
 use sim_core::SimDuration;
 
 /// Calibrated performance profile of an RDMA NIC and its link.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NicProfile {
     /// One-way propagation + switching latency of the link.
     pub one_way_latency: SimDuration,
@@ -233,7 +232,7 @@ impl Default for NicProfile {
 
 /// Whether an endpoint attaches to the NIC's physical function or to an
 /// SR-IOV virtual function passed into a container (Sec. III-E).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeviceFunction {
     /// Bare-metal access to the physical function.
     Physical,

@@ -24,13 +24,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
-use serde::{Deserialize, Serialize};
 
 use crate::error::{FabricError, Result};
 
 /// Access permissions of a registered memory region, mirroring
 /// `IBV_ACCESS_*` flags.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AccessFlags {
     /// Local writes through the NIC (always needed for receives/reads).
     pub local_write: bool,
@@ -89,7 +88,6 @@ pub(crate) struct RegionInner {
     lkey: u64,
     rkey: u64,
     access: AccessFlags,
-    page_aligned: bool,
 }
 
 /// A registered memory region.
@@ -115,8 +113,6 @@ impl MemoryRegion {
     }
 
     fn with_committed(data: Vec<u8>, len: usize, access: AccessFlags) -> MemoryRegion {
-        // The simulation treats every registration as page-aligned: rFaaS's
-        // allocator always allocates page-aligned buffers (Sec. IV-B).
         MemoryRegion {
             inner: Arc::new(RegionInner {
                 len,
@@ -124,7 +120,6 @@ impl MemoryRegion {
                 lkey: next_key(),
                 rkey: next_key(),
                 access,
-                page_aligned: true,
             }),
         }
     }
@@ -152,12 +147,6 @@ impl MemoryRegion {
     /// Access flags granted at registration time.
     pub fn access(&self) -> AccessFlags {
         self.inner.access
-    }
-
-    /// Whether the underlying buffer is page aligned (always true for buffers
-    /// produced by the rFaaS allocator).
-    pub fn is_page_aligned(&self) -> bool {
-        self.inner.page_aligned
     }
 
     /// Copy of the bytes in `[offset, offset + len)`.
@@ -368,7 +357,7 @@ fn check_bounds(offset: usize, len: usize, region_len: usize) -> Result<()> {
 /// Address + rkey of a (range of a) remote region, as exchanged between rFaaS
 /// clients and executors in the connection handshake and in the 12-byte
 /// invocation header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RemoteMemoryHandle {
     /// Remote key of the target registration.
     pub rkey: u64,

@@ -17,7 +17,7 @@ use crate::cq::CompletionQueue;
 use crate::device::{DeviceFunction, NicProfile};
 use crate::error::{FabricError, Result};
 use crate::fabric::{Fabric, FabricNode};
-use crate::memory::{in_bounds, MemoryRegion, RemoteMemoryHandle};
+use crate::memory::{in_bounds, RemoteMemoryHandle};
 use crate::pd::ProtectionDomain;
 use crate::srq::SharedReceiveQueue;
 use crate::verbs::{CompletionStatus, OpCode, RecvRequest, SendRequest, Sge, WorkCompletion};
@@ -48,12 +48,6 @@ impl Endpoint {
             pd: ProtectionDomain::new(),
             function: DeviceFunction::Physical,
         }
-    }
-
-    /// Same endpoint attached through an SR-IOV virtual function.
-    pub fn virtualized(mut self) -> Endpoint {
-        self.function = DeviceFunction::Virtual;
-        self
     }
 
     /// Replace the clock (actors that share a clock across several QPs).
@@ -813,16 +807,10 @@ fn validate_sge(sge: &Sge) -> Result<()> {
     }
 }
 
-/// Helper extension: build a remote handle for a region registered in this
-/// QP's own protection domain (what rFaaS sends to the peer in handshakes).
-pub fn advertise(region: &MemoryRegion) -> RemoteMemoryHandle {
-    region.remote_handle()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memory::AccessFlags;
+    use crate::memory::{AccessFlags, MemoryRegion};
 
     /// Two directly connected endpoints on different nodes.
     fn connected_pair() -> (QueuePair, QueuePair, Arc<Fabric>) {

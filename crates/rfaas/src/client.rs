@@ -697,8 +697,7 @@ impl Invoker {
 
         // Step 1: first contact with the resource manager rides the datagram
         // transport — a UD-style endpoint an order of magnitude cheaper to
-        // set up than the RC connection the old control path paid for
-        // (`manager_connect_cost`). Bound once, reused by re-allocations.
+        // set up than an RC connection. Bound once, reused by re-allocations.
         let t0 = self.clock.now();
         self.ensure_control_socket();
         breakdown.connect_to_manager = self.clock.now().saturating_since(t0);

@@ -1,11 +1,9 @@
 //! Platform configuration and calibrated rFaaS-specific costs.
 
-use sandbox::SandboxType;
-use serde::{Deserialize, Serialize};
 use sim_core::SimDuration;
 
 /// How an executor worker waits for invocations (Sec. III-C).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PollingMode {
     /// Busy-poll the completion queue: ~300 ns invocation overhead, but the
     /// worker occupies its CPU core and the hot-poll time is billed.
@@ -20,7 +18,7 @@ pub enum PollingMode {
 
 /// Cost constants of the rFaaS data path and control plane, calibrated
 /// against Sec. V of the paper.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RFaasConfig {
     /// Executor-side cost of parsing the invocation header, locating the
     /// function and setting up its arguments. Together with the result
@@ -29,9 +27,6 @@ pub struct RFaasConfig {
     /// Client-side cost of filling the 12-byte invocation header and
     /// book-keeping the invocation id.
     pub header_write_cost: SimDuration,
-    /// Client cost of establishing the initial connection to the resource
-    /// manager (TCP handshake + authentication), part of the cold path.
-    pub manager_connect_cost: SimDuration,
     /// Manager-side processing of one allocation request (lease lookup,
     /// placement decision, accounting record).
     pub allocation_processing_cost: SimDuration,
@@ -58,10 +53,6 @@ pub struct RFaasConfig {
     pub max_payload_bytes: usize,
     /// Number of invocations a worker keeps pre-posted receives for.
     pub recv_queue_depth: usize,
-    /// Default sandbox type for executor processes.
-    pub default_sandbox: SandboxType,
-    /// Default lease lifetime.
-    pub default_lease_timeout: SimDuration,
     /// Manager-side processing of one lease-renewal request. Renewal touches
     /// only the lease record (no placement decision), so the paper's
     /// allocation-processing budget is the upper bound; clients pay this cost
@@ -106,7 +97,6 @@ impl RFaasConfig {
         RFaasConfig {
             dispatch_cost: SimDuration::from_nanos(200),
             header_write_cost: SimDuration::from_nanos(30),
-            manager_connect_cost: SimDuration::from_millis(2),
             allocation_processing_cost: SimDuration::from_micros(700),
             allocation_submit_cost: SimDuration::from_micros(500),
             hot_poll_fallback: SimDuration::from_millis(50),
@@ -114,8 +104,6 @@ impl RFaasConfig {
             hot_poll_timeout: SimDuration::from_millis(100),
             max_payload_bytes: 8 * 1024 * 1024,
             recv_queue_depth: 16,
-            default_sandbox: SandboxType::BareMetal,
-            default_lease_timeout: SimDuration::from_secs(600),
             lease_renewal_cost: SimDuration::from_micros(700),
             heartbeat_interval: SimDuration::from_secs(5),
             heartbeat_timeout: SimDuration::from_secs(15),
@@ -155,11 +143,8 @@ mod tests {
         // it is the core claim of the paper.
         assert!(c.dispatch_cost.as_nanos() < 1_000);
         assert!(c.header_write_cost.as_nanos() < 100);
-        // Control-plane costs are in the millisecond range.
-        assert!(c.manager_connect_cost.as_millis_f64() >= 1.0);
         assert!(c.max_payload_bytes >= 5 * 1024 * 1024);
         assert!(c.recv_queue_depth >= 1);
-        assert_eq!(c.default_sandbox, SandboxType::BareMetal);
         // Connect attempts must give up eventually, but not so fast that a
         // loaded test box produces spurious timeouts.
         assert!(c.connect_timeout >= std::time::Duration::from_secs(1));
@@ -182,7 +167,8 @@ mod tests {
         // so back-to-back bursts never demote, while staying far below the
         // lease lifetime so an abandoned hot worker stops burning its core.
         assert!(c.hot_poll_timeout >= SimDuration::from_millis(1));
-        assert!(c.hot_poll_timeout < c.default_lease_timeout);
+        let lease_lifetime = crate::LeaseRequest::single_worker("pkg").timeout;
+        assert!(c.hot_poll_timeout < lease_lifetime);
     }
 
     #[test]

@@ -408,18 +408,6 @@ impl Session {
         }
     }
 
-    /// Fault state of the session's forked sandbox.
-    #[deprecated(note = "use Session::stats().fork")]
-    pub fn fork_state(&self) -> Option<Arc<ForkFaultState>> {
-        self.invoker.fork_state()
-    }
-
-    /// Connection-plane counters.
-    #[deprecated(note = "use Session::stats().connections")]
-    pub fn connection_stats(&self) -> ConnectionPlaneStats {
-        self.invoker.connection_stats()
-    }
-
     /// Number of connected executor workers.
     pub fn worker_count(&self) -> usize {
         self.invoker.worker_count()
@@ -493,16 +481,6 @@ impl SessionState<'_> {
     /// cache is write-through, so a following `get` is a local hit).
     pub fn put(&self, key: &str, value: &[u8]) -> Result<()> {
         self.invoker.state_put(key, value)
-    }
-
-    /// Encode `value` through its [`Codec`] and store it under `key`.
-    pub fn put_encoded<C>(&self, key: &str, value: &C) -> Result<()>
-    where
-        C: Codec + ?Sized,
-    {
-        let mut buf = vec![0u8; value.encoded_len()];
-        value.encode_into(&mut buf)?;
-        self.invoker.state_put(key, &buf)
     }
 
     /// Read `key` into an owned vector (hot keys come straight out of the

@@ -124,11 +124,6 @@ impl WarmPool {
         }
     }
 
-    /// Max parked parents per key (zero: pool disabled).
-    pub fn capacity_per_key(&self) -> usize {
-        self.inner.lock().max_idle_per_key
-    }
-
     /// Pool key of a `(SandboxType, package)` pair.
     pub fn key(sandbox_type: SandboxType, package: &str) -> String {
         format!("{sandbox_type:?}/{package}")

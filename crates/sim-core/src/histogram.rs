@@ -4,8 +4,6 @@
 //! latencies; a log-bucketed histogram keeps memory bounded while still
 //! supporting accurate-enough percentile queries for reporting.
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::SimDuration;
 
 /// Number of sub-buckets per power-of-two bucket (resolution ~3%).
@@ -14,7 +12,7 @@ const SUB_BUCKETS: usize = 32;
 const MAGNITUDES: usize = 35;
 
 /// A log-bucketed latency histogram over nanosecond values.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LatencyHistogram {
     buckets: Vec<u64>,
     count: u64,

@@ -4,11 +4,7 @@
 //! arrivals, payload generation) draws from a [`DeterministicRng`] seeded
 //! explicitly, so experiments are bit-reproducible across runs and machines.
 //! The generator is SplitMix64 — tiny, fast, and good enough for cost-model
-//! jitter; it is *not* used where statistical quality matters (workload
-//! payloads use `rand`'s StdRng seeded from this one).
-
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+//! jitter and synthetic payloads.
 
 /// The SplitMix64 finalizer: a full-avalanche bijective mix of a 64-bit
 /// word. Besides driving [`DeterministicRng`], it is the avalanche step of
@@ -78,12 +74,6 @@ impl DeterministicRng {
     /// Derive a child generator with an independent stream.
     pub fn fork(&mut self, stream: u64) -> DeterministicRng {
         DeterministicRng::new(self.next_u64() ^ stream.rotate_left(17))
-    }
-
-    /// Build a `rand`-compatible StdRng seeded from this generator, for code
-    /// that needs a full-quality distribution API.
-    pub fn std_rng(&mut self) -> StdRng {
-        StdRng::seed_from_u64(self.next_u64())
     }
 }
 

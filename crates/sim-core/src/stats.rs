@@ -5,12 +5,10 @@
 //! implements those estimators over `f64` samples and over [`SimDuration`]
 //! samples.
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::SimDuration;
 
 /// A two-sided confidence interval.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConfidenceInterval {
     /// Lower bound of the interval.
     pub lower: f64,
@@ -33,7 +31,7 @@ impl ConfidenceInterval {
 }
 
 /// Summary statistics for one experiment series.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Summary {
     /// Number of samples.
     pub count: usize,

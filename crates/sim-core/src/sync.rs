@@ -351,13 +351,6 @@ impl<T: fmt::Debug> fmt::Debug for OrderedMutex<T> {
     }
 }
 
-impl<T: Default> OrderedMutex<T> {
-    /// Convenience for `OrderedMutex::new(rank, T::default())`.
-    pub fn default_with(rank: LockRank) -> OrderedMutex<T> {
-        OrderedMutex::new(rank, T::default())
-    }
-}
-
 /// Guard returned by [`OrderedMutex::lock`]. Dropping releases the lock and
 /// pops the rank from the thread's held set (in any order — hand-over-hand
 /// release is allowed).

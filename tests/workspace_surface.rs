@@ -75,3 +75,38 @@ fn umbrella_reexports_every_layer() {
     let mpi = rfaas_repro::mpi_sim::MpiCostModel::cluster_100g();
     assert!(mpi.latency.as_nanos() > 0);
 }
+
+/// Every directory under `shims/` is a workspace member that at least one
+/// `crates/*/Cargo.toml` names as a dependency, so a stand-in crate cannot
+/// outlive its last caller. Reads the manifests as text: the shim directory
+/// name is the dependency name.
+#[test]
+fn every_shim_is_a_member_with_a_dependent() {
+    use std::fs;
+    use std::path::Path;
+
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let workspace = fs::read_to_string(root.join("Cargo.toml")).unwrap();
+    let crate_manifests: Vec<String> = fs::read_dir(root.join("crates"))
+        .unwrap()
+        .map(|entry| fs::read_to_string(entry.unwrap().path().join("Cargo.toml")).unwrap())
+        .collect();
+
+    for entry in fs::read_dir(root.join("shims")).unwrap() {
+        let name = entry.unwrap().file_name().into_string().unwrap();
+        assert!(
+            workspace.contains(&format!("\"shims/{name}\"")),
+            "shims/{name} is not a workspace member"
+        );
+        let depended_on = crate_manifests.iter().any(|manifest| {
+            manifest.lines().any(|line| {
+                line.strip_prefix(name.as_str())
+                    .is_some_and(|rest| rest.starts_with(".workspace") || rest.starts_with(" ="))
+            })
+        });
+        assert!(
+            depended_on,
+            "no crates/*/Cargo.toml depends on shims/{name}"
+        );
+    }
+}
