@@ -85,17 +85,11 @@ fn run_rep(rep: usize) -> Rep {
         "pages fault lazily, not at fork"
     );
 
-    let invoker = forked_session.raw();
-    let alloc = invoker.allocator();
-    let input = alloc.input(64);
-    let output = alloc.output(64);
-    input
-        .write_payload(&workloads::generate_payload(8, 7))
-        .expect("payload fits");
+    let echo = forked_session.function::<[u8], [u8]>("echo").expect("echo");
+    let payload = workloads::generate_payload(8, 7);
     let fork_rtts: Vec<SimDuration> = (0..SPECTRUM_INVOCATIONS)
         .map(|_| {
-            invoker
-                .invoke_sync("echo", &input, 8, &output)
+            echo.invoke_timed(&payload)
                 .expect("invoke on forked child")
                 .1
         })

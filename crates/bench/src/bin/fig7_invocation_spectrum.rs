@@ -29,32 +29,20 @@ fn payload_sizes(quick: bool) -> Vec<usize> {
 
 /// Median + p99 RTT of repeated invocations on an already-leased worker.
 ///
-/// Measured through `Session::raw()`: the spectrum is *the* zero-copy
-/// latency gate, so it drives pre-registered buffers and explicit payload
-/// lengths rather than the typed codec surface.
+/// The spectrum is *the* zero-copy latency gate: the typed path posts small
+/// wires inline with no staging copy, reuses pooled registered buffers, and
+/// charges the virtual clock exactly what a hand-posted invocation does.
 fn leased_series(mode: PollingMode, sizes: &[usize], repetitions: usize) -> Vec<(usize, f64, f64)> {
     let testbed = Testbed::new(1);
     let session = testbed.allocated_session("fig7-client", 1, SandboxType::BareMetal, mode);
-    let invoker = session.raw();
-    let alloc = invoker.allocator();
+    let echo = session.function::<[u8], [u8]>("echo").expect("echo");
     sizes
         .iter()
         .map(|&size| {
-            let input = alloc.input(size.max(8));
-            let output = alloc.output(size.max(8));
-            input
-                .write_payload(&workloads::generate_payload(size, 7))
-                .expect("payload fits");
-            invoker
-                .invoke_sync("echo", &input, size, &output)
-                .expect("warm-up");
+            let payload = workloads::generate_payload(size, 7);
+            echo.invoke_timed(&payload).expect("warm-up");
             let samples: Vec<_> = (0..repetitions)
-                .map(|_| {
-                    invoker
-                        .invoke_sync("echo", &input, size, &output)
-                        .expect("invoke")
-                        .1
-                })
+                .map(|_| echo.invoke_timed(&payload).expect("invoke").1)
                 .collect();
             let s = summarize_us(&samples);
             (size, s.median, s.p99)
@@ -80,16 +68,11 @@ fn cold_series(sizes: &[usize], repetitions: usize) -> Vec<(usize, f64, f64)> {
                         SandboxType::BareMetal,
                         PollingMode::Hot,
                     );
-                    let invoker = session.raw();
                     let cold_start = session.cold_start().expect("fresh allocation").total();
-                    let alloc = invoker.allocator();
-                    let input = alloc.input(size.max(8));
-                    let output = alloc.output(size.max(8));
-                    input
-                        .write_payload(&workloads::generate_payload(size, 7))
-                        .expect("payload fits");
-                    let (_, rtt) = invoker
-                        .invoke_sync("echo", &input, size, &output)
+                    let (_, rtt) = session
+                        .function::<[u8], [u8]>("echo")
+                        .expect("echo")
+                        .invoke_timed(&workloads::generate_payload(size, 7))
                         .expect("invoke");
                     session.close().expect("deallocate");
                     cold_start + rtt
@@ -154,23 +137,12 @@ fn main() {
     let testbed = Testbed::with_config(1, config.clone());
     let session =
         testbed.allocated_session("fig7-demotion", 1, SandboxType::BareMetal, PollingMode::Hot);
-    let invoker = session.raw();
-    let alloc = invoker.allocator();
-    let input = alloc.input(64);
-    let output = alloc.output(64);
-    input
-        .write_payload(&workloads::generate_payload(8, 7))
-        .expect("payload fits");
-    invoker
-        .invoke_sync("echo", &input, 8, &output)
-        .expect("warm-up");
-    let (_, hot_rtt) = invoker
-        .invoke_sync("echo", &input, 8, &output)
-        .expect("hot invoke");
-    invoker.clock().advance(config.hot_poll_timeout * 2);
-    let (_, demoted_rtt) = invoker
-        .invoke_sync("echo", &input, 8, &output)
-        .expect("demoted invoke");
+    let echo = session.function::<[u8], [u8]>("echo").expect("echo");
+    let payload = workloads::generate_payload(8, 7);
+    echo.invoke_timed(&payload).expect("warm-up");
+    let (_, hot_rtt) = echo.invoke_timed(&payload).expect("hot invoke");
+    session.clock().advance(config.hot_poll_timeout * 2);
+    let (_, demoted_rtt) = echo.invoke_timed(&payload).expect("demoted invoke");
     let stats = testbed.executors[0]
         .allocator()
         .processes()

@@ -2,8 +2,8 @@
 //!
 //! Every evaluation binary stands up the same testbed: an RDMA fabric with a
 //! resource manager, a set of spot executors offering the evaluation nodes'
-//! resources, a function registry with all workload functions deployed, and a
-//! client-side invoker. [`Testbed`] wraps that plumbing; the binaries then
+//! resources, a function registry with all workload functions deployed, and
+//! client sessions. [`Testbed`] wraps that plumbing; the binaries then
 //! only express the experiment itself (payload sweep, worker sweep, ...).
 
 use std::sync::Arc;

@@ -9,10 +9,12 @@
 //! 1. **Allocation leases** ([`manager`]) — clients contact the resource
 //!    manager once to lease spot executors; warm and hot invocations bypass
 //!    the control plane entirely.
-//! 2. **Direct, decentralised invocations** ([`executor`], [`client`]) — the
-//!    client holds an RDMA connection to every executor worker thread and
-//!    invokes functions by writing header + payload straight into the
-//!    worker's registered memory; results are written straight back.
+//! 2. **Direct, decentralised invocations** ([`executor`], [`Session`]) —
+//!    the client holds an RDMA connection to every executor worker thread
+//!    and invokes functions by writing header + payload straight into the
+//!    worker's registered memory; results are written straight back. One
+//!    client type, [`Session`], owns the lease, the connections and the
+//!    transparent recovery; [`client`] holds its wire-level pieces.
 //! 3. **Hot, warm and cold invocation types** — busy-polling workers serve
 //!    hot invocations with ~300 ns of platform overhead, blocking workers
 //!    serve warm invocations a few microseconds slower but release the CPU,
@@ -68,10 +70,7 @@ pub mod session;
 pub mod sharding;
 
 pub use billing::{BillingClient, BillingDatabase, UsageRecord, BILLING_SLOTS};
-pub use client::{
-    BatchStats, Buffer, BufferAllocator, ColdStartBreakdown, ConnectionPlaneStats,
-    InvocationFuture, Invoker,
-};
+pub use client::{BatchStats, ColdStartBreakdown, ConnectionPlaneStats};
 pub use codec::{check_capacity, Codec, F64View};
 pub use config::{PollingMode, RFaasConfig};
 pub use error::{RFaasError, Result};

@@ -182,10 +182,10 @@ impl GroupLifecycleDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::Invoker;
-    use crate::config::{PollingMode, RFaasConfig};
+    use crate::config::RFaasConfig;
     use crate::executor::SpotExecutor;
     use crate::protocol::LeaseRequest;
+    use crate::session::Session;
     use cluster_sim::NodeResources;
     use rdma_fabric::Fabric;
     use sandbox::{echo_function, CodePackage, FunctionRegistry};
@@ -260,10 +260,10 @@ mod tests {
     fn expired_leases_are_released_and_processes_reaped() {
         let (fabric, manager, execs) = platform(1);
         let driver = LifecycleDriver::new(&manager);
-        let mut invoker = Invoker::new(&fabric, "client", &manager, RFaasConfig::default());
-        let mut request = LeaseRequest::single_worker("pkg");
-        request.timeout = SimDuration::from_secs(10);
-        invoker.allocate(request, PollingMode::Hot).unwrap();
+        let _session = Session::builder(&fabric, "client", &manager, "pkg")
+            .lease_timeout(SimDuration::from_secs(10))
+            .connect()
+            .unwrap();
         assert_eq!(manager.lease_count(), 1);
         assert_eq!(execs[0].allocator().process_count(), 1);
         let cores_leased = manager.available_resources().cores;

@@ -1,48 +1,55 @@
-//! The typed session API: allocation builder, function handles and batched
-//! completion sets.
+//! The rFaaS client: one [`Session`] per leased allocation, built through an
+//! [`AllocationBuilder`], with typed function handles and batched completion
+//! sets on top.
 //!
-//! This is the surface client applications are meant to program against
-//! (Listing 2 of the paper, minus the transport plumbing). A [`Session`] is
-//! one leased allocation, built fluently through an [`AllocationBuilder`];
-//! it hands out typed [`FunctionHandle`]s whose [`Codec`]s infer payload
-//! lengths and buffer sizes, so callers never thread
-//! `(function, buffer, payload_len, buffer)` tuples by hand. Scatter/gather
-//! work goes through [`FunctionHandle::map_workers`], which posts each wave
-//! of one-invocation-per-worker behind one shared doorbell (the chained-WQE
-//! path of [`rdma_fabric::QueuePair::post_send_batch`]) and returns a
-//! [`CompletionSet`] with `wait_any`/`wait_all`.
+//! This is the surface client applications program against — Listing 2 of
+//! the paper, whose invoker and allocator are one type here. Building a
+//! session acquires the lease, spins up the executor workers and connects
+//! directly to them; the session then hands out typed [`FunctionHandle`]s
+//! whose [`Codec`]s infer payload lengths and buffer sizes, so callers never
+//! thread `(function, buffer, payload_len, buffer)` tuples by hand.
+//! Scatter/gather work goes through [`FunctionHandle::map_workers`], which
+//! posts each wave of one-invocation-per-worker behind one shared doorbell
+//! (the chained-WQE path of [`rdma_fabric::QueuePair::post_send_batch`]) and
+//! returns a [`CompletionSet`] with `wait_any`/`wait_all`.
 //!
-//! The raw buffer API stays reachable through [`Session::raw`] for callers
-//! that need explicit zero-copy control (the invocation-spectrum tests, the
-//! latency microbenchmarks).
-//!
-//! Lease-recovery semantics are first-class here: the allocation epoch each
-//! submission observed and the transparent re-allocation budget flow through
-//! [`TypedFuture`] and [`CompletionSet`] exactly as they do through the raw
-//! [`InvocationFuture`], and the budget is a knob on the builder
-//! ([`AllocationBuilder::recovery_budget`]).
+//! Lease recovery is built in (Sec. III-B): every submission records the
+//! allocation epoch it posted against, and a submission, [`TypedFuture`] or
+//! [`CompletionSet`] that finds the lease expired or the executor gone
+//! re-allocates through the manager and replays, within the budget set by
+//! [`AllocationBuilder::recovery_budget`]. The wire-level pieces a session is
+//! made of live in [`crate::client`].
 
 use std::collections::VecDeque;
 use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use rdma_fabric::{ConnectionPool, Fabric};
-use sandbox::SandboxType;
+use rdma_fabric::{
+    ConnectionPool, DatagramSocket, DeviceFunction, Endpoint, Fabric, ProtectionDomain,
+    RecvRequest, SendRequest, Sge,
+};
+use sandbox::{CodePackage, SandboxType};
 use sim_core::sync::{ranks, OrderedMutex};
 use sim_core::{SimDuration, SimTime, VirtualClock};
+use state_plane::{StateClient, StateClientStats, StateError, StateKey, StatePlane, StateSpec};
 
 use crate::client::{
-    BatchStats, Buffer, BufferAllocator, ColdStartBreakdown, ConnectionPlaneStats,
-    InvocationFuture, InvocationSpec, Invoker,
+    connection_is_lost, BatchStats, Buffer, ColdStartBreakdown, ConnectionPlaneStats,
+    InvocationSpec, Posted, WorkerConnection,
 };
 use crate::codec::Codec;
 use crate::config::{PollingMode, RFaasConfig};
 use crate::error::{RFaasError, Result};
-use crate::executor::{AllocationPolicy, ForkFaultState};
+use crate::executor::{
+    AllocationPolicy, AllocationResult, ForkFaultState, SpotExecutor, WorkerEndpointInfo,
+};
 use crate::manager::ResourceManager;
-use crate::protocol::{Lease, LeaseRequest};
-use crate::reactor::Reactor;
-use state_plane::{StateClientStats, StateError, StateKey, StatePlane, StateSpec};
+use crate::protocol::{
+    ControlFrame, ImmValue, InvocationHeader, Lease, LeaseRequest, ResultStatus,
+    INVOCATION_HEADER_BYTES,
+};
+use crate::reactor::{CompletionSource, Reactor};
 
 /// Smallest output buffer the typed layer registers when the caller gives no
 /// explicit capacity: results at least as large as a small page are common
@@ -55,9 +62,13 @@ const MIN_OUTPUT_CAPACITY: usize = 4096;
 /// deregisters it — instead of cached.
 const MAX_POOLED_PAIRS: usize = 64;
 
+/// Default maximum lease re-allocations one invocation will attempt before
+/// surfacing the failure (guards against a platform that keeps handing out
+/// instantly-dying leases).
+const DEFAULT_RECOVERY_BUDGET: u32 = 3;
+
 /// Fluent builder for a [`Session`]: lease shape, sandbox, polling mode and
-/// recovery policy in one place (the typed replacement for hand-assembling a
-/// [`LeaseRequest`] and calling `Invoker::allocate`).
+/// recovery policy in one place.
 #[derive(Debug, Clone)]
 pub struct AllocationBuilder {
     fabric: Arc<Fabric>,
@@ -103,7 +114,7 @@ impl AllocationBuilder {
             lease_timeout: None,
             mode: PollingMode::Hot,
             policy: AllocationPolicy::Cold,
-            recovery_budget: Invoker::DEFAULT_RECOVERY_BUDGET,
+            recovery_budget: DEFAULT_RECOVERY_BUDGET,
             start_at: None,
             reactor: None,
             shared_clock: None,
@@ -154,16 +165,16 @@ impl AllocationBuilder {
     /// How the allocator provisions the executor sandbox: a full cold spawn
     /// (the default), a remote fork from a parked warm parent's snapshot
     /// ([`AllocationPolicy::Fork`]), or a warm-pool resume
-    /// ([`AllocationPolicy::WarmPool`]). Fork and warm-pool silently degrade
-    /// to a cold spawn when no suitable parent is parked on the chosen
-    /// executor.
+    /// ([`AllocationPolicy::WarmPool`]). Applies to transparent
+    /// re-allocations too. Fork and warm-pool silently degrade to a cold
+    /// spawn when no suitable parent is parked on the chosen executor.
     pub fn allocation_policy(mut self, policy: AllocationPolicy) -> AllocationBuilder {
         self.policy = policy;
         self
     }
 
     /// Maximum transparent lease re-allocations per invocation before the
-    /// failure surfaces (see [`Invoker::DEFAULT_RECOVERY_BUDGET`]).
+    /// failure surfaces (default 3).
     pub fn recovery_budget(mut self, budget: u32) -> AllocationBuilder {
         self.recovery_budget = budget;
         self
@@ -225,24 +236,31 @@ impl AllocationBuilder {
         if let Some(timeout) = self.connect_timeout {
             config.connect_timeout = timeout;
         }
-        let mut invoker = Invoker::new(&self.fabric, &self.client_node, &self.manager, config);
-        invoker.set_recovery_budget(self.recovery_budget);
-        invoker.set_allocation_policy(self.policy);
-        if let Some(pool) = self.connection_pool {
-            invoker.set_connection_pool(pool);
-        }
-        if let Some(reactor) = self.reactor {
-            invoker.set_reactor(reactor);
-        }
-        if let Some(clock) = self.shared_clock {
-            invoker.set_clock(clock);
-        }
-        if let Some(plane) = self.state_plane {
-            invoker.set_state_plane(&plane);
-        }
+        let clock = self.shared_clock.unwrap_or_else(VirtualClock::shared);
         if let Some(at) = self.start_at {
-            invoker.clock().advance_to(at);
+            clock.advance_to(at);
         }
+        let endpoint = Endpoint {
+            node: self.fabric.add_node(&self.client_node),
+            fabric: self.fabric,
+            clock,
+            pd: ProtectionDomain::new(),
+            function: DeviceFunction::Physical,
+        };
+        // Step 1: first contact with the resource manager rides the datagram
+        // transport — a UD-style endpoint an order of magnitude cheaper to
+        // set up than an RC connection. Bound once; re-allocations reuse it.
+        static NEXT_CONTROL_ID: AtomicU64 = AtomicU64::new(1);
+        let started = endpoint.clock.now();
+        let control = DatagramSocket::bind(
+            &endpoint,
+            &format!(
+                "rfaas-clt://{}/{}",
+                self.client_node,
+                NEXT_CONTROL_ID.fetch_add(1, Ordering::Relaxed)
+            ),
+        );
+        let connect_to_manager = endpoint.clock.now().saturating_since(started);
         let mut request = LeaseRequest::single_worker(&self.package)
             .with_cores(self.cores)
             .with_memory_mib(self.memory_mib)
@@ -250,11 +268,30 @@ impl AllocationBuilder {
         if let Some(timeout) = self.lease_timeout {
             request.timeout = timeout;
         }
-        invoker.allocate(request, self.mode)?;
-        Ok(Session {
-            invoker,
-            pool: BufferPool::default(),
-        })
+        let session = Session {
+            endpoint,
+            config,
+            manager: self.manager,
+            request,
+            mode: self.mode,
+            policy: self.policy,
+            recovery_budget: self.recovery_budget,
+            control,
+            reactor: self.reactor.unwrap_or_default(),
+            connection_pool: self.connection_pool.unwrap_or_default(),
+            state_plane: self.state_plane,
+            state_client: OrderedMutex::new(ranks::CLIENT_SESSION_STATE, None),
+            active: OrderedMutex::new(ranks::CLIENT_ACTIVE, None),
+            recovery_lock: OrderedMutex::new(ranks::CLIENT_RECOVERY, ()),
+            allocation_epoch: AtomicU64::new(0),
+            next_invocation: AtomicU32::new(1),
+            round_robin: AtomicUsize::new(0),
+            connections_opened: AtomicU64::new(0),
+            recoveries: AtomicU32::new(0),
+            buffers: BufferPool::default(),
+        };
+        session.allocate(connect_to_manager)?;
+        Ok(session)
     }
 }
 
@@ -275,7 +312,7 @@ impl Default for BufferPool {
 impl BufferPool {
     fn acquire(
         &self,
-        allocator: &BufferAllocator,
+        pd: &ProtectionDomain,
         input_capacity: usize,
         output_capacity: usize,
     ) -> (Buffer, Buffer) {
@@ -288,8 +325,8 @@ impl BufferPool {
         }
         drop(free);
         (
-            allocator.input(input_capacity),
-            allocator.output(output_capacity),
+            Buffer::input(pd, input_capacity),
+            Buffer::output(pd, output_capacity),
         )
     }
 
@@ -301,21 +338,85 @@ impl BufferPool {
     }
 }
 
-/// One leased allocation and the typed invocation surface on top of it.
+/// Everything a session holds while a lease is active. Kept behind one lock
+/// so the recovery path can swap the whole allocation (lease, executor,
+/// connections) from `&self` while invocation futures are waiting.
+struct ActiveAllocation {
+    /// Monotonic counter distinguishing successive allocations: a future
+    /// observing its allocation die only triggers a re-allocation if the
+    /// active epoch still matches what it used — otherwise another future
+    /// already recovered and it just resubmits on the fresh connections.
+    epoch: u64,
+    lease: Lease,
+    executor: Arc<SpotExecutor>,
+    process_id: u64,
+    package: CodePackage,
+    connections: Vec<Arc<WorkerConnection>>,
+    /// What bringing this allocation up cost the client.
+    cold_start: ColdStartBreakdown,
+}
+
+/// One leased allocation and the typed invocation surface on top of it (the
+/// `rfaas::invoker` of Listing 2).
 ///
-/// A session owns the underlying [`Invoker`] (lease, worker connections,
-/// recovery machinery) plus a pool of registered buffers shared by every
-/// [`FunctionHandle`] it hands out. Dropping the session releases the lease.
+/// A session owns its lease, the direct connections to every leased worker
+/// and the recovery machinery that replaces them, plus a pool of registered
+/// buffers shared by every [`FunctionHandle`] it hands out. Dropping the
+/// session releases the lease.
 pub struct Session {
-    invoker: Invoker,
-    pool: BufferPool,
+    /// The client's attachment to the fabric: node, virtual clock, and the
+    /// protection domain every registration of the session lives in.
+    endpoint: Endpoint,
+    config: RFaasConfig,
+    manager: Arc<ResourceManager>,
+    /// What every allocation of the session asks for: the lease request,
+    /// the workers' polling mode, and how the sandbox is provisioned.
+    request: LeaseRequest,
+    mode: PollingMode,
+    policy: AllocationPolicy,
+    recovery_budget: u32,
+    /// Datagram socket for first contact with the resource manager, bound
+    /// when the session is built and reused by every re-allocation.
+    control: DatagramSocket,
+    /// Completion reactor every worker connection is registered with; one
+    /// [`Reactor::turn`] pumps them all.
+    reactor: Reactor,
+    /// Warmth pool worker connects draw from; shared across sessions so
+    /// lease churn back to the same executor reuses the warm
+    /// re-establishment tier.
+    connection_pool: ConnectionPool,
+    /// The state plane every allocation's executor process is bound to.
+    state_plane: Option<StatePlane>,
+    /// The session-side caching state client, attached on the first
+    /// allocation and kept across re-allocations (the cache region and its
+    /// datagram endpoint belong to the client node, not to any lease).
+    state_client: OrderedMutex<Option<StateClient>>,
+    /// `None` only once a transparent re-allocation has failed.
+    active: OrderedMutex<Option<ActiveAllocation>>,
+    // Serialises recovery: two futures discovering the same dead allocation
+    // must produce one re-allocation, not two (the loser would overwrite —
+    // and leak — the winner's allocation).
+    recovery_lock: OrderedMutex<()>,
+    allocation_epoch: AtomicU64,
+    next_invocation: AtomicU32,
+    round_robin: AtomicUsize,
+    connections_opened: AtomicU64,
+    recoveries: AtomicU32,
+    buffers: BufferPool,
 }
 
 impl std::fmt::Debug for Session {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Session")
-            .field("invoker", &self.invoker)
+            .field("node", &self.endpoint.node.name())
+            .field("workers", &self.worker_count())
             .finish()
+    }
+}
+
+impl Drop for Session {
+    fn drop(&mut self) {
+        self.deallocate();
     }
 }
 
@@ -338,7 +439,12 @@ impl Session {
         I: Codec + ?Sized,
         O: Codec + ?Sized,
     {
-        if !self.invoker.has_function(name) {
+        let known = self
+            .active
+            .lock()
+            .as_ref()
+            .is_some_and(|a| a.package.function_by_name(name).is_some());
+        if !known {
             return Err(RFaasError::UnknownFunction(name.to_string()));
         }
         Ok(FunctionHandle {
@@ -349,53 +455,45 @@ impl Session {
         })
     }
 
-    /// Names of every function the allocated code package serves.
-    pub fn function_names(&self) -> Vec<String> {
-        self.invoker.function_names()
-    }
-
-    /// The raw buffer-level client underneath the typed surface — the
-    /// explicit escape hatch for callers that manage registered buffers and
-    /// payload lengths themselves (zero-copy spectrum tests, latency
-    /// microbenchmarks).
-    pub fn raw(&self) -> &Invoker {
-        &self.invoker
-    }
-
-    /// The session's virtual clock.
+    /// The session's virtual clock (latency measurements are deltas of
+    /// this).
     pub fn clock(&self) -> &Arc<VirtualClock> {
-        self.invoker.clock()
+        &self.endpoint.clock
     }
 
-    /// Buffer allocator bound to the session's protection domain (for raw
-    /// buffer management alongside the typed surface).
-    pub fn allocator(&self) -> BufferAllocator {
-        self.invoker.allocator()
-    }
-
-    /// The active lease, if any.
+    /// The active lease (`None` once a transparent re-allocation failed).
     pub fn lease(&self) -> Option<Lease> {
-        self.invoker.lease()
+        self.active.lock().as_ref().map(|a| a.lease.clone())
     }
 
-    /// Cold-start breakdown of the session's allocation.
+    /// Cold-start breakdown of the active allocation.
     pub fn cold_start(&self) -> Option<ColdStartBreakdown> {
-        self.invoker.cold_start()
+        self.active.lock().as_ref().map(|a| a.cold_start.clone())
     }
 
     /// One unified snapshot of the session's runtime counters: the
     /// connection plane, the fork fault state (when provisioned by
     /// [`AllocationPolicy::Fork`]), both sides of the state plane (when one
-    /// is attached), worker count and transparent recoveries. This replaces
-    /// the per-subsystem accessors that used to accrete on the session.
+    /// is attached), worker count and transparent recoveries.
     pub fn stats(&self) -> SessionStats {
+        let pool = self.connection_pool.stats();
+        let active = self.active.lock();
+        let process = active
+            .as_ref()
+            .map(|a| (a.executor.allocator(), a.process_id));
         SessionStats {
-            connections: self.invoker.connection_stats(),
-            fork: self.invoker.fork_state(),
-            state_session: self.invoker.state_stats(),
-            state_executor: self.invoker.executor_state_stats(),
-            workers: self.invoker.worker_count(),
-            recoveries: self.invoker.recoveries(),
+            connections: ConnectionPlaneStats {
+                connections_opened: self.connections_opened.load(Ordering::Relaxed),
+                pool_hits: pool.hits,
+                pool_misses: pool.misses,
+                srq_depth_high_watermark: process
+                    .map_or(0, |(allocator, id)| allocator.srq_high_watermark(id)),
+            },
+            fork: process.and_then(|(allocator, id)| allocator.fork_state(id)),
+            state_session: self.state_client.lock().as_ref().map(StateClient::stats),
+            state_executor: process.and_then(|(allocator, id)| allocator.state_client_stats(id)),
+            workers: active.as_ref().map_or(0, |a| a.connections.len()),
+            recoveries: self.recoveries(),
         }
     }
 
@@ -403,31 +501,648 @@ impl Session {
     /// [`AllocationBuilder::state_plane`]). Operations fail with
     /// [`RFaasError::StatePlane`] when no plane is attached.
     pub fn state(&self) -> SessionState<'_> {
-        SessionState {
-            invoker: &self.invoker,
-        }
-    }
-
-    /// Number of connected executor workers.
-    pub fn worker_count(&self) -> usize {
-        self.invoker.worker_count()
+        SessionState { session: self }
     }
 
     /// How many times the session transparently re-allocated after a lease
     /// expiry or executor loss.
     pub fn recoveries(&self) -> u32 {
-        self.invoker.recoveries()
+        self.recoveries.load(Ordering::Relaxed)
     }
 
-    /// Renew the lease, pushing its expiry to `now + extension`; returns the
-    /// new expiry instant.
+    /// Renew the active lease: a manager round trip pushing the expiry to
+    /// `now + extension` (charged at the lease-renewal processing cost), then
+    /// the executor-side deadline update, so long-running clients keep their
+    /// hot workers. Returns the new expiry instant.
     pub fn extend_lease(&self, extension: SimDuration) -> Result<SimTime> {
-        self.invoker.extend_lease(extension)
+        let (lease_id, executor) = {
+            let active = self.active.lock();
+            let active = active.as_ref().ok_or(RFaasError::NotAllocated)?;
+            (active.lease.id, Arc::clone(&active.executor))
+        };
+        // Submitting the renewal request costs the same as submitting an
+        // allocation; the manager then charges its processing cost.
+        self.clock().advance(self.config.allocation_submit_cost);
+        let renewed = self
+            .manager
+            .renew_lease(lease_id, extension, self.clock())?;
+        if executor
+            .allocator()
+            .extend_lease(lease_id, renewed.expires_at)
+            == 0
+        {
+            // The executor process is already gone (idle-reaped or expired
+            // under us): the manager-side renewal succeeded but there is no
+            // worker left to keep hot. Surface it so the caller re-allocates
+            // instead of invoking into a dead connection.
+            return Err(RFaasError::ExecutorLost(renewed.executor_node));
+        }
+        if let Some(active) = self.active.lock().as_mut() {
+            if active.lease.id == lease_id {
+                active.lease = renewed.clone();
+            }
+        }
+        Ok(renewed.expires_at)
     }
 
-    /// Release the lease and all executor resources.
-    pub fn close(mut self) -> Result<()> {
-        self.invoker.deallocate()
+    /// Release the lease and all executor resources (Listing 2's
+    /// `invoker.deallocate()`; dropping the session does the same).
+    pub fn close(self) -> Result<()> {
+        self.deallocate();
+        Ok(())
+    }
+
+    fn worker_count(&self) -> usize {
+        self.active
+            .lock()
+            .as_ref()
+            .map_or(0, |a| a.connections.len())
+    }
+
+    /// Epoch of the current allocation (0 when none is active).
+    fn current_epoch(&self) -> u64 {
+        self.active.lock().as_ref().map_or(0, |a| a.epoch)
+    }
+}
+
+// Allocation, recovery and teardown.
+impl Session {
+    /// Acquire a lease for the session's request, bring up its executor
+    /// process and worker connections (the cold path of Fig. 5/6), and make
+    /// it the active allocation. `connect_to_manager` is what first contact
+    /// cost (zero on re-allocations, which reuse the control socket).
+    fn allocate(&self, connect_to_manager: SimDuration) -> Result<()> {
+        let mut breakdown = ColdStartBreakdown {
+            connect_to_manager,
+            ..ColdStartBreakdown::default()
+        };
+        // Step 2: submit the allocation request as a control frame, wait for
+        // the verdict datagram.
+        let t1 = self.clock().now();
+        self.clock().advance(self.config.allocation_submit_cost);
+        let lease = self.request_lease()?;
+        breakdown.submit_allocation = self.clock().now().saturating_since(t1);
+
+        // The lease is granted: from here on every failure releases what was
+        // acquired so far, or the manager's reservation — and any process,
+        // connection or warmth token — leaks until the lease expires.
+        let (executor, allocation) = match self.spawn(&lease, &mut breakdown) {
+            Ok(spawned) => spawned,
+            Err(e) => {
+                self.release(&lease, None, &[]);
+                return Err(e);
+            }
+        };
+        let mut connections = Vec::with_capacity(allocation.workers.len());
+        if let Err(e) = self.connect_and_bind(
+            &lease,
+            &executor,
+            &allocation,
+            &mut breakdown,
+            &mut connections,
+        ) {
+            self.release(
+                &lease,
+                Some((&executor, allocation.process_id)),
+                &connections,
+            );
+            return Err(e);
+        }
+
+        let fresh = ActiveAllocation {
+            epoch: self.allocation_epoch.fetch_add(1, Ordering::Relaxed) + 1,
+            lease,
+            executor,
+            process_id: allocation.process_id,
+            package: allocation.package,
+            connections,
+            cold_start: breakdown,
+        };
+        *self.active.lock() = Some(fresh);
+        Ok(())
+    }
+
+    /// One allocation round trip over the datagram control plane: send the
+    /// `Allocate` frame, drive the manager's poller (the manager is not a
+    /// thread in this simulation), and decode the verdict.
+    fn request_lease(&self) -> Result<Lease> {
+        let frame = ControlFrame::Allocate {
+            reply_to: self.control.address().to_string(),
+            request: self.request.clone(),
+        };
+        self.control
+            .send_to(self.manager.control_address(), &frame.encode())?;
+        self.manager.poll_control();
+        let reply = self.control.recv_timeout(self.config.connect_timeout)?;
+        match ControlFrame::decode(&reply.payload)? {
+            ControlFrame::Granted { lease } => Ok(lease),
+            ControlFrame::Denied { .. } => Err(RFaasError::InsufficientResources {
+                requested_cores: self.request.cores,
+                requested_memory_mib: self.request.memory_mib,
+            }),
+            ControlFrame::Allocate { .. } => Err(RFaasError::Internal(
+                "unexpected allocate frame on the client control socket".into(),
+            )),
+        }
+    }
+
+    /// Steps 3 + 4: the granted executor's allocator spawns the sandboxed
+    /// executor process and loads the code package; the client waits for
+    /// the whole thing.
+    fn spawn(
+        &self,
+        lease: &Lease,
+        breakdown: &mut ColdStartBreakdown,
+    ) -> Result<(Arc<SpotExecutor>, AllocationResult)> {
+        let executor = self
+            .manager
+            .executor(&lease.executor_node)
+            .ok_or_else(|| RFaasError::ExecutorLost(lease.executor_node.clone()))?;
+        let t2 = self.clock().now();
+        let allocation = executor.allocator().allocate_with_policy(
+            lease,
+            self.request.cores as usize,
+            self.mode,
+            self.policy,
+        )?;
+        self.clock().advance(allocation.breakdown.spawn.total());
+        breakdown.spawn_workers = self.clock().now().saturating_since(t2);
+        let t3 = self.clock().now();
+        self.clock().advance(allocation.breakdown.code_submission);
+        breakdown.submit_code = self.clock().now().saturating_since(t3);
+        Ok((executor, allocation))
+    }
+
+    /// Step 5: a direct RDMA connection to every worker, pushed onto
+    /// `connections` as each comes up (so a failure part-way leaves them for
+    /// [`Session::release`]). Step 6, stateful sessions only: bind the fresh
+    /// executor process to the state plane, attaching the session-side cache
+    /// on the first allocation — a re-allocated process starts with a cold
+    /// state cache, the session cache survives.
+    fn connect_and_bind(
+        &self,
+        lease: &Lease,
+        executor: &SpotExecutor,
+        allocation: &AllocationResult,
+        breakdown: &mut ColdStartBreakdown,
+        connections: &mut Vec<Arc<WorkerConnection>>,
+    ) -> Result<()> {
+        let t4 = self.clock().now();
+        self.connect_workers(&allocation.workers, &lease.executor_node, connections)?;
+        breakdown.connect_to_workers = self.clock().now().saturating_since(t4);
+
+        if let Some(plane) = &self.state_plane {
+            let mut state_client = self.state_client.lock();
+            if state_client.is_none() {
+                *state_client = Some(plane.attach(
+                    self.endpoint.node.name(),
+                    &self.endpoint.node,
+                    self.clock(),
+                    self.config.state_cache_bytes,
+                ));
+            }
+            let exec_client = plane.attach(
+                &format!("{}-exec", lease.executor_node),
+                executor.node(),
+                executor.allocator().clock(),
+                self.config.state_cache_bytes,
+            );
+            executor
+                .allocator()
+                .attach_state_client(allocation.process_id, exec_client)?;
+        }
+        Ok(())
+    }
+
+    fn connect_workers(
+        &self,
+        workers: &[WorkerEndpointInfo],
+        pool_key: &str,
+        connections: &mut Vec<Arc<WorkerConnection>>,
+    ) -> Result<()> {
+        for (index, worker) in workers.iter().enumerate() {
+            let connection = Arc::new(WorkerConnection::connect(
+                &self.endpoint,
+                worker,
+                &self.connection_pool,
+                pool_key,
+                &self.config,
+                index,
+            )?);
+            self.connections_opened.fetch_add(1, Ordering::Relaxed);
+            // Register with the reactor before the connection can carry an
+            // invocation: every result on this ring is picked up by the
+            // shared event loop.
+            let token = self
+                .reactor
+                .register_source(Arc::clone(&connection) as Arc<dyn CompletionSource>);
+            connection.reactor_token.store(token, Ordering::Relaxed);
+            connections.push(connection);
+        }
+        Ok(())
+    }
+
+    /// Tear down the current allocation and replay the session's lease
+    /// request: fresh lease, fresh executor process, fresh connections.
+    /// Called by the transparent recovery path after `LeaseExpired` /
+    /// `ExecutorLost`.
+    ///
+    /// `observed_epoch` is the epoch of the allocation the caller saw fail.
+    /// If the active allocation has already moved past it (another future
+    /// recovered first), this is a no-op — the caller just resubmits on the
+    /// fresh connections instead of destroying them.
+    fn recover(&self, observed_epoch: u64) -> Result<()> {
+        let _serialised = self.recovery_lock.lock();
+        if self
+            .active
+            .lock()
+            .as_ref()
+            .is_some_and(|a| a.epoch != observed_epoch)
+        {
+            return Ok(());
+        }
+        self.deallocate();
+        self.allocate(SimDuration::ZERO)?;
+        self.recoveries.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    fn deallocate(&self) {
+        if let Some(active) = self.active.lock().take() {
+            self.release(
+                &active.lease,
+                Some((&active.executor, active.process_id)),
+                &active.connections,
+            );
+        }
+    }
+
+    /// Give back everything an allocation holds, however far it got: each
+    /// worker connection is disconnected, unregistered from the reactor and
+    /// its warmth parked in the pool (the remote node's state survives, so
+    /// a re-allocation landing on the same executor reconnects at the warm
+    /// tier); then the executor process is deallocated and the lease
+    /// released. The one teardown path for live and half-built allocations.
+    fn release(
+        &self,
+        lease: &Lease,
+        process: Option<(&SpotExecutor, u64)>,
+        connections: &[Arc<WorkerConnection>],
+    ) {
+        for conn in connections {
+            conn.qp.disconnect();
+            self.reactor.unregister_source(conn.token());
+            self.connection_pool
+                .release(&lease.executor_node, self.clock().now());
+        }
+        // Both calls tolerate the other side being gone already: a failed
+        // executor has no process left to deallocate, and the lifecycle
+        // driver may have released or terminated the lease before us.
+        if let Some((executor, process_id)) = process {
+            let _ = executor.allocator().deallocate(process_id);
+        }
+        let _ = self.manager.release_lease(lease.id);
+    }
+}
+
+/// Function index, target connection and allocation epoch of one spec,
+/// resolved against the active allocation.
+type Resolved = (u8, Arc<WorkerConnection>, u64);
+
+// Submission and completion.
+impl Session {
+    /// Post `spec` and return the future of its result.
+    pub(crate) fn submit_spec<O: ?Sized>(
+        &self,
+        spec: InvocationSpec,
+    ) -> Result<TypedFuture<'_, O>> {
+        let (posted, recoveries) = self.submit_with_recovery(|| self.post_spec(&spec))?;
+        Ok(TypedFuture {
+            session: self,
+            spec,
+            posted,
+            redirections: 0,
+            recoveries,
+            _typed: PhantomData,
+        })
+    }
+
+    /// Run one submission `attempt`. A dead connection at submission time
+    /// (the executor node was reclaimed under us) is recovered exactly like
+    /// a loss found while waiting: re-allocate and run the attempt again on
+    /// the fresh connections, with the full recovery budget. Returns the
+    /// attempt's value and the re-allocations it consumed.
+    fn submit_with_recovery<T>(&self, mut attempt: impl FnMut() -> Result<T>) -> Result<(T, u32)> {
+        // Captured BEFORE the attempt: if it fails because the allocation
+        // died, recovery must only tear down that allocation — a fresh one
+        // another future raced in is detected as a newer epoch and reused,
+        // never destroyed.
+        let observed_epoch = self.current_epoch();
+        match attempt() {
+            Err(cause) if connection_is_lost(&cause) => {
+                self.recover_then(observed_epoch, self.recovery_budget, cause, attempt)
+            }
+            result => result.map(|value| (value, 0)),
+        }
+    }
+
+    /// The one recovery loop: re-allocate after the allocation at
+    /// `observed_epoch` failed with `cause`, then run `attempt` on the fresh
+    /// one. A failed re-allocation or a fresh connection loss consumes
+    /// budget and is retried (the manager's round robin moves to a different
+    /// executor each time) against whatever epoch is live now; once `budget`
+    /// is spent `cause` surfaces. Returns the attempt's value and the
+    /// re-allocations consumed.
+    fn recover_then<T>(
+        &self,
+        mut observed_epoch: u64,
+        budget: u32,
+        cause: RFaasError,
+        mut attempt: impl FnMut() -> Result<T>,
+    ) -> Result<(T, u32)> {
+        let mut used = 0;
+        loop {
+            used += 1;
+            if used > budget {
+                return Err(cause);
+            }
+            if self.recover(observed_epoch).is_err() {
+                continue;
+            }
+            // Whatever allocation is live now (ours or another future's) is
+            // the one the next attempt must observe failing.
+            observed_epoch = self.current_epoch();
+            match attempt() {
+                Ok(value) => return Ok((value, used)),
+                Err(e) if connection_is_lost(&e) => continue,
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// Post one invocation on its resolved connection.
+    fn post_spec(&self, spec: &InvocationSpec) -> Result<Posted> {
+        self.post(spec, self.resolve_spec(spec)?, false)
+    }
+
+    /// Post a whole batch of invocations behind one doorbell: every spec is
+    /// resolved and capacity-checked *before* the first WQE is built, then
+    /// every WQE is built back-to-back on the chained path
+    /// ([`rdma_fabric::QueuePair::post_send_batch`] semantics, spanning the
+    /// per-worker queue pairs of one NIC), so only the first submission pays
+    /// the full issue cost. A post that still fails mid-batch (a lost
+    /// connection, or a device limit such as an exhausted receive queue)
+    /// reaps the already-posted invocations before the error surfaces, so
+    /// no in-flight reservation or undrained completion outlives the failed
+    /// attempt.
+    fn post_batch(&self, specs: &[InvocationSpec]) -> Result<(Vec<Posted>, BatchStats)> {
+        let mut resolved = Vec::with_capacity(specs.len());
+        for spec in specs {
+            resolved.push(self.resolve_spec(spec)?);
+        }
+        let started = self.clock().now();
+        let mut posted: Vec<Posted> = Vec::with_capacity(specs.len());
+        for (i, (spec, resolved)) in specs.iter().zip(resolved).enumerate() {
+            match self.post(spec, resolved, i > 0) {
+                Ok(p) => posted.push(p),
+                Err(e) => {
+                    // The earlier posts of this attempt already executed.
+                    // Wait their completions out (discarding the results) so
+                    // their reservations and ring slots are returned. A
+                    // connection that died has nothing left to drain;
+                    // await_result's error says exactly that and is safe to
+                    // ignore.
+                    for p in &posted {
+                        let _ = self.await_result(p);
+                    }
+                    return Err(e);
+                }
+            }
+        }
+        let stats = BatchStats {
+            submissions: specs.len(),
+            doorbells: 1,
+            chained_wqes: specs.len().saturating_sub(1),
+            post_time: self.clock().now().saturating_since(started),
+        };
+        Ok((posted, stats))
+    }
+
+    /// Resolve a spec against the active allocation, plus the wire-capacity
+    /// checks that must precede any posting.
+    fn resolve_spec(&self, spec: &InvocationSpec) -> Result<Resolved> {
+        let (function_index, connection, epoch) = {
+            let active = self.active.lock();
+            let active = active.as_ref().ok_or(RFaasError::NotAllocated)?;
+            if active.connections.is_empty() {
+                return Err(RFaasError::NotAllocated);
+            }
+            // Resolve the function while the lock is held — cloning the code
+            // package per submission would put two heap allocations on the
+            // microsecond-scale hot path.
+            let (function_index, _) = active
+                .package
+                .function_by_name(&spec.function)
+                .ok_or_else(|| RFaasError::UnknownFunction(spec.function.clone()))?;
+            let connection = match spec.worker {
+                Some(idx) => active
+                    .connections
+                    .get(idx)
+                    .cloned()
+                    .ok_or(RFaasError::NotAllocated)?,
+                None => self.pick_connection(&active.connections),
+            };
+            (function_index, connection, active.epoch)
+        };
+        if function_index > u8::MAX as usize {
+            return Err(RFaasError::Internal("function index exceeds 255".into()));
+        }
+        if spec.payload_len > spec.input.capacity() {
+            return Err(RFaasError::PayloadTooLarge {
+                payload: spec.payload_len,
+                capacity: spec.input.capacity(),
+            });
+        }
+        let wire_len = INVOCATION_HEADER_BYTES + spec.payload_len;
+        if wire_len > connection.remote_input.len {
+            return Err(RFaasError::PayloadTooLarge {
+                payload: wire_len,
+                capacity: connection.remote_input.len,
+            });
+        }
+        Ok((function_index as u8, connection, epoch))
+    }
+
+    fn pick_connection(&self, connections: &[Arc<WorkerConnection>]) -> Arc<WorkerConnection> {
+        // Prefer an idle worker; otherwise round-robin over all of them.
+        let start = self.round_robin.fetch_add(1, Ordering::Relaxed);
+        let n = connections.len();
+        for i in 0..n {
+            let conn = &connections[(start + i) % n];
+            if conn.outstanding.load(Ordering::Relaxed) == 0 {
+                return Arc::clone(conn);
+            }
+        }
+        Arc::clone(&connections[start % n])
+    }
+
+    /// Post `spec` on its resolved connection under a fresh invocation id.
+    /// The in-flight slot is reserved *before* deciding whether an extra
+    /// receive is needed: the previous count tells this submission alone
+    /// whether it fits the ring, so concurrent submits cannot both read a
+    /// stale count and under-post receives (a lost result would hang the
+    /// waiter forever). A failed post returns the reservation.
+    fn post(&self, spec: &InvocationSpec, resolved: Resolved, chained: bool) -> Result<Posted> {
+        let (function_index, connection, epoch) = resolved;
+        let posted = Posted {
+            connection,
+            invocation_id: self.next_invocation.fetch_add(1, Ordering::Relaxed) & 0x00FF_FFFF,
+            epoch,
+        };
+        let reserved = posted
+            .connection
+            .outstanding
+            .fetch_add(1, Ordering::Relaxed);
+        match self.post_invocation(&posted, reserved, function_index, spec, chained) {
+            Ok(()) => Ok(posted),
+            Err(e) => {
+                posted
+                    .connection
+                    .outstanding
+                    .fetch_sub(1, Ordering::Relaxed);
+                Err(e)
+            }
+        }
+    }
+
+    /// Put one invocation on the wire: the overflow receive when this
+    /// submission's reserved slot (`reserved`, the pre-increment in-flight
+    /// count) exceeds the ring, then header + payload — inline when the wire
+    /// fits the device's WQE inline capacity, buffered otherwise. A `chained`
+    /// post joins the WQE chain opened by the previous post of the batch
+    /// (descriptor build only, no doorbell) and always takes the buffered
+    /// path, since inline WQEs cannot join a chain that spans queue pairs.
+    fn post_invocation(
+        &self,
+        posted: &Posted,
+        reserved: usize,
+        function_index: u8,
+        spec: &InvocationSpec,
+        chained: bool,
+    ) -> Result<()> {
+        // Payload-vs-capacity bounds were already enforced by resolve_spec
+        // (every caller resolves before posting), so the spec is trusted
+        // here.
+        let (connection, invocation_id) = (&posted.connection, posted.invocation_id);
+        let (input, payload_len) = (&spec.input, spec.payload_len);
+
+        // The connection's receive ring holds one pre-posted slot per
+        // in-flight result; only past the ring depth does a submission pay an
+        // extra receive on the critical path.
+        if reserved >= connection.ring.depth() {
+            connection.qp.post_recv(RecvRequest {
+                wr_id: u64::MAX,
+                local: Sge::whole(&connection.overflow_scratch),
+            })?;
+        }
+
+        let wire_len = INVOCATION_HEADER_BYTES + payload_len;
+        // Fill the header in front of the payload: where the executor should
+        // write the result.
+        self.clock().advance(self.config.header_write_cost);
+        let header = InvocationHeader::for_result_buffer(&spec.output.remote_handle());
+        let imm = ImmValue::request(invocation_id, function_index);
+        // Stack staging area for inline wires — the hot path must not touch
+        // the heap (the default inline capacity is 128 B; a profile offering
+        // more simply falls back to the buffered path beyond this bound).
+        const INLINE_STACK: usize = 512;
+        if !chained
+            && wire_len <= self.endpoint.fabric.profile().max_inline_data
+            && wire_len <= INLINE_STACK
+        {
+            // Zero-copy hot path (Sec. IV-A): header and payload ride inside
+            // the WQE — no staging write into the input region, no DMA
+            // fetch, no heap allocation.
+            let mut wire = [0u8; INLINE_STACK];
+            wire[..INVOCATION_HEADER_BYTES].copy_from_slice(&header.encode());
+            input.region().read_into(
+                input.payload_offset(),
+                &mut wire[INVOCATION_HEADER_BYTES..wire_len],
+            )?;
+            connection.qp.post_write_inline(
+                invocation_id as u64,
+                &wire[..wire_len],
+                &connection.remote_input.slice(0, wire_len),
+                Some(imm),
+                false,
+            )?;
+        } else {
+            // Buffered path: stage the header in front of the payload and
+            // gather both from the registered input region.
+            input
+                .region()
+                .write(0, &header.encode())
+                .map_err(RFaasError::from)?;
+            connection.qp.post_send_chained(
+                invocation_id as u64,
+                SendRequest::WriteWithImm {
+                    local: Sge::range(input.region(), 0, wire_len),
+                    remote: connection.remote_input.slice(0, wire_len),
+                    imm,
+                },
+                false,
+                chained,
+            )?;
+        }
+        Ok(())
+    }
+
+    /// Drive the reactor until `posted`'s result lands on its connection,
+    /// then take it. Every wait path funnels through here: the turn pumps
+    /// *all* registered connections, so one waiting thread keeps every other
+    /// in-flight invocation moving too.
+    fn await_result(&self, posted: &Posted) -> Result<(usize, ResultStatus)> {
+        let (connection, invocation_id) = (&posted.connection, posted.invocation_id);
+        loop {
+            if let Some(result) = connection.take_result(invocation_id) {
+                return Ok(result);
+            }
+            let progressed = self.reactor.turn();
+            if progressed == 0 {
+                // Re-check after the empty sweep: a concurrent turner may
+                // have stashed our result between the take above and now.
+                if let Some(result) = connection.take_result(invocation_id) {
+                    return Ok(result);
+                }
+                // The final (empty) drain has run, so a dead connection can
+                // never produce this result any more.
+                if !connection.qp.is_connected() {
+                    return Err(RFaasError::ExecutorLost(format!(
+                        "worker {}",
+                        connection.index
+                    )));
+                }
+                std::hint::spin_loop();
+                std::thread::yield_now();
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+impl Session {
+    /// Live registrations in the session's protection domain.
+    pub(crate) fn registered_regions(&self) -> usize {
+        self.endpoint.pd.region_count()
+    }
+
+    /// A fresh (input, output) buffer pair in the session's protection
+    /// domain, for tests that post specs at the wire level.
+    pub(crate) fn buffer_pair(&self, input: usize, output: usize) -> (Buffer, Buffer) {
+        (
+            Buffer::input(&self.endpoint.pd, input),
+            Buffer::output(&self.endpoint.pd, output),
+        )
     }
 }
 
@@ -455,38 +1170,59 @@ pub struct SessionStats {
     pub recoveries: u32,
 }
 
+fn no_state_plane() -> RFaasError {
+    RFaasError::StatePlane(StateError::Protocol(
+        "no state plane is attached to this session".into(),
+    ))
+}
+
 /// The session's window onto its attached state plane: zero-copy reads out
 /// of the pre-registered cache, push-model writes, and typed in-place views
 /// through a [`Codec`].
 #[derive(Clone, Copy)]
 pub struct SessionState<'s> {
-    invoker: &'s Invoker,
+    session: &'s Session,
 }
 
 impl std::fmt::Debug for SessionState<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SessionState")
-            .field("attached", &self.invoker.has_state_plane())
+            .field("attached", &self.session.state_plane.is_some())
             .finish()
     }
 }
 
 impl SessionState<'_> {
-    /// Whether `key` currently exists in the plane.
+    /// Run `f` over the session's state client.
+    fn with_client<R>(
+        &self,
+        f: impl FnOnce(&mut StateClient) -> state_plane::Result<R>,
+    ) -> Result<R> {
+        match self.session.state_client.lock().as_mut() {
+            Some(client) => f(client).map_err(RFaasError::StatePlane),
+            None => Err(no_state_plane()),
+        }
+    }
+
+    /// Whether `key` currently exists in the plane (false when no plane is
+    /// attached).
     pub fn contains(&self, key: &str) -> bool {
-        self.invoker.state_contains(key)
+        self.session
+            .state_plane
+            .as_ref()
+            .is_some_and(|p| p.contains(key))
     }
 
     /// Store `value` under `key` (push-model RDMA write; the session's own
     /// cache is write-through, so a following `get` is a local hit).
     pub fn put(&self, key: &str, value: &[u8]) -> Result<()> {
-        self.invoker.state_put(key, value)
+        self.with_client(|c| c.put(key, value))
     }
 
     /// Read `key` into an owned vector (hot keys come straight out of the
     /// local cache; cold keys pay one one-sided RDMA read).
     pub fn get(&self, key: &str) -> Result<Vec<u8>> {
-        self.invoker.state_get(key)
+        self.with_client(|c| c.get(key))
     }
 
     /// Read `key` and decode it *in place* through `C`'s
@@ -497,18 +1233,21 @@ impl SessionState<'_> {
     where
         C: Codec + ?Sized,
     {
-        self.invoker
-            .state_get_with(key, |bytes| C::decode_view(bytes).map(f))?
+        self.with_client(|c| c.get_with(key, |bytes| C::decode_view(bytes).map(f)))?
     }
 
     /// Delete `key`; returns whether it existed.
     pub fn delete(&self, key: &str) -> Result<bool> {
-        self.invoker.state_delete(key)
+        self.with_client(|c| c.delete(key))
     }
 
-    /// Session-side cache counters (`None` before the first allocation).
+    /// Session-side cache counters (`None` without a state plane).
     pub fn stats(&self) -> Option<StateClientStats> {
-        self.invoker.state_stats()
+        self.session
+            .state_client
+            .lock()
+            .as_ref()
+            .map(StateClient::stats)
     }
 }
 
@@ -571,21 +1310,24 @@ where
     /// dispatch and writes dirty read-write keys back after completion; any
     /// access outside the declaration fails the invocation.
     pub fn with_state(self, keys: impl IntoIterator<Item = StateKey>) -> Result<Self> {
-        let invoker = &self.session.invoker;
-        if !invoker.has_state_plane() {
-            return Err(RFaasError::StatePlane(StateError::Protocol(
-                "no state plane is attached to this session".into(),
-            )));
+        let session = self.session;
+        if session.state_plane.is_none() {
+            return Err(no_state_plane());
         }
         let spec = StateSpec::new(keys);
         for key in spec.keys() {
-            if !invoker.state_contains(&key.name) {
+            if !session.state().contains(&key.name) {
                 return Err(RFaasError::StatePlane(StateError::UnknownKey(
                     key.name.clone(),
                 )));
             }
         }
-        invoker.bind_state_spec(&self.name, spec)?;
+        let active = session.active.lock();
+        let active = active.as_ref().ok_or(RFaasError::NotAllocated)?;
+        active
+            .executor
+            .allocator()
+            .bind_state_spec(active.process_id, &self.name, spec)?;
         Ok(self)
     }
 
@@ -598,8 +1340,8 @@ where
             .unwrap_or_else(|| payload_len.max(MIN_OUTPUT_CAPACITY));
         let (input_buffer, output_buffer) =
             self.session
-                .pool
-                .acquire(&self.session.allocator(), payload_len, output_capacity);
+                .buffers
+                .acquire(&self.session.endpoint.pd, payload_len, output_capacity);
         input_buffer.write_encoded(input)?;
         Ok(InvocationSpec {
             worker,
@@ -613,22 +1355,7 @@ where
     /// Submit asynchronously; the returned future resolves to the decoded
     /// result.
     pub fn submit(&self, input: &I) -> Result<TypedFuture<'s, O>> {
-        let spec = self.spec_for(None, input)?;
-        Ok(TypedFuture {
-            future: self.session.invoker.submit_spec(spec)?,
-            session: self.session,
-            _typed: PhantomData,
-        })
-    }
-
-    /// Submit asynchronously to a specific worker (explicit partitioning).
-    pub fn submit_to_worker(&self, worker: usize, input: &I) -> Result<TypedFuture<'s, O>> {
-        let spec = self.spec_for(Some(worker), input)?;
-        Ok(TypedFuture {
-            future: self.session.invoker.submit_spec(spec)?,
-            session: self.session,
-            _typed: PhantomData,
-        })
+        self.session.submit_spec(self.spec_for(None, input)?)
     }
 
     /// Invoke synchronously and decode the result.
@@ -670,14 +1397,12 @@ where
         if workers == 0 {
             return Err(RFaasError::NotAllocated);
         }
-        let mut specs = Vec::new();
+        let mut queued = VecDeque::new();
         for (index, input) in inputs.into_iter().enumerate() {
-            specs.push(self.spec_for(Some(index % workers), input)?);
+            queued.push_back((index, self.spec_for(Some(index % workers), input)?));
         }
-        let total = specs.len();
-        let queued: VecDeque<(usize, InvocationSpec)> = specs.into_iter().enumerate().collect();
         let mut set = CompletionSet {
-            entries: (0..total).map(|_| None).collect(),
+            entries: (0..queued.len()).map(|_| None).collect(),
             queued,
             wave: workers,
             session: self.session,
@@ -689,19 +1414,52 @@ where
     }
 }
 
-/// The in-flight result of one typed submission; waiting decodes the output
-/// through `O`'s [`Codec`] and recycles the invocation's buffers into the
-/// session pool. Transparent redirection and lease recovery behave exactly
-/// as on the raw [`InvocationFuture`].
+/// The in-flight result of one submission (`std::future`-style, Sec. IV-B).
+/// Waiting drives the session's completion reactor, which busy-polls the
+/// client-side receive rings — what the paper's invoker does to minimise
+/// latency — then decodes the output through `O`'s [`Codec`] and recycles
+/// the invocation's buffers into the session pool.
+///
+/// Rejected invocations (oversubscribed warm executors) are transparently
+/// redirected to another worker, as in Fig. 6. Invocations refused because
+/// the lease expired — or stranded because the executor node disappeared —
+/// are transparently replayed onto a fresh lease obtained from the resource
+/// manager (Sec. III-B failure handling).
 pub struct TypedFuture<'s, O: ?Sized> {
-    future: InvocationFuture<'s>,
     session: &'s Session,
+    spec: InvocationSpec,
+    posted: Posted,
+    redirections: u32,
+    recoveries: u32,
     _typed: PhantomData<fn() -> O>,
 }
 
 impl<O: ?Sized> std::fmt::Debug for TypedFuture<'_, O> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.future.fmt(f)
+        f.debug_struct("TypedFuture")
+            .field("id", &self.posted.invocation_id)
+            .field("function", &self.spec.function)
+            .finish()
+    }
+}
+
+impl<O: ?Sized> TypedFuture<'_, O> {
+    /// Whether the result is already stashed, without pumping anything.
+    /// The completion-set fast path: ready-queue hits resolve through this.
+    fn has_stashed_result(&self) -> bool {
+        self.posted.connection.has_result(self.posted.invocation_id)
+    }
+
+    /// The `(source token, invocation id)` key under which a continuation
+    /// for this future registers with the session's reactor.
+    fn reactor_key(&self) -> (u64, u32) {
+        (self.posted.connection.token(), self.posted.invocation_id)
+    }
+
+    /// Whether the future's connection is gone (its continuation can never
+    /// fire; only a blocking wait — which runs recovery — resolves it).
+    fn connection_lost(&self) -> bool {
+        !self.posted.connection.qp.is_connected()
     }
 }
 
@@ -709,31 +1467,87 @@ impl<O> TypedFuture<'_, O>
 where
     O: Codec + ?Sized,
 {
-    /// The invocation identifier carried in the immediate value.
-    pub fn id(&self) -> u32 {
-        self.future.id()
-    }
-
     /// Number of transparent lease re-allocations this invocation consumed
     /// so far.
     pub fn recoveries(&self) -> u32 {
-        self.future.recoveries()
-    }
-
-    /// Non-blocking completion probe (see
-    /// [`InvocationFuture::is_complete`]).
-    pub fn is_complete(&self) -> bool {
-        self.future.is_complete()
+        self.recoveries
     }
 
     /// Block until the result is available, decode it, and return the
     /// invocation's buffers to the session pool.
-    pub fn wait(self) -> Result<O::Owned> {
-        let buffers = self.future.buffers();
-        let len = self.future.wait()?;
-        let value = buffers.1.read_decoded::<O>(len)?;
-        self.session.pool.release(buffers);
+    pub fn wait(mut self) -> Result<O::Owned> {
+        let len = self.result_len()?;
+        let value = self.spec.output.read_decoded::<O>(len)?;
+        self.session
+            .buffers
+            .release((self.spec.input, self.spec.output));
         Ok(value)
+    }
+
+    /// Wait out redirections and recoveries until the invocation succeeds;
+    /// returns the number of output bytes written into the output buffer.
+    fn result_len(&mut self) -> Result<usize> {
+        loop {
+            let (byte_len, status) = match self.session.await_result(&self.posted) {
+                Ok(result) => result,
+                Err(e) if connection_is_lost(&e) => {
+                    self.recover(e)?;
+                    continue;
+                }
+                Err(e) => return Err(e),
+            };
+            match status {
+                ResultStatus::Success => return Ok(byte_len),
+                ResultStatus::FunctionFailed => {
+                    return Err(RFaasError::Function(
+                        sandbox::FunctionError::ExecutionFailed(format!(
+                            "function '{}' failed on the executor",
+                            self.spec.function
+                        )),
+                    ))
+                }
+                ResultStatus::LeaseExpired => {
+                    let lease_id = self.session.lease().map(|l| l.id).unwrap_or_default();
+                    self.recover(RFaasError::LeaseExpired(lease_id))?;
+                }
+                ResultStatus::Rejected => self.redirect()?,
+            }
+        }
+    }
+
+    /// Resubmit a rejected invocation to the next worker; give up once every
+    /// worker rejected it.
+    fn redirect(&mut self) -> Result<()> {
+        self.redirections += 1;
+        let workers = self.session.worker_count();
+        if self.redirections as usize > workers {
+            return Err(RFaasError::AllWorkersBusy);
+        }
+        self.spec.worker = Some((self.posted.connection.index + 1) % workers);
+        match self.session.post_spec(&self.spec) {
+            Ok(posted) => {
+                self.posted = posted;
+                Ok(())
+            }
+            Err(e) if connection_is_lost(&e) => self.recover(e),
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Re-allocate through the manager and replay this invocation on the
+    /// fresh connections, drawing on the future's remaining recovery budget
+    /// (shared with the submission-time recovery).
+    fn recover(&mut self, cause: RFaasError) -> Result<()> {
+        // The replay is not pinned to the dead worker index: the round robin
+        // moves it to whatever the fresh allocation offers.
+        self.spec.worker = None;
+        let budget = self.session.recovery_budget.saturating_sub(self.recoveries);
+        let (session, spec) = (self.session, &self.spec);
+        let (posted, used) =
+            session.recover_then(self.posted.epoch, budget, cause, || session.post_spec(spec))?;
+        self.posted = posted;
+        self.recoveries += used;
+        Ok(())
     }
 }
 
@@ -776,13 +1590,8 @@ impl<O: ?Sized> std::fmt::Debug for CompletionSet<'_, O> {
 impl<O: ?Sized> CompletionSet<'_, O> {
     /// Number of invocations not yet gathered (in flight or queued for a
     /// later wave).
-    pub fn pending(&self) -> usize {
+    fn pending(&self) -> usize {
         self.entries.iter().filter(|e| e.is_some()).count() + self.queued.len()
-    }
-
-    /// Whether every invocation has been gathered.
-    pub fn is_empty(&self) -> bool {
-        self.pending() == 0
     }
 
     /// Doorbell accounting across every wave posted so far: how many WQEs
@@ -794,33 +1603,41 @@ impl<O: ?Sized> CompletionSet<'_, O> {
     }
 
     /// Post the next wave of queued specs (one per worker at most) behind a
-    /// shared doorbell. No-op while the current wave still has in-flight
-    /// entries — a worker's single input slot must be free before the next
-    /// write to it.
+    /// shared doorbell; a lost connection replays the whole wave on a fresh
+    /// allocation, and every future of the wave is charged the
+    /// re-allocations that took. No-op while the current wave still has
+    /// in-flight entries — a worker's single input slot must be free before
+    /// the next write to it.
     fn submit_next_wave(&mut self) -> Result<()> {
         if self.queued.is_empty() || self.entries.iter().any(|e| e.is_some()) {
             return Ok(());
         }
         let take = self.wave.min(self.queued.len());
-        let batch: Vec<(usize, InvocationSpec)> = self.queued.drain(..take).collect();
-        let specs: Vec<InvocationSpec> = batch.iter().map(|(_, s)| s.clone()).collect();
-        let (futures, stats) = self.session.invoker.submit_specs(&specs)?;
-        let reactor = self.session.invoker.reactor();
-        for ((index, _), future) in batch.into_iter().zip(futures) {
+        let (indices, specs): (Vec<usize>, Vec<InvocationSpec>) = self.queued.drain(..take).unzip();
+        let session = self.session;
+        let ((posted, stats), recoveries) =
+            session.submit_with_recovery(|| session.post_batch(&specs))?;
+        for ((index, spec), posted) in indices.into_iter().zip(specs).zip(posted) {
+            let future = TypedFuture {
+                session,
+                spec,
+                posted,
+                redirections: 0,
+                recoveries,
+                _typed: PhantomData,
+            };
             // Arm the continuation, then re-check the stash: a concurrent
             // reactor turn may have pumped this result before the
             // continuation existed, in which case the ready push happens
             // here (a duplicate hint is harmless, a missing one would hang).
             let (token, id) = future.reactor_key();
-            reactor.register_continuation(token, id, &self.ready, index);
+            session
+                .reactor
+                .register_continuation(token, id, &self.ready, index);
             if future.has_stashed_result() {
                 self.ready.lock().push_back(index);
             }
-            self.entries[index] = Some(TypedFuture {
-                future,
-                session: self.session,
-                _typed: PhantomData,
-            });
+            self.entries[index] = Some(future);
         }
         self.stats.submissions += stats.submissions;
         self.stats.doorbells += stats.doorbells;
@@ -835,10 +1652,9 @@ impl<O: ?Sized> Drop for CompletionSet<'_, O> {
         // Continuations of never-gathered entries must not outlive the set:
         // their ready queue dies with it, and the 24-bit invocation ids
         // eventually wrap around onto fresh submissions.
-        let reactor = self.session.invoker.reactor();
         for entry in self.entries.iter().flatten() {
-            let (token, id) = entry.future.reactor_key();
-            reactor.cancel_continuation(token, id);
+            let (token, id) = entry.reactor_key();
+            self.session.reactor.cancel_continuation(token, id);
         }
     }
 }
@@ -850,11 +1666,8 @@ where
     /// Disarm the entry's continuation (its hint either fired already or is
     /// now moot) and gather its result.
     fn gather(&self, future: TypedFuture<'s, O>) -> Result<O::Owned> {
-        let (token, id) = future.future.reactor_key();
-        self.session
-            .invoker
-            .reactor()
-            .cancel_continuation(token, id);
+        let (token, id) = future.reactor_key();
+        self.session.reactor.cancel_continuation(token, id);
         future.wait()
     }
 
@@ -885,11 +1698,11 @@ where
             // sweep can also mean a connection died (its continuation will
             // never fire) — fall back to a blocking gather on the first such
             // entry, whose wait() runs the transparent recovery path.
-            if self.session.invoker.reactor().turn() == 0 {
+            if self.session.reactor.turn() == 0 {
                 let lost = (0..self.entries.len()).find(|&i| {
                     self.entries[i]
                         .as_ref()
-                        .is_some_and(|f| f.future.connection_lost())
+                        .is_some_and(TypedFuture::connection_lost)
                 });
                 if let Some(index) = lost {
                     let future = self.entries[index].take().expect("checked is_some");
@@ -963,22 +1776,21 @@ mod tests {
     #[test]
     fn buffers_released_past_the_pool_bound_are_deregistered() {
         let (_f, _m, session) = platform(1);
-        let baseline = session.invoker.registered_regions();
-        let allocator = session.allocator();
+        let baseline = session.registered_regions();
         let pairs: Vec<(Buffer, Buffer)> = (0..MAX_POOLED_PAIRS + 6)
-            .map(|_| session.pool.acquire(&allocator, 64, 64))
+            .map(|_| session.buffers.acquire(&session.endpoint.pd, 64, 64))
             .collect();
         assert_eq!(
-            session.invoker.registered_regions(),
+            session.registered_regions(),
             baseline + 2 * (MAX_POOLED_PAIRS + 6)
         );
         for pair in pairs {
-            session.pool.release(pair);
+            session.buffers.release(pair);
         }
         // The pool kept its bound; the six pairs past it are gone from the
         // protection domain, not merely from the pool.
         assert_eq!(
-            session.invoker.registered_regions(),
+            session.registered_regions(),
             baseline + 2 * MAX_POOLED_PAIRS
         );
     }
@@ -990,7 +1802,7 @@ mod tests {
             session.function::<[u8], [u8]>("nope"),
             Err(RFaasError::UnknownFunction(_))
         ));
-        assert!(session.function_names().contains(&"echo".to_string()));
+        assert!(session.function::<[u8], [u8]>("echo").is_ok());
     }
 
     #[test]
@@ -1032,8 +1844,7 @@ mod tests {
         let start = session.clock().now();
         let futures: Vec<_> = inputs
             .iter()
-            .enumerate()
-            .map(|(w, v)| echo.submit_to_worker(w, v.as_slice()).unwrap())
+            .map(|v| echo.submit(v.as_slice()).unwrap())
             .collect();
         let sequential = session.clock().now().saturating_since(start);
         for f in futures {
@@ -1103,7 +1914,7 @@ mod tests {
             assert_eq!(value, inputs[index]);
         }
         assert!(seen.iter().all(|&s| s));
-        assert!(set.is_empty());
+        assert_eq!(set.pending(), 0);
     }
 
     #[test]
@@ -1160,12 +1971,12 @@ mod tests {
             .starting_at(start)
             .connect()
             .unwrap();
-        assert_eq!(session.worker_count(), 2);
+        assert_eq!(session.stats().workers, 2);
         let lease = session.lease().unwrap();
         assert_eq!(lease.cores, 2);
         assert_eq!(lease.memory_mib, 2048);
         assert!(session.clock().now() >= start);
-        assert_eq!(session.raw().recovery_budget(), 5);
+        assert_eq!(session.recovery_budget, 5);
         assert!(session.cold_start().is_some());
         session.close().unwrap();
         assert_eq!(manager.lease_count(), 0);
@@ -1228,13 +2039,13 @@ mod tests {
         let (_f, _m, session) = platform(1);
         let echo = session.function::<[u8], [u8]>("echo").unwrap();
         echo.invoke(&[1u8; 100][..]).unwrap();
-        assert_eq!(session.pool.free.lock().len(), 1);
+        assert_eq!(session.buffers.free.lock().len(), 1);
         // Same-size invocation reuses the pooled pair instead of growing it.
         echo.invoke(&[2u8; 100][..]).unwrap();
-        assert_eq!(session.pool.free.lock().len(), 1);
+        assert_eq!(session.buffers.free.lock().len(), 1);
         // A larger invocation allocates a second pair.
         echo.invoke(&vec![3u8; 100_000][..]).unwrap();
-        assert_eq!(session.pool.free.lock().len(), 2);
+        assert_eq!(session.buffers.free.lock().len(), 2);
     }
 
     /// Platform with a state plane attached: the package carries a stateful

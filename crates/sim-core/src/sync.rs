@@ -53,16 +53,11 @@ pub mod ranks {
     // Client (outermost: user-facing calls start here).
     pub const CLIENT_RECOVERY: LockRank = LockRank::new(10, "client.recovery_lock");
     pub const CLIENT_ACTIVE: LockRank = LockRank::new(12, "client.active");
-    pub const CLIENT_LAST_REQUEST: LockRank = LockRank::new(14, "client.last_request");
     pub const CLIENT_SESSION_STATE: LockRank = LockRank::new(16, "client.session_state");
-    pub const CLIENT_COLD_START: LockRank = LockRank::new(18, "client.cold_start");
-    // Held across the manager poll during allocation, so it must rank below
-    // the manager's own locks.
-    pub const CLIENT_CONTROL: LockRank = LockRank::new(20, "client.control");
     pub const SESSION_BUFFER_POOL: LockRank = LockRank::new(22, "session.buffer_pool");
-    // The manager's control socket is polled while the client's control lock
-    // is held (the allocation round trip), and its handler places leases, so
-    // it sits between the client block and the manager registry locks.
+    // The manager's control socket is polled during the client's allocation
+    // round trip (recovery lock held), and its handler places leases, so it
+    // sits between the client block and the manager registry locks.
     pub const MANAGER_CONTROL: LockRank = LockRank::new(28, "manager.control");
 
     // Invocation reactor.
@@ -564,10 +559,7 @@ mod tests {
         let all = [
             ranks::CLIENT_RECOVERY,
             ranks::CLIENT_ACTIVE,
-            ranks::CLIENT_LAST_REQUEST,
             ranks::CLIENT_SESSION_STATE,
-            ranks::CLIENT_COLD_START,
-            ranks::CLIENT_CONTROL,
             ranks::SESSION_BUFFER_POOL,
             ranks::MANAGER_CONTROL,
             ranks::REACTOR_TURN,

@@ -618,19 +618,13 @@ fn run_adaptive_scenario(seed: u64) -> String {
         SandboxType::BareMetal,
         PollingMode::Adaptive,
     );
-    let invoker = session.raw();
-    let alloc = invoker.allocator();
-    let input = alloc.input(4096);
-    let output = alloc.output(4096);
+    let echo = session.function::<[u8], [u8]>("echo").unwrap();
 
     const ROUNDS: u64 = 24;
     for round in 0..ROUNDS {
         let payload = rng.range_u64(1, 2048) as usize;
         let data = workloads::generate_payload(payload, seed);
-        input.write_payload(&data).unwrap();
-        let (_, rtt) = invoker
-            .invoke_sync("echo", &input, payload, &output)
-            .unwrap();
+        let (_, rtt) = echo.invoke_timed(&data).unwrap();
         transcript.push_str(&format!(
             "round {round}: invoke {payload} B -> {} ns\n",
             rtt.as_nanos()
@@ -643,7 +637,7 @@ fn run_adaptive_scenario(seed: u64) -> String {
         } else {
             SimDuration::from_millis(rng.range_u64(100, 400))
         };
-        invoker.clock().advance(gap);
+        session.clock().advance(gap);
         transcript.push_str(&format!("gap {} ns\n", gap.as_nanos()));
     }
 

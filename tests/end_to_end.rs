@@ -249,6 +249,74 @@ fn executor_failure_is_detected_and_the_client_recovers_elsewhere() {
     assert_ne!(recovered.executor_node, lease.executor_node);
 }
 
+/// Four echo inputs, two per worker of a `.workers(2)` session.
+fn scatter_inputs() -> Vec<Vec<u8>> {
+    (1..=4u8).map(|i| vec![i; 48]).collect()
+}
+
+#[test]
+fn batch_scatter_recovers_from_a_failed_executor() {
+    let testbed = Testbed::new(2);
+    let driver = LifecycleDriver::new(&testbed.manager);
+    let session = testbed
+        .session("batch-failover-client")
+        .workers(2)
+        .memory_mib(1024)
+        .connect()
+        .unwrap();
+    let lease = session.lease().unwrap();
+    let echo = session.function::<[u8], [u8]>("echo").unwrap();
+
+    let t0 = testbed.manager.clock().now();
+    driver.step(t0 + SimDuration::from_secs(1));
+    testbed
+        .manager
+        .executor(&lease.executor_node)
+        .unwrap()
+        .fail();
+    let later = t0 + SimDuration::from_secs(1) + testbed.config.heartbeat_timeout * 2;
+    assert_eq!(driver.step(later).executors_failed, 1);
+
+    // The first wave finds its connections dead while posting: the whole
+    // wave is replayed on one fresh allocation, on the surviving executor.
+    session.clock().advance_to(later);
+    let inputs = scatter_inputs();
+    let results = echo
+        .map_workers(inputs.iter().map(|v| v.as_slice()))
+        .unwrap()
+        .wait_all()
+        .unwrap();
+    assert_eq!(results, inputs);
+    assert_eq!(session.recoveries(), 1);
+    assert_ne!(session.lease().unwrap().executor_node, lease.executor_node);
+}
+
+#[test]
+fn batch_scatter_recovers_from_a_lease_expiry_once() {
+    let testbed = Testbed::new(2);
+    let session = testbed
+        .session("batch-expiry-client")
+        .workers(2)
+        .memory_mib(1024)
+        .lease_timeout(SimDuration::from_secs(10))
+        .connect()
+        .unwrap();
+    let echo = session.function::<[u8], [u8]>("echo").unwrap();
+
+    // Both invocations of the first wave are refused with LeaseExpired; the
+    // first gather re-allocates, the second finds the epoch moved on and
+    // resubmits on the fresh lease.
+    session.clock().advance(SimDuration::from_secs(60));
+    let inputs = scatter_inputs();
+    let results = echo
+        .map_workers(inputs.iter().map(|v| v.as_slice()))
+        .unwrap()
+        .wait_all()
+        .unwrap();
+    assert_eq!(results, inputs);
+    assert_eq!(session.recoveries(), 1);
+}
+
 #[test]
 fn stale_futures_share_one_recovery_instead_of_cascading() {
     let testbed = Testbed::new(2);

@@ -9,31 +9,17 @@ use sandbox::SandboxType;
 use sim_core::{median, SimDuration};
 
 /// Median round-trip of `repetitions` echo invocations on a leased worker.
-///
-/// Driven through `Session::raw()`: the spectrum pins the zero-copy path
-/// (pre-registered buffers, explicit payload lengths), which is exactly what
-/// the raw escape hatch exists for.
+/// The typed path charges the virtual clock exactly what a hand-posted
+/// invocation does — inline for small wires, no staging copy — and reuses
+/// its pooled registered buffers, so this pins the zero-copy path.
 fn leased_median_us(mode: PollingMode, payload: usize, repetitions: usize) -> f64 {
     let testbed = Testbed::new(1);
     let session = testbed.allocated_session("spectrum-client", 1, SandboxType::BareMetal, mode);
-    let invoker = session.raw();
-    let alloc = invoker.allocator();
-    let input = alloc.input(payload.max(8));
-    let output = alloc.output(payload.max(8));
-    input
-        .write_payload(&workloads::generate_payload(payload, 11))
-        .unwrap();
-    invoker
-        .invoke_sync("echo", &input, payload, &output)
-        .unwrap();
+    let echo = session.function::<[u8], [u8]>("echo").unwrap();
+    let data = workloads::generate_payload(payload, 11);
+    echo.invoke_timed(&data).unwrap();
     let samples: Vec<f64> = (0..repetitions)
-        .map(|_| {
-            invoker
-                .invoke_sync("echo", &input, payload, &output)
-                .unwrap()
-                .1
-                .as_micros_f64()
-        })
+        .map(|_| echo.invoke_timed(&data).unwrap().1.as_micros_f64())
         .collect();
     median(&samples)
 }
@@ -50,16 +36,11 @@ fn cold_median_us(payload: usize, repetitions: usize) -> f64 {
                 SandboxType::BareMetal,
                 PollingMode::Hot,
             );
-            let invoker = session.raw();
             let cold_start = session.cold_start().unwrap().total();
-            let alloc = invoker.allocator();
-            let input = alloc.input(payload.max(8));
-            let output = alloc.output(payload.max(8));
-            input
-                .write_payload(&workloads::generate_payload(payload, 11))
-                .unwrap();
-            let (_, rtt) = invoker
-                .invoke_sync("echo", &input, payload, &output)
+            let (_, rtt) = session
+                .function::<[u8], [u8]>("echo")
+                .unwrap()
+                .invoke_timed(&workloads::generate_payload(payload, 11))
                 .unwrap();
             session.close().unwrap();
             (cold_start + rtt).as_micros_f64()
@@ -125,37 +106,19 @@ fn fork_tier_sits_between_warm_and_cold() {
         "forked setup {forked_setup} us vs cold {cold_setup} us"
     );
 
-    let invoker = session.raw();
-    let alloc = invoker.allocator();
-    let input = alloc.input(64);
-    let output = alloc.output(64);
-    input
-        .write_payload(&workloads::generate_payload(8, 11))
-        .unwrap();
+    let echo = session.function::<[u8], [u8]>("echo").unwrap();
+    let data = workloads::generate_payload(8, 11);
+    let rtt_us = || echo.invoke_timed(&data).unwrap().1.as_micros_f64();
     // Early invocations each pay one prefetch batch of page faults on top
     // of the warm path.
-    let first = invoker
-        .invoke_sync("echo", &input, 8, &output)
-        .unwrap()
-        .1
-        .as_micros_f64();
+    let first = rtt_us();
     let mut rtts = vec![first];
     while !fork.is_complete() {
-        rtts.push(
-            invoker
-                .invoke_sync("echo", &input, 8, &output)
-                .unwrap()
-                .1
-                .as_micros_f64(),
-        );
+        rtts.push(rtt_us());
     }
     // Steady state: the faulted-in child matches the plain warm band.
     let warm = leased_median_us(PollingMode::Warm, 8, 30);
-    let steady = invoker
-        .invoke_sync("echo", &input, 8, &output)
-        .unwrap()
-        .1
-        .as_micros_f64();
+    let steady = rtt_us();
     assert!(
         first > warm,
         "a fault-paying invocation ({first} us) must exceed warm ({warm} us)"
@@ -196,15 +159,11 @@ fn hot_worker_demotes_to_warm_after_the_poll_timeout() {
         SandboxType::BareMetal,
         PollingMode::Hot,
     );
-    let invoker = session.raw();
-    let alloc = invoker.allocator();
-    let input = alloc.input(64);
-    let output = alloc.output(64);
-    input.write_payload(&[7u8; 8]).unwrap();
+    let echo = session.function::<[u8], [u8]>("echo").unwrap();
 
     // Back-to-back invocations stay hot.
-    invoker.invoke_sync("echo", &input, 8, &output).unwrap();
-    let (_, hot_rtt) = invoker.invoke_sync("echo", &input, 8, &output).unwrap();
+    echo.invoke(&[7u8; 8]).unwrap();
+    let (_, hot_rtt) = echo.invoke_timed(&[7u8; 8]).unwrap();
 
     let process = testbed.executors[0]
         .allocator()
@@ -216,8 +175,8 @@ fn hot_worker_demotes_to_warm_after_the_poll_timeout() {
 
     // One idle gap past the budget: the worker demotes, the polling bill is
     // capped at the budget, and the invocation pays the warm wake-up.
-    invoker.clock().advance(config.hot_poll_timeout * 3);
-    let (_, demoted_rtt) = invoker.invoke_sync("echo", &input, 8, &output).unwrap();
+    session.clock().advance(config.hot_poll_timeout * 3);
+    let (_, demoted_rtt) = echo.invoke_timed(&[7u8; 8]).unwrap();
     {
         let process = process.lock();
         assert_eq!(process.workers()[0].mode(), PollingMode::Warm);
@@ -239,13 +198,7 @@ fn hot_worker_demotes_to_warm_after_the_poll_timeout() {
     // Once warm, latencies settle at the warm level: several microseconds
     // above hot, far below cold.
     let warm_samples: Vec<f64> = (0..30)
-        .map(|_| {
-            invoker
-                .invoke_sync("echo", &input, 8, &output)
-                .unwrap()
-                .1
-                .as_micros_f64()
-        })
+        .map(|_| echo.invoke_timed(&[7u8; 8]).unwrap().1.as_micros_f64())
         .collect();
     let warm_median = median(&warm_samples);
     assert!(
@@ -269,14 +222,10 @@ fn adaptive_workers_bill_at_most_the_budget_per_idle_gap() {
         SandboxType::BareMetal,
         PollingMode::Adaptive,
     );
-    let invoker = session.raw();
-    let alloc = invoker.allocator();
-    let input = alloc.input(64);
-    let output = alloc.output(64);
-    input.write_payload(&[7u8; 8]).unwrap();
-    invoker.invoke_sync("echo", &input, 8, &output).unwrap();
-    invoker.clock().advance(SimDuration::from_secs(30));
-    invoker.invoke_sync("echo", &input, 8, &output).unwrap();
+    let echo = session.function::<[u8], [u8]>("echo").unwrap();
+    echo.invoke(&[7u8; 8]).unwrap();
+    session.clock().advance(SimDuration::from_secs(30));
+    echo.invoke(&[7u8; 8]).unwrap();
     let process = testbed.executors[0].allocator().processes().pop().unwrap();
     let process = process.lock();
     assert_eq!(process.workers()[0].mode(), PollingMode::Adaptive);
@@ -297,14 +246,10 @@ fn disabling_the_timeout_keeps_workers_hot_forever() {
     let testbed = Testbed::with_config(1, config);
     let session =
         testbed.allocated_session("no-demotion", 1, SandboxType::BareMetal, PollingMode::Hot);
-    let invoker = session.raw();
-    let alloc = invoker.allocator();
-    let input = alloc.input(64);
-    let output = alloc.output(64);
-    input.write_payload(&[7u8; 8]).unwrap();
-    invoker.invoke_sync("echo", &input, 8, &output).unwrap();
-    invoker.clock().advance(SimDuration::from_secs(30));
-    invoker.invoke_sync("echo", &input, 8, &output).unwrap();
+    let echo = session.function::<[u8], [u8]>("echo").unwrap();
+    echo.invoke(&[7u8; 8]).unwrap();
+    session.clock().advance(SimDuration::from_secs(30));
+    echo.invoke(&[7u8; 8]).unwrap();
     let process = testbed.executors[0].allocator().processes().pop().unwrap();
     let process = process.lock();
     assert_eq!(process.workers()[0].mode(), PollingMode::Hot);
