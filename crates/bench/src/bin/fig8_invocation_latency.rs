@@ -4,7 +4,7 @@
 //! Also prints the hot/warm overhead over raw RDMA (paper: ~326 ns / ~4.67 µs)
 //! and the inlining anomaly at 128 B.
 
-use net_stack::TcpProfile;
+use faas_baselines::TcpProfile;
 use rfaas::PollingMode;
 use rfaas_bench::{print_table, quick_mode, summarize_us, ResultRow, Testbed};
 use sandbox::SandboxType;

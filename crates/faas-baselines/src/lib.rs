@@ -1,4 +1,6 @@
-//! Baseline FaaS platform models: AWS Lambda, OpenWhisk and Nightcore.
+//! Baseline models the paper compares rFaaS against: AWS Lambda, OpenWhisk
+//! and Nightcore (Fig. 1), and the kernel TCP round trip of `netperf`
+//! (Fig. 8, [`tcp`]).
 //!
 //! The paper compares rFaaS against a commercial platform (AWS Lambda with a
 //! native C++ runtime) and two open-source platforms deployed on the same
@@ -22,6 +24,8 @@
 
 pub mod path;
 pub mod platforms;
+pub mod tcp;
 
 pub use path::{InvocationPath, PathComponent};
 pub use platforms::{aws_lambda, nightcore, openwhisk, BaselinePlatform};
+pub use tcp::TcpProfile;

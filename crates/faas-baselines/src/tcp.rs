@@ -1,0 +1,93 @@
+//! Kernel TCP/IP round trip: the `netperf` baseline of Fig. 8.
+//!
+//! Unlike the RDMA fabric, every TCP message crosses the operating system
+//! twice (sender and receiver syscalls, softirq processing, copies between
+//! user and kernel buffers). The profile charges those per-message overheads
+//! on top of the same propagation/serialisation structure as the RDMA link,
+//! and is calibrated so that a small-message request/response lands in the
+//! 20–30 µs range of the paper's `netperf` baseline.
+
+use sim_core::SimDuration;
+
+/// Cost constants of the kernel TCP/IP path.
+#[derive(Debug, Clone)]
+pub struct TcpProfile {
+    /// One-way wire latency (propagation + switching).
+    pub one_way_latency: SimDuration,
+    /// Sustainable stream bandwidth in bytes per second. Kernel TCP on the
+    /// same 100 Gb/s link reaches a lower goodput than RDMA because of copies
+    /// and segmentation.
+    pub bandwidth_bytes_per_sec: f64,
+    /// Per-message cost on the sending side: syscall, copy to kernel buffers,
+    /// segmentation.
+    pub send_overhead: SimDuration,
+    /// Per-message cost on the receiving side: interrupt, softirq, copy to
+    /// user space, scheduler wake-up.
+    pub recv_overhead: SimDuration,
+}
+
+impl TcpProfile {
+    /// Kernel TCP over the evaluation cluster's 100 Gb/s link.
+    pub fn kernel_100g() -> TcpProfile {
+        TcpProfile {
+            one_way_latency: SimDuration::from_nanos(1_700),
+            // ~5.5 GB/s goodput for a single well-tuned stream.
+            bandwidth_bytes_per_sec: 5.5e9,
+            send_overhead: SimDuration::from_micros(4),
+            recv_overhead: SimDuration::from_micros(6),
+        }
+    }
+
+    /// Serialisation time of `bytes` on the wire.
+    pub fn serialization(&self, bytes: usize) -> SimDuration {
+        if bytes == 0 {
+            return SimDuration::ZERO;
+        }
+        SimDuration::from_secs_f64(bytes as f64 / self.bandwidth_bytes_per_sec)
+    }
+
+    /// One-way delivery time of a message of `bytes`, excluding queueing.
+    pub fn one_way(&self, bytes: usize) -> SimDuration {
+        self.send_overhead + self.serialization(bytes) + self.one_way_latency + self.recv_overhead
+    }
+
+    /// Request/response round trip with the given payload sizes — the
+    /// `netperf TCP_RR` shape used as the Fig. 8 baseline.
+    pub fn request_response(&self, request_bytes: usize, response_bytes: usize) -> SimDuration {
+        self.one_way(request_bytes) + self.one_way(response_bytes)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn small_message_rtt_matches_netperf_range() {
+        let p = TcpProfile::kernel_100g();
+        let rtt = p.request_response(64, 64).as_micros_f64();
+        assert!((15.0..35.0).contains(&rtt), "TCP RTT was {rtt} us");
+    }
+
+    #[test]
+    fn tcp_is_slower_than_rdma_for_small_messages() {
+        let tcp = TcpProfile::kernel_100g().request_response(64, 64);
+        // The RDMA fabric's small-message RTT is ~3.7 us.
+        assert!(tcp.as_micros_f64() > 3.0 * 3.7);
+    }
+
+    #[test]
+    fn bandwidth_dominates_large_transfers() {
+        let p = TcpProfile::kernel_100g();
+        let t = p.one_way(64 * 1024 * 1024).as_millis_f64();
+        // 64 MiB at ~5.5 GB/s ≈ 12 ms.
+        assert!((10.0..16.0).contains(&t), "64 MiB one-way took {t} ms");
+    }
+
+    #[test]
+    fn zero_byte_messages_have_zero_serialization() {
+        let p = TcpProfile::kernel_100g();
+        assert!(p.serialization(0).is_zero());
+        assert!(p.one_way(0) >= p.one_way_latency);
+    }
+}

@@ -1,8 +1,8 @@
 //! Point-to-point communication and the world/rank runtime.
 
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use sim_core::{SimDuration, SimTime, VirtualClock};
 
@@ -123,6 +123,7 @@ impl Rank {
 
     /// Blocking receive of the next message from `source` with `tag`.
     pub fn recv(&self, source: usize, tag: u32) -> Vec<u8> {
+        assert!(source < self.size, "source rank {source} out of range");
         // First look in the stash for an already-delivered match.
         {
             let mut stash = self.stash.lock();
@@ -186,7 +187,7 @@ impl MpiWorld {
         let mut senders = Vec::with_capacity(size);
         let mut receivers = Vec::with_capacity(size);
         for _ in 0..size {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             senders.push(tx);
             receivers.push(rx);
         }
@@ -325,6 +326,24 @@ mod tests {
             (1.0..2.5).contains(&transfer),
             "16 MiB transfer {transfer} ms"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "source rank 2 out of range")]
+    fn recv_from_out_of_range_source_panics() {
+        // Built by hand so the panic surfaces on the test thread: no rank 2
+        // exists, and the rank's own sender keeps its channel open.
+        let (tx, receiver) = channel();
+        let rank = Rank {
+            rank: 0,
+            size: 2,
+            clock: VirtualClock::shared(),
+            cost: MpiCostModel::default(),
+            senders: vec![tx.clone(), tx],
+            receiver,
+            stash: Mutex::new(Vec::new()),
+        };
+        rank.recv(2, 0);
     }
 
     #[test]

@@ -6,11 +6,11 @@
 //! reliable-connection establishment cost from the NIC profile — the cost
 //! rFaaS clients amortise by caching connections inside leases (Sec. III-B).
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use sim_core::SimTime;
 
@@ -46,31 +46,63 @@ impl Drop for ConnectRequest {
     }
 }
 
+/// The queue behind a [`Listener`] or a [`DatagramSocket`], shared with its
+/// entry in the fabric's address table. It closes when its address is bound
+/// again: a closed inbox takes nothing new, and its owner reads
+/// [`FabricError::ConnectionLost`] once the queue is empty.
+struct Inbox<T> {
+    queue: VecDeque<T>,
+    closed: bool,
+}
+
+type SharedInbox<T> = Arc<Mutex<Inbox<T>>>;
+
+impl<T> Inbox<T> {
+    fn shared() -> SharedInbox<T> {
+        Arc::new(Mutex::new(Inbox {
+            queue: VecDeque::new(),
+            closed: false,
+        }))
+    }
+
+    /// Queue `item`, or hand it back if the inbox is closed.
+    fn push(&mut self, item: T) -> std::result::Result<(), T> {
+        if self.closed {
+            return Err(item);
+        }
+        self.queue.push_back(item);
+        Ok(())
+    }
+
+    /// The next item; `Ok(None)` while the queue is empty and open.
+    fn pop(&mut self) -> Result<Option<T>> {
+        match self.queue.pop_front() {
+            None if self.closed => Err(FabricError::ConnectionLost),
+            item => Ok(item),
+        }
+    }
+
+    /// Whether [`Inbox::pop`] has an answer other than `Ok(None)`.
+    fn ready(&self) -> bool {
+        self.closed || !self.queue.is_empty()
+    }
+}
+
 /// Cloneable handle stored in the fabric's listener table.
 #[derive(Clone)]
 pub(crate) struct ListenerHandle {
-    tx: Sender<ConnectRequest>,
+    inbox: SharedInbox<ConnectRequest>,
     /// Signalled after each request is queued (shared with the [`Listener`],
     /// which attaches it after `bind`).
     notifier: Arc<Mutex<Option<CqNotifier>>>,
-    token: u64,
-}
-
-impl std::fmt::Debug for ListenerHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ListenerHandle")
-            .field("token", &self.token)
-            .finish()
-    }
 }
 
 /// A listening endpoint accepting RDMA connection requests.
 pub struct Listener {
     fabric: Arc<Fabric>,
     address: String,
-    rx: Receiver<ConnectRequest>,
+    inbox: SharedInbox<ConnectRequest>,
     notifier: Arc<Mutex<Option<CqNotifier>>>,
-    token: u64,
 }
 
 impl std::fmt::Debug for Listener {
@@ -85,23 +117,20 @@ impl Listener {
     /// Bind a listener at `address`. Rebinding an address replaces the
     /// previous listener, like restarting a daemon on the same port.
     pub fn bind(fabric: &Arc<Fabric>, address: &str) -> Listener {
-        let (tx, rx) = unbounded();
-        let token = Fabric::next_listener_token();
+        let inbox = Inbox::shared();
         let notifier = Arc::new(Mutex::new(None));
-        fabric.register_listener(
-            address,
-            ListenerHandle {
-                tx,
-                notifier: Arc::clone(&notifier),
-                token,
-            },
-        );
+        let handle = ListenerHandle {
+            inbox: Arc::clone(&inbox),
+            notifier: Arc::clone(&notifier),
+        };
+        if let Some(replaced) = fabric.register_listener(address, handle) {
+            replaced.inbox.lock().closed = true;
+        }
         Listener {
             fabric: Arc::clone(fabric),
             address: address.to_string(),
-            rx,
+            inbox,
             notifier,
-            token,
         }
     }
 
@@ -120,43 +149,34 @@ impl Listener {
         &self.address
     }
 
-    /// Accept the next pending connection, blocking until one arrives.
+    /// Accept the next connection request, waiting for one through
+    /// [`Fabric::run_until`] up to the wall-clock `timeout`; `Ok(None)` when
+    /// none arrived in time.
     ///
     /// `endpoint` describes the accepting actor (its node, clock, protection
     /// domain and device function); the returned queue pair is connected to
     /// the requesting client.
-    pub fn accept(&self, endpoint: &Endpoint) -> Result<QueuePair> {
-        let request = self.rx.recv().map_err(|_| FabricError::ConnectionLost)?;
-        self.finish_accept(endpoint, request)
-    }
-
-    /// Accept with a wall-clock timeout, returning `Ok(None)` on timeout.
     pub fn accept_timeout(
         &self,
         endpoint: &Endpoint,
         timeout: Duration,
     ) -> Result<Option<QueuePair>> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(request) => self.finish_accept(endpoint, request).map(Some),
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => Ok(None),
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                Err(FabricError::ConnectionLost)
-            }
-        }
+        self.fabric.run_until(|| self.inbox.lock().ready(), timeout);
+        self.try_accept(endpoint)
     }
 
-    /// Non-blocking accept: returns `Ok(None)` when no request is pending.
+    /// Non-blocking accept: returns `Ok(None)` when no request is pending,
+    /// and [`FabricError::ConnectionLost`] once the address was bound again.
     pub fn try_accept(&self, endpoint: &Endpoint) -> Result<Option<QueuePair>> {
-        match self.rx.try_recv() {
-            Ok(request) => self.finish_accept(endpoint, request).map(Some),
-            Err(crossbeam::channel::TryRecvError::Empty) => Ok(None),
-            Err(crossbeam::channel::TryRecvError::Disconnected) => Err(FabricError::ConnectionLost),
-        }
+        let request = self.inbox.lock().pop()?;
+        request
+            .map(|request| self.finish_accept(endpoint, request))
+            .transpose()
     }
 
     /// Number of connection requests waiting to be accepted.
     pub fn pending(&self) -> usize {
-        self.rx.len()
+        self.inbox.lock().queue.len()
     }
 
     fn finish_accept(&self, endpoint: &Endpoint, request: ConnectRequest) -> Result<QueuePair> {
@@ -183,10 +203,11 @@ impl Listener {
 
 impl Drop for Listener {
     fn drop(&mut self) {
+        // Requests still queued die with the inbox, which answers them.
         // Only unregister if the table still points at this listener (it may
         // have been replaced by a rebind).
         if let Some(handle) = self.fabric.listener(&self.address) {
-            if handle.token == self.token {
+            if Arc::ptr_eq(&handle.inbox, &self.inbox) {
                 self.fabric.unregister_listener(&self.address);
             }
         }
@@ -270,8 +291,9 @@ fn connect_inner(
         reply: Arc::clone(&reply),
     };
     handle
-        .tx
-        .send(request)
+        .inbox
+        .lock()
+        .push(request)
         .map_err(|_| FabricError::UnknownAddress(address.to_string()))?;
     // Queue first, signal second: the acceptor's next sweep must find the
     // request.
@@ -318,18 +340,8 @@ pub struct DatagramMessage {
 /// Cloneable handle stored in the fabric's datagram table.
 #[derive(Clone)]
 pub(crate) struct DatagramHandle {
-    tx: Sender<DatagramMessage>,
+    inbox: SharedInbox<DatagramMessage>,
     node: Arc<crate::fabric::FabricNode>,
-    token: u64,
-}
-
-impl std::fmt::Debug for DatagramHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DatagramHandle")
-            .field("node", &self.node.name())
-            .field("token", &self.token)
-            .finish()
-    }
 }
 
 /// A UD/DC-style unreliable-datagram endpoint: per-message addressing, no
@@ -342,8 +354,7 @@ pub struct DatagramSocket {
     node: Arc<crate::fabric::FabricNode>,
     clock: Arc<sim_core::VirtualClock>,
     address: String,
-    rx: Receiver<DatagramMessage>,
-    token: u64,
+    inbox: SharedInbox<DatagramMessage>,
 }
 
 impl std::fmt::Debug for DatagramSocket {
@@ -359,16 +370,14 @@ impl DatagramSocket {
     /// endpoint setup on the endpoint's clock. Rebinding an address replaces
     /// the previous socket.
     pub fn bind(endpoint: &Endpoint, address: &str) -> DatagramSocket {
-        let (tx, rx) = unbounded();
-        let token = Fabric::next_listener_token();
-        endpoint.fabric.register_datagram(
-            address,
-            DatagramHandle {
-                tx,
-                node: Arc::clone(&endpoint.node),
-                token,
-            },
-        );
+        let inbox = Inbox::shared();
+        let handle = DatagramHandle {
+            inbox: Arc::clone(&inbox),
+            node: Arc::clone(&endpoint.node),
+        };
+        if let Some(replaced) = endpoint.fabric.register_datagram(address, handle) {
+            replaced.inbox.lock().closed = true;
+        }
         endpoint
             .clock
             .advance(endpoint.fabric.profile().datagram_setup);
@@ -377,8 +386,7 @@ impl DatagramSocket {
             node: Arc::clone(&endpoint.node),
             clock: Arc::clone(&endpoint.clock),
             address: address.to_string(),
-            rx,
-            token,
+            inbox,
         }
     }
 
@@ -402,45 +410,42 @@ impl DatagramSocket {
         let timing = self
             .fabric
             .transfer(&self.node, &handle.node, payload.len(), ready);
+        let message = DatagramMessage {
+            from: self.address.clone(),
+            payload: payload.to_vec(),
+            arrived_at: timing.arrive,
+        };
         handle
-            .tx
-            .send(DatagramMessage {
-                from: self.address.clone(),
-                payload: payload.to_vec(),
-                arrived_at: timing.arrive,
-            })
+            .inbox
+            .lock()
+            .push(message)
             .map_err(|_| FabricError::UnknownAddress(dst.to_string()))?;
         Ok(timing.arrive)
     }
 
-    /// Receive the next message, blocking up to the wall-clock `timeout`.
-    /// The receiver's clock advances to the message's arrival and pays the
-    /// completion pickup cost.
+    /// Receive the next message, waiting for one through
+    /// [`Fabric::run_until`] up to the wall-clock `timeout`. The receiver's
+    /// clock advances to the message's arrival and pays the completion
+    /// pickup cost.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<DatagramMessage> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(msg) => {
-                self.observe(&msg);
-                Ok(msg)
-            }
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => Err(FabricError::Timeout {
-                operation: "datagram receive",
-            }),
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                Err(FabricError::ConnectionLost)
-            }
-        }
+        self.fabric.run_until(|| self.inbox.lock().ready(), timeout);
+        let msg = self.inbox.lock().pop()?.ok_or(FabricError::Timeout {
+            operation: "datagram receive",
+        })?;
+        self.observe(&msg);
+        Ok(msg)
     }
 
     /// Non-blocking receive: `None` when no message is queued.
     pub fn try_recv(&self) -> Option<DatagramMessage> {
-        let msg = self.rx.try_recv().ok()?;
+        let msg = self.inbox.lock().queue.pop_front()?;
         self.observe(&msg);
         Some(msg)
     }
 
     /// Number of messages waiting to be received.
     pub fn pending(&self) -> usize {
-        self.rx.len()
+        self.inbox.lock().queue.len()
     }
 
     fn observe(&self, msg: &DatagramMessage) {
@@ -452,7 +457,7 @@ impl DatagramSocket {
 impl Drop for DatagramSocket {
     fn drop(&mut self) {
         if let Some(handle) = self.fabric.datagram(&self.address) {
-            if handle.token == self.token {
+            if Arc::ptr_eq(&handle.inbox, &self.inbox) {
                 self.fabric.unregister_datagram(&self.address);
             }
         }
@@ -465,6 +470,14 @@ mod tests {
     use crate::memory::AccessFlags;
     use crate::verbs::{RecvRequest, SendRequest, Sge};
     use std::thread;
+
+    /// Accept the next connection request, waiting up to 5 s for it.
+    fn accept(listener: &Listener, endpoint: &Endpoint) -> QueuePair {
+        listener
+            .accept_timeout(endpoint, Duration::from_secs(5))
+            .unwrap()
+            .expect("a connection request within 5 s")
+    }
 
     #[test]
     fn connect_and_accept_produce_linked_qps() {
@@ -479,7 +492,7 @@ mod tests {
             let client_ep = Endpoint::new(&fabric2, &client_node);
             connect(&client_ep, "server:9000").unwrap()
         });
-        let server_qp = listener.accept(&server_ep).unwrap();
+        let server_qp = accept(&listener, &server_ep);
         let client_qp = client_thread.join().unwrap();
         assert!(client_qp.is_connected());
         assert!(server_qp.is_connected());
@@ -531,7 +544,7 @@ mod tests {
             let qp = connect(&ep, "server:1").unwrap();
             qp.clock().now()
         });
-        listener.accept(&server_ep).unwrap();
+        accept(&listener, &server_ep);
         let client_time = t.join().unwrap();
         let setup = fabric.profile().connection_setup;
         assert!(client_time.as_nanos() >= setup.as_nanos());
@@ -602,7 +615,7 @@ mod tests {
         }
         let mut server_qps = Vec::new();
         for _ in 0..4 {
-            server_qps.push(listener.accept(&server_ep).unwrap());
+            server_qps.push(accept(&listener, &server_ep));
         }
         for c in clients {
             assert!(c.join().unwrap().is_connected());
@@ -616,15 +629,15 @@ mod tests {
         let node = fabric.add_node("server");
         let ep = Endpoint::new(&fabric, &node);
         let first = Listener::bind(&fabric, "svc:replaced");
-        // Rebinding drops the table's clone of the first listener's sender;
-        // once no sender remains, its channel reads as disconnected.
+        // Rebinding closes the first listener's inbox: once it is empty,
+        // accepting from it reports the loss instead of waiting.
         let _second = Listener::bind(&fabric, "svc:replaced");
         assert!(matches!(
             first.try_accept(&ep),
             Err(FabricError::ConnectionLost)
         ));
         assert!(matches!(
-            first.accept(&ep),
+            first.accept_timeout(&ep, Duration::from_secs(5)),
             Err(FabricError::ConnectionLost)
         ));
     }
@@ -679,7 +692,7 @@ mod tests {
 
         // The request is still queued; accepting it must not panic even
         // though the client dropped its reply receiver.
-        let qp = listener.accept(&server_ep).unwrap();
+        let qp = accept(&listener, &server_ep);
         assert!(qp.is_connected());
     }
 
@@ -762,7 +775,7 @@ mod tests {
         let inbox = client_ep.pd.register(8, AccessFlags::LOCAL_ONLY);
 
         let server = thread::spawn(move || {
-            let qp = listener.accept(&server_ep).unwrap();
+            let qp = accept(&listener, &server_ep);
             let accepted_at = server_ep.clock.now();
             let hello = qp
                 .pd()
@@ -794,10 +807,8 @@ mod tests {
         )
         .unwrap();
         let (_server_qp, accepted_at, _listener) = server.join().unwrap();
-        let wc = qp
-            .recv_cq()
-            .blocking_wait_timeout(Duration::from_secs(5))
-            .unwrap();
+        // The server sent the hello before it was joined.
+        let wc = qp.recv_cq().poll_one().unwrap();
         assert_eq!((wc.wr_id, wc.byte_len), (9, 5));
         assert_eq!(&inbox.read(0, 5).unwrap(), b"hello");
         // The accept instant is the request's departure plus propagation and
@@ -861,9 +872,9 @@ mod tests {
             assert!(qp.is_connected());
             (cold_cost, warm_cost)
         });
-        let first = listener.accept(&server_ep).unwrap();
+        let first = accept(&listener, &server_ep);
         let server_cold = server_ep.clock.now();
-        listener.accept(&server_ep).unwrap();
+        accept(&listener, &server_ep);
         let (cold_cost, warm_cost) = t.join().unwrap();
         drop(first);
 
@@ -931,6 +942,25 @@ mod tests {
         );
         assert!(sock.try_recv().is_none());
         assert_eq!(sock.pending(), 0);
+    }
+
+    #[test]
+    fn datagram_recv_waits_for_a_send_from_another_thread() {
+        let fabric = Fabric::with_defaults();
+        let sender_ep = Endpoint::new(&fabric, &fabric.add_node("ctl-a"));
+        let waiter_ep = Endpoint::new(&fabric, &fabric.add_node("ctl-b"));
+        let sender = DatagramSocket::bind(&sender_ep, "udp://sender");
+        let waiter = DatagramSocket::bind(&waiter_ep, "udp://waiter");
+        let late = thread::spawn(move || {
+            thread::sleep(Duration::from_millis(20));
+            sender.send_to("udp://waiter", b"late").unwrap();
+        });
+        let msg = waiter.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(
+            (msg.from.as_str(), &msg.payload[..]),
+            ("udp://sender", &b"late"[..])
+        );
+        late.join().unwrap();
     }
 
     #[test]

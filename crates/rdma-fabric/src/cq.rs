@@ -1,49 +1,38 @@
 //! Completion queues.
 //!
 //! A completion queue (CQ) collects work completions from one or more queue
-//! pairs. Consumers can either *busy poll* it — the mechanism behind rFaaS
-//! *hot* invocations — or block until a completion arrives — the mechanism
-//! behind *warm* invocations. Busy polling costs CPU but observes the
-//! completion almost immediately; blocking waits release the CPU but pay the
-//! interrupt/wake-up latency and contend on the node's shared notification
-//! channel.
+//! pairs and bills the consumer for picking each one up, in either of two
+//! ways. A *busy-polling* pickup — the mechanism behind rFaaS *hot*
+//! invocations — observes the completion almost immediately
+//! ([`CompletionQueue::charge_poll_pickup`]). A *blocking* pickup — the
+//! mechanism behind *warm* invocations — pays the interrupt/wake-up latency
+//! and contends on the node's shared notification channel
+//! ([`CompletionQueue::charge_blocking_pickup`]). Both are virtual-time
+//! costs: the CQ itself never makes a host thread wait. A host that needs a
+//! completion first waits for it through [`crate::Fabric::run_until`], which
+//! turns whichever actor is to produce it, then drains the queue.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use sim_core::{SimDuration, SimTime, VirtualClock};
 
 use crate::device::{DeviceFunction, NicProfile};
 use crate::fabric::FabricNode;
 use crate::verbs::WorkCompletion;
 
-/// How a consumer observes completions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WaitMode {
-    /// Spin on the CQ; lowest latency, occupies the CPU (hot invocations).
-    BusyPoll,
-    /// Sleep until the completion event fires; frees the CPU but pays the
-    /// wake-up cost (warm invocations).
-    Blocking,
-}
-
 #[derive(Debug, Default)]
 struct CqState {
     completions: VecDeque<WorkCompletion>,
     disconnected: bool,
-    /// Threads asleep in a blocking wait on this queue: a delivery wakes the
-    /// condvar only when there is someone to wake.
-    sleepers: usize,
     notifier: Option<CqNotifier>,
 }
 
 #[derive(Debug)]
 struct CqInner {
     state: Mutex<CqState>,
-    available: Condvar,
     clock: Arc<VirtualClock>,
     node: Arc<FabricNode>,
     profile: NicProfile,
@@ -95,7 +84,6 @@ impl CompletionQueue {
         CompletionQueue {
             inner: Arc::new(CqInner {
                 state: Mutex::new(CqState::default()),
-                available: Condvar::new(),
                 clock,
                 node,
                 profile,
@@ -111,25 +99,15 @@ impl CompletionQueue {
 
     /// Deliver a completion (called by the fabric / peer queue pairs).
     pub(crate) fn push(&self, completion: WorkCompletion) {
-        let mut state = self.inner.state.lock();
-        state.completions.push_back(completion);
-        let wake = state.sleepers > 0;
-        drop(state);
-        if wake {
-            self.inner.available.notify_all();
-        }
+        self.inner.state.lock().completions.push_back(completion);
     }
 
-    /// Mark the CQ as disconnected so blocked waiters wake up with `None`.
+    /// Mark the CQ as disconnected and tell the owning [`CqSet`], if any.
     pub(crate) fn disconnect(&self) {
         let mut state = self.inner.state.lock();
         state.disconnected = true;
         let notifier = state.notifier.clone();
-        let wake = state.sleepers > 0;
         drop(state);
-        if wake {
-            self.inner.available.notify_all();
-        }
         if let Some(notifier) = notifier {
             notifier.signal();
         }
@@ -198,78 +176,10 @@ impl CompletionQueue {
         self.inner.clock.advance_to_then(wc.timestamp, pickup);
     }
 
-    /// Busy-poll until a completion arrives (hot path). Returns `None` if the
-    /// CQ is disconnected while waiting.
-    pub fn busy_wait(&self) -> Option<WorkCompletion> {
-        loop {
-            if let Some(wc) = self.poll_one() {
-                return Some(wc);
-            }
-            if self.inner.state.lock().disconnected {
-                return None;
-            }
-            std::hint::spin_loop();
-            std::thread::yield_now();
-        }
-    }
-
-    /// Block until a completion arrives (warm path). Charges the blocking
-    /// wake-up latency and the per-node notification serialisation. Returns
-    /// `None` if the CQ is disconnected while waiting.
-    pub fn blocking_wait(&self) -> Option<WorkCompletion> {
-        self.blocking_wait_until(None)
-    }
-
-    /// Block until a completion arrives or the real-time timeout expires.
-    /// The timeout is wall-clock (it bounds test execution time); the virtual
-    /// cost model is identical to [`CompletionQueue::blocking_wait`].
-    pub fn blocking_wait_timeout(&self, timeout: Duration) -> Option<WorkCompletion> {
-        // simlint::allow(wall_clock, reason = "host-side wait bound so tests cannot hang; completions are billed in virtual time on pickup")
-        self.blocking_wait_until(Some(Instant::now() + timeout))
-    }
-
-    fn blocking_wait_until(&self, deadline: Option<Instant>) -> Option<WorkCompletion> {
-        let mut state = self.inner.state.lock();
-        let mut timed_out = false;
-        loop {
-            if let Some(wc) = state.completions.pop_front() {
-                drop(state);
-                return Some(self.charge_blocking_pickup(wc));
-            }
-            if state.disconnected || timed_out {
-                return None;
-            }
-            // Counted, so a delivery knows there is someone to wake.
-            state.sleepers += 1;
-            timed_out = match deadline {
-                Some(deadline) => self
-                    .inner
-                    .available
-                    .wait_until(&mut state, deadline)
-                    .timed_out(),
-                None => {
-                    self.inner.available.wait(&mut state);
-                    false
-                }
-            };
-            state.sleepers -= 1;
-        }
-    }
-
-    /// Wait with the requested mode.
-    pub fn wait(&self, mode: WaitMode) -> Option<WorkCompletion> {
-        match mode {
-            WaitMode::BusyPoll => self.busy_wait(),
-            WaitMode::Blocking => self.blocking_wait(),
-        }
-    }
-
-    /// Synchronise the consumer clock to a completion observed via a blocking
-    /// wait: the notification serialises through the node's shared event
-    /// channel and the consumer pays the wake-up latency. Public so a
-    /// multiplexed event loop draining uncharged (see
-    /// [`CompletionQueue::poll_uncharged_into`]) can bill a blocked consumer
-    /// exactly as [`CompletionQueue::blocking_wait`] would have.
+    /// Synchronise the consumer clock to a completion observed by a blocked
+    /// (warm) consumer: the notification serialises through the node's
+    /// shared event channel and the consumer pays the wake-up latency. Pairs
+    /// with an uncharged drain ([`CompletionQueue::poll_uncharged_into`]).
     pub fn charge_blocking_pickup(&self, wc: WorkCompletion) -> WorkCompletion {
         // Serialise the notification through the node's shared event channel:
         // concurrent blocking waiters on one node queue behind each other.
@@ -394,7 +304,6 @@ mod tests {
     use super::*;
     use crate::fabric::Fabric;
     use crate::verbs::{CompletionStatus, OpCode};
-    use std::thread;
 
     fn make_cq(mode_function: DeviceFunction) -> (CompletionQueue, Arc<VirtualClock>) {
         let fabric = Fabric::new(NicProfile::default());
@@ -421,6 +330,13 @@ mod tests {
         }
     }
 
+    /// Take the next completion as a blocked consumer would.
+    fn blocking_pickup(cq: &CompletionQueue) -> WorkCompletion {
+        let mut out = Vec::new();
+        assert_eq!(cq.poll_uncharged_into(1, &mut out), 1);
+        cq.charge_blocking_pickup(out.remove(0))
+    }
+
     #[test]
     fn empty_poll_does_not_advance_clock() {
         let (cq, clock) = make_cq(DeviceFunction::Physical);
@@ -443,7 +359,7 @@ mod tests {
     fn blocking_wait_charges_wakeup_latency() {
         let (cq, clock) = make_cq(DeviceFunction::Physical);
         cq.push(completion_at(10));
-        let wc = cq.blocking_wait().unwrap();
+        let wc = blocking_pickup(&cq);
         assert!(wc.is_success());
         // arrival 10us + dispatch 550ns + wakeup 3800ns + pickup 65ns
         assert_eq!(clock.now().as_nanos(), 10_000 + 550 + 3_800 + 65);
@@ -455,57 +371,12 @@ mod tests {
         let (virt, virt_clock) = make_cq(DeviceFunction::Virtual);
         phys.push(completion_at(1));
         virt.push(completion_at(1));
-        phys.blocking_wait().unwrap();
-        virt.blocking_wait().unwrap();
+        blocking_pickup(&phys);
+        blocking_pickup(&virt);
         assert!(virt_clock.now() > phys_clock.now());
         let delta = virt_clock.now().as_nanos() - phys_clock.now().as_nanos();
         // 600 ns vf blocking extra + 25 ns message overhead tolerance window.
         assert!((600..=700).contains(&delta), "delta {delta}");
-    }
-
-    #[test]
-    fn blocking_wait_wakes_on_push_from_other_thread() {
-        let (cq, _clock) = make_cq(DeviceFunction::Physical);
-        let cq2 = cq.clone();
-        let handle = thread::spawn(move || cq2.blocking_wait());
-        thread::sleep(Duration::from_millis(20));
-        cq.push(completion_at(5));
-        let wc = handle.join().unwrap().unwrap();
-        assert_eq!(wc.wr_id, 1);
-    }
-
-    #[test]
-    fn busy_wait_picks_up_pushed_completion() {
-        let (cq, _clock) = make_cq(DeviceFunction::Physical);
-        let cq2 = cq.clone();
-        let handle = thread::spawn(move || cq2.busy_wait());
-        thread::sleep(Duration::from_millis(10));
-        cq.push(completion_at(2));
-        assert!(handle.join().unwrap().is_some());
-    }
-
-    #[test]
-    fn disconnect_wakes_blocked_waiters_with_none() {
-        let (cq, _clock) = make_cq(DeviceFunction::Physical);
-        let cq2 = cq.clone();
-        let handle = thread::spawn(move || cq2.blocking_wait());
-        thread::sleep(Duration::from_millis(10));
-        cq.disconnect();
-        assert!(handle.join().unwrap().is_none());
-        // Busy wait also observes the disconnect.
-        assert!(cq.busy_wait().is_none());
-    }
-
-    #[test]
-    fn blocking_wait_timeout_returns_none_when_idle() {
-        let (cq, _clock) = make_cq(DeviceFunction::Physical);
-        assert!(cq
-            .blocking_wait_timeout(Duration::from_millis(10))
-            .is_none());
-        cq.push(completion_at(1));
-        assert!(cq
-            .blocking_wait_timeout(Duration::from_millis(10))
-            .is_some());
     }
 
     #[test]
@@ -530,8 +401,8 @@ mod tests {
         );
         cq1.push(completion_at(10));
         cq2.push(completion_at(10));
-        cq1.blocking_wait().unwrap();
-        cq2.blocking_wait().unwrap();
+        blocking_pickup(&cq1);
+        blocking_pickup(&cq2);
         let t1 = c1.now().as_nanos();
         let t2 = c2.now().as_nanos();
         assert_ne!(t1, t2, "notifications must serialise");

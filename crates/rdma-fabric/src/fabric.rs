@@ -125,8 +125,6 @@ impl FabricNode {
     }
 }
 
-static NEXT_LISTENER_TOKEN: AtomicU64 = AtomicU64::new(1);
-
 /// An RDMA network connecting a set of nodes through a non-blocking switch.
 pub struct Fabric {
     profile: NicProfile,
@@ -287,8 +285,13 @@ impl Fabric {
         self.transfer(src, dst, 0, ready).arrive
     }
 
-    pub(crate) fn register_listener(&self, address: &str, handle: crate::cm::ListenerHandle) {
-        self.listeners.lock().insert(address.to_string(), handle);
+    /// Bind `address` to `handle`, returning the handle it replaces.
+    pub(crate) fn register_listener(
+        &self,
+        address: &str,
+        handle: crate::cm::ListenerHandle,
+    ) -> Option<crate::cm::ListenerHandle> {
+        self.listeners.lock().insert(address.to_string(), handle)
     }
 
     pub(crate) fn unregister_listener(&self, address: &str) {
@@ -299,8 +302,13 @@ impl Fabric {
         self.listeners.lock().get(address).cloned()
     }
 
-    pub(crate) fn register_datagram(&self, address: &str, handle: crate::cm::DatagramHandle) {
-        self.datagrams.lock().insert(address.to_string(), handle);
+    /// Bind `address` to `handle`, returning the handle it replaces.
+    pub(crate) fn register_datagram(
+        &self,
+        address: &str,
+        handle: crate::cm::DatagramHandle,
+    ) -> Option<crate::cm::DatagramHandle> {
+        self.datagrams.lock().insert(address.to_string(), handle)
     }
 
     pub(crate) fn unregister_datagram(&self, address: &str) {
@@ -309,10 +317,6 @@ impl Fabric {
 
     pub(crate) fn datagram(&self, address: &str) -> Option<crate::cm::DatagramHandle> {
         self.datagrams.lock().get(address).cloned()
-    }
-
-    pub(crate) fn next_listener_token() -> u64 {
-        NEXT_LISTENER_TOKEN.fetch_add(1, Ordering::Relaxed)
     }
 }
 

@@ -4,7 +4,7 @@
 //! reproduces the *semantics* rFaaS depends on — protection domains,
 //! registered memory with remote keys, reliable-connected queue pairs,
 //! one-sided WRITE / WRITE_WITH_IMM / READ, remote atomics, completion queues
-//! with busy-polling and blocking waits, SR-IOV virtual functions — and a
+//! billing busy-polling and blocking pickups, SR-IOV virtual functions — and a
 //! virtual-time *performance model* calibrated to the paper's evaluation
 //! cluster (3.69 µs RTT, 11 686 MiB/s, 128-byte inline threshold).
 //!
@@ -55,7 +55,7 @@ pub use cm::{
     connect, connect_pooled, connect_pooled_with, connect_with_timeout, DatagramMessage,
     DatagramSocket, Listener,
 };
-pub use cq::{CompletionQueue, CqNotifier, CqSet, WaitMode};
+pub use cq::{CompletionQueue, CqNotifier, CqSet};
 pub use device::{DeviceFunction, NicProfile};
 pub use error::{FabricError, Result};
 pub use fabric::{Actor, Fabric, FabricNode, TransferTiming};

@@ -135,10 +135,10 @@ pub struct RingCompletion {
 ///
 /// One slab of registered memory holds `depth` slots of `slot_len` bytes;
 /// one receive work request per slot is posted with `wr_id == slot`. Pickup
-/// helpers mirror the completion-queue API (busy poll, blocking with
-/// timeout) and — in the default automatic mode — repost the consumed slot
-/// before handing the completion to the caller, so the ring never drains as
-/// long as at most `depth` messages are in flight.
+/// ([`ReceiveRing::poll_one`], [`ReceiveRing::adopt`]) — in the default
+/// automatic mode — reposts the consumed slot before handing the completion
+/// to the caller, so the ring never drains as long as at most `depth`
+/// messages are in flight.
 #[derive(Debug)]
 pub struct ReceiveRing {
     backing: RingBacking,
@@ -354,23 +354,6 @@ impl ReceiveRing {
         let wc = self.backing_qp()?.recv_cq().poll_one()?;
         Some(self.adopt(wc))
     }
-
-    /// Busy-poll until a completion arrives (hot path). `None` when the
-    /// queue pair disconnects while waiting, or on an SRQ-backed ring.
-    pub fn busy_wait(&self) -> Option<RingCompletion> {
-        let wc = self.backing_qp()?.recv_cq().busy_wait()?;
-        Some(self.adopt(wc))
-    }
-
-    /// Block until a completion arrives or the wall-clock timeout expires
-    /// (warm path; the virtual wake-up cost is charged by the CQ).
-    pub fn blocking_wait_timeout(&self, timeout: std::time::Duration) -> Option<RingCompletion> {
-        let wc = self
-            .backing_qp()?
-            .recv_cq()
-            .blocking_wait_timeout(timeout)?;
-        Some(self.adopt(wc))
-    }
 }
 
 #[cfg(test)]
@@ -448,7 +431,7 @@ mod tests {
         // Many more messages than the depth: every pickup re-posts its slot.
         for i in 0..10u32 {
             write_with_imm(&client, &server, i).unwrap();
-            let c = ring.busy_wait().unwrap();
+            let c = ring.poll_one().unwrap();
             assert_eq!(c.wc.imm, Some(i));
             assert!(c.slot.is_some());
             assert_eq!(ring.posted_slots(), 2);
@@ -492,9 +475,9 @@ mod tests {
         write_with_imm(&client, &server, 1).unwrap();
         write_with_imm(&client, &server, 2).unwrap();
         write_with_imm(&client, &server, 3).unwrap();
-        assert_eq!(ring.busy_wait().unwrap().slot, Some(0));
-        assert_eq!(ring.busy_wait().unwrap().slot, Some(1));
-        let foreign = ring.busy_wait().unwrap();
+        assert_eq!(ring.poll_one().unwrap().slot, Some(0));
+        assert_eq!(ring.poll_one().unwrap().slot, Some(1));
+        let foreign = ring.poll_one().unwrap();
         assert_eq!(foreign.slot, None);
         assert_eq!(foreign.wc.imm, Some(3));
         // The ring slots were auto-reposted; the foreign receive was not.
@@ -656,7 +639,7 @@ mod tests {
                 false,
             )
             .unwrap();
-        let c = ring.busy_wait().unwrap();
+        let c = ring.poll_one().unwrap();
         let slot = c.slot.unwrap();
         assert_eq!(&ring.slot_bytes(slot).unwrap()[..9], b"ring-slot");
         ring.repost(slot).unwrap();

@@ -12,7 +12,6 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use rdma_fabric::{
     connect_pooled_with, AccessFlags, ConnectionPool, Endpoint, MemoryRegion, OwnedRegion,
@@ -228,8 +227,11 @@ impl WorkerConnection {
             || cq.pending() > 0 || cq.is_disconnected(),
             config.connect_timeout,
         );
-        let wc = cq
-            .blocking_wait_timeout(Duration::ZERO)
+        let mut picked = Vec::with_capacity(1);
+        cq.poll_uncharged_into(1, &mut picked);
+        let wc = picked
+            .pop()
+            .map(|wc| cq.charge_blocking_pickup(wc))
             .ok_or_else(|| RFaasError::ExecutorLost(worker.address.clone()))?;
         if !wc.is_success() {
             return Err(RFaasError::ExecutorLost(worker.address.clone()));

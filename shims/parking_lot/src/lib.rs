@@ -7,14 +7,12 @@
 //! is preserved by unwrapping poisoned guards (a panic while holding a lock
 //! still propagates the payload to the next locker instead of deadlocking).
 //!
-//! Only the surface the rFaaS workspace uses is provided:
-//! [`Mutex`], [`RwLock`], [`Condvar`] (with [`Condvar::wait`] /
-//! [`Condvar::wait_until`] on a guard held by reference), and the guard types.
+//! Only the surface the rFaaS workspace uses is provided: [`Mutex`],
+//! [`RwLock`] and their guard types.
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::{self, PoisonError};
-use std::time::Instant;
 
 /// A mutual exclusion primitive (non-poisoning facade over `std::sync::Mutex`).
 #[derive(Default)]
@@ -23,11 +21,8 @@ pub struct Mutex<T: ?Sized> {
 }
 
 /// RAII guard returned by [`Mutex::lock`].
-///
-/// Holds an `Option` internally so [`Condvar::wait`] can temporarily take the
-/// underlying std guard by value (std's condvar API consumes the guard).
 pub struct MutexGuard<'a, T: ?Sized> {
-    inner: Option<sync::MutexGuard<'a, T>>,
+    inner: sync::MutexGuard<'a, T>,
 }
 
 impl<T> Mutex<T> {
@@ -50,15 +45,15 @@ impl<T: ?Sized> Mutex<T> {
     /// Acquire the lock, blocking until it is available.
     pub fn lock(&self) -> MutexGuard<'_, T> {
         let guard = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        MutexGuard { inner: Some(guard) }
+        MutexGuard { inner: guard }
     }
 
     /// Try to acquire the lock without blocking.
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
         match self.inner.try_lock() {
-            Ok(guard) => Some(MutexGuard { inner: Some(guard) }),
+            Ok(guard) => Some(MutexGuard { inner: guard }),
             Err(sync::TryLockError::Poisoned(p)) => Some(MutexGuard {
-                inner: Some(p.into_inner()),
+                inner: p.into_inner(),
             }),
             Err(sync::TryLockError::WouldBlock) => None,
         }
@@ -82,13 +77,13 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
 impl<T: ?Sized> Deref for MutexGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        self.inner.as_ref().expect("guard present outside wait")
+        &self.inner
     }
 }
 
 impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        self.inner.as_mut().expect("guard present outside wait")
+        &mut self.inner
     }
 }
 
@@ -192,86 +187,11 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLockWriteGuard<'_, T> {
     }
 }
 
-/// Result of [`Condvar::wait_until`]: reports whether the wait timed out.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WaitTimeoutResult {
-    timed_out: bool,
-}
-
-impl WaitTimeoutResult {
-    /// `true` if the wait ended because the timeout elapsed.
-    pub fn timed_out(&self) -> bool {
-        self.timed_out
-    }
-}
-
-/// A condition variable matching parking_lot's guard-by-reference API.
-#[derive(Default)]
-pub struct Condvar {
-    inner: sync::Condvar,
-}
-
-impl Condvar {
-    /// Create a new condition variable.
-    pub const fn new() -> Condvar {
-        Condvar {
-            inner: sync::Condvar::new(),
-        }
-    }
-
-    /// Block until notified. The guard is released while waiting and
-    /// re-acquired before returning (spurious wake-ups are possible).
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let std_guard = guard.inner.take().expect("guard present before wait");
-        let std_guard = self
-            .inner
-            .wait(std_guard)
-            .unwrap_or_else(PoisonError::into_inner);
-        guard.inner = Some(std_guard);
-    }
-
-    /// Block until notified or `deadline` passes.
-    pub fn wait_until<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        deadline: Instant,
-    ) -> WaitTimeoutResult {
-        let now = Instant::now();
-        let timeout = deadline.saturating_duration_since(now);
-        let std_guard = guard.inner.take().expect("guard present before wait");
-        let (std_guard, result) = self
-            .inner
-            .wait_timeout(std_guard, timeout)
-            .unwrap_or_else(PoisonError::into_inner);
-        guard.inner = Some(std_guard);
-        WaitTimeoutResult {
-            timed_out: result.timed_out(),
-        }
-    }
-
-    /// Wake one waiting thread.
-    pub fn notify_one(&self) {
-        self.inner.notify_one();
-    }
-
-    /// Wake all waiting threads.
-    pub fn notify_all(&self) {
-        self.inner.notify_all();
-    }
-}
-
-impl fmt::Debug for Condvar {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.pad("Condvar { .. }")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
     use std::thread;
-    use std::time::Duration;
 
     #[test]
     fn mutex_guards_exclusive_access() {
@@ -298,34 +218,6 @@ mod tests {
         let r1 = l.read();
         let r2 = l.read();
         assert_eq!(*r1 + *r2, 10);
-    }
-
-    #[test]
-    fn condvar_wait_wakes_on_notify() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let pair2 = Arc::clone(&pair);
-        let waiter = thread::spawn(move || {
-            let (lock, cv) = &*pair2;
-            let mut ready = lock.lock();
-            while !*ready {
-                cv.wait(&mut ready);
-            }
-            *ready
-        });
-        thread::sleep(Duration::from_millis(10));
-        let (lock, cv) = &*pair;
-        *lock.lock() = true;
-        cv.notify_all();
-        assert!(waiter.join().unwrap());
-    }
-
-    #[test]
-    fn condvar_wait_until_times_out() {
-        let lock = Mutex::new(());
-        let cv = Condvar::new();
-        let mut guard = lock.lock();
-        let result = cv.wait_until(&mut guard, Instant::now() + Duration::from_millis(5));
-        assert!(result.timed_out());
     }
 
     #[test]

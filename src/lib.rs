@@ -9,7 +9,6 @@
 pub use cluster_sim;
 pub use faas_baselines;
 pub use mpi_sim;
-pub use net_stack;
 pub use rdma_fabric;
 pub use rfaas;
 pub use sandbox;

@@ -52,9 +52,6 @@ fn umbrella_reexports_every_layer() {
     let profile = rfaas_repro::rdma_fabric::NicProfile::default();
     assert!(profile.one_way_latency.as_nanos() > 0);
 
-    // net-stack: base64 codec used by the REST baselines.
-    assert_eq!(rfaas_repro::net_stack::base64_encode(b"foo"), "Zm9v");
-
     // cluster-sim: the paper's evaluation node shape.
     let node = rfaas_repro::cluster_sim::NodeResources::xeon_gold_6154_dual();
     assert_eq!(node.cores, 36);
@@ -67,13 +64,93 @@ fn umbrella_reexports_every_layer() {
     assert_eq!(payload.len(), 128);
     assert_eq!(payload, rfaas_repro::workloads::generate_payload(128, 7));
 
-    // faas-baselines: REST-based platforms exist for comparison.
+    // faas-baselines: REST-based platforms and the kernel TCP round trip
+    // exist for comparison.
     let lambda = rfaas_repro::faas_baselines::aws_lambda();
     assert!(lambda.accepts_payload(1024));
+    let tcp = rfaas_repro::faas_baselines::TcpProfile::kernel_100g();
+    assert!(tcp.request_response(64, 64) > profile.one_way_latency);
 
     // mpi-sim: cost model of the message-passing layer.
     let mpi = rfaas_repro::mpi_sim::MpiCostModel::cluster_100g();
     assert!(mpi.latency.as_nanos() > 0);
+}
+
+/// Every host-side wait in `crates/` goes through `Fabric::run_until`: outside
+/// test modules, its `yield_now` and its wall-clock allowance are the only
+/// ones, and nothing in `crates/` or `shims/` parks a thread on a condition
+/// variable. Reads the sources as text, each up to its `#[cfg(test)]` line.
+#[test]
+fn fabric_run_until_is_the_only_host_wait() {
+    use std::fs;
+    use std::path::{Path, PathBuf};
+
+    fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
+        for entry in fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                rust_sources(&path, out);
+            } else if path.extension().is_some_and(|ext| ext == "rs") {
+                out.push(path);
+            }
+        }
+    }
+
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut sources = Vec::new();
+    rust_sources(&root.join("crates"), &mut sources);
+    let mut shim_sources = Vec::new();
+    rust_sources(&root.join("shims"), &mut shim_sources);
+
+    // (file, 0-based line) of every product-code yield and wall-clock allow.
+    let mut yields = Vec::new();
+    let mut wall_clock = Vec::new();
+    for path in &sources {
+        let text = fs::read_to_string(path).unwrap();
+        let product = text
+            .lines()
+            .take_while(|line| line.trim() != "#[cfg(test)]");
+        for (n, line) in product.enumerate() {
+            if line.contains("yield_now") {
+                yields.push((path.clone(), n));
+            }
+            if line
+                .trim_start()
+                .starts_with("// simlint::allow(wall_clock")
+            {
+                wall_clock.push((path.clone(), n));
+            }
+        }
+    }
+
+    let fabric = root.join("crates/rdma-fabric/src/fabric.rs");
+    let fabric_text = fs::read_to_string(&fabric).unwrap();
+    let lines: Vec<&str> = fabric_text.lines().collect();
+    let start = lines
+        .iter()
+        .position(|line| line.contains("pub fn run_until("))
+        .expect("Fabric::run_until exists");
+    let end = start
+        + lines[start..]
+            .iter()
+            .position(|line| *line == "    }")
+            .expect("Fabric::run_until ends");
+    for (what, found) in [("yield_now", &yields), ("allow(wall_clock", &wall_clock)] {
+        assert_eq!(found.len(), 1, "`{what}` outside tests: {found:?}");
+        let (path, line) = &found[0];
+        assert!(
+            *path == fabric && (start..end).contains(line),
+            "`{what}` is not in Fabric::run_until: {path:?}:{}",
+            line + 1
+        );
+    }
+
+    for path in sources.iter().chain(&shim_sources) {
+        assert!(
+            !fs::read_to_string(path).unwrap().contains("Condvar"),
+            "{path:?} names a Condvar"
+        );
+    }
 }
 
 /// Every directory under `shims/` is a workspace member that at least one
