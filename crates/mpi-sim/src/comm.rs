@@ -1,9 +1,9 @@
 //! Point-to-point communication and the world/rank runtime.
 
+use std::cell::RefCell;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use sim_core::{SimDuration, SimTime, VirtualClock};
 
 /// Communication cost constants of the message-passing layer.
@@ -71,8 +71,9 @@ pub struct Rank {
     cost: MpiCostModel,
     senders: Vec<Sender<Message>>,
     receiver: Receiver<Message>,
-    // Messages received but not yet requested (out-of-order matching).
-    stash: Mutex<Vec<Message>>,
+    // Messages received but not yet requested (out-of-order matching). Only
+    // the rank's own thread touches it: `Rank` is `!Sync` (its receiver).
+    stash: RefCell<Vec<Message>>,
 }
 
 impl Rank {
@@ -126,7 +127,7 @@ impl Rank {
         assert!(source < self.size, "source rank {source} out of range");
         // First look in the stash for an already-delivered match.
         {
-            let mut stash = self.stash.lock();
+            let mut stash = self.stash.borrow_mut();
             if let Some(pos) = stash
                 .iter()
                 .position(|m| m.source == source && m.tag == tag)
@@ -144,7 +145,7 @@ impl Rank {
                     .advance_to_then(message.arrival, self.cost.per_message_overhead);
                 return message.data;
             }
-            self.stash.lock().push(message);
+            self.stash.borrow_mut().push(message);
         }
     }
 
@@ -205,7 +206,7 @@ impl MpiWorld {
                         cost: cost.clone(),
                         senders: senders.to_vec(),
                         receiver,
-                        stash: Mutex::new(Vec::new()),
+                        stash: RefCell::new(Vec::new()),
                     };
                     let value = body(&rank);
                     RankResult {
@@ -341,7 +342,7 @@ mod tests {
             cost: MpiCostModel::default(),
             senders: vec![tx.clone(), tx],
             receiver,
-            stash: Mutex::new(Vec::new()),
+            stash: RefCell::new(Vec::new()),
         };
         rank.recv(2, 0);
     }

@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::Mutex;
+use sim_core::sync::Mutex;
 use sim_core::SimTime;
 
 use crate::cq::CqNotifier;

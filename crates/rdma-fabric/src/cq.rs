@@ -16,7 +16,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use sim_core::sync::Mutex;
 use sim_core::{SimDuration, SimTime, VirtualClock};
 
 use crate::device::{DeviceFunction, NicProfile};

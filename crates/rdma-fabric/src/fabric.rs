@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
+use sim_core::sync::Mutex;
 use sim_core::{SimDuration, SimTime};
 
 use crate::device::NicProfile;

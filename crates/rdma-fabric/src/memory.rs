@@ -23,7 +23,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::RwLock;
+use sim_core::sync::RwLock;
 
 use crate::error::{FabricError, Result};
 

@@ -9,7 +9,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::RwLock;
+use sim_core::sync::RwLock;
 
 use crate::error::{FabricError, Result};
 use crate::memory::{AccessFlags, MemoryRegion};

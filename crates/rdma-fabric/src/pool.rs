@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use sim_core::sync::Mutex;
 use sim_core::{SimDuration, SimTime};
 
 /// Counters exposed by [`ConnectionPool::stats`].

@@ -10,7 +10,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use sim_core::sync::{Mutex, RwLock};
 use sim_core::{SimTime, VirtualClock};
 
 use crate::cq::CompletionQueue;

@@ -22,7 +22,7 @@
 
 use std::collections::VecDeque;
 
-use parking_lot::Mutex;
+use sim_core::sync::Mutex;
 
 use crate::error::{FabricError, Result};
 use crate::memory::AccessFlags;

@@ -21,7 +21,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use sim_core::sync::Mutex;
 use sim_core::{SimDuration, VirtualClock};
 
 use crate::error::{FabricError, Result};

@@ -9,6 +9,8 @@
 //! every lease owns a 3-word slot in the manager's registered billing region,
 //! and executors flush usage with remote atomics.
 
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+
 use rdma_fabric::{
     AccessFlags, Endpoint, MemoryRegion, QueuePair, RemoteMemoryHandle, SendRequest, Sge,
 };
@@ -21,7 +23,7 @@ use crate::error::Result;
 /// Number of 8-byte words per billing slot: allocation, compute, hot-poll.
 const WORDS_PER_SLOT: usize = 3;
 /// Maximum number of leases the billing database can account simultaneously.
-pub const BILLING_SLOTS: usize = 4096;
+const SLOT_CAPACITY: usize = 4096;
 
 /// Usage accumulated by one executor on behalf of one lease, in microseconds
 /// of virtual time (allocation time is additionally weighted by GiB).
@@ -63,7 +65,7 @@ impl UsageRecord {
 #[derive(Debug)]
 pub struct BillingDatabase {
     region: MemoryRegion,
-    next_slot: OrderedMutex<usize>,
+    next_slot: AtomicUsize,
 }
 
 impl BillingDatabase {
@@ -71,20 +73,17 @@ impl BillingDatabase {
     pub fn new(manager_endpoint: &Endpoint) -> BillingDatabase {
         let region = manager_endpoint
             .pd
-            .register(BILLING_SLOTS * WORDS_PER_SLOT * 8, AccessFlags::REMOTE_ALL);
+            .register(SLOT_CAPACITY * WORDS_PER_SLOT * 8, AccessFlags::REMOTE_ALL);
         BillingDatabase {
             region,
-            next_slot: OrderedMutex::new(ranks::BILLING_SLOTS, 0),
+            next_slot: AtomicUsize::new(0),
         }
     }
 
     /// Reserve a slot for a new lease. Slots are recycled only when the
     /// database wraps, which is fine for the simulated horizons.
     pub fn reserve_slot(&self) -> usize {
-        let mut next = self.next_slot.lock();
-        let slot = *next % BILLING_SLOTS;
-        *next += 1;
-        slot
+        self.next_slot.fetch_add(1, Ordering::Relaxed) % SLOT_CAPACITY
     }
 
     /// Remote handle an executor needs to update `slot` with atomics.
@@ -106,7 +105,7 @@ impl BillingDatabase {
 
     /// Total cost accumulated across all slots.
     pub fn total_cost(&self, config: &RFaasConfig) -> f64 {
-        (0..BILLING_SLOTS)
+        (0..SLOT_CAPACITY)
             .map(|slot| self.read_slot(slot).cost(config))
             .sum()
     }
@@ -120,7 +119,7 @@ pub struct BillingClient {
     slot: RemoteMemoryHandle,
     scratch: MemoryRegion,
     pending: OrderedMutex<UsageRecord>,
-    flushes: OrderedMutex<u64>,
+    flushes: AtomicU64,
 }
 
 impl BillingClient {
@@ -132,8 +131,8 @@ impl BillingClient {
             qp,
             slot,
             scratch,
-            pending: OrderedMutex::new(ranks::BILLING_PENDING, UsageRecord::default()),
-            flushes: OrderedMutex::new(ranks::BILLING_FLUSHES, 0),
+            pending: OrderedMutex::new(ranks::BILLING, UsageRecord::default()),
+            flushes: AtomicU64::new(0),
         }
     }
 
@@ -205,13 +204,13 @@ impl BillingClient {
         let posted = self.qp.post_send_batch(batch)?;
         // Consume the completions so the send queue does not fill up.
         self.qp.send_cq().poll(posted + 1);
-        *self.flushes.lock() += 1;
+        self.flushes.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
     /// Number of flushes performed (used by tests and accounting reports).
     pub fn flush_count(&self) -> u64 {
-        *self.flushes.lock()
+        self.flushes.load(Ordering::Relaxed)
     }
 }
 
@@ -281,7 +280,7 @@ mod tests {
         let a = db.reserve_slot();
         let b = db.reserve_slot();
         assert_ne!(a, b);
-        assert!(a < BILLING_SLOTS && b < BILLING_SLOTS);
+        assert!(a < SLOT_CAPACITY && b < SLOT_CAPACITY);
         let h = db.slot_handle(b);
         assert_eq!(h.len, 24);
         assert_eq!(h.offset, b * 24);

@@ -76,19 +76,18 @@ pub enum AllocationPolicy {
 #[derive(Debug)]
 pub struct ForkFaultState {
     plan: PrefetchPlan,
-    tracker: OrderedMutex<FaultTracker>,
-    served: OrderedMutex<Vec<FaultBatch>>,
+    /// The page tracker and the batches served so far, in service order.
+    faults: OrderedMutex<(FaultTracker, Vec<FaultBatch>)>,
 }
 
 impl ForkFaultState {
     fn new(snapshot: &SandboxSnapshot, profile: &NicProfile, window: usize) -> ForkFaultState {
         let plan = PrefetchPlan::new(profile, snapshot.total_pages(), window, SNAPSHOT_PAGE_BYTES);
         ForkFaultState {
-            tracker: OrderedMutex::new(
+            faults: OrderedMutex::new(
                 ranks::EXECUTOR_FORK_TRACKER,
-                FaultTracker::for_snapshot(snapshot),
+                (FaultTracker::for_snapshot(snapshot), Vec::new()),
             ),
-            served: OrderedMutex::new(ranks::EXECUTOR_FORK_SERVED, Vec::new()),
             plan,
         }
     }
@@ -96,13 +95,15 @@ impl ForkFaultState {
     /// Serve the next prefetch window, if any pages are still cold: returns
     /// the batch (pages + link cost) the invocation must absorb.
     fn serve_next(&self) -> Option<FaultBatch> {
-        let (start_page, pages) = self.tracker.lock().fault_next_window(self.plan.window())?;
+        let mut faults = self.faults.lock();
+        let (tracker, served) = &mut *faults;
+        let (start_page, pages) = tracker.fault_next_window(self.plan.window())?;
         let batch = FaultBatch {
             start_page,
             pages,
             cost: self.plan.batch_cost(pages),
         };
-        self.served.lock().push(batch);
+        served.push(batch);
         Some(batch)
     }
 
@@ -113,24 +114,24 @@ impl ForkFaultState {
 
     /// Pages faulted in so far.
     pub fn pages_faulted(&self) -> usize {
-        self.tracker.lock().faulted_count()
+        self.faults.lock().0.faulted_count()
     }
 
     /// Whether the child is fully resident (steady state: no more fault
     /// latency on invocations).
     pub fn is_complete(&self) -> bool {
-        self.tracker.lock().is_complete()
+        self.faults.lock().0.is_complete()
     }
 
     /// The fault batches served so far, in service order — the child's
     /// fault schedule.
     pub fn fault_schedule(&self) -> Vec<FaultBatch> {
-        self.served.lock().clone()
+        self.faults.lock().1.clone()
     }
 
     /// Total link time spent serving faults so far.
     pub fn fault_time(&self) -> SimDuration {
-        self.served.lock().iter().map(|b| b.cost).sum()
+        self.faults.lock().1.iter().map(|b| b.cost).sum()
     }
 }
 
@@ -184,7 +185,7 @@ impl ExecutorStateBinding {
 
     /// Run the stateful `function` over the keys it declared. The window
     /// borrows every value from the cache region (the caller holds the
-    /// binding lock, which serialises the cache for the whole invocation); a
+    /// dispatcher lock, which serialises the cache for the whole invocation); a
     /// key deleted since bind time reads empty, exactly as a first writer
     /// would see it. Dirty read-write keys are pushed back to the plane in
     /// declaration order once the function succeeded and the borrowed view
@@ -533,10 +534,9 @@ struct Dispatcher {
     /// Fault state of a forked process: early invocations drain one prefetch
     /// window each until the child is resident. `None` for cold/warm spawns.
     fork: Option<Arc<ForkFaultState>>,
-    /// State-plane attachment of the process. Populated after spawn (the
-    /// client attaches its plane once the allocation is installed), hence
-    /// the shared slot rather than a construction-time field.
-    state_binding: Arc<OrderedMutex<Option<ExecutorStateBinding>>>,
+    /// State-plane attachment of the process. Populated after spawn: the
+    /// client attaches its plane once the allocation is installed.
+    state_binding: Option<ExecutorStateBinding>,
 }
 
 /// Release a worker's resources and mark it finished: the connection's
@@ -615,11 +615,10 @@ fn invoke_stateful(
     function: &SharedFunction,
     input: &[u8],
     output: &mut [u8],
-    state_binding: &OrderedMutex<Option<ExecutorStateBinding>>,
+    state_binding: &mut Option<ExecutorStateBinding>,
     shared: &WorkerShared,
 ) -> FunctionOutcome {
-    let mut guard = state_binding.lock();
-    let Some(binding) = guard.as_mut() else {
+    let Some(binding) = state_binding.as_mut() else {
         return Err(FunctionError::StateAccess(
             "no state plane is attached to this executor process".into(),
         ));
@@ -655,7 +654,7 @@ fn serve_completion(
     config: &RFaasConfig,
     billing: &Option<Arc<BillingClient>>,
     fork: &Option<Arc<ForkFaultState>>,
-    state_binding: &Arc<OrderedMutex<Option<ExecutorStateBinding>>>,
+    state_binding: &mut Option<ExecutorStateBinding>,
 ) {
     let shared = Arc::clone(&slot.shared);
     let core = Arc::clone(&slot.core);
@@ -1031,7 +1030,7 @@ impl Dispatcher {
                 &self.config,
                 &self.billing,
                 &self.fork,
-                &self.state_binding,
+                &mut self.state_binding,
             );
             served = true;
         }
@@ -1102,7 +1101,7 @@ pub struct AllocationResult {
 pub struct ExecutorProcess {
     id: u64,
     lease_id: u64,
-    sandbox: OrderedMutex<Sandbox>,
+    sandbox: Sandbox,
     workers: Vec<WorkerHandle>,
     /// The event loop multiplexing every worker's receive CQ, registered on
     /// `fabric` as actor `actor` until the process stops serving.
@@ -1119,14 +1118,10 @@ pub struct ExecutorProcess {
     memory_mib: u64,
     deadline: Arc<LeaseDeadline>,
     created_at: SimTime,
-    last_used: OrderedMutex<SimTime>,
     /// How the sandbox was provisioned, and — for forked processes — the
     /// shared fault state over the parent snapshot's page map.
     policy: AllocationPolicy,
     fork: Option<Arc<ForkFaultState>>,
-    /// Shared slot the dispatcher reads stateful invocations' binding from;
-    /// the allocator fills it when the client attaches a state plane.
-    state_binding: Arc<OrderedMutex<Option<ExecutorStateBinding>>>,
 }
 
 impl ExecutorProcess {
@@ -1188,7 +1183,12 @@ impl ExecutorProcess {
     /// Client-side counters of the process's state-plane attachment
     /// (`None` when no plane is attached).
     pub fn state_stats(&self) -> Option<StateClientStats> {
-        self.state_binding.lock().as_ref().map(|b| b.stats())
+        self.dispatcher
+            .0
+            .lock()
+            .state_binding
+            .as_ref()
+            .map(|b| b.stats())
     }
 
     /// Statistics of the process-wide shared receive queue: depth, posted
@@ -1219,7 +1219,7 @@ impl ExecutorProcess {
 
     fn shutdown(&mut self) -> SimDuration {
         self.stop_serving();
-        self.sandbox.lock().terminate().unwrap_or(SimDuration::ZERO)
+        self.sandbox.terminate().unwrap_or(SimDuration::ZERO)
     }
 }
 
@@ -1557,8 +1557,6 @@ impl LightweightAllocator {
         // One dispatcher per process serves every worker slot. It is an
         // actor on the fabric, not a thread: from here on, whoever waits on
         // one of its workers turns it.
-        let state_slot: Arc<OrderedMutex<Option<ExecutorStateBinding>>> =
-            Arc::new(OrderedMutex::new(ranks::EXECUTOR_STATE_BINDING, None));
         let dispatcher = Arc::new(DispatcherActor(OrderedMutex::new(
             ranks::EXECUTOR_DISPATCHER,
             Dispatcher {
@@ -1574,7 +1572,7 @@ impl LightweightAllocator {
                 srq: srq.clone(),
                 ring,
                 fork: fork_state.clone(),
-                state_binding: Arc::clone(&state_slot),
+                state_binding: None,
             },
         )));
         let actor = self.fabric.register_actor(dispatcher.clone());
@@ -1583,7 +1581,7 @@ impl LightweightAllocator {
         let process = ExecutorProcess {
             id: process_id,
             lease_id: lease.id,
-            sandbox: OrderedMutex::new(ranks::EXECUTOR_SANDBOX, sandbox),
+            sandbox,
             workers: handles,
             dispatcher,
             fabric: Arc::clone(&self.fabric),
@@ -1593,10 +1591,8 @@ impl LightweightAllocator {
             memory_mib: lease.memory_mib,
             deadline,
             created_at: start_time,
-            last_used: OrderedMutex::new(ranks::EXECUTOR_LAST_USED, start_time),
             policy,
             fork: fork_state,
-            state_binding: state_slot,
         };
         self.state.lock().processes.insert(
             process_id,
@@ -1660,8 +1656,7 @@ impl LightweightAllocator {
         let process = self
             .process(process_id)
             .ok_or(RFaasError::UnknownLease(process_id))?;
-        let slot = Arc::clone(&process.lock().state_binding);
-        *slot.lock() = Some(ExecutorStateBinding::new(client));
+        process.lock().dispatcher.0.lock().state_binding = Some(ExecutorStateBinding::new(client));
         Ok(())
     }
 
@@ -1671,9 +1666,9 @@ impl LightweightAllocator {
         let process = self
             .process(process_id)
             .ok_or(RFaasError::UnknownLease(process_id))?;
-        let slot = Arc::clone(&process.lock().state_binding);
-        let mut guard = slot.lock();
-        let binding = guard.as_mut().ok_or_else(|| {
+        let process = process.lock();
+        let mut dispatcher = process.dispatcher.0.lock();
+        let binding = dispatcher.state_binding.as_mut().ok_or_else(|| {
             RFaasError::StatePlane(StateError::Protocol(
                 "no state plane is attached to this executor process".into(),
             ))
@@ -1725,10 +1720,10 @@ impl LightweightAllocator {
         // disabled or key at capacity → normal teardown, billed once).
         let parked = self
             .warm_pool
-            .park(process.sandbox.lock().clone(), self.clock.now())
+            .park(process.sandbox.clone(), self.clock.now())
             .is_some();
         if !parked {
-            if let Some(teardown) = process.sandbox.lock().terminate() {
+            if let Some(teardown) = process.sandbox.terminate() {
                 self.clock.advance(teardown);
             }
         }
@@ -1820,7 +1815,7 @@ impl LightweightAllocator {
                 .iter()
                 .filter(|(_, p)| {
                     let p = p.lock();
-                    let last = (*p.last_used.lock()).max(p.latest_worker_time());
+                    let last = p.created_at.max(p.latest_worker_time());
                     now.saturating_since(last) > self.config.executor_idle_timeout
                 })
                 .map(|(id, _)| *id)

@@ -69,7 +69,7 @@ pub mod reactor;
 pub mod session;
 pub mod sharding;
 
-pub use billing::{BillingClient, BillingDatabase, UsageRecord, BILLING_SLOTS};
+pub use billing::{BillingClient, BillingDatabase, UsageRecord};
 pub use client::{BatchStats, ColdStartBreakdown, ConnectionPlaneStats};
 pub use codec::{check_capacity, Codec, F64View};
 pub use config::{PollingMode, RFaasConfig};

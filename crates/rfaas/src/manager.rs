@@ -36,6 +36,27 @@ struct RegisteredExecutor {
     billing_slot: usize,
 }
 
+/// Everything the manager mutates, under its one lock.
+struct ManagerState {
+    // First-contact control plane: allocation requests arrive as datagrams
+    // (no RC handshake) and the verdict goes back to the client's reply
+    // address. Polling holds the lock across placement.
+    control: DatagramSocket,
+    // Both registries are ordered maps: placement, failure detection and
+    // expiry sweeps iterate them, and HashMap key order would leak
+    // run-to-run nondeterminism into all three.
+    executors: BTreeMap<String, RegisteredExecutor>,
+    leases: BTreeMap<u64, Lease>,
+    // Leases killed because their executor died (as opposed to expiring or
+    // being released): clients seeing ExecutorLost consult this to learn the
+    // lease will never come back. Ordered so the oldest ids can be pruned —
+    // capped at TERMINATED_LEASE_HISTORY to stay bounded under churn.
+    terminated_leases: BTreeSet<u64>,
+    // Manager-side halves of the billing connections; kept alive so executors
+    // can keep issuing one-sided atomics without any manager CPU involvement.
+    billing_qps: Vec<QueuePair>,
+}
+
 /// The rFaaS resource manager (one instance of the replicated service).
 pub struct ResourceManager {
     config: RFaasConfig,
@@ -43,25 +64,9 @@ pub struct ResourceManager {
     node: Arc<FabricNode>,
     endpoint: Endpoint,
     clock: Arc<VirtualClock>,
-    // First-contact control plane: allocation requests arrive as datagrams
-    // (no RC handshake) and the verdict goes back to the client's reply
-    // address. The mutex serialises concurrent pollers, not the socket.
-    control: OrderedMutex<DatagramSocket>,
+    state: OrderedMutex<ManagerState>,
     control_address: String,
-    // Both registries are ordered maps: placement, failure detection and
-    // expiry sweeps iterate them, and HashMap key order would leak
-    // run-to-run nondeterminism into all three.
-    executors: OrderedMutex<BTreeMap<String, RegisteredExecutor>>,
-    leases: OrderedMutex<BTreeMap<u64, Lease>>,
-    // Leases killed because their executor died (as opposed to expiring or
-    // being released): clients seeing ExecutorLost consult this to learn the
-    // lease will never come back. Ordered so the oldest ids can be pruned —
-    // capped at TERMINATED_LEASE_HISTORY to stay bounded under churn.
-    terminated_leases: OrderedMutex<BTreeSet<u64>>,
     billing: BillingDatabase,
-    // Manager-side halves of the billing connections; kept alive so executors
-    // can keep issuing one-sided atomics without any manager CPU involvement.
-    billing_qps: OrderedMutex<Vec<QueuePair>>,
     next_lease_id: AtomicU64,
     // Lease ids advance by this much per grant. A standalone manager strides
     // by 1; shard `i` of an S-shard ManagerGroup starts at `i + 1` and
@@ -119,13 +124,18 @@ impl ResourceManager {
             node,
             clock: Arc::clone(&endpoint.clock),
             endpoint,
-            control: OrderedMutex::new(ranks::MANAGER_CONTROL, control),
+            state: OrderedMutex::new(
+                ranks::MANAGER,
+                ManagerState {
+                    control,
+                    executors: BTreeMap::new(),
+                    leases: BTreeMap::new(),
+                    terminated_leases: BTreeSet::new(),
+                    billing_qps: Vec::new(),
+                },
+            ),
             control_address,
-            executors: OrderedMutex::new(ranks::MANAGER_EXECUTORS, BTreeMap::new()),
-            leases: OrderedMutex::new(ranks::MANAGER_LEASES, BTreeMap::new()),
-            terminated_leases: OrderedMutex::new(ranks::MANAGER_TERMINATED, BTreeSet::new()),
             billing,
-            billing_qps: OrderedMutex::new(ranks::MANAGER_BILLING_QPS, Vec::new()),
             next_lease_id: AtomicU64::new(first_lease_id.max(1)),
             lease_id_stride: stride.max(1),
             round_robin: AtomicUsize::new(0),
@@ -158,16 +168,20 @@ impl ResourceManager {
         let executor_endpoint = Endpoint::new(&self.fabric, executor.node())
             .with_clock(Arc::clone(executor.allocator().clock()));
         let executor_qp = QueuePair::new(&executor_endpoint);
-        if QueuePair::connect_pair(&manager_qp, &executor_qp).is_ok() {
-            executor
-                .allocator()
-                .attach_billing(Arc::new(BillingClient::new(
-                    executor_qp,
-                    self.billing.slot_handle(slot),
-                )));
-            self.billing_qps.lock().push(manager_qp);
-        }
-        self.executors.lock().insert(
+        let billing_qp = QueuePair::connect_pair(&manager_qp, &executor_qp)
+            .is_ok()
+            .then(|| {
+                executor
+                    .allocator()
+                    .attach_billing(Arc::new(BillingClient::new(
+                        executor_qp,
+                        self.billing.slot_handle(slot),
+                    )));
+                manager_qp
+            });
+        let mut state = self.state.lock();
+        state.billing_qps.extend(billing_qp);
+        state.executors.insert(
             executor.name().to_string(),
             RegisteredExecutor {
                 available: executor.resources(),
@@ -187,31 +201,33 @@ impl ResourceManager {
     ///
     /// [`LifecycleDriver`]: crate::lifecycle::LifecycleDriver
     pub fn deregister_executor(&self, name: &str) -> bool {
-        self.executors.lock().remove(name).is_some()
+        self.state.lock().executors.remove(name).is_some()
     }
 
     /// Number of registered executors.
     pub fn executor_count(&self) -> usize {
-        self.executors.lock().len()
+        self.state.lock().executors.len()
     }
 
     /// Number of active leases.
     pub fn lease_count(&self) -> usize {
-        self.leases.lock().len()
+        self.state.lock().leases.len()
     }
 
     /// Look up a registered executor by node name.
     pub fn executor(&self, name: &str) -> Option<Arc<SpotExecutor>> {
-        self.executors
+        self.state
             .lock()
+            .executors
             .get(name)
             .map(|r| Arc::clone(&r.executor))
     }
 
     /// All currently registered executors, in deterministic (name) order.
     pub fn registered_executors(&self) -> Vec<Arc<SpotExecutor>> {
-        self.executors
+        self.state
             .lock()
+            .executors
             .values()
             .map(|r| Arc::clone(&r.executor))
             .collect()
@@ -219,7 +235,7 @@ impl ResourceManager {
 
     /// Look up an active lease.
     pub fn lease(&self, id: u64) -> Option<Lease> {
-        self.leases.lock().get(&id).cloned()
+        self.state.lock().leases.get(&id).cloned()
     }
 
     /// Grant a lease for `request`, charging the manager-side processing cost
@@ -240,7 +256,7 @@ impl ResourceManager {
         self.clock.advance_to(client_clock.now());
         self.clock.advance(self.config.allocation_processing_cost);
         client_clock.advance(self.config.allocation_processing_cost);
-        self.place_request(request)
+        self.place_request(&mut self.state.lock(), request)
     }
 
     /// The datagram address allocation requests should be sent to.
@@ -253,22 +269,22 @@ impl ResourceManager {
     /// many frames were handled. Malformed or unexpected frames are dropped —
     /// an unreliable transport cannot promise the sender a diagnosis anyway.
     pub fn poll_control(&self) -> usize {
-        let control = self.control.lock();
+        let mut state = self.state.lock();
         let mut handled = 0;
-        while let Some(msg) = control.try_recv() {
+        while let Some(msg) = state.control.try_recv() {
             handled += 1;
             let (reply_to, request) = match ControlFrame::decode(&msg.payload) {
                 Ok(ControlFrame::Allocate { reply_to, request }) => (reply_to, request),
                 _ => continue,
             };
             self.clock.advance(self.config.allocation_processing_cost);
-            let frame = match self.place_request(&request) {
+            let frame = match self.place_request(&mut state, &request) {
                 Ok((lease, _)) => ControlFrame::Granted { lease },
                 Err(err) => ControlFrame::Denied {
                     reason: err.to_string(),
                 },
             };
-            let _ = control.send_to(&reply_to, &frame.encode());
+            let _ = state.control.send_to(&reply_to, &frame.encode());
         }
         handled
     }
@@ -276,8 +292,12 @@ impl ResourceManager {
     /// Placement core shared by the RC path ([`Self::request_lease`]) and the
     /// datagram control plane: round-robin over executors with room, reserve
     /// the resources, mint the lease at the manager's current clock.
-    fn place_request(&self, request: &LeaseRequest) -> Result<(Lease, Arc<SpotExecutor>)> {
-        let mut executors = self.executors.lock();
+    fn place_request(
+        &self,
+        state: &mut ManagerState,
+        request: &LeaseRequest,
+    ) -> Result<(Lease, Arc<SpotExecutor>)> {
+        let executors = &mut state.executors;
         if executors.is_empty() {
             return Err(RFaasError::InsufficientResources {
                 requested_cores: request.cores,
@@ -332,8 +352,7 @@ impl ResourceManager {
             billing_slot: entry.billing_slot,
         };
         let executor = Arc::clone(&entry.executor);
-        drop(executors);
-        self.leases.lock().insert(lease.id, lease.clone());
+        state.leases.insert(lease.id, lease.clone());
         Ok((lease, executor))
     }
 
@@ -351,11 +370,13 @@ impl ResourceManager {
         self.clock.advance(self.config.lease_renewal_cost);
         client_clock.advance(self.config.lease_renewal_cost);
 
-        let mut leases = self.leases.lock();
-        let lease = leases
+        let mut state = self.state.lock();
+        let state = &mut *state;
+        let lease = state
+            .leases
             .get_mut(&lease_id)
             .ok_or(RFaasError::UnknownLease(lease_id))?;
-        if !self.executors.lock().contains_key(&lease.executor_node) {
+        if !state.executors.contains_key(&lease.executor_node) {
             return Err(RFaasError::ExecutorLost(lease.executor_node.clone()));
         }
         lease.expires_at = lease.expires_at.max(self.clock.now() + extension);
@@ -365,13 +386,12 @@ impl ResourceManager {
     /// Release a lease before it expires; the executor notifies the manager
     /// so the resources re-enter future allocations (Sec. III-B).
     pub fn release_lease(&self, lease_id: u64) -> Result<()> {
-        let lease = self
+        let mut state = self.state.lock();
+        let lease = state
             .leases
-            .lock()
             .remove(&lease_id)
             .ok_or(RFaasError::UnknownLease(lease_id))?;
-        let mut executors = self.executors.lock();
-        if let Some(entry) = executors.get_mut(&lease.executor_node) {
+        if let Some(entry) = state.executors.get_mut(&lease.executor_node) {
             entry.available = entry.available.add(&NodeResources {
                 cores: lease.cores,
                 memory_mib: lease.memory_mib,
@@ -386,22 +406,22 @@ impl ResourceManager {
     /// clients discover the termination through [`Self::is_lease_terminated`]
     /// or an `ExecutorLost` on their connections. Returns the ids terminated.
     pub fn terminate_leases_on(&self, node: &str) -> Vec<u64> {
-        let mut leases = self.leases.lock();
-        let ids: Vec<u64> = leases
+        let mut state = self.state.lock();
+        let ids: Vec<u64> = state
+            .leases
             .values()
             .filter(|l| l.executor_node == node)
             .map(|l| l.id)
             .collect();
-        let mut terminated = self.terminated_leases.lock();
         for id in &ids {
-            leases.remove(id);
-            terminated.insert(*id);
+            state.leases.remove(id);
+            state.terminated_leases.insert(*id);
         }
         // Lease ids are monotonic, so pruning the smallest drops the oldest
         // terminations; long-dead leases have no client left to ask about
         // them, and an unbounded set would leak under sustained churn.
-        while terminated.len() > TERMINATED_LEASE_HISTORY {
-            terminated.pop_first();
+        while state.terminated_leases.len() > TERMINATED_LEASE_HISTORY {
+            state.terminated_leases.pop_first();
         }
         ids
     }
@@ -409,13 +429,12 @@ impl ResourceManager {
     /// Whether `lease_id` was killed by an executor failure (as opposed to
     /// expiring or being released normally).
     pub fn is_lease_terminated(&self, lease_id: u64) -> bool {
-        self.terminated_leases.lock().contains(&lease_id)
+        self.state.lock().terminated_leases.contains(&lease_id)
     }
 
     /// Record a heartbeat from an executor's allocator.
     pub fn heartbeat(&self, executor_name: &str, now: SimTime) -> bool {
-        let mut executors = self.executors.lock();
-        match executors.get_mut(executor_name) {
+        match self.state.lock().executors.get_mut(executor_name) {
             Some(entry) => {
                 entry.last_heartbeat = entry.last_heartbeat.max(now);
                 true
@@ -427,8 +446,9 @@ impl ResourceManager {
     /// Executors whose last heartbeat is older than `timeout` at `now`; the
     /// manager announces their leases as terminated so clients can reallocate.
     pub fn failed_executors(&self, now: SimTime, timeout: SimDuration) -> Vec<String> {
-        self.executors
+        self.state
             .lock()
+            .executors
             .iter()
             .filter(|(_, e)| now.saturating_since(e.last_heartbeat) > timeout)
             .map(|(name, _)| name.clone())
@@ -438,8 +458,9 @@ impl ResourceManager {
     /// Leases that have expired at `now`. The caller (or a manager background
     /// task) releases them to reclaim resources.
     pub fn expired_leases(&self, now: SimTime) -> Vec<u64> {
-        self.leases
+        self.state
             .lock()
+            .leases
             .values()
             .filter(|l| !l.is_valid_at(now))
             .map(|l| l.id)
@@ -448,8 +469,9 @@ impl ResourceManager {
 
     /// Aggregate resources still available across all registered executors.
     pub fn available_resources(&self) -> NodeResources {
-        self.executors
+        self.state
             .lock()
+            .executors
             .values()
             .fold(NodeResources::ZERO, |acc, e| acc.add(&e.available))
     }

@@ -18,7 +18,6 @@
 //! virtual time stays bit-reproducible.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use sim_core::sync::{ranks, OrderedMutex};
@@ -52,55 +51,41 @@ pub struct ReactorStats {
     pub dispatched: u64,
 }
 
+/// Everything a reactor shares, under its one lock: a turn pumps every
+/// source while holding it, so concurrent callers queue behind one sweep
+/// instead of racing over the same rings.
 #[derive(Default)]
-struct ReactorState {
+struct ReactorCore {
     /// Registration order is dispatch order — the determinism contract.
     sources: Vec<(u64, Arc<dyn CompletionSource>)>,
     continuations: HashMap<(u64, u32), Continuation>,
     next_token: u64,
+    /// Scratch reused across turns: the steady-state sweep performs no
+    /// allocations.
+    events: Vec<(u64, u32)>,
+    stats: ReactorStats,
 }
 
-struct ReactorInner {
-    /// Serialises turns: concurrent callers queue behind one sweep instead
-    /// of racing over the same rings (the reactor replaces the per-connection
-    /// `wait_lock` of the old client).
-    turn_lock: OrderedMutex<()>,
-    state: OrderedMutex<ReactorState>,
-    /// Scratch reused across turns (guarded by `turn_lock`): the steady-state
-    /// sweep performs no allocations.
-    events: OrderedMutex<Vec<(u64, u32)>>,
-    sweep: OrderedMutex<Vec<(u64, Arc<dyn CompletionSource>)>>,
-    turns: AtomicU64,
-    pumped: AtomicU64,
-    dispatched: AtomicU64,
+/// Handle to one reactor; cheap to clone, shareable across sessions.
+#[derive(Clone)]
+pub struct Reactor {
+    core: Arc<OrderedMutex<ReactorCore>>,
 }
 
-impl Default for ReactorInner {
-    fn default() -> ReactorInner {
-        ReactorInner {
-            turn_lock: OrderedMutex::new(ranks::REACTOR_TURN, ()),
-            state: OrderedMutex::new(ranks::REACTOR_STATE, ReactorState::default()),
-            events: OrderedMutex::new(ranks::REACTOR_EVENTS, Vec::new()),
-            sweep: OrderedMutex::new(ranks::REACTOR_SWEEP, Vec::new()),
-            turns: AtomicU64::new(0),
-            pumped: AtomicU64::new(0),
-            dispatched: AtomicU64::new(0),
+impl Default for Reactor {
+    fn default() -> Reactor {
+        Reactor {
+            core: Arc::new(OrderedMutex::new(ranks::REACTOR, ReactorCore::default())),
         }
     }
 }
 
-/// Handle to one reactor; cheap to clone, shareable across sessions.
-#[derive(Clone, Default)]
-pub struct Reactor {
-    inner: Arc<ReactorInner>,
-}
-
 impl std::fmt::Debug for Reactor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let stats = self.stats();
+        let core = self.core.lock();
         f.debug_struct("Reactor")
-            .field("sources", &self.inner.state.lock().sources.len())
-            .field("stats", &stats)
+            .field("sources", &core.sources.len())
+            .field("stats", &core.stats)
             .finish()
     }
 }
@@ -113,27 +98,23 @@ impl Reactor {
 
     /// Snapshot of the lifetime counters.
     pub fn stats(&self) -> ReactorStats {
-        ReactorStats {
-            turns: self.inner.turns.load(Ordering::Relaxed),
-            pumped: self.inner.pumped.load(Ordering::Relaxed),
-            dispatched: self.inner.dispatched.load(Ordering::Relaxed),
-        }
+        self.core.lock().stats
     }
 
     /// Register a source; the returned token scopes continuations to it.
     /// Sources are pumped in registration order on every turn.
     pub(crate) fn register_source(&self, source: Arc<dyn CompletionSource>) -> u64 {
-        let mut state = self.inner.state.lock();
-        state.next_token += 1;
-        let token = state.next_token;
-        state.sources.push((token, source));
+        let mut core = self.core.lock();
+        core.next_token += 1;
+        let token = core.next_token;
+        core.sources.push((token, source));
         token
     }
 
     /// Remove a source. Continuations registered against it stay put: their
     /// owners detect the dead connection and run recovery.
     pub(crate) fn unregister_source(&self, token: u64) {
-        self.inner.state.lock().sources.retain(|(t, _)| *t != token);
+        self.core.lock().sources.retain(|(t, _)| *t != token);
     }
 
     /// Arm a continuation: when the source registered under `token` reports
@@ -150,7 +131,7 @@ impl Reactor {
         ready: &Arc<OrderedMutex<VecDeque<usize>>>,
         index: usize,
     ) {
-        self.inner.state.lock().continuations.insert(
+        self.core.lock().continuations.insert(
             (token, invocation_id),
             Continuation {
                 ready: Arc::clone(ready),
@@ -162,8 +143,7 @@ impl Reactor {
     /// Drop a continuation that will never fire (its completion set is being
     /// abandoned).
     pub(crate) fn cancel_continuation(&self, token: u64, invocation_id: u32) {
-        self.inner
-            .state
+        self.core
             .lock()
             .continuations
             .remove(&(token, invocation_id));
@@ -175,52 +155,28 @@ impl Reactor {
     /// the number of completions pumped — `0` means no progress, so the
     /// caller may yield or block on an external signal.
     pub fn turn(&self) -> usize {
-        let _serialised = self.inner.turn_lock.lock();
-        let mut sweep = self.inner.sweep.lock();
-        let mut events = self.inner.events.lock();
-        sweep.extend(
-            self.inner
-                .state
-                .lock()
-                .sources
-                .iter()
-                .map(|(t, s)| (*t, Arc::clone(s))),
-        );
-        events.clear();
-        let mut dead = 0usize;
-        for (token, source) in sweep.iter() {
-            source.pump(&mut |id| events.push((*token, id)));
-            if !source.is_connected() {
-                dead += 1;
+        let mut guard = self.core.lock();
+        let core = &mut *guard;
+        core.events.clear();
+        let mut dead = false;
+        for (token, source) in &core.sources {
+            source.pump(&mut |id| core.events.push((*token, id)));
+            dead |= !source.is_connected();
+        }
+        let progressed = core.events.len();
+        for (token, id) in core.events.drain(..) {
+            if let Some(continuation) = core.continuations.remove(&(token, id)) {
+                continuation.ready.lock().push_back(continuation.index);
+                core.stats.dispatched += 1;
             }
         }
-        let progressed = events.len();
-        if progressed > 0 || dead > 0 {
-            let mut state = self.inner.state.lock();
-            let mut dispatched = 0u64;
-            for (token, id) in events.drain(..) {
-                if let Some(continuation) = state.continuations.remove(&(token, id)) {
-                    continuation.ready.lock().push_back(continuation.index);
-                    dispatched += 1;
-                }
-            }
-            if dead > 0 {
-                // A disconnected source can never produce another completion:
-                // it was drained above, so dropping it now loses nothing.
-                state.sources.retain(|(_, source)| source.is_connected());
-            }
-            self.inner
-                .dispatched
-                .fetch_add(dispatched, Ordering::Relaxed);
+        if dead {
+            // A disconnected source can never produce another completion:
+            // it was drained above, so dropping it now loses nothing.
+            core.sources.retain(|(_, source)| source.is_connected());
         }
-        // The scratch keeps its capacity, not its contents: a source the
-        // owner has unregistered must not stay alive (with its registered
-        // receive ring) until the next turn happens to overwrite it.
-        sweep.clear();
-        self.inner
-            .pumped
-            .fetch_add(progressed as u64, Ordering::Relaxed);
-        self.inner.turns.fetch_add(1, Ordering::Relaxed);
+        core.stats.pumped += progressed as u64;
+        core.stats.turns += 1;
         progressed
     }
 }
@@ -228,8 +184,8 @@ impl Reactor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex;
-    use std::sync::atomic::AtomicBool;
+    use sim_core::sync::Mutex;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     /// Deterministic stand-in for a worker connection: completions are queued
     /// by the test and drained by `pump`.
@@ -317,7 +273,51 @@ mod tests {
         source.connected.store(false, Ordering::Relaxed);
         assert_eq!(reactor.turn(), 1);
         assert_eq!(ready.lock().len(), 1);
-        assert_eq!(reactor.inner.state.lock().sources.len(), 0);
+        assert_eq!(reactor.core.lock().sources.len(), 0);
+    }
+
+    #[test]
+    fn concurrent_turns_dispatch_every_completion_exactly_once() {
+        const SOURCES: usize = 8;
+        const PER_SOURCE: u32 = 1_000;
+        let total = SOURCES * PER_SOURCE as usize;
+        let reactor = Reactor::new();
+        let sources: Vec<_> = (0..SOURCES).map(|_| MockSource::new()).collect();
+        let ready = Arc::new(OrderedMutex::new(ranks::REACTOR_READY, VecDeque::new()));
+        for (s, source) in sources.iter().enumerate() {
+            let token = reactor.register_source(source.clone());
+            for id in 0..PER_SOURCE {
+                let index = s * PER_SOURCE as usize + id as usize;
+                reactor.register_continuation(token, id, &ready, index);
+            }
+        }
+        let pushed = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for id in 0..PER_SOURCE {
+                    for source in &sources {
+                        source.push(id);
+                    }
+                }
+                pushed.store(true, Ordering::Release);
+            });
+            for _ in 0..2 {
+                scope.spawn(|| loop {
+                    // Turns are serialised and each drains every queue, so an
+                    // empty turn that began after the last push saw everything.
+                    let finished = pushed.load(Ordering::Acquire);
+                    if reactor.turn() == 0 && finished {
+                        break;
+                    }
+                });
+            }
+        });
+        let mut seen: Vec<usize> = ready.lock().iter().copied().collect();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..total).collect::<Vec<_>>());
+        let stats = reactor.stats();
+        assert_eq!(stats.pumped, total as u64);
+        assert_eq!(stats.dispatched, total as u64);
     }
 
     proptest::proptest! {

@@ -9,7 +9,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::RwLock;
+use sim_core::sync::RwLock;
 use sim_core::SimDuration;
 
 use crate::function::SharedFunction;

@@ -11,8 +11,10 @@
 //!   intervals the paper reports,
 //! * [`rng`] — small deterministic PRNG helpers so experiments are repeatable,
 //! * [`histogram`] — fixed-bucket latency histograms for harness output,
-//! * [`sync`] — rank-ordered mutexes enforcing the workspace lock order
-//!   (checked in debug builds and under the `lock-sanitizer` feature).
+//! * [`sync`] — the workspace's locks: a non-poisoning `Mutex` / `RwLock`
+//!   facade over `std::sync`, and rank-ordered mutexes enforcing the
+//!   workspace lock order (checked in debug builds and under the
+//!   `lock-sanitizer` feature).
 
 pub mod clock;
 pub mod histogram;

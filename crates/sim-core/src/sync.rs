@@ -1,14 +1,21 @@
-//! Rank-ordered locking: the runtime half of the workspace lock-order
-//! story (the static half is `simlint`'s `lock_order` rule).
+//! The workspace's locks: a non-poisoning [`Mutex`] / [`RwLock`] facade over
+//! `std::sync`, and the rank-ordered [`OrderedMutex`] built on it — the
+//! runtime half of the lock-order story (the static half is `simlint`'s
+//! `lock_order` rule).
 //!
-//! [`OrderedMutex`] wraps the workspace `parking_lot` mutex with a
-//! [`LockRank`]. Under `debug_assertions` or the `lock-sanitizer` feature,
-//! every acquisition is checked against a thread-local stack of held
-//! ranks: a thread may only acquire a lock whose rank is strictly greater
-//! than every rank it already holds. Because all threads then acquire
-//! along the same global order, no cycle — and therefore no deadlock —
-//! between `OrderedMutex`es is possible. Release order is unconstrained
-//! (hand-over-hand locking is fine).
+//! [`Mutex`] and [`RwLock`] return their guards directly: a panic while a
+//! lock is held hands the data to the next locker as it is instead of
+//! poisoning the lock. They carry no rank: the fabric, sandbox and
+//! workload crates use them for their queues, registries and rings.
+//!
+//! [`OrderedMutex`] is one shared object's lock with a [`LockRank`]. Under
+//! `debug_assertions` or the `lock-sanitizer` feature, every acquisition is
+//! checked against a thread-local stack of held ranks: a thread may only
+//! acquire a lock whose rank is strictly greater than every rank it
+//! already holds. Because all threads then acquire along the same global
+//! order, no cycle — and therefore no deadlock — between `OrderedMutex`es
+//! is possible. Release order is unconstrained (hand-over-hand locking is
+//! fine).
 //!
 //! The `lock-sanitizer` feature additionally keeps a process-wide graph of
 //! observed acquisition edges so a violation report can show the offending
@@ -17,9 +24,57 @@
 //! The workspace rank table lives in [`ranks`]; DESIGN.md ("Determinism &
 //! locking invariants") documents the same table with rationale. Release
 //! builds without the feature compile the checks out entirely:
-//! `OrderedMutex` is then a zero-cost newtype over the parking_lot shim.
+//! `OrderedMutex` is then a zero-cost newtype over [`Mutex`].
 
 use std::fmt;
+use std::sync::{self as std_sync, MutexGuard, PoisonError, TryLockError};
+use std::sync::{RwLockReadGuard, RwLockWriteGuard};
+
+/// A mutual-exclusion lock that does not poison (facade over
+/// `std::sync::Mutex`).
+#[derive(Debug, Default)]
+pub struct Mutex<T>(std_sync::Mutex<T>);
+
+impl<T> Mutex<T> {
+    pub const fn new(value: T) -> Mutex<T> {
+        Mutex(std_sync::Mutex::new(value))
+    }
+
+    /// Acquire the lock, blocking until it is available.
+    pub fn lock(&self) -> MutexGuard<'_, T> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Acquire the lock if no one holds it.
+    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
+        match self.0.try_lock() {
+            Ok(guard) => Some(guard),
+            Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
+            Err(TryLockError::WouldBlock) => None,
+        }
+    }
+}
+
+/// A reader-writer lock that does not poison (facade over
+/// `std::sync::RwLock`).
+#[derive(Debug, Default)]
+pub struct RwLock<T>(std_sync::RwLock<T>);
+
+impl<T> RwLock<T> {
+    pub const fn new(value: T) -> RwLock<T> {
+        RwLock(std_sync::RwLock::new(value))
+    }
+
+    /// Acquire shared read access, blocking until available.
+    pub fn read(&self) -> RwLockReadGuard<'_, T> {
+        self.0.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Acquire exclusive write access, blocking until available.
+    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
+        self.0.write().unwrap_or_else(PoisonError::into_inner)
+    }
+}
 
 /// A position in the global acquisition order. Lower ranks are acquired
 /// first; a thread holding rank `r` may only take locks of rank `> r`.
@@ -55,61 +110,51 @@ pub mod ranks {
     pub const CLIENT_ACTIVE: LockRank = LockRank::new(12, "client.active");
     pub const CLIENT_SESSION_STATE: LockRank = LockRank::new(16, "client.session_state");
     pub const SESSION_BUFFER_POOL: LockRank = LockRank::new(22, "session.buffer_pool");
-    // The manager's control socket is polled during the client's allocation
-    // round trip (recovery lock held), and its handler places leases, so it
-    // sits between the client block and the manager registry locks.
-    pub const MANAGER_CONTROL: LockRank = LockRank::new(28, "manager.control");
+    // The resource manager: control socket, executor registry, leases,
+    // terminations and billing connections under one lock. Its control
+    // socket is polled during the client's allocation round trip (recovery
+    // lock held), and placement consults the warm pool, so it sits between
+    // the client block and the executor block.
+    pub const MANAGER: LockRank = LockRank::new(28, "manager");
 
-    // Invocation reactor.
-    pub const REACTOR_TURN: LockRank = LockRank::new(30, "reactor.turn_lock");
-    pub const REACTOR_SWEEP: LockRank = LockRank::new(32, "reactor.sweep");
-    pub const REACTOR_EVENTS: LockRank = LockRank::new(34, "reactor.events");
-    pub const REACTOR_STATE: LockRank = LockRank::new(36, "reactor.state");
+    // Invocation reactor: sources, continuations, scratch and counters. A
+    // turn pumps every source under it.
+    pub const REACTOR: LockRank = LockRank::new(30, "reactor");
     pub const REACTOR_READY: LockRank = LockRank::new(38, "reactor.ready");
     // A worker connection's result stash is filled while the reactor pumps it
-    // (turn/sweep/events held) and drained while a ready hint is resolved, so
-    // it ranks above the whole reactor block.
+    // and drained while a ready hint is resolved, so it ranks above the
+    // whole reactor block.
     pub const CLIENT_COMPLETED: LockRank = LockRank::new(39, "client.completed");
-
-    // Resource manager.
-    pub const MANAGER_LEASES: LockRank = LockRank::new(40, "manager.leases");
-    pub const MANAGER_EXECUTORS: LockRank = LockRank::new(42, "manager.executors");
-    pub const MANAGER_TERMINATED: LockRank = LockRank::new(44, "manager.terminated_leases");
-    pub const MANAGER_BILLING_QPS: LockRank = LockRank::new(46, "manager.billing_qps");
 
     // Executor server.
     pub const EXECUTOR_HEARTBEAT: LockRank = LockRank::new(48, "executor.heartbeat");
     pub const EXECUTOR_ALLOCATOR: LockRank = LockRank::new(52, "executor.allocator_state");
     pub const EXECUTOR_PROCESS: LockRank = LockRank::new(54, "executor.process");
     // Above the process lock: `stop_serving` retires the dispatcher's
-    // workers under the process guard. Below everything a turn takes (state
-    // binding, stats, fork state, billing, the state plane), because any
-    // thread waiting on the fabric may be the one turning it.
+    // workers and the state calls reach its binding under the process
+    // guard. Below everything a turn takes (stats, fork state, billing, the
+    // state plane), because any thread waiting on the fabric may be the one
+    // turning it.
     pub const EXECUTOR_DISPATCHER: LockRank = LockRank::new(55, "executor.dispatcher");
-    pub const EXECUTOR_STATE_BINDING: LockRank = LockRank::new(56, "executor.state_binding");
-    pub const EXECUTOR_SANDBOX: LockRank = LockRank::new(58, "executor.sandbox");
     pub const EXECUTOR_BILLING: LockRank = LockRank::new(60, "executor.billing");
-    pub const EXECUTOR_LAST_USED: LockRank = LockRank::new(62, "executor.last_used");
     pub const EXECUTOR_STATS: LockRank = LockRank::new(64, "executor.stats");
     pub const EXECUTOR_FORK_TRACKER: LockRank = LockRank::new(66, "executor.fork_tracker");
-    pub const EXECUTOR_FORK_SERVED: LockRank = LockRank::new(68, "executor.fork_served");
 
     // Warm sandbox pool (entered from manager placement and executor
     // deallocation, both of which may hold their own locks).
     pub const WARM_POOL: LockRank = LockRank::new(70, "sandbox.warm_pool");
 
-    // State plane (entered while an executor state binding is held). The
-    // metadata server always drops its state guard before touching the
+    // State plane (entered while a dispatcher runs a stateful invocation).
+    // The metadata server always drops its state guard before touching the
     // socket, but ranking the socket above keeps a state->socket nesting
     // legal if a handler ever needs it.
     pub const STATE_SERVER: LockRank = LockRank::new(80, "state_plane.server");
     pub const STATE_SOCKET: LockRank = LockRank::new(82, "state_plane.socket");
 
-    // Leaf locks: billing accumulators are taken while an executor's billing
-    // slot is held (rank 60), and never acquire anything themselves.
-    pub const BILLING_PENDING: LockRank = LockRank::new(90, "billing.pending");
-    pub const BILLING_FLUSHES: LockRank = LockRank::new(92, "billing.flushes");
-    pub const BILLING_SLOTS: LockRank = LockRank::new(94, "billing.next_slot");
+    // Leaf locks: a billing client's pending usage is taken while an
+    // executor's billing slot is held (rank 60), and never acquires anything
+    // itself.
+    pub const BILLING: LockRank = LockRank::new(90, "billing");
     pub const LIFECYCLE_STATS: LockRank = LockRank::new(96, "lifecycle.stats");
 }
 
@@ -178,22 +223,23 @@ impl RankChecker {
 #[cfg(any(debug_assertions, feature = "lock-sanitizer"))]
 mod checking {
     use super::LockRank;
-    use std::cell::RefCell;
+    use std::cell::{Cell, RefCell};
 
     thread_local! {
         static HELD: RefCell<Vec<(u64, LockRank)>> = const { RefCell::new(Vec::new()) };
-        static NEXT_ID: RefCell<u64> = const { RefCell::new(0) };
+        static NEXT_ID: Cell<u64> = const { Cell::new(0) };
     }
 
     /// Record an acquisition, panicking on a rank-order violation.
     pub(super) fn on_acquire(rank: LockRank) -> u64 {
         HELD.with(|h| {
-            let held = h.borrow();
+            let mut held = h.borrow_mut();
             if let Some(&(_, top)) = held.iter().max_by_key(|(_, r)| r.rank) {
+                super::graph::note_edge(top, rank);
                 if rank.rank <= top.rank {
                     let chain: Vec<String> = held.iter().map(|(_, r)| r.to_string()).collect();
+                    // Unwinding drops the guards still held, which release here.
                     drop(held);
-                    super::graph::note_edge(top, rank);
                     panic!(
                         "{}{}",
                         super::RankViolation {
@@ -206,16 +252,9 @@ mod checking {
                     );
                 }
             }
-            drop(held);
-            let id = NEXT_ID.with(|n| {
-                let mut n = n.borrow_mut();
-                *n += 1;
-                *n
-            });
-            if let Some(&(_, top)) = h.borrow().iter().max_by_key(|(_, r)| r.rank) {
-                super::graph::note_edge(top, rank);
-            }
-            h.borrow_mut().push((id, rank));
+            let id = NEXT_ID.get() + 1;
+            NEXT_ID.set(id);
+            held.push((id, rank));
             id
         })
     }
@@ -283,27 +322,19 @@ mod graph {
     }
 }
 
-/// A mutex with a position in the global lock order.
-///
-/// API-compatible with the workspace `parking_lot::Mutex` for the
-/// operations the tree uses (`lock`, `try_lock`, `get_mut`, `into_inner`),
-/// plus the rank argument at construction.
+/// A [`Mutex`] with a position in the global lock order: the same `lock` /
+/// `try_lock`, plus the rank argument at construction.
 pub struct OrderedMutex<T> {
-    inner: parking_lot::Mutex<T>,
+    inner: Mutex<T>,
     rank: LockRank,
 }
 
 impl<T> OrderedMutex<T> {
     pub const fn new(rank: LockRank, value: T) -> OrderedMutex<T> {
         OrderedMutex {
-            inner: parking_lot::Mutex::new(value),
+            inner: Mutex::new(value),
             rank,
         }
-    }
-
-    /// This lock's rank.
-    pub fn rank(&self) -> LockRank {
-        self.rank
     }
 
     /// Acquire, enforcing rank order in checked builds.
@@ -330,14 +361,6 @@ impl<T> OrderedMutex<T> {
             token,
         })
     }
-
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut()
-    }
-
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner()
-    }
 }
 
 impl<T: fmt::Debug> fmt::Debug for OrderedMutex<T> {
@@ -352,7 +375,7 @@ impl<T: fmt::Debug> fmt::Debug for OrderedMutex<T> {
 /// pops the rank from the thread's held set (in any order — hand-over-hand
 /// release is allowed).
 pub struct OrderedMutexGuard<'a, T> {
-    inner: parking_lot::MutexGuard<'a, T>,
+    inner: MutexGuard<'a, T>,
     #[cfg(any(debug_assertions, feature = "lock-sanitizer"))]
     token: u64,
 }
@@ -556,45 +579,38 @@ mod tests {
     }
 
     #[test]
-    fn rank_table_is_strictly_monotonic_in_declaration_order() {
-        // The published table must be usable as-is: every constant unique.
-        let all = [
-            ranks::CLIENT_RECOVERY,
-            ranks::CLIENT_ACTIVE,
-            ranks::CLIENT_SESSION_STATE,
-            ranks::SESSION_BUFFER_POOL,
-            ranks::MANAGER_CONTROL,
-            ranks::REACTOR_TURN,
-            ranks::REACTOR_SWEEP,
-            ranks::REACTOR_EVENTS,
-            ranks::REACTOR_STATE,
-            ranks::REACTOR_READY,
-            ranks::CLIENT_COMPLETED,
-            ranks::MANAGER_LEASES,
-            ranks::MANAGER_EXECUTORS,
-            ranks::MANAGER_TERMINATED,
-            ranks::MANAGER_BILLING_QPS,
-            ranks::EXECUTOR_HEARTBEAT,
-            ranks::EXECUTOR_ALLOCATOR,
-            ranks::EXECUTOR_PROCESS,
-            ranks::EXECUTOR_DISPATCHER,
-            ranks::EXECUTOR_STATE_BINDING,
-            ranks::EXECUTOR_SANDBOX,
-            ranks::EXECUTOR_BILLING,
-            ranks::EXECUTOR_LAST_USED,
-            ranks::EXECUTOR_STATS,
-            ranks::EXECUTOR_FORK_TRACKER,
-            ranks::EXECUTOR_FORK_SERVED,
-            ranks::WARM_POOL,
-            ranks::STATE_SERVER,
-            ranks::STATE_SOCKET,
-            ranks::BILLING_PENDING,
-            ranks::BILLING_FLUSHES,
-            ranks::BILLING_SLOTS,
-            ranks::LIFECYCLE_STATS,
-        ];
-        for w in all.windows(2) {
-            assert!(w[0].rank < w[1].rank, "{} must rank below {}", w[0], w[1]);
+    fn mutex_guards_exclusive_access() {
+        let m = std::sync::Arc::new(Mutex::new(0u64));
+        let handles: Vec<_> = (0..8)
+            .map(|_| {
+                let m = std::sync::Arc::clone(&m);
+                std::thread::spawn(move || {
+                    for _ in 0..1000 {
+                        *m.lock() += 1;
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
         }
+        assert_eq!(*m.lock(), 8000);
+    }
+
+    #[test]
+    fn rwlock_allows_concurrent_reads() {
+        let l = RwLock::new(5);
+        let r1 = l.read();
+        let r2 = l.read();
+        assert_eq!(*r1 + *r2, 10);
+    }
+
+    #[test]
+    fn try_lock_reports_contention() {
+        let m = Mutex::new(1);
+        let g = m.lock();
+        assert!(m.try_lock().is_none());
+        drop(g);
+        assert!(m.try_lock().is_some());
     }
 }

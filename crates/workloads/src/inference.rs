@@ -10,8 +10,8 @@
 //! classifier over deterministic weights — and attaches the ResNet-50-scale
 //! cost model.
 
-use parking_lot::Mutex;
 use sandbox::{FunctionError, SharedFunction};
+use sim_core::sync::Mutex;
 use sim_core::{DeterministicRng, SimDuration};
 
 use crate::payload::f64s_to_bytes;

@@ -5,8 +5,8 @@
 //! (immutable) system matrix in the warm executor: only the updated solution
 //! vector travels after the first invocation.
 
-use parking_lot::Mutex;
 use sandbox::{FunctionError, SharedFunction};
+use sim_core::sync::Mutex;
 use sim_core::{DeterministicRng, SimDuration};
 
 use crate::payload::{bytes_to_f64s, f64s_to_bytes};

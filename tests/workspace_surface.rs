@@ -5,10 +5,35 @@
 //! regression in the documented entry-point flow fails the suite even if
 //! doctests are filtered out.
 
+use std::fs;
+use std::path::{Path, PathBuf};
+
 use rfaas_repro::cluster_sim::NodeResources;
 use rfaas_repro::rdma_fabric::Fabric;
 use rfaas_repro::rfaas::{RFaasConfig, ResourceManager, Session, SpotExecutor};
 use rfaas_repro::sandbox::{echo_function, CodePackage, FunctionRegistry};
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            rust_sources(&path, out);
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// The lines of a source file before its `#[cfg(test)] mod tests`.
+fn product_lines(text: &str) -> Vec<&str> {
+    let lines: Vec<&str> = text.lines().collect();
+    let end = lines
+        .windows(2)
+        .position(|pair| pair[0].trim() == "#[cfg(test)]" && pair[1].starts_with("mod tests"))
+        .unwrap_or(lines.len());
+    lines[..end].to_vec()
+}
 
 /// Mirror of the `rfaas` crate-level doc example, invoked through the
 /// umbrella crate's re-exports.
@@ -79,23 +104,9 @@ fn umbrella_reexports_every_layer() {
 /// Every host-side wait in `crates/` goes through `Fabric::run_until`: outside
 /// test modules, its `yield_now` and its wall-clock allowance are the only
 /// ones, and nothing in `crates/` or `shims/` parks a thread on a condition
-/// variable. Reads the sources as text, each up to its `#[cfg(test)]` line.
+/// variable. Reads the sources as text, each up to its test module.
 #[test]
 fn fabric_run_until_is_the_only_host_wait() {
-    use std::fs;
-    use std::path::{Path, PathBuf};
-
-    fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
-        for entry in fs::read_dir(dir).unwrap() {
-            let path = entry.unwrap().path();
-            if path.is_dir() {
-                rust_sources(&path, out);
-            } else if path.extension().is_some_and(|ext| ext == "rs") {
-                out.push(path);
-            }
-        }
-    }
-
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut sources = Vec::new();
     rust_sources(&root.join("crates"), &mut sources);
@@ -107,10 +118,7 @@ fn fabric_run_until_is_the_only_host_wait() {
     let mut wall_clock = Vec::new();
     for path in &sources {
         let text = fs::read_to_string(path).unwrap();
-        let product = text
-            .lines()
-            .take_while(|line| line.trim() != "#[cfg(test)]");
-        for (n, line) in product.enumerate() {
+        for (n, line) in product_lines(&text).into_iter().enumerate() {
             if line.contains("yield_now") {
                 yields.push((path.clone(), n));
             }
@@ -159,9 +167,6 @@ fn fabric_run_until_is_the_only_host_wait() {
 /// name is the dependency name.
 #[test]
 fn every_shim_is_a_member_with_a_dependent() {
-    use std::fs;
-    use std::path::Path;
-
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let workspace = fs::read_to_string(root.join("Cargo.toml")).unwrap();
     let crate_manifests: Vec<String> = fs::read_dir(root.join("crates"))
@@ -186,4 +191,66 @@ fn every_shim_is_a_member_with_a_dependent() {
             "no crates/*/Cargo.toml depends on shims/{name}"
         );
     }
+}
+
+/// The lock-rank table in `sim_core::sync::ranks` lists the workspace's
+/// shared objects: ranks strictly increase in declaration order, constant
+/// and lock names are unique, every constant is used as `ranks::NAME` by
+/// product code outside `sync.rs`, and there are exactly 20. Reads the
+/// sources as text.
+#[test]
+fn lock_ranks_are_ordered_used_and_counted() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let sync = root.join("crates/sim-core/src/sync.rs");
+    let sync_text = fs::read_to_string(&sync).unwrap();
+    // (constant, rank, lock name) per `pub const` line of `pub mod ranks`.
+    let table: Vec<(&str, u16, &str)> = sync_text
+        .lines()
+        .skip_while(|line| *line != "pub mod ranks {")
+        .take_while(|line| *line != "}")
+        .filter_map(|line| {
+            let rest = line.trim().strip_prefix("pub const ")?;
+            let (constant, rest) = rest.split_once(": LockRank = LockRank::new(")?;
+            let (rank, rest) = rest.split_once(", \"")?;
+            let (name, _) = rest.split_once('"')?;
+            Some((constant, rank.parse().unwrap(), name))
+        })
+        .collect();
+
+    for pair in table.windows(2) {
+        assert!(
+            pair[0].1 < pair[1].1,
+            "{:?} must rank below {:?}",
+            pair[0],
+            pair[1]
+        );
+    }
+    for (what, mut names) in [
+        ("constant", table.iter().map(|r| r.0).collect::<Vec<_>>()),
+        ("lock name", table.iter().map(|r| r.2).collect()),
+    ] {
+        names.sort_unstable();
+        for pair in names.windows(2) {
+            assert_ne!(pair[0], pair[1], "duplicate {what}");
+        }
+    }
+
+    let mut sources = Vec::new();
+    rust_sources(&root.join("crates"), &mut sources);
+    let product: Vec<String> = sources
+        .iter()
+        .filter(|path| **path != sync)
+        .map(|path| product_lines(&fs::read_to_string(path).unwrap()).join("\n"))
+        .collect();
+    for (constant, _, _) in &table {
+        let needle = format!("ranks::{constant}");
+        let used = product.iter().any(|text| {
+            text.match_indices(&needle).any(|(at, _)| {
+                !text[at + needle.len()..].starts_with(|c: char| c == '_' || c.is_alphanumeric())
+            })
+        });
+        assert!(used, "`{needle}` is not used outside sync.rs and tests");
+    }
+
+    assert_eq!(table.len(), 20, "lock ranks: {table:?}");
 }
