@@ -12,10 +12,10 @@
 //! (`--quick`) doubles as a regression gate.
 //!
 //! A second section demonstrates the hot→warm demotion: after an idle gap
-//! longer than `hot_poll_timeout` the worker parks itself, the polling bill
+//! longer than `HOT_POLL_TIMEOUT` the worker parks itself, the polling bill
 //! is capped, and the next invocation pays warm latency.
 
-use rfaas::{PollingMode, RFaasConfig};
+use rfaas::{PollingMode, HOT_POLL_TIMEOUT};
 use rfaas_bench::{print_table, quick_mode, summarize_us, ResultRow, Testbed};
 use sandbox::SandboxType;
 
@@ -133,15 +133,14 @@ fn main() {
     // Hot→warm demotion: one idle gap past the hot-poll budget parks the
     // worker; the next invocation pays warm latency and the polling bill is
     // capped at the budget.
-    let config = RFaasConfig::paper_calibration();
-    let testbed = Testbed::with_config(1, config.clone());
+    let testbed = Testbed::new(1);
     let session =
         testbed.allocated_session("fig7-demotion", 1, SandboxType::BareMetal, PollingMode::Hot);
     let echo = session.function::<[u8], [u8]>("echo").expect("echo");
     let payload = workloads::generate_payload(8, 7);
     echo.invoke_timed(&payload).expect("warm-up");
     let (_, hot_rtt) = echo.invoke_timed(&payload).expect("hot invoke");
-    session.clock().advance(config.hot_poll_timeout * 2);
+    session.clock().advance(HOT_POLL_TIMEOUT * 2);
     let (_, demoted_rtt) = echo.invoke_timed(&payload).expect("demoted invoke");
     let stats = testbed.executors[0]
         .allocator()
@@ -150,10 +149,7 @@ fn main() {
         .expect("live process")
         .lock()
         .stats();
-    println!(
-        "\n# hot→warm demotion (hot_poll_timeout = {})",
-        config.hot_poll_timeout
-    );
+    println!("\n# hot→warm demotion (hot_poll_timeout = {HOT_POLL_TIMEOUT})");
     println!(
         "hot rtt {:.3} us, post-demotion rtt {:.3} us, demotions {}, billed polling {}",
         hot_rtt.as_micros_f64(),
@@ -167,7 +163,7 @@ fn main() {
         "the demoted invocation must pay the warm wake-up"
     );
     assert!(
-        stats.hot_poll_time < config.hot_poll_timeout + sim_core::SimDuration::from_millis(1),
+        stats.hot_poll_time < HOT_POLL_TIMEOUT + sim_core::SimDuration::from_millis(1),
         "polling bill must be capped at the demotion budget"
     );
 }

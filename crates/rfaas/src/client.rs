@@ -188,7 +188,8 @@ pub(crate) struct WorkerConnection {
 
 impl WorkerConnection {
     /// Connect to `worker` through `pool` (keyed by the executor node), and
-    /// learn where the worker's input buffer lives from its hello. The
+    /// learn where the worker's input buffer lives from its hello. Each of
+    /// the two steps gives up after `timeout` of wall-clock time. The
     /// connection is not yet registered with any reactor.
     pub(crate) fn connect(
         endpoint: &Endpoint,
@@ -196,6 +197,7 @@ impl WorkerConnection {
         pool: &ConnectionPool,
         pool_key: &str,
         config: &RFaasConfig,
+        timeout: std::time::Duration,
         index: usize,
     ) -> Result<WorkerConnection> {
         // Worker addresses are fresh per lease, but the executor *node*
@@ -207,26 +209,19 @@ impl WorkerConnection {
         let hello = endpoint
             .pd
             .register_owned(INVOCATION_HEADER_BYTES, AccessFlags::LOCAL_ONLY);
-        let (qp, _warm) = connect_pooled_with(
-            endpoint,
-            &worker.address,
-            pool,
-            pool_key,
-            config.connect_timeout,
-            |qp| {
+        let (qp, _warm) =
+            connect_pooled_with(endpoint, &worker.address, pool, pool_key, timeout, |qp| {
                 qp.post_recv(RecvRequest {
                     wr_id: u64::MAX,
                     local: Sge::whole(&hello),
                 })
-            },
-        )?;
+            })?;
         // The worker's dispatcher sends the hello on its next turn, which this
         // wait drives; the pickup is billed as the blocking wait it models.
         let cq = qp.recv_cq();
-        endpoint.fabric.run_until(
-            || cq.pending() > 0 || cq.is_disconnected(),
-            config.connect_timeout,
-        );
+        endpoint
+            .fabric
+            .run_until(|| cq.pending() > 0 || cq.is_disconnected(), timeout);
         let mut picked = Vec::with_capacity(1);
         cq.poll_uncharged_into(1, &mut picked);
         let wc = picked
@@ -491,7 +486,7 @@ mod tests {
     #[test]
     fn sub_timeout_gaps_do_not_demote() {
         let (_fabric, manager, session) = platform(1);
-        let timeout = RFaasConfig::default().hot_poll_timeout;
+        let timeout = crate::HOT_POLL_TIMEOUT;
         let echo = session.function::<[u8], [u8]>("echo").unwrap();
         echo.invoke(&[1u8; 8][..]).unwrap();
         for _ in 0..3 {
@@ -731,14 +726,9 @@ mod tests {
 
     #[test]
     fn worker_connect_surfaces_a_typed_timeout() {
-        // Regression: the connect deadline was a hardcoded ten seconds; a
-        // worker that never accepts must now fail within the configured
-        // timeout with a typed error, not hang or panic.
+        // A worker that never accepts must fail within the given timeout
+        // with a typed error, not hang or panic.
         let fabric = Fabric::with_defaults();
-        let config = RFaasConfig {
-            connect_timeout: std::time::Duration::from_millis(50),
-            ..Default::default()
-        };
         let endpoint = Endpoint {
             fabric: Arc::clone(&fabric),
             node: fabric.add_node("client-0"),
@@ -755,11 +745,18 @@ mod tests {
         };
         let started = std::time::Instant::now();
         let pool = ConnectionPool::new();
-        let err =
-            match WorkerConnection::connect(&endpoint, &worker, &pool, "dead-node", &config, 0) {
-                Ok(_) => panic!("connect to a silent worker unexpectedly succeeded"),
-                Err(err) => err,
-            };
+        let err = match WorkerConnection::connect(
+            &endpoint,
+            &worker,
+            &pool,
+            "dead-node",
+            &RFaasConfig::default(),
+            std::time::Duration::from_millis(50),
+            0,
+        ) {
+            Ok(_) => panic!("connect to a silent worker unexpectedly succeeded"),
+            Err(err) => err,
+        };
         assert!(
             matches!(
                 err,

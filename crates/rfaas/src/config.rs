@@ -6,15 +6,32 @@ use sim_core::SimDuration;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PollingMode {
     /// Busy-poll the completion queue: ~300 ns invocation overhead, but the
-    /// worker occupies its CPU core and the hot-poll time is billed.
+    /// worker occupies its CPU core and the hot-poll time is billed. After
+    /// [`HOT_POLL_TIMEOUT`] without a new invocation the worker demotes itself
+    /// to [`PollingMode::Warm`]: the polling bill stops at the timeout and the
+    /// next invocation pays the blocking wake-up.
     Hot,
     /// Block on completion events: the CPU is released between invocations at
     /// the price of several microseconds of wake-up latency.
     Warm,
-    /// Busy-poll after each execution, but fall back to blocking after the
-    /// configured hot-poll timeout elapses without a new request.
-    Adaptive,
 }
+
+/// *Virtual-time* budget a hot worker spins without a new invocation before
+/// demoting itself to warm (Sec. III-C: hot executors poll "for a
+/// configurable amount of time" and then release the core). The demotion
+/// caps the hot-polling bill at this budget and makes the next invocation pay
+/// the warm wake-up path.
+pub const HOT_POLL_TIMEOUT: SimDuration = SimDuration::from_millis(100);
+
+/// Heartbeat interval between allocators and the resource manager: each live
+/// spot executor emits one heartbeat per interval and the lifecycle driver
+/// records it (Sec. III-B failure detection).
+pub const HEARTBEAT_INTERVAL: SimDuration = SimDuration::from_secs(5);
+
+/// Silence after which the manager declares an executor failed, deregisters
+/// it and marks its leases terminated: three intervals, so jittered
+/// heartbeats are tolerated.
+pub const HEARTBEAT_TIMEOUT: SimDuration = SimDuration::from_secs(15);
 
 /// Cost constants of the rFaaS data path and control plane, calibrated
 /// against Sec. V of the paper.
@@ -32,22 +49,6 @@ pub struct RFaasConfig {
     pub allocation_processing_cost: SimDuration,
     /// Client-side cost of serialising and submitting the allocation request.
     pub allocation_submit_cost: SimDuration,
-    /// *Virtual-time* window an adaptive worker busy-polls after serving a
-    /// request before rolling back to a blocking wait (the "configurable
-    /// time without a new invocation" of Sec. III-C). Compared against the
-    /// next completion's virtual timestamp, so the spin-vs-block billing
-    /// decision is deterministic across runs.
-    pub hot_poll_fallback: SimDuration,
-    /// Wall-clock deadline for establishing a worker connection (and for the
-    /// executor's hello that follows). A peer that never answers surfaces a
-    /// typed timeout error instead of hanging the client forever.
-    pub connect_timeout: std::time::Duration,
-    /// *Virtual-time* budget a hot worker spins without a new invocation
-    /// before demoting itself to warm (Sec. III-C: hot executors poll "for a
-    /// configurable amount of time" and then release the core). The demotion
-    /// caps the hot-polling bill at this budget and makes the next invocation
-    /// pay the warm wake-up path. `SimDuration::ZERO` disables demotion.
-    pub hot_poll_timeout: SimDuration,
     /// Maximum payload bytes a single invocation may carry (the executor
     /// registers an input buffer of this size per worker).
     pub max_payload_bytes: usize,
@@ -58,24 +59,11 @@ pub struct RFaasConfig {
     /// allocation-processing budget is the upper bound; clients pay this cost
     /// on every `extend_lease` round trip.
     pub lease_renewal_cost: SimDuration,
-    /// Heartbeat interval between allocators and the resource manager: each
-    /// live spot executor emits one heartbeat per interval and the lifecycle
-    /// driver records it (Sec. III-B failure detection).
-    pub heartbeat_interval: SimDuration,
-    /// Silence after which the manager declares an executor failed,
-    /// deregisters it and marks its leases terminated. Must be a small
-    /// multiple of `heartbeat_interval` to tolerate jittered heartbeats.
-    pub heartbeat_timeout: SimDuration,
-    /// Idle time after which an executor process is reclaimed.
-    pub executor_idle_timeout: SimDuration,
     /// Max parked warm parents per `(SandboxType, package)` key in each
     /// executor's warm pool. Zero disables warm pooling entirely: every
     /// deallocation tears its sandbox down and every allocation cold-spawns,
     /// which is the paper's baseline behaviour.
     pub warm_pool_capacity: usize,
-    /// Idle age after which a parked warm parent is evicted from the pool
-    /// (and its sandbox finally torn down).
-    pub warm_pool_idle_timeout: SimDuration,
     /// Pages fetched per remote-fork fault: one chained one-sided READ batch
     /// from the parent node serves this many consecutive snapshot pages.
     pub fork_prefetch_window: usize,
@@ -99,19 +87,12 @@ impl RFaasConfig {
             header_write_cost: SimDuration::from_nanos(30),
             allocation_processing_cost: SimDuration::from_micros(700),
             allocation_submit_cost: SimDuration::from_micros(500),
-            hot_poll_fallback: SimDuration::from_millis(50),
-            connect_timeout: std::time::Duration::from_secs(10),
-            hot_poll_timeout: SimDuration::from_millis(100),
             max_payload_bytes: 8 * 1024 * 1024,
             recv_queue_depth: 16,
             lease_renewal_cost: SimDuration::from_micros(700),
-            heartbeat_interval: SimDuration::from_secs(5),
-            heartbeat_timeout: SimDuration::from_secs(15),
-            executor_idle_timeout: SimDuration::from_secs(60),
             // Warm pooling is opt-in: the paper's evaluation always pays the
             // full cold spawn, so the calibrated default keeps the pool off.
             warm_pool_capacity: 0,
-            warm_pool_idle_timeout: SimDuration::from_secs(120),
             fork_prefetch_window: 32,
             // Matches the default per-worker payload ceiling: any value that
             // could ride an invocation can also live in the cache.
@@ -145,9 +126,6 @@ mod tests {
         assert!(c.header_write_cost.as_nanos() < 100);
         assert!(c.max_payload_bytes >= 5 * 1024 * 1024);
         assert!(c.recv_queue_depth >= 1);
-        // Connect attempts must give up eventually, but not so fast that a
-        // loaded test box produces spurious timeouts.
-        assert!(c.connect_timeout >= std::time::Duration::from_secs(1));
     }
 
     #[test]
@@ -157,18 +135,17 @@ mod tests {
         // processing budget.
         assert!(c.lease_renewal_cost <= c.allocation_processing_cost);
         // The failure detector must tolerate at least two missed heartbeats.
-        assert!(c.heartbeat_timeout >= c.heartbeat_interval * 2);
+        assert!(HEARTBEAT_TIMEOUT >= HEARTBEAT_INTERVAL * 2);
     }
 
     #[test]
     fn hot_poll_timeout_is_long_enough_for_bursts() {
-        let c = RFaasConfig::paper_calibration();
         // The demotion budget must dwarf a single invocation (microseconds)
         // so back-to-back bursts never demote, while staying far below the
         // lease lifetime so an abandoned hot worker stops burning its core.
-        assert!(c.hot_poll_timeout >= SimDuration::from_millis(1));
+        assert!(HOT_POLL_TIMEOUT >= SimDuration::from_millis(1));
         let lease_lifetime = crate::LeaseRequest::single_worker("pkg").timeout;
-        assert!(c.hot_poll_timeout < lease_lifetime);
+        assert!(HOT_POLL_TIMEOUT < lease_lifetime);
     }
 
     #[test]
@@ -181,6 +158,5 @@ mod tests {
     #[test]
     fn polling_modes_are_distinct() {
         assert_ne!(PollingMode::Hot, PollingMode::Warm);
-        assert_ne!(PollingMode::Hot, PollingMode::Adaptive);
     }
 }

@@ -46,12 +46,11 @@ use state_plane::{
 };
 
 use crate::billing::BillingClient;
-use crate::config::{PollingMode, RFaasConfig};
+use crate::config::{PollingMode, RFaasConfig, HOT_POLL_TIMEOUT};
 use crate::error::{RFaasError, Result};
 use crate::protocol::{ImmValue, InvocationHeader, Lease, ResultStatus, INVOCATION_HEADER_BYTES};
 
 static NEXT_PROCESS_ID: AtomicU64 = AtomicU64::new(1);
-static NEXT_WORKER_ID: AtomicU64 = AtomicU64::new(1);
 
 /// How the allocator provisions the sandbox of a new executor process — the
 /// client-visible knob spanning the cold-start spectrum's new fork tier.
@@ -384,10 +383,10 @@ impl AtomicMode {
     }
 
     fn load(&self) -> PollingMode {
-        match self.0.load(Ordering::Acquire) {
-            m if m == PollingMode::Hot as u8 => PollingMode::Hot,
-            m if m == PollingMode::Warm as u8 => PollingMode::Warm,
-            _ => PollingMode::Adaptive,
+        if self.0.load(Ordering::Acquire) == PollingMode::Hot as u8 {
+            PollingMode::Hot
+        } else {
+            PollingMode::Warm
         }
     }
 
@@ -492,14 +491,6 @@ struct WorkerConn {
     token: usize,
     holds_core: bool,
     last_ready: Option<SimTime>,
-    /// Adaptive workers busy-poll until this *virtual* instant after each
-    /// served request, then park on the completion channel. Compared against
-    /// the next completion's virtual timestamp to decide whether that pickup
-    /// is billed as a busy poll or a blocking wake-up, mirroring the
-    /// spin-then-block wait of a dedicated thread. Virtual (not wall) time
-    /// keeps the billing decision — and through it every downstream
-    /// timestamp — deterministic across runs.
-    unparked_until: SimTime,
 }
 
 /// One executor process's event loop: every worker served over a single
@@ -603,7 +594,6 @@ fn connect_worker(
         token,
         holds_core: false,
         last_ready: None,
-        unparked_until: slot.shared.clock.now() + config.hot_poll_fallback,
     })
 }
 
@@ -667,27 +657,16 @@ fn serve_completion(
     let wc = ring.adopt(raw).wc;
 
     // The multiplexed drain was uncharged: bill the pickup the way this
-    // worker's own wait would have. Hot workers (and adaptive workers still
-    // inside their spin window) pay the busy-poll pickup; warm and parked
-    // adaptive workers pay notification serialisation plus the blocking
-    // wake-up.
+    // worker's own wait would have. Hot workers pay the busy-poll pickup;
+    // warm workers pay notification serialisation plus the blocking wake-up.
     let mode = shared.mode.load();
-    let parked = match mode {
-        PollingMode::Hot => false,
-        PollingMode::Warm => true,
-        PollingMode::Adaptive => wc.timestamp >= conn.unparked_until,
+    let wc = match mode {
+        PollingMode::Hot => {
+            conn.qp.recv_cq().charge_poll_pickup(&wc);
+            wc
+        }
+        PollingMode::Warm => conn.qp.recv_cq().charge_blocking_pickup(wc),
     };
-    let wc = if parked {
-        conn.qp.recv_cq().charge_blocking_pickup(wc)
-    } else {
-        conn.qp.recv_cq().charge_poll_pickup(&wc);
-        wc
-    };
-    if matches!(mode, PollingMode::Adaptive) {
-        // The pickup charge above synced this worker's clock to the
-        // arrival, so the next spin window opens at the served request.
-        conn.unparked_until = shared.clock.now() + config.hot_poll_fallback;
-    }
     if !wc.is_success() {
         return;
     }
@@ -701,49 +680,32 @@ fn serve_completion(
     // carries its timestamp. The one fidelity cost: a hot worker past
     // its budget keeps the core until that next arrival, so co-located
     // warm invocations can still be rejected during the window.
-    if matches!(mode, PollingMode::Hot | PollingMode::Adaptive) {
-        if let Some(idle_since) = conn.last_ready {
-            let spin = wc.timestamp.saturating_since(idle_since);
-            let demote = matches!(mode, PollingMode::Hot)
-                && !config.hot_poll_timeout.is_zero()
-                && spin > config.hot_poll_timeout;
-            if demote {
-                // The worker stopped spinning `hot_poll_timeout` after
-                // going idle and parked on the completion channel
-                // (Sec. III-C): the polling bill is capped at the
-                // budget, the worker is warm from here on, and this
-                // request pays the blocking wake-up it actually took.
-                {
-                    let mut stats = shared.stats.lock();
-                    stats.hot_poll_time += config.hot_poll_timeout;
-                    stats.demotions += 1;
-                }
-                if let Some(b) = billing {
-                    b.record_hot_poll(config.hot_poll_timeout);
-                }
-                shared.mode.store(PollingMode::Warm);
-                shared.clock.advance(conn.qp.recv_cq().blocking_penalty());
-                if conn.holds_core {
-                    core.release();
-                    conn.holds_core = false;
-                }
-            } else {
-                // An adaptive worker parks after its fallback window, so
-                // it too only burns CPU up to the budget — never the
-                // whole idle gap.
-                let billed = if matches!(mode, PollingMode::Adaptive)
-                    && !config.hot_poll_fallback.is_zero()
-                {
-                    spin.min(config.hot_poll_fallback)
-                } else {
-                    spin
-                };
-                if !billed.is_zero() {
-                    shared.stats.lock().hot_poll_time += billed;
-                    if let Some(b) = billing {
-                        b.record_hot_poll(billed);
-                    }
-                }
+    if let (PollingMode::Hot, Some(idle_since)) = (mode, conn.last_ready) {
+        let spin = wc.timestamp.saturating_since(idle_since);
+        if spin > HOT_POLL_TIMEOUT {
+            // The worker stopped spinning `HOT_POLL_TIMEOUT` after going
+            // idle and parked on the completion channel (Sec. III-C): the
+            // polling bill is capped at the budget, the worker is warm from
+            // here on, and this request pays the blocking wake-up it
+            // actually took.
+            {
+                let mut stats = shared.stats.lock();
+                stats.hot_poll_time += HOT_POLL_TIMEOUT;
+                stats.demotions += 1;
+            }
+            if let Some(b) = billing {
+                b.record_hot_poll(HOT_POLL_TIMEOUT);
+            }
+            shared.mode.store(PollingMode::Warm);
+            shared.clock.advance(conn.qp.recv_cq().blocking_penalty());
+            if conn.holds_core {
+                core.release();
+                conn.holds_core = false;
+            }
+        } else if !spin.is_zero() {
+            shared.stats.lock().hot_poll_time += spin;
+            if let Some(b) = billing {
+                b.record_hot_poll(spin);
             }
         }
     }
@@ -1238,8 +1200,8 @@ struct AllocatorState {
 }
 
 /// The lightweight allocator of one spot executor (A2 in Fig. 4): connects
-/// new clients, manages executor processes, removes idle processes and
-/// accounts resource consumption.
+/// new clients, manages executor processes, reaps those whose lease expired
+/// and accounts resource consumption.
 pub struct LightweightAllocator {
     node_name: String,
     fabric: Arc<Fabric>,
@@ -1498,8 +1460,7 @@ impl LightweightAllocator {
                 )));
                 break;
             }
-            let worker_id = NEXT_WORKER_ID.fetch_add(1, Ordering::Relaxed);
-            let address = format!("rfaas://{}/{}/{}", self.node_name, process_id, worker_id);
+            let address = format!("rfaas://{}/{}/{}", self.node_name, process_id, worker_idx);
             let listener = Listener::bind(&self.fabric, &address);
             listener.attach_notifier(&wake);
             let worker_clock = Arc::new(VirtualClock::starting_at(start_time));
@@ -1635,14 +1596,6 @@ impl LightweightAllocator {
         &self.warm_pool
     }
 
-    /// Evict warm parents idle past the configured timeout, finally tearing
-    /// their sandboxes down. Returns the number evicted.
-    pub fn evict_warm_parents(&self, now: SimTime) -> usize {
-        self.warm_pool
-            .evict_idle(now, self.config.warm_pool_idle_timeout)
-            .len()
-    }
-
     /// Fault state of a forked process (`None` for unknown processes or
     /// cold/warm provisioning).
     pub fn fork_state(&self, process_id: u64) -> Option<Arc<ForkFaultState>> {
@@ -1732,8 +1685,8 @@ impl LightweightAllocator {
             let _ = billing.flush();
         }
         // Release the process guard before re-taking the allocator lock:
-        // allocator state ranks below the process lock (reap/cleanup hold
-        // it while locking individual processes), so holding the process
+        // allocator state ranks below the process lock (reaping holds it
+        // while locking individual processes), so holding the process
         // across this acquisition would invert the order.
         drop(process);
         let mut state = self.state.lock();
@@ -1801,29 +1754,6 @@ impl LightweightAllocator {
         let count = processes.len();
         for process in processes {
             process.lock().shutdown();
-        }
-        count
-    }
-
-    /// Remove processes that have been idle longer than the configured idle
-    /// timeout (virtual time). Returns the number of processes reclaimed.
-    pub fn cleanup_idle(&self, now: SimTime) -> usize {
-        let idle_ids: Vec<u64> = {
-            let state = self.state.lock();
-            state
-                .processes
-                .iter()
-                .filter(|(_, p)| {
-                    let p = p.lock();
-                    let last = p.created_at.max(p.latest_worker_time());
-                    now.saturating_since(last) > self.config.executor_idle_timeout
-                })
-                .map(|(id, _)| *id)
-                .collect()
-        };
-        let count = idle_ids.len();
-        for id in idle_ids {
-            let _ = self.deallocate(id);
         }
         count
     }
@@ -2469,27 +2399,6 @@ mod tests {
     }
 
     #[test]
-    fn cleanup_idle_reclaims_stale_processes() {
-        let exec = executor();
-        let result = exec
-            .allocator()
-            .allocate(&test_lease(1, "echo-pkg"))
-            .unwrap();
-        assert_eq!(exec.allocator().process_count(), 1);
-        // Nothing is idle yet relative to the allocator clock.
-        assert_eq!(
-            exec.allocator()
-                .cleanup_idle(exec.allocator().clock().now()),
-            0
-        );
-        // Far in the virtual future everything is idle.
-        let far = exec.allocator().clock().now() + SimDuration::from_secs(3600);
-        assert_eq!(exec.allocator().cleanup_idle(far), 1);
-        assert_eq!(exec.allocator().process_count(), 0);
-        assert!(exec.allocator().process(result.process_id).is_none());
-    }
-
-    #[test]
     fn deallocate_parks_into_warm_pool_when_enabled() {
         let exec = executor_with_pool(2);
         let result = exec
@@ -2596,22 +2505,5 @@ mod tests {
             assert!(exec.allocator().fork_state(result.process_id).is_none());
             assert_eq!(exec.allocator().warm_pool().stats().misses, 1);
         }
-    }
-
-    #[test]
-    fn idle_warm_parents_are_evicted_after_the_timeout() {
-        let exec = executor_with_parked_parent();
-        let clock = Arc::clone(exec.allocator().clock());
-        // Under the 120 s idle timeout nothing is evicted.
-        assert_eq!(exec.allocator().evict_warm_parents(clock.now()), 0);
-        let late = clock.now() + SimDuration::from_secs(3600);
-        assert_eq!(exec.allocator().evict_warm_parents(late), 1);
-        assert_eq!(
-            exec.allocator()
-                .warm_pool()
-                .idle_for(SandboxType::BareMetal, "echo-pkg"),
-            0
-        );
-        assert_eq!(exec.allocator().warm_pool().stats().evictions, 1);
     }
 }

@@ -72,7 +72,9 @@ pub mod sharding;
 pub use billing::{BillingClient, BillingDatabase, UsageRecord};
 pub use client::{BatchStats, ColdStartBreakdown, ConnectionPlaneStats};
 pub use codec::{check_capacity, Codec, F64View};
-pub use config::{PollingMode, RFaasConfig};
+pub use config::{
+    PollingMode, RFaasConfig, HEARTBEAT_INTERVAL, HEARTBEAT_TIMEOUT, HOT_POLL_TIMEOUT,
+};
 pub use error::{RFaasError, Result};
 pub use executor::{
     AllocationBreakdown, AllocationPolicy, AllocationResult, CoreSlot, ExecutorProcess,

@@ -12,11 +12,11 @@
 //! One step performs, in order:
 //!
 //! 1. **Heartbeat collection** — every live registered executor emits a
-//!    heartbeat once per `heartbeat_interval`; the driver records it with the
-//!    manager.
+//!    heartbeat once per [`HEARTBEAT_INTERVAL`]; the driver records it with
+//!    the manager.
 //! 2. **Failure detection** — executors silent for longer than
-//!    `heartbeat_timeout` are deregistered and every lease placed on them is
-//!    marked terminated.
+//!    [`HEARTBEAT_TIMEOUT`] are deregistered and every lease placed on them
+//!    is marked terminated.
 //! 3. **Lease expiry** — expired leases are released, returning their
 //!    reservations to the manager's placement pool.
 //! 4. **Executor-side reaping** — each surviving allocator deallocates the
@@ -27,6 +27,7 @@ use std::sync::Arc;
 use sim_core::sync::{ranks, OrderedMutex};
 use sim_core::SimTime;
 
+use crate::config::{HEARTBEAT_INTERVAL, HEARTBEAT_TIMEOUT};
 use crate::manager::ResourceManager;
 
 /// Counters describing lifecycle activity. Returned per step and accumulated
@@ -70,8 +71,7 @@ impl std::fmt::Debug for LifecycleDriver {
 }
 
 impl LifecycleDriver {
-    /// A driver for `manager`, using the heartbeat interval and timeout of
-    /// the manager's configuration.
+    /// A driver for `manager`.
     pub fn new(manager: &Arc<ResourceManager>) -> LifecycleDriver {
         LifecycleDriver {
             manager: Arc::clone(manager),
@@ -87,12 +87,11 @@ impl LifecycleDriver {
     /// Run one lifecycle step at virtual time `now`; returns what this step
     /// did. Steps are idempotent at a fixed `now`.
     pub fn step(&self, now: SimTime) -> LifecycleStats {
-        let config = self.manager.config().clone();
         let mut delta = LifecycleStats::default();
 
         // 1. Collect the heartbeats live executors emit (Sec. III-B).
         for executor in self.manager.registered_executors() {
-            if let Some(at) = executor.emit_heartbeat_if_due(now, config.heartbeat_interval) {
+            if let Some(at) = executor.emit_heartbeat_if_due(now, HEARTBEAT_INTERVAL) {
                 if self.manager.heartbeat(executor.name(), at) {
                     delta.heartbeats += 1;
                 }
@@ -101,7 +100,7 @@ impl LifecycleDriver {
 
         // 2. Deregister executors whose heartbeats stopped and mark their
         // leases terminated so clients stop waiting for a node that is gone.
-        for name in self.manager.failed_executors(now, config.heartbeat_timeout) {
+        for name in self.manager.failed_executors(now, HEARTBEAT_TIMEOUT) {
             if self.manager.deregister_executor(&name) {
                 delta.executors_failed += 1;
                 delta.leases_terminated += self.manager.terminate_leases_on(&name).len() as u64;
@@ -223,8 +222,7 @@ mod tests {
         assert_eq!(driver.step(t).heartbeats, 2);
         // Same instant again: nothing new is due.
         assert_eq!(driver.step(t).heartbeats, 0);
-        let interval = manager.config().heartbeat_interval;
-        assert_eq!(driver.step(t + interval).heartbeats, 2);
+        assert_eq!(driver.step(t + HEARTBEAT_INTERVAL).heartbeats, 2);
         assert_eq!(driver.total().heartbeats, 4);
     }
 
@@ -243,7 +241,7 @@ mod tests {
             .find(|e| e.name() == lease.executor_node)
             .unwrap();
         victim.fail();
-        let later = SimTime::from_secs(1) + manager.config().heartbeat_timeout * 2;
+        let later = SimTime::from_secs(1) + HEARTBEAT_TIMEOUT * 2;
         let delta = driver.step(later);
         assert_eq!(delta.executors_failed, 1);
         assert_eq!(delta.leases_terminated, 1);
@@ -251,7 +249,7 @@ mod tests {
         assert!(manager.is_lease_terminated(lease.id));
         assert!(manager.lease(lease.id).is_none());
         // The survivor keeps heartbeating and is never deregistered.
-        let much_later = later + manager.config().heartbeat_interval * 10;
+        let much_later = later + HEARTBEAT_INTERVAL * 10;
         assert_eq!(driver.step(much_later).executors_failed, 0);
         assert_eq!(manager.executor_count(), 1);
     }

@@ -152,11 +152,6 @@ impl ResourceManager {
         &self.node
     }
 
-    /// The platform configuration.
-    pub fn config(&self) -> &RFaasConfig {
-        &self.config
-    }
-
     /// Register a spot executor (a cluster operator adding idle resources,
     /// C2 in Fig. 4). Also wires the executor's allocator to the billing
     /// database through a dedicated queue pair.

@@ -16,9 +16,9 @@
 //! Lease recovery is built in (Sec. III-B): every submission records the
 //! allocation epoch it posted against, and a submission, [`TypedFuture`] or
 //! [`CompletionSet`] that finds the lease expired or the executor gone
-//! re-allocates through the manager and replays, within the budget set by
-//! [`AllocationBuilder::recovery_budget`]. The wire-level pieces a session is
-//! made of live in [`crate::client`].
+//! re-allocates through the manager and replays, at most three times per
+//! invocation. The wire-level pieces a session is made of live in
+//! [`crate::client`].
 
 use std::collections::VecDeque;
 use std::marker::PhantomData;
@@ -63,13 +63,19 @@ const MIN_OUTPUT_CAPACITY: usize = 4096;
 /// deregisters it — instead of cached.
 const MAX_POOLED_PAIRS: usize = 64;
 
-/// Default maximum lease re-allocations one invocation will attempt before
-/// surfacing the failure (guards against a platform that keeps handing out
+/// Maximum lease re-allocations one invocation will attempt before surfacing
+/// the failure (guards against a platform that keeps handing out
 /// instantly-dying leases).
-const DEFAULT_RECOVERY_BUDGET: u32 = 3;
+const RECOVERY_BUDGET: u32 = 3;
+
+/// Wall-clock deadline for the manager's allocation verdict, for establishing
+/// a worker connection and for the executor's hello that follows. A peer that
+/// never answers surfaces a typed timeout error instead of hanging the client
+/// forever.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Fluent builder for a [`Session`]: lease shape, sandbox, polling mode and
-/// recovery policy in one place.
+/// provisioning policy in one place.
 #[derive(Debug, Clone)]
 pub struct AllocationBuilder {
     fabric: Arc<Fabric>,
@@ -83,20 +89,18 @@ pub struct AllocationBuilder {
     lease_timeout: Option<SimDuration>,
     mode: PollingMode,
     policy: AllocationPolicy,
-    recovery_budget: u32,
     start_at: Option<SimTime>,
     reactor: Option<Reactor>,
     shared_clock: Option<Arc<VirtualClock>>,
     connection_pool: Option<ConnectionPool>,
-    connect_timeout: Option<std::time::Duration>,
     state_plane: Option<StatePlane>,
 }
 
 impl AllocationBuilder {
     /// Start building a session for `client_node` against `manager`,
     /// requesting the deployed code package `package`. Defaults: one worker,
-    /// 512 MiB, bare-metal sandbox, hot polling, the manager's configuration
-    /// defaults for lease timeout, and the standard recovery budget.
+    /// 512 MiB, bare-metal sandbox, hot polling, cold provisioning and the
+    /// request default for lease timeout.
     pub fn new(
         fabric: &Arc<Fabric>,
         client_node: &str,
@@ -115,12 +119,10 @@ impl AllocationBuilder {
             lease_timeout: None,
             mode: PollingMode::Hot,
             policy: AllocationPolicy::Cold,
-            recovery_budget: DEFAULT_RECOVERY_BUDGET,
             start_at: None,
             reactor: None,
             shared_clock: None,
             connection_pool: None,
-            connect_timeout: None,
             state_plane: None,
         }
     }
@@ -156,8 +158,8 @@ impl AllocationBuilder {
         self
     }
 
-    /// How the leased workers wait for invocations (hot busy-polling, warm
-    /// blocking, or adaptive).
+    /// How the leased workers wait for invocations: hot busy-polling (which
+    /// demotes itself to warm after an idle gap) or warm blocking.
     pub fn polling(mut self, mode: PollingMode) -> AllocationBuilder {
         self.mode = mode;
         self
@@ -171,13 +173,6 @@ impl AllocationBuilder {
     /// spawn when no suitable parent is parked on the chosen executor.
     pub fn allocation_policy(mut self, policy: AllocationPolicy) -> AllocationBuilder {
         self.policy = policy;
-        self
-    }
-
-    /// Maximum transparent lease re-allocations per invocation before the
-    /// failure surfaces (default 3).
-    pub fn recovery_budget(mut self, budget: u32) -> AllocationBuilder {
-        self.recovery_budget = budget;
         self
     }
 
@@ -213,13 +208,6 @@ impl AllocationBuilder {
         self
     }
 
-    /// Wall-clock deadline for each worker connection (and the hello that
-    /// follows). Overrides [`RFaasConfig::connect_timeout`].
-    pub fn connect_timeout(mut self, timeout: std::time::Duration) -> AllocationBuilder {
-        self.connect_timeout = Some(timeout);
-        self
-    }
-
     /// Attach a [`StatePlane`] to the session: [`Session::state`] gains the
     /// zero-copy get/put surface, and function handles may declare key
     /// dependencies via [`FunctionHandle::with_state`]. The executor process
@@ -233,10 +221,6 @@ impl AllocationBuilder {
     /// Acquire the lease, spin up the workers and connect to them (the cold
     /// path of Fig. 5/6), returning the live [`Session`].
     pub fn connect(self) -> Result<Session> {
-        let mut config = self.config;
-        if let Some(timeout) = self.connect_timeout {
-            config.connect_timeout = timeout;
-        }
         let clock = self.shared_clock.unwrap_or_else(VirtualClock::shared);
         if let Some(at) = self.start_at {
             clock.advance_to(at);
@@ -271,12 +255,11 @@ impl AllocationBuilder {
         }
         let session = Session {
             endpoint,
-            config,
+            config: self.config,
             manager: self.manager,
             request,
             mode: self.mode,
             policy: self.policy,
-            recovery_budget: self.recovery_budget,
             control,
             reactor: self.reactor.unwrap_or_default(),
             connection_pool: self.connection_pool.unwrap_or_default(),
@@ -375,7 +358,6 @@ pub struct Session {
     request: LeaseRequest,
     mode: PollingMode,
     policy: AllocationPolicy,
-    recovery_budget: u32,
     /// Datagram socket for first contact with the resource manager, bound
     /// when the session is built and reused by every re-allocation.
     control: DatagramSocket,
@@ -532,10 +514,11 @@ impl Session {
             .extend_lease(lease_id, renewed.expires_at)
             == 0
         {
-            // The executor process is already gone (idle-reaped or expired
-            // under us): the manager-side renewal succeeded but there is no
-            // worker left to keep hot. Surface it so the caller re-allocates
-            // instead of invoking into a dead connection.
+            // The executor process is already gone (reaped after its lease
+            // expired, or its node failed): the manager-side renewal
+            // succeeded but there is no worker left to keep hot. Surface it
+            // so the caller re-allocates instead of invoking into a dead
+            // connection.
             return Err(RFaasError::ExecutorLost(renewed.executor_node));
         }
         if let Some(active) = self.active.lock().as_mut() {
@@ -634,7 +617,7 @@ impl Session {
         self.control
             .send_to(self.manager.control_address(), &frame.encode())?;
         self.manager.poll_control();
-        let reply = self.control.recv_timeout(self.config.connect_timeout)?;
+        let reply = self.control.recv_timeout(CONNECT_TIMEOUT)?;
         match ControlFrame::decode(&reply.payload)? {
             ControlFrame::Granted { lease } => Ok(lease),
             ControlFrame::Denied { .. } => Err(RFaasError::InsufficientResources {
@@ -728,6 +711,7 @@ impl Session {
                 &self.connection_pool,
                 pool_key,
                 &self.config,
+                CONNECT_TIMEOUT,
                 index,
             )?);
             self.connections_opened.fetch_add(1, Ordering::Relaxed);
@@ -841,7 +825,7 @@ impl Session {
         let observed_epoch = self.current_epoch();
         match attempt() {
             Err(cause) if connection_is_lost(&cause) => {
-                self.recover_then(observed_epoch, self.recovery_budget, cause, attempt)
+                self.recover_then(observed_epoch, RECOVERY_BUDGET, cause, attempt)
             }
             result => result.map(|value| (value, 0)),
         }
@@ -1557,7 +1541,7 @@ where
         // The replay is not pinned to the dead worker index: the round robin
         // moves it to whatever the fresh allocation offers.
         self.spec.worker = None;
-        let budget = self.session.recovery_budget.saturating_sub(self.recoveries);
+        let budget = RECOVERY_BUDGET.saturating_sub(self.recoveries);
         let (session, spec) = (self.session, &self.spec);
         let (posted, used) =
             session.recover_then(self.posted.epoch, budget, cause, || session.post_spec(spec))?;
@@ -1991,7 +1975,6 @@ mod tests {
             .workers(2)
             .memory_mib(2048)
             .lease_timeout(SimDuration::from_secs(120))
-            .recovery_budget(5)
             .starting_at(start)
             .connect()
             .unwrap();
@@ -2000,7 +1983,6 @@ mod tests {
         assert_eq!(lease.cores, 2);
         assert_eq!(lease.memory_mib, 2048);
         assert!(session.clock().now() >= start);
-        assert_eq!(session.recovery_budget, 5);
         assert!(session.cold_start().is_some());
         session.close().unwrap();
         assert_eq!(manager.lease_count(), 0);
@@ -2043,7 +2025,6 @@ mod tests {
         let second = Session::builder(&fabric, "c", &manager, "pkg")
             .workers(2)
             .connection_pool(&pool)
-            .connect_timeout(std::time::Duration::from_secs(2))
             .connect()
             .unwrap();
         let stats = second.stats().connections;

@@ -9,6 +9,7 @@ use cluster_sim::{NodeResources, TenantFleet};
 use rdma_fabric::Fabric;
 use rfaas::{
     GroupLifecycleDriver, ManagerGroup, PollingMode, RFaasConfig, Reactor, Session, SpotExecutor,
+    HOT_POLL_TIMEOUT,
 };
 use rfaas_bench::{evaluation_package, Testbed, PACKAGE};
 use sandbox::FunctionRegistry;
@@ -695,68 +696,78 @@ fn saturation_waves_are_byte_identical() {
     );
 }
 
-/// The adaptive-polling scenario: one adaptive worker, a seeded train of
-/// invocations separated by seeded idle gaps that straddle the
-/// `hot_poll_fallback` spin window. Short gaps find the worker still
-/// spinning (picked up inside the `unparked_until` window), long gaps find
-/// it parked — so the transcript pins both branches of the adaptive
-/// park/refresh decision, which previously had no determinism coverage.
-fn run_adaptive_scenario(seed: u64) -> String {
-    let config = RFaasConfig::paper_calibration();
-    let testbed = Testbed::with_config(1, config.clone());
+/// The idle-gap scenario: one hot worker, a seeded train of invocations
+/// separated by seeded idle gaps on either side of [`HOT_POLL_TIMEOUT`].
+/// Gaps of 1–40 ms are billed as hot polling in full; the first gap of
+/// 150–400 ms demotes the worker at the next pickup, capping that spin's bill
+/// at the timeout, and every pickup after it pays the warm wake-up. The
+/// transcript pins each round's latency, the worker's mode and demotion
+/// count, the hot-poll bill and the billing total bit-for-bit.
+fn run_idle_gap_scenario(seed: u64) -> String {
+    let testbed = Testbed::new(1);
     let mut rng = DeterministicRng::new(seed);
     let mut transcript = String::new();
 
-    let session = testbed.allocated_session(
-        "adaptive-det",
-        1,
-        SandboxType::BareMetal,
-        PollingMode::Adaptive,
-    );
+    let session =
+        testbed.allocated_session("idle-gap-det", 1, SandboxType::BareMetal, PollingMode::Hot);
     let echo = session.function::<[u8], [u8]>("echo").unwrap();
+    let process = testbed.executors[0].allocator().processes().pop().unwrap();
 
     const ROUNDS: u64 = 24;
+    let mut first_long_gap = None;
+    let mut short_gaps_before = SimDuration::ZERO;
     for round in 0..ROUNDS {
         let payload = rng.range_u64(1, 2048) as usize;
         let data = workloads::generate_payload(payload, seed);
         let (_, rtt) = echo.invoke_timed(&data).unwrap();
+        let (mode, demotions) = {
+            let process = process.lock();
+            (process.workers()[0].mode(), process.stats().demotions)
+        };
         transcript.push_str(&format!(
-            "round {round}: invoke {payload} B -> {} ns\n",
+            "round {round}: invoke {payload} B -> {} ns, mode={mode:?} demotions={demotions}\n",
             rtt.as_nanos()
         ));
-        // Seeded idle gap: roughly half stay inside the adaptive spin
-        // window (worker picked up unparked), the rest sleep far past it
-        // (worker picked up parked, spin billed at most the fallback).
-        let gap = if rng.range_u64(0, 1) == 0 {
-            SimDuration::from_millis(rng.range_u64(1, 40))
+        // The pickup after the first long gap demotes, and no other does.
+        let demoted = first_long_gap.is_some();
+        assert_eq!(demotions, u64::from(demoted), "round {round}");
+        let expected_mode = if demoted {
+            PollingMode::Warm
         } else {
-            SimDuration::from_millis(rng.range_u64(100, 400))
+            PollingMode::Hot
         };
+        assert_eq!(mode, expected_mode, "round {round}");
+
+        let gap = if rng.range_u64(0, 2) == 0 {
+            SimDuration::from_millis(rng.range_u64(1, 41))
+        } else {
+            SimDuration::from_millis(rng.range_u64(150, 401))
+        };
+        if gap > HOT_POLL_TIMEOUT {
+            first_long_gap.get_or_insert(round);
+        } else if first_long_gap.is_none() {
+            short_gaps_before += gap;
+        }
         session.clock().advance(gap);
         transcript.push_str(&format!("gap {} ns\n", gap.as_nanos()));
     }
-
-    let process = testbed.executors[0].allocator().processes().pop().unwrap();
-    let process = process.lock();
-    let stats = process.stats();
-    assert_eq!(
-        process.workers()[0].mode(),
-        PollingMode::Adaptive,
-        "adaptive workers self-regulate instead of demoting"
-    );
-    assert_eq!(stats.demotions, 0);
-    // The long gaps above sum to seconds of idle time; if the parked branch
-    // were not taken the spin bill would cover those gaps wholesale instead
-    // of being clipped to one fallback window per pickup.
     assert!(
-        stats.hot_poll_time <= config.hot_poll_fallback * ROUNDS,
-        "adaptive spin bill {} must be clipped to one {} window per pickup",
+        first_long_gap.is_some_and(|round| round + 1 < ROUNDS),
+        "the seed must cross the timeout before the last round"
+    );
+
+    // Each hot spin bills its gap plus the µs-scale round-trip residue; the
+    // demoting spin bills exactly the timeout; a warm worker bills nothing.
+    let stats = process.lock().stats();
+    let floor = short_gaps_before + HOT_POLL_TIMEOUT;
+    assert!(
+        stats.hot_poll_time >= floor && stats.hot_poll_time < floor + SimDuration::from_millis(1),
+        "hot-poll bill {} must be the short gaps before the demotion plus {}",
         stats.hot_poll_time,
-        config.hot_poll_fallback
+        HOT_POLL_TIMEOUT
     );
     transcript.push_str(&format!(
-        "adaptive: mode={:?} demotions={} hot_poll_ns={}\n",
-        process.workers()[0].mode(),
+        "idle gaps: demotions={} hot_poll_ns={}\n",
         stats.demotions,
         stats.hot_poll_time.as_nanos()
     ));
@@ -770,18 +781,18 @@ fn run_adaptive_scenario(seed: u64) -> String {
 }
 
 #[test]
-fn adaptive_polling_runs_are_byte_identical() {
-    let first = run_adaptive_scenario(0xADA9);
-    let second = run_adaptive_scenario(0xADA9);
+fn idle_gap_demotion_runs_are_byte_identical() {
+    let first = run_idle_gap_scenario(0x1D1E);
+    let second = run_idle_gap_scenario(0x1D1E);
     assert_eq!(
         first, second,
-        "adaptive park/refresh decisions, latencies or billing diverged between identical runs"
+        "the demotion, latencies or billing diverged between identical runs"
     );
 }
 
 #[test]
-fn adaptive_scenario_seeds_change_the_timeline() {
-    let a = run_adaptive_scenario(13);
-    let b = run_adaptive_scenario(14);
+fn idle_gap_seeds_change_the_timeline() {
+    let a = run_idle_gap_scenario(13);
+    let b = run_idle_gap_scenario(14);
     assert_ne!(a, b, "the seed must drive payloads and idle gaps");
 }

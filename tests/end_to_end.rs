@@ -1,7 +1,7 @@
 //! End-to-end integration tests spanning the resource manager, spot
 //! executors, the typed session API and the billing database.
 
-use rfaas::{LifecycleDriver, PollingMode, RFaasError};
+use rfaas::{LifecycleDriver, PollingMode, RFaasError, HEARTBEAT_TIMEOUT};
 use rfaas_bench::Testbed;
 use sandbox::SandboxType;
 use sim_core::SimDuration;
@@ -233,7 +233,7 @@ fn executor_failure_is_detected_and_the_client_recovers_elsewhere() {
 
     // The failure detector notices the silence, deregisters the executor and
     // marks its leases terminated.
-    let later = t0 + SimDuration::from_secs(1) + testbed.config.heartbeat_timeout * 2;
+    let later = t0 + SimDuration::from_secs(1) + HEARTBEAT_TIMEOUT * 2;
     let delta = driver.step(later);
     assert_eq!(delta.executors_failed, 1);
     assert_eq!(delta.leases_terminated, 1);
@@ -274,7 +274,7 @@ fn batch_scatter_recovers_from_a_failed_executor() {
         .executor(&lease.executor_node)
         .unwrap()
         .fail();
-    let later = t0 + SimDuration::from_secs(1) + testbed.config.heartbeat_timeout * 2;
+    let later = t0 + SimDuration::from_secs(1) + HEARTBEAT_TIMEOUT * 2;
     assert_eq!(driver.step(later).executors_failed, 1);
 
     // The first wave finds its connections dead while posting: the whole

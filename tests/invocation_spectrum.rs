@@ -1,9 +1,9 @@
 //! Integration tests for the hot/warm/cold invocation spectrum (Fig. 5/6,
 //! Sec. V-A): the paper's latency hierarchy must hold in the simulated
 //! latency model, and hot workers must demote to warm after spinning past
-//! the configurable hot-poll timeout (Sec. III-C).
+//! the hot-poll timeout (Sec. III-C).
 
-use rfaas::{AllocationPolicy, PollingMode, RFaasConfig};
+use rfaas::{AllocationPolicy, PollingMode, RFaasConfig, HOT_POLL_TIMEOUT};
 use rfaas_bench::Testbed;
 use sandbox::SandboxType;
 use sim_core::{median, SimDuration};
@@ -151,8 +151,7 @@ fn spectrum_ordering_holds_across_payload_sizes() {
 
 #[test]
 fn hot_worker_demotes_to_warm_after_the_poll_timeout() {
-    let config = RFaasConfig::paper_calibration();
-    let testbed = Testbed::with_config(1, config.clone());
+    let testbed = Testbed::new(1);
     let session = testbed.allocated_session(
         "demotion-client",
         1,
@@ -175,19 +174,19 @@ fn hot_worker_demotes_to_warm_after_the_poll_timeout() {
 
     // One idle gap past the budget: the worker demotes, the polling bill is
     // capped at the budget, and the invocation pays the warm wake-up.
-    session.clock().advance(config.hot_poll_timeout * 3);
+    session.clock().advance(HOT_POLL_TIMEOUT * 3);
     let (_, demoted_rtt) = echo.invoke_timed(&[7u8; 8]).unwrap();
     {
         let process = process.lock();
         assert_eq!(process.workers()[0].mode(), PollingMode::Warm);
         let stats = process.stats();
         assert_eq!(stats.demotions, 1);
-        assert!(stats.hot_poll_time >= config.hot_poll_timeout);
+        assert!(stats.hot_poll_time >= HOT_POLL_TIMEOUT);
         assert!(
-            stats.hot_poll_time < config.hot_poll_timeout + SimDuration::from_millis(1),
+            stats.hot_poll_time < HOT_POLL_TIMEOUT + SimDuration::from_millis(1),
             "billed polling {} must be capped at the {} budget",
             stats.hot_poll_time,
-            config.hot_poll_timeout
+            HOT_POLL_TIMEOUT
         );
     }
     assert!(
@@ -207,55 +206,4 @@ fn hot_worker_demotes_to_warm_after_the_poll_timeout() {
     );
     assert!(warm_median < 20.0, "post-demotion median {warm_median} us");
     assert_eq!(process.lock().stats().demotions, 1, "demotion is one-shot");
-}
-
-#[test]
-fn adaptive_workers_bill_at_most_the_budget_per_idle_gap() {
-    // An adaptive worker parks after its fallback window, so a long idle
-    // gap must not be billed as 30 s of phantom polling — only up to the
-    // hot-poll budget — and it never demotes (it already self-regulates).
-    let config = RFaasConfig::paper_calibration();
-    let testbed = Testbed::with_config(1, config.clone());
-    let session = testbed.allocated_session(
-        "adaptive-client",
-        1,
-        SandboxType::BareMetal,
-        PollingMode::Adaptive,
-    );
-    let echo = session.function::<[u8], [u8]>("echo").unwrap();
-    echo.invoke(&[7u8; 8]).unwrap();
-    session.clock().advance(SimDuration::from_secs(30));
-    echo.invoke(&[7u8; 8]).unwrap();
-    let process = testbed.executors[0].allocator().processes().pop().unwrap();
-    let process = process.lock();
-    assert_eq!(process.workers()[0].mode(), PollingMode::Adaptive);
-    let stats = process.stats();
-    assert_eq!(stats.demotions, 0);
-    assert!(
-        stats.hot_poll_time <= config.hot_poll_timeout + SimDuration::from_millis(1),
-        "adaptive polling bill {} must be capped at the {} budget",
-        stats.hot_poll_time,
-        config.hot_poll_timeout
-    );
-}
-
-#[test]
-fn disabling_the_timeout_keeps_workers_hot_forever() {
-    let mut config = RFaasConfig::paper_calibration();
-    config.hot_poll_timeout = SimDuration::ZERO;
-    let testbed = Testbed::with_config(1, config);
-    let session =
-        testbed.allocated_session("no-demotion", 1, SandboxType::BareMetal, PollingMode::Hot);
-    let echo = session.function::<[u8], [u8]>("echo").unwrap();
-    echo.invoke(&[7u8; 8]).unwrap();
-    session.clock().advance(SimDuration::from_secs(30));
-    echo.invoke(&[7u8; 8]).unwrap();
-    let process = testbed.executors[0].allocator().processes().pop().unwrap();
-    let process = process.lock();
-    assert_eq!(process.workers()[0].mode(), PollingMode::Hot);
-    let stats = process.stats();
-    assert_eq!(stats.demotions, 0);
-    // Without a cap, the worker bills the whole 30 s spin (the pricing
-    // incentive for clients to pick warm or adaptive executors).
-    assert!(stats.hot_poll_time >= SimDuration::from_secs(30));
 }

@@ -254,3 +254,44 @@ fn lock_ranks_are_ordered_used_and_counted() {
 
     assert_eq!(table.len(), 20, "lock ranks: {table:?}");
 }
+
+/// The lines of the item opening with the line `header`, up to its closing
+/// brace at column 0.
+fn item_body<'a>(text: &'a str, header: &str) -> Vec<&'a str> {
+    text.lines()
+        .skip_while(|line| *line != header)
+        .skip(1)
+        .take_while(|line| *line != "}")
+        .collect()
+}
+
+/// The option surface clients can turn, counted from source so that adding
+/// a knob means editing this test on purpose: `RFaasConfig` has 13 `pub`
+/// fields (five costs, three prices, five sizes), `PollingMode` two
+/// variants, and `impl AllocationBuilder` 14 `pub fn`s. Reads the sources as
+/// text.
+#[test]
+fn config_surface_is_counted() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/rfaas/src");
+    let config = fs::read_to_string(root.join("config.rs")).unwrap();
+    let session = fs::read_to_string(root.join("session.rs")).unwrap();
+
+    let fields: Vec<&str> = item_body(&config, "pub struct RFaasConfig {")
+        .into_iter()
+        .filter(|line| line.starts_with("    pub "))
+        .collect();
+    assert_eq!(fields.len(), 13, "RFaasConfig fields: {fields:?}");
+
+    let variants: Vec<&str> = item_body(&config, "pub enum PollingMode {")
+        .into_iter()
+        .map(str::trim)
+        .filter(|line| line.starts_with(|c: char| c.is_ascii_uppercase()) && line.ends_with(','))
+        .collect();
+    assert_eq!(variants.len(), 2, "PollingMode variants: {variants:?}");
+
+    let methods: Vec<&str> = item_body(&session, "impl AllocationBuilder {")
+        .into_iter()
+        .filter(|line| line.starts_with("    pub fn "))
+        .collect();
+    assert_eq!(methods.len(), 14, "AllocationBuilder methods: {methods:?}");
+}
