@@ -123,21 +123,15 @@ impl CompletionQueue {
         self.inner.state.lock().completions.len()
     }
 
-    /// Non-blocking poll for up to `max` completions (busy-polling pickup).
+    /// Non-blocking poll for up to `max` completions (busy-polling pickup),
+    /// drained into a caller-owned scratch buffer so the hot loop performs no
+    /// steady-state allocations. Appends at most `max` completions to `out`
+    /// and returns how many were appended.
     ///
-    /// For each returned completion the consumer clock is synchronised to the
+    /// For each completion the consumer clock is synchronised to the
     /// completion's arrival time plus the polling pickup cost. Empty polls do
     /// not advance virtual time: an idle spinning thread does no useful
     /// virtual work.
-    pub fn poll(&self, max: usize) -> Vec<WorkCompletion> {
-        let mut drained = Vec::new();
-        self.poll_into(max, &mut drained);
-        drained
-    }
-
-    /// Like [`CompletionQueue::poll`], but drains into a caller-owned scratch
-    /// buffer so the hot loop performs no steady-state allocations. Appends at
-    /// most `max` completions to `out` and returns how many were appended.
     pub fn poll_into(&self, max: usize, out: &mut Vec<WorkCompletion>) -> usize {
         let n = self.poll_uncharged_into(max, out);
         for wc in &out[out.len() - n..] {
@@ -340,7 +334,7 @@ mod tests {
     #[test]
     fn empty_poll_does_not_advance_clock() {
         let (cq, clock) = make_cq(DeviceFunction::Physical);
-        assert!(cq.poll(4).is_empty());
+        assert_eq!(cq.poll_into(4, &mut Vec::new()), 0);
         assert_eq!(clock.now(), SimTime::ZERO);
     }
 
@@ -348,7 +342,8 @@ mod tests {
     fn poll_synchronises_clock_to_arrival() {
         let (cq, clock) = make_cq(DeviceFunction::Physical);
         cq.push(completion_at(10));
-        let wcs = cq.poll(4);
+        let mut wcs = Vec::new();
+        assert_eq!(cq.poll_into(4, &mut wcs), 1);
         assert_eq!(wcs.len(), 1);
         assert_eq!(wcs[0].imm, Some(7));
         // 10 us arrival + 65 ns pickup.
@@ -416,7 +411,7 @@ mod tests {
         cq.push(completion_at(1));
         cq.push(completion_at(2));
         assert_eq!(cq.pending(), 2);
-        cq.poll(1);
+        cq.poll_into(1, &mut Vec::new());
         assert_eq!(cq.pending(), 1);
     }
 

@@ -39,18 +39,36 @@ pub struct TransferTiming {
     pub arrive: SimTime,
 }
 
+/// The instant (in virtual nanoseconds) until which one direction of a port
+/// is occupied. Every message moves it, so it is an atomic, not a lock.
 #[derive(Debug, Default)]
-struct PortState {
-    egress_busy_until: SimTime,
-    ingress_busy_until: SimTime,
-    notification_busy_until: SimTime,
+struct BusyUntil(AtomicU64);
+
+impl BusyUntil {
+    /// Move the instant to `next(current)` and return the new instant.
+    fn advance(&self, next: impl Fn(SimTime) -> SimTime) -> SimTime {
+        let step = |busy| next(SimTime::from_nanos(busy));
+        let previous = self
+            .0
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |busy| {
+                Some(step(busy).as_nanos())
+            })
+            .expect("the update closure never declines");
+        step(previous)
+    }
+
+    fn reset(&self) {
+        self.0.store(0, Ordering::Release);
+    }
 }
 
 /// One machine attached to the fabric.
 #[derive(Debug)]
 pub struct FabricNode {
     name: String,
-    state: Mutex<PortState>,
+    egress_busy_until: BusyUntil,
+    ingress_busy_until: BusyUntil,
+    notification_busy_until: BusyUntil,
     bytes_sent: AtomicU64,
     bytes_received: AtomicU64,
     messages_sent: AtomicU64,
@@ -60,7 +78,9 @@ impl FabricNode {
     fn new(name: String) -> FabricNode {
         FabricNode {
             name,
-            state: Mutex::new(PortState::default()),
+            egress_busy_until: BusyUntil::default(),
+            ingress_busy_until: BusyUntil::default(),
+            notification_busy_until: BusyUntil::default(),
             bytes_sent: AtomicU64::new(0),
             bytes_received: AtomicU64::new(0),
             messages_sent: AtomicU64::new(0),
@@ -90,38 +110,31 @@ impl FabricNode {
     /// Reserve the egress direction for `duration` starting no earlier than
     /// `ready`. Returns the instant the reservation ends.
     fn reserve_egress(&self, ready: SimTime, duration: SimDuration) -> SimTime {
-        let mut state = self.state.lock();
-        let start = ready.max(state.egress_busy_until);
-        let end = start + duration;
-        state.egress_busy_until = end;
-        end
+        self.egress_busy_until
+            .advance(|busy| ready.max(busy) + duration)
     }
 
     /// Reserve the ingress direction so that a message whose last byte would
     /// arrive at `uncontended_arrival` (taking `duration` to stream in) is
     /// delayed behind any earlier arrivals. Returns the contended arrival.
     fn reserve_ingress(&self, uncontended_arrival: SimTime, duration: SimDuration) -> SimTime {
-        let mut state = self.state.lock();
-        let arrival = uncontended_arrival.max(state.ingress_busy_until + duration);
-        state.ingress_busy_until = arrival;
-        arrival
+        self.ingress_busy_until
+            .advance(|busy| uncontended_arrival.max(busy + duration))
     }
 
     /// Serialise one blocking-notification event through the node's shared
     /// event channel: the event becomes visible `dispatch` after the channel
     /// frees up. Returns the visibility instant.
     pub(crate) fn serialize_notification(&self, event: SimTime, dispatch: SimDuration) -> SimTime {
-        let mut state = self.state.lock();
-        let start = event.max(state.notification_busy_until);
-        let visible = start + dispatch;
-        state.notification_busy_until = visible;
-        visible
+        self.notification_busy_until
+            .advance(|busy| event.max(busy) + dispatch)
     }
 
     /// Reset contention state (used between benchmark repetitions).
     pub fn reset_contention(&self) {
-        let mut state = self.state.lock();
-        *state = PortState::default();
+        self.egress_busy_until.reset();
+        self.ingress_busy_until.reset();
+        self.notification_busy_until.reset();
     }
 }
 

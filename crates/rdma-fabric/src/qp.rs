@@ -7,8 +7,8 @@
 //! the data and delivers completions with fabric-model timestamps.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use sim_core::sync::{Mutex, RwLock};
 use sim_core::{SimTime, VirtualClock};
@@ -93,6 +93,28 @@ impl QpState {
     }
 }
 
+/// A [`QpState`] in one atomic byte: every post reads its own and its
+/// peer's state, so the read takes no lock.
+struct AtomicQpState(AtomicU8);
+
+impl AtomicQpState {
+    fn new(state: QpState) -> AtomicQpState {
+        AtomicQpState(AtomicU8::new(state as u8))
+    }
+
+    fn load(&self) -> QpState {
+        match self.0.load(Ordering::Acquire) {
+            s if s == QpState::Init as u8 => QpState::Init,
+            s if s == QpState::Connected as u8 => QpState::Connected,
+            _ => QpState::Disconnected,
+        }
+    }
+
+    fn store(&self, state: QpState) {
+        self.0.store(state as u8, Ordering::Release);
+    }
+}
+
 static NEXT_QP_NUM: AtomicU32 = AtomicU32::new(1);
 
 pub(crate) struct QpInner {
@@ -106,11 +128,37 @@ pub(crate) struct QpInner {
     recv_cq: CompletionQueue,
     recv_queue: Mutex<VecDeque<RecvRequest>>,
     /// When set, incoming messages consume buffers from this shared queue
-    /// instead of the private `recv_queue` (ibv SRQ association).
-    srq: RwLock<Option<SharedReceiveQueue>>,
+    /// instead of the private `recv_queue` (ibv SRQ association). Set at
+    /// most once, by [`QueuePair::attach_srq`], and never replaced.
+    srq: OnceLock<SharedReceiveQueue>,
+    /// The SRQ has dropped this QP's credit entry (the first disconnect
+    /// does that, exactly once).
+    srq_detached: AtomicBool,
     peer: RwLock<Option<Arc<QpInner>>>,
-    state: RwLock<QpState>,
+    /// Invariant: `Connected` implies `peer` is set. `connect_pair` links
+    /// the peers before it marks them connected, and `disconnect` marks a
+    /// side disconnected before it drops that side's link.
+    state: AtomicQpState,
     ops_posted: AtomicU64,
+}
+
+impl QpInner {
+    /// The SRQ incoming messages consume from, while attached.
+    fn srq(&self) -> Option<&SharedReceiveQueue> {
+        self.srq
+            .get()
+            .filter(|_| !self.srq_detached.load(Ordering::Acquire))
+    }
+
+    /// Remove this QP's credit entry from its SRQ, if it has one and has not
+    /// done so already.
+    fn detach_srq(&self) {
+        if let Some(srq) = self.srq.get() {
+            if !self.srq_detached.swap(true, Ordering::AcqRel) {
+                srq.detach(self.qp_num);
+            }
+        }
+    }
 }
 
 impl std::fmt::Debug for QpInner {
@@ -118,7 +166,7 @@ impl std::fmt::Debug for QpInner {
         f.debug_struct("QpInner")
             .field("qp_num", &self.qp_num)
             .field("node", &self.node.name())
-            .field("state", &*self.state.read())
+            .field("state", &self.state.load())
             .finish()
     }
 }
@@ -156,9 +204,10 @@ impl QueuePair {
                 send_cq,
                 recv_cq,
                 recv_queue: Mutex::new(VecDeque::new()),
-                srq: RwLock::new(None),
+                srq: OnceLock::new(),
+                srq_detached: AtomicBool::new(false),
                 peer: RwLock::new(None),
-                state: RwLock::new(QpState::Init),
+                state: AtomicQpState::new(QpState::Init),
                 ops_posted: AtomicU64::new(0),
             }),
         }
@@ -171,7 +220,7 @@ impl QueuePair {
 
     /// Current connection state.
     pub fn state(&self) -> QpState {
-        *self.inner.state.read()
+        self.inner.state.load()
     }
 
     /// The completion queue receiving send-side completions.
@@ -223,50 +272,47 @@ impl QueuePair {
         }
         *a.inner.peer.write() = Some(Arc::clone(&b.inner));
         *b.inner.peer.write() = Some(Arc::clone(&a.inner));
-        *a.inner.state.write() = QpState::Connected;
-        *b.inner.state.write() = QpState::Connected;
+        a.inner.state.store(QpState::Connected);
+        b.inner.state.store(QpState::Connected);
         Ok(())
     }
 
     /// Associate this queue pair with a shared receive queue: incoming
     /// messages will consume buffers from `srq` (with a flow-control budget
     /// of `credit` concurrently held buffers) instead of the private receive
-    /// queue. Mirrors passing `srq` to `ibv_create_qp`. Completions still
-    /// land on this QP's own receive CQ.
+    /// queue. Mirrors passing `srq` to `ibv_create_qp`, so the association is
+    /// fixed: a QP attaches to at most one SRQ, once, and a second call is
+    /// ignored. Completions still land on this QP's own receive CQ.
     pub fn attach_srq(&self, srq: &SharedReceiveQueue, credit: usize) {
-        srq.attach(self.inner.qp_num, credit);
-        *self.inner.srq.write() = Some(srq.clone());
-    }
-
-    /// The shared receive queue this QP consumes from, if any.
-    pub fn srq(&self) -> Option<SharedReceiveQueue> {
-        self.inner.srq.read().clone()
+        if self.inner.srq.set(srq.clone()).is_ok() {
+            srq.attach(self.inner.qp_num, credit);
+        }
     }
 
     /// Tear down the connection. Peers observe `ConnectionLost` on their next
-    /// operation and blocked completion waits wake with `None`.
+    /// operation and blocked completion waits wake with `None`. Each side is
+    /// marked `Disconnected` before its peer link drops, and its SRQ credit
+    /// entry goes with the first disconnect only.
     pub fn disconnect(&self) {
+        self.inner.state.store(QpState::Disconnected);
         let peer = self.inner.peer.write().take();
-        *self.inner.state.write() = QpState::Disconnected;
         self.inner.send_cq.disconnect();
         self.inner.recv_cq.disconnect();
-        if let Some(srq) = self.inner.srq.write().take() {
-            srq.detach(self.inner.qp_num);
-        }
+        self.inner.detach_srq();
         if let Some(peer) = peer {
-            *peer.state.write() = QpState::Disconnected;
+            peer.state.store(QpState::Disconnected);
             peer.peer.write().take();
             peer.send_cq.disconnect();
             peer.recv_cq.disconnect();
-            if let Some(srq) = peer.srq.write().take() {
-                srq.detach(peer.qp_num);
-            }
+            peer.detach_srq();
         }
     }
 
-    /// Whether the peer endpoint is still connected.
+    /// Whether the connection is up. One load: a side is marked
+    /// `Disconnected` before either peer link drops, so a `Connected` state
+    /// always has its peer behind it.
     pub fn is_connected(&self) -> bool {
-        self.state() == QpState::Connected && self.inner.peer.read().is_some()
+        self.state() == QpState::Connected
     }
 
     /// Post a receive work request: a buffer waiting for a SEND or
@@ -279,7 +325,7 @@ impl QueuePair {
                 state: state.name(),
             });
         }
-        if self.inner.srq.read().is_some() {
+        if self.inner.srq().is_some() {
             return Err(FabricError::UnsupportedOperation(
                 "post_recv on an SRQ-attached queue pair (post to the SRQ instead)",
             ));
@@ -441,7 +487,7 @@ impl QueuePair {
     /// clock, so timestamps stay deterministic.
     fn consume_peer_recv(peer: &Arc<QpInner>) -> Result<RecvRequest> {
         const RNR_RETRY_WINDOW: std::time::Duration = std::time::Duration::from_secs(5);
-        let Some(srq) = peer.srq.read().clone() else {
+        let Some(srq) = peer.srq() else {
             return peer
                 .recv_queue
                 .lock()
@@ -478,7 +524,7 @@ impl QueuePair {
             .read()
             .clone()
             .ok_or(FabricError::NotConnected)?;
-        if *peer.state.read() != QpState::Connected {
+        if peer.state.load() != QpState::Connected {
             return Err(FabricError::ConnectionLost);
         }
         Ok(peer)
@@ -806,6 +852,7 @@ fn validate_sge(sge: &Sge) -> Result<()> {
 mod tests {
     use super::*;
     use crate::memory::{AccessFlags, MemoryRegion};
+    use crate::srq::SrqStats;
 
     /// Two directly connected endpoints on different nodes.
     fn connected_pair() -> (QueuePair, QueuePair, Arc<Fabric>) {
@@ -1266,6 +1313,83 @@ mod tests {
                 true
             )
             .is_err());
+    }
+
+    #[test]
+    fn a_disconnect_racing_posts_ends_every_post_typed_and_detaches_the_srq_once() {
+        let fabric = Fabric::with_defaults();
+        let server_ep = Endpoint::new(&fabric, &fabric.add_node("server"));
+        let srq = SharedReceiveQueue::new(&server_ep, 4);
+        let slot = server_ep.pd.register(8, AccessFlags::LOCAL_ONLY);
+        let dst = server_ep.pd.register(64, AccessFlags::REMOTE_WRITE);
+        // Two server QPs share the SRQ; each holds one buffer in flight.
+        let pair = || {
+            let client = QueuePair::new(&Endpoint::new(&fabric, &fabric.add_node("client")));
+            let server = QueuePair::new(&server_ep);
+            QueuePair::connect_pair(&client, &server).unwrap();
+            server.attach_srq(&srq, 4);
+            srq.post(RecvRequest {
+                wr_id: 0,
+                local: Sge::whole(&slot),
+            })
+            .unwrap();
+            client
+                .post_write_inline(0, &[1u8; 8], &dst.remote_handle(), Some(1), false)
+                .unwrap();
+            (client, server)
+        };
+        let (client, server) = pair();
+        let (_other_client, _other_server) = pair();
+        let attached = |stats: SrqStats| (stats.attached_qps, stats.in_flight);
+        assert_eq!(attached(srq.stats()), (2, 2));
+
+        const TAIL: u64 = 100;
+        let poster = {
+            let (client, remote) = (client.clone(), dst.remote_handle());
+            std::thread::spawn(move || {
+                let typed = |outcome: Result<()>| match outcome {
+                    Ok(()) => false,
+                    Err(
+                        FabricError::InvalidQpState { .. }
+                        | FabricError::ConnectionLost
+                        | FabricError::NotConnected,
+                    ) => true,
+                    Err(other) => panic!("a post ended in an untyped error: {other:?}"),
+                };
+                let post = |wr_id| client.post_write_inline(wr_id, &[7u8; 8], &remote, None, false);
+                let mut wr_id = 1;
+                while !typed(post(wr_id)) {
+                    wr_id += 1;
+                }
+                // Once one post failed, every later one fails the same way.
+                for tail in 1..=TAIL {
+                    assert!(
+                        typed(post(wr_id + tail)),
+                        "post after the disconnect succeeded"
+                    );
+                }
+                wr_id - 1
+            })
+        };
+        while client.ops_posted() < 1_000 {
+            std::thread::yield_now();
+        }
+        server.disconnect();
+        let succeeded = poster.join().unwrap();
+        assert!(succeeded >= 999, "{succeeded} posts went through");
+
+        for qp in [&client, &server] {
+            assert_eq!(qp.state(), QpState::Disconnected);
+            assert!(!qp.is_connected());
+        }
+        // The server QP's credit entry and its in-flight buffer are gone; the
+        // other QP's are untouched.
+        assert_eq!(attached(srq.stats()), (1, 1));
+        // A second disconnect, from either side, changes nothing.
+        server.disconnect();
+        client.disconnect();
+        assert_eq!(attached(srq.stats()), (1, 1));
+        assert_eq!(server.state(), QpState::Disconnected);
     }
 
     #[test]

@@ -290,38 +290,39 @@ impl ReceiveRing {
         }
         {
             let mut state = self.state.lock();
-            match &self.backing {
-                RingBacking::Qp(_) => {
-                    // The QP consumes receives FIFO, so a ring delivery
-                    // always hits the front slot; anything else is a foreign
-                    // receive whose wr_id happens to collide with a slot
-                    // index.
-                    if state.front() != Some(slot_id) {
-                        return RingCompletion { slot: None, wc };
-                    }
-                    state
-                        .deliver()
-                        .expect("front() is Some, deliver cannot fail");
-                }
-                RingBacking::Srq(_) => {
-                    // Several QPs drain from the shared queue and their CQs
-                    // are swept in registration order, so deliveries land in
-                    // arbitrary slot order.
-                    if state.deliver_slot(slot_id).is_err() {
-                        return RingCompletion { slot: None, wc };
-                    }
-                }
+            let delivered = match &self.backing {
+                // The QP consumes receives FIFO, so a ring delivery always
+                // hits the front slot; anything else is a foreign receive
+                // whose wr_id happens to collide with a slot index.
+                RingBacking::Qp(_) => state.front() == Some(slot_id) && state.deliver().is_ok(),
+                // Several QPs drain from the shared queue and their CQs are
+                // swept in registration order, so deliveries land in
+                // arbitrary slot order.
+                RingBacking::Srq(_) => state.deliver_slot(slot_id).is_ok(),
+            };
+            if !delivered {
+                return RingCompletion { slot: None, wc };
+            }
+            if self.auto_repost {
+                state
+                    .repost(slot_id)
+                    .expect("a slot delivered just now is consumed");
             }
         }
-        if let RingBacking::Srq(srq) = &self.backing {
-            // The buffer is free again: return the consuming QP's credit.
-            srq.release(wc.qp_num);
-        }
-        if self.auto_repost {
-            // A failed re-post only happens on a disconnected QP, where the
-            // next wait returns None anyway; the completion in hand is
-            // still delivered to the caller.
-            let _ = self.repost(slot_id);
+        // A failed re-post only happens on a disconnected QP, where the next
+        // wait returns None anyway; the completion in hand is still
+        // delivered to the caller.
+        match (&self.backing, self.auto_repost) {
+            // The buffer is free again: return the consuming QP's credit, and
+            // the slot with it.
+            (RingBacking::Srq(srq), true) => {
+                let _ = srq.release_and_post(wc.qp_num, self.recv_request(slot_id));
+            }
+            (RingBacking::Srq(srq), false) => srq.release(wc.qp_num),
+            (RingBacking::Qp(_), true) => {
+                let _ = self.post_slot(slot_id);
+            }
+            (RingBacking::Qp(_), false) => {}
         }
         RingCompletion {
             slot: Some(slot_id),

@@ -47,6 +47,25 @@ struct SrqState {
     high_watermark: usize,
 }
 
+impl SrqState {
+    fn push(&mut self, recv: RecvRequest, max_depth: usize) -> Result<()> {
+        if self.queue.len() >= max_depth {
+            return Err(FabricError::DeviceLimitExceeded {
+                limit: "shared receive queue depth",
+            });
+        }
+        self.queue.push_back(recv);
+        Ok(())
+    }
+
+    fn release(&mut self, qp_num: u32) {
+        if let Some(credit) = self.credits.get_mut(&qp_num) {
+            credit.in_flight = credit.in_flight.saturating_sub(1);
+        }
+        self.total_in_flight = self.total_in_flight.saturating_sub(1);
+    }
+}
+
 #[derive(Debug)]
 struct SrqInner {
     max_depth: usize,
@@ -110,14 +129,19 @@ impl SharedReceiveQueue {
 
     /// Post a receive into the shared pool.
     pub fn post(&self, recv: RecvRequest) -> Result<()> {
+        self.inner.state.lock().push(recv, self.inner.max_depth)?;
+        self.inner.clock.advance(self.inner.post_overhead);
+        Ok(())
+    }
+
+    /// [`SharedReceiveQueue::release`] `qp_num`'s credit and
+    /// [`SharedReceiveQueue::post`] the freed buffer back, under one lock:
+    /// what a ring does when it picks a delivery up and reposts its slot.
+    pub(crate) fn release_and_post(&self, qp_num: u32, recv: RecvRequest) -> Result<()> {
         {
             let mut state = self.inner.state.lock();
-            if state.queue.len() >= self.inner.max_depth {
-                return Err(FabricError::DeviceLimitExceeded {
-                    limit: "shared receive queue depth",
-                });
-            }
-            state.queue.push_back(recv);
+            state.release(qp_num);
+            state.push(recv, self.inner.max_depth)?;
         }
         self.inner.clock.advance(self.inner.post_overhead);
         Ok(())
@@ -181,11 +205,7 @@ impl SharedReceiveQueue {
     /// Return one credit to `qp_num` once its completion has been picked up
     /// and the buffer is free to repost.
     pub fn release(&self, qp_num: u32) {
-        let mut state = self.inner.state.lock();
-        if let Some(credit) = state.credits.get_mut(&qp_num) {
-            credit.in_flight = credit.in_flight.saturating_sub(1);
-        }
-        state.total_in_flight = state.total_in_flight.saturating_sub(1);
+        self.inner.state.lock().release(qp_num);
     }
 
     /// Snapshot of the queue's counters.

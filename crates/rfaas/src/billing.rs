@@ -14,7 +14,6 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use rdma_fabric::{
     AccessFlags, Endpoint, MemoryRegion, QueuePair, RemoteMemoryHandle, SendRequest, Sge,
 };
-use sim_core::sync::{ranks, OrderedMutex};
 use sim_core::SimDuration;
 
 use crate::config::RFaasConfig;
@@ -38,13 +37,6 @@ pub struct UsageRecord {
 }
 
 impl UsageRecord {
-    /// Merge another record into this one.
-    pub fn accumulate(&mut self, other: &UsageRecord) {
-        self.allocation_gib_us += other.allocation_gib_us;
-        self.compute_us += other.compute_us;
-        self.hot_poll_us += other.hot_poll_us;
-    }
-
     /// Whether the record is empty (nothing to flush).
     pub fn is_empty(&self) -> bool {
         *self == UsageRecord::default()
@@ -118,7 +110,10 @@ pub struct BillingClient {
     qp: QueuePair,
     slot: RemoteMemoryHandle,
     scratch: MemoryRegion,
-    pending: OrderedMutex<UsageRecord>,
+    /// Usage not yet flushed, one counter per slot word (allocation,
+    /// compute, hot-poll): recording is a local fetch-and-add, like the
+    /// remote one the flush performs.
+    pending: [AtomicU64; WORDS_PER_SLOT],
     flushes: AtomicU64,
 }
 
@@ -131,14 +126,19 @@ impl BillingClient {
             qp,
             slot,
             scratch,
-            pending: OrderedMutex::new(ranks::BILLING, UsageRecord::default()),
+            pending: Default::default(),
             flushes: AtomicU64::new(0),
         }
     }
 
     /// Record usage locally (cheap, no network).
     pub fn record(&self, usage: UsageRecord) {
-        self.pending.lock().accumulate(&usage);
+        let words = [usage.allocation_gib_us, usage.compute_us, usage.hot_poll_us];
+        for (pending, add) in self.pending.iter().zip(words) {
+            if add != 0 {
+                pending.fetch_add(add, Ordering::Relaxed);
+            }
+        }
     }
 
     /// Record compute time.
@@ -171,39 +171,33 @@ impl BillingClient {
     /// executor pays one MMIO per flush, not one per counter). A no-op when
     /// nothing is pending.
     pub fn flush(&self) -> Result<()> {
-        let pending = {
-            let mut guard = self.pending.lock();
-            let snapshot = *guard;
-            *guard = UsageRecord::default();
-            snapshot
-        };
-        if pending.is_empty() {
+        let words = self
+            .pending
+            .each_ref()
+            .map(|pending| pending.swap(0, Ordering::Relaxed));
+        let mut posted = 0;
+        for (i, add) in words.into_iter().enumerate() {
+            if add == 0 {
+                continue;
+            }
+            let fetch_add = SendRequest::AtomicFetchAdd {
+                local: Sge::whole(&self.scratch),
+                remote: self.slot.slice(i * 8, 8),
+                add,
+            };
+            self.qp
+                .post_send_chained(i as u64, fetch_add, true, posted > 0)?;
+            posted += 1;
+        }
+        if posted == 0 {
             return Ok(());
         }
-        let words = [
-            pending.allocation_gib_us,
-            pending.compute_us,
-            pending.hot_poll_us,
-        ];
-        let batch: Vec<(u64, SendRequest, bool)> = words
-            .iter()
-            .enumerate()
-            .filter(|(_, add)| **add != 0)
-            .map(|(i, add)| {
-                (
-                    i as u64,
-                    SendRequest::AtomicFetchAdd {
-                        local: Sge::whole(&self.scratch),
-                        remote: self.slot.slice(i * 8, 8),
-                        add: *add,
-                    },
-                    true,
-                )
-            })
-            .collect();
-        let posted = self.qp.post_send_batch(batch)?;
-        // Consume the completions so the send queue does not fill up.
-        self.qp.send_cq().poll(posted + 1);
+        // Consume the completions so the send queue does not fill up: each
+        // signaled fetch-and-add completed as it was posted.
+        let cq = self.qp.send_cq();
+        for _ in 0..posted {
+            cq.poll_one();
+        }
         self.flushes.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -236,25 +230,11 @@ mod tests {
 
     #[test]
     fn usage_record_arithmetic_and_cost() {
-        let mut a = UsageRecord {
-            allocation_gib_us: 10,
-            compute_us: 20,
-            hot_poll_us: 30,
+        let a = UsageRecord {
+            allocation_gib_us: 11,
+            compute_us: 22,
+            hot_poll_us: 33,
         };
-        let b = UsageRecord {
-            allocation_gib_us: 1,
-            compute_us: 2,
-            hot_poll_us: 3,
-        };
-        a.accumulate(&b);
-        assert_eq!(
-            a,
-            UsageRecord {
-                allocation_gib_us: 11,
-                compute_us: 22,
-                hot_poll_us: 33
-            }
-        );
         assert!(!a.is_empty());
         assert!(UsageRecord::default().is_empty());
         let config = RFaasConfig::default();
@@ -297,10 +277,12 @@ mod tests {
         assert_eq!(usage.compute_us, 3_000);
         assert_eq!(usage.hot_poll_us, 500);
         assert_eq!(usage.allocation_gib_us, 2_000_000);
-        // A second flush adds on top (fetch-and-add semantics).
+        // Records made between two flushes add up, and the second flush adds
+        // on top (fetch-and-add semantics).
+        client.record_compute(SimDuration::from_millis(1));
         client.record_compute(SimDuration::from_millis(1));
         client.flush().unwrap();
-        assert_eq!(db.read_slot(0).compute_us, 4_000);
+        assert_eq!(db.read_slot(0).compute_us, 5_000);
         assert_eq!(client.flush_count(), 2);
     }
 

@@ -180,6 +180,10 @@ pub(crate) struct WorkerConnection {
     pub(crate) overflow_scratch: OwnedRegion,
     pub(crate) outstanding: AtomicUsize,
     completed: OrderedMutex<HashMap<u32, (usize, ResultStatus)>>,
+    /// Results in `completed`, so a look into an empty stash takes no lock.
+    /// Raised inside the reactor turn that stashes, so a waiter whose own
+    /// turn comes back empty sees every result stashed before it.
+    stashed: AtomicUsize,
     /// Token under which this connection is registered with the session's
     /// reactor (set right after registration, before any submission).
     pub(crate) reactor_token: AtomicU64,
@@ -254,6 +258,7 @@ impl WorkerConnection {
             overflow_scratch,
             outstanding: AtomicUsize::new(0),
             completed: OrderedMutex::new(ranks::CLIENT_COMPLETED, HashMap::new()),
+            stashed: AtomicUsize::new(0),
             reactor_token: AtomicU64::new(0),
             index,
         })
@@ -261,12 +266,21 @@ impl WorkerConnection {
 
     /// Whether a result for `invocation_id` is already stashed.
     pub(crate) fn has_result(&self, invocation_id: u32) -> bool {
-        self.completed.lock().contains_key(&invocation_id)
+        self.stashed.load(Ordering::Acquire) > 0
+            && self.completed.lock().contains_key(&invocation_id)
     }
 
     /// Remove a stashed result, returning the in-flight reservation with it.
     pub(crate) fn take_result(&self, invocation_id: u32) -> Option<(usize, ResultStatus)> {
-        let result = self.completed.lock().remove(&invocation_id)?;
+        if self.stashed.load(Ordering::Acquire) == 0 {
+            return None;
+        }
+        let result = {
+            let mut completed = self.completed.lock();
+            let result = completed.remove(&invocation_id)?;
+            self.stashed.fetch_sub(1, Ordering::Release);
+            result
+        };
         self.outstanding.fetch_sub(1, Ordering::Relaxed);
         Some(result)
     }
@@ -285,7 +299,11 @@ impl CompletionSource for WorkerConnection {
         while let Some(completion) = self.ring.poll_one() {
             let wc = completion.wc;
             let (id, status) = ImmValue::parse_response(wc.imm.unwrap_or(0));
-            self.completed.lock().insert(id, (wc.byte_len, status));
+            let mut completed = self.completed.lock();
+            if completed.insert(id, (wc.byte_len, status)).is_none() {
+                self.stashed.fetch_add(1, Ordering::Release);
+            }
+            drop(completed);
             sink(id);
         }
     }
@@ -300,7 +318,7 @@ impl CompletionSource for WorkerConnection {
 /// the result buffer.
 pub(crate) struct InvocationSpec {
     pub(crate) worker: Option<usize>,
-    pub(crate) function: String,
+    pub(crate) function: Arc<str>,
     pub(crate) input: Buffer,
     pub(crate) payload_len: usize,
     pub(crate) output: Buffer,
@@ -404,7 +422,7 @@ mod tests {
         session
             .submit_spec::<O>(InvocationSpec {
                 worker: None,
-                function: function.to_string(),
+                function: function.into(),
                 input: input.clone(),
                 payload_len: len,
                 output: output.clone(),

@@ -345,7 +345,7 @@ impl CoreSlot {
 }
 
 /// Statistics of one worker, kept by its process's dispatcher.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkerStats {
     /// Successfully executed invocations.
     pub invocations: u64,
@@ -370,6 +370,23 @@ pub struct WorkerStats {
     /// Virtual time spent materialising declared keys and writing dirty
     /// ones back (part of `busy_time`, broken out here).
     pub state_time: SimDuration,
+}
+
+impl WorkerStats {
+    /// Add every counter of `other` to this one.
+    fn accumulate(&mut self, other: &WorkerStats) {
+        self.invocations += other.invocations;
+        self.rejected += other.rejected;
+        self.failed += other.failed;
+        self.expired += other.expired;
+        self.demotions += other.demotions;
+        self.busy_time += other.busy_time;
+        self.hot_poll_time += other.hot_poll_time;
+        self.fork_faults += other.fork_faults;
+        self.fork_fault_time += other.fork_fault_time;
+        self.state_invocations += other.state_invocations;
+        self.state_time += other.state_time;
+    }
 }
 
 /// A worker's [`PollingMode`] in one atomic byte: the dispatcher reads it on
@@ -606,7 +623,8 @@ fn invoke_stateful(
     input: &[u8],
     output: &mut [u8],
     state_binding: &mut Option<ExecutorStateBinding>,
-    shared: &WorkerShared,
+    clock: &VirtualClock,
+    served: &mut WorkerStats,
 ) -> FunctionOutcome {
     let Some(binding) = state_binding.as_mut() else {
         return Err(FunctionError::StateAccess(
@@ -616,16 +634,13 @@ fn invoke_stateful(
     // The binding's clock may lag the worker's (it only moves on state
     // traffic); sync before measuring so the access is billed its real cost,
     // not the catch-up to the worker's present.
-    binding.sync_to(shared.clock.now());
+    binding.sync_to(clock.now());
     let state_started = binding.now();
     let outcome = binding.invoke(function, input, output);
     let spent = binding.now().saturating_since(state_started);
-    shared.clock.advance(spent);
-    {
-        let mut stats = shared.stats.lock();
-        stats.state_invocations += 1;
-        stats.state_time += spent;
-    }
+    clock.advance(spent);
+    served.state_invocations += 1;
+    served.state_time += spent;
     outcome
 }
 
@@ -634,7 +649,8 @@ fn invoke_stateful(
 /// hot-poll accounting, enforce the lease, acquire the core, run the
 /// function and write the result back. The billing is exactly what a
 /// dedicated worker thread charged; only the completion delivery is
-/// multiplexed.
+/// multiplexed. The worker's counters are gathered in `served` and added
+/// under one lock once the invocation is done.
 #[allow(clippy::too_many_arguments)]
 fn serve_completion(
     slot: &mut WorkerSlot,
@@ -670,6 +686,7 @@ fn serve_completion(
     if !wc.is_success() {
         return;
     }
+    let mut served = WorkerStats::default();
 
     // Hot-polling time: the gap between becoming idle and the arrival of
     // this request is CPU time burnt spinning (billed like compute).
@@ -688,11 +705,8 @@ fn serve_completion(
             // polling bill is capped at the budget, the worker is warm from
             // here on, and this request pays the blocking wake-up it
             // actually took.
-            {
-                let mut stats = shared.stats.lock();
-                stats.hot_poll_time += HOT_POLL_TIMEOUT;
-                stats.demotions += 1;
-            }
+            served.hot_poll_time += HOT_POLL_TIMEOUT;
+            served.demotions += 1;
             if let Some(b) = billing {
                 b.record_hot_poll(HOT_POLL_TIMEOUT);
             }
@@ -703,7 +717,7 @@ fn serve_completion(
                 conn.holds_core = false;
             }
         } else if !spin.is_zero() {
-            shared.stats.lock().hot_poll_time += spin;
+            served.hot_poll_time += spin;
             if let Some(b) = billing {
                 b.record_hot_poll(spin);
             }
@@ -712,155 +726,165 @@ fn serve_completion(
 
     let imm = wc.imm.unwrap_or(0);
     let (invocation_id, function_index) = ImmValue::parse_request(imm);
-    let total_len = wc.byte_len;
-    let mut header_bytes = [0u8; INVOCATION_HEADER_BYTES];
-    if conn.input.read_into(0, &mut header_bytes).is_err() {
-        return;
-    }
-    let Ok(header) = InvocationHeader::decode(&header_bytes) else {
-        return;
-    };
-    let result_handle = header.result_handle();
-    let payload_len = total_len.saturating_sub(INVOCATION_HEADER_BYTES);
+    let payload_len = wc.byte_len.saturating_sub(INVOCATION_HEADER_BYTES);
+    // One view over the header and the payload behind it, held while the
+    // invocation is served: the function reads its payload where the
+    // client's write put it. A payload reaching past the input buffer fails
+    // the function, not the view.
+    let wire_len = (INVOCATION_HEADER_BYTES + payload_len).min(conn.input.len());
+    let _ = conn.input.with_bytes(0, wire_len, |wire| {
+        let Some(Ok(header)) = wire
+            .get(..INVOCATION_HEADER_BYTES)
+            .map(InvocationHeader::decode)
+        else {
+            return;
+        };
+        let result_handle = header.result_handle();
+        let payload = wire.get(INVOCATION_HEADER_BYTES..INVOCATION_HEADER_BYTES + payload_len);
 
-    // Lease enforcement (Sec. III-B): charging the pickup synchronised
-    // this worker's clock to the invocation's arrival time, so comparing
-    // against the shared deadline catches leases that expired while the
-    // client kept the connection open. Refuse the invocation so the client
-    // re-allocates through the resource manager.
-    if shared.deadline.is_expired(shared.clock.now()) {
-        shared.stats.lock().expired += 1;
-        let _ = conn.qp.post_send(
-            invocation_id as u64,
-            SendRequest::WriteWithImm {
-                local: Sge::range(&conn.output, 0, 0),
-                remote: result_handle.slice(0, 0),
-                imm: ImmValue::response(invocation_id, ResultStatus::LeaseExpired),
-            },
-            false,
-        );
-        // The spin up to this arrival was already accounted above; mark
-        // the new idle point or the next request re-bills that interval.
-        conn.last_ready = Some(shared.clock.now());
-        return;
-    }
-
-    // Oversubscribed warm executions must grab the core; if a
-    // compute-intensive task holds it, reject immediately so the client
-    // redirects to another executor (Sec. III-D, Fig. 6).
-    let acquired_for_this = if !conn.holds_core {
-        if core.try_acquire() {
-            true
-        } else {
-            shared.stats.lock().rejected += 1;
+        // Lease enforcement (Sec. III-B): charging the pickup synchronised
+        // this worker's clock to the invocation's arrival time, so comparing
+        // against the shared deadline catches leases that expired while the
+        // client kept the connection open. Refuse the invocation so the
+        // client re-allocates through the resource manager.
+        if shared.deadline.is_expired(shared.clock.now()) {
+            served.expired += 1;
             let _ = conn.qp.post_send(
                 invocation_id as u64,
                 SendRequest::WriteWithImm {
                     local: Sge::range(&conn.output, 0, 0),
                     remote: result_handle.slice(0, 0),
-                    imm: ImmValue::response(invocation_id, ResultStatus::Rejected),
+                    imm: ImmValue::response(invocation_id, ResultStatus::LeaseExpired),
                 },
                 false,
             );
+            // The spin up to this arrival was already accounted above; mark
+            // the new idle point or the next request re-bills that interval.
             conn.last_ready = Some(shared.clock.now());
             return;
         }
-    } else {
-        false
-    };
 
-    // A forked child still faulting in parent pages pays the next prefetch
-    // window here: the page touches happen under this invocation's function
-    // entry, served by one-sided READs from the parent node and billed to
-    // the tenant like compute. Once the map is resident (`serve_next`
-    // returns None) invocations are indistinguishable from a warm spawn.
-    if let Some(fork) = fork {
-        if let Some(batch) = fork.serve_next() {
-            shared.clock.advance(batch.cost);
-            {
-                let mut stats = shared.stats.lock();
-                stats.fork_faults += 1;
-                stats.fork_fault_time += batch.cost;
+        // Oversubscribed warm executions must grab the core; if a
+        // compute-intensive task holds it, reject immediately so the client
+        // redirects to another executor (Sec. III-D, Fig. 6).
+        let acquired_for_this = if !conn.holds_core {
+            if core.try_acquire() {
+                true
+            } else {
+                served.rejected += 1;
+                let _ = conn.qp.post_send(
+                    invocation_id as u64,
+                    SendRequest::WriteWithImm {
+                        local: Sge::range(&conn.output, 0, 0),
+                        remote: result_handle.slice(0, 0),
+                        imm: ImmValue::response(invocation_id, ResultStatus::Rejected),
+                    },
+                    false,
+                );
+                conn.last_ready = Some(shared.clock.now());
+                return;
             }
-            if let Some(b) = billing {
-                b.record_compute(batch.cost);
+        } else {
+            false
+        };
+
+        // A forked child still faulting in parent pages pays the next
+        // prefetch window here: the page touches happen under this
+        // invocation's function entry, served by one-sided READs from the
+        // parent node and billed to the tenant like compute. Once the map is
+        // resident (`serve_next` returns None) invocations are
+        // indistinguishable from a warm spawn.
+        if let Some(fork) = fork {
+            if let Some(batch) = fork.serve_next() {
+                shared.clock.advance(batch.cost);
+                served.fork_faults += 1;
+                served.fork_fault_time += batch.cost;
+                if let Some(b) = billing {
+                    b.record_compute(batch.cost);
+                }
             }
         }
-    }
 
-    // Dispatch: header parse, function lookup, argument setup.
-    shared.clock.advance(config.dispatch_cost);
+        // Dispatch: header parse, function lookup, argument setup.
+        shared.clock.advance(config.dispatch_cost);
 
-    let response = match package.function_by_index(function_index as usize) {
-        None => (0usize, ResultStatus::FunctionFailed),
-        Some(function) => {
-            let started = shared.clock.now();
-            // The function reads its payload where the client's write put it
-            // and produces its result where the reply is gathered from. Its
-            // output window is what the client can receive, not the whole
-            // buffer: a larger result fails the invocation either way, and
-            // the window is all of the buffer this lease ever commits.
-            let window = slot.max_payload.min(result_handle.len);
-            let outcome = conn
-                .input
-                .with_bytes(INVOCATION_HEADER_BYTES, payload_len, |payload| {
-                    conn.output.with_bytes_mut(0, window, |output| {
-                        if function.is_stateful() {
-                            invoke_stateful(function, payload, output, state_binding, &shared)
-                        } else {
-                            function.invoke(payload, output)
-                        }
-                    })
-                })
-                .and_then(|in_window| in_window)
-                .unwrap_or_else(|e| Err(FunctionError::InvalidInput(e.to_string())));
-            shared.clock.advance(function.compute_cost(payload_len));
-            let busy = shared.clock.now().saturating_since(started);
-            {
-                let mut stats = shared.stats.lock();
-                stats.busy_time += busy;
+        let response = match package.function_by_index(function_index as usize) {
+            None => (0usize, ResultStatus::FunctionFailed),
+            Some(function) => {
+                let started = shared.clock.now();
+                // The function produces its result where the reply is
+                // gathered from. Its output window is what the client can
+                // receive, not the whole buffer: a larger result fails the
+                // invocation either way, and the window is all of the buffer
+                // this lease ever commits.
+                let window = slot.max_payload.min(result_handle.len);
+                let outcome = match payload {
+                    Some(payload) => conn
+                        .output
+                        .with_bytes_mut(0, window, |output| {
+                            if function.is_stateful() {
+                                invoke_stateful(
+                                    function,
+                                    payload,
+                                    output,
+                                    state_binding,
+                                    &shared.clock,
+                                    &mut served,
+                                )
+                            } else {
+                                function.invoke(payload, output)
+                            }
+                        })
+                        .unwrap_or_else(|e| Err(FunctionError::InvalidInput(e.to_string()))),
+                    None => Err(FunctionError::InvalidInput(
+                        "payload reaches past the input buffer".into(),
+                    )),
+                };
+                shared.clock.advance(function.compute_cost(payload_len));
+                let busy = shared.clock.now().saturating_since(started);
+                served.busy_time += busy;
+                if let Some(b) = billing {
+                    b.record_compute(busy);
+                }
+                match outcome {
+                    // Within the window is within both the output buffer the
+                    // reply is gathered from and the client's result buffer.
+                    Ok(n) if n <= window => (n, ResultStatus::Success),
+                    Ok(_) | Err(_) => (0, ResultStatus::FunctionFailed),
+                }
             }
-            if let Some(b) = billing {
-                b.record_compute(busy);
-            }
-            match outcome {
-                // Within the window is within both the output buffer the
-                // reply is gathered from and the client's result buffer.
-                Ok(n) if n <= window => (n, ResultStatus::Success),
-                Ok(_) | Err(_) => (0, ResultStatus::FunctionFailed),
-            }
-        }
-    };
+        };
 
-    // Write the result directly into the client's memory and notify it
-    // through the immediate value.
-    let (out_len, status) = response;
-    let _ = conn.qp.post_send(
-        invocation_id as u64,
-        SendRequest::WriteWithImm {
-            local: Sge::range(&conn.output, 0, out_len),
-            remote: result_handle.slice(0, out_len),
-            imm: ImmValue::response(invocation_id, status),
-        },
-        false,
-    );
-    {
-        let mut stats = shared.stats.lock();
+        // Write the result directly into the client's memory and notify it
+        // through the immediate value.
+        let (out_len, status) = response;
+        let _ = conn.qp.post_send(
+            invocation_id as u64,
+            SendRequest::WriteWithImm {
+                local: Sge::range(&conn.output, 0, out_len),
+                remote: result_handle.slice(0, out_len),
+                imm: ImmValue::response(invocation_id, status),
+            },
+            false,
+        );
         match status {
-            ResultStatus::Success => stats.invocations += 1,
-            ResultStatus::FunctionFailed => stats.failed += 1,
+            ResultStatus::Success => served.invocations += 1,
+            ResultStatus::FunctionFailed => served.failed += 1,
             ResultStatus::Rejected | ResultStatus::LeaseExpired => {}
         }
-    }
-    if acquired_for_this {
-        core.release();
-    }
+        if acquired_for_this {
+            core.release();
+        }
 
-    // The ring already replenished the consumed receive; mark the idle
-    // point for the hot-poll accounting of the next request.
-    conn.last_ready = Some(shared.clock.now());
-    if let Some(b) = billing {
-        let _ = b.flush();
+        // The ring already replenished the consumed receive; mark the idle
+        // point for the hot-poll accounting of the next request.
+        conn.last_ready = Some(shared.clock.now());
+        if let Some(b) = billing {
+            let _ = b.flush();
+        }
+    });
+    if served != WorkerStats::default() {
+        shared.stats.lock().accumulate(&served);
     }
 }
 
@@ -1116,18 +1140,7 @@ impl ExecutorProcess {
     pub fn stats(&self) -> WorkerStats {
         let mut total = WorkerStats::default();
         for w in &self.workers {
-            let s = w.stats();
-            total.invocations += s.invocations;
-            total.rejected += s.rejected;
-            total.failed += s.failed;
-            total.expired += s.expired;
-            total.demotions += s.demotions;
-            total.busy_time += s.busy_time;
-            total.hot_poll_time += s.hot_poll_time;
-            total.fork_faults += s.fork_faults;
-            total.fork_fault_time += s.fork_fault_time;
-            total.state_invocations += s.state_invocations;
-            total.state_time += s.state_time;
+            total.accumulate(&w.stats());
         }
         total
     }

@@ -432,7 +432,7 @@ impl Session {
         }
         Ok(FunctionHandle {
             session: self,
-            name: name.to_string(),
+            name: Arc::from(name),
             output_capacity: None,
             _typed: PhantomData,
         })
@@ -928,7 +928,7 @@ impl Session {
             let (function_index, _) = active
                 .package
                 .function_by_name(&spec.function)
-                .ok_or_else(|| RFaasError::UnknownFunction(spec.function.clone()))?;
+                .ok_or_else(|| RFaasError::UnknownFunction(spec.function.to_string()))?;
             let connection = match spec.worker {
                 Some(idx) => active
                     .connections
@@ -1259,7 +1259,8 @@ type HandleTypes<I, O> = PhantomData<(fn(&I), fn() -> O)>;
 /// and submission all derive from the input/output [`Codec`]s.
 pub struct FunctionHandle<'s, I: ?Sized, O: ?Sized> {
     session: &'s Session,
-    name: String,
+    /// Shared with every spec the handle builds: a submit copies no name.
+    name: Arc<str>,
     output_capacity: Option<usize>,
     _typed: HandleTypes<I, O>,
 }
@@ -1276,7 +1277,7 @@ impl<I: ?Sized, O: ?Sized> Clone for FunctionHandle<'_, I, O> {
     fn clone(&self) -> Self {
         FunctionHandle {
             session: self.session,
-            name: self.name.clone(),
+            name: Arc::clone(&self.name),
             output_capacity: self.output_capacity,
             _typed: PhantomData,
         }
@@ -1345,7 +1346,7 @@ where
         input_buffer.write_encoded(input)?;
         Ok(InvocationSpec {
             worker,
-            function: self.name.clone(),
+            function: Arc::clone(&self.name),
             input: input_buffer,
             payload_len,
             output: output_buffer,

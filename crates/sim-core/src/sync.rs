@@ -25,10 +25,36 @@
 //! locking invariants") documents the same table with rationale. Release
 //! builds without the feature compile the checks out entirely:
 //! `OrderedMutex` is then a zero-cost newtype over [`Mutex`].
+//!
+//! The same checked builds also count every successful acquisition — a
+//! `Mutex` lock or `try_lock`, an `RwLock` read or write, and so every
+//! `OrderedMutex` acquire — per thread, so a test can pin how many locks
+//! one operation takes ([`lock_acquisitions`]).
 
 use std::fmt;
 use std::sync::{self as std_sync, MutexGuard, PoisonError, TryLockError};
 use std::sync::{RwLockReadGuard, RwLockWriteGuard};
+
+#[cfg(any(debug_assertions, feature = "lock-sanitizer"))]
+thread_local! {
+    static ACQUISITIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+#[inline]
+fn count_acquisition() {
+    #[cfg(any(debug_assertions, feature = "lock-sanitizer"))]
+    ACQUISITIONS.with(|n| n.set(n.get() + 1));
+}
+
+/// Lock acquisitions this thread has made so far, or `None` in a release
+/// build without the `lock-sanitizer` feature, which does not count them.
+pub fn lock_acquisitions() -> Option<u64> {
+    #[cfg(any(debug_assertions, feature = "lock-sanitizer"))]
+    let counted = Some(ACQUISITIONS.with(std::cell::Cell::get));
+    #[cfg(not(any(debug_assertions, feature = "lock-sanitizer")))]
+    let counted = None;
+    counted
+}
 
 /// A mutual-exclusion lock that does not poison (facade over
 /// `std::sync::Mutex`).
@@ -42,16 +68,19 @@ impl<T> Mutex<T> {
 
     /// Acquire the lock, blocking until it is available.
     pub fn lock(&self) -> MutexGuard<'_, T> {
+        count_acquisition();
         self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Acquire the lock if no one holds it.
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.0.try_lock() {
-            Ok(guard) => Some(guard),
-            Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
-            Err(TryLockError::WouldBlock) => None,
-        }
+        let guard = match self.0.try_lock() {
+            Ok(guard) => guard,
+            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+            Err(TryLockError::WouldBlock) => return None,
+        };
+        count_acquisition();
+        Some(guard)
     }
 }
 
@@ -67,11 +96,13 @@ impl<T> RwLock<T> {
 
     /// Acquire shared read access, blocking until available.
     pub fn read(&self) -> RwLockReadGuard<'_, T> {
+        count_acquisition();
         self.0.read().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Acquire exclusive write access, blocking until available.
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
+        count_acquisition();
         self.0.write().unwrap_or_else(PoisonError::into_inner)
     }
 }
@@ -151,10 +182,7 @@ pub mod ranks {
     pub const STATE_SERVER: LockRank = LockRank::new(80, "state_plane.server");
     pub const STATE_SOCKET: LockRank = LockRank::new(82, "state_plane.socket");
 
-    // Leaf locks: a billing client's pending usage is taken while an
-    // executor's billing slot is held (rank 60), and never acquires anything
-    // itself.
-    pub const BILLING: LockRank = LockRank::new(90, "billing");
+    // Leaf lock: never acquires anything itself.
     pub const LIFECYCLE_STATS: LockRank = LockRank::new(96, "lifecycle.stats");
 }
 

@@ -1,6 +1,7 @@
 //! Copy-budget regression: steady-state heap traffic per operation on the
 //! three data paths, and per lease, whose budget DESIGN.md ("Data path: copy
-//! budget") states.
+//! budget") states; and the lock acquisitions of the two hot paths
+//! (DESIGN.md "Hot-path lock budget"), in the builds that count them.
 //!
 //! A byte may be copied only where the modelled hardware moves it (a DMA
 //! between registered regions) or at a codec boundary (the decoded result
@@ -19,6 +20,7 @@ use rdma_fabric::ConnectionPool;
 use rfaas::{AllocationPolicy, PollingMode, RFaasConfig, Session, StateKey, StatePlane};
 use rfaas_bench::{Testbed, DATASET_KEY};
 use sandbox::SandboxType;
+use sim_core::sync::lock_acquisitions;
 
 struct Counting;
 
@@ -57,25 +59,43 @@ const MIB: usize = 1024 * 1024;
 const WARM_UP: usize = 4;
 const MEASURED: u64 = 16;
 
+/// What one more operation costs at steady state.
+struct PerOp {
+    /// Heap allocations, over every thread.
+    allocations: f64,
+    /// Heap bytes allocated, over every thread.
+    bytes: f64,
+    /// Lock acquisitions on this thread — which runs the whole operation:
+    /// the waiting client turns the executor. `None` where the build does
+    /// not count them (release without `lock-sanitizer`).
+    locks: Option<f64>,
+}
+
 /// Run `op` to steady state (pools filled, caches hot), then return the mean
-/// `(allocations, heap bytes)` one more `op` costs, over every thread.
-fn per_operation(mut op: impl FnMut()) -> (f64, f64) {
+/// cost of one more `op`.
+fn per_operation(mut op: impl FnMut()) -> PerOp {
     for _ in 0..WARM_UP {
         op();
     }
     let before = (
         ALLOCATIONS.load(Ordering::Relaxed),
         ALLOCATED_BYTES.load(Ordering::Relaxed),
+        lock_acquisitions(),
     );
     for _ in 0..MEASURED {
         op();
     }
     let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before.0;
     let bytes = ALLOCATED_BYTES.load(Ordering::Relaxed) - before.1;
-    (
-        allocations as f64 / MEASURED as f64,
-        bytes as f64 / MEASURED as f64,
-    )
+    let locks = lock_acquisitions()
+        .zip(before.2)
+        .map(|(after, before)| after - before);
+    let mean = |total: u64| total as f64 / MEASURED as f64;
+    PerOp {
+        allocations: mean(allocations),
+        bytes: mean(bytes),
+        locks: locks.map(mean),
+    }
 }
 
 fn hot_session(testbed: &Testbed, plane: Option<&StatePlane>) -> Session {
@@ -100,7 +120,7 @@ fn steady_state_heap_traffic_stays_within_the_copy_budget() {
         let session = hot_session(&testbed, None);
         let echo = session.function::<[u8], [u8]>("echo").unwrap();
         let payload = workloads::generate_payload(MIB, 7);
-        let (_, bytes) = per_operation(|| {
+        let PerOp { bytes, .. } = per_operation(|| {
             let reply = echo.invoke(&payload[..]).unwrap();
             assert_eq!(reply.len(), MIB);
         });
@@ -111,17 +131,23 @@ fn steady_state_heap_traffic_stays_within_the_copy_budget() {
         session.close().unwrap();
     }
 
-    // Inline invoke: a 64 B hot echo stays within five small allocations.
+    // Inline invoke: a 64 B hot echo allocates the reply it returns and
+    // nothing else, and takes a pinned number of locks (DESIGN.md "Hot-path
+    // lock budget").
     {
         let testbed = Testbed::new(1);
         let session = hot_session(&testbed, None);
         let echo = session.function::<[u8], [u8]>("echo").unwrap();
-        let (allocations, _) = per_operation(|| {
+        let cost = per_operation(|| {
             echo.invoke(&[5u8; 64][..]).unwrap();
         });
-        assert!(
-            allocations <= 5.0,
-            "64 B hot echo makes {allocations} allocations per invocation"
+        if let Some(locks) = cost.locks {
+            assert_eq!(locks, 41.0, "64 B hot echo: lock acquisitions");
+        }
+        assert_eq!(
+            (cost.allocations, cost.bytes),
+            (1.0, 64.0),
+            "64 B hot echo: (allocations, heap bytes) per invocation"
         );
         session.close().unwrap();
     }
@@ -139,13 +165,20 @@ fn steady_state_heap_traffic_stays_within_the_copy_budget() {
             .unwrap()
             .with_state([StateKey::read(DATASET_KEY)])
             .unwrap();
-        let (_, bytes) = per_operation(|| {
+        let cost = per_operation(|| {
             assert_eq!(touch.invoke(&[0u8; 8][..]).unwrap().len(), 8);
         });
         assert!(
-            bytes < 4096.0,
-            "cache-hit stateful invocation allocates {bytes} B"
+            cost.bytes < 4096.0,
+            "cache-hit stateful invocation allocates {} B",
+            cost.bytes
         );
+        if let Some(locks) = cost.locks {
+            assert_eq!(
+                locks, 43.0,
+                "cache-hit stateful invocation: lock acquisitions"
+            );
+        }
         let executor = session.stats().state_executor.unwrap();
         assert_eq!(executor.remote_reads, 1, "every measured read was a hit");
         session.close().unwrap();
@@ -161,7 +194,7 @@ fn steady_state_heap_traffic_stays_within_the_copy_budget() {
         };
         let testbed = Testbed::with_config(1, config);
         let pool = ConnectionPool::new();
-        let (_, bytes) = per_operation(|| {
+        let PerOp { bytes, .. } = per_operation(|| {
             let session = testbed
                 .session("budget-client")
                 .sandbox(SandboxType::BareMetal)

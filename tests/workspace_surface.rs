@@ -196,7 +196,7 @@ fn every_shim_is_a_member_with_a_dependent() {
 /// The lock-rank table in `sim_core::sync::ranks` lists the workspace's
 /// shared objects: ranks strictly increase in declaration order, constant
 /// and lock names are unique, every constant is used as `ranks::NAME` by
-/// product code outside `sync.rs`, and there are exactly 20. Reads the
+/// product code outside `sync.rs`, and there are exactly 19. Reads the
 /// sources as text.
 #[test]
 fn lock_ranks_are_ordered_used_and_counted() {
@@ -252,7 +252,7 @@ fn lock_ranks_are_ordered_used_and_counted() {
         assert!(used, "`{needle}` is not used outside sync.rs and tests");
     }
 
-    assert_eq!(table.len(), 20, "lock ranks: {table:?}");
+    assert_eq!(table.len(), 19, "lock ranks: {table:?}");
 }
 
 /// The lines of the item opening with the line `header`, up to its closing
