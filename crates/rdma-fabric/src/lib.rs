@@ -62,7 +62,7 @@ pub use fabric::{Actor, Fabric, FabricNode, TransferTiming};
 pub use fork::{FaultBatch, PrefetchPlan};
 pub use memory::{AccessFlags, MemoryRegion, RemoteMemoryHandle, PAGE_SIZE};
 pub use pd::{OwnedRegion, ProtectionDomain};
-pub use pool::{ConnectionPool, PoolStats};
+pub use pool::ConnectionPool;
 pub use qp::{Endpoint, QpState, QueuePair};
 pub use ring::{ReceiveRing, RingCompletion, RingState};
 pub use srq::{SharedReceiveQueue, SrqStats};

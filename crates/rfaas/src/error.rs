@@ -4,6 +4,7 @@ use std::fmt;
 
 use rdma_fabric::FabricError;
 use sandbox::FunctionError;
+use sim_core::wire::FrameError;
 use state_plane::StateError;
 
 /// Errors surfaced by the rFaaS client library, resource manager and
@@ -101,6 +102,13 @@ impl From<FunctionError> for RFaasError {
 impl From<StateError> for RFaasError {
     fn from(e: StateError) -> Self {
         RFaasError::StatePlane(e)
+    }
+}
+
+/// A malformed allocation control frame.
+impl From<FrameError> for RFaasError {
+    fn from(e: FrameError) -> Self {
+        RFaasError::Internal(format!("control frame {e}"))
     }
 }
 

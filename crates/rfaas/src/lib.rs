@@ -20,10 +20,12 @@
 //!    serve warm invocations a few microseconds slower but release the CPU,
 //!    and cold invocations pay sandbox initialisation (Fig. 5).
 //! 4. **A fork tier between warm and cold** — deallocated sandboxes park in
-//!    per-executor warm pools ([`sandbox::WarmPool`]) and later allocations
-//!    of the same package either resume a parked parent or *remote-fork*
-//!    from its snapshot, lazily faulting pages in over one-sided RDMA reads
-//!    ([`executor::ForkFaultState`]); see [`executor::AllocationPolicy`].
+//!    per-executor warm pools ([`sandbox::WarmPool`], a view over the same
+//!    [`sim_core::KeyedPool`] that pools connection warmth) and later
+//!    allocations of the same package either resume a parked parent or
+//!    *remote-fork* from its snapshot, lazily faulting pages in over
+//!    one-sided RDMA reads ([`executor::ForkFaultState`]); see
+//!    [`executor::AllocationPolicy`].
 //!
 //! ```
 //! use std::sync::Arc;

@@ -491,7 +491,7 @@ impl ResourceManager {
 mod tests {
     use super::*;
     use crate::config::RFaasConfig;
-    use sandbox::{echo_function, CodePackage, FunctionRegistry};
+    use sandbox::{echo_function, CodePackage, FunctionRegistry, SandboxType};
 
     fn registry() -> FunctionRegistry {
         let r = FunctionRegistry::new();
@@ -500,8 +500,15 @@ mod tests {
     }
 
     fn setup(executors: usize) -> (Arc<Fabric>, Arc<ResourceManager>, Vec<Arc<SpotExecutor>>) {
+        setup_with(executors, RFaasConfig::default())
+    }
+
+    fn setup_with(
+        executors: usize,
+        config: RFaasConfig,
+    ) -> (Arc<Fabric>, Arc<ResourceManager>, Vec<Arc<SpotExecutor>>) {
         let fabric = Fabric::with_defaults();
-        let manager = ResourceManager::new(&fabric, RFaasConfig::default());
+        let manager = ResourceManager::new(&fabric, config.clone());
         let mut execs = Vec::new();
         for i in 0..executors {
             let exec = SpotExecutor::new(
@@ -512,7 +519,7 @@ mod tests {
                     memory_mib: 64 * 1024,
                 },
                 registry(),
-                RFaasConfig::default(),
+                config.clone(),
             );
             manager.register_executor(&exec);
             execs.push(exec);
@@ -595,6 +602,35 @@ mod tests {
             first.iter().collect::<std::collections::HashSet<_>>().len(),
             5
         );
+    }
+
+    #[test]
+    fn placement_prefers_an_executor_holding_a_warm_parent() {
+        // Two executors with enabled warm pools; optionally park an
+        // echo-pkg parent on exec-1, the one round-robin visits second.
+        let place = |parent_on_exec_1: bool| -> Vec<String> {
+            let config = RFaasConfig {
+                warm_pool_capacity: 2,
+                ..RFaasConfig::default()
+            };
+            let (_fabric, manager, execs) = setup_with(2, config);
+            if parent_on_exec_1 {
+                let images = sandbox::ImageRegistry::new();
+                let (mut parent, _) =
+                    sandbox::Sandbox::spawn(SandboxType::BareMetal, 1, 1 << 30, &images, "ubuntu");
+                parent.load_package(CodePackage::minimal("echo-pkg"));
+                let pool = execs[1].allocator().warm_pool();
+                assert!(pool.park(parent, SimTime::ZERO).is_some());
+            }
+            let clock = VirtualClock::new();
+            let lease = || manager.request_lease(&request(), &clock).unwrap().0;
+            vec![lease().executor_node, lease().executor_node]
+        };
+        // Both pools empty: plain round-robin.
+        assert_eq!(place(false), ["exec-0", "exec-1"]);
+        // The parent draws both leases to exec-1: placement only looks, so
+        // the parent stays parked.
+        assert_eq!(place(true), ["exec-1", "exec-1"]);
     }
 
     #[test]

@@ -15,6 +15,7 @@
 
 use rdma_fabric::RemoteMemoryHandle;
 use sandbox::SandboxType;
+use sim_core::wire::{put_str, FrameReader};
 use sim_core::{SimDuration, SimTime};
 
 use crate::error::{RFaasError, Result};
@@ -217,9 +218,9 @@ impl Lease {
 ///
 /// Allocation no longer needs a reliable connection: the client sends one
 /// `Allocate` datagram carrying its reply address, the manager answers with
-/// `Granted` or `Denied`. The frames use a hand-rolled little-endian layout —
-/// length-prefixed strings, nanosecond u64 durations — so both ends agree on
-/// bytes without relying on a serialisation framework.
+/// `Granted` or `Denied`. The frames use the little-endian layout of
+/// [`sim_core::wire`] — length-prefixed strings, nanosecond u64 durations —
+/// so both ends agree on bytes without relying on a serialisation framework.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ControlFrame {
     /// A1 in Fig. 4: request resources; `reply_to` is the client's datagram
@@ -242,11 +243,6 @@ pub enum ControlFrame {
     },
 }
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
 fn sandbox_code(sandbox: SandboxType) -> u8 {
     match sandbox {
         SandboxType::BareMetal => 0,
@@ -256,58 +252,15 @@ fn sandbox_code(sandbox: SandboxType) -> u8 {
     }
 }
 
-/// Cursor-style decoder over a control frame's bytes.
-struct FrameReader<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> FrameReader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.bytes.len() - self.at < n {
-            return Err(RFaasError::Internal(format!(
-                "control frame truncated at byte {}",
-                self.at
-            )));
-        }
-        let slice = &self.bytes[self.at..self.at + n];
-        self.at += n;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn string(&mut self) -> Result<String> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| RFaasError::Internal("control frame string is not UTF-8".into()))
-    }
-
-    fn sandbox(&mut self) -> Result<SandboxType> {
-        match self.u8()? {
-            0 => Ok(SandboxType::BareMetal),
-            1 => Ok(SandboxType::Docker),
-            2 => Ok(SandboxType::Singularity),
-            3 => Ok(SandboxType::MicroVm),
-            code => Err(RFaasError::Internal(format!(
-                "unknown sandbox code {code} in control frame"
-            ))),
-        }
+fn sandbox_type(code: u8) -> Result<SandboxType> {
+    match code {
+        0 => Ok(SandboxType::BareMetal),
+        1 => Ok(SandboxType::Docker),
+        2 => Ok(SandboxType::Singularity),
+        3 => Ok(SandboxType::MicroVm),
+        code => Err(RFaasError::Internal(format!(
+            "unknown sandbox code {code} in control frame"
+        ))),
     }
 }
 
@@ -346,37 +299,41 @@ impl ControlFrame {
 
     /// Parse from the on-wire byte layout.
     pub fn decode(bytes: &[u8]) -> Result<ControlFrame> {
-        let mut r = FrameReader { bytes, at: 0 };
-        match r.u8()? {
-            0 => Ok(ControlFrame::Allocate {
+        let mut r = FrameReader::new(bytes);
+        let frame = match r.u8()? {
+            0 => ControlFrame::Allocate {
                 reply_to: r.string()?,
                 request: LeaseRequest {
                     cores: r.u32()?,
                     memory_mib: r.u64()?,
                     timeout: SimDuration::from_nanos(r.u64()?),
-                    sandbox: r.sandbox()?,
+                    sandbox: sandbox_type(r.u8()?)?,
                     package: r.string()?,
                 },
-            }),
-            1 => Ok(ControlFrame::Granted {
+            },
+            1 => ControlFrame::Granted {
                 lease: Lease {
                     id: r.u64()?,
                     executor_node: r.string()?,
                     cores: r.u32()?,
                     memory_mib: r.u64()?,
                     expires_at: SimTime::from_nanos(r.u64()?),
-                    sandbox: r.sandbox()?,
+                    sandbox: sandbox_type(r.u8()?)?,
                     package: r.string()?,
                     billing_slot: r.u64()? as usize,
                 },
-            }),
-            2 => Ok(ControlFrame::Denied {
+            },
+            2 => ControlFrame::Denied {
                 reason: r.string()?,
-            }),
-            tag => Err(RFaasError::Internal(format!(
-                "unknown control frame tag {tag}"
-            ))),
-        }
+            },
+            tag => {
+                return Err(RFaasError::Internal(format!(
+                    "unknown control frame tag {tag}"
+                )))
+            }
+        };
+        r.finish()?;
+        Ok(frame)
     }
 }
 
@@ -475,9 +432,8 @@ mod tests {
         assert!(!lease.is_valid_at(SimTime::from_secs(101)));
     }
 
-    #[test]
-    fn control_frames_round_trip() {
-        let frames = [
+    fn frames() -> [ControlFrame; 3] {
+        [
             ControlFrame::Allocate {
                 reply_to: "rfaas-clt://client-0/1".into(),
                 request: LeaseRequest::single_worker("thumbnailer")
@@ -499,8 +455,12 @@ mod tests {
             ControlFrame::Denied {
                 reason: "no executor can fit 4 cores".into(),
             },
-        ];
-        for frame in frames {
+        ]
+    }
+
+    #[test]
+    fn control_frames_round_trip() {
+        for frame in frames() {
             let decoded = ControlFrame::decode(&frame.encode()).unwrap();
             assert_eq!(decoded, frame);
         }
@@ -517,6 +477,12 @@ mod tests {
         .encode();
         bytes.truncate(10);
         assert!(ControlFrame::decode(&bytes).is_err());
+        // Every whole frame followed by one stray byte.
+        for frame in frames() {
+            let mut bytes = frame.encode();
+            bytes.push(0);
+            assert!(ControlFrame::decode(&bytes).is_err(), "{frame:?}");
+        }
     }
 
     proptest::proptest! {

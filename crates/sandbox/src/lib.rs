@@ -12,7 +12,8 @@
 //! * [`registry`] — function/code registries and the Docker image registry,
 //! * [`sandbox`] — sandbox types, lifecycle state machine and cost model,
 //! * [`snapshot`] — parent snapshots and page-fault accounting for remote fork,
-//! * [`warm_pool`] — pre-warmed fork parents pooled per sandbox type/package.
+//! * [`warm_pool`] — pre-warmed fork parents pooled per sandbox type/package
+//!   in a [`sim_core::KeyedPool`].
 
 pub mod function;
 pub mod registry;
@@ -27,4 +28,4 @@ pub use function::{
 pub use registry::{CodePackage, FunctionRegistry, ImageInfo, ImageRegistry};
 pub use sandbox::{Sandbox, SandboxProfile, SandboxState, SandboxType, SpawnBreakdown};
 pub use snapshot::{FaultTracker, SandboxSnapshot, EXECUTOR_RESIDENT_BYTES, SNAPSHOT_PAGE_BYTES};
-pub use warm_pool::{WarmParent, WarmPool, WarmPoolStats};
+pub use warm_pool::{WarmParent, WarmPool};

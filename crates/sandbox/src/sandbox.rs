@@ -12,7 +12,7 @@ use sim_core::SimDuration;
 use crate::registry::{CodePackage, ImageRegistry};
 
 /// The isolation technology wrapping an executor process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SandboxType {
     /// A plain Linux process pinned to the leased cores (trusted tenants).
     BareMetal,

@@ -11,20 +11,27 @@
 //!   intervals the paper reports,
 //! * [`rng`] — small deterministic PRNG helpers so experiments are repeatable,
 //! * [`histogram`] — fixed-bucket latency histograms for harness output,
+//! * [`pool`] — [`KeyedPool`], values parked per key and redeemed oldest
+//!   first: connection warmth tokens and warm fork parents,
 //! * [`sync`] — the workspace's locks: a non-poisoning `Mutex` / `RwLock`
 //!   facade over `std::sync`, and rank-ordered mutexes enforcing the
 //!   workspace lock order (checked in debug builds and under the
-//!   `lock-sanitizer` feature).
+//!   `lock-sanitizer` feature),
+//! * [`wire`] — the little-endian frame reader and writer the allocation
+//!   and state control planes share.
 
 pub mod clock;
 pub mod histogram;
+pub mod pool;
 pub mod rng;
 pub mod stats;
 pub mod sync;
 pub mod time;
+pub mod wire;
 
 pub use clock::VirtualClock;
 pub use histogram::LatencyHistogram;
+pub use pool::{KeyedPool, PoolStats};
 pub use rng::{splitmix64_finalize, DeterministicRng};
 pub use stats::{median, percentile, ConfidenceInterval, Summary};
 pub use sync::{LockRank, OrderedMutex, OrderedMutexGuard};

@@ -128,8 +128,8 @@ impl fmt::Display for LockRank {
 }
 
 /// The workspace lock-rank table. One global namespace: a single thread can
-/// legitimately cross layers (the manager places onto the warm pool, the
-/// executor parks sandboxes, state bindings reach the state plane), so the
+/// legitimately cross layers (the manager polls its control socket under the
+/// client's recovery lock, state bindings reach the state plane), so the
 /// order must be total across subsystems, outermost first. simlint's
 /// `locks` subcommand prints the observed acquisition graph this table is
 /// a topological order of.
@@ -144,8 +144,8 @@ pub mod ranks {
     // The resource manager: control socket, executor registry, leases,
     // terminations and billing connections under one lock. Its control
     // socket is polled during the client's allocation round trip (recovery
-    // lock held), and placement consults the warm pool, so it sits between
-    // the client block and the executor block.
+    // lock held), so it sits between the client block and the executor
+    // block.
     pub const MANAGER: LockRank = LockRank::new(28, "manager");
 
     // Invocation reactor: sources, continuations, scratch and counters. A
@@ -170,10 +170,6 @@ pub mod ranks {
     pub const EXECUTOR_BILLING: LockRank = LockRank::new(60, "executor.billing");
     pub const EXECUTOR_STATS: LockRank = LockRank::new(64, "executor.stats");
     pub const EXECUTOR_FORK_TRACKER: LockRank = LockRank::new(66, "executor.fork_tracker");
-
-    // Warm sandbox pool (entered from manager placement and executor
-    // deallocation, both of which may hold their own locks).
-    pub const WARM_POOL: LockRank = LockRank::new(70, "sandbox.warm_pool");
 
     // State plane (entered while a dispatcher runs a stateful invocation).
     // The metadata server always drops its state guard before touching the

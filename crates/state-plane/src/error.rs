@@ -1,6 +1,7 @@
 //! State-plane errors.
 
 use rdma_fabric::FabricError;
+use sim_core::wire::FrameError;
 
 /// Errors surfaced by the state plane.
 ///
@@ -59,6 +60,13 @@ impl std::error::Error for StateError {}
 impl From<FabricError> for StateError {
     fn from(e: FabricError) -> StateError {
         StateError::Fabric(e)
+    }
+}
+
+/// A malformed state frame.
+impl From<FrameError> for StateError {
+    fn from(e: FrameError) -> StateError {
+        StateError::Protocol(format!("state frame {e}"))
     }
 }
 

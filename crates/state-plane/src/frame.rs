@@ -3,10 +3,12 @@
 //! Everything that is *not* value bytes rides the datagram control path:
 //! key → region lookups, put reservations, commits, deletes and the
 //! invalidations the owner fans out to caching clients. The frames use the
-//! same hand-rolled little-endian layout as the platform's allocation
-//! protocol — length-prefixed strings, explicit u64 words — so both ends
-//! agree on bytes without a serialisation framework, and the encoding is
-//! bit-stable for the determinism suite.
+//! little-endian layout of [`sim_core::wire`], the same as the platform's
+//! allocation protocol — length-prefixed strings, explicit u64 words — so
+//! both ends agree on bytes without a serialisation framework, and the
+//! encoding is bit-stable for the determinism suite.
+
+use sim_core::wire::{put_str, FrameReader};
 
 use crate::error::{Result, StateError};
 
@@ -107,65 +109,6 @@ pub enum StateFrame {
     },
 }
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-/// Cursor-style decoder over a frame's bytes.
-struct FrameReader<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> FrameReader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.bytes.len() - self.at < n {
-            return Err(StateError::Protocol(format!(
-                "state frame truncated at byte {}",
-                self.at
-            )));
-        }
-        let slice = &self.bytes[self.at..self.at + n];
-        self.at += n;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn string(&mut self) -> Result<String> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| StateError::Protocol("non-UTF-8 string in state frame".into()))
-    }
-
-    fn finish(self) -> Result<()> {
-        if self.at == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(StateError::Protocol(format!(
-                "{} trailing bytes after state frame",
-                self.bytes.len() - self.at
-            )))
-        }
-    }
-}
-
 const TAG_LOOKUP: u8 = 1;
 const TAG_OWNER: u8 = 2;
 const TAG_NOT_FOUND: u8 = 3;
@@ -257,7 +200,7 @@ impl StateFrame {
 
     /// Decode a frame from datagram payload bytes.
     pub fn decode(bytes: &[u8]) -> Result<StateFrame> {
-        let mut r = FrameReader { bytes, at: 0 };
+        let mut r = FrameReader::new(bytes);
         let frame = match r.u8()? {
             TAG_LOOKUP => StateFrame::Lookup {
                 reply_to: r.string()?,

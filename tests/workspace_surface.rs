@@ -196,7 +196,7 @@ fn every_shim_is_a_member_with_a_dependent() {
 /// The lock-rank table in `sim_core::sync::ranks` lists the workspace's
 /// shared objects: ranks strictly increase in declaration order, constant
 /// and lock names are unique, every constant is used as `ranks::NAME` by
-/// product code outside `sync.rs`, and there are exactly 19. Reads the
+/// product code outside `sync.rs`, and there are exactly 18. Reads the
 /// sources as text.
 #[test]
 fn lock_ranks_are_ordered_used_and_counted() {
@@ -252,7 +252,37 @@ fn lock_ranks_are_ordered_used_and_counted() {
         assert!(used, "`{needle}` is not used outside sync.rs and tests");
     }
 
-    assert_eq!(table.len(), 19, "lock ranks: {table:?}");
+    assert_eq!(table.len(), 18, "lock ranks: {table:?}");
+}
+
+/// Keyed pooling has one implementation, `sim_core::KeyedPool`: outside test
+/// modules, `crates/` defines one `fn evict_idle` and ten `pub struct
+/// …Stats`, the pool's `PoolStats` being the only pool counters. Reads the
+/// sources as text.
+#[test]
+fn one_pool_mechanism_and_stats_structs_are_counted() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut sources = Vec::new();
+    rust_sources(&root.join("crates"), &mut sources);
+    let mut evict_idle = Vec::new();
+    let mut stats = Vec::new();
+    for path in &sources {
+        let text = fs::read_to_string(path).unwrap();
+        for line in product_lines(&text) {
+            let line = line.trim_start();
+            if line.contains("fn evict_idle(") {
+                evict_idle.push(path.clone());
+            }
+            let name = line
+                .strip_prefix("pub struct ")
+                .and_then(|rest| rest.split([' ', '<', '(', ';']).next());
+            if let Some(name) = name.filter(|name| name.ends_with("Stats")) {
+                stats.push(name.to_string());
+            }
+        }
+    }
+    assert_eq!(evict_idle.len(), 1, "`fn evict_idle` in {evict_idle:?}");
+    assert_eq!(stats.len(), 10, "`*Stats` structs: {stats:?}");
 }
 
 /// The lines of the item opening with the line `header`, up to its closing
