@@ -13,7 +13,7 @@
 //! turns whichever actor is to produce it, then drains the queue.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use sim_core::sync::Mutex;
@@ -33,6 +33,11 @@ struct CqState {
 #[derive(Debug)]
 struct CqInner {
     state: Mutex<CqState>,
+    /// Completions in `state`: stored (`Release`) under its lock after every
+    /// change and loaded (`Acquire`) without it, so a look into an empty
+    /// queue takes no lock. A look racing a delivery may read 0 and miss it;
+    /// the next look sees it.
+    queued: AtomicUsize,
     clock: Arc<VirtualClock>,
     node: Arc<FabricNode>,
     profile: NicProfile,
@@ -84,6 +89,7 @@ impl CompletionQueue {
         CompletionQueue {
             inner: Arc::new(CqInner {
                 state: Mutex::new(CqState::default()),
+                queued: AtomicUsize::new(0),
                 clock,
                 node,
                 profile,
@@ -99,7 +105,9 @@ impl CompletionQueue {
 
     /// Deliver a completion (called by the fabric / peer queue pairs).
     pub(crate) fn push(&self, completion: WorkCompletion) {
-        self.inner.state.lock().completions.push_back(completion);
+        let mut state = self.inner.state.lock();
+        state.completions.push_back(completion);
+        self.inner.publish(&state);
     }
 
     /// Mark the CQ as disconnected and tell the owning [`CqSet`], if any.
@@ -120,7 +128,7 @@ impl CompletionQueue {
 
     /// Number of completions currently queued.
     pub fn pending(&self) -> usize {
-        self.inner.state.lock().completions.len()
+        self.inner.queued.load(Ordering::Acquire)
     }
 
     /// Non-blocking poll for up to `max` completions (busy-polling pickup),
@@ -147,16 +155,17 @@ impl CompletionQueue {
     /// blocking) via [`CompletionQueue::charge_poll_pickup`] /
     /// [`CompletionQueue::charge_blocking_pickup`].
     pub fn poll_uncharged_into(&self, max: usize, out: &mut Vec<WorkCompletion>) -> usize {
-        let mut state = self.inner.state.lock();
-        let n = state.completions.len().min(max);
-        out.extend(state.completions.drain(..n));
-        n
+        self.inner.drain_into(max, out, |wc| wc)
     }
 
     /// Poll a single completion without blocking (allocation-free).
     pub fn poll_one(&self) -> Option<WorkCompletion> {
+        if self.pending() == 0 {
+            return None;
+        }
         let mut state = self.inner.state.lock();
         let wc = state.completions.pop_front()?;
+        self.inner.publish(&state);
         drop(state);
         self.charge_poll_pickup(&wc);
         Some(wc)
@@ -198,6 +207,32 @@ impl CompletionQueue {
     /// Attach (or detach, with `None`) the edge notifier of a [`CqSet`].
     fn set_notifier(&self, notifier: Option<CqNotifier>) {
         self.inner.state.lock().notifier = notifier;
+    }
+}
+
+impl CqInner {
+    /// Publish the queue length; called with the state lock held.
+    fn publish(&self, state: &CqState) {
+        self.queued
+            .store(state.completions.len(), Ordering::Release);
+    }
+
+    /// Move up to `max` completions, oldest first, through `wrap` into `out`,
+    /// returning how many moved. An empty queue is not locked.
+    fn drain_into<T>(
+        &self,
+        max: usize,
+        out: &mut Vec<T>,
+        wrap: impl FnMut(WorkCompletion) -> T,
+    ) -> usize {
+        if self.queued.load(Ordering::Acquire) == 0 {
+            return 0;
+        }
+        let mut state = self.state.lock();
+        let n = state.completions.len().min(max);
+        out.extend(state.completions.drain(..n).map(wrap));
+        self.publish(&state);
+        n
     }
 }
 
@@ -270,10 +305,7 @@ impl CqSet {
         let mut drained = 0;
         for (token, cq) in self.members.iter().enumerate() {
             let Some(cq) = cq else { continue };
-            let mut state = cq.inner.state.lock();
-            let n = state.completions.len().min(max_per_member);
-            out.extend(state.completions.drain(..n).map(|wc| (token, wc)));
-            drained += n;
+            drained += cq.inner.drain_into(max_per_member, out, |wc| (token, wc));
         }
         drained
     }
@@ -513,5 +545,70 @@ mod tests {
         assert_eq!(out[0].0, tb);
         // Deregistering twice is a no-op.
         set.deregister(ta);
+    }
+
+    proptest::proptest! {
+        // The lock-free queued count never disagrees with the queue: after
+        // any sequence of deliveries, single polls, bounded drains,
+        // multiplexed drains and disconnects, `pending()` is the model's
+        // length, and every completion comes out once, in delivery order.
+        #[test]
+        fn prop_cq_pending_matches_model(ops: Vec<(u8, u8)>) {
+            let cqs = [
+                make_cq(DeviceFunction::Physical).0,
+                make_cq(DeviceFunction::Physical).0,
+            ];
+            let mut set = CqSet::new();
+            for cq in &cqs {
+                set.register(cq);
+            }
+            let mut model: [VecDeque<u64>; 2] = Default::default();
+            let mut delivered = 0u64;
+            for (op, arg) in ops {
+                let which = usize::from(arg % 2);
+                let (cq, queue) = (&cqs[which], &mut model[which]);
+                let max = usize::from(arg / 2 % 4);
+                match op % 6 {
+                    0 | 1 => {
+                        delivered += 1;
+                        cq.push(WorkCompletion {
+                            wr_id: delivered,
+                            ..completion_at(delivered)
+                        });
+                        queue.push_back(delivered);
+                    }
+                    2 => {
+                        let got = cq.poll_one().map(|wc| wc.wr_id);
+                        proptest::prop_assert_eq!(got, queue.pop_front());
+                    }
+                    3 => {
+                        let mut out = Vec::new();
+                        let n = cq.poll_uncharged_into(max, &mut out);
+                        let expected: Vec<u64> = queue.drain(..max.min(queue.len())).collect();
+                        proptest::prop_assert_eq!(n, expected.len());
+                        let got: Vec<u64> = out.iter().map(|wc| wc.wr_id).collect();
+                        proptest::prop_assert_eq!(got, expected);
+                    }
+                    4 => {
+                        let mut out = Vec::new();
+                        let n = set.poll_uncharged_into(max, &mut out);
+                        let mut expected = Vec::new();
+                        for (token, queue) in model.iter_mut().enumerate() {
+                            let take = max.min(queue.len());
+                            expected.extend(queue.drain(..take).map(|id| (token, id)));
+                        }
+                        proptest::prop_assert_eq!(n, expected.len());
+                        let got: Vec<(usize, u64)> =
+                            out.iter().map(|(token, wc)| (*token, wc.wr_id)).collect();
+                        proptest::prop_assert_eq!(got, expected);
+                    }
+                    _ => cq.disconnect(),
+                }
+                for (cq, queue) in cqs.iter().zip(&model) {
+                    proptest::prop_assert_eq!(cq.pending(), queue.len());
+                }
+                proptest::prop_assert_eq!(set.pending(), model[0].len() + model[1].len());
+            }
+        }
     }
 }

@@ -5,7 +5,7 @@
 //! remote key is only valid within the PD it was issued by. rFaaS allocates
 //! one PD per executor process and one per client invoker.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -19,7 +19,7 @@ static NEXT_PD_ID: AtomicU64 = AtomicU64::new(1);
 #[derive(Debug)]
 struct PdInner {
     id: u64,
-    regions: RwLock<HashMap<u64, MemoryRegion>>,
+    regions: RwLock<BTreeMap<u64, MemoryRegion>>,
 }
 
 /// A protection domain: a namespace of memory registrations.
@@ -40,7 +40,7 @@ impl ProtectionDomain {
         ProtectionDomain {
             inner: Arc::new(PdInner {
                 id: NEXT_PD_ID.fetch_add(1, Ordering::Relaxed),
-                regions: RwLock::new(HashMap::new()),
+                regions: RwLock::new(BTreeMap::new()),
             }),
         }
     }

@@ -9,15 +9,13 @@
 //! The counters it reports ([`ColdStartBreakdown`], [`ConnectionPlaneStats`],
 //! [`BatchStats`]) are defined here too.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 
 use rdma_fabric::{
     connect_pooled_with, AccessFlags, ConnectionPool, Endpoint, MemoryRegion, OwnedRegion,
     ProtectionDomain, QueuePair, ReceiveRing, RecvRequest, RemoteMemoryHandle, Sge,
 };
-use sim_core::sync::{ranks, OrderedMutex};
 use sim_core::SimDuration;
 
 use crate::codec::Codec;
@@ -36,7 +34,7 @@ use crate::reactor::CompletionSource;
 /// Clones share one registration, which is released with the last of them.
 #[derive(Debug, Clone)]
 pub(crate) struct Buffer {
-    registration: Arc<OwnedRegion>,
+    registration: Rc<OwnedRegion>,
     header_space: usize,
 }
 
@@ -45,7 +43,7 @@ impl Buffer {
     /// header slot is added in front automatically.
     pub(crate) fn input(pd: &ProtectionDomain, capacity: usize) -> Buffer {
         Buffer {
-            registration: Arc::new(
+            registration: Rc::new(
                 pd.register_owned(INVOCATION_HEADER_BYTES + capacity, AccessFlags::LOCAL_ONLY),
             ),
             header_space: INVOCATION_HEADER_BYTES,
@@ -56,7 +54,7 @@ impl Buffer {
     /// into remotely.
     pub(crate) fn output(pd: &ProtectionDomain, capacity: usize) -> Buffer {
         Buffer {
-            registration: Arc::new(pd.register_owned(capacity, AccessFlags::REMOTE_WRITE)),
+            registration: Rc::new(pd.register_owned(capacity, AccessFlags::REMOTE_WRITE)),
             header_space: 0,
         }
     }
@@ -166,6 +164,18 @@ pub struct BatchStats {
     pub post_time: SimDuration,
 }
 
+/// Results picked up on one connection and not yet taken, and the ids of
+/// invocations whose futures were dropped before their result arrived. Every
+/// entry holds one in-flight reservation, so the two lists together never
+/// outgrow the connection's in-flight count.
+#[derive(Default)]
+struct ResultStash {
+    results: Vec<(u32, usize, ResultStatus)>,
+    /// Each abandoned invocation keeps its result buffer registered until the
+    /// result lands in it.
+    abandoned: Vec<(u32, Buffer)>,
+}
+
 /// The client end of one leased worker: its queue pair, where its input
 /// buffer lives, and the results picked up for it.
 pub(crate) struct WorkerConnection {
@@ -178,15 +188,12 @@ pub(crate) struct WorkerConnection {
     /// Scratch for overflow receives posted when more invocations are in
     /// flight than the ring holds slots.
     pub(crate) overflow_scratch: OwnedRegion,
-    pub(crate) outstanding: AtomicUsize,
-    completed: OrderedMutex<HashMap<u32, (usize, ResultStatus)>>,
-    /// Results in `completed`, so a look into an empty stash takes no lock.
-    /// Raised inside the reactor turn that stashes, so a waiter whose own
-    /// turn comes back empty sees every result stashed before it.
-    stashed: AtomicUsize,
+    /// Invocations posted here whose result has not been taken or discarded.
+    pub(crate) outstanding: Cell<usize>,
+    stash: RefCell<ResultStash>,
     /// Token under which this connection is registered with the session's
     /// reactor (set right after registration, before any submission).
-    pub(crate) reactor_token: AtomicU64,
+    pub(crate) reactor_token: Cell<u64>,
     pub(crate) index: usize,
 }
 
@@ -256,54 +263,71 @@ impl WorkerConnection {
             remote_input,
             ring,
             overflow_scratch,
-            outstanding: AtomicUsize::new(0),
-            completed: OrderedMutex::new(ranks::CLIENT_COMPLETED, HashMap::new()),
-            stashed: AtomicUsize::new(0),
-            reactor_token: AtomicU64::new(0),
+            outstanding: Cell::new(0),
+            stash: RefCell::default(),
+            reactor_token: Cell::new(0),
             index,
         })
     }
 
-    /// Whether a result for `invocation_id` is already stashed.
-    pub(crate) fn has_result(&self, invocation_id: u32) -> bool {
-        self.stashed.load(Ordering::Acquire) > 0
-            && self.completed.lock().contains_key(&invocation_id)
-    }
-
     /// Remove a stashed result, returning the in-flight reservation with it.
     pub(crate) fn take_result(&self, invocation_id: u32) -> Option<(usize, ResultStatus)> {
-        if self.stashed.load(Ordering::Acquire) == 0 {
-            return None;
+        let mut stash = self.stash.borrow_mut();
+        let at = stash.results.iter().position(|r| r.0 == invocation_id)?;
+        let (_, len, status) = stash.results.swap_remove(at);
+        drop(stash);
+        self.release_reservation();
+        Some((len, status))
+    }
+
+    /// Give up on `invocation_id`, whose future was dropped unwaited: a
+    /// stashed result is discarded now, one still in flight when it arrives.
+    /// Either way its reservation returns. `output` is the result buffer the
+    /// executor writes into; it stays registered until then.
+    pub(crate) fn abandon(&self, invocation_id: u32, output: &Buffer) {
+        if self.take_result(invocation_id).is_none() {
+            self.stash
+                .borrow_mut()
+                .abandoned
+                .push((invocation_id, output.clone()));
         }
-        let result = {
-            let mut completed = self.completed.lock();
-            let result = completed.remove(&invocation_id)?;
-            self.stashed.fetch_sub(1, Ordering::Release);
-            result
-        };
-        self.outstanding.fetch_sub(1, Ordering::Relaxed);
-        Some(result)
+    }
+
+    /// Take one in-flight slot, returning how many were taken before it.
+    pub(crate) fn reserve(&self) -> usize {
+        let reserved = self.outstanding.get();
+        self.outstanding.set(reserved + 1);
+        reserved
+    }
+
+    pub(crate) fn release_reservation(&self) {
+        self.outstanding.set(self.outstanding.get() - 1);
     }
 
     pub(crate) fn token(&self) -> u64 {
-        self.reactor_token.load(Ordering::Relaxed)
+        self.reactor_token.get()
     }
 }
 
 impl CompletionSource for WorkerConnection {
-    /// Drain the receive ring into the result stash, reporting each newly
-    /// stashed invocation id. `ring.poll_one` charges the busy-poll pickup on
-    /// the client clock per completion — the reactor sweep costs exactly what
+    /// Drain the receive ring into the result stash, discarding the results
+    /// of abandoned invocations, and report each pumped invocation id.
+    /// `ring.poll_one` charges the busy-poll pickup on the client clock per
+    /// completion, discarded or not — the reactor sweep costs exactly what
     /// the old per-connection rescan did.
     fn pump(&self, sink: &mut dyn FnMut(u32)) {
         while let Some(completion) = self.ring.poll_one() {
             let wc = completion.wc;
             let (id, status) = ImmValue::parse_response(wc.imm.unwrap_or(0));
-            let mut completed = self.completed.lock();
-            if completed.insert(id, (wc.byte_len, status)).is_none() {
-                self.stashed.fetch_add(1, Ordering::Release);
+            let mut stash = self.stash.borrow_mut();
+            match stash.abandoned.iter().position(|a| a.0 == id) {
+                Some(at) => {
+                    stash.abandoned.swap_remove(at);
+                    self.release_reservation();
+                }
+                None => stash.results.push((id, wc.byte_len, status)),
             }
-            drop(completed);
+            drop(stash);
             sink(id);
         }
     }
@@ -318,20 +342,21 @@ impl CompletionSource for WorkerConnection {
 /// the result buffer.
 pub(crate) struct InvocationSpec {
     pub(crate) worker: Option<usize>,
-    pub(crate) function: Arc<str>,
+    pub(crate) function: Rc<str>,
     pub(crate) input: Buffer,
     pub(crate) payload_len: usize,
     pub(crate) output: Buffer,
 }
 
 /// Where one posted invocation's result will land: the connection it went
-/// out on, its id, and the allocation epoch that connection belongs to
-/// (recovery uses it to detect that another future already replaced a dead
-/// allocation).
+/// out on, its id, the allocation epoch that connection belongs to
+/// (recovery uses it to detect that an earlier recovery already replaced a
+/// dead allocation), and whether the result has been taken.
 pub(crate) struct Posted {
-    pub(crate) connection: Arc<WorkerConnection>,
+    pub(crate) connection: Rc<WorkerConnection>,
     pub(crate) invocation_id: u32,
     pub(crate) epoch: u64,
+    pub(crate) settled: bool,
 }
 
 /// Whether an error means the executor connection is gone (as opposed to a
@@ -361,6 +386,7 @@ mod tests {
     use rdma_fabric::{DeviceFunction, Fabric};
     use sandbox::{echo_function, failing_function, CodePackage, FunctionRegistry};
     use sim_core::SimTime;
+    use std::sync::Arc;
 
     /// One 36-core executor serving `pkg` (echo + an always-failing
     /// function).
@@ -598,6 +624,55 @@ mod tests {
             "20 sequential reaps took {elapsed:?}"
         );
         drop(sessions);
+    }
+
+    #[test]
+    fn dropped_futures_return_their_reservations() {
+        // Regression: only a wait returned a connection's in-flight
+        // reservation, so a future dropped unwaited kept it raised for good
+        // and its result sat in the stash. Past the ring depth every later
+        // submission paid an overflow receive.
+        let (fabric, _manager, session) = platform(1);
+        let connection = session.connection(0);
+        let cq = connection.qp.recv_cq().clone();
+        let echo = session.function::<[u8], [u8]>("echo").unwrap();
+        let dropped = connection.ring.depth() + 1;
+        for served in 1..=dropped {
+            drop(echo.submit(&[1u8; 8][..]).unwrap());
+            // The executor serves it; no reactor turn picks the result up.
+            let timeout = std::time::Duration::from_secs(5);
+            assert!(fabric.run_until(|| cq.pending() == served, timeout));
+        }
+        assert_eq!(connection.outstanding.get(), dropped);
+
+        // One fresh invocation drains them: each abandoned result is
+        // discarded as its turn picks it up.
+        assert_eq!(echo.invoke(&[2u8; 8][..]).unwrap(), [2u8; 8]);
+        assert_eq!(connection.outstanding.get(), 0);
+        let stash = connection.stash.borrow();
+        assert_eq!((stash.results.len(), stash.abandoned.len()), (0, 0));
+        drop(stash);
+
+        // Back inside the ring: the next submission posts no extra receive.
+        let receives = connection.qp.posted_receives();
+        let future = echo.submit(&[3u8; 8][..]).unwrap();
+        assert_eq!(connection.qp.posted_receives(), receives);
+        assert_eq!(future.wait().unwrap(), [3u8; 8]);
+    }
+
+    #[test]
+    fn dropping_a_future_discards_its_stashed_result() {
+        let (_fabric, _manager, session) = platform(1);
+        let connection = session.connection(0);
+        let echo = session.function::<[u8], [u8]>("echo").unwrap();
+        let first = echo.submit(&[1u8; 8][..]).unwrap();
+        let second = echo.submit(&[2u8; 8][..]).unwrap();
+        // Waiting the second picks up (and stashes) the first's result too.
+        assert_eq!(second.wait().unwrap(), [2u8; 8]);
+        assert_eq!(connection.stash.borrow().results.len(), 1);
+        drop(first);
+        assert_eq!(connection.stash.borrow().results.len(), 0);
+        assert_eq!(connection.outstanding.get(), 0);
     }
 
     #[test]

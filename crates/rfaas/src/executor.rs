@@ -662,9 +662,14 @@ fn serve_completion(
     fork: &Option<Arc<ForkFaultState>>,
     state_binding: &mut Option<ExecutorStateBinding>,
 ) {
-    let shared = Arc::clone(&slot.shared);
-    let core = Arc::clone(&slot.core);
-    let Some(conn) = slot.conn.as_mut() else {
+    let WorkerSlot {
+        shared,
+        core,
+        conn,
+        max_payload,
+        ..
+    } = slot;
+    let Some(conn) = conn.as_mut() else {
         return;
     };
     // Hand the raw completion back to the shared ring for slot accounting:
@@ -817,7 +822,7 @@ fn serve_completion(
                 // receive, not the whole buffer: a larger result fails the
                 // invocation either way, and the window is all of the buffer
                 // this lease ever commits.
-                let window = slot.max_payload.min(result_handle.len);
+                let window = (*max_payload).min(result_handle.len);
                 let outcome = match payload {
                     Some(payload) => conn
                         .output

@@ -16,25 +16,31 @@
 //! queues instead of rescanning. No external async runtime is involved: the
 //! loop is a plain function call, so the offline shims stay sufficient and
 //! virtual time stays bit-reproducible.
+//!
+//! The reactor, its sources and the sessions built on it belong to the one
+//! client thread that turns them: their shared state sits in `Rc` /
+//! `RefCell` / `Cell`, not behind locks, and none of them is `Send`.
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
-
-use sim_core::sync::{ranks, OrderedMutex};
+use std::cell::RefCell;
+use std::collections::{BTreeMap, VecDeque};
+use std::rc::Rc;
 
 /// A drainable producer of invocation completions (a client worker
 /// connection). `pump` must drain everything currently queued — stashing the
-/// results where the owner finds them — and report each newly-stashed
-/// invocation id through `sink`.
-pub(crate) trait CompletionSource: Send + Sync {
+/// results where the owner finds them — and report each pumped invocation id
+/// through `sink`.
+pub(crate) trait CompletionSource {
     fn pump(&self, sink: &mut dyn FnMut(u32));
     fn is_connected(&self) -> bool;
 }
 
-/// Where a dispatched completion lands: the shared ready queue of a
-/// completion set, and the entry index to push into it.
+/// A completion set's ready queue: entry indices in dispatch order.
+pub(crate) type ReadyQueue = Rc<RefCell<VecDeque<usize>>>;
+
+/// Where a dispatched completion lands: the ready queue of a completion set,
+/// and the entry index to push into it.
 pub(crate) struct Continuation {
-    pub(crate) ready: Arc<OrderedMutex<VecDeque<usize>>>,
+    pub(crate) ready: ReadyQueue,
     pub(crate) index: usize,
 }
 
@@ -51,14 +57,12 @@ pub struct ReactorStats {
     pub dispatched: u64,
 }
 
-/// Everything a reactor shares, under its one lock: a turn pumps every
-/// source while holding it, so concurrent callers queue behind one sweep
-/// instead of racing over the same rings.
+/// Everything a reactor's handles share.
 #[derive(Default)]
 struct ReactorCore {
     /// Registration order is dispatch order — the determinism contract.
-    sources: Vec<(u64, Arc<dyn CompletionSource>)>,
-    continuations: HashMap<(u64, u32), Continuation>,
+    sources: Vec<(u64, Rc<dyn CompletionSource>)>,
+    continuations: BTreeMap<(u64, u32), Continuation>,
     next_token: u64,
     /// Scratch reused across turns: the steady-state sweep performs no
     /// allocations.
@@ -66,23 +70,22 @@ struct ReactorCore {
     stats: ReactorStats,
 }
 
-/// Handle to one reactor; cheap to clone, shareable across sessions.
-#[derive(Clone)]
+/// Handle to one reactor; cheap to clone, shareable across the sessions of
+/// the one client thread that turns it. A reactor never leaves that thread:
+/// it is not `Send`.
+///
+/// ```compile_fail
+/// fn send<T: Send>(_: T) {}
+/// send(rfaas::Reactor::new());
+/// ```
+#[derive(Clone, Default)]
 pub struct Reactor {
-    core: Arc<OrderedMutex<ReactorCore>>,
-}
-
-impl Default for Reactor {
-    fn default() -> Reactor {
-        Reactor {
-            core: Arc::new(OrderedMutex::new(ranks::REACTOR, ReactorCore::default())),
-        }
-    }
+    core: Rc<RefCell<ReactorCore>>,
 }
 
 impl std::fmt::Debug for Reactor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let core = self.core.lock();
+        let core = self.core.borrow();
         f.debug_struct("Reactor")
             .field("sources", &core.sources.len())
             .field("stats", &core.stats)
@@ -98,13 +101,13 @@ impl Reactor {
 
     /// Snapshot of the lifetime counters.
     pub fn stats(&self) -> ReactorStats {
-        self.core.lock().stats
+        self.core.borrow().stats
     }
 
     /// Register a source; the returned token scopes continuations to it.
     /// Sources are pumped in registration order on every turn.
-    pub(crate) fn register_source(&self, source: Arc<dyn CompletionSource>) -> u64 {
-        let mut core = self.core.lock();
+    pub(crate) fn register_source(&self, source: Rc<dyn CompletionSource>) -> u64 {
+        let mut core = self.core.borrow_mut();
         core.next_token += 1;
         let token = core.next_token;
         core.sources.push((token, source));
@@ -114,27 +117,24 @@ impl Reactor {
     /// Remove a source. Continuations registered against it stay put: their
     /// owners detect the dead connection and run recovery.
     pub(crate) fn unregister_source(&self, token: u64) {
-        self.core.lock().sources.retain(|(t, _)| *t != token);
+        self.core.borrow_mut().sources.retain(|(t, _)| *t != token);
     }
 
     /// Arm a continuation: when the source registered under `token` reports
     /// `invocation_id`, push `index` onto `ready`. Dispatch is exactly-once —
-    /// the continuation is consumed. The caller must re-check its result
-    /// stash after arming (a concurrent turn may have pumped the completion
-    /// just before the continuation existed); a duplicate ready entry from
-    /// that re-check is harmless as long as consumers treat ready indices as
-    /// hints (take-and-skip-empty).
+    /// the continuation is consumed. Arm it before the next turn: a
+    /// completion pumped while no continuation exists dispatches nothing.
     pub(crate) fn register_continuation(
         &self,
         token: u64,
         invocation_id: u32,
-        ready: &Arc<OrderedMutex<VecDeque<usize>>>,
+        ready: &ReadyQueue,
         index: usize,
     ) {
-        self.core.lock().continuations.insert(
+        self.core.borrow_mut().continuations.insert(
             (token, invocation_id),
             Continuation {
-                ready: Arc::clone(ready),
+                ready: Rc::clone(ready),
                 index,
             },
         );
@@ -144,7 +144,7 @@ impl Reactor {
     /// abandoned).
     pub(crate) fn cancel_continuation(&self, token: u64, invocation_id: u32) {
         self.core
-            .lock()
+            .borrow_mut()
             .continuations
             .remove(&(token, invocation_id));
     }
@@ -153,9 +153,9 @@ impl Reactor {
     /// dispatch the continuations of everything that completed, and prune
     /// sources whose connections are gone (after their final drain). Returns
     /// the number of completions pumped — `0` means no progress, so the
-    /// caller may yield or block on an external signal.
+    /// caller may turn the fabric instead.
     pub fn turn(&self) -> usize {
-        let mut guard = self.core.lock();
+        let mut guard = self.core.borrow_mut();
         let core = &mut *guard;
         core.events.clear();
         let mut dead = false;
@@ -164,10 +164,16 @@ impl Reactor {
             dead |= !source.is_connected();
         }
         let progressed = core.events.len();
-        for (token, id) in core.events.drain(..) {
-            if let Some(continuation) = core.continuations.remove(&(token, id)) {
-                continuation.ready.lock().push_back(continuation.index);
-                core.stats.dispatched += 1;
+        // A plain wait arms no continuation: skip the lookups.
+        if !core.continuations.is_empty() {
+            for (token, id) in core.events.drain(..) {
+                if let Some(continuation) = core.continuations.remove(&(token, id)) {
+                    continuation
+                        .ready
+                        .borrow_mut()
+                        .push_back(continuation.index);
+                    core.stats.dispatched += 1;
+                }
             }
         }
         if dead {
@@ -184,40 +190,37 @@ impl Reactor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim_core::sync::Mutex;
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::cell::Cell;
 
     /// Deterministic stand-in for a worker connection: completions are queued
     /// by the test and drained by `pump`.
-    #[derive(Default)]
     struct MockSource {
-        queued: Mutex<VecDeque<u32>>,
-        stashed: Mutex<Vec<u32>>,
-        connected: AtomicBool,
+        queued: RefCell<VecDeque<u32>>,
+        connected: Cell<bool>,
     }
 
     impl MockSource {
-        fn new() -> Arc<MockSource> {
-            let source = Arc::new(MockSource::default());
-            source.connected.store(true, Ordering::Relaxed);
-            source
+        fn new() -> Rc<MockSource> {
+            Rc::new(MockSource {
+                queued: RefCell::default(),
+                connected: Cell::new(true),
+            })
         }
 
         fn push(&self, id: u32) {
-            self.queued.lock().push_back(id);
+            self.queued.borrow_mut().push_back(id);
         }
     }
 
     impl CompletionSource for MockSource {
         fn pump(&self, sink: &mut dyn FnMut(u32)) {
-            while let Some(id) = self.queued.lock().pop_front() {
-                self.stashed.lock().push(id);
+            while let Some(id) = self.queued.borrow_mut().pop_front() {
                 sink(id);
             }
         }
 
         fn is_connected(&self) -> bool {
-            self.connected.load(Ordering::Relaxed)
+            self.connected.get()
         }
     }
 
@@ -226,15 +229,15 @@ mod tests {
         let reactor = Reactor::new();
         let source = MockSource::new();
         let token = reactor.register_source(source.clone());
-        let ready = Arc::new(OrderedMutex::new(ranks::REACTOR_READY, VecDeque::new()));
+        let ready = ReadyQueue::default();
         reactor.register_continuation(token, 7, &ready, 3);
         source.push(7);
         assert_eq!(reactor.turn(), 1);
-        assert_eq!(ready.lock().iter().copied().collect::<Vec<_>>(), vec![3]);
+        assert_eq!(ready.borrow().iter().copied().collect::<Vec<_>>(), vec![3]);
         // The continuation was consumed: replaying the id dispatches nothing.
         source.push(7);
         assert_eq!(reactor.turn(), 1);
-        assert_eq!(ready.lock().len(), 1);
+        assert_eq!(ready.borrow().len(), 1);
         let stats = reactor.stats();
         assert_eq!(stats.dispatched, 1);
         assert_eq!(stats.pumped, 2);
@@ -247,7 +250,7 @@ mod tests {
         let second = MockSource::new();
         let t1 = reactor.register_source(first.clone());
         let t2 = reactor.register_source(second.clone());
-        let ready = Arc::new(OrderedMutex::new(ranks::REACTOR_READY, VecDeque::new()));
+        let ready = ReadyQueue::default();
         reactor.register_continuation(t2, 1, &ready, 20);
         reactor.register_continuation(t1, 1, &ready, 10);
         // Queue the later-registered source first; dispatch order must still
@@ -256,7 +259,7 @@ mod tests {
         first.push(1);
         assert_eq!(reactor.turn(), 2);
         assert_eq!(
-            ready.lock().iter().copied().collect::<Vec<_>>(),
+            ready.borrow().iter().copied().collect::<Vec<_>>(),
             vec![10, 20]
         );
     }
@@ -266,58 +269,14 @@ mod tests {
         let reactor = Reactor::new();
         let source = MockSource::new();
         let token = reactor.register_source(source.clone());
-        let ready = Arc::new(OrderedMutex::new(ranks::REACTOR_READY, VecDeque::new()));
+        let ready = ReadyQueue::default();
         reactor.register_continuation(token, 9, &ready, 0);
         // The completion queued before the disconnect must still dispatch.
         source.push(9);
-        source.connected.store(false, Ordering::Relaxed);
+        source.connected.set(false);
         assert_eq!(reactor.turn(), 1);
-        assert_eq!(ready.lock().len(), 1);
-        assert_eq!(reactor.core.lock().sources.len(), 0);
-    }
-
-    #[test]
-    fn concurrent_turns_dispatch_every_completion_exactly_once() {
-        const SOURCES: usize = 8;
-        const PER_SOURCE: u32 = 1_000;
-        let total = SOURCES * PER_SOURCE as usize;
-        let reactor = Reactor::new();
-        let sources: Vec<_> = (0..SOURCES).map(|_| MockSource::new()).collect();
-        let ready = Arc::new(OrderedMutex::new(ranks::REACTOR_READY, VecDeque::new()));
-        for (s, source) in sources.iter().enumerate() {
-            let token = reactor.register_source(source.clone());
-            for id in 0..PER_SOURCE {
-                let index = s * PER_SOURCE as usize + id as usize;
-                reactor.register_continuation(token, id, &ready, index);
-            }
-        }
-        let pushed = AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                for id in 0..PER_SOURCE {
-                    for source in &sources {
-                        source.push(id);
-                    }
-                }
-                pushed.store(true, Ordering::Release);
-            });
-            for _ in 0..2 {
-                scope.spawn(|| loop {
-                    // Turns are serialised and each drains every queue, so an
-                    // empty turn that began after the last push saw everything.
-                    let finished = pushed.load(Ordering::Acquire);
-                    if reactor.turn() == 0 && finished {
-                        break;
-                    }
-                });
-            }
-        });
-        let mut seen: Vec<usize> = ready.lock().iter().copied().collect();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..total).collect::<Vec<_>>());
-        let stats = reactor.stats();
-        assert_eq!(stats.pumped, total as u64);
-        assert_eq!(stats.dispatched, total as u64);
+        assert_eq!(ready.borrow().len(), 1);
+        assert_eq!(reactor.core.borrow().sources.len(), 0);
     }
 
     proptest::proptest! {
@@ -334,7 +293,7 @@ mod tests {
                 .iter()
                 .map(|s| reactor.register_source(s.clone()))
                 .collect();
-            let ready = Arc::new(OrderedMutex::new(ranks::REACTOR_READY, VecDeque::new()));
+            let ready = ReadyQueue::default();
             for (index, pick) in assignment.iter().enumerate() {
                 reactor.register_continuation(
                     tokens[(*pick % 4) as usize],
@@ -352,7 +311,7 @@ mod tests {
             }
             // Final drain: everything still queued dispatches now.
             while reactor.turn() > 0 {}
-            let mut seen: Vec<usize> = ready.lock().iter().copied().collect();
+            let mut seen: Vec<usize> = ready.borrow().iter().copied().collect();
             seen.sort_unstable();
             let expected: Vec<usize> = (0..assignment.len()).collect();
             proptest::prop_assert_eq!(seen, expected);

@@ -20,9 +20,11 @@
 //! invocation. The wire-level pieces a session is made of live in
 //! [`crate::client`].
 
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -31,7 +33,6 @@ use rdma_fabric::{
     RecvRequest, SendRequest, Sge,
 };
 use sandbox::{CodePackage, SandboxType};
-use sim_core::sync::{ranks, OrderedMutex};
 use sim_core::{SimDuration, SimTime, VirtualClock};
 use state_plane::{StateClient, StateClientStats, StateError, StateKey, StatePlane, StateSpec};
 
@@ -50,7 +51,7 @@ use crate::protocol::{
     ControlFrame, ImmValue, InvocationHeader, Lease, LeaseRequest, ResultStatus,
     INVOCATION_HEADER_BYTES,
 };
-use crate::reactor::{CompletionSource, Reactor};
+use crate::reactor::{CompletionSource, Reactor, ReadyQueue};
 
 /// Smallest output buffer the typed layer registers when the caller gives no
 /// explicit capacity: results at least as large as a small page are common
@@ -264,14 +265,13 @@ impl AllocationBuilder {
             reactor: self.reactor.unwrap_or_default(),
             connection_pool: self.connection_pool.unwrap_or_default(),
             state_plane: self.state_plane,
-            state_client: OrderedMutex::new(ranks::CLIENT_SESSION_STATE, None),
-            active: OrderedMutex::new(ranks::CLIENT_ACTIVE, None),
-            recovery_lock: OrderedMutex::new(ranks::CLIENT_RECOVERY, ()),
-            allocation_epoch: AtomicU64::new(0),
-            next_invocation: AtomicU32::new(1),
-            round_robin: AtomicUsize::new(0),
-            connections_opened: AtomicU64::new(0),
-            recoveries: AtomicU32::new(0),
+            state_client: RefCell::new(None),
+            active: RefCell::new(None),
+            allocation_epoch: Cell::new(0),
+            next_invocation: Cell::new(1),
+            round_robin: Cell::new(0),
+            connections_opened: Cell::new(0),
+            recoveries: Cell::new(0),
             buffers: BufferPool::default(),
         };
         session.allocate(connect_to_manager)?;
@@ -281,16 +281,9 @@ impl AllocationBuilder {
 
 /// Pool of registered (input, output) buffer pairs reused across typed
 /// invocations, so steady-state invocations never re-register memory.
+#[derive(Default)]
 struct BufferPool {
-    free: OrderedMutex<Vec<(Buffer, Buffer)>>,
-}
-
-impl Default for BufferPool {
-    fn default() -> BufferPool {
-        BufferPool {
-            free: OrderedMutex::new(ranks::SESSION_BUFFER_POOL, Vec::new()),
-        }
-    }
+    free: RefCell<Vec<(Buffer, Buffer)>>,
 }
 
 impl BufferPool {
@@ -300,7 +293,7 @@ impl BufferPool {
         input_capacity: usize,
         output_capacity: usize,
     ) -> (Buffer, Buffer) {
-        let mut free = self.free.lock();
+        let mut free = self.free.borrow_mut();
         if let Some(position) = free
             .iter()
             .position(|(i, o)| i.capacity() >= input_capacity && o.capacity() >= output_capacity)
@@ -315,27 +308,28 @@ impl BufferPool {
     }
 
     fn release(&self, pair: (Buffer, Buffer)) {
-        let mut free = self.free.lock();
+        let mut free = self.free.borrow_mut();
         if free.len() < MAX_POOLED_PAIRS {
             free.push(pair);
         }
     }
 }
 
-/// Everything a session holds while a lease is active. Kept behind one lock
-/// so the recovery path can swap the whole allocation (lease, executor,
-/// connections) from `&self` while invocation futures are waiting.
+/// Everything a session holds while a lease is active. Kept in one cell so
+/// the recovery path can swap the whole allocation (lease, executor,
+/// connections) from `&self` while invocation futures are outstanding.
 struct ActiveAllocation {
     /// Monotonic counter distinguishing successive allocations: a future
     /// observing its allocation die only triggers a re-allocation if the
-    /// active epoch still matches what it used — otherwise another future
-    /// already recovered and it just resubmits on the fresh connections.
+    /// active epoch still matches what it used — otherwise an earlier
+    /// recovery already replaced it and it just resubmits on the fresh
+    /// connections.
     epoch: u64,
     lease: Lease,
     executor: Arc<SpotExecutor>,
     process_id: u64,
     package: CodePackage,
-    connections: Vec<Arc<WorkerConnection>>,
+    connections: Vec<Rc<WorkerConnection>>,
     /// What bringing this allocation up cost the client.
     cold_start: ColdStartBreakdown,
 }
@@ -347,6 +341,16 @@ struct ActiveAllocation {
 /// and the recovery machinery that replaces them, plus a pool of registered
 /// buffers shared by every [`FunctionHandle`] it hands out. Dropping the
 /// session releases the lease.
+///
+/// Like the paper's invoker, a session is driven by one client thread: its
+/// state sits in cells, not behind locks, and it is not `Send`.
+///
+/// ```compile_fail
+/// fn send<T: Send>(_: T) {}
+/// fn hand_off(session: rfaas::Session) {
+///     send(session);
+/// }
+/// ```
 pub struct Session {
     /// The client's attachment to the fabric: node, virtual clock, and the
     /// protection domain every registration of the session lives in.
@@ -373,18 +377,14 @@ pub struct Session {
     /// The session-side caching state client, attached on the first
     /// allocation and kept across re-allocations (the cache region and its
     /// datagram endpoint belong to the client node, not to any lease).
-    state_client: OrderedMutex<Option<StateClient>>,
+    state_client: RefCell<Option<StateClient>>,
     /// `None` only once a transparent re-allocation has failed.
-    active: OrderedMutex<Option<ActiveAllocation>>,
-    // Serialises recovery: two futures discovering the same dead allocation
-    // must produce one re-allocation, not two (the loser would overwrite —
-    // and leak — the winner's allocation).
-    recovery_lock: OrderedMutex<()>,
-    allocation_epoch: AtomicU64,
-    next_invocation: AtomicU32,
-    round_robin: AtomicUsize,
-    connections_opened: AtomicU64,
-    recoveries: AtomicU32,
+    active: RefCell<Option<ActiveAllocation>>,
+    allocation_epoch: Cell<u64>,
+    next_invocation: Cell<u32>,
+    round_robin: Cell<usize>,
+    connections_opened: Cell<u64>,
+    recoveries: Cell<u32>,
     buffers: BufferPool,
 }
 
@@ -424,7 +424,7 @@ impl Session {
     {
         let known = self
             .active
-            .lock()
+            .borrow()
             .as_ref()
             .is_some_and(|a| a.package.function_by_name(name).is_some());
         if !known {
@@ -432,7 +432,7 @@ impl Session {
         }
         Ok(FunctionHandle {
             session: self,
-            name: Arc::from(name),
+            name: Rc::from(name),
             output_capacity: None,
             _typed: PhantomData,
         })
@@ -446,12 +446,12 @@ impl Session {
 
     /// The active lease (`None` once a transparent re-allocation failed).
     pub fn lease(&self) -> Option<Lease> {
-        self.active.lock().as_ref().map(|a| a.lease.clone())
+        self.active.borrow().as_ref().map(|a| a.lease.clone())
     }
 
     /// Cold-start breakdown of the active allocation.
     pub fn cold_start(&self) -> Option<ColdStartBreakdown> {
-        self.active.lock().as_ref().map(|a| a.cold_start.clone())
+        self.active.borrow().as_ref().map(|a| a.cold_start.clone())
     }
 
     /// One unified snapshot of the session's runtime counters: the
@@ -460,20 +460,20 @@ impl Session {
     /// is attached), worker count and transparent recoveries.
     pub fn stats(&self) -> SessionStats {
         let pool = self.connection_pool.stats();
-        let active = self.active.lock();
+        let active = self.active.borrow();
         let process = active
             .as_ref()
             .map(|a| (a.executor.allocator(), a.process_id));
         SessionStats {
             connections: ConnectionPlaneStats {
-                connections_opened: self.connections_opened.load(Ordering::Relaxed),
+                connections_opened: self.connections_opened.get(),
                 pool_hits: pool.hits,
                 pool_misses: pool.misses,
                 srq_depth_high_watermark: process
                     .map_or(0, |(allocator, id)| allocator.srq_high_watermark(id)),
             },
             fork: process.and_then(|(allocator, id)| allocator.fork_state(id)),
-            state_session: self.state_client.lock().as_ref().map(StateClient::stats),
+            state_session: self.state_client.borrow().as_ref().map(StateClient::stats),
             state_executor: process.and_then(|(allocator, id)| allocator.state_client_stats(id)),
             workers: active.as_ref().map_or(0, |a| a.connections.len()),
             recoveries: self.recoveries(),
@@ -490,7 +490,7 @@ impl Session {
     /// How many times the session transparently re-allocated after a lease
     /// expiry or executor loss.
     pub fn recoveries(&self) -> u32 {
-        self.recoveries.load(Ordering::Relaxed)
+        self.recoveries.get()
     }
 
     /// Renew the active lease: a manager round trip pushing the expiry to
@@ -499,7 +499,7 @@ impl Session {
     /// hot workers. Returns the new expiry instant.
     pub fn extend_lease(&self, extension: SimDuration) -> Result<SimTime> {
         let (lease_id, executor) = {
-            let active = self.active.lock();
+            let active = self.active.borrow();
             let active = active.as_ref().ok_or(RFaasError::NotAllocated)?;
             (active.lease.id, Arc::clone(&active.executor))
         };
@@ -521,7 +521,7 @@ impl Session {
             // connection.
             return Err(RFaasError::ExecutorLost(renewed.executor_node));
         }
-        if let Some(active) = self.active.lock().as_mut() {
+        if let Some(active) = self.active.borrow_mut().as_mut() {
             if active.lease.id == lease_id {
                 active.lease = renewed.clone();
             }
@@ -538,14 +538,14 @@ impl Session {
 
     fn worker_count(&self) -> usize {
         self.active
-            .lock()
+            .borrow()
             .as_ref()
             .map_or(0, |a| a.connections.len())
     }
 
     /// Epoch of the current allocation (0 when none is active).
     fn current_epoch(&self) -> u64 {
-        self.active.lock().as_ref().map_or(0, |a| a.epoch)
+        self.active.borrow().as_ref().map_or(0, |a| a.epoch)
     }
 }
 
@@ -593,8 +593,10 @@ impl Session {
             return Err(e);
         }
 
+        let epoch = self.allocation_epoch.get() + 1;
+        self.allocation_epoch.set(epoch);
         let fresh = ActiveAllocation {
-            epoch: self.allocation_epoch.fetch_add(1, Ordering::Relaxed) + 1,
+            epoch,
             lease,
             executor,
             process_id: allocation.process_id,
@@ -602,7 +604,7 @@ impl Session {
             connections,
             cold_start: breakdown,
         };
-        *self.active.lock() = Some(fresh);
+        *self.active.borrow_mut() = Some(fresh);
         Ok(())
     }
 
@@ -669,14 +671,14 @@ impl Session {
         executor: &SpotExecutor,
         allocation: &AllocationResult,
         breakdown: &mut ColdStartBreakdown,
-        connections: &mut Vec<Arc<WorkerConnection>>,
+        connections: &mut Vec<Rc<WorkerConnection>>,
     ) -> Result<()> {
         let t4 = self.clock().now();
         self.connect_workers(&allocation.workers, &lease.executor_node, connections)?;
         breakdown.connect_to_workers = self.clock().now().saturating_since(t4);
 
         if let Some(plane) = &self.state_plane {
-            let mut state_client = self.state_client.lock();
+            let mut state_client = self.state_client.borrow_mut();
             if state_client.is_none() {
                 *state_client = Some(plane.attach(
                     self.endpoint.node.name(),
@@ -685,6 +687,7 @@ impl Session {
                     self.config.state_cache_bytes,
                 ));
             }
+            drop(state_client);
             let exec_client = plane.attach(
                 &format!("{}-exec", lease.executor_node),
                 executor.node(),
@@ -702,10 +705,10 @@ impl Session {
         &self,
         workers: &[WorkerEndpointInfo],
         pool_key: &str,
-        connections: &mut Vec<Arc<WorkerConnection>>,
+        connections: &mut Vec<Rc<WorkerConnection>>,
     ) -> Result<()> {
         for (index, worker) in workers.iter().enumerate() {
-            let connection = Arc::new(WorkerConnection::connect(
+            let connection = Rc::new(WorkerConnection::connect(
                 &self.endpoint,
                 worker,
                 &self.connection_pool,
@@ -714,14 +717,15 @@ impl Session {
                 CONNECT_TIMEOUT,
                 index,
             )?);
-            self.connections_opened.fetch_add(1, Ordering::Relaxed);
+            self.connections_opened
+                .set(self.connections_opened.get() + 1);
             // Register with the reactor before the connection can carry an
             // invocation: every result on this ring is picked up by the
             // shared event loop.
             let token = self
                 .reactor
-                .register_source(Arc::clone(&connection) as Arc<dyn CompletionSource>);
-            connection.reactor_token.store(token, Ordering::Relaxed);
+                .register_source(Rc::clone(&connection) as Rc<dyn CompletionSource>);
+            connection.reactor_token.set(token);
             connections.push(connection);
         }
         Ok(())
@@ -733,14 +737,14 @@ impl Session {
     /// `ExecutorLost`.
     ///
     /// `observed_epoch` is the epoch of the allocation the caller saw fail.
-    /// If the active allocation has already moved past it (another future
-    /// recovered first), this is a no-op — the caller just resubmits on the
-    /// fresh connections instead of destroying them.
+    /// If the active allocation has already moved past it (a future of that
+    /// older allocation asks after another one recovered), this is a no-op —
+    /// the caller just resubmits on the fresh connections instead of
+    /// destroying them.
     fn recover(&self, observed_epoch: u64) -> Result<()> {
-        let _serialised = self.recovery_lock.lock();
         if self
             .active
-            .lock()
+            .borrow()
             .as_ref()
             .is_some_and(|a| a.epoch != observed_epoch)
         {
@@ -748,12 +752,13 @@ impl Session {
         }
         self.deallocate();
         self.allocate(SimDuration::ZERO)?;
-        self.recoveries.fetch_add(1, Ordering::Relaxed);
+        self.recoveries.set(self.recoveries.get() + 1);
         Ok(())
     }
 
     fn deallocate(&self) {
-        if let Some(active) = self.active.lock().take() {
+        let active = self.active.borrow_mut().take();
+        if let Some(active) = active {
             self.release(
                 &active.lease,
                 Some((&active.executor, active.process_id)),
@@ -772,7 +777,7 @@ impl Session {
         &self,
         lease: &Lease,
         process: Option<(&SpotExecutor, u64)>,
-        connections: &[Arc<WorkerConnection>],
+        connections: &[Rc<WorkerConnection>],
     ) {
         for conn in connections {
             conn.qp.disconnect();
@@ -792,7 +797,7 @@ impl Session {
 
 /// Function index, target connection and allocation epoch of one spec,
 /// resolved against the active allocation.
-type Resolved = (u8, Arc<WorkerConnection>, u64);
+type Resolved = (u8, Rc<WorkerConnection>, u64);
 
 // Submission and completion.
 impl Session {
@@ -820,8 +825,8 @@ impl Session {
     fn submit_with_recovery<T>(&self, mut attempt: impl FnMut() -> Result<T>) -> Result<(T, u32)> {
         // Captured BEFORE the attempt: if it fails because the allocation
         // died, recovery must only tear down that allocation — a fresh one
-        // another future raced in is detected as a newer epoch and reused,
-        // never destroyed.
+        // an earlier recovery brought up is detected as a newer epoch and
+        // reused, never destroyed.
         let observed_epoch = self.current_epoch();
         match attempt() {
             Err(cause) if connection_is_lost(&cause) => {
@@ -854,8 +859,8 @@ impl Session {
             if self.recover(observed_epoch).is_err() {
                 continue;
             }
-            // Whatever allocation is live now (ours or another future's) is
-            // the one the next attempt must observe failing.
+            // Whatever allocation is live now (ours or an earlier recovery's)
+            // is the one the next attempt must observe failing.
             observed_epoch = self.current_epoch();
             match attempt() {
                 Ok(value) => return Ok((value, used)),
@@ -897,7 +902,7 @@ impl Session {
                     // connection that died has nothing left to drain;
                     // await_result's error says exactly that and is safe to
                     // ignore.
-                    for p in &posted {
+                    for p in &mut posted {
                         let _ = self.await_result(p);
                     }
                     return Err(e);
@@ -917,7 +922,7 @@ impl Session {
     /// checks that must precede any posting.
     fn resolve_spec(&self, spec: &InvocationSpec) -> Result<Resolved> {
         let (function_index, connection, epoch) = {
-            let active = self.active.lock();
+            let active = self.active.borrow();
             let active = active.as_ref().ok_or(RFaasError::NotAllocated)?;
             if active.connections.is_empty() {
                 return Err(RFaasError::NotAllocated);
@@ -958,46 +963,47 @@ impl Session {
         Ok((function_index as u8, connection, epoch))
     }
 
-    fn pick_connection(&self, connections: &[Arc<WorkerConnection>]) -> Arc<WorkerConnection> {
+    fn pick_connection(&self, connections: &[Rc<WorkerConnection>]) -> Rc<WorkerConnection> {
         // Prefer an idle worker; otherwise round-robin over all of them.
-        let start = self.round_robin.fetch_add(1, Ordering::Relaxed);
+        let start = self.round_robin.get();
+        self.round_robin.set(start.wrapping_add(1));
         let n = connections.len();
         for i in 0..n {
             let conn = &connections[(start + i) % n];
-            if conn.outstanding.load(Ordering::Relaxed) == 0 {
-                return Arc::clone(conn);
+            if conn.outstanding.get() == 0 {
+                return Rc::clone(conn);
             }
         }
-        Arc::clone(&connections[start % n])
+        Rc::clone(&connections[start % n])
     }
 
     /// Post `spec` on its resolved connection under a fresh invocation id.
-    /// The in-flight slot is reserved *before* deciding whether an extra
-    /// receive is needed: the previous count tells this submission alone
-    /// whether it fits the ring, so concurrent submits cannot both read a
-    /// stale count and under-post receives (a lost result would hang the
-    /// waiter forever). A failed post returns the reservation.
+    /// The in-flight slot is reserved first: the count before it tells
+    /// whether this submission still fits the ring. A failed post returns
+    /// the reservation.
     fn post(&self, spec: &InvocationSpec, resolved: Resolved, chained: bool) -> Result<Posted> {
         let (function_index, connection, epoch) = resolved;
-        let posted = Posted {
-            connection,
-            invocation_id: self.next_invocation.fetch_add(1, Ordering::Relaxed) & 0x00FF_FFFF,
-            epoch,
-        };
-        let reserved = posted
-            .connection
-            .outstanding
-            .fetch_add(1, Ordering::Relaxed);
-        match self.post_invocation(&posted, reserved, function_index, spec, chained) {
-            Ok(()) => Ok(posted),
-            Err(e) => {
-                posted
-                    .connection
-                    .outstanding
-                    .fetch_sub(1, Ordering::Relaxed);
-                Err(e)
-            }
+        let next = self.next_invocation.get();
+        self.next_invocation.set(next.wrapping_add(1));
+        let invocation_id = next & 0x00FF_FFFF;
+        let reserved = connection.reserve();
+        if let Err(e) = self.post_invocation(
+            &connection,
+            invocation_id,
+            reserved,
+            function_index,
+            spec,
+            chained,
+        ) {
+            connection.release_reservation();
+            return Err(e);
         }
+        Ok(Posted {
+            connection,
+            invocation_id,
+            epoch,
+            settled: false,
+        })
     }
 
     /// Put one invocation on the wire: the overflow receive when this
@@ -1009,7 +1015,8 @@ impl Session {
     /// path, since inline WQEs cannot join a chain that spans queue pairs.
     fn post_invocation(
         &self,
-        posted: &Posted,
+        connection: &WorkerConnection,
+        invocation_id: u32,
         reserved: usize,
         function_index: u8,
         spec: &InvocationSpec,
@@ -1018,7 +1025,6 @@ impl Session {
         // Payload-vs-capacity bounds were already enforced by resolve_spec
         // (every caller resolves before posting), so the spec is trusted
         // here.
-        let (connection, invocation_id) = (&posted.connection, posted.invocation_id);
         let (input, payload_len) = (&spec.input, spec.payload_len);
 
         // The connection's receive ring holds one pre-posted slot per
@@ -1083,12 +1089,12 @@ impl Session {
     }
 
     /// Drive the reactor until `posted`'s result lands on its connection,
-    /// then take it. Every wait path funnels through here: the turn pumps
-    /// *all* registered connections, so one waiting thread keeps every other
-    /// in-flight invocation moving too, and while the reactor is idle the
-    /// wait turns the fabric's actors — the executor dispatchers serve the
-    /// invocation on this thread.
-    fn await_result(&self, posted: &Posted) -> Result<(usize, ResultStatus)> {
+    /// then take it and mark `posted` settled. Every wait path funnels
+    /// through here: the turn pumps *all* registered connections, so one
+    /// wait keeps every other in-flight invocation moving too, and while the
+    /// reactor is idle the wait turns the fabric's actors — the executor
+    /// dispatchers serve the invocation on this thread.
+    fn await_result(&self, posted: &mut Posted) -> Result<(usize, ResultStatus)> {
         let mut outcome = None;
         self.endpoint.fabric.run_until(
             || {
@@ -1097,7 +1103,9 @@ impl Session {
             },
             Duration::MAX,
         );
-        outcome.expect("an unbounded wait returns only once its outcome is known")
+        let outcome = outcome.expect("an unbounded wait returns only once its outcome is known");
+        posted.settled = outcome.is_ok();
+        outcome
     }
 
     /// One look for `posted`'s result without waiting: take it if stashed,
@@ -1112,11 +1120,6 @@ impl Session {
             if self.reactor.turn() == 0 {
                 break;
             }
-        }
-        // Re-check after the empty sweep: a concurrent turner may have
-        // stashed our result between the take above and now.
-        if let Some(result) = connection.take_result(invocation_id) {
-            return Some(Ok(result));
         }
         // The final (empty) drain has run, so a dead connection can never
         // produce this result any more.
@@ -1134,6 +1137,12 @@ impl Session {
     /// Live registrations in the session's protection domain.
     pub(crate) fn registered_regions(&self) -> usize {
         self.endpoint.pd.region_count()
+    }
+
+    /// The active allocation's connection to worker `index`.
+    pub(crate) fn connection(&self, index: usize) -> Rc<WorkerConnection> {
+        let active = self.active.borrow();
+        Rc::clone(&active.as_ref().expect("allocated").connections[index])
     }
 
     /// A fresh (input, output) buffer pair in the session's protection
@@ -1198,7 +1207,7 @@ impl SessionState<'_> {
         &self,
         f: impl FnOnce(&mut StateClient) -> state_plane::Result<R>,
     ) -> Result<R> {
-        match self.session.state_client.lock().as_mut() {
+        match self.session.state_client.borrow_mut().as_mut() {
             Some(client) => f(client).map_err(RFaasError::StatePlane),
             None => Err(no_state_plane()),
         }
@@ -1245,7 +1254,7 @@ impl SessionState<'_> {
     pub fn stats(&self) -> Option<StateClientStats> {
         self.session
             .state_client
-            .lock()
+            .borrow()
             .as_ref()
             .map(StateClient::stats)
     }
@@ -1260,7 +1269,7 @@ type HandleTypes<I, O> = PhantomData<(fn(&I), fn() -> O)>;
 pub struct FunctionHandle<'s, I: ?Sized, O: ?Sized> {
     session: &'s Session,
     /// Shared with every spec the handle builds: a submit copies no name.
-    name: Arc<str>,
+    name: Rc<str>,
     output_capacity: Option<usize>,
     _typed: HandleTypes<I, O>,
 }
@@ -1277,7 +1286,7 @@ impl<I: ?Sized, O: ?Sized> Clone for FunctionHandle<'_, I, O> {
     fn clone(&self) -> Self {
         FunctionHandle {
             session: self.session,
-            name: Arc::clone(&self.name),
+            name: Rc::clone(&self.name),
             output_capacity: self.output_capacity,
             _typed: PhantomData,
         }
@@ -1323,7 +1332,7 @@ where
                 )));
             }
         }
-        let active = session.active.lock();
+        let active = session.active.borrow();
         let active = active.as_ref().ok_or(RFaasError::NotAllocated)?;
         active
             .executor
@@ -1346,7 +1355,7 @@ where
         input_buffer.write_encoded(input)?;
         Ok(InvocationSpec {
             worker,
-            function: Arc::clone(&self.name),
+            function: Rc::clone(&self.name),
             input: input_buffer,
             payload_len,
             output: output_buffer,
@@ -1408,7 +1417,7 @@ where
             wave: workers,
             session: self.session,
             stats: BatchStats::default(),
-            ready: Arc::new(OrderedMutex::new(ranks::REACTOR_READY, VecDeque::new())),
+            ready: ReadyQueue::default(),
         };
         set.submit_next_wave()?;
         Ok(set)
@@ -1426,6 +1435,10 @@ where
 /// the lease expired — or stranded because the executor node disappeared —
 /// are transparently replayed onto a fresh lease obtained from the resource
 /// manager (Sec. III-B failure handling).
+///
+/// Dropping a future without waiting gives its in-flight slot back: a result
+/// already picked up is discarded at once, one still on the wire when a
+/// later reactor turn picks it up.
 pub struct TypedFuture<'s, O: ?Sized> {
     session: &'s Session,
     spec: InvocationSpec,
@@ -1444,13 +1457,18 @@ impl<O: ?Sized> std::fmt::Debug for TypedFuture<'_, O> {
     }
 }
 
-impl<O: ?Sized> TypedFuture<'_, O> {
-    /// Whether the result is already stashed, without pumping anything.
-    /// The completion-set fast path: ready-queue hits resolve through this.
-    fn has_stashed_result(&self) -> bool {
-        self.posted.connection.has_result(self.posted.invocation_id)
+impl<O: ?Sized> Drop for TypedFuture<'_, O> {
+    fn drop(&mut self) {
+        if !self.posted.settled {
+            let posted = &self.posted;
+            posted
+                .connection
+                .abandon(posted.invocation_id, &self.spec.output);
+        }
     }
+}
 
+impl<O: ?Sized> TypedFuture<'_, O> {
     /// The `(source token, invocation id)` key under which a continuation
     /// for this future registers with the session's reactor.
     fn reactor_key(&self) -> (u64, u32) {
@@ -1479,9 +1497,8 @@ where
     pub fn wait(mut self) -> Result<O::Owned> {
         let len = self.result_len()?;
         let value = self.spec.output.read_decoded::<O>(len)?;
-        self.session
-            .buffers
-            .release((self.spec.input, self.spec.output));
+        let pair = (self.spec.input.clone(), self.spec.output.clone());
+        self.session.buffers.release(pair);
         Ok(value)
     }
 
@@ -1489,7 +1506,7 @@ where
     /// returns the number of output bytes written into the output buffer.
     fn result_len(&mut self) -> Result<usize> {
         loop {
-            let (byte_len, status) = match self.session.await_result(&self.posted) {
+            let (byte_len, status) = match self.session.await_result(&mut self.posted) {
                 Ok(result) => result,
                 Err(e) if connection_is_lost(&e) => {
                     self.recover(e)?;
@@ -1573,10 +1590,8 @@ pub struct CompletionSet<'s, O: ?Sized> {
     stats: BatchStats,
     /// Entry indices whose results the reactor has dispatched, in completion
     /// order. `wait_any` pops this queue instead of rescanning every entry —
-    /// the old rescan made gathering an n-entry scatter quadratic. Indices
-    /// are hints: a duplicate (from the post-registration stash re-check) is
-    /// skipped because its entry slot is already `None`.
-    ready: Arc<OrderedMutex<VecDeque<usize>>>,
+    /// the old rescan made gathering an n-entry scatter quadratic.
+    ready: ReadyQueue,
 }
 
 impl<O: ?Sized> std::fmt::Debug for CompletionSet<'_, O> {
@@ -1627,17 +1642,12 @@ impl<O: ?Sized> CompletionSet<'_, O> {
                 recoveries,
                 _typed: PhantomData,
             };
-            // Arm the continuation, then re-check the stash: a concurrent
-            // reactor turn may have pumped this result before the
-            // continuation existed, in which case the ready push happens
-            // here (a duplicate hint is harmless, a missing one would hang).
+            // Armed before the reactor turns again, so the result cannot be
+            // pumped ahead of its continuation.
             let (token, id) = future.reactor_key();
             session
                 .reactor
                 .register_continuation(token, id, &self.ready, index);
-            if future.has_stashed_result() {
-                self.ready.lock().push_back(index);
-            }
             self.entries[index] = Some(future);
         }
         self.stats.submissions += stats.submissions;
@@ -1684,13 +1694,12 @@ where
         self.submit_next_wave()?;
         loop {
             // Completions the reactor already dispatched, oldest first.
-            let hint = self.ready.lock().pop_front();
+            let hint = self.ready.borrow_mut().pop_front();
             if let Some(index) = hint {
-                if let Some(future) = self.entries[index].take() {
-                    return Ok(Some((index, self.gather(future)?)));
-                }
-                // Stale duplicate hint for an already-gathered entry.
-                continue;
+                let future = self.entries[index]
+                    .take()
+                    .expect("a continuation is dispatched once");
+                return Ok(Some((index, self.gather(future)?)));
             }
             if self.entries.iter().all(|e| e.is_none()) {
                 return Ok(None);
@@ -2045,13 +2054,13 @@ mod tests {
         let (_f, _m, session) = platform(1);
         let echo = session.function::<[u8], [u8]>("echo").unwrap();
         echo.invoke(&[1u8; 100][..]).unwrap();
-        assert_eq!(session.buffers.free.lock().len(), 1);
+        assert_eq!(session.buffers.free.borrow().len(), 1);
         // Same-size invocation reuses the pooled pair instead of growing it.
         echo.invoke(&[2u8; 100][..]).unwrap();
-        assert_eq!(session.buffers.free.lock().len(), 1);
+        assert_eq!(session.buffers.free.borrow().len(), 1);
         // A larger invocation allocates a second pair.
         echo.invoke(&vec![3u8; 100_000][..]).unwrap();
-        assert_eq!(session.buffers.free.lock().len(), 2);
+        assert_eq!(session.buffers.free.borrow().len(), 2);
     }
 
     /// Platform with a state plane attached: the package carries a stateful

@@ -45,6 +45,9 @@ impl VirtualClock {
 
     /// Advance the clock by `d` (local work) and return the new time.
     pub fn advance(&self, d: SimDuration) -> SimTime {
+        if d.is_zero() {
+            return self.now();
+        }
         let after = self
             .now_ns
             .fetch_add(d.as_nanos(), Ordering::AcqRel)

@@ -128,34 +128,19 @@ impl fmt::Display for LockRank {
 }
 
 /// The workspace lock-rank table. One global namespace: a single thread can
-/// legitimately cross layers (the manager polls its control socket under the
-/// client's recovery lock, state bindings reach the state plane), so the
-/// order must be total across subsystems, outermost first. simlint's
-/// `locks` subcommand prints the observed acquisition graph this table is
-/// a topological order of.
+/// legitimately cross layers (a client allocation polls the manager's
+/// control socket, state bindings reach the state plane), so the order must
+/// be total across subsystems, outermost first. The client layer itself
+/// (session, reactor, worker connections) runs on one thread and takes no
+/// lock. simlint's `locks` subcommand prints the observed acquisition graph
+/// this table is a topological order of.
 pub mod ranks {
     use super::LockRank;
 
-    // Client (outermost: user-facing calls start here).
-    pub const CLIENT_RECOVERY: LockRank = LockRank::new(10, "client.recovery_lock");
-    pub const CLIENT_ACTIVE: LockRank = LockRank::new(12, "client.active");
-    pub const CLIENT_SESSION_STATE: LockRank = LockRank::new(16, "client.session_state");
-    pub const SESSION_BUFFER_POOL: LockRank = LockRank::new(22, "session.buffer_pool");
-    // The resource manager: control socket, executor registry, leases,
-    // terminations and billing connections under one lock. Its control
-    // socket is polled during the client's allocation round trip (recovery
-    // lock held), so it sits between the client block and the executor
-    // block.
+    // The resource manager, outermost: control socket, executor registry,
+    // leases, terminations and billing connections under one lock, ranked
+    // below the executor block.
     pub const MANAGER: LockRank = LockRank::new(28, "manager");
-
-    // Invocation reactor: sources, continuations, scratch and counters. A
-    // turn pumps every source under it.
-    pub const REACTOR: LockRank = LockRank::new(30, "reactor");
-    pub const REACTOR_READY: LockRank = LockRank::new(38, "reactor.ready");
-    // A worker connection's result stash is filled while the reactor pumps it
-    // and drained while a ready hint is resolved, so it ranks above the
-    // whole reactor block.
-    pub const CLIENT_COMPLETED: LockRank = LockRank::new(39, "client.completed");
 
     // Executor server.
     pub const EXECUTOR_HEARTBEAT: LockRank = LockRank::new(48, "executor.heartbeat");

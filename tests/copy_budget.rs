@@ -142,7 +142,7 @@ fn steady_state_heap_traffic_stays_within_the_copy_budget() {
             echo.invoke(&[5u8; 64][..]).unwrap();
         });
         if let Some(locks) = cost.locks {
-            assert_eq!(locks, 41.0, "64 B hot echo: lock acquisitions");
+            assert_eq!(locks, 31.0, "64 B hot echo: lock acquisitions");
         }
         assert_eq!(
             (cost.allocations, cost.bytes),
@@ -175,7 +175,7 @@ fn steady_state_heap_traffic_stays_within_the_copy_budget() {
         );
         if let Some(locks) = cost.locks {
             assert_eq!(
-                locks, 43.0,
+                locks, 33.0,
                 "cache-hit stateful invocation: lock acquisitions"
             );
         }

@@ -196,7 +196,7 @@ fn every_shim_is_a_member_with_a_dependent() {
 /// The lock-rank table in `sim_core::sync::ranks` lists the workspace's
 /// shared objects: ranks strictly increase in declaration order, constant
 /// and lock names are unique, every constant is used as `ranks::NAME` by
-/// product code outside `sync.rs`, and there are exactly 18. Reads the
+/// product code outside `sync.rs`, and there are exactly 11. Reads the
 /// sources as text.
 #[test]
 fn lock_ranks_are_ordered_used_and_counted() {
@@ -252,7 +252,49 @@ fn lock_ranks_are_ordered_used_and_counted() {
         assert!(used, "`{needle}` is not used outside sync.rs and tests");
     }
 
-    assert_eq!(table.len(), 18, "lock ranks: {table:?}");
+    assert_eq!(table.len(), 11, "lock ranks: {table:?}");
+}
+
+/// The client layer runs on one thread. Outside test modules, `session.rs`,
+/// `client.rs` and `reactor.rs` name no `Mutex` (ordered or not), `RwLock`
+/// or `Arc<WorkerConnection>`, and the one line naming an atomic, `use`s
+/// aside, is the `NEXT_CONTROL_ID` id static. Product code in `crates/`
+/// declares five `HashMap`s; the linter, whose subject they are, is not
+/// counted. Reads the sources as text.
+#[test]
+fn client_layer_takes_no_locks_and_hash_maps_are_counted() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut atomics = Vec::new();
+    for file in ["session.rs", "client.rs", "reactor.rs"] {
+        let text = fs::read_to_string(root.join("crates/rfaas/src").join(file)).unwrap();
+        for line in product_lines(&text) {
+            for banned in ["Mutex", "RwLock", "Arc<WorkerConnection>"] {
+                assert!(!line.contains(banned), "{file} names `{banned}`: {line}");
+            }
+            if line.contains("Atomic") && !line.trim_start().starts_with("use ") {
+                atomics.push(line.trim().to_string());
+            }
+        }
+    }
+    assert_eq!(atomics.len(), 1, "atomics: {atomics:?}");
+    assert!(
+        atomics[0].starts_with("static NEXT_CONTROL_ID: "),
+        "{atomics:?}"
+    );
+
+    let mut sources = Vec::new();
+    rust_sources(&root.join("crates"), &mut sources);
+    let simlint = root.join("crates/simlint");
+    let mut hash_maps = Vec::new();
+    for path in sources.iter().filter(|path| !path.starts_with(&simlint)) {
+        let text = fs::read_to_string(path).unwrap();
+        for line in product_lines(&text) {
+            if line.contains("HashMap<") && !line.trim_start().starts_with("//") {
+                hash_maps.push((path.clone(), line.trim().to_string()));
+            }
+        }
+    }
+    assert_eq!(hash_maps.len(), 5, "product `HashMap`s: {hash_maps:?}");
 }
 
 /// Keyed pooling has one implementation, `sim_core::KeyedPool`: outside test
