@@ -270,11 +270,12 @@ impl TenantFleet {
 /// revisit candidates whose connection warmth a pooled transport can reuse.
 /// The churn benchmarks split setup costs along exactly this boundary.
 pub fn episode_ordinals(requests: &[TenantRequest]) -> Vec<u32> {
-    let mut counts: std::collections::HashMap<usize, u32> = std::collections::HashMap::new();
+    let tenants = requests.iter().map(|r| r.tenant_index + 1).max();
+    let mut counts = vec![0u32; tenants.unwrap_or(0)];
     requests
         .iter()
         .map(|r| {
-            let seen = counts.entry(r.tenant_index).or_insert(0);
+            let seen = &mut counts[r.tenant_index];
             let ordinal = *seen;
             *seen += 1;
             ordinal

@@ -22,7 +22,7 @@
 //! retrospective hot→warm demotion accounting stay exactly as a
 //! thread-per-worker executor would charge them.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -143,7 +143,7 @@ impl ForkFaultState {
 /// control-plane round trip and a cache-hit read moves no value bytes.
 pub struct ExecutorStateBinding {
     client: StateClient,
-    specs: HashMap<String, StateSpec>,
+    specs: BTreeMap<String, StateSpec>,
 }
 
 impl std::fmt::Debug for ExecutorStateBinding {
@@ -159,7 +159,7 @@ impl ExecutorStateBinding {
     fn new(client: StateClient) -> ExecutorStateBinding {
         ExecutorStateBinding {
             client,
-            specs: HashMap::new(),
+            specs: BTreeMap::new(),
         }
     }
 

@@ -1223,7 +1223,8 @@ impl SessionState<'_> {
     }
 
     /// Store `value` under `key` (push-model RDMA write; the session's own
-    /// cache is write-through, so a following `get` is a local hit).
+    /// cache keeps a span for the value, so a following `get` is a local
+    /// hit, filled from the owner's arena on that first read).
     pub fn put(&self, key: &str, value: &[u8]) -> Result<()> {
         self.with_client(|c| c.put(key, value))
     }

@@ -6,7 +6,7 @@
 //! images, Sec. IV-A); executors pull the package during a cold start and the
 //! pull cost depends on the package and image sizes.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use sim_core::sync::RwLock;
@@ -85,7 +85,7 @@ impl CodePackage {
 /// A registry of deployed code packages (one per tenant namespace).
 #[derive(Debug, Default, Clone)]
 pub struct FunctionRegistry {
-    packages: Arc<RwLock<HashMap<String, CodePackage>>>,
+    packages: Arc<RwLock<BTreeMap<String, CodePackage>>>,
 }
 
 impl FunctionRegistry {
@@ -146,11 +146,11 @@ pub struct ImageInfo {
 /// A registry of container images with pull-cost modelling.
 #[derive(Debug, Clone)]
 pub struct ImageRegistry {
-    images: Arc<RwLock<HashMap<String, ImageInfo>>>,
+    images: Arc<RwLock<BTreeMap<String, ImageInfo>>>,
     /// Images already present in a node-local cache do not pay the pull cost;
     /// the cache is global in the simulation (all spot executors share a
     /// warmed node-local registry mirror, as the paper assumes).
-    cached: Arc<RwLock<HashMap<String, bool>>>,
+    cached: Arc<RwLock<BTreeMap<String, bool>>>,
     pull_bytes_per_sec: f64,
 }
 
@@ -164,8 +164,8 @@ impl ImageRegistry {
     /// A registry pre-populated with the evaluation image.
     pub fn new() -> ImageRegistry {
         let registry = ImageRegistry {
-            images: Arc::new(RwLock::new(HashMap::new())),
-            cached: Arc::new(RwLock::new(HashMap::new())),
+            images: Arc::new(RwLock::new(BTreeMap::new())),
+            cached: Arc::new(RwLock::new(BTreeMap::new())),
             pull_bytes_per_sec: 250.0e6,
         };
         registry.push(ImageInfo {

@@ -22,6 +22,14 @@
 //! and clients drain their invalidation queue before serving any read —
 //! so a read issued after a put completes can never return the old value
 //! (the `prop_state_no_lost_invalidation` property).
+//!
+//! The writer keeps the value too, without a second copy at put time: the
+//! put reserves the writer's cache span and records where the value sits in
+//! the arena, and the writer's first local read fills the span from there.
+//! That arena span changes only through a commit or a delete, each of which
+//! invalidates every other client's entry, and the writer drops its own
+//! entry before it rewrites the arena — so the deferred fill copies the
+//! bytes the put wrote.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -72,6 +80,20 @@ struct ServerState {
     /// invalidation fan-out order.
     clients: Vec<String>,
     next_client: u64,
+}
+
+impl ServerState {
+    /// Drop `key`'s uncommitted reservation, if any, and hand its span back
+    /// to the allocator — unless it is the committed value's own span (a
+    /// same-size overwrite reserves in place).
+    fn abandon_pending(&mut self, key: &str) {
+        let Some(stale) = self.pending.remove(key) else {
+            return;
+        };
+        if self.directory.get(key).map(|meta| meta.offset) != Some(stale.offset) {
+            self.allocator.release(stale.offset, stale.len);
+        }
+    }
 }
 
 #[derive(Debug, Default)]
@@ -280,11 +302,7 @@ impl StatePlane {
                 let len = len as usize;
                 let mut st = self.inner.state.lock();
                 // A re-reservation before commit abandons the first span.
-                if let Some(stale) = st.pending.remove(&key) {
-                    if stale.old.is_some() {
-                        st.allocator.release(stale.offset, stale.len);
-                    }
-                }
+                st.abandon_pending(&key);
                 let existing = st.directory.get(&key).copied();
                 let reply = if let Some(meta) = existing.filter(|m| m.len == len) {
                     // Same-size overwrite: update in place, no allocation.
@@ -369,6 +387,7 @@ impl StatePlane {
             StateFrame::Delete { reply_to, key } => {
                 counters.deletes.fetch_add(1, Ordering::Relaxed);
                 let mut st = self.inner.state.lock();
+                st.abandon_pending(&key);
                 let removed = st.directory.remove(&key);
                 if let Some(meta) = removed {
                     st.allocator.release(meta.offset, meta.len);
@@ -481,6 +500,9 @@ struct CacheEntry {
     len: usize,
     version: u64,
     last_use: u64,
+    /// Arena offset of the version this entry holds while its cache span is
+    /// still unfilled (a put reserved it); `None` once the bytes are cached.
+    arena: Option<usize>,
 }
 
 /// Where one value of an in-progress [`StateClient::get_many_with`] lives.
@@ -658,6 +680,16 @@ impl StateClient {
         if let Some(entry) = self.entries.get_mut(key) {
             entry.last_use = tick;
             let (offset, len) = (entry.offset, entry.len);
+            // The first local read after this client's own put fills the
+            // span from the arena. Uncharged: the put already paid the
+            // Write, and the bytes never cross the wire again.
+            if let Some(arena_offset) = entry.arena.take() {
+                self.plane
+                    .inner
+                    .arena
+                    .copy_to(arena_offset, &self.cache, offset, len)
+                    .map_err(StateError::Fabric)?;
+            }
             self.counters.cache_hits += 1;
             return Ok((offset, len));
         }
@@ -713,6 +745,7 @@ impl StateClient {
                 len,
                 version,
                 last_use: tick,
+                arena: None,
             },
         );
         Ok((cache_offset, len))
@@ -785,7 +818,9 @@ impl StateClient {
 
     /// Write `key = value`: reserve a span on the control path, push the
     /// bytes with a one-sided Write, commit. Other clients' caches are
-    /// invalidated by the owner; the local cache is updated write-through.
+    /// invalidated by the owner. The local cache reserves a span for the
+    /// new version but copies nothing: this client's first read of `key`
+    /// fills it from the arena, as a hit.
     pub fn put(&mut self, key: &str, value: &[u8]) -> Result<()> {
         self.drain_invalidations();
         let reply = self.request(&StateFrame::Reserve {
@@ -813,6 +848,11 @@ impl StateClient {
                 )))
             }
         };
+        // Drop the old cached copy before the arena span is rewritten: no
+        // entry may point at arena bytes its own client is overwriting.
+        if let Some(entry) = self.entries.remove(key) {
+            self.reclaim(entry);
+        }
         // Data path: push the value into the reserved arena span.
         self.clock.advance(
             self.plane
@@ -844,16 +884,11 @@ impl StateClient {
             .encode(),
         )?;
         self.plane.pump();
-        // Write-through into the local cache (skipped when the value cannot
-        // fit — it then simply lives remotely).
-        if let Some(entry) = self.entries.remove(key) {
-            self.reclaim(entry);
-        }
+        // Keep the new version locally (skipped when the value cannot fit —
+        // it then simply lives remotely): the span is reserved, with its
+        // evictions, now; the bytes follow on the first local read.
         if value.len() <= self.cache_alloc.capacity() {
             if let Some(cache_offset) = self.cache_reserve(value.len()) {
-                self.cache
-                    .write(cache_offset, value)
-                    .map_err(StateError::Fabric)?;
                 self.tick += 1;
                 self.entries.insert(
                     key.to_string(),
@@ -862,6 +897,7 @@ impl StateClient {
                         len: value.len(),
                         version,
                         last_use: self.tick,
+                        arena: Some(offset),
                     },
                 );
             }
@@ -1083,6 +1119,58 @@ mod tests {
         ));
     }
 
+    #[test]
+    fn abandoned_reservations_return_their_spans() {
+        let (fabric, plane, mut a, _b) = setup(4096);
+        let node = fabric.add_node("raw");
+        let raw = DatagramSocket::bind(&Endpoint::new(&fabric, &node), "state://state-01/raw");
+        let reserve = |key: &str, len: u64| {
+            let frame = StateFrame::Reserve {
+                reply_to: "state://state-01/raw".to_string(),
+                key: key.to_string(),
+                len,
+            };
+            raw.send_to(plane.control_address(), &frame.encode())
+                .unwrap();
+            plane.pump();
+        };
+        // A new key's reservation that never commits holds a fresh span;
+        // the key's next put abandons it.
+        reserve("fresh", 300);
+        assert_eq!(plane.stats().used_bytes, 300);
+        a.put("fresh", &[1u8; 300]).unwrap();
+        assert_eq!(plane.stats().used_bytes, 300);
+        // An abandoned same-size overwrite reserved the committed span
+        // itself: a delete releases that span once, not twice.
+        reserve("fresh", 300);
+        assert!(a.delete("fresh").unwrap());
+        assert_eq!(plane.stats().used_bytes, 0);
+        a.put("fresh", &[2u8; 100]).unwrap();
+        assert_eq!(plane.stats().used_bytes, 100);
+    }
+
+    #[test]
+    fn a_reused_arena_span_never_reaches_the_writers_cache() {
+        let fabric = Fabric::with_defaults();
+        let plane = StatePlane::new(&fabric, "state-01", 1 << 20);
+        let mut clients = ["w", "x", "y"].map(|name| {
+            let node = fabric.add_node(name);
+            plane.attach(name, &node, &VirtualClock::shared(), 64 * 1024)
+        });
+        let [w, x, y] = &mut clients;
+        w.put("k", &[1u8; 1024]).unwrap();
+        let freed = plane.placement("k").unwrap().offset;
+        // X resizes K, which frees W's span; Y's J lands in it.
+        x.put("k", &[2u8; 2048]).unwrap();
+        y.put("j", &[3u8; 1024]).unwrap();
+        assert_eq!(plane.placement("j").unwrap().offset, freed);
+        let before = w.stats();
+        assert_eq!(w.get("k").unwrap(), vec![2u8; 2048]);
+        let after = w.stats();
+        assert_eq!(after.remote_reads, before.remote_reads + 1);
+        assert_eq!(after.cache_hits, before.cache_hits);
+    }
+
     proptest::proptest! {
         // One `get_many_with` is observably a sequence of `get`s: same
         // values, same counters, same virtual time — whatever the cache
@@ -1128,34 +1216,61 @@ mod tests {
 
         // No lost invalidation: across any interleaving of puts, deletes
         // and reads by two clients, a read always returns the latest
-        // committed value — never a stale cached copy.
+        // committed value — never a stale cached copy. Both clients read
+        // every key, the writer first, so a writer's unfilled span is
+        // filled from the arena (or, in the ~200 B cache, evicted before
+        // anyone reads it); a writer's read of its own last put that is
+        // still cached is a hit that moves nothing on the wire.
         #[test]
-        fn prop_state_no_lost_invalidation(ops: Vec<(u8, (u8, bool))>) {
-            let (_fabric, _plane, mut a, mut b) = setup(4 * 1024);
+        fn prop_state_no_lost_invalidation(ops: Vec<(u8, (u8, bool))>, small_cache: bool) {
+            let cache_bytes = if small_cache { 200 } else { 4 * 1024 };
+            let (_fabric, _plane, a, b) = setup(cache_bytes);
+            let mut clients = [a, b];
             let mut model: BTreeMap<String, Vec<u8>> = BTreeMap::new();
+            // Which client's put committed each key's current value.
+            let mut last_put_by: BTreeMap<String, usize> = BTreeMap::new();
             for (selector, (fill, a_writes)) in ops {
                 let key = format!("k{}", selector % 4);
-                let (writer, reader) = if a_writes { (&mut a, &mut b) } else { (&mut b, &mut a) };
+                let writer = usize::from(!a_writes);
                 if fill % 7 == 0 {
-                    let existed = writer.delete(&key).unwrap();
+                    let existed = clients[writer].delete(&key).unwrap();
                     proptest::prop_assert_eq!(existed, model.remove(&key).is_some());
+                    last_put_by.remove(&key);
                 } else {
                     let value = vec![fill; (fill as usize % 96) + 1];
-                    writer.put(&key, &value).unwrap();
+                    clients[writer].put(&key, &value).unwrap();
                     model.insert(key.clone(), value);
+                    last_put_by.insert(key.clone(), writer);
                 }
-                // The *other* client reads every key: cached copies must
-                // never shadow a newer committed value.
-                for (k, expected) in &model {
-                    proptest::prop_assert_eq!(&reader.get(k).unwrap(), expected);
-                }
-                for k in 0..4u8 {
-                    let key = format!("k{k}");
-                    if !model.contains_key(&key) {
-                        proptest::prop_assert!(matches!(
-                            reader.get(&key),
-                            Err(StateError::UnknownKey(_))
-                        ));
+                // Cached copies must never shadow a newer committed value.
+                for reader in [writer, 1 - writer] {
+                    let client = &mut clients[reader];
+                    // Receiving the queued invalidations advances the clock;
+                    // take them first so each read below is timed alone.
+                    client.drain_invalidations();
+                    for (k, expected) in &model {
+                        let own = last_put_by.get(k) == Some(&reader);
+                        let cached = client.cached_version(k).is_some();
+                        if own && !small_cache {
+                            proptest::prop_assert!(cached, "{k}: own put evicted from a roomy cache");
+                        }
+                        let (before, at) = (client.stats(), client.now());
+                        proptest::prop_assert_eq!(&client.get(k).unwrap(), expected);
+                        if own && cached {
+                            let after = client.stats();
+                            proptest::prop_assert_eq!(after.cache_hits, before.cache_hits + 1);
+                            proptest::prop_assert_eq!(after.remote_reads, before.remote_reads);
+                            proptest::prop_assert_eq!(client.now(), at);
+                        }
+                    }
+                    for k in 0..4u8 {
+                        let key = format!("k{k}");
+                        if !model.contains_key(&key) {
+                            proptest::prop_assert!(matches!(
+                                client.get(&key),
+                                Err(StateError::UnknownKey(_))
+                            ));
+                        }
                     }
                 }
             }

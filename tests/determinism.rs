@@ -547,6 +547,111 @@ fn state_scenario_seeds_change_the_accesses() {
     assert_ne!(a, b, "the seed must drive keys, batches and deletes");
 }
 
+/// The stateful write mix (simbench's `state_write_mix` in miniature): one
+/// hot stateful session touches a 64 KiB key, with a put of a fresh value
+/// before one touch of every eight, at a seeded position, and a seeded half
+/// of the groups ends with the session reading its own last put back. The
+/// transcript pins every operation's virtual latency, the touches'
+/// fingerprints, both state clients' counters, the owner's counters and
+/// placements, and the billing total bit-for-bit.
+fn run_state_write_mix_scenario(seed: u64) -> String {
+    use rfaas::{StateKey, StatePlane};
+    use rfaas_bench::DATASET_KEY;
+
+    const VALUE_BYTES: usize = 64 * 1024;
+    const GROUPS: u64 = 24;
+    const TOUCHES_PER_PUT: u64 = 8;
+
+    let testbed = Testbed::new(1);
+    let plane = StatePlane::new(&testbed.fabric, "det-write-mix", 4 * 1024 * 1024);
+    let mut rng = DeterministicRng::new(seed);
+    let mut transcript = String::new();
+    let session = testbed
+        .session("write-mix")
+        .workers(1)
+        .memory_mib(2048)
+        .polling(PollingMode::Hot)
+        .state_plane(&plane)
+        .connect()
+        .unwrap();
+    let clock = std::sync::Arc::clone(session.clock());
+    let fingerprint =
+        |value: &[u8]| value.len() as u64 + u64::from(value[0]) + u64::from(value[value.len() - 1]);
+
+    let mut value = workloads::generate_payload(VALUE_BYTES, seed);
+    session.state().put(DATASET_KEY, &value).unwrap();
+    let touch = session
+        .function::<[u8], [u8]>("state-touch")
+        .unwrap()
+        .with_state([StateKey::read(DATASET_KEY)])
+        .unwrap();
+    for group in 0..GROUPS {
+        let put_before = rng.range_u64(0, TOUCHES_PER_PUT);
+        for t in 0..TOUCHES_PER_PUT {
+            if t == put_before {
+                value = workloads::generate_payload(VALUE_BYTES, seed ^ (group + 1));
+                let start = clock.now();
+                session.state().put(DATASET_KEY, &value).unwrap();
+                let took = clock.now().saturating_since(start);
+                transcript.push_str(&format!("group {group}: put in {} ns\n", took.as_nanos()));
+            }
+            let (reply, rtt) = touch.invoke_timed(&[0u8; 8][..]).unwrap();
+            assert_eq!(reply, fingerprint(&value).to_le_bytes());
+            transcript.push_str(&format!("  touch {t} in {} ns\n", rtt.as_nanos()));
+        }
+        if rng.range_u64(0, 2) == 0 {
+            let start = clock.now();
+            let read = session.state().get(DATASET_KEY).unwrap();
+            assert_eq!(read, value, "the writer reads its own last put");
+            let took = clock.now().saturating_since(start);
+            transcript.push_str(&format!("  read-back in {} ns\n", took.as_nanos()));
+        }
+    }
+
+    let stats = session.stats();
+    transcript.push_str(&format!(
+        "session client: {:?}\nexecutor client: {:?}\n",
+        stats.state_session.unwrap(),
+        stats.state_executor.unwrap()
+    ));
+    drop(touch);
+    session.close().unwrap();
+    for (key, p) in plane.placements() {
+        transcript.push_str(&format!(
+            "placement {key}: offset={} len={} version={}\n",
+            p.offset, p.len, p.version
+        ));
+    }
+    transcript.push_str(&format!("plane: {:?}\n", plane.stats()));
+    let total_cost = testbed.manager.total_cost();
+    transcript.push_str(&format!(
+        "billing: total_cost_bits={:#018x}\n",
+        total_cost.to_bits()
+    ));
+    assert!(total_cost > 0.0, "the scenario must accrue billable usage");
+    transcript
+}
+
+#[test]
+fn state_write_mix_runs_are_byte_identical() {
+    let first = run_state_write_mix_scenario(0x3217E);
+    let second = run_state_write_mix_scenario(0x3217E);
+    assert_eq!(
+        first, second,
+        "latencies, client counters, placements or billing diverged between identical runs"
+    );
+}
+
+#[test]
+fn state_write_mix_seeds_change_the_put_positions() {
+    let a = run_state_write_mix_scenario(21);
+    let b = run_state_write_mix_scenario(22);
+    assert_ne!(
+        a, b,
+        "the seed must drive put positions, values and read-backs"
+    );
+}
+
 #[test]
 fn fork_tier_runs_are_byte_identical() {
     let first = run_fork_scenario(0xF0CC);
