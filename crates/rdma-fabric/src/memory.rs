@@ -18,7 +18,19 @@
 //! observationally a zero-filled buffer of its full length — the way an
 //! anonymous mapping is, which is what this models: the OS commits pages on
 //! first touch; the NIC's registration cost is charged in virtual time and
-//! is unaffected.
+//! is unaffected. [`MemoryRegion::decommit`] gives the prefix back, like
+//! `madvise(MADV_DONTNEED)`.
+//!
+//! The committed prefix is either *owned* by the region or *shared* with
+//! other regions. A DMA that replaces a destination's whole content —
+//! [`MemoryRegion::copy_to`] from offset 0 to offset 0, a page or more —
+//! hands the destination the source's bytes instead of copying them, the
+//! way both ends of a real RDMA write see the same bytes once it lands. A
+//! region writes to shared bytes only after taking them back: a sole holder
+//! takes them as they are, anyone else copies first (copy-on-write), and a
+//! write of a page or more builds its result in a spare buffer, the one the
+//! destination of the last share gave back. Either way a region is still,
+//! through every accessor, the zero-extended byte array it always was.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -77,11 +89,139 @@ fn next_key() -> u64 {
     NEXT_KEY.fetch_add(1, Ordering::Relaxed)
 }
 
+/// Where a region's committed prefix lives.
+#[derive(Debug)]
+enum Bytes {
+    /// Bytes no other region sees.
+    Owned(Vec<u8>),
+    /// Bytes a whole-buffer DMA shares between regions. An enum rather than
+    /// an `Arc` throughout, so that the unshared path never pays an atomic
+    /// read-modify-write.
+    Shared(Arc<Vec<u8>>),
+}
+
+/// The committed prefix `[0, len())` of a region; the rest of the region is
+/// untouched and reads as zeros.
+#[derive(Debug)]
+struct Committed {
+    bytes: Bytes,
+    /// A buffer to build into when a large write replaces shared bytes: the
+    /// one a region gave back when it adopted this region's bytes.
+    spare: Vec<u8>,
+}
+
+impl Committed {
+    fn new(data: Vec<u8>) -> Committed {
+        Committed {
+            bytes: Bytes::Owned(data),
+            spare: Vec::new(),
+        }
+    }
+
+    fn as_slice(&self) -> &[u8] {
+        match &self.bytes {
+            Bytes::Owned(data) => data,
+            Bytes::Shared(data) => data,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.as_slice().len()
+    }
+
+    /// Whether another region still holds these bytes.
+    fn shared_with_others(&self) -> bool {
+        matches!(&self.bytes, Bytes::Shared(data) if Arc::strong_count(data) > 1)
+    }
+
+    /// The bytes, owned: a sole holder of shared bytes takes them back as
+    /// they are; otherwise they are copied, into the spare buffer.
+    fn owned(&mut self) -> &mut Vec<u8> {
+        if let Bytes::Shared(_) = self.bytes {
+            let Bytes::Shared(shared) =
+                std::mem::replace(&mut self.bytes, Bytes::Owned(Vec::new()))
+            else {
+                unreachable!("matched as shared just above")
+            };
+            let data = Arc::try_unwrap(shared).unwrap_or_else(|shared| {
+                let mut copy = std::mem::take(&mut self.spare);
+                copy.clear();
+                copy.extend_from_slice(&shared);
+                copy
+            });
+            self.bytes = Bytes::Owned(data);
+        }
+        match &mut self.bytes {
+            Bytes::Owned(data) => data,
+            Bytes::Shared(_) => unreachable!("made owned just above"),
+        }
+    }
+
+    /// Write `backed`, zero-extended to `len`, at `at`: the one place a
+    /// write or a copy from another region lands. A write of a page or more
+    /// over bytes another region holds builds the new prefix in the spare
+    /// buffer — the bytes before `at`, the new range, the old tail — and
+    /// never copies the range it replaces.
+    fn overwrite(&mut self, at: usize, backed: &[u8], len: usize, region_len: usize) {
+        let end = at + len;
+        if len < PAGE_SIZE || !self.shared_with_others() {
+            write_zero_extended(self.owned(), at, backed, len, region_len);
+            return;
+        }
+        let mut data = std::mem::take(&mut self.spare);
+        let old = self.as_slice();
+        let committed_len = old.len().max(page_end(end, region_len));
+        data.clear();
+        data.reserve_exact(committed_len);
+        data.extend_from_slice(&old[..at.min(old.len())]);
+        data.resize(at, 0);
+        data.extend_from_slice(backed);
+        data.resize(end, 0);
+        data.extend_from_slice(old.get(end..).unwrap_or_default());
+        data.resize(committed_len, 0);
+        self.bytes = Bytes::Owned(data);
+    }
+
+    /// Give `dst` these bytes in place of a copy of their first `len`, if
+    /// that reads exactly as the copy would: both prefixes reach at most one
+    /// page past `len` and no further than `dst_len`, and hold only zeros
+    /// past `len`. `dst`'s old buffer becomes this one's spare.
+    fn share_into(&mut self, dst: &mut Committed, len: usize, dst_len: usize) -> bool {
+        let limit = len.next_multiple_of(PAGE_SIZE).min(dst_len);
+        let zero_past_len = |data: &Committed| {
+            data.len() <= limit
+                && data
+                    .as_slice()
+                    .get(len..)
+                    .unwrap_or_default()
+                    .iter()
+                    .all(|&b| b == 0)
+        };
+        if !zero_past_len(self) || !zero_past_len(dst) {
+            return false;
+        }
+        if let Bytes::Owned(data) = &mut self.bytes {
+            self.bytes = Bytes::Shared(Arc::new(std::mem::take(data)));
+        }
+        let Bytes::Shared(shared) = &self.bytes else {
+            unreachable!("made shared just above")
+        };
+        let old = std::mem::replace(&mut dst.bytes, Bytes::Shared(Arc::clone(shared)));
+        match old {
+            Bytes::Owned(data) => self.spare = data,
+            Bytes::Shared(data) => {
+                if let Ok(data) = Arc::try_unwrap(data) {
+                    self.spare = data;
+                }
+            }
+        }
+        true
+    }
+}
+
 #[derive(Debug)]
 pub(crate) struct RegionInner {
-    /// The committed prefix `[0, data.len())` of the region; the rest,
-    /// `[data.len(), len)`, is untouched and reads as zeros.
-    data: RwLock<Vec<u8>>,
+    data: RwLock<Committed>,
     /// Logical length, fixed at registration (regions never resize), so
     /// bounds checks need no lock.
     len: usize,
@@ -116,7 +256,7 @@ impl MemoryRegion {
         MemoryRegion {
             inner: Arc::new(RegionInner {
                 len,
-                data: RwLock::new(data),
+                data: RwLock::new(Committed::new(data)),
                 lkey: next_key(),
                 rkey: next_key(),
                 access,
@@ -154,7 +294,7 @@ impl MemoryRegion {
         check_bounds(offset, len, self.len())?;
         let data = self.inner.data.read();
         let mut out = Vec::with_capacity(len);
-        out.extend_from_slice(committed(&data, offset, len));
+        out.extend_from_slice(committed(data.as_slice(), offset, len));
         out.resize(len, 0);
         Ok(out)
     }
@@ -163,7 +303,7 @@ impl MemoryRegion {
     pub fn read_into(&self, offset: usize, dst: &mut [u8]) -> Result<()> {
         check_bounds(offset, dst.len(), self.len())?;
         let data = self.inner.data.read();
-        copy_zero_extended(committed(&data, offset, dst.len()), dst);
+        copy_zero_extended(committed(data.as_slice(), offset, dst.len()), dst);
         Ok(())
     }
 
@@ -176,23 +316,33 @@ impl MemoryRegion {
     /// Overwrite `[offset, offset + src.len())` with `src`.
     pub fn write(&self, offset: usize, src: &[u8]) -> Result<()> {
         check_bounds(offset, src.len(), self.len())?;
-        let mut data = self.inner.data.write();
-        commit(&mut data, offset + src.len(), self.len());
-        data[offset..offset + src.len()].copy_from_slice(src);
+        self.inner
+            .data
+            .write()
+            .overwrite(offset, src, src.len(), self.len());
         Ok(())
     }
 
-    /// Copy `len` bytes from `[offset, offset + len)` of this region straight
-    /// into `[dst_offset, dst_offset + len)` of `dst` — the one copy a
-    /// modelled DMA makes, with no staging buffer in between. Equivalent to
+    /// Copy `len` bytes from `[offset, offset + len)` of this region into
+    /// `[dst_offset, dst_offset + len)` of `dst` — a modelled DMA, with no
+    /// staging buffer in between. Equivalent to
     /// `dst.write(dst_offset, &self.read(offset, len)?)`, including which
     /// bounds error wins (source first) and overlapping ranges when `dst` is
     /// this same region. Commits the destination range only: the part of the
     /// source past its committed mark arrives as zeros without being backed.
     ///
-    /// The source read-guard and the destination write-guard are taken in
-    /// region-address order, so two threads copying in opposite directions
-    /// between the same pair of regions cannot deadlock.
+    /// A copy that replaces `dst`'s whole content copies nothing: from
+    /// offset 0 to offset 0, at least a page long, between two regions whose
+    /// committed prefixes reach at most one page past `len` (and no further
+    /// than `dst`) with only zeros past `len`, `dst` adopts this region's
+    /// bytes. Either region copies them on its next write while the other
+    /// still holds them, and never more than the shared prefix: at most one
+    /// page over the copy the share replaced.
+    ///
+    /// The two guards are taken in region-address order — the source's
+    /// for reading, or for writing when the copy may share — so two threads
+    /// copying in opposite directions between the same pair of regions
+    /// cannot deadlock.
     pub fn copy_to(
         &self,
         offset: usize,
@@ -202,37 +352,57 @@ impl MemoryRegion {
     ) -> Result<()> {
         check_bounds(offset, len, self.len())?;
         check_bounds(dst_offset, len, dst.len())?;
+        if len == 0 {
+            return Ok(());
+        }
         if self.same_region(dst) {
-            let mut data = self.inner.data.write();
-            commit(&mut data, dst_offset + len, self.len());
+            let mut guard = self.inner.data.write();
+            let data = guard.owned();
+            commit(data, dst_offset + len, self.len());
             // The destination is committed, so whatever of the source is
             // still past the mark lies behind the destination range and is
             // not overwritten by it: move the backed part, zero the rest.
-            let backed = committed(&data, offset, len).len();
+            let backed = committed(data, offset, len).len();
             if backed > 0 {
                 data.copy_within(offset..offset + backed, dst_offset);
             }
             data[dst_offset + backed..dst_offset + len].fill(0);
             return Ok(());
         }
-        let (src_guard, mut dst_guard) = if Arc::as_ptr(&self.inner) < Arc::as_ptr(&dst.inner) {
-            let src_guard = self.inner.data.read();
-            (src_guard, dst.inner.data.write())
+        let src_first = Arc::as_ptr(&self.inner) < Arc::as_ptr(&dst.inner);
+        if offset == 0 && dst_offset == 0 && len >= PAGE_SIZE {
+            let (mut src, mut dst_data) = if src_first {
+                let src = self.inner.data.write();
+                (src, dst.inner.data.write())
+            } else {
+                let dst_data = dst.inner.data.write();
+                (self.inner.data.write(), dst_data)
+            };
+            if !src.share_into(&mut dst_data, len, dst.len()) {
+                dst_data.overwrite(0, committed(src.as_slice(), 0, len), len, dst.len());
+            }
+            return Ok(());
+        }
+        let (src, mut dst_data) = if src_first {
+            let src = self.inner.data.read();
+            (src, dst.inner.data.write())
         } else {
-            let dst_guard = dst.inner.data.write();
-            (self.inner.data.read(), dst_guard)
+            let dst_data = dst.inner.data.write();
+            (self.inner.data.read(), dst_data)
         };
-        commit(&mut dst_guard, dst_offset + len, dst.len());
-        copy_zero_extended(
-            committed(&src_guard, offset, len),
-            &mut dst_guard[dst_offset..dst_offset + len],
+        dst_data.overwrite(
+            dst_offset,
+            committed(src.as_slice(), offset, len),
+            len,
+            dst.len(),
         );
         Ok(())
     }
 
     /// Run `f` over an immutable view of `[offset, offset + len)`. A view
     /// reaching past the committed mark commits up to its end first (a
-    /// slice needs backing bytes); a view inside the mark commits nothing.
+    /// slice needs backing bytes); a view inside the mark, or an empty one,
+    /// commits nothing.
     pub fn with_bytes<R>(
         &self,
         offset: usize,
@@ -240,20 +410,25 @@ impl MemoryRegion {
         f: impl FnOnce(&[u8]) -> R,
     ) -> Result<R> {
         check_bounds(offset, len, self.len())?;
+        if len == 0 {
+            return Ok(f(&[]));
+        }
         let end = offset + len;
         {
             let data = self.inner.data.read();
             if end <= data.len() {
-                return Ok(f(&data[offset..end]));
+                return Ok(f(&data.as_slice()[offset..end]));
             }
         }
-        let mut data = self.inner.data.write();
-        commit(&mut data, end, self.len());
+        let mut guard = self.inner.data.write();
+        let data = guard.owned();
+        commit(data, end, self.len());
         Ok(f(&data[offset..end]))
     }
 
     /// Run `f` over a mutable view of `[offset, offset + len)`, committing
-    /// the region up to the view's end (and no page past it).
+    /// the region up to the view's end (and no page past it); an empty view
+    /// commits nothing.
     pub fn with_bytes_mut<R>(
         &self,
         offset: usize,
@@ -261,10 +436,26 @@ impl MemoryRegion {
         f: impl FnOnce(&mut [u8]) -> R,
     ) -> Result<R> {
         check_bounds(offset, len, self.len())?;
+        if len == 0 {
+            return Ok(f(&mut []));
+        }
         let end = offset + len;
-        let mut data = self.inner.data.write();
-        commit(&mut data, end, self.len());
+        let mut guard = self.inner.data.write();
+        let data = guard.owned();
+        commit(data, end, self.len());
         Ok(f(&mut data[offset..end]))
+    }
+
+    /// Give back the committed bytes, as `madvise(MADV_DONTNEED)` does: the
+    /// whole region reads as zeros again. Bytes shared with another region
+    /// stay with it; an owned buffer keeps its allocation for the next
+    /// write.
+    pub fn decommit(&self) {
+        let mut data = self.inner.data.write();
+        match &mut data.bytes {
+            Bytes::Owned(bytes) => bytes.clear(),
+            Bytes::Shared(_) => data.bytes = Bytes::Owned(Vec::new()),
+        }
     }
 
     /// Read an 8-byte little-endian word (used by atomics and headers).
@@ -325,21 +516,55 @@ fn copy_zero_extended(backed: &[u8], dst: &mut [u8]) {
     tail.fill(0);
 }
 
-/// Grow the committed prefix, zero-filled, to cover `[0, end)` — in whole
-/// pages, as first-touch commit does, so a small region is backed in one
-/// step rather than by a few-byte heap chunk sharing cache lines with its
-/// neighbours. Capacity doubles so a region written front to back
-/// re-allocates O(log n) times, but never past the registered length.
-fn commit(data: &mut Vec<u8>, end: usize, region_len: usize) {
-    if end <= data.len() {
-        return;
-    }
-    let end = end.next_multiple_of(PAGE_SIZE).min(region_len);
+/// The committed length a write ending at `end` grows a region of
+/// `region_len` bytes to: whole pages, as first-touch commit does, so a
+/// small region is backed in one step rather than by a few-byte heap chunk
+/// sharing cache lines with its neighbours — but never past the region.
+fn page_end(end: usize, region_len: usize) -> usize {
+    end.next_multiple_of(PAGE_SIZE).min(region_len)
+}
+
+/// Make room for a committed prefix that reaches `end`, returning the
+/// committed length it grows to. Capacity doubles so a region written
+/// front to back re-allocates O(log n) times, but never past the
+/// registered length.
+fn reserve(data: &mut Vec<u8>, end: usize, region_len: usize) -> usize {
+    let end = page_end(end, region_len);
     if end > data.capacity() {
         let capacity = end.max(data.capacity() * 2).min(region_len);
         data.reserve_exact(capacity - data.len());
     }
-    data.resize(end, 0);
+    end
+}
+
+/// Grow the committed prefix, zero-filled, to cover `[0, end)`.
+fn commit(data: &mut Vec<u8>, end: usize, region_len: usize) {
+    if end > data.len() {
+        let end = reserve(data, end, region_len);
+        data.resize(end, 0);
+    }
+}
+
+/// Write `backed` followed by zeros over `[at, at + len)` of an owned
+/// prefix, committing it as far as needed. A prefix that ends at or before
+/// `at` is appended to, with no zero-fill under the bytes that land.
+fn write_zero_extended(
+    data: &mut Vec<u8>,
+    at: usize,
+    backed: &[u8],
+    len: usize,
+    region_len: usize,
+) {
+    let end = at + len;
+    if data.len() <= at {
+        let committed_len = reserve(data, end, region_len);
+        data.resize(at, 0);
+        data.extend_from_slice(backed);
+        data.resize(committed_len, 0);
+    } else {
+        commit(data, end, region_len);
+        copy_zero_extended(backed, &mut data[at..end]);
+    }
 }
 
 fn check_bounds(offset: usize, len: usize, region_len: usize) -> Result<()> {
@@ -516,6 +741,235 @@ mod tests {
         );
     }
 
+    #[test]
+    fn empty_views_and_copies_commit_nothing() {
+        let committed = |mr: &MemoryRegion| mr.inner.data.read().len();
+        let mr = MemoryRegion::zeroed(8 << 20, AccessFlags::REMOTE_ALL);
+        assert_eq!(mr.with_bytes(4 << 20, 0, <[u8]>::len), Ok(0));
+        assert_eq!(mr.with_bytes_mut(6 << 20, 0, |b| b.len()), Ok(0));
+        let src = MemoryRegion::from_vec(vec![1; 64], AccessFlags::LOCAL_ONLY);
+        src.copy_to(8, &mr, 7 << 20, 0).unwrap();
+        mr.copy_to(5 << 20, &mr, 3 << 20, 0).unwrap();
+        assert_eq!(committed(&mr), 0);
+        // Bounds are still checked first.
+        assert!(mr.with_bytes((8 << 20) + 1, 0, |_| ()).is_err());
+        assert!(src.copy_to(65, &mr, 0, 0).is_err());
+        assert!(src.copy_to(0, &mr, (8 << 20) + 1, 0).is_err());
+    }
+
+    /// Whether `a` and `b` hold one shared buffer.
+    fn sharing(a: &MemoryRegion, b: &MemoryRegion) -> bool {
+        let (a, b) = (a.inner.data.read(), b.inner.data.read());
+        matches!((&a.bytes, &b.bytes), (Bytes::Shared(x), Bytes::Shared(y)) if Arc::ptr_eq(x, y))
+    }
+
+    /// Address of the buffer a region's bytes live in.
+    fn buffer(mr: &MemoryRegion) -> *const u8 {
+        mr.inner.data.read().as_slice().as_ptr()
+    }
+
+    #[test]
+    fn only_whole_buffer_copies_share() {
+        const LEN: usize = 3 * PAGE_SIZE;
+        const COPY: usize = PAGE_SIZE + 100;
+        let region = || MemoryRegion::zeroed(LEN, AccessFlags::REMOTE_ALL);
+        // A source of COPY bytes of 7, committed to two pages, zeros after.
+        let source = || {
+            let src = region();
+            src.write(0, &[7; COPY]).unwrap();
+            src
+        };
+        let mut expected = vec![0u8; LEN];
+        expected[..COPY].fill(7);
+
+        // Both offsets 0, a page or more, both prefixes within a page of
+        // the copy and zero past it: the destination adopts the bytes.
+        let (src, dst) = (source(), region());
+        src.copy_to(0, &dst, 0, COPY).unwrap();
+        assert!(sharing(&src, &dst));
+        assert_eq!(dst.read_all(), expected);
+        // A page exactly, into a destination already committed to it.
+        let (src, dst) = (region(), region());
+        src.write(0, &[3; 100]).unwrap();
+        dst.write(PAGE_SIZE - 1, &[0]).unwrap();
+        src.copy_to(0, &dst, 0, PAGE_SIZE).unwrap();
+        assert!(sharing(&src, &dst));
+
+        // Every condition that fails copies instead, to the same bytes.
+        let copies = |src: &MemoryRegion, dst: &MemoryRegion, offset, dst_offset, len| {
+            let mut want = dst.read_all();
+            want[dst_offset..dst_offset + len].copy_from_slice(&src.read(offset, len).unwrap());
+            src.copy_to(offset, dst, dst_offset, len).unwrap();
+            assert!(!sharing(src, dst), "copy {offset} → {dst_offset}, {len} B");
+            assert_eq!(dst.read_all(), want);
+        };
+        // A non-zero byte past the copy, in the source or the destination.
+        let src = source();
+        src.write(COPY, &[1]).unwrap();
+        copies(&src, &region(), 0, 0, COPY);
+        let dst = region();
+        dst.write(COPY + 1, &[1]).unwrap();
+        copies(&source(), &dst, 0, 0, COPY);
+        // A non-zero offset on either end.
+        copies(&source(), &region(), 1, 0, COPY);
+        copies(&source(), &region(), 0, 1, COPY);
+        // Less than a page.
+        copies(&source(), &region(), 0, 0, PAGE_SIZE - 1);
+        // A prefix committed past the copy's last page, though zero there.
+        let dst = region();
+        dst.write(2 * PAGE_SIZE, &[0]).unwrap();
+        copies(&source(), &dst, 0, 0, COPY);
+        let src = source();
+        src.write(2 * PAGE_SIZE, &[0]).unwrap();
+        copies(&src, &region(), 0, 0, COPY);
+        // A source prefix longer than the destination region.
+        let small = MemoryRegion::zeroed(COPY, AccessFlags::REMOTE_ALL);
+        copies(&source(), &small, 0, 0, COPY);
+    }
+
+    #[test]
+    fn writes_to_shared_bytes_leave_the_other_holder_alone() {
+        const COPY: usize = 2 * PAGE_SIZE;
+        let (src, dst) = (
+            MemoryRegion::zeroed(COPY, AccessFlags::REMOTE_ALL),
+            MemoryRegion::zeroed(COPY, AccessFlags::REMOTE_ALL),
+        );
+        src.write(0, &[7; COPY]).unwrap();
+        dst.write(0, &[5; COPY]).unwrap();
+        let given_back = buffer(&dst);
+        src.copy_to(0, &dst, 0, COPY).unwrap();
+        assert!(sharing(&src, &dst));
+
+        // A page-sized write over shared bytes builds the source's new
+        // prefix in the buffer the destination gave back: the bytes before
+        // it, the write, the old tail.
+        src.write(10, &[9; PAGE_SIZE]).unwrap();
+        assert_eq!(buffer(&src), given_back);
+        let mut want = vec![7u8; COPY];
+        want[10..10 + PAGE_SIZE].fill(9);
+        assert_eq!(src.read_all(), want);
+        assert_eq!(dst.read_all(), vec![7; COPY]);
+
+        // A sole holder takes the bytes back as they are.
+        let kept = buffer(&dst);
+        dst.with_bytes_mut(0, 1, |b| b[0] = 1).unwrap();
+        assert_eq!(buffer(&dst), kept);
+
+        // A mutable view of bytes still shared copies them first.
+        src.copy_to(0, &dst, 0, COPY).unwrap();
+        dst.with_bytes_mut(0, 1, |b| b[0] = 2).unwrap();
+        assert_eq!(src.read(0, 2).unwrap(), vec![7, 7]);
+        assert_eq!(dst.read(0, 2).unwrap(), vec![2, 7]);
+
+        // Decommitting drops a share: the region reads as zeros, the other
+        // holder keeps its bytes and then holds them alone.
+        dst.copy_to(0, &src, 0, COPY).unwrap();
+        assert!(sharing(&src, &dst));
+        src.decommit();
+        assert_eq!(src.read_all(), vec![0; COPY]);
+        assert_eq!(src.inner.data.read().len(), 0);
+        let alone = buffer(&dst);
+        dst.write(0, &[4; 8]).unwrap();
+        assert_eq!(buffer(&dst), alone);
+        assert_eq!(dst.read(0, 9).unwrap(), vec![4, 4, 4, 4, 4, 4, 4, 4, 7]);
+    }
+
+    /// The page-scale half of `prop_region_matches_eager_model`: three
+    /// regions of two to three pages, moved between mostly by whole-prefix
+    /// copies — the ones that may share bytes — in both directions and
+    /// chained, with page-sized and sub-page writes, mutable views,
+    /// decommits and commit-extending views on either side of each share.
+    /// Every region is checked against its eager `Vec` after every step.
+    fn page_scale_script(script: u64) {
+        const LENS: [usize; 3] = [2 * PAGE_SIZE + 700, 3 * PAGE_SIZE, 2 * PAGE_SIZE];
+        let mut rng = proptest::TestRng::new(script.rotate_left(17) ^ 0x5EED);
+        let regions = LENS.map(|len| MemoryRegion::zeroed(len, AccessFlags::REMOTE_ALL));
+        let mut models = LENS.map(|n| vec![0u8; n]);
+        let below = |rng: &mut proptest::TestRng, bound: usize| rng.below(bound as u64) as usize;
+        for step in 0..40u8 {
+            let which = below(&mut rng, 3);
+            let region_len = LENS[which];
+            let other = (which + 1 + below(&mut rng, 2)) % 3;
+            // A whole-prefix copy length between two regions: a page, the
+            // smaller region, or anything between.
+            let whole_prefix = |rng: &mut proptest::TestRng, to: usize| {
+                let most = region_len.min(LENS[to]);
+                match below(rng, 3) {
+                    0 => PAGE_SIZE,
+                    1 => most,
+                    _ => PAGE_SIZE + below(rng, most - PAGE_SIZE + 1),
+                }
+            };
+            match below(&mut rng, 8) {
+                0 | 1 => {
+                    let len = whole_prefix(&mut rng, other);
+                    regions[which].copy_to(0, &regions[other], 0, len).unwrap();
+                    let staged = models[which][..len].to_vec();
+                    models[other][..len].copy_from_slice(&staged);
+                }
+                2 => {
+                    // which → other → the third region.
+                    let third = 3 - which - other;
+                    let len = whole_prefix(&mut rng, other).min(LENS[third]);
+                    regions[which].copy_to(0, &regions[other], 0, len).unwrap();
+                    regions[other].copy_to(0, &regions[third], 0, len).unwrap();
+                    let staged = models[which][..len].to_vec();
+                    models[other][..len].copy_from_slice(&staged);
+                    models[third][..len].copy_from_slice(&staged);
+                }
+                3 => {
+                    // A page or more, or a few bytes, written anywhere.
+                    let len = if below(&mut rng, 2) == 0 {
+                        PAGE_SIZE + below(&mut rng, PAGE_SIZE / 2)
+                    } else {
+                        below(&mut rng, 48)
+                    };
+                    let offset = below(&mut rng, region_len - len + 1);
+                    let bytes: Vec<u8> = (0..len).map(|i| step ^ (i as u8) | 1).collect();
+                    regions[which].write(offset, &bytes).unwrap();
+                    models[which][offset..offset + len].copy_from_slice(&bytes);
+                }
+                4 => {
+                    let len = below(&mut rng, 2 * PAGE_SIZE);
+                    let offset = below(&mut rng, region_len - len + 1);
+                    let bump = |bytes: &mut [u8]| {
+                        bytes.iter_mut().for_each(|b| *b = b.wrapping_add(step | 1))
+                    };
+                    regions[which].with_bytes_mut(offset, len, bump).unwrap();
+                    bump(&mut models[which][offset..offset + len]);
+                }
+                5 => {
+                    regions[which].decommit();
+                    models[which].fill(0);
+                }
+                6 => {
+                    // A view, committing past the mark when it reaches there.
+                    let len = below(&mut rng, region_len + 1);
+                    let offset = below(&mut rng, region_len - len + 1);
+                    let got = regions[which]
+                        .with_bytes(offset, len, <[u8]>::to_vec)
+                        .unwrap();
+                    assert_eq!(got, &models[which][offset..offset + len]);
+                }
+                _ => {
+                    // Any other copy, within one region too.
+                    let to = below(&mut rng, 3);
+                    let len = below(&mut rng, PAGE_SIZE + 200).min(LENS[to]);
+                    let offset = below(&mut rng, region_len - len + 1);
+                    let to_offset = below(&mut rng, LENS[to] - len + 1);
+                    regions[which]
+                        .copy_to(offset, &regions[to].clone(), to_offset, len)
+                        .unwrap();
+                    let staged = models[which][offset..offset + len].to_vec();
+                    models[to][to_offset..to_offset + len].copy_from_slice(&staged);
+                }
+            }
+            for (region, model) in regions.iter().zip(&models) {
+                assert_eq!(&region.read_all(), model, "script {script}, step {step}");
+            }
+        }
+    }
+
     proptest::proptest! {
         // The region→region copy is the old staged model, `read` into a
         // `Vec` then `write`, in every observable respect: result (including
@@ -559,9 +1013,12 @@ mod tests {
         // mix of writes, reads, copies (same region, overlapping, from a
         // source only partly committed), views and atomic-style updates
         // runs against it, reads past the committed mark and out-of-bounds
-        // requests included.
+        // requests included. A page-scale script then runs the copies that
+        // share bytes instead of copying them, and every write that may
+        // follow a share (`page_scale_script`).
         #[test]
         fn prop_region_matches_eager_model(script in 0u64..u64::MAX) {
+            page_scale_script(script);
             const LENS: [usize; 2] = [96, 64];
             let mut rng = proptest::TestRng::new(script);
             let regions = LENS.map(|len| MemoryRegion::zeroed(len, AccessFlags::REMOTE_ALL));

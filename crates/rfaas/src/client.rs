@@ -14,7 +14,7 @@ use std::rc::Rc;
 
 use rdma_fabric::{
     connect_pooled_with, AccessFlags, ConnectionPool, Endpoint, MemoryRegion, OwnedRegion,
-    ProtectionDomain, QueuePair, ReceiveRing, RecvRequest, RemoteMemoryHandle, Sge,
+    ProtectionDomain, QueuePair, ReceiveRing, RecvRequest, RemoteMemoryHandle, Sge, PAGE_SIZE,
 };
 use sim_core::SimDuration;
 
@@ -81,6 +81,10 @@ impl Buffer {
         // Guards the slice below, not just the encode: encode_into checks
         // against the slice it receives, which must exist first.
         crate::codec::check_capacity(len, self.capacity())?;
+        if let Some(bytes) = value.encoded_bytes() {
+            self.region().write(self.header_space, bytes)?;
+            return Ok(len);
+        }
         self.region()
             .with_bytes_mut(self.header_space, len, |bytes| value.encode_into(bytes))?
     }
@@ -89,10 +93,20 @@ impl Buffer {
     /// registered region: the decoded value is the only copy made. A `len`
     /// beyond the payload capacity is rejected, never clamped into a short
     /// read the caller would take for the whole result.
+    ///
+    /// A result of a page or more is decommitted once decoded. Its bytes
+    /// are usually the executor's output buffer, shared by the response
+    /// DMA: dropping this share lets the executor write its next result in
+    /// place instead of copying the old one first.
     pub(crate) fn read_decoded<C: Codec + ?Sized>(&self, len: usize) -> Result<C::Owned> {
         crate::codec::check_capacity(len, self.capacity())?;
-        self.region()
-            .with_bytes(self.header_space, len, C::decode)?
+        let value = self
+            .region()
+            .with_bytes(self.header_space, len, C::decode)?;
+        if len >= PAGE_SIZE {
+            self.region().decommit();
+        }
+        value
     }
 
     /// Remote handle covering the payload area (what the executor writes to).

@@ -47,6 +47,14 @@ pub trait Codec {
     /// being copied out of it. Fails with [`RFaasError::Codec`] on the same
     /// malformed inputs [`Codec::decode`] rejects.
     fn decode_view(bytes: &[u8]) -> Result<Self::View<'_>>;
+
+    /// The value's encoding, when the value already is those bytes (only
+    /// `[u8]`): the client then stages it with one region write, which a
+    /// buffer whose bytes a DMA still shares takes without copying them
+    /// first. `None` encodes through [`Codec::encode_into`].
+    fn encoded_bytes(&self) -> Option<&[u8]> {
+        None
+    }
 }
 
 /// Shared capacity guard for encoders: rejects a value of `required` bytes
@@ -83,6 +91,10 @@ impl Codec for [u8] {
 
     fn decode_view(bytes: &[u8]) -> Result<&[u8]> {
         Ok(bytes)
+    }
+
+    fn encoded_bytes(&self) -> Option<&[u8]> {
+        Some(self)
     }
 }
 

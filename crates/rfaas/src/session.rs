@@ -1494,13 +1494,19 @@ where
     }
 
     /// Block until the result is available, decode it, and return the
-    /// invocation's buffers to the session pool.
+    /// invocation's buffers to the session pool — whatever the outcome, once
+    /// nothing is left in flight: a failed function or an undecodable result
+    /// frees its buffers as a success does. An unsettled invocation's result
+    /// buffer is the connection's to park until its result lands.
     pub fn wait(mut self) -> Result<O::Owned> {
-        let len = self.result_len()?;
-        let value = self.spec.output.read_decoded::<O>(len)?;
-        let pair = (self.spec.input.clone(), self.spec.output.clone());
-        self.session.buffers.release(pair);
-        Ok(value)
+        let value = self
+            .result_len()
+            .and_then(|len| self.spec.output.read_decoded::<O>(len));
+        if self.posted.settled {
+            let pair = (self.spec.input.clone(), self.spec.output.clone());
+            self.session.buffers.release(pair);
+        }
+        value
     }
 
     /// Wait out redirections and recoveries until the invocation succeeds;
@@ -2062,6 +2068,30 @@ mod tests {
         // A larger invocation allocates a second pair.
         echo.invoke(&vec![3u8; 100_000][..]).unwrap();
         assert_eq!(session.buffers.free.borrow().len(), 2);
+    }
+
+    #[test]
+    fn failed_invocations_return_their_buffers_to_the_pool() {
+        let (_f, _m, session) = platform(1);
+        let failing = session.function::<[u8], [u8]>("always-fails").unwrap();
+        assert!(matches!(
+            failing.invoke(&[1u8; 100][..]),
+            Err(RFaasError::Function(_))
+        ));
+        assert_eq!(session.buffers.free.borrow().len(), 1);
+        // The next submission takes the pooled pair: nothing is registered.
+        let registered = session.registered_regions();
+        assert!(failing.invoke(&[2u8; 100][..]).is_err());
+        assert_eq!(session.registered_regions(), registered);
+        assert_eq!(session.buffers.free.borrow().len(), 1);
+        // A result that does not decode frees its pair too.
+        let ragged = session.function::<[u8], [f64]>("echo").unwrap();
+        assert!(matches!(
+            ragged.invoke(&[3u8; 7][..]),
+            Err(RFaasError::Codec(_))
+        ));
+        assert_eq!(session.buffers.free.borrow().len(), 1);
+        assert_eq!(session.registered_regions(), registered);
     }
 
     /// Platform with a state plane attached: the package carries a stateful

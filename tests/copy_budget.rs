@@ -114,13 +114,17 @@ fn hot_session(testbed: &Testbed, plane: Option<&StatePlane>) -> Session {
 #[test]
 fn steady_state_heap_traffic_stays_within_the_copy_budget() {
     // Buffered invoke: a 1 MiB echo allocates the decoded result the caller
-    // receives, and nothing else of that order.
+    // receives, and nothing else of that order. Its two DMAs share the
+    // buffers they replace, at one small `Arc` each; the buffers themselves
+    // cycle between the two ends.
     {
         let testbed = Testbed::new(1);
         let session = hot_session(&testbed, None);
         let echo = session.function::<[u8], [u8]>("echo").unwrap();
         let payload = workloads::generate_payload(MIB, 7);
-        let PerOp { bytes, .. } = per_operation(|| {
+        let PerOp {
+            allocations, bytes, ..
+        } = per_operation(|| {
             let reply = echo.invoke(&payload[..]).unwrap();
             assert_eq!(reply.len(), MIB);
         });
@@ -128,6 +132,7 @@ fn steady_state_heap_traffic_stays_within_the_copy_budget() {
             bytes <= (MIB + 4096) as f64,
             "1 MiB echo allocates {bytes} B per invocation"
         );
+        assert_eq!(allocations, 3.0, "1 MiB echo: allocations per invocation");
         session.close().unwrap();
     }
 
