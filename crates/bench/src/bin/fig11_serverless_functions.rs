@@ -128,7 +128,7 @@ fn run(cases: &[Case], title: &str, repetitions: usize) {
 
 fn main() {
     let repetitions = if quick_mode() { 5 } else { 30 };
-    let which = sub_experiment().unwrap_or_else(|| "all".to_string());
+    let which = sub_experiment(&["thumbnailer", "inference"]).unwrap_or_else(|| "all".to_string());
     if which == "thumbnailer" || which == "all" {
         run(
             &thumbnailer_cases(),

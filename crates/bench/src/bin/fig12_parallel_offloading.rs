@@ -16,7 +16,7 @@
 //! batch.
 
 use rfaas::{BatchStats, FunctionHandle, RFaasConfig, Session};
-use rfaas_bench::{print_table, quick_mode, ResultRow, Testbed};
+use rfaas_bench::{full_mode, print_table, quick_mode, ResultRow, Testbed};
 use sim_core::SimDuration;
 use workloads::blackscholes::{local_parallel_cost, COST_PER_OPTION};
 use workloads::{generate_options, OptionBatch, OPTION_WIRE_BYTES};
@@ -58,8 +58,7 @@ fn split_chunks(
 }
 
 fn main() {
-    let full = std::env::args().any(|a| a == "--full");
-    let total_options: usize = if full {
+    let total_options: usize = if full_mode() {
         5_000_000
     } else if quick_mode() {
         200_000

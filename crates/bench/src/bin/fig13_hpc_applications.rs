@@ -8,7 +8,7 @@
 
 use mpi_sim::MpiWorld;
 use rfaas::{RFaasConfig, Session};
-use rfaas_bench::{print_table, quick_mode, sub_experiment, ResultRow, Testbed};
+use rfaas_bench::{full_mode, print_table, quick_mode, sub_experiment, ResultRow, Testbed};
 use sim_core::median;
 use workloads::jacobi::{encode_install, encode_iterate, sweep_cost, JacobiSystem};
 use workloads::matmul::{compute_cost, encode_matmul_request, random_matrix};
@@ -16,7 +16,7 @@ use workloads::matmul::{compute_cost, encode_matmul_request, random_matrix};
 fn rank_counts() -> Vec<usize> {
     if quick_mode() {
         vec![8]
-    } else if std::env::args().any(|a| a == "--full") {
+    } else if full_mode() {
         vec![16, 32, 64]
     } else {
         vec![16, 32]
@@ -200,7 +200,7 @@ fn jacobi_experiment() {
 }
 
 fn main() {
-    let which = sub_experiment().unwrap_or_else(|| "all".to_string());
+    let which = sub_experiment(&["matmul", "jacobi"]).unwrap_or_else(|| "all".to_string());
     if which == "matmul" || which == "all" {
         matmul_experiment();
     }

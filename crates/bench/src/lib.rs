@@ -225,10 +225,12 @@ pub fn summarize_ms(samples: &[SimDuration]) -> Summary {
 
 /// Usage banner shared by every figure binary.
 const USAGE: &str = "\
-usage: fig binary [--quick] [SUB_EXPERIMENT]
+usage: fig binary [--quick | --full] [SUB_EXPERIMENT]
 
   --quick          reduced repetitions and problem sizes (the CI smoke and
                    perf-snapshot profile)
+  --full           paper-sized problems where the binary offers them (fig12's
+                   5 M-option batch, fig13's 64-rank sweep)
   SUB_EXPERIMENT   one optional positional selecting a sub-experiment where
                    the binary offers one (see EXPERIMENTS.md)";
 
@@ -239,7 +241,7 @@ fn check_args(args: impl Iterator<Item = String>) -> std::result::Result<(), Str
     let mut positionals = 0usize;
     for arg in args {
         match arg.as_str() {
-            "--quick" | "--help" | "-h" => {}
+            "--quick" | "--full" | "--help" | "-h" => {}
             flag if flag.starts_with('-') => {
                 return Err(format!("unrecognised flag '{flag}'"));
             }
@@ -260,13 +262,18 @@ fn check_args(args: impl Iterator<Item = String>) -> std::result::Result<(), Str
 /// misspelled flag.
 fn validate_cli() {
     if let Err(msg) = check_args(std::env::args().skip(1)) {
-        eprintln!("error: {msg}\n{USAGE}");
-        std::process::exit(2);
+        usage_error(&msg);
     }
     if std::env::args().skip(1).any(|a| a == "--help" || a == "-h") {
         println!("{USAGE}");
         std::process::exit(0);
     }
+}
+
+/// Print `msg` and the usage banner, and exit with status 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}\n{USAGE}");
+    std::process::exit(2);
 }
 
 /// Whether the binary was invoked with `--quick` (fewer repetitions / smaller
@@ -277,12 +284,36 @@ pub fn quick_mode() -> bool {
     std::env::args().any(|a| a == "--quick")
 }
 
-/// First non-flag command-line argument, if any (used by binaries that select
-/// a sub-experiment, e.g. `thumbnailer` vs `inference`). Exits with a usage
-/// message if the command line carries anything unrecognised.
-pub fn sub_experiment() -> Option<String> {
+/// Whether the binary was invoked with `--full` (the paper-sized problem
+/// where the binary offers one). Exits with a usage message if the command
+/// line carries anything unrecognised.
+pub fn full_mode() -> bool {
     validate_cli();
-    std::env::args().skip(1).find(|a| !a.starts_with("--"))
+    std::env::args().any(|a| a == "--full")
+}
+
+/// The positional argument of an already validated argument list, if any,
+/// checked against the sub-experiment names the binary `offered`.
+fn pick_sub_experiment(
+    mut args: impl Iterator<Item = String>,
+    offered: &[&str],
+) -> std::result::Result<Option<String>, String> {
+    match args.find(|a| !a.starts_with('-')) {
+        Some(name) if !offered.contains(&name.as_str()) => Err(format!(
+            "unknown sub-experiment '{name}' (offered: {})",
+            offered.join(", ")
+        )),
+        picked => Ok(picked),
+    }
+}
+
+/// The sub-experiment named on the command line, if any, out of the names the
+/// binary `offered` (e.g. `thumbnailer` and `inference`). Exits with a usage
+/// message if the command line carries anything unrecognised, an unoffered
+/// name included.
+pub fn sub_experiment(offered: &[&str]) -> Option<String> {
+    validate_cli();
+    pick_sub_experiment(std::env::args().skip(1), offered).unwrap_or_else(|msg| usage_error(&msg))
 }
 
 #[cfg(test)]
@@ -325,6 +356,12 @@ mod tests {
         assert!(ok(&["-h"]).is_ok());
         assert!(ok(&["thumbnailer"]).is_ok());
         assert!(ok(&["--quick", "inference"]).is_ok());
+        assert!(ok(&["--full", "matmul"]).is_ok());
+        let offered = ["matmul", "jacobi"];
+        let pick =
+            |args: &[&str]| pick_sub_experiment(args.iter().map(|s| s.to_string()), &offered);
+        assert_eq!(pick(&["--quick"]), Ok(None));
+        assert_eq!(pick(&["--full", "jacobi"]), Ok(Some("jacobi".to_string())));
     }
 
     #[test]
@@ -335,6 +372,13 @@ mod tests {
         assert!(err(&["--quick", "--verbose"]).contains("--verbose"));
         assert!(err(&["-q"]).contains("-q"));
         assert!(err(&["thumbnailer", "extra"]).contains("extra"));
+        // A mistyped sub-experiment names what the binary offers.
+        let unknown = pick_sub_experiment(
+            ["--quick", "thumbnialer"].iter().map(|s| s.to_string()),
+            &["thumbnailer", "inference"],
+        )
+        .unwrap_err();
+        assert!(unknown.contains("thumbnialer") && unknown.contains("thumbnailer, inference"));
     }
 
     /// Byte-exact pin of the `## json` rows that `scripts/perf_snapshot.py`

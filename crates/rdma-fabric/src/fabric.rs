@@ -217,7 +217,9 @@ impl Fabric {
             if self.pump() {
                 continue;
             }
-            // simlint::allow(wall_clock, reason = "host-side guard on how long a wait pumps; read only once a pump came up idle, never charged to a virtual clock")
+            // The workspace's one wall-clock read: a host-side guard on how
+            // long a wait pumps, read only once a pump came up idle and never
+            // charged to a virtual clock.
             let now = Instant::now();
             let deadline = *deadline.get_or_insert_with(|| now.checked_add(timeout));
             if deadline.is_some_and(|deadline| now >= deadline) {

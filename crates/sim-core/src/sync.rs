@@ -1,7 +1,7 @@
 //! The workspace's locks: a non-poisoning [`Mutex`] / [`RwLock`] facade over
-//! `std::sync`, and the rank-ordered [`OrderedMutex`] built on it — the
-//! runtime half of the lock-order story (the static half is `simlint`'s
-//! `lock_order` rule).
+//! `std::sync`, and the rank-ordered [`OrderedMutex`] built on it, which
+//! checks the workspace's lock order on every acquisition a debug build
+//! makes.
 //!
 //! [`Mutex`] and [`RwLock`] return their guards directly: a panic while a
 //! lock is held hands the data to the next locker as it is instead of
@@ -132,8 +132,8 @@ impl fmt::Display for LockRank {
 /// control socket, state bindings reach the state plane), so the order must
 /// be total across subsystems, outermost first. The client layer itself
 /// (session, reactor, worker connections) runs on one thread and takes no
-/// lock. simlint's `locks` subcommand prints the observed acquisition graph
-/// this table is a topological order of.
+/// lock. Every nesting of ranked locks must follow this order; the
+/// `lock-sanitizer` feature records the acquisition graph it orders.
 pub mod ranks {
     use super::LockRank;
 

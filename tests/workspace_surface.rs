@@ -25,14 +25,39 @@ fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// The lines of a source file before its `#[cfg(test)] mod tests`.
-fn product_lines(text: &str) -> Vec<&str> {
-    let lines: Vec<&str> = text.lines().collect();
-    let end = lines
-        .windows(2)
-        .position(|pair| pair[0].trim() == "#[cfg(test)]" && pair[1].starts_with("mod tests"))
-        .unwrap_or(lines.len());
-    lines[..end].to_vec()
+/// Every `.rs` file of the product crates and the umbrella crate: `crates/`
+/// and the root `src/`.
+fn workspace_sources(root: &Path) -> Vec<PathBuf> {
+    let mut sources = Vec::new();
+    rust_sources(&root.join("crates"), &mut sources);
+    rust_sources(&root.join("src"), &mut sources);
+    sources
+}
+
+/// The lines of a source file outside its `#[cfg(test)] mod tests { … }`,
+/// each with its 1-based line number. The test module runs from that header
+/// to its closing brace at column 0; product code after it is kept.
+fn product_lines(text: &str) -> Vec<(usize, &str)> {
+    let mut lines = Vec::new();
+    let mut in_tests = false;
+    let mut previous = "";
+    for (n, line) in text.lines().enumerate() {
+        if in_tests {
+            in_tests = line != "}";
+        } else if previous.trim() == "#[cfg(test)]" && line.starts_with("mod tests") {
+            lines.pop();
+            in_tests = true;
+        } else {
+            lines.push((n + 1, line));
+        }
+        previous = line;
+    }
+    lines
+}
+
+/// Whether `line` is a comment, doc comments included.
+fn is_comment(line: &str) -> bool {
+    line.trim_start().starts_with("//")
 }
 
 /// Mirror of the `rfaas` crate-level doc example, invoked through the
@@ -101,32 +126,37 @@ fn umbrella_reexports_every_layer() {
     assert!(mpi.latency.as_nanos() > 0);
 }
 
-/// Every host-side wait in `crates/` goes through `Fabric::run_until`: outside
-/// test modules, its `yield_now` and its wall-clock allowance are the only
-/// ones, and nothing in `crates/` or `shims/` parks a thread on a condition
-/// variable. Reads the sources as text, each up to its test module.
+/// Every host-side wait goes through `Fabric::run_until`, and it holds the
+/// workspace's one wall-clock read: outside test modules and comments,
+/// `crates/` and the root `src/` name `Instant::now` and `yield_now` once
+/// each, both in `run_until`, and never `SystemTime` or `thread::sleep`, so
+/// no host clock can reach a virtual-time result. Nothing there or in
+/// `shims/` parks a thread on a condition variable. Reads the sources as
+/// text.
 #[test]
 fn fabric_run_until_is_the_only_host_wait() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut sources = Vec::new();
-    rust_sources(&root.join("crates"), &mut sources);
+    let sources = workspace_sources(root);
     let mut shim_sources = Vec::new();
     rust_sources(&root.join("shims"), &mut shim_sources);
 
-    // (file, 0-based line) of every product-code yield and wall-clock allow.
+    // (file, 1-based line) of every product-code yield and wall-clock read.
     let mut yields = Vec::new();
     let mut wall_clock = Vec::new();
     for path in &sources {
         let text = fs::read_to_string(path).unwrap();
-        for (n, line) in product_lines(&text).into_iter().enumerate() {
+        for (n, line) in product_lines(&text) {
+            if is_comment(line) {
+                continue;
+            }
             if line.contains("yield_now") {
                 yields.push((path.clone(), n));
             }
-            if line
-                .trim_start()
-                .starts_with("// simlint::allow(wall_clock")
-            {
+            if line.contains("Instant::now") {
                 wall_clock.push((path.clone(), n));
+            }
+            for banned in ["SystemTime", "thread::sleep"] {
+                assert!(!line.contains(banned), "{path:?}:{n} names `{banned}`");
             }
         }
     }
@@ -134,7 +164,7 @@ fn fabric_run_until_is_the_only_host_wait() {
     let fabric = root.join("crates/rdma-fabric/src/fabric.rs");
     let fabric_text = fs::read_to_string(&fabric).unwrap();
     let lines: Vec<&str> = fabric_text.lines().collect();
-    let start = lines
+    let start = 1 + lines
         .iter()
         .position(|line| line.contains("pub fn run_until("))
         .expect("Fabric::run_until exists");
@@ -143,13 +173,12 @@ fn fabric_run_until_is_the_only_host_wait() {
             .iter()
             .position(|line| *line == "    }")
             .expect("Fabric::run_until ends");
-    for (what, found) in [("yield_now", &yields), ("allow(wall_clock", &wall_clock)] {
+    for (what, found) in [("yield_now", &yields), ("Instant::now", &wall_clock)] {
         assert_eq!(found.len(), 1, "`{what}` outside tests: {found:?}");
         let (path, line) = &found[0];
         assert!(
-            *path == fabric && (start..end).contains(line),
-            "`{what}` is not in Fabric::run_until: {path:?}:{}",
-            line + 1
+            *path == fabric && (start..=end).contains(line),
+            "`{what}` is not in Fabric::run_until: {path:?}:{line}"
         );
     }
 
@@ -161,17 +190,31 @@ fn fabric_run_until_is_the_only_host_wait() {
     }
 }
 
-/// Every directory under `shims/` is a workspace member that at least one
-/// `crates/*/Cargo.toml` names as a dependency, so a stand-in crate cannot
-/// outlive its last caller. Reads the manifests as text: the shim directory
-/// name is the dependency name.
+/// Whether one of `lines` of a manifest declares the dependency `name`.
+fn names_dependency<'a>(mut lines: impl Iterator<Item = &'a str>, name: &str) -> bool {
+    lines.any(|line| {
+        line.strip_prefix(name)
+            .is_some_and(|rest| rest.starts_with(".workspace") || rest.starts_with(" ="))
+    })
+}
+
+/// No crate can outlive its last caller. Every directory under `shims/` is a
+/// workspace member that at least one `crates/*/Cargo.toml` names as a
+/// dependency (the shim directory name is the dependency name). Every
+/// directory under `crates/` is a workspace member that the umbrella
+/// `Cargo.toml` names under `[dependencies]` or `[dev-dependencies]`, by
+/// its package name, and there are exactly 10. Reads the manifests as text.
 #[test]
 fn every_shim_is_a_member_with_a_dependent() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let workspace = fs::read_to_string(root.join("Cargo.toml")).unwrap();
-    let crate_manifests: Vec<String> = fs::read_dir(root.join("crates"))
+    let crate_dirs: Vec<PathBuf> = fs::read_dir(root.join("crates"))
         .unwrap()
-        .map(|entry| fs::read_to_string(entry.unwrap().path().join("Cargo.toml")).unwrap())
+        .map(|entry| entry.unwrap().path())
+        .collect();
+    let crate_manifests: Vec<String> = crate_dirs
+        .iter()
+        .map(|dir| fs::read_to_string(dir.join("Cargo.toml")).unwrap())
         .collect();
 
     for entry in fs::read_dir(root.join("shims")).unwrap() {
@@ -180,17 +223,43 @@ fn every_shim_is_a_member_with_a_dependent() {
             workspace.contains(&format!("\"shims/{name}\"")),
             "shims/{name} is not a workspace member"
         );
-        let depended_on = crate_manifests.iter().any(|manifest| {
-            manifest.lines().any(|line| {
-                line.strip_prefix(name.as_str())
-                    .is_some_and(|rest| rest.starts_with(".workspace") || rest.starts_with(" ="))
-            })
-        });
         assert!(
-            depended_on,
+            crate_manifests
+                .iter()
+                .any(|manifest| names_dependency(manifest.lines(), &name)),
             "no crates/*/Cargo.toml depends on shims/{name}"
         );
     }
+
+    // The umbrella's dependency lines: those under `[dependencies]` and
+    // `[dev-dependencies]`.
+    let mut section = "";
+    let umbrella_deps: Vec<&str> = workspace
+        .lines()
+        .filter(|line| {
+            if line.starts_with('[') {
+                section = line;
+            }
+            section == "[dependencies]" || section == "[dev-dependencies]"
+        })
+        .collect();
+    for (dir, manifest) in crate_dirs.iter().zip(&crate_manifests) {
+        let dir = dir.file_name().unwrap().to_str().unwrap();
+        assert!(
+            workspace.contains(&format!("\"crates/{dir}\"")),
+            "crates/{dir} is not a workspace member"
+        );
+        let package = manifest
+            .lines()
+            .find_map(|line| line.strip_prefix("name = \""))
+            .and_then(|rest| rest.strip_suffix('"'))
+            .expect("crate manifest names its package");
+        assert!(
+            names_dependency(umbrella_deps.iter().copied(), package),
+            "the umbrella Cargo.toml does not depend on crates/{dir} ({package})"
+        );
+    }
+    assert_eq!(crate_dirs.len(), 10, "crates: {crate_dirs:?}");
 }
 
 /// The lock-rank table in `sim_core::sync::ranks` lists the workspace's
@@ -240,7 +309,14 @@ fn lock_ranks_are_ordered_used_and_counted() {
     let product: Vec<String> = sources
         .iter()
         .filter(|path| **path != sync)
-        .map(|path| product_lines(&fs::read_to_string(path).unwrap()).join("\n"))
+        .map(|path| {
+            let text = fs::read_to_string(path).unwrap();
+            let lines: Vec<&str> = product_lines(&text)
+                .into_iter()
+                .map(|(_, line)| line)
+                .collect();
+            lines.join("\n")
+        })
         .collect();
     for (constant, _, _) in &table {
         let needle = format!("ranks::{constant}");
@@ -259,16 +335,15 @@ fn lock_ranks_are_ordered_used_and_counted() {
 /// `client.rs` and `reactor.rs` name no `Mutex` (ordered or not), `RwLock`
 /// or `Arc<WorkerConnection>`, and the one line naming an atomic, `use`s
 /// aside, is the `NEXT_CONTROL_ID` id static. Product code in `crates/`
-/// names no `HashMap` or `HashSet` outside comments, so no hash order can
-/// reach an output; the linter, whose subject they are, is exempt. Reads
-/// the sources as text.
+/// and the root `src/` name no `HashMap` or `HashSet` outside comments, so
+/// no hash order can reach an output. Reads the sources as text.
 #[test]
 fn client_layer_takes_no_locks_and_hash_maps_are_counted() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut atomics = Vec::new();
     for file in ["session.rs", "client.rs", "reactor.rs"] {
         let text = fs::read_to_string(root.join("crates/rfaas/src").join(file)).unwrap();
-        for line in product_lines(&text) {
+        for (_, line) in product_lines(&text) {
             for banned in ["Mutex", "RwLock", "Arc<WorkerConnection>"] {
                 assert!(!line.contains(banned), "{file} names `{banned}`: {line}");
             }
@@ -283,20 +358,51 @@ fn client_layer_takes_no_locks_and_hash_maps_are_counted() {
         "{atomics:?}"
     );
 
-    let mut sources = Vec::new();
-    rust_sources(&root.join("crates"), &mut sources);
-    let simlint = root.join("crates/simlint");
-    for path in sources.iter().filter(|path| !path.starts_with(&simlint)) {
-        let text = fs::read_to_string(path).unwrap();
-        for line in product_lines(&text) {
+    for path in workspace_sources(root) {
+        let text = fs::read_to_string(&path).unwrap();
+        for (n, line) in product_lines(&text) {
             let hashed = line.contains("HashMap") || line.contains("HashSet");
             assert!(
-                !hashed || line.trim_start().starts_with("//"),
-                "{path:?} names a hash collection: {}",
+                !hashed || is_comment(line),
+                "{path:?}:{n} names a hash collection: {}",
                 line.trim()
             );
         }
     }
+}
+
+/// Every `pub enum` whose name ends in `Error` or `Status` is an audit
+/// surface and carries `#[non_exhaustive]` among the attribute and doc lines
+/// directly above it, so adding a variant is not a breaking change. Outside
+/// test modules, `crates/` and the root `src/` declare exactly 7. Reads the
+/// sources as text.
+#[test]
+fn error_and_status_enums_are_non_exhaustive() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut audited = Vec::new();
+    for path in workspace_sources(root) {
+        let text = fs::read_to_string(&path).unwrap();
+        let lines = product_lines(&text);
+        for (i, (n, line)) in lines.iter().enumerate() {
+            let Some(name) = line
+                .trim_start()
+                .strip_prefix("pub enum ")
+                .and_then(|rest| rest.split([' ', '<', '{']).next())
+                .filter(|name| name.ends_with("Error") || name.ends_with("Status"))
+            else {
+                continue;
+            };
+            let marked = lines[..i]
+                .iter()
+                .rev()
+                .map(|(_, above)| above.trim_start())
+                .take_while(|above| above.starts_with("#[") || above.starts_with("//"))
+                .any(|above| above == "#[non_exhaustive]");
+            assert!(marked, "{path:?}:{n}: `{name}` is not #[non_exhaustive]");
+            audited.push(name.to_string());
+        }
+    }
+    assert_eq!(audited.len(), 7, "audited enums: {audited:?}");
 }
 
 /// Keyed pooling has one implementation, `sim_core::KeyedPool`: outside test
@@ -312,7 +418,7 @@ fn one_pool_mechanism_and_stats_structs_are_counted() {
     let mut stats = Vec::new();
     for path in &sources {
         let text = fs::read_to_string(path).unwrap();
-        for line in product_lines(&text) {
+        for (_, line) in product_lines(&text) {
             let line = line.trim_start();
             if line.contains("fn evict_idle(") {
                 evict_idle.push(path.clone());
