@@ -143,6 +143,12 @@ fn jacobi_experiment() {
             let testbed = Testbed::with_config(2, config.clone());
             let testbed = &testbed;
             let config = &config;
+            // Every rank solves the same system: the registry hands every
+            // executor process the same function object, so the cached
+            // matrix is shared platform-wide (one deployed model/system per
+            // code package, as with the ResNet checkpoint in V-E). One copy
+            // is generated here and lent to every rank.
+            let system = &JacobiSystem::generate(n, 7);
             let world = MpiWorld::new();
             let results = world.run(ranks, move |rank| {
                 let session = rank_session(testbed, config, rank.rank());
@@ -150,23 +156,18 @@ fn jacobi_experiment() {
                     .function::<[u8], [f64]>("jacobi")
                     .expect("jacobi deployed")
                     .with_output_capacity(n * 8);
-                // Every rank solves the same system: the registry hands every
-                // executor process the same function object, so the cached
-                // matrix is shared platform-wide (one deployed model/system
-                // per code package, as with the ResNet checkpoint in V-E).
-                let system = JacobiSystem::generate(n, 7);
                 let mut x = vec![0.0f64; n];
                 rank.barrier();
                 let start = session.clock().now();
                 for iteration in 0..iterations {
                     let message = if iteration == 0 {
-                        encode_install(&system, &x, n / 2, n)
+                        encode_install(system, &x, n / 2, n)
                     } else {
                         encode_iterate(&x, n / 2, n)
                     };
                     let future = jacobi.submit(&message[..]).expect("submit");
                     // Local upper half while the executor computes the lower half.
-                    let local = workloads::jacobi::jacobi_sweep_rows(&system, &x, 0, n / 2);
+                    let local = workloads::jacobi::jacobi_sweep_rows(system, &x, 0, n / 2);
                     rank.compute(sweep_cost(n / 2, n));
                     session.clock().advance(sweep_cost(n / 2, n));
                     let remote = future.wait().expect("offloaded half");

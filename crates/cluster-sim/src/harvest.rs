@@ -143,14 +143,6 @@ impl ResourceHarvester {
             .map(|n| n.name.clone())
             .collect()
     }
-
-    /// Total harvestable cores across all offers.
-    pub fn total_offered_cores(&self, scheduler: &BatchScheduler) -> u32 {
-        self.offers(scheduler)
-            .iter()
-            .map(|o| o.available.cores)
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -172,7 +164,6 @@ mod tests {
             assert_eq!(offer.available.cores, 36 - 2);
             assert!(offer.available.memory_mib > 300 * 1024);
         }
-        assert_eq!(harvester.total_offered_cores(&sched), 4 * 34);
     }
 
     #[test]

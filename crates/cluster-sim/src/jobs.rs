@@ -29,7 +29,7 @@ pub struct BatchJob {
 
 /// Generates a synthetic batch workload.
 #[derive(Debug)]
-pub struct JobGenerator {
+pub(crate) struct JobGenerator {
     rng: DeterministicRng,
     next_id: u64,
     /// Mean inter-arrival time.
@@ -227,7 +227,7 @@ impl BatchScheduler {
     }
 
     /// Cluster-wide fraction of cores allocated to batch jobs.
-    pub fn core_utilization(&self) -> f64 {
+    pub(crate) fn core_utilization(&self) -> f64 {
         let total: u64 = self.nodes.iter().map(|n| n.total.cores as u64).sum();
         let used: u64 = self
             .nodes
@@ -242,7 +242,7 @@ impl BatchScheduler {
     }
 
     /// Cluster-wide fraction of memory free.
-    pub fn free_memory_fraction(&self) -> f64 {
+    pub(crate) fn free_memory_fraction(&self) -> f64 {
         let total: u64 = self.nodes.iter().map(|n| n.total.memory_mib).sum();
         let used: u64 = self
             .nodes

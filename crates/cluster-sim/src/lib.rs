@@ -23,9 +23,7 @@ pub mod tenants;
 pub mod trace;
 
 pub use harvest::{HarvestedResources, ResourceHarvester};
-pub use jobs::{BatchJob, BatchScheduler, JobGenerator};
+pub use jobs::{BatchJob, BatchScheduler};
 pub use node::{ClusterNode, NodeResources};
-pub use tenants::{
-    episode_ordinals, fork_source_supply, TenantFleet, TenantProfile, TenantRequest, WorkloadKind,
-};
+pub use tenants::{episode_ordinals, TenantFleet, TenantProfile, TenantRequest, WorkloadKind};
 pub use trace::{TracePoint, UtilizationTrace};

@@ -78,26 +78,8 @@ impl ClusterNode {
             .saturating_sub(&self.harvested)
     }
 
-    /// Fraction of cores idle (not allocated to batch jobs), in [0, 1].
-    pub fn idle_core_fraction(&self) -> f64 {
-        if self.total.cores == 0 {
-            return 0.0;
-        }
-        (self.total.cores - self.batch_allocated.cores.min(self.total.cores)) as f64
-            / self.total.cores as f64
-    }
-
-    /// Fraction of memory free (not allocated to batch jobs), in [0, 1].
-    pub fn free_memory_fraction(&self) -> f64 {
-        if self.total.memory_mib == 0 {
-            return 0.0;
-        }
-        (self.total.memory_mib - self.batch_allocated.memory_mib.min(self.total.memory_mib)) as f64
-            / self.total.memory_mib as f64
-    }
-
     /// Try to allocate `request` to a batch job. Returns whether it fit.
-    pub fn allocate_batch(&mut self, request: NodeResources) -> bool {
+    pub(crate) fn allocate_batch(&mut self, request: NodeResources) -> bool {
         if self.idle().can_fit(&request) {
             self.batch_allocated = self.batch_allocated.add(&request);
             true
@@ -107,7 +89,7 @@ impl ClusterNode {
     }
 
     /// Release a batch allocation.
-    pub fn release_batch(&mut self, request: NodeResources) {
+    pub(crate) fn release_batch(&mut self, request: NodeResources) {
         self.batch_allocated = self.batch_allocated.saturating_sub(&request);
     }
 
@@ -122,7 +104,7 @@ impl ClusterNode {
     }
 
     /// Return previously harvested resources to the idle pool.
-    pub fn release_harvest(&mut self, request: NodeResources) {
+    pub(crate) fn release_harvest(&mut self, request: NodeResources) {
         self.harvested = self.harvested.saturating_sub(&request);
     }
 }
@@ -181,8 +163,6 @@ mod tests {
             memory_mib: 200
         }));
         assert_eq!(node.idle().cores, 6);
-        assert!((node.idle_core_fraction() - 6.0 / 36.0).abs() < 1e-9);
-        assert!((node.free_memory_fraction() - 0.8).abs() < 1e-9);
         // Over-allocation is rejected.
         assert!(!node.allocate_batch(NodeResources {
             cores: 10,
@@ -234,8 +214,8 @@ mod tests {
 
     #[test]
     fn fractions_handle_degenerate_nodes() {
-        let node = ClusterNode::new("empty", NodeResources::ZERO);
-        assert_eq!(node.idle_core_fraction(), 0.0);
-        assert_eq!(node.free_memory_fraction(), 0.0);
+        let cluster = crate::jobs::BatchScheduler::new(2, NodeResources::ZERO);
+        assert_eq!(cluster.core_utilization(), 0.0);
+        assert_eq!(cluster.free_memory_fraction(), 0.0);
     }
 }

@@ -61,7 +61,7 @@ impl WorkloadKind {
 
     /// Typical invocation payload, in bytes (centre of the per-request
     /// jitter range).
-    pub fn typical_payload_bytes(self) -> usize {
+    pub(crate) fn typical_payload_bytes(self) -> usize {
         match self {
             WorkloadKind::Echo => 64,
             WorkloadKind::Thumbnailer => 64 * 1024,
@@ -283,27 +283,6 @@ pub fn episode_ordinals(requests: &[TenantRequest]) -> Vec<u32> {
         .collect()
 }
 
-/// Per-request fork-source supply: how many earlier episodes in the timeline
-/// explicitly released their lease before this request arrived. A released
-/// lease is a sandbox a warm pool could have parked, so this is the upper
-/// bound on the parked parents available to serve the episode as a remote
-/// fork or warm-pool resume instead of a full cold spawn. Ordinal-0 episodes
-/// with zero supply are necessarily cold; the fork-tier experiments split
-/// allocation costs along exactly this boundary.
-pub fn fork_source_supply(requests: &[TenantRequest]) -> Vec<u32> {
-    let mut released = 0u32;
-    requests
-        .iter()
-        .map(|r| {
-            let supply = released;
-            if r.releases_lease {
-                released += 1;
-            }
-            supply
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -376,31 +355,6 @@ mod tests {
             assert!(!kind.function_name().is_empty());
             assert!(kind.typical_payload_bytes() >= 8);
         }
-    }
-
-    #[test]
-    fn fork_source_supply_counts_prior_releases() {
-        let fleet = fleet();
-        let requests = fleet.requests(SimDuration::from_secs(600));
-        let supply = fork_source_supply(&requests);
-        assert_eq!(supply.len(), requests.len());
-        // Supply never decreases along the timeline, starts at zero, and
-        // grows by exactly one past each releasing episode.
-        assert_eq!(supply[0], 0, "nothing can be parked before any episode");
-        let mut expected = 0u32;
-        for (r, &s) in requests.iter().zip(&supply) {
-            assert_eq!(s, expected);
-            if r.releases_lease {
-                expected += 1;
-            }
-        }
-        // With ~80% tidy tenants, a long horizon leaves most episodes with
-        // at least one candidate fork source.
-        let with_supply = supply.iter().filter(|&&s| s > 0).count();
-        assert!(
-            with_supply * 10 > supply.len() * 9,
-            "most episodes should find a parked parent candidate"
-        );
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub struct PathComponent {
 
 impl PathComponent {
     /// A component traversed in both directions.
-    pub fn both(name: &str, fixed: SimDuration, per_byte_ns: f64) -> PathComponent {
+    pub(crate) fn both(name: &str, fixed: SimDuration, per_byte_ns: f64) -> PathComponent {
         PathComponent {
             name: name.to_string(),
             fixed,
@@ -37,7 +37,7 @@ impl PathComponent {
     }
 
     /// A component traversed only on the request path.
-    pub fn request_only(name: &str, fixed: SimDuration, per_byte_ns: f64) -> PathComponent {
+    pub(crate) fn request_only(name: &str, fixed: SimDuration, per_byte_ns: f64) -> PathComponent {
         PathComponent {
             on_request: true,
             on_response: false,
@@ -65,13 +65,13 @@ pub struct InvocationPath {
 
 impl InvocationPath {
     /// Wire bytes for a raw payload of `bytes`.
-    pub fn wire_bytes(&self, bytes: usize) -> usize {
+    fn wire_bytes(&self, bytes: usize) -> usize {
         (bytes as f64 * self.payload_expansion).ceil() as usize
     }
 
     /// Deterministic (median) round-trip time for the given payload sizes and
     /// function execution time.
-    pub fn round_trip(
+    pub(crate) fn round_trip(
         &self,
         request_bytes: usize,
         response_bytes: usize,
@@ -93,7 +93,7 @@ impl InvocationPath {
 
     /// A randomised sample of the round-trip time, with multiplicative jitter
     /// reflecting queueing noise and shared-tenant interference.
-    pub fn sample_round_trip(
+    pub(crate) fn sample_round_trip(
         &self,
         request_bytes: usize,
         response_bytes: usize,
@@ -104,13 +104,6 @@ impl InvocationPath {
         // Log-normal-ish multiplicative noise, never below 85% of the median.
         let factor = (1.0 + rng.normal(0.0, self.jitter).abs()).max(0.85);
         median.mul_f64(factor)
-    }
-
-    /// Effective goodput in bytes of raw payload per second when streaming
-    /// `bytes`-sized requests and responses back to back.
-    pub fn goodput_bytes_per_sec(&self, bytes: usize) -> f64 {
-        let rtt = self.round_trip(bytes, bytes, SimDuration::ZERO);
-        2.0 * bytes as f64 / rtt.as_secs_f64()
     }
 }
 
@@ -168,8 +161,14 @@ mod tests {
     #[test]
     fn goodput_decreases_with_fixed_overhead() {
         let path = simple_path();
-        let small = path.goodput_bytes_per_sec(1024);
-        let large = path.goodput_bytes_per_sec(1024 * 1024);
+        let goodput = |bytes: usize| {
+            2.0 * bytes as f64
+                / path
+                    .round_trip(bytes, bytes, SimDuration::ZERO)
+                    .as_secs_f64()
+        };
+        let small = goodput(1024);
+        let large = goodput(1024 * 1024);
         assert!(large > small, "larger payloads amortise fixed costs");
     }
 }

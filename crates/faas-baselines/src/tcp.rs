@@ -47,7 +47,7 @@ impl TcpProfile {
     }
 
     /// One-way delivery time of a message of `bytes`, excluding queueing.
-    pub fn one_way(&self, bytes: usize) -> SimDuration {
+    fn one_way(&self, bytes: usize) -> SimDuration {
         self.send_overhead + self.serialization(bytes) + self.one_way_latency + self.recv_overhead
     }
 

@@ -1,9 +1,9 @@
-//! Collective operations: barrier, broadcast, gather, all-reduce.
+//! The barrier, the one collective the HPC experiments use.
 //!
-//! Implemented with the flat gather-to-root + broadcast pattern, which is
+//! Implemented with the flat gather-to-root + release pattern, which is
 //! accurate enough for the rank counts of the paper's experiments (16–64) and
-//! keeps the virtual-time accounting honest: every collective synchronises
-//! the participating clocks to the latest participant plus the communication
+//! keeps the virtual-time accounting honest: the barrier synchronises the
+//! participating clocks to the latest participant plus the communication
 //! cost, which is exactly the bulk-synchronous behaviour the Jacobi benchmark
 //! relies on.
 
@@ -11,9 +11,6 @@ use crate::comm::Rank;
 
 const TAG_BARRIER_UP: u32 = 0xB000_0001;
 const TAG_BARRIER_DOWN: u32 = 0xB000_0002;
-const TAG_GATHER: u32 = 0xB000_0003;
-const TAG_BCAST: u32 = 0xB000_0004;
-const TAG_REDUCE: u32 = 0xB000_0005;
 
 impl Rank {
     /// Synchronise all ranks; no rank leaves the barrier before every rank
@@ -34,84 +31,12 @@ impl Rank {
             let _ = self.recv(0, TAG_BARRIER_DOWN);
         }
     }
-
-    /// Broadcast `data` from `root` to every rank; returns the broadcast
-    /// value on all ranks.
-    pub fn broadcast_f64(&self, root: usize, data: &[f64]) -> Vec<f64> {
-        if self.size() == 1 {
-            return data.to_vec();
-        }
-        if self.rank() == root {
-            for dest in 0..self.size() {
-                if dest != root {
-                    self.send_f64(dest, TAG_BCAST, data);
-                }
-            }
-            data.to_vec()
-        } else {
-            self.recv_f64(root, TAG_BCAST)
-        }
-    }
-
-    /// Gather every rank's `data` at `root`; returns `Some(all)` (in rank
-    /// order, concatenated) at the root and `None` elsewhere.
-    pub fn gather_f64(&self, root: usize, data: &[f64]) -> Option<Vec<Vec<f64>>> {
-        if self.rank() == root {
-            let mut all: Vec<Vec<f64>> = vec![Vec::new(); self.size()];
-            all[root] = data.to_vec();
-            for (source, slot) in all.iter_mut().enumerate() {
-                if source != root {
-                    *slot = self.recv_f64(source, TAG_GATHER);
-                }
-            }
-            Some(all)
-        } else {
-            self.send_f64(root, TAG_GATHER, data);
-            None
-        }
-    }
-
-    /// Element-wise sum all-reduce over `f64` vectors; every rank receives
-    /// the reduced vector.
-    pub fn allreduce_sum_f64(&self, data: &[f64]) -> Vec<f64> {
-        if self.size() == 1 {
-            return data.to_vec();
-        }
-        if self.rank() == 0 {
-            let mut sum = data.to_vec();
-            for source in 1..self.size() {
-                let contribution = self.recv_f64(source, TAG_REDUCE);
-                assert_eq!(contribution.len(), sum.len(), "allreduce length mismatch");
-                for (s, c) in sum.iter_mut().zip(contribution.iter()) {
-                    *s += c;
-                }
-            }
-            self.broadcast_f64(0, &sum)
-        } else {
-            self.send_f64(0, TAG_REDUCE, data);
-            self.broadcast_f64(0, &[])
-        }
-    }
-
-    /// Maximum of one scalar over all ranks (used to compute makespans of
-    /// bulk-synchronous phases from inside the application).
-    pub fn allreduce_max(&self, value: f64) -> f64 {
-        let gathered = self.gather_f64(0, &[value]);
-        let max = match gathered {
-            Some(all) => all
-                .iter()
-                .flat_map(|v| v.iter().copied())
-                .fold(f64::MIN, f64::max),
-            None => 0.0,
-        };
-        self.broadcast_f64(0, &[max])[0]
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use crate::comm::MpiWorld;
-    use sim_core::SimDuration;
+    use sim_core::{SimDuration, SimTime};
 
     #[test]
     fn barrier_synchronises_clocks() {
@@ -136,63 +61,12 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_delivers_root_data() {
-        let world = MpiWorld::new();
-        let results = world.run(5, |rank| {
-            let data = if rank.rank() == 2 {
-                vec![3.25, 1.0]
-            } else {
-                vec![]
-            };
-            rank.broadcast_f64(2, &data)
-        });
-        for r in results {
-            assert_eq!(r.value, vec![3.25, 1.0]);
-        }
-    }
-
-    #[test]
-    fn gather_collects_in_rank_order() {
-        let world = MpiWorld::new();
-        let results = world.run(4, |rank| rank.gather_f64(0, &[rank.rank() as f64]));
-        let root = results[0].value.as_ref().unwrap();
-        assert_eq!(root.len(), 4);
-        for (i, v) in root.iter().enumerate() {
-            assert_eq!(v, &vec![i as f64]);
-        }
-        for r in &results[1..] {
-            assert!(r.value.is_none());
-        }
-    }
-
-    #[test]
-    fn allreduce_sums_elementwise() {
-        let world = MpiWorld::new();
-        let results = world.run(6, |rank| rank.allreduce_sum_f64(&[1.0, rank.rank() as f64]));
-        let expected_second: f64 = (0..6).map(|i| i as f64).sum();
-        for r in results {
-            assert_eq!(r.value, vec![6.0, expected_second]);
-        }
-    }
-
-    #[test]
-    fn allreduce_max_finds_global_maximum() {
-        let world = MpiWorld::new();
-        let results = world.run(8, |rank| rank.allreduce_max(rank.rank() as f64 * 1.5));
-        for r in results {
-            assert_eq!(r.value, 10.5);
-        }
-    }
-
-    #[test]
     fn collectives_work_with_a_single_rank() {
         let world = MpiWorld::new();
         let results = world.run(1, |rank| {
             rank.barrier();
-            let b = rank.broadcast_f64(0, &[1.0]);
-            let s = rank.allreduce_sum_f64(&[2.0]);
-            (b, s)
+            rank.clock().now()
         });
-        assert_eq!(results[0].value, (vec![1.0], vec![2.0]));
+        assert_eq!(results[0].value, SimTime::ZERO);
     }
 }

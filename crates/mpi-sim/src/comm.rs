@@ -8,7 +8,7 @@ use sim_core::{SimDuration, SimTime, VirtualClock};
 
 /// Communication cost constants of the message-passing layer.
 #[derive(Debug, Clone)]
-pub struct MpiCostModel {
+pub(crate) struct MpiCostModel {
     /// One-way message latency (same switch as the RDMA fabric).
     pub latency: SimDuration,
     /// Link bandwidth in bytes per second.
@@ -18,15 +18,6 @@ pub struct MpiCostModel {
 }
 
 impl MpiCostModel {
-    /// MPI over the evaluation cluster's 100 Gb/s RoCE link.
-    pub fn cluster_100g() -> MpiCostModel {
-        MpiCostModel {
-            latency: SimDuration::from_nanos(1_700),
-            bandwidth_bytes_per_sec: 11_686.4 * 1024.0 * 1024.0,
-            per_message_overhead: SimDuration::from_nanos(450),
-        }
-    }
-
     /// Transfer duration of `bytes` on the wire.
     pub fn serialization(&self, bytes: usize) -> SimDuration {
         if bytes == 0 {
@@ -37,9 +28,14 @@ impl MpiCostModel {
     }
 }
 
+/// MPI over the evaluation cluster's 100 Gb/s RoCE link.
 impl Default for MpiCostModel {
     fn default() -> Self {
-        MpiCostModel::cluster_100g()
+        MpiCostModel {
+            latency: SimDuration::from_nanos(1_700),
+            bandwidth_bytes_per_sec: 11_686.4 * 1024.0 * 1024.0,
+            per_message_overhead: SimDuration::from_nanos(450),
+        }
     }
 }
 
@@ -98,7 +94,7 @@ impl Rank {
     }
 
     /// Send `data` to `dest` with the given tag (non-blocking, eager).
-    pub fn send(&self, dest: usize, tag: u32, data: &[u8]) {
+    pub(crate) fn send(&self, dest: usize, tag: u32, data: &[u8]) {
         assert!(dest < self.size, "destination rank {dest} out of range");
         let ready = self.clock.advance(self.cost.per_message_overhead);
         let arrival = ready + self.cost.latency + self.cost.serialization(data.len());
@@ -113,17 +109,8 @@ impl Rank {
             .expect("rank channel closed");
     }
 
-    /// Send a slice of `f64`s.
-    pub fn send_f64(&self, dest: usize, tag: u32, data: &[f64]) {
-        let mut bytes = Vec::with_capacity(data.len() * 8);
-        for v in data {
-            bytes.extend_from_slice(&v.to_le_bytes());
-        }
-        self.send(dest, tag, &bytes);
-    }
-
     /// Blocking receive of the next message from `source` with `tag`.
-    pub fn recv(&self, source: usize, tag: u32) -> Vec<u8> {
+    pub(crate) fn recv(&self, source: usize, tag: u32) -> Vec<u8> {
         assert!(source < self.size, "source rank {source} out of range");
         // First look in the stash for an already-delivered match.
         {
@@ -148,14 +135,6 @@ impl Rank {
             self.stash.borrow_mut().push(message);
         }
     }
-
-    /// Receive a slice of `f64`s.
-    pub fn recv_f64(&self, source: usize, tag: u32) -> Vec<f64> {
-        self.recv(source, tag)
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-            .collect()
-    }
 }
 
 /// The MPI world: spawns one thread per rank and runs a body on each.
@@ -170,11 +149,6 @@ impl MpiWorld {
         MpiWorld {
             cost: MpiCostModel::default(),
         }
-    }
-
-    /// A world with an explicit cost model.
-    pub fn with_cost_model(cost: MpiCostModel) -> MpiWorld {
-        MpiWorld { cost }
     }
 
     /// Run `body` on `size` ranks and collect each rank's result, sorted by
@@ -257,20 +231,6 @@ mod tests {
         assert_eq!(results[1].value, vec![1, 2, 3, 4]);
         // A ping-pong costs at least two latencies on rank 0's clock.
         assert!(results[0].finish_time.as_micros_f64() > 3.0);
-    }
-
-    #[test]
-    fn f64_send_recv_round_trip() {
-        let world = MpiWorld::new();
-        let results = world.run(2, |rank| {
-            if rank.rank() == 0 {
-                rank.send_f64(1, 1, &[1.5, -2.5, 1e300]);
-                Vec::new()
-            } else {
-                rank.recv_f64(0, 1)
-            }
-        });
-        assert_eq!(results[1].value, vec![1.5, -2.5, 1e300]);
     }
 
     #[test]

@@ -221,7 +221,7 @@ pub fn connect(endpoint: &Endpoint, address: &str) -> Result<QueuePair> {
 }
 
 /// Connect with an explicit wall-clock timeout (bounds test execution time).
-pub fn connect_with_timeout(
+pub(crate) fn connect_with_timeout(
     endpoint: &Endpoint,
     address: &str,
     timeout: Duration,

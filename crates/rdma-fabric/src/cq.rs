@@ -140,7 +140,8 @@ impl CompletionQueue {
     /// completion's arrival time plus the polling pickup cost. Empty polls do
     /// not advance virtual time: an idle spinning thread does no useful
     /// virtual work.
-    pub fn poll_into(&self, max: usize, out: &mut Vec<WorkCompletion>) -> usize {
+    #[cfg(test)]
+    fn poll_into(&self, max: usize, out: &mut Vec<WorkCompletion>) -> usize {
         let n = self.poll_uncharged_into(max, out);
         for wc in &out[out.len() - n..] {
             self.charge_poll_pickup(wc);

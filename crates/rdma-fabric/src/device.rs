@@ -94,31 +94,6 @@ impl NicProfile {
         }
     }
 
-    /// A lower-performance profile approximating software RDMA (SoftRoCE):
-    /// used by the modularity tests to show the platform is device-agnostic.
-    pub fn soft_roce() -> NicProfile {
-        NicProfile {
-            one_way_latency: SimDuration::from_micros(18),
-            bandwidth_bytes_per_sec: 2.5e9,
-            post_send_overhead: SimDuration::from_nanos(400),
-            chained_wqe_overhead: SimDuration::from_nanos(150),
-            post_recv_overhead: SimDuration::from_nanos(300),
-            max_inline_data: 0,
-            non_inline_dma_fetch: SimDuration::from_nanos(800),
-            completion_pickup: SimDuration::from_nanos(200),
-            blocking_wakeup: SimDuration::from_micros(6),
-            notification_dispatch: SimDuration::from_micros(2),
-            atomic_execution: SimDuration::from_nanos(900),
-            local_completion: SimDuration::from_nanos(400),
-            connection_setup: SimDuration::from_millis(2),
-            warm_connection_setup: SimDuration::from_micros(200),
-            datagram_setup: SimDuration::from_micros(90),
-            vf_message_overhead: SimDuration::from_nanos(100),
-            vf_blocking_extra: SimDuration::from_micros(2),
-            max_recv_queue_depth: 256,
-        }
-    }
-
     /// Serialisation time of `bytes` on this link.
     pub fn serialization(&self, bytes: usize) -> SimDuration {
         if bytes == 0 {
@@ -128,7 +103,7 @@ impl NicProfile {
     }
 
     /// Whether a payload of `bytes` can be inlined into the work request.
-    pub fn can_inline(&self, bytes: usize) -> bool {
+    fn can_inline(&self, bytes: usize) -> bool {
         bytes <= self.max_inline_data
     }
 
@@ -151,15 +126,6 @@ impl NicProfile {
         } else {
             self.chained_wqe_overhead + self.non_inline_dma_fetch
         }
-    }
-
-    /// Cost of serving one remote-fork page fault of `page_bytes` with a
-    /// single one-sided READ from the parent node: issue the READ, wait a
-    /// round trip, stream the page back, pick the completion up. The
-    /// initiator is the *child*; the parent's CPU is never involved — the
-    /// property that makes MITOSIS-style fork viable.
-    pub fn fork_page_read_cost(&self, page_bytes: usize) -> SimDuration {
-        self.fork_read_cost(1, page_bytes)
     }
 
     /// Cost of a batched prefetch window: `pages` page READs posted as one
@@ -242,7 +208,7 @@ pub enum DeviceFunction {
 
 impl DeviceFunction {
     /// Per-message overhead of this function type.
-    pub fn message_overhead(self, profile: &NicProfile) -> SimDuration {
+    pub(crate) fn message_overhead(self, profile: &NicProfile) -> SimDuration {
         match self {
             DeviceFunction::Physical => SimDuration::ZERO,
             DeviceFunction::Virtual => profile.vf_message_overhead,
@@ -250,7 +216,7 @@ impl DeviceFunction {
     }
 
     /// Extra blocking-wakeup penalty of this function type.
-    pub fn blocking_extra(self, profile: &NicProfile) -> SimDuration {
+    pub(crate) fn blocking_extra(self, profile: &NicProfile) -> SimDuration {
         match self {
             DeviceFunction::Physical => SimDuration::ZERO,
             DeviceFunction::Virtual => profile.vf_blocking_extra,
@@ -292,11 +258,9 @@ mod tests {
 
     #[test]
     fn chained_wqes_are_cheaper_than_doorbells() {
-        for p in [NicProfile::mellanox_cx5_100g(), NicProfile::soft_roce()] {
-            assert!(p.issue_cost_chained(8) < p.issue_cost(8));
-        }
-        // The DMA-fetch penalty still applies to chained non-inline WQEs.
         let p = NicProfile::mellanox_cx5_100g();
+        assert!(p.issue_cost_chained(8) < p.issue_cost(8));
+        // The DMA-fetch penalty still applies to chained non-inline WQEs.
         assert_eq!(
             p.issue_cost_chained(1 << 20)
                 .saturating_sub(p.issue_cost_chained(8)),
@@ -327,44 +291,34 @@ mod tests {
     fn connection_setup_tiers_are_ordered() {
         // Full RC handshake ≫ warm re-establishment ≫ datagram first contact:
         // the spread the connection pool and the control-plane datagram path
-        // amortise. Holds on every profile.
-        for p in [NicProfile::mellanox_cx5_100g(), NicProfile::soft_roce()] {
-            assert!(p.warm_connection_setup * 5 <= p.connection_setup);
-            assert!(p.datagram_setup < p.warm_connection_setup);
-        }
+        // amortise.
+        let p = NicProfile::mellanox_cx5_100g();
+        assert!(p.warm_connection_setup * 5 <= p.connection_setup);
+        assert!(p.datagram_setup < p.warm_connection_setup);
     }
 
     #[test]
     fn state_access_tiers_are_ordered() {
-        for p in [NicProfile::mellanox_cx5_100g(), NicProfile::soft_roce()] {
-            // A one-sided read pays two one-way latencies, a push-model write
-            // only one: the read can never be cheaper than the write of the
-            // same value.
-            for bytes in [64usize, 4096, 1 << 20] {
-                assert!(p.state_read_cost(bytes) > p.state_write_cost(bytes));
-            }
-            // A one-sided read beats a full write ping-pong of the same
-            // payload once the value outgrows inlining — the
-            // copy-in/copy-out baseline pays that ping-pong per invocation.
-            for bytes in [4096usize, 1 << 20] {
-                assert!(p.state_read_cost(bytes) < p.write_pingpong_rtt(bytes));
-            }
-            assert!(p.state_read_cost(0).is_zero());
-            assert!(p.state_write_cost(0).is_zero());
-            // Large values are bandwidth-bound: doubling the value roughly
-            // doubles the wire time.
-            let one = p.state_read_cost(1 << 20);
-            let two = p.state_read_cost(2 << 20);
-            assert!(two > one);
-            assert!(two < one * 3);
+        let p = NicProfile::mellanox_cx5_100g();
+        // A one-sided read pays two one-way latencies, a push-model write
+        // only one: the read can never be cheaper than the write of the
+        // same value.
+        for bytes in [64usize, 4096, 1 << 20] {
+            assert!(p.state_read_cost(bytes) > p.state_write_cost(bytes));
         }
-    }
-
-    #[test]
-    fn soft_roce_is_slower() {
-        let hw = NicProfile::mellanox_cx5_100g();
-        let sw = NicProfile::soft_roce();
-        assert!(sw.write_pingpong_rtt(8) > hw.write_pingpong_rtt(8) * 5);
-        assert!(sw.bandwidth_bytes_per_sec < hw.bandwidth_bytes_per_sec);
+        // A one-sided read beats a full write ping-pong of the same
+        // payload once the value outgrows inlining — the
+        // copy-in/copy-out baseline pays that ping-pong per invocation.
+        for bytes in [4096usize, 1 << 20] {
+            assert!(p.state_read_cost(bytes) < p.write_pingpong_rtt(bytes));
+        }
+        assert!(p.state_read_cost(0).is_zero());
+        assert!(p.state_write_cost(0).is_zero());
+        // Large values are bandwidth-bound: doubling the value roughly
+        // doubles the wire time.
+        let one = p.state_read_cost(1 << 20);
+        let two = p.state_read_cost(2 << 20);
+        assert!(two > one);
+        assert!(two < one * 3);
     }
 }

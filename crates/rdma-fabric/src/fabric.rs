@@ -255,7 +255,7 @@ impl Fabric {
     }
 
     /// Number of nodes attached to the fabric.
-    pub fn node_count(&self) -> usize {
+    fn node_count(&self) -> usize {
         self.nodes.lock().len()
     }
 
@@ -293,11 +293,6 @@ impl Fabric {
         let uncontended_arrival = depart + self.profile.one_way_latency;
         let arrive = dst.reserve_ingress(uncontended_arrival, duration);
         TransferTiming { depart, arrive }
-    }
-
-    /// Timing for a zero-payload control message from `src` to `dst`.
-    pub fn control_message(&self, src: &FabricNode, dst: &FabricNode, ready: SimTime) -> SimTime {
-        self.transfer(src, dst, 0, ready).arrive
     }
 
     /// Bind `address` to `handle`, returning the handle it replaces.
@@ -443,7 +438,7 @@ mod tests {
         let fabric = Fabric::with_defaults();
         let a = fabric.add_node("a");
         let b = fabric.add_node("b");
-        let arrive = fabric.control_message(&a, &b, SimTime::from_micros(5));
+        let arrive = fabric.transfer(&a, &b, 0, SimTime::from_micros(5)).arrive;
         assert_eq!(
             arrive,
             SimTime::from_micros(5) + fabric.profile().one_way_latency

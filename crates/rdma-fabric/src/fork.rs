@@ -75,7 +75,7 @@ impl PrefetchPlan {
     }
 
     /// Number of fault batches the child will serve.
-    pub fn batch_count(&self) -> usize {
+    fn batch_count(&self) -> usize {
         self.total_pages.div_ceil(self.window)
     }
 
@@ -105,34 +105,28 @@ mod tests {
     use super::*;
     use crate::memory::PAGE_SIZE;
 
-    fn profiles() -> [NicProfile; 2] {
-        [NicProfile::mellanox_cx5_100g(), NicProfile::soft_roce()]
-    }
-
     #[test]
     fn empty_map_costs_nothing() {
-        for profile in profiles() {
-            let plan = PrefetchPlan::new(&profile, 0, 32, PAGE_SIZE);
-            assert_eq!(plan.batch_count(), 0);
-            assert!(plan.batches().is_empty());
-            assert!(plan.total_cost().is_zero());
-            assert!(profile.fork_read_cost(0, PAGE_SIZE).is_zero());
-        }
+        let profile = NicProfile::mellanox_cx5_100g();
+        let plan = PrefetchPlan::new(&profile, 0, 32, PAGE_SIZE);
+        assert_eq!(plan.batch_count(), 0);
+        assert!(plan.batches().is_empty());
+        assert!(plan.total_cost().is_zero());
+        assert!(profile.fork_read_cost(0, PAGE_SIZE).is_zero());
     }
 
     #[test]
     fn batching_amortises_the_per_page_overhead() {
-        for profile in profiles() {
-            let one_by_one = profile.fork_page_read_cost(PAGE_SIZE) * 32;
-            let batched = profile.fork_read_cost(32, PAGE_SIZE);
-            assert!(
-                batched < one_by_one,
-                "batched window must beat page-at-a-time faulting"
-            );
-            // The batch still pays full serialisation for every page: it can
-            // never be cheaper than the wire time alone.
-            assert!(batched > profile.serialization(32 * PAGE_SIZE));
-        }
+        let profile = NicProfile::mellanox_cx5_100g();
+        let one_by_one = profile.fork_read_cost(1, PAGE_SIZE) * 32;
+        let batched = profile.fork_read_cost(32, PAGE_SIZE);
+        assert!(
+            batched < one_by_one,
+            "batched window must beat page-at-a-time faulting"
+        );
+        // The batch still pays full serialisation for every page: it can
+        // never be cheaper than the wire time alone.
+        assert!(batched > profile.serialization(32 * PAGE_SIZE));
     }
 
     #[test]
@@ -175,7 +169,7 @@ mod tests {
 
     #[test]
     fn zero_window_is_clamped() {
-        let plan = PrefetchPlan::new(&NicProfile::soft_roce(), 10, 0, PAGE_SIZE);
+        let plan = PrefetchPlan::new(&NicProfile::mellanox_cx5_100g(), 10, 0, PAGE_SIZE);
         assert_eq!(plan.window(), 1);
         assert_eq!(plan.batch_count(), 10);
     }

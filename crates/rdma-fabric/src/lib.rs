@@ -52,8 +52,7 @@ pub mod srq;
 pub mod verbs;
 
 pub use cm::{
-    connect, connect_pooled, connect_pooled_with, connect_with_timeout, DatagramMessage,
-    DatagramSocket, Listener,
+    connect, connect_pooled, connect_pooled_with, DatagramMessage, DatagramSocket, Listener,
 };
 pub use cq::{CompletionQueue, CqNotifier, CqSet};
 pub use device::{DeviceFunction, NicProfile};
@@ -64,6 +63,6 @@ pub use memory::{AccessFlags, MemoryRegion, RemoteMemoryHandle, PAGE_SIZE};
 pub use pd::{OwnedRegion, ProtectionDomain};
 pub use pool::ConnectionPool;
 pub use qp::{Endpoint, QpState, QueuePair};
-pub use ring::{ReceiveRing, RingCompletion, RingState};
+pub use ring::{ReceiveRing, RingCompletion};
 pub use srq::{SharedReceiveQueue, SrqStats};
 pub use verbs::{CompletionStatus, OpCode, RecvRequest, SendRequest, Sge, WorkCompletion};

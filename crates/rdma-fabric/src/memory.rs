@@ -242,12 +242,12 @@ pub struct MemoryRegion {
 impl MemoryRegion {
     /// Register a zero-initialised region of `len` bytes. Nothing is
     /// committed until it is written.
-    pub fn zeroed(len: usize, access: AccessFlags) -> MemoryRegion {
+    pub(crate) fn zeroed(len: usize, access: AccessFlags) -> MemoryRegion {
         Self::with_committed(Vec::new(), len, access)
     }
 
     /// Register a region initialised from `data` (fully committed).
-    pub fn from_vec(data: Vec<u8>, access: AccessFlags) -> MemoryRegion {
+    pub(crate) fn from_vec(data: Vec<u8>, access: AccessFlags) -> MemoryRegion {
         let len = data.len();
         Self::with_committed(data, len, access)
     }
@@ -465,11 +465,6 @@ impl MemoryRegion {
         Ok(u64::from_le_bytes(bytes))
     }
 
-    /// Write an 8-byte little-endian word.
-    pub fn write_u64(&self, offset: usize, value: u64) -> Result<()> {
-        self.write(offset, &value.to_le_bytes())
-    }
-
     /// Handle that a remote peer can use to address this region.
     pub fn remote_handle(&self) -> RemoteMemoryHandle {
         RemoteMemoryHandle {
@@ -490,7 +485,7 @@ impl MemoryRegion {
     }
 
     /// Whether two handles refer to the same registration.
-    pub fn same_region(&self, other: &MemoryRegion) -> bool {
+    pub(crate) fn same_region(&self, other: &MemoryRegion) -> bool {
         Arc::ptr_eq(&self.inner, &other.inner)
     }
 }
@@ -639,7 +634,8 @@ mod tests {
     #[test]
     fn u64_helpers() {
         let mr = MemoryRegion::zeroed(16, AccessFlags::REMOTE_ALL);
-        mr.write_u64(8, 0xDEAD_BEEF_1234_5678).unwrap();
+        mr.write(8, &0xDEAD_BEEF_1234_5678u64.to_le_bytes())
+            .unwrap();
         assert_eq!(mr.read_u64(8).unwrap(), 0xDEAD_BEEF_1234_5678);
         assert!(mr.read_u64(1).is_ok()); // unaligned reads allowed locally
         assert!(mr.read_u64(12).is_err()); // out of bounds

@@ -254,7 +254,8 @@ impl QueuePair {
     }
 
     /// Number of send-queue operations posted so far.
-    pub fn ops_posted(&self) -> u64 {
+    #[cfg(test)]
+    fn ops_posted(&self) -> u64 {
         self.inner.ops_posted.load(Ordering::Relaxed)
     }
 
@@ -1225,7 +1226,7 @@ mod tests {
     fn atomic_compare_swap_behaviour() {
         let (client, server, _f) = connected_pair();
         let word = server.pd().register(8, AccessFlags::REMOTE_ALL);
-        word.write_u64(0, 42).unwrap();
+        word.write(0, &42u64.to_le_bytes()).unwrap();
         let old_buf = client.pd().register(8, AccessFlags::LOCAL_ONLY);
         // Successful CAS.
         client

@@ -9,7 +9,7 @@
 //!
 //! The ring is split in two layers:
 //!
-//! * [`RingState`] — the pure slot state machine (posted FIFO + consumed
+//! * `RingState` — the pure slot state machine (posted FIFO + consumed
 //!   set). It owns the invariants the property tests pin down: no
 //!   interleaving of post/consume/repost may lose a slot, delivery is FIFO
 //!   in post order, and delivery into an empty ring is rejected.
@@ -36,7 +36,7 @@ use crate::verbs::{RecvRequest, Sge, WorkCompletion};
 /// the application, awaiting repost). There is no third state — a slot can
 /// never leak.
 #[derive(Debug, Clone)]
-pub struct RingState {
+pub(crate) struct RingState {
     depth: usize,
     /// Slots currently posted, front = next to be consumed by a delivery.
     posted: VecDeque<usize>,
@@ -55,17 +55,20 @@ impl RingState {
     }
 
     /// Number of slots in the ring.
-    pub fn depth(&self) -> usize {
+    #[cfg(test)]
+    fn depth(&self) -> usize {
         self.depth
     }
 
     /// Number of slots currently posted.
-    pub fn posted(&self) -> usize {
+    #[cfg(test)]
+    fn posted(&self) -> usize {
         self.posted.len()
     }
 
     /// Number of slots delivered but not yet re-posted.
-    pub fn consumed(&self) -> usize {
+    #[cfg(test)]
+    fn consumed(&self) -> usize {
         self.consumed.iter().filter(|c| **c).count()
     }
 
@@ -92,7 +95,7 @@ impl RingState {
     /// shared queue and their completion queues are drained in sweep order,
     /// so deliveries are observed out of post order. Rejects slots that are
     /// out of range or not currently posted.
-    pub fn deliver_slot(&mut self, slot: usize) -> Result<()> {
+    pub(crate) fn deliver_slot(&mut self, slot: usize) -> Result<()> {
         if slot >= self.depth || self.consumed[slot] {
             return Err(FabricError::ReceiverNotReady);
         }
@@ -178,11 +181,8 @@ impl ReceiveRing {
     /// Same ring, but the caller re-posts slots explicitly with
     /// [`ReceiveRing::repost`] — needed when slot contents (two-sided SENDs)
     /// must be read before the slot may be overwritten.
-    pub fn with_manual_repost(
-        qp: &QueuePair,
-        depth: usize,
-        slot_len: usize,
-    ) -> Result<ReceiveRing> {
+    #[cfg(test)]
+    fn with_manual_repost(qp: &QueuePair, depth: usize, slot_len: usize) -> Result<ReceiveRing> {
         Self::build(
             RingBacking::Qp(qp.clone()),
             qp.pd().clone(),
@@ -261,13 +261,9 @@ impl ReceiveRing {
     }
 
     /// Slots currently posted (available for incoming messages).
-    pub fn posted_slots(&self) -> usize {
+    #[cfg(test)]
+    fn posted_slots(&self) -> usize {
         self.state.lock().posted()
-    }
-
-    /// Bytes currently stored in `slot` (meaningful after a two-sided SEND).
-    pub fn slot_bytes(&self, slot: usize) -> Result<Vec<u8>> {
-        self.region.read(slot * self.slot_len, self.slot_len)
     }
 
     /// Map a raw completion onto the ring: consume the slot it landed in and,
@@ -335,7 +331,8 @@ impl ReceiveRing {
     /// Receives posted *outside* the ring on the same queue pair must use
     /// `wr_id`s at or above the ring depth (`u64::MAX` is conventional), or
     /// their completions are indistinguishable from slot deliveries.
-    pub fn repost(&self, slot: usize) -> Result<()> {
+    #[cfg(test)]
+    fn repost(&self, slot: usize) -> Result<()> {
         self.state.lock().repost(slot)?;
         self.post_slot(slot)
     }
@@ -622,28 +619,6 @@ mod tests {
             })
             .unwrap_err();
         assert!(matches!(err, FabricError::UnsupportedOperation(_)));
-    }
-
-    #[test]
-    fn slot_bytes_expose_sent_data() {
-        let (client, server) = connected_pair();
-        let ring = ReceiveRing::with_manual_repost(&server, 1, 16).unwrap();
-        let src = client
-            .pd()
-            .register_from(b"ring-slot".to_vec(), AccessFlags::LOCAL_ONLY);
-        client
-            .post_send(
-                1,
-                SendRequest::Send {
-                    local: Sge::whole(&src),
-                },
-                false,
-            )
-            .unwrap();
-        let c = ring.poll_one().unwrap();
-        let slot = c.slot.unwrap();
-        assert_eq!(&ring.slot_bytes(slot).unwrap()[..9], b"ring-slot");
-        ring.repost(slot).unwrap();
     }
 
     proptest::proptest! {

@@ -29,27 +29,6 @@ pub enum OpCode {
     Recv,
 }
 
-impl OpCode {
-    /// Whether the operation requires a posted receive at the destination.
-    pub fn consumes_receive(self) -> bool {
-        matches!(self, OpCode::Send | OpCode::WriteWithImm)
-    }
-
-    /// Whether the operation carries payload from initiator to target.
-    pub fn moves_data_forward(self) -> bool {
-        matches!(self, OpCode::Send | OpCode::Write | OpCode::WriteWithImm)
-    }
-
-    /// Whether the operation must wait for a round trip before the initiator
-    /// sees its completion (reads and atomics return data).
-    pub fn is_round_trip(self) -> bool {
-        matches!(
-            self,
-            OpCode::Read | OpCode::AtomicFetchAdd | OpCode::AtomicCompareSwap
-        )
-    }
-}
-
 /// A local scatter/gather entry: a range of a registered memory region.
 #[derive(Debug, Clone)]
 pub struct Sge {
@@ -150,17 +129,6 @@ impl SendRequest {
         }
     }
 
-    /// Number of payload bytes moved over the wire by this request.
-    pub fn wire_len(&self) -> usize {
-        match self {
-            SendRequest::Send { local }
-            | SendRequest::Write { local, .. }
-            | SendRequest::WriteWithImm { local, .. }
-            | SendRequest::Read { local, .. } => local.len,
-            SendRequest::AtomicFetchAdd { .. } | SendRequest::AtomicCompareSwap { .. } => 8,
-        }
-    }
-
     /// The local scatter/gather entry of the request.
     pub fn local(&self) -> &Sge {
         match self {
@@ -230,18 +198,6 @@ impl WorkCompletion {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn opcode_classification() {
-        assert!(OpCode::Send.consumes_receive());
-        assert!(OpCode::WriteWithImm.consumes_receive());
-        assert!(!OpCode::Write.consumes_receive());
-        assert!(OpCode::Write.moves_data_forward());
-        assert!(!OpCode::Read.moves_data_forward());
-        assert!(OpCode::Read.is_round_trip());
-        assert!(OpCode::AtomicFetchAdd.is_round_trip());
-        assert!(!OpCode::Send.is_round_trip());
-    }
 
     #[test]
     fn completion_status() {

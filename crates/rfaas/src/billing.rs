@@ -74,19 +74,19 @@ impl BillingDatabase {
 
     /// Reserve a slot for a new lease. Slots are recycled only when the
     /// database wraps, which is fine for the simulated horizons.
-    pub fn reserve_slot(&self) -> usize {
+    pub(crate) fn reserve_slot(&self) -> usize {
         self.next_slot.fetch_add(1, Ordering::Relaxed) % SLOT_CAPACITY
     }
 
     /// Remote handle an executor needs to update `slot` with atomics.
-    pub fn slot_handle(&self, slot: usize) -> RemoteMemoryHandle {
+    pub(crate) fn slot_handle(&self, slot: usize) -> RemoteMemoryHandle {
         self.region
             .remote_handle_range(slot * WORDS_PER_SLOT * 8, WORDS_PER_SLOT * 8)
             .expect("billing slot within region")
     }
 
     /// Read the accumulated usage of a slot.
-    pub fn read_slot(&self, slot: usize) -> UsageRecord {
+    pub(crate) fn read_slot(&self, slot: usize) -> UsageRecord {
         let base = slot * WORDS_PER_SLOT * 8;
         UsageRecord {
             allocation_gib_us: self.region.read_u64(base).expect("slot in range"),
@@ -106,7 +106,7 @@ impl BillingDatabase {
 /// Executor-side billing client: accumulates usage locally and flushes it to
 /// the manager's database with RDMA fetch-and-add.
 #[derive(Debug)]
-pub struct BillingClient {
+pub(crate) struct BillingClient {
     qp: QueuePair,
     slot: RemoteMemoryHandle,
     scratch: MemoryRegion,
@@ -114,7 +114,6 @@ pub struct BillingClient {
     /// compute, hot-poll): recording is a local fetch-and-add, like the
     /// remote one the flush performs.
     pending: [AtomicU64; WORDS_PER_SLOT],
-    flushes: AtomicU64,
 }
 
 impl BillingClient {
@@ -127,7 +126,6 @@ impl BillingClient {
             slot,
             scratch,
             pending: Default::default(),
-            flushes: AtomicU64::new(0),
         }
     }
 
@@ -142,7 +140,7 @@ impl BillingClient {
     }
 
     /// Record compute time.
-    pub fn record_compute(&self, time: SimDuration) {
+    pub(crate) fn record_compute(&self, time: SimDuration) {
         self.record(UsageRecord {
             compute_us: time.as_micros_f64().round() as u64,
             ..UsageRecord::default()
@@ -150,7 +148,7 @@ impl BillingClient {
     }
 
     /// Record hot-polling time.
-    pub fn record_hot_poll(&self, time: SimDuration) {
+    pub(crate) fn record_hot_poll(&self, time: SimDuration) {
         self.record(UsageRecord {
             hot_poll_us: time.as_micros_f64().round() as u64,
             ..UsageRecord::default()
@@ -158,7 +156,7 @@ impl BillingClient {
     }
 
     /// Record allocation time for `memory_mib` of leased memory.
-    pub fn record_allocation(&self, time: SimDuration, memory_mib: u64) {
+    pub(crate) fn record_allocation(&self, time: SimDuration, memory_mib: u64) {
         let gib = memory_mib as f64 / 1024.0;
         self.record(UsageRecord {
             allocation_gib_us: (time.as_micros_f64() * gib).round() as u64,
@@ -198,13 +196,7 @@ impl BillingClient {
         for _ in 0..posted {
             cq.poll_one();
         }
-        self.flushes.fetch_add(1, Ordering::Relaxed);
         Ok(())
-    }
-
-    /// Number of flushes performed (used by tests and accounting reports).
-    pub fn flush_count(&self) -> u64 {
-        self.flushes.load(Ordering::Relaxed)
     }
 }
 
@@ -283,7 +275,6 @@ mod tests {
         client.record_compute(SimDuration::from_millis(1));
         client.flush().unwrap();
         assert_eq!(db.read_slot(0).compute_us, 5_000);
-        assert_eq!(client.flush_count(), 2);
     }
 
     #[test]
@@ -291,7 +282,6 @@ mod tests {
         let (db, client) = setup();
         client.flush().unwrap();
         assert!(db.read_slot(0).is_empty());
-        assert_eq!(client.flush_count(), 0);
     }
 
     #[test]

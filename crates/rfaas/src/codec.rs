@@ -118,7 +118,8 @@ impl<'a> F64View<'a> {
 
     /// Element `i`, if in bounds.
     pub fn get(&self, i: usize) -> Option<f64> {
-        let chunk = self.bytes.get(i * 8..i * 8 + 8)?;
+        let start = i.checked_mul(8)?;
+        let chunk = self.bytes.get(start..start.checked_add(8)?)?;
         Some(f64::from_le_bytes(chunk.try_into().expect("8-byte chunk")))
     }
 
@@ -230,6 +231,9 @@ mod tests {
         assert!(!view.is_empty());
         assert_eq!(view.get(1), Some(-3.0));
         assert_eq!(view.get(3), None);
+        // Offsets past `usize::MAX` are out of bounds, not wrapped.
+        assert_eq!(view.get(usize::MAX / 8), None);
+        assert_eq!(view.get(usize::MAX / 8 + 1), None);
         assert_eq!(view.iter().sum::<f64>(), 39.5);
         assert_eq!(view.to_vec(), values.to_vec());
         assert!(matches!(

@@ -141,7 +141,7 @@ impl ForkFaultState {
 /// window that *borrows* them from that cache, and writes dirty read-write
 /// keys back after completion, so the function body itself never takes a
 /// control-plane round trip and a cache-hit read moves no value bytes.
-pub struct ExecutorStateBinding {
+pub(crate) struct ExecutorStateBinding {
     client: StateClient,
     specs: BTreeMap<String, StateSpec>,
 }
@@ -315,7 +315,7 @@ impl LeaseDeadline {
     }
 
     /// Whether the lease has expired at `now`.
-    pub fn is_expired(&self, now: SimTime) -> bool {
+    pub(crate) fn is_expired(&self, now: SimTime) -> bool {
         now >= self.expires_at()
     }
 }
@@ -323,24 +323,19 @@ impl LeaseDeadline {
 /// A CPU core shared between workers; warm invocations must acquire it
 /// exclusively, hot workers hold it for their whole lifetime (Fig. 6).
 #[derive(Debug, Default)]
-pub struct CoreSlot {
+pub(crate) struct CoreSlot {
     busy: AtomicBool,
 }
 
 impl CoreSlot {
     /// Try to take exclusive ownership of the core.
-    pub fn try_acquire(&self) -> bool {
+    pub(crate) fn try_acquire(&self) -> bool {
         !self.busy.swap(true, Ordering::AcqRel)
     }
 
     /// Release the core.
     pub fn release(&self) {
         self.busy.store(false, Ordering::Release);
-    }
-
-    /// Whether the core is currently held.
-    pub fn is_busy(&self) -> bool {
-        self.busy.load(Ordering::Acquire)
     }
 }
 
@@ -455,13 +450,6 @@ impl WorkerHandle {
     /// The worker's virtual clock (its latest observed virtual time).
     pub fn clock(&self) -> &Arc<VirtualClock> {
         &self.shared.clock
-    }
-
-    /// Change the polling mode (hot ↔ warm switch, Sec. III-C).
-    pub fn set_mode(&self, mode: PollingMode) {
-        self.shared.mode.store(mode);
-        // The next sweep takes or releases the worker's core.
-        self.wake.signal();
     }
 
     /// Current polling mode.
@@ -1131,11 +1119,6 @@ impl ExecutorProcess {
         &self.workers
     }
 
-    /// Cores reserved from the node pool for this process.
-    pub fn leased_cores(&self) -> u32 {
-        self.leased_cores
-    }
-
     /// The (renewable) lease deadline shared with this process's workers.
     pub fn deadline(&self) -> &Arc<LeaseDeadline> {
         &self.deadline
@@ -1156,13 +1139,13 @@ impl ExecutorProcess {
     }
 
     /// Fault state of a forked process (`None` for cold/warm provisioning).
-    pub fn fork_state(&self) -> Option<Arc<ForkFaultState>> {
+    pub(crate) fn fork_state(&self) -> Option<Arc<ForkFaultState>> {
         self.fork.clone()
     }
 
     /// Client-side counters of the process's state-plane attachment
     /// (`None` when no plane is attached).
-    pub fn state_stats(&self) -> Option<StateClientStats> {
+    pub(crate) fn state_stats(&self) -> Option<StateClientStats> {
         self.dispatcher
             .0
             .lock()
@@ -1178,7 +1161,7 @@ impl ExecutorProcess {
     }
 
     /// Latest virtual time observed by any worker of this process.
-    pub fn latest_worker_time(&self) -> SimTime {
+    pub(crate) fn latest_worker_time(&self) -> SimTime {
         self.workers
             .iter()
             .map(|w| w.clock().now())
@@ -1286,13 +1269,13 @@ impl LightweightAllocator {
 
     /// Force the setup of the `index`-th worker of the next allocation to
     /// fail (testing hook for the rollback path).
-    #[doc(hidden)]
-    pub fn inject_spawn_failure(&self, index: usize) {
+    #[cfg(test)]
+    pub(crate) fn inject_spawn_failure(&self, index: usize) {
         self.spawn_fail_at.store(index, Ordering::Release);
     }
 
     /// Attach the billing client created by the resource manager.
-    pub fn attach_billing(&self, billing: Arc<BillingClient>) {
+    pub(crate) fn attach_billing(&self, billing: Arc<BillingClient>) {
         *self.billing.lock() = Some(billing);
     }
 
@@ -1302,7 +1285,8 @@ impl LightweightAllocator {
     }
 
     /// Number of live executor processes.
-    pub fn process_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn process_count(&self) -> usize {
         self.state.lock().processes.len()
     }
 
@@ -1332,7 +1316,7 @@ impl LightweightAllocator {
     /// Allocate under an explicit [`AllocationPolicy`]: the fork and
     /// warm-pool tiers consult the executor's [`WarmPool`] before paying for
     /// a full `Sandbox::spawn`, and fall back to the cold path on a miss.
-    pub fn allocate_with_policy(
+    pub(crate) fn allocate_with_policy(
         &self,
         lease: &Lease,
         workers: usize,
@@ -1603,7 +1587,7 @@ impl LightweightAllocator {
     /// Depth high watermark of one process's shared receive queue: the peak
     /// number of receive slots simultaneously in flight across every worker
     /// connection of the process. Zero for an unknown process.
-    pub fn srq_high_watermark(&self, process_id: u64) -> usize {
+    pub(crate) fn srq_high_watermark(&self, process_id: u64) -> usize {
         self.srq_stats(process_id)
             .map(|s| s.depth_high_watermark)
             .unwrap_or(0)
@@ -1616,14 +1600,14 @@ impl LightweightAllocator {
 
     /// Fault state of a forked process (`None` for unknown processes or
     /// cold/warm provisioning).
-    pub fn fork_state(&self, process_id: u64) -> Option<Arc<ForkFaultState>> {
+    pub(crate) fn fork_state(&self, process_id: u64) -> Option<Arc<ForkFaultState>> {
         self.process(process_id).and_then(|p| p.lock().fork_state())
     }
 
     /// Attach a state-plane client to one executor process: stateful
     /// invocations dispatched to the process materialise their declared keys
     /// through it. Replaces any previous attachment.
-    pub fn attach_state_client(&self, process_id: u64, client: StateClient) -> Result<()> {
+    pub(crate) fn attach_state_client(&self, process_id: u64, client: StateClient) -> Result<()> {
         let process = self
             .process(process_id)
             .ok_or(RFaasError::UnknownLease(process_id))?;
@@ -1633,7 +1617,12 @@ impl LightweightAllocator {
 
     /// Register the declared key set of `function` on one process's state
     /// binding (bind-time validation already happened client-side).
-    pub fn bind_state_spec(&self, process_id: u64, function: &str, spec: StateSpec) -> Result<()> {
+    pub(crate) fn bind_state_spec(
+        &self,
+        process_id: u64,
+        function: &str,
+        spec: StateSpec,
+    ) -> Result<()> {
         let process = self
             .process(process_id)
             .ok_or(RFaasError::UnknownLease(process_id))?;
@@ -1649,7 +1638,7 @@ impl LightweightAllocator {
     }
 
     /// Client-side state counters of one process's plane attachment.
-    pub fn state_client_stats(&self, process_id: u64) -> Option<StateClientStats> {
+    pub(crate) fn state_client_stats(&self, process_id: u64) -> Option<StateClientStats> {
         self.process(process_id)
             .and_then(|p| p.lock().state_stats())
     }
@@ -1732,7 +1721,7 @@ impl LightweightAllocator {
     /// Deallocate processes whose lease deadline has passed at `now`,
     /// returning their reservations to the node pool. Returns the number of
     /// processes reaped.
-    pub fn reap_expired(&self, now: SimTime) -> usize {
+    pub(crate) fn reap_expired(&self, now: SimTime) -> usize {
         let expired_ids: Vec<u64> = {
             let state = self.state.lock();
             state
@@ -1763,7 +1752,7 @@ impl LightweightAllocator {
     /// Tear down every executor process without returning resources to the
     /// pool (the node itself was reclaimed or failed) and refuse future
     /// allocations. Returns the number of processes terminated.
-    pub fn terminate_all(&self) -> usize {
+    pub(crate) fn terminate_all(&self) -> usize {
         self.alive.store(false, Ordering::Release);
         let processes: Vec<Arc<OrderedMutex<ExecutorProcess>>> = {
             let mut state = self.state.lock();
@@ -1862,7 +1851,11 @@ impl SpotExecutor {
     /// manager every `interval`, Sec. III-B). Dead executors emit nothing —
     /// that silence is what the manager's failure detector keys on. Returns
     /// the heartbeat timestamp when one was emitted.
-    pub fn emit_heartbeat_if_due(&self, now: SimTime, interval: SimDuration) -> Option<SimTime> {
+    pub(crate) fn emit_heartbeat_if_due(
+        &self,
+        now: SimTime,
+        interval: SimDuration,
+    ) -> Option<SimTime> {
         if !self.is_alive() {
             return None;
         }
@@ -2122,9 +2115,7 @@ mod tests {
         let slot = CoreSlot::default();
         assert!(slot.try_acquire());
         assert!(!slot.try_acquire());
-        assert!(slot.is_busy());
         slot.release();
-        assert!(!slot.is_busy());
         assert!(slot.try_acquire());
     }
 
@@ -2208,24 +2199,6 @@ mod tests {
             .allocate_with_workers(&test_lease(1, "echo-pkg"), 0, PollingMode::Hot)
             .unwrap_err();
         assert!(matches!(err, RFaasError::Internal(_)));
-    }
-
-    #[test]
-    fn worker_mode_can_be_switched() {
-        let exec = executor();
-        let result = exec
-            .allocator()
-            .allocate(&test_lease(1, "echo-pkg"))
-            .unwrap();
-        let process = exec.allocator().process(result.process_id).unwrap();
-        {
-            let process = process.lock();
-            let worker = &process.workers()[0];
-            assert_eq!(worker.mode(), PollingMode::Hot);
-            worker.set_mode(PollingMode::Warm);
-            assert_eq!(worker.mode(), PollingMode::Warm);
-        }
-        exec.allocator().deallocate(result.process_id).unwrap();
     }
 
     #[test]

@@ -71,7 +71,7 @@ pub mod reactor;
 pub mod session;
 pub mod sharding;
 
-pub use billing::{BillingClient, BillingDatabase, UsageRecord};
+pub use billing::{BillingDatabase, UsageRecord};
 pub use client::{BatchStats, ColdStartBreakdown, ConnectionPlaneStats};
 pub use codec::{check_capacity, Codec, F64View};
 pub use config::{
@@ -79,9 +79,8 @@ pub use config::{
 };
 pub use error::{RFaasError, Result};
 pub use executor::{
-    AllocationBreakdown, AllocationPolicy, AllocationResult, CoreSlot, ExecutorProcess,
-    ExecutorStateBinding, ForkFaultState, LeaseDeadline, LightweightAllocator, SpotExecutor,
-    WorkerEndpointInfo, WorkerStats,
+    AllocationBreakdown, AllocationPolicy, AllocationResult, ExecutorProcess, ForkFaultState,
+    LeaseDeadline, LightweightAllocator, SpotExecutor, WorkerEndpointInfo, WorkerStats,
 };
 pub use lifecycle::{GroupLifecycleDriver, LifecycleDriver, LifecycleStats};
 pub use manager::ResourceManager;
@@ -94,7 +93,7 @@ pub use session::{
     AllocationBuilder, CompletionSet, FunctionHandle, Session, SessionState, SessionStats,
     TypedFuture,
 };
-pub use sharding::{stable_hash, HashRing, ManagerGroup};
+pub use sharding::{HashRing, ManagerGroup};
 // The state plane is part of the client surface (builder knob, `with_state`
 // declarations, `Session::state`), so its vocabulary types are re-exported.
 pub use state_plane::{

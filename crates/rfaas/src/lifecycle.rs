@@ -171,11 +171,6 @@ impl GroupLifecycleDriver {
         }
         total
     }
-
-    /// Cumulative counters per shard, in shard order.
-    pub fn shard_totals(&self) -> Vec<LifecycleStats> {
-        self.drivers.iter().map(|d| d.total()).collect()
-    }
 }
 
 #[cfg(test)]
@@ -323,12 +318,5 @@ mod tests {
         assert_eq!(delta.leases_expired, 1);
         assert_eq!(group.lease_count(), 0);
         assert!(group.lease(lease.id).is_none());
-        // Per-shard totals sum to the plane-wide total.
-        let totals = driver.shard_totals();
-        assert_eq!(totals.len(), 3);
-        assert_eq!(
-            totals.iter().map(|t| t.heartbeats).sum::<u64>(),
-            driver.total().heartbeats
-        );
     }
 }

@@ -88,17 +88,7 @@ impl std::fmt::Debug for ResourceManager {
 impl ResourceManager {
     /// Create a manager attached to `fabric` on its own node.
     pub fn new(fabric: &Arc<Fabric>, config: RFaasConfig) -> Arc<ResourceManager> {
-        Self::with_name(fabric, config, "resource-manager")
-    }
-
-    /// Create a manager on an explicitly named node (used when running a
-    /// replicated manager group).
-    pub fn with_name(
-        fabric: &Arc<Fabric>,
-        config: RFaasConfig,
-        node_name: &str,
-    ) -> Arc<ResourceManager> {
-        Self::with_lease_namespace(fabric, config, node_name, 1, 1)
+        Self::with_lease_namespace(fabric, config, "resource-manager", 1, 1)
     }
 
     /// Create a manager issuing lease ids `first_lease_id, first_lease_id +
@@ -106,7 +96,7 @@ impl ResourceManager {
     /// residue class so leases stay globally unique and O(1) routable.
     ///
     /// [`ManagerGroup`]: crate::sharding::ManagerGroup
-    pub fn with_lease_namespace(
+    pub(crate) fn with_lease_namespace(
         fabric: &Arc<Fabric>,
         config: RFaasConfig,
         node_name: &str,
@@ -219,7 +209,7 @@ impl ResourceManager {
     }
 
     /// All currently registered executors, in deterministic (name) order.
-    pub fn registered_executors(&self) -> Vec<Arc<SpotExecutor>> {
+    pub(crate) fn registered_executors(&self) -> Vec<Arc<SpotExecutor>> {
         self.state
             .lock()
             .executors
@@ -263,7 +253,7 @@ impl ResourceManager {
     /// (or denied) and answered at the sender's reply address. Returns how
     /// many frames were handled. Malformed or unexpected frames are dropped —
     /// an unreliable transport cannot promise the sender a diagnosis anyway.
-    pub fn poll_control(&self) -> usize {
+    pub(crate) fn poll_control(&self) -> usize {
         let mut state = self.state.lock();
         let mut handled = 0;
         while let Some(msg) = state.control.try_recv() {
@@ -355,7 +345,7 @@ impl ResourceManager {
     /// charging the renewal processing cost on both clocks. Fails if the
     /// lease no longer exists or its executor was deregistered — the client
     /// must then re-allocate.
-    pub fn renew_lease(
+    pub(crate) fn renew_lease(
         &self,
         lease_id: u64,
         extension: SimDuration,

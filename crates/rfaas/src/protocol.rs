@@ -37,7 +37,7 @@ pub struct InvocationHeader {
 
 impl InvocationHeader {
     /// Build a header pointing at the client-side result buffer.
-    pub fn for_result_buffer(handle: &RemoteMemoryHandle) -> InvocationHeader {
+    pub(crate) fn for_result_buffer(handle: &RemoteMemoryHandle) -> InvocationHeader {
         InvocationHeader {
             result_rkey: handle.rkey,
             result_offset: handle.offset as u64,
@@ -70,7 +70,7 @@ impl InvocationHeader {
     }
 
     /// The remote handle this header points at.
-    pub fn result_handle(&self) -> RemoteMemoryHandle {
+    pub(crate) fn result_handle(&self) -> RemoteMemoryHandle {
         RemoteMemoryHandle {
             rkey: self.result_rkey,
             offset: self.result_offset as usize,
@@ -174,7 +174,7 @@ impl LeaseRequest {
     }
 
     /// Builder-style override of the sandbox type.
-    pub fn with_sandbox(mut self, sandbox: SandboxType) -> LeaseRequest {
+    pub(crate) fn with_sandbox(mut self, sandbox: SandboxType) -> LeaseRequest {
         self.sandbox = sandbox;
         self
     }
@@ -209,7 +209,7 @@ pub struct Lease {
 
 impl Lease {
     /// Whether the lease is still valid at `now`.
-    pub fn is_valid_at(&self, now: SimTime) -> bool {
+    pub(crate) fn is_valid_at(&self, now: SimTime) -> bool {
         now < self.expires_at
     }
 }

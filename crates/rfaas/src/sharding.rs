@@ -33,7 +33,7 @@ use crate::protocol::{Lease, LeaseRequest};
 /// stability, not collision resistance — but raw FNV-1a of short, similar
 /// keys ("shard-0#vnode-17", "tenant-00042") clusters badly in the high bits
 /// that order a u64 ring, so the finalizer avalanche is load-bearing.
-pub fn stable_hash(key: &str) -> u64 {
+pub(crate) fn stable_hash(key: &str) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for byte in key.as_bytes() {
         hash ^= *byte as u64;
@@ -77,7 +77,7 @@ impl HashRing {
 
     /// The shard owning `key`: the first ring point at or after the key's
     /// position, wrapping around at the top.
-    pub fn shard_for(&self, key: &str) -> usize {
+    pub(crate) fn shard_for(&self, key: &str) -> usize {
         let position = stable_hash(key);
         let idx = self.points.partition_point(|p| p.0 < position);
         self.points[idx % self.points.len()].1
@@ -97,7 +97,7 @@ impl ManagerGroup {
     /// Virtual nodes per shard on the placement ring. 64 keeps the maximum
     /// shard imbalance under ~20% for realistic fleet sizes while the ring
     /// stays small enough to rebuild per experiment.
-    pub const VNODES_PER_SHARD: usize = 64;
+    const VNODES_PER_SHARD: usize = 64;
 
     /// Create `shards` manager replicas on the same fabric, each with a
     /// disjoint lease-id namespace (shard `i` issues `i+1, i+1+S, ...`).

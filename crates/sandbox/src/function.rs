@@ -76,25 +76,6 @@ pub trait StateAccess {
     fn write(&mut self, key: &str) -> Result<&mut Vec<u8>, FunctionError>;
 }
 
-/// A [`StateAccess`] window over nothing — every access fails. Used when a
-/// stateful function is dispatched without declared state.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoState;
-
-impl StateAccess for NoState {
-    fn read(&self, key: &str) -> Result<&[u8], FunctionError> {
-        Err(FunctionError::StateAccess(format!(
-            "key '{key}' was not declared by this binding"
-        )))
-    }
-
-    fn write(&mut self, key: &str) -> Result<&mut Vec<u8>, FunctionError> {
-        Err(FunctionError::StateAccess(format!(
-            "key '{key}' was not declared by this binding"
-        )))
-    }
-}
-
 /// A serverless function body.
 ///
 /// Implementations must be thread-safe: rFaaS executors run one function
@@ -272,21 +253,6 @@ pub fn echo_function() -> SharedFunction {
     })
 }
 
-/// A function that returns a fixed-size all-zero payload regardless of input,
-/// used by tests that need asymmetric input/output sizes.
-pub fn zeros_function(output_len: usize) -> SharedFunction {
-    SharedFunction::from_fn("zeros", move |_input, output| {
-        if output.len() < output_len {
-            return Err(FunctionError::OutputTooLarge {
-                required: output_len,
-                capacity: output.len(),
-            });
-        }
-        output[..output_len].fill(0);
-        Ok(output_len)
-    })
-}
-
 /// A function that always fails, used by fault-injection tests.
 pub fn failing_function(message: &str) -> SharedFunction {
     let message = message.to_string();
@@ -298,6 +264,23 @@ pub fn failing_function(message: &str) -> SharedFunction {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A [`StateAccess`] window over nothing: every access fails.
+    struct NoState;
+
+    impl StateAccess for NoState {
+        fn read(&self, key: &str) -> Result<&[u8], FunctionError> {
+            Err(FunctionError::StateAccess(format!(
+                "key '{key}' was not declared by this binding"
+            )))
+        }
+
+        fn write(&mut self, key: &str) -> Result<&mut Vec<u8>, FunctionError> {
+            Err(FunctionError::StateAccess(format!(
+                "key '{key}' was not declared by this binding"
+            )))
+        }
+    }
 
     #[test]
     fn echo_copies_input_to_output() {
@@ -323,16 +306,6 @@ mod tests {
                 capacity: 8
             }
         ));
-    }
-
-    #[test]
-    fn zeros_ignores_input() {
-        let f = zeros_function(10);
-        let mut output = vec![0xFFu8; 16];
-        let n = f.invoke(&[1, 2, 3], &mut output).unwrap();
-        assert_eq!(n, 10);
-        assert_eq!(&output[..10], &[0u8; 10]);
-        assert_eq!(output[10], 0xFF);
     }
 
     #[test]

@@ -22,10 +22,10 @@ pub mod snapshot;
 pub mod warm_pool;
 
 pub use function::{
-    echo_function, failing_function, zeros_function, FunctionError, FunctionOutcome, NoState,
-    RemoteFunction, SharedFunction, StateAccess,
+    echo_function, failing_function, FunctionError, FunctionOutcome, RemoteFunction,
+    SharedFunction, StateAccess,
 };
 pub use registry::{CodePackage, FunctionRegistry, ImageInfo, ImageRegistry};
-pub use sandbox::{Sandbox, SandboxProfile, SandboxState, SandboxType, SpawnBreakdown};
-pub use snapshot::{FaultTracker, SandboxSnapshot, EXECUTOR_RESIDENT_BYTES, SNAPSHOT_PAGE_BYTES};
+pub use sandbox::{Sandbox, SandboxState, SandboxType, SpawnBreakdown};
+pub use snapshot::{FaultTracker, SandboxSnapshot, SNAPSHOT_PAGE_BYTES};
 pub use warm_pool::{WarmParent, WarmPool};

@@ -106,11 +106,6 @@ impl FunctionRegistry {
         self.packages.read().get(name).cloned()
     }
 
-    /// Remove a package; returns whether it existed.
-    pub fn undeploy(&self, name: &str) -> bool {
-        self.packages.write().remove(name).is_some()
-    }
-
     /// Number of deployed packages.
     pub fn len(&self) -> usize {
         self.packages.read().len()
@@ -182,12 +177,12 @@ impl ImageRegistry {
     }
 
     /// Mark an image as present in the node-local cache.
-    pub fn mark_cached(&self, name: &str) {
+    fn mark_cached(&self, name: &str) {
         self.cached.write().insert(name.to_string(), true);
     }
 
     /// Whether the image is cached locally.
-    pub fn is_cached(&self, name: &str) -> bool {
+    fn is_cached(&self, name: &str) -> bool {
         self.cached.read().get(name).copied().unwrap_or(false)
     }
 
@@ -198,7 +193,7 @@ impl ImageRegistry {
 
     /// Cost of making the image available on a node: zero if cached, a pull
     /// over the registry link otherwise (and the image becomes cached).
-    pub fn pull_cost(&self, name: &str) -> SimDuration {
+    pub(crate) fn pull_cost(&self, name: &str) -> SimDuration {
         if self.is_cached(name) {
             return SimDuration::ZERO;
         }
@@ -214,20 +209,20 @@ impl ImageRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::function::{echo_function, zeros_function};
+    use crate::function::{echo_function, failing_function};
 
     #[test]
     fn package_indexing_matches_registration_order() {
         let pkg = CodePackage::minimal("bench")
             .with_function(echo_function())
-            .with_function(zeros_function(8));
+            .with_function(failing_function("boom"));
         assert_eq!(pkg.functions().len(), 2);
         assert_eq!(pkg.function_by_index(0).unwrap().name(), "echo");
-        assert_eq!(pkg.function_by_index(1).unwrap().name(), "zeros");
+        assert_eq!(pkg.function_by_index(1).unwrap().name(), "always-fails");
         assert!(pkg.function_by_index(2).is_none());
-        let (idx, f) = pkg.function_by_name("zeros").unwrap();
+        let (idx, f) = pkg.function_by_name("always-fails").unwrap();
         assert_eq!(idx, 1);
-        assert_eq!(f.name(), "zeros");
+        assert_eq!(f.name(), "always-fails");
         assert!(pkg.function_by_name("missing").is_none());
     }
 
@@ -239,7 +234,7 @@ mod tests {
     }
 
     #[test]
-    fn registry_deploy_fetch_undeploy() {
+    fn registry_deploy_fetch() {
         let reg = FunctionRegistry::new();
         assert!(reg.is_empty());
         reg.deploy(CodePackage::minimal("a").with_function(echo_function()));
@@ -247,9 +242,6 @@ mod tests {
         assert_eq!(reg.len(), 2);
         assert_eq!(reg.fetch("a").unwrap().functions().len(), 1);
         assert!(reg.fetch("missing").is_none());
-        assert!(reg.undeploy("b"));
-        assert!(!reg.undeploy("b"));
-        assert_eq!(reg.len(), 1);
     }
 
     #[test]

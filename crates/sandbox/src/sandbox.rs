@@ -44,7 +44,7 @@ impl SandboxType {
 
 /// Cost model of one sandbox type.
 #[derive(Debug, Clone)]
-pub struct SandboxProfile {
+pub(crate) struct SandboxProfile {
     /// Which sandbox technology this profile describes.
     pub sandbox_type: SandboxType,
     /// Fixed cost of creating the sandbox (namespace/daemon/VM setup).
@@ -68,7 +68,7 @@ impl SandboxProfile {
     /// Cost profile for the given sandbox type, calibrated to Fig. 9: a
     /// bare-metal executor spawns in tens of milliseconds, a Docker container
     /// with the SR-IOV plugin needs ~2.7 s.
-    pub fn for_type(sandbox_type: SandboxType) -> SandboxProfile {
+    pub(crate) fn for_type(sandbox_type: SandboxType) -> SandboxProfile {
         match sandbox_type {
             SandboxType::BareMetal => SandboxProfile {
                 sandbox_type,
@@ -105,17 +105,11 @@ impl SandboxProfile {
         }
     }
 
-    /// Total worker-spawn cost for `workers` worker threads, including the
-    /// sandbox creation and executor start.
-    pub fn spawn_cost(&self, workers: usize) -> SimDuration {
-        self.create_cost + self.executor_start_cost + self.per_worker_cost * workers as u64
-    }
-
     /// Setup cost of forking a child with `workers` worker threads from a
     /// warm parent. The child's worker threads re-arm inherited QP state
     /// instead of building it (a fraction of `per_worker_cost`); memory is
     /// not copied at all — pages fault in lazily over RDMA afterwards.
-    pub fn fork_setup_cost(&self, workers: usize) -> SimDuration {
+    pub(crate) fn fork_setup_cost(&self, workers: usize) -> SimDuration {
         self.fork_cost + SimDuration::from_micros(2) * workers as u64
     }
 }
@@ -260,7 +254,7 @@ impl Sandbox {
 
     /// Pause the sandbox (keep it warm while idle). Only a running sandbox
     /// can be paused.
-    pub fn pause(&mut self) -> bool {
+    pub(crate) fn pause(&mut self) -> bool {
         if self.state == SandboxState::Running {
             self.state = SandboxState::Paused;
             true
@@ -302,6 +296,15 @@ mod tests {
     use super::*;
     use crate::registry::ImageRegistry;
 
+    /// Cold-spawn cost of a one-worker sandbox of `sandbox_type` from a
+    /// cached image.
+    fn spawn_cost(sandbox_type: SandboxType) -> SimDuration {
+        let images = ImageRegistry::new();
+        Sandbox::spawn(sandbox_type, 1, 1 << 20, &images, "ubuntu:20.04")
+            .1
+            .total()
+    }
+
     #[test]
     fn bare_metal_spawn_is_tens_of_milliseconds() {
         let images = ImageRegistry::new();
@@ -336,10 +339,10 @@ mod tests {
 
     #[test]
     fn sandbox_types_ranked_by_isolation_cost() {
-        let bare = SandboxProfile::for_type(SandboxType::BareMetal).spawn_cost(1);
-        let singularity = SandboxProfile::for_type(SandboxType::Singularity).spawn_cost(1);
-        let microvm = SandboxProfile::for_type(SandboxType::MicroVm).spawn_cost(1);
-        let docker = SandboxProfile::for_type(SandboxType::Docker).spawn_cost(1);
+        let bare = spawn_cost(SandboxType::BareMetal);
+        let singularity = spawn_cost(SandboxType::Singularity);
+        let microvm = spawn_cost(SandboxType::MicroVm);
+        let docker = spawn_cost(SandboxType::Docker);
         assert!(bare < microvm);
         assert!(microvm < singularity || singularity < docker);
         assert!(singularity < docker);
@@ -408,7 +411,7 @@ mod tests {
         let resume = sb.resume().expect("paused sandbox resumes");
         // Resume is the warm tier: far below any spawn, well above zero.
         assert_eq!(resume, SimDuration::from_micros(150));
-        assert!(resume < SandboxProfile::for_type(SandboxType::BareMetal).spawn_cost(1));
+        assert!(resume < spawn_cost(SandboxType::BareMetal));
         // Back-to-back resume without an intervening pause bills nothing.
         assert!(sb.resume().is_none());
         assert!(sb.pause());
@@ -449,7 +452,7 @@ mod tests {
             );
             // The whole point of the fork tier: orders of magnitude under a
             // cold spawn of the same sandbox type.
-            assert!(profile.spawn_cost(1).as_micros_f64() / fork.as_micros_f64() > 100.0);
+            assert!(spawn_cost(sandbox_type).as_micros_f64() / fork.as_micros_f64() > 100.0);
         }
     }
 

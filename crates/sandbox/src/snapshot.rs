@@ -21,7 +21,7 @@ pub const SNAPSHOT_PAGE_BYTES: usize = 4096;
 /// Resident set of the executor process itself (heap, registered buffers,
 /// loader state) beyond the function package — what a fork must eventually
 /// fault in even for a minimal package.
-pub const EXECUTOR_RESIDENT_BYTES: usize = 512 * 1024;
+pub(crate) const EXECUTOR_RESIDENT_BYTES: usize = 512 * 1024;
 
 /// Parent state captured at a virtual-time point, from which children fork.
 #[derive(Debug, Clone)]
@@ -29,14 +29,15 @@ pub struct SandboxSnapshot {
     sandbox_type: SandboxType,
     package: CodePackage,
     memory_bytes: u64,
+    /// Bytes resident at capture time (what a child must fault).
     resident_bytes: u64,
-    captured_at: SimTime,
 }
 
 impl SandboxSnapshot {
-    /// Capture a snapshot of `sandbox` at `now`. Only a live (running or
-    /// paused) sandbox with a loaded package can serve as a fork parent.
-    pub fn capture(sandbox: &Sandbox, now: SimTime) -> Option<SandboxSnapshot> {
+    /// Capture a snapshot of `sandbox`; the page map does not depend on the
+    /// capture instant `_now`. Only a live (running or paused) sandbox with
+    /// a loaded package can serve as a fork parent.
+    pub fn capture(sandbox: &Sandbox, _now: SimTime) -> Option<SandboxSnapshot> {
         if !matches!(
             sandbox.state(),
             SandboxState::Running | SandboxState::Paused
@@ -50,7 +51,6 @@ impl SandboxSnapshot {
             package,
             memory_bytes: sandbox.memory_bytes(),
             resident_bytes,
-            captured_at: now,
         })
     }
 
@@ -67,16 +67,6 @@ impl SandboxSnapshot {
     /// Leased memory of the parent in bytes.
     pub fn memory_bytes(&self) -> u64 {
         self.memory_bytes
-    }
-
-    /// Bytes actually resident at capture time (what a child must fault).
-    pub fn resident_bytes(&self) -> u64 {
-        self.resident_bytes
-    }
-
-    /// Virtual time the snapshot was taken.
-    pub fn captured_at(&self) -> SimTime {
-        self.captured_at
     }
 
     /// Number of pages in the snapshot's page map.
@@ -162,11 +152,6 @@ impl FaultTracker {
         self.faulted_count
     }
 
-    /// Pages still cold.
-    pub fn remaining(&self) -> usize {
-        self.total_pages - self.faulted_count
-    }
-
     /// Whether every page is resident.
     pub fn is_complete(&self) -> bool {
         self.faulted_count == self.total_pages
@@ -208,7 +193,6 @@ mod tests {
         let expected =
             (EXECUTOR_RESIDENT_BYTES + snap.package().binary_bytes()).div_ceil(SNAPSHOT_PAGE_BYTES);
         assert_eq!(snap.total_pages(), expected);
-        assert_eq!(snap.captured_at(), SimTime::from_secs(3));
         assert_eq!(snap.sandbox_type(), SandboxType::BareMetal);
     }
 
@@ -236,7 +220,7 @@ mod tests {
         // window's worth of cold pages.
         assert_eq!(tracker.fault_next_window(4), Some((0, 4)));
         assert_eq!(tracker.faulted_count(), 5);
-        assert_eq!(tracker.remaining(), 5);
+        assert_eq!(tracker.total_pages() - tracker.faulted_count(), 5);
     }
 
     #[test]
@@ -287,7 +271,7 @@ mod tests {
                 }
                 proptest::prop_assert_eq!(tracker.faulted_count(), model.len());
                 proptest::prop_assert_eq!(
-                    tracker.remaining(),
+                    tracker.total_pages() - tracker.faulted_count(),
                     total - tracker.faulted_count()
                 );
             }
@@ -323,7 +307,7 @@ mod tests {
             }
             proptest::prop_assert_eq!(drained, total);
             proptest::prop_assert!(tracker.is_complete());
-            proptest::prop_assert_eq!(tracker.remaining(), 0);
+            proptest::prop_assert_eq!(tracker.total_pages() - tracker.faulted_count(), 0);
         }
     }
 }

@@ -108,19 +108,6 @@ impl LatencyHistogram {
         self.percentile(50.0)
     }
 
-    /// Merge another histogram into this one.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += *b;
-        }
-        self.count += other.count;
-        self.sum_ns += other.sum_ns;
-        if other.count > 0 {
-            self.min_ns = self.min_ns.min(other.min_ns);
-            self.max_ns = self.max_ns.max(other.max_ns);
-        }
-    }
-
     fn bucket_index(ns: u64) -> usize {
         if ns < SUB_BUCKETS as u64 {
             return ns as usize;
@@ -205,18 +192,6 @@ mod tests {
         assert!((p50 - 50_000.0).abs() / 50_000.0 < 0.07, "p50 {p50}");
         let p99 = h.percentile(99.0).as_nanos() as f64;
         assert!((p99 - 99_000.0).abs() / 99_000.0 < 0.07, "p99 {p99}");
-    }
-
-    #[test]
-    fn merge_combines_counts_and_extrema() {
-        let mut a = LatencyHistogram::new();
-        let mut b = LatencyHistogram::new();
-        a.record(SimDuration::from_nanos(100));
-        b.record(SimDuration::from_nanos(1_000_000));
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.min().as_nanos(), 100);
-        assert_eq!(a.max().as_nanos(), 1_000_000);
     }
 
     #[test]

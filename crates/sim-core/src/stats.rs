@@ -18,18 +18,6 @@ pub struct ConfidenceInterval {
     pub level: f64,
 }
 
-impl ConfidenceInterval {
-    /// Width of the interval.
-    pub fn width(&self) -> f64 {
-        self.upper - self.lower
-    }
-
-    /// Whether `value` lies inside the interval (inclusive).
-    pub fn contains(&self, value: f64) -> bool {
-        value >= self.lower && value <= self.upper
-    }
-}
-
 /// Summary statistics for one experiment series.
 #[derive(Debug, Clone)]
 pub struct Summary {
@@ -125,16 +113,10 @@ fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
     }
 }
 
-/// Non-parametric confidence interval of the median using the binomial
-/// order-statistic method (the estimator the paper cites for its tight <1%
-/// interval bounds). For small n the interval degenerates to the full range.
-pub fn median_confidence_interval(samples: &[f64], level: f64) -> ConfidenceInterval {
-    assert!(!samples.is_empty());
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
-    median_ci_sorted(&sorted, level)
-}
-
+/// Non-parametric confidence interval of the median of `sorted` using the
+/// binomial order-statistic method (the estimator the paper cites for its
+/// tight <1% interval bounds). For small n the interval degenerates to the
+/// full range.
 fn median_ci_sorted(sorted: &[f64], level: f64) -> ConfidenceInterval {
     let n = sorted.len();
     if n < 5 {
@@ -221,16 +203,16 @@ mod tests {
     #[test]
     fn ci_contains_median_for_tight_distribution() {
         let xs: Vec<f64> = (0..1_000).map(|i| 100.0 + (i % 10) as f64 * 0.01).collect();
-        let ci = median_confidence_interval(&xs, 0.95);
+        let ci = Summary::of(&xs).median_ci95;
         let m = median(&xs);
-        assert!(ci.contains(m));
+        assert!(ci.lower <= m && m <= ci.upper);
         // The paper reports interval bounds within 1% of the median.
-        assert!(ci.width() / m < 0.01);
+        assert!((ci.upper - ci.lower) / m < 0.01);
     }
 
     #[test]
     fn ci_small_sample_degenerates_to_range() {
-        let ci = median_confidence_interval(&[1.0, 2.0, 3.0], 0.95);
+        let ci = Summary::of(&[1.0, 2.0, 3.0]).median_ci95;
         assert_eq!(ci.lower, 1.0);
         assert_eq!(ci.upper, 3.0);
     }
@@ -239,7 +221,7 @@ mod tests {
     fn ci_level_is_recorded() {
         let xs: Vec<f64> = (0..100).map(|i| i as f64).collect();
         for level in [0.90, 0.95, 0.99] {
-            let ci = median_confidence_interval(&xs, level);
+            let ci = median_ci_sorted(&xs, level);
             assert_eq!(ci.level, level);
             assert!(ci.lower <= ci.upper);
         }

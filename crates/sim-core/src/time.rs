@@ -107,11 +107,6 @@ impl SimDuration {
         SimDuration((secs.max(0.0) * 1e9).round() as u64)
     }
 
-    /// Construct from fractional microseconds.
-    pub fn from_micros_f64(us: f64) -> Self {
-        SimDuration((us.max(0.0) * 1e3).round() as u64)
-    }
-
     /// Nanoseconds in this duration.
     pub const fn as_nanos(self) -> u64 {
         self.0
@@ -313,8 +308,6 @@ mod tests {
         assert!((d.as_micros_f64() - 1.5).abs() < 1e-12);
         let d = SimDuration::from_secs_f64(0.25);
         assert_eq!(d.as_nanos(), 250_000_000);
-        let d = SimDuration::from_micros_f64(3.5);
-        assert_eq!(d.as_nanos(), 3_500);
     }
 
     #[test]

@@ -37,5 +37,5 @@ pub use frame::StateFrame;
 pub use plane::{
     StateClient, StateClientStats, StatePlacement, StatePlane, StatePlaneStats, StateValues,
 };
-pub use region::{RegionAllocator, Span};
+pub use region::RegionAllocator;
 pub use spec::{StateKey, StateMode, StateSpec};

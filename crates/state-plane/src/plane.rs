@@ -594,11 +594,6 @@ impl StateClient {
         self.clock.now()
     }
 
-    /// Version of the locally cached copy of `key`, if cached.
-    pub fn cached_version(&self, key: &str) -> Option<u64> {
-        self.entries.get(key).map(|e| e.version)
-    }
-
     /// Hand the cache span of a dropped entry back to the allocator. A value
     /// an in-progress `get_many_with` resolved earlier is copied out first:
     /// the caller still sees the bytes it was promised, exactly as if each
@@ -953,6 +948,11 @@ mod tests {
         (fabric, plane, a, b)
     }
 
+    /// Version of `client`'s locally cached copy of `key`, if cached.
+    fn cached_version(client: &StateClient, key: &str) -> Option<u64> {
+        client.entries.get(key).map(|e| e.version)
+    }
+
     #[test]
     fn put_get_delete_round_trip_across_clients() {
         let (_fabric, plane, mut a, mut b) = setup(64 * 1024);
@@ -977,11 +977,11 @@ mod tests {
         let (_fabric, plane, mut a, mut b) = setup(64 * 1024);
         a.put("k", b"old").unwrap();
         assert_eq!(b.get("k").unwrap(), b"old".to_vec());
-        assert_eq!(b.cached_version("k"), Some(1));
+        assert_eq!(cached_version(&b, "k"), Some(1));
         a.put("k", b"new-value").unwrap();
         // The stale cached copy must never be served.
         assert_eq!(b.get("k").unwrap(), b"new-value".to_vec());
-        assert_eq!(b.cached_version("k"), Some(2));
+        assert_eq!(cached_version(&b, "k"), Some(2));
         assert!(b.stats().invalidations_applied >= 1);
         assert!(plane.stats().invalidations_sent >= 1);
         assert_eq!(plane.placement("k").unwrap().version, 2);
@@ -1108,7 +1108,7 @@ mod tests {
             })
             .unwrap();
         assert_eq!(firsts, [2, 3]);
-        assert_eq!(b.cached_version("x"), None);
+        assert_eq!(cached_version(&b, "x"), None);
         assert_eq!(b.stats().gets, 3);
         assert_eq!(b.stats().remote_reads, 3);
         // A failure other than an unknown key aborts the call.
@@ -1250,7 +1250,7 @@ mod tests {
                     client.drain_invalidations();
                     for (k, expected) in &model {
                         let own = last_put_by.get(k) == Some(&reader);
-                        let cached = client.cached_version(k).is_some();
+                        let cached = cached_version(client, k).is_some();
                         if own && !small_cache {
                             proptest::prop_assert!(cached, "{k}: own put evicted from a roomy cache");
                         }

@@ -14,7 +14,7 @@
 
 /// A contiguous byte range of an arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Span {
+pub(crate) struct Span {
     /// First byte of the span.
     pub offset: usize,
     /// Length in bytes.
@@ -23,7 +23,7 @@ pub struct Span {
 
 impl Span {
     /// End offset (one past the last byte).
-    pub fn end(&self) -> usize {
+    fn end(&self) -> usize {
         self.offset + self.len
     }
 }
@@ -56,17 +56,17 @@ impl RegionAllocator {
     }
 
     /// Bytes currently free.
-    pub fn free_bytes(&self) -> usize {
+    pub(crate) fn free_bytes(&self) -> usize {
         self.free.iter().map(|s| s.len).sum()
     }
 
     /// Bytes currently allocated.
-    pub fn used_bytes(&self) -> usize {
+    pub(crate) fn used_bytes(&self) -> usize {
         self.capacity - self.free_bytes()
     }
 
     /// Largest single allocation that can currently succeed.
-    pub fn largest_free(&self) -> usize {
+    pub(crate) fn largest_free(&self) -> usize {
         self.free.iter().map(|s| s.len).max().unwrap_or(0)
     }
 
@@ -113,11 +113,6 @@ impl RegionAllocator {
             self.free.insert(idx, span);
         }
     }
-
-    /// The free list (sorted, merged) — exposed for the conservation tests.
-    pub fn free_spans(&self) -> &[Span] {
-        &self.free
-    }
 }
 
 #[cfg(test)]
@@ -128,7 +123,7 @@ mod tests {
     /// non-adjacent, and free + used bytes equal the capacity.
     fn assert_conserved(alloc: &RegionAllocator, used: &[Span]) {
         let mut prev_end = None;
-        for span in alloc.free_spans() {
+        for span in &alloc.free {
             assert!(span.len > 0, "empty span on the free list");
             assert!(span.end() <= alloc.capacity(), "free span out of bounds");
             if let Some(end) = prev_end {
@@ -144,7 +139,7 @@ mod tests {
         );
         // No used span may intersect a free span.
         for u in used.iter().filter(|u| u.len > 0) {
-            for f in alloc.free_spans() {
+            for f in &alloc.free {
                 assert!(
                     u.end() <= f.offset || f.end() <= u.offset,
                     "used span {u:?} overlaps free span {f:?}"
@@ -163,7 +158,7 @@ mod tests {
         a.release(x, 40);
         a.release(y, 60);
         assert_eq!(a.free_bytes(), 100);
-        assert_eq!(a.free_spans().len(), 1, "released spans must merge");
+        assert_eq!(a.free.len(), 1, "released spans must merge");
     }
 
     #[test]
@@ -217,7 +212,7 @@ mod tests {
                 alloc.release(span.offset, span.len);
             }
             proptest::prop_assert_eq!(alloc.free_bytes(), 4096);
-            proptest::prop_assert!(alloc.free_spans().len() <= 1);
+            proptest::prop_assert!(alloc.free.len() <= 1);
         }
     }
 }

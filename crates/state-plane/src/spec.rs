@@ -72,11 +72,6 @@ impl StateSpec {
     pub fn is_empty(&self) -> bool {
         self.keys.is_empty()
     }
-
-    /// Access mode declared for `name`, if any.
-    pub fn mode_of(&self, name: &str) -> Option<StateMode> {
-        self.keys.iter().find(|k| k.name == name).map(|k| k.mode)
-    }
 }
 
 #[cfg(test)]
@@ -91,9 +86,10 @@ mod tests {
             StateKey::read_write("model"),
         ]);
         assert_eq!(spec.keys().len(), 2);
-        assert_eq!(spec.mode_of("model"), Some(StateMode::ReadWrite));
-        assert_eq!(spec.mode_of("agg"), Some(StateMode::ReadWrite));
-        assert_eq!(spec.mode_of("other"), None);
+        let mode_of = |name: &str| spec.keys().iter().find(|k| k.name == name).map(|k| k.mode);
+        assert_eq!(mode_of("model"), Some(StateMode::ReadWrite));
+        assert_eq!(mode_of("agg"), Some(StateMode::ReadWrite));
+        assert_eq!(mode_of("other"), None);
         assert!(!spec.is_empty());
         assert!(StateSpec::default().is_empty());
     }

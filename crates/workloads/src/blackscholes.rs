@@ -48,7 +48,7 @@ fn normal_cdf(x: f64) -> f64 {
 }
 
 /// Price a single option with the Black-Scholes closed form.
-pub fn price_option(option: &OptionContract) -> f64 {
+fn price_option(option: &OptionContract) -> f64 {
     let OptionContract {
         spot,
         strike,
@@ -107,7 +107,7 @@ pub fn options_to_bytes(options: &[OptionContract]) -> Vec<u8> {
 }
 
 /// Deserialise the invocation payload layout back into option contracts.
-pub fn options_from_bytes(bytes: &[u8]) -> Vec<OptionContract> {
+pub(crate) fn options_from_bytes(bytes: &[u8]) -> Vec<OptionContract> {
     bytes_to_f64s(bytes)
         .chunks_exact(6)
         .map(|c| OptionContract {

@@ -109,17 +109,6 @@ impl InferenceModel {
         }
         logits
     }
-
-    /// Index of the most likely class.
-    pub fn classify(&self, image: &Image) -> usize {
-        let logits = self.forward(image);
-        logits
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("no NaN logits"))
-            .map(|(i, _)| i)
-            .expect("at least one class")
-    }
 }
 
 /// The rFaaS image-recognition function. The model is loaded lazily on the
@@ -168,7 +157,6 @@ mod tests {
         let model = InferenceModel::pretrained(1);
         let image = Image::synthetic(InputSizes::INFERENCE_LARGE, 3);
         assert_eq!(model.forward(&image), model.forward(&image));
-        assert_eq!(model.classify(&image), model.classify(&image));
     }
 
     #[test]

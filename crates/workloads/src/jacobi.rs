@@ -14,7 +14,7 @@ use crate::payload::{bytes_to_f64s, f64s_to_bytes};
 /// Cost of one Jacobi update of one unknown (one row dot product element
 /// pair), calibrated so a 2 500-unknown iteration lands in the
 /// millisecond-per-iteration regime reported in Sec. V-G.
-pub const COST_PER_ELEMENT: f64 = 1.6; // nanoseconds per (i, j) pair
+const COST_PER_ELEMENT: f64 = 1.6; // nanoseconds per (i, j) pair
 
 /// A diagonally dominant dense linear system `A x = b`.
 #[derive(Debug, Clone, PartialEq)]
@@ -152,8 +152,12 @@ pub fn jacobi_function() -> SharedFunction {
         let n = values[1] as usize;
         let row_begin = values[2] as usize;
         let row_end = values[3] as usize;
+        // `n` comes from the client: size the body with checked arithmetic.
+        let body = values.len() - 4;
         let (system_storage, x): (Option<JacobiSystem>, Vec<f64>) = if kind == MSG_INSTALL_SYSTEM {
-            if values.len() < 4 + n * n + 2 * n {
+            // A, b and x: n² + 2n words.
+            let words = n.checked_add(2).and_then(|m| m.checked_mul(n));
+            if words.is_none_or(|words| body < words) {
                 return Err(FunctionError::InvalidInput(
                     "truncated jacobi system".into(),
                 ));
@@ -163,7 +167,7 @@ pub fn jacobi_function() -> SharedFunction {
             let x = values[4 + n * n + n..4 + n * n + 2 * n].to_vec();
             (Some(JacobiSystem { n, a, b }), x)
         } else {
-            if values.len() < 4 + n {
+            if body < n {
                 return Err(FunctionError::InvalidInput(
                     "truncated solution vector".into(),
                 ));
@@ -271,6 +275,15 @@ mod tests {
         let err = f
             .invoke(&encode_iterate(&[1.0, 2.0], 0, 1), &mut output)
             .unwrap_err();
+        assert!(matches!(err, FunctionError::InvalidInput(_)));
+    }
+
+    #[test]
+    fn install_with_an_overflowing_size_is_rejected() {
+        // n = 10¹⁰ unknowns: n² overflows `usize`.
+        let header = f64s_to_bytes(&[MSG_INSTALL_SYSTEM, 1e10, 0.0, 1.0]);
+        let mut output = vec![0u8; 64];
+        let err = jacobi_function().invoke(&header, &mut output).unwrap_err();
         assert!(matches!(err, FunctionError::InvalidInput(_)));
     }
 

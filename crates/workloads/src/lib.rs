@@ -30,17 +30,13 @@ pub mod streaming;
 pub mod thumbnailer;
 pub mod training;
 
-pub use blackscholes::{
-    blackscholes_function, generate_options, price_batch, price_option, OptionContract,
-};
+pub use blackscholes::{blackscholes_function, generate_options, price_batch, OptionContract};
 pub use inference::{image_recognition_function, InferenceModel};
 pub use jacobi::{jacobi_function, jacobi_solve, JacobiSystem};
 pub use matmul::{matmul_function, multiply, multiply_rows};
 pub use payload::{
     generate_payload, ImageView, InputSizes, OptionBatch, OptionBatchView, OPTION_WIRE_BYTES,
 };
-pub use streaming::{
-    aggregate_batches, streaming_aggregation_function, StreamAggregate, AGGREGATE_KEY,
-};
+pub use streaming::{streaming_aggregation_function, StreamAggregate, AGGREGATE_KEY};
 pub use thumbnailer::{thumbnailer_function, Image};
-pub use training::{sgd_step, training_step_function, TrainingSet, MODEL_KEY};
+pub use training::{training_step_function, TrainingSet, MODEL_KEY};

@@ -14,7 +14,7 @@ use crate::payload::{bytes_to_f64s, f64s_to_bytes};
 /// Effective per-core cost of one fused multiply-add pair (2 flops) for the
 /// naive kernel on the evaluation CPU. Calibrated so an 800×800 multiply
 /// takes ~1 s, matching the largest size of Fig. 13a.
-pub const COST_PER_FLOP_PAIR: f64 = 1.0; // nanoseconds
+const COST_PER_FLOP_PAIR: f64 = 1.0; // nanoseconds
 
 const BLOCK: usize = 64;
 

@@ -21,10 +21,6 @@ impl InputSizes {
     pub const INFERENCE_SMALL: usize = 53 * 1024;
     /// Large image-recognition input (230 kB).
     pub const INFERENCE_LARGE: usize = 230 * 1024;
-    /// Black-Scholes batch input (~229 MB).
-    pub const BLACKSCHOLES_INPUT: usize = 229 * 1024 * 1024;
-    /// Black-Scholes batch output (~38 MB).
-    pub const BLACKSCHOLES_OUTPUT: usize = 38 * 1024 * 1024;
 }
 
 /// Generate `size` bytes of deterministic pseudo-random payload.
@@ -41,7 +37,7 @@ pub fn generate_payload(size: usize, seed: u64) -> Vec<u8> {
 }
 
 /// Encode a `f64` slice into little-endian bytes.
-pub fn f64s_to_bytes(values: &[f64]) -> Vec<u8> {
+pub(crate) fn f64s_to_bytes(values: &[f64]) -> Vec<u8> {
     let mut bytes = Vec::with_capacity(values.len() * 8);
     for v in values {
         bytes.extend_from_slice(&v.to_le_bytes());
@@ -50,7 +46,7 @@ pub fn f64s_to_bytes(values: &[f64]) -> Vec<u8> {
 }
 
 /// Decode little-endian bytes into a `f64` vector.
-pub fn bytes_to_f64s(bytes: &[u8]) -> Vec<f64> {
+pub(crate) fn bytes_to_f64s(bytes: &[u8]) -> Vec<f64> {
     bytes
         .chunks_exact(8)
         .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk")))
@@ -101,9 +97,10 @@ impl<'a> OptionBatchView<'a> {
 
     /// Contract `i`, decoded from its wire record.
     pub fn get(&self, i: usize) -> Option<OptionContract> {
+        let start = i.checked_mul(OPTION_WIRE_BYTES)?;
         let record = self
             .bytes
-            .get(i * OPTION_WIRE_BYTES..(i + 1) * OPTION_WIRE_BYTES)?;
+            .get(start..start.checked_add(OPTION_WIRE_BYTES)?)?;
         let word = |j: usize| {
             f64::from_le_bytes(record[j * 8..(j + 1) * 8].try_into().expect("8-byte word"))
         };
@@ -133,12 +130,7 @@ impl Codec for OptionBatch {
 
     fn encode_into(&self, buf: &mut [u8]) -> rfaas::Result<usize> {
         let len = self.encoded_len();
-        if len > buf.len() {
-            return Err(RFaasError::PayloadTooLarge {
-                payload: len,
-                capacity: buf.len(),
-            });
-        }
+        check_capacity(len, buf.len())?;
         for (record, option) in buf[..len]
             .chunks_exact_mut(OPTION_WIRE_BYTES)
             .zip(self.0.iter())
@@ -191,6 +183,38 @@ pub struct ImageView<'a> {
     pub pixels: &'a [u8],
 }
 
+impl<'a> ImageView<'a> {
+    /// Parse the `[width u32 | height u32 | RGB bytes]` payload layout: the
+    /// one header check behind both [`Image::decode`] and
+    /// `<Image>::decode_view`. The dimensions come from the client, so the
+    /// pixel byte count is computed with checked arithmetic.
+    pub(crate) fn parse(bytes: &'a [u8]) -> Result<ImageView<'a>, String> {
+        if bytes.len() < 8 {
+            return Err("image header missing".into());
+        }
+        let width = u32::from_le_bytes(bytes[0..4].try_into().expect("4 bytes"));
+        let height = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
+        let expected = (width as usize)
+            .checked_mul(height as usize)
+            .and_then(|pixels| pixels.checked_mul(3))
+            .ok_or_else(|| format!("image {width}x{height} overflows the address space"))?;
+        let pixels = bytes[8..]
+            .get(..expected)
+            .filter(|_| width != 0 && height != 0)
+            .ok_or_else(|| {
+                format!(
+                    "truncated image: {width}x{height} needs {expected} bytes, got {}",
+                    bytes.len() - 8
+                )
+            })?;
+        Ok(ImageView {
+            width,
+            height,
+            pixels,
+        })
+    }
+}
+
 impl Codec for Image {
     type Owned = Image;
     type View<'a> = ImageView<'a>;
@@ -213,23 +237,7 @@ impl Codec for Image {
     }
 
     fn decode_view(bytes: &[u8]) -> rfaas::Result<ImageView<'_>> {
-        if bytes.len() < 8 {
-            return Err(RFaasError::Codec("image header missing".into()));
-        }
-        let width = u32::from_le_bytes(bytes[0..4].try_into().expect("4 bytes"));
-        let height = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-        let expected = (width as usize) * (height as usize) * 3;
-        if bytes.len() < 8 + expected || width == 0 || height == 0 {
-            return Err(RFaasError::Codec(format!(
-                "truncated image: {width}x{height} needs {expected} bytes, got {}",
-                bytes.len().saturating_sub(8)
-            )));
-        }
-        Ok(ImageView {
-            width,
-            height,
-            pixels: &bytes[8..8 + expected],
-        })
+        ImageView::parse(bytes).map_err(RFaasError::Codec)
     }
 }
 
@@ -253,8 +261,6 @@ mod tests {
     fn input_sizes_match_paper() {
         assert_eq!(InputSizes::THUMBNAIL_SMALL, 99_328);
         assert_eq!(InputSizes::THUMBNAIL_LARGE, 3_686_400);
-        const { assert!(InputSizes::BLACKSCHOLES_INPUT > 200 * 1024 * 1024) }
-        const { assert!(InputSizes::BLACKSCHOLES_OUTPUT > 30 * 1024 * 1024) }
     }
 
     #[test]
@@ -307,9 +313,20 @@ mod tests {
         let view = <OptionBatch as Codec>::decode_view(&buf).unwrap();
         assert_eq!(view.len(), 16);
         assert_eq!(view.get(16), None);
+        assert_eq!(view.get(usize::MAX / OPTION_WIRE_BYTES), None);
+        assert_eq!(view.get(usize::MAX / OPTION_WIRE_BYTES + 1), None);
         assert_eq!(view.iter().collect::<Vec<_>>(), options.0);
         assert!(matches!(
             <OptionBatch as Codec>::decode_view(&buf[..47]),
+            Err(RFaasError::Codec(_))
+        ));
+    }
+
+    #[test]
+    fn image_view_rejects_an_overflowing_header() {
+        // u32::MAX × u32::MAX pixels: the byte count overflows `usize`.
+        assert!(matches!(
+            <Image as Codec>::decode_view(&[0xFF; 8]),
             Err(RFaasError::Codec(_))
         ));
     }

@@ -18,7 +18,7 @@ pub const AGGREGATE_KEY: &str = "stream-aggregate";
 
 /// Cost of folding one reading into the aggregate: a handful of compares and
 /// adds, far below the per-option Black-Scholes cost.
-pub const COST_PER_READING: SimDuration = SimDuration::from_nanos(6);
+const COST_PER_READING: SimDuration = SimDuration::from_nanos(6);
 
 /// Running aggregate of a stream of readings. Serialised as four `f64`s
 /// (count, sum, min, max) so it round-trips through the byte-oriented state
@@ -92,15 +92,6 @@ impl StreamAggregate {
             max: values[3],
         })
     }
-}
-
-/// Reference implementation: fold every batch locally.
-pub fn aggregate_batches<'a>(batches: impl IntoIterator<Item = &'a [f64]>) -> StreamAggregate {
-    let mut agg = StreamAggregate::default();
-    for batch in batches {
-        agg.update(batch);
-    }
-    agg
 }
 
 /// The offloadable streaming-aggregation function. Declare
@@ -187,7 +178,10 @@ mod tests {
             assert_eq!(n, 32);
         }
         let streamed = StreamAggregate::decode(&state.0[AGGREGATE_KEY]).unwrap();
-        let local = aggregate_batches(batches.iter().map(|b| b.as_slice()));
+        let mut local = StreamAggregate::default();
+        for batch in &batches {
+            local.update(batch);
+        }
         assert_eq!(streamed, local);
         // The final output frame echoes the committed aggregate.
         assert_eq!(StreamAggregate::decode(&out[..32]).unwrap(), local);

@@ -9,8 +9,10 @@
 use sandbox::{FunctionError, SharedFunction};
 use sim_core::{DeterministicRng, SimDuration};
 
+use crate::payload::ImageView;
+
 /// Side length of the generated thumbnail.
-pub const THUMBNAIL_SIZE: u32 = 256;
+const THUMBNAIL_SIZE: u32 = 256;
 
 /// A simple packed RGB image (8 bits per channel).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,25 +62,11 @@ impl Image {
 
     /// Decode the invocation payload layout.
     pub fn decode(bytes: &[u8]) -> Result<Image, FunctionError> {
-        if bytes.len() < 8 {
-            return Err(FunctionError::InvalidInput("image header missing".into()));
-        }
-        let width = u32::from_le_bytes(bytes[0..4].try_into().expect("4 bytes"));
-        let height = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-        let expected = (width as usize) * (height as usize) * 3;
-        if bytes.len() < 8 + expected || width == 0 || height == 0 {
-            return Err(FunctionError::InvalidInput(format!(
-                "truncated image: {}x{} needs {} bytes, got {}",
-                width,
-                height,
-                expected,
-                bytes.len().saturating_sub(8)
-            )));
-        }
+        let view = ImageView::parse(bytes).map_err(FunctionError::InvalidInput)?;
         Ok(Image {
-            width,
-            height,
-            pixels: bytes[8..8 + expected].to_vec(),
+            width: view.width,
+            height: view.height,
+            pixels: view.pixels.to_vec(),
         })
     }
 
@@ -185,6 +173,21 @@ mod tests {
         let mut bytes = Image::synthetic(10_000, 1).encode();
         bytes.truncate(bytes.len() - 100);
         assert!(Image::decode(&bytes).is_err());
+    }
+
+    #[test]
+    fn decode_rejects_an_overflowing_header() {
+        // u32::MAX × u32::MAX pixels: the byte count overflows `usize`.
+        let header = [0xFF; 8];
+        assert!(matches!(
+            Image::decode(&header),
+            Err(FunctionError::InvalidInput(_))
+        ));
+        let mut output = vec![0u8; 64];
+        assert!(matches!(
+            thumbnailer_function().invoke(&header, &mut output),
+            Err(FunctionError::InvalidInput(_))
+        ));
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::payload::{bytes_to_f64s, f64s_to_bytes};
 pub const MODEL_KEY: &str = "model";
 
 /// Cost per (row, feature) multiply-accumulate of the gradient step.
-pub const COST_PER_MAC: SimDuration = SimDuration::from_nanos(2);
+const COST_PER_MAC: SimDuration = SimDuration::from_nanos(2);
 
 /// A synthetic regression problem with known ground-truth weights.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,7 +76,7 @@ impl TrainingSet {
 
 /// One minibatch gradient step on mean-squared-error loss. Returns the
 /// pre-step batch loss; `weights` (dim + 1, bias last) is updated in place.
-pub fn sgd_step(
+fn sgd_step(
     weights: &mut [f64],
     dim: usize,
     features: &[f64],

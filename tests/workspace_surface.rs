@@ -5,6 +5,7 @@
 //! regression in the documented entry-point flow fails the suite even if
 //! doctests are filtered out.
 
+use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -121,9 +122,9 @@ fn umbrella_reexports_every_layer() {
     let tcp = rfaas_repro::faas_baselines::TcpProfile::kernel_100g();
     assert!(tcp.request_response(64, 64) > profile.one_way_latency);
 
-    // mpi-sim: cost model of the message-passing layer.
-    let mpi = rfaas_repro::mpi_sim::MpiCostModel::cluster_100g();
-    assert!(mpi.latency.as_nanos() > 0);
+    // mpi-sim: a one-rank world runs its body once.
+    let ranks = rfaas_repro::mpi_sim::MpiWorld::new().run(1, |rank| rank.size());
+    assert_eq!(ranks[0].value, 1);
 }
 
 /// Every host-side wait goes through `Fabric::run_until`, and it holds the
@@ -433,6 +434,185 @@ fn one_pool_mechanism_and_stats_structs_are_counted() {
     }
     assert_eq!(evict_idle.len(), 1, "`fn evict_idle` in {evict_idle:?}");
     assert_eq!(stats.len(), 10, "`*Stats` structs: {stats:?}");
+}
+
+/// `(crate, name, reason)` of each `pub` item that no caller outside its
+/// crate names but that stays `pub` on purpose. A stale entry fails
+/// `every_pub_item_has_an_outside_caller`, so the list can only shrink.
+const OUTSIDE_CALLER_ALLOW_LIST: &[(&str, &str, &str)] = &[];
+
+/// The name declared by a `pub fn`, `pub const fn`, `pub unsafe fn`,
+/// `pub const NAME:` or `pub static NAME:` line, at any indent, and whether
+/// it is a function.
+fn pub_item(line: &str) -> Option<(&str, bool)> {
+    let rest = line.trim_start().strip_prefix("pub ")?;
+    let (rest, is_fn) = [
+        ("fn ", true),
+        ("const fn ", true),
+        ("unsafe fn ", true),
+        ("const ", false),
+        ("static ", false),
+    ]
+    .iter()
+    .find_map(|(keyword, is_fn)| Some((rest.strip_prefix(keyword)?, *is_fn)))?;
+    let end = rest
+        .find(|c: char| c != '_' && !c.is_alphanumeric())
+        .unwrap_or(rest.len());
+    Some((&rest[..end], is_fn)).filter(|(name, _)| !name.is_empty())
+}
+
+/// Every identifier `text` mentions.
+fn identifiers(text: &str) -> BTreeSet<&str> {
+    text.split(|c: char| c != '_' && !c.is_alphanumeric())
+        .filter(|word| !word.is_empty())
+        .collect()
+}
+
+/// The identifiers of the code lines of `text` (comment lines skipped): all
+/// of them, and those in call or path position, followed by `(` or `::<` or
+/// preceded by `::`. A function's caller names it in the second set; a local
+/// binding that happens to share its name does not.
+fn code_identifiers(text: &str) -> (BTreeSet<&str>, BTreeSet<&str>) {
+    let is_ident = |c: char| c == '_' || c.is_alphanumeric();
+    let (mut named, mut called) = (BTreeSet::new(), BTreeSet::new());
+    for line in text.lines().filter(|line| !is_comment(line)) {
+        let mut rest = line;
+        while let Some(start) = rest.find(is_ident) {
+            let end = start
+                + rest[start..]
+                    .find(|c| !is_ident(c))
+                    .unwrap_or(rest.len() - start);
+            let word = &rest[start..end];
+            let after = rest[end..].trim_start();
+            if rest[..start].trim_end().ends_with("::")
+                || after.starts_with('(')
+                || after.starts_with("::<")
+            {
+                called.insert(word);
+            }
+            named.insert(word);
+            rest = &rest[end..];
+        }
+    }
+    (named, called)
+}
+
+/// Every crate's non-test `pub fn`, `pub const` and `pub static` has a
+/// caller outside that crate. A caller names the item, between identifier
+/// boundaries, on a code line of another crate's `src/` (test modules
+/// included), of `crates/bench/src/bin/` (for the `rfaas-bench` lib), of the
+/// root `src/`, `examples/` or `tests/` (this file aside) or of
+/// `benchmark/src/`; a function only counts in call or path position (see
+/// `code_identifiers`). The benchmark README's list of product symbols and
+/// the crate's own `///` / `//!` lines (doc-tests compile as outside
+/// callers) count wherever they name it. Items only their own crate calls
+/// are `pub(crate)` or private, so rustc's `dead_code` lint covers the
+/// in-crate half. `OUTSIDE_CALLER_ALLOW_LIST` names the exceptions. Reads
+/// the sources as text.
+#[test]
+fn every_pub_item_has_an_outside_caller() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let crates_dir = root.join("crates");
+    let bins = crates_dir.join("bench/src/bin");
+    let this_file = root.join("tests/workspace_surface.rs");
+
+    // The crate directory whose library a source file belongs to; `None`
+    // for every caller-only file.
+    let owner = |path: &Path| -> Option<String> {
+        let rest = path.strip_prefix(&crates_dir).ok()?;
+        let name = rest.iter().next()?.to_str()?.to_string();
+        (!path.starts_with(&bins)).then_some(name)
+    };
+
+    let mut sources = Vec::new();
+    for dir in ["crates", "src", "examples", "tests", "benchmark/src"] {
+        rust_sources(&root.join(dir), &mut sources);
+    }
+    sources.retain(|path| *path != this_file);
+    let texts: Vec<String> = sources
+        .iter()
+        .map(|path| fs::read_to_string(path).unwrap())
+        .collect();
+    let readme = fs::read_to_string(root.join("benchmark/README.md")).unwrap();
+    let symbols = readme
+        .split("## Product symbols the benchmark calls")
+        .nth(1)
+        .and_then(|rest| rest.split("\n## ").next())
+        .expect("benchmark/README.md lists the product symbols");
+    let symbols = identifiers(symbols);
+
+    // Per source file: its crate, its code identifiers (all, and those in
+    // call position), and the identifiers of its `///` / `//!` lines.
+    type Words<'a> = BTreeSet<&'a str>;
+    let files: Vec<(Option<String>, (Words, Words), Words)> = sources
+        .iter()
+        .zip(&texts)
+        .map(|(path, text)| {
+            let docs = text
+                .lines()
+                .map(str::trim_start)
+                .filter(|line| line.starts_with("///") || line.starts_with("//!"))
+                .flat_map(identifiers)
+                .collect();
+            (owner(path), code_identifiers(text), docs)
+        })
+        .collect();
+    let called_outside = |owner: &String, name: &str, is_fn: bool| {
+        symbols.contains(name)
+            || files.iter().any(|(file_owner, (named, called), docs)| {
+                if file_owner.as_ref() == Some(owner) {
+                    docs.contains(name)
+                } else if is_fn {
+                    called.contains(name)
+                } else {
+                    named.contains(name)
+                }
+            })
+    };
+
+    let mut unreferenced = Vec::new();
+    let mut allowed = BTreeSet::new();
+    for ((path, text), (owner, _, _)) in sources.iter().zip(&texts).zip(&files) {
+        let Some(owner) = owner else { continue };
+        for (n, line) in product_lines(text) {
+            let Some((name, is_fn)) = pub_item(line) else {
+                continue;
+            };
+            if called_outside(owner, name, is_fn) {
+                continue;
+            }
+            let entry = OUTSIDE_CALLER_ALLOW_LIST
+                .iter()
+                .find(|(c, item, _)| c == owner && *item == name);
+            match entry {
+                Some(entry) => {
+                    allowed.insert(*entry);
+                }
+                None => unreferenced.push(format!(
+                    "{owner}: {}:{n}: `{name}`",
+                    path.strip_prefix(root).unwrap().display()
+                )),
+            }
+        }
+    }
+    let stale: Vec<_> = OUTSIDE_CALLER_ALLOW_LIST
+        .iter()
+        .filter(|entry| !allowed.contains(*entry))
+        .collect();
+    assert!(
+        OUTSIDE_CALLER_ALLOW_LIST.len() <= 10,
+        "the allow-list may hold at most 10 entries"
+    );
+    assert!(
+        stale.is_empty(),
+        "stale allow-list entries (an outside caller exists, or the item is gone): {stale:?}"
+    );
+    assert!(
+        unreferenced.is_empty(),
+        "{} pub items have no caller outside their crate:\n{}",
+        unreferenced.len(),
+        unreferenced.join("\n")
+    );
 }
 
 /// The lines of the item opening with the line `header`, up to its closing
