@@ -5,12 +5,20 @@
 //! Every MPI rank leases one bare-metal rFaaS worker and offloads half of its
 //! work; the plotted metric is the median per-rank kernel time (a) or the
 //! total solve time (b), for MPI-only versus MPI + rFaaS.
+//!
+//! The ranks run in lockstep: every rank finishes a stage (lease, submit,
+//! local half, wait) before any rank starts the next, so the shared
+//! executors see the ranks' requests in virtual-time order. Running one
+//! rank's whole solve before the next would make later ranks queue behind
+//! NIC busy times their own clocks have not reached.
 
 use mpi_sim::MpiWorld;
 use rfaas::{RFaasConfig, Session};
 use rfaas_bench::{full_mode, print_table, quick_mode, sub_experiment, ResultRow, Testbed};
 use sim_core::median;
-use workloads::jacobi::{encode_install, encode_iterate, sweep_cost, JacobiSystem};
+use workloads::jacobi::{
+    encode_install, encode_iterate, jacobi_sweep_rows, sweep_cost, JacobiSystem,
+};
 use workloads::matmul::{compute_cost, encode_matmul_request, random_matrix};
 
 fn rank_counts() -> Vec<usize> {
@@ -43,14 +51,7 @@ fn matmul_experiment() {
     for &ranks in &rank_counts() {
         for &n in &sizes {
             // MPI only: every rank multiplies its full n x n matrices.
-            let world = MpiWorld::new();
-            let mpi_only = world.run(ranks, |rank| {
-                rank.barrier();
-                rank.compute(compute_cost(n, n));
-                rank.barrier();
-                compute_cost(n, n).as_secs_f64()
-            });
-            let mpi_median = median(&mpi_only.iter().map(|r| r.value).collect::<Vec<_>>());
+            let mpi_median = compute_cost(n, n).as_secs_f64();
             rows.push(ResultRow {
                 series: format!("MPI ({ranks} processes)"),
                 x: n as f64,
@@ -59,36 +60,46 @@ fn matmul_experiment() {
                 unit: "s".into(),
             });
 
-            // MPI + rFaaS: each rank offloads the lower half of the result.
+            // MPI + rFaaS: each rank offloads the lower half of the result
+            // and computes the upper half locally, every rank in lockstep.
             let mut config = RFaasConfig::paper_calibration();
             config.max_payload_bytes = 2 * n * n * 8 + 1024;
             let testbed = Testbed::with_config(2, config.clone());
-            let testbed = &testbed;
-            let config = &config;
-            let world = MpiWorld::new();
-            let results = world.run(ranks, move |rank| {
-                let session = rank_session(testbed, config, rank.rank());
-                let matmul = session
+            let world = MpiWorld::new(ranks);
+            let sessions = world.each(|rank| rank_session(&testbed, &config, rank.rank()));
+            world.barrier();
+            let starts = world.each(|rank| sessions[rank.rank()].clock().now());
+            let futures = world.each(|rank| {
+                let r = rank.rank();
+                let a = random_matrix(n, r as u64 + 1);
+                let b = random_matrix(n, r as u64 + 1000);
+                let request = encode_matmul_request(&a, &b, n, n / 2, n);
+                sessions[r]
                     .function::<[u8], [f64]>("matmul")
                     .expect("matmul deployed")
-                    .with_output_capacity((n / 2) * n * 8);
-                let a = random_matrix(n, rank.rank() as u64 + 1);
-                let b = random_matrix(n, rank.rank() as u64 + 1000);
-                let request = encode_matmul_request(&a, &b, n, n / 2, n);
-                rank.barrier();
-                let start = session.clock().now();
-                // Offload the lower half, compute the upper half locally.
-                let future = matmul.submit(&request[..]).expect("submit");
+                    .with_output_capacity((n / 2) * n * 8)
+                    .submit(&request[..])
+                    .expect("submit")
+            });
+            world.each(|rank| {
                 rank.compute(compute_cost(n / 2, n));
                 // The client clock must reflect the local half's work before
                 // it waits for the offloaded half.
-                session.clock().advance(compute_cost(n / 2, n));
-                future.wait().expect("offloaded half");
-                let elapsed = session.clock().now().saturating_since(start);
-                rank.barrier();
-                elapsed.as_secs_f64()
+                sessions[rank.rank()]
+                    .clock()
+                    .advance(compute_cost(n / 2, n));
             });
-            let hybrid_median = median(&results.iter().map(|r| r.value).collect::<Vec<_>>());
+            let elapsed: Vec<f64> = futures
+                .into_iter()
+                .zip(&sessions)
+                .zip(&starts)
+                .map(|((future, session), start)| {
+                    future.wait().expect("offloaded half");
+                    session.clock().now().saturating_since(*start).as_secs_f64()
+                })
+                .collect();
+            world.barrier();
+            let hybrid_median = median(&elapsed);
             rows.push(ResultRow {
                 series: format!("MPI + rFaaS ({ranks} processes)"),
                 x: n as f64,
@@ -119,15 +130,7 @@ fn jacobi_experiment() {
     for &ranks in &rank_counts() {
         for &n in &sizes {
             // MPI only: every rank runs the full solver locally.
-            let world = MpiWorld::new();
-            let mpi_only = world.run(ranks, |rank| {
-                rank.barrier();
-                for _ in 0..iterations {
-                    rank.compute(sweep_cost(n, n));
-                }
-                (sweep_cost(n, n) * iterations as u64).as_secs_f64()
-            });
-            let mpi_median = median(&mpi_only.iter().map(|r| r.value).collect::<Vec<_>>());
+            let mpi_median = (sweep_cost(n, n) * iterations as u64).as_secs_f64();
             rows.push(ResultRow {
                 series: format!("MPI ({ranks} processes)"),
                 x: n as f64,
@@ -141,46 +144,58 @@ fn jacobi_experiment() {
             let mut config = RFaasConfig::paper_calibration();
             config.max_payload_bytes = n * n * 8 + 4 * n * 8 + 4096;
             let testbed = Testbed::with_config(2, config.clone());
-            let testbed = &testbed;
-            let config = &config;
             // Every rank solves the same system: the registry hands every
             // executor process the same function object, so the cached
             // matrix is shared platform-wide (one deployed model/system per
             // code package, as with the ResNet checkpoint in V-E). One copy
             // is generated here and lent to every rank.
             let system = &JacobiSystem::generate(n, 7);
-            let world = MpiWorld::new();
-            let results = world.run(ranks, move |rank| {
-                let session = rank_session(testbed, config, rank.rank());
-                let jacobi = session
+            let world = MpiWorld::new(ranks);
+            let sessions = world.each(|rank| rank_session(&testbed, &config, rank.rank()));
+            let solvers = world.each(|rank| {
+                sessions[rank.rank()]
                     .function::<[u8], [f64]>("jacobi")
                     .expect("jacobi deployed")
-                    .with_output_capacity(n * 8);
-                let mut x = vec![0.0f64; n];
-                rank.barrier();
-                let start = session.clock().now();
-                for iteration in 0..iterations {
-                    let message = if iteration == 0 {
-                        encode_install(system, &x, n / 2, n)
-                    } else {
-                        encode_iterate(&x, n / 2, n)
-                    };
-                    let future = jacobi.submit(&message[..]).expect("submit");
-                    // Local upper half while the executor computes the lower half.
-                    let local = workloads::jacobi::jacobi_sweep_rows(system, &x, 0, n / 2);
-                    rank.compute(sweep_cost(n / 2, n));
-                    session.clock().advance(sweep_cost(n / 2, n));
-                    let remote = future.wait().expect("offloaded half");
-                    x[..n / 2].copy_from_slice(&local);
-                    x[n / 2..].copy_from_slice(&remote);
-                }
-                let elapsed = session.clock().now().saturating_since(start);
-                // Sanity: the distributed solve must actually converge.
-                assert!(system.residual(&x) < system.residual(&vec![0.0; n]).max(1.0));
-                rank.barrier();
-                elapsed.as_secs_f64()
+                    .with_output_capacity(n * 8)
             });
-            let hybrid_median = median(&results.iter().map(|r| r.value).collect::<Vec<_>>());
+            let mut xs = world.each(|_| vec![0.0f64; n]);
+            world.barrier();
+            let starts = world.each(|rank| sessions[rank.rank()].clock().now());
+            for iteration in 0..iterations {
+                // Every rank offloads the lower half of its sweep...
+                let futures = world.each(|rank| {
+                    let x = &xs[rank.rank()];
+                    let message = if iteration == 0 {
+                        encode_install(system, x, n / 2, n)
+                    } else {
+                        encode_iterate(x, n / 2, n)
+                    };
+                    solvers[rank.rank()].submit(&message[..]).expect("submit")
+                });
+                // ...then sweeps the upper half locally...
+                let locals = world.each(|rank| {
+                    rank.compute(sweep_cost(n / 2, n));
+                    sessions[rank.rank()].clock().advance(sweep_cost(n / 2, n));
+                    jacobi_sweep_rows(system, &xs[rank.rank()], 0, n / 2)
+                });
+                // ...then waits for the offloaded half.
+                for ((x, local), future) in xs.iter_mut().zip(locals).zip(futures) {
+                    x[..n / 2].copy_from_slice(&local);
+                    x[n / 2..].copy_from_slice(&future.wait().expect("offloaded half"));
+                }
+            }
+            let elapsed = world.each(|rank| {
+                let r = rank.rank();
+                // Sanity: the distributed solve must actually converge.
+                assert!(system.residual(&xs[r]) < system.residual(&vec![0.0; n]).max(1.0));
+                sessions[r]
+                    .clock()
+                    .now()
+                    .saturating_since(starts[r])
+                    .as_secs_f64()
+            });
+            world.barrier();
+            let hybrid_median = median(&elapsed);
             rows.push(ResultRow {
                 series: format!("MPI + rFaaS ({ranks} processes)"),
                 x: n as f64,

@@ -138,10 +138,9 @@ pub struct RingCompletion {
 ///
 /// One slab of registered memory holds `depth` slots of `slot_len` bytes;
 /// one receive work request per slot is posted with `wr_id == slot`. Pickup
-/// ([`ReceiveRing::poll_one`], [`ReceiveRing::adopt`]) — in the default
-/// automatic mode — reposts the consumed slot before handing the completion
-/// to the caller, so the ring never drains as long as at most `depth`
-/// messages are in flight.
+/// ([`ReceiveRing::poll_one`], [`ReceiveRing::adopt`]) reposts the consumed
+/// slot before handing the completion to the caller, so the ring never
+/// drains as long as at most `depth` messages are in flight.
 #[derive(Debug)]
 pub struct ReceiveRing {
     backing: RingBacking,
@@ -153,7 +152,6 @@ pub struct ReceiveRing {
     /// hot-path callers (per-submission overflow checks, adopt) read it
     /// lock-free.
     depth: usize,
-    auto_repost: bool,
     state: Mutex<RingState>,
 }
 
@@ -174,21 +172,6 @@ impl ReceiveRing {
             qp.pd().clone(),
             depth,
             slot_len,
-            true,
-        )
-    }
-
-    /// Same ring, but the caller re-posts slots explicitly with
-    /// [`ReceiveRing::repost`] — needed when slot contents (two-sided SENDs)
-    /// must be read before the slot may be overwritten.
-    #[cfg(test)]
-    fn with_manual_repost(qp: &QueuePair, depth: usize, slot_len: usize) -> Result<ReceiveRing> {
-        Self::build(
-            RingBacking::Qp(qp.clone()),
-            qp.pd().clone(),
-            depth,
-            slot_len,
-            false,
         )
     }
 
@@ -210,7 +193,6 @@ impl ReceiveRing {
             endpoint.pd.clone(),
             depth,
             slot_len,
-            true,
         )
     }
 
@@ -219,7 +201,6 @@ impl ReceiveRing {
         pd: ProtectionDomain,
         depth: usize,
         slot_len: usize,
-        auto_repost: bool,
     ) -> Result<ReceiveRing> {
         if depth == 0 {
             return Err(FabricError::DeviceLimitExceeded {
@@ -232,7 +213,6 @@ impl ReceiveRing {
             region,
             slot_len: slot_len.max(1),
             depth,
-            auto_repost,
             state: Mutex::new(RingState::new(depth)),
         };
         for slot in 0..depth {
@@ -266,15 +246,16 @@ impl ReceiveRing {
         self.state.lock().posted()
     }
 
-    /// Map a raw completion onto the ring: consume the slot it landed in and,
-    /// in automatic mode, immediately re-post it.
+    /// Map a raw completion onto the ring: consume the slot it landed in and
+    /// immediately re-post it.
     ///
     /// Total by design — a completion the completion queue already handed
     /// over must never be dropped. Completions whose `wr_id` does not name a
     /// ring slot pass through as foreign (`slot: None`); so does a `wr_id`
     /// that collides with a slot index while that slot is not at the ring's
     /// front (a receive posted outside the ring by a caller ignoring the
-    /// reserve-high-`wr_id` contract below).
+    /// contract that such receives use `wr_id`s at or above the ring depth,
+    /// `u64::MAX` by convention).
     ///
     /// Public so an external event loop that drains this ring's CQ through a
     /// multiplexed [`crate::CqSet`] can hand the raw completions back to the
@@ -299,42 +280,27 @@ impl ReceiveRing {
             if !delivered {
                 return RingCompletion { slot: None, wc };
             }
-            if self.auto_repost {
-                state
-                    .repost(slot_id)
-                    .expect("a slot delivered just now is consumed");
-            }
+            state
+                .repost(slot_id)
+                .expect("a slot delivered just now is consumed");
         }
         // A failed re-post only happens on a disconnected QP, where the next
         // wait returns None anyway; the completion in hand is still
         // delivered to the caller.
-        match (&self.backing, self.auto_repost) {
+        match &self.backing {
             // The buffer is free again: return the consuming QP's credit, and
             // the slot with it.
-            (RingBacking::Srq(srq), true) => {
+            RingBacking::Srq(srq) => {
                 let _ = srq.release_and_post(wc.qp_num, self.recv_request(slot_id));
             }
-            (RingBacking::Srq(srq), false) => srq.release(wc.qp_num),
-            (RingBacking::Qp(_), true) => {
+            RingBacking::Qp(_) => {
                 let _ = self.post_slot(slot_id);
             }
-            (RingBacking::Qp(_), false) => {}
         }
         RingCompletion {
             slot: Some(slot_id),
             wc,
         }
-    }
-
-    /// Re-post a consumed slot (no-op guard: rejects non-consumed slots).
-    ///
-    /// Receives posted *outside* the ring on the same queue pair must use
-    /// `wr_id`s at or above the ring depth (`u64::MAX` is conventional), or
-    /// their completions are indistinguishable from slot deliveries.
-    #[cfg(test)]
-    fn repost(&self, slot: usize) -> Result<()> {
-        self.state.lock().repost(slot)?;
-        self.post_slot(slot)
     }
 
     /// The private queue pair backing this ring; `None` for SRQ-backed rings
@@ -437,26 +403,6 @@ mod tests {
     }
 
     #[test]
-    fn manual_ring_drains_without_repost_and_rejects_overflow() {
-        let (client, server) = connected_pair();
-        let ring = ReceiveRing::with_manual_repost(&server, 2, 8).unwrap();
-        write_with_imm(&client, &server, 1).unwrap();
-        write_with_imm(&client, &server, 2).unwrap();
-        let first = ring.poll_one().unwrap();
-        let second = ring.poll_one().unwrap();
-        assert_eq!(ring.posted_slots(), 0);
-        // The transport itself now rejects further writes: ring empty.
-        assert_eq!(
-            write_with_imm(&client, &server, 3).unwrap_err(),
-            FabricError::ReceiverNotReady
-        );
-        ring.repost(first.slot.unwrap()).unwrap();
-        ring.repost(second.slot.unwrap()).unwrap();
-        write_with_imm(&client, &server, 3).unwrap();
-        assert_eq!(ring.poll_one().unwrap().wc.imm, Some(3));
-    }
-
-    #[test]
     fn foreign_receives_pass_through_untouched() {
         let (client, server) = connected_pair();
         let ring = ReceiveRing::new(&server, 2, 8).unwrap();
@@ -485,28 +431,27 @@ mod tests {
     #[test]
     fn colliding_foreign_wr_id_passes_through_instead_of_corrupting_the_ring() {
         let (client, server) = connected_pair();
-        let ring = ReceiveRing::with_manual_repost(&server, 1, 8).unwrap();
-        write_with_imm(&client, &server, 1).unwrap();
-        let first = ring.poll_one().unwrap();
-        assert_eq!(first.slot, Some(0));
+        let ring = ReceiveRing::new(&server, 2, 8).unwrap();
         // A caller violating the wr_id contract: a foreign receive whose
-        // wr_id collides with slot 0 while the ring is drained. The
-        // completion must still reach the caller (as foreign), not vanish.
+        // wr_id collides with slot 1, queued behind both ring slots.
         let extra = server.pd().register(8, AccessFlags::LOCAL_ONLY);
         server
             .post_recv(RecvRequest {
-                wr_id: 0,
+                wr_id: 1,
                 local: Sge::whole(&extra),
             })
             .unwrap();
-        write_with_imm(&client, &server, 9).unwrap();
+        write_with_imm(&client, &server, 1).unwrap();
+        write_with_imm(&client, &server, 2).unwrap();
+        write_with_imm(&client, &server, 3).unwrap();
+        assert_eq!(ring.poll_one().unwrap().slot, Some(0));
+        assert_eq!(ring.poll_one().unwrap().slot, Some(1));
+        // Slot 1 is posted again, but behind slot 0: the completion must
+        // still reach the caller (as foreign), not consume the ring's slot.
         let colliding = ring.poll_one().unwrap();
-        assert_eq!(colliding.slot, None, "drained ring cannot own this wr_id");
-        assert_eq!(colliding.wc.imm, Some(9));
-        // The ring state is untouched and reposting still works.
-        assert_eq!(ring.posted_slots(), 0);
-        ring.repost(0).unwrap();
-        assert_eq!(ring.posted_slots(), 1);
+        assert_eq!(colliding.slot, None, "slot 1 is not at the ring's front");
+        assert_eq!(colliding.wc.imm, Some(3));
+        assert_eq!(ring.posted_slots(), 2);
     }
 
     #[test]

@@ -37,69 +37,78 @@ fn main() {
         manager.register_executor(&executor);
     }
 
-    let world = MpiWorld::new();
-    let fabric_ref = &fabric;
-    let manager_ref = &manager;
-    let config_ref = &config;
-    let results = world.run(RANKS, move |rank| {
-        // Each rank solves its own system; half of every sweep is offloaded.
-        let session = Session::builder(
-            fabric_ref,
+    // All ranks solve the same deployed system (the cached matrix lives in
+    // the code package shared by every executor process): one copy is
+    // generated here and lent to every rank.
+    let system = JacobiSystem::generate(UNKNOWNS, 7);
+    let world = MpiWorld::new(RANKS);
+    let sessions = world.each(|rank| {
+        Session::builder(
+            &fabric,
             &format!("rank-{}", rank.rank()),
-            manager_ref,
+            &manager,
             "solver",
         )
-        .config(config_ref.clone())
+        .config(config.clone())
         .connect()
-        .expect("allocation succeeds");
-        // Jacobi messages are pre-encoded wire bytes; the solver returns the
-        // remote half of the iterate as f64s.
-        let jacobi = session
+        .expect("allocation succeeds")
+    });
+    // Jacobi messages are pre-encoded wire bytes; the solver returns the
+    // remote half of the iterate as f64s.
+    let solvers = world.each(|rank| {
+        sessions[rank.rank()]
             .function::<[u8], [f64]>("jacobi")
             .expect("jacobi is deployed")
-            .with_output_capacity(UNKNOWNS * 8);
-        // All ranks solve the same deployed system (the cached matrix lives in
-        // the code package shared by every executor process).
-        let system = JacobiSystem::generate(UNKNOWNS, 7);
-        let mut x = vec![0.0f64; UNKNOWNS];
-        rank.barrier();
-        let start = session.clock().now();
-        for iteration in 0..ITERATIONS {
+            .with_output_capacity(UNKNOWNS * 8)
+    });
+    let mut xs = world.each(|_| vec![0.0f64; UNKNOWNS]);
+    world.barrier();
+    let starts = world.each(|rank| sessions[rank.rank()].clock().now());
+    // The ranks run in lockstep: every rank submits, then every rank sweeps
+    // its local half, then every rank waits for its remote half.
+    for iteration in 0..ITERATIONS {
+        let futures = world.each(|rank| {
+            let x = &xs[rank.rank()];
             // First invocation ships the matrix; later ones only the vector.
             let message = if iteration == 0 {
-                encode_install(&system, &x, UNKNOWNS / 2, UNKNOWNS)
+                encode_install(&system, x, UNKNOWNS / 2, UNKNOWNS)
             } else {
-                encode_iterate(&x, UNKNOWNS / 2, UNKNOWNS)
+                encode_iterate(x, UNKNOWNS / 2, UNKNOWNS)
             };
-            let future = jacobi.submit(&message[..]).expect("submission succeeds");
-            let local_half = jacobi_sweep_rows(&system, &x, 0, UNKNOWNS / 2);
-            session.clock().advance(sweep_cost(UNKNOWNS / 2, UNKNOWNS));
-            let remote_half = future.wait().expect("offloaded half succeeds");
+            solvers[rank.rank()]
+                .submit(&message[..])
+                .expect("submission succeeds")
+        });
+        let locals = world.each(|rank| {
+            sessions[rank.rank()]
+                .clock()
+                .advance(sweep_cost(UNKNOWNS / 2, UNKNOWNS));
+            jacobi_sweep_rows(&system, &xs[rank.rank()], 0, UNKNOWNS / 2)
+        });
+        for ((x, local_half), future) in xs.iter_mut().zip(locals).zip(futures) {
             x[..UNKNOWNS / 2].copy_from_slice(&local_half);
-            x[UNKNOWNS / 2..].copy_from_slice(&remote_half);
+            x[UNKNOWNS / 2..].copy_from_slice(&future.wait().expect("offloaded half succeeds"));
         }
-        let elapsed = session.clock().now().saturating_since(start);
-        let residual = system.residual(&x);
-        rank.barrier();
-        session.close().expect("deallocation succeeds");
-        (elapsed, residual)
+    }
+    let elapsed = world.each(|rank| {
+        sessions[rank.rank()]
+            .clock()
+            .now()
+            .saturating_since(starts[rank.rank()])
     });
+    world.barrier();
+    for session in sessions {
+        session.close().expect("deallocation succeeds");
+    }
 
     println!("Jacobi solver: {UNKNOWNS} unknowns, {ITERATIONS} iterations, {RANKS} MPI ranks, half of every sweep offloaded to rFaaS");
-    for result in &results {
-        let (elapsed, residual) = &result.value;
-        println!(
-            "rank {}: solve time (virtual) {elapsed}, final residual {residual:.3e}",
-            result.rank
-        );
+    for (rank, (elapsed, x)) in elapsed.iter().zip(&xs).enumerate() {
+        let residual = system.residual(x);
+        println!("rank {rank}: solve time (virtual) {elapsed}, final residual {residual:.3e}");
         assert!(residual.is_finite());
     }
     let mpi_only = sweep_cost(UNKNOWNS, UNKNOWNS) * ITERATIONS as u64;
-    let accelerated = results
-        .iter()
-        .map(|r| r.value.0)
-        .max()
-        .expect("at least one rank");
+    let accelerated = *elapsed.iter().max().expect("at least one rank");
     println!(
         "MPI-only sweep cost per rank: {mpi_only}; MPI + rFaaS: {accelerated}  (speedup {:.2}x)",
         mpi_only.as_secs_f64() / accelerated.as_secs_f64()

@@ -6,6 +6,7 @@
 //! order leaked into the model.
 
 use cluster_sim::{NodeResources, TenantFleet};
+use mpi_sim::MpiWorld;
 use rdma_fabric::Fabric;
 use rfaas::{
     GroupLifecycleDriver, ManagerGroup, PollingMode, RFaasConfig, Reactor, Session, SpotExecutor,
@@ -900,4 +901,75 @@ fn idle_gap_seeds_change_the_timeline() {
     let a = run_idle_gap_scenario(13);
     let b = run_idle_gap_scenario(14);
     assert_ne!(a, b, "the seed must drive payloads and idle gaps");
+}
+
+/// MPI ranks offloading in lockstep, the Fig. 13 schedule: four ranks on a
+/// two-executor testbed each lease a worker, then, for a seeded number of
+/// steps, every rank submits a seeded-size echo, then every rank charges the
+/// same local work, then every rank waits for its reply, and a barrier ends
+/// the step. The transcript pins every rank's lease placement, its client
+/// clock after each reply and every rank clock after each barrier.
+fn run_mpi_offload_scenario(seed: u64) -> String {
+    let testbed = Testbed::new(2);
+    let mut rng = DeterministicRng::new(seed);
+    let mut transcript = String::new();
+    let world = MpiWorld::new(4);
+    let sessions = world.each(|rank| {
+        testbed
+            .session(&format!("mpi-rank-{}", rank.rank()))
+            .memory_mib(2048)
+            .connect()
+            .unwrap()
+    });
+    let echoes = world.each(|rank| {
+        let session = &sessions[rank.rank()];
+        let lease = session.lease().unwrap();
+        transcript.push_str(&format!(
+            "rank {}: lease node={}\n",
+            rank.rank(),
+            lease.executor_node
+        ));
+        session.function::<[u8], [u8]>("echo").unwrap()
+    });
+    world.barrier();
+    for step in 0..rng.range_u64(2, 6) {
+        let sizes = world.each(|_| rng.range_u64(1, 64 * 1024) as usize);
+        let futures = world.each(|rank| {
+            let payload = workloads::generate_payload(sizes[rank.rank()], seed + step);
+            echoes[rank.rank()].submit(&payload[..]).unwrap()
+        });
+        let work = SimDuration::from_micros(rng.range_u64(1, 50));
+        world.each(|rank| {
+            rank.compute(work);
+            sessions[rank.rank()].clock().advance(work);
+        });
+        for (rank, (future, size)) in futures.into_iter().zip(&sizes).enumerate() {
+            assert_eq!(future.wait().unwrap().len(), *size);
+            transcript.push_str(&format!(
+                "step {step} rank {rank}: {size} B -> client clock {} ns\n",
+                sessions[rank].clock().now().as_nanos()
+            ));
+        }
+        world.barrier();
+        let clocks = world.each(|rank| rank.clock().now().as_nanos());
+        transcript.push_str(&format!("step {step} barrier: rank clocks {clocks:?}\n"));
+    }
+    transcript
+}
+
+#[test]
+fn mpi_offload_runs_are_byte_identical() {
+    let first = run_mpi_offload_scenario(0x3B1);
+    let second = run_mpi_offload_scenario(0x3B1);
+    assert_eq!(
+        first, second,
+        "placement, client clocks or rank clocks diverged between identical lockstep runs"
+    );
+}
+
+#[test]
+fn mpi_offload_seeds_change_the_steps() {
+    let a = run_mpi_offload_scenario(5);
+    let b = run_mpi_offload_scenario(6);
+    assert_ne!(a, b, "the seed must drive echo sizes and step counts");
 }

@@ -123,21 +123,24 @@ fn umbrella_reexports_every_layer() {
     assert!(tcp.request_response(64, 64) > profile.one_way_latency);
 
     // mpi-sim: a one-rank world runs its body once.
-    let ranks = rfaas_repro::mpi_sim::MpiWorld::new().run(1, |rank| rank.size());
-    assert_eq!(ranks[0].value, 1);
+    let ranks = rfaas_repro::mpi_sim::MpiWorld::new(1).each(|rank| rank.rank());
+    assert_eq!(ranks, [0]);
 }
 
 /// Every host-side wait goes through `Fabric::run_until`, and it holds the
 /// workspace's one wall-clock read: outside test modules and comments,
-/// `crates/` and the root `src/` name `Instant::now` and `yield_now` once
-/// each, both in `run_until`, and never `SystemTime` or `thread::sleep`, so
-/// no host clock can reach a virtual-time result. Nothing there or in
+/// `crates/`, the root `src/` and `examples/` name `Instant::now` and
+/// `yield_now` once each, both in `run_until`, and never `SystemTime` or
+/// `thread::sleep`, so no host clock can reach a virtual-time result. They
+/// start no thread (`thread::spawn`, `thread::scope`) and name no `mpsc`
+/// channel: the product runs on its caller's thread. Nothing there or in
 /// `shims/` parks a thread on a condition variable. Reads the sources as
 /// text.
 #[test]
 fn fabric_run_until_is_the_only_host_wait() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let sources = workspace_sources(root);
+    let mut sources = workspace_sources(root);
+    rust_sources(&root.join("examples"), &mut sources);
     let mut shim_sources = Vec::new();
     rust_sources(&root.join("shims"), &mut shim_sources);
 
@@ -156,7 +159,13 @@ fn fabric_run_until_is_the_only_host_wait() {
             if line.contains("Instant::now") {
                 wall_clock.push((path.clone(), n));
             }
-            for banned in ["SystemTime", "thread::sleep"] {
+            for banned in [
+                "SystemTime",
+                "thread::sleep",
+                "thread::spawn",
+                "thread::scope",
+                "mpsc",
+            ] {
                 assert!(!line.contains(banned), "{path:?}:{n} names `{banned}`");
             }
         }
