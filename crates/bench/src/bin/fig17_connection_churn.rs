@@ -149,10 +149,7 @@ fn main() {
             .allocator()
             .processes()
             .iter()
-            .find_map(|p| {
-                let p = p.lock();
-                (p.lease_id() == lease.id).then(|| p.srq_stats().max_depth)
-            })
+            .find_map(|p| (p.lease_id() == lease.id).then(|| p.srq_stats().max_depth))
             .expect("probe process visible");
         srq_slots.push((workers, depth));
         session.close().expect("probe release");

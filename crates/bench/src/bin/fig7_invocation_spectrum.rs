@@ -147,7 +147,6 @@ fn main() {
         .processes()
         .pop()
         .expect("live process")
-        .lock()
         .stats();
     println!("\n# hot→warm demotion (hot_poll_timeout = {HOT_POLL_TIMEOUT})");
     println!(

@@ -5,11 +5,30 @@
 //! invocation itself.
 
 use rfaas::PollingMode;
-use rfaas_bench::{quick_mode, Testbed};
+use rfaas_bench::{print_table, quick_mode, ResultRow, Testbed};
 use sandbox::SandboxType;
+use sim_core::Summary;
 
-fn run_case(sandbox: SandboxType, payload: usize, workers: u32, repetitions: usize) {
-    let mut components = [0.0f64; 6];
+/// The stacked components, in the order of the printed line.
+const SLICES: [&str; 6] = [
+    "connect-mgr",
+    "submit-alloc",
+    "spawn-worker",
+    "submit-code",
+    "connect-workers",
+    "invoke",
+];
+
+/// Run one case and return its rows: one per slice and one for the total,
+/// each summarising the per-repetition values in ms.
+fn run_case(
+    sandbox: SandboxType,
+    payload: usize,
+    workers: u32,
+    repetitions: usize,
+) -> Vec<ResultRow> {
+    // Per-repetition values: the six slices, then the total.
+    let mut samples: Vec<Vec<f64>> = vec![Vec::new(); SLICES.len() + 1];
     let mut opened = 0u64;
     let mut pool_misses = 0u64;
     let mut srq_watermark = 0usize;
@@ -26,12 +45,19 @@ fn run_case(sandbox: SandboxType, payload: usize, workers: u32, repetitions: usi
         let echo = session.function::<[u8], [u8]>("echo").expect("echo");
         let data = workloads::generate_payload(payload, 3);
         let (_, first_invocation) = echo.invoke_timed(&data[..]).expect("first invocation");
-        components[0] += cold.connect_to_manager.as_millis_f64();
-        components[1] += cold.submit_allocation.as_millis_f64();
-        components[2] += cold.spawn_workers.as_millis_f64();
-        components[3] += cold.submit_code.as_millis_f64();
-        components[4] += cold.connect_to_workers.as_millis_f64();
-        components[5] += first_invocation.as_millis_f64();
+        let slices = [
+            cold.connect_to_manager,
+            cold.submit_allocation,
+            cold.spawn_workers,
+            cold.submit_code,
+            cold.connect_to_workers,
+            first_invocation,
+        ]
+        .map(|slice| slice.as_millis_f64());
+        for (values, value) in samples.iter_mut().zip(slices) {
+            values.push(value);
+        }
+        samples[SLICES.len()].push(slices.iter().sum());
         let conn = session.stats().connections;
         opened += conn.connections_opened;
         pool_misses += conn.pool_misses;
@@ -41,14 +67,20 @@ fn run_case(sandbox: SandboxType, payload: usize, workers: u32, repetitions: usi
     println!(
         "#   connection plane: {opened} connections opened ({pool_misses} pool misses — every cold start is first contact), SRQ depth high watermark {srq_watermark}"
     );
-    for c in components.iter_mut() {
-        *c /= repetitions as f64;
-    }
+    let components: Vec<f64> = samples[..SLICES.len()]
+        .iter()
+        .map(|values| values.iter().sum::<f64>() / repetitions as f64)
+        .collect();
     let total: f64 = components.iter().sum();
+    let payload_label = if payload >= 1024 * 1024 {
+        "1 MB"
+    } else {
+        "1 B"
+    };
     println!(
         "{:<11} payload={:<9} workers={:<3} | connect-mgr {:>7.2} ms | submit-alloc {:>7.2} ms | spawn-worker {:>9.2} ms | submit-code {:>7.2} ms | connect-workers {:>7.2} ms | invoke {:>7.3} ms | total {:>9.2} ms",
         format!("{sandbox:?}"),
-        if payload >= 1024 * 1024 { "1 MB" } else { "1 B" },
+        payload_label,
         workers,
         components[0],
         components[1],
@@ -58,17 +90,37 @@ fn run_case(sandbox: SandboxType, payload: usize, workers: u32, repetitions: usi
         components[5],
         total
     );
+    SLICES
+        .iter()
+        .chain(["total"].iter())
+        .zip(&samples)
+        .map(|(slice, values)| {
+            let summary = Summary::of(values);
+            ResultRow {
+                series: format!("{sandbox:?} {payload_label} {slice}"),
+                x: f64::from(workers),
+                median: summary.median,
+                p99: summary.p99,
+                unit: "ms".into(),
+            }
+        })
+        .collect()
 }
 
 fn main() {
     let repetitions = if quick_mode() { 2 } else { 10 };
     println!("# Figure 9: cold invocation breakdown (means over {repetitions} cold starts)");
     println!("# paper: bare-metal sandbox init ~25 ms, Docker + SR-IOV ~2.7 s; spawn worker dominates, all other steps single-digit ms");
+    let mut rows = Vec::new();
     for sandbox in [SandboxType::BareMetal, SandboxType::Docker] {
         for payload in [1usize, 1024 * 1024] {
             for workers in [1u32, 32] {
-                run_case(sandbox, payload, workers, repetitions);
+                rows.extend(run_case(sandbox, payload, workers, repetitions));
             }
         }
     }
+    print_table(
+        "Figure 9: cold invocation breakdown per slice (x = workers)",
+        &rows,
+    );
 }

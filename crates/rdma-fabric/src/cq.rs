@@ -60,7 +60,7 @@ impl CqNotifier {
     /// Record an event. Publish the state the loop will look for (a queued
     /// request, a raised flag) *before* signalling: this release pairs with
     /// the acquire in [`CqNotifier::sequence`].
-    pub fn signal(&self) {
+    pub(crate) fn signal(&self) {
         self.seq.fetch_add(1, Ordering::Release);
     }
 

@@ -553,8 +553,7 @@ mod tests {
         }
         let executor = manager.executor("exec-0").unwrap();
         let process = executor.allocator().processes().pop().unwrap();
-        let process = process.lock();
-        assert_eq!(process.workers()[0].mode(), PollingMode::Hot);
+        assert_eq!(process.worker_mode(0), PollingMode::Hot);
         let stats = process.stats();
         assert_eq!(stats.demotions, 0);
         // Every sub-budget spin is billed in full.

@@ -21,16 +21,22 @@
 //! [`rdma_fabric::Fabric::run_until`]. The hot/warm cost split and the
 //! retrospective hot→warm demotion accounting stay exactly as a
 //! thread-per-worker executor would charge them.
+//!
+//! The dispatcher is also the one owner of whatever changes after spawn:
+//! each worker's mode, counters, clock and connection, the leased cores'
+//! busy flags and the sandbox, all behind its single lock. The
+//! [`ExecutorProcess`] the allocator keeps is an immutable descriptor
+//! pointing at it.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use cluster_sim::NodeResources;
 use rdma_fabric::{
-    AccessFlags, Actor, CqNotifier, CqSet, DeviceFunction, Endpoint, Fabric, FabricNode,
-    FaultBatch, Listener, NicProfile, OwnedRegion, PrefetchPlan, QueuePair, ReceiveRing,
-    SendRequest, Sge, SharedReceiveQueue, SrqStats, WorkCompletion,
+    AccessFlags, Actor, CqSet, DeviceFunction, Endpoint, Fabric, FabricNode, FaultBatch, Listener,
+    NicProfile, OwnedRegion, PrefetchPlan, QueuePair, ReceiveRing, SendRequest, Sge,
+    SharedReceiveQueue, SrqStats, WorkCompletion,
 };
 #[cfg(test)]
 use sandbox::SandboxType;
@@ -39,7 +45,7 @@ use sandbox::{
     Sandbox, SandboxSnapshot, SharedFunction, SpawnBreakdown, StateAccess, WarmPool,
     SNAPSHOT_PAGE_BYTES,
 };
-use sim_core::sync::{ranks, OrderedMutex};
+use sim_core::sync::{ranks, OrderedMutex, OrderedMutexGuard};
 use sim_core::{SimDuration, SimTime, VirtualClock};
 use state_plane::{
     StateClient, StateClientStats, StateError, StateKey, StateMode, StateSpec, StateValues,
@@ -320,25 +326,6 @@ impl LeaseDeadline {
     }
 }
 
-/// A CPU core shared between workers; warm invocations must acquire it
-/// exclusively, hot workers hold it for their whole lifetime (Fig. 6).
-#[derive(Debug, Default)]
-pub(crate) struct CoreSlot {
-    busy: AtomicBool,
-}
-
-impl CoreSlot {
-    /// Try to take exclusive ownership of the core.
-    pub(crate) fn try_acquire(&self) -> bool {
-        !self.busy.swap(true, Ordering::AcqRel)
-    }
-
-    /// Release the core.
-    pub fn release(&self) {
-        self.busy.store(false, Ordering::Release);
-    }
-}
-
 /// Statistics of one worker, kept by its process's dispatcher.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkerStats {
@@ -384,38 +371,6 @@ impl WorkerStats {
     }
 }
 
-/// A worker's [`PollingMode`] in one atomic byte: the dispatcher reads it on
-/// every served invocation and for every worker it sweeps.
-#[derive(Debug)]
-struct AtomicMode(AtomicU8);
-
-impl AtomicMode {
-    fn new(mode: PollingMode) -> AtomicMode {
-        AtomicMode(AtomicU8::new(mode as u8))
-    }
-
-    fn load(&self) -> PollingMode {
-        if self.0.load(Ordering::Acquire) == PollingMode::Hot as u8 {
-            PollingMode::Hot
-        } else {
-            PollingMode::Warm
-        }
-    }
-
-    fn store(&self, mode: PollingMode) {
-        self.0.store(mode as u8, Ordering::Release);
-    }
-}
-
-#[derive(Debug)]
-struct WorkerShared {
-    shutdown: AtomicBool,
-    mode: AtomicMode,
-    stats: OrderedMutex<WorkerStats>,
-    clock: Arc<VirtualClock>,
-    deadline: Arc<LeaseDeadline>,
-}
-
 /// Connection details a client needs to reach one worker.
 #[derive(Debug, Clone)]
 pub struct WorkerEndpointInfo {
@@ -425,63 +380,19 @@ pub struct WorkerEndpointInfo {
     pub max_payload: usize,
 }
 
-/// Handle owned by the executor process for one worker. The worker itself is
-/// state driven by the process dispatcher, not a thread of its own.
-#[derive(Debug)]
-pub struct WorkerHandle {
-    info: WorkerEndpointInfo,
-    shared: Arc<WorkerShared>,
-    /// The dispatcher's event counter: moved whenever this handle changes
-    /// what the lifecycle sweep must act on.
-    wake: CqNotifier,
-}
-
-impl WorkerHandle {
-    /// Connection info for clients.
-    pub fn info(&self) -> &WorkerEndpointInfo {
-        &self.info
-    }
-
-    /// Snapshot of the worker's statistics.
-    pub fn stats(&self) -> WorkerStats {
-        *self.shared.stats.lock()
-    }
-
-    /// The worker's virtual clock (its latest observed virtual time).
-    pub fn clock(&self) -> &Arc<VirtualClock> {
-        &self.shared.clock
-    }
-
-    /// Current polling mode.
-    pub fn mode(&self) -> PollingMode {
-        self.shared.mode.load()
-    }
-
-    fn request_shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.wake.signal();
-    }
-}
-
-impl Drop for WorkerHandle {
-    fn drop(&mut self) {
-        // The dispatcher retires the worker (releases its core, disconnects
-        // its client) on its next sweep.
-        self.request_shutdown();
-    }
-}
-
-/// Per-worker state built at allocation time; the process dispatcher drives
-/// its whole lifecycle (accept → hello → serve → retire).
+/// One worker, built at allocation time and owned by its process's
+/// dispatcher, which drives its whole lifecycle (accept → hello → serve →
+/// retire) and keeps its mode and counters.
 struct WorkerSlot {
     listener: Listener,
+    /// The worker's endpoint; its clock is the worker's virtual clock.
     endpoint: Endpoint,
-    shared: Arc<WorkerShared>,
-    core: Arc<CoreSlot>,
-    max_payload: usize,
+    mode: PollingMode,
+    stats: WorkerStats,
     conn: Option<WorkerConn>,
-    /// The worker finished (client gone, shutdown or setup failure). Its CQ
-    /// is deregistered from the set; any stray token in flight is ignored.
+    /// The worker finished (client gone, setup failure or the process
+    /// stopped serving). Its CQ is deregistered from the set; any stray
+    /// token in flight is ignored.
     done: bool,
 }
 
@@ -498,15 +409,23 @@ struct WorkerConn {
     last_ready: Option<SimTime>,
 }
 
-/// One executor process's event loop: every worker served over a single
-/// multiplexed CQ set. It has no thread; the fabric turns it (see
-/// [`DispatcherActor`]) on behalf of whichever host thread waits on it.
+/// One executor process's event loop and the sole owner of everything about
+/// the process that changes after spawn: every worker (served over a single
+/// multiplexed CQ set), the leased cores, the lease deadline and the
+/// sandbox. It has no thread; the fabric turns it (see [`DispatcherActor`])
+/// on behalf of whichever host thread waits on it.
 struct Dispatcher {
     /// The multiplexed set every connected worker's receive CQ joins. Its
-    /// event counter is attached to every worker listener and handle, so it
-    /// moves whenever the lifecycle sweep has something new to act on.
+    /// event counter is attached to every worker listener, so it moves
+    /// whenever the lifecycle sweep has something new to act on.
     cqset: CqSet,
     workers: Vec<WorkerSlot>,
+    /// One busy flag per leased core; worker `i` runs on core
+    /// `i % cores.len()`. Warm invocations must take their core exclusively,
+    /// hot workers hold it for as long as they stay hot (Fig. 6).
+    cores: Vec<bool>,
+    deadline: Arc<LeaseDeadline>,
+    sandbox: Sandbox,
     /// Member token -> worker index, in registration (= drain) order.
     owner: Vec<usize>,
     /// Scratch reused across turns: the steady-state drain never allocates.
@@ -539,10 +458,10 @@ struct Dispatcher {
 /// queue pair is disconnected and, as the connection drops, its buffers
 /// leave the worker's protection domain — the keys the client was given
 /// stop resolving.
-fn retire_worker(slot: &mut WorkerSlot, cqset: &mut CqSet) {
+fn retire_worker(slot: &mut WorkerSlot, core: &mut bool, cqset: &mut CqSet) {
     if let Some(conn) = slot.conn.take() {
         if conn.holds_core {
-            slot.core.release();
+            *core = false;
         }
         cqset.deregister(conn.token);
         conn.qp.disconnect();
@@ -555,7 +474,7 @@ fn retire_worker(slot: &mut WorkerSlot, cqset: &mut CqSet) {
 /// in the dispatcher's set and prepare the hello message advertising the
 /// input buffer.
 fn connect_worker(
-    slot: &WorkerSlot,
+    endpoint: &Endpoint,
     qp: QueuePair,
     cqset: &mut CqSet,
     config: &RFaasConfig,
@@ -563,14 +482,13 @@ fn connect_worker(
 ) -> Option<WorkerConn> {
     // Registered buffers: clients write [header | payload] into `input`; the
     // function produces its result in `output` before it is written back.
-    let input = slot.endpoint.pd.register_owned(
-        INVOCATION_HEADER_BYTES + slot.max_payload,
+    let input = endpoint.pd.register_owned(
+        INVOCATION_HEADER_BYTES + config.max_payload_bytes,
         AccessFlags::REMOTE_WRITE,
     );
-    let output = slot
-        .endpoint
+    let output = endpoint
         .pd
-        .register_owned(slot.max_payload, AccessFlags::LOCAL_ONLY);
+        .register_owned(config.max_payload_bytes, AccessFlags::LOCAL_ONLY);
 
     // No private receive ring: the QP consumes pre-posted receives from the
     // process-wide SRQ, capped by a per-worker flow-control credit so one
@@ -584,8 +502,7 @@ fn connect_worker(
         result_offset: 0,
         result_capacity: input.len() as u64,
     };
-    let hello_region = slot
-        .endpoint
+    let hello_region = endpoint
         .pd
         .register_owned(INVOCATION_HEADER_BYTES, AccessFlags::LOCAL_ONLY);
     hello_region.write(0, &hello.encode()).ok()?;
@@ -612,7 +529,7 @@ fn invoke_stateful(
     output: &mut [u8],
     state_binding: &mut Option<ExecutorStateBinding>,
     clock: &VirtualClock,
-    served: &mut WorkerStats,
+    stats: &mut WorkerStats,
 ) -> FunctionOutcome {
     let Some(binding) = state_binding.as_mut() else {
         return Err(FunctionError::StateAccess(
@@ -627,258 +544,9 @@ fn invoke_stateful(
     let outcome = binding.invoke(function, input, output);
     let spent = binding.now().saturating_since(state_started);
     clock.advance(spent);
-    served.state_invocations += 1;
-    served.state_time += spent;
+    stats.state_invocations += 1;
+    stats.state_time += spent;
     outcome
-}
-
-/// Serve one invocation completion on its owning worker: charge the pickup
-/// on the worker's clock per its polling mode, apply the retrospective
-/// hot-poll accounting, enforce the lease, acquire the core, run the
-/// function and write the result back. The billing is exactly what a
-/// dedicated worker thread charged; only the completion delivery is
-/// multiplexed. The worker's counters are gathered in `served` and added
-/// under one lock once the invocation is done.
-#[allow(clippy::too_many_arguments)]
-fn serve_completion(
-    slot: &mut WorkerSlot,
-    raw: WorkCompletion,
-    ring: &ReceiveRing,
-    package: &CodePackage,
-    config: &RFaasConfig,
-    billing: &Option<Arc<BillingClient>>,
-    fork: &Option<Arc<ForkFaultState>>,
-    state_binding: &mut Option<ExecutorStateBinding>,
-) {
-    let WorkerSlot {
-        shared,
-        core,
-        conn,
-        max_payload,
-        ..
-    } = slot;
-    let Some(conn) = conn.as_mut() else {
-        return;
-    };
-    // Hand the raw completion back to the shared ring for slot accounting:
-    // adoption releases the consuming QP's SRQ credit and re-posts the
-    // consumed receive into the SRQ.
-    let wc = ring.adopt(raw).wc;
-
-    // The multiplexed drain was uncharged: bill the pickup the way this
-    // worker's own wait would have. Hot workers pay the busy-poll pickup;
-    // warm workers pay notification serialisation plus the blocking wake-up.
-    let mode = shared.mode.load();
-    let wc = match mode {
-        PollingMode::Hot => {
-            conn.qp.recv_cq().charge_poll_pickup(&wc);
-            wc
-        }
-        PollingMode::Warm => conn.qp.recv_cq().charge_blocking_pickup(wc),
-    };
-    if !wc.is_success() {
-        return;
-    }
-    let mut served = WorkerStats::default();
-
-    // Hot-polling time: the gap between becoming idle and the arrival of
-    // this request is CPU time burnt spinning (billed like compute).
-    //
-    // Demotion is evaluated *retrospectively* at the next arrival: an
-    // idle worker cannot observe virtual time passing (empty polls do
-    // not advance it), so the spin gap is only known once a completion
-    // carries its timestamp. The one fidelity cost: a hot worker past
-    // its budget keeps the core until that next arrival, so co-located
-    // warm invocations can still be rejected during the window.
-    if let (PollingMode::Hot, Some(idle_since)) = (mode, conn.last_ready) {
-        let spin = wc.timestamp.saturating_since(idle_since);
-        if spin > HOT_POLL_TIMEOUT {
-            // The worker stopped spinning `HOT_POLL_TIMEOUT` after going
-            // idle and parked on the completion channel (Sec. III-C): the
-            // polling bill is capped at the budget, the worker is warm from
-            // here on, and this request pays the blocking wake-up it
-            // actually took.
-            served.hot_poll_time += HOT_POLL_TIMEOUT;
-            served.demotions += 1;
-            if let Some(b) = billing {
-                b.record_hot_poll(HOT_POLL_TIMEOUT);
-            }
-            shared.mode.store(PollingMode::Warm);
-            shared.clock.advance(conn.qp.recv_cq().blocking_penalty());
-            if conn.holds_core {
-                core.release();
-                conn.holds_core = false;
-            }
-        } else if !spin.is_zero() {
-            served.hot_poll_time += spin;
-            if let Some(b) = billing {
-                b.record_hot_poll(spin);
-            }
-        }
-    }
-
-    let imm = wc.imm.unwrap_or(0);
-    let (invocation_id, function_index) = ImmValue::parse_request(imm);
-    let payload_len = wc.byte_len.saturating_sub(INVOCATION_HEADER_BYTES);
-    // One view over the header and the payload behind it, held while the
-    // invocation is served: the function reads its payload where the
-    // client's write put it. A payload reaching past the input buffer fails
-    // the function, not the view.
-    let wire_len = (INVOCATION_HEADER_BYTES + payload_len).min(conn.input.len());
-    let _ = conn.input.with_bytes(0, wire_len, |wire| {
-        let Some(Ok(header)) = wire
-            .get(..INVOCATION_HEADER_BYTES)
-            .map(InvocationHeader::decode)
-        else {
-            return;
-        };
-        let result_handle = header.result_handle();
-        let payload = wire.get(INVOCATION_HEADER_BYTES..INVOCATION_HEADER_BYTES + payload_len);
-
-        // Lease enforcement (Sec. III-B): charging the pickup synchronised
-        // this worker's clock to the invocation's arrival time, so comparing
-        // against the shared deadline catches leases that expired while the
-        // client kept the connection open. Refuse the invocation so the
-        // client re-allocates through the resource manager.
-        if shared.deadline.is_expired(shared.clock.now()) {
-            served.expired += 1;
-            let _ = conn.qp.post_send(
-                invocation_id as u64,
-                SendRequest::WriteWithImm {
-                    local: Sge::range(&conn.output, 0, 0),
-                    remote: result_handle.slice(0, 0),
-                    imm: ImmValue::response(invocation_id, ResultStatus::LeaseExpired),
-                },
-                false,
-            );
-            // The spin up to this arrival was already accounted above; mark
-            // the new idle point or the next request re-bills that interval.
-            conn.last_ready = Some(shared.clock.now());
-            return;
-        }
-
-        // Oversubscribed warm executions must grab the core; if a
-        // compute-intensive task holds it, reject immediately so the client
-        // redirects to another executor (Sec. III-D, Fig. 6).
-        let acquired_for_this = if !conn.holds_core {
-            if core.try_acquire() {
-                true
-            } else {
-                served.rejected += 1;
-                let _ = conn.qp.post_send(
-                    invocation_id as u64,
-                    SendRequest::WriteWithImm {
-                        local: Sge::range(&conn.output, 0, 0),
-                        remote: result_handle.slice(0, 0),
-                        imm: ImmValue::response(invocation_id, ResultStatus::Rejected),
-                    },
-                    false,
-                );
-                conn.last_ready = Some(shared.clock.now());
-                return;
-            }
-        } else {
-            false
-        };
-
-        // A forked child still faulting in parent pages pays the next
-        // prefetch window here: the page touches happen under this
-        // invocation's function entry, served by one-sided READs from the
-        // parent node and billed to the tenant like compute. Once the map is
-        // resident (`serve_next` returns None) invocations are
-        // indistinguishable from a warm spawn.
-        if let Some(fork) = fork {
-            if let Some(batch) = fork.serve_next() {
-                shared.clock.advance(batch.cost);
-                served.fork_faults += 1;
-                served.fork_fault_time += batch.cost;
-                if let Some(b) = billing {
-                    b.record_compute(batch.cost);
-                }
-            }
-        }
-
-        // Dispatch: header parse, function lookup, argument setup.
-        shared.clock.advance(config.dispatch_cost);
-
-        let response = match package.function_by_index(function_index as usize) {
-            None => (0usize, ResultStatus::FunctionFailed),
-            Some(function) => {
-                let started = shared.clock.now();
-                // The function produces its result where the reply is
-                // gathered from. Its output window is what the client can
-                // receive, not the whole buffer: a larger result fails the
-                // invocation either way, and the window is all of the buffer
-                // this lease ever commits.
-                let window = (*max_payload).min(result_handle.len);
-                let outcome = match payload {
-                    Some(payload) => conn
-                        .output
-                        .with_bytes_mut(0, window, |output| {
-                            if function.is_stateful() {
-                                invoke_stateful(
-                                    function,
-                                    payload,
-                                    output,
-                                    state_binding,
-                                    &shared.clock,
-                                    &mut served,
-                                )
-                            } else {
-                                function.invoke(payload, output)
-                            }
-                        })
-                        .unwrap_or_else(|e| Err(FunctionError::InvalidInput(e.to_string()))),
-                    None => Err(FunctionError::InvalidInput(
-                        "payload reaches past the input buffer".into(),
-                    )),
-                };
-                shared.clock.advance(function.compute_cost(payload_len));
-                let busy = shared.clock.now().saturating_since(started);
-                served.busy_time += busy;
-                if let Some(b) = billing {
-                    b.record_compute(busy);
-                }
-                match outcome {
-                    // Within the window is within both the output buffer the
-                    // reply is gathered from and the client's result buffer.
-                    Ok(n) if n <= window => (n, ResultStatus::Success),
-                    Ok(_) | Err(_) => (0, ResultStatus::FunctionFailed),
-                }
-            }
-        };
-
-        // Write the result directly into the client's memory and notify it
-        // through the immediate value.
-        let (out_len, status) = response;
-        let _ = conn.qp.post_send(
-            invocation_id as u64,
-            SendRequest::WriteWithImm {
-                local: Sge::range(&conn.output, 0, out_len),
-                remote: result_handle.slice(0, out_len),
-                imm: ImmValue::response(invocation_id, status),
-            },
-            false,
-        );
-        match status {
-            ResultStatus::Success => served.invocations += 1,
-            ResultStatus::FunctionFailed => served.failed += 1,
-            ResultStatus::Rejected | ResultStatus::LeaseExpired => {}
-        }
-        if acquired_for_this {
-            core.release();
-        }
-
-        // The ring already replenished the consumed receive; mark the idle
-        // point for the hot-poll accounting of the next request.
-        conn.last_ready = Some(shared.clock.now());
-        if let Some(b) = billing {
-            let _ = b.flush();
-        }
-    });
-    if served != WorkerStats::default() {
-        shared.stats.lock().accumulate(&served);
-    }
 }
 
 impl Dispatcher {
@@ -888,9 +556,9 @@ impl Dispatcher {
     /// Returns whether anything progressed.
     ///
     /// The sweep runs only when the set's event counter moved — a connection
-    /// request at a worker listener, a member disconnect, a mode switch or a
-    /// shutdown request — or the last sweep left a worker unsettled; a turn
-    /// that only serves invocations never re-walks the worker slots.
+    /// request at a worker listener or a member disconnect — or the last
+    /// sweep left a worker unsettled; a turn that only serves invocations
+    /// never re-walks the worker slots.
     fn turn(&mut self) -> bool {
         let seen = self.cqset.notifier().sequence();
         let swept = if seen != self.swept_at || self.unsettled {
@@ -909,30 +577,34 @@ impl Dispatcher {
     fn sweep(&mut self) -> bool {
         let mut progressed = false;
         let mut retrying = false;
+        let core_count = self.cores.len();
         for (index, slot) in self.workers.iter_mut().enumerate() {
             if slot.done {
                 continue;
             }
-            if slot.shared.shutdown.load(Ordering::Acquire) {
-                retire_worker(slot, &mut self.cqset);
-                continue;
-            }
+            let core = &mut self.cores[index % core_count];
             if slot.conn.is_none() {
                 // Wait for the lease-holding client to connect.
                 match slot.listener.try_accept(&slot.endpoint) {
                     Ok(Some(qp)) => {
-                        match connect_worker(slot, qp, &mut self.cqset, &self.config, &self.srq) {
+                        match connect_worker(
+                            &slot.endpoint,
+                            qp,
+                            &mut self.cqset,
+                            &self.config,
+                            &self.srq,
+                        ) {
                             Some(conn) => {
                                 debug_assert_eq!(conn.token, self.owner.len());
                                 self.owner.push(index);
                                 slot.conn = Some(conn);
                                 progressed = true;
                             }
-                            None => retire_worker(slot, &mut self.cqset),
+                            None => retire_worker(slot, core, &mut self.cqset),
                         }
                     }
                     Ok(None) => {}
-                    Err(_) => retire_worker(slot, &mut self.cqset),
+                    Err(_) => retire_worker(slot, core, &mut self.cqset),
                 }
                 continue;
             }
@@ -957,21 +629,21 @@ impl Dispatcher {
                         if conn.qp.is_connected() {
                             retrying = true;
                         } else {
-                            retire_worker(slot, &mut self.cqset);
+                            retire_worker(slot, core, &mut self.cqset);
                         }
                     }
-                    Err(_) => retire_worker(slot, &mut self.cqset),
+                    Err(_) => retire_worker(slot, core, &mut self.cqset),
                 }
                 continue;
             }
-            // Hot workers own their core for their entire lifetime.
-            let mode = slot.shared.mode.load();
-            if matches!(mode, PollingMode::Hot) && !conn.holds_core {
-                conn.holds_core = slot.core.try_acquire();
+            // Hot workers own their core for as long as they stay hot.
+            let hot = matches!(slot.mode, PollingMode::Hot);
+            if hot && !conn.holds_core {
+                conn.holds_core = take_core(core);
                 retrying |= !conn.holds_core;
             }
-            if !matches!(mode, PollingMode::Hot) && conn.holds_core {
-                slot.core.release();
+            if !hot && conn.holds_core {
+                *core = false;
                 conn.holds_core = false;
             }
             // A gone client retires the worker once its CQ drained: the
@@ -979,7 +651,7 @@ impl Dispatcher {
             // exactly like a dedicated thread polling dry.
             if !conn.qp.is_connected() {
                 if conn.qp.recv_cq().pending() == 0 {
-                    retire_worker(slot, &mut self.cqset);
+                    retire_worker(slot, core, &mut self.cqset);
                 } else {
                     retrying = true;
                 }
@@ -992,36 +664,301 @@ impl Dispatcher {
     /// Drain every member CQ in registration order and serve the completions
     /// on their owning workers. Returns whether anything was served.
     fn drain(&mut self) -> bool {
-        self.scratch.clear();
-        self.cqset
-            .poll_uncharged_into(usize::MAX, &mut self.scratch);
+        let mut scratch = std::mem::take(&mut self.scratch);
+        self.cqset.poll_uncharged_into(usize::MAX, &mut scratch);
         let mut served = false;
-        for (token, wc) in self.scratch.drain(..) {
-            let slot = &mut self.workers[self.owner[token]];
+        for (token, wc) in scratch.drain(..) {
+            let index = self.owner[token];
+            let slot = &self.workers[index];
             if slot.done || slot.conn.is_none() {
                 continue;
             }
-            serve_completion(
-                slot,
-                wc,
-                &self.ring,
-                &self.package,
-                &self.config,
-                &self.billing,
-                &self.fork,
-                &mut self.state_binding,
-            );
+            self.serve(index, wc);
             served = true;
         }
+        self.scratch = scratch;
         served
+    }
+
+    /// Serve one invocation completion on worker `index`: charge the pickup
+    /// on the worker's clock per its polling mode, apply the retrospective
+    /// hot-poll accounting, enforce the lease, acquire the core, run the
+    /// function and write the result back. The billing is exactly what a
+    /// dedicated worker thread charged; only the completion delivery is
+    /// multiplexed.
+    fn serve(&mut self, index: usize, raw: WorkCompletion) {
+        let Dispatcher {
+            workers,
+            cores,
+            deadline,
+            ring,
+            package,
+            config,
+            billing,
+            fork,
+            state_binding,
+            ..
+        } = self;
+        let WorkerSlot {
+            endpoint,
+            mode: worker_mode,
+            stats,
+            conn,
+            ..
+        } = &mut workers[index];
+        let clock = &*endpoint.clock;
+        let core_count = cores.len();
+        let core = &mut cores[index % core_count];
+        let Some(conn) = conn.as_mut() else {
+            return;
+        };
+        // Hand the raw completion back to the shared ring for slot accounting:
+        // adoption releases the consuming QP's SRQ credit and re-posts the
+        // consumed receive into the SRQ.
+        let wc = ring.adopt(raw).wc;
+
+        // The multiplexed drain was uncharged: bill the pickup the way this
+        // worker's own wait would have. Hot workers pay the busy-poll pickup;
+        // warm workers pay notification serialisation plus the blocking wake-up.
+        let mode = *worker_mode;
+        let wc = match mode {
+            PollingMode::Hot => {
+                conn.qp.recv_cq().charge_poll_pickup(&wc);
+                wc
+            }
+            PollingMode::Warm => conn.qp.recv_cq().charge_blocking_pickup(wc),
+        };
+        if !wc.is_success() {
+            return;
+        }
+
+        // Hot-polling time: the gap between becoming idle and the arrival of
+        // this request is CPU time burnt spinning (billed like compute).
+        //
+        // Demotion is evaluated *retrospectively* at the next arrival: an
+        // idle worker cannot observe virtual time passing (empty polls do
+        // not advance it), so the spin gap is only known once a completion
+        // carries its timestamp. The one fidelity cost: a hot worker past
+        // its budget keeps the core until that next arrival, so co-located
+        // warm invocations can still be rejected during the window.
+        if let (PollingMode::Hot, Some(idle_since)) = (mode, conn.last_ready) {
+            let spin = wc.timestamp.saturating_since(idle_since);
+            if spin > HOT_POLL_TIMEOUT {
+                // The worker stopped spinning `HOT_POLL_TIMEOUT` after going
+                // idle and parked on the completion channel (Sec. III-C): the
+                // polling bill is capped at the budget, the worker is warm from
+                // here on, and this request pays the blocking wake-up it
+                // actually took.
+                stats.hot_poll_time += HOT_POLL_TIMEOUT;
+                stats.demotions += 1;
+                if let Some(b) = billing {
+                    b.record_hot_poll(HOT_POLL_TIMEOUT);
+                }
+                *worker_mode = PollingMode::Warm;
+                clock.advance(conn.qp.recv_cq().blocking_penalty());
+                if conn.holds_core {
+                    *core = false;
+                    conn.holds_core = false;
+                }
+            } else if !spin.is_zero() {
+                stats.hot_poll_time += spin;
+                if let Some(b) = billing {
+                    b.record_hot_poll(spin);
+                }
+            }
+        }
+
+        let imm = wc.imm.unwrap_or(0);
+        let (invocation_id, function_index) = ImmValue::parse_request(imm);
+        let payload_len = wc.byte_len.saturating_sub(INVOCATION_HEADER_BYTES);
+        // One view over the header and the payload behind it, held while the
+        // invocation is served: the function reads its payload where the
+        // client's write put it. A payload reaching past the input buffer fails
+        // the function, not the view.
+        let wire_len = (INVOCATION_HEADER_BYTES + payload_len).min(conn.input.len());
+        let _ = conn.input.with_bytes(0, wire_len, |wire| {
+            let Some(Ok(header)) = wire
+                .get(..INVOCATION_HEADER_BYTES)
+                .map(InvocationHeader::decode)
+            else {
+                return;
+            };
+            let result_handle = header.result_handle();
+            let payload = wire.get(INVOCATION_HEADER_BYTES..INVOCATION_HEADER_BYTES + payload_len);
+
+            // Lease enforcement (Sec. III-B): charging the pickup synchronised
+            // this worker's clock to the invocation's arrival time, so comparing
+            // against the shared deadline catches leases that expired while the
+            // client kept the connection open. Refuse the invocation so the
+            // client re-allocates through the resource manager.
+            if deadline.is_expired(clock.now()) {
+                stats.expired += 1;
+                let _ = conn.qp.post_send(
+                    invocation_id as u64,
+                    SendRequest::WriteWithImm {
+                        local: Sge::range(&conn.output, 0, 0),
+                        remote: result_handle.slice(0, 0),
+                        imm: ImmValue::response(invocation_id, ResultStatus::LeaseExpired),
+                    },
+                    false,
+                );
+                // The spin up to this arrival was already accounted above; mark
+                // the new idle point or the next request re-bills that interval.
+                conn.last_ready = Some(clock.now());
+                return;
+            }
+
+            // Oversubscribed warm executions must grab the core; if a
+            // compute-intensive task holds it, reject immediately so the client
+            // redirects to another executor (Sec. III-D, Fig. 6).
+            let acquired_for_this = if !conn.holds_core {
+                if take_core(core) {
+                    true
+                } else {
+                    stats.rejected += 1;
+                    let _ = conn.qp.post_send(
+                        invocation_id as u64,
+                        SendRequest::WriteWithImm {
+                            local: Sge::range(&conn.output, 0, 0),
+                            remote: result_handle.slice(0, 0),
+                            imm: ImmValue::response(invocation_id, ResultStatus::Rejected),
+                        },
+                        false,
+                    );
+                    conn.last_ready = Some(clock.now());
+                    return;
+                }
+            } else {
+                false
+            };
+
+            // A forked child still faulting in parent pages pays the next
+            // prefetch window here: the page touches happen under this
+            // invocation's function entry, served by one-sided READs from the
+            // parent node and billed to the tenant like compute. Once the map is
+            // resident (`serve_next` returns None) invocations are
+            // indistinguishable from a warm spawn.
+            if let Some(fork) = fork {
+                if let Some(batch) = fork.serve_next() {
+                    clock.advance(batch.cost);
+                    stats.fork_faults += 1;
+                    stats.fork_fault_time += batch.cost;
+                    if let Some(b) = billing {
+                        b.record_compute(batch.cost);
+                    }
+                }
+            }
+
+            // Dispatch: header parse, function lookup, argument setup.
+            clock.advance(config.dispatch_cost);
+
+            let response = match package.function_by_index(function_index as usize) {
+                None => (0usize, ResultStatus::FunctionFailed),
+                Some(function) => {
+                    let started = clock.now();
+                    // The function produces its result where the reply is
+                    // gathered from. Its output window is what the client can
+                    // receive, not the whole buffer: a larger result fails the
+                    // invocation either way, and the window is all of the buffer
+                    // this lease ever commits.
+                    let window = config.max_payload_bytes.min(result_handle.len);
+                    let outcome = match payload {
+                        Some(payload) => conn
+                            .output
+                            .with_bytes_mut(0, window, |output| {
+                                if function.is_stateful() {
+                                    invoke_stateful(
+                                        function,
+                                        payload,
+                                        output,
+                                        state_binding,
+                                        clock,
+                                        stats,
+                                    )
+                                } else {
+                                    function.invoke(payload, output)
+                                }
+                            })
+                            .unwrap_or_else(|e| Err(FunctionError::InvalidInput(e.to_string()))),
+                        None => Err(FunctionError::InvalidInput(
+                            "payload reaches past the input buffer".into(),
+                        )),
+                    };
+                    clock.advance(function.compute_cost(payload_len));
+                    let busy = clock.now().saturating_since(started);
+                    stats.busy_time += busy;
+                    if let Some(b) = billing {
+                        b.record_compute(busy);
+                    }
+                    match outcome {
+                        // Within the window is within both the output buffer the
+                        // reply is gathered from and the client's result buffer.
+                        Ok(n) if n <= window => (n, ResultStatus::Success),
+                        Ok(_) | Err(_) => (0, ResultStatus::FunctionFailed),
+                    }
+                }
+            };
+
+            // Write the result directly into the client's memory and notify it
+            // through the immediate value.
+            let (out_len, status) = response;
+            let _ = conn.qp.post_send(
+                invocation_id as u64,
+                SendRequest::WriteWithImm {
+                    local: Sge::range(&conn.output, 0, out_len),
+                    remote: result_handle.slice(0, out_len),
+                    imm: ImmValue::response(invocation_id, status),
+                },
+                false,
+            );
+            match status {
+                ResultStatus::Success => stats.invocations += 1,
+                ResultStatus::FunctionFailed => stats.failed += 1,
+                ResultStatus::Rejected | ResultStatus::LeaseExpired => {}
+            }
+            if acquired_for_this {
+                *core = false;
+            }
+
+            // The ring already replenished the consumed receive; mark the idle
+            // point for the hot-poll accounting of the next request.
+            conn.last_ready = Some(clock.now());
+            if let Some(b) = billing {
+                let _ = b.flush();
+            }
+        });
     }
 
     /// Retire every worker: the process stops serving.
     fn retire_all(&mut self) {
-        for slot in &mut self.workers {
-            retire_worker(slot, &mut self.cqset);
+        let core_count = self.cores.len();
+        for (index, slot) in self.workers.iter_mut().enumerate() {
+            retire_worker(slot, &mut self.cores[index % core_count], &mut self.cqset);
         }
     }
+
+    /// Counters summed over every worker.
+    fn stats(&self) -> WorkerStats {
+        let mut total = WorkerStats::default();
+        for worker in &self.workers {
+            total.accumulate(&worker.stats);
+        }
+        total
+    }
+
+    /// Latest virtual time observed by any worker.
+    fn latest_worker_time(&self) -> SimTime {
+        self.workers
+            .iter()
+            .map(|w| w.endpoint.clock.now())
+            .max()
+            .unwrap_or(SimTime::ZERO)
+    }
+}
+
+/// Take a core's busy flag; false if a sibling worker already holds it.
+fn take_core(busy: &mut bool) -> bool {
+    !std::mem::replace(busy, true)
 }
 
 /// The dispatcher as the fabric turns it. The turn takes the dispatcher with
@@ -1075,15 +1012,16 @@ pub struct AllocationResult {
 }
 
 /// An executor process: one sandbox hosting a set of workers that all serve
-/// the same code package on behalf of one lease.
+/// the same code package on behalf of one lease. The process itself is an
+/// immutable descriptor; everything that changes after spawn — the workers,
+/// the cores, the sandbox — belongs to its dispatcher, and the readers below
+/// take the dispatcher's lock.
 #[derive(Debug)]
 pub struct ExecutorProcess {
     id: u64,
     lease_id: u64,
-    sandbox: Sandbox,
-    workers: Vec<WorkerHandle>,
-    /// The event loop multiplexing every worker's receive CQ, registered on
-    /// `fabric` as actor `actor` until the process stops serving.
+    /// The event loop owning every worker, registered on `fabric` as actor
+    /// `actor` until the process stops serving.
     dispatcher: Arc<DispatcherActor>,
     fabric: Arc<Fabric>,
     actor: u64,
@@ -1114,23 +1052,19 @@ impl ExecutorProcess {
         self.lease_id
     }
 
-    /// Worker handles (read-only).
-    pub fn workers(&self) -> &[WorkerHandle] {
-        &self.workers
+    /// Current polling mode of worker `index`.
+    pub fn worker_mode(&self, index: usize) -> PollingMode {
+        self.dispatcher.0.lock().workers[index].mode
     }
 
-    /// The (renewable) lease deadline shared with this process's workers.
+    /// The (renewable) lease deadline its dispatcher enforces.
     pub fn deadline(&self) -> &Arc<LeaseDeadline> {
         &self.deadline
     }
 
     /// Aggregate statistics over all workers.
     pub fn stats(&self) -> WorkerStats {
-        let mut total = WorkerStats::default();
-        for w in &self.workers {
-            total.accumulate(&w.stats());
-        }
-        total
+        self.dispatcher.0.lock().stats()
     }
 
     /// The allocation policy this process was provisioned under.
@@ -1160,29 +1094,14 @@ impl ExecutorProcess {
         self.srq.stats()
     }
 
-    /// Latest virtual time observed by any worker of this process.
-    pub(crate) fn latest_worker_time(&self) -> SimTime {
-        self.workers
-            .iter()
-            .map(|w| w.clock().now())
-            .max()
-            .unwrap_or(SimTime::ZERO)
-    }
-
-    /// Stop serving: shut every worker down, take the dispatcher off the
-    /// fabric and retire its workers in-line. The sandbox stays alive so the
-    /// caller can park it as a warm parent.
-    fn stop_serving(&mut self) {
-        for w in &self.workers {
-            w.request_shutdown();
-        }
+    /// Stop serving: take the dispatcher off the fabric and retire its
+    /// workers in-line. Returns the dispatcher, still locked: the sandbox
+    /// stays alive so the caller can park it as a warm parent.
+    fn stop_serving(&self) -> OrderedMutexGuard<'_, Dispatcher> {
         self.fabric.unregister_actor(self.actor);
-        self.dispatcher.0.lock().retire_all();
-    }
-
-    fn shutdown(&mut self) -> SimDuration {
-        self.stop_serving();
-        self.sandbox.terminate().unwrap_or(SimDuration::ZERO)
+        let mut dispatcher = self.dispatcher.0.lock();
+        dispatcher.retire_all();
+        dispatcher
     }
 }
 
@@ -1197,7 +1116,7 @@ impl Drop for ExecutorProcess {
 
 struct AllocatorState {
     available: NodeResources,
-    processes: BTreeMap<u64, Arc<OrderedMutex<ExecutorProcess>>>,
+    processes: BTreeMap<u64, Arc<ExecutorProcess>>,
 }
 
 /// The lightweight allocator of one spot executor (A2 in Fig. 4): connects
@@ -1295,27 +1214,12 @@ impl LightweightAllocator {
         &self.clock
     }
 
-    /// Allocate an executor process for `lease` with one worker per leased
-    /// core, each pinned to its own core slot.
-    pub fn allocate(&self, lease: &Lease) -> Result<AllocationResult> {
-        self.allocate_with_workers(lease, lease.cores as usize, PollingMode::Hot)
-    }
-
-    /// Allocate with an explicit worker count and polling mode. Requesting
-    /// more workers than leased cores oversubscribes the cores, which makes
-    /// warm invocations subject to rejection (Sec. III-D).
-    pub fn allocate_with_workers(
-        &self,
-        lease: &Lease,
-        workers: usize,
-        mode: PollingMode,
-    ) -> Result<AllocationResult> {
-        self.allocate_with_policy(lease, workers, mode, AllocationPolicy::Cold)
-    }
-
-    /// Allocate under an explicit [`AllocationPolicy`]: the fork and
+    /// Allocate an executor process for `lease` with `workers` workers in
+    /// polling `mode`, its sandbox provisioned under `policy`: the fork and
     /// warm-pool tiers consult the executor's [`WarmPool`] before paying for
     /// a full `Sandbox::spawn`, and fall back to the cold path on a miss.
+    /// Requesting more workers than leased cores oversubscribes the cores,
+    /// which makes warm invocations subject to rejection (Sec. III-D).
     pub(crate) fn allocate_with_policy(
         &self,
         lease: &Lease,
@@ -1412,10 +1316,6 @@ impl LightweightAllocator {
         self.clock.advance(spawn.total() + code_submission);
         let start_time = self.clock.now();
 
-        // One core slot per leased core; workers round-robin over them.
-        let cores: Vec<Arc<CoreSlot>> = (0..lease.cores.max(1))
-            .map(|_| Arc::new(CoreSlot::default()))
-            .collect();
         let device_function = if lease.sandbox.uses_virtual_function() {
             DeviceFunction::Virtual
         } else {
@@ -1444,14 +1344,14 @@ impl LightweightAllocator {
             .map_err(|e| RFaasError::Internal(format!("failed to build shared receive ring: {e}")));
 
         // The dispatcher's event counter exists before anything that moves
-        // it: every worker listener and handle attaches it at creation.
+        // it: every worker listener attaches it at creation.
         let cqset = CqSet::new();
         let wake = cqset.notifier().clone();
 
         let process_id = NEXT_PROCESS_ID.fetch_add(1, Ordering::Relaxed);
         let billing = self.billing.lock().clone();
         let deadline = Arc::new(LeaseDeadline::new(lease.expires_at));
-        let mut handles = Vec::with_capacity(workers);
+        let mut infos = Vec::with_capacity(workers);
         let mut slots = Vec::with_capacity(workers);
         let mut spawn_error = None;
         for worker_idx in 0..workers {
@@ -1465,35 +1365,22 @@ impl LightweightAllocator {
             let address = format!("rfaas://{}/{}/{}", self.node_name, process_id, worker_idx);
             let listener = Listener::bind(&self.fabric, &address);
             listener.attach_notifier(&wake);
-            let worker_clock = Arc::new(VirtualClock::starting_at(start_time));
-            let shared = Arc::new(WorkerShared {
-                shutdown: AtomicBool::new(false),
-                mode: AtomicMode::new(mode),
-                stats: OrderedMutex::new(ranks::EXECUTOR_STATS, WorkerStats::default()),
-                clock: Arc::clone(&worker_clock),
-                deadline: Arc::clone(&deadline),
-            });
             let endpoint = Endpoint {
                 fabric: Arc::clone(&self.fabric),
                 node: Arc::clone(&self.node),
-                clock: worker_clock,
+                clock: Arc::new(VirtualClock::starting_at(start_time)),
                 pd: rdma_fabric::ProtectionDomain::new(),
                 function: device_function,
             };
-            handles.push(WorkerHandle {
-                info: WorkerEndpointInfo {
-                    address,
-                    max_payload: self.config.max_payload_bytes,
-                },
-                shared: Arc::clone(&shared),
-                wake: wake.clone(),
+            infos.push(WorkerEndpointInfo {
+                address,
+                max_payload: self.config.max_payload_bytes,
             });
             slots.push(WorkerSlot {
                 listener,
                 endpoint,
-                shared,
-                core: Arc::clone(&cores[worker_idx % cores.len()]),
-                max_payload: self.config.max_payload_bytes,
+                mode,
+                stats: WorkerStats::default(),
                 conn: None,
                 done: false,
             });
@@ -1502,11 +1389,10 @@ impl LightweightAllocator {
         let ring = match (shared_ring, spawn_error) {
             (Ok(ring), None) => ring,
             (Err(error), _) | (Ok(_), Some(error)) => {
-                // Roll back the partial allocation: drop the worker handles
-                // and slots built so far (nothing serves them — no
-                // dispatcher exists yet), terminate the sandbox and return
-                // the reservation to the node pool.
-                drop(handles);
+                // Roll back the partial allocation: drop the worker slots
+                // built so far (nothing serves them — no dispatcher exists
+                // yet), terminate the sandbox and return the reservation to
+                // the node pool.
                 drop(slots);
                 if let Some(teardown) = sandbox.terminate() {
                     self.clock.advance(teardown);
@@ -1526,6 +1412,9 @@ impl LightweightAllocator {
                 swept_at: wake.sequence(),
                 cqset,
                 workers: slots,
+                cores: vec![false; lease.cores.max(1) as usize],
+                deadline: Arc::clone(&deadline),
+                sandbox,
                 owner: Vec::new(),
                 scratch: Vec::new(),
                 unsettled: true,
@@ -1540,12 +1429,9 @@ impl LightweightAllocator {
         )));
         let actor = self.fabric.register_actor(dispatcher.clone());
 
-        let infos: Vec<WorkerEndpointInfo> = handles.iter().map(|h| h.info().clone()).collect();
         let process = ExecutorProcess {
             id: process_id,
             lease_id: lease.id,
-            sandbox,
-            workers: handles,
             dispatcher,
             fabric: Arc::clone(&self.fabric),
             actor,
@@ -1557,10 +1443,10 @@ impl LightweightAllocator {
             policy,
             fork: fork_state,
         };
-        self.state.lock().processes.insert(
-            process_id,
-            Arc::new(OrderedMutex::new(ranks::EXECUTOR_PROCESS, process)),
-        );
+        self.state
+            .lock()
+            .processes
+            .insert(process_id, Arc::new(process));
 
         Ok(AllocationResult {
             process_id,
@@ -1574,14 +1460,14 @@ impl LightweightAllocator {
     }
 
     /// Look up an executor process.
-    pub fn process(&self, process_id: u64) -> Option<Arc<OrderedMutex<ExecutorProcess>>> {
+    fn process(&self, process_id: u64) -> Option<Arc<ExecutorProcess>> {
         self.state.lock().processes.get(&process_id).cloned()
     }
 
     /// Shared-receive-queue statistics of one process (`None` for an unknown
     /// or already deallocated process).
     pub fn srq_stats(&self, process_id: u64) -> Option<SrqStats> {
-        self.process(process_id).map(|p| p.lock().srq_stats())
+        self.process(process_id).map(|p| p.srq_stats())
     }
 
     /// Depth high watermark of one process's shared receive queue: the peak
@@ -1601,7 +1487,7 @@ impl LightweightAllocator {
     /// Fault state of a forked process (`None` for unknown processes or
     /// cold/warm provisioning).
     pub(crate) fn fork_state(&self, process_id: u64) -> Option<Arc<ForkFaultState>> {
-        self.process(process_id).and_then(|p| p.lock().fork_state())
+        self.process(process_id).and_then(|p| p.fork_state())
     }
 
     /// Attach a state-plane client to one executor process: stateful
@@ -1611,7 +1497,7 @@ impl LightweightAllocator {
         let process = self
             .process(process_id)
             .ok_or(RFaasError::UnknownLease(process_id))?;
-        process.lock().dispatcher.0.lock().state_binding = Some(ExecutorStateBinding::new(client));
+        process.dispatcher.0.lock().state_binding = Some(ExecutorStateBinding::new(client));
         Ok(())
     }
 
@@ -1626,7 +1512,6 @@ impl LightweightAllocator {
         let process = self
             .process(process_id)
             .ok_or(RFaasError::UnknownLease(process_id))?;
-        let process = process.lock();
         let mut dispatcher = process.dispatcher.0.lock();
         let binding = dispatcher.state_binding.as_mut().ok_or_else(|| {
             RFaasError::StatePlane(StateError::Protocol(
@@ -1639,19 +1524,13 @@ impl LightweightAllocator {
 
     /// Client-side state counters of one process's plane attachment.
     pub(crate) fn state_client_stats(&self, process_id: u64) -> Option<StateClientStats> {
-        self.process(process_id)
-            .and_then(|p| p.lock().state_stats())
+        self.process(process_id).and_then(|p| p.state_stats())
     }
 
     /// All live executor processes, in ascending process-id order (used by
-    /// experiments and tests to reach worker handles without the id).
-    pub fn processes(&self) -> Vec<Arc<OrderedMutex<ExecutorProcess>>> {
-        let state = self.state.lock();
-        let mut ids: Vec<u64> = state.processes.keys().copied().collect();
-        ids.sort_unstable();
-        ids.into_iter()
-            .map(|id| Arc::clone(&state.processes[&id]))
-            .collect()
+    /// experiments and tests to read a process without knowing its id).
+    pub fn processes(&self) -> Vec<Arc<ExecutorProcess>> {
+        self.state.lock().processes.values().cloned().collect()
     }
 
     /// Deallocate an executor process, returning its resources to the pool
@@ -1663,41 +1542,42 @@ impl LightweightAllocator {
             .processes
             .remove(&process_id)
             .ok_or(RFaasError::UnknownLease(process_id))?;
-        let mut process = process.lock();
-        let stats = process.stats();
-        let allocation_time = process
-            .latest_worker_time()
-            .saturating_since(process.created_at);
-        let memory_mib = process.memory_mib;
-        // Restore the reservation actually taken at allocation time — the
-        // leased cores, not the worker count, which oversubscribed
-        // allocations inflate past the reservation.
-        let cores = process.leased_cores;
-        process.stop_serving();
+        let (stats, allocation_time, mut sandbox) = {
+            let dispatcher = process.stop_serving();
+            let allocation_time = dispatcher
+                .latest_worker_time()
+                .saturating_since(process.created_at);
+            (
+                dispatcher.stats(),
+                allocation_time,
+                dispatcher.sandbox.clone(),
+            )
+        };
         // Offer the sandbox to the warm pool before destroying it: a parked
         // parent turns a later allocation of the same (sandbox, package)
         // into a µs-scale resume or fork source. Admission decides (pool
         // disabled or key at capacity → normal teardown, billed once).
         let parked = self
             .warm_pool
-            .park(process.sandbox.clone(), self.clock.now())
+            .park(sandbox.clone(), self.clock.now())
             .is_some();
         if !parked {
-            if let Some(teardown) = process.sandbox.terminate() {
+            if let Some(teardown) = sandbox.terminate() {
                 self.clock.advance(teardown);
             }
         }
         if let Some(billing) = self.billing.lock().as_ref() {
-            billing.record_allocation(allocation_time, memory_mib);
+            billing.record_allocation(allocation_time, process.memory_mib);
             let _ = billing.flush();
         }
-        // Release the process guard before re-taking the allocator lock:
-        // allocator state ranks below the process lock (reaping holds it
-        // while locking individual processes), so holding the process
-        // across this acquisition would invert the order.
-        drop(process);
+        // Restore the reservation actually taken at allocation time — the
+        // leased cores, not the worker count, which oversubscribed
+        // allocations inflate past the reservation.
         let mut state = self.state.lock();
-        state.available = state.available.add(&NodeResources { cores, memory_mib });
+        state.available = state.available.add(&NodeResources {
+            cores: process.leased_cores,
+            memory_mib: process.memory_mib,
+        });
         Ok(stats)
     }
 
@@ -1705,11 +1585,8 @@ impl LightweightAllocator {
     /// `expires_at` (lease renewal reaching the executor). Returns the number
     /// of processes whose deadline was extended.
     pub fn extend_lease(&self, lease_id: u64, expires_at: SimTime) -> usize {
-        let processes: Vec<Arc<OrderedMutex<ExecutorProcess>>> =
-            self.state.lock().processes.values().cloned().collect();
         let mut extended = 0;
-        for process in processes {
-            let process = process.lock();
+        for process in self.state.lock().processes.values() {
             if process.lease_id == lease_id {
                 process.deadline.extend(expires_at);
                 extended += 1;
@@ -1727,22 +1604,13 @@ impl LightweightAllocator {
             state
                 .processes
                 .iter()
-                .filter(|(_, p)| p.lock().deadline.is_expired(now))
+                .filter(|(_, p)| p.deadline.is_expired(now))
                 .map(|(id, _)| *id)
                 .collect()
         };
         let mut count = 0;
         for id in expired_ids {
-            // Re-check right before tearing down: a renewal may have pushed
-            // the deadline forward between the snapshot and this point, and
-            // reaping a freshly renewed lease would strand its client.
-            let still_expired = self
-                .state
-                .lock()
-                .processes
-                .get(&id)
-                .is_some_and(|p| p.lock().deadline.is_expired(now));
-            if still_expired && self.deallocate(id).is_ok() {
+            if self.deallocate(id).is_ok() {
                 count += 1;
             }
         }
@@ -1754,13 +1622,11 @@ impl LightweightAllocator {
     /// allocations. Returns the number of processes terminated.
     pub(crate) fn terminate_all(&self) -> usize {
         self.alive.store(false, Ordering::Release);
-        let processes: Vec<Arc<OrderedMutex<ExecutorProcess>>> = {
-            let mut state = self.state.lock();
-            std::mem::take(&mut state.processes).into_values().collect()
-        };
+        let processes = std::mem::take(&mut self.state.lock().processes);
         let count = processes.len();
-        for process in processes {
-            process.lock().shutdown();
+        for process in processes.into_values() {
+            // The node is gone: no clock of it is charged the teardown.
+            process.stop_serving().sandbox.terminate();
         }
         count
     }
@@ -1772,7 +1638,6 @@ pub struct SpotExecutor {
     node: Arc<FabricNode>,
     resources: NodeResources,
     allocator: LightweightAllocator,
-    alive: AtomicBool,
     last_heartbeat_sent: OrderedMutex<Option<SimTime>>,
 }
 
@@ -1808,7 +1673,6 @@ impl SpotExecutor {
                 ImageRegistry::new(),
                 config,
             ),
-            alive: AtomicBool::new(true),
             last_heartbeat_sent: OrderedMutex::new(ranks::EXECUTOR_HEARTBEAT, None),
         })
     }
@@ -1835,7 +1699,7 @@ impl SpotExecutor {
 
     /// Whether the node is still up and heartbeating.
     pub fn is_alive(&self) -> bool {
-        self.alive.load(Ordering::Acquire)
+        self.allocator.alive.load(Ordering::Acquire)
     }
 
     /// Simulate the node being reclaimed by the batch system (or crashing):
@@ -1843,7 +1707,6 @@ impl SpotExecutor {
     /// disconnects the clients holding leases here. Returns the number of
     /// processes terminated.
     pub fn fail(&self) -> usize {
-        self.alive.store(false, Ordering::Release);
         self.allocator.terminate_all()
     }
 
@@ -1876,6 +1739,7 @@ impl SpotExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::{Buffer, WorkerConnection};
     use sandbox::echo_function;
 
     fn test_lease(cores: u32, package: &str) -> Lease {
@@ -1889,6 +1753,18 @@ mod tests {
             package: package.into(),
             billing_slot: 0,
         }
+    }
+
+    /// Allocate `workers` workers in `mode` on a cold-spawned sandbox.
+    fn allocate_cold(
+        exec: &SpotExecutor,
+        lease: &Lease,
+        workers: usize,
+        mode: PollingMode,
+    ) -> Result<AllocationResult> {
+        let policy = AllocationPolicy::Cold;
+        exec.allocator()
+            .allocate_with_policy(lease, workers, mode, policy)
     }
 
     fn registry_with_echo() -> FunctionRegistry {
@@ -1933,10 +1809,7 @@ mod tests {
     /// `echo-pkg`, returning the pool-enabled executor.
     fn executor_with_parked_parent() -> Arc<SpotExecutor> {
         let exec = executor_with_pool(2);
-        let first = exec
-            .allocator()
-            .allocate(&test_lease(1, "echo-pkg"))
-            .unwrap();
+        let first = allocate_cold(&exec, &test_lease(1, "echo-pkg"), 1, PollingMode::Hot).unwrap();
         exec.allocator().deallocate(first.process_id).unwrap();
         assert_eq!(
             exec.allocator()
@@ -2110,20 +1983,80 @@ mod tests {
         assert_eq!(writer.get("model").unwrap(), vec![1u8; 16]);
     }
 
+    /// Invoke the package's first function once over the wire, the way a
+    /// client without a session does, and return the status the worker
+    /// answered with.
+    fn invoke_raw(client: &Endpoint, conn: &WorkerConnection, id: u32) -> ResultStatus {
+        let output = Buffer::output(&client.pd, 64);
+        let mut wire = InvocationHeader::for_result_buffer(&output.remote_handle())
+            .encode()
+            .to_vec();
+        wire.extend_from_slice(&[7u8; 8]);
+        conn.qp
+            .post_write_inline(
+                u64::from(id),
+                &wire,
+                &conn.remote_input.slice(0, wire.len()),
+                Some(ImmValue::request(id, 0)),
+                false,
+            )
+            .unwrap();
+        let mut reply = None;
+        client.fabric.run_until(
+            || {
+                if reply.is_none() {
+                    reply = conn.ring.poll_one();
+                }
+                reply.is_some()
+            },
+            std::time::Duration::from_secs(5),
+        );
+        let imm = reply.expect("the worker answers").wc.imm.unwrap_or(0);
+        let (answered, status) = ImmValue::parse_response(imm);
+        assert_eq!(answered, id);
+        status
+    }
+
     #[test]
-    fn core_slot_is_exclusive() {
-        let slot = CoreSlot::default();
-        assert!(slot.try_acquire());
-        assert!(!slot.try_acquire());
-        slot.release();
-        assert!(slot.try_acquire());
+    fn oversubscribed_worker_is_rejected_while_its_sibling_holds_the_core() {
+        let fabric = Fabric::with_defaults();
+        let exec = SpotExecutor::new(
+            &fabric,
+            "exec-0",
+            NodeResources {
+                cores: 8,
+                memory_mib: 32 * 1024,
+            },
+            registry_with_echo(),
+            RFaasConfig::default(),
+        );
+        // Two hot workers share the lease's one core (Sec. III-D, Fig. 6).
+        let allocation =
+            allocate_cold(&exec, &test_lease(1, "echo-pkg"), 2, PollingMode::Hot).unwrap();
+        let client = Endpoint::new(&fabric, &fabric.add_node("client"));
+        let pool = rdma_fabric::ConnectionPool::new();
+        let config = RFaasConfig::default();
+        let connect = |index: usize| {
+            let timeout = std::time::Duration::from_secs(5);
+            let worker = &allocation.workers[index];
+            WorkerConnection::connect(&client, worker, &pool, "exec-0", &config, timeout, index)
+                .unwrap()
+        };
+        let first = connect(0);
+        assert_eq!(invoke_raw(&client, &first, 1), ResultStatus::Success);
+        // Worker 0 polls hot and keeps the core; worker 1 cannot take it.
+        let second = connect(1);
+        assert_eq!(invoke_raw(&client, &second, 2), ResultStatus::Rejected);
+        assert_eq!(invoke_raw(&client, &first, 3), ResultStatus::Success);
+        let stats = exec.allocator().deallocate(allocation.process_id).unwrap();
+        assert_eq!((stats.invocations, stats.rejected), (2, 1));
     }
 
     #[test]
     fn allocation_reserves_and_deallocation_restores_resources() {
         let exec = executor();
         let lease = test_lease(4, "echo-pkg");
-        let result = exec.allocator().allocate(&lease).unwrap();
+        let result = allocate_cold(&exec, &lease, lease.cores as usize, PollingMode::Hot).unwrap();
         assert_eq!(result.workers.len(), 4);
         assert_eq!(exec.allocator().available().cores, 4);
         assert_eq!(exec.allocator().process_count(), 1);
@@ -2137,7 +2070,7 @@ mod tests {
     fn allocation_fails_for_unknown_package() {
         let exec = executor();
         let lease = test_lease(1, "missing-pkg");
-        let err = exec.allocator().allocate(&lease).unwrap_err();
+        let err = allocate_cold(&exec, &lease, lease.cores as usize, PollingMode::Hot).unwrap_err();
         assert!(matches!(err, RFaasError::UnknownPackage(_)));
         // Resources must not leak on the failure path.
         assert_eq!(exec.allocator().available().cores, 8);
@@ -2147,11 +2080,9 @@ mod tests {
     fn allocation_fails_when_resources_exhausted() {
         let exec = executor();
         let lease = test_lease(6, "echo-pkg");
-        let first = exec.allocator().allocate(&lease).unwrap();
-        let err = exec
-            .allocator()
-            .allocate(&test_lease(6, "echo-pkg"))
-            .unwrap_err();
+        let first = allocate_cold(&exec, &lease, lease.cores as usize, PollingMode::Hot).unwrap();
+        let err =
+            allocate_cold(&exec, &test_lease(6, "echo-pkg"), 6, PollingMode::Hot).unwrap_err();
         assert!(matches!(err, RFaasError::InsufficientResources { .. }));
         exec.allocator().deallocate(first.process_id).unwrap();
     }
@@ -2159,10 +2090,7 @@ mod tests {
     #[test]
     fn cold_start_breakdown_matches_sandbox_scale() {
         let exec = executor();
-        let result = exec
-            .allocator()
-            .allocate(&test_lease(1, "echo-pkg"))
-            .unwrap();
+        let result = allocate_cold(&exec, &test_lease(1, "echo-pkg"), 1, PollingMode::Hot).unwrap();
         let total = result.breakdown.total().as_millis_f64();
         assert!(
             (10.0..80.0).contains(&total),
@@ -2177,7 +2105,7 @@ mod tests {
         let exec = executor();
         let mut lease = test_lease(1, "echo-pkg");
         lease.sandbox = SandboxType::Docker;
-        let result = exec.allocator().allocate(&lease).unwrap();
+        let result = allocate_cold(&exec, &lease, lease.cores as usize, PollingMode::Hot).unwrap();
         assert!(result.breakdown.total().as_secs_f64() > 2.0);
         exec.allocator().deallocate(result.process_id).unwrap();
     }
@@ -2194,10 +2122,8 @@ mod tests {
     #[test]
     fn zero_worker_allocation_is_rejected() {
         let exec = executor();
-        let err = exec
-            .allocator()
-            .allocate_with_workers(&test_lease(1, "echo-pkg"), 0, PollingMode::Hot)
-            .unwrap_err();
+        let err =
+            allocate_cold(&exec, &test_lease(1, "echo-pkg"), 0, PollingMode::Hot).unwrap_err();
         assert!(matches!(err, RFaasError::Internal(_)));
     }
 
@@ -2206,10 +2132,8 @@ mod tests {
         let exec = executor();
         let lease = test_lease(2, "echo-pkg");
         // 4 workers over 2 leased cores: only 2 cores are reserved.
-        let result = exec
-            .allocator()
-            .allocate_with_workers(&lease, 2 * lease.cores as usize, PollingMode::Warm)
-            .unwrap();
+        let result =
+            allocate_cold(&exec, &lease, 2 * lease.cores as usize, PollingMode::Warm).unwrap();
         assert_eq!(result.workers.len(), 4);
         assert_eq!(exec.allocator().available().cores, 6);
         exec.allocator().deallocate(result.process_id).unwrap();
@@ -2226,10 +2150,8 @@ mod tests {
     fn spawn_failure_rolls_back_reservation_and_partial_state() {
         let exec = executor();
         exec.allocator().inject_spawn_failure(2);
-        let err = exec
-            .allocator()
-            .allocate_with_workers(&test_lease(4, "echo-pkg"), 4, PollingMode::Hot)
-            .unwrap_err();
+        let err =
+            allocate_cold(&exec, &test_lease(4, "echo-pkg"), 4, PollingMode::Hot).unwrap_err();
         assert!(matches!(err, RFaasError::Internal(_)));
         // Regression: the reservation debited before spawning must be
         // restored, no half-built process may linger, and the two workers
@@ -2241,10 +2163,7 @@ mod tests {
         );
         assert_eq!(exec.allocator().process_count(), 0);
         // The hook disarms itself: the next allocation succeeds.
-        let result = exec
-            .allocator()
-            .allocate(&test_lease(4, "echo-pkg"))
-            .unwrap();
+        let result = allocate_cold(&exec, &test_lease(4, "echo-pkg"), 4, PollingMode::Hot).unwrap();
         exec.allocator().deallocate(result.process_id).unwrap();
     }
 
@@ -2253,7 +2172,7 @@ mod tests {
         let exec = executor();
         let mut lease = test_lease(2, "echo-pkg");
         lease.expires_at = SimTime::from_secs(10);
-        let result = exec.allocator().allocate(&lease).unwrap();
+        let result = allocate_cold(&exec, &lease, lease.cores as usize, PollingMode::Hot).unwrap();
         assert_eq!(exec.allocator().reap_expired(SimTime::from_secs(9)), 0);
         assert_eq!(exec.allocator().process_count(), 1);
         assert_eq!(exec.allocator().reap_expired(SimTime::from_secs(10)), 1);
@@ -2267,7 +2186,7 @@ mod tests {
         let exec = executor();
         let mut lease = test_lease(1, "echo-pkg");
         lease.expires_at = SimTime::from_secs(10);
-        let result = exec.allocator().allocate(&lease).unwrap();
+        let result = allocate_cold(&exec, &lease, lease.cores as usize, PollingMode::Hot).unwrap();
         assert_eq!(
             exec.allocator()
                 .extend_lease(lease.id, SimTime::from_secs(50)),
@@ -2280,25 +2199,17 @@ mod tests {
         );
         assert_eq!(exec.allocator().reap_expired(SimTime::from_secs(20)), 0);
         let process = exec.allocator().process(result.process_id).unwrap();
-        assert_eq!(
-            process.lock().deadline().expires_at(),
-            SimTime::from_secs(50)
-        );
+        assert_eq!(process.deadline().expires_at(), SimTime::from_secs(50));
         // The deadline is monotonic: an earlier extension is ignored.
-        process.lock().deadline().extend(SimTime::from_secs(30));
-        assert_eq!(
-            process.lock().deadline().expires_at(),
-            SimTime::from_secs(50)
-        );
+        process.deadline().extend(SimTime::from_secs(30));
+        assert_eq!(process.deadline().expires_at(), SimTime::from_secs(50));
         exec.allocator().deallocate(result.process_id).unwrap();
     }
 
     #[test]
     fn failed_executor_terminates_processes_and_stops_heartbeating() {
         let exec = executor();
-        exec.allocator()
-            .allocate(&test_lease(2, "echo-pkg"))
-            .unwrap();
+        allocate_cold(&exec, &test_lease(2, "echo-pkg"), 2, PollingMode::Hot).unwrap();
         assert!(exec.is_alive());
         let interval = SimDuration::from_secs(5);
         assert!(exec
@@ -2350,14 +2261,9 @@ mod tests {
     #[test]
     fn srq_depth_is_sublinear_in_worker_count() {
         let exec = executor();
-        let one = exec
-            .allocator()
-            .allocate_with_workers(&test_lease(2, "echo-pkg"), 1, PollingMode::Warm)
-            .unwrap();
-        let sixteen = exec
-            .allocator()
-            .allocate_with_workers(&test_lease(2, "echo-pkg"), 16, PollingMode::Warm)
-            .unwrap();
+        let one = allocate_cold(&exec, &test_lease(2, "echo-pkg"), 1, PollingMode::Warm).unwrap();
+        let sixteen =
+            allocate_cold(&exec, &test_lease(2, "echo-pkg"), 16, PollingMode::Warm).unwrap();
         let config = RFaasConfig::default();
         let depth1 = exec
             .allocator()
@@ -2392,10 +2298,7 @@ mod tests {
     #[test]
     fn deallocate_parks_into_warm_pool_when_enabled() {
         let exec = executor_with_pool(2);
-        let result = exec
-            .allocator()
-            .allocate(&test_lease(4, "echo-pkg"))
-            .unwrap();
+        let result = allocate_cold(&exec, &test_lease(4, "echo-pkg"), 4, PollingMode::Hot).unwrap();
         exec.allocator().deallocate(result.process_id).unwrap();
         // The sandbox was parked, not torn down, and the reservation was
         // still restored in full.
@@ -2408,10 +2311,7 @@ mod tests {
     #[test]
     fn disabled_pool_never_parks() {
         let exec = executor();
-        let result = exec
-            .allocator()
-            .allocate(&test_lease(1, "echo-pkg"))
-            .unwrap();
+        let result = allocate_cold(&exec, &test_lease(1, "echo-pkg"), 1, PollingMode::Hot).unwrap();
         exec.allocator().deallocate(result.process_id).unwrap();
         let pool = exec.allocator().warm_pool();
         assert_eq!(pool.idle_for(SandboxType::BareMetal, "echo-pkg"), 0);

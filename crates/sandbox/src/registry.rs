@@ -187,7 +187,7 @@ impl ImageRegistry {
     }
 
     /// Image metadata.
-    pub fn info(&self, name: &str) -> Option<ImageInfo> {
+    fn info(&self, name: &str) -> Option<ImageInfo> {
         self.images.read().get(name).cloned()
     }
 

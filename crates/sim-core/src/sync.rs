@@ -145,15 +145,12 @@ pub mod ranks {
     // Executor server.
     pub const EXECUTOR_HEARTBEAT: LockRank = LockRank::new(48, "executor.heartbeat");
     pub const EXECUTOR_ALLOCATOR: LockRank = LockRank::new(52, "executor.allocator_state");
-    pub const EXECUTOR_PROCESS: LockRank = LockRank::new(54, "executor.process");
-    // Above the process lock: `stop_serving` retires the dispatcher's
-    // workers and the state calls reach its binding under the process
-    // guard. Below everything a turn takes (stats, fork state, billing, the
-    // state plane), because any thread waiting on the fabric may be the one
-    // turning it.
+    // The one lock of an executor process: its dispatcher owns every worker,
+    // the cores and the sandbox. Below everything a turn takes (fork state,
+    // billing, the state plane), because any thread waiting on the fabric
+    // may be the one turning it.
     pub const EXECUTOR_DISPATCHER: LockRank = LockRank::new(55, "executor.dispatcher");
     pub const EXECUTOR_BILLING: LockRank = LockRank::new(60, "executor.billing");
-    pub const EXECUTOR_STATS: LockRank = LockRank::new(64, "executor.stats");
     pub const EXECUTOR_FORK_TRACKER: LockRank = LockRank::new(66, "executor.fork_tracker");
 
     // State plane (entered while a dispatcher runs a stateful invocation).

@@ -826,10 +826,7 @@ fn run_idle_gap_scenario(seed: u64) -> String {
         let payload = rng.range_u64(1, 2048) as usize;
         let data = workloads::generate_payload(payload, seed);
         let (_, rtt) = echo.invoke_timed(&data).unwrap();
-        let (mode, demotions) = {
-            let process = process.lock();
-            (process.workers()[0].mode(), process.stats().demotions)
-        };
+        let (mode, demotions) = (process.worker_mode(0), process.stats().demotions);
         transcript.push_str(&format!(
             "round {round}: invoke {payload} B -> {} ns, mode={mode:?} demotions={demotions}\n",
             rtt.as_nanos()
@@ -864,7 +861,7 @@ fn run_idle_gap_scenario(seed: u64) -> String {
 
     // Each hot spin bills its gap plus the µs-scale round-trip residue; the
     // demoting spin bills exactly the timeout; a warm worker bills nothing.
-    let stats = process.lock().stats();
+    let stats = process.stats();
     let floor = short_gaps_before + HOT_POLL_TIMEOUT;
     assert!(
         stats.hot_poll_time >= floor && stats.hot_poll_time < floor + SimDuration::from_millis(1),

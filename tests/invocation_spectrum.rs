@@ -169,26 +169,23 @@ fn hot_worker_demotes_to_warm_after_the_poll_timeout() {
         .processes()
         .pop()
         .expect("live executor process");
-    assert_eq!(process.lock().workers()[0].mode(), PollingMode::Hot);
-    assert_eq!(process.lock().stats().demotions, 0);
+    assert_eq!(process.worker_mode(0), PollingMode::Hot);
+    assert_eq!(process.stats().demotions, 0);
 
     // One idle gap past the budget: the worker demotes, the polling bill is
     // capped at the budget, and the invocation pays the warm wake-up.
     session.clock().advance(HOT_POLL_TIMEOUT * 3);
     let (_, demoted_rtt) = echo.invoke_timed(&[7u8; 8]).unwrap();
-    {
-        let process = process.lock();
-        assert_eq!(process.workers()[0].mode(), PollingMode::Warm);
-        let stats = process.stats();
-        assert_eq!(stats.demotions, 1);
-        assert!(stats.hot_poll_time >= HOT_POLL_TIMEOUT);
-        assert!(
-            stats.hot_poll_time < HOT_POLL_TIMEOUT + SimDuration::from_millis(1),
-            "billed polling {} must be capped at the {} budget",
-            stats.hot_poll_time,
-            HOT_POLL_TIMEOUT
-        );
-    }
+    assert_eq!(process.worker_mode(0), PollingMode::Warm);
+    let stats = process.stats();
+    assert_eq!(stats.demotions, 1);
+    assert!(stats.hot_poll_time >= HOT_POLL_TIMEOUT);
+    assert!(
+        stats.hot_poll_time < HOT_POLL_TIMEOUT + SimDuration::from_millis(1),
+        "billed polling {} must be capped at the {} budget",
+        stats.hot_poll_time,
+        HOT_POLL_TIMEOUT
+    );
     assert!(
         demoted_rtt > hot_rtt,
         "demoted rtt {demoted_rtt} must exceed hot rtt {hot_rtt}"
@@ -205,5 +202,5 @@ fn hot_worker_demotes_to_warm_after_the_poll_timeout() {
         "post-demotion median {warm_median} us vs hot {hot_rtt}"
     );
     assert!(warm_median < 20.0, "post-demotion median {warm_median} us");
-    assert_eq!(process.lock().stats().demotions, 1, "demotion is one-shot");
+    assert_eq!(process.stats().demotions, 1, "demotion is one-shot");
 }

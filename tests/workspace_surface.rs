@@ -338,7 +338,7 @@ fn lock_ranks_are_ordered_used_and_counted() {
         assert!(used, "`{needle}` is not used outside sync.rs and tests");
     }
 
-    assert_eq!(table.len(), 11, "lock ranks: {table:?}");
+    assert_eq!(table.len(), 9, "lock ranks: {table:?}");
 }
 
 /// The client layer runs on one thread. Outside test modules, `session.rs`,
