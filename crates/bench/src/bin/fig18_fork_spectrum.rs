@@ -75,12 +75,14 @@ fn run_rep(rep: usize) -> Rep {
         .connect()
         .expect("fork allocation");
     let forked = setup_cost(&forked_session);
-    let fork_state = forked_session
-        .stats()
-        .fork
-        .expect("fork provisioning leaves a fault schedule");
+    let fork_state = || {
+        forked_session
+            .stats()
+            .fork
+            .expect("fork provisioning leaves a fault schedule")
+    };
     assert_eq!(
-        fork_state.pages_faulted(),
+        fork_state().pages_faulted(),
         0,
         "pages fault lazily, not at fork"
     );
@@ -95,7 +97,7 @@ fn run_rep(rep: usize) -> Rep {
         })
         .collect();
     assert!(
-        fork_state.is_complete(),
+        fork_state().is_complete(),
         "the sweep must fault the whole page map in"
     );
     forked_session.close().expect("deallocate parks the child");

@@ -56,7 +56,7 @@ impl Default for ResourceHarvester {
 
 impl ResourceHarvester {
     /// Harvester with an explicit policy.
-    pub fn new(policy: HarvestPolicy) -> ResourceHarvester {
+    fn new(policy: HarvestPolicy) -> ResourceHarvester {
         ResourceHarvester { policy }
     }
 

@@ -41,7 +41,7 @@ pub(crate) struct JobGenerator {
 
 impl JobGenerator {
     /// Generator for a cluster of `cluster_nodes` nodes of `node_shape`.
-    pub fn new(seed: u64, cluster_nodes: usize, node_shape: NodeResources) -> JobGenerator {
+    pub(crate) fn new(seed: u64, cluster_nodes: usize, node_shape: NodeResources) -> JobGenerator {
         JobGenerator {
             rng: DeterministicRng::new(seed),
             next_id: 1,

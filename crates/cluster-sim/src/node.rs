@@ -62,7 +62,7 @@ pub struct ClusterNode {
 
 impl ClusterNode {
     /// Create an idle node.
-    pub fn new(name: &str, total: NodeResources) -> ClusterNode {
+    pub(crate) fn new(name: &str, total: NodeResources) -> ClusterNode {
         ClusterNode {
             name: name.to_string(),
             total,

@@ -423,12 +423,13 @@ impl DatagramSocket {
         Ok(timing.arrive)
     }
 
-    /// Receive the next message, waiting for one through
-    /// [`Fabric::run_until`] up to the wall-clock `timeout`. The receiver's
-    /// clock advances to the message's arrival and pays the completion
-    /// pickup cost.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<DatagramMessage> {
-        self.fabric.run_until(|| self.inbox.lock().ready(), timeout);
+    /// Receive the next message without waiting: callers pump the peer
+    /// they expect a reply from first, so the reply is either queued or
+    /// never coming. Fails with `ConnectionLost` once the socket was
+    /// replaced and with `Timeout` on an empty inbox. The receiver's clock
+    /// advances to the message's arrival and pays the completion pickup
+    /// cost.
+    pub fn recv(&self) -> Result<DatagramMessage> {
         let msg = self.inbox.lock().pop()?.ok_or(FabricError::Timeout {
             operation: "datagram receive",
         })?;
@@ -900,7 +901,7 @@ mod tests {
         let sock_b = DatagramSocket::bind(&ep_b, "udp://b");
 
         sock_a.send_to("udp://b", b"allocate 4 cores").unwrap();
-        let msg = sock_b.recv_timeout(Duration::from_secs(1)).unwrap();
+        let msg = sock_b.recv().unwrap();
         assert_eq!(msg.payload, b"allocate 4 cores");
         assert_eq!(msg.from, "udp://a");
         // The receiver's clock caught up to the arrival.
@@ -908,7 +909,7 @@ mod tests {
 
         // Reply through the carried address: no connection state anywhere.
         sock_b.send_to(&msg.from, b"granted").unwrap();
-        let reply = sock_a.recv_timeout(Duration::from_secs(1)).unwrap();
+        let reply = sock_a.recv().unwrap();
         assert_eq!(reply.payload, b"granted");
     }
 
@@ -935,32 +936,13 @@ mod tests {
             Err(FabricError::UnknownAddress(_))
         ));
         assert_eq!(
-            sock.recv_timeout(Duration::from_millis(10)).unwrap_err(),
+            sock.recv().unwrap_err(),
             FabricError::Timeout {
                 operation: "datagram receive"
             }
         );
         assert!(sock.try_recv().is_none());
         assert_eq!(sock.pending(), 0);
-    }
-
-    #[test]
-    fn datagram_recv_waits_for_a_send_from_another_thread() {
-        let fabric = Fabric::with_defaults();
-        let sender_ep = Endpoint::new(&fabric, &fabric.add_node("ctl-a"));
-        let waiter_ep = Endpoint::new(&fabric, &fabric.add_node("ctl-b"));
-        let sender = DatagramSocket::bind(&sender_ep, "udp://sender");
-        let waiter = DatagramSocket::bind(&waiter_ep, "udp://waiter");
-        let late = thread::spawn(move || {
-            thread::sleep(Duration::from_millis(20));
-            sender.send_to("udp://waiter", b"late").unwrap();
-        });
-        let msg = waiter.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(
-            (msg.from.as_str(), &msg.payload[..]),
-            ("udp://sender", &b"late"[..])
-        );
-        late.join().unwrap();
     }
 
     #[test]

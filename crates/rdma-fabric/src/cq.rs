@@ -80,7 +80,7 @@ pub struct CompletionQueue {
 impl CompletionQueue {
     /// Create a CQ for a consumer running on `node` with virtual clock
     /// `clock`, attached through the given device function.
-    pub fn new(
+    pub(crate) fn new(
         clock: Arc<VirtualClock>,
         node: Arc<FabricNode>,
         profile: NicProfile,

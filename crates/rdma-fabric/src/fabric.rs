@@ -160,7 +160,7 @@ impl std::fmt::Debug for Fabric {
 
 impl Fabric {
     /// Create a fabric whose links follow `profile`.
-    pub fn new(profile: NicProfile) -> Arc<Fabric> {
+    pub(crate) fn new(profile: NicProfile) -> Arc<Fabric> {
         Arc::new(Fabric {
             profile,
             nodes: Mutex::new(BTreeMap::new()),

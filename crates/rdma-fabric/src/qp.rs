@@ -7,7 +7,7 @@
 //! the data and delivers completions with fabric-model timestamps.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use sim_core::sync::{Mutex, RwLock};
@@ -139,7 +139,6 @@ pub(crate) struct QpInner {
     /// the peers before it marks them connected, and `disconnect` marks a
     /// side disconnected before it drops that side's link.
     state: AtomicQpState,
-    ops_posted: AtomicU64,
 }
 
 impl QpInner {
@@ -208,7 +207,6 @@ impl QueuePair {
                 srq_detached: AtomicBool::new(false),
                 peer: RwLock::new(None),
                 state: AtomicQpState::new(QpState::Init),
-                ops_posted: AtomicU64::new(0),
             }),
         }
     }
@@ -251,12 +249,6 @@ impl QueuePair {
     /// Device function (physical or SR-IOV virtual) of this endpoint.
     pub fn function(&self) -> DeviceFunction {
         self.inner.function
-    }
-
-    /// Number of send-queue operations posted so far.
-    #[cfg(test)]
-    fn ops_posted(&self) -> u64 {
-        self.inner.ops_posted.load(Ordering::Relaxed)
     }
 
     /// Connect two queue pairs directly (used by the connection manager and
@@ -416,7 +408,6 @@ impl QueuePair {
             });
         }
         let peer = self.connected_peer("post_send")?;
-        self.inner.ops_posted.fetch_add(1, Ordering::Relaxed);
         let source = WriteSource::Inline(data);
         self.write_remote_bytes(wr_id, source, remote, imm, &peer, signaled, false)
     }
@@ -430,7 +421,6 @@ impl QueuePair {
     ) -> Result<()> {
         let peer = self.connected_peer("post_send")?;
         validate_sge(request.local())?;
-        self.inner.ops_posted.fetch_add(1, Ordering::Relaxed);
 
         match &request {
             SendRequest::Send { local } => {
@@ -854,6 +844,7 @@ mod tests {
     use super::*;
     use crate::memory::{AccessFlags, MemoryRegion};
     use crate::srq::SrqStats;
+    use std::sync::atomic::AtomicU64;
 
     /// Two directly connected endpoints on different nodes.
     fn connected_pair() -> (QueuePair, QueuePair, Arc<Fabric>) {
@@ -1152,14 +1143,17 @@ mod tests {
             let (start, finished) = (Arc::clone(&start), finished.clone());
             std::thread::spawn(move || {
                 start.wait();
+                let mut posted = 0;
                 for wr_id in 0..ITERATIONS {
                     let write = SendRequest::Write {
                         local: Sge::whole(&local),
                         remote: remote.remote_handle(),
                     };
                     qp.post_send(wr_id, write, false).unwrap();
+                    posted += 1;
                 }
                 finished.send(()).unwrap();
+                posted
             })
         };
         let threads = [
@@ -1171,10 +1165,8 @@ mod tests {
                 .expect("both writers finish: no lock inversion between the two regions");
         }
         for thread in threads {
-            thread.join().unwrap();
+            assert_eq!(thread.join().unwrap(), ITERATIONS);
         }
-        assert_eq!(left.ops_posted(), ITERATIONS);
-        assert_eq!(right.ops_posted(), ITERATIONS);
     }
 
     #[test]
@@ -1345,8 +1337,11 @@ mod tests {
         assert_eq!(attached(srq.stats()), (2, 2));
 
         const TAIL: u64 = 100;
+        // Posts that went through so far, counted by the poster.
+        let posted = Arc::new(AtomicU64::new(0));
         let poster = {
             let (client, remote) = (client.clone(), dst.remote_handle());
+            let posted = Arc::clone(&posted);
             std::thread::spawn(move || {
                 let typed = |outcome: Result<()>| match outcome {
                     Ok(()) => false,
@@ -1360,6 +1355,7 @@ mod tests {
                 let post = |wr_id| client.post_write_inline(wr_id, &[7u8; 8], &remote, None, false);
                 let mut wr_id = 1;
                 while !typed(post(wr_id)) {
+                    posted.fetch_add(1, Ordering::Relaxed);
                     wr_id += 1;
                 }
                 // Once one post failed, every later one fails the same way.
@@ -1372,7 +1368,7 @@ mod tests {
                 wr_id - 1
             })
         };
-        while client.ops_posted() < 1_000 {
+        while posted.load(Ordering::Relaxed) < 999 {
             std::thread::yield_now();
         }
         server.disconnect();
@@ -1478,6 +1474,7 @@ mod tests {
         let (client, server, fabric) = connected_pair();
         let profile = fabric.profile().clone();
         let src = client.pd().register(8, AccessFlags::LOCAL_ONLY);
+        src.write(0, &[9u8; 8]).unwrap();
         let dst = server.pd().register(64, AccessFlags::REMOTE_ALL);
         let n = 4;
         let batch: Vec<(u64, SendRequest, bool)> = (0..n)
@@ -1497,7 +1494,11 @@ mod tests {
         let elapsed = client.clock().now().saturating_since(before);
         let expected = profile.issue_cost(8) + profile.issue_cost_chained(8).saturating_mul(n - 1);
         assert_eq!(elapsed, expected);
-        assert_eq!(client.ops_posted(), n);
+        // Every chained write landed at the peer.
+        assert_eq!(
+            dst.read(0, 8 * n as usize).unwrap(),
+            vec![9u8; 8 * n as usize]
+        );
 
         // The same posts issued individually cost strictly more clock time.
         let before = client.clock().now();
@@ -1520,46 +1521,31 @@ mod tests {
     #[test]
     fn batch_stops_at_the_first_failure() {
         let (client, server, _f) = connected_pair();
-        let src = client.pd().register(8, AccessFlags::LOCAL_ONLY);
+        let first = client.pd().register(8, AccessFlags::LOCAL_ONLY);
+        first.write(0, &[1u8; 8]).unwrap();
+        let third = client.pd().register(8, AccessFlags::LOCAL_ONLY);
+        third.write(0, &[3u8; 8]).unwrap();
         let good = server.pd().register(8, AccessFlags::REMOTE_WRITE);
         let sealed = server.pd().register(8, AccessFlags::LOCAL_ONLY);
+        let write = |local: &MemoryRegion, remote: &MemoryRegion| SendRequest::Write {
+            local: Sge::whole(local),
+            remote: remote.remote_handle(),
+        };
         let err = client
             .post_send_batch(vec![
-                (
-                    1,
-                    SendRequest::Write {
-                        local: Sge::whole(&src),
-                        remote: good.remote_handle(),
-                    },
-                    false,
-                ),
-                (
-                    2,
-                    SendRequest::Write {
-                        local: Sge::whole(&src),
-                        remote: sealed.remote_handle(),
-                    },
-                    false,
-                ),
-                (
-                    3,
-                    SendRequest::Write {
-                        local: Sge::whole(&src),
-                        remote: good.remote_handle(),
-                    },
-                    false,
-                ),
+                (1, write(&first, &good), false),
+                (2, write(&first, &sealed), false),
+                (3, write(&third, &good), false),
             ])
             .unwrap_err();
         assert!(matches!(err, FabricError::RemoteAccessDenied { .. }));
         // The first write executed, the third never ran.
-        assert_eq!(client.ops_posted(), 2); // first + failing second
+        assert_eq!(good.read(0, 8).unwrap(), [1u8; 8]);
     }
 
     #[test]
     fn qp_numbers_are_unique() {
         let (a, b, _f) = connected_pair();
         assert_ne!(a.qp_num(), b.qp_num());
-        assert!(a.ops_posted() == 0);
     }
 }

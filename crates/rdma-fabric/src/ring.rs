@@ -46,7 +46,7 @@ pub(crate) struct RingState {
 
 impl RingState {
     /// A ring of `depth` slots, all posted in index order (slot 0 first).
-    pub fn new(depth: usize) -> RingState {
+    pub(crate) fn new(depth: usize) -> RingState {
         RingState {
             depth,
             posted: (0..depth).collect(),

@@ -62,7 +62,7 @@ pub struct BillingDatabase {
 
 impl BillingDatabase {
     /// Create the database inside the manager's protection domain.
-    pub fn new(manager_endpoint: &Endpoint) -> BillingDatabase {
+    pub(crate) fn new(manager_endpoint: &Endpoint) -> BillingDatabase {
         let region = manager_endpoint
             .pd
             .register(SLOT_CAPACITY * WORDS_PER_SLOT * 8, AccessFlags::REMOTE_ALL);
@@ -119,7 +119,7 @@ pub(crate) struct BillingClient {
 impl BillingClient {
     /// Create a client flushing into `slot` over the (already connected)
     /// queue pair `qp`.
-    pub fn new(qp: QueuePair, slot: RemoteMemoryHandle) -> BillingClient {
+    pub(crate) fn new(qp: QueuePair, slot: RemoteMemoryHandle) -> BillingClient {
         let scratch = qp.pd().register(8, AccessFlags::LOCAL_ONLY);
         BillingClient {
             qp,

@@ -831,6 +831,32 @@ mod tests {
     }
 
     #[test]
+    fn lease_request_to_a_silenced_manager_fails_at_once() {
+        // Another socket takes over the manager's control address: the
+        // manager's poll finds nothing, so the verdict is never coming and
+        // the request says so without waiting.
+        let (fabric, manager) = deploy();
+        let imposter = Endpoint::new(&fabric, &fabric.add_node("imposter"));
+        let _silent = rdma_fabric::DatagramSocket::bind(&imposter, manager.control_address());
+        let started = std::time::Instant::now();
+        let err = match Session::builder(&fabric, "client-0", &manager, "pkg").connect() {
+            Ok(_) => panic!("a silenced manager granted a lease"),
+            Err(err) => err,
+        };
+        assert!(
+            matches!(
+                err,
+                RFaasError::Fabric(rdma_fabric::FabricError::Timeout {
+                    operation: "datagram receive"
+                })
+            ),
+            "expected a typed receive timeout, got {err:?}"
+        );
+        assert!(started.elapsed() < std::time::Duration::from_secs(1));
+        assert_eq!(manager.lease_count(), 0);
+    }
+
+    #[test]
     fn worker_connect_surfaces_a_typed_timeout() {
         // A worker that never accepts must fail within the given timeout
         // with a typed error, not hang or panic.

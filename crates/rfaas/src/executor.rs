@@ -24,12 +24,11 @@
 //!
 //! The dispatcher is also the one owner of whatever changes after spawn:
 //! each worker's mode, counters, clock and connection, the leased cores'
-//! busy flags and the sandbox, all behind its single lock. The
-//! [`ExecutorProcess`] the allocator keeps is an immutable descriptor
-//! pointing at it.
+//! busy flags, the lease deadline, a forked child's fault state and the
+//! sandbox, all behind its single lock. The [`ExecutorProcess`] the
+//! allocator keeps is an immutable descriptor pointing at it.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use cluster_sim::NodeResources;
@@ -56,8 +55,6 @@ use crate::config::{PollingMode, RFaasConfig, HOT_POLL_TIMEOUT};
 use crate::error::{RFaasError, Result};
 use crate::protocol::{ImmValue, InvocationHeader, Lease, ResultStatus, INVOCATION_HEADER_BYTES};
 
-static NEXT_PROCESS_ID: AtomicU64 = AtomicU64::new(1);
-
 /// How the allocator provisions the sandbox of a new executor process — the
 /// client-visible knob spanning the cold-start spectrum's new fork tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -75,40 +72,37 @@ pub enum AllocationPolicy {
     WarmPool,
 }
 
-/// Shared fault state of one forked executor process: the deterministic
-/// prefetch schedule over the parent snapshot's page map, drained one window
-/// per served invocation until the child is fully resident.
-#[derive(Debug)]
+/// Fault state of one forked executor process, owned by its dispatcher: the
+/// deterministic prefetch schedule over the parent snapshot's page map,
+/// drained one window per served invocation until the child is fully
+/// resident. A session's [`crate::SessionStats`] carries a snapshot of it.
+#[derive(Debug, Clone)]
 pub struct ForkFaultState {
     plan: PrefetchPlan,
-    /// The page tracker and the batches served so far, in service order.
-    faults: OrderedMutex<(FaultTracker, Vec<FaultBatch>)>,
+    tracker: FaultTracker,
+    /// The batches served so far, in service order.
+    served: Vec<FaultBatch>,
 }
 
 impl ForkFaultState {
     fn new(snapshot: &SandboxSnapshot, profile: &NicProfile, window: usize) -> ForkFaultState {
-        let plan = PrefetchPlan::new(profile, snapshot.total_pages(), window, SNAPSHOT_PAGE_BYTES);
         ForkFaultState {
-            faults: OrderedMutex::new(
-                ranks::EXECUTOR_FORK_TRACKER,
-                (FaultTracker::for_snapshot(snapshot), Vec::new()),
-            ),
-            plan,
+            plan: PrefetchPlan::new(profile, snapshot.total_pages(), window, SNAPSHOT_PAGE_BYTES),
+            tracker: FaultTracker::for_snapshot(snapshot),
+            served: Vec::new(),
         }
     }
 
     /// Serve the next prefetch window, if any pages are still cold: returns
     /// the batch (pages + link cost) the invocation must absorb.
-    fn serve_next(&self) -> Option<FaultBatch> {
-        let mut faults = self.faults.lock();
-        let (tracker, served) = &mut *faults;
-        let (start_page, pages) = tracker.fault_next_window(self.plan.window())?;
+    fn serve_next(&mut self) -> Option<FaultBatch> {
+        let (start_page, pages) = self.tracker.fault_next_window(self.plan.window())?;
         let batch = FaultBatch {
             start_page,
             pages,
             cost: self.plan.batch_cost(pages),
         };
-        served.push(batch);
+        self.served.push(batch);
         Some(batch)
     }
 
@@ -119,24 +113,24 @@ impl ForkFaultState {
 
     /// Pages faulted in so far.
     pub fn pages_faulted(&self) -> usize {
-        self.faults.lock().0.faulted_count()
+        self.tracker.faulted_count()
     }
 
     /// Whether the child is fully resident (steady state: no more fault
     /// latency on invocations).
     pub fn is_complete(&self) -> bool {
-        self.faults.lock().0.is_complete()
+        self.tracker.is_complete()
     }
 
     /// The fault batches served so far, in service order — the child's
     /// fault schedule.
     pub fn fault_schedule(&self) -> Vec<FaultBatch> {
-        self.faults.lock().1.clone()
+        self.served.clone()
     }
 
     /// Total link time spent serving faults so far.
     pub fn fault_time(&self) -> SimDuration {
-        self.faults.lock().1.iter().map(|b| b.cost).sum()
+        self.served.iter().map(|b| b.cost).sum()
     }
 }
 
@@ -289,43 +283,6 @@ fn integer_sqrt(n: usize) -> usize {
     root
 }
 
-/// The (renewable) expiry instant of one lease, shared between the allocator,
-/// the executor process and every worker serving the lease.
-///
-/// Workers consult it on each invocation (Sec. III-B: the executor enforces
-/// the lease, not the client); `extend` pushes it forward when the client
-/// renews through the manager. The deadline never moves backwards.
-#[derive(Debug)]
-pub struct LeaseDeadline {
-    expires_at_ns: AtomicU64,
-}
-
-impl LeaseDeadline {
-    /// A deadline at `expires_at`.
-    pub fn new(expires_at: SimTime) -> LeaseDeadline {
-        LeaseDeadline {
-            expires_at_ns: AtomicU64::new(expires_at.as_nanos()),
-        }
-    }
-
-    /// The current expiry instant.
-    pub fn expires_at(&self) -> SimTime {
-        SimTime::from_nanos(self.expires_at_ns.load(Ordering::Acquire))
-    }
-
-    /// Push the expiry forward to `expires_at` (monotonic: an earlier instant
-    /// is ignored).
-    pub fn extend(&self, expires_at: SimTime) {
-        self.expires_at_ns
-            .fetch_max(expires_at.as_nanos(), Ordering::AcqRel);
-    }
-
-    /// Whether the lease has expired at `now`.
-    pub(crate) fn is_expired(&self, now: SimTime) -> bool {
-        now >= self.expires_at()
-    }
-}
-
 /// Statistics of one worker, kept by its process's dispatcher.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkerStats {
@@ -424,7 +381,10 @@ struct Dispatcher {
     /// `i % cores.len()`. Warm invocations must take their core exclusively,
     /// hot workers hold it for as long as they stay hot (Fig. 6).
     cores: Vec<bool>,
-    deadline: Arc<LeaseDeadline>,
+    /// The lease's expiry instant. Workers check it on each invocation
+    /// (Sec. III-B: the executor enforces the lease, not the client); a
+    /// renewal through the manager pushes it forward, never back.
+    deadline: SimTime,
     sandbox: Sandbox,
     /// Member token -> worker index, in registration (= drain) order.
     owner: Vec<usize>,
@@ -448,7 +408,7 @@ struct Dispatcher {
     ring: ReceiveRing,
     /// Fault state of a forked process: early invocations drain one prefetch
     /// window each until the child is resident. `None` for cold/warm spawns.
-    fork: Option<Arc<ForkFaultState>>,
+    fork: Option<ForkFaultState>,
     /// State-plane attachment of the process. Populated after spawn: the
     /// client attaches its plane once the allocation is installed.
     state_binding: Option<ExecutorStateBinding>,
@@ -788,10 +748,10 @@ impl Dispatcher {
 
             // Lease enforcement (Sec. III-B): charging the pickup synchronised
             // this worker's clock to the invocation's arrival time, so comparing
-            // against the shared deadline catches leases that expired while the
+            // against the deadline catches leases that expired while the
             // client kept the connection open. Refuse the invocation so the
             // client re-allocates through the resource manager.
-            if deadline.is_expired(clock.now()) {
+            if clock.now() >= *deadline {
                 stats.expired += 1;
                 let _ = conn.qp.post_send(
                     invocation_id as u64,
@@ -1033,12 +993,9 @@ pub struct ExecutorProcess {
     /// than they reserve cores).
     leased_cores: u32,
     memory_mib: u64,
-    deadline: Arc<LeaseDeadline>,
     created_at: SimTime,
-    /// How the sandbox was provisioned, and — for forked processes — the
-    /// shared fault state over the parent snapshot's page map.
+    /// How the sandbox was provisioned.
     policy: AllocationPolicy,
-    fork: Option<Arc<ForkFaultState>>,
 }
 
 impl ExecutorProcess {
@@ -1057,11 +1014,6 @@ impl ExecutorProcess {
         self.dispatcher.0.lock().workers[index].mode
     }
 
-    /// The (renewable) lease deadline its dispatcher enforces.
-    pub fn deadline(&self) -> &Arc<LeaseDeadline> {
-        &self.deadline
-    }
-
     /// Aggregate statistics over all workers.
     pub fn stats(&self) -> WorkerStats {
         self.dispatcher.0.lock().stats()
@@ -1072,9 +1024,10 @@ impl ExecutorProcess {
         self.policy
     }
 
-    /// Fault state of a forked process (`None` for cold/warm provisioning).
-    pub(crate) fn fork_state(&self) -> Option<Arc<ForkFaultState>> {
-        self.fork.clone()
+    /// A snapshot of a forked process's fault state (`None` for cold/warm
+    /// provisioning).
+    pub(crate) fn fork_state(&self) -> Option<ForkFaultState> {
+        self.dispatcher.0.lock().fork.clone()
     }
 
     /// Client-side counters of the process's state-plane attachment
@@ -1114,9 +1067,24 @@ impl Drop for ExecutorProcess {
     }
 }
 
+/// Everything the allocator mutates, under its one lock.
 struct AllocatorState {
     available: NodeResources,
     processes: BTreeMap<u64, Arc<ExecutorProcess>>,
+    /// The next process id. Worker addresses carry the node name, so ids
+    /// unique per allocator are unique on the fabric.
+    next_process_id: u64,
+    /// The allocator's side of its billing connection to the manager.
+    billing: Option<Arc<BillingClient>>,
+    /// When the allocator last pinged the manager.
+    last_heartbeat_sent: Option<SimTime>,
+    // Cleared when the node dies or is reclaimed: a dead allocator refuses
+    // new allocations instead of spawning processes on a gone machine.
+    alive: bool,
+    // Testing hook: index of the first worker whose setup is forced to fail.
+    // Lets tests exercise the mid-allocation rollback path, which no real
+    // setup step fails on demand.
+    spawn_fail_at: Option<usize>,
 }
 
 /// The lightweight allocator of one spot executor (A2 in Fig. 4): connects
@@ -1131,18 +1099,10 @@ pub struct LightweightAllocator {
     images: ImageRegistry,
     state: OrderedMutex<AllocatorState>,
     clock: Arc<VirtualClock>,
-    billing: OrderedMutex<Option<Arc<BillingClient>>>,
     /// Parked warm parents per `(SandboxType, package)` — deallocation parks
     /// a sandbox here (when capacity admits it) instead of tearing it down,
     /// and fork/warm-pool allocations consult it before a full spawn.
     warm_pool: WarmPool,
-    // Cleared when the node dies or is reclaimed: a dead allocator refuses
-    // new allocations instead of spawning processes on a gone machine.
-    alive: AtomicBool,
-    // Testing hook: index of the first worker whose setup is forced to fail
-    // (usize::MAX disables it). Lets tests exercise the mid-allocation
-    // rollback path, which no real setup step fails on demand.
-    spawn_fail_at: AtomicUsize,
 }
 
 impl std::fmt::Debug for LightweightAllocator {
@@ -1176,13 +1136,15 @@ impl LightweightAllocator {
                 AllocatorState {
                     available: resources,
                     processes: BTreeMap::new(),
+                    next_process_id: 1,
+                    billing: None,
+                    last_heartbeat_sent: None,
+                    alive: true,
+                    spawn_fail_at: None,
                 },
             ),
             clock: VirtualClock::shared(),
-            billing: OrderedMutex::new(ranks::EXECUTOR_BILLING, None),
             warm_pool: WarmPool::with_capacity(config_warm_capacity),
-            alive: AtomicBool::new(true),
-            spawn_fail_at: AtomicUsize::new(usize::MAX),
         }
     }
 
@@ -1190,12 +1152,12 @@ impl LightweightAllocator {
     /// fail (testing hook for the rollback path).
     #[cfg(test)]
     pub(crate) fn inject_spawn_failure(&self, index: usize) {
-        self.spawn_fail_at.store(index, Ordering::Release);
+        self.state.lock().spawn_fail_at = Some(index);
     }
 
     /// Attach the billing client created by the resource manager.
     pub(crate) fn attach_billing(&self, billing: Arc<BillingClient>) {
-        *self.billing.lock() = Some(billing);
+        self.state.lock().billing = Some(billing);
     }
 
     /// Resources currently available for new allocations.
@@ -1230,19 +1192,20 @@ impl LightweightAllocator {
         if workers == 0 {
             return Err(RFaasError::Internal("cannot allocate zero workers".into()));
         }
-        if !self.alive.load(Ordering::Acquire) {
-            return Err(RFaasError::ExecutorLost(self.node_name.clone()));
-        }
-        let package = self
-            .registry
-            .fetch(&lease.package)
-            .ok_or_else(|| RFaasError::UnknownPackage(lease.package.clone()))?;
+        let package = self.registry.fetch(&lease.package);
         let request = NodeResources {
             cores: lease.cores,
             memory_mib: lease.memory_mib,
         };
-        {
+        // Reserve the resources and take everything else the spawn needs
+        // from the allocator state in one critical section.
+        let (package, process_id, billing, spawn_fail_at) = {
             let mut state = self.state.lock();
+            if !state.alive {
+                return Err(RFaasError::ExecutorLost(self.node_name.clone()));
+            }
+            let package =
+                package.ok_or_else(|| RFaasError::UnknownPackage(lease.package.clone()))?;
             if !state.available.can_fit(&request) {
                 return Err(RFaasError::InsufficientResources {
                     requested_cores: request.cores,
@@ -1250,7 +1213,11 @@ impl LightweightAllocator {
                 });
             }
             state.available = state.available.saturating_sub(&request);
-        }
+            let process_id = state.next_process_id;
+            state.next_process_id += 1;
+            let spawn_fail_at = state.spawn_fail_at.take_if(|index| *index < workers);
+            (package, process_id, state.billing.clone(), spawn_fail_at)
+        };
 
         // Provision the sandbox per the policy and charge its cost on the
         // allocator clock. The fork and warm-pool tiers consult the warm
@@ -1278,7 +1245,7 @@ impl LightweightAllocator {
             executor_start: SimDuration::ZERO,
             workers: SimDuration::ZERO,
         };
-        let mut fork_state: Option<Arc<ForkFaultState>> = None;
+        let mut fork_state = None;
         let (mut sandbox, spawn, code_submission) = match policy {
             AllocationPolicy::Cold => cold_spawn(&self.images),
             AllocationPolicy::WarmPool => {
@@ -1302,11 +1269,11 @@ impl LightweightAllocator {
                         // snapshot; the parent stays parked and serves the
                         // child's page faults via one-sided READs.
                         let (sandbox, setup) = Sandbox::fork_from(&snapshot, workers);
-                        fork_state = Some(Arc::new(ForkFaultState::new(
+                        fork_state = Some(ForkFaultState::new(
                             &snapshot,
                             self.fabric.profile(),
                             self.config.fork_prefetch_window,
-                        )));
+                        ));
                         (sandbox, micro_spawn(setup), SimDuration::ZERO)
                     }
                     None => cold_spawn(&self.images),
@@ -1348,15 +1315,11 @@ impl LightweightAllocator {
         let cqset = CqSet::new();
         let wake = cqset.notifier().clone();
 
-        let process_id = NEXT_PROCESS_ID.fetch_add(1, Ordering::Relaxed);
-        let billing = self.billing.lock().clone();
-        let deadline = Arc::new(LeaseDeadline::new(lease.expires_at));
         let mut infos = Vec::with_capacity(workers);
         let mut slots = Vec::with_capacity(workers);
         let mut spawn_error = None;
         for worker_idx in 0..workers {
-            if worker_idx == self.spawn_fail_at.load(Ordering::Acquire) {
-                self.spawn_fail_at.store(usize::MAX, Ordering::Release);
+            if spawn_fail_at == Some(worker_idx) {
                 spawn_error = Some(RFaasError::Internal(format!(
                     "failed to spawn worker: injected failure at index {worker_idx}"
                 )));
@@ -1413,7 +1376,7 @@ impl LightweightAllocator {
                 cqset,
                 workers: slots,
                 cores: vec![false; lease.cores.max(1) as usize],
-                deadline: Arc::clone(&deadline),
+                deadline: lease.expires_at,
                 sandbox,
                 owner: Vec::new(),
                 scratch: Vec::new(),
@@ -1423,7 +1386,7 @@ impl LightweightAllocator {
                 billing,
                 srq: srq.clone(),
                 ring,
-                fork: fork_state.clone(),
+                fork: fork_state,
                 state_binding: None,
             },
         )));
@@ -1438,10 +1401,8 @@ impl LightweightAllocator {
             srq,
             leased_cores: lease.cores,
             memory_mib: lease.memory_mib,
-            deadline,
             created_at: start_time,
             policy,
-            fork: fork_state,
         };
         self.state
             .lock()
@@ -1484,10 +1445,12 @@ impl LightweightAllocator {
         &self.warm_pool
     }
 
-    /// Fault state of a forked process (`None` for unknown processes or
-    /// cold/warm provisioning).
+    /// A snapshot of a forked process's fault state (`None` for unknown
+    /// processes or cold/warm provisioning).
     pub(crate) fn fork_state(&self, process_id: u64) -> Option<Arc<ForkFaultState>> {
-        self.process(process_id).and_then(|p| p.fork_state())
+        self.process(process_id)
+            .and_then(|p| p.fork_state())
+            .map(Arc::new)
     }
 
     /// Attach a state-plane client to one executor process: stateful
@@ -1566,14 +1529,14 @@ impl LightweightAllocator {
                 self.clock.advance(teardown);
             }
         }
-        if let Some(billing) = self.billing.lock().as_ref() {
+        let mut state = self.state.lock();
+        if let Some(billing) = &state.billing {
             billing.record_allocation(allocation_time, process.memory_mib);
             let _ = billing.flush();
         }
         // Restore the reservation actually taken at allocation time — the
         // leased cores, not the worker count, which oversubscribed
         // allocations inflate past the reservation.
-        let mut state = self.state.lock();
         state.available = state.available.add(&NodeResources {
             cores: process.leased_cores,
             memory_mib: process.memory_mib,
@@ -1582,32 +1545,32 @@ impl LightweightAllocator {
     }
 
     /// Push the lease deadline of every process serving `lease_id` forward to
-    /// `expires_at` (lease renewal reaching the executor). Returns the number
-    /// of processes whose deadline was extended.
+    /// `expires_at` (lease renewal reaching the executor; an earlier instant
+    /// leaves a deadline where it is). Returns the number of processes
+    /// serving the lease.
     pub fn extend_lease(&self, lease_id: u64, expires_at: SimTime) -> usize {
-        let mut extended = 0;
-        for process in self.state.lock().processes.values() {
-            if process.lease_id == lease_id {
-                process.deadline.extend(expires_at);
-                extended += 1;
-            }
+        let serving: Vec<Arc<ExecutorProcess>> = self
+            .processes()
+            .into_iter()
+            .filter(|process| process.lease_id == lease_id)
+            .collect();
+        for process in &serving {
+            let mut dispatcher = process.dispatcher.0.lock();
+            dispatcher.deadline = dispatcher.deadline.max(expires_at);
         }
-        extended
+        serving.len()
     }
 
     /// Deallocate processes whose lease deadline has passed at `now`,
     /// returning their reservations to the node pool. Returns the number of
     /// processes reaped.
     pub(crate) fn reap_expired(&self, now: SimTime) -> usize {
-        let expired_ids: Vec<u64> = {
-            let state = self.state.lock();
-            state
-                .processes
-                .iter()
-                .filter(|(_, p)| p.deadline.is_expired(now))
-                .map(|(id, _)| *id)
-                .collect()
-        };
+        let expired_ids: Vec<u64> = self
+            .processes()
+            .iter()
+            .filter(|process| now >= process.dispatcher.0.lock().deadline)
+            .map(|process| process.id)
+            .collect();
         let mut count = 0;
         for id in expired_ids {
             if self.deallocate(id).is_ok() {
@@ -1621,8 +1584,11 @@ impl LightweightAllocator {
     /// pool (the node itself was reclaimed or failed) and refuse future
     /// allocations. Returns the number of processes terminated.
     pub(crate) fn terminate_all(&self) -> usize {
-        self.alive.store(false, Ordering::Release);
-        let processes = std::mem::take(&mut self.state.lock().processes);
+        let processes = {
+            let mut state = self.state.lock();
+            state.alive = false;
+            std::mem::take(&mut state.processes)
+        };
         let count = processes.len();
         for process in processes.into_values() {
             // The node is gone: no clock of it is charged the teardown.
@@ -1638,7 +1604,6 @@ pub struct SpotExecutor {
     node: Arc<FabricNode>,
     resources: NodeResources,
     allocator: LightweightAllocator,
-    last_heartbeat_sent: OrderedMutex<Option<SimTime>>,
 }
 
 impl std::fmt::Debug for SpotExecutor {
@@ -1673,7 +1638,6 @@ impl SpotExecutor {
                 ImageRegistry::new(),
                 config,
             ),
-            last_heartbeat_sent: OrderedMutex::new(ranks::EXECUTOR_HEARTBEAT, None),
         })
     }
 
@@ -1699,7 +1663,7 @@ impl SpotExecutor {
 
     /// Whether the node is still up and heartbeating.
     pub fn is_alive(&self) -> bool {
-        self.allocator.alive.load(Ordering::Acquire)
+        self.allocator.state.lock().alive
     }
 
     /// Simulate the node being reclaimed by the batch system (or crashing):
@@ -1719,16 +1683,16 @@ impl SpotExecutor {
         now: SimTime,
         interval: SimDuration,
     ) -> Option<SimTime> {
-        if !self.is_alive() {
+        let mut state = self.allocator.state.lock();
+        if !state.alive {
             return None;
         }
-        let mut last = self.last_heartbeat_sent.lock();
-        let due = match *last {
+        let due = match state.last_heartbeat_sent {
             None => true,
             Some(previous) => now.saturating_since(previous) >= interval,
         };
         if due {
-            *last = Some(now);
+            state.last_heartbeat_sent = Some(now);
             Some(now)
         } else {
             None
@@ -2198,12 +2162,16 @@ mod tests {
             0
         );
         assert_eq!(exec.allocator().reap_expired(SimTime::from_secs(20)), 0);
-        let process = exec.allocator().process(result.process_id).unwrap();
-        assert_eq!(process.deadline().expires_at(), SimTime::from_secs(50));
-        // The deadline is monotonic: an earlier extension is ignored.
-        process.deadline().extend(SimTime::from_secs(30));
-        assert_eq!(process.deadline().expires_at(), SimTime::from_secs(50));
-        exec.allocator().deallocate(result.process_id).unwrap();
+        // The deadline is monotonic: an earlier extension still counts the
+        // process but leaves its deadline at 50 s.
+        assert_eq!(
+            exec.allocator()
+                .extend_lease(lease.id, SimTime::from_secs(30)),
+            1
+        );
+        assert_eq!(exec.allocator().reap_expired(SimTime::from_secs(49)), 0);
+        assert!(exec.allocator().process(result.process_id).is_some());
+        assert_eq!(exec.allocator().reap_expired(SimTime::from_secs(50)), 1);
     }
 
     #[test]

@@ -80,7 +80,7 @@ pub use config::{
 pub use error::{RFaasError, Result};
 pub use executor::{
     AllocationBreakdown, AllocationPolicy, AllocationResult, ExecutorProcess, ForkFaultState,
-    LeaseDeadline, LightweightAllocator, SpotExecutor, WorkerEndpointInfo, WorkerStats,
+    LightweightAllocator, SpotExecutor, WorkerEndpointInfo, WorkerStats,
 };
 pub use lifecycle::{GroupLifecycleDriver, LifecycleDriver, LifecycleStats};
 pub use manager::ResourceManager;

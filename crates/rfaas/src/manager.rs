@@ -9,7 +9,6 @@
 //! that allocators update with RDMA atomics.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use cluster_sim::NodeResources;
@@ -55,6 +54,10 @@ struct ManagerState {
     // Manager-side halves of the billing connections; kept alive so executors
     // can keep issuing one-sided atomics without any manager CPU involvement.
     billing_qps: Vec<QueuePair>,
+    // The id the next grant takes; advances by `lease_id_stride`.
+    next_lease_id: u64,
+    // Where the next placement's round-robin scan starts.
+    round_robin: usize,
 }
 
 /// The rFaaS resource manager (one instance of the replicated service).
@@ -67,13 +70,11 @@ pub struct ResourceManager {
     state: OrderedMutex<ManagerState>,
     control_address: String,
     billing: BillingDatabase,
-    next_lease_id: AtomicU64,
     // Lease ids advance by this much per grant. A standalone manager strides
     // by 1; shard `i` of an S-shard ManagerGroup starts at `i + 1` and
     // strides by S, so every id's residue class identifies its shard and
     // cross-shard lookup needs no directory.
     lease_id_stride: u64,
-    round_robin: AtomicUsize,
 }
 
 impl std::fmt::Debug for ResourceManager {
@@ -122,13 +123,13 @@ impl ResourceManager {
                     leases: BTreeMap::new(),
                     terminated_leases: BTreeSet::new(),
                     billing_qps: Vec::new(),
+                    next_lease_id: first_lease_id.max(1),
+                    round_robin: 0,
                 },
             ),
             control_address,
             billing,
-            next_lease_id: AtomicU64::new(first_lease_id.max(1)),
             lease_id_stride: stride.max(1),
-            round_robin: AtomicUsize::new(0),
         })
     }
 
@@ -296,7 +297,8 @@ impl ResourceManager {
         // BTreeMap keys come back sorted, so the round-robin rotation below
         // is deterministic without a per-placement sort.
         let names: Vec<String> = executors.keys().cloned().collect();
-        let start = self.round_robin.fetch_add(1, Ordering::Relaxed);
+        let start = state.round_robin;
+        state.round_robin += 1;
         let candidates = || {
             (0..names.len())
                 .map(|i| &names[(start + i) % names.len()])
@@ -324,10 +326,10 @@ impl ResourceManager {
 
         let entry = executors.get_mut(&chosen).expect("chosen executor exists");
         entry.available = entry.available.saturating_sub(&needed);
+        let id = state.next_lease_id;
+        state.next_lease_id += self.lease_id_stride;
         let lease = Lease {
-            id: self
-                .next_lease_id
-                .fetch_add(self.lease_id_stride, Ordering::Relaxed),
+            id,
             executor_node: chosen.clone(),
             cores: request.cores,
             memory_mib: request.memory_mib,
@@ -811,9 +813,7 @@ mod tests {
         let mut grants = 0;
         let mut denials = 0;
         for _ in 0..5 {
-            let reply = sock
-                .recv_timeout(std::time::Duration::from_secs(1))
-                .unwrap();
+            let reply = sock.recv().unwrap();
             match ControlFrame::decode(&reply.payload).unwrap() {
                 ControlFrame::Granted { lease } => {
                     assert!(manager.lease(lease.id).is_some());

@@ -69,10 +69,9 @@ const MAX_POOLED_PAIRS: usize = 64;
 /// instantly-dying leases).
 const RECOVERY_BUDGET: u32 = 3;
 
-/// Wall-clock deadline for the manager's allocation verdict, for establishing
-/// a worker connection and for the executor's hello that follows. A peer that
-/// never answers surfaces a typed timeout error instead of hanging the client
-/// forever.
+/// Wall-clock deadline for establishing a worker connection and for the
+/// executor's hello that follows. A peer that never answers surfaces a typed
+/// timeout error instead of hanging the client forever.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Fluent builder for a [`Session`]: lease shape, sandbox, polling mode and
@@ -102,7 +101,7 @@ impl AllocationBuilder {
     /// requesting the deployed code package `package`. Defaults: one worker,
     /// 512 MiB, bare-metal sandbox, hot polling, cold provisioning and the
     /// request default for lease timeout.
-    pub fn new(
+    pub(crate) fn new(
         fabric: &Arc<Fabric>,
         client_node: &str,
         manager: &Arc<ResourceManager>,
@@ -619,7 +618,7 @@ impl Session {
         self.control
             .send_to(self.manager.control_address(), &frame.encode())?;
         self.manager.poll_control();
-        let reply = self.control.recv_timeout(CONNECT_TIMEOUT)?;
+        let reply = self.control.recv()?;
         match ControlFrame::decode(&reply.payload)? {
             ControlFrame::Granted { lease } => Ok(lease),
             ControlFrame::Denied { .. } => Err(RFaasError::InsufficientResources {

@@ -54,7 +54,7 @@ pub struct HashRing {
 
 impl HashRing {
     /// Build a ring of `shards` buckets with `vnodes` virtual nodes each.
-    pub fn new(shards: usize, vnodes: usize) -> HashRing {
+    pub(crate) fn new(shards: usize, vnodes: usize) -> HashRing {
         let shards = shards.max(1);
         let vnodes = vnodes.max(1);
         let mut points = Vec::with_capacity(shards * vnodes);

@@ -120,16 +120,6 @@ impl fmt::Debug for SharedFunction {
 }
 
 impl SharedFunction {
-    /// Wrap an existing [`RemoteFunction`] implementation.
-    pub fn new(name: &str, body: Arc<dyn RemoteFunction>) -> SharedFunction {
-        SharedFunction {
-            name: Arc::from(name),
-            body,
-            cost: None,
-            stateful: None,
-        }
-    }
-
     /// Adapt a closure with the paper's `f(in, size, out) -> out_size` shape.
     pub fn from_fn<F>(name: &str, f: F) -> SharedFunction
     where

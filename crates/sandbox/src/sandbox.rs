@@ -32,7 +32,8 @@ impl SandboxType {
     }
 
     /// All sandbox types, for parameter sweeps.
-    pub fn all() -> [SandboxType; 4] {
+    #[cfg(test)]
+    fn all() -> [SandboxType; 4] {
         [
             SandboxType::BareMetal,
             SandboxType::Docker,

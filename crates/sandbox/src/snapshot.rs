@@ -90,7 +90,7 @@ pub struct FaultTracker {
 
 impl FaultTracker {
     /// Tracker over a page map of `total_pages` pages, all initially cold.
-    pub fn new(total_pages: usize) -> FaultTracker {
+    fn new(total_pages: usize) -> FaultTracker {
         FaultTracker {
             total_pages,
             faulted: vec![0u64; total_pages.div_ceil(64)],

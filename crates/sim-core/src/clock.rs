@@ -94,34 +94,6 @@ impl Clone for VirtualClock {
     }
 }
 
-/// A scoped measurement on a virtual clock: records the start time and reports
-/// the elapsed virtual duration when asked.
-#[derive(Debug)]
-pub struct ClockSpan<'a> {
-    clock: &'a VirtualClock,
-    start: SimTime,
-}
-
-impl<'a> ClockSpan<'a> {
-    /// Begin measuring on `clock`.
-    pub fn begin(clock: &'a VirtualClock) -> Self {
-        ClockSpan {
-            start: clock.now(),
-            clock,
-        }
-    }
-
-    /// Virtual time elapsed since [`ClockSpan::begin`].
-    pub fn elapsed(&self) -> SimDuration {
-        self.clock.now().saturating_since(self.start)
-    }
-
-    /// The instant the span started.
-    pub fn start(&self) -> SimTime {
-        self.start
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,17 +126,8 @@ mod tests {
 
     #[test]
     fn starting_at_offsets_epoch() {
-        let c = VirtualClock::starting_at(SimTime::from_millis(1));
+        let c = VirtualClock::starting_at(SimTime::from_micros(1_000));
         assert_eq!(c.now().as_nanos(), 1_000_000);
-    }
-
-    #[test]
-    fn span_measures_elapsed_virtual_time() {
-        let c = VirtualClock::new();
-        let span = ClockSpan::begin(&c);
-        c.advance(SimDuration::from_micros(7));
-        assert_eq!(span.elapsed().as_nanos(), 7_000);
-        assert_eq!(span.start(), SimTime::ZERO);
     }
 
     #[test]

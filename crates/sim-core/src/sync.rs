@@ -116,7 +116,7 @@ pub struct LockRank {
 }
 
 impl LockRank {
-    pub const fn new(rank: u16, name: &'static str) -> LockRank {
+    pub(crate) const fn new(rank: u16, name: &'static str) -> LockRank {
         LockRank { rank, name }
     }
 }
@@ -138,27 +138,23 @@ pub mod ranks {
     use super::LockRank;
 
     // The resource manager, outermost: control socket, executor registry,
-    // leases, terminations and billing connections under one lock, ranked
-    // below the executor block.
+    // leases, terminations, billing connections, the next lease id and the
+    // round-robin cursor under one lock, ranked below the executor block.
     pub const MANAGER: LockRank = LockRank::new(28, "manager");
 
-    // Executor server.
-    pub const EXECUTOR_HEARTBEAT: LockRank = LockRank::new(48, "executor.heartbeat");
+    // Executor server. The allocator's one lock covers the free resources,
+    // the process table, the next process id, the billing client, the
+    // heartbeat slot and the liveness flag.
     pub const EXECUTOR_ALLOCATOR: LockRank = LockRank::new(52, "executor.allocator_state");
     // The one lock of an executor process: its dispatcher owns every worker,
-    // the cores and the sandbox. Below everything a turn takes (fork state,
-    // billing, the state plane), because any thread waiting on the fabric
-    // may be the one turning it.
+    // the cores, the lease deadline, a forked child's fault state and the
+    // sandbox. Ranked below the state plane, which a stateful invocation
+    // enters mid-turn.
     pub const EXECUTOR_DISPATCHER: LockRank = LockRank::new(55, "executor.dispatcher");
-    pub const EXECUTOR_BILLING: LockRank = LockRank::new(60, "executor.billing");
-    pub const EXECUTOR_FORK_TRACKER: LockRank = LockRank::new(66, "executor.fork_tracker");
 
-    // State plane (entered while a dispatcher runs a stateful invocation).
-    // The metadata server always drops its state guard before touching the
-    // socket, but ranking the socket above keeps a state->socket nesting
-    // legal if a handler ever needs it.
+    // State plane: the metadata server's socket, directory and counters
+    // (entered while a dispatcher runs a stateful invocation).
     pub const STATE_SERVER: LockRank = LockRank::new(80, "state_plane.server");
-    pub const STATE_SOCKET: LockRank = LockRank::new(82, "state_plane.socket");
 
     // Leaf lock: never acquires anything itself.
     pub const LIFECYCLE_STATS: LockRank = LockRank::new(96, "lifecycle.stats");
@@ -193,10 +189,6 @@ pub struct RankChecker {
 }
 
 impl RankChecker {
-    pub fn new() -> RankChecker {
-        RankChecker::default()
-    }
-
     /// Attempt to acquire `rank`. On success returns a token to pass to
     /// [`RankChecker::release`]; releases may come in any order.
     pub fn acquire(&mut self, rank: LockRank) -> Result<u64, RankViolation> {
@@ -471,7 +463,7 @@ mod tests {
 
     #[test]
     fn checker_matches_discipline() {
-        let mut ck = RankChecker::new();
+        let mut ck = RankChecker::default();
         let t1 = ck.acquire(LOW).unwrap();
         let t2 = ck.acquire(HIGH).unwrap();
         assert!(ck.acquire(MID).is_err()); // below max held
@@ -485,7 +477,7 @@ mod tests {
 
     #[test]
     fn checker_violation_names_both_locks() {
-        let mut ck = RankChecker::new();
+        let mut ck = RankChecker::default();
         ck.acquire(MID).unwrap();
         let err = ck.acquire(LOW).unwrap_err();
         assert_eq!(err.held, MID);
@@ -502,7 +494,7 @@ mod tests {
         // rank is conforming by construction and must never be rejected.
         #[test]
         fn prop_conforming_sequences_never_flagged(ops: Vec<u16>) {
-            let mut ck = RankChecker::new();
+            let mut ck = RankChecker::default();
             let mut tokens: Vec<(u64, u16)> = Vec::new();
             for op in ops {
                 let release = op % 3 == 0 && !tokens.is_empty();
@@ -529,7 +521,7 @@ mod tests {
         // rejected, regardless of the (conforming) history before it.
         #[test]
         fn prop_violations_always_caught(history: Vec<u16>, offense: u16) {
-            let mut ck = RankChecker::new();
+            let mut ck = RankChecker::default();
             let mut max_held: Option<u16> = None;
             for r in history {
                 let next = match max_held {
@@ -557,7 +549,7 @@ mod tests {
                 .collect();
             let mutexes: Vec<OrderedMutex<u32>> =
                 ranks.iter().map(|&r| OrderedMutex::new(r, 0)).collect();
-            let mut ck = RankChecker::new();
+            let mut ck = RankChecker::default();
             let mut held: Vec<(u64, OrderedMutexGuard<'_, u32>)> = Vec::new();
             for op in ops {
                 if op % 3 == 0 && !held.is_empty() {

@@ -32,11 +32,6 @@ impl SimTime {
         SimTime(us * 1_000)
     }
 
-    /// Construct from milliseconds.
-    pub const fn from_millis(ms: u64) -> Self {
-        SimTime(ms * 1_000_000)
-    }
-
     /// Construct from whole seconds.
     pub const fn from_secs(s: u64) -> Self {
         SimTime(s * 1_000_000_000)
@@ -278,7 +273,6 @@ mod tests {
         assert_eq!(SimDuration::from_millis(2).as_nanos(), 2_000_000);
         assert_eq!(SimDuration::from_secs(1).as_nanos(), 1_000_000_000);
         assert_eq!(SimTime::from_micros(5).as_nanos(), 5_000);
-        assert_eq!(SimTime::from_millis(5).as_nanos(), 5_000_000);
         assert_eq!(SimTime::from_secs(5).as_nanos(), 5_000_000_000);
     }
 

@@ -34,7 +34,6 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use rdma_fabric::{
     AccessFlags, DatagramSocket, Endpoint, Fabric, FabricNode, MemoryRegion, ProtectionDomain,
@@ -45,10 +44,6 @@ use sim_core::VirtualClock;
 use crate::error::{Result, StateError};
 use crate::frame::StateFrame;
 use crate::region::RegionAllocator;
-
-/// How long a control-plane reply may take before the caller gives up
-/// (wall-clock guard only; virtual time is exact).
-const CONTROL_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Authoritative location of one committed value in the owner's arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,8 +66,11 @@ struct PendingPut {
     old: Option<(usize, usize)>,
 }
 
+/// The metadata service: its socket, the directory and everything else the
+/// owner mutates, under the plane's one lock.
 #[derive(Debug)]
 struct ServerState {
+    socket: DatagramSocket,
     allocator: RegionAllocator,
     directory: BTreeMap<String, StatePlacement>,
     pending: BTreeMap<String, PendingPut>,
@@ -80,6 +78,9 @@ struct ServerState {
     /// invalidation fan-out order.
     clients: Vec<String>,
     next_client: u64,
+    /// The control-path counters the server bumps. Occupancy and the two
+    /// byte counts clients bump are filled in by [`StatePlane::stats`].
+    counters: StatePlaneStats,
 }
 
 impl ServerState {
@@ -94,19 +95,124 @@ impl ServerState {
             self.allocator.release(stale.offset, stale.len);
         }
     }
-}
 
-#[derive(Debug, Default)]
-struct PlaneCounters {
-    control_frames: AtomicU64,
-    lookups: AtomicU64,
-    reserves: AtomicU64,
-    denials: AtomicU64,
-    commits: AtomicU64,
-    deletes: AtomicU64,
-    invalidations_sent: AtomicU64,
-    remote_read_bytes: AtomicU64,
-    pushed_write_bytes: AtomicU64,
+    /// Reply to `dst`. A vanished client (dropped socket) is not an error on
+    /// the owner: its invalidations simply stop mattering.
+    fn send(&self, dst: &str, frame: &StateFrame) {
+        let _ = self.socket.send_to(dst, &frame.encode());
+    }
+
+    /// Send `Invalidate { key, version }` to every attached client except
+    /// `writer`, in attach order.
+    fn invalidate_others(&mut self, writer: &str, key: &str, version: u64) {
+        let frame = StateFrame::Invalidate {
+            key: key.to_string(),
+            version,
+        }
+        .encode();
+        for target in self.clients.iter().filter(|a| *a != writer) {
+            self.counters.invalidations_sent += 1;
+            let _ = self.socket.send_to(target, &frame);
+        }
+    }
+
+    /// Serve one control frame.
+    fn serve(&mut self, frame: StateFrame) {
+        match frame {
+            StateFrame::Lookup { reply_to, key } => {
+                self.counters.lookups += 1;
+                let reply = match self.directory.get(&key) {
+                    Some(p) => StateFrame::Owner {
+                        offset: p.offset as u64,
+                        len: p.len as u64,
+                        version: p.version,
+                        key,
+                    },
+                    None => StateFrame::NotFound { key },
+                };
+                self.send(&reply_to, &reply);
+            }
+            StateFrame::Reserve { reply_to, key, len } => {
+                self.counters.reserves += 1;
+                let len = len as usize;
+                // A re-reservation before commit abandons the first span.
+                self.abandon_pending(&key);
+                let existing = self.directory.get(&key).copied();
+                let pending = match existing.filter(|m| m.len == len) {
+                    // Same-size overwrite: update in place, no allocation.
+                    Some(meta) => Some(PendingPut {
+                        offset: meta.offset,
+                        len,
+                        version: meta.version + 1,
+                        old: None,
+                    }),
+                    None => self.allocator.allocate(len).map(|offset| PendingPut {
+                        offset,
+                        len,
+                        version: existing.map(|m| m.version).unwrap_or(0) + 1,
+                        old: existing.map(|m| (m.offset, m.len)),
+                    }),
+                };
+                let reply = match pending {
+                    Some(pending) => {
+                        self.pending.insert(key.clone(), pending);
+                        StateFrame::Reserved {
+                            key,
+                            offset: pending.offset as u64,
+                            len: len as u64,
+                            version: pending.version,
+                        }
+                    }
+                    None => {
+                        self.counters.denials += 1;
+                        StateFrame::Denied {
+                            key,
+                            requested: len as u64,
+                            largest_free: self.allocator.largest_free() as u64,
+                        }
+                    }
+                };
+                self.send(&reply_to, &reply);
+            }
+            StateFrame::Commit { reply_to, key } => {
+                self.counters.commits += 1;
+                let Some(pending) = self.pending.remove(&key) else {
+                    return;
+                };
+                if let Some((old_offset, old_len)) = pending.old {
+                    self.allocator.release(old_offset, old_len);
+                }
+                self.directory.insert(
+                    key.clone(),
+                    StatePlacement {
+                        offset: pending.offset,
+                        len: pending.len,
+                        version: pending.version,
+                    },
+                );
+                self.invalidate_others(&reply_to, &key, pending.version);
+            }
+            StateFrame::Delete { reply_to, key } => {
+                self.counters.deletes += 1;
+                self.abandon_pending(&key);
+                let removed = self.directory.remove(&key);
+                if let Some(meta) = removed {
+                    self.allocator.release(meta.offset, meta.len);
+                    self.invalidate_others(&reply_to, &key, 0);
+                }
+                self.send(
+                    &reply_to,
+                    &StateFrame::Deleted {
+                        key,
+                        existed: removed.is_some(),
+                    },
+                );
+            }
+            // Replies and invalidations are client-bound; the owner ignores
+            // strays (and any future frame kinds it does not know).
+            _ => {}
+        }
+    }
 }
 
 /// Snapshot of the owner-side counters and occupancy.
@@ -148,8 +254,9 @@ struct PlaneInner {
     control_address: String,
     arena: MemoryRegion,
     state: OrderedMutex<ServerState>,
-    socket: OrderedMutex<DatagramSocket>,
-    counters: PlaneCounters,
+    // Bumped by clients on the data path, outside the server's lock.
+    remote_read_bytes: AtomicU64,
+    pushed_write_bytes: AtomicU64,
 }
 
 /// Handle to one state plane. Cloning is cheap and refers to the same plane.
@@ -189,15 +296,17 @@ impl StatePlane {
                 state: OrderedMutex::new(
                     ranks::STATE_SERVER,
                     ServerState {
+                        socket,
                         allocator: RegionAllocator::new(capacity),
                         directory: BTreeMap::new(),
                         pending: BTreeMap::new(),
                         clients: Vec::new(),
                         next_client: 0,
+                        counters: StatePlaneStats::default(),
                     },
                 ),
-                socket: OrderedMutex::new(ranks::STATE_SOCKET, socket),
-                counters: PlaneCounters::default(),
+                remote_read_bytes: AtomicU64::new(0),
+                pushed_write_bytes: AtomicU64::new(0),
             }),
         }
     }
@@ -256,172 +365,17 @@ impl StatePlane {
         }
     }
 
-    /// Drain and serve every control frame queued at the metadata service.
-    /// Called by clients after sending a request (synchronous pumping keeps
-    /// the exchange deterministic); harmless to call with an empty queue.
+    /// Drain and serve every control frame queued at the metadata service,
+    /// under one acquisition of the server lock. Called by clients after
+    /// sending a request (synchronous pumping keeps the exchange
+    /// deterministic); harmless to call with an empty queue.
     pub fn pump(&self) {
-        loop {
-            let msg = self.inner.socket.lock().try_recv();
-            let Some(msg) = msg else { break };
-            self.inner
-                .counters
-                .control_frames
-                .fetch_add(1, Ordering::Relaxed);
-            let Ok(frame) = StateFrame::decode(&msg.payload) else {
-                continue;
-            };
-            self.serve(frame);
-        }
-    }
-
-    fn send(&self, dst: &str, frame: &StateFrame) {
-        // A vanished client (dropped socket) is not an error on the owner:
-        // its invalidations simply stop mattering.
-        let _ = self.inner.socket.lock().send_to(dst, &frame.encode());
-    }
-
-    fn serve(&self, frame: StateFrame) {
-        let counters = &self.inner.counters;
-        match frame {
-            StateFrame::Lookup { reply_to, key } => {
-                counters.lookups.fetch_add(1, Ordering::Relaxed);
-                let placement = self.inner.state.lock().directory.get(&key).copied();
-                let reply = match placement {
-                    Some(p) => StateFrame::Owner {
-                        key,
-                        offset: p.offset as u64,
-                        len: p.len as u64,
-                        version: p.version,
-                    },
-                    None => StateFrame::NotFound { key },
-                };
-                self.send(&reply_to, &reply);
+        let mut st = self.inner.state.lock();
+        while let Some(msg) = st.socket.try_recv() {
+            st.counters.control_frames += 1;
+            if let Ok(frame) = StateFrame::decode(&msg.payload) {
+                st.serve(frame);
             }
-            StateFrame::Reserve { reply_to, key, len } => {
-                counters.reserves.fetch_add(1, Ordering::Relaxed);
-                let len = len as usize;
-                let mut st = self.inner.state.lock();
-                // A re-reservation before commit abandons the first span.
-                st.abandon_pending(&key);
-                let existing = st.directory.get(&key).copied();
-                let reply = if let Some(meta) = existing.filter(|m| m.len == len) {
-                    // Same-size overwrite: update in place, no allocation.
-                    let pending = PendingPut {
-                        offset: meta.offset,
-                        len,
-                        version: meta.version + 1,
-                        old: None,
-                    };
-                    st.pending.insert(key.clone(), pending);
-                    StateFrame::Reserved {
-                        key,
-                        offset: pending.offset as u64,
-                        len: len as u64,
-                        version: pending.version,
-                    }
-                } else {
-                    match st.allocator.allocate(len) {
-                        Some(offset) => {
-                            let pending = PendingPut {
-                                offset,
-                                len,
-                                version: existing.map(|m| m.version).unwrap_or(0) + 1,
-                                old: existing.map(|m| (m.offset, m.len)),
-                            };
-                            st.pending.insert(key.clone(), pending);
-                            StateFrame::Reserved {
-                                key,
-                                offset: offset as u64,
-                                len: len as u64,
-                                version: pending.version,
-                            }
-                        }
-                        None => {
-                            counters.denials.fetch_add(1, Ordering::Relaxed);
-                            StateFrame::Denied {
-                                key,
-                                requested: len as u64,
-                                largest_free: st.allocator.largest_free() as u64,
-                            }
-                        }
-                    }
-                };
-                drop(st);
-                self.send(&reply_to, &reply);
-            }
-            StateFrame::Commit { reply_to, key } => {
-                counters.commits.fetch_add(1, Ordering::Relaxed);
-                let mut st = self.inner.state.lock();
-                let Some(pending) = st.pending.remove(&key) else {
-                    return;
-                };
-                if let Some((old_offset, old_len)) = pending.old {
-                    st.allocator.release(old_offset, old_len);
-                }
-                st.directory.insert(
-                    key.clone(),
-                    StatePlacement {
-                        offset: pending.offset,
-                        len: pending.len,
-                        version: pending.version,
-                    },
-                );
-                let targets: Vec<String> = st
-                    .clients
-                    .iter()
-                    .filter(|a| **a != reply_to)
-                    .cloned()
-                    .collect();
-                drop(st);
-                for target in targets {
-                    counters.invalidations_sent.fetch_add(1, Ordering::Relaxed);
-                    self.send(
-                        &target,
-                        &StateFrame::Invalidate {
-                            key: key.clone(),
-                            version: pending.version,
-                        },
-                    );
-                }
-            }
-            StateFrame::Delete { reply_to, key } => {
-                counters.deletes.fetch_add(1, Ordering::Relaxed);
-                let mut st = self.inner.state.lock();
-                st.abandon_pending(&key);
-                let removed = st.directory.remove(&key);
-                if let Some(meta) = removed {
-                    st.allocator.release(meta.offset, meta.len);
-                }
-                let targets: Vec<String> = st
-                    .clients
-                    .iter()
-                    .filter(|a| **a != reply_to)
-                    .cloned()
-                    .collect();
-                drop(st);
-                if removed.is_some() {
-                    for target in targets {
-                        counters.invalidations_sent.fetch_add(1, Ordering::Relaxed);
-                        self.send(
-                            &target,
-                            &StateFrame::Invalidate {
-                                key: key.clone(),
-                                version: 0,
-                            },
-                        );
-                    }
-                }
-                self.send(
-                    &reply_to,
-                    &StateFrame::Deleted {
-                        key,
-                        existed: removed.is_some(),
-                    },
-                );
-            }
-            // Replies and invalidations are client-bound; the owner ignores
-            // strays (and any future frame kinds it does not know).
-            _ => {}
         }
     }
 
@@ -450,21 +404,14 @@ impl StatePlane {
     /// Owner-side counters and occupancy.
     pub fn stats(&self) -> StatePlaneStats {
         let st = self.inner.state.lock();
-        let c = &self.inner.counters;
         StatePlaneStats {
             keys: st.directory.len(),
             used_bytes: st.allocator.used_bytes(),
             capacity: st.allocator.capacity(),
             clients: st.clients.len(),
-            control_frames: c.control_frames.load(Ordering::Relaxed),
-            lookups: c.lookups.load(Ordering::Relaxed),
-            reserves: c.reserves.load(Ordering::Relaxed),
-            denials: c.denials.load(Ordering::Relaxed),
-            commits: c.commits.load(Ordering::Relaxed),
-            deletes: c.deletes.load(Ordering::Relaxed),
-            invalidations_sent: c.invalidations_sent.load(Ordering::Relaxed),
-            remote_read_bytes: c.remote_read_bytes.load(Ordering::Relaxed),
-            pushed_write_bytes: c.pushed_write_bytes.load(Ordering::Relaxed),
+            remote_read_bytes: self.inner.remote_read_bytes.load(Ordering::Relaxed),
+            pushed_write_bytes: self.inner.pushed_write_bytes.load(Ordering::Relaxed),
+            ..st.counters
         }
     }
 
@@ -641,7 +588,7 @@ impl StateClient {
             .send_to(self.plane.control_address(), &request.encode())?;
         self.plane.pump();
         loop {
-            let msg = self.socket.recv_timeout(CONTROL_TIMEOUT)?;
+            let msg = self.socket.recv()?;
             match StateFrame::decode(&msg.payload)? {
                 StateFrame::Invalidate { key, version } => self.invalidate(&key, version),
                 reply => return Ok(reply),
@@ -730,7 +677,6 @@ impl StateClient {
         self.counters.bytes_read += len as u64;
         self.plane
             .inner
-            .counters
             .remote_read_bytes
             .fetch_add(len as u64, Ordering::Relaxed);
         self.entries.insert(
@@ -865,7 +811,6 @@ impl StateClient {
         self.counters.bytes_written += value.len() as u64;
         self.plane
             .inner
-            .counters
             .pushed_write_bytes
             .fetch_add(value.len() as u64, Ordering::Relaxed);
         // Publish on the control path (fire-and-forget + pump, so the
@@ -937,6 +882,7 @@ impl Drop for StateClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rdma_fabric::FabricError;
 
     fn setup(cache_bytes: usize) -> (Arc<Fabric>, StatePlane, StateClient, StateClient) {
         let fabric = Fabric::with_defaults();
@@ -951,6 +897,23 @@ mod tests {
     /// Version of `client`'s locally cached copy of `key`, if cached.
     fn cached_version(client: &StateClient, key: &str) -> Option<u64> {
         client.entries.get(key).map(|e| e.version)
+    }
+
+    #[test]
+    fn request_to_a_silenced_owner_fails_at_once() {
+        // Another socket takes over the metadata service's address: the
+        // owner's pump finds nothing, so the reply is never coming and the
+        // request says so at once: `recv` does not wait.
+        let (fabric, plane, mut a, _b) = setup(64 * 1024);
+        let imposter = Endpoint::new(&fabric, &fabric.add_node("imposter"));
+        let _silent = DatagramSocket::bind(&imposter, plane.control_address());
+        assert_eq!(
+            a.get("model").unwrap_err(),
+            StateError::Fabric(FabricError::Timeout {
+                operation: "datagram receive"
+            })
+        );
+        assert_eq!(plane.stats().control_frames, 0);
     }
 
     #[test]

@@ -61,7 +61,7 @@ impl Image {
     }
 
     /// Decode the invocation payload layout.
-    pub fn decode(bytes: &[u8]) -> Result<Image, FunctionError> {
+    pub(crate) fn decode(bytes: &[u8]) -> Result<Image, FunctionError> {
         let view = ImageView::parse(bytes).map_err(FunctionError::InvalidInput)?;
         Ok(Image {
             width: view.width,

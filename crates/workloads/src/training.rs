@@ -10,7 +10,7 @@
 //! the model.
 
 use sandbox::{FunctionError, SharedFunction};
-use sim_core::{DeterministicRng, SimDuration};
+use sim_core::SimDuration;
 
 use crate::payload::{bytes_to_f64s, f64s_to_bytes};
 
@@ -35,8 +35,9 @@ pub struct TrainingSet {
 
 impl TrainingSet {
     /// Generate `rows` noisy samples of a random linear model.
-    pub fn generate(rows: usize, dim: usize, seed: u64) -> TrainingSet {
-        let mut rng = DeterministicRng::new(seed);
+    #[cfg(test)]
+    fn generate(rows: usize, dim: usize, seed: u64) -> TrainingSet {
+        let mut rng = sim_core::DeterministicRng::new(seed);
         let truth: Vec<f64> = (0..=dim).map(|_| rng.range_f64(-2.0, 2.0)).collect();
         let mut features = Vec::with_capacity(rows * dim);
         let mut targets = Vec::with_capacity(rows);

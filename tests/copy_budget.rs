@@ -1,7 +1,8 @@
 //! Copy-budget regression: steady-state heap traffic per operation on the
 //! three data paths, and per lease, whose budget DESIGN.md ("Data path: copy
-//! budget") states; and the lock acquisitions of the two hot paths
-//! (DESIGN.md "Hot-path lock budget"), in the builds that count them.
+//! budget") states; and the lock acquisitions of the two hot paths, of a
+//! state put and of a lease episode (DESIGN.md "Hot-path lock budget"), in
+//! the builds that count them.
 //!
 //! A byte may be copied only where the modelled hardware moves it (a DMA
 //! between registered regions) or at a codec boundary (the decoded result
@@ -186,6 +187,15 @@ fn steady_state_heap_traffic_stays_within_the_copy_budget() {
         }
         let executor = session.stats().state_executor.unwrap();
         assert_eq!(executor.remote_reads, 1, "every measured read was a hit");
+
+        // State put: one 1 MiB put, as `state_write_mix` issues between its
+        // touches. Its commit invalidates the executor's cached copy.
+        let put = per_operation(|| {
+            session.state().put(DATASET_KEY, &dataset).unwrap();
+        });
+        if let Some(locks) = put.locks {
+            assert_eq!(locks, 17.0, "1 MiB state put: lock acquisitions");
+        }
         session.close().unwrap();
     }
 
@@ -199,7 +209,7 @@ fn steady_state_heap_traffic_stays_within_the_copy_budget() {
         };
         let testbed = Testbed::with_config(1, config);
         let pool = ConnectionPool::new();
-        let PerOp { bytes, .. } = per_operation(|| {
+        let PerOp { bytes, locks, .. } = per_operation(|| {
             let session = testbed
                 .session("budget-client")
                 .sandbox(SandboxType::BareMetal)
@@ -218,5 +228,8 @@ fn steady_state_heap_traffic_stays_within_the_copy_budget() {
             bytes < (128 * 1024) as f64,
             "a lease episode allocates {bytes} B"
         );
+        if let Some(locks) = locks {
+            assert_eq!(locks, 274.0, "Fork lease episode: lock acquisitions");
+        }
     }
 }

@@ -96,7 +96,7 @@ fn fork_tier_sits_between_warm_and_cold() {
         .allocation_policy(AllocationPolicy::Fork)
         .connect()
         .unwrap();
-    let fork = session.stats().fork.expect("forked provisioning");
+    let fork = || session.stats().fork.expect("forked provisioning");
     let forked_setup = {
         let cold = session.cold_start().unwrap();
         (cold.spawn_workers + cold.submit_code).as_micros_f64()
@@ -113,7 +113,7 @@ fn fork_tier_sits_between_warm_and_cold() {
     // of the warm path.
     let first = rtt_us();
     let mut rtts = vec![first];
-    while !fork.is_complete() {
+    while !fork().is_complete() {
         rtts.push(rtt_us());
     }
     // Steady state: the faulted-in child matches the plain warm band.
@@ -134,6 +134,7 @@ fn fork_tier_sits_between_warm_and_cold() {
         residue < 1_000.0,
         "total fault-in residue {residue} us must stay µs-scale"
     );
+    let fork = fork();
     assert_eq!(fork.pages_faulted(), fork.total_pages());
 }
 

@@ -61,6 +61,12 @@ fn is_comment(line: &str) -> bool {
     line.trim_start().starts_with("//")
 }
 
+/// Whether `line` is a `///` or `//!` doc comment.
+fn is_doc(line: &str) -> bool {
+    let line = line.trim_start();
+    line.starts_with("///") || line.starts_with("//!")
+}
+
 /// Mirror of the `rfaas` crate-level doc example, invoked through the
 /// umbrella crate's re-exports.
 #[test]
@@ -275,7 +281,7 @@ fn every_shim_is_a_member_with_a_dependent() {
 /// The lock-rank table in `sim_core::sync::ranks` lists the workspace's
 /// shared objects: ranks strictly increase in declaration order, constant
 /// and lock names are unique, every constant is used as `ranks::NAME` by
-/// product code outside `sync.rs`, and there are exactly 11. Reads the
+/// product code outside `sync.rs`, and there are exactly 5. Reads the
 /// sources as text.
 #[test]
 fn lock_ranks_are_ordered_used_and_counted() {
@@ -338,7 +344,7 @@ fn lock_ranks_are_ordered_used_and_counted() {
         assert!(used, "`{needle}` is not used outside sync.rs and tests");
     }
 
-    assert_eq!(table.len(), 9, "lock ranks: {table:?}");
+    assert_eq!(table.len(), 5, "lock ranks: {table:?}");
 }
 
 /// The client layer runs on one thread. Outside test modules, `session.rs`,
@@ -506,16 +512,87 @@ fn code_identifiers(text: &str) -> (BTreeSet<&str>, BTreeSet<&str>) {
     (named, called)
 }
 
+/// Every `Type::name` path `text` names, as that string; with `calls`,
+/// only those followed by `(`. A group `Type::{a, b}` (the benchmark
+/// README's notation) names one path per member, and is no call.
+fn paths(text: &str, calls: bool) -> BTreeSet<String> {
+    let is_ident = |c: char| c == '_' || c.is_alphanumeric();
+    let ident_end = |text: &str| text.find(|c| !is_ident(c)).unwrap_or(text.len());
+    let mut found = BTreeSet::new();
+    let mut rest = text;
+    while let Some(start) = rest.find(is_ident) {
+        let (owner, after) = rest[start..].split_at(ident_end(&rest[start..]));
+        rest = after;
+        let Some(after) = after.strip_prefix("::") else {
+            continue;
+        };
+        let members = match after.strip_prefix('{') {
+            Some(_) if calls => continue,
+            Some(group) => group.split_once('}').map_or(group, |(group, _)| group),
+            None if calls && !after[ident_end(after)..].starts_with('(') => continue,
+            None => &after[..ident_end(after)],
+        };
+        for member in members.split(',').map(str::trim) {
+            if !member.is_empty() {
+                found.insert(format!("{owner}::{member}"));
+            }
+        }
+    }
+    found
+}
+
+/// The type of the inherent `impl` block that the line `header` opens
+/// (`impl Foo {`, `impl<'a> Foo<'a> {`); `None` for a trait impl or any
+/// other line.
+fn inherent_impl_type(header: &str) -> Option<&str> {
+    let rest = header.strip_prefix("impl")?;
+    let rest = match rest.strip_prefix('<') {
+        Some(generics) => generics.split_once("> ")?.1,
+        None => rest.strip_prefix(' ')?,
+    };
+    let end = rest
+        .find(|c: char| c != '_' && !c.is_alphanumeric())
+        .unwrap_or(rest.len());
+    Some(&rest[..end]).filter(|name| !name.is_empty() && !header.contains(" for "))
+}
+
+/// Whether the function whose signature starts at `lines[0]` takes a `self`
+/// receiver: its first parameter names `self`.
+fn takes_self(lines: &[(usize, &str)]) -> bool {
+    let signature: String = lines.iter().take(8).map(|(_, line)| *line).collect();
+    signature
+        .split_once('(')
+        .and_then(|(_, params)| params.split([',', ')']).next())
+        .is_some_and(|first| identifiers(first).contains("self"))
+}
+
+/// What a file offers as callers: its crate (`None` for caller-only files),
+/// the identifiers of its code lines (all, and those in call position), the
+/// `Type::name` paths of its code lines, and the identifiers and the
+/// `Type::name(` calls of its `///` / `//!` lines.
+struct Callers<'a> {
+    owner: Option<String>,
+    named: BTreeSet<&'a str>,
+    called: BTreeSet<&'a str>,
+    paths: BTreeSet<String>,
+    docs: BTreeSet<&'a str>,
+    doc_paths: BTreeSet<String>,
+}
+
 /// Every crate's non-test `pub fn`, `pub const` and `pub static` has a
 /// caller outside that crate. A caller names the item, between identifier
 /// boundaries, on a code line of another crate's `src/` (test modules
 /// included), of `crates/bench/src/bin/` (for the `rfaas-bench` lib), of the
 /// root `src/`, `examples/` or `tests/` (this file aside) or of
 /// `benchmark/src/`; a function only counts in call or path position (see
-/// `code_identifiers`). The benchmark README's list of product symbols and
-/// the crate's own `///` / `//!` lines (doc-tests compile as outside
-/// callers) count wherever they name it. Items only their own crate calls
-/// are `pub(crate)` or private, so rustc's `dead_code` lint covers the
+/// `code_identifiers`). A `pub fn` of an inherent `impl Type` block without
+/// a `self` receiver can only be called as `Type::name`, so only that path
+/// counts for it: another type's `new` calls no `Type::new`. The benchmark
+/// README's list of product symbols and the crate's own `///` / `//!` lines
+/// (doc-tests compile as outside callers) count wherever they name it; for
+/// such a function, the list must name `Type::name` and a doc line must
+/// call it, as an intra-doc link calls nothing. Items only their own crate
+/// calls are `pub(crate)` or private, so rustc's `dead_code` lint covers the
 /// in-crate half. `OUTSIDE_CALLER_ALLOW_LIST` names the exceptions. Reads
 /// the sources as text.
 #[test]
@@ -548,46 +625,71 @@ fn every_pub_item_has_an_outside_caller() {
         .nth(1)
         .and_then(|rest| rest.split("\n## ").next())
         .expect("benchmark/README.md lists the product symbols");
-    let symbols = identifiers(symbols);
+    let (symbol_paths, symbols) = (paths(symbols, false), identifiers(symbols));
 
-    // Per source file: its crate, its code identifiers (all, and those in
-    // call position), and the identifiers of its `///` / `//!` lines.
-    type Words<'a> = BTreeSet<&'a str>;
-    let files: Vec<(Option<String>, (Words, Words), Words)> = sources
+    let files: Vec<Callers> = sources
         .iter()
         .zip(&texts)
         .map(|(path, text)| {
-            let docs = text
+            let (code, docs): (Vec<&str>, Vec<&str>) = text
                 .lines()
-                .map(str::trim_start)
-                .filter(|line| line.starts_with("///") || line.starts_with("//!"))
-                .flat_map(identifiers)
-                .collect();
-            (owner(path), code_identifiers(text), docs)
+                .filter(|line| !is_comment(line) || is_doc(line))
+                .partition(|line| !is_comment(line));
+            let (named, called) = code_identifiers(text);
+            Callers {
+                owner: owner(path),
+                named,
+                called,
+                paths: paths(&code.join("\n"), false),
+                docs: docs.iter().copied().flat_map(identifiers).collect(),
+                doc_paths: paths(&docs.join("\n"), true),
+            }
         })
         .collect();
-    let called_outside = |owner: &String, name: &str, is_fn: bool| {
+    // Whether an item of crate `owner` has a caller outside it: `path` is
+    // `Type::name` for an associated function without a receiver.
+    let called_outside = |owner: &String, name: &str, is_fn: bool, path: Option<&str>| {
+        if let Some(path) = path {
+            return symbol_paths.contains(path)
+                || files.iter().any(|file| {
+                    if file.owner.as_ref() == Some(owner) {
+                        file.doc_paths.contains(path)
+                    } else {
+                        file.paths.contains(path)
+                    }
+                });
+        }
         symbols.contains(name)
-            || files.iter().any(|(file_owner, (named, called), docs)| {
-                if file_owner.as_ref() == Some(owner) {
-                    docs.contains(name)
+            || files.iter().any(|file| {
+                if file.owner.as_ref() == Some(owner) {
+                    file.docs.contains(name)
                 } else if is_fn {
-                    called.contains(name)
+                    file.called.contains(name)
                 } else {
-                    named.contains(name)
+                    file.named.contains(name)
                 }
             })
     };
 
     let mut unreferenced = Vec::new();
     let mut allowed = BTreeSet::new();
-    for ((path, text), (owner, _, _)) in sources.iter().zip(&texts).zip(&files) {
-        let Some(owner) = owner else { continue };
-        for (n, line) in product_lines(text) {
+    for ((path, text), file) in sources.iter().zip(&texts).zip(&files) {
+        let Some(owner) = &file.owner else { continue };
+        let lines = product_lines(text);
+        let mut impl_type = None;
+        for (i, (n, line)) in lines.iter().enumerate() {
+            if line.starts_with("impl") {
+                impl_type = inherent_impl_type(line);
+            } else if *line == "}" {
+                impl_type = None;
+            }
             let Some((name, is_fn)) = pub_item(line) else {
                 continue;
             };
-            if called_outside(owner, name, is_fn) {
+            let assoc = impl_type
+                .filter(|_| is_fn && !takes_self(&lines[i..]))
+                .map(|ty| format!("{ty}::{name}"));
+            if called_outside(owner, name, is_fn, assoc.as_deref()) {
                 continue;
             }
             let entry = OUTSIDE_CALLER_ALLOW_LIST
@@ -598,8 +700,9 @@ fn every_pub_item_has_an_outside_caller() {
                     allowed.insert(*entry);
                 }
                 None => unreferenced.push(format!(
-                    "{owner}: {}:{n}: `{name}`",
-                    path.strip_prefix(root).unwrap().display()
+                    "{owner}: {}:{n}: `{}`",
+                    path.strip_prefix(root).unwrap().display(),
+                    assoc.as_deref().unwrap_or(name)
                 )),
             }
         }
@@ -637,7 +740,8 @@ fn item_body<'a>(text: &'a str, header: &str) -> Vec<&'a str> {
 /// The option surface clients can turn, counted from source so that adding
 /// a knob means editing this test on purpose: `RFaasConfig` has 13 `pub`
 /// fields (five costs, three prices, five sizes), `PollingMode` two
-/// variants, and `impl AllocationBuilder` 14 `pub fn`s. Reads the sources as
+/// variants, and `impl AllocationBuilder` 13 `pub fn`s (its constructor is
+/// `pub(crate)`: `Session::builder` is the one entry). Reads the sources as
 /// text.
 #[test]
 fn config_surface_is_counted() {
@@ -662,5 +766,5 @@ fn config_surface_is_counted() {
         .into_iter()
         .filter(|line| line.starts_with("    pub fn "))
         .collect();
-    assert_eq!(methods.len(), 14, "AllocationBuilder methods: {methods:?}");
+    assert_eq!(methods.len(), 13, "AllocationBuilder methods: {methods:?}");
 }
