@@ -17,9 +17,11 @@
 //! written. Everything past that mark reads as zeros, so a fresh region is
 //! observationally a zero-filled buffer of its full length — the way an
 //! anonymous mapping is, which is what this models: the OS commits pages on
-//! first touch; the NIC's registration cost is charged in virtual time and
-//! is unaffected. [`MemoryRegion::decommit`] gives the prefix back, like
-//! `madvise(MADV_DONTNEED)`.
+//! first touch. Registering itself charges no virtual time: the NIC's
+//! registration cost is folded into the sandbox profiles'
+//! `executor_start_cost` and `per_worker_cost`, which do not depend on how
+//! much is registered. [`MemoryRegion::decommit`] gives the prefix back,
+//! like `madvise(MADV_DONTNEED)`.
 //!
 //! The committed prefix is either *owned* by the region or *shared* with
 //! other regions. A DMA that replaces a destination's whole content —
@@ -30,7 +32,10 @@
 //! takes them as they are, anyone else copies first (copy-on-write), and a
 //! write of a page or more builds its result in a spare buffer, the one the
 //! destination of the last share gave back. Either way a region is still,
-//! through every accessor, the zero-extended byte array it always was.
+//! through every accessor, the zero-extended byte array it always was. The
+//! source of a share may let go of the bytes ([`MemoryRegion::release_shared`])
+//! so that the destination, the sole holder, hands them on without a copy
+//! ([`MemoryRegion::take`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -127,6 +132,15 @@ impl Committed {
 
     fn len(&self) -> usize {
         self.as_slice().len()
+    }
+
+    /// Give the bytes back: an owned buffer keeps its allocation, shared
+    /// bytes stay with the other holders.
+    fn decommit(&mut self) {
+        match &mut self.bytes {
+            Bytes::Owned(bytes) => bytes.clear(),
+            Bytes::Shared(_) => self.bytes = Bytes::Owned(Vec::new()),
+        }
     }
 
     /// Whether another region still holds these bytes.
@@ -451,10 +465,37 @@ impl MemoryRegion {
     /// stay with it; an owned buffer keeps its allocation for the next
     /// write.
     pub fn decommit(&self) {
+        self.inner.data.write().decommit();
+    }
+
+    /// [`MemoryRegion::read`] followed by [`MemoryRegion::decommit`], in one
+    /// step: the bytes of `[offset, offset + len)`, after which the whole
+    /// region reads as zeros. A read from offset 0 that the committed prefix
+    /// covers, of bytes no other region holds, hands over the buffer itself,
+    /// truncated to `len`, instead of copying it; anything else is copied.
+    pub fn take(&self, offset: usize, len: usize) -> Result<Vec<u8>> {
+        check_bounds(offset, len, self.len())?;
         let mut data = self.inner.data.write();
-        match &mut data.bytes {
-            Bytes::Owned(bytes) => bytes.clear(),
-            Bytes::Shared(_) => data.bytes = Bytes::Owned(Vec::new()),
+        if offset == 0 && len <= data.len() && !data.shared_with_others() {
+            let mut bytes = std::mem::take(data.owned());
+            bytes.truncate(len);
+            return Ok(bytes);
+        }
+        let mut out = Vec::with_capacity(len);
+        out.extend_from_slice(committed(data.as_slice(), offset, len));
+        out.resize(len, 0);
+        data.decommit();
+        Ok(out)
+    }
+
+    /// Let go of bytes another region still shares, as
+    /// [`MemoryRegion::decommit`] does: this region then reads as zeros and
+    /// the other holds them alone. Bytes this region owns — or is the last
+    /// to share — stay as they are.
+    pub fn release_shared(&self) {
+        let mut data = self.inner.data.write();
+        if data.shared_with_others() {
+            data.bytes = Bytes::Owned(Vec::new());
         }
     }
 
@@ -874,7 +915,8 @@ mod tests {
     /// regions of two to three pages, moved between mostly by whole-prefix
     /// copies — the ones that may share bytes — in both directions and
     /// chained, with page-sized and sub-page writes, mutable views,
-    /// decommits and commit-extending views on either side of each share.
+    /// decommits, takes, releases and commit-extending views on either side
+    /// of each share.
     /// Every region is checked against its eager `Vec` after every step.
     fn page_scale_script(script: u64) {
         const LENS: [usize; 3] = [2 * PAGE_SIZE + 700, 3 * PAGE_SIZE, 2 * PAGE_SIZE];
@@ -896,7 +938,7 @@ mod tests {
                     _ => PAGE_SIZE + below(rng, most - PAGE_SIZE + 1),
                 }
             };
-            match below(&mut rng, 8) {
+            match below(&mut rng, 10) {
                 0 | 1 => {
                     let len = whole_prefix(&mut rng, other);
                     regions[which].copy_to(0, &regions[other], 0, len).unwrap();
@@ -946,6 +988,27 @@ mod tests {
                         .with_bytes(offset, len, <[u8]>::to_vec)
                         .unwrap();
                     assert_eq!(got, &models[which][offset..offset + len]);
+                }
+                7 => {
+                    // Mostly the whole-prefix take that may hand the buffer
+                    // over; sometimes one from an offset, which copies.
+                    let offset = if below(&mut rng, 3) == 0 {
+                        below(&mut rng, region_len)
+                    } else {
+                        0
+                    };
+                    let len = below(&mut rng, region_len - offset + 1);
+                    let got = regions[which].take(offset, len).unwrap();
+                    assert_eq!(got, &models[which][offset..offset + len]);
+                    models[which].fill(0);
+                }
+                8 => {
+                    let shares =
+                        (0..3).any(|i| i != which && sharing(&regions[which], &regions[i]));
+                    regions[which].release_shared();
+                    if shares {
+                        models[which].fill(0);
+                    }
                 }
                 _ => {
                     // Any other copy, within one region too.

@@ -94,19 +94,17 @@ impl Buffer {
     /// beyond the payload capacity is rejected, never clamped into a short
     /// read the caller would take for the whole result.
     ///
-    /// A result of a page or more is decommitted once decoded. Its bytes
-    /// are usually the executor's output buffer, shared by the response
-    /// DMA: dropping this share lets the executor write its next result in
-    /// place instead of copying the old one first.
+    /// A result of a page or more is taken out of the region, which then
+    /// reads as zeros. Its bytes are usually the executor's output buffer,
+    /// handed over by the response DMA and released by the executor, so the
+    /// region holds them alone and `[u8]` receives that buffer itself.
     pub(crate) fn read_decoded<C: Codec + ?Sized>(&self, len: usize) -> Result<C::Owned> {
         crate::codec::check_capacity(len, self.capacity())?;
-        let value = self
-            .region()
-            .with_bytes(self.header_space, len, C::decode)?;
         if len >= PAGE_SIZE {
-            self.region().decommit();
+            return C::decode_owned(self.region().take(self.header_space, len)?);
         }
-        value
+        self.region()
+            .with_bytes(self.header_space, len, C::decode)?
     }
 
     /// Remote handle covering the payload area (what the executor writes to).
@@ -485,6 +483,56 @@ mod tests {
         let values = [1.5f64, -2.25, 3.0];
         assert_eq!(output.write_encoded(&values[..]).unwrap(), 24);
         assert_eq!(output.read_decoded::<[f64]>(24).unwrap(), values);
+    }
+
+    #[test]
+    fn a_released_result_is_handed_over_without_a_copy() {
+        const LEN: usize = 1 << 20;
+        let pd = ProtectionDomain::new();
+        let payload: Vec<u8> = (0..LEN).map(|i| (i % 251) as u8 + 1).collect();
+        // The executor's side of a response DMA: a source region whose whole
+        // content the client's output buffer adopts.
+        let source = || {
+            let source = pd.register(LEN, AccessFlags::LOCAL_ONLY);
+            source.write(0, &payload).unwrap();
+            let held = source.with_bytes(0, LEN, <[u8]>::as_ptr).unwrap();
+            (source, held)
+        };
+
+        // Released by the source, the bytes are the client's alone: the
+        // decoded result is the source's buffer itself, and the source reads
+        // as zeros.
+        let output = Buffer::output(&pd, LEN);
+        let (released, held) = source();
+        released.copy_to(0, output.region(), 0, LEN).unwrap();
+        released.release_shared();
+        let result = output.read_decoded::<[u8]>(LEN).unwrap();
+        assert_eq!(result.as_ptr(), held);
+        assert_eq!(result, payload);
+        assert!(released.read_all().iter().all(|&b| b == 0));
+        assert!(output.region().read_all().iter().all(|&b| b == 0));
+
+        // Still held by the source, the bytes are copied out and stay with it.
+        let (kept, held) = source();
+        kept.copy_to(0, output.region(), 0, LEN).unwrap();
+        let result = output.read_decoded::<[u8]>(LEN).unwrap();
+        assert_ne!(result.as_ptr(), held);
+        assert_eq!(result, payload);
+        assert_eq!(kept.read_all(), payload);
+        assert!(output.region().read_all().iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn consecutive_large_echoes_return_their_own_bytes() {
+        // A shorter result after a longer one, on one session: a handed-over
+        // result carries no stale tail, and is cut to its own length.
+        let (_fabric, _manager, session) = platform(1);
+        let echo = session.function::<[u8], [u8]>("echo").unwrap();
+        for (len, salt) in [(1 << 20, 3u8), ((1 << 20) - 100, 5), (1 << 20, 7)] {
+            let payload: Vec<u8> = (0..len).map(|i| (i as u8).wrapping_mul(salt) | 1).collect();
+            assert_eq!(echo.invoke(&payload[..]).unwrap(), payload, "{len} B");
+        }
+        session.close().unwrap();
     }
 
     #[test]

@@ -41,6 +41,13 @@ pub trait Codec {
     /// [`RFaasError::Codec`] on malformed bytes.
     fn decode(bytes: &[u8]) -> Result<Self::Owned>;
 
+    /// Decode a payload the caller already owns. The default decodes a
+    /// copy, as [`Codec::decode`] does; `[u8]` returns the bytes themselves,
+    /// so a result handed over by its region is never copied.
+    fn decode_owned(bytes: Vec<u8>) -> Result<Self::Owned> {
+        Self::decode(&bytes)
+    }
+
     /// Decode a payload *in place*: validate the bytes and hand back a typed
     /// view borrowing them. This is the state-plane read path — a value
     /// cached in a pre-registered client region is decoded without ever
@@ -87,6 +94,10 @@ impl Codec for [u8] {
 
     fn decode(bytes: &[u8]) -> Result<Vec<u8>> {
         Ok(bytes.to_vec())
+    }
+
+    fn decode_owned(bytes: Vec<u8>) -> Result<Vec<u8>> {
+        Ok(bytes)
     }
 
     fn decode_view(bytes: &[u8]) -> Result<&[u8]> {

@@ -35,7 +35,7 @@ use cluster_sim::NodeResources;
 use rdma_fabric::{
     AccessFlags, Actor, CqSet, DeviceFunction, Endpoint, Fabric, FabricNode, FaultBatch, Listener,
     NicProfile, OwnedRegion, PrefetchPlan, QueuePair, ReceiveRing, SendRequest, Sge,
-    SharedReceiveQueue, SrqStats, WorkCompletion,
+    SharedReceiveQueue, SrqStats, WorkCompletion, PAGE_SIZE,
 };
 #[cfg(test)]
 use sandbox::SandboxType;
@@ -871,6 +871,13 @@ impl Dispatcher {
                 },
                 false,
             );
+            // A response of a page or more usually handed the client the
+            // output bytes instead of copying them: let go of them, so the
+            // client takes them without a copy and the next result is built
+            // in a fresh window.
+            if out_len >= PAGE_SIZE {
+                conn.output.release_shared();
+            }
             match status {
                 ResultStatus::Success => stats.invocations += 1,
                 ResultStatus::FunctionFailed => stats.failed += 1,

@@ -2272,4 +2272,44 @@ mod tests {
             RFaasError::Function(_)
         ));
     }
+
+    proptest::proptest! {
+        // Results that the client takes out of its buffer — a page or more,
+        // handed over by the executor or copied — and small ones it decodes
+        // in place, through both codecs in random order on one session: each
+        // is its own payload (no stale bytes from a longer result before it,
+        // no tail past its length), and every buffer registered for them is
+        // gone once the session closes.
+        #[test]
+        fn prop_large_results_round_trip(script in 0u64..u64::MAX) {
+            const MIB: usize = 1 << 20;
+            let mut rng = proptest::TestRng::new(script);
+            let (_f, _m, session) = platform(1);
+            let pd = session.endpoint.pd.clone();
+            let bytes = session.function::<[u8], [u8]>("echo").unwrap();
+            let floats = session.function::<[f64], [f64]>("echo").unwrap();
+            for step in 0..1 + rng.below(4) {
+                let around = |rng: &mut proptest::TestRng, centre: usize, spread: u64| {
+                    centre - spread as usize + rng.below(2 * spread + 1) as usize
+                };
+                let len = match rng.below(3) {
+                    0 => around(&mut rng, rdma_fabric::PAGE_SIZE, 64),
+                    1 => around(&mut rng, MIB, 4096),
+                    _ => 64,
+                };
+                let salt = rng.next_u64();
+                if rng.below(2) == 0 {
+                    let payload: Vec<u8> = (0..len).map(|i| (i as u64 ^ salt) as u8 | 1).collect();
+                    proptest::prop_assert_eq!(bytes.invoke(&payload[..]).unwrap(), payload, "step {}", step);
+                } else {
+                    let payload: Vec<f64> = (0..len / 8).map(|i| (i as u64 ^ salt) as f64 + 0.5).collect();
+                    proptest::prop_assert_eq!(floats.invoke(&payload[..]).unwrap(), payload, "step {}", step);
+                }
+            }
+            // The domain was empty before the session registered anything
+            // in it, and is again once the session is gone.
+            session.close().unwrap();
+            proptest::prop_assert_eq!(pd.region_count(), 0);
+        }
+    }
 }

@@ -114,10 +114,12 @@ fn hot_session(testbed: &Testbed, plane: Option<&StatePlane>) -> Session {
 
 #[test]
 fn steady_state_heap_traffic_stays_within_the_copy_budget() {
-    // Buffered invoke: a 1 MiB echo allocates the decoded result the caller
-    // receives, and nothing else of that order. Its two DMAs share the
-    // buffers they replace, at one small `Arc` each; the buffers themselves
-    // cycle between the two ends.
+    // Buffered invoke: a 1 MiB echo allocates one buffer of that order — the
+    // executor's next output window — and nothing else. Its two DMAs share
+    // the buffers they replace, at one small `Arc` each. The response's
+    // bytes are then handed over: the executor releases them, and the
+    // client returns that buffer itself as the caller's result, so the
+    // executor commits a fresh window for the next one.
     {
         let testbed = Testbed::new(1);
         let session = hot_session(&testbed, None);
@@ -134,6 +136,28 @@ fn steady_state_heap_traffic_stays_within_the_copy_budget() {
             "1 MiB echo allocates {bytes} B per invocation"
         );
         assert_eq!(allocations, 3.0, "1 MiB echo: allocations per invocation");
+        session.close().unwrap();
+    }
+
+    // The same echo through the `[f64]` codec: the handed-over bytes are
+    // decoded into the caller's `Vec<f64>` and dropped, so this flow pays
+    // both the decode and the executor's fresh window.
+    {
+        let testbed = Testbed::new(1);
+        let session = hot_session(&testbed, None);
+        let echo = session.function::<[f64], [f64]>("echo").unwrap();
+        let payload: Vec<f64> = (0..MIB / 8).map(|i| i as f64).collect();
+        let PerOp {
+            allocations, bytes, ..
+        } = per_operation(|| {
+            let reply = echo.invoke(&payload[..]).unwrap();
+            assert_eq!(reply.len(), MIB / 8);
+        });
+        assert_eq!(
+            (allocations, bytes),
+            (4.0, (2 * MIB + 80) as f64),
+            "1 MiB f64 echo: (allocations, heap bytes) per invocation"
+        );
         session.close().unwrap();
     }
 
