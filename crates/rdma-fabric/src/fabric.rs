@@ -147,6 +147,7 @@ pub struct Fabric {
     /// Registered actors in registration (= turn) order, keyed by id.
     actors: Mutex<Vec<(u64, Arc<dyn Actor>)>>,
     next_actor: AtomicU64,
+    next_control: AtomicU64,
 }
 
 impl std::fmt::Debug for Fabric {
@@ -168,6 +169,7 @@ impl Fabric {
             datagrams: Mutex::new(BTreeMap::new()),
             actors: Mutex::new(Vec::new()),
             next_actor: AtomicU64::new(1),
+            next_control: AtomicU64::new(1),
         })
     }
 
@@ -177,6 +179,13 @@ impl Fabric {
         let id = self.next_actor.fetch_add(1, Ordering::Relaxed);
         self.actors.lock().push((id, actor));
         id
+    }
+
+    /// The next client control-socket number on this fabric, counting from 1.
+    /// A socket address built from it depends only on how many control
+    /// sockets this fabric bound before, not on anything else in the process.
+    pub fn next_control_id(&self) -> u64 {
+        self.next_control.fetch_add(1, Ordering::Relaxed)
     }
 
     /// Remove an actor. Waits out a pump that is mid-sweep, so once this

@@ -24,7 +24,6 @@ use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -235,14 +234,13 @@ impl AllocationBuilder {
         // Step 1: first contact with the resource manager rides the datagram
         // transport — a UD-style endpoint an order of magnitude cheaper to
         // set up than an RC connection. Bound once; re-allocations reuse it.
-        static NEXT_CONTROL_ID: AtomicU64 = AtomicU64::new(1);
         let started = endpoint.clock.now();
         let control = DatagramSocket::bind(
             &endpoint,
             &format!(
                 "rfaas-clt://{}/{}",
                 self.client_node,
-                NEXT_CONTROL_ID.fetch_add(1, Ordering::Relaxed)
+                endpoint.fabric.next_control_id()
             ),
         );
         let connect_to_manager = endpoint.clock.now().saturating_since(started);
@@ -1817,6 +1815,20 @@ mod tests {
             session.registered_regions(),
             baseline + 2 * MAX_POOLED_PAIRS
         );
+    }
+
+    #[test]
+    fn control_ids_count_per_fabric() {
+        let (fabric_a, manager_a, first) = platform(2);
+        let second = Session::builder(&fabric_a, "client-1", &manager_a, "pkg")
+            .connect()
+            .unwrap();
+        assert_eq!(first.control.address(), "rfaas-clt://client-0/1");
+        assert_eq!(second.control.address(), "rfaas-clt://client-1/2");
+        // A fresh fabric numbers its control sockets from 1 again, however
+        // many sessions the process opened before.
+        let (_f, _m, fresh) = platform(1);
+        assert_eq!(fresh.control.address(), "rfaas-clt://client-0/1");
     }
 
     #[test]
