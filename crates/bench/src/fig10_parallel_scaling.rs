@@ -5,8 +5,8 @@
 //! to every worker simultaneously and collecting all results (the client-side
 //! batch latency, as in Sec. V-D).
 
+use crate::{print_table, summarize_us, Mode, ResultRow, Testbed};
 use rfaas::{FunctionHandle, PollingMode};
-use rfaas_bench::{print_table, quick_mode, summarize_us, ResultRow, Testbed};
 use sandbox::SandboxType;
 use sim_core::SimDuration;
 
@@ -68,8 +68,8 @@ fn run_round(
     session.clock().now().saturating_since(start)
 }
 
-fn main() {
-    let repetitions = if quick_mode() { 5 } else { 30 };
+pub(crate) fn run(mode: Mode) -> Vec<ResultRow> {
+    let repetitions = if mode.quick() { 5 } else { 30 };
     let mut rows = Vec::new();
     for payload in [1024usize, 1024 * 1024] {
         measure(
@@ -116,4 +116,5 @@ fn main() {
     );
     println!("\n# expected shape (paper): 1 kB hot stays flat (a few us), 1 kB warm grows with notification contention,");
     println!("# 1 MB grows with worker count because the 100 Gb/s link saturates (~2.7 ms at 32 workers).");
+    rows
 }

@@ -3,9 +3,9 @@
 //! with small and large inputs, bare-metal and Docker executors, hot and warm
 //! invocations.
 
+use crate::{print_table, summarize_ms, Mode, ResultRow, Testbed};
 use faas_baselines::aws_lambda;
 use rfaas::PollingMode;
-use rfaas_bench::{print_table, quick_mode, sub_experiment, summarize_ms, ResultRow, Testbed};
 use sandbox::SandboxType;
 use sim_core::{DeterministicRng, Summary};
 use workloads::{image_recognition_function, thumbnailer_function, Image, InputSizes};
@@ -56,7 +56,7 @@ fn inference_cases() -> Vec<Case> {
     ]
 }
 
-fn run(cases: &[Case], title: &str, repetitions: usize) {
+fn measure(cases: &[Case], title: &str, repetitions: usize) -> Vec<ResultRow> {
     let mut rows = Vec::new();
     let configurations = [
         (
@@ -124,23 +124,25 @@ fn run(cases: &[Case], title: &str, repetitions: usize) {
         });
     }
     print_table(title, &rows);
+    rows
 }
 
-fn main() {
-    let repetitions = if quick_mode() { 5 } else { 30 };
-    let which = sub_experiment(&["thumbnailer", "inference"]).unwrap_or_else(|| "all".to_string());
-    if which == "thumbnailer" || which == "all" {
-        run(
+pub(crate) fn run(mode: Mode) -> Vec<ResultRow> {
+    let repetitions = if mode.quick() { 5 } else { 30 };
+    let mut rows = Vec::new();
+    if mode.runs("thumbnailer") {
+        rows.extend(measure(
             &thumbnailer_cases(),
             "Figure 11a: thumbnail generation (paper: rFaaS bare-metal 4.4 ms small / ~115 ms large; AWS 128-3072 ms)",
             repetitions,
-        );
+        ));
     }
-    if which == "inference" || which == "all" {
-        run(
+    if mode.runs("inference") {
+        rows.extend(measure(
             &inference_cases(),
             "Figure 11b: ResNet-50 image recognition (paper: rFaaS ~112-118 ms; AWS 512-3072 ms)",
             repetitions,
-        );
+        ));
     }
+    rows
 }

@@ -15,8 +15,8 @@
 //! scale linearly in the option count); pass `--full` for the paper-sized
 //! batch.
 
+use crate::{print_table, Mode, ResultRow, Testbed};
 use rfaas::{BatchStats, FunctionHandle, RFaasConfig, Session};
-use rfaas_bench::{full_mode, print_table, quick_mode, ResultRow, Testbed};
 use sim_core::SimDuration;
 use workloads::blackscholes::{local_parallel_cost, COST_PER_OPTION};
 use workloads::{generate_options, OptionBatch, OPTION_WIRE_BYTES};
@@ -57,10 +57,10 @@ fn split_chunks(
         .collect()
 }
 
-fn main() {
-    let total_options: usize = if full_mode() {
+pub(crate) fn run(mode: Mode) -> Vec<ResultRow> {
+    let total_options: usize = if mode.full() {
         5_000_000
-    } else if quick_mode() {
+    } else if mode.quick() {
         200_000
     } else {
         625_000
@@ -200,4 +200,6 @@ fn main() {
         "# per-option compute cost model: {} ns",
         COST_PER_OPTION.as_nanos()
     );
+    rows.extend(speedups);
+    rows
 }

@@ -12,19 +12,19 @@
 //! rank's whole solve before the next would make later ranks queue behind
 //! NIC busy times their own clocks have not reached.
 
+use crate::{print_table, Mode, ResultRow, Testbed};
 use mpi_sim::MpiWorld;
 use rfaas::{RFaasConfig, Session};
-use rfaas_bench::{full_mode, print_table, quick_mode, sub_experiment, ResultRow, Testbed};
 use sim_core::median;
 use workloads::jacobi::{
     encode_install, encode_iterate, jacobi_sweep_rows, sweep_cost, JacobiSystem,
 };
 use workloads::matmul::{compute_cost, encode_matmul_request, random_matrix};
 
-fn rank_counts() -> Vec<usize> {
-    if quick_mode() {
+fn rank_counts(mode: Mode) -> Vec<usize> {
+    if mode.quick() {
         vec![8]
-    } else if full_mode() {
+    } else if mode.full() {
         vec![16, 32, 64]
     } else {
         vec![16, 32]
@@ -41,14 +41,14 @@ fn rank_session(testbed: &Testbed, config: &RFaasConfig, rank: usize) -> Session
         .expect("rank allocation")
 }
 
-fn matmul_experiment() {
-    let sizes: Vec<usize> = if quick_mode() {
+fn matmul_experiment(mode: Mode) -> Vec<ResultRow> {
+    let sizes: Vec<usize> = if mode.quick() {
         vec![400, 800]
     } else {
         vec![400, 500, 600, 700, 800]
     };
     let mut rows = Vec::new();
-    for &ranks in &rank_counts() {
+    for &ranks in &rank_counts(mode) {
         for &n in &sizes {
             // MPI only: every rank multiplies its full n x n matrices.
             let mpi_median = compute_cost(n, n).as_secs_f64();
@@ -117,17 +117,18 @@ fn matmul_experiment() {
         "Figure 13a: matrix-matrix multiplication, MPI vs MPI + rFaaS (paper speedup: 1.88x-1.97x)",
         &rows,
     );
+    rows
 }
 
-fn jacobi_experiment() {
-    let sizes: Vec<usize> = if quick_mode() {
+fn jacobi_experiment(mode: Mode) -> Vec<ResultRow> {
+    let sizes: Vec<usize> = if mode.quick() {
         vec![500, 1500]
     } else {
         vec![500, 1000, 1500, 2000, 2500]
     };
-    let iterations = if quick_mode() { 30 } else { 100 };
+    let iterations = if mode.quick() { 30 } else { 100 };
     let mut rows = Vec::new();
-    for &ranks in &rank_counts() {
+    for &ranks in &rank_counts(mode) {
         for &n in &sizes {
             // MPI only: every rank runs the full solver locally.
             let mpi_median = (sweep_cost(n, n) * iterations as u64).as_secs_f64();
@@ -213,14 +214,16 @@ fn jacobi_experiment() {
         "Figure 13b: Jacobi solver, MPI vs MPI + rFaaS (paper speedup: 1.7x-2.2x on large systems)",
         &rows,
     );
+    rows
 }
 
-fn main() {
-    let which = sub_experiment(&["matmul", "jacobi"]).unwrap_or_else(|| "all".to_string());
-    if which == "matmul" || which == "all" {
-        matmul_experiment();
+pub(crate) fn run(mode: Mode) -> Vec<ResultRow> {
+    let mut rows = Vec::new();
+    if mode.runs("matmul") {
+        rows.extend(matmul_experiment(mode));
     }
-    if which == "jacobi" || which == "all" {
-        jacobi_experiment();
+    if mode.runs("jacobi") {
+        rows.extend(jacobi_experiment(mode));
     }
+    rows
 }

@@ -15,10 +15,10 @@
 
 use std::sync::Arc;
 
+use crate::{evaluation_package, print_table, Mode, ResultRow, PACKAGE};
 use cluster_sim::{BatchScheduler, NodeResources, ResourceHarvester};
 use rdma_fabric::Fabric;
 use rfaas::{LifecycleDriver, RFaasConfig, ResourceManager, Session, SpotExecutor};
-use rfaas_bench::{evaluation_package, print_table, quick_mode, ResultRow, PACKAGE};
 use sandbox::FunctionRegistry;
 use sim_core::{SimDuration, SimTime, Summary};
 
@@ -56,8 +56,8 @@ fn spawn_executor(
     executor
 }
 
-fn main() {
-    let quick = quick_mode();
+pub(crate) fn run(mode: Mode) -> Vec<ResultRow> {
+    let quick = mode.quick();
     let node_count = if quick { 4 } else { 8 };
     let horizon_secs = if quick { 120u64 } else { 600 };
     let churn_period = 25u64; // one reclamation every 25 s, round-robin
@@ -256,4 +256,5 @@ fn main() {
         availability > 95.0,
         "transparent recovery must keep availability high, got {availability:.1}%"
     );
+    rows
 }

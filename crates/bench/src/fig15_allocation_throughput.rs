@@ -14,10 +14,9 @@
 //! Per-shard allocation processing is serialised on the shard's virtual
 //! clock (one manager replica is one service queue), so end-to-end grant
 //! latency includes queueing delay and the plane's sustained throughput is
-//! `grants / makespan`. The `--quick` run asserts 4-shard throughput ≥ 2×
-//! the 1-shard baseline, making the CI smoke run a scale-out regression
-//! gate; the committed `BENCH_BASELINE.json` additionally pins the absolute
-//! numbers (perf-snapshot job, ±15%).
+//! `grants / makespan`. Every run asserts 4-shard throughput ≥ 2× the
+//! 1-shard baseline, making the `--quick` golden report a scale-out
+//! regression gate that also pins the absolute numbers exactly.
 //!
 //! A second phase drives the full allocate→invoke→bill→release pipeline
 //! end-to-end: real invokers, real workload payloads (echo, thumbnailer,
@@ -27,10 +26,10 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
+use crate::{evaluation_package, print_table, Mode, ResultRow, PACKAGE};
 use cluster_sim::{NodeResources, TenantFleet, TenantRequest, WorkloadKind};
 use rdma_fabric::Fabric;
 use rfaas::{GroupLifecycleDriver, LeaseRequest, ManagerGroup, RFaasConfig, Session};
-use rfaas_bench::{evaluation_package, print_table, quick_mode, ResultRow, PACKAGE};
 use sandbox::FunctionRegistry;
 use sim_core::{SimDuration, SimTime, Summary, VirtualClock};
 use workloads::{
@@ -298,8 +297,8 @@ fn run_fleet(requests: &[TenantRequest], shards: usize, executors: usize) -> Fle
     }
 }
 
-fn main() {
-    let quick = quick_mode();
+pub(crate) fn run(mode: Mode) -> Vec<ResultRow> {
+    let quick = mode.quick();
     // Storm shape: `tenants` tenants whose combined episode rate saturates a
     // multi-shard plane (single-shard service rate is 1/allocation cost ≈
     // 1.4 k/s), so queueing — and its relief by sharding — is visible.
@@ -432,4 +431,5 @@ fn main() {
             "shard {shard} served tenants but billed nothing"
         );
     }
+    rows
 }

@@ -18,16 +18,15 @@
 //! submit/pickup costs amortise, then saturates as the client clock's
 //! serial per-completion pickup work (Sec. III-C's completion-pickup cost)
 //! becomes the bottleneck; p99 grows with depth because the last completion
-//! of a wave queues behind every earlier pickup. The `--quick` run gates
-//! the headline claim: 1024 in-flight invocations on one client thread
-//! must sustain at least 5x the depth-1 invocation rate. The committed
-//! `BENCH_BASELINE.json` additionally pins depth-1 throughput, saturated
-//! throughput and saturated p99 (perf-snapshot job, ±15%).
+//! of a wave queues behind every earlier pickup. Every run gates the
+//! headline claim: 1024 in-flight invocations on one client thread must
+//! sustain at least 5x the depth-1 invocation rate. The golden report pins
+//! every `--quick` row exactly.
 
+use crate::{evaluation_package, print_table, Mode, ResultRow, PACKAGE};
 use cluster_sim::NodeResources;
 use rdma_fabric::Fabric;
 use rfaas::{PollingMode, RFaasConfig, Reactor, ResourceManager, Session, SpotExecutor};
-use rfaas_bench::{evaluation_package, print_table, quick_mode, ResultRow, PACKAGE};
 use sandbox::FunctionRegistry;
 use sim_core::{Summary, VirtualClock};
 
@@ -154,8 +153,8 @@ fn run_depth(depth: usize, rounds: usize) -> DepthOutcome {
     }
 }
 
-fn main() {
-    let quick = quick_mode();
+pub(crate) fn run(mode: Mode) -> Vec<ResultRow> {
+    let quick = mode.quick();
     let (depths, rounds): (&[usize], usize) = if quick {
         (&[1, 16, 256, 1024], 3)
     } else {
@@ -241,4 +240,5 @@ fn main() {
             );
         }
     }
+    rows
 }

@@ -15,14 +15,14 @@
 //! A second probe allocates 1-worker and 16-worker processes on one executor
 //! and compares their shared-receive-queue depths: executor receive memory
 //! must grow sublinearly in the connection count (the point of the SRQ), and
-//! the binary gates on 16 workers holding at most 4× the slots of one.
+//! the figure gates on 16 workers holding at most 4× the slots of one.
 
 use std::sync::Arc;
 
+use crate::{evaluation_package, print_table, Mode, ResultRow, PACKAGE};
 use cluster_sim::{episode_ordinals, NodeResources, TenantFleet};
 use rdma_fabric::{ConnectionPool, Fabric};
 use rfaas::{ManagerGroup, RFaasConfig, Session, SpotExecutor};
-use rfaas_bench::{evaluation_package, print_table, quick_mode, ResultRow, PACKAGE};
 use sandbox::FunctionRegistry;
 use sim_core::{SimDuration, Summary};
 
@@ -53,8 +53,8 @@ fn register_executors(
     executors
 }
 
-fn main() {
-    let quick = quick_mode();
+pub(crate) fn run(mode: Mode) -> Vec<ResultRow> {
+    let quick = mode.quick();
     let tenants = if quick { 10_000 } else { 12_000 };
     let episode_cap = if quick { 400 } else { 2_000 };
     let shards = 8usize;
@@ -210,4 +210,5 @@ fn main() {
         slots16 <= 4 * slots1,
         "SRQ depth must be sublinear in connections: {w1} workers -> {slots1} slots, {w16} workers -> {slots16} slots"
     );
+    rows
 }

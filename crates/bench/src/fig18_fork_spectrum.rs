@@ -19,8 +19,8 @@
 //! The run aborts unless the fork tier delivers its headline: a forked
 //! allocation lands under 100 µs and at least 100× below the cold spawn.
 
+use crate::{print_table, summarize_us, Mode, ResultRow, Testbed};
 use rfaas::{AllocationPolicy, PollingMode, RFaasConfig, Session};
-use rfaas_bench::{print_table, quick_mode, summarize_us, ResultRow, Testbed};
 use sim_core::SimDuration;
 
 /// Invocations swept on the freshly forked child. Five 32-page prefetch
@@ -120,8 +120,8 @@ fn run_rep(rep: usize) -> Rep {
     }
 }
 
-fn main() {
-    let repetitions = if quick_mode() { 5 } else { 20 };
+pub(crate) fn run(mode: Mode) -> Vec<ResultRow> {
+    let repetitions = if mode.quick() { 5 } else { 20 };
     println!("# Figure 18: cold spawn vs remote fork vs warm-pool hit (executor-side allocation cost over {repetitions} reps)");
 
     let reps: Vec<Rep> = (0..repetitions).map(run_rep).collect();
@@ -189,4 +189,5 @@ fn main() {
         first > steady,
         "early forked invocations must pay fault batches: first {first} us, steady {steady} us"
     );
+    rows
 }

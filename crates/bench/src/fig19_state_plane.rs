@@ -24,8 +24,8 @@
 //! least 5x at the megabyte sizes — the headline that makes stateful
 //! functions worth a second data plane.
 
+use crate::{print_table, summarize_us, Mode, ResultRow, Testbed, DATASET_KEY};
 use rfaas::{PollingMode, StateKey, StatePlane};
-use rfaas_bench::{print_table, quick_mode, summarize_us, ResultRow, Testbed, DATASET_KEY};
 use sandbox::SandboxType;
 use sim_core::SimDuration;
 
@@ -109,8 +109,8 @@ fn run_rep(rep: usize, points: &mut [SizePoint]) {
     session.close().expect("deallocate");
 }
 
-fn main() {
-    let repetitions = if quick_mode() { 3 } else { 10 };
+pub(crate) fn run(mode: Mode) -> Vec<ResultRow> {
+    let repetitions = if mode.quick() { 3 } else { 10 };
     println!(
         "# Figure 19: state-plane access vs copy-in/copy-out ({repetitions} reps, {HOT_INVOCATIONS} hot invocations per size)"
     );
@@ -172,4 +172,5 @@ fn main() {
             );
         }
     }
+    rows
 }

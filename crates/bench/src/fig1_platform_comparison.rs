@@ -2,9 +2,9 @@
 //! sizes from 1 kB to 5 MB, comparing rFaaS hot/warm invocations with AWS
 //! Lambda, OpenWhisk and Nightcore.
 
+use crate::{print_table, summarize_us, Mode, ResultRow, Testbed};
 use faas_baselines::{aws_lambda, nightcore, openwhisk, BaselinePlatform};
 use rfaas::PollingMode;
-use rfaas_bench::{print_table, quick_mode, summarize_us, ResultRow, Testbed};
 use sandbox::SandboxType;
 use sim_core::{DeterministicRng, SimDuration, Summary};
 
@@ -65,8 +65,8 @@ fn measure_baseline(
     }
 }
 
-fn main() {
-    let repetitions = if quick_mode() { 10 } else { 50 };
+pub(crate) fn run(mode: Mode) -> Vec<ResultRow> {
+    let repetitions = if mode.quick() { 10 } else { 50 };
     let mut rows = Vec::new();
     measure_rfaas(PollingMode::Hot, "rFaaS hot", repetitions, &mut rows);
     measure_rfaas(PollingMode::Warm, "rFaaS warm", repetitions, &mut rows);
@@ -99,4 +99,5 @@ fn main() {
         "vs nightcore:  {:.0}x",
         median_of("nightcore", 1.0) / rfaas_1k
     );
+    rows
 }

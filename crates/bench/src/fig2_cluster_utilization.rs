@@ -2,11 +2,11 @@
 //! sampled at one-minute granularity (Piz Daint in the paper; a synthetic
 //! batch workload with matching statistics here).
 
-use rfaas_bench::{print_table, quick_mode, ResultRow};
+use crate::{print_table, Mode, ResultRow};
 use sim_core::SimDuration;
 
-fn main() {
-    let (days, nodes) = if quick_mode() { (1, 16) } else { (7, 64) };
+pub(crate) fn run(mode: Mode) -> Vec<ResultRow> {
+    let (days, nodes) = if mode.quick() { (1, 16) } else { (7, 64) };
     let trace = cluster_sim::UtilizationTrace::synthesize(
         2021,
         nodes,
@@ -50,4 +50,5 @@ fn main() {
         "samples with >=10% idle cores (harvest opportunity): {:.1}%",
         100.0 * trace.harvest_opportunity(10.0)
     );
+    rows
 }

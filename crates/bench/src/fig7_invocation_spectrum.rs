@@ -5,18 +5,18 @@
 //! microseconds, a warm executor sleeps on completion events and pays the
 //! wake-up path, and a cold invocation pays the full allocation pipeline
 //! (manager round-trip, lease, sandbox spawn, code submission, worker
-//! connections). This binary measures all three across payload sizes and
+//! connections). This figure measures all three across payload sizes and
 //! enforces the ordering the paper reports: for small payloads the hot
 //! median must be at least 10× below the cold median, with warm strictly
-//! in between. A violated ordering aborts the run, so the CI smoke pass
-//! (`--quick`) doubles as a regression gate.
+//! in between. A violated ordering aborts the run, so the golden report
+//! test (`--quick`) doubles as a regression gate.
 //!
 //! A second section demonstrates the hot→warm demotion: after an idle gap
 //! longer than `HOT_POLL_TIMEOUT` the worker parks itself, the polling bill
 //! is capped, and the next invocation pays warm latency.
 
+use crate::{print_table, summarize_us, Mode, ResultRow, Testbed};
 use rfaas::{PollingMode, HOT_POLL_TIMEOUT};
-use rfaas_bench::{print_table, quick_mode, summarize_us, ResultRow, Testbed};
 use sandbox::SandboxType;
 
 fn payload_sizes(quick: bool) -> Vec<usize> {
@@ -84,8 +84,8 @@ fn cold_series(sizes: &[usize], repetitions: usize) -> Vec<(usize, f64, f64)> {
         .collect()
 }
 
-fn main() {
-    let quick = quick_mode();
+pub(crate) fn run(mode: Mode) -> Vec<ResultRow> {
+    let quick = mode.quick();
     let sizes = payload_sizes(quick);
     let leased_reps = if quick { 20 } else { 200 };
     let cold_reps = if quick { 5 } else { 30 };
@@ -165,4 +165,5 @@ fn main() {
         stats.hot_poll_time < HOT_POLL_TIMEOUT + sim_core::SimDuration::from_millis(1),
         "polling bill must be capped at the demotion budget"
     );
+    rows
 }

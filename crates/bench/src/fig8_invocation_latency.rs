@@ -4,9 +4,9 @@
 //! Also prints the hot/warm overhead over raw RDMA (paper: ~326 ns / ~4.67 µs)
 //! and the inlining anomaly at 128 B.
 
+use crate::{print_table, summarize_us, Mode, ResultRow, Testbed};
 use faas_baselines::TcpProfile;
 use rfaas::PollingMode;
-use rfaas_bench::{print_table, quick_mode, summarize_us, ResultRow, Testbed};
 use sandbox::SandboxType;
 
 fn payload_sizes() -> Vec<usize> {
@@ -19,8 +19,8 @@ struct SeriesSpec {
     mode: PollingMode,
 }
 
-fn main() {
-    let repetitions = if quick_mode() { 20 } else { 200 };
+pub(crate) fn run(mode: Mode) -> Vec<ResultRow> {
+    let repetitions = if mode.quick() { 20 } else { 200 };
     let mut rows = Vec::new();
 
     // Raw transport baselines.
@@ -122,4 +122,5 @@ fn main() {
             (hot_at(size) - baseline) * 1_000.0
         );
     }
+    rows
 }

@@ -4,8 +4,8 @@
 //! spawn worker (sandbox + executor + threads), submit code, and the first
 //! invocation itself.
 
+use crate::{print_table, Mode, ResultRow, Testbed};
 use rfaas::PollingMode;
-use rfaas_bench::{print_table, quick_mode, ResultRow, Testbed};
 use sandbox::SandboxType;
 use sim_core::Summary;
 
@@ -107,8 +107,8 @@ fn run_case(
         .collect()
 }
 
-fn main() {
-    let repetitions = if quick_mode() { 2 } else { 10 };
+pub(crate) fn run(mode: Mode) -> Vec<ResultRow> {
+    let repetitions = if mode.quick() { 2 } else { 10 };
     println!("# Figure 9: cold invocation breakdown (means over {repetitions} cold starts)");
     println!("# paper: bare-metal sandbox init ~25 ms, Docker + SR-IOV ~2.7 s; spawn worker dominates, all other steps single-digit ms");
     let mut rows = Vec::new();
@@ -123,4 +123,5 @@ fn main() {
         "Figure 9: cold invocation breakdown per slice (x = workers)",
         &rows,
     );
+    rows
 }

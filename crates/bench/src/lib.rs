@@ -1,10 +1,13 @@
-//! Shared harness for the figure-regeneration binaries.
+//! The evaluation: the shared testbed harness and the fifteen figure
+//! reproductions, one module each.
 //!
-//! Every evaluation binary stands up the same testbed: an RDMA fabric with a
-//! resource manager, a set of spot executors offering the evaluation nodes'
+//! Every figure stands up the same testbed: an RDMA fabric with a resource
+//! manager, a set of spot executors offering the evaluation nodes'
 //! resources, a function registry with all workload functions deployed, and
-//! client sessions. [`Testbed`] wraps that plumbing; the binaries then
-//! only express the experiment itself (payload sweep, worker sweep, ...).
+//! client sessions. [`Testbed`] wraps that plumbing; the figures then only
+//! express the experiment itself (payload sweep, worker sweep, ...).
+//! [`FIGURES`] names every figure's `run`; the `figures` binary and the
+//! golden report test (`tests/report_golden.rs`) both call it.
 
 use std::sync::Arc;
 
@@ -136,7 +139,7 @@ pub fn evaluation_package() -> CodePackage {
         .with_function(state_touch_function())
 }
 
-/// One row of a results table printed by a figure binary.
+/// One row of a results table printed by a figure.
 #[derive(Debug, Clone)]
 pub struct ResultRow {
     /// Series label (platform, configuration, ...).
@@ -153,9 +156,9 @@ pub struct ResultRow {
 
 impl ResultRow {
     /// The row as one compact JSON object, fields in declaration order: the
-    /// line format `scripts/perf_snapshot.py` scrapes and
-    /// `BENCH_BASELINE.json` gates.
-    fn to_json(&self) -> String {
+    /// line a table prints after `## json` and the golden report
+    /// (`tests/golden/report/<figure>.jsonl`) holds.
+    pub fn to_json(&self) -> String {
         // JSON has no Infinity/NaN: non-finite values print as `null`.
         let number = |x: f64| {
             if x.is_finite() {
@@ -195,7 +198,7 @@ fn json_string(s: &str) -> String {
 
 /// Print a results table both as an aligned text table and as JSON lines
 /// (machine-readable for plotting scripts).
-pub fn print_table(title: &str, rows: &[ResultRow]) {
+fn print_table(title: &str, rows: &[ResultRow]) {
     println!("\n# {title}");
     println!(
         "{:<28} {:>14} {:>14} {:>14}  unit",
@@ -214,106 +217,148 @@ pub fn print_table(title: &str, rows: &[ResultRow]) {
 }
 
 /// Summarise a set of virtual durations in microseconds.
-pub fn summarize_us(samples: &[SimDuration]) -> Summary {
+fn summarize_us(samples: &[SimDuration]) -> Summary {
     Summary::of_durations_us(samples)
 }
 
 /// Summarise a set of virtual durations in milliseconds.
-pub fn summarize_ms(samples: &[SimDuration]) -> Summary {
+fn summarize_ms(samples: &[SimDuration]) -> Summary {
     Summary::of_durations_ms(samples)
 }
 
-/// Usage banner shared by every figure binary.
-const USAGE: &str = "\
-usage: fig binary [--quick | --full] [SUB_EXPERIMENT]
+/// How large a run a figure makes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Size {
+    /// Reduced repetitions and problem sizes (`--quick`).
+    Quick,
+    /// The default run.
+    Standard,
+    /// Paper-sized problems where the figure offers them (`--full`).
+    Full,
+}
 
-  --quick          reduced repetitions and problem sizes (the CI smoke and
-                   perf-snapshot profile)
-  --full           paper-sized problems where the binary offers them (fig12's
-                   5 M-option batch, fig13's 64-rank sweep)
-  SUB_EXPERIMENT   one optional positional selecting a sub-experiment where
-                   the binary offers one (see EXPERIMENTS.md)";
+/// What a figure is asked to run: its size and, where the figure offers
+/// sub-experiments, the one selected (`None` runs them all).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Mode {
+    /// How large a run.
+    pub size: Size,
+    /// The selected sub-experiment, one of [`Figure::subs`].
+    pub sub: Option<&'static str>,
+}
 
-/// Validate a raw argument list (binary name already stripped). Rejects any
-/// unrecognised `-`-prefixed flag and more than one positional, so a typoed
-/// `--qiuck` fails loudly instead of silently selecting the full-length run.
-fn check_args(args: impl Iterator<Item = String>) -> std::result::Result<(), String> {
-    let mut positionals = 0usize;
+impl Mode {
+    fn quick(&self) -> bool {
+        self.size == Size::Quick
+    }
+
+    fn full(&self) -> bool {
+        self.size == Size::Full
+    }
+
+    /// Whether the run includes sub-experiment `sub`.
+    fn runs(&self, sub: &str) -> bool {
+        self.sub.is_none_or(|selected| selected == sub)
+    }
+}
+
+/// One figure of the evaluation: its name, the sub-experiments it offers and
+/// the function that runs it. `run` prints the figure's tables (each with its
+/// `## json` rows), checks the figure's own claims (a violated one panics)
+/// and returns every row it printed, in order.
+pub struct Figure {
+    /// The figure's name, as `figures` takes it and EXPERIMENTS.md lists it.
+    pub name: &'static str,
+    /// The sub-experiments [`Mode::sub`] may select; empty if none.
+    pub subs: &'static [&'static str],
+    /// Run the figure.
+    pub run: fn(Mode) -> Vec<ResultRow>,
+}
+
+/// Declare each figure's module and list it in [`FIGURES`], named after the
+/// module, with the sub-experiments its `run` offers.
+macro_rules! figures {
+    ($($module:ident $(: $($sub:literal),+)?;)*) => {
+        $(mod $module;)*
+
+        /// Every figure, in the order `figures` runs them all.
+        pub const FIGURES: [Figure; 15] = [$(Figure {
+            name: stringify!($module),
+            subs: &[$($($sub),+)?],
+            run: $module::run,
+        }),*];
+    };
+}
+
+figures! {
+    fig1_platform_comparison;
+    fig2_cluster_utilization;
+    fig7_invocation_spectrum;
+    fig8_invocation_latency;
+    fig9_cold_start;
+    fig10_parallel_scaling;
+    fig11_serverless_functions: "thumbnailer", "inference";
+    fig12_parallel_offloading;
+    fig13_hpc_applications: "matmul", "jacobi";
+    fig14_lease_churn;
+    fig15_allocation_throughput;
+    fig16_saturation;
+    fig17_connection_churn;
+    fig18_fork_spectrum;
+    fig19_state_plane;
+}
+
+/// Parse the arguments of `figures` (binary name stripped) into the figures
+/// to run and their mode. Rejects any unrecognised `-`-prefixed flag,
+/// `--quick` with `--full`, an unknown figure, a sub-experiment the figure
+/// does not offer and any third positional, so a typoed `--qiuck` fails
+/// loudly instead of silently selecting the full-length run. `--help` and
+/// `-h` pass; the caller prints its usage banner for them.
+pub fn parse_args(
+    args: impl IntoIterator<Item = String>,
+) -> Result<(Vec<&'static Figure>, Mode), String> {
+    let mut size = Size::Standard;
+    let mut positionals = Vec::new();
     for arg in args {
-        match arg.as_str() {
-            "--quick" | "--full" | "--help" | "-h" => {}
-            flag if flag.starts_with('-') => {
-                return Err(format!("unrecognised flag '{flag}'"));
+        let picked = match arg.as_str() {
+            "--quick" => Size::Quick,
+            "--full" => Size::Full,
+            "--help" | "-h" => continue,
+            flag if flag.starts_with('-') => return Err(format!("unrecognised flag '{flag}'")),
+            _ if positionals.len() == 2 => {
+                return Err(format!("unexpected extra argument '{arg}'"))
             }
-            positional => {
-                positionals += 1;
-                if positionals > 1 {
-                    return Err(format!("unexpected extra argument '{positional}'"));
-                }
+            _ => {
+                positionals.push(arg);
+                continue;
             }
+        };
+        if size != Size::Standard && size != picked {
+            return Err("--quick and --full exclude each other".to_string());
         }
+        size = picked;
     }
-    Ok(())
-}
-
-/// Validate the process arguments, exiting with a usage message on anything
-/// unrecognised (status 2) or printing it on `--help` (status 0). Every entry
-/// point into the CLI surface calls this, so no figure binary can run with a
-/// misspelled flag.
-fn validate_cli() {
-    if let Err(msg) = check_args(std::env::args().skip(1)) {
-        usage_error(&msg);
-    }
-    if std::env::args().skip(1).any(|a| a == "--help" || a == "-h") {
-        println!("{USAGE}");
-        std::process::exit(0);
-    }
-}
-
-/// Print `msg` and the usage banner, and exit with status 2.
-fn usage_error(msg: &str) -> ! {
-    eprintln!("error: {msg}\n{USAGE}");
-    std::process::exit(2);
-}
-
-/// Whether the binary was invoked with `--quick` (fewer repetitions / smaller
-/// problem sizes, for CI and smoke testing). Exits with a usage message if
-/// the command line carries anything unrecognised.
-pub fn quick_mode() -> bool {
-    validate_cli();
-    std::env::args().any(|a| a == "--quick")
-}
-
-/// Whether the binary was invoked with `--full` (the paper-sized problem
-/// where the binary offers one). Exits with a usage message if the command
-/// line carries anything unrecognised.
-pub fn full_mode() -> bool {
-    validate_cli();
-    std::env::args().any(|a| a == "--full")
-}
-
-/// The positional argument of an already validated argument list, if any,
-/// checked against the sub-experiment names the binary `offered`.
-fn pick_sub_experiment(
-    mut args: impl Iterator<Item = String>,
-    offered: &[&str],
-) -> std::result::Result<Option<String>, String> {
-    match args.find(|a| !a.starts_with('-')) {
-        Some(name) if !offered.contains(&name.as_str()) => Err(format!(
-            "unknown sub-experiment '{name}' (offered: {})",
-            offered.join(", ")
-        )),
-        picked => Ok(picked),
-    }
-}
-
-/// The sub-experiment named on the command line, if any, out of the names the
-/// binary `offered` (e.g. `thumbnailer` and `inference`). Exits with a usage
-/// message if the command line carries anything unrecognised, an unoffered
-/// name included.
-pub fn sub_experiment(offered: &[&str]) -> Option<String> {
-    validate_cli();
-    pick_sub_experiment(std::env::args().skip(1), offered).unwrap_or_else(|msg| usage_error(&msg))
+    let mut positionals = positionals.into_iter();
+    let Some(name) = positionals.next() else {
+        return Ok((FIGURES.iter().collect(), Mode { size, sub: None }));
+    };
+    let figure = FIGURES.iter().find(|f| f.name == name).ok_or_else(|| {
+        let names: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
+        format!("unknown figure '{name}' (offered: {})", names.join(", "))
+    })?;
+    let sub = match positionals.next() {
+        None => None,
+        Some(sub) if figure.subs.is_empty() => {
+            return Err(format!("{name} offers no sub-experiment, got '{sub}'"))
+        }
+        Some(sub) => Some(*figure.subs.iter().find(|s| **s == sub).ok_or_else(|| {
+            format!(
+                "unknown sub-experiment '{sub}' (offered: {})",
+                figure.subs.join(", ")
+            )
+        })?),
+    };
+    Ok((vec![figure], Mode { size, sub }))
 }
 
 #[cfg(test)]
@@ -347,42 +392,87 @@ mod tests {
         }
     }
 
+    /// The names and mode `parse_args` selects for `args`.
+    fn parse(args: &[&str]) -> Result<(Vec<&'static str>, Mode), String> {
+        let (figures, mode) = parse_args(args.iter().map(|s| s.to_string()))?;
+        Ok((figures.iter().map(|f| f.name).collect(), mode))
+    }
+
     #[test]
     fn known_cli_shapes_pass_validation() {
-        let ok = |args: &[&str]| check_args(args.iter().map(|s| s.to_string()));
-        assert!(ok(&[]).is_ok());
-        assert!(ok(&["--quick"]).is_ok());
-        assert!(ok(&["--help"]).is_ok());
-        assert!(ok(&["-h"]).is_ok());
-        assert!(ok(&["thumbnailer"]).is_ok());
-        assert!(ok(&["--quick", "inference"]).is_ok());
-        assert!(ok(&["--full", "matmul"]).is_ok());
-        let offered = ["matmul", "jacobi"];
-        let pick =
-            |args: &[&str]| pick_sub_experiment(args.iter().map(|s| s.to_string()), &offered);
-        assert_eq!(pick(&["--quick"]), Ok(None));
-        assert_eq!(pick(&["--full", "jacobi"]), Ok(Some("jacobi".to_string())));
+        let all: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
+        let mode = |size, sub| Mode { size, sub };
+        assert_eq!(parse(&[]), Ok((all.clone(), mode(Size::Standard, None))));
+        assert_eq!(
+            parse(&["--quick"]),
+            Ok((all.clone(), mode(Size::Quick, None)))
+        );
+        assert_eq!(
+            parse(&["--full"]),
+            Ok((all.clone(), mode(Size::Full, None)))
+        );
+        assert_eq!(
+            parse(&["--help"]),
+            Ok((all.clone(), mode(Size::Standard, None)))
+        );
+        assert!(parse(&["-h"]).is_ok());
+        assert!(parse(&["--quick", "--quick"]).is_ok());
+        assert_eq!(
+            parse(&["fig8_invocation_latency", "--quick"]),
+            Ok((vec!["fig8_invocation_latency"], mode(Size::Quick, None)))
+        );
+        assert_eq!(
+            parse(&["fig11_serverless_functions", "thumbnailer"]),
+            Ok((
+                vec!["fig11_serverless_functions"],
+                mode(Size::Standard, Some("thumbnailer"))
+            ))
+        );
+        assert_eq!(
+            parse(&["--quick", "fig11_serverless_functions", "inference"]),
+            Ok((
+                vec!["fig11_serverless_functions"],
+                mode(Size::Quick, Some("inference"))
+            ))
+        );
+        assert_eq!(
+            parse(&["--full", "fig13_hpc_applications", "matmul"]),
+            Ok((
+                vec!["fig13_hpc_applications"],
+                mode(Size::Full, Some("matmul"))
+            ))
+        );
+        // The table names fifteen distinct figures.
+        let distinct: std::collections::BTreeSet<&str> = all.iter().copied().collect();
+        assert_eq!(distinct.len(), 15);
     }
 
     #[test]
     fn typoed_and_extra_arguments_are_rejected() {
-        let err = |args: &[&str]| check_args(args.iter().map(|s| s.to_string())).unwrap_err();
+        let err = |args: &[&str]| parse(args).unwrap_err();
         // The CI-masquerade scenario the validation exists for.
         assert!(err(&["--qiuck"]).contains("--qiuck"));
         assert!(err(&["--quick", "--verbose"]).contains("--verbose"));
         assert!(err(&["-q"]).contains("-q"));
-        assert!(err(&["thumbnailer", "extra"]).contains("extra"));
-        // A mistyped sub-experiment names what the binary offers.
-        let unknown = pick_sub_experiment(
-            ["--quick", "thumbnialer"].iter().map(|s| s.to_string()),
-            &["thumbnailer", "inference"],
-        )
-        .unwrap_err();
+        assert!(err(&["--quick", "--full"]).contains("exclude"));
+        assert!(err(&["fig13_hpc_applications", "jacobi", "extra"]).contains("extra"));
+        // An unknown figure names all fifteen.
+        let unknown = err(&["--quick", "fig8_invocation_latncy"]);
+        assert!(unknown.contains("fig8_invocation_latncy"));
+        assert!(
+            FIGURES.iter().all(|f| unknown.contains(f.name)),
+            "{unknown}"
+        );
+        // A mistyped sub-experiment names what the figure offers.
+        let unknown = err(&["--quick", "fig11_serverless_functions", "thumbnialer"]);
         assert!(unknown.contains("thumbnialer") && unknown.contains("thumbnailer, inference"));
+        // A sub-experiment on a figure that offers none.
+        let none = err(&["fig8_invocation_latency", "thumbnailer"]);
+        assert!(none.contains("offers no sub-experiment") && none.contains("thumbnailer"));
     }
 
-    /// Byte-exact pin of the `## json` rows that `scripts/perf_snapshot.py`
-    /// and every committed report were written against.
+    /// Byte-exact pin of the `## json` row format, the line format of the
+    /// golden report (`tests/golden/report/<figure>.jsonl`).
     #[test]
     fn result_rows_are_byte_exact_json() {
         let row = |series: &str, x, median, p99, unit: &str| ResultRow {
