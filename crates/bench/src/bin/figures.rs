@@ -2,7 +2,7 @@
 //! [SUB_EXPERIMENT]` runs one figure, or all fifteen in order, printing each
 //! figure's tables and `## json` rows. See EXPERIMENTS.md for the index.
 
-use rfaas_bench::parse_args;
+use rfaas_bench::{parse_args, Measure, Table};
 
 /// Usage banner of the `figures` binary.
 const USAGE: &str = "\
@@ -10,8 +10,8 @@ usage: figures [FIG] [--quick | --full] [SUB_EXPERIMENT]
 
   FIG              the one figure to run, e.g. fig8_invocation_latency (see
                    EXPERIMENTS.md); without it all fifteen run, in order
-  --quick          reduced repetitions and problem sizes (the CI smoke and
-                   the golden report, tests/golden/report)
+  --quick          reduced problem sizes, fleets and horizons (the CI smoke
+                   and the golden report, tests/golden/report)
   --full           paper-sized problems where the figure offers them (fig12's
                    5 M-option batch, fig13's 64-rank sweep)
   SUB_EXPERIMENT   one optional positional after FIG selecting a
@@ -30,6 +30,38 @@ fn main() {
     }
     for figure in figures {
         println!("\n## figure {}", figure.name);
-        (figure.run)(mode);
+        for table in (figure.run)(mode) {
+            print_table(&table);
+        }
+    }
+}
+
+/// Print a table as aligned text, a distribution row adding its sample count,
+/// p99 and mean, then as JSON lines after `## json` (one `Row::to_json` line
+/// per row, the golden report's line format).
+fn print_table(table: &Table) {
+    println!("\n# {}", table.title);
+    println!(
+        "{:<40} {:>14} {:>16}  unit",
+        "series", "x", "value | median"
+    );
+    for row in &table.rows {
+        let (value, spread) = match row.measure {
+            Measure::Value(value) => (value, String::new()),
+            Measure::Distribution {
+                n,
+                median,
+                p99,
+                mean,
+            } => (median, format!("  (n {n}, p99 {p99:.3}, mean {mean:.3})")),
+        };
+        println!(
+            "{:<40} {:>14.3} {:>16.3}  {}{spread}",
+            row.series, row.x, value, row.unit
+        );
+    }
+    println!("## json");
+    for row in &table.rows {
+        println!("{}", row.to_json());
     }
 }

@@ -3,9 +3,12 @@
 //!
 //! The reported metric is the round-trip time of dispatching one invocation
 //! to every worker simultaneously and collecting all results (the client-side
-//! batch latency, as in Sec. V-D).
+//! batch latency, as in Sec. V-D). Expected shape (paper): 1 kB hot stays
+//! flat at a few µs, 1 kB warm grows with notification contention, and 1 MB
+//! grows with the worker count because the 100 Gb/s link saturates (~2.7 ms
+//! at 32 workers).
 
-use crate::{print_table, summarize_us, Mode, ResultRow, Testbed};
+use crate::{Mode, Row, Table, Testbed};
 use rfaas::{FunctionHandle, PollingMode};
 use sandbox::SandboxType;
 use sim_core::SimDuration;
@@ -14,13 +17,15 @@ fn worker_counts() -> Vec<u32> {
     vec![1, 2, 4, 8, 16, 32]
 }
 
-fn measure(
-    mode: PollingMode,
-    label_prefix: &str,
-    payload: usize,
-    repetitions: usize,
-    rows: &mut Vec<ResultRow>,
-) {
+fn payload_label(payload: usize) -> &'static str {
+    if payload >= 1024 * 1024 {
+        "1 MB"
+    } else {
+        "1 kB"
+    }
+}
+
+fn measure(mode: PollingMode, label_prefix: &str, payload: usize, rows: &mut Vec<Row>) {
     for &workers in &worker_counts() {
         let testbed = Testbed::new(1);
         let session =
@@ -28,30 +33,18 @@ fn measure(
         let echo = session.function::<[u8], [u8]>("echo").expect("echo");
         let data = workloads::generate_payload(payload, 11);
         let chunks: Vec<&[u8]> = (0..workers).map(|_| data.as_slice()).collect();
-        // Warm-up round.
+        // Warm-up round, then one measured round on an idle link.
         run_round(&session, &echo, &chunks);
-        let mut samples = Vec::with_capacity(repetitions);
-        for _ in 0..repetitions {
-            if let Some(n) = testbed.fabric.node("spot-00") {
-                n.reset_contention()
-            }
-            samples.push(run_round(&session, &echo, &chunks));
+        if let Some(n) = testbed.fabric.node("spot-00") {
+            n.reset_contention()
         }
-        let summary = summarize_us(&samples);
-        rows.push(ResultRow {
-            series: format!(
-                "{label_prefix} {}",
-                if payload >= 1024 * 1024 {
-                    "1 MB"
-                } else {
-                    "1 kB"
-                }
-            ),
-            x: workers as f64,
-            median: summary.median,
-            p99: summary.p99,
-            unit: "us".into(),
-        });
+        let rtt = run_round(&session, &echo, &chunks);
+        rows.push(Row::value(
+            format!("{label_prefix} {}", payload_label(payload)),
+            workers as f64,
+            rtt.as_micros_f64(),
+            "us",
+        ));
     }
 }
 
@@ -68,24 +61,11 @@ fn run_round(
     session.clock().now().saturating_since(start)
 }
 
-pub(crate) fn run(mode: Mode) -> Vec<ResultRow> {
-    let repetitions = if mode.quick() { 5 } else { 30 };
+pub(crate) fn run(_mode: Mode) -> Vec<Table> {
     let mut rows = Vec::new();
     for payload in [1024usize, 1024 * 1024] {
-        measure(
-            PollingMode::Hot,
-            "rFaaS hot",
-            payload,
-            repetitions,
-            &mut rows,
-        );
-        measure(
-            PollingMode::Warm,
-            "rFaaS warm",
-            payload,
-            repetitions,
-            &mut rows,
-        );
+        measure(PollingMode::Hot, "rFaaS hot", payload, &mut rows);
+        measure(PollingMode::Warm, "rFaaS warm", payload, &mut rows);
         // Aggregate-bandwidth bound of the 100 Gb/s link: all payloads must
         // stream out of the client NIC and the results must stream back in.
         let profile = rdma_fabric::NicProfile::mellanox_cx5_100g();
@@ -94,27 +74,16 @@ pub(crate) fn run(mode: Mode) -> Vec<ResultRow> {
                 + profile.one_way_latency
                 + profile.serialization(payload)
                 + profile.one_way_latency;
-            rows.push(ResultRow {
-                series: format!(
-                    "RDMA bandwidth bound {}",
-                    if payload >= 1024 * 1024 {
-                        "1 MB"
-                    } else {
-                        "1 kB"
-                    }
-                ),
-                x: workers as f64,
-                median: bound.as_micros_f64(),
-                p99: bound.as_micros_f64(),
-                unit: "us".into(),
-            });
+            rows.push(Row::value(
+                format!("RDMA bandwidth bound {}", payload_label(payload)),
+                workers as f64,
+                bound.as_micros_f64(),
+                "us",
+            ));
         }
     }
-    print_table(
-        "Figure 10: parallel invocations on remote executors (batch RTT vs worker count)",
-        &rows,
-    );
-    println!("\n# expected shape (paper): 1 kB hot stays flat (a few us), 1 kB warm grows with notification contention,");
-    println!("# 1 MB grows with worker count because the 100 Gb/s link saturates (~2.7 ms at 32 workers).");
-    rows
+    vec![Table {
+        title: "Figure 10: parallel invocations on remote executors (batch RTT vs worker count)",
+        rows,
+    }]
 }

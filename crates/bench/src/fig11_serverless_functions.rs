@@ -2,12 +2,17 @@
 //! Lambda — (a) thumbnail generation and (b) ResNet-50 image recognition —
 //! with small and large inputs, bare-metal and Docker executors, hot and warm
 //! invocations.
+//!
+//! The rFaaS series are value rows: one deterministic invocation after a
+//! warm-up. The AWS Lambda series are distributions of 200 RTTs drawn from
+//! its latency model by a `DeterministicRng` seeded with 99, their one source
+//! of variation.
 
-use crate::{print_table, summarize_ms, Mode, ResultRow, Testbed};
+use crate::{Mode, Row, Table, Testbed};
 use faas_baselines::aws_lambda;
 use rfaas::PollingMode;
 use sandbox::SandboxType;
-use sim_core::{DeterministicRng, Summary};
+use sim_core::DeterministicRng;
 use workloads::{image_recognition_function, thumbnailer_function, Image, InputSizes};
 
 /// The thumbnailer returns an encoded image, the classifier returns logits;
@@ -56,7 +61,7 @@ fn inference_cases() -> Vec<Case> {
     ]
 }
 
-fn measure(cases: &[Case], title: &str, repetitions: usize) -> Vec<ResultRow> {
+fn measure(cases: &[Case], title: &'static str) -> Table {
     let mut rows = Vec::new();
     let configurations = [
         (
@@ -75,6 +80,7 @@ fn measure(cases: &[Case], title: &str, repetitions: usize) -> Vec<ResultRow> {
     for (case_idx, case) in cases.iter().enumerate() {
         let image = Image::synthetic(case.input_bytes, 40 + case_idx as u64);
         let payload = image.encode();
+        let x = case.input_bytes as f64 / 1024.0;
         for (label, sandbox, mode) in configurations {
             let testbed = Testbed::new(1);
             let session = testbed.allocated_session("fig11-client", 1, sandbox, mode);
@@ -83,17 +89,13 @@ fn measure(cases: &[Case], title: &str, repetitions: usize) -> Vec<ResultRow> {
                 .expect("function deployed")
                 .with_output_capacity(case.output_capacity);
             function.invoke(&image).expect("warm-up invocation");
-            let samples: Vec<_> = (0..repetitions)
-                .map(|_| function.invoke_timed(&image).expect("invocation").1)
-                .collect();
-            let summary = summarize_ms(&samples);
-            rows.push(ResultRow {
-                series: format!("{label}, {}", case.input_label),
-                x: case.input_bytes as f64 / 1024.0,
-                median: summary.median,
-                p99: summary.p99,
-                unit: "ms".into(),
-            });
+            let (_, rtt) = function.invoke_timed(&image).expect("invocation");
+            rows.push(Row::value(
+                format!("{label}, {}", case.input_label),
+                x,
+                rtt.as_millis_f64(),
+                "ms",
+            ));
         }
 
         // AWS Lambda baseline: same function work, HTTP/JSON invocation path.
@@ -104,7 +106,7 @@ fn measure(cases: &[Case], title: &str, repetitions: usize) -> Vec<ResultRow> {
             image_recognition_function().compute_cost(payload.len())
         };
         let mut rng = DeterministicRng::new(99);
-        let samples: Vec<_> = (0..200)
+        let samples: Vec<f64> = (0..200)
             .map(|_| {
                 aws.sample_rtt(
                     payload.len(),
@@ -112,37 +114,32 @@ fn measure(cases: &[Case], title: &str, repetitions: usize) -> Vec<ResultRow> {
                     work,
                     &mut rng,
                 )
+                .as_millis_f64()
             })
             .collect();
-        let summary = Summary::of_durations_ms(&samples);
-        rows.push(ResultRow {
-            series: format!("AWS Lambda, {}", case.input_label),
-            x: case.input_bytes as f64 / 1024.0,
-            median: summary.median,
-            p99: summary.p99,
-            unit: "ms".into(),
-        });
+        rows.push(Row::distribution(
+            format!("AWS Lambda, {}", case.input_label),
+            x,
+            &samples,
+            "ms",
+        ));
     }
-    print_table(title, &rows);
-    rows
+    Table { title, rows }
 }
 
-pub(crate) fn run(mode: Mode) -> Vec<ResultRow> {
-    let repetitions = if mode.quick() { 5 } else { 30 };
-    let mut rows = Vec::new();
+pub(crate) fn run(mode: Mode) -> Vec<Table> {
+    let mut tables = Vec::new();
     if mode.runs("thumbnailer") {
-        rows.extend(measure(
+        tables.push(measure(
             &thumbnailer_cases(),
             "Figure 11a: thumbnail generation (paper: rFaaS bare-metal 4.4 ms small / ~115 ms large; AWS 128-3072 ms)",
-            repetitions,
         ));
     }
     if mode.runs("inference") {
-        rows.extend(measure(
+        tables.push(measure(
             &inference_cases(),
             "Figure 11b: ResNet-50 image recognition (paper: rFaaS ~112-118 ms; AWS 512-3072 ms)",
-            repetitions,
         ));
     }
-    rows
+    tables
 }

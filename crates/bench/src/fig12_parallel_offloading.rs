@@ -6,8 +6,11 @@
 //! `FunctionHandle<OptionBatch, [f64]>` scatters the chunks with
 //! `map_workers`, so all N submissions ride one doorbell (the chained-WQE
 //! path of `QueuePair::post_send_batch`) and the results come back through a
-//! `CompletionSet`. The final section prints the doorbell/chained-WQE cost
-//! breakdown and gates on the batching actually happening.
+//! `CompletionSet`. A third table holds the doorbell/chained-WQE cost
+//! breakdown of the widest scatter, and the run gates on the batching
+//! actually happening. Expected shape: rFaaS tracks OpenMP until per-worker
+//! compute approaches the transmission time, and OpenMP + rFaaS roughly
+//! doubles the OpenMP speedup (paper: ~2x boost through FaaS offloading).
 //!
 //! The paper's batch is ~229 MB of option data (≈5 million contracts). The
 //! default run scales the batch down by 8× (the compute-to-communication
@@ -15,10 +18,10 @@
 //! scale linearly in the option count); pass `--full` for the paper-sized
 //! batch.
 
-use crate::{print_table, Mode, ResultRow, Testbed};
+use crate::{Mode, Row, Table, Testbed};
 use rfaas::{BatchStats, FunctionHandle, RFaasConfig, Session};
 use sim_core::SimDuration;
-use workloads::blackscholes::{local_parallel_cost, COST_PER_OPTION};
+use workloads::blackscholes::local_parallel_cost;
 use workloads::{generate_options, OptionBatch, OPTION_WIRE_BYTES};
 
 fn parallelism_sweep() -> Vec<usize> {
@@ -57,7 +60,7 @@ fn split_chunks(
         .collect()
 }
 
-pub(crate) fn run(mode: Mode) -> Vec<ResultRow> {
+pub(crate) fn run(mode: Mode) -> Vec<Table> {
     let total_options: usize = if mode.full() {
         5_000_000
     } else if mode.quick() {
@@ -67,30 +70,31 @@ pub(crate) fn run(mode: Mode) -> Vec<ResultRow> {
     };
     let options = generate_options(total_options, 2021);
     let input_bytes = total_options * OPTION_WIRE_BYTES;
+    // Equal to the OpenMP row at parallelism 1.
     let serial = local_parallel_cost(total_options, 1);
-    println!(
-        "# Figure 12: Black-Scholes offloading, {total_options} options ({:.1} MB input, {:.1} MB output), serial time {:.1} ms",
-        input_bytes as f64 / 1e6,
-        (total_options * 8) as f64 / 1e6,
-        serial.as_millis_f64()
-    );
 
     let mut config = RFaasConfig::paper_calibration();
     config.max_payload_bytes = input_bytes + (1 << 20);
     let mut rows = Vec::new();
+    // Speedup over the serial execution (right panel of Fig. 12).
+    let mut speedups = Vec::new();
+    let mut push = |series: &str, x: f64, time: SimDuration| {
+        rows.push(Row::value(series, x, time.as_millis_f64(), "ms"));
+        speedups.push(Row::value(
+            format!("speedup {series}"),
+            x,
+            serial.as_millis_f64() / time.as_millis_f64(),
+            "x",
+        ));
+    };
     // Doorbell accounting of the widest scatter, for the breakdown below.
     let mut widest_batch: Option<(usize, BatchStats, usize)> = None;
 
     for &parallelism in &parallelism_sweep() {
+        let x = parallelism as f64;
         // OpenMP: static partition over local threads.
         let openmp = local_parallel_cost(total_options, parallelism);
-        rows.push(ResultRow {
-            series: "OpenMP".into(),
-            x: parallelism as f64,
-            median: openmp.as_millis_f64(),
-            p99: openmp.as_millis_f64(),
-            unit: "ms".into(),
-        });
+        push("OpenMP", x, openmp);
 
         // rFaaS: the entire batch offloaded to `parallelism` remote workers
         // through the typed scatter/gather path.
@@ -114,13 +118,7 @@ pub(crate) fn run(mode: Mode) -> Vec<ResultRow> {
         {
             widest_batch = Some((parallelism, stats, chunk_capacity));
         }
-        rows.push(ResultRow {
-            series: "rFaaS".into(),
-            x: parallelism as f64,
-            median: rfaas_time.as_millis_f64(),
-            p99: rfaas_time.as_millis_f64(),
-            unit: "ms".into(),
-        });
+        push("rFaaS", x, rfaas_time);
 
         // OpenMP + rFaaS: half the batch locally, half offloaded; the
         // application finishes when the slower half finishes.
@@ -128,35 +126,9 @@ pub(crate) fn run(mode: Mode) -> Vec<ResultRow> {
         let half_chunks = split_chunks(&options[..options.len() / 2], parallelism);
         let (remote_half, _) = offload_batch(&session, &pricer, &half_chunks);
         let hybrid = local_half.max(remote_half);
-        rows.push(ResultRow {
-            series: "OpenMP + rFaaS".into(),
-            x: parallelism as f64,
-            median: hybrid.as_millis_f64(),
-            p99: hybrid.as_millis_f64(),
-            unit: "ms".into(),
-        });
+        push("OpenMP + rFaaS", x, hybrid);
         session.close().expect("deallocate");
     }
-    print_table(
-        "Figure 12 (left): Black-Scholes completion time vs parallelism",
-        &rows,
-    );
-
-    // Speedup over the serial execution (right panel of Fig. 12).
-    let mut speedups = Vec::new();
-    for row in &rows {
-        speedups.push(ResultRow {
-            series: format!("speedup {}", row.series),
-            x: row.x,
-            median: serial.as_millis_f64() / row.median,
-            p99: serial.as_millis_f64() / row.median,
-            unit: "x".into(),
-        });
-    }
-    print_table(
-        "Figure 12 (right): speedup over serial execution",
-        &speedups,
-    );
 
     // Chained-WQE billing breakdown: the widest scatter must have shared one
     // doorbell, and the batched posting burst must beat what the same WQEs
@@ -168,15 +140,6 @@ pub(crate) fn run(mode: Mode) -> Vec<ResultRow> {
     let unchained_estimate = profile.issue_cost(wire) * stats.submissions as u64;
     let chained_estimate =
         profile.issue_cost(wire) + profile.issue_cost_chained(wire) * stats.chained_wqes as u64;
-    println!("\n# scatter/gather submission cost breakdown ({parallelism} workers, typed map_workers path)");
-    println!(
-        "submissions {}, doorbells {}, chained WQEs {} (chained_wqe_overhead {} per WQE)",
-        stats.submissions, stats.doorbells, stats.chained_wqes, profile.chained_wqe_overhead
-    );
-    println!(
-        "posting burst on the client clock: {} (chained estimate {}, unchained estimate {})",
-        stats.post_time, chained_estimate, unchained_estimate
-    );
     assert_eq!(stats.doorbells, 1, "the scatter must share one doorbell");
     assert_eq!(
         stats.chained_wqes,
@@ -189,17 +152,48 @@ pub(crate) fn run(mode: Mode) -> Vec<ResultRow> {
         stats.post_time,
         unchained_estimate
     );
+    let x = parallelism as f64;
+    let breakdown = vec![
+        Row::value("submissions", x, stats.submissions as f64, "count"),
+        Row::value("doorbells", x, stats.doorbells as f64, "count"),
+        Row::value("chained WQEs", x, stats.chained_wqes as f64, "count"),
+        Row::value("posting burst", x, stats.post_time.as_micros_f64(), "us"),
+        Row::value(
+            "chained estimate",
+            x,
+            chained_estimate.as_micros_f64(),
+            "us",
+        ),
+        Row::value(
+            "unchained estimate",
+            x,
+            unchained_estimate.as_micros_f64(),
+            "us",
+        ),
+    ];
+    let transmission = vec![Row::value(
+        "network transmission of the batch",
+        total_options as f64,
+        profile.serialization(input_bytes).as_millis_f64(),
+        "ms",
+    )];
 
-    println!(
-        "\n# network transmission time of the full batch: {:.1} ms (paper: ~20 ms for 229 MB)",
-        profile.serialization(input_bytes).as_millis_f64()
-    );
-    println!("# expected shape: rFaaS tracks OpenMP until per-worker compute approaches the transmission time;");
-    println!("# OpenMP + rFaaS roughly doubles the OpenMP speedup (paper: ~2x boost through FaaS offloading).");
-    println!(
-        "# per-option compute cost model: {} ns",
-        COST_PER_OPTION.as_nanos()
-    );
-    rows.extend(speedups);
-    rows
+    vec![
+        Table {
+            title: "Figure 12 (left): Black-Scholes completion time vs parallelism",
+            rows,
+        },
+        Table {
+            title: "Figure 12 (right): speedup over serial execution",
+            rows: speedups,
+        },
+        Table {
+            title: "Figure 12: submission cost of the widest scatter (x = workers, typed map_workers path)",
+            rows: breakdown,
+        },
+        Table {
+            title: "Figure 12: network transmission time of the whole batch (x = options; paper: ~20 ms for 229 MB)",
+            rows: transmission,
+        },
+    ]
 }

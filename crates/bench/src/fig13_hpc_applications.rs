@@ -12,7 +12,7 @@
 //! rank's whole solve before the next would make later ranks queue behind
 //! NIC busy times their own clocks have not reached.
 
-use crate::{print_table, Mode, ResultRow, Testbed};
+use crate::{Mode, Row, Table, Testbed};
 use mpi_sim::MpiWorld;
 use rfaas::{RFaasConfig, Session};
 use sim_core::median;
@@ -34,14 +34,14 @@ fn rank_counts(mode: Mode) -> Vec<usize> {
 /// Per-rank session with one rFaaS worker inside an MPI rank body.
 fn rank_session(testbed: &Testbed, config: &RFaasConfig, rank: usize) -> Session {
     testbed
-        .session(&format!("mpi-rank-{rank}"))
+        .session(&format!("mpi-rank-{rank:03}"))
         .config(config.clone())
         .memory_mib(4 * 1024)
         .connect()
         .expect("rank allocation")
 }
 
-fn matmul_experiment(mode: Mode) -> Vec<ResultRow> {
+fn matmul_experiment(mode: Mode) -> Table {
     let sizes: Vec<usize> = if mode.quick() {
         vec![400, 800]
     } else {
@@ -51,14 +51,13 @@ fn matmul_experiment(mode: Mode) -> Vec<ResultRow> {
     for &ranks in &rank_counts(mode) {
         for &n in &sizes {
             // MPI only: every rank multiplies its full n x n matrices.
-            let mpi_median = compute_cost(n, n).as_secs_f64();
-            rows.push(ResultRow {
-                series: format!("MPI ({ranks} processes)"),
-                x: n as f64,
-                median: mpi_median,
-                p99: mpi_median,
-                unit: "s".into(),
-            });
+            let mpi = compute_cost(n, n).as_secs_f64();
+            rows.push(Row::value(
+                format!("MPI ({ranks} processes)"),
+                n as f64,
+                mpi,
+                "s",
+            ));
 
             // MPI + rFaaS: each rank offloads the lower half of the result
             // and computes the upper half locally, every rank in lockstep.
@@ -99,28 +98,21 @@ fn matmul_experiment(mode: Mode) -> Vec<ResultRow> {
                 })
                 .collect();
             world.barrier();
-            let hybrid_median = median(&elapsed);
-            rows.push(ResultRow {
-                series: format!("MPI + rFaaS ({ranks} processes)"),
-                x: n as f64,
-                median: hybrid_median,
-                p99: hybrid_median,
-                unit: "s".into(),
-            });
-            println!(
-                "# matmul n={n}, {ranks} ranks: MPI {mpi_median:.3} s, MPI+rFaaS {hybrid_median:.3} s, speedup {:.2}x",
-                mpi_median / hybrid_median
-            );
+            rows.push(Row::value(
+                format!("MPI + rFaaS ({ranks} processes)"),
+                n as f64,
+                median(&elapsed),
+                "s",
+            ));
         }
     }
-    print_table(
-        "Figure 13a: matrix-matrix multiplication, MPI vs MPI + rFaaS (paper speedup: 1.88x-1.97x)",
-        &rows,
-    );
-    rows
+    Table {
+        title: "Figure 13a: matrix-matrix multiplication, MPI vs MPI + rFaaS (paper speedup: 1.88x-1.97x)",
+        rows,
+    }
 }
 
-fn jacobi_experiment(mode: Mode) -> Vec<ResultRow> {
+fn jacobi_experiment(mode: Mode) -> Table {
     let sizes: Vec<usize> = if mode.quick() {
         vec![500, 1500]
     } else {
@@ -131,14 +123,13 @@ fn jacobi_experiment(mode: Mode) -> Vec<ResultRow> {
     for &ranks in &rank_counts(mode) {
         for &n in &sizes {
             // MPI only: every rank runs the full solver locally.
-            let mpi_median = (sweep_cost(n, n) * iterations as u64).as_secs_f64();
-            rows.push(ResultRow {
-                series: format!("MPI ({ranks} processes)"),
-                x: n as f64,
-                median: mpi_median,
-                p99: mpi_median,
-                unit: "s".into(),
-            });
+            let mpi = (sweep_cost(n, n) * iterations as u64).as_secs_f64();
+            rows.push(Row::value(
+                format!("MPI ({ranks} processes)"),
+                n as f64,
+                mpi,
+                "s",
+            ));
 
             // MPI + rFaaS: half of every sweep offloaded; the matrix is sent
             // only with the first invocation (cached in the warm executor).
@@ -196,34 +187,27 @@ fn jacobi_experiment(mode: Mode) -> Vec<ResultRow> {
                     .as_secs_f64()
             });
             world.barrier();
-            let hybrid_median = median(&elapsed);
-            rows.push(ResultRow {
-                series: format!("MPI + rFaaS ({ranks} processes)"),
-                x: n as f64,
-                median: hybrid_median,
-                p99: hybrid_median,
-                unit: "s".into(),
-            });
-            println!(
-                "# jacobi n={n}, {ranks} ranks, {iterations} iterations: MPI {mpi_median:.3} s, MPI+rFaaS {hybrid_median:.3} s, speedup {:.2}x",
-                mpi_median / hybrid_median
-            );
+            rows.push(Row::value(
+                format!("MPI + rFaaS ({ranks} processes)"),
+                n as f64,
+                median(&elapsed),
+                "s",
+            ));
         }
     }
-    print_table(
-        "Figure 13b: Jacobi solver, MPI vs MPI + rFaaS (paper speedup: 1.7x-2.2x on large systems)",
-        &rows,
-    );
-    rows
+    Table {
+        title: "Figure 13b: Jacobi solver, MPI vs MPI + rFaaS (paper speedup: 1.7x-2.2x on large systems)",
+        rows,
+    }
 }
 
-pub(crate) fn run(mode: Mode) -> Vec<ResultRow> {
-    let mut rows = Vec::new();
+pub(crate) fn run(mode: Mode) -> Vec<Table> {
+    let mut tables = Vec::new();
     if mode.runs("matmul") {
-        rows.extend(matmul_experiment(mode));
+        tables.push(matmul_experiment(mode));
     }
     if mode.runs("jacobi") {
-        rows.extend(jacobi_experiment(mode));
+        tables.push(jacobi_experiment(mode));
     }
-    rows
+    tables
 }

@@ -21,17 +21,22 @@
 //! A second phase drives the full allocate→invoke→bill→release pipeline
 //! end-to-end: real invokers, real workload payloads (echo, thumbnailer,
 //! inference, Black-Scholes, matmul, Jacobi), per-shard billing aggregation.
+//!
+//! The latency rows are distributions whose one source of variation is the
+//! seeded request stream: `TenantFleet` seed 1503 for the storm (arrival
+//! times, shapes, heavy-hitter skew) and seed 2718 for the pipeline (the
+//! workload mix). Counts, throughputs and bills are value rows.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-use crate::{evaluation_package, print_table, Mode, ResultRow, PACKAGE};
+use crate::{evaluation_package, Mode, Row, Table, PACKAGE};
 use cluster_sim::{NodeResources, TenantFleet, TenantRequest, WorkloadKind};
 use rdma_fabric::Fabric;
 use rfaas::{GroupLifecycleDriver, LeaseRequest, ManagerGroup, RFaasConfig, Session};
 use sandbox::FunctionRegistry;
-use sim_core::{SimDuration, SimTime, Summary, VirtualClock};
+use sim_core::{percentile, SimDuration, SimTime, VirtualClock};
 use workloads::{
     blackscholes::{generate_options, options_to_bytes},
     generate_payload,
@@ -230,7 +235,6 @@ fn payload_for(kind: WorkloadKind, approx_bytes: usize, seed: u64) -> (Vec<u8>, 
 
 struct FleetOutcome {
     episodes: u64,
-    invocations: u64,
     latencies_us: Vec<f64>,
     shard_costs: Vec<f64>,
     tenant_shards: Vec<usize>,
@@ -249,7 +253,6 @@ fn run_fleet(requests: &[TenantRequest], shards: usize, executors: usize) -> Fle
     let driver = GroupLifecycleDriver::new(&group);
 
     let mut latencies_us = Vec::new();
-    let mut invocations = 0u64;
     let mut episodes = 0u64;
     let mut tenant_shards = Vec::new();
     for (episode, request) in requests.iter().enumerate() {
@@ -259,7 +262,7 @@ fn run_fleet(requests: &[TenantRequest], shards: usize, executors: usize) -> Fle
         let manager = group.manager_for_tenant(&request.tenant);
         let session = Session::builder(
             &fabric,
-            &format!("{}-ep{episode}", request.tenant),
+            &format!("{}-ep{episode:03}", request.tenant),
             &manager,
             PACKAGE,
         )
@@ -281,7 +284,6 @@ fn run_fleet(requests: &[TenantRequest], shards: usize, executors: usize) -> Fle
                 .invoke_timed(&payload[..])
                 .expect("fleet invocation succeeds");
             latencies_us.push(rtt.as_micros_f64());
-            invocations += 1;
         }
         session.close().expect("release succeeds");
         episodes += 1;
@@ -290,14 +292,13 @@ fn run_fleet(requests: &[TenantRequest], shards: usize, executors: usize) -> Fle
 
     FleetOutcome {
         episodes,
-        invocations,
         latencies_us,
         shard_costs: group.per_shard_costs(),
         tenant_shards,
     }
 }
 
-pub(crate) fn run(mode: Mode) -> Vec<ResultRow> {
+pub(crate) fn run(mode: Mode) -> Vec<Table> {
     let quick = mode.quick();
     // Storm shape: `tenants` tenants whose combined episode rate saturates a
     // multi-shard plane (single-shard service rate is 1/allocation cost ≈
@@ -311,23 +312,12 @@ pub(crate) fn run(mode: Mode) -> Vec<ResultRow> {
 
     let fleet = TenantFleet::generate(1503, tenants, SimDuration::from_millis(mean_gap_ms));
     let requests = fleet.requests(SimDuration::from_millis(horizon_ms));
-    println!("# Figure 15: sharded manager plane — allocation throughput under multi-tenant churn");
-    println!(
-        "# fleet: {tenants} tenants, {} allocation episodes over {horizon_ms} ms, {executors} spot executors",
-        requests.len()
-    );
 
-    let mut rows = Vec::new();
+    let mut storm = Vec::new();
     let mut throughput_by_shards = Vec::new();
     let mut p99_by_shards = Vec::new();
     for &shards in &shard_counts {
         let outcome = run_storm(&requests, shards, executors);
-        let latency = Summary::of(&outcome.latencies_us);
-        println!(
-            "# {shards} shard(s): {} granted, {} rejected, {} expired by the lifecycle driver, {:.0} alloc/s, p50 {:.0} us, p99 {:.0} us",
-            outcome.granted, outcome.rejected, outcome.expired,
-            outcome.throughput, latency.median, latency.p99
-        );
         assert!(
             outcome.rejected * 4 < outcome.granted,
             "capacity must not dominate the storm: {} rejected vs {} granted at {shards} shards",
@@ -338,22 +328,24 @@ pub(crate) fn run(mode: Mode) -> Vec<ResultRow> {
             outcome.expired > 0,
             "abandoned leases must churn through expiry at {shards} shards"
         );
-        rows.push(ResultRow {
-            series: "allocation throughput".into(),
-            x: shards as f64,
-            median: outcome.throughput,
-            p99: outcome.throughput,
-            unit: "alloc/s".into(),
-        });
-        rows.push(ResultRow {
-            series: "allocation latency".into(),
-            x: shards as f64,
-            median: latency.median,
-            p99: latency.p99,
-            unit: "us".into(),
-        });
+        let x = shards as f64;
+        storm.push(Row::value("allocation throughput", x, outcome.throughput, "alloc/s"));
+        storm.push(Row::distribution(
+            "allocation latency",
+            x,
+            &outcome.latencies_us,
+            "us",
+        ));
+        storm.push(Row::value("granted", x, outcome.granted as f64, "count"));
+        storm.push(Row::value("rejected", x, outcome.rejected as f64, "count"));
+        storm.push(Row::value(
+            "expired by the lifecycle driver",
+            x,
+            outcome.expired as f64,
+            "count",
+        ));
         throughput_by_shards.push((shards, outcome.throughput));
-        p99_by_shards.push((shards, latency.p99));
+        p99_by_shards.push((shards, percentile(&outcome.latencies_us, 99.0)));
     }
 
     // Phase 2: the full pipeline on a 4-shard plane with a smaller fleet.
@@ -361,33 +353,25 @@ pub(crate) fn run(mode: Mode) -> Vec<ResultRow> {
     let fleet2 = TenantFleet::generate(2718, fleet_tenants, SimDuration::from_secs(15));
     let fleet_requests = fleet2.requests(SimDuration::from_secs(fleet_horizon_s));
     let fleet_outcome = run_fleet(&fleet_requests, 4, 16);
-    let fleet_latency = Summary::of(&fleet_outcome.latencies_us);
     let total_cost: f64 = fleet_outcome.shard_costs.iter().sum();
-    println!(
-        "# fleet pipeline: {} episodes, {} invocations across {} tenants; per-shard billing {:?} (total {total_cost:.6})",
-        fleet_outcome.episodes,
-        fleet_outcome.invocations,
-        fleet_tenants,
-        fleet_outcome.shard_costs
-    );
-    rows.push(ResultRow {
-        series: "fleet invocation latency".into(),
-        x: fleet_tenants as f64,
-        median: fleet_latency.median,
-        p99: fleet_latency.p99,
-        unit: "us".into(),
-    });
-    rows.push(ResultRow {
-        series: "fleet billing total".into(),
-        x: 4.0,
-        median: total_cost,
-        p99: total_cost,
-        unit: "USD".into(),
-    });
-    print_table(
-        "Allocation throughput and end-to-end latency, 1-8 manager shards",
-        &rows,
-    );
+    let mut pipeline = vec![
+        Row::distribution(
+            "fleet invocation latency",
+            fleet_tenants as f64,
+            &fleet_outcome.latencies_us,
+            "us",
+        ),
+        Row::value(
+            "fleet episodes",
+            fleet_tenants as f64,
+            fleet_outcome.episodes as f64,
+            "count",
+        ),
+        Row::value("fleet billing total", 4.0, total_cost, "USD"),
+    ];
+    for (shard, &cost) in fleet_outcome.shard_costs.iter().enumerate() {
+        pipeline.push(Row::value("fleet billing of shard", shard as f64, cost, "USD"));
+    }
 
     // --- Regression gates -------------------------------------------------
     let thr = |s: usize| {
@@ -418,7 +402,7 @@ pub(crate) fn run(mode: Mode) -> Vec<ResultRow> {
         p99(1)
     );
     assert!(
-        fleet_outcome.invocations > 0 && total_cost > 0.0,
+        !fleet_outcome.latencies_us.is_empty() && total_cost > 0.0,
         "the fleet pipeline must invoke and bill"
     );
     // Billing must land on the shard that owns each tenant: every shard
@@ -431,5 +415,14 @@ pub(crate) fn run(mode: Mode) -> Vec<ResultRow> {
             "shard {shard} served tenants but billed nothing"
         );
     }
-    rows
+    vec![
+        Table {
+            title: "Figure 15: allocation storm of a seeded multi-tenant fleet on 1-8 manager shards (x = shards)",
+            rows: storm,
+        },
+        Table {
+            title: "Figure 15: allocate-invoke-bill-release pipeline on 4 shards (x = tenants, shards or shard index)",
+            rows: pipeline,
+        },
+    ]
 }

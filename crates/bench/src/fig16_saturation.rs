@@ -12,23 +12,27 @@
 //! of its own, turned by the waiting client thread. This experiment measures
 //! what that buys: one client thread (one shared virtual clock) drives sessions
 //! whose combined worker count — the in-flight depth — sweeps 1 → 4096,
-//! and we record sustained throughput and the p99 gather latency per round.
+//! and we record sustained throughput, the gather latency of every
+//! invocation and the shared reactor's counters. Every depth runs a fixed
+//! number of full waves, which are the experiment: the gather latency is a
+//! value row where every completion of every wave is gathered at the same
+//! instant (every `--quick` depth) and a distribution where they are not.
 //!
 //! Expected shape: throughput climbs steeply with depth while the per-wave
 //! submit/pickup costs amortise, then saturates as the client clock's
 //! serial per-completion pickup work (Sec. III-C's completion-pickup cost)
-//! becomes the bottleneck; p99 grows with depth because the last completion
-//! of a wave queues behind every earlier pickup. Every run gates the
+//! becomes the bottleneck; gather latency grows with depth because the last
+//! completion of a wave queues behind every earlier pickup. Every run gates the
 //! headline claim: 1024 in-flight invocations on one client thread must
 //! sustain at least 5x the depth-1 invocation rate. The golden report pins
 //! every `--quick` row exactly.
 
-use crate::{evaluation_package, print_table, Mode, ResultRow, PACKAGE};
+use crate::{evaluation_package, Mode, Row, Table, PACKAGE};
 use cluster_sim::NodeResources;
 use rdma_fabric::Fabric;
 use rfaas::{PollingMode, RFaasConfig, Reactor, ResourceManager, Session, SpotExecutor};
 use sandbox::FunctionRegistry;
-use sim_core::{Summary, VirtualClock};
+use sim_core::VirtualClock;
 
 /// Payload of every invocation: small on purpose, so the measured costs are
 /// the platform's per-invocation overheads, not payload bandwidth.
@@ -153,7 +157,7 @@ fn run_depth(depth: usize, rounds: usize) -> DepthOutcome {
     }
 }
 
-pub(crate) fn run(mode: Mode) -> Vec<ResultRow> {
+pub(crate) fn run(mode: Mode) -> Vec<Table> {
     let quick = mode.quick();
     let (depths, rounds): (&[usize], usize) = if quick {
         (&[1, 16, 256, 1024], 3)
@@ -161,26 +165,10 @@ pub(crate) fn run(mode: Mode) -> Vec<ResultRow> {
         (&[1, 4, 16, 64, 256, 1024, 4096], 6)
     };
 
-    println!(
-        "# Figure 16: completion-driven saturation — one client thread, depth 1 -> {}",
-        depths.last().unwrap()
-    );
-    println!("# each depth: sessions x workers = depth connections sharing one reactor + one client clock, {rounds} full waves");
-
     let mut rows = Vec::new();
     let mut throughput_at = Vec::new();
     for &depth in depths {
         let outcome = run_depth(depth, rounds);
-        let latency = Summary::of(&outcome.latencies_us);
-        println!(
-            "# depth {depth}: {} invocations, {:.1} kinv/s, gather p50 {:.1} us, p99 {:.1} us, reactor pumped {} dispatched {}",
-            outcome.invocations,
-            outcome.throughput_kinv_s,
-            latency.median,
-            latency.p99,
-            outcome.pumped,
-            outcome.dispatched
-        );
         assert_eq!(
             outcome.invocations,
             (depth * rounds) as u64,
@@ -192,27 +180,19 @@ pub(crate) fn run(mode: Mode) -> Vec<ResultRow> {
             outcome.pumped,
             outcome.invocations
         );
-        rows.push(ResultRow {
-            series: "throughput".into(),
-            x: depth as f64,
-            median: outcome.throughput_kinv_s,
-            p99: outcome.throughput_kinv_s,
-            unit: "kinv/s".into(),
-        });
-        rows.push(ResultRow {
-            series: "gather latency".into(),
-            x: depth as f64,
-            median: latency.median,
-            p99: latency.p99,
-            unit: "us".into(),
-        });
+        let x = depth as f64;
+        rows.push(Row::value("throughput", x, outcome.throughput_kinv_s, "kinv/s"));
+        rows.push(Row::sampled("gather latency", x, &outcome.latencies_us, "us"));
+        rows.push(Row::value("invocations", x, outcome.invocations as f64, "count"));
+        rows.push(Row::value("reactor pumped", x, outcome.pumped as f64, "count"));
+        rows.push(Row::value(
+            "reactor dispatched",
+            x,
+            outcome.dispatched as f64,
+            "count",
+        ));
         throughput_at.push((depth, outcome.throughput_kinv_s));
     }
-
-    print_table(
-        "In-flight depth vs throughput and gather latency, one client thread",
-        &rows,
-    );
 
     // --- Regression gates -------------------------------------------------
     let thr = |d: usize| {
@@ -240,5 +220,8 @@ pub(crate) fn run(mode: Mode) -> Vec<ResultRow> {
             );
         }
     }
-    rows
+    vec![Table {
+        title: "Figure 16: completion-driven saturation, one client thread (x = in-flight depth: sessions x workers sharing one reactor and one client clock over full waves)",
+        rows,
+    }]
 }

@@ -19,7 +19,7 @@
 //! The run aborts unless the fork tier delivers its headline: a forked
 //! allocation lands under 100 µs and at least 100× below the cold spawn.
 
-use crate::{print_table, summarize_us, Mode, ResultRow, Testbed};
+use crate::{Mode, Row, Table, Testbed};
 use rfaas::{AllocationPolicy, PollingMode, RFaasConfig, Session};
 use sim_core::SimDuration;
 
@@ -44,21 +44,13 @@ fn setup_cost(session: &Session) -> SimDuration {
     cold.spawn_workers + cold.submit_code
 }
 
-struct Rep {
-    cold: SimDuration,
-    forked: SimDuration,
-    warm_hit: SimDuration,
-    /// RTT of the forked child's i-th invocation.
-    fork_rtts: Vec<SimDuration>,
-}
-
-fn run_rep(rep: usize) -> Rep {
+pub(crate) fn run(_mode: Mode) -> Vec<Table> {
     let testbed = Testbed::with_config(1, pool_config());
 
     // Tier 1: a full cold spawn — and, once closed, the warm parent every
     // later tier draws from.
     let parent = testbed
-        .session(&format!("fig18-parent-{rep}"))
+        .session("fig18-parent")
         .polling(PollingMode::Warm)
         .connect()
         .expect("cold allocation");
@@ -69,7 +61,7 @@ fn run_rep(rep: usize) -> Rep {
     // stays parked (it only donates pages); the child's first invocations
     // below pay the fault batches.
     let forked_session = testbed
-        .session(&format!("fig18-fork-{rep}"))
+        .session("fig18-fork")
         .polling(PollingMode::Warm)
         .allocation_policy(AllocationPolicy::Fork)
         .connect()
@@ -104,7 +96,7 @@ fn run_rep(rep: usize) -> Rep {
 
     // Tier 3: a warm-pool hit resumes the oldest parked parent outright.
     let pooled = testbed
-        .session(&format!("fig18-pool-{rep}"))
+        .session("fig18-pool")
         .polling(PollingMode::Warm)
         .allocation_policy(AllocationPolicy::WarmPool)
         .connect()
@@ -112,61 +104,12 @@ fn run_rep(rep: usize) -> Rep {
     let warm_hit = setup_cost(&pooled);
     pooled.close().expect("deallocate");
 
-    Rep {
-        cold,
-        forked,
-        warm_hit,
-        fork_rtts,
-    }
-}
-
-pub(crate) fn run(mode: Mode) -> Vec<ResultRow> {
-    let repetitions = if mode.quick() { 5 } else { 20 };
-    println!("# Figure 18: cold spawn vs remote fork vs warm-pool hit (executor-side allocation cost over {repetitions} reps)");
-
-    let reps: Vec<Rep> = (0..repetitions).map(run_rep).collect();
-
-    let mut rows = Vec::new();
-    for (series, samples) in [
-        (
-            "cold spawn",
-            reps.iter().map(|r| r.cold).collect::<Vec<_>>(),
-        ),
-        ("remote fork", reps.iter().map(|r| r.forked).collect()),
-        ("warm-pool hit", reps.iter().map(|r| r.warm_hit).collect()),
-    ] {
-        let s = summarize_us(&samples);
-        rows.push(ResultRow {
-            series: series.into(),
-            x: 0.0,
-            median: s.median,
-            p99: s.p99,
-            unit: "us".into(),
-        });
-    }
-    for i in 0..SPECTRUM_INVOCATIONS {
-        let samples: Vec<_> = reps.iter().map(|r| r.fork_rtts[i]).collect();
-        let s = summarize_us(&samples);
-        rows.push(ResultRow {
-            series: "forked invocation".into(),
-            x: (i + 1) as f64,
-            median: s.median,
-            p99: s.p99,
-            unit: "us".into(),
-        });
-    }
-    print_table("Figure 18: the fork tier between warm and cold", &rows);
 
     // The fork-tier gate: forked allocations are µs-scale and at least two
     // orders of magnitude below the cold spawn, with the warm-pool resume
     // strictly in between.
-    let cold = rows[0].median;
-    let forked = rows[1].median;
-    let warm_hit = rows[2].median;
+    let [cold, forked, warm_hit] = [cold, forked, warm_hit].map(|d| d.as_micros_f64());
     let ratio = cold / forked;
-    println!(
-        "\n# fork tier (cold {cold:.1} us, warm-pool hit {warm_hit:.1} us, forked {forked:.1} us, cold/forked {ratio:.0}x)"
-    );
     assert!(
         forked < 100.0,
         "forked allocation must stay under 100 us, got {forked} us"
@@ -182,12 +125,28 @@ pub(crate) fn run(mode: Mode) -> Vec<ResultRow> {
 
     // The fault residue decays: the first invocation pays a prefetch batch
     // on top of the warm path, the last is batch-free steady state.
-    let first = rows[3].median;
-    let steady = rows[rows.len() - 1].median;
-    println!("# fault decay (invocation 1: {first:.3} us, invocation {SPECTRUM_INVOCATIONS}: {steady:.3} us)");
+    let first = fork_rtts[0];
+    let steady = fork_rtts[SPECTRUM_INVOCATIONS - 1];
     assert!(
         first > steady,
-        "early forked invocations must pay fault batches: first {first} us, steady {steady} us"
+        "early forked invocations must pay fault batches: first {first}, steady {steady}"
     );
-    rows
+
+    let mut rows = vec![
+        Row::value("cold spawn", 0.0, cold, "us"),
+        Row::value("remote fork", 0.0, forked, "us"),
+        Row::value("warm-pool hit", 0.0, warm_hit, "us"),
+    ];
+    for (i, rtt) in fork_rtts.iter().enumerate() {
+        rows.push(Row::value(
+            "forked invocation",
+            (i + 1) as f64,
+            rtt.as_micros_f64(),
+            "us",
+        ));
+    }
+    vec![Table {
+        title: "Figure 18: the fork tier between warm and cold (x = 0: executor-side allocation cost; x = i: the forked child's i-th invocation)",
+        rows,
+    }]
 }

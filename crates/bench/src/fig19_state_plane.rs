@@ -24,29 +24,19 @@
 //! least 5x at the megabyte sizes — the headline that makes stateful
 //! functions worth a second data plane.
 
-use crate::{print_table, summarize_us, Mode, ResultRow, Testbed, DATASET_KEY};
+use crate::{Mode, Row, Table, Testbed, DATASET_KEY};
 use rfaas::{PollingMode, StateKey, StatePlane};
 use sandbox::SandboxType;
-use sim_core::SimDuration;
 
 /// Dataset sizes swept (bytes). The default payload ceiling is 8 MiB, so the
 /// copy baseline can carry every size.
 const SIZES: [usize; 4] = [4 * 1024, 64 * 1024, 1024 * 1024, 4 * 1024 * 1024];
 
-/// Hot invocations measured per size after the cache-filling first read.
-const HOT_INVOCATIONS: usize = 4;
-
-struct SizePoint {
-    copy: Vec<SimDuration>,
-    first_read: Vec<SimDuration>,
-    hot: Vec<SimDuration>,
-}
-
-fn run_rep(rep: usize, points: &mut [SizePoint]) {
+pub(crate) fn run(_mode: Mode) -> Vec<Table> {
     let testbed = Testbed::new(1);
     let plane = StatePlane::new(&testbed.fabric, "state-0", 64 * 1024 * 1024);
     let session = testbed
-        .session(&format!("fig19-client-{rep}"))
+        .session("fig19-client")
         .sandbox(SandboxType::BareMetal)
         .polling(PollingMode::Hot)
         .state_plane(&plane)
@@ -67,14 +57,14 @@ fn run_rep(rep: usize, points: &mut [SizePoint]) {
         .with_state([StateKey::read(DATASET_KEY)])
         .expect("dataset key declared");
 
-    for (point, &size) in points.iter_mut().zip(&SIZES) {
+    let mut rows = Vec::new();
+    for &size in &SIZES {
         let dataset = workloads::generate_payload(size, size as u64);
 
         // Stateless baseline: the dataset travels inside the invocation,
         // there and back again.
-        let (reply, rtt) = echo.invoke_timed(&dataset[..]).expect("copy baseline");
+        let (reply, copy) = echo.invoke_timed(&dataset[..]).expect("copy baseline");
         assert_eq!(reply.len(), size);
-        point.copy.push(rtt);
 
         // Publish the dataset; the executor's cached copy (if any) is
         // invalidated, so the next touch pays the one-sided READ.
@@ -83,79 +73,16 @@ fn run_rep(rep: usize, points: &mut [SizePoint]) {
             .put(DATASET_KEY, &dataset)
             .expect("publish dataset");
         let expected = (size + dataset[0] as usize + dataset[size - 1] as usize) as u64;
-        let (reply, rtt) = touch.invoke_timed(&[0u8; 8][..]).expect("first read");
+        let (reply, first) = touch.invoke_timed(&[0u8; 8][..]).expect("first read");
         assert_eq!(u64::from_le_bytes(reply.try_into().unwrap()), expected);
-        point.first_read.push(rtt);
 
         // Steady state: the key is hot in the executor's cache.
-        for _ in 0..HOT_INVOCATIONS {
-            let (reply, rtt) = touch.invoke_timed(&[0u8; 8][..]).expect("hot read");
-            assert_eq!(u64::from_le_bytes(reply.try_into().unwrap()), expected);
-            point.hot.push(rtt);
-        }
-    }
+        let (reply, hot) = touch.invoke_timed(&[0u8; 8][..]).expect("hot read");
+        assert_eq!(u64::from_le_bytes(reply.try_into().unwrap()), expected);
 
-    let stats = session.stats();
-    let exec = stats.state_executor.expect("executor-side state client");
-    assert_eq!(
-        exec.remote_reads as usize,
-        SIZES.len(),
-        "exactly one one-sided READ per published size"
-    );
-    assert!(
-        exec.cache_hits as usize >= SIZES.len() * HOT_INVOCATIONS,
-        "hot touches must be cache hits"
-    );
-    session.close().expect("deallocate");
-}
-
-pub(crate) fn run(mode: Mode) -> Vec<ResultRow> {
-    let repetitions = if mode.quick() { 3 } else { 10 };
-    println!(
-        "# Figure 19: state-plane access vs copy-in/copy-out ({repetitions} reps, {HOT_INVOCATIONS} hot invocations per size)"
-    );
-
-    let mut points: Vec<SizePoint> = SIZES
-        .iter()
-        .map(|_| SizePoint {
-            copy: Vec::new(),
-            first_read: Vec::new(),
-            hot: Vec::new(),
-        })
-        .collect();
-    for rep in 0..repetitions {
-        run_rep(rep, &mut points);
-    }
-
-    let mut rows = Vec::new();
-    for (point, &size) in points.iter().zip(&SIZES) {
-        for (series, samples) in [
-            ("copy-in/copy-out", &point.copy),
-            ("state plane first read", &point.first_read),
-            ("state plane hot", &point.hot),
-        ] {
-            let s = summarize_us(samples);
-            rows.push(ResultRow {
-                series: series.into(),
-                x: size as f64,
-                median: s.median,
-                p99: s.p99,
-                unit: "us".into(),
-            });
-        }
-    }
-    print_table("Figure 19: state-plane access vs copy-in/copy-out", &rows);
-
-    // The headline gate: at megabyte sizes, a hot state read beats shipping
-    // the value with the invocation by at least 5x.
-    for (point, &size) in points.iter().zip(&SIZES) {
-        let copy = summarize_us(&point.copy).median;
-        let first = summarize_us(&point.first_read).median;
-        let hot = summarize_us(&point.hot).median;
-        println!(
-            "# {size} B: copy {copy:.3} us, first read {first:.3} us, hot {hot:.3} us ({:.1}x)",
-            copy / hot
-        );
+        // The headline gate: at megabyte sizes, a hot state read beats
+        // shipping the value with the invocation by at least 5x.
+        let [copy, first, hot] = [copy, first, hot].map(|d| d.as_micros_f64());
         assert!(
             hot <= first,
             "a cache hit cannot cost more than the READ that filled it: hot {hot} us, first {first} us at {size} B"
@@ -171,6 +98,26 @@ pub(crate) fn run(mode: Mode) -> Vec<ResultRow> {
                 "the one-sided READ moves the value once; copying moves it twice: first {first} us, copy {copy} us at {size} B"
             );
         }
+        let x = size as f64;
+        rows.push(Row::value("copy-in/copy-out", x, copy, "us"));
+        rows.push(Row::value("state plane first read", x, first, "us"));
+        rows.push(Row::value("state plane hot", x, hot, "us"));
     }
-    rows
+
+    let stats = session.stats();
+    let exec = stats.state_executor.expect("executor-side state client");
+    assert_eq!(
+        exec.remote_reads as usize,
+        SIZES.len(),
+        "exactly one one-sided READ per published size"
+    );
+    assert!(
+        exec.cache_hits as usize >= SIZES.len(),
+        "hot touches must be cache hits"
+    );
+    session.close().expect("deallocate");
+    vec![Table {
+        title: "Figure 19: state-plane access vs copy-in/copy-out",
+        rows,
+    }]
 }

@@ -2,10 +2,10 @@
 //! sampled at one-minute granularity (Piz Daint in the paper; a synthetic
 //! batch workload with matching statistics here).
 
-use crate::{print_table, Mode, ResultRow};
+use crate::{Mode, Row, Table};
 use sim_core::SimDuration;
 
-pub(crate) fn run(mode: Mode) -> Vec<ResultRow> {
+pub(crate) fn run(mode: Mode) -> Vec<Table> {
     let (days, nodes) = if mode.quick() { (1, 16) } else { (7, 64) };
     let trace = cluster_sim::UtilizationTrace::synthesize(
         2021,
@@ -14,41 +14,40 @@ pub(crate) fn run(mode: Mode) -> Vec<ResultRow> {
         SimDuration::from_secs(60),
     );
 
-    // Down-sample to hourly rows for the table; the JSON lines carry the same.
-    let mut rows = Vec::new();
+    // Down-sample to hourly rows; the summary below covers every sample.
+    let mut hourly = Vec::new();
     for (i, point) in trace.points.iter().enumerate() {
         if i % 60 != 0 {
             continue;
         }
         let hours = point.time.as_secs_f64() / 3600.0;
-        rows.push(ResultRow {
-            series: "idle CPU".into(),
-            x: hours,
-            median: point.idle_cpu_pct,
-            p99: point.idle_cpu_pct,
-            unit: "%".into(),
-        });
-        rows.push(ResultRow {
-            series: "free memory".into(),
-            x: hours,
-            median: point.free_memory_pct,
-            p99: point.free_memory_pct,
-            unit: "%".into(),
-        });
+        hourly.push(Row::value("idle CPU", hours, point.idle_cpu_pct, "%"));
+        hourly.push(Row::value("free memory", hours, point.free_memory_pct, "%"));
     }
-    print_table(
-        "Figure 2: cluster utilization trace (1-minute sampling, hourly rows shown)",
-        &rows,
-    );
 
-    println!("\n# summary (paper: 80-94% node utilization, ~75% of memory unused)");
-    println!("mean idle CPU:        {:.1}%", trace.mean_idle_cpu());
-    println!("mean free memory:     {:.1}%", trace.mean_free_memory());
+    // Summary over every one-minute sample; x is the trace length in hours.
+    let hours = (days * 24) as f64;
     let (lo, hi) = trace.idle_cpu_range();
-    println!("idle CPU range:       {:.1}% .. {:.1}%", lo, hi);
-    println!(
-        "samples with >=10% idle cores (harvest opportunity): {:.1}%",
-        100.0 * trace.harvest_opportunity(10.0)
-    );
-    rows
+    let summary = vec![
+        Row::value("mean idle CPU", hours, trace.mean_idle_cpu(), "%"),
+        Row::value("mean free memory", hours, trace.mean_free_memory(), "%"),
+        Row::value("min idle CPU", hours, lo, "%"),
+        Row::value("max idle CPU", hours, hi, "%"),
+        Row::value(
+            "samples with >=10% idle cores",
+            hours,
+            100.0 * trace.harvest_opportunity(10.0),
+            "%",
+        ),
+    ];
+    vec![
+        Table {
+            title: "Figure 2: cluster utilization trace (1-minute sampling, hourly rows shown)",
+            rows: hourly,
+        },
+        Table {
+            title: "Figure 2: trace summary over every sample (paper: 80-94% node utilization, ~75% of memory unused)",
+            rows: summary,
+        },
+    ]
 }

@@ -7,15 +7,15 @@
 //! (manager round-trip, lease, sandbox spawn, code submission, worker
 //! connections). This figure measures all three across payload sizes and
 //! enforces the ordering the paper reports: for small payloads the hot
-//! median must be at least 10× below the cold median, with warm strictly
-//! in between. A violated ordering aborts the run, so the golden report
+//! RTT must be at least 10× below the cold one, with warm strictly in
+//! between. A violated ordering aborts the run, so the golden report
 //! test (`--quick`) doubles as a regression gate.
 //!
 //! A second section demonstrates the hot→warm demotion: after an idle gap
 //! longer than `HOT_POLL_TIMEOUT` the worker parks itself, the polling bill
 //! is capped, and the next invocation pays warm latency.
 
-use crate::{print_table, summarize_us, Mode, ResultRow, Testbed};
+use crate::{Mode, Row, Table, Testbed};
 use rfaas::{PollingMode, HOT_POLL_TIMEOUT};
 use sandbox::SandboxType;
 
@@ -27,12 +27,13 @@ fn payload_sizes(quick: bool) -> Vec<usize> {
     }
 }
 
-/// Median + p99 RTT of repeated invocations on an already-leased worker.
+/// RTT in µs of one invocation per size on an already-leased worker, after a
+/// warm-up invocation.
 ///
 /// The spectrum is *the* zero-copy latency gate: the typed path posts small
 /// wires inline with no staging copy, reuses pooled registered buffers, and
 /// charges the virtual clock exactly what a hand-posted invocation does.
-fn leased_series(mode: PollingMode, sizes: &[usize], repetitions: usize) -> Vec<(usize, f64, f64)> {
+fn leased_series(mode: PollingMode, sizes: &[usize]) -> Vec<f64> {
     let testbed = Testbed::new(1);
     let session = testbed.allocated_session("fig7-client", 1, SandboxType::BareMetal, mode);
     let echo = session.function::<[u8], [u8]>("echo").expect("echo");
@@ -41,83 +42,56 @@ fn leased_series(mode: PollingMode, sizes: &[usize], repetitions: usize) -> Vec<
         .map(|&size| {
             let payload = workloads::generate_payload(size, 7);
             echo.invoke_timed(&payload).expect("warm-up");
-            let samples: Vec<_> = (0..repetitions)
-                .map(|_| echo.invoke_timed(&payload).expect("invoke").1)
-                .collect();
-            let s = summarize_us(&samples);
-            (size, s.median, s.p99)
+            echo.invoke_timed(&payload).expect("invoke").1.as_micros_f64()
         })
         .collect()
 }
 
-/// Median + p99 of full cold invocations: a fresh lease, executor process
-/// and worker connections per sample, plus the first invocation.
-fn cold_series(sizes: &[usize], repetitions: usize) -> Vec<(usize, f64, f64)> {
+/// Cost in µs of one full cold invocation per size: a fresh lease, executor
+/// process and worker connections, plus the first invocation.
+fn cold_series(sizes: &[usize]) -> Vec<f64> {
     sizes
         .iter()
         .map(|&size| {
-            let samples: Vec<_> = (0..repetitions)
-                .map(|rep| {
-                    // A fresh testbed per sample (as in fig9): a cold client
-                    // meets a platform with no residual port occupancy or
-                    // allocator state from earlier samples.
-                    let testbed = Testbed::new(1);
-                    let session = testbed.allocated_session(
-                        &format!("fig7-cold-{size}-{rep}"),
-                        1,
-                        SandboxType::BareMetal,
-                        PollingMode::Hot,
-                    );
-                    let cold_start = session.cold_start().expect("fresh allocation").total();
-                    let (_, rtt) = session
-                        .function::<[u8], [u8]>("echo")
-                        .expect("echo")
-                        .invoke_timed(&workloads::generate_payload(size, 7))
-                        .expect("invoke");
-                    session.close().expect("deallocate");
-                    cold_start + rtt
-                })
-                .collect();
-            let s = summarize_us(&samples);
-            (size, s.median, s.p99)
+            // A fresh testbed per size (as in fig9): a cold client meets a
+            // platform with no residual port occupancy or allocator state.
+            let testbed = Testbed::new(1);
+            let session = testbed.allocated_session(
+                &format!("fig7-cold-{size}"),
+                1,
+                SandboxType::BareMetal,
+                PollingMode::Hot,
+            );
+            let cold_start = session.cold_start().expect("fresh allocation").total();
+            let (_, rtt) = session
+                .function::<[u8], [u8]>("echo")
+                .expect("echo")
+                .invoke_timed(&workloads::generate_payload(size, 7))
+                .expect("invoke");
+            session.close().expect("deallocate");
+            (cold_start + rtt).as_micros_f64()
         })
         .collect()
 }
 
-pub(crate) fn run(mode: Mode) -> Vec<ResultRow> {
-    let quick = mode.quick();
-    let sizes = payload_sizes(quick);
-    let leased_reps = if quick { 20 } else { 200 };
-    let cold_reps = if quick { 5 } else { 30 };
+pub(crate) fn run(mode: Mode) -> Vec<Table> {
+    let sizes = payload_sizes(mode.quick());
+    let hot = leased_series(PollingMode::Hot, &sizes);
+    let warm = leased_series(PollingMode::Warm, &sizes);
+    let cold = cold_series(&sizes);
 
-    let hot = leased_series(PollingMode::Hot, &sizes, leased_reps);
-    let warm = leased_series(PollingMode::Warm, &sizes, leased_reps);
-    let cold = cold_series(&sizes, cold_reps);
-
-    let mut rows = Vec::new();
+    let mut spectrum = Vec::new();
     for (series, data) in [("hot", &hot), ("warm", &warm), ("cold", &cold)] {
-        for &(size, median, p99) in data.iter() {
-            rows.push(ResultRow {
-                series: format!("rFaaS {series}"),
-                x: size as f64,
-                median,
-                p99,
-                unit: "us".into(),
-            });
+        for (&size, &rtt) in sizes.iter().zip(data) {
+            spectrum.push(Row::value(format!("rFaaS {series}"), size as f64, rtt, "us"));
         }
     }
-    print_table("Figure 7: hot/warm/cold invocation spectrum", &rows);
 
     // The spectrum gate: the hierarchy must hold at every payload size, and
     // for small payloads hot must beat cold by at least an order of
     // magnitude (the paper reports nearly four orders).
-    println!("\n# spectrum ordering (hot < warm < cold at every size; cold/hot >= 10x for small payloads)");
     for (i, &size) in sizes.iter().enumerate() {
-        let (h, w, c) = (hot[i].1, warm[i].1, cold[i].1);
-        let ratio = c / h;
-        println!(
-            "payload {size:>8} B: hot {h:>10.3} us, warm {w:>10.3} us, cold {c:>12.3} us, cold/hot {ratio:>8.1}x"
-        );
+        let (h, w, c) = (hot[i], warm[i], cold[i]);
         assert!(
             h < w && w < c,
             "spectrum ordering violated at {size} B: hot {h}, warm {w}, cold {c}"
@@ -125,7 +99,7 @@ pub(crate) fn run(mode: Mode) -> Vec<ResultRow> {
         if size <= 4096 {
             assert!(
                 c >= 10.0 * h,
-                "cold p50 must be >= 10x hot p50 at {size} B: hot {h} us, cold {c} us"
+                "cold must be >= 10x hot at {size} B: hot {h} us, cold {c} us"
             );
         }
     }
@@ -140,7 +114,8 @@ pub(crate) fn run(mode: Mode) -> Vec<ResultRow> {
     let payload = workloads::generate_payload(8, 7);
     echo.invoke_timed(&payload).expect("warm-up");
     let (_, hot_rtt) = echo.invoke_timed(&payload).expect("hot invoke");
-    session.clock().advance(HOT_POLL_TIMEOUT * 2);
+    let gap = HOT_POLL_TIMEOUT * 2;
+    session.clock().advance(gap);
     let (_, demoted_rtt) = echo.invoke_timed(&payload).expect("demoted invoke");
     let stats = testbed.executors[0]
         .allocator()
@@ -148,14 +123,6 @@ pub(crate) fn run(mode: Mode) -> Vec<ResultRow> {
         .pop()
         .expect("live process")
         .stats();
-    println!("\n# hot→warm demotion (hot_poll_timeout = {HOT_POLL_TIMEOUT})");
-    println!(
-        "hot rtt {:.3} us, post-demotion rtt {:.3} us, demotions {}, billed polling {}",
-        hot_rtt.as_micros_f64(),
-        demoted_rtt.as_micros_f64(),
-        stats.demotions,
-        stats.hot_poll_time
-    );
     assert_eq!(stats.demotions, 1, "exactly one demotion expected");
     assert!(
         demoted_rtt > hot_rtt,
@@ -165,5 +132,32 @@ pub(crate) fn run(mode: Mode) -> Vec<ResultRow> {
         stats.hot_poll_time < HOT_POLL_TIMEOUT + sim_core::SimDuration::from_millis(1),
         "polling bill must be capped at the demotion budget"
     );
-    rows
+    let gap_ms = gap.as_millis_f64();
+    let demotion = vec![
+        Row::value("8 B echo after idle gap", 0.0, hot_rtt.as_micros_f64(), "us"),
+        Row::value(
+            "8 B echo after idle gap",
+            gap_ms,
+            demoted_rtt.as_micros_f64(),
+            "us",
+        ),
+        Row::value("demotions", gap_ms, stats.demotions as f64, "count"),
+        Row::value(
+            "billed hot polling",
+            gap_ms,
+            stats.hot_poll_time.as_millis_f64(),
+            "ms",
+        ),
+    ];
+
+    vec![
+        Table {
+            title: "Figure 7: hot/warm/cold invocation spectrum",
+            rows: spectrum,
+        },
+        Table {
+            title: "Figure 7: hot->warm demotion after an idle gap of twice hot_poll_timeout (x = gap in ms)",
+            rows: demotion,
+        },
+    ]
 }

@@ -6,8 +6,9 @@
 //! resources, a function registry with all workload functions deployed, and
 //! client sessions. [`Testbed`] wraps that plumbing; the figures then only
 //! express the experiment itself (payload sweep, worker sweep, ...).
-//! [`FIGURES`] names every figure's `run`; the `figures` binary and the
-//! golden report test (`tests/report_golden.rs`) both call it.
+//! [`FIGURES`] names every figure's `run`, which returns [`Table`]s of
+//! [`Row`]s; the `figures` binary prints them and the golden report test
+//! (`tests/report_golden.rs`) compares them.
 
 use std::sync::Arc;
 
@@ -15,7 +16,7 @@ use cluster_sim::NodeResources;
 use rdma_fabric::Fabric;
 use rfaas::{AllocationBuilder, PollingMode, RFaasConfig, ResourceManager, Session, SpotExecutor};
 use sandbox::{echo_function, CodePackage, FunctionRegistry, SandboxType, SharedFunction};
-use sim_core::{SimDuration, Summary};
+use sim_core::Summary;
 use workloads::{
     blackscholes_function, image_recognition_function, jacobi_function, matmul_function,
     streaming_aggregation_function, thumbnailer_function, training_step_function,
@@ -139,24 +140,100 @@ pub fn evaluation_package() -> CodePackage {
         .with_function(state_touch_function())
 }
 
-/// One row of a results table printed by a figure.
-#[derive(Debug, Clone)]
-pub struct ResultRow {
-    /// Series label (platform, configuration, ...).
+/// One row of a figure's table: a series at one x-axis point, holding one
+/// measured value or the summary of samples that differ.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Row {
+    /// Series label (platform, configuration, counter, ...).
     pub series: String,
-    /// X-axis value (payload bytes, worker count, matrix size, ...).
+    /// X-axis value (payload bytes, worker count, shard index, ...).
     pub x: f64,
-    /// Median of the measured metric.
-    pub median: f64,
-    /// 99th percentile of the measured metric.
-    pub p99: f64,
-    /// Unit of the metric (`us`, `ms`, `s`, `%`).
-    pub unit: String,
+    /// What was measured.
+    pub measure: Measure,
+    /// Unit of the measure (`us`, `ms`, `%`, `count`, `USD`, ...).
+    pub unit: &'static str,
 }
 
-impl ResultRow {
-    /// The row as one compact JSON object, fields in declaration order: the
-    /// line a table prints after `## json` and the golden report
+/// The measure of a [`Row`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Measure {
+    /// One number: a deterministic state, measured once.
+    Value(f64),
+    /// Samples that differ, from the source of variation the figure's module
+    /// doc names.
+    Distribution {
+        /// Number of samples.
+        n: usize,
+        /// Median of the samples.
+        median: f64,
+        /// 99th percentile of the samples.
+        p99: f64,
+        /// Arithmetic mean of the samples.
+        mean: f64,
+    },
+}
+
+impl Row {
+    /// A row holding one measured value.
+    pub(crate) fn value(series: impl Into<String>, x: f64, value: f64, unit: &'static str) -> Row {
+        Row {
+            series: series.into(),
+            x,
+            measure: Measure::Value(value),
+            unit,
+        }
+    }
+
+    /// A row summarising `samples`. Panics, naming the row, on one sample or
+    /// on several that are all bit-identical: a deterministic state is
+    /// measured once, as a [`Row::value`].
+    pub(crate) fn distribution(
+        series: impl Into<String>,
+        x: f64,
+        samples: &[f64],
+        unit: &'static str,
+    ) -> Row {
+        let series = series.into();
+        assert!(
+            samples.iter().any(|s| s.to_bits() != samples[0].to_bits()),
+            "{series} @ {x}: {} sample(s), none differing from the first; a deterministic \
+             state is measured once, as a value row",
+            samples.len()
+        );
+        let summary = Summary::of(samples);
+        Row {
+            series,
+            x,
+            measure: Measure::Distribution {
+                n: summary.count,
+                median: summary.median,
+                p99: summary.p99,
+                mean: summary.mean,
+            },
+            unit,
+        }
+    }
+
+    /// A row for the samples of a loop that is itself the experiment (waves,
+    /// episodes, a churn schedule), not a repeated measurement: a
+    /// [`Row::value`] when every sample is bit-identical, a
+    /// [`Row::distribution`] otherwise.
+    pub(crate) fn sampled(
+        series: impl Into<String>,
+        x: f64,
+        samples: &[f64],
+        unit: &'static str,
+    ) -> Row {
+        if samples.iter().all(|s| s.to_bits() == samples[0].to_bits()) {
+            Row::value(series, x, samples[0], unit)
+        } else {
+            Row::distribution(series, x, samples, unit)
+        }
+    }
+
+    /// The row as one compact JSON object: `{"series","x","value","unit"}`
+    /// or `{"series","x","n","median","p99","mean","unit"}`. It is the line
+    /// `figures` prints after `## json` and the golden report
     /// (`tests/golden/report/<figure>.jsonl`) holds.
     pub fn to_json(&self) -> String {
         // JSON has no Infinity/NaN: non-finite values print as `null`.
@@ -167,15 +244,36 @@ impl ResultRow {
                 "null".to_string()
             }
         };
+        let measure = match self.measure {
+            Measure::Value(value) => format!(r#""value":{}"#, number(value)),
+            Measure::Distribution {
+                n,
+                median,
+                p99,
+                mean,
+            } => format!(
+                r#""n":{n},"median":{},"p99":{},"mean":{}"#,
+                number(median),
+                number(p99),
+                number(mean)
+            ),
+        };
         format!(
-            r#"{{"series":{},"x":{},"median":{},"p99":{},"unit":{}}}"#,
+            r#"{{"series":{},"x":{},{measure},"unit":{}}}"#,
             json_string(&self.series),
             number(self.x),
-            number(self.median),
-            number(self.p99),
-            json_string(&self.unit),
+            json_string(self.unit),
         )
     }
+}
+
+/// A titled table of rows, one of the tables a figure returns.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Table {
+    /// The table's title. Static, so it cannot carry a measured number.
+    pub title: &'static str,
+    /// The rows, in print order.
+    pub rows: Vec<Row>,
 }
 
 /// `s` as a quoted JSON string.
@@ -196,40 +294,10 @@ fn json_string(s: &str) -> String {
     out
 }
 
-/// Print a results table both as an aligned text table and as JSON lines
-/// (machine-readable for plotting scripts).
-fn print_table(title: &str, rows: &[ResultRow]) {
-    println!("\n# {title}");
-    println!(
-        "{:<28} {:>14} {:>14} {:>14}  unit",
-        "series", "x", "median", "p99"
-    );
-    for row in rows {
-        println!(
-            "{:<28} {:>14.3} {:>14.3} {:>14.3}  {}",
-            row.series, row.x, row.median, row.p99, row.unit
-        );
-    }
-    println!("## json");
-    for row in rows {
-        println!("{}", row.to_json());
-    }
-}
-
-/// Summarise a set of virtual durations in microseconds.
-fn summarize_us(samples: &[SimDuration]) -> Summary {
-    Summary::of_durations_us(samples)
-}
-
-/// Summarise a set of virtual durations in milliseconds.
-fn summarize_ms(samples: &[SimDuration]) -> Summary {
-    Summary::of_durations_ms(samples)
-}
-
 /// How large a run a figure makes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Size {
-    /// Reduced repetitions and problem sizes (`--quick`).
+    /// Reduced problem sizes, fleets and horizons (`--quick`).
     Quick,
     /// The default run.
     Standard,
@@ -263,16 +331,17 @@ impl Mode {
 }
 
 /// One figure of the evaluation: its name, the sub-experiments it offers and
-/// the function that runs it. `run` prints the figure's tables (each with its
-/// `## json` rows), checks the figure's own claims (a violated one panics)
-/// and returns every row it printed, in order.
+/// the function that runs it. `run` prints nothing: it checks the figure's
+/// own claims (a violated one panics) and returns the figure's tables, which
+/// the `figures` binary prints and the golden report compares. Every number
+/// the run measures is a row of one of them.
 pub struct Figure {
     /// The figure's name, as `figures` takes it and EXPERIMENTS.md lists it.
     pub name: &'static str,
     /// The sub-experiments [`Mode::sub`] may select; empty if none.
     pub subs: &'static [&'static str],
     /// Run the figure.
-    pub run: fn(Mode) -> Vec<ResultRow>,
+    pub run: fn(Mode) -> Vec<Table>,
 }
 
 /// Declare each figure's module and list it in [`FIGURES`], named after the
@@ -475,31 +544,90 @@ mod tests {
     /// golden report (`tests/golden/report/<figure>.jsonl`).
     #[test]
     fn result_rows_are_byte_exact_json() {
-        let row = |series: &str, x, median, p99, unit: &str| ResultRow {
-            series: series.into(),
-            x,
-            median,
-            p99,
-            unit: unit.into(),
-        };
         // An integer-valued `x` prints without a fraction; fractions stay.
         assert_eq!(
-            row("rFaaS hot", 1024.0, 3.96, 4.2, "us").to_json(),
-            r#"{"series":"rFaaS hot","x":1024,"median":3.96,"p99":4.2,"unit":"us"}"#
+            Row::value("rFaaS hot", 1024.0, 3.96, "us").to_json(),
+            r#"{"series":"rFaaS hot","x":1024,"value":3.96,"unit":"us"}"#
         );
         // Quote, backslash, named and unnamed control characters; NaN.
         assert_eq!(
-            row("a\"b\\c\u{1}d\ne\tf\rg", 0.5, 1e21, f64::NAN, "%").to_json(),
-            r#"{"series":"a\"b\\c\u0001d\ne\tf\rg","x":0.5,"median":1000000000000000000000,"p99":null,"unit":"%"}"#
+            Row::value("a\"b\\c\u{1}d\ne\tf\rg", 0.5, f64::NAN, "%").to_json(),
+            r#"{"series":"a\"b\\c\u0001d\ne\tf\rg","x":0.5,"value":null,"unit":"%"}"#
         );
-        // Infinities, negative zero, a small fraction; non-ASCII passes through.
+        // Infinities, negative zero, large and small magnitudes; non-ASCII
+        // passes through.
         assert_eq!(
-            row("é \u{1f}", -0.0, 1e-7, f64::INFINITY, "ms").to_json(),
-            r#"{"series":"é \u001f","x":-0,"median":0.0000001,"p99":null,"unit":"ms"}"#
+            Row::value("é \u{1f}", -0.0, 1e-7, "ms").to_json(),
+            r#"{"series":"é \u001f","x":-0,"value":0.0000001,"unit":"ms"}"#
         );
         assert_eq!(
-            row("inf", 1e15, 1e16, f64::NEG_INFINITY, "s").to_json(),
-            r#"{"series":"inf","x":1000000000000000,"median":10000000000000000,"p99":null,"unit":"s"}"#
+            Row::value("inf", 1e15, f64::NEG_INFINITY, "s").to_json(),
+            r#"{"series":"inf","x":1000000000000000,"value":null,"unit":"s"}"#
+        );
+        // A distribution: its fields in declaration order, a non-finite one
+        // as `null`.
+        let spread = Row {
+            series: "AWS Lambda".into(),
+            x: 1.0,
+            measure: Measure::Distribution {
+                n: 200,
+                median: 1e21,
+                p99: f64::INFINITY,
+                mean: 24361.5,
+            },
+            unit: "us",
+        };
+        assert_eq!(
+            spread.to_json(),
+            r#"{"series":"AWS Lambda","x":1,"n":200,"median":1000000000000000000000,"p99":null,"mean":24361.5,"unit":"us"}"#
+        );
+    }
+
+    /// A distribution needs samples that differ: one sample, or several that
+    /// are bit-identical, is a deterministic state measured again, and the
+    /// panic names the row.
+    #[test]
+    fn a_distribution_refuses_a_repeated_state() {
+        let panic_message = |samples: Vec<f64>| {
+            let payload = std::panic::catch_unwind(|| {
+                Row::distribution("rFaaS hot (bare-metal)", 32.0, &samples, "us")
+            })
+            .expect_err("a repeated state must panic");
+            payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default()
+        };
+        for samples in [vec![3.988; 20], vec![3.988]] {
+            let message = panic_message(samples);
+            assert!(message.contains("rFaaS hot (bare-metal) @ 32"), "{message}");
+        }
+        // A seeded spread is accepted and summarised.
+        let mut rng = sim_core::DeterministicRng::new(2021);
+        let samples: Vec<f64> = (0..200)
+            .map(|_| {
+                faas_baselines::aws_lambda()
+                    .sample_rtt(1024, 1024, sim_core::SimDuration::ZERO, &mut rng)
+                    .as_micros_f64()
+            })
+            .collect();
+        let row = Row::distribution("AWS Lambda", 1.0, &samples, "us");
+        let summary = Summary::of(&samples);
+        assert_eq!(
+            row.measure,
+            Measure::Distribution {
+                n: 200,
+                median: summary.median,
+                p99: summary.p99,
+                mean: summary.mean,
+            }
+        );
+        assert!(summary.median < summary.p99);
+        // The samples of an experiment loop make a value when they agree.
+        assert_eq!(row, Row::sampled("AWS Lambda", 1.0, &samples, "us"));
+        assert_eq!(
+            Row::sampled("gather latency", 16.0, &[5.867; 48], "us"),
+            Row::value("gather latency", 16.0, 5.867, "us")
         );
     }
 }

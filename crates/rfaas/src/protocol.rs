@@ -247,8 +247,6 @@ fn sandbox_code(sandbox: SandboxType) -> u8 {
     match sandbox {
         SandboxType::BareMetal => 0,
         SandboxType::Docker => 1,
-        SandboxType::Singularity => 2,
-        SandboxType::MicroVm => 3,
     }
 }
 
@@ -256,8 +254,6 @@ fn sandbox_type(code: u8) -> Result<SandboxType> {
     match code {
         0 => Ok(SandboxType::BareMetal),
         1 => Ok(SandboxType::Docker),
-        2 => Ok(SandboxType::Singularity),
-        3 => Ok(SandboxType::MicroVm),
         code => Err(RFaasError::Internal(format!(
             "unknown sandbox code {code} in control frame"
         ))),
@@ -447,7 +443,7 @@ mod tests {
                     cores: 4,
                     memory_mib: 2048,
                     expires_at: SimTime::from_secs(600),
-                    sandbox: SandboxType::MicroVm,
+                    sandbox: SandboxType::Docker,
                     package: "thumbnailer".into(),
                     billing_slot: 9,
                 },
@@ -483,6 +479,17 @@ mod tests {
             bytes.push(0);
             assert!(ControlFrame::decode(&bytes).is_err(), "{frame:?}");
         }
+        // An Allocate whose sandbox byte (just before the package string)
+        // carries code 2, which no sandbox type owns.
+        let ControlFrame::Allocate { request, .. } = &frames()[0] else {
+            unreachable!()
+        };
+        let mut bytes = frames()[0].encode();
+        let at = bytes.len() - 4 - request.package.len() - 1;
+        assert_eq!(bytes[at], 1, "the Docker code");
+        bytes[at] = 2;
+        let err = ControlFrame::decode(&bytes).unwrap_err();
+        assert!(err.to_string().contains("unknown sandbox code 2"), "{err}");
     }
 
     proptest::proptest! {
@@ -500,7 +507,7 @@ mod tests {
                     cores,
                     memory_mib,
                     timeout: SimDuration::from_nanos(timeout_ns),
-                    sandbox: SandboxType::Singularity,
+                    sandbox: SandboxType::Docker,
                     package,
                 },
             };

@@ -1,9 +1,8 @@
 //! Execution sandboxes and function code packages.
 //!
 //! rFaaS executes user functions inside isolated sandboxes — bare-metal
-//! processes for trusted single-tenant deployments, Docker containers with
-//! SR-IOV passthrough for multi-tenant clusters, and (by the paper's
-//! modularity argument, Sec. III-F) Singularity or microVMs. The paper's cold
+//! processes for trusted single-tenant deployments and Docker containers with
+//! SR-IOV passthrough for multi-tenant clusters. The paper's cold
 //! start measurements (Fig. 9) are dominated by sandbox initialisation, so
 //! this crate models the lifecycle costs, while the functions themselves are
 //! *real Rust code* registered behind the paper's `f(in, size, out)` ABI.

@@ -1,9 +1,8 @@
 //! Sandbox types, lifecycle and the cold-start cost model.
 //!
 //! A sandbox is the isolation boundary around one executor process. The paper
-//! evaluates bare-metal processes and Docker containers with SR-IOV (Fig. 9)
-//! and argues Singularity/microVMs slot in the same way (Sec. III-F). Cold
-//! start cost is dominated by spawning the sandbox and its worker threads;
+//! evaluates bare-metal processes and Docker containers with SR-IOV (Fig. 9),
+//! the two types modelled here. Cold start cost is dominated by spawning the sandbox and its worker threads;
 //! this module provides the per-type cost breakdown that the rFaaS allocator
 //! charges when it creates an executor.
 
@@ -18,10 +17,6 @@ pub enum SandboxType {
     BareMetal,
     /// A Docker container using an SR-IOV virtual function for RDMA.
     Docker,
-    /// An HPC Singularity container (no daemon, image already unpacked).
-    Singularity,
-    /// A Firecracker-style microVM with a para-virtualised RDMA device.
-    MicroVm,
 }
 
 impl SandboxType {
@@ -33,13 +28,8 @@ impl SandboxType {
 
     /// All sandbox types, for parameter sweeps.
     #[cfg(test)]
-    fn all() -> [SandboxType; 4] {
-        [
-            SandboxType::BareMetal,
-            SandboxType::Docker,
-            SandboxType::Singularity,
-            SandboxType::MicroVm,
-        ]
+    fn all() -> [SandboxType; 2] {
+        [SandboxType::BareMetal, SandboxType::Docker]
     }
 }
 
@@ -86,22 +76,6 @@ impl SandboxProfile {
                 per_worker_cost: SimDuration::from_millis(1),
                 teardown_cost: SimDuration::from_millis(350),
                 fork_cost: SimDuration::from_micros(45),
-            },
-            SandboxType::Singularity => SandboxProfile {
-                sandbox_type,
-                create_cost: SimDuration::from_millis(120),
-                executor_start_cost: SimDuration::from_millis(60),
-                per_worker_cost: SimDuration::from_micros(700),
-                teardown_cost: SimDuration::from_millis(25),
-                fork_cost: SimDuration::from_micros(30),
-            },
-            SandboxType::MicroVm => SandboxProfile {
-                sandbox_type,
-                create_cost: SimDuration::from_millis(95),
-                executor_start_cost: SimDuration::from_millis(30),
-                per_worker_cost: SimDuration::from_micros(800),
-                teardown_cost: SimDuration::from_millis(12),
-                fork_cost: SimDuration::from_micros(22),
             },
         }
     }
@@ -341,20 +315,15 @@ mod tests {
     #[test]
     fn sandbox_types_ranked_by_isolation_cost() {
         let bare = spawn_cost(SandboxType::BareMetal);
-        let singularity = spawn_cost(SandboxType::Singularity);
-        let microvm = spawn_cost(SandboxType::MicroVm);
         let docker = spawn_cost(SandboxType::Docker);
-        assert!(bare < microvm);
-        assert!(microvm < singularity || singularity < docker);
-        assert!(singularity < docker);
+        assert!(bare < docker);
     }
 
     #[test]
     fn virtual_function_flag_matches_type() {
         assert!(!SandboxType::BareMetal.uses_virtual_function());
         assert!(SandboxType::Docker.uses_virtual_function());
-        assert!(SandboxType::Singularity.uses_virtual_function());
-        assert_eq!(SandboxType::all().len(), 4);
+        assert_eq!(SandboxType::all().len(), 2);
     }
 
     #[test]

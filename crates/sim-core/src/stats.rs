@@ -2,10 +2,7 @@
 //!
 //! The paper reports medians, 99th-percentile latencies and non-parametric
 //! confidence intervals of the median (Sec. V-A, Fig. 12/13). This module
-//! implements those estimators over `f64` samples and over [`SimDuration`]
-//! samples.
-
-use crate::time::SimDuration;
+//! implements those estimators over `f64` samples.
 
 /// A two-sided confidence interval.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -65,18 +62,6 @@ impl Summary {
             stddev: variance.sqrt(),
             median_ci95: median_ci_sorted(&sorted, 0.95),
         }
-    }
-
-    /// Summarise a slice of virtual durations, in microseconds.
-    pub fn of_durations_us(samples: &[SimDuration]) -> Summary {
-        let us: Vec<f64> = samples.iter().map(|d| d.as_micros_f64()).collect();
-        Summary::of(&us)
-    }
-
-    /// Summarise a slice of virtual durations, in milliseconds.
-    pub fn of_durations_ms(samples: &[SimDuration]) -> Summary {
-        let ms: Vec<f64> = samples.iter().map(|d| d.as_millis_f64()).collect();
-        Summary::of(&ms)
     }
 }
 
@@ -185,19 +170,6 @@ mod tests {
         assert_eq!(s.min, 1.0);
         assert_eq!(s.max, 5.0);
         assert!(s.stddev > 1.58 && s.stddev < 1.59);
-    }
-
-    #[test]
-    fn summary_of_durations() {
-        let ds = vec![
-            SimDuration::from_micros(1),
-            SimDuration::from_micros(2),
-            SimDuration::from_micros(3),
-        ];
-        let s = Summary::of_durations_us(&ds);
-        assert!((s.median - 2.0).abs() < 1e-9);
-        let s = Summary::of_durations_ms(&ds);
-        assert!((s.median - 0.002).abs() < 1e-9);
     }
 
     #[test]

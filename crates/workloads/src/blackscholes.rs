@@ -14,7 +14,7 @@ use crate::payload::{bytes_to_f64s, f64s_to_bytes};
 /// Virtual compute cost of pricing one option on one core of the evaluation
 /// node (calibrated so the full 5-million-option batch takes ~0.4 s serial,
 /// matching the single-thread point of Fig. 12).
-pub const COST_PER_OPTION: SimDuration = SimDuration::from_nanos(80);
+const COST_PER_OPTION: SimDuration = SimDuration::from_nanos(80);
 
 /// One option contract (the PARSEC input record).
 #[derive(Debug, Clone, Copy, PartialEq)]

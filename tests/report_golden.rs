@@ -1,8 +1,10 @@
 //! The golden report: every figure's `--quick` rows, compared at tolerance 0
-//! with `tests/golden/report/<figure>.jsonl` (one `ResultRow::to_json` line
-//! per row, in print order). The simulation runs on virtual time, so a row
-//! moves only when the model or the code behind it does, and then the test
-//! names each moved, added or missing row. After an intended move, rewrite
+//! with `tests/golden/report/<figure>.jsonl`: one `Row::to_json` line per
+//! row, its tables in order, a value row as `{"series","x","value","unit"}`
+//! and a distribution row as `{"series","x","n","median","p99","mean","unit"}`.
+//! The simulation runs on virtual time, so a row moves only when the model
+//! or the code behind it does, and then the test names each moved, added or
+//! missing row by `series @ x`, with its old and new fields. After an intended move, rewrite
 //! the files with `UPDATE_GOLDEN=1 cargo test --test report_golden` and
 //! commit them. One test per figure, so libtest runs the figures in
 //! parallel and each rewrite touches its own file.
@@ -17,19 +19,16 @@ fn golden_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/report")
 }
 
-/// A row line split into its key (`series @ x`) and the rest of the line.
+/// A row line split into its key (`series @ x`) and the rest of its fields.
 fn split_row(line: &str) -> (String, &str) {
-    let (key, values) = line.split_once(r#","median":"#).unwrap_or((line, ""));
-    let key = key.strip_prefix(r#"{"series":"#).unwrap_or(key);
-    let (series, x) = key.rsplit_once(r#","x":"#).unwrap_or((key, "?"));
-    (format!("{} @ {x}", series.trim_matches('"')), values)
-}
-
-/// The `median`, `p99` and `unit` of the values part of a row line.
-fn values(rest: &str) -> (&str, &str, &str) {
-    let (median, rest) = rest.split_once(r#","p99":"#).unwrap_or((rest, ""));
-    let (p99, unit) = rest.split_once(r#","unit":"#).unwrap_or((rest, ""));
-    (median, p99, unit.trim_end_matches('}'))
+    let line = line.strip_prefix(r#"{"series":"#).unwrap_or(line);
+    let line = line.strip_suffix('}').unwrap_or(line);
+    // A quote inside the series is escaped, so the first `,"x":` ends it.
+    let (series, rest) = line.split_once(r#","x":"#).unwrap_or((line, ""));
+    let (x, fields) = rest.split_once(',').unwrap_or((rest, ""));
+    let series = series.strip_prefix('"').unwrap_or(series);
+    let series = series.strip_suffix('"').unwrap_or(series);
+    (format!("{series} @ {x}"), fields)
 }
 
 /// Rows keyed by `series @ x` and the key's occurrence, in line order.
@@ -37,10 +36,10 @@ fn keyed(text: &str) -> Vec<((String, usize), &str)> {
     let mut seen = BTreeMap::new();
     text.lines()
         .map(|line| {
-            let (key, rest) = split_row(line);
+            let (key, fields) = split_row(line);
             let nth = seen.entry(key.clone()).or_insert(0usize);
             *nth += 1;
-            ((key, *nth), rest)
+            ((key, *nth), fields)
         })
         .collect()
 }
@@ -52,34 +51,17 @@ fn row_diff(figure: &str, expected: &str, actual: &str) -> Vec<String> {
     let old_keys: BTreeMap<_, _> = old.iter().cloned().collect();
     let mut lines = Vec::new();
     for (key, before) in &old {
-        let (m0, p0, u0) = values(before);
         match new.get(key) {
-            None => lines.push(format!(
-                "{figure} / {}: missing (median {m0}, p99 {p0})",
-                key.0
-            )),
+            None => lines.push(format!("{figure} / {}: missing ({before})", key.0)),
             Some(after) if after != before => {
-                let (m1, p1, u1) = values(after);
-                let unit = if u0 == u1 {
-                    String::new()
-                } else {
-                    format!(", unit {u0} → {u1}")
-                };
-                lines.push(format!(
-                    "{figure} / {}: median {m0} → {m1}, p99 {p0} → {p1}{unit}",
-                    key.0
-                ));
+                lines.push(format!("{figure} / {}: {before} → {after}", key.0))
             }
             Some(_) => {}
         }
     }
     for (key, after) in keyed(actual) {
         if !old_keys.contains_key(&key) {
-            let (m1, p1, _) = values(after);
-            lines.push(format!(
-                "{figure} / {}: added (median {m1}, p99 {p1})",
-                key.0
-            ));
+            lines.push(format!("{figure} / {}: added ({after})", key.0));
         }
     }
     if lines.is_empty() {
@@ -96,11 +78,15 @@ fn check(figure: &str) {
         .find(|f| f.name == figure)
         .unwrap_or_else(|| panic!("no figure named {figure}"))
         .run;
-    let rows = run(Mode {
+    let tables = run(Mode {
         size: Size::Quick,
         sub: None,
     });
-    let actual: String = rows.iter().map(|row| row.to_json() + "\n").collect();
+    let actual: String = tables
+        .iter()
+        .flat_map(|table| &table.rows)
+        .map(|row| row.to_json() + "\n")
+        .collect();
     let path = golden_dir().join(format!("{figure}.jsonl"));
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         fs::write(&path, &actual).unwrap();
@@ -170,23 +156,33 @@ golden!(
 #[test]
 fn a_moved_row_is_named() {
     let golden = concat!(
-        r#"{"series":"rFaaS hot","x":1,"median":3.5,"p99":4,"unit":"us"}"#,
+        r#"{"series":"rFaaS hot","x":1,"value":3.5,"unit":"us"}"#,
         "\n",
-        r#"{"series":"rFaaS hot","x":2,"median":3.6,"p99":4,"unit":"us"}"#,
+        r#"{"series":"rFaaS hot","x":2,"value":3.6,"unit":"us"}"#,
+        "\n",
+        r#"{"series":"AWS Lambda","x":1,"n":200,"median":24361.1,"p99":35400.4,"mean":25000,"unit":"us"}"#,
+        "\n",
+        r#"{"series":"x, \"y\"","x":0.5,"value":1,"unit":"count"}"#,
         "\n",
     );
     let moved = concat!(
-        r#"{"series":"rFaaS hot","x":1,"median":3.75,"p99":4,"unit":"us"}"#,
+        r#"{"series":"rFaaS hot","x":1,"value":3.75,"unit":"us"}"#,
         "\n",
-        r#"{"series":"rFaaS warm","x":2,"median":8,"p99":9,"unit":"us"}"#,
+        r#"{"series":"rFaaS warm","x":2,"value":8,"unit":"us"}"#,
+        "\n",
+        r#"{"series":"AWS Lambda","x":1,"n":200,"median":24361.1,"p99":35400.4,"mean":25000.5,"unit":"us"}"#,
+        "\n",
+        r#"{"series":"x, \"y\"","x":0.5,"value":1,"unit":"%"}"#,
         "\n",
     );
     assert_eq!(
         row_diff("fig", golden, moved),
         [
-            "fig / rFaaS hot @ 1: median 3.5 → 3.75, p99 4 → 4",
-            "fig / rFaaS hot @ 2: missing (median 3.6, p99 4)",
-            "fig / rFaaS warm @ 2: added (median 8, p99 9)",
+            r#"fig / rFaaS hot @ 1: "value":3.5,"unit":"us" → "value":3.75,"unit":"us""#,
+            r#"fig / rFaaS hot @ 2: missing ("value":3.6,"unit":"us")"#,
+            r#"fig / AWS Lambda @ 1: "n":200,"median":24361.1,"p99":35400.4,"mean":25000,"unit":"us" → "n":200,"median":24361.1,"p99":35400.4,"mean":25000.5,"unit":"us""#,
+            r#"fig / x, \"y\" @ 0.5: "value":1,"unit":"count" → "value":1,"unit":"%""#,
+            r#"fig / rFaaS warm @ 2: added ("value":8,"unit":"us")"#,
         ]
     );
     let swapped: String = golden.lines().rev().map(|l| format!("{l}\n")).collect();
