@@ -1,6 +1,8 @@
 //! Regenerate the evaluation's figures: `figures [FIG] [--quick | --full]
 //! [SUB_EXPERIMENT]` runs one figure, or all fifteen in order, printing each
-//! figure's tables and `## json` rows. See EXPERIMENTS.md for the index.
+//! figure's tables and `## json` rows. After each figure it checks the
+//! figure's claims on those rows, prints every failed one to stderr and, if
+//! any failed, exits 1. See EXPERIMENTS.md for the index.
 
 use rfaas_bench::{parse_args, Measure, Table};
 
@@ -28,11 +30,20 @@ fn main() {
         println!("{USAGE}");
         return;
     }
+    let mut failed = false;
     for figure in figures {
         println!("\n## figure {}", figure.name);
-        for table in (figure.run)(mode) {
-            print_table(&table);
+        let tables = (figure.run)(mode);
+        for table in &tables {
+            print_table(table);
         }
+        for claim in figure.failed_claims(&tables) {
+            eprintln!("failed: {claim}");
+            failed = true;
+        }
+    }
+    if failed {
+        std::process::exit(1);
     }
 }
 

@@ -6,9 +6,10 @@
 //! batch latency, as in Sec. V-D). Expected shape (paper): 1 kB hot stays
 //! flat at a few µs, 1 kB warm grows with notification contention, and 1 MB
 //! grows with the worker count because the 100 Gb/s link saturates (~2.7 ms
-//! at 32 workers).
+//! at 32 workers). [`CLAIMS`] holds the 8-worker hot batches to that shape.
 
-use crate::{Mode, Row, Table, Testbed};
+use crate::{rows, Claim, Mode, Row, Table, Testbed};
+use rdma_fabric::NicProfile;
 use rfaas::{FunctionHandle, PollingMode};
 use sandbox::SandboxType;
 use sim_core::SimDuration;
@@ -61,6 +62,16 @@ fn run_round(
     session.clock().now().saturating_since(start)
 }
 
+#[rustfmt::skip]
+pub(crate) const CLAIMS: &[Claim] = &[
+    Claim { name: "8-worker 1 kB hot batch < 30 us", source: "paper §V-D",
+        check: |t| rows(t, [("rFaaS hot 1 kB", 8.0)], |[rtt]| rtt < 30.0) },
+    Claim { name: "8-worker 1 MB hot batch > 7 x serialization(1 MiB)", source: "paper §V-D",
+        check: |t| rows(t, [("rFaaS hot 1 MB", 8.0)], |[rtt]| {
+            rtt > 7.0 * NicProfile::mellanox_cx5_100g().serialization(1 << 20).as_micros_f64()
+        }) },
+];
+
 pub(crate) fn run(_mode: Mode) -> Vec<Table> {
     let mut rows = Vec::new();
     for payload in [1024usize, 1024 * 1024] {
@@ -68,7 +79,7 @@ pub(crate) fn run(_mode: Mode) -> Vec<Table> {
         measure(PollingMode::Warm, "rFaaS warm", payload, &mut rows);
         // Aggregate-bandwidth bound of the 100 Gb/s link: all payloads must
         // stream out of the client NIC and the results must stream back in.
-        let profile = rdma_fabric::NicProfile::mellanox_cx5_100g();
+        let profile = NicProfile::mellanox_cx5_100g();
         for &workers in &worker_counts() {
             let bound = profile.serialization(payload * workers as usize)
                 + profile.one_way_latency

@@ -8,7 +8,7 @@
 //! its latency model by a `DeterministicRng` seeded with 99, their one source
 //! of variation.
 
-use crate::{Mode, Row, Table, Testbed};
+use crate::{Claim, Mode, Row, Table, Testbed};
 use faas_baselines::aws_lambda;
 use rfaas::PollingMode;
 use sandbox::SandboxType;
@@ -126,6 +126,8 @@ fn measure(cases: &[Case], title: &'static str) -> Table {
     }
     Table { title, rows }
 }
+
+pub(crate) const CLAIMS: &[Claim] = &[];
 
 pub(crate) fn run(mode: Mode) -> Vec<Table> {
     let mut tables = Vec::new();

@@ -14,8 +14,8 @@
 //! Per-shard allocation processing is serialised on the shard's virtual
 //! clock (one manager replica is one service queue), so end-to-end grant
 //! latency includes queueing delay and the plane's sustained throughput is
-//! `grants / makespan`. Every run asserts 4-shard throughput ≥ 2× the
-//! 1-shard baseline, making the `--quick` golden report a scale-out
+//! `grants / makespan`. [`CLAIMS`] holds 4-shard throughput to ≥ 2× the
+//! 1-shard baseline, so the `--quick` golden report is a scale-out
 //! regression gate that also pins the absolute numbers exactly.
 //!
 //! A second phase drives the full allocate→invoke→bill→release pipeline
@@ -31,12 +31,12 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-use crate::{evaluation_package, Mode, Row, Table, PACKAGE};
+use crate::{evaluation_package, every, p99_at, rows, xs, Claim, Mode, Row, Table, PACKAGE};
 use cluster_sim::{NodeResources, TenantFleet, TenantRequest, WorkloadKind};
 use rdma_fabric::Fabric;
 use rfaas::{GroupLifecycleDriver, LeaseRequest, ManagerGroup, RFaasConfig, Session};
 use sandbox::FunctionRegistry;
-use sim_core::{percentile, SimDuration, SimTime, VirtualClock};
+use sim_core::{SimDuration, SimTime, VirtualClock};
 use workloads::{
     blackscholes::{generate_options, options_to_bytes},
     generate_payload,
@@ -298,6 +298,32 @@ fn run_fleet(requests: &[TenantRequest], shards: usize, executors: usize) -> Fle
     }
 }
 
+const THROUGHPUT: &str = "allocation throughput";
+const LATENCY: &str = "allocation latency";
+
+#[rustfmt::skip]
+pub(crate) const CLAIMS: &[Claim] = &[
+    Claim { name: "rejected x 4 < granted at every shard count", source: "model",
+        check: |t| every(t, ["rejected", "granted"], |_, [rejected, granted]| {
+            rejected * 4.0 < granted
+        }) },
+    Claim { name: "abandoned leases expire at every shard count", source: "model",
+        check: |t| every(t, ["expired by the lifecycle driver"], |_, [n]| n > 0.0) },
+    Claim { name: "4-shard throughput >= 2x 1-shard", source: "model",
+        check: |t| rows(t, [(THROUGHPUT, 4.0), (THROUGHPUT, 1.0)], |[four, one]| four >= 2.0 * one) },
+    Claim { name: "8-shard throughput > 1-shard", source: "model",
+        check: |t| rows(t, [(THROUGHPUT, 8.0), (THROUGHPUT, 1.0)], |[eight, one]| eight > one) },
+    Claim { name: "4-shard p99 grant latency < 1-shard", source: "model",
+        check: |t| {
+            let (four, one) = (p99_at(t, LATENCY, 4.0)?, p99_at(t, LATENCY, 1.0)?);
+            let detail = || format!("{LATENCY} p99 @ 4: {four}, @ 1: {one}");
+            (four < one).then_some(()).ok_or_else(detail)
+        } },
+    Claim { name: "the fleet pipeline invokes and bills", source: "model",
+        check: |t| xs(t, "fleet invocation latency")
+            .and(every(t, ["fleet billing total"], |_, [usd]| usd > 0.0)) },
+];
+
 pub(crate) fn run(mode: Mode) -> Vec<Table> {
     let quick = mode.quick();
     // Storm shape: `tenants` tenants whose combined episode rate saturates a
@@ -314,24 +340,12 @@ pub(crate) fn run(mode: Mode) -> Vec<Table> {
     let requests = fleet.requests(SimDuration::from_millis(horizon_ms));
 
     let mut storm = Vec::new();
-    let mut throughput_by_shards = Vec::new();
-    let mut p99_by_shards = Vec::new();
     for &shards in &shard_counts {
         let outcome = run_storm(&requests, shards, executors);
-        assert!(
-            outcome.rejected * 4 < outcome.granted,
-            "capacity must not dominate the storm: {} rejected vs {} granted at {shards} shards",
-            outcome.rejected,
-            outcome.granted
-        );
-        assert!(
-            outcome.expired > 0,
-            "abandoned leases must churn through expiry at {shards} shards"
-        );
         let x = shards as f64;
-        storm.push(Row::value("allocation throughput", x, outcome.throughput, "alloc/s"));
+        storm.push(Row::value(THROUGHPUT, x, outcome.throughput, "alloc/s"));
         storm.push(Row::distribution(
-            "allocation latency",
+            LATENCY,
             x,
             &outcome.latencies_us,
             "us",
@@ -344,8 +358,6 @@ pub(crate) fn run(mode: Mode) -> Vec<Table> {
             outcome.expired as f64,
             "count",
         ));
-        throughput_by_shards.push((shards, outcome.throughput));
-        p99_by_shards.push((shards, percentile(&outcome.latencies_us, 99.0)));
     }
 
     // Phase 2: the full pipeline on a 4-shard plane with a smaller fleet.
@@ -373,38 +385,6 @@ pub(crate) fn run(mode: Mode) -> Vec<Table> {
         pipeline.push(Row::value("fleet billing of shard", shard as f64, cost, "USD"));
     }
 
-    // --- Regression gates -------------------------------------------------
-    let thr = |s: usize| {
-        throughput_by_shards
-            .iter()
-            .find(|(n, _)| *n == s)
-            .map(|(_, t)| *t)
-            .expect("shard count measured")
-    };
-    assert!(
-        thr(4) >= 2.0 * thr(1),
-        "4-shard allocation throughput must be >= 2x the 1-shard baseline: {:.0} vs {:.0} alloc/s",
-        thr(4),
-        thr(1)
-    );
-    assert!(thr(8) > thr(1), "throughput must keep rising past 4 shards");
-    let p99 = |s: usize| {
-        p99_by_shards
-            .iter()
-            .find(|(n, _)| *n == s)
-            .map(|(_, t)| *t)
-            .expect("shard count measured")
-    };
-    assert!(
-        p99(4) < p99(1),
-        "sharding must cut p99 grant latency under saturation: {:.0} vs {:.0} us",
-        p99(4),
-        p99(1)
-    );
-    assert!(
-        !fleet_outcome.latencies_us.is_empty() && total_cost > 0.0,
-        "the fleet pipeline must invoke and bill"
-    );
     // Billing must land on the shard that owns each tenant: every shard
     // that served at least one episode must have accrued usage.
     let served: std::collections::BTreeSet<usize> =

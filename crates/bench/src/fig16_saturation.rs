@@ -22,12 +22,12 @@
 //! submit/pickup costs amortise, then saturates as the client clock's
 //! serial per-completion pickup work (Sec. III-C's completion-pickup cost)
 //! becomes the bottleneck; gather latency grows with depth because the last
-//! completion of a wave queues behind every earlier pickup. Every run gates the
-//! headline claim: 1024 in-flight invocations on one client thread must
-//! sustain at least 5x the depth-1 invocation rate. The golden report pins
-//! every `--quick` row exactly.
+//! completion of a wave queues behind every earlier pickup. [`CLAIMS`] holds
+//! the headline: 1024 in-flight invocations on one client thread sustain at
+//! least 5x the depth-1 invocation rate. The golden report pins every
+//! `--quick` row exactly.
 
-use crate::{evaluation_package, Mode, Row, Table, PACKAGE};
+use crate::{evaluation_package, at, every, rows, xs, Claim, Mode, Row, Table, PACKAGE};
 use cluster_sim::NodeResources;
 use rdma_fabric::Fabric;
 use rfaas::{PollingMode, RFaasConfig, Reactor, ResourceManager, Session, SpotExecutor};
@@ -157,6 +157,24 @@ fn run_depth(depth: usize, rounds: usize) -> DepthOutcome {
     }
 }
 
+#[rustfmt::skip]
+pub(crate) const CLAIMS: &[Claim] = &[
+    Claim { name: "the reactor pumps every invocation at every depth", source: "model",
+        check: |t| every(t, ["reactor pumped", "invocations"], |_, [pumped, n]| pumped >= n) },
+    Claim { name: "depth 1024 sustains >= 5x the depth-1 throughput", source: "model",
+        check: |t| rows(t, [(THROUGHPUT, 1024.0), (THROUGHPUT, 1.0)], |[top, one]| {
+            top >= 5.0 * one
+        }) },
+    Claim { name: "throughput at every depth >= 256 stays within 2x of the best", source: "model",
+        check: |t| {
+            let throughput = xs(t, THROUGHPUT)?.into_iter().map(|x| at(t, THROUGHPUT, x));
+            let best = throughput.collect::<Result<Vec<_>, _>>()?.into_iter().fold(0.0, f64::max);
+            every(t, [THROUGHPUT], |depth, [v]| depth < 256.0 || v * 2.0 >= best)
+        } },
+];
+
+const THROUGHPUT: &str = "throughput";
+
 pub(crate) fn run(mode: Mode) -> Vec<Table> {
     let quick = mode.quick();
     let (depths, rounds): (&[usize], usize) = if quick {
@@ -166,7 +184,6 @@ pub(crate) fn run(mode: Mode) -> Vec<Table> {
     };
 
     let mut rows = Vec::new();
-    let mut throughput_at = Vec::new();
     for &depth in depths {
         let outcome = run_depth(depth, rounds);
         assert_eq!(
@@ -174,14 +191,8 @@ pub(crate) fn run(mode: Mode) -> Vec<Table> {
             (depth * rounds) as u64,
             "every scattered invocation must be gathered at depth {depth}"
         );
-        assert!(
-            outcome.pumped >= outcome.invocations,
-            "the shared reactor must have pumped every completion at depth {depth}: {} < {}",
-            outcome.pumped,
-            outcome.invocations
-        );
         let x = depth as f64;
-        rows.push(Row::value("throughput", x, outcome.throughput_kinv_s, "kinv/s"));
+        rows.push(Row::value(THROUGHPUT, x, outcome.throughput_kinv_s, "kinv/s"));
         rows.push(Row::sampled("gather latency", x, &outcome.latencies_us, "us"));
         rows.push(Row::value("invocations", x, outcome.invocations as f64, "count"));
         rows.push(Row::value("reactor pumped", x, outcome.pumped as f64, "count"));
@@ -191,34 +202,6 @@ pub(crate) fn run(mode: Mode) -> Vec<Table> {
             outcome.dispatched as f64,
             "count",
         ));
-        throughput_at.push((depth, outcome.throughput_kinv_s));
-    }
-
-    // --- Regression gates -------------------------------------------------
-    let thr = |d: usize| {
-        throughput_at
-            .iter()
-            .find(|(n, _)| *n == d)
-            .map(|(_, t)| *t)
-            .expect("depth measured")
-    };
-    let saturated = depths.iter().copied().find(|&d| d >= 1024).unwrap_or(1);
-    assert!(
-        thr(saturated) >= 5.0 * thr(1),
-        "one client thread must sustain >= 5x the depth-1 rate at depth {saturated}: {:.1} vs {:.1} kinv/s",
-        thr(saturated),
-        thr(1)
-    );
-    // Throughput must not collapse past the knee: the saturated plateau
-    // (every depth >= 256) stays within 2x of the best depth measured.
-    let best = throughput_at.iter().map(|(_, t)| *t).fold(0.0, f64::max);
-    for &(depth, t) in &throughput_at {
-        if depth >= 256 {
-            assert!(
-                t * 2.0 >= best,
-                "throughput collapsed past the knee at depth {depth}: {t:.1} vs best {best:.1} kinv/s"
-            );
-        }
     }
     vec![Table {
         title: "Figure 16: completion-driven saturation, one client thread (x = in-flight depth: sessions x workers sharing one reactor and one client clock over full waves)",

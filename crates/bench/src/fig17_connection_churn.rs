@@ -9,13 +9,13 @@
 //! handshake (first contact); later episodes ride the warm tier bought by
 //! pooled connection warmth. We report the connection-setup cost of both
 //! classes (connect-to-manager + connect-to-workers, the connection-plane
-//! slice of the cold start) and assert warm re-allocation is at least 5×
-//! cheaper.
+//! slice of the cold start), and [`CLAIMS`] holds warm re-allocation to at
+//! least 5× cheaper.
 //!
 //! A second probe allocates 1-worker and 16-worker processes on one executor
 //! and compares their shared-receive-queue depths: executor receive memory
-//! must grow sublinearly in the connection count (the point of the SRQ), and
-//! the figure gates on 16 workers holding at most 4× the slots of one.
+//! must grow sublinearly in the connection count (the point of the SRQ): 16
+//! workers hold at most 4× the slots of one.
 //!
 //! The warm re-allocation row is a distribution whose one source of
 //! variation is the seeded tenant stream (`TenantFleet` seed 17): which
@@ -25,12 +25,12 @@
 
 use std::sync::Arc;
 
-use crate::{evaluation_package, Mode, Row, Table, PACKAGE};
+use crate::{evaluation_package, every, rows, Claim, Mode, Row, Table, PACKAGE};
 use cluster_sim::{episode_ordinals, NodeResources, TenantFleet};
 use rdma_fabric::{ConnectionPool, Fabric};
 use rfaas::{ManagerGroup, RFaasConfig, Session, SpotExecutor};
 use sandbox::FunctionRegistry;
-use sim_core::{median, SimDuration};
+use sim_core::SimDuration;
 
 /// Register spot executors with the plane until the requested count is
 /// reached AND every shard owns at least one.
@@ -58,6 +58,21 @@ fn register_executors(
     }
     executors
 }
+
+const SETUP: &str = "connection setup";
+const SRQ: &str = "srq slots";
+
+#[rustfmt::skip]
+pub(crate) const CLAIMS: &[Claim] = &[
+    Claim { name: "churn makes first contacts and a warm majority", source: "model",
+        check: |t| every(t, ["pool misses", "pool hits"], |_, [misses, hits]| {
+            0.0 < misses && misses < hits
+        }) },
+    Claim { name: "warm re-allocation >= 5x cheaper than first contact", source: "model",
+        check: |t| rows(t, [(SETUP, 1.0), (SETUP, 0.0)], |[warm, first]| warm * 5.0 <= first) },
+    Claim { name: "16 workers hold <= 4x the SRQ slots of 1", source: "model",
+        check: |t| rows(t, [(SRQ, 16.0), (SRQ, 1.0)], |[sixteen, one]| sixteen <= 4.0 * one) },
+];
 
 pub(crate) fn run(mode: Mode) -> Vec<Table> {
     let quick = mode.quick();
@@ -175,30 +190,12 @@ pub(crate) fn run(mode: Mode) -> Vec<Table> {
         session.close().expect("probe release");
     }
 
-    assert!(
-        !first_contact_us.is_empty() && warm_us.len() > first_contact_us.len(),
-        "churn must produce both first contacts ({}) and a warm majority ({})",
-        first_contact_us.len(),
-        warm_us.len()
-    );
-    let first = median(&first_contact_us);
-    let warm = median(&warm_us);
-    assert!(
-        warm * 5.0 <= first,
-        "warm re-allocation ({warm:.1} us) must be at least 5x cheaper than first contact ({first:.1} us)"
-    );
-    let (w1, slots1) = srq_slots[0];
-    let (w16, slots16) = srq_slots[1];
-    assert!(
-        slots16 <= 4 * slots1,
-        "SRQ depth must be sublinear in connections: {w1} workers -> {slots1} slots, {w16} workers -> {slots16} slots"
-    );
     let mut setup = vec![
-        Row::sampled("connection setup", 0.0, &first_contact_us, "us"),
-        Row::distribution("connection setup", 1.0, &warm_us, "us"),
+        Row::sampled(SETUP, 0.0, &first_contact_us, "us"),
+        Row::distribution(SETUP, 1.0, &warm_us, "us"),
     ];
     for (workers, slots) in srq_slots {
-        setup.push(Row::value("srq slots", workers as f64, slots as f64, "slots"));
+        setup.push(Row::value(SRQ, workers as f64, slots as f64, "slots"));
     }
     vec![
         Table {

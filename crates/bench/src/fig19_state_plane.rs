@@ -20,17 +20,33 @@
 //! * **state plane hot** — every later invocation: the key is cache-resident
 //!   and only the 8-byte request/fingerprint frames touch the wire.
 //!
-//! The run aborts unless hot state access beats copy-in/copy-out by at
+//! [`CLAIMS`] holds hot state access to beating copy-in/copy-out by at
 //! least 5x at the megabyte sizes — the headline that makes stateful
 //! functions worth a second data plane.
 
-use crate::{Mode, Row, Table, Testbed, DATASET_KEY};
+use crate::{every, Claim, Mode, Row, Table, Testbed, DATASET_KEY};
 use rfaas::{PollingMode, StateKey, StatePlane};
 use sandbox::SandboxType;
 
 /// Dataset sizes swept (bytes). The default payload ceiling is 8 MiB, so the
 /// copy baseline can carry every size.
 const SIZES: [usize; 4] = [4 * 1024, 64 * 1024, 1024 * 1024, 4 * 1024 * 1024];
+
+const COPY: &str = "copy-in/copy-out";
+const FIRST: &str = "state plane first read";
+const HOT: &str = "state plane hot";
+/// One MiB, the smallest of the megabyte sizes.
+const MIB: f64 = (1024 * 1024) as f64;
+
+#[rustfmt::skip]
+pub(crate) const CLAIMS: &[Claim] = &[
+    Claim { name: "hot <= first read at every size", source: "model",
+        check: |t| every(t, [HOT, FIRST], |_, [hot, first]| hot <= first) },
+    Claim { name: "copy >= 5x hot at MiB sizes", source: "model",
+        check: |t| every(t, [COPY, HOT], |x, [copy, hot]| x < MIB || copy / hot >= 5.0) },
+    Claim { name: "first read < copy at MiB sizes", source: "model",
+        check: |t| every(t, [FIRST, COPY], |x, [first, copy]| x < MIB || first < copy) },
+];
 
 pub(crate) fn run(_mode: Mode) -> Vec<Table> {
     let testbed = Testbed::new(1);
@@ -80,28 +96,11 @@ pub(crate) fn run(_mode: Mode) -> Vec<Table> {
         let (reply, hot) = touch.invoke_timed(&[0u8; 8][..]).expect("hot read");
         assert_eq!(u64::from_le_bytes(reply.try_into().unwrap()), expected);
 
-        // The headline gate: at megabyte sizes, a hot state read beats
-        // shipping the value with the invocation by at least 5x.
         let [copy, first, hot] = [copy, first, hot].map(|d| d.as_micros_f64());
-        assert!(
-            hot <= first,
-            "a cache hit cannot cost more than the READ that filled it: hot {hot} us, first {first} us at {size} B"
-        );
-        if size >= 1024 * 1024 {
-            assert!(
-                copy / hot >= 5.0,
-                "hot state access must be >= 5x cheaper than copy-in/copy-out at {size} B, got {:.1}x",
-                copy / hot
-            );
-            assert!(
-                first < copy,
-                "the one-sided READ moves the value once; copying moves it twice: first {first} us, copy {copy} us at {size} B"
-            );
-        }
         let x = size as f64;
-        rows.push(Row::value("copy-in/copy-out", x, copy, "us"));
-        rows.push(Row::value("state plane first read", x, first, "us"));
-        rows.push(Row::value("state plane hot", x, hot, "us"));
+        rows.push(Row::value(COPY, x, copy, "us"));
+        rows.push(Row::value(FIRST, x, first, "us"));
+        rows.push(Row::value(HOT, x, hot, "us"));
     }
 
     let stats = session.stats();

@@ -6,8 +6,12 @@
 //! after a warm-up. The baseline series are distributions of 200 RTTs drawn
 //! from each platform's latency model by a `DeterministicRng` seeded with
 //! 2021, their one source of variation.
+//!
+//! [`CLAIMS`] reads the rFaaS hot rows: the 1 MiB echo reaches the link
+//! bandwidth, and the 1 kB one beats each baseline's deterministic
+//! `invoke_rtt` by the paper's orders of magnitude.
 
-use crate::{Mode, Row, Table, Testbed};
+use crate::{rows, Claim, Mode, Row, Table, Testbed};
 use faas_baselines::{aws_lambda, nightcore, openwhisk, BaselinePlatform};
 use rfaas::PollingMode;
 use sandbox::SandboxType;
@@ -61,6 +65,34 @@ fn measure_baseline(platform: &BaselinePlatform, rows: &mut Vec<Row>) {
         ));
     }
 }
+
+/// Goodput of the 1 MiB hot echo (2 MiB on the wire), GiB/s.
+fn goodput_gib_s(rtt_us: f64) -> f64 {
+    2.0 * (KB * KB) as f64 / (rtt_us * 1e-6) / (1024.0 * 1024.0 * 1024.0)
+}
+
+/// Whether the 1 kB hot echo is `low..high` times faster than the
+/// deterministic RTT of `platform`.
+fn speedup_in(t: &[Table], platform: BaselinePlatform, low: f64, high: f64) -> Result<(), String> {
+    let baseline_us = platform.invoke_rtt(KB, KB, SimDuration::ZERO).as_micros_f64();
+    rows(t, [("rFaaS hot", 1.0)], |[hot]| (low..high).contains(&(baseline_us / hot)))
+}
+
+/// Paper: rFaaS reaches the link bandwidth, and is 695x-3692x faster than
+/// AWS Lambda, 5904x-22406x than OpenWhisk and 23x-39x than Nightcore.
+#[rustfmt::skip]
+pub(crate) const CLAIMS: &[Claim] = &[
+    Claim { name: "1 MiB hot echo goodput > 8 GiB/s", source: "paper §V-A",
+        check: |t| rows(t, [("rFaaS hot", 1024.0)], |[rtt]| goodput_gib_s(rtt) > 8.0) },
+    Claim { name: "1 MiB hot echo goodput < 12 GiB/s, the link", source: "paper §V-A",
+        check: |t| rows(t, [("rFaaS hot", 1024.0)], |[rtt]| goodput_gib_s(rtt) < 12.0) },
+    Claim { name: "AWS Lambda / rFaaS hot @ 1 kB in [500, 6000)", source: "paper Fig. 1",
+        check: |t| speedup_in(t, aws_lambda(), 500.0, 6_000.0) },
+    Claim { name: "OpenWhisk / rFaaS hot @ 1 kB in [4000, 40000)", source: "paper Fig. 1",
+        check: |t| speedup_in(t, openwhisk(), 4_000.0, 40_000.0) },
+    Claim { name: "Nightcore / rFaaS hot @ 1 kB in [15, 80)", source: "paper Fig. 1",
+        check: |t| speedup_in(t, nightcore(), 15.0, 80.0) },
+];
 
 pub(crate) fn run(_mode: Mode) -> Vec<Table> {
     let mut rows = Vec::new();

@@ -2,8 +2,10 @@
 //! sampled at one-minute granularity (Piz Daint in the paper; a synthetic
 //! batch workload with matching statistics here).
 
-use crate::{Mode, Row, Table};
+use crate::{Claim, Mode, Row, Table};
 use sim_core::SimDuration;
+
+pub(crate) const CLAIMS: &[Claim] = &[];
 
 pub(crate) fn run(mode: Mode) -> Vec<Table> {
     let (days, nodes) = if mode.quick() { (1, 16) } else { (7, 64) };

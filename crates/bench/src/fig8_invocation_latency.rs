@@ -2,9 +2,10 @@
 //! 1 B – 4 kB payloads against the raw RDMA write ping-pong and kernel TCP/IP
 //! baselines, for bare-metal and Docker executors in hot and warm mode. The
 //! hot/warm overhead over raw RDMA (paper: ~326 ns / ~4.67 µs) and the
-//! inlining anomaly at 128 B are differences of these rows.
+//! inlining anomaly at 128 B are differences of these rows, and [`CLAIMS`]
+//! holds the 8 B rows to the paper's bands.
 
-use crate::{Mode, Row, Table, Testbed};
+use crate::{rows, Claim, Mode, Row, Table, Testbed};
 use faas_baselines::TcpProfile;
 use rfaas::PollingMode;
 use sandbox::SandboxType;
@@ -12,6 +13,36 @@ use sandbox::SandboxType;
 fn payload_sizes() -> Vec<usize> {
     (0..=12).map(|p| 1usize << p).collect() // 1 B .. 4096 B
 }
+
+const RDMA: &str = "RDMA (ib_write_lat)";
+const HOT: &str = "rFaaS hot (bare-metal)";
+const WARM: &str = "rFaaS warm (bare-metal)";
+const DOCKER_HOT: &str = "rFaaS hot (Docker)";
+const DOCKER_WARM: &str = "rFaaS warm (Docker)";
+
+/// The paper's latencies at 8 B: hot 3.96 µs, ~326 ns over the RDMA
+/// ping-pong; warm 8.2 µs; Docker ~50 ns more hot, ~650 ns more warm.
+#[rustfmt::skip]
+pub(crate) const CLAIMS: &[Claim] = &[
+    Claim { name: "hot @ 8 B in [3.5, 4.6) us", source: "paper §V-A",
+        check: |t| rows(t, [(HOT, 8.0)], |[hot]| (3.5..4.6).contains(&hot)) },
+    Claim { name: "hot - RDMA @ 8 B in [150, 650) ns", source: "paper §V-A",
+        check: |t| rows(t, [(HOT, 8.0), (RDMA, 8.0)], |[hot, rdma]| {
+            (150.0..650.0).contains(&((hot - rdma) * 1e3))
+        }) },
+    Claim { name: "warm @ 8 B in [6.5, 10.5) us", source: "paper §V-A",
+        check: |t| rows(t, [(WARM, 8.0)], |[warm]| (6.5..10.5).contains(&warm)) },
+    Claim { name: "warm > hot + 2 us @ 8 B", source: "paper §V-A",
+        check: |t| rows(t, [(WARM, 8.0), (HOT, 8.0)], |[warm, hot]| warm > hot + 2.0) },
+    Claim { name: "Docker hot - hot @ 8 B in [10, 300) ns", source: "paper §V-A",
+        check: |t| rows(t, [(DOCKER_HOT, 8.0), (HOT, 8.0)], |[docker, bare]| {
+            (10.0..300.0).contains(&((docker - bare) * 1e3))
+        }) },
+    Claim { name: "Docker warm - warm @ 8 B in [300, 1300) ns", source: "paper §V-A",
+        check: |t| rows(t, [(DOCKER_WARM, 8.0), (WARM, 8.0)], |[docker, bare]| {
+            (300.0..1_300.0).contains(&((docker - bare) * 1e3))
+        }) },
+];
 
 pub(crate) fn run(_mode: Mode) -> Vec<Table> {
     let mut rows = Vec::new();
@@ -23,15 +54,15 @@ pub(crate) fn run(_mode: Mode) -> Vec<Table> {
         let x = size as f64;
         let rdma_rtt = rdma.write_pingpong_rtt(size).as_micros_f64();
         let tcp_rtt = tcp.request_response(size, size).as_micros_f64();
-        rows.push(Row::value("RDMA (ib_write_lat)", x, rdma_rtt, "us"));
+        rows.push(Row::value(RDMA, x, rdma_rtt, "us"));
         rows.push(Row::value("TCP/IP (netperf)", x, tcp_rtt, "us"));
     }
 
     let series = [
-        ("rFaaS hot (bare-metal)", SandboxType::BareMetal, PollingMode::Hot),
-        ("rFaaS warm (bare-metal)", SandboxType::BareMetal, PollingMode::Warm),
-        ("rFaaS hot (Docker)", SandboxType::Docker, PollingMode::Hot),
-        ("rFaaS warm (Docker)", SandboxType::Docker, PollingMode::Warm),
+        (HOT, SandboxType::BareMetal, PollingMode::Hot),
+        (WARM, SandboxType::BareMetal, PollingMode::Warm),
+        (DOCKER_HOT, SandboxType::Docker, PollingMode::Hot),
+        (DOCKER_WARM, SandboxType::Docker, PollingMode::Warm),
     ];
     for (label, sandbox, mode) in series {
         let testbed = Testbed::new(1);

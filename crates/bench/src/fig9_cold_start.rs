@@ -4,7 +4,7 @@
 //! spawn worker (sandbox + executor + threads), submit code, and the first
 //! invocation itself. Each case is one cold start on a fresh testbed.
 
-use crate::{Mode, Row, Table, Testbed};
+use crate::{Claim, Mode, Row, Table, Testbed};
 use rfaas::PollingMode;
 use sandbox::SandboxType;
 
@@ -75,6 +75,8 @@ fn run_case(
         plane.push(Row::value(format!("{case} {counter}"), x, value as f64, "count"));
     }
 }
+
+pub(crate) const CLAIMS: &[Claim] = &[];
 
 pub(crate) fn run(_mode: Mode) -> Vec<Table> {
     let mut breakdown = Vec::new();

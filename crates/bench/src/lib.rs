@@ -7,8 +7,9 @@
 //! client sessions. [`Testbed`] wraps that plumbing; the figures then only
 //! express the experiment itself (payload sweep, worker sweep, ...).
 //! [`FIGURES`] names every figure's `run`, which returns [`Table`]s of
-//! [`Row`]s; the `figures` binary prints them and the golden report test
-//! (`tests/report_golden.rs`) compares them.
+//! [`Row`]s, and its [`Claim`]s over those rows; the `figures` binary prints
+//! the tables and the golden report test (`tests/report_golden.rs`) compares
+//! them, and both check the claims after.
 
 use std::sync::Arc;
 
@@ -276,6 +277,95 @@ pub struct Table {
     pub rows: Vec<Row>,
 }
 
+/// A figure's claim about its own rows: a predicate over the tables its
+/// `run` returned, checked after the rows by [`Figure::failed_claims`].
+pub struct Claim {
+    /// What the claim says.
+    pub name: &'static str,
+    /// Where it comes from: the paper section it reproduces (`"paper §V-A"`)
+    /// or `"model"` for an invariant of this reproduction.
+    pub source: &'static str,
+    /// The predicate; `Err` says which numbers broke it.
+    pub check: fn(&[Table]) -> Result<(), String>,
+}
+
+/// Row `series @ x` of `tables`. An absent row is an error naming it, so a
+/// claim never passes on a row that is not there.
+fn row<'a>(tables: &'a [Table], series: &str, x: f64) -> Result<&'a Row, String> {
+    tables
+        .iter()
+        .flat_map(|table| &table.rows)
+        .find(|row| row.series == series && row.x == x)
+        .ok_or_else(|| format!("{series} @ {x}: no such row"))
+}
+
+/// The value of row `series @ x`, or its median if it is a distribution.
+pub fn at(tables: &[Table], series: &str, x: f64) -> Result<f64, String> {
+    Ok(match row(tables, series, x)?.measure {
+        Measure::Value(value) => value,
+        Measure::Distribution { median, .. } => median,
+    })
+}
+
+/// The p99 of row `series @ x`, or its value if it is a value row.
+pub(crate) fn p99_at(tables: &[Table], series: &str, x: f64) -> Result<f64, String> {
+    Ok(match row(tables, series, x)?.measure {
+        Measure::Value(value) => value,
+        Measure::Distribution { p99, .. } => p99,
+    })
+}
+
+/// The x of every row of `series`, in row order. A series with no row is an
+/// error naming it, so a claim over its rows never passes vacuously.
+pub(crate) fn xs(tables: &[Table], series: &str) -> Result<Vec<f64>, String> {
+    let xs: Vec<f64> = tables
+        .iter()
+        .flat_map(|table| &table.rows)
+        .filter(|row| row.series == series)
+        .map(|row| row.x)
+        .collect();
+    if xs.is_empty() {
+        return Err(format!("{series}: no row"));
+    }
+    Ok(xs)
+}
+
+/// Whether `holds` for the numbers of the rows `keys`, each `(series, x)`,
+/// read with [`at`]; a failure names every row with its number.
+pub(crate) fn rows<const N: usize>(
+    tables: &[Table],
+    keys: [(&str, f64); N],
+    holds: impl Fn([f64; N]) -> bool,
+) -> Result<(), String> {
+    let mut numbers = [0.0; N];
+    for (number, (series, x)) in numbers.iter_mut().zip(keys) {
+        *number = at(tables, series, x)?;
+    }
+    if holds(numbers) {
+        return Ok(());
+    }
+    let named: Vec<String> = keys
+        .iter()
+        .zip(numbers)
+        .map(|((series, x), number)| format!("{series} @ {x}: {number}"))
+        .collect();
+    Err(named.join(", "))
+}
+
+/// Whether `holds(x, numbers)` at the x of every row of `names[0]`, reading
+/// the row of each of `names` at that x.
+pub(crate) fn every<const N: usize>(
+    tables: &[Table],
+    names: [&str; N],
+    holds: impl Fn(f64, [f64; N]) -> bool,
+) -> Result<(), String> {
+    xs(tables, names[0])?.into_iter().try_for_each(|x| {
+        rows(tables, names.map(|name| (name, x)), |numbers| {
+            holds(x, numbers)
+        })
+    })
+}
+
 /// `s` as a quoted JSON string.
 fn json_string(s: &str) -> String {
     let mut out = String::from('"');
@@ -330,11 +420,11 @@ impl Mode {
     }
 }
 
-/// One figure of the evaluation: its name, the sub-experiments it offers and
-/// the function that runs it. `run` prints nothing: it checks the figure's
-/// own claims (a violated one panics) and returns the figure's tables, which
-/// the `figures` binary prints and the golden report compares. Every number
-/// the run measures is a row of one of them.
+/// One figure of the evaluation: its name, the sub-experiments it offers, the
+/// function that runs it and its claims. `run` prints nothing and checks
+/// nothing: it returns the figure's tables, which the `figures` binary prints
+/// and the golden report compares, and every number the run measures is a
+/// row of one of them. [`Figure::claims`] are checked on those rows after.
 pub struct Figure {
     /// The figure's name, as `figures` takes it and EXPERIMENTS.md lists it.
     pub name: &'static str,
@@ -342,10 +432,29 @@ pub struct Figure {
     pub subs: &'static [&'static str],
     /// Run the figure.
     pub run: fn(Mode) -> Vec<Table>,
+    /// What the figure claims about the rows `run` returns.
+    pub claims: &'static [Claim],
+}
+
+impl Figure {
+    /// One line per claim that `tables` break, naming the figure, the claim,
+    /// its source and what broke it.
+    pub fn failed_claims(&self, tables: &[Table]) -> Vec<String> {
+        self.claims
+            .iter()
+            .filter_map(|claim| {
+                let detail = (claim.check)(tables).err()?;
+                Some(format!(
+                    "{} / claim '{}' ({}): {detail}",
+                    self.name, claim.name, claim.source
+                ))
+            })
+            .collect()
+    }
 }
 
 /// Declare each figure's module and list it in [`FIGURES`], named after the
-/// module, with the sub-experiments its `run` offers.
+/// module, with the sub-experiments its `run` offers and its `CLAIMS`.
 macro_rules! figures {
     ($($module:ident $(: $($sub:literal),+)?;)*) => {
         $(mod $module;)*
@@ -355,6 +464,7 @@ macro_rules! figures {
             name: stringify!($module),
             subs: &[$($($sub),+)?],
             run: $module::run,
+            claims: $module::CLAIMS,
         }),*];
     };
 }
@@ -581,6 +691,40 @@ mod tests {
             spread.to_json(),
             r#"{"series":"AWS Lambda","x":1,"n":200,"median":1000000000000000000000,"p99":null,"mean":24361.5,"unit":"us"}"#
         );
+    }
+
+    /// A claim reading a row that is absent fails, naming `series @ x`; with
+    /// the row present and holding, it passes.
+    #[test]
+    fn a_claim_on_an_absent_row_fails_naming_it() {
+        let figure = Figure {
+            name: "fig",
+            subs: &[],
+            run: |_| Vec::new(),
+            claims: &[Claim {
+                name: "hot under 5 us",
+                source: "model",
+                check: |t| rows(t, [("rFaaS hot", 8.0)], |[hot]| hot < 5.0),
+            }],
+        };
+        let tables = |x, hot| {
+            vec![Table {
+                title: "t",
+                rows: vec![Row::value("rFaaS hot", x, hot, "us")],
+            }]
+        };
+        assert!(figure.failed_claims(&tables(8.0, 3.9)).is_empty());
+        let failed = |x, hot| figure.failed_claims(&tables(x, hot)).join("\n");
+        assert_eq!(
+            failed(16.0, 3.9),
+            "fig / claim 'hot under 5 us' (model): rFaaS hot @ 8: no such row"
+        );
+        assert_eq!(
+            failed(8.0, 6.0),
+            "fig / claim 'hot under 5 us' (model): rFaaS hot @ 8: 6"
+        );
+        let warm = every(&tables(8.0, 3.9), ["rFaaS warm"], |_, _| true);
+        assert_eq!(warm, Err("rFaaS warm: no row".into()));
     }
 
     /// A distribution needs samples that differ: one sample, or several that

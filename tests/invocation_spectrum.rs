@@ -1,71 +1,23 @@
 //! Integration tests for the hot/warm/cold invocation spectrum (Fig. 5/6,
-//! Sec. V-A): the paper's latency hierarchy must hold in the simulated
-//! latency model, and hot workers must demote to warm after spinning past
-//! the hot-poll timeout (Sec. III-C).
+//! Sec. V-A) beyond what the report's rows show: the fork tier sits between
+//! warm and cold, and hot workers demote to warm after spinning past the
+//! hot-poll timeout (Sec. III-C). The hierarchy itself is a claim over
+//! fig7's rows (`Figure::claims`).
 
 use rfaas::{AllocationPolicy, PollingMode, RFaasConfig, HOT_POLL_TIMEOUT};
 use rfaas_bench::Testbed;
 use sandbox::SandboxType;
 use sim_core::{median, SimDuration};
 
-/// Median round-trip of `repetitions` echo invocations on a leased worker.
-/// The typed path charges the virtual clock exactly what a hand-posted
-/// invocation does — inline for small wires, no staging copy — and reuses
-/// its pooled registered buffers, so this pins the zero-copy path.
-fn leased_median_us(mode: PollingMode, payload: usize, repetitions: usize) -> f64 {
+/// Round-trip of one 8 B echo on a freshly leased worker, after a warm-up
+/// invocation: a deterministic state, measured once.
+fn leased_rtt_us(mode: PollingMode) -> f64 {
     let testbed = Testbed::new(1);
     let session = testbed.allocated_session("spectrum-client", 1, SandboxType::BareMetal, mode);
     let echo = session.function::<[u8], [u8]>("echo").unwrap();
-    let data = workloads::generate_payload(payload, 11);
+    let data = workloads::generate_payload(8, 11);
     echo.invoke_timed(&data).unwrap();
-    let samples: Vec<f64> = (0..repetitions)
-        .map(|_| echo.invoke_timed(&data).unwrap().1.as_micros_f64())
-        .collect();
-    median(&samples)
-}
-
-/// Median latency of full cold invocations: lease + spawn + connect + first
-/// invocation, one fresh platform per sample.
-fn cold_median_us(payload: usize, repetitions: usize) -> f64 {
-    let samples: Vec<f64> = (0..repetitions)
-        .map(|rep| {
-            let testbed = Testbed::new(1);
-            let session = testbed.allocated_session(
-                &format!("spectrum-cold-{rep}"),
-                1,
-                SandboxType::BareMetal,
-                PollingMode::Hot,
-            );
-            let cold_start = session.cold_start().unwrap().total();
-            let (_, rtt) = session
-                .function::<[u8], [u8]>("echo")
-                .unwrap()
-                .invoke_timed(&workloads::generate_payload(payload, 11))
-                .unwrap();
-            session.close().unwrap();
-            (cold_start + rtt).as_micros_f64()
-        })
-        .collect();
-    median(&samples)
-}
-
-#[test]
-fn spectrum_ordering_hot_warm_cold() {
-    let hot = leased_median_us(PollingMode::Hot, 8, 60);
-    let warm = leased_median_us(PollingMode::Warm, 8, 60);
-    let cold = cold_median_us(8, 5);
-    // The hierarchy of Fig. 5: hot < warm < cold, with at least an order of
-    // magnitude between hot and cold (the paper reports nearly four).
-    assert!(hot < warm, "hot {hot} us must beat warm {warm} us");
-    assert!(warm < cold, "warm {warm} us must beat cold {cold} us");
-    assert!(
-        cold >= 10.0 * hot,
-        "cold ({cold} us) must be >= 10x hot ({hot} us)"
-    );
-    // Sanity-pin the absolute scales to the paper's ballpark.
-    assert!((3.0..6.0).contains(&hot), "hot median {hot} us");
-    assert!((6.0..12.0).contains(&warm), "warm median {warm} us");
-    assert!(cold > 10_000.0, "cold median {cold} us should be >= 10 ms");
+    echo.invoke_timed(&data).unwrap().1.as_micros_f64()
 }
 
 #[test]
@@ -117,7 +69,7 @@ fn fork_tier_sits_between_warm_and_cold() {
         rtts.push(rtt_us());
     }
     // Steady state: the faulted-in child matches the plain warm band.
-    let warm = leased_median_us(PollingMode::Warm, 8, 30);
+    let warm = leased_rtt_us(PollingMode::Warm);
     let steady = rtt_us();
     assert!(
         first > warm,
@@ -136,18 +88,6 @@ fn fork_tier_sits_between_warm_and_cold() {
     );
     let fork = fork();
     assert_eq!(fork.pages_faulted(), fork.total_pages());
-}
-
-#[test]
-fn spectrum_ordering_holds_across_payload_sizes() {
-    for payload in [1usize, 1024, 16 * 1024] {
-        let hot = leased_median_us(PollingMode::Hot, payload, 30);
-        let warm = leased_median_us(PollingMode::Warm, payload, 30);
-        assert!(
-            hot < warm,
-            "hot {hot} us must beat warm {warm} us at {payload} B"
-        );
-    }
 }
 
 #[test]

@@ -4,16 +4,18 @@
 //! and a distribution row as `{"series","x","n","median","p99","mean","unit"}`.
 //! The simulation runs on virtual time, so a row moves only when the model
 //! or the code behind it does, and then the test names each moved, added or
-//! missing row by `series @ x`, with its old and new fields. After an intended move, rewrite
-//! the files with `UPDATE_GOLDEN=1 cargo test --test report_golden` and
-//! commit them. One test per figure, so libtest runs the figures in
-//! parallel and each rewrite touches its own file.
+//! missing row by `series @ x`, with its old and new fields. It then checks
+//! the figure's claims (`Figure::claims`) on the same rows, so a failed claim
+//! is named after the rows that moved. After an intended move, rewrite the
+//! files with `UPDATE_GOLDEN=1 cargo test --test report_golden` and commit
+//! them. One test per figure, so libtest runs the figures in parallel and
+//! each rewrite touches its own file.
 
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use rfaas_bench::{Mode, Size, FIGURES};
+use rfaas_bench::{at, Claim, Figure, Measure, Mode, Row, Size, Table, FIGURES};
 
 fn golden_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/report")
@@ -70,36 +72,51 @@ fn row_diff(figure: &str, expected: &str, actual: &str) -> Vec<String> {
     lines
 }
 
-/// Run `figure` at `--quick` and compare its rows with its golden file, or
-/// rewrite the file under `UPDATE_GOLDEN`.
-fn check(figure: &str) {
-    let run = FIGURES
-        .iter()
-        .find(|f| f.name == figure)
-        .unwrap_or_else(|| panic!("no figure named {figure}"))
-        .run;
-    let tables = run(Mode {
-        size: Size::Quick,
-        sub: None,
-    });
-    let actual: String = tables
+/// Each figure's rows as the golden file holds them: one JSON line per row.
+fn report(tables: &[Table]) -> String {
+    tables
         .iter()
         .flat_map(|table| &table.rows)
         .map(|row| row.to_json() + "\n")
-        .collect();
-    let path = golden_dir().join(format!("{figure}.jsonl"));
+        .collect()
+}
+
+/// Every moved, missing or added row of `tables` against `expected`, then
+/// every claim of `figure` that the rows break.
+fn failures(figure: &Figure, expected: &str, tables: &[Table]) -> Vec<String> {
+    let actual = report(tables);
+    let mut lines = Vec::new();
+    if actual != expected {
+        lines = row_diff(figure.name, expected, &actual);
+    }
+    lines.extend(figure.failed_claims(tables));
+    lines
+}
+
+/// Run `figure` at `--quick`, compare its rows with its golden file (or
+/// rewrite the file under `UPDATE_GOLDEN`) and check its claims on them.
+fn check(figure: &str) {
+    let figure = FIGURES
+        .iter()
+        .find(|f| f.name == figure)
+        .unwrap_or_else(|| panic!("no figure named {figure}"));
+    let tables = (figure.run)(Mode {
+        size: Size::Quick,
+        sub: None,
+    });
+    let path = golden_dir().join(format!("{}.jsonl", figure.name));
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        fs::write(&path, &actual).unwrap();
-        return;
+        fs::write(&path, report(&tables)).unwrap();
     }
     let expected = fs::read_to_string(&path).unwrap_or_default();
+    let failures = failures(figure, &expected, &tables);
     assert!(
-        actual == expected,
-        "{} rows differ from {}:\n{}\nIf the move is intended, rerun with \
-         UPDATE_GOLDEN=1 cargo test --test report_golden and commit the file.",
-        figure,
+        failures.is_empty(),
+        "{} rows or claims fail against {}:\n{}\nIf a row move is intended, rerun \
+         with UPDATE_GOLDEN=1 cargo test --test report_golden and commit the file.",
+        figure.name,
         path.display(),
-        row_diff(figure, &expected, &actual).join("\n")
+        failures.join("\n")
     );
 }
 
@@ -189,5 +206,42 @@ fn a_moved_row_is_named() {
     assert_eq!(
         row_diff("fig", golden, &swapped),
         ["fig: the same rows in another order"]
+    );
+}
+
+#[test]
+fn a_failed_claim_is_named_after_the_moved_rows() {
+    let figure = Figure {
+        name: "fig",
+        subs: &[],
+        run: |_| Vec::new(),
+        claims: &[Claim {
+            name: "hot under 3.6 us",
+            source: "model",
+            check: |t| {
+                let hot = at(t, "rFaaS hot", 1.0)?;
+                (hot < 3.6)
+                    .then_some(())
+                    .ok_or(format!("rFaaS hot @ 1: {hot}"))
+            },
+        }],
+    };
+    let hot = |value| Table {
+        title: "t",
+        rows: vec![Row {
+            series: "rFaaS hot".into(),
+            x: 1.0,
+            measure: Measure::Value(value),
+            unit: "us",
+        }],
+    };
+    let golden = r#"{"series":"rFaaS hot","x":1,"value":3.5,"unit":"us"}"#.to_string() + "\n";
+    assert!(failures(&figure, &golden, &[hot(3.5)]).is_empty());
+    assert_eq!(
+        failures(&figure, &golden, &[hot(3.75)]),
+        [
+            r#"fig / rFaaS hot @ 1: "value":3.5,"unit":"us" → "value":3.75,"unit":"us""#,
+            "fig / claim 'hot under 3.6 us' (model): rFaaS hot @ 1: 3.75",
+        ]
     );
 }
