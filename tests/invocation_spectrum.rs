@@ -1,11 +1,14 @@
 //! Integration tests for the hot/warm/cold invocation spectrum (Fig. 5/6,
-//! Sec. V-A) beyond what the report's rows show: the fork tier sits between
-//! warm and cold, and hot workers demote to warm after spinning past the
-//! hot-poll timeout (Sec. III-C). The hierarchy itself is a claim over
-//! fig7's rows (`Figure::claims`).
+//! Sec. V-A): the paper's latency hierarchy holds (claims over fig7's and
+//! fig8's rows, checked by name), and beyond what the report's rows show,
+//! the fork tier sits between warm and cold, and hot workers demote to warm
+//! after spinning past the hot-poll timeout (Sec. III-C).
 
+mod claims;
+
+use claims::{assert_claims, claims_hold, quick_tables};
 use rfaas::{AllocationPolicy, PollingMode, RFaasConfig, HOT_POLL_TIMEOUT};
-use rfaas_bench::Testbed;
+use rfaas_bench::{at, Testbed};
 use sandbox::SandboxType;
 use sim_core::{median, SimDuration};
 
@@ -18,6 +21,26 @@ fn leased_rtt_us(mode: PollingMode) -> f64 {
     let data = workloads::generate_payload(8, 11);
     echo.invoke_timed(&data).unwrap();
     echo.invoke_timed(&data).unwrap().1.as_micros_f64()
+}
+
+#[test]
+fn spectrum_ordering_hot_warm_cold() {
+    // The hierarchy of Fig. 5: hot < warm < cold, with at least an order of
+    // magnitude between hot and cold (the paper reports nearly four), and
+    // cold in the tens of milliseconds.
+    claims_hold(
+        "fig7_invocation_spectrum",
+        &[
+            "hot < warm < cold at every size",
+            "cold >= 10x hot at <= 4096 B",
+            "cold > 10 ms at every size",
+        ],
+    );
+    // The absolute hot and warm scales, pinned to the paper's bands.
+    claims_hold(
+        "fig8_invocation_latency",
+        &["hot @ 8 B in [3.5, 4.6) us", "warm @ 8 B in [6.5, 10.5) us"],
+    );
 }
 
 #[test]
@@ -88,6 +111,20 @@ fn fork_tier_sits_between_warm_and_cold() {
     );
     let fork = fork();
     assert_eq!(fork.pages_faulted(), fork.total_pages());
+}
+
+#[test]
+fn spectrum_ordering_holds_across_payload_sizes() {
+    let (figure, tables) = quick_tables("fig7_invocation_spectrum");
+    for payload in [1.0, 1024.0, 16.0 * 1024.0] {
+        for series in ["rFaaS hot", "rFaaS warm"] {
+            assert!(
+                at(&tables, series, payload).is_ok(),
+                "fig7 has no {series} row at {payload} B"
+            );
+        }
+    }
+    assert_claims(figure, &tables, &["hot < warm < cold at every size"]);
 }
 
 #[test]
