@@ -6,10 +6,17 @@
 //! with RDMA fetch-and-add operations into a global database owned by the
 //! resource manager, so that lightweight allocators never need an RPC to
 //! report usage — and this module does exactly that over the software fabric:
-//! every lease owns a 3-word slot in the manager's registered billing region,
-//! and executors flush usage with remote atomics.
+//! every registered executor owns a 3-word slot in the manager's registered
+//! billing region, and its allocator flushes usage with remote atomics.
+//!
+//! An executor process keeps its usage as a plain [`UsageRecord`] under its
+//! dispatcher's lock while it serves; nothing is sent per invocation. When
+//! the process is deallocated (by its client or by an expiry reap), the
+//! allocator adds the process's allocation time and flushes the record in
+//! one chain of at most three fetch-and-adds. When its node fails, the
+//! allocator flushes what the process served and no allocation time.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use rdma_fabric::{
     AccessFlags, Endpoint, MemoryRegion, QueuePair, RemoteMemoryHandle, SendRequest, Sge,
@@ -24,8 +31,9 @@ const WORDS_PER_SLOT: usize = 3;
 /// Maximum number of leases the billing database can account simultaneously.
 const SLOT_CAPACITY: usize = 4096;
 
-/// Usage accumulated by one executor on behalf of one lease, in microseconds
-/// of virtual time (allocation time is additionally weighted by GiB).
+/// Billed usage, of one executor process or summed in a billing slot, in
+/// microseconds of virtual time (allocation time is additionally weighted by
+/// GiB). Each record is rounded to whole µs as it is added.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct UsageRecord {
     /// Allocation time × memory, in GiB·µs.
@@ -40,6 +48,22 @@ impl UsageRecord {
     /// Whether the record is empty (nothing to flush).
     pub fn is_empty(&self) -> bool {
         *self == UsageRecord::default()
+    }
+
+    /// Add compute time.
+    pub(crate) fn add_compute(&mut self, time: SimDuration) {
+        self.compute_us += time.as_micros_f64().round() as u64;
+    }
+
+    /// Add hot-polling time.
+    pub(crate) fn add_hot_poll(&mut self, time: SimDuration) {
+        self.hot_poll_us += time.as_micros_f64().round() as u64;
+    }
+
+    /// Add allocation time for `memory_mib` of leased memory.
+    pub(crate) fn add_allocation(&mut self, time: SimDuration, memory_mib: u64) {
+        let gib = memory_mib as f64 / 1024.0;
+        self.allocation_gib_us += (time.as_micros_f64() * gib).round() as u64;
     }
 
     /// Monetary cost of this usage under the configured rates.
@@ -103,17 +127,15 @@ impl BillingDatabase {
     }
 }
 
-/// Executor-side billing client: accumulates usage locally and flushes it to
-/// the manager's database with RDMA fetch-and-add.
+/// The allocator's side of its billing connection: flushes the usage of an
+/// executor process that ended into the manager's database with RDMA
+/// fetch-and-add. It keeps no usage of its own — each process's dispatcher
+/// accumulates it — so it is flushed once per process, never per invocation.
 #[derive(Debug)]
 pub(crate) struct BillingClient {
     qp: QueuePair,
     slot: RemoteMemoryHandle,
     scratch: MemoryRegion,
-    /// Usage not yet flushed, one counter per slot word (allocation,
-    /// compute, hot-poll): recording is a local fetch-and-add, like the
-    /// remote one the flush performs.
-    pending: [AtomicU64; WORDS_PER_SLOT],
 }
 
 impl BillingClient {
@@ -121,58 +143,15 @@ impl BillingClient {
     /// queue pair `qp`.
     pub(crate) fn new(qp: QueuePair, slot: RemoteMemoryHandle) -> BillingClient {
         let scratch = qp.pd().register(8, AccessFlags::LOCAL_ONLY);
-        BillingClient {
-            qp,
-            slot,
-            scratch,
-            pending: Default::default(),
-        }
+        BillingClient { qp, slot, scratch }
     }
 
-    /// Record usage locally (cheap, no network).
-    pub fn record(&self, usage: UsageRecord) {
+    /// Add `usage` to the manager's database with up to three remote
+    /// fetch-and-add operations chained behind a single doorbell (one MMIO
+    /// per flush, not one per counter), one per non-zero word. A no-op for
+    /// an empty record.
+    pub(crate) fn flush(&self, usage: UsageRecord) -> Result<()> {
         let words = [usage.allocation_gib_us, usage.compute_us, usage.hot_poll_us];
-        for (pending, add) in self.pending.iter().zip(words) {
-            if add != 0 {
-                pending.fetch_add(add, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Record compute time.
-    pub(crate) fn record_compute(&self, time: SimDuration) {
-        self.record(UsageRecord {
-            compute_us: time.as_micros_f64().round() as u64,
-            ..UsageRecord::default()
-        });
-    }
-
-    /// Record hot-polling time.
-    pub(crate) fn record_hot_poll(&self, time: SimDuration) {
-        self.record(UsageRecord {
-            hot_poll_us: time.as_micros_f64().round() as u64,
-            ..UsageRecord::default()
-        });
-    }
-
-    /// Record allocation time for `memory_mib` of leased memory.
-    pub(crate) fn record_allocation(&self, time: SimDuration, memory_mib: u64) {
-        let gib = memory_mib as f64 / 1024.0;
-        self.record(UsageRecord {
-            allocation_gib_us: (time.as_micros_f64() * gib).round() as u64,
-            ..UsageRecord::default()
-        });
-    }
-
-    /// Flush pending usage to the manager's database with up to three remote
-    /// fetch-and-add operations chained behind a single doorbell (the
-    /// executor pays one MMIO per flush, not one per counter). A no-op when
-    /// nothing is pending.
-    pub fn flush(&self) -> Result<()> {
-        let words = self
-            .pending
-            .each_ref()
-            .map(|pending| pending.swap(0, Ordering::Relaxed));
         let mut posted = 0;
         for (i, add) in words.into_iter().enumerate() {
             if add == 0 {
@@ -186,9 +165,6 @@ impl BillingClient {
             self.qp
                 .post_send_chained(i as u64, fetch_add, true, posted > 0)?;
             posted += 1;
-        }
-        if posted == 0 {
-            return Ok(());
         }
         // Consume the completions so the send queue does not fill up: each
         // signaled fetch-and-add completed as it was posted.
@@ -261,34 +237,40 @@ mod tests {
     #[test]
     fn flush_accumulates_into_manager_database() {
         let (db, client) = setup();
-        client.record_compute(SimDuration::from_millis(3));
-        client.record_hot_poll(SimDuration::from_micros(500));
-        client.record_allocation(SimDuration::from_secs(1), 2048);
-        client.flush().unwrap();
+        let mut usage = UsageRecord::default();
+        usage.add_compute(SimDuration::from_millis(3));
+        usage.add_hot_poll(SimDuration::from_micros(500));
+        usage.add_allocation(SimDuration::from_secs(1), 2048);
+        client.flush(usage).unwrap();
         let usage = db.read_slot(0);
         assert_eq!(usage.compute_us, 3_000);
         assert_eq!(usage.hot_poll_us, 500);
         assert_eq!(usage.allocation_gib_us, 2_000_000);
-        // Records made between two flushes add up, and the second flush adds
-        // on top (fetch-and-add semantics).
-        client.record_compute(SimDuration::from_millis(1));
-        client.record_compute(SimDuration::from_millis(1));
-        client.flush().unwrap();
+        // Records added to one usage add up, each rounded to whole µs as it
+        // is added, and the second flush adds on top (fetch-and-add
+        // semantics).
+        let mut usage = UsageRecord::default();
+        usage.add_compute(SimDuration::from_millis(1));
+        usage.add_compute(SimDuration::from_millis(1));
+        usage.add_compute(SimDuration::from_nanos(400));
+        usage.add_compute(SimDuration::from_nanos(400));
+        client.flush(usage).unwrap();
         assert_eq!(db.read_slot(0).compute_us, 5_000);
     }
 
     #[test]
     fn empty_flush_is_a_noop() {
         let (db, client) = setup();
-        client.flush().unwrap();
+        client.flush(UsageRecord::default()).unwrap();
         assert!(db.read_slot(0).is_empty());
     }
 
     #[test]
     fn total_cost_reflects_rates() {
         let (db, client) = setup();
-        client.record_compute(SimDuration::from_secs(10));
-        client.flush().unwrap();
+        let mut usage = UsageRecord::default();
+        usage.add_compute(SimDuration::from_secs(10));
+        client.flush(usage).unwrap();
         let config = RFaasConfig::default();
         let expected = config.price_compute * 10.0;
         assert!((db.total_cost(&config) - expected).abs() < 1e-6);

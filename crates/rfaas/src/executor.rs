@@ -50,7 +50,7 @@ use state_plane::{
     StateClient, StateClientStats, StateError, StateKey, StateMode, StateSpec, StateValues,
 };
 
-use crate::billing::BillingClient;
+use crate::billing::{BillingClient, UsageRecord};
 use crate::config::{PollingMode, RFaasConfig, HOT_POLL_TIMEOUT};
 use crate::error::{RFaasError, Result};
 use crate::protocol::{ImmValue, InvocationHeader, Lease, ResultStatus, INVOCATION_HEADER_BYTES};
@@ -399,7 +399,10 @@ struct Dispatcher {
     unsettled: bool,
     package: CodePackage,
     config: RFaasConfig,
-    billing: Option<Arc<BillingClient>>,
+    /// Compute and hot-polling time served so far, each record rounded to
+    /// whole µs as it is added. The allocator flushes it to the manager's
+    /// billing database once, when the process ends.
+    usage: UsageRecord,
     /// The process-wide shared receive queue every worker QP consumes from.
     srq: SharedReceiveQueue,
     /// The one receive ring replenishing the SRQ: its doorbell slots back
@@ -654,7 +657,7 @@ impl Dispatcher {
             ring,
             package,
             config,
-            billing,
+            usage,
             fork,
             state_binding,
             ..
@@ -711,9 +714,7 @@ impl Dispatcher {
                 // actually took.
                 stats.hot_poll_time += HOT_POLL_TIMEOUT;
                 stats.demotions += 1;
-                if let Some(b) = billing {
-                    b.record_hot_poll(HOT_POLL_TIMEOUT);
-                }
+                usage.add_hot_poll(HOT_POLL_TIMEOUT);
                 *worker_mode = PollingMode::Warm;
                 clock.advance(conn.qp.recv_cq().blocking_penalty());
                 if conn.holds_core {
@@ -722,9 +723,7 @@ impl Dispatcher {
                 }
             } else if !spin.is_zero() {
                 stats.hot_poll_time += spin;
-                if let Some(b) = billing {
-                    b.record_hot_poll(spin);
-                }
+                usage.add_hot_poll(spin);
             }
         }
 
@@ -803,9 +802,7 @@ impl Dispatcher {
                     clock.advance(batch.cost);
                     stats.fork_faults += 1;
                     stats.fork_fault_time += batch.cost;
-                    if let Some(b) = billing {
-                        b.record_compute(batch.cost);
-                    }
+                    usage.add_compute(batch.cost);
                 }
             }
 
@@ -847,9 +844,7 @@ impl Dispatcher {
                     clock.advance(function.compute_cost(payload_len));
                     let busy = clock.now().saturating_since(started);
                     stats.busy_time += busy;
-                    if let Some(b) = billing {
-                        b.record_compute(busy);
-                    }
+                    usage.add_compute(busy);
                     match outcome {
                         // Within the window is within both the output buffer the
                         // reply is gathered from and the client's result buffer.
@@ -890,9 +885,6 @@ impl Dispatcher {
             // The ring already replenished the consumed receive; mark the idle
             // point for the hot-poll accounting of the next request.
             conn.last_ready = Some(clock.now());
-            if let Some(b) = billing {
-                let _ = b.flush();
-            }
         });
     }
 
@@ -1081,8 +1073,9 @@ struct AllocatorState {
     /// The next process id. Worker addresses carry the node name, so ids
     /// unique per allocator are unique on the fabric.
     next_process_id: u64,
-    /// The allocator's side of its billing connection to the manager.
-    billing: Option<Arc<BillingClient>>,
+    /// The allocator's side of its billing connection to the manager: it
+    /// flushes each process's usage when the process ends.
+    billing: Option<BillingClient>,
     /// When the allocator last pinged the manager.
     last_heartbeat_sent: Option<SimTime>,
     // Cleared when the node dies or is reclaimed: a dead allocator refuses
@@ -1163,7 +1156,7 @@ impl LightweightAllocator {
     }
 
     /// Attach the billing client created by the resource manager.
-    pub(crate) fn attach_billing(&self, billing: Arc<BillingClient>) {
+    pub(crate) fn attach_billing(&self, billing: BillingClient) {
         self.state.lock().billing = Some(billing);
     }
 
@@ -1206,7 +1199,7 @@ impl LightweightAllocator {
         };
         // Reserve the resources and take everything else the spawn needs
         // from the allocator state in one critical section.
-        let (package, process_id, billing, spawn_fail_at) = {
+        let (package, process_id, spawn_fail_at) = {
             let mut state = self.state.lock();
             if !state.alive {
                 return Err(RFaasError::ExecutorLost(self.node_name.clone()));
@@ -1223,7 +1216,7 @@ impl LightweightAllocator {
             let process_id = state.next_process_id;
             state.next_process_id += 1;
             let spawn_fail_at = state.spawn_fail_at.take_if(|index| *index < workers);
-            (package, process_id, state.billing.clone(), spawn_fail_at)
+            (package, process_id, spawn_fail_at)
         };
 
         // Provision the sandbox per the policy and charge its cost on the
@@ -1390,7 +1383,7 @@ impl LightweightAllocator {
                 unsettled: true,
                 package: package.clone(),
                 config: self.config.clone(),
-                billing,
+                usage: UsageRecord::default(),
                 srq: srq.clone(),
                 ring,
                 fork: fork_state,
@@ -1504,7 +1497,8 @@ impl LightweightAllocator {
     }
 
     /// Deallocate an executor process, returning its resources to the pool
-    /// and flushing the allocation-time billing record.
+    /// and flushing its usage — what it served plus its allocation time — to
+    /// the manager's billing database.
     pub fn deallocate(&self, process_id: u64) -> Result<WorkerStats> {
         let process = self
             .state
@@ -1512,16 +1506,14 @@ impl LightweightAllocator {
             .processes
             .remove(&process_id)
             .ok_or(RFaasError::UnknownLease(process_id))?;
-        let (stats, allocation_time, mut sandbox) = {
+        let (stats, usage, mut sandbox) = {
             let dispatcher = process.stop_serving();
             let allocation_time = dispatcher
                 .latest_worker_time()
                 .saturating_since(process.created_at);
-            (
-                dispatcher.stats(),
-                allocation_time,
-                dispatcher.sandbox.clone(),
-            )
+            let mut usage = dispatcher.usage;
+            usage.add_allocation(allocation_time, process.memory_mib);
+            (dispatcher.stats(), usage, dispatcher.sandbox.clone())
         };
         // Offer the sandbox to the warm pool before destroying it: a parked
         // parent turns a later allocation of the same (sandbox, package)
@@ -1538,8 +1530,7 @@ impl LightweightAllocator {
         }
         let mut state = self.state.lock();
         if let Some(billing) = &state.billing {
-            billing.record_allocation(allocation_time, process.memory_mib);
-            let _ = billing.flush();
+            let _ = billing.flush(usage);
         }
         // Restore the reservation actually taken at allocation time — the
         // leased cores, not the worker count, which oversubscribed
@@ -1589,7 +1580,8 @@ impl LightweightAllocator {
 
     /// Tear down every executor process without returning resources to the
     /// pool (the node itself was reclaimed or failed) and refuse future
-    /// allocations. Returns the number of processes terminated.
+    /// allocations. Each process's served usage is flushed to the billing
+    /// database. Returns the number of processes terminated.
     pub(crate) fn terminate_all(&self) -> usize {
         let processes = {
             let mut state = self.state.lock();
@@ -1598,8 +1590,16 @@ impl LightweightAllocator {
         };
         let count = processes.len();
         for process in processes.into_values() {
-            // The node is gone: no clock of it is charged the teardown.
-            process.stop_serving().sandbox.terminate();
+            // The node is gone: no clock of it is charged the teardown, and
+            // no allocation time is billed. What the process served is.
+            let usage = {
+                let mut dispatcher = process.stop_serving();
+                dispatcher.sandbox.terminate();
+                dispatcher.usage
+            };
+            if let Some(billing) = &self.state.lock().billing {
+                let _ = billing.flush(usage);
+            }
         }
         count
     }

@@ -157,12 +157,10 @@ impl ResourceManager {
         let billing_qp = QueuePair::connect_pair(&manager_qp, &executor_qp)
             .is_ok()
             .then(|| {
-                executor
-                    .allocator()
-                    .attach_billing(Arc::new(BillingClient::new(
-                        executor_qp,
-                        self.billing.slot_handle(slot),
-                    )));
+                executor.allocator().attach_billing(BillingClient::new(
+                    executor_qp,
+                    self.billing.slot_handle(slot),
+                ));
                 manager_qp
             });
         let mut state = self.state.lock();
@@ -468,7 +466,9 @@ impl ResourceManager {
         &self.billing
     }
 
-    /// Usage accumulated for the executor hosting `lease`.
+    /// Usage accumulated for the executor hosting `lease`. An executor
+    /// process adds its usage when it ends (deallocation, an expiry reap or
+    /// its node failing), so a process still serving adds nothing yet.
     pub fn lease_usage(&self, lease: &Lease) -> UsageRecord {
         self.billing.read_slot(lease.billing_slot)
     }

@@ -147,9 +147,9 @@ pub mod ranks {
     // heartbeat slot and the liveness flag.
     pub const EXECUTOR_ALLOCATOR: LockRank = LockRank::new(52, "executor.allocator_state");
     // The one lock of an executor process: its dispatcher owns every worker,
-    // the cores, the lease deadline, a forked child's fault state and the
-    // sandbox. Ranked below the state plane, which a stateful invocation
-    // enters mid-turn.
+    // the cores, the lease deadline, a forked child's fault state, the
+    // process's billing usage and the sandbox. Ranked below the state plane,
+    // which a stateful invocation enters mid-turn.
     pub const EXECUTOR_DISPATCHER: LockRank = LockRank::new(55, "executor.dispatcher");
 
     // State plane: the metadata server's socket, directory and counters

@@ -172,7 +172,7 @@ fn steady_state_heap_traffic_stays_within_the_copy_budget() {
             echo.invoke(&[5u8; 64][..]).unwrap();
         });
         if let Some(locks) = cost.locks {
-            assert_eq!(locks, 30.0, "64 B hot echo: lock acquisitions");
+            assert_eq!(locks, 24.0, "64 B hot echo: lock acquisitions");
         }
         assert_eq!(
             (cost.allocations, cost.bytes),
@@ -205,7 +205,7 @@ fn steady_state_heap_traffic_stays_within_the_copy_budget() {
         );
         if let Some(locks) = cost.locks {
             assert_eq!(
-                locks, 32.0,
+                locks, 26.0,
                 "cache-hit stateful invocation: lock acquisitions"
             );
         }
@@ -253,7 +253,7 @@ fn steady_state_heap_traffic_stays_within_the_copy_budget() {
             "a lease episode allocates {bytes} B"
         );
         if let Some(locks) = locks {
-            assert_eq!(locks, 274.0, "Fork lease episode: lock acquisitions");
+            assert_eq!(locks, 256.0, "Fork lease episode: lock acquisitions");
         }
     }
 }

@@ -874,6 +874,9 @@ fn run_idle_gap_scenario(seed: u64) -> String {
         stats.demotions,
         stats.hot_poll_time.as_nanos()
     ));
+    // The process's usage reaches the manager when its lease ends.
+    drop(echo);
+    session.close().unwrap();
     let total_cost = testbed.manager.total_cost();
     transcript.push_str(&format!(
         "billing: total_cost_bits={:#018x}\n",

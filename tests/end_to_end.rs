@@ -1,10 +1,13 @@
 //! End-to-end integration tests spanning the resource manager, spot
 //! executors, the typed session API and the billing database.
 
-use rfaas::{LifecycleDriver, PollingMode, RFaasError, HEARTBEAT_TIMEOUT};
-use rfaas_bench::Testbed;
+use rfaas::{
+    LifecycleDriver, PollingMode, RFaasConfig, RFaasError, UsageRecord, HEARTBEAT_TIMEOUT,
+};
+use rfaas_bench::{Testbed, PACKAGE};
 use sandbox::SandboxType;
-use sim_core::SimDuration;
+use sim_core::{DeterministicRng, SimDuration};
+use workloads::{generate_options, OptionBatch};
 
 #[test]
 fn multiple_clients_share_the_executor_pool() {
@@ -91,6 +94,144 @@ fn billing_accumulates_through_rdma_atomics() {
     // so compute time may be zero, but the platform cost must be positive.
     assert!(usage.allocation_gib_us > 0, "allocation usage {usage:?}");
     assert!(testbed.manager.total_cost() > 0.0);
+}
+
+/// How a lease ends.
+#[derive(Debug, Clone, Copy)]
+enum Teardown {
+    /// The client closes its session.
+    Close,
+    /// The lease expires and the lifecycle driver reaps its process.
+    Expiry,
+    /// The executor's node fails under the lease.
+    Fail,
+}
+
+/// Serve the same seeded sequence of hot Black-Scholes batches, separated by
+/// idle gaps, on one lease, end the lease by `teardown` and return what the
+/// manager billed for it. Nothing may be billed while the lease runs.
+fn billed_usage(teardown: Teardown) -> UsageRecord {
+    const MAX_OPTIONS: usize = 2_000;
+    let testbed = Testbed::new(1);
+    let session = testbed
+        .session("teardown-client")
+        .memory_mib(1024)
+        .polling(PollingMode::Hot)
+        .lease_timeout(SimDuration::from_secs(10))
+        .connect()
+        .unwrap();
+    let lease = session.lease().unwrap();
+    let pricer = session
+        .function::<OptionBatch, [f64]>("blackscholes")
+        .unwrap()
+        .with_output_capacity(MAX_OPTIONS * 8);
+    let mut rng = DeterministicRng::new(0xB111);
+    for round in 0..16 {
+        let count = rng.range_u64(1, MAX_OPTIONS as u64 + 1) as usize;
+        let options = OptionBatch(generate_options(count, round));
+        assert_eq!(pricer.invoke(&options).unwrap().len(), count);
+        session
+            .clock()
+            .advance(SimDuration::from_micros(rng.range_u64(1, 500)));
+        assert!(
+            testbed.manager.lease_usage(&lease).is_empty(),
+            "{teardown:?}: usage billed while the lease runs (round {round})"
+        );
+    }
+    match teardown {
+        Teardown::Close => {
+            drop(pricer);
+            session.close().unwrap();
+        }
+        Teardown::Expiry => {
+            let driver = LifecycleDriver::new(&testbed.manager);
+            driver.step(lease.expires_at);
+            assert_eq!(driver.total().processes_reaped, 1);
+        }
+        Teardown::Fail => assert_eq!(testbed.executors[0].fail(), 1),
+    }
+    testbed.manager.lease_usage(&lease)
+}
+
+#[test]
+fn every_teardown_path_bills_what_the_lease_served() {
+    let closed = billed_usage(Teardown::Close);
+    let expired = billed_usage(Teardown::Expiry);
+    let failed = billed_usage(Teardown::Fail);
+    assert!(
+        closed.compute_us > 0 && closed.hot_poll_us > 0,
+        "the sequence must bill compute and hot polling: {closed:?}"
+    );
+    for (path, usage) in [("expiry", expired), ("failure", failed)] {
+        assert_eq!(
+            (usage.compute_us, usage.hot_poll_us),
+            (closed.compute_us, closed.hot_poll_us),
+            "{path} must bill the compute and hot polling a close bills"
+        );
+    }
+    // Allocation time is billed when the lease is released, not when its
+    // node dies under it.
+    assert!(closed.allocation_gib_us > 0, "close: {closed:?}");
+    assert!(expired.allocation_gib_us > 0, "expiry: {expired:?}");
+    assert_eq!(failed.allocation_gib_us, 0, "failure: {failed:?}");
+}
+
+#[test]
+fn invocations_leave_the_allocator_clock_alone() {
+    // A warm pool parks the closed sandbox, so the close charges no
+    // teardown to the allocator clock: the flush is all that moves it.
+    let config = RFaasConfig {
+        warm_pool_capacity: 1,
+        ..RFaasConfig::paper_calibration()
+    };
+    let testbed = Testbed::with_config(1, config);
+    let session = testbed.allocated_session(
+        "allocator-clock-client",
+        1,
+        SandboxType::BareMetal,
+        PollingMode::Hot,
+    );
+    let lease = session.lease().unwrap();
+    let allocator = testbed.executors[0].allocator();
+    let echo = session.function::<[u8], [u8]>("echo").unwrap();
+    let before = allocator.clock().now();
+    for _ in 0..100 {
+        echo.invoke(&[5u8; 64][..]).unwrap();
+    }
+    assert_eq!(allocator.clock().now(), before, "100 hot echoes");
+
+    drop(echo);
+    session.close().unwrap();
+    assert_eq!(
+        allocator
+            .warm_pool()
+            .idle_for(SandboxType::BareMetal, PACKAGE),
+        1
+    );
+    // The echo has no compute cost, so the one flush chains two
+    // fetch-and-adds, allocation and hot polling, behind one doorbell. The
+    // allocator waits out the first one's round trip and picks it up; the
+    // chained second completed while that pickup ran, so it adds only its
+    // own pickup.
+    let usage = testbed.manager.lease_usage(&lease);
+    assert!(
+        usage.allocation_gib_us > 0 && usage.hot_poll_us > 0,
+        "{usage:?}"
+    );
+    assert_eq!(usage.compute_us, 0, "{usage:?}");
+    let nic = testbed.fabric.profile();
+    assert!(nic.chained_wqe_overhead <= nic.completion_pickup);
+    let flush = nic.post_send_overhead
+        + nic.one_way_latency
+        + nic.atomic_execution
+        + nic.one_way_latency
+        + nic.completion_pickup
+        + nic.completion_pickup;
+    assert_eq!(
+        allocator.clock().now().saturating_since(before).as_nanos(),
+        flush.as_nanos(),
+        "close: one flush"
+    );
 }
 
 #[test]
