@@ -13,9 +13,9 @@
 //! NIC busy times their own clocks have not reached.
 
 use crate::{Claim, Mode, Row, Table, Testbed};
-use mpi_sim::MpiWorld;
 use rfaas::{RFaasConfig, Session};
 use sim_core::median;
+use workloads::MpiWorld;
 use workloads::jacobi::{
     encode_install, encode_iterate, jacobi_sweep_rows, sweep_cost, JacobiSystem,
 };

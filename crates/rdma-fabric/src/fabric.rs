@@ -11,9 +11,12 @@
 //! thread of their own (an executor process's dispatcher): whoever waits for
 //! one of them — a connecting client, an invoker, a sender meeting an empty
 //! shared receive queue — turns them all through [`Fabric::run_until`].
+//! It also numbers the queue pairs, memory keys, actors and client control
+//! sockets on it, each from 1, so no id depends on what else ran in the
+//! process.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -148,6 +151,8 @@ pub struct Fabric {
     actors: Mutex<Vec<(u64, Arc<dyn Actor>)>>,
     next_actor: AtomicU64,
     next_control: AtomicU64,
+    next_qp_num: AtomicU32,
+    next_key: AtomicU64,
 }
 
 impl std::fmt::Debug for Fabric {
@@ -170,6 +175,8 @@ impl Fabric {
             actors: Mutex::new(Vec::new()),
             next_actor: AtomicU64::new(1),
             next_control: AtomicU64::new(1),
+            next_qp_num: AtomicU32::new(1),
+            next_key: AtomicU64::new(1),
         })
     }
 
@@ -186,6 +193,16 @@ impl Fabric {
     /// sockets this fabric bound before, not on anything else in the process.
     pub fn next_control_id(&self) -> u64 {
         self.next_control.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// The next queue pair number on this fabric, counting from 1.
+    pub(crate) fn next_qp_num(&self) -> u32 {
+        self.next_qp_num.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// The next memory key of any protection domain on this fabric.
+    pub(crate) fn next_key(&self) -> u64 {
+        self.next_key.fetch_add(1, Ordering::Relaxed)
     }
 
     /// Remove an actor. Waits out a pump that is mid-sweep, so once this

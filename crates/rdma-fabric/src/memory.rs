@@ -1,11 +1,12 @@
 //! Registered memory regions.
 //!
 //! An RDMA NIC can only access memory that has been *registered* with a
-//! protection domain: registration pins the pages and hands out a local key
-//! (`lkey`) and a remote key (`rkey`). A peer that knows the region's remote
-//! address and rkey can read/write/atomically update it without involving the
-//! owner's CPU — this is the mechanism rFaaS uses to deliver invocation
-//! payloads and results.
+//! protection domain: registration pins the pages and hands out a key
+//! (`rkey`). A peer that knows the region's remote address and key can
+//! read/write/atomically update it without involving the owner's CPU — this
+//! is the mechanism rFaaS uses to deliver invocation payloads and results.
+//! One key per region, numbered by its fabric: a local work request holds
+//! its region (an [`Sge`](crate::Sge)), so no local key is modelled.
 //!
 //! In the software fabric a region is an `Arc`'d, lock-protected byte buffer.
 //! Page alignment is emulated so the cost model can charge the same
@@ -37,7 +38,6 @@
 //! so that the destination, the sole holder, hands them on without a copy
 //! ([`MemoryRegion::take`]).
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use sim_core::sync::RwLock;
@@ -87,12 +87,6 @@ impl AccessFlags {
 /// Simulated page size used for the alignment model (4 KiB, as on the
 /// evaluation nodes).
 pub const PAGE_SIZE: usize = 4096;
-
-static NEXT_KEY: AtomicU64 = AtomicU64::new(1);
-
-fn next_key() -> u64 {
-    NEXT_KEY.fetch_add(1, Ordering::Relaxed)
-}
 
 /// Where a region's committed prefix lives.
 #[derive(Debug)]
@@ -239,7 +233,6 @@ pub(crate) struct RegionInner {
     /// Logical length, fixed at registration (regions never resize), so
     /// bounds checks need no lock.
     len: usize,
-    lkey: u64,
     rkey: u64,
     access: AccessFlags,
 }
@@ -254,25 +247,24 @@ pub struct MemoryRegion {
 }
 
 impl MemoryRegion {
-    /// Register a zero-initialised region of `len` bytes. Nothing is
-    /// committed until it is written.
-    pub(crate) fn zeroed(len: usize, access: AccessFlags) -> MemoryRegion {
-        Self::with_committed(Vec::new(), len, access)
+    /// Register a zero-initialised region of `len` bytes under `rkey`.
+    /// Nothing is committed until it is written.
+    pub(crate) fn zeroed(rkey: u64, len: usize, access: AccessFlags) -> MemoryRegion {
+        Self::with_committed(rkey, Vec::new(), len, access)
     }
 
     /// Register a region initialised from `data` (fully committed).
-    pub(crate) fn from_vec(data: Vec<u8>, access: AccessFlags) -> MemoryRegion {
+    pub(crate) fn from_vec(rkey: u64, data: Vec<u8>, access: AccessFlags) -> MemoryRegion {
         let len = data.len();
-        Self::with_committed(data, len, access)
+        Self::with_committed(rkey, data, len, access)
     }
 
-    fn with_committed(data: Vec<u8>, len: usize, access: AccessFlags) -> MemoryRegion {
+    fn with_committed(rkey: u64, data: Vec<u8>, len: usize, access: AccessFlags) -> MemoryRegion {
         MemoryRegion {
             inner: Arc::new(RegionInner {
                 len,
                 data: RwLock::new(Committed::new(data)),
-                lkey: next_key(),
-                rkey: next_key(),
+                rkey,
                 access,
             }),
         }
@@ -286,11 +278,6 @@ impl MemoryRegion {
     /// Whether the region is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Local key of the registration.
-    pub fn lkey(&self) -> u64 {
-        self.inner.lkey
     }
 
     /// Remote key of the registration.
@@ -645,16 +632,15 @@ mod tests {
 
     #[test]
     fn registration_assigns_unique_keys() {
-        let a = MemoryRegion::zeroed(16, AccessFlags::REMOTE_ALL);
-        let b = MemoryRegion::zeroed(16, AccessFlags::REMOTE_ALL);
+        let pd = crate::ProtectionDomain::new(&crate::Fabric::with_defaults());
+        let a = pd.register(16, AccessFlags::REMOTE_ALL);
+        let b = pd.register_from(vec![0; 16], AccessFlags::REMOTE_ALL);
         assert_ne!(a.rkey(), b.rkey());
-        assert_ne!(a.lkey(), b.lkey());
-        assert_ne!(a.lkey(), a.rkey());
     }
 
     #[test]
     fn read_write_round_trip() {
-        let mr = MemoryRegion::zeroed(32, AccessFlags::REMOTE_WRITE);
+        let mr = MemoryRegion::zeroed(0, 32, AccessFlags::REMOTE_WRITE);
         mr.write(4, &[1, 2, 3, 4]).unwrap();
         assert_eq!(mr.read(4, 4).unwrap(), vec![1, 2, 3, 4]);
         assert_eq!(mr.read(0, 4).unwrap(), vec![0, 0, 0, 0]);
@@ -662,7 +648,7 @@ mod tests {
 
     #[test]
     fn out_of_bounds_access_is_rejected() {
-        let mr = MemoryRegion::zeroed(8, AccessFlags::LOCAL_ONLY);
+        let mr = MemoryRegion::zeroed(0, 8, AccessFlags::LOCAL_ONLY);
         assert!(matches!(
             mr.read(4, 8),
             Err(FabricError::LocalAccessOutOfBounds { .. })
@@ -674,7 +660,7 @@ mod tests {
 
     #[test]
     fn u64_helpers() {
-        let mr = MemoryRegion::zeroed(16, AccessFlags::REMOTE_ALL);
+        let mr = MemoryRegion::zeroed(0, 16, AccessFlags::REMOTE_ALL);
         mr.write(8, &0xDEAD_BEEF_1234_5678u64.to_le_bytes())
             .unwrap();
         assert_eq!(mr.read_u64(8).unwrap(), 0xDEAD_BEEF_1234_5678);
@@ -685,7 +671,7 @@ mod tests {
 
     #[test]
     fn clones_share_storage() {
-        let a = MemoryRegion::zeroed(8, AccessFlags::REMOTE_ALL);
+        let a = MemoryRegion::zeroed(0, 8, AccessFlags::REMOTE_ALL);
         let b = a.clone();
         a.write(0, &[7]).unwrap();
         assert_eq!(b.read(0, 1).unwrap(), vec![7]);
@@ -694,7 +680,7 @@ mod tests {
 
     #[test]
     fn remote_handles_cover_ranges() {
-        let mr = MemoryRegion::zeroed(100, AccessFlags::REMOTE_ALL);
+        let mr = MemoryRegion::zeroed(7, 100, AccessFlags::REMOTE_ALL);
         let h = mr.remote_handle();
         assert_eq!(h.len, 100);
         assert_eq!(h.offset, 0);
@@ -705,12 +691,12 @@ mod tests {
         let sliced = h.slice(5, 10);
         assert_eq!(sliced.offset, 5);
         assert_eq!(sliced.len, 10);
-        assert_eq!(sliced.rkey, mr.rkey());
+        assert_eq!((sliced.rkey, mr.rkey()), (7, 7));
     }
 
     #[test]
     fn views_are_range_scoped_and_mutate_in_place() {
-        let mr = MemoryRegion::from_vec(vec![1, 2, 3, 4], AccessFlags::LOCAL_ONLY);
+        let mr = MemoryRegion::from_vec(0, vec![1, 2, 3, 4], AccessFlags::LOCAL_ONLY);
         mr.with_bytes_mut(1, 3, |b| b.reverse()).unwrap();
         assert_eq!(mr.read_all(), vec![1, 4, 3, 2]);
         let sum: u32 = mr
@@ -725,14 +711,14 @@ mod tests {
     #[test]
     fn only_touched_bytes_are_committed() {
         let committed = |mr: &MemoryRegion| mr.inner.data.read().len();
-        let mr = MemoryRegion::zeroed(8 << 20, AccessFlags::REMOTE_WRITE);
+        let mr = MemoryRegion::zeroed(0, 8 << 20, AccessFlags::REMOTE_WRITE);
         assert_eq!((mr.len(), committed(&mr)), (8 << 20, 0));
         // Reads past the mark yield zeros and commit nothing.
         assert_eq!(mr.read(4 << 20, 4).unwrap(), vec![0; 4]);
         let mut word = [7u8; 8];
         mr.read_into((8 << 20) - 8, &mut word).unwrap();
         assert_eq!(word, [0; 8]);
-        let sink = MemoryRegion::zeroed(64, AccessFlags::LOCAL_ONLY);
+        let sink = MemoryRegion::zeroed(0, 64, AccessFlags::LOCAL_ONLY);
         mr.copy_to(1 << 20, &sink, 0, 64).unwrap();
         assert_eq!(committed(&mr), 0);
         // A write or a view commits the pages up to its end, no further.
@@ -745,15 +731,15 @@ mod tests {
         mr.with_bytes(8, 16, |_| ()).unwrap();
         assert_eq!(committed(&mr), 2 * PAGE_SIZE);
         // The last page of a region ends with the region.
-        let small = MemoryRegion::zeroed(100, AccessFlags::LOCAL_ONLY);
+        let small = MemoryRegion::zeroed(0, 100, AccessFlags::LOCAL_ONLY);
         small.write(0, &[1]).unwrap();
         assert_eq!(committed(&small), 100);
     }
 
     #[test]
     fn copy_to_moves_bytes_between_and_within_regions() {
-        let src = MemoryRegion::from_vec((0u8..16).collect(), AccessFlags::LOCAL_ONLY);
-        let dst = MemoryRegion::zeroed(8, AccessFlags::REMOTE_WRITE);
+        let src = MemoryRegion::from_vec(0, (0u8..16).collect(), AccessFlags::LOCAL_ONLY);
+        let dst = MemoryRegion::zeroed(0, 8, AccessFlags::REMOTE_WRITE);
         src.copy_to(4, &dst, 2, 4).unwrap();
         assert_eq!(dst.read_all(), vec![0, 0, 4, 5, 6, 7, 0, 0]);
         // Same region, overlapping ranges: memmove semantics.
@@ -781,10 +767,10 @@ mod tests {
     #[test]
     fn empty_views_and_copies_commit_nothing() {
         let committed = |mr: &MemoryRegion| mr.inner.data.read().len();
-        let mr = MemoryRegion::zeroed(8 << 20, AccessFlags::REMOTE_ALL);
+        let mr = MemoryRegion::zeroed(0, 8 << 20, AccessFlags::REMOTE_ALL);
         assert_eq!(mr.with_bytes(4 << 20, 0, <[u8]>::len), Ok(0));
         assert_eq!(mr.with_bytes_mut(6 << 20, 0, |b| b.len()), Ok(0));
-        let src = MemoryRegion::from_vec(vec![1; 64], AccessFlags::LOCAL_ONLY);
+        let src = MemoryRegion::from_vec(0, vec![1; 64], AccessFlags::LOCAL_ONLY);
         src.copy_to(8, &mr, 7 << 20, 0).unwrap();
         mr.copy_to(5 << 20, &mr, 3 << 20, 0).unwrap();
         assert_eq!(committed(&mr), 0);
@@ -809,7 +795,7 @@ mod tests {
     fn only_whole_buffer_copies_share() {
         const LEN: usize = 3 * PAGE_SIZE;
         const COPY: usize = PAGE_SIZE + 100;
-        let region = || MemoryRegion::zeroed(LEN, AccessFlags::REMOTE_ALL);
+        let region = || MemoryRegion::zeroed(0, LEN, AccessFlags::REMOTE_ALL);
         // A source of COPY bytes of 7, committed to two pages, zeros after.
         let source = || {
             let src = region();
@@ -860,7 +846,7 @@ mod tests {
         src.write(2 * PAGE_SIZE, &[0]).unwrap();
         copies(&src, &region(), 0, 0, COPY);
         // A source prefix longer than the destination region.
-        let small = MemoryRegion::zeroed(COPY, AccessFlags::REMOTE_ALL);
+        let small = MemoryRegion::zeroed(0, COPY, AccessFlags::REMOTE_ALL);
         copies(&source(), &small, 0, 0, COPY);
     }
 
@@ -868,8 +854,8 @@ mod tests {
     fn writes_to_shared_bytes_leave_the_other_holder_alone() {
         const COPY: usize = 2 * PAGE_SIZE;
         let (src, dst) = (
-            MemoryRegion::zeroed(COPY, AccessFlags::REMOTE_ALL),
-            MemoryRegion::zeroed(COPY, AccessFlags::REMOTE_ALL),
+            MemoryRegion::zeroed(0, COPY, AccessFlags::REMOTE_ALL),
+            MemoryRegion::zeroed(0, COPY, AccessFlags::REMOTE_ALL),
         );
         src.write(0, &[7; COPY]).unwrap();
         dst.write(0, &[5; COPY]).unwrap();
@@ -921,7 +907,7 @@ mod tests {
     fn page_scale_script(script: u64) {
         const LENS: [usize; 3] = [2 * PAGE_SIZE + 700, 3 * PAGE_SIZE, 2 * PAGE_SIZE];
         let mut rng = proptest::TestRng::new(script.rotate_left(17) ^ 0x5EED);
-        let regions = LENS.map(|len| MemoryRegion::zeroed(len, AccessFlags::REMOTE_ALL));
+        let regions = LENS.map(|len| MemoryRegion::zeroed(0, len, AccessFlags::REMOTE_ALL));
         let mut models = LENS.map(|n| vec![0u8; n]);
         let below = |rng: &mut proptest::TestRng, bound: usize| rng.below(bound as u64) as usize;
         for step in 0..40u8 {
@@ -1048,7 +1034,7 @@ mod tests {
             let src_offset = if wrap & 7 == 0 { usize::MAX - src_offset } else { src_offset };
             let dst_offset = if wrap & 7 == 1 { usize::MAX - dst_offset } else { dst_offset };
             let fill = |salt: u8| (0..LEN).map(|i| (i as u8).wrapping_mul(31) ^ seed ^ salt).collect();
-            let region = |bytes: Vec<u8>| MemoryRegion::from_vec(bytes, AccessFlags::REMOTE_ALL);
+            let region = |bytes: Vec<u8>| MemoryRegion::from_vec(0, bytes, AccessFlags::REMOTE_ALL);
 
             let (model_src, real_src) = (region(fill(0)), region(fill(0)));
             let (model_dst, real_dst) = if same_region {
@@ -1080,7 +1066,7 @@ mod tests {
             page_scale_script(script);
             const LENS: [usize; 2] = [96, 64];
             let mut rng = proptest::TestRng::new(script);
-            let regions = LENS.map(|len| MemoryRegion::zeroed(len, AccessFlags::REMOTE_ALL));
+            let regions = LENS.map(|len| MemoryRegion::zeroed(0, len, AccessFlags::REMOTE_ALL));
             let mut models = LENS.map(|n| vec![0u8; n]);
             for step in 0..48u8 {
                 let which = rng.below(2) as usize;

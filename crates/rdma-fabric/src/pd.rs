@@ -3,22 +3,22 @@
 //! A protection domain (PD) groups memory registrations and queue pairs: a QP
 //! may only expose regions registered in its own PD to remote peers, and a
 //! remote key is only valid within the PD it was issued by. rFaaS allocates
-//! one PD per executor process and one per client invoker.
+//! one PD per endpoint. A PD is allocated from its [`Fabric`] (as
+//! `ibv_alloc_pd` takes a device context), which numbers its keys: the PDs
+//! of one fabric never share one.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use sim_core::sync::RwLock;
 
 use crate::error::{FabricError, Result};
+use crate::fabric::Fabric;
 use crate::memory::{AccessFlags, MemoryRegion};
-
-static NEXT_PD_ID: AtomicU64 = AtomicU64::new(1);
 
 #[derive(Debug)]
 struct PdInner {
-    id: u64,
+    fabric: Arc<Fabric>,
     regions: RwLock<BTreeMap<u64, MemoryRegion>>,
 }
 
@@ -28,38 +28,27 @@ pub struct ProtectionDomain {
     inner: Arc<PdInner>,
 }
 
-impl Default for ProtectionDomain {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl ProtectionDomain {
-    /// Allocate a fresh protection domain.
-    pub fn new() -> ProtectionDomain {
+    /// Allocate a fresh protection domain on `fabric`.
+    pub(crate) fn new(fabric: &Arc<Fabric>) -> ProtectionDomain {
         ProtectionDomain {
             inner: Arc::new(PdInner {
-                id: NEXT_PD_ID.fetch_add(1, Ordering::Relaxed),
+                fabric: Arc::clone(fabric),
                 regions: RwLock::new(BTreeMap::new()),
             }),
         }
     }
 
-    /// Numeric identifier of the domain.
-    pub fn id(&self) -> u64 {
-        self.inner.id
-    }
-
     /// Register a zero-initialised region of `len` bytes in this domain.
     pub fn register(&self, len: usize, access: AccessFlags) -> MemoryRegion {
-        let mr = MemoryRegion::zeroed(len, access);
+        let mr = MemoryRegion::zeroed(self.inner.fabric.next_key(), len, access);
         self.inner.regions.write().insert(mr.rkey(), mr.clone());
         mr
     }
 
     /// Register a region initialised from `data`.
     pub fn register_from(&self, data: Vec<u8>, access: AccessFlags) -> MemoryRegion {
-        let mr = MemoryRegion::from_vec(data, access);
+        let mr = MemoryRegion::from_vec(self.inner.fabric.next_key(), data, access);
         self.inner.regions.write().insert(mr.rkey(), mr.clone());
         mr
     }
@@ -126,11 +115,18 @@ impl Drop for OwnedRegion {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
+    use crate::{Endpoint, QueuePair};
+
+    fn domain() -> ProtectionDomain {
+        ProtectionDomain::new(&Fabric::with_defaults())
+    }
 
     #[test]
     fn register_and_lookup() {
-        let pd = ProtectionDomain::new();
+        let pd = domain();
         let mr = pd.register(64, AccessFlags::REMOTE_ALL);
         let found = pd.lookup(mr.rkey()).unwrap();
         assert!(found.same_region(&mr));
@@ -140,7 +136,7 @@ mod tests {
 
     #[test]
     fn unknown_rkey_is_rejected() {
-        let pd = ProtectionDomain::new();
+        let pd = domain();
         assert!(matches!(
             pd.lookup(12345),
             Err(FabricError::InvalidRemoteKey(12345))
@@ -149,8 +145,9 @@ mod tests {
 
     #[test]
     fn rkeys_do_not_cross_domains() {
-        let pd1 = ProtectionDomain::new();
-        let pd2 = ProtectionDomain::new();
+        let fabric = Fabric::with_defaults();
+        let pd1 = ProtectionDomain::new(&fabric);
+        let pd2 = ProtectionDomain::new(&fabric);
         let mr = pd1.register(16, AccessFlags::REMOTE_ALL);
         assert!(pd2.lookup(mr.rkey()).is_err());
         assert!(pd1.clone().lookup(mr.rkey()).is_ok());
@@ -158,7 +155,7 @@ mod tests {
 
     #[test]
     fn deregister_removes_region() {
-        let pd = ProtectionDomain::new();
+        let pd = domain();
         let mr = pd.register(16, AccessFlags::REMOTE_ALL);
         assert!(pd.deregister(&mr));
         assert!(!pd.deregister(&mr));
@@ -168,7 +165,7 @@ mod tests {
 
     #[test]
     fn owned_region_deregisters_on_drop() {
-        let pd = ProtectionDomain::new();
+        let pd = domain();
         let owned = pd.register_owned(32, AccessFlags::REMOTE_WRITE);
         let rkey = owned.rkey();
         assert_eq!((pd.region_count(), owned.len()), (1, 32));
@@ -180,16 +177,40 @@ mod tests {
 
     #[test]
     fn register_from_preserves_data() {
-        let pd = ProtectionDomain::new();
+        let pd = domain();
         let mr = pd.register_from(vec![9, 8, 7], AccessFlags::LOCAL_ONLY);
         assert_eq!(mr.read_all(), vec![9, 8, 7]);
         assert_eq!(pd.registered_bytes(), 3);
     }
 
+    /// Ids are the fabric's, not the process's: a second fabric numbers its
+    /// first queue pair and its first key as the first fabric did, and the
+    /// domains of one fabric never share a key, so `rkeys_do_not_cross_domains`
+    /// refuses a key that another domain really issued.
     #[test]
-    fn domains_have_unique_ids() {
-        let a = ProtectionDomain::new();
-        let b = ProtectionDomain::new();
-        assert_ne!(a.id(), b.id());
+    fn ids_are_numbered_per_fabric() {
+        let first_ids = || {
+            let fabric = Fabric::with_defaults();
+            let endpoint = Endpoint::new(&fabric, &fabric.add_node("n"));
+            let qp = QueuePair::new(&endpoint);
+            let mr = endpoint.pd.register(8, AccessFlags::REMOTE_ALL);
+            (qp.qp_num(), mr.rkey())
+        };
+        assert_eq!(first_ids(), (1, 1));
+        assert_eq!(first_ids(), first_ids());
+
+        let fabric = Fabric::with_defaults();
+        let domains = [0, 1, 2].map(|_| ProtectionDomain::new(&fabric));
+        let keys: BTreeSet<u64> = (0..4)
+            .flat_map(|_| &domains)
+            .flat_map(|pd| {
+                let mr = pd.register(8, AccessFlags::REMOTE_ALL);
+                [
+                    mr.rkey(),
+                    pd.register_from(vec![1], AccessFlags::LOCAL_ONLY).rkey(),
+                ]
+            })
+            .collect();
+        assert_eq!(keys.len(), 4 * 3 * 2, "a key was issued twice: {keys:?}");
     }
 }

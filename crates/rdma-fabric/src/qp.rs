@@ -7,7 +7,7 @@
 //! the data and delivers completions with fabric-model timestamps.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use sim_core::sync::{Mutex, RwLock};
@@ -22,7 +22,8 @@ use crate::pd::ProtectionDomain;
 use crate::srq::SharedReceiveQueue;
 use crate::verbs::{CompletionStatus, OpCode, RecvRequest, SendRequest, Sge, WorkCompletion};
 
-/// Everything needed to create queue pairs for one actor on one node.
+/// Everything needed to create queue pairs for one actor on one node, built
+/// by [`Endpoint::new`]: its fabric numbers its keys and queue pairs.
 #[derive(Clone)]
 pub struct Endpoint {
     /// The fabric the endpoint attaches to.
@@ -38,14 +39,14 @@ pub struct Endpoint {
 }
 
 impl Endpoint {
-    /// Create an endpoint on `node` with a fresh clock and protection domain,
-    /// attached to the physical function.
+    /// Create an endpoint on `node` with a fresh clock and a fresh
+    /// protection domain of `fabric`, attached to the physical function.
     pub fn new(fabric: &Arc<Fabric>, node: &Arc<FabricNode>) -> Endpoint {
         Endpoint {
             fabric: Arc::clone(fabric),
             node: Arc::clone(node),
             clock: VirtualClock::shared(),
-            pd: ProtectionDomain::new(),
+            pd: ProtectionDomain::new(fabric),
             function: DeviceFunction::Physical,
         }
     }
@@ -56,9 +57,9 @@ impl Endpoint {
         self
     }
 
-    /// Replace the protection domain.
-    pub fn with_pd(mut self, pd: ProtectionDomain) -> Endpoint {
-        self.pd = pd;
+    /// Replace the device function (a container's SR-IOV virtual function).
+    pub fn with_function(mut self, function: DeviceFunction) -> Endpoint {
+        self.function = function;
         self
     }
 }
@@ -114,8 +115,6 @@ impl AtomicQpState {
         self.0.store(state as u8, Ordering::Release);
     }
 }
-
-static NEXT_QP_NUM: AtomicU32 = AtomicU32::new(1);
 
 pub(crate) struct QpInner {
     qp_num: u32,
@@ -194,7 +193,7 @@ impl QueuePair {
         );
         QueuePair {
             inner: Arc::new(QpInner {
-                qp_num: NEXT_QP_NUM.fetch_add(1, Ordering::Relaxed),
+                qp_num: endpoint.fabric.next_qp_num(),
                 fabric: Arc::clone(&endpoint.fabric),
                 node: Arc::clone(&endpoint.node),
                 clock: Arc::clone(&endpoint.clock),

@@ -395,10 +395,16 @@ mod tests {
     use crate::session::Session;
     use crate::PollingMode;
     use cluster_sim::NodeResources;
-    use rdma_fabric::{DeviceFunction, Fabric};
+    use rdma_fabric::Fabric;
     use sandbox::{echo_function, failing_function, CodePackage, FunctionRegistry};
     use sim_core::SimTime;
     use std::sync::Arc;
+
+    /// A protection domain of a fresh fabric.
+    fn domain() -> ProtectionDomain {
+        let fabric = Fabric::with_defaults();
+        Endpoint::new(&fabric, &fabric.add_node("client-0")).pd
+    }
 
     /// One 36-core executor serving `pkg` (echo + an always-failing
     /// function).
@@ -470,7 +476,7 @@ mod tests {
 
     #[test]
     fn buffers_round_trip_payloads() {
-        let pd = ProtectionDomain::new();
+        let pd = domain();
         let input = Buffer::input(&pd, 64);
         assert_eq!(input.capacity(), 64);
         assert_eq!(input.payload_offset(), INVOCATION_HEADER_BYTES);
@@ -488,7 +494,7 @@ mod tests {
     #[test]
     fn a_released_result_is_handed_over_without_a_copy() {
         const LEN: usize = 1 << 20;
-        let pd = ProtectionDomain::new();
+        let pd = domain();
         let payload: Vec<u8> = (0..LEN).map(|i| (i % 251) as u8 + 1).collect();
         // The executor's side of a response DMA: a source region whose whole
         // content the client's output buffer adopts.
@@ -540,7 +546,7 @@ mod tests {
         // Regression (PR 3): reads used to clamp an oversized `len` silently,
         // handing back a short read the caller would misinterpret as the
         // complete result.
-        let pd = ProtectionDomain::new();
+        let pd = domain();
         let buf = Buffer::output(&pd, 32);
         buf.write_encoded(&[1u8; 32][..]).unwrap();
         assert_eq!(buf.read_decoded::<[u8]>(32).unwrap().len(), 32);
@@ -909,13 +915,7 @@ mod tests {
         // A worker that never accepts must fail within the given timeout
         // with a typed error, not hang or panic.
         let fabric = Fabric::with_defaults();
-        let endpoint = Endpoint {
-            fabric: Arc::clone(&fabric),
-            node: fabric.add_node("client-0"),
-            clock: sim_core::VirtualClock::shared(),
-            pd: ProtectionDomain::new(),
-            function: DeviceFunction::Physical,
-        };
+        let endpoint = Endpoint::new(&fabric, &fabric.add_node("client-0"));
         // A listener nobody ever accepts on: the client's connect request
         // sits in the accept queue until the client gives up.
         let _silent = rdma_fabric::Listener::bind(&fabric, "rfaas://dead-node/1/1");

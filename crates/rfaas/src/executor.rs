@@ -1091,8 +1091,8 @@ struct AllocatorState {
 /// new clients, manages executor processes, reaps those whose lease expired
 /// and accounts resource consumption.
 pub struct LightweightAllocator {
-    node_name: String,
     fabric: Arc<Fabric>,
+    /// The node the executor runs on, and with it the executor's name.
     node: Arc<FabricNode>,
     config: RFaasConfig,
     registry: FunctionRegistry,
@@ -1108,7 +1108,7 @@ pub struct LightweightAllocator {
 impl std::fmt::Debug for LightweightAllocator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LightweightAllocator")
-            .field("node", &self.node_name)
+            .field("node", &self.node.name())
             .finish()
     }
 }
@@ -1117,7 +1117,6 @@ impl LightweightAllocator {
     fn new(
         fabric: Arc<Fabric>,
         node: Arc<FabricNode>,
-        node_name: String,
         resources: NodeResources,
         registry: FunctionRegistry,
         images: ImageRegistry,
@@ -1125,7 +1124,6 @@ impl LightweightAllocator {
     ) -> LightweightAllocator {
         let config_warm_capacity = config.warm_pool_capacity;
         LightweightAllocator {
-            node_name,
             fabric,
             node,
             config,
@@ -1202,7 +1200,7 @@ impl LightweightAllocator {
         let (package, process_id, spawn_fail_at) = {
             let mut state = self.state.lock();
             if !state.alive {
-                return Err(RFaasError::ExecutorLost(self.node_name.clone()));
+                return Err(RFaasError::ExecutorLost(self.node.name().to_string()));
             }
             let package =
                 package.ok_or_else(|| RFaasError::UnknownPackage(lease.package.clone()))?;
@@ -1294,13 +1292,12 @@ impl LightweightAllocator {
         // depth — sublinear in the worker count — instead of one full ring
         // per connection. The depth grows with √workers on top of a
         // two-ring floor, clamped to what the device supports.
-        let dispatch_endpoint = Endpoint {
-            fabric: Arc::clone(&self.fabric),
-            node: Arc::clone(&self.node),
-            clock: Arc::new(VirtualClock::starting_at(start_time)),
-            pd: rdma_fabric::ProtectionDomain::new(),
-            function: device_function,
+        let endpoint = || {
+            let endpoint = Endpoint::new(&self.fabric, &self.node).with_function(device_function);
+            endpoint.clock.advance_to(start_time);
+            endpoint
         };
+        let dispatch_endpoint = endpoint();
         let max_depth = self.fabric.profile().max_recv_queue_depth;
         let srq_depth = (self.config.recv_queue_depth * (2 + integer_sqrt(workers))).clamp(
             self.config.recv_queue_depth.min(max_depth).max(1),
@@ -1325,16 +1322,10 @@ impl LightweightAllocator {
                 )));
                 break;
             }
-            let address = format!("rfaas://{}/{}/{}", self.node_name, process_id, worker_idx);
+            let address = format!("rfaas://{}/{}/{}", self.node.name(), process_id, worker_idx);
             let listener = Listener::bind(&self.fabric, &address);
             listener.attach_notifier(&wake);
-            let endpoint = Endpoint {
-                fabric: Arc::clone(&self.fabric),
-                node: Arc::clone(&self.node),
-                clock: Arc::new(VirtualClock::starting_at(start_time)),
-                pd: rdma_fabric::ProtectionDomain::new(),
-                function: device_function,
-            };
+            let endpoint = endpoint();
             infos.push(WorkerEndpointInfo {
                 address,
                 max_payload: self.config.max_payload_bytes,
@@ -1607,8 +1598,6 @@ impl LightweightAllocator {
 
 /// A spot executor: one node's worth of harvested resources offered to rFaaS.
 pub struct SpotExecutor {
-    name: String,
-    node: Arc<FabricNode>,
     resources: NodeResources,
     allocator: LightweightAllocator,
 }
@@ -1616,7 +1605,7 @@ pub struct SpotExecutor {
 impl std::fmt::Debug for SpotExecutor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SpotExecutor")
-            .field("name", &self.name)
+            .field("name", &self.name())
             .field("resources", &self.resources)
             .finish()
     }
@@ -1631,15 +1620,11 @@ impl SpotExecutor {
         registry: FunctionRegistry,
         config: RFaasConfig,
     ) -> Arc<SpotExecutor> {
-        let node = fabric.add_node(name);
         Arc::new(SpotExecutor {
-            name: name.to_string(),
-            node: Arc::clone(&node),
             resources,
             allocator: LightweightAllocator::new(
                 Arc::clone(fabric),
-                node,
-                name.to_string(),
+                fabric.add_node(name),
                 resources,
                 registry,
                 ImageRegistry::new(),
@@ -1650,12 +1635,12 @@ impl SpotExecutor {
 
     /// Node name.
     pub fn name(&self) -> &str {
-        &self.name
+        self.node().name()
     }
 
     /// The fabric node the executor runs on.
     pub fn node(&self) -> &Arc<FabricNode> {
-        &self.node
+        &self.allocator.node
     }
 
     /// Total resources offered.

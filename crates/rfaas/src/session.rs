@@ -28,8 +28,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use rdma_fabric::{
-    ConnectionPool, DatagramSocket, DeviceFunction, Endpoint, Fabric, ProtectionDomain,
-    RecvRequest, SendRequest, Sge,
+    ConnectionPool, DatagramSocket, Endpoint, Fabric, ProtectionDomain, RecvRequest, SendRequest,
+    Sge,
 };
 use sandbox::{CodePackage, SandboxType};
 use sim_core::{SimDuration, SimTime, VirtualClock};
@@ -220,17 +220,13 @@ impl AllocationBuilder {
     /// Acquire the lease, spin up the workers and connect to them (the cold
     /// path of Fig. 5/6), returning the live [`Session`].
     pub fn connect(self) -> Result<Session> {
-        let clock = self.shared_clock.unwrap_or_else(VirtualClock::shared);
-        if let Some(at) = self.start_at {
-            clock.advance_to(at);
+        let mut endpoint = Endpoint::new(&self.fabric, &self.fabric.add_node(&self.client_node));
+        if let Some(clock) = self.shared_clock {
+            endpoint = endpoint.with_clock(clock);
         }
-        let endpoint = Endpoint {
-            node: self.fabric.add_node(&self.client_node),
-            fabric: self.fabric,
-            clock,
-            pd: ProtectionDomain::new(),
-            function: DeviceFunction::Physical,
-        };
+        if let Some(at) = self.start_at {
+            endpoint.clock.advance_to(at);
+        }
         // Step 1: first contact with the resource manager rides the datagram
         // transport — a UD-style endpoint an order of magnitude cheaper to
         // set up than an RC connection. Bound once; re-allocations reuse it.

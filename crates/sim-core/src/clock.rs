@@ -27,7 +27,7 @@ impl VirtualClock {
     }
 
     /// A clock starting at an arbitrary instant.
-    pub fn starting_at(start: SimTime) -> Self {
+    fn starting_at(start: SimTime) -> Self {
         VirtualClock {
             now_ns: AtomicU64::new(start.as_nanos()),
         }

@@ -35,9 +35,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use rdma_fabric::{
-    AccessFlags, DatagramSocket, Endpoint, Fabric, FabricNode, MemoryRegion, ProtectionDomain,
-};
+use rdma_fabric::{AccessFlags, DatagramSocket, Endpoint, Fabric, FabricNode, MemoryRegion};
 use sim_core::sync::{ranks, OrderedMutex};
 use sim_core::VirtualClock;
 
@@ -344,12 +342,9 @@ impl StatePlane {
             serial
         };
         let address = format!("state://{}/{client_name}-{serial}", self.inner.name);
-        let pd = ProtectionDomain::new();
-        let endpoint = Endpoint::new(&self.inner.fabric, node)
-            .with_clock(Arc::clone(clock))
-            .with_pd(pd.clone());
+        let endpoint = Endpoint::new(&self.inner.fabric, node).with_clock(Arc::clone(clock));
         let socket = DatagramSocket::bind(&endpoint, &address);
-        let cache = pd.register(cache_bytes, AccessFlags::REMOTE_WRITE);
+        let cache = endpoint.pd.register(cache_bytes, AccessFlags::REMOTE_WRITE);
         self.inner.state.lock().clients.push(address.clone());
         StateClient {
             plane: self.clone(),

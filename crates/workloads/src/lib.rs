@@ -12,6 +12,8 @@
 //!   experiment (Fig. 13a),
 //! * [`jacobi`] — the Jacobi linear solver with executor-side caching of the
 //!   system matrix (Fig. 13b),
+//! * [`comm`] — the bulk-synchronous MPI world (rank clocks, barrier) the
+//!   HPC applications of Fig. 13 run on,
 //! * [`thumbnailer`] — SeBS-style thumbnail generation over synthetic RGB
 //!   images (Fig. 11a),
 //! * [`inference`] — a ResNet-50-scale CNN inference kernel (Fig. 11b),
@@ -22,6 +24,7 @@
 //!   in the RDMA state plane.
 
 pub mod blackscholes;
+pub mod comm;
 pub mod inference;
 pub mod jacobi;
 pub mod matmul;
@@ -31,6 +34,7 @@ pub mod thumbnailer;
 pub mod training;
 
 pub use blackscholes::{blackscholes_function, generate_options, price_batch, OptionContract};
+pub use comm::{MpiWorld, Rank};
 pub use inference::{image_recognition_function, InferenceModel};
 pub use jacobi::{jacobi_function, jacobi_solve, JacobiSystem};
 pub use matmul::{matmul_function, multiply, multiply_rows};

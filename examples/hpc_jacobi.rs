@@ -7,12 +7,11 @@
 //! ```
 
 use cluster_sim::NodeResources;
-use mpi_sim::MpiWorld;
 use rdma_fabric::Fabric;
 use rfaas::{RFaasConfig, ResourceManager, Session, SpotExecutor};
 use sandbox::{CodePackage, FunctionRegistry};
 use workloads::jacobi::{encode_install, encode_iterate, jacobi_sweep_rows, sweep_cost};
-use workloads::{jacobi_function, JacobiSystem};
+use workloads::{jacobi_function, JacobiSystem, MpiWorld};
 
 const RANKS: usize = 4;
 const UNKNOWNS: usize = 600;

@@ -8,7 +8,6 @@
 
 pub use cluster_sim;
 pub use faas_baselines;
-pub use mpi_sim;
 pub use rdma_fabric;
 pub use rfaas;
 pub use sandbox;

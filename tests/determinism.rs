@@ -6,7 +6,6 @@
 //! order leaked into the model.
 
 use cluster_sim::{NodeResources, TenantFleet};
-use mpi_sim::MpiWorld;
 use rdma_fabric::Fabric;
 use rfaas::{
     GroupLifecycleDriver, ManagerGroup, PollingMode, RFaasConfig, Reactor, Session, SpotExecutor,
@@ -16,6 +15,7 @@ use rfaas_bench::{evaluation_package, Testbed, PACKAGE};
 use sandbox::FunctionRegistry;
 use sandbox::SandboxType;
 use sim_core::{DeterministicRng, LatencyHistogram, SimDuration, VirtualClock};
+use workloads::MpiWorld;
 
 /// One end-to-end scenario: three executors, two sequential clients, a
 /// seeded mix of lease shapes, payload sizes, renewals and re-allocations.

@@ -128,8 +128,8 @@ fn umbrella_reexports_every_layer() {
     let tcp = rfaas_repro::faas_baselines::TcpProfile::kernel_100g();
     assert!(tcp.request_response(64, 64) > profile.one_way_latency);
 
-    // mpi-sim: a one-rank world runs its body once.
-    let ranks = rfaas_repro::mpi_sim::MpiWorld::new(1).each(|rank| rank.rank());
+    // workloads: a one-rank MPI world runs its body once.
+    let ranks = rfaas_repro::workloads::MpiWorld::new(1).each(|rank| rank.rank());
     assert_eq!(ranks, [0]);
 }
 
@@ -219,7 +219,7 @@ fn names_dependency<'a>(mut lines: impl Iterator<Item = &'a str>, name: &str) ->
 /// dependency (the shim directory name is the dependency name). Every
 /// directory under `crates/` is a workspace member that the umbrella
 /// `Cargo.toml` names under `[dependencies]` or `[dev-dependencies]`, by
-/// its package name, and there are exactly 10. Reads the manifests as text.
+/// its package name, and there are exactly 9. Reads the manifests as text.
 #[test]
 fn every_shim_is_a_member_with_a_dependent() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -275,7 +275,7 @@ fn every_shim_is_a_member_with_a_dependent() {
             "the umbrella Cargo.toml does not depend on crates/{dir} ({package})"
         );
     }
-    assert_eq!(crate_dirs.len(), 10, "crates: {crate_dirs:?}");
+    assert_eq!(crate_dirs.len(), 9, "crates: {crate_dirs:?}");
 }
 
 /// The lock-rank table in `sim_core::sync::ranks` lists the workspace's
@@ -376,6 +376,62 @@ fn client_layer_takes_no_locks_and_hash_maps_are_counted() {
             );
         }
     }
+}
+
+/// Whether `line` names `word` with no identifier character right before it.
+fn names_word(line: &str, word: &str) -> bool {
+    line.match_indices(word)
+        .any(|(at, _)| !line[..at].ends_with(|c: char| c == '_' || c.is_alphanumeric()))
+}
+
+/// Ids are the `Fabric`'s, never the process's: outside test modules and
+/// comments, `crates/` declares no `static NAME: Atomic…` counter, and only
+/// `crates/rdma-fabric` calls `ProtectionDomain::new(` or writes an
+/// `Endpoint { … }` literal, so every endpoint elsewhere is built by
+/// `Endpoint::new`, and its protection domain, keys and queue pair numbers
+/// come from its fabric. Reads the sources as text.
+#[test]
+fn identities_are_numbered_by_the_fabric() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let fabric_crate = root.join("crates/rdma-fabric");
+    let mut sources = Vec::new();
+    rust_sources(&root.join("crates"), &mut sources);
+    sources.sort();
+    let mut found = Vec::new();
+    for path in &sources {
+        let text = fs::read_to_string(path).unwrap();
+        let file = path.strip_prefix(root).unwrap().display();
+        for (n, line) in product_lines(&text) {
+            if is_comment(line) {
+                continue;
+            }
+            let decl = line.trim_start();
+            let decl = decl
+                .strip_prefix("pub(crate) ")
+                .or(decl.strip_prefix("pub "))
+                .unwrap_or(decl);
+            let atomic_static = decl
+                .strip_prefix("static ")
+                .and_then(|rest| rest.split_once(':'))
+                .is_some_and(|(_, ty)| ty.contains("Atomic"));
+            if atomic_static {
+                found.push(format!("{file}:{n}: a process-wide `static` atomic"));
+            }
+            if path.starts_with(&fabric_crate) {
+                continue;
+            }
+            for banned in ["ProtectionDomain::new(", "Endpoint {"] {
+                if names_word(line, banned) {
+                    found.push(format!("{file}:{n}: `{banned}` outside rdma-fabric"));
+                }
+            }
+        }
+    }
+    assert!(
+        found.is_empty(),
+        "ids not numbered by the fabric:\n{}",
+        found.join("\n")
+    );
 }
 
 /// Every `pub enum` whose name ends in `Error` or `Status` is an audit
