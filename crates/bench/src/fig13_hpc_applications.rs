@@ -32,10 +32,9 @@ fn rank_counts(mode: Mode) -> Vec<usize> {
 }
 
 /// Per-rank session with one rFaaS worker inside an MPI rank body.
-fn rank_session(testbed: &Testbed, config: &RFaasConfig, rank: usize) -> Session {
+fn rank_session(testbed: &Testbed, rank: usize) -> Session {
     testbed
         .session(&format!("mpi-rank-{rank:03}"))
-        .config(config.clone())
         .memory_mib(4 * 1024)
         .connect()
         .expect("rank allocation")
@@ -63,9 +62,9 @@ fn matmul_experiment(mode: Mode) -> Table {
             // and computes the upper half locally, every rank in lockstep.
             let mut config = RFaasConfig::paper_calibration();
             config.max_payload_bytes = 2 * n * n * 8 + 1024;
-            let testbed = Testbed::with_config(2, config.clone());
+            let testbed = Testbed::with_config(2, config);
             let world = MpiWorld::new(ranks);
-            let sessions = world.each(|rank| rank_session(&testbed, &config, rank.rank()));
+            let sessions = world.each(|rank| rank_session(&testbed, rank.rank()));
             world.barrier();
             let starts = world.each(|rank| sessions[rank.rank()].clock().now());
             let futures = world.each(|rank| {
@@ -135,7 +134,7 @@ fn jacobi_experiment(mode: Mode) -> Table {
             // only with the first invocation (cached in the warm executor).
             let mut config = RFaasConfig::paper_calibration();
             config.max_payload_bytes = n * n * 8 + 4 * n * 8 + 4096;
-            let testbed = Testbed::with_config(2, config.clone());
+            let testbed = Testbed::with_config(2, config);
             // Every rank solves the same system: the registry hands every
             // executor process the same function object, so the cached
             // matrix is shared platform-wide (one deployed model/system per
@@ -143,7 +142,7 @@ fn jacobi_experiment(mode: Mode) -> Table {
             // is generated here and lent to every rank.
             let system = &JacobiSystem::generate(n, 7);
             let world = MpiWorld::new(ranks);
-            let sessions = world.each(|rank| rank_session(&testbed, &config, rank.rank()));
+            let sessions = world.each(|rank| rank_session(&testbed, rank.rank()));
             let solvers = world.each(|rank| {
                 sessions[rank.rank()]
                     .function::<[u8], [f64]>("jacobi")

@@ -103,7 +103,6 @@ pub(crate) fn run(mode: Mode) -> Vec<Table> {
         .collect();
 
     let session = Session::builder(&fabric, "churn-client", &manager, PACKAGE)
-        .config(config.clone())
         .memory_mib(4096)
         .lease_timeout(SimDuration::from_secs(lease_secs))
         .connect()

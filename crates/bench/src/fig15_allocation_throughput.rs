@@ -34,7 +34,9 @@ use std::sync::Arc;
 use crate::{evaluation_package, every, p99_at, rows, xs, Claim, Mode, Row, Table, PACKAGE};
 use cluster_sim::{NodeResources, TenantFleet, TenantRequest, WorkloadKind};
 use rdma_fabric::Fabric;
-use rfaas::{GroupLifecycleDriver, LeaseRequest, ManagerGroup, RFaasConfig, Session};
+use rfaas::{
+    GroupLifecycleDriver, LeaseRequest, ManagerGroup, RFaasConfig, Session, ALLOCATION_SUBMIT_COST,
+};
 use sandbox::FunctionRegistry;
 use sim_core::{SimDuration, SimTime, VirtualClock};
 use workloads::{
@@ -135,7 +137,7 @@ fn run_storm(requests: &[TenantRequest], shards: usize, executors: usize) -> Sto
         clock.advance_to(request.arrival);
         // The client serialises and submits, then waits for the shard's
         // queue: the manager replica serves one allocation at a time.
-        clock.advance(config.allocation_submit_cost);
+        clock.advance(ALLOCATION_SUBMIT_COST);
         clock.advance_to(busy_until[shard].max(clock.now()));
         let mut lease_request = LeaseRequest::single_worker(PACKAGE)
             .with_cores(request.cores)
@@ -266,7 +268,6 @@ fn run_fleet(requests: &[TenantRequest], shards: usize, executors: usize) -> Fle
             &manager,
             PACKAGE,
         )
-        .config(config.clone())
         .workers(request.cores)
         .memory_mib(request.memory_mib)
         .lease_timeout(request.lease_timeout.max(SimDuration::from_secs(30)))

@@ -95,7 +95,6 @@ fn run_depth(depth: usize, rounds: usize) -> DepthOutcome {
     let session_handles: Vec<Session> = (0..sessions)
         .map(|i| {
             Session::builder(&fabric, &format!("sat-client-{i:02}"), &manager, PACKAGE)
-                .config(config.clone())
                 .workers(per_session as u32)
                 .memory_mib(1024)
                 .polling(PollingMode::Hot)

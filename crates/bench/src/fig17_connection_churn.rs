@@ -125,7 +125,6 @@ pub(crate) fn run(mode: Mode) -> Vec<Table> {
         let manager = group.manager_for_tenant(&request.tenant);
         let hits_before = pool.stats().hits;
         let session = Session::builder(&fabric, &request.tenant, &manager, PACKAGE)
-            .config(config.clone())
             .workers(1)
             .memory_mib(1024)
             .connection_pool(&pool)
@@ -171,7 +170,6 @@ pub(crate) fn run(mode: Mode) -> Vec<Table> {
     let mut srq_slots = Vec::new();
     for workers in [1u32, 16] {
         let session = Session::builder(&fabric, "fig17-srq-probe", &probe_manager, PACKAGE)
-            .config(config.clone())
             .workers(workers)
             .memory_mib(4096)
             .connect()

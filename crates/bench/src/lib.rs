@@ -34,8 +34,6 @@ pub struct Testbed {
     pub manager: Arc<ResourceManager>,
     /// The spot executors registered with the manager.
     pub executors: Vec<Arc<SpotExecutor>>,
-    /// Platform configuration used everywhere.
-    pub config: RFaasConfig,
 }
 
 impl Testbed {
@@ -69,17 +67,13 @@ impl Testbed {
             fabric,
             manager,
             executors,
-            config,
         }
     }
 
     /// Start building a [`Session`] for a client on its own node, against
-    /// the testbed's manager and configuration, requesting the evaluation
-    /// package. Callers layer worker count, sandbox and polling mode on top.
+    /// the testbed's manager, requesting the evaluation package. Callers layer worker count, sandbox and polling mode on top.
     pub fn session(&self, client_name: &str) -> AllocationBuilder {
-        Session::builder(&self.fabric, client_name, &self.manager, PACKAGE)
-            .config(self.config.clone())
-            .memory_mib(16 * 1024)
+        Session::builder(&self.fabric, client_name, &self.manager, PACKAGE).memory_mib(16 * 1024)
     }
 
     /// Build a connected session leasing `workers` workers with the given

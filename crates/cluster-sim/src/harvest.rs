@@ -43,25 +43,23 @@ impl Default for HarvestPolicy {
 }
 
 /// Extracts idle-resource offers from a batch-managed cluster.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ResourceHarvester {
+    /// The reserves an offer leaves; only tests compute offers.
+    #[cfg(test)]
     policy: HarvestPolicy,
-}
-
-impl Default for ResourceHarvester {
-    fn default() -> Self {
-        Self::new(HarvestPolicy::default())
-    }
 }
 
 impl ResourceHarvester {
     /// Harvester with an explicit policy.
+    #[cfg(test)]
     fn new(policy: HarvestPolicy) -> ResourceHarvester {
         ResourceHarvester { policy }
     }
 
     /// Current offers over all nodes of `scheduler`.
-    pub fn offers(&self, scheduler: &BatchScheduler) -> Vec<HarvestedResources> {
+    #[cfg(test)]
+    fn offers(&self, scheduler: &BatchScheduler) -> Vec<HarvestedResources> {
         scheduler
             .nodes()
             .iter()

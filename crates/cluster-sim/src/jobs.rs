@@ -217,12 +217,14 @@ impl BatchScheduler {
     }
 
     /// Number of running jobs.
-    pub fn running(&self) -> usize {
+    #[cfg(test)]
+    fn running(&self) -> usize {
         self.running.len()
     }
 
     /// Number of completed jobs.
-    pub fn completed(&self) -> usize {
+    #[cfg(test)]
+    fn completed(&self) -> usize {
         self.completed
     }
 

@@ -94,7 +94,7 @@ impl ClusterNode {
     }
 
     /// Try to harvest `request` for a spot executor. Returns whether it fit.
-    pub fn harvest(&mut self, request: NodeResources) -> bool {
+    pub(crate) fn harvest(&mut self, request: NodeResources) -> bool {
         if self.idle().can_fit(&request) {
             self.harvested = self.harvested.add(&request);
             true

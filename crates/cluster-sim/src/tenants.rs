@@ -202,7 +202,8 @@ impl TenantFleet {
     }
 
     /// The tenant profiles, in tenant-index order.
-    pub fn profiles(&self) -> &[TenantProfile] {
+    #[cfg(test)]
+    fn profiles(&self) -> &[TenantProfile] {
         &self.profiles
     }
 

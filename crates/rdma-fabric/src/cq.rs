@@ -311,14 +311,6 @@ impl CqSet {
         drained
     }
 
-    /// Member access by token (registration index). Panics for a
-    /// deregistered token.
-    pub fn member(&self, token: usize) -> &CompletionQueue {
-        self.members[token]
-            .as_ref()
-            .expect("CqSet member was deregistered")
-    }
-
     /// The set's event counter, for attaching event sources that are not
     /// completion queues (see [`CqNotifier`]).
     pub fn notifier(&self) -> &CqNotifier {

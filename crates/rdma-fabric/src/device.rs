@@ -132,7 +132,7 @@ impl NicProfile {
     /// chained batch (one doorbell, one shared round trip, back-to-back
     /// serialisation), amortising the per-fault overhead that makes
     /// page-at-a-time faulting expensive.
-    pub fn fork_read_cost(&self, pages: usize, page_bytes: usize) -> SimDuration {
+    pub(crate) fn fork_read_cost(&self, pages: usize, page_bytes: usize) -> SimDuration {
         if pages == 0 || page_bytes == 0 {
             return SimDuration::ZERO;
         }

@@ -288,7 +288,7 @@ impl Fabric {
     /// Compute the timing of a transfer of `bytes` from `src` to `dst`,
     /// issued when the initiator was ready at `ready`, and account the
     /// occupancy on both ports. Loopback transfers (same node) skip the wire.
-    pub fn transfer(
+    pub(crate) fn transfer(
         &self,
         src: &FabricNode,
         dst: &FabricNode,

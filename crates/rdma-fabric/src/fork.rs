@@ -7,7 +7,7 @@
 //! fabric. Faulting page-at-a-time would pay the full issue + round-trip
 //! overhead per page, so the fault handler prefetches a *window* of
 //! consecutive pages per fault: one doorbell, chained WQEs, one shared round
-//! trip ([`NicProfile::fork_read_cost`]).
+//! trip (`NicProfile::fork_read_cost`).
 //!
 //! [`PrefetchPlan`] turns a snapshot's page map into the deterministic
 //! schedule of fault batches a child will serve: which pages each batch
@@ -80,7 +80,7 @@ impl PrefetchPlan {
     }
 
     /// The full fault schedule, in the order the child serves it.
-    pub fn batches(&self) -> Vec<FaultBatch> {
+    pub(crate) fn batches(&self) -> Vec<FaultBatch> {
         (0..self.batch_count())
             .map(|i| {
                 let start_page = i * self.window;

@@ -21,8 +21,8 @@
 //! first touch. Registering itself charges no virtual time: the NIC's
 //! registration cost is folded into the sandbox profiles'
 //! `executor_start_cost` and `per_worker_cost`, which do not depend on how
-//! much is registered. [`MemoryRegion::decommit`] gives the prefix back,
-//! like `madvise(MADV_DONTNEED)`.
+//! much is registered. [`MemoryRegion::take`] reads the bytes out and gives
+//! the prefix back, like `madvise(MADV_DONTNEED)`.
 //!
 //! The committed prefix is either *owned* by the region or *shared* with
 //! other regions. A DMA that replaces a destination's whole content —
@@ -451,15 +451,17 @@ impl MemoryRegion {
     /// whole region reads as zeros again. Bytes shared with another region
     /// stay with it; an owned buffer keeps its allocation for the next
     /// write.
-    pub fn decommit(&self) {
+    #[cfg(test)]
+    fn decommit(&self) {
         self.inner.data.write().decommit();
     }
 
-    /// [`MemoryRegion::read`] followed by [`MemoryRegion::decommit`], in one
-    /// step: the bytes of `[offset, offset + len)`, after which the whole
-    /// region reads as zeros. A read from offset 0 that the committed prefix
-    /// covers, of bytes no other region holds, hands over the buffer itself,
-    /// truncated to `len`, instead of copying it; anything else is copied.
+    /// [`MemoryRegion::read`] followed by giving back the committed bytes, as
+    /// `madvise(MADV_DONTNEED)` does, in one step: the bytes of
+    /// `[offset, offset + len)`, after which the whole region reads as
+    /// zeros. A read from offset 0 that the committed prefix covers, of
+    /// bytes no other region holds, hands over the buffer itself, truncated
+    /// to `len`, instead of copying it; anything else is copied.
     pub fn take(&self, offset: usize, len: usize) -> Result<Vec<u8>> {
         check_bounds(offset, len, self.len())?;
         let mut data = self.inner.data.write();
@@ -476,7 +478,7 @@ impl MemoryRegion {
     }
 
     /// Let go of bytes another region still shares, as
-    /// [`MemoryRegion::decommit`] does: this region then reads as zeros and
+    /// [`MemoryRegion::take`] does: this region then reads as zeros and
     /// the other holds them alone. Bytes this region owns — or is the last
     /// to share — stay as they are.
     pub fn release_shared(&self) {

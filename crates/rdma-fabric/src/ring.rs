@@ -81,7 +81,7 @@ impl RingState {
     /// the order a reliable-connected QP consumes its receive queue) and
     /// returns its index. An empty ring rejects the delivery the same way the
     /// transport rejects a write-with-immediate without a posted receive.
-    pub fn deliver(&mut self) -> Result<usize> {
+    pub(crate) fn deliver(&mut self) -> Result<usize> {
         let slot = self
             .posted
             .pop_front()
@@ -112,7 +112,7 @@ impl RingState {
     /// Return a consumed slot to the back of the posted FIFO. Reposting a
     /// slot that is still posted (or out of range) is a caller bug and is
     /// rejected rather than silently duplicating the slot.
-    pub fn repost(&mut self, slot: usize) -> Result<()> {
+    pub(crate) fn repost(&mut self, slot: usize) -> Result<()> {
         if slot >= self.depth || !self.consumed[slot] {
             return Err(FabricError::DeviceLimitExceeded {
                 limit: "repost of a slot that is not consumed",

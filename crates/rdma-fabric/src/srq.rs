@@ -117,11 +117,6 @@ impl SharedReceiveQueue {
         }
     }
 
-    /// Configured capacity.
-    pub fn max_depth(&self) -> usize {
-        self.inner.max_depth
-    }
-
     /// Receives currently posted.
     pub fn posted(&self) -> usize {
         self.inner.state.lock().queue.len()

@@ -117,20 +117,8 @@ pub enum SendRequest {
 }
 
 impl SendRequest {
-    /// The opcode this request maps to.
-    pub fn opcode(&self) -> OpCode {
-        match self {
-            SendRequest::Send { .. } => OpCode::Send,
-            SendRequest::Write { .. } => OpCode::Write,
-            SendRequest::WriteWithImm { .. } => OpCode::WriteWithImm,
-            SendRequest::Read { .. } => OpCode::Read,
-            SendRequest::AtomicFetchAdd { .. } => OpCode::AtomicFetchAdd,
-            SendRequest::AtomicCompareSwap { .. } => OpCode::AtomicCompareSwap,
-        }
-    }
-
     /// The local scatter/gather entry of the request.
-    pub fn local(&self) -> &Sge {
+    pub(crate) fn local(&self) -> &Sge {
         match self {
             SendRequest::Send { local }
             | SendRequest::Write { local, .. }

@@ -23,7 +23,7 @@ use rdma_fabric::{
 };
 use sim_core::SimDuration;
 
-use crate::config::RFaasConfig;
+use crate::config::{PRICE_ALLOCATION, PRICE_COMPUTE, PRICE_HOT_POLLING};
 use crate::error::Result;
 
 /// Number of 8-byte words per billing slot: allocation, compute, hot-poll.
@@ -66,12 +66,12 @@ impl UsageRecord {
         self.allocation_gib_us += (time.as_micros_f64() * gib).round() as u64;
     }
 
-    /// Monetary cost of this usage under the configured rates.
-    pub fn cost(&self, config: &RFaasConfig) -> f64 {
+    /// Monetary cost of this usage at the calibrated rates.
+    pub(crate) fn cost(&self) -> f64 {
         let seconds = 1.0e-6;
-        config.price_allocation * (self.allocation_gib_us as f64 * seconds)
-            + config.price_compute * (self.compute_us as f64 * seconds)
-            + config.price_hot_polling * (self.hot_poll_us as f64 * seconds)
+        PRICE_ALLOCATION * (self.allocation_gib_us as f64 * seconds)
+            + PRICE_COMPUTE * (self.compute_us as f64 * seconds)
+            + PRICE_HOT_POLLING * (self.hot_poll_us as f64 * seconds)
     }
 }
 
@@ -120,9 +120,9 @@ impl BillingDatabase {
     }
 
     /// Total cost accumulated across all slots.
-    pub fn total_cost(&self, config: &RFaasConfig) -> f64 {
+    pub(crate) fn total_cost(&self) -> f64 {
         (0..SLOT_CAPACITY)
-            .map(|slot| self.read_slot(slot).cost(config))
+            .map(|slot| self.read_slot(slot).cost())
             .sum()
     }
 }
@@ -205,8 +205,7 @@ mod tests {
         };
         assert!(!a.is_empty());
         assert!(UsageRecord::default().is_empty());
-        let config = RFaasConfig::default();
-        let cost = a.cost(&config);
+        let cost = a.cost();
         assert!(cost > 0.0);
         // Compute and hot-poll seconds are priced equally.
         let compute_only = UsageRecord {
@@ -217,7 +216,7 @@ mod tests {
             hot_poll_us: 1_000_000,
             ..Default::default()
         };
-        assert!((compute_only.cost(&config) - hot_only.cost(&config)).abs() < 1e-12);
+        assert!((compute_only.cost() - hot_only.cost()).abs() < 1e-12);
     }
 
     #[test]
@@ -271,8 +270,7 @@ mod tests {
         let mut usage = UsageRecord::default();
         usage.add_compute(SimDuration::from_secs(10));
         client.flush(usage).unwrap();
-        let config = RFaasConfig::default();
-        let expected = config.price_compute * 10.0;
-        assert!((db.total_cost(&config) - expected).abs() < 1e-6);
+        let expected = PRICE_COMPUTE * 10.0;
+        assert!((db.total_cost() - expected).abs() < 1e-6);
     }
 }

@@ -19,7 +19,7 @@ use rdma_fabric::{
 use sim_core::SimDuration;
 
 use crate::codec::Codec;
-use crate::config::RFaasConfig;
+use crate::config::RECV_QUEUE_DEPTH;
 use crate::error::{RFaasError, Result};
 use crate::executor::WorkerEndpointInfo;
 use crate::protocol::{ImmValue, InvocationHeader, ResultStatus, INVOCATION_HEADER_BYTES};
@@ -219,7 +219,6 @@ impl WorkerConnection {
         worker: &WorkerEndpointInfo,
         pool: &ConnectionPool,
         pool_key: &str,
-        config: &RFaasConfig,
         timeout: std::time::Duration,
         index: usize,
     ) -> Result<WorkerConnection> {
@@ -263,12 +262,7 @@ impl WorkerConnection {
             offset: advertised.result_offset as usize,
             len: advertised.result_capacity as usize,
         };
-        // Clamp to the device limit: a shallower result ring only means
-        // overflow receives kick in earlier, not a failed connection.
-        let ring_depth = config
-            .recv_queue_depth
-            .clamp(1, endpoint.fabric.profile().max_recv_queue_depth);
-        let ring = ReceiveRing::new(&qp, ring_depth, 8)?;
+        let ring = ReceiveRing::new(&qp, RECV_QUEUE_DEPTH, 8)?;
         let overflow_scratch = endpoint.pd.register_owned(8, AccessFlags::LOCAL_ONLY);
         Ok(WorkerConnection {
             qp,
@@ -390,6 +384,7 @@ pub(crate) fn connection_is_lost(error: &RFaasError) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::RFaasConfig;
     use crate::executor::SpotExecutor;
     use crate::manager::ResourceManager;
     use crate::session::Session;
@@ -857,6 +852,49 @@ mod tests {
         assert!(matches!(err, RFaasError::PayloadTooLarge { .. }));
     }
 
+    /// The payload ceiling is the executor's: each worker's hello advertises
+    /// its input buffer, and the builder's configuration has no say.
+    #[test]
+    fn payload_ceiling_comes_from_the_worker_not_the_builder() {
+        let fabric = Fabric::with_defaults();
+        let registry = FunctionRegistry::new();
+        registry.deploy(CodePackage::minimal("pkg").with_function(echo_function()));
+        let manager = ResourceManager::new(&fabric, RFaasConfig::default());
+        let worker_config = RFaasConfig {
+            max_payload_bytes: 4096,
+            ..RFaasConfig::default()
+        };
+        let executor = SpotExecutor::new(
+            &fabric,
+            "exec-0",
+            NodeResources {
+                cores: 4,
+                memory_mib: 8 * 1024,
+            },
+            registry,
+            worker_config,
+        );
+        manager.register_executor(&executor);
+        let session = Session::builder(&fabric, "client-0", &manager, "pkg")
+            .config(RFaasConfig::default())
+            .connect()
+            .unwrap();
+        let echo = session.function::<[u8], [u8]>("echo").unwrap();
+        let at_ceiling = vec![7u8; 4096];
+        assert_eq!(echo.invoke(&at_ceiling[..]).unwrap(), at_ceiling);
+        // The rejection names the worker's buffer, header included.
+        let err = echo.submit(&[0u8; 4097][..]).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                RFaasError::PayloadTooLarge { payload, capacity }
+                    if payload == INVOCATION_HEADER_BYTES + 4097
+                        && capacity == INVOCATION_HEADER_BYTES + 4096
+            ),
+            "{err:?}"
+        );
+    }
+
     #[test]
     fn parallel_invocations_on_multiple_workers() {
         let (_fabric, _manager, session) = platform(4);
@@ -930,7 +968,6 @@ mod tests {
             &worker,
             &pool,
             "dead-node",
-            &RFaasConfig::default(),
             std::time::Duration::from_millis(50),
             0,
         ) {

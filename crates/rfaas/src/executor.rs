@@ -51,7 +51,10 @@ use state_plane::{
 };
 
 use crate::billing::{BillingClient, UsageRecord};
-use crate::config::{PollingMode, RFaasConfig, HOT_POLL_TIMEOUT};
+use crate::config::{
+    PollingMode, RFaasConfig, DISPATCH_COST, FORK_PREFETCH_WINDOW, HOT_POLL_TIMEOUT,
+    RECV_QUEUE_DEPTH,
+};
 use crate::error::{RFaasError, Result};
 use crate::protocol::{ImmValue, InvocationHeader, Lease, ResultStatus, INVOCATION_HEADER_BYTES};
 
@@ -398,7 +401,9 @@ struct Dispatcher {
     /// sweeps again even if the counter has not moved.
     unsettled: bool,
     package: CodePackage,
-    config: RFaasConfig,
+    /// Bytes of the largest payload, and of the largest result, a worker's
+    /// buffers hold.
+    max_payload_bytes: usize,
     /// Compute and hot-polling time served so far, each record rounded to
     /// whole µs as it is added. The allocator flushes it to the manager's
     /// billing database once, when the process ends.
@@ -440,25 +445,25 @@ fn connect_worker(
     endpoint: &Endpoint,
     qp: QueuePair,
     cqset: &mut CqSet,
-    config: &RFaasConfig,
+    max_payload_bytes: usize,
     srq: &SharedReceiveQueue,
 ) -> Option<WorkerConn> {
     // Registered buffers: clients write [header | payload] into `input`; the
     // function produces its result in `output` before it is written back.
     let input = endpoint.pd.register_owned(
-        INVOCATION_HEADER_BYTES + config.max_payload_bytes,
+        INVOCATION_HEADER_BYTES + max_payload_bytes,
         AccessFlags::REMOTE_WRITE,
     );
     let output = endpoint
         .pd
-        .register_owned(config.max_payload_bytes, AccessFlags::LOCAL_ONLY);
+        .register_owned(max_payload_bytes, AccessFlags::LOCAL_ONLY);
 
     // No private receive ring: the QP consumes pre-posted receives from the
     // process-wide SRQ, capped by a per-worker flow-control credit so one
     // chatty connection cannot starve its siblings. The credit equals the
     // old private ring depth, so a single client observes the same
     // ReceiverNotReady threshold as before the SRQ rework.
-    qp.attach_srq(srq, config.recv_queue_depth.max(1));
+    qp.attach_srq(srq, RECV_QUEUE_DEPTH);
 
     let hello = InvocationHeader {
         result_rkey: input.rkey(),
@@ -554,7 +559,7 @@ impl Dispatcher {
                             &slot.endpoint,
                             qp,
                             &mut self.cqset,
-                            &self.config,
+                            self.max_payload_bytes,
                             &self.srq,
                         ) {
                             Some(conn) => {
@@ -656,7 +661,7 @@ impl Dispatcher {
             deadline,
             ring,
             package,
-            config,
+            max_payload_bytes,
             usage,
             fork,
             state_binding,
@@ -807,7 +812,7 @@ impl Dispatcher {
             }
 
             // Dispatch: header parse, function lookup, argument setup.
-            clock.advance(config.dispatch_cost);
+            clock.advance(DISPATCH_COST);
 
             let response = match package.function_by_index(function_index as usize) {
                 None => (0usize, ResultStatus::FunctionFailed),
@@ -818,7 +823,7 @@ impl Dispatcher {
                     // receive, not the whole buffer: a larger result fails the
                     // invocation either way, and the window is all of the buffer
                     // this lease ever commits.
-                    let window = config.max_payload_bytes.min(result_handle.len);
+                    let window = (*max_payload_bytes).min(result_handle.len);
                     let outcome = match payload {
                         Some(payload) => conn
                             .output
@@ -993,8 +998,6 @@ pub struct ExecutorProcess {
     leased_cores: u32,
     memory_mib: u64,
     created_at: SimTime,
-    /// How the sandbox was provisioned.
-    policy: AllocationPolicy,
 }
 
 impl ExecutorProcess {
@@ -1016,11 +1019,6 @@ impl ExecutorProcess {
     /// Aggregate statistics over all workers.
     pub fn stats(&self) -> WorkerStats {
         self.dispatcher.0.lock().stats()
-    }
-
-    /// The allocation policy this process was provisioned under.
-    pub fn policy(&self) -> AllocationPolicy {
-        self.policy
     }
 
     /// A snapshot of a forked process's fault state (`None` for cold/warm
@@ -1094,7 +1092,7 @@ pub struct LightweightAllocator {
     fabric: Arc<Fabric>,
     /// The node the executor runs on, and with it the executor's name.
     node: Arc<FabricNode>,
-    config: RFaasConfig,
+    max_payload_bytes: usize,
     registry: FunctionRegistry,
     images: ImageRegistry,
     state: OrderedMutex<AllocatorState>,
@@ -1122,11 +1120,10 @@ impl LightweightAllocator {
         images: ImageRegistry,
         config: RFaasConfig,
     ) -> LightweightAllocator {
-        let config_warm_capacity = config.warm_pool_capacity;
         LightweightAllocator {
             fabric,
             node,
-            config,
+            max_payload_bytes: config.max_payload_bytes,
             registry,
             images,
             state: OrderedMutex::new(
@@ -1142,7 +1139,7 @@ impl LightweightAllocator {
                 },
             ),
             clock: VirtualClock::shared(),
-            warm_pool: WarmPool::with_capacity(config_warm_capacity),
+            warm_pool: WarmPool::with_capacity(config.warm_pool_capacity),
         }
     }
 
@@ -1159,7 +1156,8 @@ impl LightweightAllocator {
     }
 
     /// Resources currently available for new allocations.
-    pub fn available(&self) -> NodeResources {
+    #[cfg(test)]
+    pub(crate) fn available(&self) -> NodeResources {
         self.state.lock().available
     }
 
@@ -1270,7 +1268,7 @@ impl LightweightAllocator {
                         fork_state = Some(ForkFaultState::new(
                             &snapshot,
                             self.fabric.profile(),
-                            self.config.fork_prefetch_window,
+                            FORK_PREFETCH_WINDOW,
                         ));
                         (sandbox, micro_spawn(setup), SimDuration::ZERO)
                     }
@@ -1299,10 +1297,7 @@ impl LightweightAllocator {
         };
         let dispatch_endpoint = endpoint();
         let max_depth = self.fabric.profile().max_recv_queue_depth;
-        let srq_depth = (self.config.recv_queue_depth * (2 + integer_sqrt(workers))).clamp(
-            self.config.recv_queue_depth.min(max_depth).max(1),
-            max_depth,
-        );
+        let srq_depth = (RECV_QUEUE_DEPTH * (2 + integer_sqrt(workers))).min(max_depth);
         let srq = SharedReceiveQueue::new(&dispatch_endpoint, srq_depth);
         let shared_ring = ReceiveRing::on_srq(&dispatch_endpoint, &srq, srq_depth, 8)
             .map_err(|e| RFaasError::Internal(format!("failed to build shared receive ring: {e}")));
@@ -1328,7 +1323,7 @@ impl LightweightAllocator {
             let endpoint = endpoint();
             infos.push(WorkerEndpointInfo {
                 address,
-                max_payload: self.config.max_payload_bytes,
+                max_payload: self.max_payload_bytes,
             });
             slots.push(WorkerSlot {
                 listener,
@@ -1373,7 +1368,7 @@ impl LightweightAllocator {
                 scratch: Vec::new(),
                 unsettled: true,
                 package: package.clone(),
-                config: self.config.clone(),
+                max_payload_bytes: self.max_payload_bytes,
                 usage: UsageRecord::default(),
                 srq: srq.clone(),
                 ring,
@@ -1393,7 +1388,6 @@ impl LightweightAllocator {
             leased_cores: lease.cores,
             memory_mib: lease.memory_mib,
             created_at: start_time,
-            policy,
         };
         self.state
             .lock()
@@ -1991,12 +1985,10 @@ mod tests {
             allocate_cold(&exec, &test_lease(1, "echo-pkg"), 2, PollingMode::Hot).unwrap();
         let client = Endpoint::new(&fabric, &fabric.add_node("client"));
         let pool = rdma_fabric::ConnectionPool::new();
-        let config = RFaasConfig::default();
         let connect = |index: usize| {
             let timeout = std::time::Duration::from_secs(5);
             let worker = &allocation.workers[index];
-            WorkerConnection::connect(&client, worker, &pool, "exec-0", &config, timeout, index)
-                .unwrap()
+            WorkerConnection::connect(&client, worker, &pool, "exec-0", timeout, index).unwrap()
         };
         let first = connect(0);
         assert_eq!(invoke_raw(&client, &first, 1), ResultStatus::Success);
@@ -2224,7 +2216,6 @@ mod tests {
         let one = allocate_cold(&exec, &test_lease(2, "echo-pkg"), 1, PollingMode::Warm).unwrap();
         let sixteen =
             allocate_cold(&exec, &test_lease(2, "echo-pkg"), 16, PollingMode::Warm).unwrap();
-        let config = RFaasConfig::default();
         let depth1 = exec
             .allocator()
             .srq_stats(one.process_id)
@@ -2236,11 +2227,11 @@ mod tests {
             .unwrap()
             .max_depth;
         // A single worker still gets at least its old private ring depth.
-        assert!(depth1 >= config.recv_queue_depth);
+        assert!(depth1 >= RECV_QUEUE_DEPTH);
         // 16 workers share far fewer receive slots than 16 private rings
         // would pin — receive memory is sublinear in the connection count.
         assert!(
-            depth16 < 16 * config.recv_queue_depth,
+            depth16 < 16 * RECV_QUEUE_DEPTH,
             "16-worker SRQ depth {depth16} should undercut 16 private rings"
         );
         assert!(depth16 * 4 <= 16 * depth1, "depth must grow sublinearly");

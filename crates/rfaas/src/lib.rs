@@ -75,7 +75,8 @@ pub use billing::{BillingDatabase, UsageRecord};
 pub use client::{BatchStats, ColdStartBreakdown, ConnectionPlaneStats};
 pub use codec::{check_capacity, Codec, F64View};
 pub use config::{
-    PollingMode, RFaasConfig, HEARTBEAT_INTERVAL, HEARTBEAT_TIMEOUT, HOT_POLL_TIMEOUT,
+    PollingMode, RFaasConfig, ALLOCATION_SUBMIT_COST, HEARTBEAT_INTERVAL, HEARTBEAT_TIMEOUT,
+    HOT_POLL_TIMEOUT,
 };
 pub use error::{RFaasError, Result};
 pub use executor::{

@@ -19,7 +19,7 @@ use sim_core::{SimDuration, SimTime, VirtualClock};
 use rdma_fabric::DatagramSocket;
 
 use crate::billing::{BillingClient, BillingDatabase, UsageRecord};
-use crate::config::RFaasConfig;
+use crate::config::{RFaasConfig, ALLOCATION_PROCESSING_COST, LEASE_RENEWAL_COST};
 use crate::error::{RFaasError, Result};
 use crate::executor::SpotExecutor;
 use crate::protocol::{ControlFrame, Lease, LeaseRequest};
@@ -62,7 +62,6 @@ struct ManagerState {
 
 /// The rFaaS resource manager (one instance of the replicated service).
 pub struct ResourceManager {
-    config: RFaasConfig,
     fabric: Arc<Fabric>,
     node: Arc<FabricNode>,
     endpoint: Endpoint,
@@ -87,9 +86,10 @@ impl std::fmt::Debug for ResourceManager {
 }
 
 impl ResourceManager {
-    /// Create a manager attached to `fabric` on its own node.
-    pub fn new(fabric: &Arc<Fabric>, config: RFaasConfig) -> Arc<ResourceManager> {
-        Self::with_lease_namespace(fabric, config, "resource-manager", 1, 1)
+    /// Create a manager attached to `fabric` on its own node. The manager
+    /// reads nothing from `_config`: its costs are the calibrated constants.
+    pub fn new(fabric: &Arc<Fabric>, _config: RFaasConfig) -> Arc<ResourceManager> {
+        Self::with_lease_namespace(fabric, "resource-manager", 1, 1)
     }
 
     /// Create a manager issuing lease ids `first_lease_id, first_lease_id +
@@ -99,7 +99,6 @@ impl ResourceManager {
     /// [`ManagerGroup`]: crate::sharding::ManagerGroup
     pub(crate) fn with_lease_namespace(
         fabric: &Arc<Fabric>,
-        config: RFaasConfig,
         node_name: &str,
         first_lease_id: u64,
         stride: u64,
@@ -110,7 +109,6 @@ impl ResourceManager {
         let control_address = format!("rfaas-ctl://{node_name}");
         let control = DatagramSocket::bind(&endpoint, &control_address);
         Arc::new(ResourceManager {
-            config,
             fabric: Arc::clone(fabric),
             node,
             clock: Arc::clone(&endpoint.clock),
@@ -238,8 +236,8 @@ impl ResourceManager {
         // are meaningful to the client, then spends its processing budget,
         // which the client observes as added latency on the (cold) path.
         self.clock.advance_to(client_clock.now());
-        self.clock.advance(self.config.allocation_processing_cost);
-        client_clock.advance(self.config.allocation_processing_cost);
+        self.clock.advance(ALLOCATION_PROCESSING_COST);
+        client_clock.advance(ALLOCATION_PROCESSING_COST);
         self.place_request(&mut self.state.lock(), request)
     }
 
@@ -261,7 +259,7 @@ impl ResourceManager {
                 Ok(ControlFrame::Allocate { reply_to, request }) => (reply_to, request),
                 _ => continue,
             };
-            self.clock.advance(self.config.allocation_processing_cost);
+            self.clock.advance(ALLOCATION_PROCESSING_COST);
             let frame = match self.place_request(&mut state, &request) {
                 Ok((lease, _)) => ControlFrame::Granted { lease },
                 Err(err) => ControlFrame::Denied {
@@ -352,8 +350,8 @@ impl ResourceManager {
         client_clock: &VirtualClock,
     ) -> Result<Lease> {
         self.clock.advance_to(client_clock.now());
-        self.clock.advance(self.config.lease_renewal_cost);
-        client_clock.advance(self.config.lease_renewal_cost);
+        self.clock.advance(LEASE_RENEWAL_COST);
+        client_clock.advance(LEASE_RENEWAL_COST);
 
         let mut state = self.state.lock();
         let state = &mut *state;
@@ -461,11 +459,6 @@ impl ResourceManager {
             .fold(NodeResources::ZERO, |acc, e| acc.add(&e.available))
     }
 
-    /// The billing database (for reports and tests).
-    pub fn billing(&self) -> &BillingDatabase {
-        &self.billing
-    }
-
     /// Usage accumulated for the executor hosting `lease`. An executor
     /// process adds its usage when it ends (deallocation, an expiry reap or
     /// its node failing), so a process still serving adds nothing yet.
@@ -475,7 +468,7 @@ impl ResourceManager {
 
     /// Total monetary cost accumulated by the platform so far.
     pub fn total_cost(&self) -> f64 {
-        self.billing.total_cost(&self.config)
+        self.billing.total_cost()
     }
 }
 
@@ -771,8 +764,7 @@ mod tests {
         // Shard 1 of a 4-shard plane: ids 2, 6, 10, ... — the residue class
         // the group's cross-shard routing depends on.
         let fabric = Fabric::with_defaults();
-        let manager =
-            ResourceManager::with_lease_namespace(&fabric, RFaasConfig::default(), "m-1", 2, 4);
+        let manager = ResourceManager::with_lease_namespace(&fabric, "m-1", 2, 4);
         let exec = SpotExecutor::new(
             &fabric,
             "exec-ns",

@@ -40,7 +40,9 @@ use crate::client::{
     InvocationSpec, Posted, WorkerConnection,
 };
 use crate::codec::Codec;
-use crate::config::{PollingMode, RFaasConfig};
+use crate::config::{
+    PollingMode, RFaasConfig, ALLOCATION_SUBMIT_COST, HEADER_WRITE_COST, STATE_CACHE_BYTES,
+};
 use crate::error::{RFaasError, Result};
 use crate::executor::{
     AllocationPolicy, AllocationResult, ForkFaultState, SpotExecutor, WorkerEndpointInfo,
@@ -80,7 +82,6 @@ pub struct AllocationBuilder {
     fabric: Arc<Fabric>,
     client_node: String,
     manager: Arc<ResourceManager>,
-    config: RFaasConfig,
     package: String,
     cores: u32,
     memory_mib: u64,
@@ -110,7 +111,6 @@ impl AllocationBuilder {
             fabric: Arc::clone(fabric),
             client_node: client_node.to_string(),
             manager: Arc::clone(manager),
-            config: RFaasConfig::default(),
             package: package.to_string(),
             cores: 1,
             memory_mib: 512,
@@ -126,10 +126,9 @@ impl AllocationBuilder {
         }
     }
 
-    /// Use an explicit platform configuration (cost calibration, payload
-    /// limits) instead of the default paper calibration.
-    pub fn config(mut self, config: RFaasConfig) -> AllocationBuilder {
-        self.config = config;
+    /// The session reads nothing from `_config`: its payload limit comes
+    /// from each worker's hello, its costs are the calibrated constants.
+    pub fn config(self, _config: RFaasConfig) -> AllocationBuilder {
         self
     }
 
@@ -249,7 +248,6 @@ impl AllocationBuilder {
         }
         let session = Session {
             endpoint,
-            config: self.config,
             manager: self.manager,
             request,
             mode: self.mode,
@@ -348,7 +346,6 @@ pub struct Session {
     /// The client's attachment to the fabric: node, virtual clock, and the
     /// protection domain every registration of the session lives in.
     endpoint: Endpoint,
-    config: RFaasConfig,
     manager: Arc<ResourceManager>,
     /// What every allocation of the session asks for: the lease request,
     /// the workers' polling mode, and how the sandbox is provisioned.
@@ -498,7 +495,7 @@ impl Session {
         };
         // Submitting the renewal request costs the same as submitting an
         // allocation; the manager then charges its processing cost.
-        self.clock().advance(self.config.allocation_submit_cost);
+        self.clock().advance(ALLOCATION_SUBMIT_COST);
         let renewed = self
             .manager
             .renew_lease(lease_id, extension, self.clock())?;
@@ -556,7 +553,7 @@ impl Session {
         // Step 2: submit the allocation request as a control frame, wait for
         // the verdict datagram.
         let t1 = self.clock().now();
-        self.clock().advance(self.config.allocation_submit_cost);
+        self.clock().advance(ALLOCATION_SUBMIT_COST);
         let lease = self.request_lease()?;
         breakdown.submit_allocation = self.clock().now().saturating_since(t1);
 
@@ -677,7 +674,7 @@ impl Session {
                     self.endpoint.node.name(),
                     &self.endpoint.node,
                     self.clock(),
-                    self.config.state_cache_bytes,
+                    STATE_CACHE_BYTES,
                 ));
             }
             drop(state_client);
@@ -685,7 +682,7 @@ impl Session {
                 &format!("{}-exec", lease.executor_node),
                 executor.node(),
                 executor.allocator().clock(),
-                self.config.state_cache_bytes,
+                STATE_CACHE_BYTES,
             );
             executor
                 .allocator()
@@ -706,7 +703,6 @@ impl Session {
                 worker,
                 &self.connection_pool,
                 pool_key,
-                &self.config,
                 CONNECT_TIMEOUT,
                 index,
             )?);
@@ -1033,7 +1029,7 @@ impl Session {
         let wire_len = INVOCATION_HEADER_BYTES + payload_len;
         // Fill the header in front of the payload: where the executor should
         // write the result.
-        self.clock().advance(self.config.header_write_cost);
+        self.clock().advance(HEADER_WRITE_COST);
         let header = InvocationHeader::for_result_buffer(&spec.output.remote_handle());
         let imm = ImmValue::request(invocation_id, function_index);
         // Stack staging area for inline wires — the hot path must not touch
@@ -1232,7 +1228,8 @@ impl SessionState<'_> {
     /// [`Codec::decode_view`]: `f` runs over a typed view borrowing the
     /// cached bytes where they lie — no staging copy leaves the
     /// pre-registered cache region.
-    pub fn view<C, R>(&self, key: &str, f: impl FnOnce(C::View<'_>) -> R) -> Result<R>
+    #[cfg(test)]
+    fn view<C, R>(&self, key: &str, f: impl FnOnce(C::View<'_>) -> R) -> Result<R>
     where
         C: Codec + ?Sized,
     {

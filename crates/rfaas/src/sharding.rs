@@ -101,13 +101,14 @@ impl ManagerGroup {
 
     /// Create `shards` manager replicas on the same fabric, each with a
     /// disjoint lease-id namespace (shard `i` issues `i+1, i+1+S, ...`).
-    pub fn new(fabric: &Arc<Fabric>, config: RFaasConfig, shards: usize) -> ManagerGroup {
+    /// The group reads nothing from `_config`: its costs are the calibrated
+    /// constants.
+    pub fn new(fabric: &Arc<Fabric>, _config: RFaasConfig, shards: usize) -> ManagerGroup {
         let shards = shards.max(1);
         let managers = (0..shards)
             .map(|i| {
                 ResourceManager::with_lease_namespace(
                     fabric,
-                    config.clone(),
                     &format!("manager-{i}"),
                     i as u64 + 1,
                     shards as u64,

@@ -57,14 +57,15 @@ impl CodePackage {
     }
 
     /// Compiled code size in bytes.
-    pub fn binary_bytes(&self) -> usize {
+    pub(crate) fn binary_bytes(&self) -> usize {
         self.binary_bytes
     }
 
     /// All functions in the package, in registration order. The index of a
     /// function in this list is the *function index* carried in the RDMA
     /// immediate value of an invocation.
-    pub fn functions(&self) -> &[SharedFunction] {
+    #[cfg(test)]
+    fn functions(&self) -> &[SharedFunction] {
         &self.functions
     }
 

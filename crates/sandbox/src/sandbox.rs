@@ -207,7 +207,7 @@ impl Sandbox {
     }
 
     /// Leased memory in bytes.
-    pub fn memory_bytes(&self) -> u64 {
+    pub(crate) fn memory_bytes(&self) -> u64 {
         self.memory_bytes
     }
 

@@ -65,7 +65,7 @@ impl SandboxSnapshot {
     }
 
     /// Leased memory of the parent in bytes.
-    pub fn memory_bytes(&self) -> u64 {
+    pub(crate) fn memory_bytes(&self) -> u64 {
         self.memory_bytes
     }
 
@@ -106,7 +106,7 @@ impl FaultTracker {
 
     /// Fault a single page. Returns `true` the first time the page is
     /// touched (a real remote read), `false` when it is already resident.
-    pub fn fault(&mut self, page: usize) -> bool {
+    pub(crate) fn fault(&mut self, page: usize) -> bool {
         if page >= self.total_pages {
             return false;
         }

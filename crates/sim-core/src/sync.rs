@@ -213,7 +213,8 @@ impl RankChecker {
     }
 
     /// Ranks currently held, in acquisition order.
-    pub fn held(&self) -> Vec<LockRank> {
+    #[cfg(test)]
+    fn held(&self) -> Vec<LockRank> {
         self.held.iter().map(|(_, r)| *r).collect()
     }
 }

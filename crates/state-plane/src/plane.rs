@@ -381,7 +381,8 @@ impl StatePlane {
 
     /// Committed placement of `key`, if any — offset/length/version inside
     /// the owner's arena. The determinism suite pins these.
-    pub fn placement(&self, key: &str) -> Option<StatePlacement> {
+    #[cfg(test)]
+    fn placement(&self, key: &str) -> Option<StatePlacement> {
         self.inner.state.lock().directory.get(key).copied()
     }
 

@@ -37,7 +37,7 @@ pub use blackscholes::{blackscholes_function, generate_options, price_batch, Opt
 pub use comm::{MpiWorld, Rank};
 pub use inference::{image_recognition_function, InferenceModel};
 pub use jacobi::{jacobi_function, jacobi_solve, JacobiSystem};
-pub use matmul::{matmul_function, multiply, multiply_rows};
+pub use matmul::{matmul_function, multiply_rows};
 pub use payload::{
     generate_payload, ImageView, InputSizes, OptionBatch, OptionBatchView, OPTION_WIRE_BYTES,
 };

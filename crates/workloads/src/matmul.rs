@@ -19,7 +19,8 @@ const COST_PER_FLOP_PAIR: f64 = 1.0; // nanoseconds
 const BLOCK: usize = 64;
 
 /// Multiply row-major `a` (n×n) by `b` (n×n) producing the full result.
-pub fn multiply(a: &[f64], b: &[f64], n: usize) -> Vec<f64> {
+#[cfg(test)]
+fn multiply(a: &[f64], b: &[f64], n: usize) -> Vec<f64> {
     multiply_rows(a, b, n, 0, n)
 }
 

@@ -49,7 +49,7 @@ impl Default for StreamAggregate {
 
 impl StreamAggregate {
     /// Fold a batch of readings into the aggregate.
-    pub fn update(&mut self, readings: &[f64]) {
+    pub(crate) fn update(&mut self, readings: &[f64]) {
         for &r in readings {
             self.count += 1;
             self.sum += r;

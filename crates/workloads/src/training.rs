@@ -62,7 +62,8 @@ impl TrainingSet {
     /// The minibatch covering rows `[begin, end)`, encoded for
     /// [`training_step_function`]: `[lr, dim, rows, row-major features...,
     /// targets...]` as little-endian `f64`s.
-    pub fn minibatch(&self, begin: usize, end: usize, learning_rate: f64) -> Vec<u8> {
+    #[cfg(test)]
+    fn minibatch(&self, begin: usize, end: usize, learning_rate: f64) -> Vec<u8> {
         assert!(begin <= end && end <= self.targets.len());
         let rows = end - begin;
         let mut frame = Vec::with_capacity(3 + rows * (self.dim + 1));
@@ -110,9 +111,10 @@ fn sgd_step(
 }
 
 /// The offloadable training-step function. Declare
-/// `StateKey::read_write(MODEL_KEY)` when binding it. Input is a
-/// [`TrainingSet::minibatch`] frame; a fresh (empty) model key initialises to
-/// zero weights. Output is the pre-step batch loss as one `f64`.
+/// `StateKey::read_write(MODEL_KEY)` when binding it. Input is a minibatch
+/// frame, `[lr, dim, rows, row-major features..., targets...]` as
+/// little-endian `f64`s; a fresh (empty) model key initialises to zero
+/// weights. Output is the pre-step batch loss as one `f64`.
 pub fn training_step_function() -> SharedFunction {
     SharedFunction::from_stateful_fn("train-step", |input, state, output| {
         let values = bytes_to_f64s(input);

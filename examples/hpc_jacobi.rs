@@ -48,7 +48,6 @@ fn main() {
             &manager,
             "solver",
         )
-        .config(config.clone())
         .connect()
         .expect("allocation succeeds")
     });

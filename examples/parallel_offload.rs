@@ -30,14 +30,13 @@ fn main() {
         "spot-node-0",
         NodeResources::xeon_gold_6154_dual(),
         registry,
-        config.clone(),
+        config,
     );
     manager.register_executor(&executor);
 
     // Lease WORKERS hot workers and grab a typed handle: option batches in,
     // one f64 price per option out.
     let session = Session::builder(&fabric, "pricing-client", &manager, "pricing")
-        .config(config)
         .workers(WORKERS as u32)
         .connect()
         .expect("allocation succeeds");

@@ -30,14 +30,13 @@ fn main() {
             memory_mib: 32 * 1024,
         },
         registry,
-        config.clone(),
+        config,
     );
     manager.register_executor(&executor);
 
     // 2. The client side: build a session — one leased worker, hot polling
     //    (the cold start happens inside connect()).
     let session = Session::builder(&fabric, "client-node", &manager, "quickstart")
-        .config(config)
         .connect()
         .expect("allocation succeeds");
     let cold = session.cold_start().expect("cold start recorded");

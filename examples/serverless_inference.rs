@@ -27,14 +27,13 @@ fn main() {
         "gpuless-node-0",
         NodeResources::xeon_gold_6154_dual(),
         registry,
-        config.clone(),
+        config,
     );
     manager.register_executor(&executor);
 
     // Docker sandbox: stronger isolation, the RDMA NIC is reached through an
     // SR-IOV virtual function (adds ~50 ns per hot invocation).
     let session = Session::builder(&fabric, "inference-client", &manager, "ml-inference")
-        .config(config)
         .sandbox(SandboxType::Docker)
         .connect()
         .expect("allocation succeeds");

@@ -136,7 +136,6 @@ fn run_sharded_scenario(seed: u64) -> String {
             &group.manager_for_tenant(&request.tenant),
             PACKAGE,
         )
-        .config(config.clone())
         .workers(request.cores)
         .memory_mib(request.memory_mib)
         .lease_timeout(request.lease_timeout.max(SimDuration::from_secs(30)))
@@ -742,7 +741,6 @@ fn run_saturation_scenario(seed: u64) -> String {
     let sessions: Vec<Session> = (0..SESSIONS)
         .map(|i| {
             Session::builder(&fabric, &format!("sat-det-client-{i}"), &manager, PACKAGE)
-                .config(config.clone())
                 .workers(WORKERS as u32)
                 .memory_mib(1024)
                 .polling(PollingMode::Hot)

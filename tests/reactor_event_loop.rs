@@ -48,7 +48,6 @@ fn wait_any_drains_1024_entries_exactly_once() {
     let reactor = Reactor::new();
     let clock = VirtualClock::shared();
     let session = Session::builder(&fabric, "reactor-depth-client", &manager, PACKAGE)
-        .config(config)
         .workers(DEPTH as u32)
         .memory_mib(8 * 1024)
         .polling(PollingMode::Hot)
@@ -129,7 +128,6 @@ fn cross_session_gather_order_does_not_lose_completions() {
     let sessions: Vec<Session> = (0..2)
         .map(|i| {
             Session::builder(&fabric, &format!("xgather-client-{i}"), &manager, PACKAGE)
-                .config(config.clone())
                 .workers(WORKERS as u32)
                 .memory_mib(1024)
                 .polling(PollingMode::Hot)

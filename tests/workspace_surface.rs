@@ -530,14 +530,18 @@ fn identifiers(text: &str) -> BTreeSet<&str> {
         .collect()
 }
 
-/// The identifiers of the code lines of `text` (comment lines skipped): all
-/// of them, and those in call or path position, followed by `(` or `::<` or
-/// preceded by `::`. A function's caller names it in the second set; a local
-/// binding that happens to share its name does not.
-fn code_identifiers(text: &str) -> (BTreeSet<&str>, BTreeSet<&str>) {
+/// The identifiers of `lines`: all of them, and those in call position,
+/// followed by `(` or `::<` or, with `after_path`, preceded by `::`. A
+/// function's caller names it in the second set; a local binding that
+/// happens to share its name does not, nor does prose or an intra-doc link
+/// in a doc line, which is read without `after_path`.
+fn identifiers_and_calls<'a>(
+    lines: impl Iterator<Item = &'a str>,
+    after_path: bool,
+) -> (BTreeSet<&'a str>, BTreeSet<&'a str>) {
     let is_ident = |c: char| c == '_' || c.is_alphanumeric();
     let (mut named, mut called) = (BTreeSet::new(), BTreeSet::new());
-    for line in text.lines().filter(|line| !is_comment(line)) {
+    for line in lines {
         let mut rest = line;
         while let Some(start) = rest.find(is_ident) {
             let end = start
@@ -546,7 +550,7 @@ fn code_identifiers(text: &str) -> (BTreeSet<&str>, BTreeSet<&str>) {
                     .unwrap_or(rest.len() - start);
             let word = &rest[start..end];
             let after = rest[end..].trim_start();
-            if rest[..start].trim_end().ends_with("::")
+            if (after_path && rest[..start].trim_end().ends_with("::"))
                 || after.starts_with('(')
                 || after.starts_with("::<")
             {
@@ -614,16 +618,73 @@ fn takes_self(lines: &[(usize, &str)]) -> bool {
 }
 
 /// What a file offers as callers: its crate (`None` for caller-only files),
-/// the identifiers of its code lines (all, and those in call position), the
-/// `Type::name` paths of its code lines, and the identifiers and the
-/// `Type::name(` calls of its `///` / `//!` lines.
+/// the identifiers of its code lines (all, and those in call or path
+/// position), the `Type::name` paths of its code lines, and the identifiers
+/// (all, and those in call position) and the `Type::name(` calls of its
+/// `///` / `//!` lines.
 struct Callers<'a> {
     owner: Option<String>,
     named: BTreeSet<&'a str>,
     called: BTreeSet<&'a str>,
     paths: BTreeSet<String>,
     docs: BTreeSet<&'a str>,
+    doc_called: BTreeSet<&'a str>,
     doc_paths: BTreeSet<String>,
+}
+
+impl<'a> Callers<'a> {
+    /// The callers `text`, a file of crate `owner`, offers.
+    fn new(owner: Option<String>, text: &'a str) -> Callers<'a> {
+        let (code, docs): (Vec<&str>, Vec<&str>) = text
+            .lines()
+            .filter(|line| !is_comment(line) || is_doc(line))
+            .partition(|line| !is_comment(line));
+        let (named, called) = identifiers_and_calls(code.iter().copied(), true);
+        let (doc_named, doc_called) = identifiers_and_calls(docs.iter().copied(), false);
+        Callers {
+            owner,
+            named,
+            called,
+            paths: paths(&code.join("\n"), false),
+            docs: doc_named,
+            doc_called,
+            doc_paths: paths(&docs.join("\n"), true),
+        }
+    }
+
+    /// Whether this file credits the item `name` of crate `owner`, a
+    /// function if `is_fn`; `path` is `Type::name` for an associated
+    /// function without a receiver. The item's own crate credits it only
+    /// from doc lines (doc-tests compile as outside callers), and a function
+    /// only where a doc line calls it.
+    fn credits(&self, owner: &str, name: &str, is_fn: bool, path: Option<&str>) -> bool {
+        let own = self.owner.as_deref() == Some(owner);
+        match path {
+            Some(path) if own => self.doc_paths.contains(path),
+            Some(path) => self.paths.contains(path),
+            None if own && is_fn => self.doc_called.contains(name),
+            None if own => self.docs.contains(name),
+            None if is_fn => self.called.contains(name),
+            None => self.named.contains(name),
+        }
+    }
+}
+
+/// A crate's doc lines credit its function only where they call it: prose
+/// and an intra-doc link name `launch` and credit nothing, a doc-test line
+/// calling it does. A constant counts wherever a doc line names it.
+#[test]
+fn doc_lines_credit_a_function_only_where_they_call_it() {
+    let prose = "/// Waits [`SLACK`], then see [`Engine::launch`]; `launch` runs once.\n";
+    let prose = Callers::new(Some("rfaas".into()), prose);
+    assert!(!prose.credits("rfaas", "launch", true, None));
+    assert!(prose.credits("rfaas", "SLACK", false, None));
+    let doc_test = "/// let engine = rfaas::launch(2);\n//! engine.parse::<u8>();\n";
+    let doc_test = Callers::new(Some("rfaas".into()), doc_test);
+    assert!(doc_test.credits("rfaas", "launch", true, None));
+    assert!(doc_test.credits("rfaas", "parse", true, None));
+    // Another crate credits only code lines, never its comments.
+    assert!(!doc_test.credits("sandbox", "launch", true, None));
 }
 
 /// Every crate's non-test `pub fn`, `pub const` and `pub static` has a
@@ -632,16 +693,22 @@ struct Callers<'a> {
 /// included), of `crates/bench/src/bin/` (for the `rfaas-bench` lib), of the
 /// root `src/`, `examples/` or `tests/` (this file aside) or of
 /// `benchmark/src/`; a function only counts in call or path position (see
-/// `code_identifiers`). A `pub fn` of an inherent `impl Type` block without
-/// a `self` receiver can only be called as `Type::name`, so only that path
-/// counts for it: another type's `new` calls no `Type::new`. The benchmark
-/// README's list of product symbols and the crate's own `///` / `//!` lines
-/// (doc-tests compile as outside callers) count wherever they name it; for
-/// such a function, the list must name `Type::name` and a doc line must
-/// call it, as an intra-doc link calls nothing. Items only their own crate
-/// calls are `pub(crate)` or private, so rustc's `dead_code` lint covers the
-/// in-crate half. `OUTSIDE_CALLER_ALLOW_LIST` names the exceptions. Reads
-/// the sources as text.
+/// `identifiers_and_calls`). A `pub fn` of an inherent `impl Type` block
+/// without a `self` receiver can only be called as `Type::name`, so only
+/// that path counts for it: another type's `new` calls no `Type::new`. The
+/// benchmark README's list of product symbols counts wherever it names an
+/// item, and the crate's own `///` / `//!` lines (doc-tests compile as
+/// outside callers) count wherever they name a constant but only where
+/// they call a function (`name(`, `name::<`): prose and intra-doc links call
+/// nothing. For a function without a receiver, the list must name
+/// `Type::name` and a doc line must call `Type::name(`. Items only their own
+/// crate calls are `pub(crate)` or private, so rustc's `dead_code` lint
+/// covers the in-crate half. `OUTSIDE_CALLER_ALLOW_LIST` names the
+/// exceptions. Reads the sources as text.
+///
+/// Blind spot: a method taking `self` is matched by name alone, so a
+/// same-named method called on another type credits it (a `c.cost(..)` on
+/// a `faas-baselines` type would credit a `pub fn cost(&self)` of `rfaas`).
 #[test]
 fn every_pub_item_has_an_outside_caller() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -677,45 +744,14 @@ fn every_pub_item_has_an_outside_caller() {
     let files: Vec<Callers> = sources
         .iter()
         .zip(&texts)
-        .map(|(path, text)| {
-            let (code, docs): (Vec<&str>, Vec<&str>) = text
-                .lines()
-                .filter(|line| !is_comment(line) || is_doc(line))
-                .partition(|line| !is_comment(line));
-            let (named, called) = code_identifiers(text);
-            Callers {
-                owner: owner(path),
-                named,
-                called,
-                paths: paths(&code.join("\n"), false),
-                docs: docs.iter().copied().flat_map(identifiers).collect(),
-                doc_paths: paths(&docs.join("\n"), true),
-            }
-        })
+        .map(|(path, text)| Callers::new(owner(path), text))
         .collect();
-    // Whether an item of crate `owner` has a caller outside it: `path` is
-    // `Type::name` for an associated function without a receiver.
-    let called_outside = |owner: &String, name: &str, is_fn: bool, path: Option<&str>| {
-        if let Some(path) = path {
-            return symbol_paths.contains(path)
-                || files.iter().any(|file| {
-                    if file.owner.as_ref() == Some(owner) {
-                        file.doc_paths.contains(path)
-                    } else {
-                        file.paths.contains(path)
-                    }
-                });
-        }
-        symbols.contains(name)
-            || files.iter().any(|file| {
-                if file.owner.as_ref() == Some(owner) {
-                    file.docs.contains(name)
-                } else if is_fn {
-                    file.called.contains(name)
-                } else {
-                    file.named.contains(name)
-                }
-            })
+    // Whether an item of crate `owner` has a caller outside it.
+    let called_outside = |owner: &str, name: &str, is_fn: bool, path: Option<&str>| {
+        path.map_or(symbols.contains(name), |path| symbol_paths.contains(path))
+            || files
+                .iter()
+                .any(|file| file.credits(owner, name, is_fn, path))
     };
 
     let mut unreferenced = Vec::new();
@@ -785,8 +821,9 @@ fn item_body<'a>(text: &'a str, header: &str) -> Vec<&'a str> {
 }
 
 /// The option surface clients can turn, counted from source so that adding
-/// a knob means editing this test on purpose: `RFaasConfig` has 13 `pub`
-/// fields (five costs, three prices, five sizes), `PollingMode` two
+/// a knob means editing this test on purpose: `RFaasConfig` has 2 `pub`
+/// fields (the payload ceiling and the warm-pool capacity; every calibrated
+/// cost, depth and price is a constant of `config.rs`), `PollingMode` two
 /// variants, and `impl AllocationBuilder` 13 `pub fn`s (its constructor is
 /// `pub(crate)`: `Session::builder` is the one entry). Reads the sources as
 /// text.
@@ -800,7 +837,7 @@ fn config_surface_is_counted() {
         .into_iter()
         .filter(|line| line.starts_with("    pub "))
         .collect();
-    assert_eq!(fields.len(), 13, "RFaasConfig fields: {fields:?}");
+    assert_eq!(fields.len(), 2, "RFaasConfig fields: {fields:?}");
 
     let variants: Vec<&str> = item_body(&config, "pub enum PollingMode {")
         .into_iter()
