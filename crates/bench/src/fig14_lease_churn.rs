@@ -1,32 +1,50 @@
 //! Figure 14: invocation availability and recovery latency under executor
-//! churn.
+//! churn, and the lease renewal that avoids the churn of expiry.
 //!
 //! Spot executors live on batch-managed nodes, so they die whenever the batch
 //! system takes a node back (Sec. III-A). This experiment drives exactly that
 //! loop: a cluster of harvested nodes serves a client issuing one invocation
 //! per second on short leases, while SLURM-style batch jobs periodically land
-//! on a node and force its reclamation — the harvester returns the bundle,
-//! the spot executor dies, the operator deregisters it, and the lifecycle
-//! driver terminates its leases. Expiring leases (never renewed here) add a
-//! second churn source. The client's transparent recovery re-allocates
-//! through the manager and replays the invocation; we report how often that
-//! happened, the availability it preserved, and what a recovery costs
-//! compared with a hot invocation. [`CLAIMS`] holds the run to exercising
-//! recovery and keeping availability above 95 %.
+//! on a node and force its reclamation — the batch scheduler takes the
+//! harvested bundle back, the spot executor dies, the operator deregisters
+//! it, and the lifecycle driver terminates its leases. The churn client never
+//! renews its leases, so their expiry adds a second churn source. The
+//! client's transparent recovery re-allocates through the manager and
+//! replays the invocation; we report how often that happened, the
+//! availability it preserved, and what a recovery costs compared with a hot
+//! invocation.
+//!
+//! A third table runs a renewing client on a fresh testbed over the same
+//! horizon: the same 20 s leases and one invocation per second, but the
+//! client renews its lease by 20 s every 10 s, as the paper's clients do to
+//! keep their hot workers. It reports the renewal round trip and counts the
+//! renewals, the leases that expired and the client's recoveries.
+//! [`CLAIMS`] holds the run to exercising recovery, keeping availability
+//! above 95 %, and the renewing client to keeping its one lease.
 //!
 //! The one invocation per second is the experiment, not a repetition. Its
 //! latency rows are distributions because the samples differ with the fixed
 //! churn schedule (no seed): the client moves between leases and executor
-//! generations. The churn counters are value rows.
+//! generations. The churn counters are value rows, and so is the renewal
+//! round trip, whose samples are identical.
 
 use std::sync::Arc;
 
-use crate::{evaluation_package, every, Claim, Mode, Row, Table, PACKAGE};
-use cluster_sim::{BatchScheduler, NodeResources, ResourceHarvester};
+use crate::{evaluation_package, every, Claim, Mode, Row, Table, Testbed, PACKAGE};
+use cluster_sim::{BatchScheduler, NodeResources};
 use rdma_fabric::Fabric;
 use rfaas::{LifecycleDriver, RFaasConfig, ResourceManager, Session, SpotExecutor};
 use sandbox::FunctionRegistry;
 use sim_core::{SimDuration, SimTime};
+
+/// Lease length of both clients: the churn client lets its leases expire.
+const LEASE_SECS: u64 = 20;
+/// The renewing client extends its lease by [`LEASE_SECS`] this often.
+const RENEWAL_PERIOD_SECS: u64 = 10;
+
+const RENEWALS: &str = "renewing client: renewals";
+const RENEWED_EXPIRED: &str = "renewing client: leases expired";
+const RENEWED_RECOVERIES: &str = "renewing client: recoveries";
 
 /// Cores and memory each spot executor harvests from its node.
 const BUNDLE: NodeResources = NodeResources {
@@ -70,6 +88,9 @@ pub(crate) const CLAIMS: &[Claim] = &[
         check: |t| every(t, ["leases killed by reclamation"], |_, [n]| n > 0.0) },
     Claim { name: "availability > 95 %", source: "model",
         check: |t| every(t, ["availability"], |_, [percent]| percent > 95.0) },
+    Claim { name: "a renewing client keeps its lease", source: "model",
+        check: |t| every(t, [RENEWALS, RENEWED_EXPIRED, RENEWED_RECOVERIES],
+            |_, [renewals, expired, recoveries]| renewals > 0.0 && expired == 0.0 && recoveries == 0.0) },
 ];
 
 pub(crate) fn run(mode: Mode) -> Vec<Table> {
@@ -78,7 +99,6 @@ pub(crate) fn run(mode: Mode) -> Vec<Table> {
     let horizon_secs = if quick { 120u64 } else { 600 };
     let churn_period = 25u64; // one reclamation every 25 s, round-robin
     let batch_job_secs = 10u64; // how long the batch job keeps the node
-    let lease_secs = 20u64; // unrenewed leases expire and force recovery
 
     let config = RFaasConfig::paper_calibration();
     let fabric = Fabric::with_defaults();
@@ -89,11 +109,10 @@ pub(crate) fn run(mode: Mode) -> Vec<Table> {
 
     // The batch cluster under the executors: harvest a bundle on every node.
     let mut scheduler = BatchScheduler::new(node_count, NodeResources::xeon_gold_6154_dual());
-    let harvester = ResourceHarvester::default();
     let mut nodes: Vec<ChurnNode> = (0..node_count)
         .map(|i| {
             let node_name = format!("nid{i:05}");
-            assert!(harvester.claim(&mut scheduler, &node_name, BUNDLE));
+            assert!(scheduler.claim(&node_name, BUNDLE));
             ChurnNode {
                 executor: Some(spawn_executor(&fabric, &registry, &config, &manager, i, 0)),
                 generation: 0,
@@ -104,7 +123,7 @@ pub(crate) fn run(mode: Mode) -> Vec<Table> {
 
     let session = Session::builder(&fabric, "churn-client", &manager, PACKAGE)
         .memory_mib(4096)
-        .lease_timeout(SimDuration::from_secs(lease_secs))
+        .lease_timeout(SimDuration::from_secs(LEASE_SECS))
         .connect()
         .expect("initial allocation succeeds");
     let echo = session.function::<[u8], [u8]>("echo").expect("echo");
@@ -124,7 +143,7 @@ pub(crate) fn run(mode: Mode) -> Vec<Table> {
 
         // Batch churn: every churn_period, a SLURM job (which bypasses the
         // harvest) lands on the next node that still hosts an executor. The
-        // harvester flags the collision, the bundle is reclaimed and the spot
+        // scheduler flags the collision, the bundle is reclaimed and the spot
         // executor dies; the operator deregisters it (C2 in Fig. 4) and the
         // lifecycle driver marks its leases terminated.
         if tick % churn_period == 0 {
@@ -154,11 +173,8 @@ pub(crate) fn run(mode: Mode) -> Vec<Table> {
                     cores: 36,
                     memory_mib: 8 * 1024,
                 };
-                assert_eq!(
-                    harvester.reclamation_candidates(&scheduler),
-                    vec![node_name.clone()]
-                );
-                harvester.reclaim_node(&mut scheduler, &node_name);
+                assert_eq!(scheduler.reclamation_candidates(), vec![node_name.clone()]);
+                scheduler.reclaim_node(&node_name);
                 let executor = nodes[victim].executor.take().expect("victim has executor");
                 executor.fail();
                 manager.deregister_executor(executor.name());
@@ -168,14 +184,14 @@ pub(crate) fn run(mode: Mode) -> Vec<Table> {
             }
         }
 
-        // Batch jobs end: the node frees up, the harvester re-claims the
+        // Batch jobs end: the node frees up, the scheduler re-claims the
         // bundle and a fresh spot executor generation registers.
         for (i, node) in nodes.iter_mut().enumerate() {
             if node.batch_until.is_some_and(|until| now >= until) {
                 node.batch_until = None;
                 let node_name = format!("nid{i:05}");
                 scheduler.nodes_mut()[i].batch_allocated = NodeResources::ZERO;
-                if harvester.claim(&mut scheduler, &node_name, BUNDLE) {
+                if scheduler.claim(&node_name, BUNDLE) {
                     node.generation += 1;
                     node.executor = Some(spawn_executor(
                         &fabric,
@@ -245,5 +261,58 @@ pub(crate) fn run(mode: Mode) -> Vec<Table> {
             title: "Figure 14: churn over the run (x = horizon in s, one invocation per s, 20 s leases never renewed, a batch reclamation every 25 s)",
             rows: churn,
         },
+        renewing_client(horizon_secs),
     ]
+}
+
+/// A client on a fresh testbed that invokes once per second for
+/// `horizon_secs` and renews its lease every [`RENEWAL_PERIOD_SECS`], with
+/// the lifecycle driver expiring leases and reaping processes as it goes.
+fn renewing_client(horizon_secs: u64) -> Table {
+    let testbed = Testbed::new(1);
+    let driver = LifecycleDriver::new(&testbed.manager);
+    let session = testbed
+        .session("renewing-client")
+        .memory_mib(4096)
+        .lease_timeout(SimDuration::from_secs(LEASE_SECS))
+        .connect()
+        .expect("allocation succeeds");
+    let echo = session.function::<[u8], [u8]>("echo").expect("echo");
+    let payload = workloads::generate_payload(64, 7);
+
+    let mut renewal_us = Vec::new();
+    for tick in 1..=horizon_secs {
+        let now = SimTime::from_secs(tick);
+        session.clock().advance_to(now);
+        if tick % RENEWAL_PERIOD_SECS == 0 {
+            let before = session.clock().now();
+            session
+                .extend_lease(SimDuration::from_secs(LEASE_SECS))
+                .expect("the lease is live, so it renews");
+            renewal_us.push(session.clock().now().saturating_since(before).as_micros_f64());
+        }
+        driver.step(now);
+        echo.invoke(&payload[..]).expect("the renewed worker serves");
+    }
+
+    let horizon = horizon_secs as f64;
+    let mut rows = vec![Row::sampled(
+        "renewing client: renewal round trip",
+        horizon,
+        &renewal_us,
+        "us",
+    )];
+    rows.extend(
+        [
+            (RENEWALS, renewal_us.len() as u64),
+            (RENEWED_EXPIRED, driver.total().leases_expired),
+            (RENEWED_RECOVERIES, u64::from(session.recoveries())),
+        ]
+        .map(|(series, count)| Row::value(series, horizon, count as f64, "count")),
+    );
+    session.close().expect("deallocate");
+    Table {
+        title: "Figure 14: a renewing client (x = horizon in s, one invocation per s, 20 s leases renewed by 20 s every 10 s)",
+        rows,
+    }
 }

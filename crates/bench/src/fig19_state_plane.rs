@@ -20,6 +20,13 @@
 //! * **state plane hot** — every later invocation: the key is cache-resident
 //!   and only the 8-byte request/fingerprint frames touch the wire.
 //!
+//! A second table measures the read-write path on the same session: the
+//! `stream-aggregate` function declares its running aggregate
+//! `StateKey::read_write`, folds a batch of readings into it and writes it
+//! back through the executor's state client. It reports the round trip per
+//! batch size (x = readings per batch); the first batch also pays the
+//! aggregate's first read into the executor's cache.
+//!
 //! [`CLAIMS`] holds hot state access to beating copy-in/copy-out by at
 //! least 5x at the megabyte sizes — the headline that makes stateful
 //! functions worth a second data plane.
@@ -27,6 +34,7 @@
 use crate::{every, Claim, Mode, Row, Table, Testbed, DATASET_KEY};
 use rfaas::{PollingMode, StateKey, StatePlane};
 use sandbox::SandboxType;
+use workloads::AGGREGATE_KEY;
 
 /// Dataset sizes swept (bytes). The default payload ceiling is 8 MiB, so the
 /// copy baseline can carry every size.
@@ -35,6 +43,9 @@ const SIZES: [usize; 4] = [4 * 1024, 64 * 1024, 1024 * 1024, 4 * 1024 * 1024];
 const COPY: &str = "copy-in/copy-out";
 const FIRST: &str = "state plane first read";
 const HOT: &str = "state plane hot";
+/// Readings per `stream-aggregate` batch of the read-write table.
+const BATCHES: [usize; 3] = [8, 64, 512];
+
 /// One MiB, the smallest of the megabyte sizes.
 const MIB: f64 = (1024 * 1024) as f64;
 
@@ -114,9 +125,41 @@ pub(crate) fn run(_mode: Mode) -> Vec<Table> {
         exec.cache_hits as usize >= SIZES.len(),
         "hot touches must be cache hits"
     );
+
+    // The read-write path: each batch folds into the aggregate, which the
+    // executor writes back to the plane.
+    session
+        .state()
+        .put(AGGREGATE_KEY, &[])
+        .expect("seed aggregate key");
+    let aggregate = session
+        .function::<[f64], [f64]>("stream-aggregate")
+        .expect("stream-aggregate")
+        .with_state([StateKey::read_write(AGGREGATE_KEY)])
+        .expect("aggregate key declared");
+    let mut folded = 0.0;
+    let mut read_write = Vec::new();
+    for &readings in &BATCHES {
+        let batch = vec![1.0f64; readings];
+        let (reply, rtt) = aggregate.invoke_timed(&batch[..]).expect("aggregate batch");
+        folded += readings as f64;
+        assert_eq!(reply[0], folded, "the aggregate counts every reading");
+        read_write.push(Row::value(
+            "read-write aggregate",
+            readings as f64,
+            rtt.as_micros_f64(),
+            "us",
+        ));
+    }
     session.close().expect("deallocate");
-    vec![Table {
-        title: "Figure 19: state-plane access vs copy-in/copy-out",
-        rows,
-    }]
+    vec![
+        Table {
+            title: "Figure 19: state-plane access vs copy-in/copy-out",
+            rows,
+        },
+        Table {
+            title: "Figure 19: read-write state (x = readings per batch)",
+            rows: read_write,
+        },
+    ]
 }

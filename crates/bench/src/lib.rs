@@ -20,7 +20,7 @@ use sandbox::{echo_function, CodePackage, FunctionRegistry, SandboxType, SharedF
 use sim_core::Summary;
 use workloads::{
     blackscholes_function, image_recognition_function, jacobi_function, matmul_function,
-    streaming_aggregation_function, thumbnailer_function, training_step_function,
+    streaming_aggregation_function, thumbnailer_function,
 };
 
 /// Name of the code package every testbed deploys.
@@ -131,7 +131,6 @@ pub fn evaluation_package() -> CodePackage {
         .with_function(matmul_function())
         .with_function(jacobi_function())
         .with_function(streaming_aggregation_function())
-        .with_function(training_step_function())
         .with_function(state_touch_function())
 }
 
@@ -541,7 +540,12 @@ mod tests {
     #[test]
     fn testbed_builds_and_serves_invocations() {
         let testbed = Testbed::new(2);
-        assert_eq!(testbed.manager.executor_count(), 2);
+        for name in ["spot-00", "spot-01"] {
+            assert!(
+                testbed.manager.executor(name).is_some(),
+                "{name} registered"
+            );
+        }
         let session =
             testbed.allocated_session("client", 1, SandboxType::BareMetal, PollingMode::Hot);
         let echo = session.function::<[u8], [u8]>("echo").unwrap();

@@ -202,13 +202,59 @@ impl BatchScheduler {
     }
 
     /// Immutable view of the cluster nodes.
-    pub fn nodes(&self) -> &[ClusterNode] {
+    #[cfg(test)]
+    fn nodes(&self) -> &[ClusterNode] {
         &self.nodes
     }
 
-    /// Mutable view (used by the harvester to reserve idle resources).
+    /// Mutable view of the cluster nodes.
     pub fn nodes_mut(&mut self) -> &mut [ClusterNode] {
         &mut self.nodes
+    }
+
+    /// Harvest `request` on the named node for a spot executor. Returns
+    /// whether the claim succeeded (it fails if a batch job grabbed the
+    /// resources first, or the node is unknown).
+    pub fn claim(&mut self, node_name: &str, request: NodeResources) -> bool {
+        self.node_mut(node_name)
+            .is_some_and(|node| node.harvest(request))
+    }
+
+    /// Return previously claimed resources on the named node.
+    #[cfg(test)]
+    fn release(&mut self, node_name: &str, request: NodeResources) {
+        if let Some(node) = self.node_mut(node_name) {
+            node.release_harvest(request);
+        }
+    }
+
+    /// Take the node back for the batch system: return the node's entire
+    /// harvested bundle to the idle pool and report what was reclaimed. The
+    /// rFaaS manager translates this into deregistering the node's spot
+    /// executor and terminating its leases (Sec. III-A reclamation, "C2" in
+    /// Fig. 4).
+    pub fn reclaim_node(&mut self, node_name: &str) -> Option<NodeResources> {
+        let node = self.node_mut(node_name)?;
+        let reclaimed = node.harvested;
+        node.release_harvest(reclaimed);
+        Some(reclaimed)
+    }
+
+    /// Nodes whose harvested resources collide with batch demand: the idle
+    /// pool went negative, so the manager must reclaim leases there.
+    pub fn reclamation_candidates(&self) -> Vec<String> {
+        self.nodes
+            .iter()
+            .filter(|n| {
+                let committed = n.batch_allocated.add(&n.harvested);
+                committed.cores > n.total.cores || committed.memory_mib > n.total.memory_mib
+            })
+            .map(|n| n.name.clone())
+            .collect()
+    }
+
+    fn node_mut(&mut self, node_name: &str) -> Option<&mut ClusterNode> {
+        self.nodes.iter_mut().find(|n| n.name == node_name)
     }
 
     /// Number of queued (not yet started) jobs.
@@ -360,5 +406,56 @@ mod tests {
         assert!(avg_free_mem > 0.55, "free memory {avg_free_mem}");
         // Idle windows must exist (otherwise there is nothing to harvest).
         assert!(samples.iter().any(|&u| u < 0.97));
+    }
+
+    #[test]
+    fn claim_and_release_round_trip() {
+        let mut sched = BatchScheduler::new(1, shape());
+        let request = NodeResources {
+            cores: 8,
+            memory_mib: 16 * 1024,
+        };
+        assert!(sched.claim("nid00000", request));
+        assert_eq!(sched.nodes()[0].idle().cores, 36 - 8);
+        sched.release("nid00000", request);
+        assert_eq!(sched.nodes()[0].idle().cores, 36);
+        // Claims on unknown nodes fail gracefully.
+        assert!(!sched.claim("missing", request));
+    }
+
+    #[test]
+    fn reclamation_detects_overcommitted_nodes() {
+        let mut sched = BatchScheduler::new(1, shape());
+        // Harvest most of the node, then a batch job takes the whole node.
+        assert!(sched.claim(
+            "nid00000",
+            NodeResources {
+                cores: 30,
+                memory_mib: 1024
+            }
+        ));
+        // Batch allocation bypasses the harvest (arrives through SLURM).
+        sched.nodes_mut()[0].batch_allocated = NodeResources {
+            cores: 36,
+            memory_mib: 2048,
+        };
+        assert_eq!(sched.reclamation_candidates(), vec!["nid00000".to_string()]);
+    }
+
+    #[test]
+    fn reclaim_node_returns_the_whole_harvested_bundle() {
+        let mut sched = BatchScheduler::new(2, shape());
+        let request = NodeResources {
+            cores: 12,
+            memory_mib: 32 * 1024,
+        };
+        assert!(sched.claim("nid00000", request));
+        let reclaimed = sched.reclaim_node("nid00000").unwrap();
+        assert_eq!(reclaimed, request);
+        assert_eq!(sched.nodes()[0].harvested, NodeResources::ZERO);
+        assert_eq!(sched.nodes()[0].idle().cores, 36);
+        // Unharvested and unknown nodes reclaim nothing.
+        assert_eq!(sched.reclaim_node("nid00001"), Some(NodeResources::ZERO));
+        assert_eq!(sched.reclaim_node("missing"), None);
     }
 }

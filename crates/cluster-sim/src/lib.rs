@@ -11,18 +11,16 @@
 //!
 //! * [`node`] — node inventory and resource accounting,
 //! * [`jobs`] — batch-job generator and a simple FCFS backfilling scheduler,
+//!   which also hands idle bundles to spot executors and reclaims them,
 //! * [`trace`] — utilisation time series (regenerates Fig. 2),
-//! * [`harvest`] — the idle-resource feed consumed by spot executors,
 //! * [`tenants`] — seeded multi-tenant fleet generation (the serverless
 //!   demand side that the sharded manager plane scales against).
 
-pub mod harvest;
 pub mod jobs;
 pub mod node;
 pub mod tenants;
 pub mod trace;
 
-pub use harvest::{HarvestedResources, ResourceHarvester};
 pub use jobs::{BatchJob, BatchScheduler};
 pub use node::{ClusterNode, NodeResources};
 pub use tenants::{episode_ordinals, TenantFleet, TenantProfile, TenantRequest, WorkloadKind};

@@ -344,7 +344,7 @@ mod tests {
             status: CompletionStatus::Success,
             byte_len: 16,
             imm: Some(7),
-            timestamp: SimTime::from_micros(ts_us),
+            timestamp: SimTime::from_nanos(ts_us * 1_000),
             qp_num: 3,
         }
     }

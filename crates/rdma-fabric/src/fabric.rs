@@ -464,10 +464,12 @@ mod tests {
         let fabric = Fabric::with_defaults();
         let a = fabric.add_node("a");
         let b = fabric.add_node("b");
-        let arrive = fabric.transfer(&a, &b, 0, SimTime::from_micros(5)).arrive;
+        let arrive = fabric
+            .transfer(&a, &b, 0, SimTime::from_nanos(5_000))
+            .arrive;
         assert_eq!(
             arrive,
-            SimTime::from_micros(5) + fabric.profile().one_way_latency
+            SimTime::from_nanos(5_000) + fabric.profile().one_way_latency
         );
     }
 
@@ -650,9 +652,9 @@ mod tests {
         let fabric = Fabric::with_defaults();
         let n = fabric.add_node("n");
         let d = SimDuration::from_nanos(500);
-        let v1 = n.serialize_notification(SimTime::from_micros(1), d);
-        let v2 = n.serialize_notification(SimTime::from_micros(1), d);
-        let v3 = n.serialize_notification(SimTime::from_micros(1), d);
+        let v1 = n.serialize_notification(SimTime::from_nanos(1_000), d);
+        let v2 = n.serialize_notification(SimTime::from_nanos(1_000), d);
+        let v3 = n.serialize_notification(SimTime::from_nanos(1_000), d);
         assert_eq!(v1.as_nanos(), 1_500);
         assert_eq!(v2.as_nanos(), 2_000);
         assert_eq!(v3.as_nanos(), 2_500);

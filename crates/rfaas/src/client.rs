@@ -391,7 +391,7 @@ mod tests {
     use crate::PollingMode;
     use cluster_sim::NodeResources;
     use rdma_fabric::Fabric;
-    use sandbox::{echo_function, failing_function, CodePackage, FunctionRegistry};
+    use sandbox::{echo_function, CodePackage, FunctionError, FunctionRegistry, SharedFunction};
     use sim_core::SimTime;
     use std::sync::Arc;
 
@@ -409,7 +409,9 @@ mod tests {
         registry.deploy(
             CodePackage::minimal("pkg")
                 .with_function(echo_function())
-                .with_function(failing_function("intentional")),
+                .with_function(SharedFunction::from_fn("always-fails", |_, _| {
+                    Err(FunctionError::ExecutionFailed("intentional".into()))
+                })),
         );
         let manager = ResourceManager::new(&fabric, RFaasConfig::default());
         let executor = SpotExecutor::new(

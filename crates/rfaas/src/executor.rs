@@ -130,11 +130,6 @@ impl ForkFaultState {
     pub fn fault_schedule(&self) -> Vec<FaultBatch> {
         self.served.clone()
     }
-
-    /// Total link time spent serving faults so far.
-    pub fn fault_time(&self) -> SimDuration {
-        self.served.iter().map(|b| b.cost).sum()
-    }
 }
 
 /// Executor-side attachment to a state plane: one caching [`StateClient`]
@@ -1001,11 +996,6 @@ pub struct ExecutorProcess {
 }
 
 impl ExecutorProcess {
-    /// Process identifier.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
     /// The lease this process belongs to.
     pub fn lease_id(&self) -> u64 {
         self.lease_id
@@ -1531,7 +1521,7 @@ impl LightweightAllocator {
     /// `expires_at` (lease renewal reaching the executor; an earlier instant
     /// leaves a deadline where it is). Returns the number of processes
     /// serving the lease.
-    pub fn extend_lease(&self, lease_id: u64, expires_at: SimTime) -> usize {
+    pub(crate) fn extend_lease(&self, lease_id: u64, expires_at: SimTime) -> usize {
         let serving: Vec<Arc<ExecutorProcess>> = self
             .processes()
             .into_iter()
@@ -1648,7 +1638,8 @@ impl SpotExecutor {
     }
 
     /// Whether the node is still up and heartbeating.
-    pub fn is_alive(&self) -> bool {
+    #[cfg(test)]
+    fn is_alive(&self) -> bool {
         self.allocator.state.lock().alive
     }
 

@@ -24,8 +24,8 @@ use crate::error::{RFaasError, Result};
 use crate::executor::SpotExecutor;
 use crate::protocol::{ControlFrame, Lease, LeaseRequest};
 
-/// How many executor-failure lease terminations the manager remembers for
-/// [`ResourceManager::is_lease_terminated`] before pruning the oldest.
+/// How many executor-failure lease terminations the manager remembers
+/// before pruning the oldest.
 const TERMINATED_LEASE_HISTORY: usize = 4096;
 
 struct RegisteredExecutor {
@@ -187,7 +187,7 @@ impl ResourceManager {
     }
 
     /// Number of registered executors.
-    pub fn executor_count(&self) -> usize {
+    pub(crate) fn executor_count(&self) -> usize {
         self.state.lock().executors.len()
     }
 
@@ -386,8 +386,8 @@ impl ResourceManager {
     /// Mark every lease placed on `node` as terminated (the node died or was
     /// reclaimed before the leases expired). The executor's registry entry —
     /// and with it the node's resource accounting — must already be gone;
-    /// clients discover the termination through [`Self::is_lease_terminated`]
-    /// or an `ExecutorLost` on their connections. Returns the ids terminated.
+    /// clients discover the termination through an `ExecutorLost` on their
+    /// connections. Returns the ids terminated.
     pub fn terminate_leases_on(&self, node: &str) -> Vec<u64> {
         let mut state = self.state.lock();
         let ids: Vec<u64> = state
@@ -411,12 +411,13 @@ impl ResourceManager {
 
     /// Whether `lease_id` was killed by an executor failure (as opposed to
     /// expiring or being released normally).
-    pub fn is_lease_terminated(&self, lease_id: u64) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_lease_terminated(&self, lease_id: u64) -> bool {
         self.state.lock().terminated_leases.contains(&lease_id)
     }
 
     /// Record a heartbeat from an executor's allocator.
-    pub fn heartbeat(&self, executor_name: &str, now: SimTime) -> bool {
+    pub(crate) fn heartbeat(&self, executor_name: &str, now: SimTime) -> bool {
         match self.state.lock().executors.get_mut(executor_name) {
             Some(entry) => {
                 entry.last_heartbeat = entry.last_heartbeat.max(now);
@@ -428,7 +429,7 @@ impl ResourceManager {
 
     /// Executors whose last heartbeat is older than `timeout` at `now`; the
     /// manager announces their leases as terminated so clients can reallocate.
-    pub fn failed_executors(&self, now: SimTime, timeout: SimDuration) -> Vec<String> {
+    pub(crate) fn failed_executors(&self, now: SimTime, timeout: SimDuration) -> Vec<String> {
         self.state
             .lock()
             .executors
@@ -440,7 +441,7 @@ impl ResourceManager {
 
     /// Leases that have expired at `now`. The caller (or a manager background
     /// task) releases them to reclaim resources.
-    pub fn expired_leases(&self, now: SimTime) -> Vec<u64> {
+    pub(crate) fn expired_leases(&self, now: SimTime) -> Vec<u64> {
         self.state
             .lock()
             .leases

@@ -1224,18 +1224,6 @@ impl SessionState<'_> {
         self.with_client(|c| c.get(key))
     }
 
-    /// Read `key` and decode it *in place* through `C`'s
-    /// [`Codec::decode_view`]: `f` runs over a typed view borrowing the
-    /// cached bytes where they lie — no staging copy leaves the
-    /// pre-registered cache region.
-    #[cfg(test)]
-    fn view<C, R>(&self, key: &str, f: impl FnOnce(C::View<'_>) -> R) -> Result<R>
-    where
-        C: Codec + ?Sized,
-    {
-        self.with_client(|c| c.get_with(key, |bytes| C::decode_view(bytes).map(f)))?
-    }
-
     /// Delete `key`; returns whether it existed.
     pub fn delete(&self, key: &str) -> Result<bool> {
         self.with_client(|c| c.delete(key))
@@ -1746,7 +1734,7 @@ mod tests {
     use super::*;
     use crate::executor::SpotExecutor;
     use cluster_sim::NodeResources;
-    use sandbox::{echo_function, failing_function, CodePackage, FunctionRegistry};
+    use sandbox::{echo_function, CodePackage, FunctionError, FunctionRegistry, SharedFunction};
 
     fn platform(cores: u32) -> (Arc<Fabric>, Arc<ResourceManager>, Session) {
         let fabric = Fabric::with_defaults();
@@ -1754,7 +1742,9 @@ mod tests {
         registry.deploy(
             CodePackage::minimal("pkg")
                 .with_function(echo_function())
-                .with_function(failing_function("intentional")),
+                .with_function(SharedFunction::from_fn("always-fails", |_, _| {
+                    Err(FunctionError::ExecutionFailed("intentional".into()))
+                })),
         );
         let manager = ResourceManager::new(&fabric, RFaasConfig::default());
         let executor = SpotExecutor::new(
@@ -2210,35 +2200,6 @@ mod tests {
         assert!(matches!(
             err,
             RFaasError::StatePlane(StateError::UnknownKey(ref k)) if k == "missing"
-        ));
-    }
-
-    #[test]
-    fn session_state_views_decode_in_place_and_reject_malformed_values() {
-        let (_f, _m, _plane, session) = stateful_platform();
-        let weights = [0.5f64, -1.25, 3.0];
-        let bytes: Vec<u8> = weights.iter().flat_map(|w| w.to_le_bytes()).collect();
-        session.state().put("weights", &bytes).unwrap();
-
-        // The typed view decodes straight over the client's cached bytes.
-        let sum = session
-            .state()
-            .view::<[f64], _>("weights", |v| {
-                (0..v.len()).map(|i| v.get(i).unwrap()).sum::<f64>()
-            })
-            .unwrap();
-        assert_eq!(sum, 2.25);
-
-        // A value whose shape violates the codec is rejected by the view...
-        session.state().put("weights", &[1u8, 2, 3]).unwrap();
-        assert!(matches!(
-            session.state().view::<[f64], _>("weights", |v| v.len()),
-            Err(RFaasError::Codec(_))
-        ));
-        // ...and a missing key surfaces the state plane's error untouched.
-        assert!(matches!(
-            session.state().view::<[f64], _>("absent", |v| v.len()),
-            Err(RFaasError::StatePlane(StateError::UnknownKey(_)))
         ));
     }
 

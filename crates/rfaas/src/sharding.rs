@@ -18,7 +18,6 @@
 
 use std::sync::Arc;
 
-use cluster_sim::NodeResources;
 use rdma_fabric::Fabric;
 use sim_core::VirtualClock;
 
@@ -170,7 +169,7 @@ impl ManagerGroup {
 
     /// Shard that issued `lease_id`, recovered from the id's residue class —
     /// no directory lookup, no broadcast.
-    pub fn shard_of_lease(&self, lease_id: u64) -> Option<usize> {
+    pub(crate) fn shard_of_lease(&self, lease_id: u64) -> Option<usize> {
         if lease_id == 0 {
             return None;
         }
@@ -191,27 +190,24 @@ impl ManagerGroup {
         self.managers[shard].release_lease(lease_id)
     }
 
-    /// Whether any shard terminated `lease_id` after an executor failure.
-    pub fn is_lease_terminated(&self, lease_id: u64) -> bool {
-        self.shard_of_lease(lease_id)
-            .is_some_and(|shard| self.managers[shard].is_lease_terminated(lease_id))
-    }
-
     /// Active leases across all shards.
     pub fn lease_count(&self) -> usize {
         self.managers.iter().map(|m| m.lease_count()).sum()
     }
 
     /// Registered executors across all shards.
-    pub fn executor_count(&self) -> usize {
+    #[cfg(test)]
+    fn executor_count(&self) -> usize {
         self.managers.iter().map(|m| m.executor_count()).sum()
     }
 
     /// Aggregate free resources across all shards.
-    pub fn available_resources(&self) -> NodeResources {
-        self.managers.iter().fold(NodeResources::ZERO, |acc, m| {
-            acc.add(&m.available_resources())
-        })
+    #[cfg(test)]
+    fn available_resources(&self) -> cluster_sim::NodeResources {
+        let zero = cluster_sim::NodeResources::ZERO;
+        self.managers
+            .iter()
+            .fold(zero, |acc, m| acc.add(&m.available_resources()))
     }
 
     /// Monetary cost accumulated by each shard's billing database, in shard
@@ -229,6 +225,7 @@ impl ManagerGroup {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cluster_sim::NodeResources;
     use sandbox::{echo_function, CodePackage, FunctionRegistry};
 
     fn registry() -> FunctionRegistry {

@@ -244,7 +244,8 @@ pub fn echo_function() -> SharedFunction {
 }
 
 /// A function that always fails, used by fault-injection tests.
-pub fn failing_function(message: &str) -> SharedFunction {
+#[cfg(test)]
+pub(crate) fn failing_function(message: &str) -> SharedFunction {
     let message = message.to_string();
     SharedFunction::from_fn("always-fails", move |_input, _output| {
         Err(FunctionError::ExecutionFailed(message.clone()))

@@ -21,8 +21,7 @@ pub mod snapshot;
 pub mod warm_pool;
 
 pub use function::{
-    echo_function, failing_function, FunctionError, FunctionOutcome, RemoteFunction,
-    SharedFunction, StateAccess,
+    echo_function, FunctionError, FunctionOutcome, RemoteFunction, SharedFunction, StateAccess,
 };
 pub use registry::{CodePackage, FunctionRegistry, ImageInfo, ImageRegistry};
 pub use sandbox::{Sandbox, SandboxState, SandboxType, SpawnBreakdown};

@@ -253,7 +253,10 @@ mod tests {
                     proptest::prop_assert!(seen.insert(parent.into_sandbox().workers()));
                 }
                 let stats = pool.stats();
-                let idle = pool.parents.idle_count();
+                let idle: usize = (0..3)
+                    .map(|key| (SandboxType::BareMetal, format!("p{key}")))
+                    .map(|key| pool.parents.idle_for(&key))
+                    .sum();
                 proptest::prop_assert_eq!(idle as u64, stats.returned - leased - stats.evictions);
                 proptest::prop_assert!(idle <= 3 * 2);
             }

@@ -111,22 +111,22 @@ mod tests {
     fn advance_to_never_goes_backwards() {
         let c = VirtualClock::new();
         c.advance(SimDuration::from_micros(10));
-        c.advance_to(SimTime::from_micros(4));
+        c.advance_to(SimTime::from_nanos(4_000));
         assert_eq!(c.now().as_nanos(), 10_000);
-        c.advance_to(SimTime::from_micros(25));
+        c.advance_to(SimTime::from_nanos(25_000));
         assert_eq!(c.now().as_nanos(), 25_000);
     }
 
     #[test]
     fn advance_to_then_charges_extra() {
         let c = VirtualClock::new();
-        let t = c.advance_to_then(SimTime::from_micros(5), SimDuration::from_nanos(300));
+        let t = c.advance_to_then(SimTime::from_nanos(5_000), SimDuration::from_nanos(300));
         assert_eq!(t.as_nanos(), 5_300);
     }
 
     #[test]
     fn starting_at_offsets_epoch() {
-        let c = VirtualClock::starting_at(SimTime::from_micros(1_000));
+        let c = VirtualClock::starting_at(SimTime::from_nanos(1_000_000));
         assert_eq!(c.now().as_nanos(), 1_000_000);
     }
 

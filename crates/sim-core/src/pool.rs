@@ -133,7 +133,8 @@ impl<K: Ord, V> KeyedPool<K, V> {
     }
 
     /// Values parked across all keys.
-    pub fn idle_count(&self) -> usize {
+    #[cfg(test)]
+    fn idle_count(&self) -> usize {
         self.inner.lock().idle.values().map(VecDeque::len).sum()
     }
 

@@ -27,11 +27,6 @@ impl SimTime {
         SimTime(ns)
     }
 
-    /// Construct from microseconds.
-    pub const fn from_micros(us: u64) -> Self {
-        SimTime(us * 1_000)
-    }
-
     /// Construct from whole seconds.
     pub const fn from_secs(s: u64) -> Self {
         SimTime(s * 1_000_000_000)
@@ -272,13 +267,12 @@ mod tests {
         assert_eq!(SimDuration::from_micros(3).as_nanos(), 3_000);
         assert_eq!(SimDuration::from_millis(2).as_nanos(), 2_000_000);
         assert_eq!(SimDuration::from_secs(1).as_nanos(), 1_000_000_000);
-        assert_eq!(SimTime::from_micros(5).as_nanos(), 5_000);
         assert_eq!(SimTime::from_secs(5).as_nanos(), 5_000_000_000);
     }
 
     #[test]
     fn arithmetic_behaves() {
-        let t = SimTime::from_micros(10);
+        let t = SimTime::from_nanos(10_000);
         let d = SimDuration::from_micros(4);
         assert_eq!((t + d).as_nanos(), 14_000);
         assert_eq!((t - d).as_nanos(), 6_000);

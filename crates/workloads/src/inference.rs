@@ -28,7 +28,7 @@ const POOLED_SIDE: usize = 16;
 
 /// A small convolutional classifier with deterministic weights.
 #[derive(Debug, Clone)]
-pub struct InferenceModel {
+pub(crate) struct InferenceModel {
     conv_kernels: Vec<f64>,  // FILTERS × 3 × 3 × 3
     dense_weights: Vec<f64>, // NUM_CLASSES × (FILTERS × POOLED_SIDE²)
     dense_bias: Vec<f64>,    // NUM_CLASSES
@@ -37,7 +37,7 @@ pub struct InferenceModel {
 impl InferenceModel {
     /// Deterministically initialised model (stands in for the TorchScript
     /// ResNet-50 checkpoint the paper ships in the Docker image).
-    pub fn pretrained(seed: u64) -> InferenceModel {
+    pub(crate) fn pretrained(seed: u64) -> InferenceModel {
         let mut rng = DeterministicRng::new(seed);
         let features = FILTERS * POOLED_SIDE * POOLED_SIDE;
         InferenceModel {
@@ -52,7 +52,7 @@ impl InferenceModel {
     }
 
     /// Run the network over an image, returning `NUM_CLASSES` logits.
-    pub fn forward(&self, image: &Image) -> Vec<f64> {
+    pub(crate) fn forward(&self, image: &Image) -> Vec<f64> {
         // Downscale to the fixed input resolution (preprocessing step).
         let input = image.resize(INPUT_SIDE, INPUT_SIDE);
         let side = INPUT_SIDE as usize;

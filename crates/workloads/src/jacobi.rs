@@ -89,7 +89,8 @@ pub fn jacobi_sweep_rows(
 }
 
 /// Solve the system with `iterations` Jacobi sweeps starting from zero.
-pub fn jacobi_solve(system: &JacobiSystem, iterations: usize) -> Vec<f64> {
+#[cfg(test)]
+fn jacobi_solve(system: &JacobiSystem, iterations: usize) -> Vec<f64> {
     let mut x = vec![0.0; system.n];
     for _ in 0..iterations {
         x = jacobi_sweep_rows(system, &x, 0, system.n);

@@ -19,9 +19,7 @@
 //! * [`inference`] — a ResNet-50-scale CNN inference kernel (Fig. 11b),
 //! * [`payload`] — payload generators and the input sizes used in Sec. V,
 //! * [`streaming`] — stateful streaming aggregation with the running
-//!   aggregate resident in the RDMA state plane,
-//! * [`training`] — iterative minibatch SGD with the model weights resident
-//!   in the RDMA state plane.
+//!   aggregate resident in the RDMA state plane.
 
 pub mod blackscholes;
 pub mod comm;
@@ -31,16 +29,14 @@ pub mod matmul;
 pub mod payload;
 pub mod streaming;
 pub mod thumbnailer;
-pub mod training;
 
 pub use blackscholes::{blackscholes_function, generate_options, price_batch, OptionContract};
 pub use comm::{MpiWorld, Rank};
-pub use inference::{image_recognition_function, InferenceModel};
-pub use jacobi::{jacobi_function, jacobi_solve, JacobiSystem};
-pub use matmul::{matmul_function, multiply_rows};
+pub use inference::image_recognition_function;
+pub use jacobi::{jacobi_function, JacobiSystem};
+pub use matmul::matmul_function;
 pub use payload::{
     generate_payload, ImageView, InputSizes, OptionBatch, OptionBatchView, OPTION_WIRE_BYTES,
 };
 pub use streaming::{streaming_aggregation_function, StreamAggregate, AGGREGATE_KEY};
 pub use thumbnailer::{thumbnailer_function, Image};
-pub use training::{training_step_function, TrainingSet, MODEL_KEY};

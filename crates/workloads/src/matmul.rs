@@ -26,7 +26,13 @@ fn multiply(a: &[f64], b: &[f64], n: usize) -> Vec<f64> {
 
 /// Multiply rows `[row_begin, row_end)` of `a` by `b`, producing
 /// `(row_end - row_begin) × n` output rows.
-pub fn multiply_rows(a: &[f64], b: &[f64], n: usize, row_begin: usize, row_end: usize) -> Vec<f64> {
+pub(crate) fn multiply_rows(
+    a: &[f64],
+    b: &[f64],
+    n: usize,
+    row_begin: usize,
+    row_end: usize,
+) -> Vec<f64> {
     assert!(
         a.len() >= n * n && b.len() >= n * n,
         "matrix buffers too small"

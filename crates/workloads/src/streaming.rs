@@ -22,8 +22,8 @@ const COST_PER_READING: SimDuration = SimDuration::from_nanos(6);
 
 /// Running aggregate of a stream of readings. Serialised as four `f64`s
 /// (count, sum, min, max) so it round-trips through the byte-oriented state
-/// plane with [`encode`](StreamAggregate::encode) /
-/// [`decode`](StreamAggregate::decode).
+/// plane with [`encode`](StreamAggregate::encode); the reply of the
+/// streaming function is the same four values.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamAggregate {
     /// Readings folded in so far.
@@ -74,7 +74,7 @@ impl StreamAggregate {
 
     /// Deserialise from [`encode`](StreamAggregate::encode) output; an empty
     /// slice decodes to the identity aggregate (a fresh state-plane key).
-    pub fn decode(bytes: &[u8]) -> Result<StreamAggregate, FunctionError> {
+    pub(crate) fn decode(bytes: &[u8]) -> Result<StreamAggregate, FunctionError> {
         if bytes.is_empty() {
             return Ok(StreamAggregate::default());
         }

@@ -143,7 +143,7 @@ fn run_sharded_scenario(seed: u64) -> String {
         .connect()
         .unwrap();
         let lease = session.lease().unwrap();
-        assert_eq!(group.shard_of_lease(lease.id), Some(shard));
+        assert!(group.managers()[shard].lease(lease.id).is_some());
         transcript.push_str(&format!(
             "episode {episode}: tenant {} -> shard {shard}, lease {} on {}\n",
             request.tenant, lease.id, lease.executor_node
@@ -385,7 +385,8 @@ fn run_fork_scenario(seed: u64) -> String {
             transcript.push_str(&format!("  invoke {payload} B -> {} ns\n", rtt.as_nanos()));
         }
         if let Some(fork) = session.stats().fork {
-            for batch in fork.fault_schedule() {
+            let schedule = fork.fault_schedule();
+            for batch in &schedule {
                 transcript.push_str(&format!(
                     "  fault batch start={} pages={} cost={} ns\n",
                     batch.start_page,
@@ -397,7 +398,11 @@ fn run_fork_scenario(seed: u64) -> String {
                 "  faulted {}/{} pages in {} ns\n",
                 fork.pages_faulted(),
                 fork.total_pages(),
-                fork.fault_time().as_nanos()
+                schedule
+                    .iter()
+                    .map(|b| b.cost)
+                    .sum::<SimDuration>()
+                    .as_nanos()
             ));
         }
         session.close().unwrap();
@@ -462,7 +467,7 @@ fn run_state_scenario(seed: u64) -> String {
         session.state().put(&key, &dataset).unwrap();
 
         let aggregate = session
-            .function::<[f64], [u8]>("stream-aggregate")
+            .function::<[f64], [f64]>("stream-aggregate")
             .unwrap()
             .with_state([StateKey::read_write(AGGREGATE_KEY)])
             .unwrap();
@@ -471,12 +476,12 @@ fn run_state_scenario(seed: u64) -> String {
                 .map(|_| rng.range_f64(-50.0, 50.0))
                 .collect();
             let (reply, rtt) = aggregate.invoke_timed(&batch[..]).unwrap();
-            let agg = workloads::StreamAggregate::decode(&reply).unwrap();
+            // The reply echoes the aggregate: count, sum, min, max.
+            let (count, sum) = (reply[0] as u64, reply[1]);
             transcript.push_str(&format!(
-                "  aggregate {} readings -> count={} sum_bits={:#018x} in {} ns\n",
+                "  aggregate {} readings -> count={count} sum_bits={:#018x} in {} ns\n",
                 batch.len(),
-                agg.count,
-                agg.sum.to_bits(),
+                sum.to_bits(),
                 rtt.as_nanos()
             ));
         }

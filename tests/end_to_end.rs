@@ -237,13 +237,15 @@ fn invocations_leave_the_allocator_clock_alone() {
 #[test]
 fn heartbeats_and_lease_expiry_reclaim_resources() {
     let testbed = Testbed::new(2);
+    let driver = LifecycleDriver::new(&testbed.manager);
     let now = testbed.manager.clock().now();
-    assert!(testbed.manager.heartbeat("spot-00", now));
-    let failed = testbed
-        .manager
-        .failed_executors(now + SimDuration::from_secs(60), SimDuration::from_secs(30));
-    assert!(failed.contains(&"spot-01".to_string()));
-    assert!(!failed.contains(&"spot-00".to_string()) || failed.len() == 2);
+    assert_eq!(driver.step(now).heartbeats, 2);
+    // spot-01's node dies and goes silent; spot-00 keeps heartbeating.
+    testbed.manager.executor("spot-01").unwrap().fail();
+    let delta = driver.step(now + HEARTBEAT_TIMEOUT * 2);
+    assert_eq!((delta.heartbeats, delta.executors_failed), (1, 1));
+    assert!(testbed.manager.executor("spot-01").is_none());
+    assert!(testbed.manager.executor("spot-00").is_some());
 
     let session = testbed
         .session("expiry-client")
@@ -251,11 +253,10 @@ fn heartbeats_and_lease_expiry_reclaim_resources() {
         .lease_timeout(SimDuration::from_secs(5))
         .connect()
         .unwrap();
-    let expired = testbed
-        .manager
-        .expired_leases(testbed.manager.clock().now() + SimDuration::from_secs(10));
-    assert_eq!(expired.len(), 1);
-    testbed.manager.release_lease(expired[0]).unwrap();
+    let lease = session.lease().unwrap();
+    let delta = driver.step(lease.expires_at + SimDuration::from_secs(5));
+    assert_eq!((delta.leases_expired, delta.processes_reaped), (1, 1));
+    assert!(testbed.manager.lease(lease.id).is_none());
     assert_eq!(testbed.manager.lease_count(), 0);
     drop(session);
 }
@@ -340,8 +341,7 @@ fn executor_failure_is_detected_and_the_client_recovers_elsewhere() {
     let t0 = testbed.manager.clock().now();
     driver.step(t0 + SimDuration::from_secs(1));
     let victim = testbed.manager.executor(&lease.executor_node).unwrap();
-    victim.fail();
-    assert!(!victim.is_alive());
+    assert_eq!(victim.fail(), 1, "the client's process dies with its node");
 
     // The failure detector notices the silence, deregisters the executor and
     // marks its leases terminated.
@@ -349,8 +349,8 @@ fn executor_failure_is_detected_and_the_client_recovers_elsewhere() {
     let delta = driver.step(later);
     assert_eq!(delta.executors_failed, 1);
     assert_eq!(delta.leases_terminated, 1);
-    assert!(testbed.manager.is_lease_terminated(lease.id));
-    assert_eq!(testbed.manager.executor_count(), 1);
+    assert!(testbed.manager.lease(lease.id).is_none());
+    assert!(testbed.manager.executor(&lease.executor_node).is_none());
 
     // The client's next invocation finds its connections dead, transparently
     // re-allocates from the manager and lands on the surviving executor.

@@ -2,13 +2,24 @@
 //! rFaaS stack — via the typed session API — and checking the results
 //! against local execution.
 
-use rfaas::PollingMode;
+use rfaas::{Codec, PollingMode};
 use rfaas_bench::Testbed;
-use sandbox::SandboxType;
+use sandbox::{SandboxType, SharedFunction};
 use workloads::blackscholes::price_batch;
 use workloads::jacobi::{encode_install, encode_iterate, jacobi_sweep_rows};
-use workloads::matmul::{encode_matmul_request, multiply_rows, random_matrix};
-use workloads::{generate_options, Image, InferenceModel, InputSizes, JacobiSystem, OptionBatch};
+use workloads::matmul::{encode_matmul_request, random_matrix};
+use workloads::{
+    generate_options, image_recognition_function, matmul_function, Image, InputSizes, JacobiSystem,
+    OptionBatch,
+};
+
+/// The `f64`s `function` returns for `input` when invoked locally, with no
+/// platform in between.
+fn invoke_locally(function: SharedFunction, input: &[u8], capacity: usize) -> Vec<f64> {
+    let mut output = vec![0u8; capacity];
+    let written = function.invoke(input, &mut output).unwrap();
+    <[f64]>::decode(&output[..written]).unwrap()
+}
 
 #[test]
 fn offloaded_blackscholes_matches_local_pricing() {
@@ -63,7 +74,9 @@ fn offloaded_inference_matches_local_model() {
         .unwrap()
         .with_output_capacity(1000 * 8);
     let remote_logits = classify.invoke(&image).unwrap();
-    let local_logits = InferenceModel::pretrained(50).forward(&image);
+    let mut encoded = vec![0u8; image.encoded_len()];
+    image.encode_into(&mut encoded).unwrap();
+    let local_logits = invoke_locally(image_recognition_function(), &encoded, 1000 * 8);
     assert_eq!(remote_logits.len(), local_logits.len());
     for (r, l) in remote_logits.iter().zip(local_logits.iter()) {
         assert!((r - l).abs() < 1e-9);
@@ -89,7 +102,7 @@ fn offloaded_matmul_half_matches_local_kernel() {
         .unwrap()
         .with_output_capacity((n / 2) * n * 8);
     let remote = matmul.invoke(&request[..]).unwrap();
-    let local = multiply_rows(&a, &b, n, n / 2, n);
+    let local = invoke_locally(matmul_function(), &request, (n / 2) * n * 8);
     assert_eq!(remote.len(), local.len());
     for (r, l) in remote.iter().zip(local.iter()) {
         assert!((r - l).abs() < 1e-9);
@@ -137,7 +150,10 @@ fn distributed_jacobi_converges_with_cached_system() {
         "{iterate_bytes} vs {install_bytes}"
     );
     // And the distributed solve converges like the local one.
-    let local_solution = workloads::jacobi_solve(&system, iterations);
+    let mut local_solution = vec![0.0f64; n];
+    for _ in 0..iterations {
+        local_solution = jacobi_sweep_rows(&system, &local_solution, 0, n);
+    }
     assert!(system.residual(&x) < 1e-4);
     assert!((system.residual(&x) - system.residual(&local_solution)).abs() < 1e-4);
 }

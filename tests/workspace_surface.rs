@@ -35,23 +35,28 @@ fn workspace_sources(root: &Path) -> Vec<PathBuf> {
     sources
 }
 
-/// The lines of a source file outside its `#[cfg(test)] mod tests { … }`,
-/// each with its 1-based line number. The test module runs from that header
-/// to its closing brace at column 0; product code after it is kept.
+/// The lines of a source file outside its `#[cfg(test)]` items, each with
+/// its 1-based line number. Such an item (a `mod tests`, a lone `fn`, an
+/// `impl` block, a `use`, a field) runs from its attribute to the first code
+/// line at the attribute's indent that ends in `}`, `;` or `,`; product code
+/// after it is kept.
 fn product_lines(text: &str) -> Vec<(usize, &str)> {
     let mut lines = Vec::new();
-    let mut in_tests = false;
-    let mut previous = "";
+    // The indent of the `#[cfg(test)]` item being skipped.
+    let mut test_item = None;
     for (n, line) in text.lines().enumerate() {
-        if in_tests {
-            in_tests = line != "}";
-        } else if previous.trim() == "#[cfg(test)]" && line.starts_with("mod tests") {
-            lines.pop();
-            in_tests = true;
-        } else {
-            lines.push((n + 1, line));
+        let code = line.trim_start();
+        let indent = line.len() - code.len();
+        match test_item {
+            Some(open) => {
+                let ends = indent == open && !is_comment(line) && code.ends_with(['}', ';', ',']);
+                if ends {
+                    test_item = None;
+                }
+            }
+            None if code == "#[cfg(test)]" => test_item = Some(indent),
+            None => lines.push((n + 1, line)),
         }
-        previous = line;
     }
     lines
 }
@@ -498,10 +503,33 @@ fn one_pool_mechanism_and_stats_structs_are_counted() {
     assert_eq!(stats.len(), 10, "`*Stats` structs: {stats:?}");
 }
 
-/// `(crate, name, reason)` of each `pub` item that no caller outside its
-/// crate names but that stays `pub` on purpose. A stale entry fails
-/// `every_pub_item_has_an_outside_caller`, so the list can only shrink.
-const OUTSIDE_CALLER_ALLOW_LIST: &[(&str, &str, &str)] = &[];
+/// `(crate, name, reason)` of each `pub` item that no product caller
+/// outside its crate names but that stays `pub` on purpose: an observer a
+/// test outside the owning crate reads and no product surface exposes. Each
+/// reason names that test and the ROADMAP item that removes the entry. A
+/// stale entry fails `every_pub_item_has_an_outside_caller`, so the list can
+/// only shrink.
+#[rustfmt::skip]
+const OUTSIDE_CALLER_ALLOW_LIST: &[(&str, &str, &str)] = &[
+    ("sim-core", "lock_acquisitions",
+        "tests/copy_budget.rs pins locks per operation; item 15's exact counters replace it"),
+    ("sim-core", "evict_idle",
+        "sandbox's warm_pool tests sweep the pool; item 4 drives the sweep from a timer"),
+    ("rdma-fabric", "region_count",
+        "rfaas's session tests check buffers deregister; item 8's teardown audit replaces it"),
+    ("rdma-fabric", "posted_receives",
+        "rfaas's dropped_futures_return_their_reservations counts receives; item 8's audit replaces it"),
+    ("rfaas", "lease_usage",
+        "tests/end_to_end.rs's billing tests read a lease's usage; item 2 bills per lease"),
+    ("rfaas", "available_resources",
+        "tests/end_to_end.rs's multiple_clients_share_the_executor_pool; item 6 makes it a metric"),
+    ("rfaas", "fault_schedule",
+        "tests/determinism.rs's fork scenario transcribes it; item 6's trace records the batches"),
+    ("rfaas", "worker_mode",
+        "tests/invocation_spectrum.rs and determinism.rs read demotion; item 6 traces it"),
+    ("state-plane", "placements",
+        "tests/determinism.rs's state scenarios transcribe them; item 6's trace records them"),
+];
 
 /// The name declared by a `pub fn`, `pub const fn`, `pub unsafe fn`,
 /// `pub const NAME:` or `pub static NAME:` line, at any indent, and whether
@@ -617,11 +645,11 @@ fn takes_self(lines: &[(usize, &str)]) -> bool {
         .is_some_and(|first| identifiers(first).contains("self"))
 }
 
-/// What a file offers as callers: its crate (`None` for caller-only files),
-/// the identifiers of its code lines (all, and those in call or path
-/// position), the `Type::name` paths of its code lines, and the identifiers
-/// (all, and those in call position) and the `Type::name(` calls of its
-/// `///` / `//!` lines.
+/// What a file's product lines offer as callers: its crate (`None` for
+/// caller-only files), the identifiers of its code lines (all, and those in
+/// call or path position), the `Type::name` paths of its code lines, and the
+/// identifiers (all, and those in call position) and the `Type::name(` calls
+/// of its `///` / `//!` lines.
 struct Callers<'a> {
     owner: Option<String>,
     named: BTreeSet<&'a str>,
@@ -633,10 +661,9 @@ struct Callers<'a> {
 }
 
 impl<'a> Callers<'a> {
-    /// The callers `text`, a file of crate `owner`, offers.
-    fn new(owner: Option<String>, text: &'a str) -> Callers<'a> {
-        let (code, docs): (Vec<&str>, Vec<&str>) = text
-            .lines()
+    /// The callers `lines`, product lines of a file of crate `owner`, offer.
+    fn new(owner: Option<String>, lines: impl Iterator<Item = &'a str>) -> Callers<'a> {
+        let (code, docs): (Vec<&str>, Vec<&str>) = lines
             .filter(|line| !is_comment(line) || is_doc(line))
             .partition(|line| !is_comment(line));
         let (named, called) = identifiers_and_calls(code.iter().copied(), true);
@@ -670,28 +697,87 @@ impl<'a> Callers<'a> {
     }
 }
 
+/// The crate under `crates/` whose library declares the items of the file
+/// at `rel` (relative to the workspace root); `None` for the `rfaas-bench`
+/// binaries and every file outside `crates/`.
+fn owner(rel: &Path) -> Option<String> {
+    let name = rel.strip_prefix("crates").ok()?.iter().next()?.to_str()?;
+    (!rel.starts_with("crates/bench/src/bin")).then(|| name.to_string())
+}
+
+/// What the file at `rel` offers as callers: only its product lines do, so
+/// `None` for `tests/`, and no `#[cfg(test)]` item of a product file calls
+/// anything (see `product_lines`). A fig module of `rfaas-bench` calls the
+/// bench library from outside, as its binary does.
+fn callers<'a>(rel: &Path, text: &'a str) -> Option<Callers<'a>> {
+    if rel.starts_with("tests") {
+        return None;
+    }
+    let fig = rel.starts_with("crates/bench/src")
+        && rel
+            .file_name()
+            .and_then(|name| name.to_str())
+            .is_some_and(|name| name.starts_with("fig"));
+    let lines = product_lines(text).into_iter().map(|(_, line)| line);
+    Some(Callers::new(owner(rel).filter(|_| !fig), lines))
+}
+
 /// A crate's doc lines credit its function only where they call it: prose
 /// and an intra-doc link name `launch` and credit nothing, a doc-test line
 /// calling it does. A constant counts wherever a doc line names it.
 #[test]
 fn doc_lines_credit_a_function_only_where_they_call_it() {
+    let lib = Path::new("crates/rfaas/src/lib.rs");
     let prose = "/// Waits [`SLACK`], then see [`Engine::launch`]; `launch` runs once.\n";
-    let prose = Callers::new(Some("rfaas".into()), prose);
+    let prose = callers(lib, prose).unwrap();
     assert!(!prose.credits("rfaas", "launch", true, None));
     assert!(prose.credits("rfaas", "SLACK", false, None));
     let doc_test = "/// let engine = rfaas::launch(2);\n//! engine.parse::<u8>();\n";
-    let doc_test = Callers::new(Some("rfaas".into()), doc_test);
+    let doc_test = callers(lib, doc_test).unwrap();
     assert!(doc_test.credits("rfaas", "launch", true, None));
     assert!(doc_test.credits("rfaas", "parse", true, None));
     // Another crate credits only code lines, never its comments.
     assert!(!doc_test.credits("sandbox", "launch", true, None));
 }
 
+/// Only product code calls: a call from `tests/`, from a `#[cfg(test)] mod
+/// tests` or from a lone `#[cfg(test)] fn` credits nothing, while the same
+/// call from product code of another crate does, and a fig module's call
+/// credits the bench library.
+#[test]
+fn test_code_credits_nothing_and_fig_modules_call_the_bench_library() {
+    let call = "fn probe() {\n    rfaas::renew(1);\n}\n";
+    let tests_mod = "#[cfg(test)]\nmod tests {\n    fn probe() {\n        rfaas::renew(1);\n    }\n}\npub fn after() {}\n";
+    let lone_fn = format!("#[cfg(test)]\n{call}");
+    let sandbox = Path::new("crates/sandbox/src/lib.rs");
+    assert!(callers(Path::new("tests/end_to_end.rs"), call).is_none());
+    for text in [tests_mod, &lone_fn] {
+        let file = callers(sandbox, text).unwrap();
+        assert!(!file.credits("rfaas", "renew", true, None), "{text}");
+    }
+    assert!(callers(sandbox, call)
+        .unwrap()
+        .credits("rfaas", "renew", true, None));
+    let kept: Vec<&str> = product_lines(tests_mod)
+        .into_iter()
+        .map(|(_, line)| line)
+        .collect();
+    assert_eq!(kept, ["pub fn after() {}"]);
+
+    let fig = "fn run() {\n    let t = Testbed::new(1);\n    at(&t);\n}\n";
+    let fig14 = callers(Path::new("crates/bench/src/fig14_lease_churn.rs"), fig).unwrap();
+    assert!(fig14.credits("bench", "at", true, None));
+    assert!(fig14.credits("bench", "new", true, Some("Testbed::new")));
+    let lib = callers(Path::new("crates/bench/src/lib.rs"), fig).unwrap();
+    assert!(!lib.credits("bench", "at", true, None));
+}
+
 /// Every crate's non-test `pub fn`, `pub const` and `pub static` has a
-/// caller outside that crate. A caller names the item, between identifier
-/// boundaries, on a code line of another crate's `src/` (test modules
-/// included), of `crates/bench/src/bin/` (for the `rfaas-bench` lib), of the
-/// root `src/`, `examples/` or `tests/` (this file aside) or of
+/// product caller outside that crate; items inside `#[cfg(test)]` code are
+/// not checked. A caller names the item, between identifier boundaries, on
+/// a product code line (see `callers`: no `tests/` file, no `#[cfg(test)]`
+/// item) of another crate's `src/`, of `crates/bench/src/bin/` or a fig
+/// module (for the `rfaas-bench` lib), of the root `src/`, `examples/` or
 /// `benchmark/src/`; a function only counts in call or path position (see
 /// `identifiers_and_calls`). A `pub fn` of an inherent `impl Type` block
 /// without a `self` receiver can only be called as `Type::name`, so only
@@ -712,26 +798,17 @@ fn doc_lines_credit_a_function_only_where_they_call_it() {
 #[test]
 fn every_pub_item_has_an_outside_caller() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let crates_dir = root.join("crates");
-    let bins = crates_dir.join("bench/src/bin");
-    let this_file = root.join("tests/workspace_surface.rs");
-
-    // The crate directory whose library a source file belongs to; `None`
-    // for every caller-only file.
-    let owner = |path: &Path| -> Option<String> {
-        let rest = path.strip_prefix(&crates_dir).ok()?;
-        let name = rest.iter().next()?.to_str()?.to_string();
-        (!path.starts_with(&bins)).then_some(name)
-    };
-
     let mut sources = Vec::new();
     for dir in ["crates", "src", "examples", "tests", "benchmark/src"] {
         rust_sources(&root.join(dir), &mut sources);
     }
-    sources.retain(|path| *path != this_file);
+    let sources: Vec<&Path> = sources
+        .iter()
+        .map(|path| path.strip_prefix(root).unwrap())
+        .collect();
     let texts: Vec<String> = sources
         .iter()
-        .map(|path| fs::read_to_string(path).unwrap())
+        .map(|path| fs::read_to_string(root.join(path)).unwrap())
         .collect();
     let readme = fs::read_to_string(root.join("benchmark/README.md")).unwrap();
     let symbols = readme
@@ -744,7 +821,7 @@ fn every_pub_item_has_an_outside_caller() {
     let files: Vec<Callers> = sources
         .iter()
         .zip(&texts)
-        .map(|(path, text)| Callers::new(owner(path), text))
+        .filter_map(|(path, text)| callers(path, text))
         .collect();
     // Whether an item of crate `owner` has a caller outside it.
     let called_outside = |owner: &str, name: &str, is_fn: bool, path: Option<&str>| {
@@ -756,8 +833,8 @@ fn every_pub_item_has_an_outside_caller() {
 
     let mut unreferenced = Vec::new();
     let mut allowed = BTreeSet::new();
-    for ((path, text), file) in sources.iter().zip(&texts).zip(&files) {
-        let Some(owner) = &file.owner else { continue };
+    for (path, text) in sources.iter().zip(&texts) {
+        let Some(owner) = &owner(path) else { continue };
         let lines = product_lines(text);
         let mut impl_type = None;
         for (i, (n, line)) in lines.iter().enumerate() {
@@ -784,7 +861,7 @@ fn every_pub_item_has_an_outside_caller() {
                 }
                 None => unreferenced.push(format!(
                     "{owner}: {}:{n}: `{}`",
-                    path.strip_prefix(root).unwrap().display(),
+                    path.display(),
                     assoc.as_deref().unwrap_or(name)
                 )),
             }
