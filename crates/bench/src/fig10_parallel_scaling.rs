@@ -9,7 +9,7 @@
 //! at 32 workers). [`CLAIMS`] holds the 8-worker hot batches to that shape.
 
 use crate::{rows, Claim, Mode, Row, Table, Testbed};
-use rdma_fabric::NicProfile;
+use rdma_fabric::CX5_100G;
 use rfaas::{FunctionHandle, PollingMode};
 use sandbox::SandboxType;
 use sim_core::SimDuration;
@@ -68,7 +68,7 @@ pub(crate) const CLAIMS: &[Claim] = &[
         check: |t| rows(t, [("rFaaS hot 1 kB", 8.0)], |[rtt]| rtt < 30.0) },
     Claim { name: "8-worker 1 MB hot batch > 7 x serialization(1 MiB)", source: "paper §V-D",
         check: |t| rows(t, [("rFaaS hot 1 MB", 8.0)], |[rtt]| {
-            rtt > 7.0 * NicProfile::mellanox_cx5_100g().serialization(1 << 20).as_micros_f64()
+            rtt > 7.0 * CX5_100G.serialization(1 << 20).as_micros_f64()
         }) },
 ];
 
@@ -79,12 +79,11 @@ pub(crate) fn run(_mode: Mode) -> Vec<Table> {
         measure(PollingMode::Warm, "rFaaS warm", payload, &mut rows);
         // Aggregate-bandwidth bound of the 100 Gb/s link: all payloads must
         // stream out of the client NIC and the results must stream back in.
-        let profile = NicProfile::mellanox_cx5_100g();
         for &workers in &worker_counts() {
-            let bound = profile.serialization(payload * workers as usize)
-                + profile.one_way_latency
-                + profile.serialization(payload)
-                + profile.one_way_latency;
+            let bound = CX5_100G.serialization(payload * workers as usize)
+                + CX5_100G.one_way_latency
+                + CX5_100G.serialization(payload)
+                + CX5_100G.one_way_latency;
             rows.push(Row::value(
                 format!("RDMA bandwidth bound {}", payload_label(payload)),
                 workers as f64,

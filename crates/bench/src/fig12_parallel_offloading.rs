@@ -19,6 +19,7 @@
 //! batch.
 
 use crate::{every, Claim, Mode, Row, Table, Testbed};
+use rdma_fabric::CX5_100G;
 use rfaas::{BatchStats, FunctionHandle, RFaasConfig, Session};
 use sim_core::SimDuration;
 use workloads::blackscholes::local_parallel_cost;
@@ -144,13 +145,12 @@ pub(crate) fn run(mode: Mode) -> Vec<Table> {
 
     // Chained-WQE billing breakdown of the widest scatter, against what the
     // same WQEs would have cost posted individually.
-    let profile = rdma_fabric::NicProfile::mellanox_cx5_100g();
     let (parallelism, stats, chunk_capacity) =
         widest_batch.expect("at least one offloaded configuration");
     let wire = chunk_capacity + rfaas::INVOCATION_HEADER_BYTES;
-    let unchained_estimate = profile.issue_cost(wire) * stats.submissions as u64;
+    let unchained_estimate = CX5_100G.issue_cost(wire) * stats.submissions as u64;
     let chained_estimate =
-        profile.issue_cost(wire) + profile.issue_cost_chained(wire) * stats.chained_wqes as u64;
+        CX5_100G.issue_cost(wire) + CX5_100G.issue_cost_chained(wire) * stats.chained_wqes as u64;
     let x = parallelism as f64;
     let breakdown = vec![
         Row::value("submissions", x, stats.submissions as f64, "count"),
@@ -173,7 +173,7 @@ pub(crate) fn run(mode: Mode) -> Vec<Table> {
     let transmission = vec![Row::value(
         "network transmission of the batch",
         total_options as f64,
-        profile.serialization(input_bytes).as_millis_f64(),
+        CX5_100G.serialization(input_bytes).as_millis_f64(),
         "ms",
     )];
 

@@ -6,7 +6,8 @@
 //! holds the 8 B rows to the paper's bands.
 
 use crate::{rows, Claim, Mode, Row, Table, Testbed};
-use faas_baselines::TcpProfile;
+use faas_baselines::KERNEL_100G;
+use rdma_fabric::CX5_100G;
 use rfaas::PollingMode;
 use sandbox::SandboxType;
 
@@ -48,12 +49,10 @@ pub(crate) fn run(_mode: Mode) -> Vec<Table> {
     let mut rows = Vec::new();
 
     // Raw transport baselines.
-    let rdma = rdma_fabric::NicProfile::mellanox_cx5_100g();
-    let tcp = TcpProfile::kernel_100g();
     for &size in &payload_sizes() {
         let x = size as f64;
-        let rdma_rtt = rdma.write_pingpong_rtt(size).as_micros_f64();
-        let tcp_rtt = tcp.request_response(size, size).as_micros_f64();
+        let rdma_rtt = CX5_100G.write_pingpong_rtt(size).as_micros_f64();
+        let tcp_rtt = KERNEL_100G.request_response(size, size).as_micros_f64();
         rows.push(Row::value(RDMA, x, rdma_rtt, "us"));
         rows.push(Row::value("TCP/IP (netperf)", x, tcp_rtt, "us"));
     }

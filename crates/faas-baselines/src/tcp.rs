@@ -3,14 +3,16 @@
 //! Unlike the RDMA fabric, every TCP message crosses the operating system
 //! twice (sender and receiver syscalls, softirq processing, copies between
 //! user and kernel buffers). The profile charges those per-message overheads
-//! on top of the same propagation/serialisation structure as the RDMA link,
-//! and is calibrated so that a small-message request/response lands in the
-//! 20–30 µs range of the paper's `netperf` baseline.
+//! on top of the same propagation/serialisation structure as the RDMA link
+//! (whose one-way latency it shares: one switch), and is calibrated so that
+//! a small-message request/response lands in the 20–30 µs range of the
+//! paper's `netperf` baseline.
 
+use rdma_fabric::CX5_100G;
 use sim_core::SimDuration;
 
 /// Cost constants of the kernel TCP/IP path.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct TcpProfile {
     /// One-way wire latency (propagation + switching).
     pub one_way_latency: SimDuration,
@@ -26,18 +28,16 @@ pub struct TcpProfile {
     pub recv_overhead: SimDuration,
 }
 
-impl TcpProfile {
-    /// Kernel TCP over the evaluation cluster's 100 Gb/s link.
-    pub fn kernel_100g() -> TcpProfile {
-        TcpProfile {
-            one_way_latency: SimDuration::from_nanos(1_700),
-            // ~5.5 GB/s goodput for a single well-tuned stream.
-            bandwidth_bytes_per_sec: 5.5e9,
-            send_overhead: SimDuration::from_micros(4),
-            recv_overhead: SimDuration::from_micros(6),
-        }
-    }
+/// Kernel TCP over the evaluation cluster's 100 Gb/s link.
+pub const KERNEL_100G: TcpProfile = TcpProfile {
+    one_way_latency: CX5_100G.one_way_latency,
+    // ~5.5 GB/s goodput for a single well-tuned stream.
+    bandwidth_bytes_per_sec: 5.5e9,
+    send_overhead: SimDuration::from_micros(4),
+    recv_overhead: SimDuration::from_micros(6),
+};
 
+impl TcpProfile {
     /// Serialisation time of `bytes` on the wire.
     pub fn serialization(&self, bytes: usize) -> SimDuration {
         if bytes == 0 {
@@ -64,21 +64,21 @@ mod tests {
 
     #[test]
     fn small_message_rtt_matches_netperf_range() {
-        let p = TcpProfile::kernel_100g();
+        let p = &KERNEL_100G;
         let rtt = p.request_response(64, 64).as_micros_f64();
         assert!((15.0..35.0).contains(&rtt), "TCP RTT was {rtt} us");
     }
 
     #[test]
     fn tcp_is_slower_than_rdma_for_small_messages() {
-        let tcp = TcpProfile::kernel_100g().request_response(64, 64);
+        let tcp = KERNEL_100G.request_response(64, 64);
         // The RDMA fabric's small-message RTT is ~3.7 us.
         assert!(tcp.as_micros_f64() > 3.0 * 3.7);
     }
 
     #[test]
     fn bandwidth_dominates_large_transfers() {
-        let p = TcpProfile::kernel_100g();
+        let p = &KERNEL_100G;
         let t = p.one_way(64 * 1024 * 1024).as_millis_f64();
         // 64 MiB at ~5.5 GB/s ≈ 12 ms.
         assert!((10.0..16.0).contains(&t), "64 MiB one-way took {t} ms");
@@ -86,7 +86,7 @@ mod tests {
 
     #[test]
     fn zero_byte_messages_have_zero_serialization() {
-        let p = TcpProfile::kernel_100g();
+        let p = &KERNEL_100G;
         assert!(p.serialization(0).is_zero());
         assert!(p.one_way(0) >= p.one_way_latency);
     }

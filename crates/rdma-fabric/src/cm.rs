@@ -15,6 +15,7 @@ use sim_core::sync::Mutex;
 use sim_core::SimTime;
 
 use crate::cq::CqNotifier;
+use crate::device::CX5_100G;
 use crate::error::{FabricError, Result};
 use crate::fabric::Fabric;
 use crate::pool::ConnectionPool;
@@ -180,20 +181,19 @@ impl Listener {
     }
 
     fn finish_accept(&self, endpoint: &Endpoint, request: ConnectRequest) -> Result<QueuePair> {
-        let profile = self.fabric.profile();
         let server_qp = QueuePair::new(endpoint);
         QueuePair::connect_pair(&request.client_qp, &server_qp)?;
         // The server observes the request one propagation delay after the
         // client issued it and spends half the handshake processing it; a
         // warm re-establishment only pays the cheap tier.
         let setup = if request.warm {
-            profile.warm_connection_setup
+            CX5_100G.warm_connection_setup
         } else {
-            profile.connection_setup
+            CX5_100G.connection_setup
         };
         endpoint
             .clock
-            .advance_to_then(request.client_time + profile.one_way_latency, setup / 2);
+            .advance_to_then(request.client_time + CX5_100G.one_way_latency, setup / 2);
         // Answer the connecting client (it may have given up already). The
         // release publishes the connected pair to the client's acquire load.
         request.reply.store(ACCEPTED, Ordering::Release);
@@ -276,7 +276,6 @@ fn connect_inner(
         .fabric
         .listener(address)
         .ok_or_else(|| FabricError::UnknownAddress(address.to_string()))?;
-    let profile = endpoint.fabric.profile();
     let client_qp = QueuePair::new(endpoint);
     // The request's departure instant is taken before `on_init` charges the
     // client clock, so the server's accept instant does not depend on what
@@ -319,9 +318,9 @@ fn connect_inner(
     }
     // The client pays the connection-establishment latency of its tier.
     endpoint.clock.advance(if warm {
-        profile.warm_connection_setup
+        CX5_100G.warm_connection_setup
     } else {
-        profile.connection_setup
+        CX5_100G.connection_setup
     });
     Ok(client_qp)
 }
@@ -378,9 +377,7 @@ impl DatagramSocket {
         if let Some(replaced) = endpoint.fabric.register_datagram(address, handle) {
             replaced.inbox.lock().closed = true;
         }
-        endpoint
-            .clock
-            .advance(endpoint.fabric.profile().datagram_setup);
+        endpoint.clock.advance(CX5_100G.datagram_setup);
         DatagramSocket {
             fabric: Arc::clone(&endpoint.fabric),
             node: Arc::clone(&endpoint.node),
@@ -404,9 +401,7 @@ impl DatagramSocket {
             .fabric
             .datagram(dst)
             .ok_or_else(|| FabricError::UnknownAddress(dst.to_string()))?;
-        let ready = self
-            .clock
-            .advance(self.fabric.profile().issue_cost(payload.len()));
+        let ready = self.clock.advance(CX5_100G.issue_cost(payload.len()));
         let timing = self
             .fabric
             .transfer(&self.node, &handle.node, payload.len(), ready);
@@ -451,7 +446,7 @@ impl DatagramSocket {
 
     fn observe(&self, msg: &DatagramMessage) {
         self.clock
-            .advance_to_then(msg.arrived_at, self.fabric.profile().completion_pickup);
+            .advance_to_then(msg.arrived_at, CX5_100G.completion_pickup);
     }
 }
 
@@ -547,7 +542,7 @@ mod tests {
         });
         accept(&listener, &server_ep);
         let client_time = t.join().unwrap();
-        let setup = fabric.profile().connection_setup;
+        let setup = CX5_100G.connection_setup;
         assert!(client_time.as_nanos() >= setup.as_nanos());
     }
 
@@ -815,10 +810,9 @@ mod tests {
         // The accept instant is the request's departure plus propagation and
         // the server's half of the handshake — not shifted by the receive
         // the client posted (and was charged for) first.
-        let profile = fabric.profile();
         assert_eq!(
             accepted_at,
-            departed + profile.one_way_latency + profile.connection_setup / 2
+            departed + CX5_100G.one_way_latency + CX5_100G.connection_setup / 2
         );
         // An `on_init` error abandons the connect before anything is sent.
         let err = connect_pooled_with(
@@ -921,8 +915,8 @@ mod tests {
         let before = ep.clock.now();
         let _sock = DatagramSocket::bind(&ep, "udp://ctl");
         let bind_cost = ep.clock.now().saturating_since(before);
-        assert_eq!(bind_cost, fabric.profile().datagram_setup);
-        assert!(bind_cost.as_nanos() * 5 <= fabric.profile().connection_setup.as_nanos());
+        assert_eq!(bind_cost, CX5_100G.datagram_setup);
+        assert!(bind_cost.as_nanos() * 5 <= CX5_100G.connection_setup.as_nanos());
     }
 
     #[test]

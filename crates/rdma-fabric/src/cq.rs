@@ -19,7 +19,7 @@ use std::sync::Arc;
 use sim_core::sync::Mutex;
 use sim_core::{SimDuration, SimTime, VirtualClock};
 
-use crate::device::{DeviceFunction, NicProfile};
+use crate::device::{DeviceFunction, CX5_100G};
 use crate::fabric::FabricNode;
 use crate::verbs::WorkCompletion;
 
@@ -40,7 +40,6 @@ struct CqInner {
     queued: AtomicUsize,
     clock: Arc<VirtualClock>,
     node: Arc<FabricNode>,
-    profile: NicProfile,
     function: DeviceFunction,
 }
 
@@ -83,7 +82,6 @@ impl CompletionQueue {
     pub(crate) fn new(
         clock: Arc<VirtualClock>,
         node: Arc<FabricNode>,
-        profile: NicProfile,
         function: DeviceFunction,
     ) -> CompletionQueue {
         CompletionQueue {
@@ -92,7 +90,6 @@ impl CompletionQueue {
                 queued: AtomicUsize::new(0),
                 clock,
                 node,
-                profile,
                 function,
             }),
         }
@@ -175,8 +172,7 @@ impl CompletionQueue {
     /// Synchronise the consumer clock to a completion observed by busy
     /// polling: arrival time plus the polling pickup cost.
     pub fn charge_poll_pickup(&self, wc: &WorkCompletion) {
-        let pickup = self.inner.profile.completion_pickup
-            + self.inner.function.message_overhead(&self.inner.profile);
+        let pickup = CX5_100G.completion_pickup + self.inner.function.message_overhead();
         self.inner.clock.advance_to_then(wc.timestamp, pickup);
     }
 
@@ -187,14 +183,14 @@ impl CompletionQueue {
     pub fn charge_blocking_pickup(&self, wc: WorkCompletion) -> WorkCompletion {
         // Serialise the notification through the node's shared event channel:
         // concurrent blocking waiters on one node queue behind each other.
-        let dispatch = self.inner.profile.notification_dispatch;
+        let dispatch = CX5_100G.notification_dispatch;
         let visible: SimTime = self
             .inner
             .node
             .serialize_notification(wc.timestamp, dispatch);
-        let wakeup = self.inner.profile.blocking_wakeup
-            + self.inner.function.blocking_extra(&self.inner.profile)
-            + self.inner.profile.completion_pickup;
+        let wakeup = CX5_100G.blocking_wakeup
+            + self.inner.function.blocking_extra()
+            + CX5_100G.completion_pickup;
         self.inner.clock.advance_to_then(visible, wakeup);
         wc
     }
@@ -202,7 +198,7 @@ impl CompletionQueue {
     /// The blocking wake-up penalty of this CQ's device function, exposed for
     /// cost-model introspection in benchmarks.
     pub fn blocking_penalty(&self) -> SimDuration {
-        self.inner.profile.blocking_wakeup + self.inner.function.blocking_extra(&self.inner.profile)
+        CX5_100G.blocking_wakeup + self.inner.function.blocking_extra()
     }
 
     /// Attach (or detach, with `None`) the edge notifier of a [`CqSet`].
@@ -325,15 +321,10 @@ mod tests {
     use crate::verbs::{CompletionStatus, OpCode};
 
     fn make_cq(mode_function: DeviceFunction) -> (CompletionQueue, Arc<VirtualClock>) {
-        let fabric = Fabric::new(NicProfile::default());
+        let fabric = Fabric::with_defaults();
         let node = fabric.add_node("n0");
         let clock = VirtualClock::shared();
-        let cq = CompletionQueue::new(
-            Arc::clone(&clock),
-            node,
-            NicProfile::default(),
-            mode_function,
-        );
+        let cq = CompletionQueue::new(Arc::clone(&clock), node, mode_function);
         (cq, clock)
     }
 
@@ -403,22 +394,14 @@ mod tests {
     fn notification_contention_serialises_waiters() {
         // Two completions arriving at the same instant on the same node must
         // be observed at staggered virtual times by blocking waiters.
-        let fabric = Fabric::new(NicProfile::default());
+        let fabric = Fabric::with_defaults();
         let node = fabric.add_node("n0");
         let c1 = VirtualClock::shared();
         let c2 = VirtualClock::shared();
-        let cq1 = CompletionQueue::new(
-            Arc::clone(&c1),
-            Arc::clone(&node),
-            NicProfile::default(),
-            DeviceFunction::Physical,
-        );
-        let cq2 = CompletionQueue::new(
-            Arc::clone(&c2),
-            Arc::clone(&node),
-            NicProfile::default(),
-            DeviceFunction::Physical,
-        );
+        let cq1 =
+            CompletionQueue::new(Arc::clone(&c1), Arc::clone(&node), DeviceFunction::Physical);
+        let cq2 =
+            CompletionQueue::new(Arc::clone(&c2), Arc::clone(&node), DeviceFunction::Physical);
         cq1.push(completion_at(10));
         cq2.push(completion_at(10));
         blocking_pickup(&cq1);

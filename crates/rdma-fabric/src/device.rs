@@ -1,8 +1,8 @@
 //! NIC device profiles and the calibrated cost model.
 //!
 //! A [`NicProfile`] collects every latency/bandwidth constant of the software
-//! fabric. The default profile is calibrated against the numbers the paper
-//! reports for its evaluation cluster (Sec. V, "Platform"):
+//! fabric. The one profile, [`CX5_100G`], is calibrated against the numbers
+//! the paper reports for its evaluation cluster (Sec. V, "Platform"):
 //!
 //! * Mellanox MT27800, 100 Gb/s RoCEv2 link,
 //! * measured RTT of 3.69 µs for small messages (`ib_write_lat`),
@@ -10,11 +10,14 @@
 //! * message inlining effective up to 128 bytes,
 //! * blocking completion waits several microseconds slower than busy polling,
 //! * SR-IOV virtual functions add ~50 ns (hot) / ~650 ns (warm) per invocation.
+//!
+//! Every charge reads [`CX5_100G`] where it is made: no fabric, queue pair or
+//! plan keeps a copy of it.
 
 use sim_core::SimDuration;
 
 /// Calibrated performance profile of an RDMA NIC and its link.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct NicProfile {
     /// One-way propagation + switching latency of the link.
     pub one_way_latency: SimDuration,
@@ -65,35 +68,33 @@ pub struct NicProfile {
     pub max_recv_queue_depth: usize,
 }
 
-impl NicProfile {
-    /// Profile calibrated to the paper's evaluation cluster: ConnectX-5
-    /// (MT27800) with a 100 Gb/s RoCEv2 link.
-    pub fn mellanox_cx5_100g() -> NicProfile {
-        NicProfile {
-            // 2 * (0.08 post + 1.70 one-way + 0.065 pickup)
-            // ≈ 3.69 µs RTT for small inlined writes.
-            one_way_latency: SimDuration::from_nanos(1_700),
-            // 11 686.4 MiB/s measured by the paper.
-            bandwidth_bytes_per_sec: 11_686.4 * 1024.0 * 1024.0,
-            post_send_overhead: SimDuration::from_nanos(80),
-            chained_wqe_overhead: SimDuration::from_nanos(25),
-            post_recv_overhead: SimDuration::from_nanos(60),
-            max_inline_data: 128,
-            non_inline_dma_fetch: SimDuration::from_nanos(300),
-            completion_pickup: SimDuration::from_nanos(65),
-            blocking_wakeup: SimDuration::from_nanos(3_800),
-            notification_dispatch: SimDuration::from_nanos(550),
-            atomic_execution: SimDuration::from_nanos(120),
-            local_completion: SimDuration::from_nanos(100),
-            connection_setup: SimDuration::from_micros(450),
-            warm_connection_setup: SimDuration::from_micros(45),
-            datagram_setup: SimDuration::from_micros(18),
-            vf_message_overhead: SimDuration::from_nanos(25),
-            vf_blocking_extra: SimDuration::from_nanos(600),
-            max_recv_queue_depth: 1024,
-        }
-    }
+/// The profile calibrated to the paper's evaluation cluster: ConnectX-5
+/// (MT27800) with a 100 Gb/s RoCEv2 link.
+pub const CX5_100G: NicProfile = NicProfile {
+    // 2 * (0.08 post + 1.70 one-way + 0.065 pickup)
+    // ≈ 3.69 µs RTT for small inlined writes.
+    one_way_latency: SimDuration::from_nanos(1_700),
+    // 11 686.4 MiB/s measured by the paper.
+    bandwidth_bytes_per_sec: 11_686.4 * 1024.0 * 1024.0,
+    post_send_overhead: SimDuration::from_nanos(80),
+    chained_wqe_overhead: SimDuration::from_nanos(25),
+    post_recv_overhead: SimDuration::from_nanos(60),
+    max_inline_data: 128,
+    non_inline_dma_fetch: SimDuration::from_nanos(300),
+    completion_pickup: SimDuration::from_nanos(65),
+    blocking_wakeup: SimDuration::from_nanos(3_800),
+    notification_dispatch: SimDuration::from_nanos(550),
+    atomic_execution: SimDuration::from_nanos(120),
+    local_completion: SimDuration::from_nanos(100),
+    connection_setup: SimDuration::from_micros(450),
+    warm_connection_setup: SimDuration::from_micros(45),
+    datagram_setup: SimDuration::from_micros(18),
+    vf_message_overhead: SimDuration::from_nanos(25),
+    vf_blocking_extra: SimDuration::from_nanos(600),
+    max_recv_queue_depth: 1024,
+};
 
+impl NicProfile {
     /// Serialisation time of `bytes` on this link.
     pub fn serialization(&self, bytes: usize) -> SimDuration {
         if bytes == 0 {
@@ -190,12 +191,6 @@ impl NicProfile {
     }
 }
 
-impl Default for NicProfile {
-    fn default() -> Self {
-        NicProfile::mellanox_cx5_100g()
-    }
-}
-
 /// Whether an endpoint attaches to the NIC's physical function or to an
 /// SR-IOV virtual function passed into a container (Sec. III-E).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -208,18 +203,18 @@ pub enum DeviceFunction {
 
 impl DeviceFunction {
     /// Per-message overhead of this function type.
-    pub(crate) fn message_overhead(self, profile: &NicProfile) -> SimDuration {
+    pub(crate) fn message_overhead(self) -> SimDuration {
         match self {
             DeviceFunction::Physical => SimDuration::ZERO,
-            DeviceFunction::Virtual => profile.vf_message_overhead,
+            DeviceFunction::Virtual => CX5_100G.vf_message_overhead,
         }
     }
 
     /// Extra blocking-wakeup penalty of this function type.
-    pub(crate) fn blocking_extra(self, profile: &NicProfile) -> SimDuration {
+    pub(crate) fn blocking_extra(self) -> SimDuration {
         match self {
             DeviceFunction::Physical => SimDuration::ZERO,
-            DeviceFunction::Virtual => profile.vf_blocking_extra,
+            DeviceFunction::Virtual => CX5_100G.vf_blocking_extra,
         }
     }
 }
@@ -230,7 +225,7 @@ mod tests {
 
     #[test]
     fn default_profile_matches_paper_rtt() {
-        let p = NicProfile::default();
+        let p = &CX5_100G;
         // Paper: 3.69 us RTT for small messages.
         let rtt = p.write_pingpong_rtt(8).as_micros_f64();
         assert!((rtt - 3.69).abs() < 0.15, "small-message RTT was {rtt} us");
@@ -238,7 +233,7 @@ mod tests {
 
     #[test]
     fn bandwidth_matches_paper() {
-        let p = NicProfile::default();
+        let p = &CX5_100G;
         // 1 MiB should serialize in roughly 1/11686 s ≈ 85.6 us.
         let t = p.serialization(1024 * 1024).as_micros_f64();
         assert!((t - 85.6).abs() < 2.0, "1 MiB serialization was {t} us");
@@ -247,7 +242,7 @@ mod tests {
 
     #[test]
     fn inline_threshold_behaviour() {
-        let p = NicProfile::default();
+        let p = &CX5_100G;
         assert!(p.can_inline(128));
         assert!(!p.can_inline(129));
         assert!(p.issue_cost(64) < p.issue_cost(256));
@@ -258,7 +253,7 @@ mod tests {
 
     #[test]
     fn chained_wqes_are_cheaper_than_doorbells() {
-        let p = NicProfile::mellanox_cx5_100g();
+        let p = &CX5_100G;
         assert!(p.issue_cost_chained(8) < p.issue_cost(8));
         // The DMA-fetch penalty still applies to chained non-inline WQEs.
         assert_eq!(
@@ -270,7 +265,7 @@ mod tests {
 
     #[test]
     fn rtt_grows_with_payload() {
-        let p = NicProfile::default();
+        let p = &CX5_100G;
         let small = p.write_pingpong_rtt(8);
         let large = p.write_pingpong_rtt(1024 * 1024);
         assert!(large > small * 10);
@@ -278,12 +273,10 @@ mod tests {
 
     #[test]
     fn virtual_function_adds_overhead() {
-        let p = NicProfile::default();
-        assert!(DeviceFunction::Physical.message_overhead(&p).is_zero());
-        assert!(!DeviceFunction::Virtual.message_overhead(&p).is_zero());
+        assert!(DeviceFunction::Physical.message_overhead().is_zero());
+        assert!(!DeviceFunction::Virtual.message_overhead().is_zero());
         assert!(
-            DeviceFunction::Virtual.blocking_extra(&p)
-                > DeviceFunction::Physical.blocking_extra(&p)
+            DeviceFunction::Virtual.blocking_extra() > DeviceFunction::Physical.blocking_extra()
         );
     }
 
@@ -292,14 +285,14 @@ mod tests {
         // Full RC handshake ≫ warm re-establishment ≫ datagram first contact:
         // the spread the connection pool and the control-plane datagram path
         // amortise.
-        let p = NicProfile::mellanox_cx5_100g();
+        let p = &CX5_100G;
         assert!(p.warm_connection_setup * 5 <= p.connection_setup);
         assert!(p.datagram_setup < p.warm_connection_setup);
     }
 
     #[test]
     fn state_access_tiers_are_ordered() {
-        let p = NicProfile::mellanox_cx5_100g();
+        let p = &CX5_100G;
         // A one-sided read pays two one-way latencies, a push-model write
         // only one: the read can never be cheaper than the write of the
         // same value.

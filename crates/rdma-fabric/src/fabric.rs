@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 use sim_core::sync::Mutex;
 use sim_core::{SimDuration, SimTime};
 
-use crate::device::NicProfile;
+use crate::device::{NicProfile, CX5_100G};
 
 /// A participant the fabric turns on behalf of whichever host thread waits.
 pub trait Actor: Send + Sync {
@@ -143,7 +143,6 @@ impl FabricNode {
 
 /// An RDMA network connecting a set of nodes through a non-blocking switch.
 pub struct Fabric {
-    profile: NicProfile,
     nodes: Mutex<BTreeMap<String, Arc<FabricNode>>>,
     listeners: Mutex<BTreeMap<String, crate::cm::ListenerHandle>>,
     datagrams: Mutex<BTreeMap<String, crate::cm::DatagramHandle>>,
@@ -158,17 +157,16 @@ pub struct Fabric {
 impl std::fmt::Debug for Fabric {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Fabric")
-            .field("profile", &self.profile)
             .field("nodes", &self.node_count())
             .finish_non_exhaustive()
     }
 }
 
 impl Fabric {
-    /// Create a fabric whose links follow `profile`.
-    pub(crate) fn new(profile: NicProfile) -> Arc<Fabric> {
+    /// Create a fabric whose links follow [`CX5_100G`], the paper-calibrated
+    /// profile.
+    pub fn with_defaults() -> Arc<Fabric> {
         Arc::new(Fabric {
-            profile,
             nodes: Mutex::new(BTreeMap::new()),
             listeners: Mutex::new(BTreeMap::new()),
             datagrams: Mutex::new(BTreeMap::new()),
@@ -255,14 +253,11 @@ impl Fabric {
         }
     }
 
-    /// Create a fabric with the default (paper-calibrated) profile.
-    pub fn with_defaults() -> Arc<Fabric> {
-        Fabric::new(NicProfile::default())
-    }
-
-    /// The NIC/link profile of this fabric.
-    pub fn profile(&self) -> &NicProfile {
-        &self.profile
+    /// The NIC/link profile of this fabric: always [`CX5_100G`]. No code in
+    /// this workspace calls it; the host-time benchmark (simbench) still
+    /// reads it, until it moves onto the constant (ROADMAP item 21).
+    pub fn profile(&self) -> &'static NicProfile {
+        &CX5_100G
     }
 
     /// Add (or look up) a node by name.
@@ -303,7 +298,7 @@ impl Fabric {
         if std::ptr::eq(src, dst) {
             // Intra-node transfer: loopback through the NIC, no wire latency,
             // but still bounded by PCIe/NIC bandwidth.
-            let duration = self.profile.serialization(bytes);
+            let duration = CX5_100G.serialization(bytes);
             let depart = src.reserve_egress(ready, duration);
             return TransferTiming {
                 depart,
@@ -311,12 +306,12 @@ impl Fabric {
             };
         }
 
-        let duration = self.profile.serialization(bytes);
+        let duration = CX5_100G.serialization(bytes);
         // Cut-through switching: the last byte leaves the source at `depart`
         // and arrives one propagation delay later, unless the destination
         // ingress is still draining earlier flows.
         let depart = src.reserve_egress(ready, duration);
-        let uncontended_arrival = depart + self.profile.one_way_latency;
+        let uncontended_arrival = depart + CX5_100G.one_way_latency;
         let arrive = dst.reserve_ingress(uncontended_arrival, duration);
         TransferTiming { depart, arrive }
     }
@@ -378,9 +373,9 @@ mod tests {
         let b = fabric.add_node("b");
         let bytes = 1024 * 1024;
         let t = fabric.transfer(&a, &b, bytes, SimTime::ZERO);
-        let expected_ser = fabric.profile().serialization(bytes);
+        let expected_ser = CX5_100G.serialization(bytes);
         assert_eq!(t.depart, SimTime::ZERO + expected_ser);
-        assert_eq!(t.arrive, t.depart + fabric.profile().one_way_latency);
+        assert_eq!(t.arrive, t.depart + CX5_100G.one_way_latency);
     }
 
     #[test]
@@ -394,7 +389,7 @@ mod tests {
         let bytes = 1024 * 1024;
         let t1 = fabric.transfer(&a, &b, bytes, SimTime::ZERO);
         let t2 = fabric.transfer(&a, &c, bytes, SimTime::ZERO);
-        assert!(t2.depart >= t1.depart + fabric.profile().serialization(bytes));
+        assert!(t2.depart >= t1.depart + CX5_100G.serialization(bytes));
     }
 
     #[test]
@@ -408,7 +403,7 @@ mod tests {
         let t2 = fabric.transfer(&b, &dst, bytes, SimTime::ZERO);
         // Both senders are free, but the destination can only drain one at a
         // time: the second arrival is one serialization later.
-        assert!(t2.arrive >= t1.arrive + fabric.profile().serialization(bytes));
+        assert!(t2.arrive >= t1.arrive + CX5_100G.serialization(bytes));
     }
 
     #[test]
@@ -469,7 +464,7 @@ mod tests {
             .arrive;
         assert_eq!(
             arrive,
-            SimTime::from_nanos(5_000) + fabric.profile().one_way_latency
+            SimTime::from_nanos(5_000) + CX5_100G.one_way_latency
         );
     }
 

@@ -7,17 +7,17 @@
 //! fabric. Faulting page-at-a-time would pay the full issue + round-trip
 //! overhead per page, so the fault handler prefetches a *window* of
 //! consecutive pages per fault: one doorbell, chained WQEs, one shared round
-//! trip (`NicProfile::fork_read_cost`).
+//! trip (`NicProfile::fork_read_cost` on [`CX5_100G`]).
 //!
 //! [`PrefetchPlan`] turns a snapshot's page map into the deterministic
 //! schedule of fault batches a child will serve: which pages each batch
-//! covers and what it costs on a given NIC. The platform layer charges one
+//! covers and what it costs on the evaluation NIC. The platform layer charges one
 //! batch per early invocation, so a forked child's first invocations pay
 //! fault latency and its steady state pays nothing.
 
 use sim_core::SimDuration;
 
-use crate::device::NicProfile;
+use crate::device::CX5_100G;
 
 /// One batch of the fault schedule: `pages` consecutive pages starting at
 /// `start_page`, served by a single chained READ costing `cost`.
@@ -27,15 +27,14 @@ pub struct FaultBatch {
     pub start_page: usize,
     /// Pages fetched by this batch.
     pub pages: usize,
-    /// Link cost of the batch on the plan's NIC.
+    /// Link cost of the batch on the evaluation NIC.
     pub cost: SimDuration,
 }
 
-/// Deterministic prefetch schedule for faulting a snapshot's page map over a
-/// given NIC: fixed window size, pages in ascending order.
+/// Deterministic prefetch schedule for faulting a snapshot's page map over
+/// the evaluation NIC: fixed window size, pages in ascending order.
 #[derive(Debug, Clone)]
 pub struct PrefetchPlan {
-    profile: NicProfile,
     total_pages: usize,
     window: usize,
     page_bytes: usize,
@@ -43,16 +42,10 @@ pub struct PrefetchPlan {
 
 impl PrefetchPlan {
     /// Plan for `total_pages` pages of `page_bytes` each, prefetched
-    /// `window` pages at a time over `profile`'s link. A zero window is
-    /// clamped to one (a plan that can never make progress is useless).
-    pub fn new(
-        profile: &NicProfile,
-        total_pages: usize,
-        window: usize,
-        page_bytes: usize,
-    ) -> PrefetchPlan {
+    /// `window` pages at a time. A zero window is clamped to one (a plan
+    /// that can never make progress is useless).
+    pub fn new(total_pages: usize, window: usize, page_bytes: usize) -> PrefetchPlan {
         PrefetchPlan {
-            profile: profile.clone(),
             total_pages,
             window: window.max(1),
             page_bytes,
@@ -71,7 +64,7 @@ impl PrefetchPlan {
 
     /// Cost of one batch of `pages` pages.
     pub fn batch_cost(&self, pages: usize) -> SimDuration {
-        self.profile.fork_read_cost(pages, self.page_bytes)
+        CX5_100G.fork_read_cost(pages, self.page_bytes)
     }
 
     /// Number of fault batches the child will serve.
@@ -107,31 +100,29 @@ mod tests {
 
     #[test]
     fn empty_map_costs_nothing() {
-        let profile = NicProfile::mellanox_cx5_100g();
-        let plan = PrefetchPlan::new(&profile, 0, 32, PAGE_SIZE);
+        let plan = PrefetchPlan::new(0, 32, PAGE_SIZE);
         assert_eq!(plan.batch_count(), 0);
         assert!(plan.batches().is_empty());
         assert!(plan.total_cost().is_zero());
-        assert!(profile.fork_read_cost(0, PAGE_SIZE).is_zero());
+        assert!(CX5_100G.fork_read_cost(0, PAGE_SIZE).is_zero());
     }
 
     #[test]
     fn batching_amortises_the_per_page_overhead() {
-        let profile = NicProfile::mellanox_cx5_100g();
-        let one_by_one = profile.fork_read_cost(1, PAGE_SIZE) * 32;
-        let batched = profile.fork_read_cost(32, PAGE_SIZE);
+        let one_by_one = CX5_100G.fork_read_cost(1, PAGE_SIZE) * 32;
+        let batched = CX5_100G.fork_read_cost(32, PAGE_SIZE);
         assert!(
             batched < one_by_one,
             "batched window must beat page-at-a-time faulting"
         );
         // The batch still pays full serialisation for every page: it can
         // never be cheaper than the wire time alone.
-        assert!(batched > profile.serialization(32 * PAGE_SIZE));
+        assert!(batched > CX5_100G.serialization(32 * PAGE_SIZE));
     }
 
     #[test]
     fn schedule_covers_every_page_exactly_once() {
-        let plan = PrefetchPlan::new(&NicProfile::mellanox_cx5_100g(), 130, 32, PAGE_SIZE);
+        let plan = PrefetchPlan::new(130, 32, PAGE_SIZE);
         let batches = plan.batches();
         assert_eq!(batches.len(), 5);
         let mut next = 0;
@@ -154,7 +145,7 @@ mod tests {
         // A minimal executor image (130 pages, 32-page windows) must fault in
         // within a handful of invocations' worth of µs — the fork tier's
         // residue, not a second cold start.
-        let plan = PrefetchPlan::new(&NicProfile::mellanox_cx5_100g(), 130, 32, PAGE_SIZE);
+        let plan = PrefetchPlan::new(130, 32, PAGE_SIZE);
         let total = plan.total_cost().as_micros_f64();
         assert!(
             (20.0..500.0).contains(&total),
@@ -169,7 +160,7 @@ mod tests {
 
     #[test]
     fn zero_window_is_clamped() {
-        let plan = PrefetchPlan::new(&NicProfile::mellanox_cx5_100g(), 10, 0, PAGE_SIZE);
+        let plan = PrefetchPlan::new(10, 0, PAGE_SIZE);
         assert_eq!(plan.window(), 1);
         assert_eq!(plan.batch_count(), 10);
     }

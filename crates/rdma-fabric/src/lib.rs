@@ -55,7 +55,7 @@ pub use cm::{
     connect, connect_pooled, connect_pooled_with, DatagramMessage, DatagramSocket, Listener,
 };
 pub use cq::{CompletionQueue, CqNotifier, CqSet};
-pub use device::{DeviceFunction, NicProfile};
+pub use device::{DeviceFunction, NicProfile, CX5_100G};
 pub use error::{FabricError, Result};
 pub use fabric::{Actor, Fabric, FabricNode, TransferTiming};
 pub use fork::{FaultBatch, PrefetchPlan};

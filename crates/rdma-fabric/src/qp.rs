@@ -14,7 +14,7 @@ use sim_core::sync::{Mutex, RwLock};
 use sim_core::{SimTime, VirtualClock};
 
 use crate::cq::CompletionQueue;
-use crate::device::{DeviceFunction, NicProfile};
+use crate::device::{DeviceFunction, CX5_100G};
 use crate::error::{FabricError, Result};
 use crate::fabric::{Fabric, FabricNode};
 use crate::memory::{in_bounds, RemoteMemoryHandle};
@@ -178,17 +178,14 @@ pub struct QueuePair {
 impl QueuePair {
     /// Create an unconnected queue pair for `endpoint`.
     pub fn new(endpoint: &Endpoint) -> QueuePair {
-        let profile = endpoint.fabric.profile().clone();
         let send_cq = CompletionQueue::new(
             Arc::clone(&endpoint.clock),
             Arc::clone(&endpoint.node),
-            profile.clone(),
             endpoint.function,
         );
         let recv_cq = CompletionQueue::new(
             Arc::clone(&endpoint.clock),
             Arc::clone(&endpoint.node),
-            profile,
             endpoint.function,
         );
         QueuePair {
@@ -322,17 +319,16 @@ impl QueuePair {
                 "post_recv on an SRQ-attached queue pair (post to the SRQ instead)",
             ));
         }
-        let profile = self.profile();
         validate_sge(&recv.local)?;
         let mut queue = self.inner.recv_queue.lock();
-        if queue.len() >= profile.max_recv_queue_depth {
+        if queue.len() >= CX5_100G.max_recv_queue_depth {
             return Err(FabricError::DeviceLimitExceeded {
                 limit: "receive queue depth",
             });
         }
         queue.push_back(recv);
         drop(queue);
-        self.inner.clock.advance(profile.post_recv_overhead);
+        self.inner.clock.advance(CX5_100G.post_recv_overhead);
         Ok(())
     }
 
@@ -399,7 +395,7 @@ impl QueuePair {
         imm: Option<u32>,
         signaled: bool,
     ) -> Result<()> {
-        let max = self.profile().max_inline_data;
+        let max = CX5_100G.max_inline_data;
         if data.len() > max {
             return Err(FabricError::InlineTooLarge {
                 len: data.len(),
@@ -520,18 +516,13 @@ impl QueuePair {
         Ok(peer)
     }
 
-    fn profile(&self) -> &NicProfile {
-        self.inner.fabric.profile()
-    }
-
     fn issue(&self, payload: usize, chained: bool) -> SimTime {
-        let profile = self.profile();
         let issue = if chained {
-            profile.issue_cost_chained(payload)
+            CX5_100G.issue_cost_chained(payload)
         } else {
-            profile.issue_cost(payload)
+            CX5_100G.issue_cost(payload)
         };
-        let cost = issue + self.inner.function.message_overhead(profile);
+        let cost = issue + self.inner.function.message_overhead();
         self.inner.clock.advance(cost)
     }
 
@@ -543,7 +534,6 @@ impl QueuePair {
         signaled: bool,
         chained: bool,
     ) -> Result<()> {
-        let profile = self.profile();
         let recv = Self::consume_peer_recv(peer)?;
         if recv.local.len < local.len {
             // The message is lost and the receive is consumed, as with a real
@@ -581,7 +571,7 @@ impl QueuePair {
                 status: CompletionStatus::Success,
                 byte_len: local.len,
                 imm: None,
-                timestamp: timing.depart + profile.local_completion,
+                timestamp: timing.depart + CX5_100G.local_completion,
                 qp_num: self.inner.qp_num,
             });
         }
@@ -617,7 +607,6 @@ impl QueuePair {
         signaled: bool,
         chained: bool,
     ) -> Result<()> {
-        let profile = self.profile();
         let len = source.len();
         let target = peer.pd.lookup(remote.rkey)?;
         if !target.access().remote_write {
@@ -670,7 +659,7 @@ impl QueuePair {
                 status: CompletionStatus::Success,
                 byte_len: len,
                 imm: None,
-                timestamp: timing.depart + profile.local_completion,
+                timestamp: timing.depart + CX5_100G.local_completion,
                 qp_num: self.inner.qp_num,
             });
         }
@@ -686,7 +675,6 @@ impl QueuePair {
         signaled: bool,
         chained: bool,
     ) -> Result<()> {
-        let profile = self.profile();
         let source = peer.pd.lookup(remote.rkey)?;
         if !source.access().remote_read {
             return Err(FabricError::RemoteAccessDenied {
@@ -698,7 +686,7 @@ impl QueuePair {
 
         // Request travels to the target, the response streams the data back.
         let ready = self.issue(0, chained);
-        let request_arrival = ready + profile.one_way_latency;
+        let request_arrival = ready + CX5_100G.one_way_latency;
         let timing =
             self.inner
                 .fabric
@@ -728,7 +716,6 @@ impl QueuePair {
         signaled: bool,
         chained: bool,
     ) -> Result<()> {
-        let profile = self.profile();
         let target = peer.pd.lookup(remote.rkey)?;
         if !target.access().remote_atomic {
             return Err(FabricError::RemoteAccessDenied {
@@ -768,7 +755,7 @@ impl QueuePair {
 
         let ready = self.issue(8, chained);
         let completion_time =
-            ready + profile.one_way_latency + profile.atomic_execution + profile.one_way_latency;
+            ready + CX5_100G.one_way_latency + CX5_100G.atomic_execution + CX5_100G.one_way_latency;
         if signaled {
             self.inner.send_cq.push(WorkCompletion {
                 wr_id,
@@ -1414,7 +1401,7 @@ mod tests {
     fn receive_queue_depth_is_bounded() {
         let (_client, server, _f) = connected_pair();
         let mr = server.pd().register(8, AccessFlags::LOCAL_ONLY);
-        let depth = Fabric::with_defaults().profile().max_recv_queue_depth;
+        let depth = CX5_100G.max_recv_queue_depth;
         for i in 0..depth {
             server
                 .post_recv(RecvRequest {
@@ -1454,8 +1441,8 @@ mod tests {
 
     #[test]
     fn inline_write_respects_the_device_capacity() {
-        let (client, server, fabric) = connected_pair();
-        let max = fabric.profile().max_inline_data;
+        let (client, server, _f) = connected_pair();
+        let max = CX5_100G.max_inline_data;
         let dst = server.pd().register(max + 64, AccessFlags::REMOTE_WRITE);
         let err = client
             .post_write_inline(1, &vec![0u8; max + 1], &dst.remote_handle(), None, false)
@@ -1470,8 +1457,7 @@ mod tests {
 
     #[test]
     fn batched_posts_share_one_doorbell() {
-        let (client, server, fabric) = connected_pair();
-        let profile = fabric.profile().clone();
+        let (client, server, _f) = connected_pair();
         let src = client.pd().register(8, AccessFlags::LOCAL_ONLY);
         src.write(0, &[9u8; 8]).unwrap();
         let dst = server.pd().register(64, AccessFlags::REMOTE_ALL);
@@ -1491,7 +1477,8 @@ mod tests {
         let before = client.clock().now();
         assert_eq!(client.post_send_batch(batch).unwrap(), n as usize);
         let elapsed = client.clock().now().saturating_since(before);
-        let expected = profile.issue_cost(8) + profile.issue_cost_chained(8).saturating_mul(n - 1);
+        let expected =
+            CX5_100G.issue_cost(8) + CX5_100G.issue_cost_chained(8).saturating_mul(n - 1);
         assert_eq!(elapsed, expected);
         // Every chained write landed at the peer.
         assert_eq!(

@@ -22,8 +22,9 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use sim_core::sync::Mutex;
-use sim_core::{SimDuration, VirtualClock};
+use sim_core::VirtualClock;
 
+use crate::device::CX5_100G;
 use crate::error::{FabricError, Result};
 use crate::qp::Endpoint;
 use crate::verbs::RecvRequest;
@@ -70,7 +71,6 @@ impl SrqState {
 struct SrqInner {
     max_depth: usize,
     clock: Arc<VirtualClock>,
-    post_overhead: SimDuration,
     state: Mutex<SrqState>,
 }
 
@@ -101,12 +101,10 @@ impl SharedReceiveQueue {
     /// Create an SRQ of at most `max_depth` posted receives. Posting charges
     /// the owning `endpoint`'s clock with the usual `post_recv` overhead.
     pub fn new(endpoint: &Endpoint, max_depth: usize) -> SharedReceiveQueue {
-        let profile = endpoint.fabric.profile();
         SharedReceiveQueue {
             inner: Arc::new(SrqInner {
                 max_depth: max_depth.max(1),
                 clock: Arc::clone(&endpoint.clock),
-                post_overhead: profile.post_recv_overhead,
                 state: Mutex::new(SrqState {
                     queue: VecDeque::new(),
                     credits: BTreeMap::new(),
@@ -125,7 +123,7 @@ impl SharedReceiveQueue {
     /// Post a receive into the shared pool.
     pub fn post(&self, recv: RecvRequest) -> Result<()> {
         self.inner.state.lock().push(recv, self.inner.max_depth)?;
-        self.inner.clock.advance(self.inner.post_overhead);
+        self.inner.clock.advance(CX5_100G.post_recv_overhead);
         Ok(())
     }
 
@@ -138,7 +136,7 @@ impl SharedReceiveQueue {
             state.release(qp_num);
             state.push(recv, self.inner.max_depth)?;
         }
-        self.inner.clock.advance(self.inner.post_overhead);
+        self.inner.clock.advance(CX5_100G.post_recv_overhead);
         Ok(())
     }
 

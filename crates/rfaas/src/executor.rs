@@ -34,8 +34,8 @@ use std::sync::Arc;
 use cluster_sim::NodeResources;
 use rdma_fabric::{
     AccessFlags, Actor, CqSet, DeviceFunction, Endpoint, Fabric, FabricNode, FaultBatch, Listener,
-    NicProfile, OwnedRegion, PrefetchPlan, QueuePair, ReceiveRing, SendRequest, Sge,
-    SharedReceiveQueue, SrqStats, WorkCompletion, PAGE_SIZE,
+    OwnedRegion, PrefetchPlan, QueuePair, ReceiveRing, SendRequest, Sge, SharedReceiveQueue,
+    SrqStats, WorkCompletion, CX5_100G, PAGE_SIZE,
 };
 #[cfg(test)]
 use sandbox::SandboxType;
@@ -88,9 +88,9 @@ pub struct ForkFaultState {
 }
 
 impl ForkFaultState {
-    fn new(snapshot: &SandboxSnapshot, profile: &NicProfile, window: usize) -> ForkFaultState {
+    fn new(snapshot: &SandboxSnapshot, window: usize) -> ForkFaultState {
         ForkFaultState {
-            plan: PrefetchPlan::new(profile, snapshot.total_pages(), window, SNAPSHOT_PAGE_BYTES),
+            plan: PrefetchPlan::new(snapshot.total_pages(), window, SNAPSHOT_PAGE_BYTES),
             tracker: FaultTracker::for_snapshot(snapshot),
             served: Vec::new(),
         }
@@ -1255,11 +1255,7 @@ impl LightweightAllocator {
                         // snapshot; the parent stays parked and serves the
                         // child's page faults via one-sided READs.
                         let (sandbox, setup) = Sandbox::fork_from(&snapshot, workers);
-                        fork_state = Some(ForkFaultState::new(
-                            &snapshot,
-                            self.fabric.profile(),
-                            FORK_PREFETCH_WINDOW,
-                        ));
+                        fork_state = Some(ForkFaultState::new(&snapshot, FORK_PREFETCH_WINDOW));
                         (sandbox, micro_spawn(setup), SimDuration::ZERO)
                     }
                     None => cold_spawn(&self.images),
@@ -1286,8 +1282,8 @@ impl LightweightAllocator {
             endpoint
         };
         let dispatch_endpoint = endpoint();
-        let max_depth = self.fabric.profile().max_recv_queue_depth;
-        let srq_depth = (RECV_QUEUE_DEPTH * (2 + integer_sqrt(workers))).min(max_depth);
+        let srq_depth =
+            (RECV_QUEUE_DEPTH * (2 + integer_sqrt(workers))).min(CX5_100G.max_recv_queue_depth);
         let srq = SharedReceiveQueue::new(&dispatch_endpoint, srq_depth);
         let shared_ring = ReceiveRing::on_srq(&dispatch_endpoint, &srq, srq_depth, 8)
             .map_err(|e| RFaasError::Internal(format!("failed to build shared receive ring: {e}")));

@@ -29,7 +29,7 @@ use std::time::Duration;
 
 use rdma_fabric::{
     ConnectionPool, DatagramSocket, Endpoint, Fabric, ProtectionDomain, RecvRequest, SendRequest,
-    Sge,
+    Sge, CX5_100G,
 };
 use sandbox::{CodePackage, SandboxType};
 use sim_core::{SimDuration, SimTime, VirtualClock};
@@ -1032,18 +1032,11 @@ impl Session {
         self.clock().advance(HEADER_WRITE_COST);
         let header = InvocationHeader::for_result_buffer(&spec.output.remote_handle());
         let imm = ImmValue::request(invocation_id, function_index);
-        // Stack staging area for inline wires — the hot path must not touch
-        // the heap (the default inline capacity is 128 B; a profile offering
-        // more simply falls back to the buffered path beyond this bound).
-        const INLINE_STACK: usize = 512;
-        if !chained
-            && wire_len <= self.endpoint.fabric.profile().max_inline_data
-            && wire_len <= INLINE_STACK
-        {
+        if !chained && wire_len <= CX5_100G.max_inline_data {
             // Zero-copy hot path (Sec. IV-A): header and payload ride inside
             // the WQE — no staging write into the input region, no DMA
-            // fetch, no heap allocation.
-            let mut wire = [0u8; INLINE_STACK];
+            // fetch, no heap allocation (the wire is staged on the stack).
+            let mut wire = [0u8; CX5_100G.max_inline_data];
             wire[..INVOCATION_HEADER_BYTES].copy_from_slice(&header.encode());
             input.region().read_into(
                 input.payload_offset(),

@@ -23,7 +23,7 @@
 //! * [`StateSpec`] / [`StateKey`] — the declared key dependencies of a
 //!   function binding, validated once at bind time.
 //!
-//! Everything is costed by the fabric's `NicProfile` and advances virtual
+//! Everything is costed by `rdma_fabric::CX5_100G` and advances virtual
 //! clocks only, so simulations involving state stay deterministic.
 
 mod error;

@@ -35,7 +35,9 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use rdma_fabric::{AccessFlags, DatagramSocket, Endpoint, Fabric, FabricNode, MemoryRegion};
+use rdma_fabric::{
+    AccessFlags, DatagramSocket, Endpoint, Fabric, FabricNode, MemoryRegion, CX5_100G,
+};
 use sim_core::sync::{ranks, OrderedMutex};
 use sim_core::VirtualClock;
 
@@ -662,8 +664,7 @@ impl StateClient {
         })?;
         // ...then fetch the bytes with one one-sided READ into the
         // pre-registered cache region. The owner's CPU is not involved.
-        self.clock
-            .advance(self.plane.inner.fabric.profile().state_read_cost(len));
+        self.clock.advance(CX5_100G.state_read_cost(len));
         self.plane
             .inner
             .arena
@@ -791,13 +792,7 @@ impl StateClient {
             self.reclaim(entry);
         }
         // Data path: push the value into the reserved arena span.
-        self.clock.advance(
-            self.plane
-                .inner
-                .fabric
-                .profile()
-                .state_write_cost(value.len()),
-        );
+        self.clock.advance(CX5_100G.state_write_cost(value.len()));
         self.plane
             .inner
             .arena
@@ -964,7 +959,7 @@ mod tests {
         let hot = clock.now().saturating_since(t1);
         assert!(hot.is_zero(), "a cache hit must cost nothing on the wire");
         assert!(
-            cold > fabric.profile().serialization(value.len()),
+            cold > CX5_100G.serialization(value.len()),
             "a cold read pays at least the wire time"
         );
         drop(b);

@@ -10,10 +10,11 @@
 //! closed form on the rank clocks, charging the latency of the RDMA fabric
 //! (MPI on the evaluation cluster runs over the same 100 Gb/s link).
 
+use rdma_fabric::CX5_100G;
 use sim_core::{SimDuration, VirtualClock};
 
 /// One-way message latency (same switch as the RDMA fabric).
-const LATENCY: SimDuration = SimDuration::from_nanos(1_700);
+const LATENCY: SimDuration = CX5_100G.one_way_latency;
 /// Per-message software overhead on each side (matching, progress engine).
 const OVERHEAD: SimDuration = SimDuration::from_nanos(450);
 

@@ -111,7 +111,7 @@ fn umbrella_reexports_every_layer() {
     assert_eq!(t.as_nanos(), 3_000);
 
     // rdma-fabric: NIC cost profile.
-    let profile = rfaas_repro::rdma_fabric::NicProfile::default();
+    let profile = &rfaas_repro::rdma_fabric::CX5_100G;
     assert!(profile.one_way_latency.as_nanos() > 0);
 
     // cluster-sim: the paper's evaluation node shape.
@@ -130,7 +130,7 @@ fn umbrella_reexports_every_layer() {
     // exist for comparison.
     let lambda = rfaas_repro::faas_baselines::aws_lambda();
     assert!(lambda.accepts_payload(1024));
-    let tcp = rfaas_repro::faas_baselines::TcpProfile::kernel_100g();
+    let tcp = &rfaas_repro::faas_baselines::KERNEL_100G;
     assert!(tcp.request_response(64, 64) > profile.one_way_latency);
 
     // workloads: a one-rank MPI world runs its body once.
