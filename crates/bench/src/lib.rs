@@ -540,12 +540,11 @@ mod tests {
     #[test]
     fn testbed_builds_and_serves_invocations() {
         let testbed = Testbed::new(2);
-        for name in ["spot-00", "spot-01"] {
-            assert!(
-                testbed.manager.executor(name).is_some(),
-                "{name} registered"
-            );
-        }
+        assert_eq!(
+            testbed.manager.available_resources().cores,
+            2 * 36,
+            "both executors registered"
+        );
         let session =
             testbed.allocated_session("client", 1, SandboxType::BareMetal, PollingMode::Hot);
         let echo = session.function::<[u8], [u8]>("echo").unwrap();

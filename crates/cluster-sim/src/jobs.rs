@@ -258,7 +258,8 @@ impl BatchScheduler {
     }
 
     /// Number of queued (not yet started) jobs.
-    pub fn queued(&self) -> usize {
+    #[cfg(test)]
+    fn queued(&self) -> usize {
         self.queue.len()
     }
 

@@ -72,7 +72,7 @@ impl ClusterNode {
     }
 
     /// Resources not used by batch jobs nor harvested.
-    pub fn idle(&self) -> NodeResources {
+    pub(crate) fn idle(&self) -> NodeResources {
         self.total
             .saturating_sub(&self.batch_allocated)
             .saturating_sub(&self.harvested)

@@ -286,7 +286,7 @@ impl MemoryRegion {
     }
 
     /// Access flags granted at registration time.
-    pub fn access(&self) -> AccessFlags {
+    pub(crate) fn access(&self) -> AccessFlags {
         self.inner.access
     }
 

@@ -116,7 +116,8 @@ impl SharedReceiveQueue {
     }
 
     /// Receives currently posted.
-    pub fn posted(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn posted(&self) -> usize {
         self.inner.state.lock().queue.len()
     }
 

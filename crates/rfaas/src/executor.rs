@@ -1624,7 +1624,7 @@ impl SpotExecutor {
     }
 
     /// Total resources offered.
-    pub fn resources(&self) -> NodeResources {
+    pub(crate) fn resources(&self) -> NodeResources {
         self.resources
     }
 

@@ -197,7 +197,7 @@ impl ResourceManager {
     }
 
     /// Look up a registered executor by node name.
-    pub fn executor(&self, name: &str) -> Option<Arc<SpotExecutor>> {
+    pub(crate) fn executor(&self, name: &str) -> Option<Arc<SpotExecutor>> {
         self.state
             .lock()
             .executors

@@ -48,7 +48,6 @@ pub(crate) fn stable_hash(key: &str) -> u64 {
 pub struct HashRing {
     /// `(ring position, shard)` pairs, sorted by position.
     points: Vec<(u64, usize)>,
-    shards: usize,
 }
 
 impl HashRing {
@@ -66,12 +65,7 @@ impl HashRing {
         // lowest shard index — deterministic too.
         points.sort_unstable();
         points.dedup_by_key(|p| p.0);
-        HashRing { points, shards }
-    }
-
-    /// Number of buckets the ring maps onto.
-    pub fn shards(&self) -> usize {
-        self.shards
+        HashRing { points }
     }
 
     /// The shard owning `key`: the first ring point at or after the key's

@@ -84,7 +84,7 @@ impl LatencyHistogram {
     }
 
     /// Approximate percentile (`q` in [0, 100]); zero if empty.
-    pub fn percentile(&self, q: f64) -> SimDuration {
+    pub(crate) fn percentile(&self, q: f64) -> SimDuration {
         if self.count == 0 {
             return SimDuration::ZERO;
         }

@@ -33,6 +33,6 @@ pub use clock::VirtualClock;
 pub use histogram::LatencyHistogram;
 pub use pool::{KeyedPool, PoolStats};
 pub use rng::{splitmix64_finalize, DeterministicRng};
-pub use stats::{median, percentile, ConfidenceInterval, Summary};
+pub use stats::{median, ConfidenceInterval, Summary};
 pub use sync::{LockRank, OrderedMutex, OrderedMutexGuard};
 pub use time::{SimDuration, SimTime};

@@ -71,7 +71,7 @@ pub fn median(samples: &[f64]) -> f64 {
 }
 
 /// Linear-interpolation percentile (`q` in [0, 100]). Panics on empty input.
-pub fn percentile(samples: &[f64], q: f64) -> f64 {
+pub(crate) fn percentile(samples: &[f64], q: f64) -> f64 {
     assert!(
         !samples.is_empty(),
         "percentile requires at least one sample"

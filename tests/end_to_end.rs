@@ -2,7 +2,8 @@
 //! executors, the typed session API and the billing database.
 
 use rfaas::{
-    LifecycleDriver, PollingMode, RFaasConfig, RFaasError, UsageRecord, HEARTBEAT_TIMEOUT,
+    LifecycleDriver, PollingMode, RFaasConfig, RFaasError, SpotExecutor, UsageRecord,
+    HEARTBEAT_TIMEOUT,
 };
 use rfaas_bench::{Testbed, PACKAGE};
 use sandbox::SandboxType;
@@ -234,6 +235,15 @@ fn invocations_leave_the_allocator_clock_alone() {
     );
 }
 
+/// The testbed's executor on fabric node `node`.
+fn executor_on<'a>(testbed: &'a Testbed, node: &str) -> &'a SpotExecutor {
+    testbed
+        .executors
+        .iter()
+        .find(|executor| executor.name() == node)
+        .expect("the testbed runs an executor on that node")
+}
+
 #[test]
 fn heartbeats_and_lease_expiry_reclaim_resources() {
     let testbed = Testbed::new(2);
@@ -241,11 +251,18 @@ fn heartbeats_and_lease_expiry_reclaim_resources() {
     let now = testbed.manager.clock().now();
     assert_eq!(driver.step(now).heartbeats, 2);
     // spot-01's node dies and goes silent; spot-00 keeps heartbeating.
-    testbed.manager.executor("spot-01").unwrap().fail();
+    executor_on(&testbed, "spot-01").fail();
     let delta = driver.step(now + HEARTBEAT_TIMEOUT * 2);
     assert_eq!((delta.heartbeats, delta.executors_failed), (1, 1));
-    assert!(testbed.manager.executor("spot-01").is_none());
-    assert!(testbed.manager.executor("spot-00").is_some());
+    assert!(
+        !testbed.manager.deregister_executor("spot-01"),
+        "already gone"
+    );
+    assert_eq!(
+        testbed.manager.available_resources().cores,
+        36,
+        "spot-00 alone stays registered"
+    );
 
     let session = testbed
         .session("expiry-client")
@@ -340,7 +357,7 @@ fn executor_failure_is_detected_and_the_client_recovers_elsewhere() {
     // Both executors heartbeat, then the lease's host dies.
     let t0 = testbed.manager.clock().now();
     driver.step(t0 + SimDuration::from_secs(1));
-    let victim = testbed.manager.executor(&lease.executor_node).unwrap();
+    let victim = executor_on(&testbed, &lease.executor_node);
     assert_eq!(victim.fail(), 1, "the client's process dies with its node");
 
     // The failure detector notices the silence, deregisters the executor and
@@ -350,7 +367,7 @@ fn executor_failure_is_detected_and_the_client_recovers_elsewhere() {
     assert_eq!(delta.executors_failed, 1);
     assert_eq!(delta.leases_terminated, 1);
     assert!(testbed.manager.lease(lease.id).is_none());
-    assert!(testbed.manager.executor(&lease.executor_node).is_none());
+    assert!(!testbed.manager.deregister_executor(&lease.executor_node));
 
     // The client's next invocation finds its connections dead, transparently
     // re-allocates from the manager and lands on the surviving executor.
@@ -381,11 +398,7 @@ fn batch_scatter_recovers_from_a_failed_executor() {
 
     let t0 = testbed.manager.clock().now();
     driver.step(t0 + SimDuration::from_secs(1));
-    testbed
-        .manager
-        .executor(&lease.executor_node)
-        .unwrap()
-        .fail();
+    executor_on(&testbed, &lease.executor_node).fail();
     let later = t0 + SimDuration::from_secs(1) + HEARTBEAT_TIMEOUT * 2;
     assert_eq!(driver.step(later).executors_failed, 1);
 

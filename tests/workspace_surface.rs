@@ -559,9 +559,10 @@ fn identifiers(text: &str) -> BTreeSet<&str> {
 }
 
 /// The identifiers of `lines`: all of them, and those in call position,
-/// followed by `(` or `::<` or, with `after_path`, preceded by `::`. A
-/// function's caller names it in the second set; a local binding that
-/// happens to share its name does not, nor does prose or an intra-doc link
+/// followed right away by `(` or `::<` or, with `after_path`, preceded by
+/// `::`. A function's caller names it in the second set; a local binding
+/// that happens to share its name does not, nor does prose (`the nodes
+/// (Sec. III-A)`, with a space before the parenthesis) or an intra-doc link
 /// in a doc line, which is read without `after_path`.
 fn identifiers_and_calls<'a>(
     lines: impl Iterator<Item = &'a str>,
@@ -577,7 +578,7 @@ fn identifiers_and_calls<'a>(
                     .find(|c| !is_ident(c))
                     .unwrap_or(rest.len() - start);
             let word = &rest[start..end];
-            let after = rest[end..].trim_start();
+            let after = &rest[end..];
             if (after_path && rest[..start].trim_end().ends_with("::"))
                 || after.starts_with('(')
                 || after.starts_with("::<")
@@ -723,14 +724,17 @@ fn callers<'a>(rel: &Path, text: &'a str) -> Option<Callers<'a>> {
 }
 
 /// A crate's doc lines credit its function only where they call it: prose
-/// and an intra-doc link name `launch` and credit nothing, a doc-test line
-/// calling it does. A constant counts wherever a doc line names it.
+/// and an intra-doc link name `launch` and credit nothing, nor does a word
+/// followed by a parenthesised aside; a doc-test line calling it does. A
+/// constant counts wherever a doc line names it.
 #[test]
 fn doc_lines_credit_a_function_only_where_they_call_it() {
     let lib = Path::new("crates/rfaas/src/lib.rs");
-    let prose = "/// Waits [`SLACK`], then see [`Engine::launch`]; `launch` runs once.\n";
+    let prose = "/// Waits [`SLACK`], then see [`Engine::launch`]; `launch` runs once.\n\
+                 /// It spreads work over the nodes (Sec. III-A).\n";
     let prose = callers(lib, prose).unwrap();
     assert!(!prose.credits("rfaas", "launch", true, None));
+    assert!(!prose.credits("rfaas", "nodes", true, None));
     assert!(prose.credits("rfaas", "SLACK", false, None));
     let doc_test = "/// let engine = rfaas::launch(2);\n//! engine.parse::<u8>();\n";
     let doc_test = callers(lib, doc_test).unwrap();
