@@ -439,6 +439,104 @@ fn identities_are_numbered_by_the_fabric() {
     );
 }
 
+/// Whether `code` declares a field, parameter or binding of type `ty` or a
+/// reference to it (`name: ty`, `name: &'a path::ty`). A `const` or
+/// `static` of that type is a profile's one home, not a copy of it.
+fn typed_as(code: &str, ty: &str) -> bool {
+    let decl = code.strip_prefix("pub ").unwrap_or(code);
+    if decl.starts_with("const ") || decl.starts_with("static ") {
+        return false;
+    }
+    let is_ident = |c: char| c == '_' || c.is_alphanumeric();
+    code.match_indices(ty).any(|(at, _)| {
+        let mut before = &code[..at];
+        while let Some(path) = before.strip_suffix("::") {
+            before = path.trim_end_matches(is_ident);
+        }
+        let before = before.trim_end();
+        let before = before.strip_suffix("mut").unwrap_or(before).trim_end();
+        let before = before.trim_end_matches(is_ident);
+        let before = before.strip_suffix('\'').unwrap_or(before).trim_end();
+        let before = before.strip_suffix('&').unwrap_or(before).trim_end();
+        before.ends_with(':') && !before.ends_with("::")
+    })
+}
+
+/// Whether `code` clones something named like a profile: `profile.clone()`,
+/// `fabric.profile().clone()`, `tcp_profile.clone()`.
+fn clones_a_profile(code: &str) -> bool {
+    code.match_indices(".clone()").any(|(at, _)| {
+        let receiver = &code[..at];
+        let receiver = receiver.strip_suffix("()").unwrap_or(receiver);
+        receiver.to_ascii_lowercase().ends_with("profile")
+    })
+}
+
+/// The NIC cost model has one home: `rdma-fabric`'s `device.rs` declares
+/// the one `NicProfile`, `CX5_100G`, and every charge reads it where it is
+/// made. Outside `device.rs`, no product line of `crates/`, `src/` or
+/// `examples/` declares a field or parameter of type `NicProfile` or
+/// `TcpProfile`, clones a profile or writes a `NicProfile {` literal, and a
+/// code line names `NicProfile` only in a `use` or in the signature of
+/// `Fabric::profile`. The 1,700 ns wire latency, `from_nanos(1_700)`, is
+/// written once in all product code, in `device.rs`: the MPI world and the
+/// kernel TCP baseline read it from `CX5_100G`. Reads the sources as text.
+#[test]
+fn the_nic_cost_model_has_one_home() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let device = root.join("crates/rdma-fabric/src/device.rs");
+    let mut sources = workspace_sources(root);
+    rust_sources(&root.join("examples"), &mut sources);
+    sources.sort();
+    let mut found = Vec::new();
+    let mut latency_in_device = 0;
+    for path in &sources {
+        let text = fs::read_to_string(path).unwrap();
+        let file = path.strip_prefix(root).unwrap().display();
+        for (n, line) in product_lines(&text) {
+            if is_comment(line) {
+                continue;
+            }
+            let latency = line.contains("from_nanos(1_700)");
+            if *path == device {
+                latency_in_device += usize::from(latency);
+                continue;
+            }
+            let code = line.trim_start();
+            if latency {
+                found.push(format!("{file}:{n}: a second `from_nanos(1_700)`"));
+            }
+            let typed = ["NicProfile", "TcpProfile"]
+                .into_iter()
+                .find(|ty| typed_as(code, ty));
+            let allowed = ["use ", "pub use ", "pub fn profile(&self) -> "];
+            let what = if let Some(ty) = typed {
+                format!("a field or parameter of type `{ty}`")
+            } else if clones_a_profile(code) {
+                "a clone of a profile".to_string()
+            } else if allowed.iter().any(|start| code.starts_with(start)) {
+                continue;
+            } else if names_word(code, "NicProfile {") && !code.contains("->") {
+                "a `NicProfile` literal".to_string()
+            } else if names_word(code, "NicProfile") {
+                "`NicProfile` named outside a `use` and `Fabric::profile`".to_string()
+            } else {
+                continue;
+            };
+            found.push(format!("{file}:{n}: {what}"));
+        }
+    }
+    assert_eq!(
+        latency_in_device, 1,
+        "device.rs writes `from_nanos(1_700)` once"
+    );
+    assert!(
+        found.is_empty(),
+        "the NIC cost model has a second home:\n{}",
+        found.join("\n")
+    );
+}
+
 /// Every `pub enum` whose name ends in `Error` or `Status` is an audit
 /// surface and carries `#[non_exhaustive]` among the attribute and doc lines
 /// directly above it, so adding a variant is not a breaking change. Outside
