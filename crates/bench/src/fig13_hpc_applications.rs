@@ -10,12 +10,14 @@
 //! local half, wait) before any rank starts the next, so the shared
 //! executors see the ranks' requests in virtual-time order. Running one
 //! rank's whole solve before the next would make later ranks queue behind
-//! NIC busy times their own clocks have not reached.
+//! NIC busy times their own clocks have not reached. Each rank's session
+//! runs on the rank's clock, and a barrier after the leases aligns every
+//! rank, so each rank measures its solve from the same instant.
 
-use crate::{Claim, Mode, Row, Table, Testbed};
+use crate::{at, Claim, Mode, Row, Table, Testbed};
 use rfaas::{RFaasConfig, Session};
 use sim_core::median;
-use workloads::MpiWorld;
+use workloads::{MpiWorld, Rank};
 use workloads::jacobi::{
     encode_install, encode_iterate, jacobi_sweep_rows, sweep_cost, JacobiSystem,
 };
@@ -31,10 +33,12 @@ fn rank_counts(mode: Mode) -> Vec<usize> {
     }
 }
 
-/// Per-rank session with one rFaaS worker inside an MPI rank body.
-fn rank_session(testbed: &Testbed, rank: usize) -> Session {
+/// Per-rank session with one rFaaS worker inside an MPI rank body, on the
+/// rank's clock.
+fn rank_session(testbed: &Testbed, rank: &Rank) -> Session {
     testbed
-        .session(&format!("mpi-rank-{rank:03}"))
+        .session(&format!("mpi-rank-{:03}", rank.rank()))
+        .clock(rank.clock())
         .memory_mib(4 * 1024)
         .connect()
         .expect("rank allocation")
@@ -64,9 +68,9 @@ fn matmul_experiment(mode: Mode) -> Table {
             config.max_payload_bytes = 2 * n * n * 8 + 1024;
             let testbed = Testbed::with_config(2, config);
             let world = MpiWorld::new(ranks);
-            let sessions = world.each(|rank| rank_session(&testbed, rank.rank()));
+            let sessions = world.each(|rank| rank_session(&testbed, rank));
             world.barrier();
-            let starts = world.each(|rank| sessions[rank.rank()].clock().now());
+            let starts = world.each(|rank| rank.clock().now());
             let futures = world.each(|rank| {
                 let r = rank.rank();
                 let a = random_matrix(n, r as u64 + 1);
@@ -79,14 +83,7 @@ fn matmul_experiment(mode: Mode) -> Table {
                     .submit(&request[..])
                     .expect("submit")
             });
-            world.each(|rank| {
-                rank.compute(compute_cost(n / 2, n));
-                // The client clock must reflect the local half's work before
-                // it waits for the offloaded half.
-                sessions[rank.rank()]
-                    .clock()
-                    .advance(compute_cost(n / 2, n));
-            });
+            world.each(|rank| rank.compute(compute_cost(n / 2, n)));
             let elapsed: Vec<f64> = futures
                 .into_iter()
                 .zip(&sessions)
@@ -96,7 +93,6 @@ fn matmul_experiment(mode: Mode) -> Table {
                     session.clock().now().saturating_since(*start).as_secs_f64()
                 })
                 .collect();
-            world.barrier();
             rows.push(Row::value(
                 format!("MPI + rFaaS ({ranks} processes)"),
                 n as f64,
@@ -142,7 +138,7 @@ fn jacobi_experiment(mode: Mode) -> Table {
             // is generated here and lent to every rank.
             let system = &JacobiSystem::generate(n, 7);
             let world = MpiWorld::new(ranks);
-            let sessions = world.each(|rank| rank_session(&testbed, rank.rank()));
+            let sessions = world.each(|rank| rank_session(&testbed, rank));
             let solvers = world.each(|rank| {
                 sessions[rank.rank()]
                     .function::<[u8], [f64]>("jacobi")
@@ -151,7 +147,7 @@ fn jacobi_experiment(mode: Mode) -> Table {
             });
             let mut xs = world.each(|_| vec![0.0f64; n]);
             world.barrier();
-            let starts = world.each(|rank| sessions[rank.rank()].clock().now());
+            let starts = world.each(|rank| rank.clock().now());
             for iteration in 0..iterations {
                 // Every rank offloads the lower half of its sweep...
                 let futures = world.each(|rank| {
@@ -166,7 +162,6 @@ fn jacobi_experiment(mode: Mode) -> Table {
                 // ...then sweeps the upper half locally...
                 let locals = world.each(|rank| {
                     rank.compute(sweep_cost(n / 2, n));
-                    sessions[rank.rank()].clock().advance(sweep_cost(n / 2, n));
                     jacobi_sweep_rows(system, &xs[rank.rank()], 0, n / 2)
                 });
                 // ...then waits for the offloaded half.
@@ -179,13 +174,8 @@ fn jacobi_experiment(mode: Mode) -> Table {
                 let r = rank.rank();
                 // Sanity: the distributed solve must actually converge.
                 assert!(system.residual(&xs[r]) < system.residual(&vec![0.0; n]).max(1.0));
-                sessions[r]
-                    .clock()
-                    .now()
-                    .saturating_since(starts[r])
-                    .as_secs_f64()
+                rank.clock().now().saturating_since(starts[r]).as_secs_f64()
             });
-            world.barrier();
             rows.push(Row::value(
                 format!("MPI + rFaaS ({ranks} processes)"),
                 n as f64,
@@ -200,7 +190,46 @@ fn jacobi_experiment(mode: Mode) -> Table {
     }
 }
 
-pub(crate) const CLAIMS: &[Claim] = &[];
+#[rustfmt::skip]
+pub(crate) const CLAIMS: &[Claim] = &[
+    Claim { name: "every MPI + rFaaS row beats its MPI row", source: "model",
+        check: offloading_beats_mpi },
+];
+
+/// Whether every `MPI + rFaaS (p processes)` row of each table is faster
+/// than the `MPI (p processes)` row of the same table and size; a failure
+/// names every pair that is not.
+fn offloading_beats_mpi(tables: &[Table]) -> Result<(), String> {
+    let mut pairs = 0;
+    let mut slower = Vec::new();
+    for table in tables {
+        let table = std::slice::from_ref(table);
+        for hybrid in &table[0].rows {
+            let Some(processes) = hybrid.series.strip_prefix("MPI + rFaaS ") else {
+                continue;
+            };
+            let mpi_series = format!("MPI {processes}");
+            let (offloaded, mpi) = (
+                at(table, &hybrid.series, hybrid.x)?,
+                at(table, &mpi_series, hybrid.x)?,
+            );
+            pairs += 1;
+            if offloaded >= mpi {
+                let figure = table[0].title.split(':').next().unwrap_or_default();
+                slower.push(format!(
+                    "{figure}: {} @ {x}: {offloaded} vs {mpi_series} @ {x}: {mpi}",
+                    hybrid.series,
+                    x = hybrid.x
+                ));
+            }
+        }
+    }
+    match (pairs, slower.is_empty()) {
+        (0, _) => Err("no MPI + rFaaS row".to_string()),
+        (_, true) => Ok(()),
+        (_, false) => Err(slower.join(", ")),
+    }
+}
 
 pub(crate) fn run(mode: Mode) -> Vec<Table> {
     let mut tables = Vec::new();

@@ -6,9 +6,13 @@
 //! on. A [`MpiWorld`] holds one [`VirtualClock`] per rank and runs rank
 //! bodies on the calling thread, in rank order; callers drive their ranks in
 //! lockstep, every rank finishing one stage before any rank starts the next.
+//! A rank's rFaaS session shares the rank's clock, so its offloads, its local
+//! work and its barriers charge one timeline.
 //! The barrier, the one collective the experiments use, is computed in
 //! closed form on the rank clocks, charging the latency of the RDMA fabric
 //! (MPI on the evaluation cluster runs over the same 100 Gb/s link).
+
+use std::sync::Arc;
 
 use rdma_fabric::CX5_100G;
 use sim_core::{SimDuration, VirtualClock};
@@ -22,7 +26,7 @@ const OVERHEAD: SimDuration = SimDuration::from_nanos(450);
 #[derive(Debug)]
 pub struct Rank {
     rank: usize,
-    clock: VirtualClock,
+    clock: Arc<VirtualClock>,
 }
 
 impl Rank {
@@ -31,8 +35,8 @@ impl Rank {
         self.rank
     }
 
-    /// The rank's virtual clock.
-    pub fn clock(&self) -> &VirtualClock {
+    /// The rank's virtual clock, to build the rank's session on.
+    pub fn clock(&self) -> &Arc<VirtualClock> {
         &self.clock
     }
 
@@ -59,7 +63,7 @@ impl MpiWorld {
             ranks: (0..size)
                 .map(|rank| Rank {
                     rank,
-                    clock: VirtualClock::new(),
+                    clock: VirtualClock::shared(),
                 })
                 .collect(),
         }

@@ -41,6 +41,8 @@ fn main() {
     // generated here and lent to every rank.
     let system = JacobiSystem::generate(UNKNOWNS, 7);
     let world = MpiWorld::new(RANKS);
+    // Each rank's session runs on the rank's clock: offloads, local sweeps
+    // and barriers charge one timeline per rank.
     let sessions = world.each(|rank| {
         Session::builder(
             &fabric,
@@ -48,6 +50,7 @@ fn main() {
             &manager,
             "solver",
         )
+        .clock(rank.clock())
         .connect()
         .expect("allocation succeeds")
     });
@@ -60,8 +63,9 @@ fn main() {
             .with_output_capacity(UNKNOWNS * 8)
     });
     let mut xs = world.each(|_| vec![0.0f64; UNKNOWNS]);
+    // The barrier aligns every rank: each solve is timed from one instant.
     world.barrier();
-    let starts = world.each(|rank| sessions[rank.rank()].clock().now());
+    let starts = world.each(|rank| rank.clock().now());
     // The ranks run in lockstep: every rank submits, then every rank sweeps
     // its local half, then every rank waits for its remote half.
     for iteration in 0..ITERATIONS {
@@ -78,9 +82,7 @@ fn main() {
                 .expect("submission succeeds")
         });
         let locals = world.each(|rank| {
-            sessions[rank.rank()]
-                .clock()
-                .advance(sweep_cost(UNKNOWNS / 2, UNKNOWNS));
+            rank.compute(sweep_cost(UNKNOWNS / 2, UNKNOWNS));
             jacobi_sweep_rows(&system, &xs[rank.rank()], 0, UNKNOWNS / 2)
         });
         for ((x, local_half), future) in xs.iter_mut().zip(locals).zip(futures) {
@@ -88,13 +90,7 @@ fn main() {
             x[UNKNOWNS / 2..].copy_from_slice(&future.wait().expect("offloaded half succeeds"));
         }
     }
-    let elapsed = world.each(|rank| {
-        sessions[rank.rank()]
-            .clock()
-            .now()
-            .saturating_since(starts[rank.rank()])
-    });
-    world.barrier();
+    let elapsed = world.each(|rank| rank.clock().now().saturating_since(starts[rank.rank()]));
     for session in sessions {
         session.close().expect("deallocation succeeds");
     }

@@ -905,11 +905,12 @@ fn idle_gap_seeds_change_the_timeline() {
 }
 
 /// MPI ranks offloading in lockstep, the Fig. 13 schedule: four ranks on a
-/// two-executor testbed each lease a worker, then, for a seeded number of
-/// steps, every rank submits a seeded-size echo, then every rank charges the
-/// same local work, then every rank waits for its reply, and a barrier ends
-/// the step. The transcript pins every rank's lease placement, its client
-/// clock after each reply and every rank clock after each barrier.
+/// two-executor testbed each lease a worker on the rank's clock, then, for a
+/// seeded number of steps, every rank submits a seeded-size echo, then every
+/// rank charges the same local work, then every rank waits for its reply,
+/// and a barrier ends the step. The transcript pins every rank's lease
+/// placement, its client clock after each reply and every rank clock after
+/// each barrier.
 fn run_mpi_offload_scenario(seed: u64) -> String {
     let testbed = Testbed::new(2);
     let mut rng = DeterministicRng::new(seed);
@@ -918,6 +919,7 @@ fn run_mpi_offload_scenario(seed: u64) -> String {
     let sessions = world.each(|rank| {
         testbed
             .session(&format!("mpi-rank-{}", rank.rank()))
+            .clock(rank.clock())
             .memory_mib(2048)
             .connect()
             .unwrap()
@@ -940,10 +942,7 @@ fn run_mpi_offload_scenario(seed: u64) -> String {
             echoes[rank.rank()].submit(&payload[..]).unwrap()
         });
         let work = SimDuration::from_micros(rng.range_u64(1, 50));
-        world.each(|rank| {
-            rank.compute(work);
-            sessions[rank.rank()].clock().advance(work);
-        });
+        world.each(|rank| rank.compute(work));
         for (rank, (future, size)) in futures.into_iter().zip(&sizes).enumerate() {
             assert_eq!(future.wait().unwrap().len(), *size);
             transcript.push_str(&format!(
