@@ -14,7 +14,7 @@
 //! runs on the rank's clock, and a barrier after the leases aligns every
 //! rank, so each rank measures its solve from the same instant.
 
-use crate::{at, Claim, Mode, Row, Table, Testbed};
+use crate::{rows, Claim, Mode, Row, Table, Testbed};
 use rfaas::{RFaasConfig, Session};
 use sim_core::median;
 use workloads::{MpiWorld, Rank};
@@ -197,30 +197,21 @@ pub(crate) const CLAIMS: &[Claim] = &[
 ];
 
 /// Whether every `MPI + rFaaS (p processes)` row of each table is faster
-/// than the `MPI (p processes)` row of the same table and size; a failure
-/// names every pair that is not.
+/// than the `MPI (p processes)` row of the same table and size (both tables
+/// name their series alike); a failure names every pair that is not.
 fn offloading_beats_mpi(tables: &[Table]) -> Result<(), String> {
-    let mut pairs = 0;
-    let mut slower = Vec::new();
-    for table in tables {
-        let table = std::slice::from_ref(table);
+    let (mut pairs, mut slower) = (0, Vec::new());
+    for table in tables.chunks(1) {
+        let figure = table[0].title.split(':').next().unwrap_or_default();
         for hybrid in &table[0].rows {
             let Some(processes) = hybrid.series.strip_prefix("MPI + rFaaS ") else {
                 continue;
             };
-            let mpi_series = format!("MPI {processes}");
-            let (offloaded, mpi) = (
-                at(table, &hybrid.series, hybrid.x)?,
-                at(table, &mpi_series, hybrid.x)?,
-            );
             pairs += 1;
-            if offloaded >= mpi {
-                let figure = table[0].title.split(':').next().unwrap_or_default();
-                slower.push(format!(
-                    "{figure}: {} @ {x}: {offloaded} vs {mpi_series} @ {x}: {mpi}",
-                    hybrid.series,
-                    x = hybrid.x
-                ));
+            let mpi = format!("MPI {processes}");
+            let pair = [(hybrid.series.as_str(), hybrid.x), (mpi.as_str(), hybrid.x)];
+            if let Err(numbers) = rows(table, pair, |[offloaded, mpi]| offloaded < mpi) {
+                slower.push(format!("{figure}: {numbers}"));
             }
         }
     }

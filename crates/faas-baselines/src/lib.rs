@@ -28,4 +28,4 @@ pub mod tcp;
 
 pub use path::{InvocationPath, PathComponent};
 pub use platforms::{aws_lambda, nightcore, openwhisk, BaselinePlatform};
-pub use tcp::{TcpProfile, KERNEL_100G};
+pub use tcp::KERNEL_100G;

@@ -11,9 +11,9 @@
 //!
 //! [`PrefetchPlan`] turns a snapshot's page map into the deterministic
 //! schedule of fault batches a child will serve: which pages each batch
-//! covers and what it costs on the evaluation NIC. The platform layer charges one
-//! batch per early invocation, so a forked child's first invocations pay
-//! fault latency and its steady state pays nothing.
+//! covers and what it costs on the evaluation NIC. The platform layer
+//! charges one batch per early invocation, so a forked child's first
+//! invocations pay fault latency and its steady state pays nothing.
 
 use sim_core::SimDuration;
 

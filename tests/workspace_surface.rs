@@ -463,7 +463,7 @@ fn typed_as(code: &str, ty: &str) -> bool {
 }
 
 /// Whether `code` clones something named like a profile: `profile.clone()`,
-/// `fabric.profile().clone()`, `tcp_profile.clone()`.
+/// `tcp_profile.clone()`, or the clone of what a call to `profile` returns.
 fn clones_a_profile(code: &str) -> bool {
     code.match_indices(".clone()").any(|(at, _)| {
         let receiver = &code[..at];
