@@ -105,7 +105,7 @@ pub(crate) fn run(mode: Mode) -> Vec<Table> {
     let registry = FunctionRegistry::new();
     registry.deploy(evaluation_package());
     let manager = ResourceManager::new(&fabric, config.clone());
-    let driver = LifecycleDriver::new(&manager);
+    let driver = LifecycleDriver::new([&manager]);
 
     // The batch cluster under the executors: harvest a bundle on every node.
     let mut scheduler = BatchScheduler::new(node_count, NodeResources::xeon_gold_6154_dual());
@@ -270,7 +270,7 @@ pub(crate) fn run(mode: Mode) -> Vec<Table> {
 /// the lifecycle driver expiring leases and reaping processes as it goes.
 fn renewing_client(horizon_secs: u64) -> Table {
     let testbed = Testbed::new(1);
-    let driver = LifecycleDriver::new(&testbed.manager);
+    let driver = LifecycleDriver::new([&testbed.manager]);
     let session = testbed
         .session("renewing-client")
         .memory_mib(4096)

@@ -35,7 +35,7 @@ use crate::{evaluation_package, every, p99_at, rows, xs, Claim, Mode, Row, Table
 use cluster_sim::{NodeResources, TenantFleet, TenantRequest, WorkloadKind};
 use rdma_fabric::Fabric;
 use rfaas::{
-    GroupLifecycleDriver, LeaseRequest, ManagerGroup, RFaasConfig, Session, ALLOCATION_SUBMIT_COST,
+    LeaseRequest, LifecycleDriver, ManagerGroup, RFaasConfig, Session, ALLOCATION_SUBMIT_COST,
 };
 use sandbox::FunctionRegistry;
 use sim_core::{SimDuration, SimTime, VirtualClock};
@@ -95,7 +95,7 @@ fn run_storm(requests: &[TenantRequest], shards: usize, executors: usize) -> Sto
     registry.deploy(evaluation_package());
     let group = ManagerGroup::new(&fabric, config.clone(), shards);
     register_executors(&fabric, &registry, &config, &group, executors);
-    let driver = GroupLifecycleDriver::new(&group);
+    let driver = LifecycleDriver::new(group.managers());
 
     // Episodes that release do so this long after the grant (virtual time);
     // jitter decorrelates the release train from the arrival train.
@@ -252,7 +252,7 @@ fn run_fleet(requests: &[TenantRequest], shards: usize, executors: usize) -> Fle
     registry.deploy(evaluation_package());
     let group = ManagerGroup::new(&fabric, config.clone(), shards);
     register_executors(&fabric, &registry, &config, &group, executors);
-    let driver = GroupLifecycleDriver::new(&group);
+    let driver = LifecycleDriver::new(group.managers());
 
     let mut latencies_us = Vec::new();
     let mut episodes = 0u64;

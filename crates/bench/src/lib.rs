@@ -283,13 +283,28 @@ pub struct Claim {
 }
 
 /// Row `series @ x` of `tables`. An absent row is an error naming it, so a
-/// claim never passes on a row that is not there.
+/// claim never passes on a row that is not there, and so is a row in more
+/// than one table, naming the tables, so a claim never reads another
+/// table's row.
 fn row<'a>(tables: &'a [Table], series: &str, x: f64) -> Result<&'a Row, String> {
-    tables
+    let found: Vec<(&str, &Row)> = tables
         .iter()
-        .flat_map(|table| &table.rows)
-        .find(|row| row.series == series && row.x == x)
-        .ok_or_else(|| format!("{series} @ {x}: no such row"))
+        .filter_map(|table| {
+            let row = table
+                .rows
+                .iter()
+                .find(|row| row.series == series && row.x == x)?;
+            Some((table.title, row))
+        })
+        .collect();
+    match found[..] {
+        [] => Err(format!("{series} @ {x}: no such row")),
+        [(_, row)] => Ok(row),
+        _ => {
+            let titles: Vec<&str> = found.iter().map(|(title, _)| *title).collect();
+            Err(format!("{series} @ {x}: in tables {}", titles.join(", ")))
+        }
+    }
 }
 
 /// The value of row `series @ x`, or its median if it is a distribution.
@@ -722,6 +737,22 @@ mod tests {
         );
         let warm = every(&tables(8.0, 3.9), ["rFaaS warm"], |_, _| true);
         assert_eq!(warm, Err("rFaaS warm: no row".into()));
+    }
+
+    /// A row key shared by two tables is an error naming both, rather than
+    /// the first table's row.
+    #[test]
+    fn a_row_in_two_tables_is_an_error_naming_them() {
+        let table = |title, hot| Table {
+            title,
+            rows: vec![Row::value("MPI (8 processes)", 500.0, hot, "s")],
+        };
+        let tables = [table("matmul", 1.5), table("jacobi", 2.5)];
+        assert_eq!(
+            at(&tables, "MPI (8 processes)", 500.0),
+            Err("MPI (8 processes) @ 500: in tables matmul, jacobi".into())
+        );
+        assert_eq!(at(&tables[1..], "MPI (8 processes)", 500.0), Ok(2.5));
     }
 
     /// A distribution needs samples that differ: one sample, or several that

@@ -83,7 +83,7 @@ pub use executor::{
     AllocationBreakdown, AllocationPolicy, AllocationResult, ExecutorProcess, ForkFaultState,
     LightweightAllocator, SpotExecutor, WorkerEndpointInfo, WorkerStats,
 };
-pub use lifecycle::{GroupLifecycleDriver, LifecycleDriver, LifecycleStats};
+pub use lifecycle::{LifecycleDriver, LifecycleStats};
 pub use manager::ResourceManager;
 pub use protocol::{
     ControlFrame, ImmValue, InvocationHeader, Lease, LeaseRequest, ResultStatus,

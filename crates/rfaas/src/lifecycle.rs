@@ -56,25 +56,36 @@ impl LifecycleStats {
     }
 }
 
-/// The manager's lease-lifecycle background step (see module docs).
+/// The manager's lease-lifecycle background step (see module docs), over
+/// one manager or every shard of a [`ManagerGroup`], shard by shard. Each
+/// shard's step sees only its own executors and leases, so a step over the
+/// group costs the same total work as one big manager would — but the shards
+/// could run their steps on different cores, which is exactly the scale-out
+/// claim the fig15 experiment measures.
+///
+/// [`ManagerGroup`]: crate::sharding::ManagerGroup
 pub struct LifecycleDriver {
-    manager: Arc<ResourceManager>,
+    managers: Vec<Arc<ResourceManager>>,
     total: OrderedMutex<LifecycleStats>,
 }
 
 impl std::fmt::Debug for LifecycleDriver {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LifecycleDriver")
+            .field("shards", &self.managers.len())
             .field("total", &*self.total.lock())
             .finish()
     }
 }
 
 impl LifecycleDriver {
-    /// A driver for `manager`.
-    pub fn new(manager: &Arc<ResourceManager>) -> LifecycleDriver {
+    /// A driver stepping `managers` in order: `[&manager]` for one manager,
+    /// `group.managers()` for every shard of a group.
+    pub fn new<'a>(
+        managers: impl IntoIterator<Item = &'a Arc<ResourceManager>>,
+    ) -> LifecycleDriver {
         LifecycleDriver {
-            manager: Arc::clone(manager),
+            managers: managers.into_iter().cloned().collect(),
             total: OrderedMutex::new(ranks::LIFECYCLE_STATS, LifecycleStats::default()),
         }
     }
@@ -84,92 +95,47 @@ impl LifecycleDriver {
         *self.total.lock()
     }
 
-    /// Run one lifecycle step at virtual time `now`; returns what this step
-    /// did. Steps are idempotent at a fixed `now`.
+    /// Run one lifecycle step at virtual time `now` on every manager, one
+    /// after the other; returns what this step did. Steps are idempotent at a
+    /// fixed `now`.
     pub fn step(&self, now: SimTime) -> LifecycleStats {
         let mut delta = LifecycleStats::default();
-
-        // 1. Collect the heartbeats live executors emit (Sec. III-B).
-        for executor in self.manager.registered_executors() {
-            if let Some(at) = executor.emit_heartbeat_if_due(now, HEARTBEAT_INTERVAL) {
-                if self.manager.heartbeat(executor.name(), at) {
-                    delta.heartbeats += 1;
+        for manager in &self.managers {
+            // 1. Collect the heartbeats live executors emit (Sec. III-B).
+            for executor in manager.registered_executors() {
+                if let Some(at) = executor.emit_heartbeat_if_due(now, HEARTBEAT_INTERVAL) {
+                    if manager.heartbeat(executor.name(), at) {
+                        delta.heartbeats += 1;
+                    }
                 }
             }
-        }
 
-        // 2. Deregister executors whose heartbeats stopped and mark their
-        // leases terminated so clients stop waiting for a node that is gone.
-        for name in self.manager.failed_executors(now, HEARTBEAT_TIMEOUT) {
-            if self.manager.deregister_executor(&name) {
-                delta.executors_failed += 1;
-                delta.leases_terminated += self.manager.terminate_leases_on(&name).len() as u64;
+            // 2. Deregister executors whose heartbeats stopped and mark their
+            // leases terminated so clients stop waiting for a node that is
+            // gone.
+            for name in manager.failed_executors(now, HEARTBEAT_TIMEOUT) {
+                if manager.deregister_executor(&name) {
+                    delta.executors_failed += 1;
+                    delta.leases_terminated += manager.terminate_leases_on(&name).len() as u64;
+                }
+            }
+
+            // 3. Release expired leases: their reservations re-enter
+            // placement.
+            for lease_id in manager.expired_leases(now) {
+                if manager.release_lease(lease_id).is_ok() {
+                    delta.leases_expired += 1;
+                }
+            }
+
+            // 4. Executor-side enforcement: allocators reap the processes
+            // whose deadline passed, freeing the node's cores and memory.
+            for executor in manager.registered_executors() {
+                delta.processes_reaped += executor.allocator().reap_expired(now) as u64;
             }
         }
-
-        // 3. Release expired leases: their reservations re-enter placement.
-        for lease_id in self.manager.expired_leases(now) {
-            if self.manager.release_lease(lease_id).is_ok() {
-                delta.leases_expired += 1;
-            }
-        }
-
-        // 4. Executor-side enforcement: allocators reap the processes whose
-        // deadline passed, freeing the node's cores and memory.
-        for executor in self.manager.registered_executors() {
-            delta.processes_reaped += executor.allocator().reap_expired(now) as u64;
-        }
-
         self.total.lock().absorb(&delta);
         delta
-    }
-}
-
-/// Lifecycle enforcement for a sharded [`ManagerGroup`]: one
-/// [`LifecycleDriver`] per shard, stepped together. Each shard's driver only
-/// sees its own executors and leases, so a step over the group costs the same
-/// total work as one big manager would — but the shards could run their steps
-/// on different cores, which is exactly the scale-out claim the
-/// fig15 experiment measures.
-///
-/// [`ManagerGroup`]: crate::sharding::ManagerGroup
-pub struct GroupLifecycleDriver {
-    drivers: Vec<LifecycleDriver>,
-}
-
-impl std::fmt::Debug for GroupLifecycleDriver {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("GroupLifecycleDriver")
-            .field("shards", &self.drivers.len())
-            .field("total", &self.total())
-            .finish()
-    }
-}
-
-impl GroupLifecycleDriver {
-    /// One driver per shard of `group`.
-    pub fn new(group: &crate::sharding::ManagerGroup) -> GroupLifecycleDriver {
-        GroupLifecycleDriver {
-            drivers: group.managers().iter().map(LifecycleDriver::new).collect(),
-        }
-    }
-
-    /// Step every shard at `now`; returns the plane-wide delta.
-    pub fn step(&self, now: SimTime) -> LifecycleStats {
-        let mut delta = LifecycleStats::default();
-        for driver in &self.drivers {
-            delta.absorb(&driver.step(now));
-        }
-        delta
-    }
-
-    /// Cumulative counters across all shards.
-    pub fn total(&self) -> LifecycleStats {
-        let mut total = LifecycleStats::default();
-        for driver in &self.drivers {
-            total.absorb(&driver.total());
-        }
-        total
     }
 }
 
@@ -212,7 +178,7 @@ mod tests {
     #[test]
     fn step_collects_heartbeats_per_interval() {
         let (_fabric, manager, _execs) = platform(2);
-        let driver = LifecycleDriver::new(&manager);
+        let driver = LifecycleDriver::new([&manager]);
         let t = SimTime::from_secs(1);
         assert_eq!(driver.step(t).heartbeats, 2);
         // Same instant again: nothing new is due.
@@ -224,7 +190,7 @@ mod tests {
     #[test]
     fn dead_executor_is_deregistered_and_its_leases_terminated() {
         let (_fabric, manager, execs) = platform(2);
-        let driver = LifecycleDriver::new(&manager);
+        let driver = LifecycleDriver::new([&manager]);
         let clock = sim_core::VirtualClock::new();
         let (lease, _) = manager
             .request_lease(&LeaseRequest::single_worker("pkg"), &clock)
@@ -252,7 +218,7 @@ mod tests {
     #[test]
     fn expired_leases_are_released_and_processes_reaped() {
         let (fabric, manager, execs) = platform(1);
-        let driver = LifecycleDriver::new(&manager);
+        let driver = LifecycleDriver::new([&manager]);
         let _session = Session::builder(&fabric, "client", &manager, "pkg")
             .lease_timeout(SimDuration::from_secs(10))
             .connect()
@@ -300,7 +266,7 @@ mod tests {
             );
             group.register_executor(&exec);
         }
-        let driver = GroupLifecycleDriver::new(&group);
+        let driver = LifecycleDriver::new(group.managers());
 
         // A short lease on some shard, never renewed.
         let clock = sim_core::VirtualClock::new();
@@ -313,7 +279,7 @@ mod tests {
         let delta = driver.step(SimTime::from_secs(1));
         assert_eq!(delta.heartbeats, 9);
 
-        // The expiry is enforced by the owning shard's driver.
+        // The expiry is enforced on the owning shard.
         let delta = driver.step(SimTime::from_secs(60));
         assert_eq!(delta.leases_expired, 1);
         assert_eq!(group.lease_count(), 0);

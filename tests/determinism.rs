@@ -1,14 +1,22 @@
-//! Determinism regression: the whole point of the virtual-time fabric is
-//! that experiments are machine-independent and reproducible. Two runs of
-//! the same end-to-end scenario with the same seed must produce
-//! byte-identical placement decisions, latency histograms and billing
-//! totals — any drift means wall-clock scheduling or hash-map iteration
-//! order leaked into the model.
+//! Determinism golden: the whole point of the virtual-time fabric is that
+//! experiments are machine-independent and reproducible. Each end-to-end
+//! scenario transcribes what the platform decided (placements, latencies,
+//! counters, billing totals) at each of its seeds, and the transcripts must
+//! equal the committed `tests/golden/determinism/<scenario>.txt` byte for
+//! byte, one `## seed` section per seed, in each of two runs in one process.
+//! A run that differs from the other means wall-clock scheduling or
+//! iteration order leaked into the model; a golden that moves means the
+//! model or the code behind it changed, and the diff of `tests/golden/mod.rs`
+//! names each moved line by its key (`scenario / seed / key`). After an
+//! intended move, rewrite the files with
+//! `UPDATE_GOLDEN=1 cargo test --test determinism` and commit them.
+
+mod golden;
 
 use cluster_sim::{NodeResources, TenantFleet};
 use rdma_fabric::Fabric;
 use rfaas::{
-    GroupLifecycleDriver, ManagerGroup, PollingMode, RFaasConfig, Reactor, Session, SpotExecutor,
+    LifecycleDriver, ManagerGroup, PollingMode, RFaasConfig, Reactor, Session, SpotExecutor,
     HOT_POLL_TIMEOUT,
 };
 use rfaas_bench::{evaluation_package, Testbed, PACKAGE};
@@ -75,25 +83,6 @@ fn run_scenario(seed: u64) -> String {
     transcript
 }
 
-#[test]
-fn same_seed_produces_byte_identical_runs() {
-    let first = run_scenario(0xD5EED);
-    let second = run_scenario(0xD5EED);
-    assert_eq!(
-        first, second,
-        "placement, latencies or billing diverged between identical runs"
-    );
-}
-
-#[test]
-fn different_seeds_actually_change_the_scenario() {
-    // Guards the test above against vacuity: if the seed were ignored, the
-    // byte-identical assertion would hold trivially.
-    let a = run_scenario(1);
-    let b = run_scenario(2);
-    assert_ne!(a, b, "the seed must drive payloads and lease shapes");
-}
-
 /// The sharded multi-tenant scenario: a 4-shard manager plane, a seeded
 /// tenant fleet, consistent-hash placement of executors and tenants, and the
 /// full allocate→invoke→bill→release pipeline per episode. The transcript
@@ -122,7 +111,7 @@ fn run_sharded_scenario(seed: u64) -> String {
         transcript.push_str(&format!("executor {name} -> shard {shard}\n"));
     }
 
-    let driver = GroupLifecycleDriver::new(&group);
+    let driver = LifecycleDriver::new(group.managers());
     let fleet = TenantFleet::generate(seed, 24, SimDuration::from_secs(10));
     let requests = fleet.requests(SimDuration::from_secs(20));
     assert!(!requests.is_empty());
@@ -156,12 +145,16 @@ fn run_sharded_scenario(seed: u64) -> String {
             transcript.push_str(&format!("  invoke -> {} ns\n", rtt.as_nanos()));
         }
         session.close().unwrap();
+        transcript.push_str(&format!(
+            "  billing: total_cost_bits={:#018x}\n",
+            group.total_cost().to_bits()
+        ));
     }
 
     // Per-shard billing totals, bit-exact.
     for (shard, cost) in group.per_shard_costs().iter().enumerate() {
         transcript.push_str(&format!(
-            "shard {shard} billing bits {:#018x}\n",
+            "shard {shard} billing: total_cost_bits={:#018x}\n",
             cost.to_bits()
         ));
     }
@@ -170,23 +163,6 @@ fn run_sharded_scenario(seed: u64) -> String {
         "the sharded scenario must accrue billable usage"
     );
     transcript
-}
-
-#[test]
-fn sharded_multi_tenant_runs_are_byte_identical() {
-    let first = run_sharded_scenario(0x5AA5);
-    let second = run_sharded_scenario(0x5AA5);
-    assert_eq!(
-        first, second,
-        "shard assignment, placement or per-shard billing diverged between identical runs"
-    );
-}
-
-#[test]
-fn sharded_scenario_seeds_change_the_fleet() {
-    let a = run_sharded_scenario(3);
-    let b = run_sharded_scenario(4);
-    assert_ne!(a, b, "the seed must drive the tenant fleet");
 }
 
 /// The reactor-driven scenario: three leases held concurrently, all of their
@@ -386,14 +362,14 @@ fn run_fork_scenario(seed: u64) -> String {
             let schedule = fork.fault_schedule();
             for batch in &schedule {
                 transcript.push_str(&format!(
-                    "  fault batch start={} pages={} cost={} ns\n",
+                    "  fault batch start={} pages={} -> {} ns\n",
                     batch.start_page,
                     batch.pages,
                     batch.cost.as_nanos()
                 ));
             }
             transcript.push_str(&format!(
-                "  faulted {}/{} pages in {} ns\n",
+                "  faulted {}/{} pages -> {} ns\n",
                 fork.pages_faulted(),
                 fork.total_pages(),
                 schedule
@@ -490,7 +466,7 @@ fn run_state_scenario(seed: u64) -> String {
         transcript.push_str(&format!("  get {key} -> {len} B\n"));
         if rng.range_u64(0, 2) == 0 {
             let existed = session.state().delete(&key).unwrap();
-            transcript.push_str(&format!("  delete {key} existed={existed}\n"));
+            transcript.push_str(&format!("  delete {key} -> existed={existed}\n"));
         }
 
         let stats = session.stats();
@@ -531,23 +507,6 @@ fn run_state_scenario(seed: u64) -> String {
     ));
     assert!(total_cost > 0.0, "the scenario must accrue billable usage");
     transcript
-}
-
-#[test]
-fn state_plane_runs_are_byte_identical() {
-    let first = run_state_scenario(0x57A7E);
-    let second = run_state_scenario(0x57A7E);
-    assert_eq!(
-        first, second,
-        "placements, read schedules, client counters or billing diverged between identical runs"
-    );
-}
-
-#[test]
-fn state_scenario_seeds_change_the_accesses() {
-    let a = run_state_scenario(11);
-    let b = run_state_scenario(12);
-    assert_ne!(a, b, "the seed must drive keys, batches and deletes");
 }
 
 /// The stateful write mix (simbench's `state_write_mix` in miniature): one
@@ -600,14 +559,14 @@ fn run_state_write_mix_scenario(seed: u64) -> String {
             }
             let (reply, rtt) = touch.invoke_timed(&[0u8; 8][..]).unwrap();
             assert_eq!(reply, fingerprint(&value).to_le_bytes());
-            transcript.push_str(&format!("  touch {t} in {} ns\n", rtt.as_nanos()));
+            transcript.push_str(&format!("  touch {t} -> {} ns\n", rtt.as_nanos()));
         }
         if rng.range_u64(0, 2) == 0 {
             let start = clock.now();
             let read = session.state().get(DATASET_KEY).unwrap();
             assert_eq!(read, value, "the writer reads its own last put");
             let took = clock.now().saturating_since(start);
-            transcript.push_str(&format!("  read-back in {} ns\n", took.as_nanos()));
+            transcript.push_str(&format!("  read-back -> {} ns\n", took.as_nanos()));
         }
     }
 
@@ -633,80 +592,6 @@ fn run_state_write_mix_scenario(seed: u64) -> String {
     ));
     assert!(total_cost > 0.0, "the scenario must accrue billable usage");
     transcript
-}
-
-#[test]
-fn state_write_mix_runs_are_byte_identical() {
-    let first = run_state_write_mix_scenario(0x3217E);
-    let second = run_state_write_mix_scenario(0x3217E);
-    assert_eq!(
-        first, second,
-        "latencies, client counters, placements or billing diverged between identical runs"
-    );
-}
-
-#[test]
-fn state_write_mix_seeds_change_the_put_positions() {
-    let a = run_state_write_mix_scenario(21);
-    let b = run_state_write_mix_scenario(22);
-    assert_ne!(
-        a, b,
-        "the seed must drive put positions, values and read-backs"
-    );
-}
-
-#[test]
-fn fork_tier_runs_are_byte_identical() {
-    let first = run_fork_scenario(0xF0CC);
-    let second = run_fork_scenario(0xF0CC);
-    assert_eq!(
-        first, second,
-        "fault schedules, pool counters or billing diverged between identical runs"
-    );
-}
-
-#[test]
-fn fork_scenario_seeds_change_the_episodes() {
-    let a = run_fork_scenario(9);
-    let b = run_fork_scenario(10);
-    assert_ne!(a, b, "the seed must drive policies and payloads");
-}
-
-#[test]
-fn pooled_churn_runs_are_byte_identical() {
-    let first = run_pooled_churn_scenario(0xC0FFEE);
-    let second = run_pooled_churn_scenario(0xC0FFEE);
-    assert_eq!(
-        first, second,
-        "pool warmth, setup costs or SRQ watermarks diverged between identical runs"
-    );
-}
-
-#[test]
-fn pooled_churn_seeds_change_the_episodes() {
-    let a = run_pooled_churn_scenario(7);
-    let b = run_pooled_churn_scenario(8);
-    assert_ne!(a, b, "the seed must drive worker counts and payloads");
-}
-
-#[test]
-fn reactor_driven_runs_are_byte_identical() {
-    let first = run_reactor_scenario(0xFACADE);
-    let second = run_reactor_scenario(0xFACADE);
-    assert_eq!(
-        first, second,
-        "reactor dispatch order, latencies or billing diverged between identical runs"
-    );
-}
-
-#[test]
-fn reactor_scenario_seeds_change_the_schedule() {
-    let a = run_reactor_scenario(5);
-    let b = run_reactor_scenario(6);
-    assert_ne!(
-        a, b,
-        "the seed must drive the session schedule and payloads"
-    );
 }
 
 /// The saturation scenario, simbench `saturate`'s shape (Fig. 16 at depth
@@ -793,16 +678,6 @@ fn run_saturation_scenario(seed: u64) -> String {
     transcript
 }
 
-#[test]
-fn saturation_waves_are_byte_identical() {
-    let first = run_saturation_scenario(0x5A7);
-    let second = run_saturation_scenario(0x5A7);
-    assert_eq!(
-        first, second,
-        "completion instants or billing of the depth-256 waves diverged between identical runs"
-    );
-}
-
 /// The idle-gap scenario: one hot worker, a seeded train of invocations
 /// separated by seeded idle gaps on either side of [`HOT_POLL_TIMEOUT`].
 /// Gaps of 1–40 ms are billed as hot polling in full; the first gap of
@@ -853,7 +728,7 @@ fn run_idle_gap_scenario(seed: u64) -> String {
             short_gaps_before += gap;
         }
         session.clock().advance(gap);
-        transcript.push_str(&format!("gap {} ns\n", gap.as_nanos()));
+        transcript.push_str(&format!("gap -> {} ns\n", gap.as_nanos()));
     }
     assert!(
         first_long_gap.is_some_and(|round| round + 1 < ROUNDS),
@@ -885,23 +760,6 @@ fn run_idle_gap_scenario(seed: u64) -> String {
     ));
     assert!(total_cost > 0.0, "the scenario must accrue billable usage");
     transcript
-}
-
-#[test]
-fn idle_gap_demotion_runs_are_byte_identical() {
-    let first = run_idle_gap_scenario(0x1D1E);
-    let second = run_idle_gap_scenario(0x1D1E);
-    assert_eq!(
-        first, second,
-        "the demotion, latencies or billing diverged between identical runs"
-    );
-}
-
-#[test]
-fn idle_gap_seeds_change_the_timeline() {
-    let a = run_idle_gap_scenario(13);
-    let b = run_idle_gap_scenario(14);
-    assert_ne!(a, b, "the seed must drive payloads and idle gaps");
 }
 
 /// MPI ranks offloading in lockstep, the Fig. 13 schedule: four ranks on a
@@ -957,19 +815,101 @@ fn run_mpi_offload_scenario(seed: u64) -> String {
     transcript
 }
 
-#[test]
-fn mpi_offload_runs_are_byte_identical() {
-    let first = run_mpi_offload_scenario(0x3B1);
-    let second = run_mpi_offload_scenario(0x3B1);
-    assert_eq!(
-        first, second,
-        "placement, client clocks or rank clocks diverged between identical lockstep runs"
-    );
+/// Run `scenario` at each of `seeds`, twice: the first run must equal the
+/// golden file `tests/golden/determinism/<name>.txt` (or rewrite it under
+/// `UPDATE_GOLDEN`), one `## seed` section per seed, and the second run the
+/// first. No two seeds may transcribe alike: a scenario that ignored its
+/// seed would pin nothing the seed drives.
+fn check(name: &str, scenario: fn(u64) -> String, seeds: &[u64]) {
+    let run = || -> Vec<String> { seeds.iter().map(|&seed| scenario(seed)).collect() };
+    let text = |transcripts: Vec<String>| -> String {
+        seeds
+            .iter()
+            .zip(transcripts)
+            .map(|(seed, transcript)| format!("## seed {seed:#x}\n{transcript}"))
+            .collect()
+    };
+    let first = run();
+    for (i, a) in first.iter().enumerate() {
+        for (b, seed) in first[i + 1..].iter().zip(&seeds[i + 1..]) {
+            assert_ne!(
+                a, b,
+                "{name}: seeds {:#x} and {seed:#x} transcribe alike",
+                seeds[i]
+            );
+        }
+    }
+    let (first, second) = (text(first), text(run()));
+    let path = golden::dir("determinism").join(format!("{name}.txt"));
+    let expected = golden::expected(&path, &first);
+    let mut failures = golden::row_diff(name, &expected, &first);
+    failures.extend(golden::row_diff(
+        &format!("{name}, second run"),
+        &first,
+        &second,
+    ));
+    golden::assert_none(&path, &failures);
+}
+
+macro_rules! golden {
+    ($($test:ident: $name:literal, $scenario:ident, [$($seed:expr),+];)*) => {
+        $(
+            #[test]
+            fn $test() {
+                check($name, $scenario, &[$($seed),+]);
+            }
+        )*
+
+        /// Every scenario above has its golden file, and every golden file
+        /// its scenario.
+        #[test]
+        fn every_scenario_has_a_golden_file() {
+            golden::assert_files(&golden::dir("determinism"), &[$($name),*], "txt");
+        }
+    };
+}
+
+// The saturation scenario's seed drives only the payload bytes, which the
+// transcript does not show, so it pins one seed.
+golden! {
+    same_seed_produces_byte_identical_runs: "base", run_scenario, [0xD5EED, 1, 2];
+    sharded_multi_tenant_runs_are_byte_identical: "sharded", run_sharded_scenario, [0x5AA5, 3, 4];
+    reactor_driven_runs_are_byte_identical: "reactor", run_reactor_scenario, [0xFACADE, 5, 6];
+    pooled_churn_runs_are_byte_identical: "pooled_churn", run_pooled_churn_scenario, [0xC0FFEE, 7, 8];
+    fork_tier_runs_are_byte_identical: "fork", run_fork_scenario, [0xF0CC, 9, 10];
+    state_plane_runs_are_byte_identical: "state", run_state_scenario, [0x57A7E, 11, 12];
+    state_write_mix_runs_are_byte_identical: "state_write_mix", run_state_write_mix_scenario, [0x3217E, 21, 22];
+    idle_gap_demotion_runs_are_byte_identical: "idle_gap", run_idle_gap_scenario, [0x1D1E, 13, 14];
+    mpi_offload_runs_are_byte_identical: "mpi_offload", run_mpi_offload_scenario, [0x3B1, 5, 6];
+    saturation_waves_are_byte_identical: "saturation", run_saturation_scenario, [0x5A7];
 }
 
 #[test]
-fn mpi_offload_seeds_change_the_steps() {
-    let a = run_mpi_offload_scenario(5);
-    let b = run_mpi_offload_scenario(6);
-    assert_ne!(a, b, "the seed must drive echo sizes and step counts");
+fn a_moved_transcript_line_is_named() {
+    let before = concat!(
+        "## seed 0x1\n",
+        "episode 0: lease node=a\n",
+        "  invoke 64 B -> 3992 ns\n",
+        "  invoke 64 B -> 3992 ns\n",
+        "## seed 0x2\n",
+        "episode 0: lease node=b\n",
+        "billing: total_cost_bits=0x1\n",
+    );
+    let after = concat!(
+        "## seed 0x1\n",
+        "episode 0: lease node=a\n",
+        "  invoke 64 B -> 3992 ns\n",
+        "  invoke 64 B -> 3993 ns\n",
+        "## seed 0x2\n",
+        "episode 0: lease node=b\n",
+        "episode 1: lease node=c\n",
+    );
+    assert_eq!(
+        golden::row_diff("base", before, after),
+        [
+            "base / seed 0x1 / invoke 64 B #2: 3992 ns → 3993 ns",
+            "base / seed 0x2 / billing: missing (total_cost_bits=0x1)",
+            "base / seed 0x2 / episode 1: added (lease node=c)",
+        ]
+    );
 }

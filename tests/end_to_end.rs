@@ -145,7 +145,7 @@ fn billed_usage(teardown: Teardown) -> UsageRecord {
             session.close().unwrap();
         }
         Teardown::Expiry => {
-            let driver = LifecycleDriver::new(&testbed.manager);
+            let driver = LifecycleDriver::new([&testbed.manager]);
             driver.step(lease.expires_at);
             assert_eq!(driver.total().processes_reaped, 1);
         }
@@ -247,7 +247,7 @@ fn executor_on<'a>(testbed: &'a Testbed, node: &str) -> &'a SpotExecutor {
 #[test]
 fn heartbeats_and_lease_expiry_reclaim_resources() {
     let testbed = Testbed::new(2);
-    let driver = LifecycleDriver::new(&testbed.manager);
+    let driver = LifecycleDriver::new([&testbed.manager]);
     let now = testbed.manager.clock().now();
     assert_eq!(driver.step(now).heartbeats, 2);
     // spot-01's node dies and goes silent; spot-00 keeps heartbeating.
@@ -343,7 +343,7 @@ fn lease_renewal_keeps_the_worker_past_the_original_expiry() {
 #[test]
 fn executor_failure_is_detected_and_the_client_recovers_elsewhere() {
     let testbed = Testbed::new(2);
-    let driver = LifecycleDriver::new(&testbed.manager);
+    let driver = LifecycleDriver::new([&testbed.manager]);
     let session = testbed
         .session("failover-client")
         .memory_mib(1024)
@@ -386,7 +386,7 @@ fn scatter_inputs() -> Vec<Vec<u8>> {
 #[test]
 fn batch_scatter_recovers_from_a_failed_executor() {
     let testbed = Testbed::new(2);
-    let driver = LifecycleDriver::new(&testbed.manager);
+    let driver = LifecycleDriver::new([&testbed.manager]);
     let session = testbed
         .session("batch-failover-client")
         .workers(2)

@@ -4,73 +4,17 @@
 //! and a distribution row as `{"series","x","n","median","p99","mean","unit"}`.
 //! The simulation runs on virtual time, so a row moves only when the model
 //! or the code behind it does, and then the test names each moved, added or
-//! missing row by `series @ x`, with its old and new fields. It then checks
-//! the figure's claims (`Figure::claims`) on the same rows, so a failed claim
-//! is named after the rows that moved. After an intended move, rewrite the
-//! files with `UPDATE_GOLDEN=1 cargo test --test report_golden` and commit
-//! them. One test per figure, so libtest runs the figures in parallel and
-//! each rewrite touches its own file.
+//! missing row by `series @ x`, with its old and new fields (the diff of
+//! `tests/golden/mod.rs`). It then checks the figure's claims
+//! (`Figure::claims`) on the same rows, so a failed claim is named after the
+//! rows that moved. After an intended move, rewrite the files with
+//! `UPDATE_GOLDEN=1 cargo test --test report_golden` and commit them. One
+//! test per figure, so libtest runs the figures in parallel and each rewrite
+//! touches its own file.
 
-use std::collections::BTreeMap;
-use std::fs;
-use std::path::{Path, PathBuf};
+mod golden;
 
 use rfaas_bench::{at, Claim, Figure, Measure, Mode, Row, Size, Table, FIGURES};
-
-fn golden_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/report")
-}
-
-/// A row line split into its key (`series @ x`) and the rest of its fields.
-fn split_row(line: &str) -> (String, &str) {
-    let line = line.strip_prefix(r#"{"series":"#).unwrap_or(line);
-    let line = line.strip_suffix('}').unwrap_or(line);
-    // A quote inside the series is escaped, so the first `,"x":` ends it.
-    let (series, rest) = line.split_once(r#","x":"#).unwrap_or((line, ""));
-    let (x, fields) = rest.split_once(',').unwrap_or((rest, ""));
-    let series = series.strip_prefix('"').unwrap_or(series);
-    let series = series.strip_suffix('"').unwrap_or(series);
-    (format!("{series} @ {x}"), fields)
-}
-
-/// Rows keyed by `series @ x` and the key's occurrence, in line order.
-fn keyed(text: &str) -> Vec<((String, usize), &str)> {
-    let mut seen = BTreeMap::new();
-    text.lines()
-        .map(|line| {
-            let (key, fields) = split_row(line);
-            let nth = seen.entry(key.clone()).or_insert(0usize);
-            *nth += 1;
-            ((key, *nth), fields)
-        })
-        .collect()
-}
-
-/// One line per moved, missing or added row of `actual` against `expected`.
-fn row_diff(figure: &str, expected: &str, actual: &str) -> Vec<String> {
-    let old = keyed(expected);
-    let new: BTreeMap<_, _> = keyed(actual).into_iter().collect();
-    let old_keys: BTreeMap<_, _> = old.iter().cloned().collect();
-    let mut lines = Vec::new();
-    for (key, before) in &old {
-        match new.get(key) {
-            None => lines.push(format!("{figure} / {}: missing ({before})", key.0)),
-            Some(after) if after != before => {
-                lines.push(format!("{figure} / {}: {before} → {after}", key.0))
-            }
-            Some(_) => {}
-        }
-    }
-    for (key, after) in keyed(actual) {
-        if !old_keys.contains_key(&key) {
-            lines.push(format!("{figure} / {}: added ({after})", key.0));
-        }
-    }
-    if lines.is_empty() {
-        lines.push(format!("{figure}: the same rows in another order"));
-    }
-    lines
-}
 
 /// Each figure's rows as the golden file holds them: one JSON line per row.
 fn report(tables: &[Table]) -> String {
@@ -84,11 +28,7 @@ fn report(tables: &[Table]) -> String {
 /// Every moved, missing or added row of `tables` against `expected`, then
 /// every claim of `figure` that the rows break.
 fn failures(figure: &Figure, expected: &str, tables: &[Table]) -> Vec<String> {
-    let actual = report(tables);
-    let mut lines = Vec::new();
-    if actual != expected {
-        lines = row_diff(figure.name, expected, &actual);
-    }
+    let mut lines = golden::row_diff(figure.name, expected, &report(tables));
     lines.extend(figure.failed_claims(tables));
     lines
 }
@@ -104,20 +44,9 @@ fn check(figure: &str) {
         size: Size::Quick,
         sub: None,
     });
-    let path = golden_dir().join(format!("{}.jsonl", figure.name));
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        fs::write(&path, report(&tables)).unwrap();
-    }
-    let expected = fs::read_to_string(&path).unwrap_or_default();
-    let failures = failures(figure, &expected, &tables);
-    assert!(
-        failures.is_empty(),
-        "{} rows or claims fail against {}:\n{}\nIf a row move is intended, rerun \
-         with UPDATE_GOLDEN=1 cargo test --test report_golden and commit the file.",
-        figure.name,
-        path.display(),
-        failures.join("\n")
-    );
+    let path = golden::dir("report").join(format!("{}.jsonl", figure.name));
+    let expected = golden::expected(&path, &report(&tables));
+    golden::assert_none(&path, &failures(figure, &expected, &tables));
 }
 
 macro_rules! golden {
@@ -136,18 +65,7 @@ macro_rules! golden {
             let tested = [$(stringify!($figure)),*];
             let figures: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
             assert_eq!(tested.as_slice(), figures.as_slice());
-            if std::env::var_os("UPDATE_GOLDEN").is_some() {
-                return;
-            }
-            let mut files: Vec<String> = fs::read_dir(golden_dir())
-                .unwrap()
-                .map(|entry| entry.unwrap().file_name().into_string().unwrap())
-                .collect();
-            files.sort();
-            let mut expected: Vec<String> =
-                figures.iter().map(|f| format!("{f}.jsonl")).collect();
-            expected.sort();
-            assert_eq!(files, expected);
+            golden::assert_files(&golden::dir("report"), &figures, "jsonl");
         }
     };
 }
@@ -193,7 +111,7 @@ fn a_moved_row_is_named() {
         "\n",
     );
     assert_eq!(
-        row_diff("fig", golden, moved),
+        golden::row_diff("fig", golden, moved),
         [
             r#"fig / rFaaS hot @ 1: "value":3.5,"unit":"us" → "value":3.75,"unit":"us""#,
             r#"fig / rFaaS hot @ 2: missing ("value":3.6,"unit":"us")"#,
@@ -204,7 +122,7 @@ fn a_moved_row_is_named() {
     );
     let swapped: String = golden.lines().rev().map(|l| format!("{l}\n")).collect();
     assert_eq!(
-        row_diff("fig", golden, &swapped),
+        golden::row_diff("fig", golden, &swapped),
         ["fig: the same rows in another order"]
     );
 }
