@@ -818,28 +818,15 @@ fn run_mpi_offload_scenario(seed: u64) -> String {
 /// Run `scenario` at each of `seeds`, twice: the first run must equal the
 /// golden file `tests/golden/determinism/<name>.txt` (or rewrite it under
 /// `UPDATE_GOLDEN`), one `## seed` section per seed, and the second run the
-/// first. No two seeds may transcribe alike: a scenario that ignored its
-/// seed would pin nothing the seed drives.
+/// first.
 fn check(name: &str, scenario: fn(u64) -> String, seeds: &[u64]) {
-    let run = || -> Vec<String> { seeds.iter().map(|&seed| scenario(seed)).collect() };
-    let text = |transcripts: Vec<String>| -> String {
+    let run = || -> String {
         seeds
             .iter()
-            .zip(transcripts)
-            .map(|(seed, transcript)| format!("## seed {seed:#x}\n{transcript}"))
+            .map(|&seed| format!("## seed {seed:#x}\n{}", scenario(seed)))
             .collect()
     };
-    let first = run();
-    for (i, a) in first.iter().enumerate() {
-        for (b, seed) in first[i + 1..].iter().zip(&seeds[i + 1..]) {
-            assert_ne!(
-                a, b,
-                "{name}: seeds {:#x} and {seed:#x} transcribe alike",
-                seeds[i]
-            );
-        }
-    }
-    let (first, second) = (text(first), text(run()));
+    let (first, second) = (run(), run());
     let path = golden::dir("determinism").join(format!("{name}.txt"));
     let expected = golden::expected(&path, &first);
     let mut failures = golden::row_diff(name, &expected, &first);
@@ -851,13 +838,37 @@ fn check(name: &str, scenario: fn(u64) -> String, seeds: &[u64]) {
     golden::assert_none(&path, &failures);
 }
 
+/// No two of `seeds` may transcribe `scenario` alike: a scenario that
+/// ignored its seed would make its golden test pin nothing the seed drives.
+fn seeds_differ(name: &str, scenario: fn(u64) -> String, seeds: &[u64]) {
+    let transcripts: Vec<String> = seeds.iter().map(|&seed| scenario(seed)).collect();
+    for (i, a) in transcripts.iter().enumerate() {
+        for (b, seed) in transcripts[i + 1..].iter().zip(&seeds[i + 1..]) {
+            assert_ne!(
+                a, b,
+                "{name}: seeds {:#x} and {seed:#x} transcribe alike",
+                seeds[i]
+            );
+        }
+    }
+}
+
+/// Each line generates the scenario's golden test and, where it pins more
+/// than one seed, the test that its seeds transcribe differently.
 macro_rules! golden {
-    ($($test:ident: $name:literal, $scenario:ident, [$($seed:expr),+];)*) => {
+    ($($test:ident $(/ $seeds_test:ident)?: $name:literal, $scenario:ident, $seeds:expr;)*) => {
         $(
             #[test]
             fn $test() {
-                check($name, $scenario, &[$($seed),+]);
+                check($name, $scenario, &$seeds);
             }
+
+            $(
+                #[test]
+                fn $seeds_test() {
+                    seeds_differ($name, $scenario, &$seeds);
+                }
+            )?
         )*
 
         /// Every scenario above has its golden file, and every golden file
@@ -872,15 +883,24 @@ macro_rules! golden {
 // The saturation scenario's seed drives only the payload bytes, which the
 // transcript does not show, so it pins one seed.
 golden! {
-    same_seed_produces_byte_identical_runs: "base", run_scenario, [0xD5EED, 1, 2];
-    sharded_multi_tenant_runs_are_byte_identical: "sharded", run_sharded_scenario, [0x5AA5, 3, 4];
-    reactor_driven_runs_are_byte_identical: "reactor", run_reactor_scenario, [0xFACADE, 5, 6];
-    pooled_churn_runs_are_byte_identical: "pooled_churn", run_pooled_churn_scenario, [0xC0FFEE, 7, 8];
-    fork_tier_runs_are_byte_identical: "fork", run_fork_scenario, [0xF0CC, 9, 10];
-    state_plane_runs_are_byte_identical: "state", run_state_scenario, [0x57A7E, 11, 12];
-    state_write_mix_runs_are_byte_identical: "state_write_mix", run_state_write_mix_scenario, [0x3217E, 21, 22];
-    idle_gap_demotion_runs_are_byte_identical: "idle_gap", run_idle_gap_scenario, [0x1D1E, 13, 14];
-    mpi_offload_runs_are_byte_identical: "mpi_offload", run_mpi_offload_scenario, [0x3B1, 5, 6];
+    same_seed_produces_byte_identical_runs / different_seeds_actually_change_the_scenario:
+        "base", run_scenario, [0xD5EED, 1, 2];
+    sharded_multi_tenant_runs_are_byte_identical / sharded_scenario_seeds_change_the_fleet:
+        "sharded", run_sharded_scenario, [0x5AA5, 3, 4];
+    reactor_driven_runs_are_byte_identical / reactor_scenario_seeds_change_the_schedule:
+        "reactor", run_reactor_scenario, [0xFACADE, 5, 6];
+    pooled_churn_runs_are_byte_identical / pooled_churn_seeds_change_the_episodes:
+        "pooled_churn", run_pooled_churn_scenario, [0xC0FFEE, 7, 8];
+    fork_tier_runs_are_byte_identical / fork_scenario_seeds_change_the_episodes:
+        "fork", run_fork_scenario, [0xF0CC, 9, 10];
+    state_plane_runs_are_byte_identical / state_scenario_seeds_change_the_accesses:
+        "state", run_state_scenario, [0x57A7E, 11, 12];
+    state_write_mix_runs_are_byte_identical / state_write_mix_seeds_change_the_put_positions:
+        "state_write_mix", run_state_write_mix_scenario, [0x3217E, 21, 22];
+    idle_gap_demotion_runs_are_byte_identical / idle_gap_seeds_change_the_timeline:
+        "idle_gap", run_idle_gap_scenario, [0x1D1E, 13, 14];
+    mpi_offload_runs_are_byte_identical / mpi_offload_seeds_change_the_steps:
+        "mpi_offload", run_mpi_offload_scenario, [0x3B1, 5, 6];
     saturation_waves_are_byte_identical: "saturation", run_saturation_scenario, [0x5A7];
 }
 
