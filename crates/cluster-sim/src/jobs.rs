@@ -53,7 +53,7 @@ impl JobGenerator {
     }
 
     /// Generate all jobs submitted within `horizon`, in submission order.
-    pub fn generate(&mut self, horizon: SimDuration) -> Vec<BatchJob> {
+    pub(crate) fn generate(&mut self, horizon: SimDuration) -> Vec<BatchJob> {
         let mut jobs = Vec::new();
         let mut t = SimTime::ZERO;
         loop {

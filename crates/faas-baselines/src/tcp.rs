@@ -12,7 +12,34 @@ use rdma_fabric::CX5_100G;
 use sim_core::SimDuration;
 
 /// Cost constants of the kernel TCP/IP path.
+///
+/// [`KERNEL_100G`] is the one profile, a `static`. As with
+/// `rdma_fabric::NicProfile`, a private field keeps every other profile out
+/// of code outside this module, and no copy or clone can be made. Each of
+/// these fails to compile:
+///
+/// ```compile_fail,E0451
+/// use faas_baselines::{tcp::TcpProfile, KERNEL_100G};
+/// // A literal: it needs the private field, written or updated from another.
+/// let tcp = TcpProfile { send_overhead: KERNEL_100G.recv_overhead, ..KERNEL_100G };
+/// ```
+///
+/// ```compile_fail,E0507
+/// use faas_baselines::{tcp::TcpProfile, KERNEL_100G};
+/// // A copy, into a binding, a field or a by-value parameter.
+/// let tcp: TcpProfile = KERNEL_100G;
+/// ```
+///
+/// ```compile_fail,E0599
+/// use faas_baselines::KERNEL_100G;
+/// // A clone.
+/// let tcp = KERNEL_100G.clone();
+/// ```
 #[derive(Debug)]
+#[expect(
+    clippy::manual_non_exhaustive,
+    reason = "`#[non_exhaustive]` would still admit a literal in this crate's other modules"
+)]
 pub struct TcpProfile {
     /// One-way wire latency (propagation + switching).
     pub one_way_latency: SimDuration,
@@ -26,15 +53,18 @@ pub struct TcpProfile {
     /// Per-message cost on the receiving side: interrupt, softirq, copy to
     /// user space, scheduler wake-up.
     pub recv_overhead: SimDuration,
+    /// Private: no profile is written outside this module.
+    _one_home: (),
 }
 
 /// Kernel TCP over the evaluation cluster's 100 Gb/s link.
-pub const KERNEL_100G: TcpProfile = TcpProfile {
+pub static KERNEL_100G: TcpProfile = TcpProfile {
     one_way_latency: CX5_100G.one_way_latency,
     // ~5.5 GB/s goodput for a single well-tuned stream.
     bandwidth_bytes_per_sec: 5.5e9,
     send_overhead: SimDuration::from_micros(4),
     recv_overhead: SimDuration::from_micros(6),
+    _one_home: (),
 };
 
 impl TcpProfile {

@@ -12,12 +12,39 @@
 //! * SR-IOV virtual functions add ~50 ns (hot) / ~650 ns (warm) per invocation.
 //!
 //! Every charge reads [`CX5_100G`] where it is made: no fabric, queue pair or
-//! plan keeps a copy of it.
+//! plan keeps a copy of it. The type holds that rule (see [`NicProfile`]).
 
 use sim_core::SimDuration;
 
 /// Calibrated performance profile of an RDMA NIC and its link.
+///
+/// [`CX5_100G`] is the one profile, a `static`: code reads it in place or
+/// borrows it as `&'static NicProfile`. A private field keeps every other
+/// profile out of code outside this module, and with no `Clone` and no
+/// `const` no copy can be made either. Each of these fails to compile:
+///
+/// ```compile_fail,E0451
+/// use rdma_fabric::{NicProfile, CX5_100G};
+/// // A literal: it needs the private field, written or updated from another.
+/// let nic = NicProfile { max_inline_data: 256, ..CX5_100G };
+/// ```
+///
+/// ```compile_fail,E0507
+/// use rdma_fabric::{NicProfile, CX5_100G};
+/// // A copy, into a binding, a field or a by-value parameter.
+/// let nic: NicProfile = CX5_100G;
+/// ```
+///
+/// ```compile_fail,E0599
+/// use rdma_fabric::CX5_100G;
+/// // A clone.
+/// let nic = CX5_100G.clone();
+/// ```
 #[derive(Debug)]
+#[expect(
+    clippy::manual_non_exhaustive,
+    reason = "`#[non_exhaustive]` would still admit a literal in this crate's other modules"
+)]
 pub struct NicProfile {
     /// One-way propagation + switching latency of the link.
     pub one_way_latency: SimDuration,
@@ -66,11 +93,13 @@ pub struct NicProfile {
     pub vf_blocking_extra: SimDuration,
     /// Maximum number of outstanding receive work requests per QP.
     pub max_recv_queue_depth: usize,
+    /// Private: no profile is written outside this module.
+    _one_home: (),
 }
 
 /// The profile calibrated to the paper's evaluation cluster: ConnectX-5
 /// (MT27800) with a 100 Gb/s RoCEv2 link.
-pub const CX5_100G: NicProfile = NicProfile {
+pub static CX5_100G: NicProfile = NicProfile {
     // 2 * (0.08 post + 1.70 one-way + 0.065 pickup)
     // ≈ 3.69 µs RTT for small inlined writes.
     one_way_latency: SimDuration::from_nanos(1_700),
@@ -92,6 +121,7 @@ pub const CX5_100G: NicProfile = NicProfile {
     vf_message_overhead: SimDuration::from_nanos(25),
     vf_blocking_extra: SimDuration::from_nanos(600),
     max_recv_queue_depth: 1024,
+    _one_home: (),
 };
 
 impl NicProfile {

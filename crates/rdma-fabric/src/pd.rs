@@ -23,6 +23,15 @@ struct PdInner {
 }
 
 /// A protection domain: a namespace of memory registrations.
+///
+/// Only this crate allocates one (for [`Endpoint::new`](crate::Endpoint::new)),
+/// so its keys always come from its endpoint's fabric:
+///
+/// ```compile_fail,E0624
+/// use rdma_fabric::{Fabric, ProtectionDomain};
+/// let fabric = Fabric::with_defaults();
+/// let pd = ProtectionDomain::new(&fabric);
+/// ```
 #[derive(Debug, Clone)]
 pub struct ProtectionDomain {
     inner: Arc<PdInner>,

@@ -24,7 +24,18 @@ use crate::verbs::{CompletionStatus, OpCode, RecvRequest, SendRequest, Sge, Work
 
 /// Everything needed to create queue pairs for one actor on one node, built
 /// by [`Endpoint::new`]: its fabric numbers its keys and queue pairs.
+///
+/// Outside this crate no other constructor exists: the struct is
+/// `#[non_exhaustive]`, so a literal or a struct update fails to compile.
+///
+/// ```compile_fail,E0639
+/// use rdma_fabric::{DeviceFunction, Endpoint, Fabric};
+/// let fabric = Fabric::with_defaults();
+/// let endpoint = Endpoint::new(&fabric, &fabric.add_node("node"));
+/// let forged = Endpoint { function: DeviceFunction::Virtual, ..endpoint };
+/// ```
 #[derive(Clone)]
+#[non_exhaustive]
 pub struct Endpoint {
     /// The fabric the endpoint attaches to.
     pub fabric: Arc<Fabric>,

@@ -73,7 +73,7 @@ impl RingState {
     }
 
     /// The slot an incoming message will land in next, if any.
-    pub fn front(&self) -> Option<usize> {
+    pub(crate) fn front(&self) -> Option<usize> {
         self.posted.front().copied()
     }
 

@@ -119,11 +119,14 @@ impl BillingDatabase {
         }
     }
 
-    /// Total cost accumulated across all slots.
+    /// Total cost accumulated across the slots reserved so far (all of them
+    /// once the database wrapped). The sum starts at `+0.0`, so an empty
+    /// database totals `+0.0`, as a sum over unused, zeroed slots did.
     pub(crate) fn total_cost(&self) -> f64 {
-        (0..SLOT_CAPACITY)
+        let reserved = self.next_slot.load(Ordering::Relaxed).min(SLOT_CAPACITY);
+        (0..reserved)
             .map(|slot| self.read_slot(slot).cost())
-            .sum()
+            .fold(0.0, |total, cost| total + cost)
     }
 }
 
@@ -272,5 +275,36 @@ mod tests {
         client.flush(usage).unwrap();
         let expected = PRICE_COMPUTE * 10.0;
         assert!((db.total_cost() - expected).abs() < 1e-6);
+    }
+
+    #[test]
+    fn total_cost_sums_the_reserved_slots() {
+        let fabric = Fabric::with_defaults();
+        let manager_ep = Endpoint::new(&fabric, &fabric.add_node("manager"));
+        let executor_ep = Endpoint::new(&fabric, &fabric.add_node("executor"));
+        let db = BillingDatabase::new(&manager_ep);
+        assert_eq!(db.total_cost().to_bits(), 0, "an empty total is +0.0");
+        // Flush `seconds` of compute into `slot` over a fresh connection.
+        let flush = |slot: usize, seconds: u64| {
+            let manager_qp = QueuePair::new(&manager_ep);
+            let executor_qp = QueuePair::new(&executor_ep);
+            QueuePair::connect_pair(&manager_qp, &executor_qp).unwrap();
+            let mut usage = UsageRecord::default();
+            usage.add_compute(SimDuration::from_secs(seconds));
+            let client = BillingClient::new(executor_qp, db.slot_handle(slot));
+            client.flush(usage).unwrap();
+        };
+        let (a, b) = (db.reserve_slot(), db.reserve_slot());
+        flush(a, 3);
+        flush(b, 5);
+        let reserved = db.read_slot(a).cost() + db.read_slot(b).cost();
+        assert_eq!(db.total_cost().to_bits(), reserved.to_bits());
+
+        // Once the slots wrap, every slot is read, the last one included.
+        while db.reserve_slot() != a {}
+        let last = SLOT_CAPACITY - 1;
+        flush(last, 7);
+        let all = reserved + db.read_slot(last).cost();
+        assert_eq!(db.total_cost().to_bits(), all.to_bits());
     }
 }

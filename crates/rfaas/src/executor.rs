@@ -176,7 +176,7 @@ impl ExecutorStateBinding {
     }
 
     /// Client-side counters of the executor's state cache.
-    pub fn stats(&self) -> StateClientStats {
+    pub(crate) fn stats(&self) -> StateClientStats {
         self.client.stats()
     }
 

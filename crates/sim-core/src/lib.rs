@@ -15,8 +15,7 @@
 //!   first: connection warmth tokens and warm fork parents,
 //! * [`sync`] — the workspace's locks: a non-poisoning `Mutex` / `RwLock`
 //!   facade over `std::sync`, and rank-ordered mutexes enforcing the
-//!   workspace lock order (checked in debug builds and under the
-//!   `lock-sanitizer` feature),
+//!   workspace lock order (checked in debug builds),
 //! * [`wire`] — the little-endian frame reader and writer the allocation
 //!   and state control planes share.
 

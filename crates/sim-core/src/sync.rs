@@ -9,49 +9,45 @@
 //! workload crates use them for their queues, registries and rings.
 //!
 //! [`OrderedMutex`] is one shared object's lock with a [`LockRank`]. Under
-//! `debug_assertions` or the `lock-sanitizer` feature, every acquisition is
-//! checked against a thread-local stack of held ranks: a thread may only
-//! acquire a lock whose rank is strictly greater than every rank it
-//! already holds. Because all threads then acquire along the same global
-//! order, no cycle — and therefore no deadlock — between `OrderedMutex`es
-//! is possible. Release order is unconstrained (hand-over-hand locking is
-//! fine).
-//!
-//! The `lock-sanitizer` feature additionally keeps a process-wide graph of
-//! observed acquisition edges so a violation report can show the offending
-//! cycle, not just the pair.
+//! `debug_assertions`, every acquisition is checked against a thread-local
+//! stack of held ranks: a thread may only acquire a lock whose rank is
+//! strictly greater than every rank it already holds. Because all threads
+//! then acquire along the same global order, no cycle — and therefore no
+//! deadlock — between `OrderedMutex`es is possible. Release order is
+//! unconstrained (hand-over-hand locking is fine). A violation panics naming
+//! both locks and every lock the thread holds.
 //!
 //! The workspace rank table lives in [`ranks`]; DESIGN.md ("Determinism &
 //! locking invariants") documents the same table with rationale. Release
-//! builds without the feature compile the checks out entirely:
-//! `OrderedMutex` is then a zero-cost newtype over [`Mutex`].
+//! builds compile the checks out entirely: `OrderedMutex` is then a
+//! zero-cost newtype over [`Mutex`].
 //!
-//! The same checked builds also count every successful acquisition — a
-//! `Mutex` lock or `try_lock`, an `RwLock` read or write, and so every
-//! `OrderedMutex` acquire — per thread, so a test can pin how many locks
-//! one operation takes ([`lock_acquisitions`]).
+//! Debug builds also count every successful acquisition — a `Mutex` lock or
+//! `try_lock`, an `RwLock` read or write, and so every `OrderedMutex`
+//! acquire — per thread, so a test can pin how many locks one operation
+//! takes ([`lock_acquisitions`]).
 
 use std::fmt;
 use std::sync::{self as std_sync, MutexGuard, PoisonError, TryLockError};
 use std::sync::{RwLockReadGuard, RwLockWriteGuard};
 
-#[cfg(any(debug_assertions, feature = "lock-sanitizer"))]
+#[cfg(debug_assertions)]
 thread_local! {
     static ACQUISITIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 #[inline]
 fn count_acquisition() {
-    #[cfg(any(debug_assertions, feature = "lock-sanitizer"))]
+    #[cfg(debug_assertions)]
     ACQUISITIONS.with(|n| n.set(n.get() + 1));
 }
 
 /// Lock acquisitions this thread has made so far, or `None` in a release
-/// build without the `lock-sanitizer` feature, which does not count them.
+/// build, which does not count them.
 pub fn lock_acquisitions() -> Option<u64> {
-    #[cfg(any(debug_assertions, feature = "lock-sanitizer"))]
+    #[cfg(debug_assertions)]
     let counted = Some(ACQUISITIONS.with(std::cell::Cell::get));
-    #[cfg(not(any(debug_assertions, feature = "lock-sanitizer")))]
+    #[cfg(not(debug_assertions))]
     let counted = None;
     counted
 }
@@ -132,8 +128,7 @@ impl fmt::Display for LockRank {
 /// control socket, state bindings reach the state plane), so the order must
 /// be total across subsystems, outermost first. The client layer itself
 /// (session, reactor, worker connections) runs on one thread and takes no
-/// lock. Every nesting of ranked locks must follow this order; the
-/// `lock-sanitizer` feature records the acquisition graph it orders.
+/// lock. Every nesting of ranked locks must follow this order.
 pub mod ranks {
     use super::LockRank;
 
@@ -160,43 +155,59 @@ pub mod ranks {
     pub const LIFECYCLE_STATS: LockRank = LockRank::new(96, "lifecycle.stats");
 }
 
-/// A violation detected by the pure checker (and the panic payload the
-/// runtime wrapper formats).
+/// A rank-order violation: the lock being acquired, the highest-ranked lock
+/// held, and every held lock in acquisition order.
+#[cfg(any(debug_assertions, test))]
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RankViolation {
-    pub held: LockRank,
-    pub acquiring: LockRank,
+struct RankViolation {
+    held: LockRank,
+    acquiring: LockRank,
+    chain: Vec<LockRank>,
 }
 
+#[cfg(any(debug_assertions, test))]
 impl fmt::Display for RankViolation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let chain: Vec<String> = self.chain.iter().map(LockRank::to_string).collect();
         write!(
             f,
-            "lock-order violation: acquiring {} while holding {} (ranks must be \
-             strictly increasing; see sim_core::sync::ranks and DESIGN.md)",
-            self.acquiring, self.held
+            "lock-order violation: acquiring {} while holding {}; held: [{}] (ranks \
+             must be strictly increasing; see sim_core::sync::ranks and DESIGN.md)",
+            self.acquiring,
+            self.held,
+            chain.join(", ")
         )
     }
 }
 
-/// Pure rank-order checker: the model the runtime wrapper drives, exposed
-/// so tests (the OrderedMutex proptest suite) can exercise the discipline
-/// on arbitrary sequences without touching real mutexes or threads.
-#[derive(Debug, Default)]
-pub struct RankChecker {
+/// One thread's held ranks and the discipline over them: every checked
+/// acquisition goes through the calling thread's checker (see `checking`),
+/// and the tests drive one on arbitrary sequences.
+#[cfg(any(debug_assertions, test))]
+#[derive(Debug)]
+struct RankChecker {
     held: Vec<(u64, LockRank)>,
     next_id: u64,
 }
 
+#[cfg(any(debug_assertions, test))]
 impl RankChecker {
+    const fn new() -> RankChecker {
+        RankChecker {
+            held: Vec::new(),
+            next_id: 0,
+        }
+    }
+
     /// Attempt to acquire `rank`. On success returns a token to pass to
     /// [`RankChecker::release`]; releases may come in any order.
-    pub fn acquire(&mut self, rank: LockRank) -> Result<u64, RankViolation> {
+    fn acquire(&mut self, rank: LockRank) -> Result<u64, RankViolation> {
         if let Some(&(_, held)) = self.held.iter().max_by_key(|(_, r)| r.rank) {
             if rank.rank <= held.rank {
                 return Err(RankViolation {
                     held,
                     acquiring: rank,
+                    chain: self.held.iter().map(|&(_, r)| r).collect(),
                 });
             }
         }
@@ -208,7 +219,7 @@ impl RankChecker {
 
     /// Release a previously acquired token. Unknown tokens are ignored
     /// (double release is a caller bug but not a safety issue here).
-    pub fn release(&mut self, token: u64) {
+    fn release(&mut self, token: u64) {
         self.held.retain(|(id, _)| *id != token);
     }
 
@@ -219,105 +230,25 @@ impl RankChecker {
     }
 }
 
-#[cfg(any(debug_assertions, feature = "lock-sanitizer"))]
+#[cfg(debug_assertions)]
 mod checking {
-    use super::LockRank;
-    use std::cell::{Cell, RefCell};
+    use super::{LockRank, RankChecker};
+    use std::cell::RefCell;
 
     thread_local! {
-        static HELD: RefCell<Vec<(u64, LockRank)>> = const { RefCell::new(Vec::new()) };
-        static NEXT_ID: Cell<u64> = const { Cell::new(0) };
+        static HELD: RefCell<RankChecker> = const { RefCell::new(RankChecker::new()) };
     }
 
-    /// Record an acquisition, panicking on a rank-order violation.
+    /// Record an acquisition, panicking on a rank-order violation. The
+    /// checker is no longer borrowed when it panics: unwinding drops the
+    /// guards still held, which release here.
     pub(super) fn on_acquire(rank: LockRank) -> u64 {
-        HELD.with(|h| {
-            let mut held = h.borrow_mut();
-            if let Some(&(_, top)) = held.iter().max_by_key(|(_, r)| r.rank) {
-                super::graph::note_edge(top, rank);
-                if rank.rank <= top.rank {
-                    let chain: Vec<String> = held.iter().map(|(_, r)| r.to_string()).collect();
-                    // Unwinding drops the guards still held, which release here.
-                    drop(held);
-                    panic!(
-                        "{}{}",
-                        super::RankViolation {
-                            held: top,
-                            acquiring: rank
-                        },
-                        super::graph::cycle_report(rank)
-                            .map(|c| format!("; observed acquisition cycle: {c}"))
-                            .unwrap_or_else(|| format!("; held: [{}]", chain.join(", ")))
-                    );
-                }
-            }
-            let id = NEXT_ID.get() + 1;
-            NEXT_ID.set(id);
-            held.push((id, rank));
-            id
-        })
+        let acquired = HELD.with(|held| held.borrow_mut().acquire(rank));
+        acquired.unwrap_or_else(|violation| panic!("{violation}"))
     }
 
     pub(super) fn on_release(token: u64) {
-        HELD.with(|h| h.borrow_mut().retain(|(id, _)| *id != token));
-    }
-}
-
-/// Process-wide acquisition-edge graph, kept only under the sanitizer
-/// feature so violation reports can print the full cycle.
-#[cfg(feature = "lock-sanitizer")]
-mod graph {
-    use super::LockRank;
-    use std::collections::BTreeMap;
-    use std::sync::Mutex as StdMutex;
-
-    static EDGES: StdMutex<Option<BTreeMap<&'static str, Vec<LockRank>>>> = StdMutex::new(None);
-
-    pub(super) fn note_edge(from: LockRank, to: LockRank) {
-        let mut g = EDGES.lock().unwrap_or_else(|e| e.into_inner());
-        let map = g.get_or_insert_with(BTreeMap::new);
-        let succ = map.entry(from.name).or_default();
-        if !succ.iter().any(|r| r.name == to.name) {
-            succ.push(to);
-        }
-    }
-
-    /// If the observed edges contain a path from `start` back to `start`,
-    /// render it (`a -> b -> a`).
-    pub(super) fn cycle_report(start: LockRank) -> Option<String> {
-        let g = EDGES.lock().unwrap_or_else(|e| e.into_inner());
-        let map = g.as_ref()?;
-        // DFS from start looking for a path back to start.
-        let mut stack = vec![(start, vec![start])];
-        let mut visited: Vec<&'static str> = Vec::new();
-        while let Some((node, path)) = stack.pop() {
-            for next in map.get(node.name).into_iter().flatten() {
-                if next.name == start.name {
-                    let mut names: Vec<&str> = path.iter().map(|r| r.name).collect();
-                    names.push(start.name);
-                    return Some(names.join(" -> "));
-                }
-                if !visited.contains(&next.name) {
-                    visited.push(next.name);
-                    let mut p = path.clone();
-                    p.push(*next);
-                    stack.push((*next, p));
-                }
-            }
-        }
-        None
-    }
-}
-
-#[cfg(all(
-    any(debug_assertions, feature = "lock-sanitizer"),
-    not(feature = "lock-sanitizer")
-))]
-mod graph {
-    use super::LockRank;
-    pub(super) fn note_edge(_from: LockRank, _to: LockRank) {}
-    pub(super) fn cycle_report(_start: LockRank) -> Option<String> {
-        None
+        HELD.with(|held| held.borrow_mut().release(token));
     }
 }
 
@@ -338,11 +269,11 @@ impl<T> OrderedMutex<T> {
 
     /// Acquire, enforcing rank order in checked builds.
     pub fn lock(&self) -> OrderedMutexGuard<'_, T> {
-        #[cfg(any(debug_assertions, feature = "lock-sanitizer"))]
+        #[cfg(debug_assertions)]
         let token = checking::on_acquire(self.rank);
         OrderedMutexGuard {
             inner: self.inner.lock(),
-            #[cfg(any(debug_assertions, feature = "lock-sanitizer"))]
+            #[cfg(debug_assertions)]
             token,
         }
     }
@@ -352,11 +283,11 @@ impl<T> OrderedMutex<T> {
     /// checked against it).
     pub fn try_lock(&self) -> Option<OrderedMutexGuard<'_, T>> {
         let inner = self.inner.try_lock()?;
-        #[cfg(any(debug_assertions, feature = "lock-sanitizer"))]
+        #[cfg(debug_assertions)]
         let token = checking::on_acquire(self.rank);
         Some(OrderedMutexGuard {
             inner,
-            #[cfg(any(debug_assertions, feature = "lock-sanitizer"))]
+            #[cfg(debug_assertions)]
             token,
         })
     }
@@ -375,7 +306,7 @@ impl<T: fmt::Debug> fmt::Debug for OrderedMutex<T> {
 /// release is allowed).
 pub struct OrderedMutexGuard<'a, T> {
     inner: MutexGuard<'a, T>,
-    #[cfg(any(debug_assertions, feature = "lock-sanitizer"))]
+    #[cfg(debug_assertions)]
     token: u64,
 }
 
@@ -394,7 +325,7 @@ impl<T> std::ops::DerefMut for OrderedMutexGuard<'_, T> {
 
 impl<T> Drop for OrderedMutexGuard<'_, T> {
     fn drop(&mut self) {
-        #[cfg(any(debug_assertions, feature = "lock-sanitizer"))]
+        #[cfg(debug_assertions)]
         checking::on_release(self.token);
     }
 }
@@ -435,17 +366,25 @@ mod tests {
 
     #[test]
     #[cfg(debug_assertions)]
-    #[should_panic(expected = "lock-order violation")]
+    #[should_panic(
+        expected = "lock-order violation: acquiring test.mid(20) while holding \
+                    test.high(30); held: [test.low(10), test.high(30)]"
+    )]
     fn decreasing_order_panics() {
         let a = OrderedMutex::new(LOW, ());
         let b = OrderedMutex::new(MID, ());
-        let _gb = b.lock();
+        let c = OrderedMutex::new(HIGH, ());
         let _ga = a.lock();
+        let _gc = c.lock();
+        let _gb = b.lock();
     }
 
     #[test]
     #[cfg(debug_assertions)]
-    #[should_panic(expected = "lock-order violation")]
+    #[should_panic(
+        expected = "lock-order violation: acquiring test.low(10) while holding \
+                    test.low(10); held: [test.low(10)]"
+    )]
     fn equal_rank_panics() {
         let a = OrderedMutex::new(LOW, ());
         let b = OrderedMutex::new(LOW, ());
@@ -464,7 +403,7 @@ mod tests {
 
     #[test]
     fn checker_matches_discipline() {
-        let mut ck = RankChecker::default();
+        let mut ck = RankChecker::new();
         let t1 = ck.acquire(LOW).unwrap();
         let t2 = ck.acquire(HIGH).unwrap();
         assert!(ck.acquire(MID).is_err()); // below max held
@@ -478,24 +417,27 @@ mod tests {
 
     #[test]
     fn checker_violation_names_both_locks() {
-        let mut ck = RankChecker::default();
+        let mut ck = RankChecker::new();
         ck.acquire(MID).unwrap();
+        ck.acquire(HIGH).unwrap();
         let err = ck.acquire(LOW).unwrap_err();
-        assert_eq!(err.held, MID);
+        assert_eq!(err.held, HIGH);
         assert_eq!(err.acquiring, LOW);
+        assert_eq!(err.chain, [MID, HIGH]);
         assert!(err.to_string().contains("test.low"));
     }
 
     // Property suite: the rank discipline over arbitrary interleaved
     // acquire/release sequences. Violations are always caught, conforming
-    // sequences are never flagged, and the pure checker agrees with the
-    // real OrderedMutex on every conforming schedule.
+    // sequences are never flagged, and a checker agrees with the real
+    // OrderedMutex (which drives its thread's own checker in debug builds)
+    // on every conforming schedule.
     proptest::proptest! {
         // A schedule that only ever acquires above its current maximum held
         // rank is conforming by construction and must never be rejected.
         #[test]
         fn prop_conforming_sequences_never_flagged(ops: Vec<u16>) {
-            let mut ck = RankChecker::default();
+            let mut ck = RankChecker::new();
             let mut tokens: Vec<(u64, u16)> = Vec::new();
             for op in ops {
                 let release = op % 3 == 0 && !tokens.is_empty();
@@ -522,7 +464,7 @@ mod tests {
         // rejected, regardless of the (conforming) history before it.
         #[test]
         fn prop_violations_always_caught(history: Vec<u16>, offense: u16) {
-            let mut ck = RankChecker::default();
+            let mut ck = RankChecker::new();
             let mut max_held: Option<u16> = None;
             for r in history {
                 let next = match max_held {
@@ -550,7 +492,7 @@ mod tests {
                 .collect();
             let mutexes: Vec<OrderedMutex<u32>> =
                 ranks.iter().map(|&r| OrderedMutex::new(r, 0)).collect();
-            let mut ck = RankChecker::default();
+            let mut ck = RankChecker::new();
             let mut held: Vec<(u64, OrderedMutexGuard<'_, u32>)> = Vec::new();
             for op in ops {
                 if op % 3 == 0 && !held.is_empty() {

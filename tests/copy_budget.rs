@@ -67,8 +67,8 @@ struct PerOp {
     /// Heap bytes allocated, over every thread.
     bytes: f64,
     /// Lock acquisitions on this thread — which runs the whole operation:
-    /// the waiting client turns the executor. `None` where the build does
-    /// not count them (release without `lock-sanitizer`).
+    /// the waiting client turns the executor. `None` in a release build,
+    /// which does not count them.
     locks: Option<f64>,
 }
 

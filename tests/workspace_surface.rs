@@ -1,9 +1,21 @@
-//! Smoke tests for the workspace surface: the umbrella crate must re-export
-//! every layer, and the `rfaas` crate-level doc example (lease → hot invoke →
-//! deallocate) must keep working both as a doctest (`cargo test --doc -p
-//! rfaas`, run by tier-1 and CI) and as this compiled mirror of it — so a
-//! regression in the documented entry-point flow fails the suite even if
-//! doctests are filtered out.
+//! Smoke tests for the workspace surface, and the rules the compiler cannot
+//! hold, checked by reading the sources as text.
+//!
+//! The smoke tests: the umbrella crate re-exports every layer, and the
+//! `rfaas` crate-level doc example (lease → hot invoke → deallocate) keeps
+//! working both as a doctest (`cargo test --doc -p rfaas`, run by tier-1 and
+//! CI) and as this compiled mirror of it — so a regression in the documented
+//! entry-point flow fails the suite even if doctests are filtered out.
+//!
+//! What is still a scan: the one host wait and wall-clock read, shim and
+//! crate membership, the lock-rank table, the lock-free client layer and the
+//! absence of hash collections, process-wide atomic counters, the one
+//! `from_nanos(1_700)`, `#[non_exhaustive]` audit enums, the pool and
+//! `*Stats` counts, every `pub` item's outside caller, and the option
+//! surface. What the types hold is not scanned: no `NicProfile` or
+//! `TcpProfile` but the one `static` of each, and no `Endpoint` or
+//! `ProtectionDomain` built outside `rdma-fabric`; their `compile_fail`
+//! doctests show each rule failing to compile.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -383,22 +395,12 @@ fn client_layer_takes_no_locks_and_hash_maps_are_counted() {
     }
 }
 
-/// Whether `line` names `word` with no identifier character right before it.
-fn names_word(line: &str, word: &str) -> bool {
-    line.match_indices(word)
-        .any(|(at, _)| !line[..at].ends_with(|c: char| c == '_' || c.is_alphanumeric()))
-}
-
 /// Ids are the `Fabric`'s, never the process's: outside test modules and
-/// comments, `crates/` declares no `static NAME: Atomic…` counter, and only
-/// `crates/rdma-fabric` calls `ProtectionDomain::new(` or writes an
-/// `Endpoint { … }` literal, so every endpoint elsewhere is built by
-/// `Endpoint::new`, and its protection domain, keys and queue pair numbers
-/// come from its fabric. Reads the sources as text.
+/// comments, `crates/` declares no `static NAME: Atomic…` counter. Reads the
+/// sources as text.
 #[test]
 fn identities_are_numbered_by_the_fabric() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let fabric_crate = root.join("crates/rdma-fabric");
     let mut sources = Vec::new();
     rust_sources(&root.join("crates"), &mut sources);
     sources.sort();
@@ -407,9 +409,6 @@ fn identities_are_numbered_by_the_fabric() {
         let text = fs::read_to_string(path).unwrap();
         let file = path.strip_prefix(root).unwrap().display();
         for (n, line) in product_lines(&text) {
-            if is_comment(line) {
-                continue;
-            }
             let decl = line.trim_start();
             let decl = decl
                 .strip_prefix("pub(crate) ")
@@ -422,14 +421,6 @@ fn identities_are_numbered_by_the_fabric() {
             if atomic_static {
                 found.push(format!("{file}:{n}: a process-wide `static` atomic"));
             }
-            if path.starts_with(&fabric_crate) {
-                continue;
-            }
-            for banned in ["ProtectionDomain::new(", "Endpoint {"] {
-                if names_word(line, banned) {
-                    found.push(format!("{file}:{n}: `{banned}` outside rdma-fabric"));
-                }
-            }
         }
     }
     assert!(
@@ -439,101 +430,28 @@ fn identities_are_numbered_by_the_fabric() {
     );
 }
 
-/// Whether `code` declares a field, parameter or binding of type `ty` or a
-/// reference to it (`name: ty`, `name: &'a path::ty`). A `const` or
-/// `static` of that type is a profile's one home, not a copy of it.
-fn typed_as(code: &str, ty: &str) -> bool {
-    let decl = code.strip_prefix("pub ").unwrap_or(code);
-    if decl.starts_with("const ") || decl.starts_with("static ") {
-        return false;
-    }
-    let is_ident = |c: char| c == '_' || c.is_alphanumeric();
-    code.match_indices(ty).any(|(at, _)| {
-        let mut before = &code[..at];
-        while let Some(path) = before.strip_suffix("::") {
-            before = path.trim_end_matches(is_ident);
-        }
-        let before = before.trim_end();
-        let before = before.strip_suffix("mut").unwrap_or(before).trim_end();
-        let before = before.trim_end_matches(is_ident);
-        let before = before.strip_suffix('\'').unwrap_or(before).trim_end();
-        let before = before.strip_suffix('&').unwrap_or(before).trim_end();
-        before.ends_with(':') && !before.ends_with("::")
-    })
-}
-
-/// Whether `code` clones something named like a profile: `profile.clone()`,
-/// `tcp_profile.clone()`, or the clone of what a call to `profile` returns.
-fn clones_a_profile(code: &str) -> bool {
-    code.match_indices(".clone()").any(|(at, _)| {
-        let receiver = &code[..at];
-        let receiver = receiver.strip_suffix("()").unwrap_or(receiver);
-        receiver.to_ascii_lowercase().ends_with("profile")
-    })
-}
-
-/// The NIC cost model has one home: `rdma-fabric`'s `device.rs` declares
-/// the one `NicProfile`, `CX5_100G`, and every charge reads it where it is
-/// made. Outside `device.rs`, no product line of `crates/`, `src/` or
-/// `examples/` declares a field or parameter of type `NicProfile` or
-/// `TcpProfile`, clones a profile or writes a `NicProfile {` literal, and a
-/// code line names `NicProfile` only in a `use` or in the signature of
-/// `Fabric::profile`. The 1,700 ns wire latency, `from_nanos(1_700)`, is
-/// written once in all product code, in `device.rs`: the MPI world and the
-/// kernel TCP baseline read it from `CX5_100G`. Reads the sources as text.
+/// The 1,700 ns wire latency, `from_nanos(1_700)`, is written once in the
+/// product code of `crates/`, `src/` and `examples/`, outside comments: in
+/// `device.rs`, whose `CX5_100G` the MPI world and the kernel TCP baseline
+/// read it from. Reads the sources as text.
 #[test]
 fn the_nic_cost_model_has_one_home() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let device = root.join("crates/rdma-fabric/src/device.rs");
     let mut sources = workspace_sources(root);
     rust_sources(&root.join("examples"), &mut sources);
-    sources.sort();
     let mut found = Vec::new();
-    let mut latency_in_device = 0;
     for path in &sources {
         let text = fs::read_to_string(path).unwrap();
-        let file = path.strip_prefix(root).unwrap().display();
         for (n, line) in product_lines(&text) {
-            if is_comment(line) {
-                continue;
+            if !is_comment(line) && line.contains("from_nanos(1_700)") {
+                found.push((path.clone(), n));
             }
-            let latency = line.contains("from_nanos(1_700)");
-            if *path == device {
-                latency_in_device += usize::from(latency);
-                continue;
-            }
-            let code = line.trim_start();
-            if latency {
-                found.push(format!("{file}:{n}: a second `from_nanos(1_700)`"));
-            }
-            let typed = ["NicProfile", "TcpProfile"]
-                .into_iter()
-                .find(|ty| typed_as(code, ty));
-            let allowed = ["use ", "pub use ", "pub fn profile(&self) -> "];
-            let what = if let Some(ty) = typed {
-                format!("a field or parameter of type `{ty}`")
-            } else if clones_a_profile(code) {
-                "a clone of a profile".to_string()
-            } else if allowed.iter().any(|start| code.starts_with(start)) {
-                continue;
-            } else if names_word(code, "NicProfile {") && !code.contains("->") {
-                "a `NicProfile` literal".to_string()
-            } else if names_word(code, "NicProfile") {
-                "`NicProfile` named outside a `use` and `Fabric::profile`".to_string()
-            } else {
-                continue;
-            };
-            found.push(format!("{file}:{n}: {what}"));
         }
     }
-    assert_eq!(
-        latency_in_device, 1,
-        "device.rs writes `from_nanos(1_700)` once"
-    );
     assert!(
-        found.is_empty(),
-        "the NIC cost model has a second home:\n{}",
-        found.join("\n")
+        found.len() == 1 && found[0].0 == device,
+        "`from_nanos(1_700)` is written once, in device.rs: {found:?}"
     );
 }
 
