@@ -1,28 +1,25 @@
-//! Regenerate the evaluation's figures: `figures [FIG] [--quick | --full]
-//! [SUB_EXPERIMENT]` runs one figure, or all fifteen in order, printing each
-//! figure's tables and `## json` rows. After each figure it checks the
-//! figure's claims on those rows, prints every failed one to stderr and, if
-//! any failed, exits 1. See EXPERIMENTS.md for the index.
+//! Regenerate the evaluation's figures: `figures [FIG] [--quick | --full]`
+//! runs one figure, or all fifteen in order, printing each figure's tables
+//! and `## json` rows. After each figure it checks the figure's rows (no
+//! repeated `series @ x` key) and claims, prints every failure to stderr
+//! and, if any failed, exits 1. See EXPERIMENTS.md for the index.
 
 use rfaas_bench::{parse_args, Measure, Table};
 
 /// Usage banner of the `figures` binary.
 const USAGE: &str = "\
-usage: figures [FIG] [--quick | --full] [SUB_EXPERIMENT]
+usage: figures [FIG] [--quick | --full]
 
   FIG              the one figure to run, e.g. fig8_invocation_latency (see
                    EXPERIMENTS.md); without it all fifteen run, in order
   --quick          reduced problem sizes, fleets and horizons (the CI smoke
                    and the golden report, tests/golden/report)
   --full           paper-sized problems where the figure offers them (fig12's
-                   5 M-option batch, fig13's 64-rank sweep)
-  SUB_EXPERIMENT   one optional positional after FIG selecting a
-                   sub-experiment where the figure offers one (fig11:
-                   thumbnailer, inference; fig13: matmul, jacobi)";
+                   5 M-option batch, fig13's 64-rank sweep)";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (figures, mode) = parse_args(args.iter().cloned()).unwrap_or_else(|msg| {
+    let (figures, size) = parse_args(args.iter().cloned()).unwrap_or_else(|msg| {
         eprintln!("error: {msg}\n{USAGE}");
         std::process::exit(2);
     });
@@ -33,7 +30,7 @@ fn main() {
     let mut failed = false;
     for figure in figures {
         println!("\n## figure {}", figure.name);
-        let tables = (figure.run)(mode);
+        let tables = (figure.run)(size);
         for table in &tables {
             print_table(table);
         }

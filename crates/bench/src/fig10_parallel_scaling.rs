@@ -8,7 +8,7 @@
 //! grows with the worker count because the 100 Gb/s link saturates (~2.7 ms
 //! at 32 workers). [`CLAIMS`] holds the 8-worker hot batches to that shape.
 
-use crate::{rows, Claim, Mode, Row, Table, Testbed};
+use crate::{rows, Claim, Row, Size, Table, Testbed};
 use rdma_fabric::CX5_100G;
 use rfaas::{FunctionHandle, PollingMode};
 use sandbox::SandboxType;
@@ -72,7 +72,7 @@ pub(crate) const CLAIMS: &[Claim] = &[
         }) },
 ];
 
-pub(crate) fn run(_mode: Mode) -> Vec<Table> {
+pub(crate) fn run(_size: Size) -> Vec<Table> {
     let mut rows = Vec::new();
     for payload in [1024usize, 1024 * 1024] {
         measure(PollingMode::Hot, "rFaaS hot", payload, &mut rows);

@@ -8,7 +8,7 @@
 //! its latency model by a `DeterministicRng` seeded with 99, their one source
 //! of variation.
 
-use crate::{Claim, Mode, Row, Table, Testbed};
+use crate::{Claim, Row, Size, Table, Testbed};
 use faas_baselines::aws_lambda;
 use rfaas::PollingMode;
 use sandbox::SandboxType;
@@ -129,19 +129,15 @@ fn measure(cases: &[Case], title: &'static str) -> Table {
 
 pub(crate) const CLAIMS: &[Claim] = &[];
 
-pub(crate) fn run(mode: Mode) -> Vec<Table> {
-    let mut tables = Vec::new();
-    if mode.runs("thumbnailer") {
-        tables.push(measure(
+pub(crate) fn run(_size: Size) -> Vec<Table> {
+    vec![
+        measure(
             &thumbnailer_cases(),
             "Figure 11a: thumbnail generation (paper: rFaaS bare-metal 4.4 ms small / ~115 ms large; AWS 128-3072 ms)",
-        ));
-    }
-    if mode.runs("inference") {
-        tables.push(measure(
+        ),
+        measure(
             &inference_cases(),
             "Figure 11b: ResNet-50 image recognition (paper: rFaaS ~112-118 ms; AWS 512-3072 ms)",
-        ));
-    }
-    tables
+        ),
+    ]
 }

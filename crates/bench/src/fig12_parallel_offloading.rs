@@ -18,7 +18,7 @@
 //! scale linearly in the option count); pass `--full` for the paper-sized
 //! batch.
 
-use crate::{every, Claim, Mode, Row, Table, Testbed};
+use crate::{every, Claim, Row, Size, Table, Testbed};
 use rdma_fabric::CX5_100G;
 use rfaas::{BatchStats, FunctionHandle, RFaasConfig, Session};
 use sim_core::SimDuration;
@@ -73,10 +73,10 @@ pub(crate) const CLAIMS: &[Claim] = &[
         check: |t| every(t, ["posting burst", "unchained estimate"], |_, [burst, u]| burst < u) },
 ];
 
-pub(crate) fn run(mode: Mode) -> Vec<Table> {
-    let total_options: usize = if mode.full() {
+pub(crate) fn run(size: Size) -> Vec<Table> {
+    let total_options: usize = if size.full() {
         5_000_000
-    } else if mode.quick() {
+    } else if size.quick() {
         200_000
     } else {
         625_000

@@ -4,7 +4,9 @@
 //!
 //! Every MPI rank leases one bare-metal rFaaS worker and offloads half of its
 //! work; the plotted metric is the median per-rank kernel time (a) or the
-//! total solve time (b), for MPI-only versus MPI + rFaaS.
+//! total solve time (b), for MPI-only versus MPI + rFaaS. Each series
+//! starts with its kernel (`matmul …`, `Jacobi …`), so the two tables share
+//! no `series @ x` key at any size.
 //!
 //! The ranks run in lockstep: every rank finishes a stage (lease, submit,
 //! local half, wait) before any rank starts the next, so the shared
@@ -14,7 +16,7 @@
 //! runs on the rank's clock, and a barrier after the leases aligns every
 //! rank, so each rank measures its solve from the same instant.
 
-use crate::{rows, Claim, Mode, Row, Table, Testbed};
+use crate::{rows, Claim, Row, Size, Table, Testbed};
 use rfaas::{RFaasConfig, Session};
 use sim_core::median;
 use workloads::{MpiWorld, Rank};
@@ -23,10 +25,10 @@ use workloads::jacobi::{
 };
 use workloads::matmul::{compute_cost, encode_matmul_request, random_matrix};
 
-fn rank_counts(mode: Mode) -> Vec<usize> {
-    if mode.quick() {
+fn rank_counts(size: Size) -> Vec<usize> {
+    if size.quick() {
         vec![8]
-    } else if mode.full() {
+    } else if size.full() {
         vec![16, 32, 64]
     } else {
         vec![16, 32]
@@ -44,19 +46,19 @@ fn rank_session(testbed: &Testbed, rank: &Rank) -> Session {
         .expect("rank allocation")
 }
 
-fn matmul_experiment(mode: Mode) -> Table {
-    let sizes: Vec<usize> = if mode.quick() {
+fn matmul_experiment(size: Size) -> Table {
+    let sizes: Vec<usize> = if size.quick() {
         vec![400, 800]
     } else {
         vec![400, 500, 600, 700, 800]
     };
     let mut rows = Vec::new();
-    for &ranks in &rank_counts(mode) {
+    for &ranks in &rank_counts(size) {
         for &n in &sizes {
             // MPI only: every rank multiplies its full n x n matrices.
             let mpi = compute_cost(n, n).as_secs_f64();
             rows.push(Row::value(
-                format!("MPI ({ranks} processes)"),
+                format!("matmul MPI ({ranks} processes)"),
                 n as f64,
                 mpi,
                 "s",
@@ -94,7 +96,7 @@ fn matmul_experiment(mode: Mode) -> Table {
                 })
                 .collect();
             rows.push(Row::value(
-                format!("MPI + rFaaS ({ranks} processes)"),
+                format!("matmul MPI + rFaaS ({ranks} processes)"),
                 n as f64,
                 median(&elapsed),
                 "s",
@@ -107,20 +109,20 @@ fn matmul_experiment(mode: Mode) -> Table {
     }
 }
 
-fn jacobi_experiment(mode: Mode) -> Table {
-    let sizes: Vec<usize> = if mode.quick() {
+fn jacobi_experiment(size: Size) -> Table {
+    let sizes: Vec<usize> = if size.quick() {
         vec![500, 1500]
     } else {
         vec![500, 1000, 1500, 2000, 2500]
     };
-    let iterations = if mode.quick() { 30 } else { 100 };
+    let iterations = if size.quick() { 30 } else { 100 };
     let mut rows = Vec::new();
-    for &ranks in &rank_counts(mode) {
+    for &ranks in &rank_counts(size) {
         for &n in &sizes {
             // MPI only: every rank runs the full solver locally.
             let mpi = (sweep_cost(n, n) * iterations as u64).as_secs_f64();
             rows.push(Row::value(
-                format!("MPI ({ranks} processes)"),
+                format!("Jacobi MPI ({ranks} processes)"),
                 n as f64,
                 mpi,
                 "s",
@@ -177,7 +179,7 @@ fn jacobi_experiment(mode: Mode) -> Table {
                 rank.clock().now().saturating_since(starts[r]).as_secs_f64()
             });
             rows.push(Row::value(
-                format!("MPI + rFaaS ({ranks} processes)"),
+                format!("Jacobi MPI + rFaaS ({ranks} processes)"),
                 n as f64,
                 median(&elapsed),
                 "s",
@@ -196,23 +198,20 @@ pub(crate) const CLAIMS: &[Claim] = &[
         check: offloading_beats_mpi },
 ];
 
-/// Whether every `MPI + rFaaS (p processes)` row of each table is faster
-/// than the `MPI (p processes)` row of the same table and size (both tables
-/// name their series alike); a failure names every pair that is not.
+/// Whether every `<kernel> MPI + rFaaS (p processes)` row is faster than
+/// the `<kernel> MPI (p processes)` row at the same size; a failure names
+/// every pair that is not.
 fn offloading_beats_mpi(tables: &[Table]) -> Result<(), String> {
     let (mut pairs, mut slower) = (0, Vec::new());
-    for table in tables.chunks(1) {
-        let figure = table[0].title.split(':').next().unwrap_or_default();
-        for hybrid in &table[0].rows {
-            let Some(processes) = hybrid.series.strip_prefix("MPI + rFaaS ") else {
-                continue;
-            };
-            pairs += 1;
-            let mpi = format!("MPI {processes}");
-            let pair = [(hybrid.series.as_str(), hybrid.x), (mpi.as_str(), hybrid.x)];
-            if let Err(numbers) = rows(table, pair, |[offloaded, mpi]| offloaded < mpi) {
-                slower.push(format!("{figure}: {numbers}"));
-            }
+    for hybrid in tables.iter().flat_map(|table| &table.rows) {
+        let Some((kernel, processes)) = hybrid.series.split_once(" MPI + rFaaS ") else {
+            continue;
+        };
+        pairs += 1;
+        let mpi = format!("{kernel} MPI {processes}");
+        let pair = [(hybrid.series.as_str(), hybrid.x), (mpi.as_str(), hybrid.x)];
+        if let Err(numbers) = rows(tables, pair, |[offloaded, mpi]| offloaded < mpi) {
+            slower.push(numbers);
         }
     }
     match (pairs, slower.is_empty()) {
@@ -222,13 +221,6 @@ fn offloading_beats_mpi(tables: &[Table]) -> Result<(), String> {
     }
 }
 
-pub(crate) fn run(mode: Mode) -> Vec<Table> {
-    let mut tables = Vec::new();
-    if mode.runs("matmul") {
-        tables.push(matmul_experiment(mode));
-    }
-    if mode.runs("jacobi") {
-        tables.push(jacobi_experiment(mode));
-    }
-    tables
+pub(crate) fn run(size: Size) -> Vec<Table> {
+    vec![matmul_experiment(size), jacobi_experiment(size)]
 }

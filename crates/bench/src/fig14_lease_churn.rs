@@ -30,7 +30,7 @@
 
 use std::sync::Arc;
 
-use crate::{evaluation_package, every, Claim, Mode, Row, Table, Testbed, PACKAGE};
+use crate::{evaluation_package, every, Claim, Row, Size, Table, Testbed, PACKAGE};
 use cluster_sim::{BatchScheduler, NodeResources};
 use rdma_fabric::Fabric;
 use rfaas::{LifecycleDriver, RFaasConfig, ResourceManager, Session, SpotExecutor};
@@ -93,8 +93,8 @@ pub(crate) const CLAIMS: &[Claim] = &[
             |_, [renewals, expired, recoveries]| renewals > 0.0 && expired == 0.0 && recoveries == 0.0) },
 ];
 
-pub(crate) fn run(mode: Mode) -> Vec<Table> {
-    let quick = mode.quick();
+pub(crate) fn run(size: Size) -> Vec<Table> {
+    let quick = size.quick();
     let node_count = if quick { 4 } else { 8 };
     let horizon_secs = if quick { 120u64 } else { 600 };
     let churn_period = 25u64; // one reclamation every 25 s, round-robin

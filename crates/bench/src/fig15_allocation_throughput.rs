@@ -31,7 +31,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-use crate::{evaluation_package, every, p99_at, rows, xs, Claim, Mode, Row, Table, PACKAGE};
+use crate::{evaluation_package, every, p99_at, rows, xs, Claim, Row, Size, Table, PACKAGE};
 use cluster_sim::{NodeResources, TenantFleet, TenantRequest, WorkloadKind};
 use rdma_fabric::Fabric;
 use rfaas::{
@@ -325,8 +325,8 @@ pub(crate) const CLAIMS: &[Claim] = &[
             .and(every(t, ["fleet billing total"], |_, [usd]| usd > 0.0)) },
 ];
 
-pub(crate) fn run(mode: Mode) -> Vec<Table> {
-    let quick = mode.quick();
+pub(crate) fn run(size: Size) -> Vec<Table> {
+    let quick = size.quick();
     // Storm shape: `tenants` tenants whose combined episode rate saturates a
     // multi-shard plane (single-shard service rate is 1/allocation cost ≈
     // 1.4 k/s), so queueing — and its relief by sharding — is visible.

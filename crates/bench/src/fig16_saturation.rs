@@ -27,7 +27,7 @@
 //! least 5x the depth-1 invocation rate. The golden report pins every
 //! `--quick` row exactly.
 
-use crate::{evaluation_package, at, every, rows, xs, Claim, Mode, Row, Table, PACKAGE};
+use crate::{evaluation_package, at, every, rows, xs, Claim, Row, Size, Table, PACKAGE};
 use cluster_sim::NodeResources;
 use rdma_fabric::Fabric;
 use rfaas::{PollingMode, RFaasConfig, Reactor, ResourceManager, Session, SpotExecutor};
@@ -174,8 +174,8 @@ pub(crate) const CLAIMS: &[Claim] = &[
 
 const THROUGHPUT: &str = "throughput";
 
-pub(crate) fn run(mode: Mode) -> Vec<Table> {
-    let quick = mode.quick();
+pub(crate) fn run(size: Size) -> Vec<Table> {
+    let quick = size.quick();
     let (depths, rounds): (&[usize], usize) = if quick {
         (&[1, 16, 256, 1024], 3)
     } else {

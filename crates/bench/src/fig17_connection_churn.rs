@@ -25,7 +25,7 @@
 
 use std::sync::Arc;
 
-use crate::{evaluation_package, every, rows, Claim, Mode, Row, Table, PACKAGE};
+use crate::{evaluation_package, every, rows, Claim, Row, Size, Table, PACKAGE};
 use cluster_sim::{episode_ordinals, NodeResources, TenantFleet};
 use rdma_fabric::{ConnectionPool, Fabric};
 use rfaas::{ManagerGroup, RFaasConfig, Session, SpotExecutor};
@@ -74,8 +74,8 @@ pub(crate) const CLAIMS: &[Claim] = &[
         check: |t| rows(t, [(SRQ, 16.0), (SRQ, 1.0)], |[sixteen, one]| sixteen <= 4.0 * one) },
 ];
 
-pub(crate) fn run(mode: Mode) -> Vec<Table> {
-    let quick = mode.quick();
+pub(crate) fn run(size: Size) -> Vec<Table> {
+    let quick = size.quick();
     let tenants = if quick { 10_000 } else { 12_000 };
     let episode_cap = if quick { 400 } else { 2_000 };
     let shards = 8usize;

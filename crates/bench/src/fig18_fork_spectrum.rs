@@ -19,7 +19,7 @@
 //! [`CLAIMS`] holds the fork tier to its headline: a forked allocation lands
 //! under 100 µs and at least 100× below the cold spawn.
 
-use crate::{rows, xs, Claim, Mode, Row, Table, Testbed};
+use crate::{rows, xs, Claim, Row, Size, Table, Testbed};
 use rfaas::{AllocationPolicy, PollingMode, RFaasConfig, Session};
 use sim_core::SimDuration;
 
@@ -64,7 +64,7 @@ const FORK: &str = "remote fork";
 const POOL: &str = "warm-pool hit";
 const FORKED: &str = "forked invocation";
 
-pub(crate) fn run(_mode: Mode) -> Vec<Table> {
+pub(crate) fn run(_size: Size) -> Vec<Table> {
     let testbed = Testbed::with_config(1, pool_config());
 
     // Tier 1: a full cold spawn — and, once closed, the warm parent every

@@ -31,7 +31,7 @@
 //! least 5x at the megabyte sizes — the headline that makes stateful
 //! functions worth a second data plane.
 
-use crate::{every, Claim, Mode, Row, Table, Testbed, DATASET_KEY};
+use crate::{every, Claim, Row, Size, Table, Testbed, DATASET_KEY};
 use rfaas::{PollingMode, StateKey, StatePlane};
 use sandbox::SandboxType;
 use workloads::AGGREGATE_KEY;
@@ -59,7 +59,7 @@ pub(crate) const CLAIMS: &[Claim] = &[
         check: |t| every(t, [FIRST, COPY], |x, [first, copy]| x < MIB || first < copy) },
 ];
 
-pub(crate) fn run(_mode: Mode) -> Vec<Table> {
+pub(crate) fn run(_size: Size) -> Vec<Table> {
     let testbed = Testbed::new(1);
     let plane = StatePlane::new(&testbed.fabric, "state-0", 64 * 1024 * 1024);
     let session = testbed

@@ -11,7 +11,7 @@
 //! bandwidth, and the 1 kB one beats each baseline's deterministic
 //! `invoke_rtt` by the paper's orders of magnitude.
 
-use crate::{rows, Claim, Mode, Row, Table, Testbed};
+use crate::{rows, Claim, Row, Size, Table, Testbed};
 use faas_baselines::{aws_lambda, nightcore, openwhisk, BaselinePlatform};
 use rfaas::PollingMode;
 use sandbox::SandboxType;
@@ -94,7 +94,7 @@ pub(crate) const CLAIMS: &[Claim] = &[
         check: |t| speedup_in(t, nightcore(), 15.0, 80.0) },
 ];
 
-pub(crate) fn run(_mode: Mode) -> Vec<Table> {
+pub(crate) fn run(_size: Size) -> Vec<Table> {
     let mut rows = Vec::new();
     measure_rfaas(PollingMode::Hot, "rFaaS hot", &mut rows);
     measure_rfaas(PollingMode::Warm, "rFaaS warm", &mut rows);

@@ -2,13 +2,13 @@
 //! sampled at one-minute granularity (Piz Daint in the paper; a synthetic
 //! batch workload with matching statistics here).
 
-use crate::{Claim, Mode, Row, Table};
+use crate::{Claim, Row, Size, Table};
 use sim_core::SimDuration;
 
 pub(crate) const CLAIMS: &[Claim] = &[];
 
-pub(crate) fn run(mode: Mode) -> Vec<Table> {
-    let (days, nodes) = if mode.quick() { (1, 16) } else { (7, 64) };
+pub(crate) fn run(size: Size) -> Vec<Table> {
+    let (days, nodes) = if size.quick() { (1, 16) } else { (7, 64) };
     let trace = cluster_sim::UtilizationTrace::synthesize(
         2021,
         nodes,

@@ -15,7 +15,7 @@
 //! longer than `HOT_POLL_TIMEOUT` the worker parks itself, the polling bill
 //! is capped, and the next invocation pays warm latency.
 
-use crate::{at, every, Claim, Mode, Row, Table, Testbed};
+use crate::{at, every, Claim, Row, Size, Table, Testbed};
 use rfaas::{PollingMode, HOT_POLL_TIMEOUT};
 use sandbox::SandboxType;
 use sim_core::SimDuration;
@@ -99,8 +99,8 @@ pub(crate) const CLAIMS: &[Claim] = &[
         }) },
 ];
 
-pub(crate) fn run(mode: Mode) -> Vec<Table> {
-    let sizes = payload_sizes(mode.quick());
+pub(crate) fn run(size: Size) -> Vec<Table> {
+    let sizes = payload_sizes(size.quick());
     let hot = leased_series(PollingMode::Hot, &sizes);
     let warm = leased_series(PollingMode::Warm, &sizes);
     let cold = cold_series(&sizes);

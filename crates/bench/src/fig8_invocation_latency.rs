@@ -5,7 +5,7 @@
 //! inlining anomaly at 128 B are differences of these rows, and [`CLAIMS`]
 //! holds the 8 B rows to the paper's bands.
 
-use crate::{rows, Claim, Mode, Row, Table, Testbed};
+use crate::{rows, Claim, Row, Size, Table, Testbed};
 use faas_baselines::KERNEL_100G;
 use rdma_fabric::CX5_100G;
 use rfaas::PollingMode;
@@ -45,7 +45,7 @@ pub(crate) const CLAIMS: &[Claim] = &[
         }) },
 ];
 
-pub(crate) fn run(_mode: Mode) -> Vec<Table> {
+pub(crate) fn run(_size: Size) -> Vec<Table> {
     let mut rows = Vec::new();
 
     // Raw transport baselines.

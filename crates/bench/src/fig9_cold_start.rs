@@ -4,7 +4,7 @@
 //! spawn worker (sandbox + executor + threads), submit code, and the first
 //! invocation itself. Each case is one cold start on a fresh testbed.
 
-use crate::{Claim, Mode, Row, Table, Testbed};
+use crate::{Claim, Row, Size, Table, Testbed};
 use rfaas::PollingMode;
 use sandbox::SandboxType;
 
@@ -78,7 +78,7 @@ fn run_case(
 
 pub(crate) const CLAIMS: &[Claim] = &[];
 
-pub(crate) fn run(_mode: Mode) -> Vec<Table> {
+pub(crate) fn run(_size: Size) -> Vec<Table> {
     let mut breakdown = Vec::new();
     let mut plane = Vec::new();
     for sandbox in [SandboxType::BareMetal, SandboxType::Docker] {

@@ -9,7 +9,8 @@
 //! [`FIGURES`] names every figure's `run`, which returns [`Table`]s of
 //! [`Row`]s, and its [`Claim`]s over those rows; the `figures` binary prints
 //! the tables and the golden report test (`tests/report_golden.rs`) compares
-//! them, and both check the claims after.
+//! them, and both check after, with [`Figure::failed_claims`], that no
+//! `series @ x` key repeats and every claim holds.
 
 use std::sync::Arc;
 
@@ -283,28 +284,14 @@ pub struct Claim {
 }
 
 /// Row `series @ x` of `tables`. An absent row is an error naming it, so a
-/// claim never passes on a row that is not there, and so is a row in more
-/// than one table, naming the tables, so a claim never reads another
-/// table's row.
+/// claim never passes on a row that is not there. A key names one row of a
+/// figure: [`Figure::failed_claims`] fails any key that repeats.
 fn row<'a>(tables: &'a [Table], series: &str, x: f64) -> Result<&'a Row, String> {
-    let found: Vec<(&str, &Row)> = tables
+    tables
         .iter()
-        .filter_map(|table| {
-            let row = table
-                .rows
-                .iter()
-                .find(|row| row.series == series && row.x == x)?;
-            Some((table.title, row))
-        })
-        .collect();
-    match found[..] {
-        [] => Err(format!("{series} @ {x}: no such row")),
-        [(_, row)] => Ok(row),
-        _ => {
-            let titles: Vec<&str> = found.iter().map(|(title, _)| *title).collect();
-            Err(format!("{series} @ {x}: in tables {}", titles.join(", ")))
-        }
-    }
+        .flat_map(|table| &table.rows)
+        .find(|row| row.series == series && row.x == x)
+        .ok_or_else(|| format!("{series} @ {x}: no such row"))
 }
 
 /// The value of row `series @ x`, or its median if it is a distribution.
@@ -403,74 +390,77 @@ pub enum Size {
     Full,
 }
 
-/// What a figure is asked to run: its size and, where the figure offers
-/// sub-experiments, the one selected (`None` runs them all).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Mode {
-    /// How large a run.
-    pub size: Size,
-    /// The selected sub-experiment, one of [`Figure::subs`].
-    pub sub: Option<&'static str>,
-}
-
-impl Mode {
-    fn quick(&self) -> bool {
-        self.size == Size::Quick
+impl Size {
+    fn quick(self) -> bool {
+        self == Size::Quick
     }
 
-    fn full(&self) -> bool {
-        self.size == Size::Full
-    }
-
-    /// Whether the run includes sub-experiment `sub`.
-    fn runs(&self, sub: &str) -> bool {
-        self.sub.is_none_or(|selected| selected == sub)
+    fn full(self) -> bool {
+        self == Size::Full
     }
 }
 
-/// One figure of the evaluation: its name, the sub-experiments it offers, the
-/// function that runs it and its claims. `run` prints nothing and checks
-/// nothing: it returns the figure's tables, which the `figures` binary prints
-/// and the golden report compares, and every number the run measures is a
-/// row of one of them. [`Figure::claims`] are checked on those rows after.
+/// One figure of the evaluation: its name, the function that runs it and its
+/// claims. `run` prints nothing and checks nothing: it returns the figure's
+/// tables, which the `figures` binary prints and the golden report compares,
+/// and every number the run measures is a row of one of them.
+/// [`Figure::failed_claims`] checks those rows after.
 pub struct Figure {
     /// The figure's name, as `figures` takes it and EXPERIMENTS.md lists it.
     pub name: &'static str,
-    /// The sub-experiments [`Mode::sub`] may select; empty if none.
-    pub subs: &'static [&'static str],
     /// Run the figure.
-    pub run: fn(Mode) -> Vec<Table>,
+    pub run: fn(Size) -> Vec<Table>,
     /// What the figure claims about the rows `run` returns.
     pub claims: &'static [Claim],
 }
 
 impl Figure {
-    /// One line per claim that `tables` break, naming the figure, the claim,
-    /// its source and what broke it.
+    /// One line per key `series @ x` that names more than one row of
+    /// `tables`, in one table or across tables, naming the figure, the key
+    /// and the title of each table holding it; then one line per claim that
+    /// `tables` break, naming the figure, the claim, its source and what
+    /// broke it.
     pub fn failed_claims(&self, tables: &[Table]) -> Vec<String> {
-        self.claims
-            .iter()
-            .filter_map(|claim| {
-                let detail = (claim.check)(tables).err()?;
-                Some(format!(
-                    "{} / claim '{}' ({}): {detail}",
-                    self.name, claim.name, claim.source
-                ))
-            })
-            .collect()
+        let mut keys: Vec<(&str, f64, Vec<&str>)> = Vec::new();
+        for table in tables {
+            for row in &table.rows {
+                match keys
+                    .iter_mut()
+                    .find(|(series, x, _)| *series == row.series && *x == row.x)
+                {
+                    Some((_, _, titles)) => titles.push(table.title),
+                    None => keys.push((&row.series, row.x, vec![table.title])),
+                }
+            }
+        }
+        let repeated = keys.into_iter().filter(|(_, _, titles)| titles.len() > 1);
+        let repeated = repeated.map(|(series, x, titles)| {
+            format!(
+                "{} / row '{series} @ {x}' repeats, in tables '{}'",
+                self.name,
+                titles.join("', '")
+            )
+        });
+        let failed = self.claims.iter().filter_map(|claim| {
+            let detail = (claim.check)(tables).err()?;
+            Some(format!(
+                "{} / claim '{}' ({}): {detail}",
+                self.name, claim.name, claim.source
+            ))
+        });
+        repeated.chain(failed).collect()
     }
 }
 
 /// Declare each figure's module and list it in [`FIGURES`], named after the
-/// module, with the sub-experiments its `run` offers and its `CLAIMS`.
+/// module, with its `run` and its `CLAIMS`.
 macro_rules! figures {
-    ($($module:ident $(: $($sub:literal),+)?;)*) => {
+    ($($module:ident;)*) => {
         $(mod $module;)*
 
         /// Every figure, in the order `figures` runs them all.
         pub const FIGURES: [Figure; 15] = [$(Figure {
             name: stringify!($module),
-            subs: &[$($($sub),+)?],
             run: $module::run,
             claims: $module::CLAIMS,
         }),*];
@@ -484,9 +474,9 @@ figures! {
     fig8_invocation_latency;
     fig9_cold_start;
     fig10_parallel_scaling;
-    fig11_serverless_functions: "thumbnailer", "inference";
+    fig11_serverless_functions;
     fig12_parallel_offloading;
-    fig13_hpc_applications: "matmul", "jacobi";
+    fig13_hpc_applications;
     fig14_lease_churn;
     fig15_allocation_throughput;
     fig16_saturation;
@@ -496,27 +486,25 @@ figures! {
 }
 
 /// Parse the arguments of `figures` (binary name stripped) into the figures
-/// to run and their mode. Rejects any unrecognised `-`-prefixed flag,
-/// `--quick` with `--full`, an unknown figure, a sub-experiment the figure
-/// does not offer and any third positional, so a typoed `--qiuck` fails
-/// loudly instead of silently selecting the full-length run. `--help` and
-/// `-h` pass; the caller prints its usage banner for them.
+/// to run and their size. Rejects any unrecognised `-`-prefixed flag,
+/// `--quick` with `--full`, an unknown figure and any second positional, so
+/// a typoed `--qiuck` fails loudly instead of silently selecting the
+/// full-length run. `--help` and `-h` pass; the caller prints its usage
+/// banner for them.
 pub fn parse_args(
     args: impl IntoIterator<Item = String>,
-) -> Result<(Vec<&'static Figure>, Mode), String> {
+) -> Result<(Vec<&'static Figure>, Size), String> {
     let mut size = Size::Standard;
-    let mut positionals = Vec::new();
+    let mut name = None;
     for arg in args {
         let picked = match arg.as_str() {
             "--quick" => Size::Quick,
             "--full" => Size::Full,
             "--help" | "-h" => continue,
             flag if flag.starts_with('-') => return Err(format!("unrecognised flag '{flag}'")),
-            _ if positionals.len() == 2 => {
-                return Err(format!("unexpected extra argument '{arg}'"))
-            }
+            _ if name.is_some() => return Err(format!("unexpected extra argument '{arg}'")),
             _ => {
-                positionals.push(arg);
+                name = Some(arg);
                 continue;
             }
         };
@@ -525,27 +513,14 @@ pub fn parse_args(
         }
         size = picked;
     }
-    let mut positionals = positionals.into_iter();
-    let Some(name) = positionals.next() else {
-        return Ok((FIGURES.iter().collect(), Mode { size, sub: None }));
+    let Some(name) = name else {
+        return Ok((FIGURES.iter().collect(), size));
     };
     let figure = FIGURES.iter().find(|f| f.name == name).ok_or_else(|| {
         let names: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
         format!("unknown figure '{name}' (offered: {})", names.join(", "))
     })?;
-    let sub = match positionals.next() {
-        None => None,
-        Some(sub) if figure.subs.is_empty() => {
-            return Err(format!("{name} offers no sub-experiment, got '{sub}'"))
-        }
-        Some(sub) => Some(*figure.subs.iter().find(|s| **s == sub).ok_or_else(|| {
-            format!(
-                "unknown sub-experiment '{sub}' (offered: {})",
-                figure.subs.join(", ")
-            )
-        })?),
-    };
-    Ok((vec![figure], Mode { size, sub }))
+    Ok((vec![figure], size))
 }
 
 #[cfg(test)]
@@ -583,55 +558,28 @@ mod tests {
         }
     }
 
-    /// The names and mode `parse_args` selects for `args`.
-    fn parse(args: &[&str]) -> Result<(Vec<&'static str>, Mode), String> {
-        let (figures, mode) = parse_args(args.iter().map(|s| s.to_string()))?;
-        Ok((figures.iter().map(|f| f.name).collect(), mode))
+    /// The names and size `parse_args` selects for `args`.
+    fn parse(args: &[&str]) -> Result<(Vec<&'static str>, Size), String> {
+        let (figures, size) = parse_args(args.iter().map(|s| s.to_string()))?;
+        Ok((figures.iter().map(|f| f.name).collect(), size))
     }
 
     #[test]
     fn known_cli_shapes_pass_validation() {
         let all: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
-        let mode = |size, sub| Mode { size, sub };
-        assert_eq!(parse(&[]), Ok((all.clone(), mode(Size::Standard, None))));
-        assert_eq!(
-            parse(&["--quick"]),
-            Ok((all.clone(), mode(Size::Quick, None)))
-        );
-        assert_eq!(
-            parse(&["--full"]),
-            Ok((all.clone(), mode(Size::Full, None)))
-        );
-        assert_eq!(
-            parse(&["--help"]),
-            Ok((all.clone(), mode(Size::Standard, None)))
-        );
+        assert_eq!(parse(&[]), Ok((all.clone(), Size::Standard)));
+        assert_eq!(parse(&["--quick"]), Ok((all.clone(), Size::Quick)));
+        assert_eq!(parse(&["--full"]), Ok((all.clone(), Size::Full)));
+        assert_eq!(parse(&["--help"]), Ok((all.clone(), Size::Standard)));
         assert!(parse(&["-h"]).is_ok());
         assert!(parse(&["--quick", "--quick"]).is_ok());
         assert_eq!(
             parse(&["fig8_invocation_latency", "--quick"]),
-            Ok((vec!["fig8_invocation_latency"], mode(Size::Quick, None)))
+            Ok((vec!["fig8_invocation_latency"], Size::Quick))
         );
         assert_eq!(
-            parse(&["fig11_serverless_functions", "thumbnailer"]),
-            Ok((
-                vec!["fig11_serverless_functions"],
-                mode(Size::Standard, Some("thumbnailer"))
-            ))
-        );
-        assert_eq!(
-            parse(&["--quick", "fig11_serverless_functions", "inference"]),
-            Ok((
-                vec!["fig11_serverless_functions"],
-                mode(Size::Quick, Some("inference"))
-            ))
-        );
-        assert_eq!(
-            parse(&["--full", "fig13_hpc_applications", "matmul"]),
-            Ok((
-                vec!["fig13_hpc_applications"],
-                mode(Size::Full, Some("matmul"))
-            ))
+            parse(&["--full", "fig13_hpc_applications"]),
+            Ok((vec!["fig13_hpc_applications"], Size::Full))
         );
         // The table names fifteen distinct figures.
         let distinct: std::collections::BTreeSet<&str> = all.iter().copied().collect();
@@ -646,7 +594,9 @@ mod tests {
         assert!(err(&["--quick", "--verbose"]).contains("--verbose"));
         assert!(err(&["-q"]).contains("-q"));
         assert!(err(&["--quick", "--full"]).contains("exclude"));
-        assert!(err(&["fig13_hpc_applications", "jacobi", "extra"]).contains("extra"));
+        // A figure runs whole: a second positional is an extra argument.
+        let extra = err(&["fig13_hpc_applications", "jacobi"]);
+        assert_eq!(extra, "unexpected extra argument 'jacobi'");
         // An unknown figure names all fifteen.
         let unknown = err(&["--quick", "fig8_invocation_latncy"]);
         assert!(unknown.contains("fig8_invocation_latncy"));
@@ -654,12 +604,6 @@ mod tests {
             FIGURES.iter().all(|f| unknown.contains(f.name)),
             "{unknown}"
         );
-        // A mistyped sub-experiment names what the figure offers.
-        let unknown = err(&["--quick", "fig11_serverless_functions", "thumbnialer"]);
-        assert!(unknown.contains("thumbnialer") && unknown.contains("thumbnailer, inference"));
-        // A sub-experiment on a figure that offers none.
-        let none = err(&["fig8_invocation_latency", "thumbnailer"]);
-        assert!(none.contains("offers no sub-experiment") && none.contains("thumbnailer"));
     }
 
     /// Byte-exact pin of the `## json` row format, the line format of the
@@ -711,7 +655,6 @@ mod tests {
     fn a_claim_on_an_absent_row_fails_naming_it() {
         let figure = Figure {
             name: "fig",
-            subs: &[],
             run: |_| Vec::new(),
             claims: &[Claim {
                 name: "hot under 5 us",
@@ -737,22 +680,6 @@ mod tests {
         );
         let warm = every(&tables(8.0, 3.9), ["rFaaS warm"], |_, _| true);
         assert_eq!(warm, Err("rFaaS warm: no row".into()));
-    }
-
-    /// A row key shared by two tables is an error naming both, rather than
-    /// the first table's row.
-    #[test]
-    fn a_row_in_two_tables_is_an_error_naming_them() {
-        let table = |title, hot| Table {
-            title,
-            rows: vec![Row::value("MPI (8 processes)", 500.0, hot, "s")],
-        };
-        let tables = [table("matmul", 1.5), table("jacobi", 2.5)];
-        assert_eq!(
-            at(&tables, "MPI (8 processes)", 500.0),
-            Err("MPI (8 processes) @ 500: in tables matmul, jacobi".into())
-        );
-        assert_eq!(at(&tables[1..], "MPI (8 processes)", 500.0), Ok(2.5));
     }
 
     /// A distribution needs samples that differ: one sample, or several that

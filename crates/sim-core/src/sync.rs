@@ -476,7 +476,13 @@ mod tests {
                 max_held = Some(max_held.map_or(next, |m| m.max(next)));
             }
             if let Some(m) = max_held {
-                let bad = if m == u16::MAX { offense } else { offense % (m + 1) }; // 0..=m
+                // Half the cases offend at the held maximum itself (the
+                // equal-rank case), the rest anywhere in 0..=m.
+                let bad = if offense.is_multiple_of(2) {
+                    m
+                } else {
+                    (u32::from(offense) % (u32::from(m) + 1)) as u16
+                };
                 let err = ck.acquire(LockRank::new(bad, "prop.bad"));
                 proptest::prop_assert!(err.is_err());
             }
@@ -493,21 +499,28 @@ mod tests {
             let mutexes: Vec<OrderedMutex<u32>> =
                 ranks.iter().map(|&r| OrderedMutex::new(r, 0)).collect();
             let mut ck = RankChecker::new();
-            let mut held: Vec<(u64, OrderedMutexGuard<'_, u32>)> = Vec::new();
+            let mut held: Vec<(u64, usize, OrderedMutexGuard<'_, u32>)> = Vec::new();
             for op in ops {
                 if op % 3 == 0 && !held.is_empty() {
-                    let idx = (op as usize / 3) % held.len();
-                    let (tok, guard) = held.remove(idx);
+                    let at = (op as usize / 3) % held.len();
+                    let (tok, _, guard) = held.remove(at);
                     ck.release(tok);
                     drop(guard);
                 } else {
                     let idx = (op as usize) % ranks.len();
                     match ck.acquire(ranks[idx]) {
                         Ok(tok) => {
-                            // Checker accepted: the real mutex must too
-                            // (a panic here fails the test).
+                            // Checker accepted: the mutex must be free (a
+                            // second lock on this thread would hang), and
+                            // the real mutex must accept too (a panic here
+                            // fails the test).
+                            proptest::prop_assert!(
+                                held.iter().all(|&(_, i, _)| i != idx),
+                                "checker accepted {:?}, which is already held",
+                                ranks[idx]
+                            );
                             let guard = mutexes[idx].lock();
-                            held.push((tok, guard));
+                            held.push((tok, idx, guard));
                         }
                         Err(_) => {
                             // Checker rejected: skip (driving the real

@@ -4,7 +4,7 @@
 //! checked through the same predicates as the golden report, and a claim
 //! renamed or dropped from its figure fails here by name.
 
-use rfaas_bench::{Figure, Mode, Size, Table, FIGURES};
+use rfaas_bench::{Figure, Size, Table, FIGURES};
 
 /// Figure `name`'s `--quick` tables.
 pub fn quick_tables(name: &str) -> (&'static Figure, Vec<Table>) {
@@ -12,10 +12,7 @@ pub fn quick_tables(name: &str) -> (&'static Figure, Vec<Table>) {
         .iter()
         .find(|f| f.name == name)
         .unwrap_or_else(|| panic!("no figure named {name}"));
-    let tables = (figure.run)(Mode {
-        size: Size::Quick,
-        sub: None,
-    });
+    let tables = (figure.run)(Size::Quick);
     (figure, tables)
 }
 

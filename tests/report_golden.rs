@@ -5,16 +5,17 @@
 //! The simulation runs on virtual time, so a row moves only when the model
 //! or the code behind it does, and then the test names each moved, added or
 //! missing row by `series @ x`, with its old and new fields (the diff of
-//! `tests/golden/mod.rs`). It then checks the figure's claims
-//! (`Figure::claims`) on the same rows, so a failed claim is named after the
-//! rows that moved. After an intended move, rewrite the files with
+//! `tests/golden/mod.rs`). It then checks the same rows with
+//! `Figure::failed_claims`: no `series @ x` key repeats, and every claim
+//! (`Figure::claims`) holds, so a failed claim is named after the rows that
+//! moved. After an intended move, rewrite the files with
 //! `UPDATE_GOLDEN=1 cargo test --test report_golden` and commit them. One
 //! test per figure, so libtest runs the figures in parallel and each rewrite
 //! touches its own file.
 
 mod golden;
 
-use rfaas_bench::{at, Claim, Figure, Measure, Mode, Row, Size, Table, FIGURES};
+use rfaas_bench::{at, Claim, Figure, Measure, Row, Size, Table, FIGURES};
 
 /// Each figure's rows as the golden file holds them: one JSON line per row.
 fn report(tables: &[Table]) -> String {
@@ -26,7 +27,7 @@ fn report(tables: &[Table]) -> String {
 }
 
 /// Every moved, missing or added row of `tables` against `expected`, then
-/// every claim of `figure` that the rows break.
+/// every repeated key and every claim of `figure` that the rows break.
 fn failures(figure: &Figure, expected: &str, tables: &[Table]) -> Vec<String> {
     let mut lines = golden::row_diff(figure.name, expected, &report(tables));
     lines.extend(figure.failed_claims(tables));
@@ -40,10 +41,7 @@ fn check(figure: &str) {
         .iter()
         .find(|f| f.name == figure)
         .unwrap_or_else(|| panic!("no figure named {figure}"));
-    let tables = (figure.run)(Mode {
-        size: Size::Quick,
-        sub: None,
-    });
+    let tables = (figure.run)(Size::Quick);
     let path = golden::dir("report").join(format!("{}.jsonl", figure.name));
     let expected = golden::expected(&path, &report(&tables));
     golden::assert_none(&path, &failures(figure, &expected, &tables));
@@ -127,11 +125,52 @@ fn a_moved_row_is_named() {
     );
 }
 
+/// A `series @ x` key that names two rows, across tables or in one, fails
+/// naming the figure, the key and the title of each table holding it.
+#[test]
+fn a_repeated_key_is_named() {
+    let figure = Figure {
+        name: "fig",
+        run: |_| Vec::new(),
+        claims: &[],
+    };
+    let table = |title, series: &[&str]| Table {
+        title,
+        rows: series
+            .iter()
+            .map(|&series| Row {
+                series: series.into(),
+                x: 500.0,
+                measure: Measure::Value(1.5),
+                unit: "s",
+            })
+            .collect(),
+    };
+    let kernels = [
+        table("Figure 13a: matmul", &["matmul MPI (16 processes)"]),
+        table("Figure 13b: Jacobi", &["Jacobi MPI (16 processes)"]),
+    ];
+    assert!(figure.failed_claims(&kernels).is_empty());
+    let shared = [
+        table("Figure 13a: matmul", &["MPI (16 processes)"]),
+        table("Figure 13b: Jacobi", &["MPI (16 processes)"]),
+    ];
+    assert_eq!(
+        figure.failed_claims(&shared),
+        ["fig / row 'MPI (16 processes) @ 500' repeats, in tables \
+          'Figure 13a: matmul', 'Figure 13b: Jacobi'"]
+    );
+    let twice = [table("t", &["rFaaS hot", "rFaaS hot"])];
+    assert_eq!(
+        figure.failed_claims(&twice),
+        ["fig / row 'rFaaS hot @ 500' repeats, in tables 't', 't'"]
+    );
+}
+
 #[test]
 fn a_failed_claim_is_named_after_the_moved_rows() {
     let figure = Figure {
         name: "fig",
-        subs: &[],
         run: |_| Vec::new(),
         claims: &[Claim {
             name: "hot under 3.6 us",
