@@ -19,11 +19,11 @@
 use crate::{rows, Claim, Row, Size, Table, Testbed};
 use rfaas::{RFaasConfig, Session};
 use sim_core::median;
-use workloads::{MpiWorld, Rank};
 use workloads::jacobi::{
     encode_install, encode_iterate, jacobi_sweep_rows, sweep_cost, JacobiSystem,
 };
 use workloads::matmul::{compute_cost, encode_matmul_request, random_matrix};
+use workloads::{MpiWorld, Rank};
 
 fn rank_counts(size: Size) -> Vec<usize> {
     if size.quick() {

@@ -243,7 +243,10 @@ pub(crate) fn run(size: Size) -> Vec<Table> {
     let churn = [
         ("leases killed by reclamation", leases_reclaimed),
         ("executors failed by heartbeat", lifecycle.executors_failed),
-        ("leases terminated by the driver", lifecycle.leases_terminated),
+        (
+            "leases terminated by the driver",
+            lifecycle.leases_terminated,
+        ),
         ("leases expired", lifecycle.leases_expired),
         ("processes reaped", lifecycle.processes_reaped),
         ("client recoveries", u64::from(session.recoveries())),
@@ -289,10 +292,17 @@ fn renewing_client(horizon_secs: u64) -> Table {
             session
                 .extend_lease(SimDuration::from_secs(LEASE_SECS))
                 .expect("the lease is live, so it renews");
-            renewal_us.push(session.clock().now().saturating_since(before).as_micros_f64());
+            renewal_us.push(
+                session
+                    .clock()
+                    .now()
+                    .saturating_since(before)
+                    .as_micros_f64(),
+            );
         }
         driver.step(now);
-        echo.invoke(&payload[..]).expect("the renewed worker serves");
+        echo.invoke(&payload[..])
+            .expect("the renewed worker serves");
     }
 
     let horizon = horizon_secs as f64;

@@ -345,12 +345,7 @@ pub(crate) fn run(size: Size) -> Vec<Table> {
         let outcome = run_storm(&requests, shards, executors);
         let x = shards as f64;
         storm.push(Row::value(THROUGHPUT, x, outcome.throughput, "alloc/s"));
-        storm.push(Row::distribution(
-            LATENCY,
-            x,
-            &outcome.latencies_us,
-            "us",
-        ));
+        storm.push(Row::distribution(LATENCY, x, &outcome.latencies_us, "us"));
         storm.push(Row::value("granted", x, outcome.granted as f64, "count"));
         storm.push(Row::value("rejected", x, outcome.rejected as f64, "count"));
         storm.push(Row::value(
@@ -383,7 +378,12 @@ pub(crate) fn run(size: Size) -> Vec<Table> {
         Row::value("fleet billing total", 4.0, total_cost, "USD"),
     ];
     for (shard, &cost) in fleet_outcome.shard_costs.iter().enumerate() {
-        pipeline.push(Row::value("fleet billing of shard", shard as f64, cost, "USD"));
+        pipeline.push(Row::value(
+            "fleet billing of shard",
+            shard as f64,
+            cost,
+            "USD",
+        ));
     }
 
     // Billing must land on the shard that owns each tenant: every shard

@@ -27,7 +27,7 @@
 //! least 5x the depth-1 invocation rate. The golden report pins every
 //! `--quick` row exactly.
 
-use crate::{evaluation_package, at, every, rows, xs, Claim, Row, Size, Table, PACKAGE};
+use crate::{at, evaluation_package, every, rows, xs, Claim, Row, Size, Table, PACKAGE};
 use cluster_sim::NodeResources;
 use rdma_fabric::Fabric;
 use rfaas::{PollingMode, RFaasConfig, Reactor, ResourceManager, Session, SpotExecutor};
@@ -191,10 +191,30 @@ pub(crate) fn run(size: Size) -> Vec<Table> {
             "every scattered invocation must be gathered at depth {depth}"
         );
         let x = depth as f64;
-        rows.push(Row::value(THROUGHPUT, x, outcome.throughput_kinv_s, "kinv/s"));
-        rows.push(Row::sampled("gather latency", x, &outcome.latencies_us, "us"));
-        rows.push(Row::value("invocations", x, outcome.invocations as f64, "count"));
-        rows.push(Row::value("reactor pumped", x, outcome.pumped as f64, "count"));
+        rows.push(Row::value(
+            THROUGHPUT,
+            x,
+            outcome.throughput_kinv_s,
+            "kinv/s",
+        ));
+        rows.push(Row::sampled(
+            "gather latency",
+            x,
+            &outcome.latencies_us,
+            "us",
+        ));
+        rows.push(Row::value(
+            "invocations",
+            x,
+            outcome.invocations as f64,
+            "count",
+        ));
+        rows.push(Row::value(
+            "reactor pumped",
+            x,
+            outcome.pumped as f64,
+            "count",
+        ));
         rows.push(Row::value(
             "reactor dispatched",
             x,

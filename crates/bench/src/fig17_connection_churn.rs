@@ -100,7 +100,12 @@ pub(crate) fn run(size: Size) -> Vec<Table> {
     }
     let revisits = ordinals.iter().filter(|&&o| o > 0).count();
     let mut fleet_rows = vec![
-        Row::value("fleet episodes", tenants as f64, requests.len() as f64, "count"),
+        Row::value(
+            "fleet episodes",
+            tenants as f64,
+            requests.len() as f64,
+            "count",
+        ),
         Row::value("fleet revisits", tenants as f64, revisits as f64, "count"),
         Row::value(
             "executors registered",
@@ -110,7 +115,12 @@ pub(crate) fn run(size: Size) -> Vec<Table> {
         ),
     ];
     for (shard, &load) in per_shard.iter().enumerate() {
-        fleet_rows.push(Row::value("shard episode load", shard as f64, load as f64, "count"));
+        fleet_rows.push(Row::value(
+            "shard episode load",
+            shard as f64,
+            load as f64,
+            "count",
+        ));
     }
 
     // Connection warmth shared across every episode: the pool is the tenant

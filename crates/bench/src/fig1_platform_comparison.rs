@@ -74,8 +74,12 @@ fn goodput_gib_s(rtt_us: f64) -> f64 {
 /// Whether the 1 kB hot echo is `low..high` times faster than the
 /// deterministic RTT of `platform`.
 fn speedup_in(t: &[Table], platform: BaselinePlatform, low: f64, high: f64) -> Result<(), String> {
-    let baseline_us = platform.invoke_rtt(KB, KB, SimDuration::ZERO).as_micros_f64();
-    rows(t, [("rFaaS hot", 1.0)], |[hot]| (low..high).contains(&(baseline_us / hot)))
+    let baseline_us = platform
+        .invoke_rtt(KB, KB, SimDuration::ZERO)
+        .as_micros_f64();
+    rows(t, [("rFaaS hot", 1.0)], |[hot]| {
+        (low..high).contains(&(baseline_us / hot))
+    })
 }
 
 /// Paper: rFaaS reaches the link bandwidth, and is 695x-3692x faster than

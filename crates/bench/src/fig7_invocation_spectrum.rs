@@ -43,7 +43,10 @@ fn leased_series(mode: PollingMode, sizes: &[usize]) -> Vec<f64> {
         .map(|&size| {
             let payload = workloads::generate_payload(size, 7);
             echo.invoke_timed(&payload).expect("warm-up");
-            echo.invoke_timed(&payload).expect("invoke").1.as_micros_f64()
+            echo.invoke_timed(&payload)
+                .expect("invoke")
+                .1
+                .as_micros_f64()
         })
         .collect()
 }
@@ -134,12 +137,7 @@ pub(crate) fn run(size: Size) -> Vec<Table> {
     let gap_ms = gap.as_millis_f64();
     let demotion = vec![
         Row::value(IDLE_GAP, 0.0, hot_rtt.as_micros_f64(), "us"),
-        Row::value(
-            IDLE_GAP,
-            gap_ms,
-            demoted_rtt.as_micros_f64(),
-            "us",
-        ),
+        Row::value(IDLE_GAP, gap_ms, demoted_rtt.as_micros_f64(), "us"),
         Row::value("demotions", gap_ms, stats.demotions as f64, "count"),
         Row::value(
             "billed hot polling",

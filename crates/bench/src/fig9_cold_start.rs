@@ -53,7 +53,11 @@ fn run_case(
 
     let case = format!(
         "{sandbox:?} {}",
-        if payload >= 1024 * 1024 { "1 MB" } else { "1 B" }
+        if payload >= 1024 * 1024 {
+            "1 MB"
+        } else {
+            "1 B"
+        }
     );
     let x = f64::from(workers);
     for (slice, value) in SLICES.iter().zip(slices) {
@@ -70,9 +74,17 @@ fn run_case(
     for (counter, value) in [
         ("connections opened", conn.connections_opened),
         ("pool misses", conn.pool_misses),
-        ("SRQ depth high watermark", conn.srq_depth_high_watermark as u64),
+        (
+            "SRQ depth high watermark",
+            conn.srq_depth_high_watermark as u64,
+        ),
     ] {
-        plane.push(Row::value(format!("{case} {counter}"), x, value as f64, "count"));
+        plane.push(Row::value(
+            format!("{case} {counter}"),
+            x,
+            value as f64,
+            "count",
+        ));
     }
 }
 

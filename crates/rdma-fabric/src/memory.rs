@@ -31,14 +31,23 @@
 //! way both ends of a real RDMA write see the same bytes once it lands. A
 //! region writes to shared bytes only after taking them back: a sole holder
 //! takes them as they are, anyone else copies first (copy-on-write), and a
-//! write of a page or more builds its result in a spare buffer, the one the
-//! destination of the last share gave back. Either way a region is still,
-//! through every accessor, the zero-extended byte array it always was. The
-//! source of a share may let go of the bytes ([`MemoryRegion::release_shared`])
-//! so that the destination, the sole holder, hands them on without a copy
-//! ([`MemoryRegion::take`]).
+//! write of a page or more builds its result around the range it replaces,
+//! in the region's spare buffer or a fresh one, never copying that range.
+//! Either way a region is still, through every accessor, the zero-extended
+//! byte array it always was. The source of a share may let go of the bytes
+//! ([`MemoryRegion::release_shared`]) so that the destination, the sole
+//! holder, hands them on without a copy ([`MemoryRegion::take`]).
+//!
+//! The buffer a share replaces stays with the destination, as its spare.
+//! Another empty region of the same owner may adopt that spare as its
+//! committed bytes ([`MemoryRegion::adopt_spare`]) — an output window that
+//! needs no zero-fill because whoever writes it overwrites what it returns —
+//! and give back what lies past the bytes it produced
+//! ([`MemoryRegion::decommit_past`]), after which it again reads as zeros
+//! there. Adopting is the one way a region comes to read bytes that no
+//! write or copy into it put there; its caller chooses the two regions.
 
-use std::sync::Arc;
+use std::sync::{Arc, RwLockWriteGuard};
 
 use sim_core::sync::RwLock;
 
@@ -104,8 +113,9 @@ enum Bytes {
 #[derive(Debug)]
 struct Committed {
     bytes: Bytes,
-    /// A buffer to build into when a large write replaces shared bytes: the
-    /// one a region gave back when it adopted this region's bytes.
+    /// The buffer the last share into this region replaced: where a large
+    /// write over shared bytes builds its result, or what another region
+    /// adopts as its committed bytes.
     spare: Vec<u8>,
 }
 
@@ -165,17 +175,43 @@ impl Committed {
         }
     }
 
+    /// Whether a write of `len` bytes replaces shared bytes by building
+    /// around them ([`Committed::rebuild`]) rather than taking them back.
+    fn rebuilds(&self, len: usize) -> bool {
+        len >= PAGE_SIZE && self.shared_with_others()
+    }
+
     /// Write `backed`, zero-extended to `len`, at `at`: the one place a
-    /// write or a copy from another region lands. A write of a page or more
-    /// over bytes another region holds builds the new prefix in the spare
-    /// buffer — the bytes before `at`, the new range, the old tail — and
-    /// never copies the range it replaces.
+    /// write or a copy from another region lands.
     fn overwrite(&mut self, at: usize, backed: &[u8], len: usize, region_len: usize) {
-        let end = at + len;
-        if len < PAGE_SIZE || !self.shared_with_others() {
+        if self.rebuilds(len) {
+            self.rebuild(at, backed, len, region_len);
+        } else {
             write_zero_extended(self.owned(), at, backed, len, region_len);
-            return;
         }
+    }
+
+    /// A mutable view of `[at, at + len)` for a caller that writes all of
+    /// it. Over bytes another region holds, a page or more, the view is
+    /// zeros: the range is never copied ([`Committed::rebuild`]).
+    /// Otherwise it holds the range's current bytes.
+    fn overwrite_view(&mut self, at: usize, len: usize, region_len: usize) -> &mut [u8] {
+        let end = at + len;
+        let data = if self.rebuilds(len) {
+            self.rebuild(at, &[], len, region_len)
+        } else {
+            let data = self.owned();
+            commit(data, end, region_len);
+            data
+        };
+        &mut data[at..end]
+    }
+
+    /// Replace shared bytes with an owned prefix built in the spare buffer,
+    /// or a fresh one: the bytes before `at`, `backed` zero-extended to
+    /// `len`, the old tail. The range being replaced is never copied.
+    fn rebuild(&mut self, at: usize, backed: &[u8], len: usize, region_len: usize) -> &mut Vec<u8> {
+        let end = at + len;
         let mut data = std::mem::take(&mut self.spare);
         let old = self.as_slice();
         let committed_len = old.len().max(page_end(end, region_len));
@@ -188,12 +224,16 @@ impl Committed {
         data.extend_from_slice(old.get(end..).unwrap_or_default());
         data.resize(committed_len, 0);
         self.bytes = Bytes::Owned(data);
+        match &mut self.bytes {
+            Bytes::Owned(data) => data,
+            Bytes::Shared(_) => unreachable!("made owned just above"),
+        }
     }
 
     /// Give `dst` these bytes in place of a copy of their first `len`, if
     /// that reads exactly as the copy would: both prefixes reach at most one
     /// page past `len` and no further than `dst_len`, and hold only zeros
-    /// past `len`. `dst`'s old buffer becomes this one's spare.
+    /// past `len`. `dst`'s old buffer becomes `dst`'s spare.
     fn share_into(&mut self, dst: &mut Committed, len: usize, dst_len: usize) -> bool {
         let limit = len.next_multiple_of(PAGE_SIZE).min(dst_len);
         let zero_past_len = |data: &Committed| {
@@ -216,10 +256,10 @@ impl Committed {
         };
         let old = std::mem::replace(&mut dst.bytes, Bytes::Shared(Arc::clone(shared)));
         match old {
-            Bytes::Owned(data) => self.spare = data,
+            Bytes::Owned(data) => dst.spare = data,
             Bytes::Shared(data) => {
                 if let Ok(data) = Arc::try_unwrap(data) {
-                    self.spare = data;
+                    dst.spare = data;
                 }
             }
         }
@@ -370,21 +410,14 @@ impl MemoryRegion {
             data[dst_offset + backed..dst_offset + len].fill(0);
             return Ok(());
         }
-        let src_first = Arc::as_ptr(&self.inner) < Arc::as_ptr(&dst.inner);
         if offset == 0 && dst_offset == 0 && len >= PAGE_SIZE {
-            let (mut src, mut dst_data) = if src_first {
-                let src = self.inner.data.write();
-                (src, dst.inner.data.write())
-            } else {
-                let dst_data = dst.inner.data.write();
-                (self.inner.data.write(), dst_data)
-            };
+            let (mut src, mut dst_data) = self.write_both(dst);
             if !src.share_into(&mut dst_data, len, dst.len()) {
                 dst_data.overwrite(0, committed(src.as_slice(), 0, len), len, dst.len());
             }
             return Ok(());
         }
-        let (src, mut dst_data) = if src_first {
+        let (src, mut dst_data) = if self.locks_before(dst) {
             let src = self.inner.data.read();
             (src, dst.inner.data.write())
         } else {
@@ -445,6 +478,64 @@ impl MemoryRegion {
         let data = guard.owned();
         commit(data, end, self.len());
         Ok(f(&mut data[offset..end]))
+    }
+
+    /// Run `f` over a mutable view of `[offset, offset + len)` that `f`
+    /// overwrites whole, committing the region up to the view's end as
+    /// [`MemoryRegion::with_bytes_mut`] does. The view starts with
+    /// unspecified bytes — zeros or the range's current ones — so a view of
+    /// a page or more over bytes another region still shares never copies
+    /// the range first. Whatever of the view `f` leaves unwritten keeps
+    /// those bytes.
+    pub fn overwrite_with<R>(
+        &self,
+        offset: usize,
+        len: usize,
+        f: impl FnOnce(&mut [u8]) -> R,
+    ) -> Result<R> {
+        check_bounds(offset, len, self.len())?;
+        if len == 0 {
+            return Ok(f(&mut []));
+        }
+        let mut guard = self.inner.data.write();
+        Ok(f(guard.overwrite_view(offset, len, self.len())))
+    }
+
+    /// Make `donor`'s spare buffer — the bytes the last share into `donor`
+    /// replaced — this region's committed prefix, cut to this region's
+    /// length, if this region has nothing committed. The region then reads
+    /// as those stale bytes, unspecified to the caller, until it writes
+    /// them: a window it can produce into without a zero-fill. Returns
+    /// whether a buffer was adopted. Both guards are taken in region-address
+    /// order, as [`MemoryRegion::copy_to`] takes them.
+    pub fn adopt_spare(&self, donor: &MemoryRegion) -> bool {
+        if self.same_region(donor) {
+            return false;
+        }
+        let (mut own, mut donor) = self.write_both(donor);
+        if own.len() > 0 || donor.spare.capacity() == 0 {
+            return false;
+        }
+        let mut spare = std::mem::take(&mut donor.spare);
+        spare.truncate(self.len());
+        own.bytes = Bytes::Owned(spare);
+        true
+    }
+
+    /// Give back the committed bytes past `n`: the prefix shrinks to the
+    /// page holding byte `n`, and `[n, page_end(n))` is zeroed, so the
+    /// region reads as zeros from `n` on. What a window adopted through
+    /// [`MemoryRegion::adopt_spare`] still holds past the bytes written into
+    /// it is gone, and a whole-prefix copy of the first `n` bytes may share
+    /// them again.
+    pub fn decommit_past(&self, n: usize) {
+        let mut data = self.inner.data.write();
+        if data.len() <= n {
+            return;
+        }
+        let bytes = data.owned();
+        bytes.truncate(page_end(n, self.len()));
+        bytes[n..].fill(0);
     }
 
     /// Give back the committed bytes, as `madvise(MADV_DONTNEED)` does: the
@@ -517,6 +608,31 @@ impl MemoryRegion {
     /// Whether two handles refer to the same registration.
     pub(crate) fn same_region(&self, other: &MemoryRegion) -> bool {
         Arc::ptr_eq(&self.inner, &other.inner)
+    }
+
+    /// Whether this region's guard comes first in region-address order, the
+    /// order any two region guards held at once are taken in, so two
+    /// threads locking the same pair from either end cannot deadlock.
+    fn locks_before(&self, other: &MemoryRegion) -> bool {
+        Arc::as_ptr(&self.inner) < Arc::as_ptr(&other.inner)
+    }
+
+    /// Both regions' write guards, this one's first in the pair, taken in
+    /// region-address order. The regions must differ.
+    fn write_both<'a>(
+        &'a self,
+        other: &'a MemoryRegion,
+    ) -> (
+        RwLockWriteGuard<'a, Committed>,
+        RwLockWriteGuard<'a, Committed>,
+    ) {
+        if self.locks_before(other) {
+            let own = self.inner.data.write();
+            (own, other.inner.data.write())
+        } else {
+            let theirs = other.inner.data.write();
+            (self.inner.data.write(), theirs)
+        }
     }
 }
 
@@ -708,6 +824,7 @@ mod tests {
         assert_eq!(mr.with_bytes(4, 0, |b| b.len()), Ok(0));
         assert!(mr.with_bytes(3, 2, |_| ()).is_err());
         assert!(mr.with_bytes_mut(usize::MAX, 2, |_| ()).is_err());
+        assert!(mr.overwrite_with(usize::MAX, 2, |_| ()).is_err());
     }
 
     #[test]
@@ -793,6 +910,11 @@ mod tests {
         mr.inner.data.read().as_slice().as_ptr()
     }
 
+    /// Address of a region's spare buffer.
+    fn spare(mr: &MemoryRegion) -> *const u8 {
+        mr.inner.data.read().spare.as_ptr()
+    }
+
     #[test]
     fn only_whole_buffer_copies_share() {
         const LEN: usize = 3 * PAGE_SIZE;
@@ -861,15 +983,18 @@ mod tests {
         );
         src.write(0, &[7; COPY]).unwrap();
         dst.write(0, &[5; COPY]).unwrap();
-        let given_back = buffer(&dst);
+        let replaced = buffer(&dst);
         src.copy_to(0, &dst, 0, COPY).unwrap();
         assert!(sharing(&src, &dst));
+        // The destination keeps the buffer the share replaced, as its spare.
+        assert_eq!(spare(&dst), replaced);
 
         // A page-sized write over shared bytes builds the source's new
-        // prefix in the buffer the destination gave back: the bytes before
-        // it, the write, the old tail.
+        // prefix around the write in a buffer of its own, not the
+        // destination's spare: the bytes before it, the write, the old tail.
         src.write(10, &[9; PAGE_SIZE]).unwrap();
-        assert_eq!(buffer(&src), given_back);
+        assert_ne!(buffer(&src), replaced);
+        assert_eq!(spare(&dst), replaced);
         let mut want = vec![7u8; COPY];
         want[10..10 + PAGE_SIZE].fill(9);
         assert_eq!(src.read_all(), want);
@@ -886,6 +1011,20 @@ mod tests {
         assert_eq!(src.read(0, 2).unwrap(), vec![7, 7]);
         assert_eq!(dst.read(0, 2).unwrap(), vec![2, 7]);
 
+        // A view written whole, a page or more, over bytes still shared
+        // starts as zeros: the range it replaces is never copied.
+        src.copy_to(0, &dst, 0, COPY).unwrap();
+        let zeros = dst
+            .overwrite_with(PAGE_SIZE, PAGE_SIZE, |view| {
+                let zeros = view.iter().all(|&b| b == 0);
+                view.fill(3);
+                zeros
+            })
+            .unwrap();
+        assert!(zeros);
+        assert_eq!(dst.read(PAGE_SIZE - 1, 2).unwrap(), vec![9, 3]);
+        assert_eq!(src.read(PAGE_SIZE - 1, 2).unwrap(), vec![9, 9]);
+
         // Decommitting drops a share: the region reads as zeros, the other
         // holder keeps its bytes and then holds them alone.
         dst.copy_to(0, &src, 0, COPY).unwrap();
@@ -899,12 +1038,105 @@ mod tests {
         assert_eq!(dst.read(0, 9).unwrap(), vec![4, 4, 4, 4, 4, 4, 4, 4, 7]);
     }
 
+    #[test]
+    fn an_empty_region_adopts_the_spare_a_share_left_its_donor() {
+        const LEN: usize = 2 * PAGE_SIZE;
+        let region = || MemoryRegion::zeroed(0, LEN, AccessFlags::REMOTE_ALL);
+        let (src, donor, window) = (region(), region(), region());
+        // Nothing to adopt before a share replaced the donor's bytes.
+        assert!(!window.adopt_spare(&donor));
+        donor.write(0, &[5; LEN]).unwrap();
+        let replaced = buffer(&donor);
+        src.write(0, &[7; LEN]).unwrap();
+        src.copy_to(0, &donor, 0, LEN).unwrap();
+
+        // A region with bytes of its own adopts nothing, nor does a region
+        // from itself; the spare stays where it is.
+        let busy = region();
+        busy.write(0, &[1]).unwrap();
+        assert!(!busy.adopt_spare(&donor));
+        assert!(!donor.adopt_spare(&donor));
+        assert_eq!(spare(&donor), replaced);
+
+        // The empty window takes the replaced buffer as its committed bytes,
+        // stale content and all, and the donor keeps reading its own.
+        assert!(window.adopt_spare(&donor));
+        assert_eq!(buffer(&window), replaced);
+        assert_eq!(window.read_all(), vec![5; LEN]);
+        assert_eq!(donor.read_all(), vec![7; LEN]);
+        assert!(!region().adopt_spare(&donor), "the spare moved once");
+
+        // Giving back past `n` zeroes the rest of `n`'s page and drops the
+        // pages after it; past the committed prefix it changes nothing.
+        window.decommit_past(10);
+        assert_eq!(window.inner.data.read().len(), PAGE_SIZE);
+        let mut want = vec![0u8; LEN];
+        want[..10].fill(5);
+        assert_eq!(window.read_all(), want);
+        window.decommit_past(LEN);
+        assert_eq!(window.read_all(), want);
+        window.decommit_past(0);
+        assert_eq!(window.inner.data.read().len(), 0);
+        assert_eq!(buffer(&window), replaced, "the allocation is kept");
+    }
+
+    /// The buffered 1 MiB echo at the memory level: the client stages the
+    /// request, the request DMA shares it with the worker's input buffer,
+    /// the worker's empty output buffer adopts what that share replaced,
+    /// the function writes its result there, the window gives back what lies
+    /// past it, the response DMA shares it with the client's output buffer
+    /// and the client takes it. From the second request on, every result is
+    /// built in the previous request's buffer: no window is committed fresh.
+    #[test]
+    fn an_echo_builds_each_result_in_the_previous_request() {
+        const HEADER: usize = 24;
+        const LEN: usize = 64 * PAGE_SIZE;
+        let region = |len| MemoryRegion::zeroed(0, len, AccessFlags::REMOTE_ALL);
+        let (staging, input) = (region(HEADER + LEN), region(HEADER + LEN));
+        let (output, result) = (region(2 * LEN), region(LEN));
+        let mut previous_request = None;
+        for round in 0..4u8 {
+            let payload: Vec<u8> = (0..LEN)
+                .map(|i| (i as u8).wrapping_mul(round) | 1)
+                .collect();
+            staging.write(HEADER, &payload).unwrap();
+            staging.write(0, &[round; HEADER]).unwrap();
+            let request = buffer(&staging);
+            staging.copy_to(0, &input, 0, HEADER + LEN).unwrap();
+            assert!(sharing(&staging, &input));
+
+            assert_eq!(output.adopt_spare(&input), previous_request.is_some());
+            let window = output
+                .with_bytes_mut(0, LEN, |window| {
+                    input
+                        .with_bytes(HEADER, LEN, |payload| window.copy_from_slice(payload))
+                        .unwrap();
+                    window.as_ptr()
+                })
+                .unwrap();
+            if let Some(previous) = previous_request {
+                assert_eq!(window, previous, "round {round}: a fresh window");
+            }
+            output.decommit_past(LEN);
+            output.copy_to(0, &result, 0, LEN).unwrap();
+            assert!(sharing(&output, &result));
+            output.release_shared();
+
+            let taken = result.take(0, LEN).unwrap();
+            assert_eq!(taken.as_ptr(), window);
+            assert_eq!(taken, payload);
+            previous_request = Some(request);
+        }
+    }
+
     /// The page-scale half of `prop_region_matches_eager_model`: three
     /// regions of two to three pages, moved between mostly by whole-prefix
     /// copies — the ones that may share bytes — in both directions and
-    /// chained, with page-sized and sub-page writes, mutable views,
-    /// decommits, takes, releases and commit-extending views on either side
-    /// of each share.
+    /// chained, with page-sized and sub-page writes, mutable and
+    /// overwriting views, decommits, takes, releases and commit-extending
+    /// views on either side of each share, and the executor's output flow:
+    /// an adopted spare, overwritten up to a window and given back past the
+    /// result.
     /// Every region is checked against its eager `Vec` after every step.
     fn page_scale_script(script: u64) {
         const LENS: [usize; 3] = [2 * PAGE_SIZE + 700, 3 * PAGE_SIZE, 2 * PAGE_SIZE];
@@ -926,12 +1158,34 @@ mod tests {
                     _ => PAGE_SIZE + below(rng, most - PAGE_SIZE + 1),
                 }
             };
-            match below(&mut rng, 10) {
+            // A page or more, or a few bytes, at any offset of `len` bytes.
+            let some_write = |rng: &mut proptest::TestRng, region_len: usize| {
+                let len = if below(rng, 2) == 0 {
+                    PAGE_SIZE + below(rng, PAGE_SIZE / 2)
+                } else {
+                    below(rng, 48)
+                };
+                (below(rng, region_len - len + 1), len)
+            };
+            let pattern = |len: usize| (0..len).map(|i| step ^ (i as u8) | 1).collect::<Vec<u8>>();
+            match below(&mut rng, 13) {
                 0 | 1 => {
                     let len = whole_prefix(&mut rng, other);
                     regions[which].copy_to(0, &regions[other], 0, len).unwrap();
                     let staged = models[which][..len].to_vec();
                     models[other][..len].copy_from_slice(&staged);
+                    // A write on either side of the share, right after it.
+                    if below(&mut rng, 2) == 0 {
+                        let side = if below(&mut rng, 2) == 0 {
+                            which
+                        } else {
+                            other
+                        };
+                        let (offset, len) = some_write(&mut rng, LENS[side]);
+                        let bytes = pattern(len);
+                        regions[side].write(offset, &bytes).unwrap();
+                        models[side][offset..offset + len].copy_from_slice(&bytes);
+                    }
                 }
                 2 => {
                     // which → other → the third region.
@@ -944,14 +1198,8 @@ mod tests {
                     models[third][..len].copy_from_slice(&staged);
                 }
                 3 => {
-                    // A page or more, or a few bytes, written anywhere.
-                    let len = if below(&mut rng, 2) == 0 {
-                        PAGE_SIZE + below(&mut rng, PAGE_SIZE / 2)
-                    } else {
-                        below(&mut rng, 48)
-                    };
-                    let offset = below(&mut rng, region_len - len + 1);
-                    let bytes: Vec<u8> = (0..len).map(|i| step ^ (i as u8) | 1).collect();
+                    let (offset, len) = some_write(&mut rng, region_len);
+                    let bytes = pattern(len);
                     regions[which].write(offset, &bytes).unwrap();
                     models[which][offset..offset + len].copy_from_slice(&bytes);
                 }
@@ -997,6 +1245,38 @@ mod tests {
                     if shares {
                         models[which].fill(0);
                     }
+                }
+                9 => {
+                    // The executor's output flow: a region, mostly emptied
+                    // first, adopts another's spare if it can, is written
+                    // whole up to a window and gives back past the result.
+                    if below(&mut rng, 4) != 0 {
+                        regions[which].decommit_past(0);
+                    }
+                    regions[which].adopt_spare(&regions[other]);
+                    let window = below(&mut rng, region_len + 1);
+                    let n = below(&mut rng, window + 1);
+                    let bytes = pattern(window);
+                    regions[which]
+                        .with_bytes_mut(0, window, |view| view.copy_from_slice(&bytes))
+                        .unwrap();
+                    regions[which].decommit_past(n);
+                    models[which].fill(0);
+                    models[which][..n].copy_from_slice(&bytes[..n]);
+                }
+                10 => {
+                    let n = below(&mut rng, region_len + 1);
+                    regions[which].decommit_past(n);
+                    models[which][n..].fill(0);
+                }
+                11 => {
+                    // A view written whole, as a codec stages a payload.
+                    let (offset, len) = some_write(&mut rng, region_len);
+                    let bytes = pattern(len);
+                    regions[which]
+                        .overwrite_with(offset, len, |view| view.copy_from_slice(&bytes))
+                        .unwrap();
+                    models[which][offset..offset + len].copy_from_slice(&bytes);
                 }
                 _ => {
                     // Any other copy, within one region too.

@@ -75,7 +75,8 @@ impl Buffer {
     }
 
     /// Encode `value` into the payload area through its [`Codec`], returning
-    /// the payload length.
+    /// the payload length. The encoder overwrites the whole range, so bytes
+    /// a DMA still shares are never copied into it first.
     pub(crate) fn write_encoded<C: Codec + ?Sized>(&self, value: &C) -> Result<usize> {
         let len = value.encoded_len();
         // Guards the slice below, not just the encode: encode_into checks
@@ -86,7 +87,7 @@ impl Buffer {
             return Ok(len);
         }
         self.region()
-            .with_bytes_mut(self.header_space, len, |bytes| value.encode_into(bytes))?
+            .overwrite_with(self.header_space, len, |bytes| value.encode_into(bytes))?
     }
 
     /// Decode `len` payload bytes through codec `C`, straight from the
@@ -523,6 +524,75 @@ mod tests {
         assert_eq!(result, payload);
         assert_eq!(kept.read_all(), payload);
         assert!(output.region().read_all().iter().all(|&b| b == 0));
+    }
+
+    /// A payload of `len` bytes of `fill` whose encoder records whether the
+    /// range it was handed still held a previous payload.
+    struct Probe {
+        len: usize,
+        fill: u8,
+        saw_stale: Cell<bool>,
+    }
+
+    impl Codec for Probe {
+        type Owned = Vec<u8>;
+        type View<'a> = &'a [u8];
+
+        fn encoded_len(&self) -> usize {
+            self.len
+        }
+
+        fn encode_into(&self, buf: &mut [u8]) -> Result<usize> {
+            let range = &mut buf[..self.len];
+            self.saw_stale.set(range.iter().any(|&b| b != 0));
+            range.fill(self.fill);
+            Ok(self.len)
+        }
+
+        fn decode(bytes: &[u8]) -> Result<Vec<u8>> {
+            Ok(bytes.to_vec())
+        }
+
+        fn decode_view(bytes: &[u8]) -> Result<&[u8]> {
+            Ok(bytes)
+        }
+    }
+
+    #[test]
+    fn staging_over_shared_bytes_never_copies_the_range_it_encodes() {
+        // A codec without `encoded_bytes` (`[f64]`, option batches, images)
+        // stages its payload while the last request DMA still shares the
+        // buffer's bytes: the range it overwrites must not be copied first.
+        const LEN: usize = 1 << 20;
+        const WIRE: usize = INVOCATION_HEADER_BYTES + LEN;
+        let pd = domain();
+        let input = Buffer::input(&pd, LEN);
+        let worker_input = pd.register(WIRE, AccessFlags::REMOTE_WRITE);
+        let stage = |fill| {
+            let probe = Probe {
+                len: LEN,
+                fill,
+                saw_stale: Cell::new(false),
+            };
+            assert_eq!(input.write_encoded(&probe).unwrap(), LEN);
+            probe.saw_stale.get()
+        };
+        stage(1);
+        input
+            .region()
+            .write(0, &[9; INVOCATION_HEADER_BYTES])
+            .unwrap();
+        input.region().copy_to(0, &worker_input, 0, WIRE).unwrap();
+
+        assert!(!stage(2), "the previous payload was copied before encoding");
+        // The worker still reads the request it was sent; the client reads
+        // its header and the new payload.
+        let mut sent = vec![1u8; WIRE];
+        sent[..INVOCATION_HEADER_BYTES].fill(9);
+        assert_eq!(worker_input.read_all(), sent);
+        let mut staged = vec![2u8; WIRE];
+        staged[..INVOCATION_HEADER_BYTES].fill(9);
+        assert_eq!(input.region().read_all(), staged);
     }
 
     #[test]

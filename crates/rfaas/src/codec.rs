@@ -34,7 +34,8 @@ pub trait Codec {
     /// Encode the value into the start of `buf`, returning the bytes
     /// written (always [`Codec::encoded_len`]). Fails with
     /// [`RFaasError::PayloadTooLarge`] when `buf` is too small — the
-    /// capacity-bound rejection the typed layer relies on.
+    /// capacity-bound rejection the typed layer relies on. `buf` starts
+    /// with unspecified bytes: every byte of the encoding must be written.
     fn encode_into(&self, buf: &mut [u8]) -> Result<usize>;
 
     /// Decode a payload back into an owned value. Fails with

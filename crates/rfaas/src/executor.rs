@@ -730,18 +730,29 @@ impl Dispatcher {
         let imm = wc.imm.unwrap_or(0);
         let (invocation_id, function_index) = ImmValue::parse_request(imm);
         let payload_len = wc.byte_len.saturating_sub(INVOCATION_HEADER_BYTES);
+        // A payload of a page or more usually arrived by a DMA that shared
+        // the client's bytes, and the input buffer kept the request bytes it
+        // replaced: an empty output buffer adopts them as its window, which
+        // the function overwrites as far as its result reaches, so no fresh
+        // window is zero-filled. Whatever lies past the result is given back
+        // before the reply leaves, so stale bytes never leave this
+        // connection and the reply may share the result. Adopting takes the
+        // input buffer's guard, so it happens before the view below.
+        let bulk = payload_len >= PAGE_SIZE;
+        if bulk {
+            conn.output.adopt_spare(&conn.input);
+        }
         // One view over the header and the payload behind it, held while the
-        // invocation is served: the function reads its payload where the
-        // client's write put it. A payload reaching past the input buffer fails
-        // the function, not the view.
+        // function runs: it reads its payload where the client's write put
+        // it. A payload reaching past the input buffer fails the function,
+        // not the view. The view yields the reply: where it goes, how many
+        // output bytes it carries, and its status.
         let wire_len = (INVOCATION_HEADER_BYTES + payload_len).min(conn.input.len());
-        let _ = conn.input.with_bytes(0, wire_len, |wire| {
-            let Some(Ok(header)) = wire
+        let reply = conn.input.with_bytes(0, wire_len, |wire| {
+            let header = wire
                 .get(..INVOCATION_HEADER_BYTES)
-                .map(InvocationHeader::decode)
-            else {
-                return;
-            };
+                .map(InvocationHeader::decode)?
+                .ok()?;
             let result_handle = header.result_handle();
             let payload = wire.get(INVOCATION_HEADER_BYTES..INVOCATION_HEADER_BYTES + payload_len);
 
@@ -752,41 +763,18 @@ impl Dispatcher {
             // client re-allocates through the resource manager.
             if clock.now() >= *deadline {
                 stats.expired += 1;
-                let _ = conn.qp.post_send(
-                    invocation_id as u64,
-                    SendRequest::WriteWithImm {
-                        local: Sge::range(&conn.output, 0, 0),
-                        remote: result_handle.slice(0, 0),
-                        imm: ImmValue::response(invocation_id, ResultStatus::LeaseExpired),
-                    },
-                    false,
-                );
-                // The spin up to this arrival was already accounted above; mark
-                // the new idle point or the next request re-bills that interval.
-                conn.last_ready = Some(clock.now());
-                return;
+                return Some((result_handle, 0, ResultStatus::LeaseExpired));
             }
 
             // Oversubscribed warm executions must grab the core; if a
             // compute-intensive task holds it, reject immediately so the client
             // redirects to another executor (Sec. III-D, Fig. 6).
             let acquired_for_this = if !conn.holds_core {
-                if take_core(core) {
-                    true
-                } else {
+                if !take_core(core) {
                     stats.rejected += 1;
-                    let _ = conn.qp.post_send(
-                        invocation_id as u64,
-                        SendRequest::WriteWithImm {
-                            local: Sge::range(&conn.output, 0, 0),
-                            remote: result_handle.slice(0, 0),
-                            imm: ImmValue::response(invocation_id, ResultStatus::Rejected),
-                        },
-                        false,
-                    );
-                    conn.last_ready = Some(clock.now());
-                    return;
+                    return Some((result_handle, 0, ResultStatus::Rejected));
                 }
+                true
             } else {
                 false
             };
@@ -809,7 +797,7 @@ impl Dispatcher {
             // Dispatch: header parse, function lookup, argument setup.
             clock.advance(DISPATCH_COST);
 
-            let response = match package.function_by_index(function_index as usize) {
+            let (out_len, status) = match package.function_by_index(function_index as usize) {
                 None => (0usize, ResultStatus::FunctionFailed),
                 Some(function) => {
                     let started = clock.now();
@@ -853,39 +841,48 @@ impl Dispatcher {
                     }
                 }
             };
-
-            // Write the result directly into the client's memory and notify it
-            // through the immediate value.
-            let (out_len, status) = response;
-            let _ = conn.qp.post_send(
-                invocation_id as u64,
-                SendRequest::WriteWithImm {
-                    local: Sge::range(&conn.output, 0, out_len),
-                    remote: result_handle.slice(0, out_len),
-                    imm: ImmValue::response(invocation_id, status),
-                },
-                false,
-            );
-            // A response of a page or more usually handed the client the
-            // output bytes instead of copying them: let go of them, so the
-            // client takes them without a copy and the next result is built
-            // in a fresh window.
-            if out_len >= PAGE_SIZE {
-                conn.output.release_shared();
-            }
-            match status {
-                ResultStatus::Success => stats.invocations += 1,
-                ResultStatus::FunctionFailed => stats.failed += 1,
-                ResultStatus::Rejected | ResultStatus::LeaseExpired => {}
-            }
             if acquired_for_this {
                 *core = false;
             }
-
-            // The ring already replenished the consumed receive; mark the idle
-            // point for the hot-poll accounting of the next request.
-            conn.last_ready = Some(clock.now());
+            Some((result_handle, out_len, status))
         });
+        let reply = reply.ok().flatten();
+        if bulk {
+            conn.output
+                .decommit_past(reply.map_or(0, |(_, out_len, _)| out_len));
+        }
+        let Some((result_handle, out_len, status)) = reply else {
+            return;
+        };
+
+        // Write the result directly into the client's memory and notify it
+        // through the immediate value.
+        let _ = conn.qp.post_send(
+            invocation_id as u64,
+            SendRequest::WriteWithImm {
+                local: Sge::range(&conn.output, 0, out_len),
+                remote: result_handle.slice(0, out_len),
+                imm: ImmValue::response(invocation_id, status),
+            },
+            false,
+        );
+        // A response of a page or more usually handed the client the output
+        // bytes instead of copying them: let go of them, so the client takes
+        // them without a copy and the next result is built in the next
+        // request's replaced buffer.
+        if out_len >= PAGE_SIZE {
+            conn.output.release_shared();
+        }
+        match status {
+            ResultStatus::Success => stats.invocations += 1,
+            ResultStatus::FunctionFailed => stats.failed += 1,
+            ResultStatus::Rejected | ResultStatus::LeaseExpired => {}
+        }
+        // The ring already replenished the consumed receive; mark the idle
+        // point for the hot-poll accounting of the next request. A refused
+        // invocation marks it too: the spin up to its arrival was already
+        // accounted above, and the next request must not re-bill it.
+        conn.last_ready = Some(clock.now());
     }
 
     /// Retire every worker: the process stops serving.

@@ -649,6 +649,28 @@ mod tests {
     }
 
     #[test]
+    fn a_renewal_charges_the_manager_before_it_sets_the_expiry() {
+        // A client clock ahead of the manager's: the manager catches up to
+        // the request's arrival, processes the renewal, and only then
+        // counts the extension.
+        let (_fabric, manager, _execs) = setup(1);
+        let clock = VirtualClock::new();
+        let mut req = request();
+        req.timeout = SimDuration::from_secs(1);
+        let (lease, _) = manager.request_lease(&req, &clock).unwrap();
+        clock.advance(SimDuration::from_secs(5));
+        let client_now = clock.now();
+        assert!(manager.clock.now() < client_now);
+        let extension = SimDuration::from_secs(30);
+        let renewed = manager.renew_lease(lease.id, extension, &clock).unwrap();
+        assert_eq!(
+            renewed.expires_at,
+            client_now + LEASE_RENEWAL_COST + extension
+        );
+        assert_eq!(clock.now(), client_now + LEASE_RENEWAL_COST);
+    }
+
+    #[test]
     fn renew_fails_after_executor_deregistration() {
         let (_fabric, manager, _execs) = setup(1);
         let clock = VirtualClock::new();

@@ -84,6 +84,12 @@ pub trait StateAccess {
 pub trait RemoteFunction: Send + Sync {
     /// Execute the function over `input`, writing the result into `output`
     /// and returning the number of valid output bytes.
+    ///
+    /// `output` starts with unspecified bytes, as the paper's
+    /// `f(void* in, uint32_t size, void* out)` gives `out` no initial
+    /// contents: an executor may hand it a buffer its worker used before.
+    /// A function writes every byte of the result it returns; what lies
+    /// past that result is never sent.
     fn invoke(&self, input: &[u8], output: &mut [u8]) -> FunctionOutcome;
 
     /// Short, human-readable name (used in logs and billing records).

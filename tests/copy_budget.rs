@@ -115,11 +115,12 @@ fn hot_session(testbed: &Testbed, plane: Option<&StatePlane>) -> Session {
 #[test]
 fn steady_state_heap_traffic_stays_within_the_copy_budget() {
     // Buffered invoke: a 1 MiB echo allocates one buffer of that order — the
-    // executor's next output window — and nothing else. Its two DMAs share
-    // the buffers they replace, at one small `Arc` each. The response's
-    // bytes are then handed over: the executor releases them, and the
-    // client returns that buffer itself as the caller's result, so the
-    // executor commits a fresh window for the next one.
+    // client's staging buffer for the next request — and nothing else. Its
+    // two DMAs share the buffers they replace, at one small `Arc` each. The
+    // executor builds the result in the request buffer the last share
+    // replaced, so it zero-fills no window; the response's bytes are then
+    // handed over: the executor releases them, and the client returns that
+    // buffer itself as the caller's result.
     {
         let testbed = Testbed::new(1);
         let session = hot_session(&testbed, None);
@@ -141,7 +142,8 @@ fn steady_state_heap_traffic_stays_within_the_copy_budget() {
 
     // The same echo through the `[f64]` codec: the handed-over bytes are
     // decoded into the caller's `Vec<f64>` and dropped, so this flow pays
-    // both the decode and the executor's fresh window.
+    // both the decode and the client's staging buffer, which holds the
+    // 24-byte header in front of the payload.
     {
         let testbed = Testbed::new(1);
         let session = hot_session(&testbed, None);
@@ -155,7 +157,7 @@ fn steady_state_heap_traffic_stays_within_the_copy_budget() {
         });
         assert_eq!(
             (allocations, bytes),
-            (4.0, (2 * MIB + 80) as f64),
+            (4.0, (2 * MIB + 104) as f64),
             "1 MiB f64 echo: (allocations, heap bytes) per invocation"
         );
         session.close().unwrap();
