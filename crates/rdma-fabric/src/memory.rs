@@ -38,15 +38,17 @@
 //! ([`MemoryRegion::release_shared`]) so that the destination, the sole
 //! holder, hands them on without a copy ([`MemoryRegion::take`]).
 //!
-//! The buffer a share replaces stays with the destination, as its spare.
-//! Another empty region of the same owner may adopt that spare as its
-//! committed bytes ([`MemoryRegion::adopt_spare`]) — an output window that
-//! needs no zero-fill because whoever writes it overwrites what it returns —
-//! and give back what lies past the bytes it produced
+//! The buffer a share replaces becomes the spare of whichever of the two
+//! regions has none, the destination's first. Another empty region of the
+//! same owner may adopt a spare as its committed bytes
+//! ([`MemoryRegion::adopt_spare`]) — an output window that needs no
+//! zero-fill because whoever writes it overwrites what it returns — and
+//! give back what lies past the bytes it produced
 //! ([`MemoryRegion::decommit_past`]), after which it again reads as zeros
 //! there. Adopting is the one way a region comes to read bytes that no
 //! write or copy into it put there; its caller chooses the two regions.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLockWriteGuard};
 
 use sim_core::sync::RwLock;
@@ -233,7 +235,10 @@ impl Committed {
     /// Give `dst` these bytes in place of a copy of their first `len`, if
     /// that reads exactly as the copy would: both prefixes reach at most one
     /// page past `len` and no further than `dst_len`, and hold only zeros
-    /// past `len`. `dst`'s old buffer becomes `dst`'s spare.
+    /// past `len`. `dst`'s old buffer becomes the spare of whichever region
+    /// has none, `dst` first: a destination that already keeps a spare
+    /// leaves the buffer to the source, which then rebuilds around the
+    /// shared bytes in it instead of in a fresh one.
     fn share_into(&mut self, dst: &mut Committed, len: usize, dst_len: usize) -> bool {
         let limit = len.next_multiple_of(PAGE_SIZE).min(dst_len);
         let zero_past_len = |data: &Committed| {
@@ -254,13 +259,15 @@ impl Committed {
         let Bytes::Shared(shared) = &self.bytes else {
             unreachable!("made shared just above")
         };
-        let old = std::mem::replace(&mut dst.bytes, Bytes::Shared(Arc::clone(shared)));
-        match old {
-            Bytes::Owned(data) => dst.spare = data,
-            Bytes::Shared(data) => {
-                if let Ok(data) = Arc::try_unwrap(data) {
-                    dst.spare = data;
-                }
+        let displaced = match std::mem::replace(&mut dst.bytes, Bytes::Shared(Arc::clone(shared))) {
+            Bytes::Owned(data) => Some(data),
+            Bytes::Shared(data) => Arc::try_unwrap(data).ok(),
+        };
+        if let Some(data) = displaced.filter(|data| data.capacity() > 0) {
+            if dst.spare.capacity() == 0 || self.spare.capacity() > 0 {
+                dst.spare = data;
+            } else {
+                self.spare = data;
             }
         }
         true
@@ -275,6 +282,9 @@ pub(crate) struct RegionInner {
     len: usize,
     rkey: u64,
     access: AccessFlags,
+    /// Cleared, once, when the domain drops the registration: a cached
+    /// translation checks it without the domain's lock.
+    registered: AtomicBool,
 }
 
 /// A registered memory region.
@@ -306,6 +316,7 @@ impl MemoryRegion {
                 data: RwLock::new(Committed::new(data)),
                 rkey,
                 access,
+                registered: AtomicBool::new(true),
             }),
         }
     }
@@ -328,6 +339,18 @@ impl MemoryRegion {
     /// Access flags granted at registration time.
     pub(crate) fn access(&self) -> AccessFlags {
         self.inner.access
+    }
+
+    /// Whether the protection domain that issued the key still holds the
+    /// registration.
+    pub(crate) fn is_registered(&self) -> bool {
+        self.inner.registered.load(Ordering::Acquire)
+    }
+
+    /// Mark the registration dropped from its domain; its key never
+    /// resolves again.
+    pub(crate) fn mark_deregistered(&self) {
+        self.inner.registered.store(false, Ordering::Release);
     }
 
     /// Copy of the bytes in `[offset, offset + len)`.
@@ -1078,6 +1101,35 @@ mod tests {
         window.decommit_past(0);
         assert_eq!(window.inner.data.read().len(), 0);
         assert_eq!(buffer(&window), replaced, "the allocation is kept");
+    }
+
+    /// A region that is only ever a share's destination keeps the first
+    /// buffer a share replaced as its spare; what later shares replace goes
+    /// to the source, which rebuilds around the bytes it shares in it.
+    #[test]
+    fn a_destination_that_keeps_a_spare_leaves_the_replaced_buffer_to_the_source() {
+        const LEN: usize = 2 * PAGE_SIZE;
+        let region = || MemoryRegion::zeroed(0, LEN, AccessFlags::REMOTE_ALL);
+        let (src, dst) = (region(), region());
+        dst.write(0, &[5; LEN]).unwrap();
+        let first = buffer(&dst);
+        src.write(0, &[7; LEN]).unwrap();
+        src.copy_to(0, &dst, 0, LEN).unwrap();
+        assert_eq!(spare(&dst), first);
+
+        // The source builds its next bytes around the shared ones; the
+        // destination is then the sole holder of the 7s.
+        src.write(0, &[8; LEN]).unwrap();
+        let second = buffer(&dst);
+        src.copy_to(0, &dst, 0, LEN).unwrap();
+        assert_eq!(spare(&dst), first);
+        assert_eq!(spare(&src), second);
+
+        // The next write over the shared bytes lands in that buffer.
+        src.write(0, &[9; LEN]).unwrap();
+        assert_eq!(buffer(&src), second);
+        assert_eq!(src.read_all(), vec![9; LEN]);
+        assert_eq!(dst.read_all(), vec![8; LEN]);
     }
 
     /// The buffered 1 MiB echo at the memory level: the client stages the

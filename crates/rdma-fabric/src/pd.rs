@@ -71,9 +71,14 @@ impl ProtectionDomain {
         }
     }
 
-    /// Deregister a region. Remote handles pointing at it become invalid.
+    /// Deregister a region. Remote handles pointing at it become invalid,
+    /// cached translations of its key included.
     pub fn deregister(&self, mr: &MemoryRegion) -> bool {
-        self.inner.regions.write().remove(&mr.rkey()).is_some()
+        let Some(region) = self.inner.regions.write().remove(&mr.rkey()) else {
+            return false;
+        };
+        region.mark_deregistered();
+        true
     }
 
     /// Resolve a remote key issued by this domain.

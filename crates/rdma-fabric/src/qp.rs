@@ -6,19 +6,21 @@
 //! actor only pays the WQE/doorbell cost — while the simulated NIC streams
 //! the data and delivers completions with fabric-model timestamps.
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use sim_core::sync::{Mutex, RwLock};
+use sim_core::sync::Mutex;
 use sim_core::{SimTime, VirtualClock};
 
 use crate::cq::CompletionQueue;
 use crate::device::{DeviceFunction, CX5_100G};
 use crate::error::{FabricError, Result};
 use crate::fabric::{Fabric, FabricNode};
-use crate::memory::{in_bounds, RemoteMemoryHandle};
+use crate::memory::{in_bounds, MemoryRegion, RemoteMemoryHandle};
 use crate::pd::ProtectionDomain;
+use crate::ring::RingState;
 use crate::srq::SharedReceiveQueue;
 use crate::verbs::{CompletionStatus, OpCode, RecvRequest, SendRequest, Sge, WorkCompletion};
 
@@ -115,18 +117,30 @@ impl AtomicQpState {
     }
 
     fn load(&self) -> QpState {
-        match self.0.load(Ordering::Acquire) {
-            s if s == QpState::Init as u8 => QpState::Init,
-            s if s == QpState::Connected as u8 => QpState::Connected,
-            _ => QpState::Disconnected,
-        }
+        Self::decode(self.0.load(Ordering::Acquire))
     }
 
     fn store(&self, state: QpState) {
         self.0.store(state as u8, Ordering::Release);
     }
+
+    /// Store `state`, returning the state it replaced.
+    fn swap(&self, state: QpState) -> QpState {
+        Self::decode(self.0.swap(state as u8, Ordering::AcqRel))
+    }
+
+    fn decode(byte: u8) -> QpState {
+        match byte {
+            s if s == QpState::Init as u8 => QpState::Init,
+            s if s == QpState::Connected as u8 => QpState::Connected,
+            _ => QpState::Disconnected,
+        }
+    }
 }
 
+/// One side of a connection: everything a post on either side touches.
+/// It holds no link to its peer, so a connected pair forms no cycle and
+/// each side is freed with the last handle that reaches it.
 pub(crate) struct QpInner {
     qp_num: u32,
     fabric: Arc<Fabric>,
@@ -136,7 +150,7 @@ pub(crate) struct QpInner {
     function: DeviceFunction,
     send_cq: CompletionQueue,
     recv_cq: CompletionQueue,
-    recv_queue: Mutex<VecDeque<RecvRequest>>,
+    recv_queue: Mutex<RecvQueue>,
     /// When set, incoming messages consume buffers from this shared queue
     /// instead of the private `recv_queue` (ibv SRQ association). Set at
     /// most once, by [`QueuePair::attach_srq`], and never replaced.
@@ -144,11 +158,23 @@ pub(crate) struct QpInner {
     /// The SRQ has dropped this QP's credit entry (the first disconnect
     /// does that, exactly once).
     srq_detached: AtomicBool,
-    peer: RwLock<Option<Arc<QpInner>>>,
-    /// Invariant: `Connected` implies `peer` is set. `connect_pair` links
-    /// the peers before it marks them connected, and `disconnect` marks a
-    /// side disconnected before it drops that side's link.
+    /// The first region a peer's one-sided operation resolved here, the
+    /// way a NIC caches a translation entry: an rkey that names it and is
+    /// still registered resolves without the domain's table. Set once, so
+    /// it is read without a lock; another rkey falls back to the table. Like
+    /// a posted receive, it keeps the region's bytes until the queue pair
+    /// drops.
+    translation: OnceLock<MemoryRegion>,
     state: AtomicQpState,
+}
+
+/// The private receive queue, and the slot ledger of the ring posting into
+/// it ([`ReceiveRing`](crate::ReceiveRing)): one lock covers a slot's pickup
+/// and its repost.
+#[derive(Debug, Default)]
+struct RecvQueue {
+    posted: VecDeque<RecvRequest>,
+    ring: Option<RingState>,
 }
 
 impl QpInner {
@@ -168,6 +194,32 @@ impl QpInner {
             }
         }
     }
+
+    /// Mark this side `Disconnected`, wake its completion waits and give
+    /// back its SRQ credit entry, once: a side already disconnected is
+    /// left as it is.
+    fn disconnect(&self) {
+        if self.state.swap(QpState::Disconnected) == QpState::Disconnected {
+            return;
+        }
+        self.send_cq.disconnect();
+        self.recv_cq.disconnect();
+        self.detach_srq();
+    }
+
+    /// Resolve `rkey`, which a peer's one-sided operation names, against
+    /// this side's protection domain: from the cached translation while it
+    /// names a live registration, from the domain's table otherwise.
+    fn resolve(&self, rkey: u64) -> Result<Cow<'_, MemoryRegion>> {
+        if let Some(region) = self.translation.get() {
+            if region.rkey() == rkey && region.is_registered() {
+                return Ok(Cow::Borrowed(region));
+            }
+        }
+        let region = self.pd.lookup(rkey)?;
+        let _ = self.translation.set(region.clone());
+        Ok(Cow::Owned(region))
+    }
 }
 
 impl std::fmt::Debug for QpInner {
@@ -184,6 +236,11 @@ impl std::fmt::Debug for QpInner {
 #[derive(Debug, Clone)]
 pub struct QueuePair {
     inner: Arc<QpInner>,
+    /// The peer's side, set once by [`QueuePair::connect_pair`] before this
+    /// side is marked `Connected`, and never cleared: a post reads it
+    /// without a lock or a reference count. Shared by this side's handles
+    /// only, so the pair holds no cycle.
+    peer: Arc<OnceLock<Arc<QpInner>>>,
 }
 
 impl QueuePair {
@@ -209,12 +266,13 @@ impl QueuePair {
                 function: endpoint.function,
                 send_cq,
                 recv_cq,
-                recv_queue: Mutex::new(VecDeque::new()),
+                recv_queue: Mutex::new(RecvQueue::default()),
                 srq: OnceLock::new(),
                 srq_detached: AtomicBool::new(false),
-                peer: RwLock::new(None),
+                translation: OnceLock::new(),
                 state: AtomicQpState::new(QpState::Init),
             }),
+            peer: Arc::new(OnceLock::new()),
         }
     }
 
@@ -259,7 +317,8 @@ impl QueuePair {
     }
 
     /// Connect two queue pairs directly (used by the connection manager and
-    /// by tests). Both must be in the `Init` state.
+    /// by tests). Both must be in the `Init` state, and a queue pair
+    /// connects once.
     pub fn connect_pair(a: &QueuePair, b: &QueuePair) -> Result<()> {
         for qp in [a, b] {
             let state = qp.state();
@@ -270,8 +329,13 @@ impl QueuePair {
                 });
             }
         }
-        *a.inner.peer.write() = Some(Arc::clone(&b.inner));
-        *b.inner.peer.write() = Some(Arc::clone(&a.inner));
+        // Each peer is linked before its side is marked connected.
+        if a.peer.set(Arc::clone(&b.inner)).is_err() || b.peer.set(Arc::clone(&a.inner)).is_err() {
+            return Err(FabricError::InvalidQpState {
+                operation: "connect",
+                state: QpState::Connected.name(),
+            });
+        }
         a.inner.state.store(QpState::Connected);
         b.inner.state.store(QpState::Connected);
         Ok(())
@@ -290,27 +354,19 @@ impl QueuePair {
     }
 
     /// Tear down the connection. Peers observe `ConnectionLost` on their next
-    /// operation and blocked completion waits wake with `None`. Each side is
-    /// marked `Disconnected` before its peer link drops, and its SRQ credit
-    /// entry goes with the first disconnect only.
+    /// operation and blocked completion waits wake with `None`. Both sides
+    /// are marked `Disconnected`, this one first, and each SRQ credit entry
+    /// goes with the first disconnect only.
     pub fn disconnect(&self) {
-        self.inner.state.store(QpState::Disconnected);
-        let peer = self.inner.peer.write().take();
-        self.inner.send_cq.disconnect();
-        self.inner.recv_cq.disconnect();
-        self.inner.detach_srq();
-        if let Some(peer) = peer {
-            peer.state.store(QpState::Disconnected);
-            peer.peer.write().take();
-            peer.send_cq.disconnect();
-            peer.recv_cq.disconnect();
-            peer.detach_srq();
+        self.inner.disconnect();
+        if let Some(peer) = self.peer.get() {
+            peer.disconnect();
         }
     }
 
     /// Whether the connection is up. One load: a side is marked
-    /// `Disconnected` before either peer link drops, so a `Connected` state
-    /// always has its peer behind it.
+    /// `Connected` only after its peer is linked, and the link is never
+    /// cleared.
     pub fn is_connected(&self) -> bool {
         self.state() == QpState::Connected
     }
@@ -318,6 +374,14 @@ impl QueuePair {
     /// Post a receive work request: a buffer waiting for a SEND or
     /// WRITE_WITH_IMM from the peer.
     pub fn post_recv(&self, recv: RecvRequest) -> Result<()> {
+        self.push_recv(&mut self.inner.recv_queue.lock(), recv)?;
+        self.inner.clock.advance(CX5_100G.post_recv_overhead);
+        Ok(())
+    }
+
+    /// Queue `recv` on the locked private receive queue: what
+    /// [`QueuePair::post_recv`] does before it charges the clock.
+    fn push_recv(&self, queue: &mut RecvQueue, recv: RecvRequest) -> Result<()> {
         let state = self.state();
         if state == QpState::Disconnected {
             return Err(FabricError::InvalidQpState {
@@ -331,21 +395,49 @@ impl QueuePair {
             ));
         }
         validate_sge(&recv.local)?;
-        let mut queue = self.inner.recv_queue.lock();
-        if queue.len() >= CX5_100G.max_recv_queue_depth {
+        if queue.posted.len() >= CX5_100G.max_recv_queue_depth {
             return Err(FabricError::DeviceLimitExceeded {
                 limit: "receive queue depth",
             });
         }
-        queue.push_back(recv);
-        drop(queue);
-        self.inner.clock.advance(CX5_100G.post_recv_overhead);
+        queue.posted.push_back(recv);
         Ok(())
     }
 
     /// Number of receive work requests currently posted.
     pub fn posted_receives(&self) -> usize {
-        self.inner.recv_queue.lock().len()
+        self.inner.recv_queue.lock().posted.len()
+    }
+
+    /// Start the slot ledger of a ring of `depth` slots posting into the
+    /// private receive queue ([`RingState::attach`]).
+    pub(crate) fn attach_ring(&self, depth: usize) -> Result<()> {
+        RingState::attach(&mut self.inner.recv_queue.lock().ring, depth)
+    }
+
+    /// Pick up ring slot `slot` and post `recv()` back into it as
+    /// [`QueuePair::post_recv`] does, under one lock of the receive queue.
+    /// The queue consumes FIFO, so a ring delivery is always the ledger's
+    /// front slot; anything else is a receive posted outside the ring whose
+    /// `wr_id` collides with a slot index, and is left alone (`None`).
+    pub(crate) fn repost_ring_slot(
+        &self,
+        slot: usize,
+        recv: impl FnOnce() -> RecvRequest,
+    ) -> Option<Result<()>> {
+        let mut queue = self.inner.recv_queue.lock();
+        let ring = queue.ring.as_mut().expect("a ring posts into this queue");
+        if ring.front() != Some(slot) || ring.deliver().is_err() {
+            return None;
+        }
+        ring.repost(slot)
+            .expect("a slot delivered just now is consumed");
+        let posted = self.push_recv(&mut queue, recv());
+        drop(queue);
+        if posted.is_ok() {
+            self.inner.clock.advance(CX5_100G.post_recv_overhead);
+        }
+        Some(posted)
     }
 
     /// Post a send-queue work request (write, write-with-immediate, send,
@@ -415,7 +507,7 @@ impl QueuePair {
         }
         let peer = self.connected_peer("post_send")?;
         let source = WriteSource::Inline(data);
-        self.write_remote_bytes(wr_id, source, remote, imm, &peer, signaled, false)
+        self.write_remote_bytes(wr_id, source, remote, imm, peer, signaled, false)
     }
 
     fn post_send_inner(
@@ -429,24 +521,22 @@ impl QueuePair {
         validate_sge(request.local())?;
 
         match &request {
-            SendRequest::Send { local } => {
-                self.execute_send(wr_id, local, &peer, signaled, chained)
-            }
+            SendRequest::Send { local } => self.execute_send(wr_id, local, peer, signaled, chained),
             SendRequest::Write { local, remote } => {
-                self.execute_write(wr_id, local, remote, None, &peer, signaled, chained)
+                self.execute_write(wr_id, local, remote, None, peer, signaled, chained)
             }
             SendRequest::WriteWithImm { local, remote, imm } => {
-                self.execute_write(wr_id, local, remote, Some(*imm), &peer, signaled, chained)
+                self.execute_write(wr_id, local, remote, Some(*imm), peer, signaled, chained)
             }
             SendRequest::Read { local, remote } => {
-                self.execute_read(wr_id, local, remote, &peer, signaled, chained)
+                self.execute_read(wr_id, local, remote, peer, signaled, chained)
             }
             SendRequest::AtomicFetchAdd { local, remote, add } => self.execute_atomic(
                 wr_id,
                 local,
                 remote,
                 AtomicOp::FetchAdd(*add),
-                &peer,
+                peer,
                 signaled,
                 chained,
             ),
@@ -463,7 +553,7 @@ impl QueuePair {
                     compare: *compare,
                     swap: *swap,
                 },
-                &peer,
+                peer,
                 signaled,
                 chained,
             ),
@@ -482,12 +572,13 @@ impl QueuePair {
     /// flow-control contract that stops one tenant starving the shared
     /// queue, fails the post immediately. Retries never touch the virtual
     /// clock, so timestamps stay deterministic.
-    fn consume_peer_recv(peer: &Arc<QpInner>) -> Result<RecvRequest> {
+    fn consume_peer_recv(peer: &QpInner) -> Result<RecvRequest> {
         const RNR_RETRY_WINDOW: std::time::Duration = std::time::Duration::from_secs(5);
         let Some(srq) = peer.srq() else {
             return peer
                 .recv_queue
                 .lock()
+                .posted
                 .pop_front()
                 .ok_or(FabricError::ReceiverNotReady);
         };
@@ -507,7 +598,7 @@ impl QueuePair {
         popped
     }
 
-    fn connected_peer(&self, operation: &'static str) -> Result<Arc<QpInner>> {
+    fn connected_peer(&self, operation: &'static str) -> Result<&QpInner> {
         let state = self.state();
         if state != QpState::Connected {
             return Err(FabricError::InvalidQpState {
@@ -515,12 +606,7 @@ impl QueuePair {
                 state: state.name(),
             });
         }
-        let peer = self
-            .inner
-            .peer
-            .read()
-            .clone()
-            .ok_or(FabricError::NotConnected)?;
+        let peer = self.peer.get().ok_or(FabricError::NotConnected)?;
         if peer.state.load() != QpState::Connected {
             return Err(FabricError::ConnectionLost);
         }
@@ -541,7 +627,7 @@ impl QueuePair {
         &self,
         wr_id: u64,
         local: &Sge,
-        peer: &Arc<QpInner>,
+        peer: &QpInner,
         signaled: bool,
         chained: bool,
     ) -> Result<()> {
@@ -596,7 +682,7 @@ impl QueuePair {
         local: &Sge,
         remote: &RemoteMemoryHandle,
         imm: Option<u32>,
-        peer: &Arc<QpInner>,
+        peer: &QpInner,
         signaled: bool,
         chained: bool,
     ) -> Result<()> {
@@ -614,12 +700,12 @@ impl QueuePair {
         source: WriteSource<'_>,
         remote: &RemoteMemoryHandle,
         imm: Option<u32>,
-        peer: &Arc<QpInner>,
+        peer: &QpInner,
         signaled: bool,
         chained: bool,
     ) -> Result<()> {
         let len = source.len();
-        let target = peer.pd.lookup(remote.rkey)?;
+        let target = peer.resolve(remote.rkey)?;
         if !target.access().remote_write {
             return Err(FabricError::RemoteAccessDenied {
                 required: "REMOTE_WRITE",
@@ -682,11 +768,11 @@ impl QueuePair {
         wr_id: u64,
         local: &Sge,
         remote: &RemoteMemoryHandle,
-        peer: &Arc<QpInner>,
+        peer: &QpInner,
         signaled: bool,
         chained: bool,
     ) -> Result<()> {
-        let source = peer.pd.lookup(remote.rkey)?;
+        let source = peer.resolve(remote.rkey)?;
         if !source.access().remote_read {
             return Err(FabricError::RemoteAccessDenied {
                 required: "REMOTE_READ",
@@ -723,11 +809,11 @@ impl QueuePair {
         local: &Sge,
         remote: &RemoteMemoryHandle,
         op: AtomicOp,
-        peer: &Arc<QpInner>,
+        peer: &QpInner,
         signaled: bool,
         chained: bool,
     ) -> Result<()> {
-        let target = peer.pd.lookup(remote.rkey)?;
+        let target = peer.resolve(remote.rkey)?;
         if !target.access().remote_atomic {
             return Err(FabricError::RemoteAccessDenied {
                 required: "REMOTE_ATOMIC",
@@ -1303,6 +1389,76 @@ mod tests {
                 true
             )
             .is_err());
+    }
+
+    #[test]
+    fn a_disconnected_pair_fails_posts_and_frees_both_sides() {
+        let (client, server, _f) = connected_pair();
+        let sides = [&client, &server].map(|qp| Arc::downgrade(&qp.inner));
+        let dst = server.pd().register(8, AccessFlags::REMOTE_WRITE);
+        server.disconnect();
+        assert_eq!(
+            client.post_write_inline(1, &[1; 8], &dst.remote_handle(), None, false),
+            Err(FabricError::InvalidQpState {
+                operation: "post_send",
+                state: "DISCONNECTED",
+            })
+        );
+        assert_eq!(
+            QueuePair::connect_pair(&client, &server),
+            Err(FabricError::InvalidQpState {
+                operation: "connect",
+                state: "DISCONNECTED",
+            })
+        );
+        drop((client, server));
+        assert!(sides.iter().all(|side| side.upgrade().is_none()));
+    }
+
+    #[test]
+    fn a_cached_translation_dies_with_its_registration() {
+        let (client, server, _f) = connected_pair();
+        let local = client.pd().register(8, AccessFlags::LOCAL_ONLY);
+        let target = server.pd().register(8, AccessFlags::REMOTE_ALL);
+        let other = server.pd().register(8, AccessFlags::REMOTE_ALL);
+        let write = |remote: &MemoryRegion| SendRequest::Write {
+            local: Sge::whole(&local),
+            remote: remote.remote_handle(),
+        };
+        let read = |remote: &MemoryRegion| SendRequest::Read {
+            local: Sge::whole(&local),
+            remote: remote.remote_handle(),
+        };
+        // The first write caches `target`; `other` resolves from the table.
+        local.write(0, &[3; 8]).unwrap();
+        client.post_send(1, write(&target), false).unwrap();
+        client.post_send(2, write(&other), false).unwrap();
+        assert_eq!(
+            (target.read_all(), other.read_all()),
+            (vec![3; 8], vec![3; 8])
+        );
+        client.post_send(3, read(&target), false).unwrap();
+
+        // Deregistered after it was cached, the key fails every one-sided
+        // operation as an unknown key does, and the region is left alone.
+        assert!(server.pd().deregister(&target));
+        let unknown = Err(FabricError::InvalidRemoteKey(target.rkey()));
+        local.write(0, &[4; 8]).unwrap();
+        assert_eq!(client.post_send(4, write(&target), false), unknown);
+        assert_eq!(
+            client.post_write_inline(5, &[4; 8], &target.remote_handle(), None, false),
+            unknown
+        );
+        assert_eq!(client.post_send(6, read(&target), false), unknown);
+        let atomic = SendRequest::AtomicFetchAdd {
+            local: Sge::whole(&local),
+            remote: target.remote_handle(),
+            add: 1,
+        };
+        assert_eq!(client.post_send(7, atomic, false), unknown);
+        assert_eq!(target.read_all(), vec![3; 8]);
+        client.post_send(8, write(&other), false).unwrap();
+        assert_eq!(other.read_all(), vec![4; 8]);
     }
 
     #[test]

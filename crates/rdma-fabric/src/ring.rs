@@ -19,10 +19,13 @@
 //!   correct whenever the slot is a pure doorbell, which is what rFaaS uses
 //!   it for (payloads travel one-sided into registered buffers, not into the
 //!   ring slots).
+//!
+//! The ledger lives with the receive queue the slots are posted to — the
+//! queue pair's private one or the shared one — under that queue's lock, so
+//! picking a slot up and reposting it take one acquisition. A queue holds
+//! at most one ring.
 
 use std::collections::VecDeque;
-
-use sim_core::sync::Mutex;
 
 use crate::error::{FabricError, Result};
 use crate::memory::AccessFlags;
@@ -46,7 +49,7 @@ pub(crate) struct RingState {
 
 impl RingState {
     /// A ring of `depth` slots, all posted in index order (slot 0 first).
-    pub(crate) fn new(depth: usize) -> RingState {
+    fn new(depth: usize) -> RingState {
         RingState {
             depth,
             posted: (0..depth).collect(),
@@ -70,6 +73,19 @@ impl RingState {
     #[cfg(test)]
     fn consumed(&self) -> usize {
         self.consumed.iter().filter(|c| **c).count()
+    }
+
+    /// Start the ledger of a ring of `depth` slots, all posted, in `ledger`:
+    /// where a receive queue keeps the ledger of the ring posting into it.
+    /// A queue holds one ring.
+    pub(crate) fn attach(ledger: &mut Option<RingState>, depth: usize) -> Result<()> {
+        if ledger.is_some() {
+            return Err(FabricError::DeviceLimitExceeded {
+                limit: "one receive ring per queue",
+            });
+        }
+        *ledger = Some(RingState::new(depth));
+        Ok(())
     }
 
     /// The slot an incoming message will land in next, if any.
@@ -148,11 +164,9 @@ pub struct ReceiveRing {
     /// still posted when it drops keep the bytes, not the registration.
     region: OwnedRegion,
     slot_len: usize,
-    /// Immutable after construction; duplicated outside the state mutex so
-    /// hot-path callers (per-submission overflow checks, adopt) read it
-    /// lock-free.
+    /// Fixed at construction, so hot-path callers (per-submission overflow
+    /// checks, adopt) read it without the queue's lock.
     depth: usize,
-    state: Mutex<RingState>,
 }
 
 /// Where the ring posts its slots: a private queue pair (classic per-
@@ -207,13 +221,16 @@ impl ReceiveRing {
                 limit: "receive ring depth must be non-zero",
             });
         }
+        match &backing {
+            RingBacking::Qp(qp) => qp.attach_ring(depth)?,
+            RingBacking::Srq(srq) => srq.attach_ring(depth)?,
+        }
         let region = pd.register_owned(depth * slot_len.max(1), AccessFlags::LOCAL_ONLY);
         let ring = ReceiveRing {
             backing,
             region,
             slot_len: slot_len.max(1),
             depth,
-            state: Mutex::new(RingState::new(depth)),
         };
         for slot in 0..depth {
             ring.post_slot(slot)?;
@@ -240,14 +257,8 @@ impl ReceiveRing {
         self.depth
     }
 
-    /// Slots currently posted (available for incoming messages).
-    #[cfg(test)]
-    fn posted_slots(&self) -> usize {
-        self.state.lock().posted()
-    }
-
     /// Map a raw completion onto the ring: consume the slot it landed in and
-    /// immediately re-post it.
+    /// immediately re-post it, under one lock of the queue it is posted to.
     ///
     /// Total by design — a completion the completion queue already handed
     /// over must never be dropped. Completions whose `wr_id` does not name a
@@ -265,40 +276,18 @@ impl ReceiveRing {
         if wc.wr_id == u64::MAX || slot_id >= self.depth() {
             return RingCompletion { slot: None, wc };
         }
-        {
-            let mut state = self.state.lock();
-            let delivered = match &self.backing {
-                // The QP consumes receives FIFO, so a ring delivery always
-                // hits the front slot; anything else is a foreign receive
-                // whose wr_id happens to collide with a slot index.
-                RingBacking::Qp(_) => state.front() == Some(slot_id) && state.deliver().is_ok(),
-                // Several QPs drain from the shared queue and their CQs are
-                // swept in registration order, so deliveries land in
-                // arbitrary slot order.
-                RingBacking::Srq(_) => state.deliver_slot(slot_id).is_ok(),
-            };
-            if !delivered {
-                return RingCompletion { slot: None, wc };
-            }
-            state
-                .repost(slot_id)
-                .expect("a slot delivered just now is consumed");
-        }
+        let recv = || self.recv_request(slot_id);
         // A failed re-post only happens on a disconnected QP, where the next
         // wait returns None anyway; the completion in hand is still
         // delivered to the caller.
-        match &self.backing {
+        let reposted = match &self.backing {
+            RingBacking::Qp(qp) => qp.repost_ring_slot(slot_id, recv),
             // The buffer is free again: return the consuming QP's credit, and
             // the slot with it.
-            RingBacking::Srq(srq) => {
-                let _ = srq.release_and_post(wc.qp_num, self.recv_request(slot_id));
-            }
-            RingBacking::Qp(_) => {
-                let _ = self.post_slot(slot_id);
-            }
-        }
+            RingBacking::Srq(srq) => srq.repost_ring_slot(wc.qp_num, slot_id, recv),
+        };
         RingCompletion {
-            slot: Some(slot_id),
+            slot: reposted.map(|_| slot_id),
             wc,
         }
     }
@@ -391,14 +380,14 @@ mod tests {
     fn live_ring_auto_reposts_and_never_drains() {
         let (client, server) = connected_pair();
         let ring = ReceiveRing::new(&server, 2, 8).unwrap();
-        assert_eq!(ring.posted_slots(), 2);
+        assert_eq!(server.posted_receives(), 2);
         // Many more messages than the depth: every pickup re-posts its slot.
         for i in 0..10u32 {
             write_with_imm(&client, &server, i).unwrap();
             let c = ring.poll_one().unwrap();
             assert_eq!(c.wc.imm, Some(i));
             assert!(c.slot.is_some());
-            assert_eq!(ring.posted_slots(), 2);
+            assert_eq!(server.posted_receives(), 2);
         }
     }
 
@@ -425,7 +414,7 @@ mod tests {
         assert_eq!(foreign.slot, None);
         assert_eq!(foreign.wc.imm, Some(3));
         // The ring slots were auto-reposted; the foreign receive was not.
-        assert_eq!(ring.posted_slots(), 2);
+        assert_eq!(server.posted_receives(), 2);
     }
 
     #[test]
@@ -451,13 +440,27 @@ mod tests {
         let colliding = ring.poll_one().unwrap();
         assert_eq!(colliding.slot, None, "slot 1 is not at the ring's front");
         assert_eq!(colliding.wc.imm, Some(3));
-        assert_eq!(ring.posted_slots(), 2);
+        assert_eq!(server.posted_receives(), 2);
     }
 
     #[test]
     fn zero_depth_ring_is_rejected() {
         let (_client, server) = connected_pair();
         assert!(ReceiveRing::new(&server, 0, 8).is_err());
+    }
+
+    #[test]
+    fn a_queue_holds_one_ring() {
+        // The slot ledger lives with the queue the slots are posted to.
+        let (_client, server) = connected_pair();
+        let _ring = ReceiveRing::new(&server, 2, 8).unwrap();
+        assert!(ReceiveRing::new(&server, 2, 8).is_err());
+        assert_eq!(server.posted_receives(), 2);
+        let (srq, _ring, _pairs) = srq_ring(4, 1, 1);
+        let fabric = Fabric::with_defaults();
+        let endpoint = Endpoint::new(&fabric, &fabric.add_node("server"));
+        assert!(ReceiveRing::on_srq(&endpoint, &srq, 4, 8).is_err());
+        assert_eq!(srq.posted(), 4);
     }
 
     #[test]

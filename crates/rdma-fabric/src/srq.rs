@@ -27,6 +27,7 @@ use sim_core::VirtualClock;
 use crate::device::CX5_100G;
 use crate::error::{FabricError, Result};
 use crate::qp::Endpoint;
+use crate::ring::RingState;
 use crate::verbs::RecvRequest;
 
 #[derive(Debug, Clone, Copy)]
@@ -46,6 +47,10 @@ struct SrqState {
     /// Highest `total_in_flight` ever observed — how deep into the shared
     /// pool concurrent tenants actually reached.
     high_watermark: usize,
+    /// Slot ledger of the ring posting into this queue
+    /// ([`ReceiveRing::on_srq`](crate::ReceiveRing::on_srq)): one lock
+    /// covers a slot's pickup, the credit it returns and its repost.
+    ring: Option<RingState>,
 }
 
 impl SrqState {
@@ -110,6 +115,7 @@ impl SharedReceiveQueue {
                     credits: BTreeMap::new(),
                     total_in_flight: 0,
                     high_watermark: 0,
+                    ring: None,
                 }),
             }),
         }
@@ -128,17 +134,37 @@ impl SharedReceiveQueue {
         Ok(())
     }
 
+    /// Start the slot ledger of a ring of `depth` slots posting into this
+    /// queue ([`RingState::attach`]).
+    pub(crate) fn attach_ring(&self, depth: usize) -> Result<()> {
+        RingState::attach(&mut self.inner.state.lock().ring, depth)
+    }
+
+    /// Pick up ring slot `slot`, which `qp_num` consumed, then
     /// [`SharedReceiveQueue::release`] `qp_num`'s credit and
-    /// [`SharedReceiveQueue::post`] the freed buffer back, under one lock:
-    /// what a ring does when it picks a delivery up and reposts its slot.
-    pub(crate) fn release_and_post(&self, qp_num: u32, recv: RecvRequest) -> Result<()> {
-        {
+    /// [`SharedReceiveQueue::post`] `recv()` back into the slot, under one
+    /// lock. Several QPs consume from the queue and their completions are
+    /// swept in registration order, so a delivery may be any posted slot;
+    /// one that is not (out of range, or not posted) is left alone (`None`).
+    pub(crate) fn repost_ring_slot(
+        &self,
+        qp_num: u32,
+        slot: usize,
+        recv: impl FnOnce() -> RecvRequest,
+    ) -> Option<Result<()>> {
+        let posted = {
             let mut state = self.inner.state.lock();
+            let ring = state.ring.as_mut().expect("a ring posts into this queue");
+            ring.deliver_slot(slot).ok()?;
+            ring.repost(slot)
+                .expect("a slot delivered just now is consumed");
             state.release(qp_num);
-            state.push(recv, self.inner.max_depth)?;
+            state.push(recv(), self.inner.max_depth)
+        };
+        if posted.is_ok() {
+            self.inner.clock.advance(CX5_100G.post_recv_overhead);
         }
-        self.inner.clock.advance(CX5_100G.post_recv_overhead);
-        Ok(())
+        Some(posted)
     }
 
     /// Register `qp_num` as a consumer with a flow-control budget of

@@ -14,7 +14,8 @@ use std::rc::Rc;
 
 use rdma_fabric::{
     connect_pooled_with, AccessFlags, ConnectionPool, Endpoint, MemoryRegion, OwnedRegion,
-    ProtectionDomain, QueuePair, ReceiveRing, RecvRequest, RemoteMemoryHandle, Sge, PAGE_SIZE,
+    ProtectionDomain, QueuePair, ReceiveRing, RecvRequest, RemoteMemoryHandle, Sge, CX5_100G,
+    PAGE_SIZE,
 };
 use sim_core::SimDuration;
 
@@ -70,6 +71,7 @@ impl Buffer {
     }
 
     /// Offset of the payload within the region.
+    #[cfg(test)]
     pub(crate) fn payload_offset(&self) -> usize {
         self.header_space
     }
@@ -88,6 +90,18 @@ impl Buffer {
         }
         self.region()
             .overwrite_with(self.header_space, len, |bytes| value.encode_into(bytes))?
+    }
+
+    /// Write `head` — the header, or a whole inline wire — at the front of
+    /// the region, ahead of a DMA of its first `wire_len` bytes, and give
+    /// back what lies past them: what a larger earlier request left there
+    /// would keep a request DMA of a page or more from sharing the staged
+    /// bytes. The write has just made the bytes the region's own, so giving
+    /// back copies nothing.
+    pub(crate) fn stage_wire(&self, head: &[u8], wire_len: usize) -> Result<()> {
+        self.region().write(0, head)?;
+        self.region().decommit_past(wire_len);
+        Ok(())
     }
 
     /// Decode `len` payload bytes through codec `C`, straight from the
@@ -352,7 +366,51 @@ pub(crate) struct InvocationSpec {
     pub(crate) function: Rc<str>,
     pub(crate) input: Buffer,
     pub(crate) payload_len: usize,
+    /// The payload, when it fits one inline WQE behind its header: then it
+    /// is encoded here and `input` never holds it.
+    pub(crate) inline: Option<InlineWire>,
     pub(crate) output: Buffer,
+}
+
+/// The wire of an invocation whose header and payload fit the device's
+/// inline capacity: the payload encoded behind an empty header slot, on
+/// the stack. A post fills the header into a copy and hands it to the WQE,
+/// so the payload is encoded once and never staged or read back.
+#[derive(Clone, Copy)]
+pub(crate) struct InlineWire {
+    bytes: [u8; CX5_100G.max_inline_data],
+    len: usize,
+}
+
+impl InlineWire {
+    /// Encode `value` through its [`Codec`] behind the header slot, if the
+    /// whole wire fits one inline WQE.
+    pub(crate) fn encode<C: Codec + ?Sized>(value: &C) -> Result<Option<InlineWire>> {
+        let len = INVOCATION_HEADER_BYTES + value.encoded_len();
+        if len > CX5_100G.max_inline_data {
+            return Ok(None);
+        }
+        let mut bytes = [0u8; CX5_100G.max_inline_data];
+        let payload = &mut bytes[INVOCATION_HEADER_BYTES..len];
+        match value.encoded_bytes() {
+            Some(encoded) => payload.copy_from_slice(encoded),
+            None => {
+                value.encode_into(payload)?;
+            }
+        }
+        Ok(Some(InlineWire { bytes, len }))
+    }
+
+    /// This wire with `header` in its slot.
+    pub(crate) fn with_header(mut self, header: &[u8; INVOCATION_HEADER_BYTES]) -> InlineWire {
+        self.bytes[..INVOCATION_HEADER_BYTES].copy_from_slice(header);
+        self
+    }
+
+    /// Header slot and payload.
+    pub(crate) fn as_bytes(&self) -> &[u8] {
+        &self.bytes[..self.len]
+    }
 }
 
 /// Where one posted invocation's result will land: the connection it went
@@ -453,7 +511,8 @@ mod tests {
     }
 
     /// Submit `len` bytes of `input` to `function` at the wire level
-    /// (caller-owned buffers, explicit length) and wait for the result.
+    /// (caller-owned buffers, explicit length) and wait for the result. A
+    /// payload that fits inline rides in the spec, as a typed submit's does.
     fn invoke_spec<O: Codec + ?Sized>(
         session: &Session,
         function: &str,
@@ -461,12 +520,14 @@ mod tests {
         len: usize,
         output: &Buffer,
     ) -> Result<O::Owned> {
+        let payload = input.region().read(input.payload_offset(), len)?;
         session
             .submit_spec::<O>(InvocationSpec {
                 worker: None,
                 function: function.into(),
                 input: input.clone(),
                 payload_len: len,
+                inline: InlineWire::encode(&payload[..])?,
                 output: output.clone(),
             })?
             .wait()
@@ -593,6 +654,43 @@ mod tests {
         let mut staged = vec![2u8; WIRE];
         staged[..INVOCATION_HEADER_BYTES].fill(9);
         assert_eq!(input.region().read_all(), staged);
+    }
+
+    #[test]
+    fn a_smaller_request_after_a_larger_one_shares_its_staged_bytes() {
+        // Each request goes to a fresh worker input, which holds nothing
+        // past it: only the staging buffer could stop the share. It gives
+        // back what the larger request left past the smaller one's wire.
+        const LARGE: usize = 4 * PAGE_SIZE;
+        let pd = domain();
+        let input = Buffer::input(&pd, LARGE);
+        let buffer = |region: &MemoryRegion| region.with_bytes(0, 1, <[u8]>::as_ptr).unwrap();
+        let send = |len: usize, fill: u8| {
+            let wire = INVOCATION_HEADER_BYTES + len;
+            let worker_input =
+                pd.register(INVOCATION_HEADER_BYTES + LARGE, AccessFlags::REMOTE_WRITE);
+            input.write_encoded(&vec![fill; len][..]).unwrap();
+            input
+                .stage_wire(&[9; INVOCATION_HEADER_BYTES], wire)
+                .unwrap();
+            input.region().copy_to(0, &worker_input, 0, wire).unwrap();
+            let mut sent = vec![0u8; INVOCATION_HEADER_BYTES + LARGE];
+            sent[..INVOCATION_HEADER_BYTES].fill(9);
+            sent[INVOCATION_HEADER_BYTES..wire].fill(fill);
+            assert_eq!(worker_input.read_all(), sent);
+            worker_input
+        };
+        // The first worker input still holds the larger request: the
+        // staging buffer builds the smaller one around it.
+        let first = send(LARGE, 1);
+        assert_eq!(buffer(&first), buffer(input.region()));
+        let second = send(2 * PAGE_SIZE, 2);
+        assert_eq!(
+            buffer(&second),
+            buffer(input.region()),
+            "copied, not shared"
+        );
+        assert_ne!(buffer(&first), buffer(&second));
     }
 
     #[test]

@@ -29,14 +29,14 @@ use std::time::Duration;
 
 use rdma_fabric::{
     ConnectionPool, DatagramSocket, Endpoint, Fabric, ProtectionDomain, RecvRequest, SendRequest,
-    Sge, CX5_100G,
+    Sge,
 };
 use sandbox::{CodePackage, SandboxType};
 use sim_core::{SimDuration, SimTime, VirtualClock};
 use state_plane::{StateClient, StateClientStats, StateError, StateKey, StatePlane, StateSpec};
 
 use crate::client::{
-    connection_is_lost, BatchStats, Buffer, ColdStartBreakdown, ConnectionPlaneStats,
+    connection_is_lost, BatchStats, Buffer, ColdStartBreakdown, ConnectionPlaneStats, InlineWire,
     InvocationSpec, Posted, WorkerConnection,
 };
 use crate::codec::Codec;
@@ -997,11 +997,12 @@ impl Session {
 
     /// Put one invocation on the wire: the overflow receive when this
     /// submission's reserved slot (`reserved`, the pre-increment in-flight
-    /// count) exceeds the ring, then header + payload — inline when the wire
-    /// fits the device's WQE inline capacity, buffered otherwise. A `chained`
-    /// post joins the WQE chain opened by the previous post of the batch
-    /// (descriptor build only, no doorbell) and always takes the buffered
-    /// path, since inline WQEs cannot join a chain that spans queue pairs.
+    /// count) exceeds the ring, then header + payload — inline when the spec
+    /// holds an inline wire, buffered otherwise. A `chained` post joins the
+    /// WQE chain opened by the previous post of the batch (descriptor build
+    /// only, no doorbell) and always takes the buffered path, since inline
+    /// WQEs cannot join a chain that spans queue pairs: an inline wire is
+    /// then staged whole into the input region.
     fn post_invocation(
         &self,
         connection: &WorkerConnection,
@@ -1014,7 +1015,7 @@ impl Session {
         // Payload-vs-capacity bounds were already enforced by resolve_spec
         // (every caller resolves before posting), so the spec is trusted
         // here.
-        let (input, payload_len) = (&spec.input, spec.payload_len);
+        let input = &spec.input;
 
         // The connection's receive ring holds one pre-posted slot per
         // in-flight result; only past the ring depth does a submission pay an
@@ -1026,46 +1027,40 @@ impl Session {
             })?;
         }
 
-        let wire_len = INVOCATION_HEADER_BYTES + payload_len;
+        let wire_len = INVOCATION_HEADER_BYTES + spec.payload_len;
         // Fill the header in front of the payload: where the executor should
         // write the result.
         self.clock().advance(HEADER_WRITE_COST);
-        let header = InvocationHeader::for_result_buffer(&spec.output.remote_handle());
+        let header = InvocationHeader::for_result_buffer(&spec.output.remote_handle()).encode();
         let imm = ImmValue::request(invocation_id, function_index);
-        if !chained && wire_len <= CX5_100G.max_inline_data {
+        match spec.inline.map(|wire| wire.with_header(&header)) {
             // Zero-copy hot path (Sec. IV-A): header and payload ride inside
             // the WQE — no staging write into the input region, no DMA
-            // fetch, no heap allocation (the wire is staged on the stack).
-            let mut wire = [0u8; CX5_100G.max_inline_data];
-            wire[..INVOCATION_HEADER_BYTES].copy_from_slice(&header.encode());
-            input.region().read_into(
-                input.payload_offset(),
-                &mut wire[INVOCATION_HEADER_BYTES..wire_len],
-            )?;
-            connection.qp.post_write_inline(
+            // fetch, no heap allocation (the wire is built on the stack).
+            Some(wire) if !chained => connection.qp.post_write_inline(
                 invocation_id as u64,
-                &wire[..wire_len],
+                wire.as_bytes(),
                 &connection.remote_input.slice(0, wire_len),
                 Some(imm),
                 false,
-            )?;
-        } else {
-            // Buffered path: stage the header in front of the payload and
-            // gather both from the registered input region.
-            input
-                .region()
-                .write(0, &header.encode())
-                .map_err(RFaasError::from)?;
-            connection.qp.post_send_chained(
-                invocation_id as u64,
-                SendRequest::WriteWithImm {
-                    local: Sge::range(input.region(), 0, wire_len),
-                    remote: connection.remote_input.slice(0, wire_len),
-                    imm,
-                },
-                false,
-                chained,
-            )?;
+            )?,
+            staged => {
+                // Buffered path: stage the header in front of the payload
+                // (or the whole inline wire) and gather both from the
+                // registered input region.
+                let staged = staged.as_ref().map_or(&header[..], InlineWire::as_bytes);
+                input.stage_wire(staged, wire_len)?;
+                connection.qp.post_send_chained(
+                    invocation_id as u64,
+                    SendRequest::WriteWithImm {
+                        local: Sge::range(input.region(), 0, wire_len),
+                        remote: connection.remote_input.slice(0, wire_len),
+                        imm,
+                    },
+                    false,
+                    chained,
+                )?;
+            }
         }
         Ok(())
     }
@@ -1324,12 +1319,16 @@ where
             self.session
                 .buffers
                 .acquire(&self.session.endpoint.pd, payload_len, output_capacity);
-        input_buffer.write_encoded(input)?;
+        let inline = InlineWire::encode(input)?;
+        if inline.is_none() {
+            input_buffer.write_encoded(input)?;
+        }
         Ok(InvocationSpec {
             worker,
             function: Rc::clone(&self.name),
             input: input_buffer,
             payload_len,
+            inline,
             output: output_buffer,
         })
     }

@@ -25,21 +25,36 @@
 //! Debug builds also count every successful acquisition — a `Mutex` lock or
 //! `try_lock`, an `RwLock` read or write, and so every `OrderedMutex`
 //! acquire — per thread, so a test can pin how many locks one operation
-//! takes ([`lock_acquisitions`]).
+//! takes ([`lock_acquisitions`]), and keep the `file:line` each of the
+//! latest acquisitions was made at ([`lock_sites`]), so a moved pin names
+//! the locks that moved it.
 
 use std::fmt;
+use std::panic::Location;
 use std::sync::{self as std_sync, MutexGuard, PoisonError, TryLockError};
 use std::sync::{RwLockReadGuard, RwLockWriteGuard};
+
+/// How many of a thread's latest acquisition sites a debug build keeps.
+#[cfg(debug_assertions)]
+const SITES_KEPT: usize = 512;
 
 #[cfg(debug_assertions)]
 thread_local! {
     static ACQUISITIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// Acquisition `n`'s site sits at `n % SITES_KEPT`.
+    static SITES: std::cell::RefCell<[Option<&'static Location<'static>>; SITES_KEPT]> =
+        const { std::cell::RefCell::new([None; SITES_KEPT]) };
 }
 
 #[inline]
+#[cfg_attr(debug_assertions, track_caller)]
 fn count_acquisition() {
     #[cfg(debug_assertions)]
-    ACQUISITIONS.with(|n| n.set(n.get() + 1));
+    {
+        let n = ACQUISITIONS.with(|n| n.replace(n.get() + 1));
+        let site = Location::caller();
+        SITES.with_borrow_mut(|sites| sites[n as usize % SITES_KEPT] = Some(site));
+    }
 }
 
 /// Lock acquisitions this thread has made so far, or `None` in a release
@@ -50,6 +65,39 @@ pub fn lock_acquisitions() -> Option<u64> {
     #[cfg(not(debug_assertions))]
     let counted = None;
     counted
+}
+
+/// Where this thread's last `last` lock acquisitions were made, oldest
+/// first: the callers of the `lock`, `try_lock`, `read` or `write`. At most
+/// the latest 512 are kept; `None` in a release build, which does not
+/// record them.
+///
+/// ```
+/// use sim_core::sync::{lock_sites, Mutex};
+///
+/// let counter = Mutex::new(0);
+/// *counter.lock() += 1;
+/// if let Some(sites) = lock_sites(1) {
+///     assert_eq!(sites.len(), 1, "the `lock` call above");
+/// }
+/// ```
+pub fn lock_sites(last: usize) -> Option<Vec<&'static Location<'static>>> {
+    #[cfg(debug_assertions)]
+    let recorded = {
+        let made = ACQUISITIONS.with(std::cell::Cell::get);
+        let kept = (last as u64).min(made).min(SITES_KEPT as u64);
+        Some(SITES.with_borrow(|sites| {
+            (made - kept..made)
+                .filter_map(|n| sites[n as usize % SITES_KEPT])
+                .collect()
+        }))
+    };
+    #[cfg(not(debug_assertions))]
+    let recorded = {
+        let _ = last;
+        None
+    };
+    recorded
 }
 
 /// A mutual-exclusion lock that does not poison (facade over
@@ -63,12 +111,14 @@ impl<T> Mutex<T> {
     }
 
     /// Acquire the lock, blocking until it is available.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn lock(&self) -> MutexGuard<'_, T> {
         count_acquisition();
         self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Acquire the lock if no one holds it.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
         let guard = match self.0.try_lock() {
             Ok(guard) => guard,
@@ -91,12 +141,14 @@ impl<T> RwLock<T> {
     }
 
     /// Acquire shared read access, blocking until available.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn read(&self) -> RwLockReadGuard<'_, T> {
         count_acquisition();
         self.0.read().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Acquire exclusive write access, blocking until available.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
         count_acquisition();
         self.0.write().unwrap_or_else(PoisonError::into_inner)
@@ -268,6 +320,7 @@ impl<T> OrderedMutex<T> {
     }
 
     /// Acquire, enforcing rank order in checked builds.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn lock(&self) -> OrderedMutexGuard<'_, T> {
         #[cfg(debug_assertions)]
         let token = checking::on_acquire(self.rank);
@@ -281,6 +334,7 @@ impl<T> OrderedMutex<T> {
     /// Non-blocking acquire. A `try_lock` cannot deadlock, but a successful
     /// one still participates in rank tracking (locks acquired under it are
     /// checked against it).
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn try_lock(&self) -> Option<OrderedMutexGuard<'_, T>> {
         let inner = self.inner.try_lock()?;
         #[cfg(debug_assertions)]

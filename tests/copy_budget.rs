@@ -21,7 +21,7 @@ use rdma_fabric::ConnectionPool;
 use rfaas::{AllocationPolicy, PollingMode, RFaasConfig, Session, StateKey, StatePlane};
 use rfaas_bench::{Testbed, DATASET_KEY};
 use sandbox::SandboxType;
-use sim_core::sync::lock_acquisitions;
+use sim_core::sync::{lock_acquisitions, lock_sites};
 
 struct Counting;
 
@@ -70,6 +70,24 @@ struct PerOp {
     /// the waiting client turns the executor. `None` in a release build,
     /// which does not count them.
     locks: Option<f64>,
+    /// Where the last operation took its locks, in order (empty in a
+    /// release build).
+    lock_sites: Vec<String>,
+}
+
+impl PerOp {
+    /// Pin the locks one operation takes, in the builds that count them; a
+    /// moved pin lists the last operation's acquisition sites.
+    fn assert_locks(&self, expected: f64, what: &str) {
+        if let Some(locks) = self.locks {
+            assert!(
+                locks == expected,
+                "{what}: {locks} lock acquisitions, pinned at {expected}; the last \
+                 operation took them at:\n  {}",
+                self.lock_sites.join("\n  ")
+            );
+        }
+    }
 }
 
 /// Run `op` to steady state (pools filled, caches hot), then return the mean
@@ -83,19 +101,29 @@ fn per_operation(mut op: impl FnMut()) -> PerOp {
         ALLOCATED_BYTES.load(Ordering::Relaxed),
         lock_acquisitions(),
     );
-    for _ in 0..MEASURED {
+    for _ in 1..MEASURED {
         op();
     }
+    let before_last = lock_acquisitions();
+    op();
     let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before.0;
     let bytes = ALLOCATED_BYTES.load(Ordering::Relaxed) - before.1;
-    let locks = lock_acquisitions()
-        .zip(before.2)
-        .map(|(after, before)| after - before);
+    let after = lock_acquisitions();
+    let locks = after.zip(before.2).map(|(after, before)| after - before);
+    let last = after
+        .zip(before_last)
+        .map_or(0, |(after, before)| after - before);
+    let lock_sites = lock_sites(last as usize)
+        .unwrap_or_default()
+        .iter()
+        .map(ToString::to_string)
+        .collect();
     let mean = |total: u64| total as f64 / MEASURED as f64;
     PerOp {
         allocations: mean(allocations),
         bytes: mean(bytes),
         locks: locks.map(mean),
+        lock_sites,
     }
 }
 
@@ -173,9 +201,7 @@ fn steady_state_heap_traffic_stays_within_the_copy_budget() {
         let cost = per_operation(|| {
             echo.invoke(&[5u8; 64][..]).unwrap();
         });
-        if let Some(locks) = cost.locks {
-            assert_eq!(locks, 24.0, "64 B hot echo: lock acquisitions");
-        }
+        cost.assert_locks(16.0, "64 B hot echo");
         assert_eq!(
             (cost.allocations, cost.bytes),
             (1.0, 64.0),
@@ -205,12 +231,7 @@ fn steady_state_heap_traffic_stays_within_the_copy_budget() {
             "cache-hit stateful invocation allocates {} B",
             cost.bytes
         );
-        if let Some(locks) = cost.locks {
-            assert_eq!(
-                locks, 26.0,
-                "cache-hit stateful invocation: lock acquisitions"
-            );
-        }
+        cost.assert_locks(18.0, "cache-hit stateful invocation");
         let executor = session.stats().state_executor.unwrap();
         assert_eq!(executor.remote_reads, 1, "every measured read was a hit");
 
@@ -219,9 +240,21 @@ fn steady_state_heap_traffic_stays_within_the_copy_budget() {
         let put = per_operation(|| {
             session.state().put(DATASET_KEY, &dataset).unwrap();
         });
-        if let Some(locks) = put.locks {
-            assert_eq!(locks, 17.0, "1 MiB state put: lock acquisitions");
-        }
+        put.assert_locks(17.0, "1 MiB state put");
+
+        // A put, then a touch that reads the new value, as `state_write_mix`
+        // interleaves them: each 1 MiB copy shares the buffer it moves and
+        // each region that writes over shared bytes builds in a buffer a
+        // share replaced, so no buffer of that order is allocated.
+        let cycle = per_operation(|| {
+            session.state().put(DATASET_KEY, &dataset).unwrap();
+            assert_eq!(touch.invoke(&[0u8; 8][..]).unwrap().len(), 8);
+        });
+        assert!(
+            cycle.bytes < 4096.0,
+            "a put and a touch allocate {} B",
+            cycle.bytes
+        );
         session.close().unwrap();
     }
 
@@ -235,7 +268,7 @@ fn steady_state_heap_traffic_stays_within_the_copy_budget() {
         };
         let testbed = Testbed::with_config(1, config);
         let pool = ConnectionPool::new();
-        let PerOp { bytes, locks, .. } = per_operation(|| {
+        let episode = per_operation(|| {
             let session = testbed
                 .session("budget-client")
                 .sandbox(SandboxType::BareMetal)
@@ -251,11 +284,10 @@ fn steady_state_heap_traffic_stays_within_the_copy_budget() {
             session.close().unwrap();
         });
         assert!(
-            bytes < (128 * 1024) as f64,
-            "a lease episode allocates {bytes} B"
+            episode.bytes < (128 * 1024) as f64,
+            "a lease episode allocates {} B",
+            episode.bytes
         );
-        if let Some(locks) = locks {
-            assert_eq!(locks, 256.0, "Fork lease episode: lock acquisitions");
-        }
+        episode.assert_locks(216.0, "Fork lease episode");
     }
 }

@@ -370,17 +370,26 @@ fn executor_failure_is_detected_and_the_client_recovers_elsewhere() {
     assert!(!testbed.manager.deregister_executor(&lease.executor_node));
 
     // The client's next invocation finds its connections dead, transparently
-    // re-allocates from the manager and lands on the surviving executor.
+    // re-allocates from the manager and lands on the surviving executor,
+    // which echoes the inline payload the replay carried.
     session.clock().advance_to(later);
-    assert_eq!(echo.invoke(&[9u8; 24][..]).unwrap(), vec![9u8; 24]);
+    let payload: Vec<u8> = (1..=100).collect();
+    assert_eq!(echo.invoke(&payload[..]).unwrap(), payload);
     assert_eq!(session.recoveries(), 1);
     let recovered = session.lease().unwrap();
     assert_ne!(recovered.executor_node, lease.executor_node);
 }
 
-/// Four echo inputs, two per worker of a `.workers(2)` session.
+/// Four echo inputs, two per worker of a `.workers(2)` session, no two
+/// bytes alike at one position.
 fn scatter_inputs() -> Vec<Vec<u8>> {
-    (1..=4u8).map(|i| vec![i; 48]).collect()
+    (1..=4u8)
+        .map(|i| {
+            (0..48)
+                .map(|j| i.wrapping_mul(53).wrapping_add(j))
+                .collect()
+        })
+        .collect()
 }
 
 #[test]
