@@ -452,12 +452,28 @@ impl Figure {
     }
 }
 
-/// Declare each figure's module and list it in [`FIGURES`], named after the
-/// module, with its `run` and its `CLAIMS`.
+// Declared as plain items, outside `figures!`: rustfmt does not follow a
+// `mod` item inside a macro body, so `cargo fmt` would never check them.
+mod fig10_parallel_scaling;
+mod fig11_serverless_functions;
+mod fig12_parallel_offloading;
+mod fig13_hpc_applications;
+mod fig14_lease_churn;
+mod fig15_allocation_throughput;
+mod fig16_saturation;
+mod fig17_connection_churn;
+mod fig18_fork_spectrum;
+mod fig19_state_plane;
+mod fig1_platform_comparison;
+mod fig2_cluster_utilization;
+mod fig7_invocation_spectrum;
+mod fig8_invocation_latency;
+mod fig9_cold_start;
+
+/// List each figure in [`FIGURES`], named after its module, with its `run`
+/// and its `CLAIMS`.
 macro_rules! figures {
     ($($module:ident;)*) => {
-        $(mod $module;)*
-
         /// Every figure, in the order `figures` runs them all.
         pub const FIGURES: [Figure; 15] = [$(Figure {
             name: stringify!($module),

@@ -163,7 +163,7 @@ impl NicProfile {
     /// chained batch (one doorbell, one shared round trip, back-to-back
     /// serialisation), amortising the per-fault overhead that makes
     /// page-at-a-time faulting expensive.
-    pub(crate) fn fork_read_cost(&self, pages: usize, page_bytes: usize) -> SimDuration {
+    pub fn fork_read_cost(&self, pages: usize, page_bytes: usize) -> SimDuration {
         if pages == 0 || page_bytes == 0 {
             return SimDuration::ZERO;
         }
@@ -252,6 +252,7 @@ impl DeviceFunction {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memory::PAGE_SIZE;
 
     #[test]
     fn default_profile_matches_paper_rtt() {
@@ -343,5 +344,44 @@ mod tests {
         let two = p.state_read_cost(2 << 20);
         assert!(two > one);
         assert!(two < one * 3);
+    }
+
+    #[test]
+    fn empty_map_costs_nothing() {
+        assert!(CX5_100G.fork_read_cost(0, PAGE_SIZE).is_zero());
+        assert!(CX5_100G.fork_read_cost(32, 0).is_zero());
+    }
+
+    #[test]
+    fn batching_amortises_the_per_page_overhead() {
+        let one_by_one = CX5_100G.fork_read_cost(1, PAGE_SIZE) * 32;
+        let batched = CX5_100G.fork_read_cost(32, PAGE_SIZE);
+        assert!(
+            batched < one_by_one,
+            "batched window must beat page-at-a-time faulting"
+        );
+        // The batch still pays full serialisation for every page: it can
+        // never be cheaper than the wire time alone.
+        assert!(batched > CX5_100G.serialization(32 * PAGE_SIZE));
+        // A short tail window is cheaper than a full one.
+        assert!(CX5_100G.fork_read_cost(2, PAGE_SIZE) < batched);
+    }
+
+    #[test]
+    fn fault_residue_is_microseconds_on_the_evaluation_nic() {
+        // A minimal executor image (130 pages: four 32-page windows and a
+        // 2-page tail) must fault in within a handful of invocations' worth
+        // of µs — the fork tier's residue, not a second cold start.
+        let window = CX5_100G.fork_read_cost(32, PAGE_SIZE);
+        let total = (window * 4 + CX5_100G.fork_read_cost(2, PAGE_SIZE)).as_micros_f64();
+        assert!(
+            (20.0..500.0).contains(&total),
+            "full fault-in {total} µs should be µs-scale"
+        );
+        let batch = window.as_micros_f64();
+        assert!(
+            batch < 100.0,
+            "one window {batch} µs stays well under 100 µs"
+        );
     }
 }

@@ -42,7 +42,6 @@ pub mod cq;
 pub mod device;
 pub mod error;
 pub mod fabric;
-pub mod fork;
 pub mod memory;
 pub mod pd;
 pub mod pool;
@@ -58,7 +57,6 @@ pub use cq::{CompletionQueue, CqNotifier, CqSet};
 pub use device::{DeviceFunction, NicProfile, CX5_100G};
 pub use error::{FabricError, Result};
 pub use fabric::{Actor, Fabric, FabricNode, TransferTiming};
-pub use fork::{FaultBatch, PrefetchPlan};
 pub use memory::{AccessFlags, MemoryRegion, RemoteMemoryHandle, PAGE_SIZE};
 pub use pd::{OwnedRegion, ProtectionDomain};
 pub use pool::ConnectionPool;

@@ -9,7 +9,8 @@
 //! The counters it reports ([`ColdStartBreakdown`], [`ConnectionPlaneStats`],
 //! [`BatchStats`]) are defined here too.
 
-use std::cell::{Cell, RefCell};
+use std::cell::{RefCell, RefMut};
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 use rdma_fabric::{
@@ -191,20 +192,111 @@ pub struct BatchStats {
     pub post_time: SimDuration,
 }
 
-/// Results picked up on one connection and not yet taken, and the ids of
-/// invocations whose futures were dropped before their result arrived. Every
-/// entry holds one in-flight reservation, so the two lists together never
-/// outgrow the connection's in-flight count.
+/// A completion set's ready queue: entry indices in dispatch order.
+pub(crate) type ReadyQueue = Rc<RefCell<VecDeque<usize>>>;
+
+/// Where one in-flight invocation stands on its connection.
+enum Slot {
+    /// On the wire; a wait will take the result.
+    Posted,
+    /// On the wire, and a completion set waits on it: the landing pushes
+    /// `index` onto `ready`.
+    Notify { ready: ReadyQueue, index: usize },
+    /// In the output buffer: the result's length and status.
+    Landed(usize, ResultStatus),
+    /// On the wire, and its future was dropped: the result buffer stays
+    /// registered until the result lands in it, and the landing frees the
+    /// slot.
+    Abandoned { _output: Buffer },
+}
+
+/// The invocations of one connection whose result has not been taken or
+/// discarded, by id: the only place an invocation's client-side state
+/// lives. Posting reserves a slot and taking or discarding the result frees
+/// it, so an invocation without a slot is settled and a connection without
+/// slots is idle.
 #[derive(Default)]
-struct ResultStash {
-    results: Vec<(u32, usize, ResultStatus)>,
-    /// Each abandoned invocation keeps its result buffer registered until the
-    /// result lands in it.
-    abandoned: Vec<(u32, Buffer)>,
+pub(crate) struct Slots(Vec<(u32, Slot)>);
+
+impl Slots {
+    fn position(&self, invocation_id: u32) -> Option<usize> {
+        self.0.iter().position(|(id, _)| *id == invocation_id)
+    }
+
+    /// Reserve a slot for a posted invocation.
+    pub(crate) fn reserve(&mut self, invocation_id: u32) {
+        self.0.push((invocation_id, Slot::Posted));
+    }
+
+    /// Have the landing of a posted invocation push `index` onto `ready`.
+    pub(crate) fn notify(&mut self, invocation_id: u32, ready: &ReadyQueue, index: usize) {
+        if let Some(at) = self.position(invocation_id) {
+            self.0[at].1 = Slot::Notify {
+                ready: Rc::clone(ready),
+                index,
+            };
+        }
+    }
+
+    /// Land a pumped result: keep it for its waiter, hand it to the set
+    /// waiting on it, or discard it for a dropped future. Returns whether a
+    /// set's ready queue received it. A result without a slot is ignored.
+    fn land(&mut self, invocation_id: u32, len: usize, status: ResultStatus) -> bool {
+        let Some(at) = self.position(invocation_id) else {
+            return false;
+        };
+        match std::mem::replace(&mut self.0[at].1, Slot::Landed(len, status)) {
+            Slot::Notify { ready, index } => {
+                ready.borrow_mut().push_back(index);
+                true
+            }
+            Slot::Abandoned { .. } => {
+                self.0.swap_remove(at);
+                false
+            }
+            Slot::Posted | Slot::Landed(..) => false,
+        }
+    }
+
+    /// Take a landed result, freeing its slot.
+    pub(crate) fn take(&mut self, invocation_id: u32) -> Option<(usize, ResultStatus)> {
+        let at = self.position(invocation_id)?;
+        let Slot::Landed(len, status) = self.0[at].1 else {
+            return None;
+        };
+        self.0.swap_remove(at);
+        Some((len, status))
+    }
+
+    /// Give up on an invocation whose future was dropped unwaited: a landed
+    /// result is discarded now, one still in flight when it lands. `output`
+    /// is the result buffer the executor writes into; it stays registered
+    /// until then. A settled invocation has nothing to give up.
+    pub(crate) fn abandon(&mut self, invocation_id: u32, output: &Buffer) {
+        let Some(at) = self.position(invocation_id) else {
+            return;
+        };
+        if matches!(self.0[at].1, Slot::Landed(..)) {
+            self.0.swap_remove(at);
+        } else {
+            let _output = output.clone();
+            self.0[at].1 = Slot::Abandoned { _output };
+        }
+    }
+
+    /// Whether the invocation's result has been taken or discarded.
+    pub(crate) fn is_settled(&self, invocation_id: u32) -> bool {
+        self.position(invocation_id).is_none()
+    }
+
+    /// Invocations in flight.
+    pub(crate) fn len(&self) -> usize {
+        self.0.len()
+    }
 }
 
 /// The client end of one leased worker: its queue pair, where its input
-/// buffer lives, and the results picked up for it.
+/// buffer lives, and its in-flight invocations.
 pub(crate) struct WorkerConnection {
     pub(crate) qp: QueuePair,
     pub(crate) remote_input: RemoteMemoryHandle,
@@ -215,12 +307,7 @@ pub(crate) struct WorkerConnection {
     /// Scratch for overflow receives posted when more invocations are in
     /// flight than the ring holds slots.
     pub(crate) overflow_scratch: OwnedRegion,
-    /// Invocations posted here whose result has not been taken or discarded.
-    pub(crate) outstanding: Cell<usize>,
-    stash: RefCell<ResultStash>,
-    /// Token under which this connection is registered with the session's
-    /// reactor (set right after registration, before any submission).
-    pub(crate) reactor_token: Cell<u64>,
+    slots: RefCell<Slots>,
     pub(crate) index: usize,
 }
 
@@ -284,73 +371,30 @@ impl WorkerConnection {
             remote_input,
             ring,
             overflow_scratch,
-            outstanding: Cell::new(0),
-            stash: RefCell::default(),
-            reactor_token: Cell::new(0),
+            slots: RefCell::default(),
             index,
         })
     }
 
-    /// Remove a stashed result, returning the in-flight reservation with it.
-    pub(crate) fn take_result(&self, invocation_id: u32) -> Option<(usize, ResultStatus)> {
-        let mut stash = self.stash.borrow_mut();
-        let at = stash.results.iter().position(|r| r.0 == invocation_id)?;
-        let (_, len, status) = stash.results.swap_remove(at);
-        drop(stash);
-        self.release_reservation();
-        Some((len, status))
-    }
-
-    /// Give up on `invocation_id`, whose future was dropped unwaited: a
-    /// stashed result is discarded now, one still in flight when it arrives.
-    /// Either way its reservation returns. `output` is the result buffer the
-    /// executor writes into; it stays registered until then.
-    pub(crate) fn abandon(&self, invocation_id: u32, output: &Buffer) {
-        if self.take_result(invocation_id).is_none() {
-            self.stash
-                .borrow_mut()
-                .abandoned
-                .push((invocation_id, output.clone()));
-        }
-    }
-
-    /// Take one in-flight slot, returning how many were taken before it.
-    pub(crate) fn reserve(&self) -> usize {
-        let reserved = self.outstanding.get();
-        self.outstanding.set(reserved + 1);
-        reserved
-    }
-
-    pub(crate) fn release_reservation(&self) {
-        self.outstanding.set(self.outstanding.get() - 1);
-    }
-
-    pub(crate) fn token(&self) -> u64 {
-        self.reactor_token.get()
+    /// The connection's in-flight invocations.
+    pub(crate) fn slots(&self) -> RefMut<'_, Slots> {
+        self.slots.borrow_mut()
     }
 }
 
 impl CompletionSource for WorkerConnection {
-    /// Drain the receive ring into the result stash, discarding the results
-    /// of abandoned invocations, and report each pumped invocation id.
-    /// `ring.poll_one` charges the busy-poll pickup on the client clock per
-    /// completion, discarded or not — the reactor sweep costs exactly what
-    /// the old per-connection rescan did.
-    fn pump(&self, sink: &mut dyn FnMut(u32)) {
+    /// Drain the receive ring into the slot table. `ring.poll_one` charges
+    /// the busy-poll pickup on the client clock per completion, discarded
+    /// or not.
+    fn pump(&self) -> (usize, usize) {
+        let (mut pumped, mut dispatched) = (0, 0);
         while let Some(completion) = self.ring.poll_one() {
             let wc = completion.wc;
             let (id, status) = ImmValue::parse_response(wc.imm.unwrap_or(0));
-            let mut stash = self.stash.borrow_mut();
-            match stash.abandoned.iter().position(|a| a.0 == id) {
-                Some(at) => {
-                    stash.abandoned.swap_remove(at);
-                    self.release_reservation();
-                }
-                None => stash.results.push((id, wc.byte_len, status)),
-            }
-            drop(stash);
-            sink(id);
+            pumped += 1;
+            dispatched += usize::from(self.slots().land(id, wc.byte_len, status));
         }
+        (pumped, dispatched)
     }
 
     fn is_connected(&self) -> bool {
@@ -414,14 +458,14 @@ impl InlineWire {
 }
 
 /// Where one posted invocation's result will land: the connection it went
-/// out on, its id, the allocation epoch that connection belongs to
+/// out on, its id, and the allocation epoch that connection belongs to
 /// (recovery uses it to detect that an earlier recovery already replaced a
-/// dead allocation), and whether the result has been taken.
+/// dead allocation). Whether the result has been taken is the connection's
+/// to say.
 pub(crate) struct Posted {
     pub(crate) connection: Rc<WorkerConnection>,
     pub(crate) invocation_id: u32,
     pub(crate) epoch: u64,
-    pub(crate) settled: bool,
 }
 
 /// Whether an error means the executor connection is gone (as opposed to a
@@ -446,12 +490,14 @@ mod tests {
     use crate::config::RFaasConfig;
     use crate::executor::SpotExecutor;
     use crate::manager::ResourceManager;
+    use crate::reactor::Reactor;
     use crate::session::Session;
     use crate::PollingMode;
     use cluster_sim::NodeResources;
     use rdma_fabric::Fabric;
     use sandbox::{echo_function, CodePackage, FunctionError, FunctionRegistry, SharedFunction};
     use sim_core::SimTime;
+    use std::cell::Cell;
     use std::sync::Arc;
 
     /// A protection domain of a fresh fabric.
@@ -860,10 +906,10 @@ mod tests {
 
     #[test]
     fn dropped_futures_return_their_reservations() {
-        // Regression: only a wait returned a connection's in-flight
-        // reservation, so a future dropped unwaited kept it raised for good
-        // and its result sat in the stash. Past the ring depth every later
-        // submission paid an overflow receive.
+        // A future dropped unwaited must give its slot back once its result
+        // lands, or the connection's in-flight count stays raised for good:
+        // past the ring depth every later submission would pay an overflow
+        // receive.
         let (fabric, _manager, session) = platform(1);
         let connection = session.connection(0);
         let cq = connection.qp.recv_cq().clone();
@@ -875,15 +921,12 @@ mod tests {
             let timeout = std::time::Duration::from_secs(5);
             assert!(fabric.run_until(|| cq.pending() == served, timeout));
         }
-        assert_eq!(connection.outstanding.get(), dropped);
+        assert_eq!(connection.slots().0.len(), dropped);
 
         // One fresh invocation drains them: each abandoned result is
         // discarded as its turn picks it up.
         assert_eq!(echo.invoke(&[2u8; 8][..]).unwrap(), [2u8; 8]);
-        assert_eq!(connection.outstanding.get(), 0);
-        let stash = connection.stash.borrow();
-        assert_eq!((stash.results.len(), stash.abandoned.len()), (0, 0));
-        drop(stash);
+        assert_eq!(connection.slots().len(), 0);
 
         // Back inside the ring: the next submission posts no extra receive.
         let receives = connection.qp.posted_receives();
@@ -899,12 +942,48 @@ mod tests {
         let echo = session.function::<[u8], [u8]>("echo").unwrap();
         let first = echo.submit(&[1u8; 8][..]).unwrap();
         let second = echo.submit(&[2u8; 8][..]).unwrap();
-        // Waiting the second picks up (and stashes) the first's result too.
+        // Waiting the second picks up (and lands) the first's result too.
         assert_eq!(second.wait().unwrap(), [2u8; 8]);
-        assert_eq!(connection.stash.borrow().results.len(), 1);
+        assert!(matches!(connection.slots().0[..], [(_, Slot::Landed(..))]));
         drop(first);
-        assert_eq!(connection.stash.borrow().results.len(), 0);
-        assert_eq!(connection.outstanding.get(), 0);
+        assert_eq!(connection.slots().len(), 0);
+    }
+
+    #[test]
+    fn a_result_landing_after_its_set_was_dropped_frees_its_slot() {
+        // Dropping a set drops its in-flight futures while their results
+        // are on the wire: each result that lands afterwards frees its slot
+        // and pushes nothing onto the dead set's ready queue.
+        let (fabric, manager) = deploy();
+        let reactor = Reactor::new();
+        let session = Session::builder(&fabric, "client-0", &manager, "pkg")
+            .workers(2)
+            .reactor(&reactor)
+            .connect()
+            .unwrap();
+        let echo = session.function::<[u8], [u8]>("echo").unwrap();
+        drop(echo.map_workers([&[1u8; 8][..], &[2u8; 8][..]]).unwrap());
+        let connections = [session.connection(0), session.connection(1)];
+        for connection in &connections {
+            assert!(matches!(
+                connection.slots().0[..],
+                [(_, Slot::Abandoned { .. })]
+            ));
+        }
+        let idle = || connections.iter().all(|c| c.slots().len() == 0);
+        let timeout = std::time::Duration::from_secs(5);
+        assert!(fabric.run_until(
+            || {
+                reactor.turn();
+                idle()
+            },
+            timeout
+        ));
+        let stats = reactor.stats();
+        assert_eq!((stats.pumped, stats.dispatched), (2, 0));
+        // Both workers are idle again and serve the next scatter.
+        let set = echo.map_workers([&[3u8; 8][..], &[4u8; 8][..]]).unwrap();
+        assert_eq!(set.wait_all().unwrap(), [[3u8; 8], [4u8; 8]]);
     }
 
     #[test]
@@ -1154,5 +1233,115 @@ mod tests {
             "expected typed connect timeout, got {err:?}"
         );
         assert!(started.elapsed() < std::time::Duration::from_secs(5));
+    }
+
+    /// A worker connection without the wire: the test queues the ids of
+    /// landed results, and `pump` lands them in its slot table as
+    /// [`WorkerConnection`]'s pump lands what its ring picks up.
+    #[derive(Default)]
+    struct Wire {
+        slots: RefCell<Slots>,
+        queued: RefCell<VecDeque<u32>>,
+    }
+
+    impl CompletionSource for Wire {
+        fn pump(&self) -> (usize, usize) {
+            let (mut pumped, mut dispatched) = (0, 0);
+            while let Some(id) = self.queued.borrow_mut().pop_front() {
+                pumped += 1;
+                let landed = self.slots.borrow_mut().land(id, 8, ResultStatus::Success);
+                dispatched += usize::from(landed);
+            }
+            (pumped, dispatched)
+        }
+
+        fn is_connected(&self) -> bool {
+            true
+        }
+    }
+
+    #[test]
+    fn turn_dispatches_a_waiting_slot_once() {
+        let reactor = Reactor::new();
+        let wire = Rc::new(Wire::default());
+        reactor.register_source(wire.clone());
+        let ready = ReadyQueue::default();
+        wire.slots.borrow_mut().reserve(7);
+        wire.slots.borrow_mut().notify(7, &ready, 3);
+        wire.queued.borrow_mut().push_back(7);
+        assert_eq!(reactor.turn(), 1);
+        assert_eq!(*ready.borrow(), [3]);
+        // The landing consumed the notification: a replayed id dispatches
+        // nothing, and the result is there to take, once.
+        wire.queued.borrow_mut().push_back(7);
+        assert_eq!(reactor.turn(), 1);
+        assert_eq!(ready.borrow().len(), 1);
+        let stats = reactor.stats();
+        assert_eq!((stats.pumped, stats.dispatched), (2, 1));
+        let mut slots = wire.slots.borrow_mut();
+        assert_eq!(slots.take(7), Some((8, ResultStatus::Success)));
+        assert!(slots.is_settled(7) && slots.take(7).is_none());
+    }
+
+    proptest::proptest! {
+        // No lost and no duplicate dispatches under arbitrary assignments of
+        // invocations to connections and arbitrary delivery/turn
+        // interleavings. Each byte picks the connection (low two bits) and
+        // what waits on the invocation: a set (notified), a plain wait, or
+        // a set whose future is dropped before the result lands.
+        #[test]
+        fn dispatch_is_exactly_once_under_arbitrary_interleavings(
+            assignment: Vec<u8>,
+            turn_after: Vec<bool>,
+        ) {
+            let reactor = Reactor::new();
+            let wires: Vec<Rc<Wire>> = (0..4).map(|_| Rc::default()).collect();
+            for wire in &wires {
+                reactor.register_source(wire.clone());
+            }
+            let wire = |pick: u8| &wires[(pick % 4) as usize];
+            let ready = ReadyQueue::default();
+            let pd = domain();
+            let output = Buffer::output(&pd, 8);
+            for (index, &pick) in assignment.iter().enumerate() {
+                let mut slots = wire(pick).slots.borrow_mut();
+                let id = index as u32;
+                slots.reserve(id);
+                match pick / 4 % 4 {
+                    0 | 1 => slots.notify(id, &ready, index),
+                    2 => {}
+                    _ => {
+                        slots.notify(id, &ready, index);
+                        slots.abandon(id, &output);
+                    }
+                }
+            }
+            // Interleave deliveries with turns as the bool tape dictates.
+            for (index, &pick) in assignment.iter().enumerate() {
+                wire(pick).queued.borrow_mut().push_back(index as u32);
+                if turn_after.get(index % turn_after.len().max(1)).copied().unwrap_or(false) {
+                    reactor.turn();
+                }
+            }
+            // Final drain: everything still queued lands now.
+            while reactor.turn() > 0 {}
+            let mut seen: Vec<usize> = ready.borrow().iter().copied().collect();
+            seen.sort_unstable();
+            let notified: Vec<usize> = (0..assignment.len())
+                .filter(|&index| assignment[index] / 4 % 4 < 2)
+                .collect();
+            proptest::prop_assert_eq!(&seen, &notified);
+            proptest::prop_assert_eq!(reactor.stats().dispatched, notified.len() as u64);
+            proptest::prop_assert_eq!(reactor.stats().pumped, assignment.len() as u64);
+            // Every result waited on is there to take, once; an abandoned
+            // one left nothing behind.
+            for (index, &pick) in assignment.iter().enumerate() {
+                let mut slots = wire(pick).slots.borrow_mut();
+                let waited = pick / 4 % 4 < 3;
+                proptest::prop_assert_eq!(slots.take(index as u32).is_some(), waited);
+                proptest::prop_assert!(slots.is_settled(index as u32));
+            }
+            proptest::prop_assert!(wires.iter().all(|w| w.slots.borrow().len() == 0));
+        }
     }
 }

@@ -126,6 +126,9 @@ mod tests {
         const { assert!(HEADER_WRITE_COST.as_nanos() < 100) };
         assert!(RFaasConfig::paper_calibration().max_payload_bytes >= 5 * 1024 * 1024);
         const { assert!(RECV_QUEUE_DEPTH >= 1) };
+        // A zero prefetch window would fault nothing: a forked child could
+        // never become resident.
+        const { assert!(FORK_PREFETCH_WINDOW >= 1) };
     }
 
     #[test]

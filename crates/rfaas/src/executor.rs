@@ -33,9 +33,9 @@ use std::sync::Arc;
 
 use cluster_sim::NodeResources;
 use rdma_fabric::{
-    AccessFlags, Actor, CqSet, DeviceFunction, Endpoint, Fabric, FabricNode, FaultBatch, Listener,
-    OwnedRegion, PrefetchPlan, QueuePair, ReceiveRing, SendRequest, Sge, SharedReceiveQueue,
-    SrqStats, WorkCompletion, CX5_100G, PAGE_SIZE,
+    AccessFlags, Actor, CqSet, DeviceFunction, Endpoint, Fabric, FabricNode, Listener, OwnedRegion,
+    QueuePair, ReceiveRing, SendRequest, Sge, SharedReceiveQueue, SrqStats, WorkCompletion,
+    CX5_100G, PAGE_SIZE,
 };
 #[cfg(test)]
 use sandbox::SandboxType;
@@ -75,22 +75,35 @@ pub enum AllocationPolicy {
     WarmPool,
 }
 
+/// One batch of a forked child's fault schedule: `pages` consecutive pages
+/// starting at `start_page`, served by a single chained one-sided READ from
+/// the parent node costing `cost` on the evaluation NIC
+/// ([`rdma_fabric::NicProfile::fork_read_cost`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FaultBatch {
+    /// First page of the window.
+    pub start_page: usize,
+    /// Pages fetched by this batch.
+    pub pages: usize,
+    /// Link cost of the batch on the evaluation NIC.
+    pub cost: SimDuration,
+}
+
 /// Fault state of one forked executor process, owned by its dispatcher: the
-/// deterministic prefetch schedule over the parent snapshot's page map,
-/// drained one window per served invocation until the child is fully
-/// resident. A session's [`crate::SessionStats`] carries a snapshot of it.
+/// parent snapshot's page map, faulted in over one-sided RDMA reads one
+/// prefetch window (`FORK_PREFETCH_WINDOW` pages, ascending) per served
+/// invocation until the child is fully resident. A session's
+/// [`crate::SessionStats`] carries a snapshot of it.
 #[derive(Debug, Clone)]
 pub struct ForkFaultState {
-    plan: PrefetchPlan,
     tracker: FaultTracker,
     /// The batches served so far, in service order.
     served: Vec<FaultBatch>,
 }
 
 impl ForkFaultState {
-    fn new(snapshot: &SandboxSnapshot, window: usize) -> ForkFaultState {
+    fn new(snapshot: &SandboxSnapshot) -> ForkFaultState {
         ForkFaultState {
-            plan: PrefetchPlan::new(snapshot.total_pages(), window, SNAPSHOT_PAGE_BYTES),
             tracker: FaultTracker::for_snapshot(snapshot),
             served: Vec::new(),
         }
@@ -99,11 +112,11 @@ impl ForkFaultState {
     /// Serve the next prefetch window, if any pages are still cold: returns
     /// the batch (pages + link cost) the invocation must absorb.
     fn serve_next(&mut self) -> Option<FaultBatch> {
-        let (start_page, pages) = self.tracker.fault_next_window(self.plan.window())?;
+        let (start_page, pages) = self.tracker.fault_next_window(FORK_PREFETCH_WINDOW)?;
         let batch = FaultBatch {
             start_page,
             pages,
-            cost: self.plan.batch_cost(pages),
+            cost: CX5_100G.fork_read_cost(pages, SNAPSHOT_PAGE_BYTES),
         };
         self.served.push(batch);
         Some(batch)
@@ -111,7 +124,7 @@ impl ForkFaultState {
 
     /// Pages in the parent snapshot's page map.
     pub fn total_pages(&self) -> usize {
-        self.plan.total_pages()
+        self.tracker.total_pages()
     }
 
     /// Pages faulted in so far.
@@ -1252,7 +1265,7 @@ impl LightweightAllocator {
                         // snapshot; the parent stays parked and serves the
                         // child's page faults via one-sided READs.
                         let (sandbox, setup) = Sandbox::fork_from(&snapshot, workers);
-                        fork_state = Some(ForkFaultState::new(&snapshot, FORK_PREFETCH_WINDOW));
+                        fork_state = Some(ForkFaultState::new(&snapshot));
                         (sandbox, micro_spawn(setup), SimDuration::ZERO)
                     }
                     None => cold_spawn(&self.images),

@@ -207,8 +207,9 @@ mod tests {
         assert_eq!(delta.executors_failed, 1);
         assert_eq!(delta.leases_terminated, 1);
         assert_eq!(manager.executor_count(), 1);
-        assert!(manager.is_lease_terminated(lease.id));
         assert!(manager.lease(lease.id).is_none());
+        // The step terminated the victim's only lease: none is left on it.
+        assert!(manager.terminate_leases_on(&lease.executor_node).is_empty());
         // The survivor keeps heartbeating and is never deregistered.
         let much_later = later + HEARTBEAT_INTERVAL * 10;
         assert_eq!(driver.step(much_later).executors_failed, 0);

@@ -8,7 +8,7 @@
 //! executor heartbeats for failure detection, and owns the billing database
 //! that allocators update with RDMA atomics.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use cluster_sim::NodeResources;
@@ -23,10 +23,6 @@ use crate::config::{RFaasConfig, ALLOCATION_PROCESSING_COST, LEASE_RENEWAL_COST}
 use crate::error::{RFaasError, Result};
 use crate::executor::SpotExecutor;
 use crate::protocol::{ControlFrame, Lease, LeaseRequest};
-
-/// How many executor-failure lease terminations the manager remembers
-/// before pruning the oldest.
-const TERMINATED_LEASE_HISTORY: usize = 4096;
 
 struct RegisteredExecutor {
     executor: Arc<SpotExecutor>,
@@ -46,11 +42,6 @@ struct ManagerState {
     // run-to-run nondeterminism into all three.
     executors: BTreeMap<String, RegisteredExecutor>,
     leases: BTreeMap<u64, Lease>,
-    // Leases killed because their executor died (as opposed to expiring or
-    // being released): clients seeing ExecutorLost consult this to learn the
-    // lease will never come back. Ordered so the oldest ids can be pruned —
-    // capped at TERMINATED_LEASE_HISTORY to stay bounded under churn.
-    terminated_leases: BTreeSet<u64>,
     // Manager-side halves of the billing connections; kept alive so executors
     // can keep issuing one-sided atomics without any manager CPU involvement.
     billing_qps: Vec<QueuePair>,
@@ -119,7 +110,6 @@ impl ResourceManager {
                     control,
                     executors: BTreeMap::new(),
                     leases: BTreeMap::new(),
-                    terminated_leases: BTreeSet::new(),
                     billing_qps: Vec::new(),
                     next_lease_id: first_lease_id.max(1),
                     round_robin: 0,
@@ -383,8 +373,8 @@ impl ResourceManager {
         Ok(())
     }
 
-    /// Mark every lease placed on `node` as terminated (the node died or was
-    /// reclaimed before the leases expired). The executor's registry entry —
+    /// Terminate every lease placed on `node`, removing it (the node died or
+    /// was reclaimed before the leases expired). The executor's registry entry —
     /// and with it the node's resource accounting — must already be gone;
     /// clients discover the termination through an `ExecutorLost` on their
     /// connections. Returns the ids terminated.
@@ -398,22 +388,8 @@ impl ResourceManager {
             .collect();
         for id in &ids {
             state.leases.remove(id);
-            state.terminated_leases.insert(*id);
-        }
-        // Lease ids are monotonic, so pruning the smallest drops the oldest
-        // terminations; long-dead leases have no client left to ask about
-        // them, and an unbounded set would leak under sustained churn.
-        while state.terminated_leases.len() > TERMINATED_LEASE_HISTORY {
-            state.terminated_leases.pop_first();
         }
         ids
-    }
-
-    /// Whether `lease_id` was killed by an executor failure (as opposed to
-    /// expiring or being released normally).
-    #[cfg(test)]
-    pub(crate) fn is_lease_terminated(&self, lease_id: u64) -> bool {
-        self.state.lock().terminated_leases.contains(&lease_id)
     }
 
     /// Record a heartbeat from an executor's allocator.
@@ -693,9 +669,10 @@ mod tests {
         let terminated = manager.terminate_leases_on(&a.executor_node);
         assert_eq!(terminated, vec![a.id]);
         assert!(manager.lease(a.id).is_none());
-        assert!(manager.is_lease_terminated(a.id));
-        assert!(!manager.is_lease_terminated(b.id));
+        assert!(manager.lease(b.id).is_some());
         assert_eq!(manager.lease_count(), 1);
+        // Terminated once: the node has nothing left to terminate.
+        assert!(manager.terminate_leases_on(&a.executor_node).is_empty());
     }
 
     #[test]

@@ -37,7 +37,7 @@ use state_plane::{StateClient, StateClientStats, StateError, StateKey, StatePlan
 
 use crate::client::{
     connection_is_lost, BatchStats, Buffer, ColdStartBreakdown, ConnectionPlaneStats, InlineWire,
-    InvocationSpec, Posted, WorkerConnection,
+    InvocationSpec, Posted, ReadyQueue, WorkerConnection,
 };
 use crate::codec::Codec;
 use crate::config::{
@@ -52,7 +52,7 @@ use crate::protocol::{
     ControlFrame, ImmValue, InvocationHeader, Lease, LeaseRequest, ResultStatus,
     INVOCATION_HEADER_BYTES,
 };
-use crate::reactor::{CompletionSource, Reactor, ReadyQueue};
+use crate::reactor::Reactor;
 
 /// Smallest output buffer the typed layer registers when the caller gives no
 /// explicit capacity: results at least as large as a small page are common
@@ -711,10 +711,7 @@ impl Session {
             // Register with the reactor before the connection can carry an
             // invocation: every result on this ring is picked up by the
             // shared event loop.
-            let token = self
-                .reactor
-                .register_source(Rc::clone(&connection) as Rc<dyn CompletionSource>);
-            connection.reactor_token.set(token);
+            self.reactor.register_source(connection.clone());
             connections.push(connection);
         }
         Ok(())
@@ -770,7 +767,7 @@ impl Session {
     ) {
         for conn in connections {
             conn.qp.disconnect();
-            self.reactor.unregister_source(conn.token());
+            self.reactor.unregister_source(&**conn);
             self.connection_pool
                 .release(&lease.executor_node, self.clock().now());
         }
@@ -872,26 +869,28 @@ impl Session {
     /// the full issue cost. A post that still fails mid-batch (a lost
     /// connection, or a device limit such as an exhausted receive queue)
     /// reaps the already-posted invocations before the error surfaces, so
-    /// no in-flight reservation or undrained completion outlives the failed
+    /// no in-flight slot or undrained completion outlives the failed
     /// attempt.
-    fn post_batch(&self, specs: &[InvocationSpec]) -> Result<(Vec<Posted>, BatchStats)> {
-        let mut resolved = Vec::with_capacity(specs.len());
+    fn post_batch<'a>(
+        &self,
+        specs: impl Iterator<Item = &'a InvocationSpec>,
+    ) -> Result<(Vec<Posted>, BatchStats)> {
+        let mut resolved = Vec::with_capacity(specs.size_hint().0);
         for spec in specs {
-            resolved.push(self.resolve_spec(spec)?);
+            resolved.push((spec, self.resolve_spec(spec)?));
         }
         let started = self.clock().now();
-        let mut posted: Vec<Posted> = Vec::with_capacity(specs.len());
-        for (i, (spec, resolved)) in specs.iter().zip(resolved).enumerate() {
+        let mut posted: Vec<Posted> = Vec::with_capacity(resolved.len());
+        for (i, (spec, resolved)) in resolved.into_iter().enumerate() {
             match self.post(spec, resolved, i > 0) {
                 Ok(p) => posted.push(p),
                 Err(e) => {
                     // The earlier posts of this attempt already executed.
                     // Wait their completions out (discarding the results) so
-                    // their reservations and ring slots are returned. A
-                    // connection that died has nothing left to drain;
-                    // await_result's error says exactly that and is safe to
-                    // ignore.
-                    for p in &mut posted {
+                    // their slots and ring slots are returned. A connection
+                    // that died has nothing left to drain; await_result's
+                    // error says exactly that and is safe to ignore.
+                    for p in &posted {
                         let _ = self.await_result(p);
                     }
                     return Err(e);
@@ -899,9 +898,9 @@ impl Session {
             }
         }
         let stats = BatchStats {
-            submissions: specs.len(),
+            submissions: posted.len(),
             doorbells: 1,
-            chained_wqes: specs.len().saturating_sub(1),
+            chained_wqes: posted.len().saturating_sub(1),
             post_time: self.clock().now().saturating_since(started),
         };
         Ok((posted, stats))
@@ -959,46 +958,42 @@ impl Session {
         let n = connections.len();
         for i in 0..n {
             let conn = &connections[(start + i) % n];
-            if conn.outstanding.get() == 0 {
+            if conn.slots().len() == 0 {
                 return Rc::clone(conn);
             }
         }
         Rc::clone(&connections[start % n])
     }
 
-    /// Post `spec` on its resolved connection under a fresh invocation id.
-    /// The in-flight slot is reserved first: the count before it tells
-    /// whether this submission still fits the ring. A failed post returns
-    /// the reservation.
+    /// Post `spec` on its resolved connection under a fresh invocation id,
+    /// and reserve its slot there once the post succeeded. The count of
+    /// slots before it tells whether this submission still fits the ring.
     fn post(&self, spec: &InvocationSpec, resolved: Resolved, chained: bool) -> Result<Posted> {
         let (function_index, connection, epoch) = resolved;
         let next = self.next_invocation.get();
         self.next_invocation.set(next.wrapping_add(1));
         let invocation_id = next & 0x00FF_FFFF;
-        let reserved = connection.reserve();
-        if let Err(e) = self.post_invocation(
+        let in_flight = connection.slots().len();
+        self.post_invocation(
             &connection,
             invocation_id,
-            reserved,
+            in_flight,
             function_index,
             spec,
             chained,
-        ) {
-            connection.release_reservation();
-            return Err(e);
-        }
+        )?;
+        connection.slots().reserve(invocation_id);
         Ok(Posted {
             connection,
             invocation_id,
             epoch,
-            settled: false,
         })
     }
 
-    /// Put one invocation on the wire: the overflow receive when this
-    /// submission's reserved slot (`reserved`, the pre-increment in-flight
-    /// count) exceeds the ring, then header + payload — inline when the spec
-    /// holds an inline wire, buffered otherwise. A `chained` post joins the
+    /// Put one invocation on the wire: the overflow receive when the
+    /// invocations already in flight on the connection (`in_flight`) fill
+    /// the ring, then header + payload — inline when the spec holds an
+    /// inline wire, buffered otherwise. A `chained` post joins the
     /// WQE chain opened by the previous post of the batch (descriptor build
     /// only, no doorbell) and always takes the buffered path, since inline
     /// WQEs cannot join a chain that spans queue pairs: an inline wire is
@@ -1007,7 +1002,7 @@ impl Session {
         &self,
         connection: &WorkerConnection,
         invocation_id: u32,
-        reserved: usize,
+        in_flight: usize,
         function_index: u8,
         spec: &InvocationSpec,
         chained: bool,
@@ -1020,7 +1015,7 @@ impl Session {
         // The connection's receive ring holds one pre-posted slot per
         // in-flight result; only past the ring depth does a submission pay an
         // extra receive on the critical path.
-        if reserved >= connection.ring.depth() {
+        if in_flight >= connection.ring.depth() {
             connection.qp.post_recv(RecvRequest {
                 wr_id: u64::MAX,
                 local: Sge::whole(&connection.overflow_scratch),
@@ -1066,12 +1061,12 @@ impl Session {
     }
 
     /// Drive the reactor until `posted`'s result lands on its connection,
-    /// then take it and mark `posted` settled. Every wait path funnels
-    /// through here: the turn pumps *all* registered connections, so one
-    /// wait keeps every other in-flight invocation moving too, and while the
-    /// reactor is idle the wait turns the fabric's actors — the executor
-    /// dispatchers serve the invocation on this thread.
-    fn await_result(&self, posted: &mut Posted) -> Result<(usize, ResultStatus)> {
+    /// then take it, which settles `posted`. Every wait path funnels through
+    /// here: the turn pumps *all* registered connections, so one wait keeps
+    /// every other in-flight invocation moving too, and while the reactor is
+    /// idle the wait turns the fabric's actors — the executor dispatchers
+    /// serve the invocation on this thread.
+    fn await_result(&self, posted: &Posted) -> Result<(usize, ResultStatus)> {
         let mut outcome = None;
         self.endpoint.fabric.run_until(
             || {
@@ -1080,18 +1075,16 @@ impl Session {
             },
             Duration::MAX,
         );
-        let outcome = outcome.expect("an unbounded wait returns only once its outcome is known");
-        posted.settled = outcome.is_ok();
-        outcome
+        outcome.expect("an unbounded wait returns only once its outcome is known")
     }
 
-    /// One look for `posted`'s result without waiting: take it if stashed,
+    /// One look for `posted`'s result without waiting: take it if landed,
     /// otherwise turn the reactor until it stops making progress. `None`
     /// while the invocation is still in flight.
     fn poll_result(&self, posted: &Posted) -> Option<Result<(usize, ResultStatus)>> {
         let (connection, invocation_id) = (&posted.connection, posted.invocation_id);
         loop {
-            if let Some(result) = connection.take_result(invocation_id) {
+            if let Some(result) = connection.slots().take(invocation_id) {
                 return Some(Ok(result));
             }
             if self.reactor.turn() == 0 {
@@ -1378,17 +1371,19 @@ where
         if workers == 0 {
             return Err(RFaasError::NotAllocated);
         }
-        let mut queued = VecDeque::new();
-        for (index, input) in inputs.into_iter().enumerate() {
-            queued.push_back((index, self.spec_for(Some(index % workers), input)?));
+        let inputs = inputs.into_iter();
+        let mut entries = Vec::with_capacity(inputs.size_hint().0);
+        for (index, input) in inputs.enumerate() {
+            entries.push(Entry::Queued(self.spec_for(Some(index % workers), input)?));
         }
+        let ready = VecDeque::with_capacity(workers.min(entries.len()));
         let mut set = CompletionSet {
-            entries: (0..queued.len()).map(|_| None).collect(),
-            queued,
+            entries,
+            next_wave: 0,
             wave: workers,
             session: self.session,
             stats: BatchStats::default(),
-            ready: ReadyQueue::default(),
+            ready: Rc::new(RefCell::new(ready)),
         };
         set.submit_next_wave()?;
         Ok(set)
@@ -1430,24 +1425,17 @@ impl<O: ?Sized> std::fmt::Debug for TypedFuture<'_, O> {
 
 impl<O: ?Sized> Drop for TypedFuture<'_, O> {
     fn drop(&mut self) {
-        if !self.posted.settled {
-            let posted = &self.posted;
-            posted
-                .connection
-                .abandon(posted.invocation_id, &self.spec.output);
-        }
+        let posted = &self.posted;
+        posted
+            .connection
+            .slots()
+            .abandon(posted.invocation_id, &self.spec.output);
     }
 }
 
 impl<O: ?Sized> TypedFuture<'_, O> {
-    /// The `(source token, invocation id)` key under which a continuation
-    /// for this future registers with the session's reactor.
-    fn reactor_key(&self) -> (u64, u32) {
-        (self.posted.connection.token(), self.posted.invocation_id)
-    }
-
-    /// Whether the future's connection is gone (its continuation can never
-    /// fire; only a blocking wait — which runs recovery — resolves it).
+    /// Whether the future's connection is gone (its result can never land;
+    /// only a blocking wait — which runs recovery — resolves it).
     fn connection_lost(&self) -> bool {
         !self.posted.connection.qp.is_connected()
     }
@@ -1472,7 +1460,8 @@ where
         let value = self
             .result_len()
             .and_then(|len| self.spec.output.read_decoded::<O>(len));
-        if self.posted.settled {
+        let posted = &self.posted;
+        if posted.connection.slots().is_settled(posted.invocation_id) {
             let pair = (self.spec.input.clone(), self.spec.output.clone());
             self.session.buffers.release(pair);
         }
@@ -1483,7 +1472,7 @@ where
     /// returns the number of output bytes written into the output buffer.
     fn result_len(&mut self) -> Result<usize> {
         loop {
-            let (byte_len, status) = match self.session.await_result(&mut self.posted) {
+            let (byte_len, status) = match self.session.await_result(&self.posted) {
                 Ok(result) => result,
                 Err(e) if connection_is_lost(&e) => {
                     self.recover(e)?;
@@ -1546,6 +1535,14 @@ where
     }
 }
 
+/// One input of a [`CompletionSet`], through its life: queued for a later
+/// wave, in flight, then gathered.
+enum Entry<'s, O: ?Sized> {
+    Queued(InvocationSpec),
+    InFlight(TypedFuture<'s, O>),
+    Gathered,
+}
+
 /// A set of in-flight typed invocations submitted as doorbell-batched waves
 /// ([`FunctionHandle::map_workers`]).
 ///
@@ -1556,18 +1553,19 @@ where
 /// slot — and the next wave posts automatically once the current one has
 /// been fully gathered.
 pub struct CompletionSet<'s, O: ?Sized> {
-    /// One slot per input; `Some` while that invocation is in flight,
-    /// `None` before its wave posts and after its result is gathered.
-    entries: Vec<Option<TypedFuture<'s, O>>>,
-    /// Not-yet-posted (index, spec) pairs, in submission order.
-    queued: VecDeque<(usize, InvocationSpec)>,
+    /// One entry per input, in submission order.
+    entries: Vec<Entry<'s, O>>,
+    /// First entry of the next wave: the entries before it are in flight or
+    /// gathered, the ones from it on are queued.
+    next_wave: usize,
     /// Submissions per wave (= the session's worker count at scatter time).
     wave: usize,
     session: &'s Session,
     stats: BatchStats,
-    /// Entry indices whose results the reactor has dispatched, in completion
-    /// order. `wait_any` pops this queue instead of rescanning every entry —
-    /// the old rescan made gathering an n-entry scatter quadratic.
+    /// Entry indices whose results have landed, in completion order: each
+    /// in-flight entry's slot on its connection pushes its index here when
+    /// the result lands, so `wait_any` pops this queue instead of
+    /// rescanning every entry.
     ready: ReadyQueue,
 }
 
@@ -1584,7 +1582,15 @@ impl<O: ?Sized> CompletionSet<'_, O> {
     /// Number of invocations not yet gathered (in flight or queued for a
     /// later wave).
     fn pending(&self) -> usize {
-        self.entries.iter().filter(|e| e.is_some()).count() + self.queued.len()
+        self.in_flight() + self.entries.len() - self.next_wave
+    }
+
+    /// Number of invocations in flight: all of them are in the wave posted
+    /// last.
+    fn in_flight(&self) -> usize {
+        let wave = self.next_wave.saturating_sub(self.wave)..self.next_wave;
+        let in_flight = |e: &&Entry<'_, O>| matches!(e, Entry::InFlight(_));
+        self.entries[wave].iter().filter(in_flight).count()
     }
 
     /// Doorbell accounting across every wave posted so far: how many WQEs
@@ -1598,34 +1604,45 @@ impl<O: ?Sized> CompletionSet<'_, O> {
     /// Post the next wave of queued specs (one per worker at most) behind a
     /// shared doorbell; a lost connection replays the whole wave on a fresh
     /// allocation, and every future of the wave is charged the
-    /// re-allocations that took. No-op while the current wave still has
-    /// in-flight entries — a worker's single input slot must be free before
-    /// the next write to it.
+    /// re-allocations that took. A wave that fails to post is dropped with
+    /// the error. No-op while the current wave still has in-flight entries —
+    /// a worker's single input slot must be free before the next write to
+    /// it.
     fn submit_next_wave(&mut self) -> Result<()> {
-        if self.queued.is_empty() || self.entries.iter().any(|e| e.is_some()) {
+        if self.next_wave == self.entries.len() || self.in_flight() > 0 {
             return Ok(());
         }
-        let take = self.wave.min(self.queued.len());
-        let (indices, specs): (Vec<usize>, Vec<InvocationSpec>) = self.queued.drain(..take).unzip();
+        let wave = self.next_wave..(self.next_wave + self.wave).min(self.entries.len());
+        self.next_wave = wave.end;
         let session = self.session;
+        let entries = &self.entries[wave.clone()];
+        let specs = || {
+            entries.iter().map(|entry| match entry {
+                Entry::Queued(spec) => spec,
+                _ => unreachable!("a wave posts queued entries"),
+            })
+        };
         let ((posted, stats), recoveries) =
-            session.submit_with_recovery(|| session.post_batch(&specs))?;
-        for ((index, spec), posted) in indices.into_iter().zip(specs).zip(posted) {
-            let future = TypedFuture {
+            session.submit_with_recovery(|| session.post_batch(specs()))?;
+        for (index, posted) in wave.zip(posted) {
+            let entry = &mut self.entries[index];
+            let Entry::Queued(spec) = std::mem::replace(entry, Entry::Gathered) else {
+                unreachable!("a wave posts queued entries");
+            };
+            // Before the reactor turns again, so the result cannot land
+            // without notifying the set.
+            posted
+                .connection
+                .slots()
+                .notify(posted.invocation_id, &self.ready, index);
+            *entry = Entry::InFlight(TypedFuture {
                 session,
                 spec,
                 posted,
                 redirections: 0,
                 recoveries,
                 _typed: PhantomData,
-            };
-            // Armed before the reactor turns again, so the result cannot be
-            // pumped ahead of its continuation.
-            let (token, id) = future.reactor_key();
-            session
-                .reactor
-                .register_continuation(token, id, &self.ready, index);
-            self.entries[index] = Some(future);
+            });
         }
         self.stats.submissions += stats.submissions;
         self.stats.doorbells += stats.doorbells;
@@ -1635,62 +1652,45 @@ impl<O: ?Sized> CompletionSet<'_, O> {
     }
 }
 
-impl<O: ?Sized> Drop for CompletionSet<'_, O> {
-    fn drop(&mut self) {
-        // Continuations of never-gathered entries must not outlive the set:
-        // their ready queue dies with it, and the 24-bit invocation ids
-        // eventually wrap around onto fresh submissions.
-        for entry in self.entries.iter().flatten() {
-            let (token, id) = entry.reactor_key();
-            self.session.reactor.cancel_continuation(token, id);
-        }
-    }
-}
-
 impl<'s, O> CompletionSet<'s, O>
 where
     O: Codec + ?Sized,
 {
-    /// Disarm the entry's continuation (its hint either fired already or is
-    /// now moot) and gather its result.
-    fn gather(&self, future: TypedFuture<'s, O>) -> Result<O::Owned> {
-        let (token, id) = future.reactor_key();
-        self.session.reactor.cancel_continuation(token, id);
-        future.wait()
+    /// Gather the in-flight entry `index`: wait its future out.
+    fn gather(&mut self, index: usize) -> Result<Option<(usize, O::Owned)>> {
+        match std::mem::replace(&mut self.entries[index], Entry::Gathered) {
+            Entry::InFlight(future) => Ok(Some((index, future.wait()?))),
+            _ => unreachable!("a landed result notifies its set once"),
+        }
     }
 
-    /// Wait for the next available result, in completion order: the reactor
-    /// dispatches each finished invocation's index onto the set's ready
-    /// queue, so a gather is O(1) instead of a rescan of every entry (the
-    /// old rescan made draining an n-entry scatter quadratic). If nothing is
-    /// ready the reactor is driven until something completes. Once a wave is
-    /// fully gathered the next queued wave posts. Returns the submission
-    /// index with the decoded result, or `None` once everything has been
-    /// gathered.
+    /// Wait for the next available result, in completion order: each
+    /// finished invocation's slot pushes its index onto the set's ready
+    /// queue as the reactor lands it, so a gather is O(1) instead of a
+    /// rescan of every entry. If nothing is ready the reactor is driven
+    /// until something completes. Once a wave is fully gathered the next
+    /// queued wave posts. Returns the submission index with the decoded
+    /// result, or `None` once everything has been gathered.
     pub fn wait_any(&mut self) -> Result<Option<(usize, O::Owned)>> {
         self.submit_next_wave()?;
         loop {
-            // Completions the reactor already dispatched, oldest first.
+            // Results that already landed, oldest first.
             let hint = self.ready.borrow_mut().pop_front();
             if let Some(index) = hint {
-                let future = self.entries[index]
-                    .take()
-                    .expect("a continuation is dispatched once");
-                return Ok(Some((index, self.gather(future)?)));
+                return self.gather(index);
             }
-            if self.entries.iter().all(|e| e.is_none()) {
+            if self.in_flight() == 0 {
                 return Ok(None);
             }
-            // Nothing dispatched yet: drive the shared event loop. An empty
-            // sweep can also mean a connection died (its continuation will
-            // never fire) — fall back to a blocking gather on the first such
+            // Nothing landed yet: drive the shared event loop. An empty
+            // sweep can also mean a connection died (its result will never
+            // land) — fall back to a blocking gather on the first such
             // entry, whose wait() runs the transparent recovery path.
             if self.session.reactor.turn() > 0 {
                 continue;
             }
             if let Some(index) = self.lost_entry() {
-                let future = self.entries[index].take().expect("checked is_some");
-                return Ok(Some((index, self.gather(future)?)));
+                return self.gather(index);
             }
             // Idle: the executor side has not served yet. Turn the fabric's
             // actors on this thread until the reactor has something.
@@ -1704,9 +1704,8 @@ where
 
     /// The first in-flight entry whose connection died.
     fn lost_entry(&self) -> Option<usize> {
-        self.entries
-            .iter()
-            .position(|entry| entry.as_ref().is_some_and(TypedFuture::connection_lost))
+        let lost = |e: &Entry<'_, O>| matches!(e, Entry::InFlight(f) if f.connection_lost());
+        self.entries.iter().position(lost)
     }
 
     /// Wait for every still-pending result, returned in submission order
@@ -1714,10 +1713,12 @@ where
     /// repeated).
     pub fn wait_all(mut self) -> Result<Vec<O::Owned>> {
         let mut slots: Vec<Option<O::Owned>> = (0..self.entries.len()).map(|_| None).collect();
+        let mut values = Vec::with_capacity(self.pending());
         while let Some((index, value)) = self.wait_any()? {
             slots[index] = Some(value);
         }
-        Ok(slots.into_iter().flatten().collect())
+        values.extend(slots.into_iter().flatten());
+        Ok(values)
     }
 }
 

@@ -210,6 +210,42 @@ fn steady_state_heap_traffic_stays_within_the_copy_budget() {
         session.close().unwrap();
     }
 
+    // Scatter: `saturate`'s per-session shape, one `map_workers` wave of
+    // 32 × 64 B over a 32-worker hot session and its `wait_all`. The wave
+    // allocates the 32 replies it returns and seven buffers: the set's
+    // entries, its ready queue and the queue's shared cell, the batch's
+    // resolved and posted lists, and `wait_all`'s slots and result. The
+    // invocations' own state lives in the slot tables the connections keep
+    // across waves.
+    {
+        let config = RFaasConfig {
+            max_payload_bytes: 4096,
+            ..RFaasConfig::paper_calibration()
+        };
+        let testbed = Testbed::with_config(1, config);
+        let session = testbed
+            .session("budget-client")
+            .workers(32)
+            .sandbox(SandboxType::BareMetal)
+            .polling(PollingMode::Hot)
+            .connect()
+            .unwrap();
+        let echo = session
+            .function::<[u8], [u8]>("echo")
+            .unwrap()
+            .with_output_capacity(64);
+        let cost = per_operation(|| {
+            let set = echo.map_workers((0..32).map(|_| &[6u8; 64][..])).unwrap();
+            assert_eq!(set.wait_all().unwrap().len(), 32);
+        });
+        assert_eq!(
+            (cost.allocations, cost.bytes),
+            (39.0, 13_880.0),
+            "32 × 64 B scatter: (allocations, heap bytes) per wave"
+        );
+        session.close().unwrap();
+    }
+
     // State hit: a stateful invocation over a cache-resident 1 MiB read key
     // borrows the value where the state client cached it.
     {
