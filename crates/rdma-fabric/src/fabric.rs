@@ -263,11 +263,12 @@ impl Fabric {
     /// Add (or look up) a node by name.
     pub fn add_node(&self, name: &str) -> Arc<FabricNode> {
         let mut nodes = self.nodes.lock();
-        Arc::clone(
-            nodes
-                .entry(name.to_string())
-                .or_insert_with(|| Arc::new(FabricNode::new(name.to_string()))),
-        )
+        if let Some(node) = nodes.get(name) {
+            return Arc::clone(node);
+        }
+        let node = Arc::new(FabricNode::new(name.to_string()));
+        nodes.insert(name.to_string(), Arc::clone(&node));
+        node
     }
 
     /// Look up an existing node.

@@ -20,7 +20,7 @@ use crate::error::{FabricError, Result};
 use crate::fabric::{Fabric, FabricNode};
 use crate::memory::{in_bounds, MemoryRegion, RemoteMemoryHandle};
 use crate::pd::ProtectionDomain;
-use crate::ring::RingState;
+use crate::ring::{self, Posted, RingState};
 use crate::srq::SharedReceiveQueue;
 use crate::verbs::{CompletionStatus, OpCode, RecvRequest, SendRequest, Sge, WorkCompletion};
 
@@ -168,12 +168,15 @@ pub(crate) struct QpInner {
     state: AtomicQpState,
 }
 
+/// The device limit a post to a full private receive queue reports.
+const RECV_QUEUE_LIMIT: &str = "receive queue depth";
+
 /// The private receive queue, and the slot ledger of the ring posting into
 /// it ([`ReceiveRing`](crate::ReceiveRing)): one lock covers a slot's pickup
 /// and its repost.
 #[derive(Debug, Default)]
 struct RecvQueue {
-    posted: VecDeque<RecvRequest>,
+    posted: VecDeque<Posted>,
     ring: Option<RingState>,
 }
 
@@ -183,6 +186,22 @@ impl QpInner {
         self.srq
             .get()
             .filter(|_| !self.srq_detached.load(Ordering::Acquire))
+    }
+
+    /// The buffer of ring slot `slot`, which an incoming SEND just consumed:
+    /// built from the slab of the ledger kept by the queue the slot was
+    /// posted to, the one [`QueuePair::consume_peer_recv`] pops from.
+    fn ring_slot(&self, slot: usize) -> Sge {
+        match self.srq() {
+            Some(srq) => srq.ring_slot(slot),
+            None => self
+                .recv_queue
+                .lock()
+                .ring
+                .as_ref()
+                .map(|ring| ring.slot(slot)),
+        }
+        .expect("a posted slot belongs to the queue's ring")
     }
 
     /// Remove this QP's credit entry from its SRQ, if it has one and has not
@@ -374,14 +393,14 @@ impl QueuePair {
     /// Post a receive work request: a buffer waiting for a SEND or
     /// WRITE_WITH_IMM from the peer.
     pub fn post_recv(&self, recv: RecvRequest) -> Result<()> {
-        self.push_recv(&mut self.inner.recv_queue.lock(), recv)?;
+        self.push_recv(&mut self.inner.recv_queue.lock(), Posted::Request(recv))?;
         self.inner.clock.advance(CX5_100G.post_recv_overhead);
         Ok(())
     }
 
-    /// Queue `recv` on the locked private receive queue: what
-    /// [`QueuePair::post_recv`] does before it charges the clock.
-    fn push_recv(&self, queue: &mut RecvQueue, recv: RecvRequest) -> Result<()> {
+    /// Whether receives may be posted to the private receive queue: the
+    /// queue pair is not disconnected and draws on no SRQ.
+    fn check_recv_postable(&self) -> Result<()> {
         let state = self.state();
         if state == QpState::Disconnected {
             return Err(FabricError::InvalidQpState {
@@ -394,10 +413,19 @@ impl QueuePair {
                 "post_recv on an SRQ-attached queue pair (post to the SRQ instead)",
             ));
         }
-        validate_sge(&recv.local)?;
+        Ok(())
+    }
+
+    /// Queue `recv` on the locked private receive queue: what
+    /// [`QueuePair::post_recv`] does before it charges the clock.
+    fn push_recv(&self, queue: &mut RecvQueue, recv: Posted) -> Result<()> {
+        self.check_recv_postable()?;
+        if let Posted::Request(recv) = &recv {
+            validate_sge(&recv.local)?;
+        }
         if queue.posted.len() >= CX5_100G.max_recv_queue_depth {
             return Err(FabricError::DeviceLimitExceeded {
-                limit: "receive queue depth",
+                limit: RECV_QUEUE_LIMIT,
             });
         }
         queue.posted.push_back(recv);
@@ -409,22 +437,42 @@ impl QueuePair {
         self.inner.recv_queue.lock().posted.len()
     }
 
-    /// Start the slot ledger of a ring of `depth` slots posting into the
-    /// private receive queue ([`RingState::attach`]).
-    pub(crate) fn attach_ring(&self, depth: usize) -> Result<()> {
-        RingState::attach(&mut self.inner.recv_queue.lock().ring, depth)
+    /// Start the slot ledger of a ring of `depth` slots of `slot_len` bytes
+    /// in `slab` ([`RingState::attach`]) and post every slot to the private
+    /// receive queue ([`ring::post_slots`]), under one lock of the queue and
+    /// with one clock advance for every slot posted.
+    pub(crate) fn attach_ring(
+        &self,
+        slab: &MemoryRegion,
+        depth: usize,
+        slot_len: usize,
+    ) -> Result<()> {
+        let (posted, result) = {
+            let mut queue = self.inner.recv_queue.lock();
+            let queue = &mut *queue;
+            RingState::attach(&mut queue.ring, slab, depth, slot_len)?;
+            match self.check_recv_postable() {
+                Ok(()) => ring::post_slots(
+                    &mut queue.posted,
+                    depth,
+                    CX5_100G.max_recv_queue_depth,
+                    RECV_QUEUE_LIMIT,
+                ),
+                Err(e) => (0, Err(e)),
+            }
+        };
+        self.inner
+            .clock
+            .advance(CX5_100G.post_recv_overhead * posted as u64);
+        result
     }
 
-    /// Pick up ring slot `slot` and post `recv()` back into it as
-    /// [`QueuePair::post_recv`] does, under one lock of the receive queue.
-    /// The queue consumes FIFO, so a ring delivery is always the ledger's
-    /// front slot; anything else is a receive posted outside the ring whose
-    /// `wr_id` collides with a slot index, and is left alone (`None`).
-    pub(crate) fn repost_ring_slot(
-        &self,
-        slot: usize,
-        recv: impl FnOnce() -> RecvRequest,
-    ) -> Option<Result<()>> {
+    /// Pick up ring slot `slot` and post it back as [`QueuePair::post_recv`]
+    /// does, under one lock of the receive queue. The queue consumes FIFO,
+    /// so a ring delivery is always the ledger's front slot; anything else
+    /// is a receive posted outside the ring whose `wr_id` collides with a
+    /// slot index, and is left alone (`None`).
+    pub(crate) fn repost_ring_slot(&self, slot: usize) -> Option<Result<()>> {
         let mut queue = self.inner.recv_queue.lock();
         let ring = queue.ring.as_mut().expect("a ring posts into this queue");
         if ring.front() != Some(slot) || ring.deliver().is_err() {
@@ -432,7 +480,7 @@ impl QueuePair {
         }
         ring.repost(slot)
             .expect("a slot delivered just now is consumed");
-        let posted = self.push_recv(&mut queue, recv());
+        let posted = self.push_recv(&mut queue, Posted::Slot(slot));
         drop(queue);
         if posted.is_ok() {
             self.inner.clock.advance(CX5_100G.post_recv_overhead);
@@ -572,7 +620,7 @@ impl QueuePair {
     /// flow-control contract that stops one tenant starving the shared
     /// queue, fails the post immediately. Retries never touch the virtual
     /// clock, so timestamps stay deterministic.
-    fn consume_peer_recv(peer: &QpInner) -> Result<RecvRequest> {
+    fn consume_peer_recv(peer: &QpInner) -> Result<Posted> {
         const RNR_RETRY_WINDOW: std::time::Duration = std::time::Duration::from_secs(5);
         let Some(srq) = peer.srq() else {
             return peer
@@ -582,7 +630,7 @@ impl QueuePair {
                 .pop_front()
                 .ok_or(FabricError::ReceiverNotReady);
         };
-        let retry = |popped: &Result<RecvRequest>| {
+        let retry = |popped: &Result<Posted>| {
             matches!(popped, Err(FabricError::ReceiverNotReady)) && !srq.over_credit(peer.qp_num)
         };
         let mut popped = srq.pop_for(peer.qp_num);
@@ -631,21 +679,21 @@ impl QueuePair {
         signaled: bool,
         chained: bool,
     ) -> Result<()> {
-        let recv = Self::consume_peer_recv(peer)?;
-        if recv.local.len < local.len {
+        let (recv_wr_id, buffer) = match Self::consume_peer_recv(peer)? {
+            Posted::Request(recv) => (recv.wr_id, recv.local),
+            Posted::Slot(slot) => (slot as u64, peer.ring_slot(slot)),
+        };
+        if buffer.len < local.len {
             // The message is lost and the receive is consumed, as with a real
             // RC transport length error; report it to the initiator.
             return Err(FabricError::ReceiveBufferTooSmall {
                 message_len: local.len,
-                buffer_len: recv.local.len,
+                buffer_len: buffer.len,
             });
         }
-        local.region.copy_to(
-            local.offset,
-            &recv.local.region,
-            recv.local.offset,
-            local.len,
-        )?;
+        local
+            .region
+            .copy_to(local.offset, &buffer.region, buffer.offset, local.len)?;
 
         let ready = self.issue(local.len, chained);
         let timing = self
@@ -653,7 +701,7 @@ impl QueuePair {
             .fabric
             .transfer(&self.inner.node, &peer.node, local.len, ready);
         peer.recv_cq.push(WorkCompletion {
-            wr_id: recv.wr_id,
+            wr_id: recv_wr_id,
             opcode: OpCode::Recv,
             status: CompletionStatus::Success,
             byte_len: local.len,
@@ -736,7 +784,7 @@ impl QueuePair {
             .transfer(&self.inner.node, &peer.node, len, ready);
         if let Some(recv) = consumed_recv {
             peer.recv_cq.push(WorkCompletion {
-                wr_id: recv.wr_id,
+                wr_id: recv.wr_id(),
                 opcode: OpCode::WriteWithImm,
                 status: CompletionStatus::Success,
                 byte_len: len,

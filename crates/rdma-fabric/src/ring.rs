@@ -14,25 +14,50 @@
 //!   interleaving of post/consume/repost may lose a slot, delivery is FIFO
 //!   in post order, and delivery into an empty ring is rejected.
 //! * [`ReceiveRing`] — the live wrapper that registers one slab of memory,
-//!   posts one receive per slot on a [`QueuePair`], and (by default)
+//!   posts every slot on a [`QueuePair`] or a [`SharedReceiveQueue`], and
 //!   re-posts a slot automatically as soon as its completion is picked up —
 //!   correct whenever the slot is a pure doorbell, which is what rFaaS uses
 //!   it for (payloads travel one-sided into registered buffers, not into the
 //!   ring slots).
 //!
 //! The ledger lives with the receive queue the slots are posted to — the
-//! queue pair's private one or the shared one — under that queue's lock, so
-//! picking a slot up and reposting it take one acquisition. A queue holds
-//! at most one ring.
+//! queue pair's private one or the shared one — under that queue's lock,
+//! and keeps the slab. A slot is posted as its index (`Posted::Slot`),
+//! not as a work request holding a region handle: a ring build posts all
+//! its slots in the one acquisition that attaches the ledger, picking a
+//! slot up and reposting it take one acquisition, and only a SEND that
+//! lands in a slot builds the slot's scatter/gather entry from the slab. A
+//! queue holds at most one ring.
 
 use std::collections::VecDeque;
 
 use crate::error::{FabricError, Result};
-use crate::memory::AccessFlags;
+use crate::memory::{AccessFlags, MemoryRegion};
 use crate::pd::{OwnedRegion, ProtectionDomain};
 use crate::qp::{Endpoint, QueuePair};
 use crate::srq::SharedReceiveQueue;
 use crate::verbs::{RecvRequest, Sge, WorkCompletion};
+
+/// One receive posted to a receive queue: a work request of its own, or a
+/// slot of the ring whose ledger the queue keeps.
+#[derive(Debug)]
+pub(crate) enum Posted {
+    /// A receive posted through [`QueuePair::post_recv`] or
+    /// [`SharedReceiveQueue::post`].
+    Request(RecvRequest),
+    /// Slot `i` of the queue's ring; its `wr_id` is `i`.
+    Slot(usize),
+}
+
+impl Posted {
+    /// The `wr_id` a completion of this receive reports.
+    pub(crate) fn wr_id(&self) -> u64 {
+        match self {
+            Posted::Request(recv) => recv.wr_id,
+            Posted::Slot(slot) => *slot as u64,
+        }
+    }
+}
 
 /// Pure state machine of a receive ring: every slot is either *posted*
 /// (waiting for a message, FIFO position known) or *consumed* (delivered to
@@ -45,15 +70,23 @@ pub(crate) struct RingState {
     posted: VecDeque<usize>,
     /// `consumed[slot]` — delivered to the application, not yet re-posted.
     consumed: Vec<bool>,
+    /// The slot slab: slot `i` is `slot_len` bytes at `i * slot_len`. The
+    /// ledger keeps it as long as the queue does, so slots still posted
+    /// when the ring drops keep the bytes, not the registration.
+    slab: MemoryRegion,
+    slot_len: usize,
 }
 
 impl RingState {
-    /// A ring of `depth` slots, all posted in index order (slot 0 first).
-    fn new(depth: usize) -> RingState {
+    /// A ring of `depth` slots of `slot_len` bytes in `slab`, all posted in
+    /// index order (slot 0 first).
+    fn new(depth: usize, slab: &MemoryRegion, slot_len: usize) -> RingState {
         RingState {
             depth,
             posted: (0..depth).collect(),
             consumed: vec![false; depth],
+            slab: slab.clone(),
+            slot_len,
         }
     }
 
@@ -75,17 +108,27 @@ impl RingState {
         self.consumed.iter().filter(|c| **c).count()
     }
 
-    /// Start the ledger of a ring of `depth` slots, all posted, in `ledger`:
-    /// where a receive queue keeps the ledger of the ring posting into it.
-    /// A queue holds one ring.
-    pub(crate) fn attach(ledger: &mut Option<RingState>, depth: usize) -> Result<()> {
+    /// Start the ledger of a ring of `depth` slots of `slot_len` bytes in
+    /// `slab`, all posted, in `ledger`: where a receive queue keeps the
+    /// ledger of the ring posting into it. A queue holds one ring.
+    pub(crate) fn attach(
+        ledger: &mut Option<RingState>,
+        slab: &MemoryRegion,
+        depth: usize,
+        slot_len: usize,
+    ) -> Result<()> {
         if ledger.is_some() {
             return Err(FabricError::DeviceLimitExceeded {
                 limit: "one receive ring per queue",
             });
         }
-        *ledger = Some(RingState::new(depth));
+        *ledger = Some(RingState::new(depth, slab, slot_len));
         Ok(())
+    }
+
+    /// The buffer of slot `slot`.
+    pub(crate) fn slot(&self, slot: usize) -> Sge {
+        Sge::range(&self.slab, slot * self.slot_len, self.slot_len)
     }
 
     /// The slot an incoming message will land in next, if any.
@@ -140,6 +183,26 @@ impl RingState {
     }
 }
 
+/// Post a freshly attached ring's `depth` slots onto `queue`, which holds at
+/// most `max_depth` receives: slot 0 first, as many as fit, in one pass.
+/// Returns how many went on — the caller charges one `post_recv` each, in
+/// one clock advance — and, when one did not fit, the device limit `limit`,
+/// as posting the slots one at a time would have failed at that slot.
+pub(crate) fn post_slots(
+    queue: &mut VecDeque<Posted>,
+    depth: usize,
+    max_depth: usize,
+    limit: &'static str,
+) -> (usize, Result<()>) {
+    let fits = depth.min(max_depth.saturating_sub(queue.len()));
+    queue.extend((0..fits).map(Posted::Slot));
+    if fits < depth {
+        (fits, Err(FabricError::DeviceLimitExceeded { limit }))
+    } else {
+        (fits, Ok(()))
+    }
+}
+
 /// A completion picked up through a [`ReceiveRing`].
 #[derive(Debug, Clone)]
 pub struct RingCompletion {
@@ -153,17 +216,16 @@ pub struct RingCompletion {
 /// A live receive ring bound to one queue pair.
 ///
 /// One slab of registered memory holds `depth` slots of `slot_len` bytes;
-/// one receive work request per slot is posted with `wr_id == slot`. Pickup
+/// every slot is posted with `wr_id == slot` when the ring is built. Pickup
 /// ([`ReceiveRing::poll_one`], [`ReceiveRing::adopt`]) reposts the consumed
 /// slot before handing the completion to the caller, so the ring never
 /// drains as long as at most `depth` messages are in flight.
 #[derive(Debug)]
 pub struct ReceiveRing {
     backing: RingBacking,
-    /// The slot slab, registered for as long as the ring lives. Receives
-    /// still posted when it drops keep the bytes, not the registration.
-    region: OwnedRegion,
-    slot_len: usize,
+    /// The slot slab's registration, held for as long as the ring lives;
+    /// the ledger keeps the bytes.
+    _slab: OwnedRegion,
     /// Fixed at construction, so hot-path callers (per-submission overflow
     /// checks, adopt) read it without the queue's lock.
     depth: usize,
@@ -221,35 +283,17 @@ impl ReceiveRing {
                 limit: "receive ring depth must be non-zero",
             });
         }
+        let slot_len = slot_len.max(1);
+        let slab = pd.register_owned(depth * slot_len, AccessFlags::LOCAL_ONLY);
         match &backing {
-            RingBacking::Qp(qp) => qp.attach_ring(depth)?,
-            RingBacking::Srq(srq) => srq.attach_ring(depth)?,
+            RingBacking::Qp(qp) => qp.attach_ring(&slab, depth, slot_len)?,
+            RingBacking::Srq(srq) => srq.attach_ring(&slab, depth, slot_len)?,
         }
-        let region = pd.register_owned(depth * slot_len.max(1), AccessFlags::LOCAL_ONLY);
-        let ring = ReceiveRing {
+        Ok(ReceiveRing {
             backing,
-            region,
-            slot_len: slot_len.max(1),
+            _slab: slab,
             depth,
-        };
-        for slot in 0..depth {
-            ring.post_slot(slot)?;
-        }
-        Ok(ring)
-    }
-
-    fn post_slot(&self, slot: usize) -> Result<()> {
-        match &self.backing {
-            RingBacking::Qp(qp) => qp.post_recv(self.recv_request(slot)),
-            RingBacking::Srq(srq) => srq.post(self.recv_request(slot)),
-        }
-    }
-
-    fn recv_request(&self, slot: usize) -> RecvRequest {
-        RecvRequest {
-            wr_id: slot as u64,
-            local: Sge::range(&self.region, slot * self.slot_len, self.slot_len),
-        }
+        })
     }
 
     /// Number of slots in the ring (lock-free: fixed at construction).
@@ -276,15 +320,14 @@ impl ReceiveRing {
         if wc.wr_id == u64::MAX || slot_id >= self.depth() {
             return RingCompletion { slot: None, wc };
         }
-        let recv = || self.recv_request(slot_id);
         // A failed re-post only happens on a disconnected QP, where the next
         // wait returns None anyway; the completion in hand is still
         // delivered to the caller.
         let reposted = match &self.backing {
-            RingBacking::Qp(qp) => qp.repost_ring_slot(slot_id, recv),
+            RingBacking::Qp(qp) => qp.repost_ring_slot(slot_id),
             // The buffer is free again: return the consuming QP's credit, and
             // the slot with it.
-            RingBacking::Srq(srq) => srq.repost_ring_slot(wc.qp_num, slot_id, recv),
+            RingBacking::Srq(srq) => srq.repost_ring_slot(wc.qp_num, slot_id),
         };
         RingCompletion {
             slot: reposted.map(|_| slot_id),
@@ -317,6 +360,13 @@ mod tests {
     use crate::qp::Endpoint;
     use crate::verbs::SendRequest;
 
+    /// The ledger of a ring of `depth` one-byte slots, detached from any
+    /// queue.
+    fn ledger(depth: usize) -> RingState {
+        let slab = MemoryRegion::zeroed(0, depth, AccessFlags::LOCAL_ONLY);
+        RingState::new(depth, &slab, 1)
+    }
+
     fn connected_pair() -> (QueuePair, QueuePair) {
         let fabric = Fabric::with_defaults();
         let a = QueuePair::new(&Endpoint::new(&fabric, &fabric.add_node("client")));
@@ -341,7 +391,7 @@ mod tests {
 
     #[test]
     fn ring_state_starts_fully_posted() {
-        let state = RingState::new(4);
+        let state = ledger(4);
         assert_eq!(state.depth(), 4);
         assert_eq!(state.posted(), 4);
         assert_eq!(state.consumed(), 0);
@@ -350,7 +400,7 @@ mod tests {
 
     #[test]
     fn deliveries_are_fifo_and_reposts_queue_at_the_back() {
-        let mut state = RingState::new(3);
+        let mut state = ledger(3);
         assert_eq!(state.deliver().unwrap(), 0);
         assert_eq!(state.deliver().unwrap(), 1);
         state.repost(0).unwrap();
@@ -361,14 +411,14 @@ mod tests {
 
     #[test]
     fn empty_ring_rejects_delivery() {
-        let mut state = RingState::new(1);
+        let mut state = ledger(1);
         state.deliver().unwrap();
         assert_eq!(state.deliver().unwrap_err(), FabricError::ReceiverNotReady);
     }
 
     #[test]
     fn double_or_foreign_repost_is_rejected() {
-        let mut state = RingState::new(2);
+        let mut state = ledger(2);
         assert!(state.repost(0).is_err()); // still posted
         assert!(state.repost(7).is_err()); // out of range
         let slot = state.deliver().unwrap();
@@ -465,7 +515,7 @@ mod tests {
 
     #[test]
     fn deliver_slot_supports_out_of_order_pickup() {
-        let mut state = RingState::new(3);
+        let mut state = ledger(3);
         state.deliver_slot(2).unwrap();
         state.deliver_slot(0).unwrap();
         // Already consumed and out-of-range slots are rejected.
@@ -569,13 +619,188 @@ mod tests {
         assert!(matches!(err, FabricError::UnsupportedOperation(_)));
     }
 
+    /// A receive the model expects on the posted FIFO: a ring slot, or a
+    /// foreign receive with its `wr_id` and buffer.
+    #[derive(Debug, Clone)]
+    enum ModelRecv {
+        Slot(usize),
+        Foreign(u64, MemoryRegion),
+    }
+
+    impl ModelRecv {
+        fn wr_id(&self) -> u64 {
+            match self {
+                ModelRecv::Slot(slot) => *slot as u64,
+                ModelRecv::Foreign(wr_id, _) => *wr_id,
+            }
+        }
+    }
+
+    /// What a delivery left for a pickup: the receive it consumed, its
+    /// immediate (write-with-immediate) or its bytes (SEND).
+    type Landed = (ModelRecv, Option<u32>, Option<Vec<u8>>);
+
+    const SLOT_LEN: usize = 8;
+
+    /// Drive a ring — on a private queue pair, or on an SRQ of `srq_depth`
+    /// receives shared by two queue pairs — through `ops`, against a model
+    /// of the queue's posted FIFO. `pre` foreign receives are posted before
+    /// the ring is built; more join between the slots as `ops` posts them.
+    fn check_slot_queue(srq_depth: Option<usize>, depth: usize, pre: usize, ops: &[u8]) {
+        let fabric = Fabric::with_defaults();
+        let server_ep = Endpoint::new(&fabric, &fabric.add_node("server"));
+        let srq = srq_depth.map(|max| SharedReceiveQueue::new(&server_ep, max));
+        let pairs: Vec<(QueuePair, QueuePair)> = (0..if srq.is_some() { 2 } else { 1 })
+            .map(|i| {
+                let node = fabric.add_node(&format!("client-{i}"));
+                let client = QueuePair::new(&Endpoint::new(&fabric, &node));
+                let server = QueuePair::new(&server_ep);
+                QueuePair::connect_pair(&client, &server).unwrap();
+                if let Some(srq) = &srq {
+                    server.attach_srq(srq, 64);
+                }
+                (client, server)
+            })
+            .collect();
+        let posted = || match &srq {
+            Some(srq) => srq.stats().posted,
+            None => pairs[0].1.posted_receives(),
+        };
+        let mut model: VecDeque<ModelRecv> = VecDeque::new();
+        let mut next_foreign = depth as u64;
+        let mut post_foreign = |model: &mut VecDeque<ModelRecv>| {
+            let region = server_ep.pd.register(SLOT_LEN, AccessFlags::LOCAL_ONLY);
+            let recv = RecvRequest {
+                wr_id: next_foreign,
+                local: Sge::whole(&region),
+            };
+            match &srq {
+                Some(srq) => srq.post(recv).unwrap(),
+                None => pairs[0].1.post_recv(recv).unwrap(),
+            }
+            model.push_back(ModelRecv::Foreign(next_foreign, region));
+            next_foreign += 1;
+        };
+        for _ in 0..pre {
+            post_foreign(&mut model);
+        }
+
+        // The build posts the slots that fit, in index order, and charges
+        // one `post_recv` for each in one advance; a slot that does not fit
+        // fails the build there, as posting one slot at a time did.
+        let before = server_ep.clock.now();
+        let built = match &srq {
+            Some(srq) => ReceiveRing::on_srq(&server_ep, srq, depth, SLOT_LEN),
+            None => ReceiveRing::new(&pairs[0].1, depth, SLOT_LEN),
+        };
+        let max_depth = srq_depth.unwrap_or(crate::device::CX5_100G.max_recv_queue_depth);
+        let fits = depth.min(max_depth - pre);
+        model.extend((0..fits).map(ModelRecv::Slot));
+        let charged = server_ep.clock.now().saturating_since(before);
+        assert_eq!(
+            charged,
+            crate::device::CX5_100G.post_recv_overhead * fits as u64
+        );
+        assert_eq!(posted(), model.len());
+        let ring = match built {
+            Ok(ring) => {
+                assert_eq!(fits, depth);
+                ring
+            }
+            Err(e) => {
+                assert!(fits < depth, "a ring that fits was refused: {e:?}");
+                let limit = "shared receive queue depth";
+                assert_eq!(e, FabricError::DeviceLimitExceeded { limit });
+                return;
+            }
+        };
+
+        let mut landed: Vec<VecDeque<Landed>> = vec![VecDeque::new(); pairs.len()];
+        for &op in ops {
+            let qp = (op as usize >> 2) % pairs.len();
+            let (client, server) = &pairs[qp];
+            match op % 4 {
+                // A foreign receive, as long as every slot still finds room.
+                0 => {
+                    let slots_out = depth
+                        - model
+                            .iter()
+                            .filter(|r| matches!(r, ModelRecv::Slot(_)))
+                            .count();
+                    if model.len() + slots_out < max_depth {
+                        post_foreign(&mut model);
+                    }
+                }
+                // A delivery: write-with-immediate or SEND. An SRQ that is
+                // out of receives makes the sender retry, so it gets none.
+                1 | 2 => {
+                    if srq.is_some() && model.is_empty() {
+                        continue;
+                    }
+                    let imm = u32::from(op);
+                    let bytes = vec![op; 1 + (op as usize >> 3) % SLOT_LEN];
+                    let sent = if op % 4 == 1 {
+                        write_with_imm(client, server, imm).map(|()| (Some(imm), None))
+                    } else {
+                        let src = client.pd().register(bytes.len(), AccessFlags::LOCAL_ONLY);
+                        src.write(0, &bytes).unwrap();
+                        let local = Sge::whole(&src);
+                        let send = SendRequest::Send { local };
+                        client
+                            .post_send(0, send, false)
+                            .map(|()| (None, Some(bytes)))
+                    };
+                    match (sent, model.pop_front()) {
+                        (Ok((imm, bytes)), Some(recv)) => landed[qp].push_back((recv, imm, bytes)),
+                        (Err(e), None) => assert_eq!(e, FabricError::ReceiverNotReady),
+                        (sent, recv) => panic!("delivery {sent:?} into {recv:?}"),
+                    }
+                }
+                // A pickup, which reposts a ring slot at the back.
+                _ => {
+                    let picked = match &srq {
+                        Some(_) => server.recv_cq().poll_one().map(|wc| ring.adopt(wc)),
+                        None => ring.poll_one(),
+                    };
+                    let Some(c) = picked else {
+                        assert!(landed[qp].is_empty());
+                        continue;
+                    };
+                    let (recv, imm, bytes) = landed[qp].pop_front().expect("a delivery landed");
+                    assert_eq!(c.wc.wr_id, recv.wr_id());
+                    assert_eq!(c.wc.imm, imm);
+                    let buffer = match &recv {
+                        ModelRecv::Slot(slot) => {
+                            assert_eq!(c.slot, Some(*slot));
+                            model.push_back(recv.clone());
+                            Sge::range(&ring._slab, slot * SLOT_LEN, SLOT_LEN)
+                        }
+                        ModelRecv::Foreign(_, region) => {
+                            assert_eq!(c.slot, None);
+                            if let Some(srq) = &srq {
+                                srq.release(c.wc.qp_num);
+                            }
+                            Sge::whole(region)
+                        }
+                    };
+                    if let Some(bytes) = bytes {
+                        assert_eq!(c.wc.byte_len, bytes.len());
+                        let left = buffer.region.read(buffer.offset, bytes.len()).unwrap();
+                        assert_eq!(left, bytes);
+                    }
+                }
+            }
+            assert_eq!(posted(), model.len());
+        }
+    }
+
     proptest::proptest! {
         // Arbitrary interleavings of deliver/repost never lose a slot: every
         // slot is always exactly posted or consumed, and the totals add up
         // to the depth.
         #[test]
         fn prop_ring_never_loses_buffers(depth in 1usize..16, ops: Vec<u8>) {
-            let mut state = RingState::new(depth);
+            let mut state = ledger(depth);
             let mut delivered: Vec<usize> = Vec::new();
             for op in ops {
                 if op % 2 == 0 {
@@ -595,10 +820,25 @@ mod tests {
             }
         }
 
+        // A ring's slots, foreign receives between them, and every delivery
+        // and pickup follow one posted FIFO, on a private queue pair and on
+        // an SRQ (`room` below 4 makes the SRQ too shallow for the ring).
+        #[test]
+        fn prop_ring_slots_follow_the_posted_fifo(
+            on_srq: bool,
+            depth in 1usize..8,
+            pre in 0usize..3,
+            room in 0usize..12,
+            ops: Vec<u8>,
+        ) {
+            let srq_depth = on_srq.then(|| (depth + pre + room).saturating_sub(4).max(pre).max(1));
+            check_slot_queue(srq_depth, depth, pre, &ops);
+        }
+
         // Deliveries come back in exactly the order slots were (re)posted.
         #[test]
         fn prop_ring_delivery_is_fifo(depth in 1usize..12, ops: Vec<bool>) {
-            let mut state = RingState::new(depth);
+            let mut state = ledger(depth);
             // Shadow model: a plain FIFO of slot ids.
             let mut model: std::collections::VecDeque<usize> = (0..depth).collect();
             let mut consumed: Vec<usize> = Vec::new();
@@ -626,7 +866,7 @@ mod tests {
         // repost; the live transport mirrors this through ReceiverNotReady.
         #[test]
         fn prop_empty_ring_rejects_until_repost(depth in 1usize..8) {
-            let mut state = RingState::new(depth);
+            let mut state = ledger(depth);
             let mut slots = Vec::new();
             for _ in 0..depth {
                 slots.push(state.deliver().unwrap());

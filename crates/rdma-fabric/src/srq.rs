@@ -26,9 +26,13 @@ use sim_core::VirtualClock;
 
 use crate::device::CX5_100G;
 use crate::error::{FabricError, Result};
+use crate::memory::MemoryRegion;
 use crate::qp::Endpoint;
-use crate::ring::RingState;
-use crate::verbs::RecvRequest;
+use crate::ring::{self, Posted, RingState};
+use crate::verbs::{RecvRequest, Sge};
+
+/// The device limit a post to a full shared receive queue reports.
+const SRQ_LIMIT: &str = "shared receive queue depth";
 
 #[derive(Debug, Clone, Copy)]
 struct CreditState {
@@ -38,7 +42,7 @@ struct CreditState {
 
 #[derive(Debug)]
 struct SrqState {
-    queue: VecDeque<RecvRequest>,
+    queue: VecDeque<Posted>,
     /// Per-QP flow-control credits, keyed by `qp_num`. Ordered map so any
     /// iteration (stats, debugging) is deterministic.
     credits: BTreeMap<u32, CreditState>,
@@ -54,11 +58,9 @@ struct SrqState {
 }
 
 impl SrqState {
-    fn push(&mut self, recv: RecvRequest, max_depth: usize) -> Result<()> {
+    fn push(&mut self, recv: Posted, max_depth: usize) -> Result<()> {
         if self.queue.len() >= max_depth {
-            return Err(FabricError::DeviceLimitExceeded {
-                limit: "shared receive queue depth",
-            });
+            return Err(FabricError::DeviceLimitExceeded { limit: SRQ_LIMIT });
         }
         self.queue.push_back(recv);
         Ok(())
@@ -129,29 +131,48 @@ impl SharedReceiveQueue {
 
     /// Post a receive into the shared pool.
     pub fn post(&self, recv: RecvRequest) -> Result<()> {
+        let recv = Posted::Request(recv);
         self.inner.state.lock().push(recv, self.inner.max_depth)?;
         self.inner.clock.advance(CX5_100G.post_recv_overhead);
         Ok(())
     }
 
-    /// Start the slot ledger of a ring of `depth` slots posting into this
-    /// queue ([`RingState::attach`]).
-    pub(crate) fn attach_ring(&self, depth: usize) -> Result<()> {
-        RingState::attach(&mut self.inner.state.lock().ring, depth)
+    /// Start the slot ledger of a ring of `depth` slots of `slot_len` bytes
+    /// in `slab` ([`RingState::attach`]) and post every slot into this queue
+    /// ([`ring::post_slots`]), under one lock and with one clock advance for
+    /// every slot posted.
+    pub(crate) fn attach_ring(
+        &self,
+        slab: &MemoryRegion,
+        depth: usize,
+        slot_len: usize,
+    ) -> Result<()> {
+        let (posted, result) = {
+            let mut state = self.inner.state.lock();
+            let state = &mut *state;
+            RingState::attach(&mut state.ring, slab, depth, slot_len)?;
+            ring::post_slots(&mut state.queue, depth, self.inner.max_depth, SRQ_LIMIT)
+        };
+        self.inner
+            .clock
+            .advance(CX5_100G.post_recv_overhead * posted as u64);
+        result
+    }
+
+    /// The buffer of ring slot `slot`, built from the ledger's slab; `None`
+    /// when no ring posts into this queue.
+    pub(crate) fn ring_slot(&self, slot: usize) -> Option<Sge> {
+        let state = self.inner.state.lock();
+        state.ring.as_ref().map(|ring| ring.slot(slot))
     }
 
     /// Pick up ring slot `slot`, which `qp_num` consumed, then
-    /// [`SharedReceiveQueue::release`] `qp_num`'s credit and
-    /// [`SharedReceiveQueue::post`] `recv()` back into the slot, under one
-    /// lock. Several QPs consume from the queue and their completions are
-    /// swept in registration order, so a delivery may be any posted slot;
-    /// one that is not (out of range, or not posted) is left alone (`None`).
-    pub(crate) fn repost_ring_slot(
-        &self,
-        qp_num: u32,
-        slot: usize,
-        recv: impl FnOnce() -> RecvRequest,
-    ) -> Option<Result<()>> {
+    /// [`SharedReceiveQueue::release`] `qp_num`'s credit and post the slot
+    /// back as [`SharedReceiveQueue::post`] does, under one lock. Several
+    /// QPs consume from the queue and their completions are swept in
+    /// registration order, so a delivery may be any posted slot; one that
+    /// is not (out of range, or not posted) is left alone (`None`).
+    pub(crate) fn repost_ring_slot(&self, qp_num: u32, slot: usize) -> Option<Result<()>> {
         let posted = {
             let mut state = self.inner.state.lock();
             let ring = state.ring.as_mut().expect("a ring posts into this queue");
@@ -159,7 +180,7 @@ impl SharedReceiveQueue {
             ring.repost(slot)
                 .expect("a slot delivered just now is consumed");
             state.release(qp_num);
-            state.push(recv(), self.inner.max_depth)
+            state.push(Posted::Slot(slot), self.inner.max_depth)
         };
         if posted.is_ok() {
             self.inner.clock.advance(CX5_100G.post_recv_overhead);
@@ -191,7 +212,7 @@ impl SharedReceiveQueue {
     /// Consume the oldest posted receive on behalf of `qp_num`, honouring
     /// its credit. Called by the transport when a message arrives on an
     /// attached QP. QPs without a credit entry are treated as uncapped.
-    pub(crate) fn pop_for(&self, qp_num: u32) -> Result<RecvRequest> {
+    pub(crate) fn pop_for(&self, qp_num: u32) -> Result<Posted> {
         let mut state = self.inner.state.lock();
         if let Some(credit) = state.credits.get(&qp_num) {
             if credit.in_flight >= credit.limit {
@@ -272,8 +293,8 @@ mod tests {
             srq.post(slot(&ep, 2)),
             Err(FabricError::DeviceLimitExceeded { .. })
         ));
-        assert_eq!(srq.pop_for(7).unwrap().wr_id, 0);
-        assert_eq!(srq.pop_for(7).unwrap().wr_id, 1);
+        assert_eq!(srq.pop_for(7).unwrap().wr_id(), 0);
+        assert_eq!(srq.pop_for(7).unwrap().wr_id(), 1);
         assert_eq!(srq.pop_for(7).unwrap_err(), FabricError::ReceiverNotReady);
     }
 
@@ -352,7 +373,7 @@ mod tests {
                         match srq.pop_for(qp) {
                             Ok(recv) => {
                                 let expect = expect_fifo.pop_front().unwrap();
-                                proptest::prop_assert_eq!(recv.wr_id, expect);
+                                proptest::prop_assert_eq!(recv.wr_id(), expect);
                                 held[qp as usize - 1] += 1;
                             }
                             Err(e) => {

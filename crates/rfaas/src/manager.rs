@@ -280,23 +280,24 @@ impl ResourceManager {
             cores: request.cores,
             memory_mib: request.memory_mib,
         };
-        // BTreeMap keys come back sorted, so the round-robin rotation below
-        // is deterministic without a per-placement sort.
-        let names: Vec<String> = executors.keys().cloned().collect();
-        let start = state.round_robin;
+        // BTreeMap entries come back sorted by name, so the round-robin
+        // rotation below is deterministic without a per-placement sort.
+        let start = state.round_robin % executors.len();
         state.round_robin += 1;
         let candidates = || {
-            (0..names.len())
-                .map(|i| &names[(start + i) % names.len()])
-                .filter(|name| executors[*name].available.can_fit(&needed))
+            let rotation = executors
+                .iter()
+                .skip(start)
+                .chain(executors.iter().take(start));
+            rotation.filter(|(_, entry)| entry.available.can_fit(&needed))
         };
         // Prefer an executor holding a warm parent for this (sandbox,
         // package): an allocation placed there can resume or fork instead of
         // cold-spawning. Fall back to plain round-robin over executors with
         // room; with warm pooling disabled the two passes choose identically.
         let chosen = candidates()
-            .find(|name| {
-                executors[*name]
+            .find(|(_, entry)| {
+                entry
                     .executor
                     .allocator()
                     .warm_pool()
@@ -304,7 +305,7 @@ impl ResourceManager {
                     > 0
             })
             .or_else(|| candidates().next())
-            .cloned()
+            .map(|(name, _)| name.clone())
             .ok_or(RFaasError::InsufficientResources {
                 requested_cores: request.cores,
                 requested_memory_mib: request.memory_mib,

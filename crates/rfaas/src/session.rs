@@ -861,49 +861,56 @@ impl Session {
         self.post(spec, self.resolve_spec(spec)?, false)
     }
 
-    /// Post a whole batch of invocations behind one doorbell: every spec is
-    /// resolved and capacity-checked *before* the first WQE is built, then
-    /// every WQE is built back-to-back on the chained path
+    /// Post a completion set's wave of queued entries behind one doorbell,
+    /// each into its own entry: every spec is resolved and capacity-checked
+    /// *before* the first WQE is built, then every WQE is built
+    /// back-to-back on the chained path
     /// ([`rdma_fabric::QueuePair::post_send_batch`] semantics, spanning the
     /// per-worker queue pairs of one NIC), so only the first submission pays
     /// the full issue cost. A post that still fails mid-batch (a lost
     /// connection, or a device limit such as an exhausted receive queue)
-    /// reaps the already-posted invocations before the error surfaces, so
-    /// no in-flight slot or undrained completion outlives the failed
-    /// attempt.
-    fn post_batch<'a>(
-        &self,
-        specs: impl Iterator<Item = &'a InvocationSpec>,
-    ) -> Result<(Vec<Posted>, BatchStats)> {
-        let mut resolved = Vec::with_capacity(specs.size_hint().0);
-        for spec in specs {
-            resolved.push((spec, self.resolve_spec(spec)?));
+    /// reaps the already-posted invocations and queues their entries again
+    /// before the error surfaces, so no in-flight slot or undrained
+    /// completion outlives the failed attempt.
+    fn post_batch<O: Codec + ?Sized>(&self, wave: &mut [Entry<'_, O>]) -> Result<BatchStats> {
+        for entry in wave.iter() {
+            let Entry::Queued(spec, _) = entry else {
+                unreachable!("a wave posts queued entries");
+            };
+            self.resolve_spec(spec)?;
         }
         let started = self.clock().now();
-        let mut posted: Vec<Posted> = Vec::with_capacity(resolved.len());
-        for (i, (spec, resolved)) in resolved.into_iter().enumerate() {
-            match self.post(spec, resolved, i > 0) {
-                Ok(p) => posted.push(p),
+        for i in 0..wave.len() {
+            let Entry::Queued(spec, posted) = &mut wave[i] else {
+                unreachable!("a wave posts queued entries");
+            };
+            match self
+                .resolve_spec(spec)
+                .and_then(|r| self.post(spec, r, i > 0))
+            {
+                Ok(p) => *posted = Some(p),
                 Err(e) => {
                     // The earlier posts of this attempt already executed.
                     // Wait their completions out (discarding the results) so
                     // their slots and ring slots are returned. A connection
                     // that died has nothing left to drain; await_result's
                     // error says exactly that and is safe to ignore.
-                    for p in &posted {
-                        let _ = self.await_result(p);
+                    for entry in &mut wave[..i] {
+                        if let Entry::Queued(_, posted) = entry {
+                            let posted = posted.take().expect("the wave posted it");
+                            let _ = self.await_result(&posted);
+                        }
                     }
                     return Err(e);
                 }
             }
         }
-        let stats = BatchStats {
-            submissions: posted.len(),
+        Ok(BatchStats {
+            submissions: wave.len(),
             doorbells: 1,
-            chained_wqes: posted.len().saturating_sub(1),
+            chained_wqes: wave.len().saturating_sub(1),
             post_time: self.clock().now().saturating_since(started),
-        };
-        Ok((posted, stats))
+        })
     }
 
     /// Resolve a spec against the active allocation, plus the wire-capacity
@@ -1374,7 +1381,8 @@ where
         let inputs = inputs.into_iter();
         let mut entries = Vec::with_capacity(inputs.size_hint().0);
         for (index, input) in inputs.enumerate() {
-            entries.push(Entry::Queued(self.spec_for(Some(index % workers), input)?));
+            let spec = self.spec_for(Some(index % workers), input)?;
+            entries.push(Entry::Queued(spec, None));
         }
         let ready = VecDeque::with_capacity(workers.min(entries.len()));
         let mut set = CompletionSet {
@@ -1536,10 +1544,15 @@ where
 }
 
 /// One input of a [`CompletionSet`], through its life: queued for a later
-/// wave, in flight, then gathered.
-enum Entry<'s, O: ?Sized> {
-    Queued(InvocationSpec),
+/// wave, in flight, then gathered — into the entry
+/// itself while [`CompletionSet::wait_all`] collects the set.
+enum Entry<'s, O: Codec + ?Sized> {
+    /// Queued, and posted (`Some`) once its wave has posted it: the entry
+    /// goes in flight when the whole wave is on the wire, and a wave that
+    /// fails waits its posts out and clears them.
+    Queued(InvocationSpec, Option<Posted>),
     InFlight(TypedFuture<'s, O>),
+    Done(O::Owned),
     Gathered,
 }
 
@@ -1552,7 +1565,7 @@ enum Entry<'s, O: ?Sized> {
 /// per worker) is in flight at a time — each worker has a single input
 /// slot — and the next wave posts automatically once the current one has
 /// been fully gathered.
-pub struct CompletionSet<'s, O: ?Sized> {
+pub struct CompletionSet<'s, O: Codec + ?Sized> {
     /// One entry per input, in submission order.
     entries: Vec<Entry<'s, O>>,
     /// First entry of the next wave: the entries before it are in flight or
@@ -1569,7 +1582,7 @@ pub struct CompletionSet<'s, O: ?Sized> {
     ready: ReadyQueue,
 }
 
-impl<O: ?Sized> std::fmt::Debug for CompletionSet<'_, O> {
+impl<O: Codec + ?Sized> std::fmt::Debug for CompletionSet<'_, O> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CompletionSet")
             .field("pending", &self.pending())
@@ -1578,7 +1591,7 @@ impl<O: ?Sized> std::fmt::Debug for CompletionSet<'_, O> {
     }
 }
 
-impl<O: ?Sized> CompletionSet<'_, O> {
+impl<O: Codec + ?Sized> CompletionSet<'_, O> {
     /// Number of invocations not yet gathered (in flight or queued for a
     /// later wave).
     fn pending(&self) -> usize {
@@ -1615,19 +1628,12 @@ impl<O: ?Sized> CompletionSet<'_, O> {
         let wave = self.next_wave..(self.next_wave + self.wave).min(self.entries.len());
         self.next_wave = wave.end;
         let session = self.session;
-        let entries = &self.entries[wave.clone()];
-        let specs = || {
-            entries.iter().map(|entry| match entry {
-                Entry::Queued(spec) => spec,
-                _ => unreachable!("a wave posts queued entries"),
-            })
-        };
-        let ((posted, stats), recoveries) =
-            session.submit_with_recovery(|| session.post_batch(specs()))?;
-        for (index, posted) in wave.zip(posted) {
-            let entry = &mut self.entries[index];
-            let Entry::Queued(spec) = std::mem::replace(entry, Entry::Gathered) else {
-                unreachable!("a wave posts queued entries");
+        let entries = &mut self.entries[wave.clone()];
+        let (stats, recoveries) = session.submit_with_recovery(|| session.post_batch(entries))?;
+        for (index, entry) in wave.zip(entries) {
+            let Entry::Queued(spec, Some(posted)) = std::mem::replace(entry, Entry::Gathered)
+            else {
+                unreachable!("a wave posts every entry");
             };
             // Before the reactor turns again, so the result cannot land
             // without notifying the set.
@@ -1712,12 +1718,14 @@ where
     /// (results already gathered through [`CompletionSet::wait_any`] are not
     /// repeated).
     pub fn wait_all(mut self) -> Result<Vec<O::Owned>> {
-        let mut slots: Vec<Option<O::Owned>> = (0..self.entries.len()).map(|_| None).collect();
         let mut values = Vec::with_capacity(self.pending());
         while let Some((index, value)) = self.wait_any()? {
-            slots[index] = Some(value);
+            self.entries[index] = Entry::Done(value);
         }
-        values.extend(slots.into_iter().flatten());
+        values.extend(self.entries.drain(..).filter_map(|entry| match entry {
+            Entry::Done(value) => Some(value),
+            _ => None,
+        }));
         Ok(values)
     }
 }
@@ -1909,6 +1917,30 @@ mod tests {
         assert_eq!(set.stats().submissions, 6);
         assert_eq!(set.stats().doorbells, 3);
         assert_eq!(set.stats().chained_wqes, 3);
+    }
+
+    #[test]
+    fn a_wave_failing_mid_post_waits_out_its_earlier_posts_and_replays() {
+        let (_f, _m, session) = platform(2);
+        let echo = session.function::<[u8], [u8]>("echo").unwrap();
+        let (first, second) = {
+            let active = session.active.borrow();
+            let connections = &active.as_ref().unwrap().connections;
+            (Rc::clone(&connections[0]), Rc::clone(&connections[1]))
+        };
+        // Worker 0's post goes out, worker 1's finds its connection gone.
+        second.qp.disconnect();
+        let inputs: Vec<Vec<u8>> = (0..2u8).map(|i| vec![i + 1; 16]).collect();
+        let results = echo
+            .map_workers(inputs.iter().map(|v| v.as_slice()))
+            .unwrap()
+            .wait_all()
+            .unwrap();
+        // The wave replays whole on a fresh allocation, after waiting out
+        // the post that went out on the old one.
+        assert_eq!(results, inputs);
+        assert_eq!(session.recoveries(), 1);
+        assert_eq!(first.slots().len(), 0);
     }
 
     #[test]

@@ -212,11 +212,11 @@ fn steady_state_heap_traffic_stays_within_the_copy_budget() {
 
     // Scatter: `saturate`'s per-session shape, one `map_workers` wave of
     // 32 × 64 B over a 32-worker hot session and its `wait_all`. The wave
-    // allocates the 32 replies it returns and seven buffers: the set's
-    // entries, its ready queue and the queue's shared cell, the batch's
-    // resolved and posted lists, and `wait_all`'s slots and result. The
-    // invocations' own state lives in the slot tables the connections keep
-    // across waves.
+    // allocates the 32 replies it returns and four buffers: the set's
+    // entries, its ready queue and the queue's shared cell, and `wait_all`'s
+    // result. The wave posts into the set's entries and `wait_all` gathers
+    // into them; the invocations' own state lives in the slot tables the
+    // connections keep across waves.
     {
         let config = RFaasConfig {
             max_payload_bytes: 4096,
@@ -240,7 +240,7 @@ fn steady_state_heap_traffic_stays_within_the_copy_budget() {
         });
         assert_eq!(
             (cost.allocations, cost.bytes),
-            (39.0, 13_880.0),
+            (36.0, 11_320.0),
             "32 × 64 B scatter: (allocations, heap bytes) per wave"
         );
         session.close().unwrap();
@@ -296,7 +296,8 @@ fn steady_state_heap_traffic_stays_within_the_copy_budget() {
 
     // Lease: one steady-state episode (fork from the parked parent, four
     // 64 B warm echoes, release) commits what it touches of its registered
-    // buffers — not the 2 × 8 MiB worker buffers a lease registers.
+    // buffers — not the 2 × 8 MiB worker buffers a lease registers. Its
+    // receive rings post their slots in one acquisition each, as indices.
     {
         let config = RFaasConfig {
             warm_pool_capacity: 2,
@@ -324,6 +325,10 @@ fn steady_state_heap_traffic_stays_within_the_copy_budget() {
             "a lease episode allocates {} B",
             episode.bytes
         );
-        episode.assert_locks(216.0, "Fork lease episode");
+        episode.assert_locks(152.0, "Fork lease episode");
+        assert_eq!(
+            episode.allocations, 122.0,
+            "Fork lease episode: allocations"
+        );
     }
 }
