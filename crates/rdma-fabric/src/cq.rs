@@ -26,7 +26,6 @@ use crate::verbs::WorkCompletion;
 #[derive(Debug, Default)]
 struct CqState {
     completions: VecDeque<WorkCompletion>,
-    disconnected: bool,
     notifier: Option<CqNotifier>,
 }
 
@@ -107,20 +106,13 @@ impl CompletionQueue {
         self.inner.publish(&state);
     }
 
-    /// Mark the CQ as disconnected and tell the owning [`CqSet`], if any.
+    /// Tell the owning [`CqSet`], if any, that the producing queue pair
+    /// disconnected.
     pub(crate) fn disconnect(&self) {
-        let mut state = self.inner.state.lock();
-        state.disconnected = true;
-        let notifier = state.notifier.clone();
-        drop(state);
+        let notifier = self.inner.state.lock().notifier.clone();
         if let Some(notifier) = notifier {
             notifier.signal();
         }
-    }
-
-    /// Whether the producing side has torn the connection down.
-    pub fn is_disconnected(&self) -> bool {
-        self.inner.state.lock().disconnected
     }
 
     /// Number of completions currently queued.

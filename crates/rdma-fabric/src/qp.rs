@@ -7,9 +7,8 @@
 //! the data and delivers completions with fabric-model timestamps.
 
 use std::borrow::Cow;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::{Arc, MutexGuard, OnceLock};
 
 use sim_core::sync::Mutex;
 use sim_core::{SimTime, VirtualClock};
@@ -20,7 +19,7 @@ use crate::error::{FabricError, Result};
 use crate::fabric::{Fabric, FabricNode};
 use crate::memory::{in_bounds, MemoryRegion, RemoteMemoryHandle};
 use crate::pd::ProtectionDomain;
-use crate::ring::{self, Posted, RingState};
+use crate::ring::{Posted, RecvQueue};
 use crate::srq::SharedReceiveQueue;
 use crate::verbs::{CompletionStatus, OpCode, RecvRequest, SendRequest, Sge, WorkCompletion};
 
@@ -150,14 +149,14 @@ pub(crate) struct QpInner {
     function: DeviceFunction,
     send_cq: CompletionQueue,
     recv_cq: CompletionQueue,
+    /// The private receive queue, and the slot ledger of the ring posting
+    /// into it ([`ReceiveRing`](crate::ReceiveRing)): one lock covers a
+    /// slot's pickup and its repost.
     recv_queue: Mutex<RecvQueue>,
     /// When set, incoming messages consume buffers from this shared queue
     /// instead of the private `recv_queue` (ibv SRQ association). Set at
     /// most once, by [`QueuePair::attach_srq`], and never replaced.
     srq: OnceLock<SharedReceiveQueue>,
-    /// The SRQ has dropped this QP's credit entry (the first disconnect
-    /// does that, exactly once).
-    srq_detached: AtomicBool,
     /// The first region a peer's one-sided operation resolved here, the
     /// way a NIC caches a translation entry: an rkey that names it and is
     /// still registered resolves without the domain's table. Set once, so
@@ -168,62 +167,35 @@ pub(crate) struct QpInner {
     state: AtomicQpState,
 }
 
-/// The device limit a post to a full private receive queue reports.
-const RECV_QUEUE_LIMIT: &str = "receive queue depth";
-
-/// The private receive queue, and the slot ledger of the ring posting into
-/// it ([`ReceiveRing`](crate::ReceiveRing)): one lock covers a slot's pickup
-/// and its repost.
-#[derive(Debug, Default)]
-struct RecvQueue {
-    posted: VecDeque<Posted>,
-    ring: Option<RingState>,
-}
-
 impl QpInner {
-    /// The SRQ incoming messages consume from, while attached.
-    fn srq(&self) -> Option<&SharedReceiveQueue> {
-        self.srq
-            .get()
-            .filter(|_| !self.srq_detached.load(Ordering::Acquire))
-    }
-
     /// The buffer of ring slot `slot`, which an incoming SEND just consumed:
     /// built from the slab of the ledger kept by the queue the slot was
     /// posted to, the one [`QueuePair::consume_peer_recv`] pops from.
-    fn ring_slot(&self, slot: usize) -> Sge {
-        match self.srq() {
-            Some(srq) => srq.ring_slot(slot),
-            None => self
-                .recv_queue
-                .lock()
-                .ring
-                .as_ref()
-                .map(|ring| ring.slot(slot)),
-        }
-        .expect("a posted slot belongs to the queue's ring")
-    }
-
-    /// Remove this QP's credit entry from its SRQ, if it has one and has not
-    /// done so already.
-    fn detach_srq(&self) {
-        if let Some(srq) = self.srq.get() {
-            if !self.srq_detached.swap(true, Ordering::AcqRel) {
-                srq.detach(self.qp_num);
-            }
+    fn slot_buffer(&self, slot: usize) -> Sge {
+        match self.srq.get() {
+            Some(srq) => srq.lock().0.ring_slot(slot),
+            None => self.recv_queue.lock().ring_slot(slot),
         }
     }
 
     /// Mark this side `Disconnected`, wake its completion waits and give
-    /// back its SRQ credit entry, once: a side already disconnected is
-    /// left as it is.
+    /// back its SRQ credit entry, once: a side already disconnected is left
+    /// as it is. Without an SRQ, flush the private receive queue, as a move
+    /// to the error state does in verbs, but push no completion; an SRQ's
+    /// receives stay for its other queue pairs.
     fn disconnect(&self) {
         if self.state.swap(QpState::Disconnected) == QpState::Disconnected {
             return;
         }
         self.send_cq.disconnect();
         self.recv_cq.disconnect();
-        self.detach_srq();
+        match self.srq.get() {
+            Some(srq) => srq.detach(self.qp_num),
+            None => self.recv_queue.lock().flush(FabricError::InvalidQpState {
+                operation: "post_recv",
+                state: QpState::Disconnected.name(),
+            }),
+        }
     }
 
     /// Resolve `rkey`, which a peer's one-sided operation names, against
@@ -285,9 +257,11 @@ impl QueuePair {
                 function: endpoint.function,
                 send_cq,
                 recv_cq,
-                recv_queue: Mutex::new(RecvQueue::default()),
+                recv_queue: Mutex::new(RecvQueue::new(
+                    CX5_100G.max_recv_queue_depth,
+                    "receive queue depth",
+                )),
                 srq: OnceLock::new(),
-                srq_detached: AtomicBool::new(false),
                 translation: OnceLock::new(),
                 state: AtomicQpState::new(QpState::Init),
             }),
@@ -393,99 +367,36 @@ impl QueuePair {
     /// Post a receive work request: a buffer waiting for a SEND or
     /// WRITE_WITH_IMM from the peer.
     pub fn post_recv(&self, recv: RecvRequest) -> Result<()> {
-        self.push_recv(&mut self.inner.recv_queue.lock(), Posted::Request(recv))?;
+        let mut queue = self.private_recv_queue()?;
+        validate_sge(&recv.local)?;
+        queue.push(Posted::Request(recv))?;
+        drop(queue);
         self.inner.clock.advance(CX5_100G.post_recv_overhead);
         Ok(())
     }
 
-    /// Whether receives may be posted to the private receive queue: the
-    /// queue pair is not disconnected and draws on no SRQ.
-    fn check_recv_postable(&self) -> Result<()> {
-        let state = self.state();
-        if state == QpState::Disconnected {
-            return Err(FabricError::InvalidQpState {
-                operation: "post_recv",
-                state: state.name(),
-            });
-        }
-        if self.inner.srq().is_some() {
+    /// The private receive queue, locked for a post: refused on a queue pair
+    /// that draws on an SRQ. A disconnected queue pair's queue is flushed,
+    /// and refuses the post itself.
+    #[cfg_attr(debug_assertions, track_caller)]
+    pub(crate) fn private_recv_queue(&self) -> Result<MutexGuard<'_, RecvQueue>> {
+        if self.inner.srq.get().is_some() {
             return Err(FabricError::UnsupportedOperation(
                 "post_recv on an SRQ-attached queue pair (post to the SRQ instead)",
             ));
         }
-        Ok(())
+        Ok(self.recv_queue())
     }
 
-    /// Queue `recv` on the locked private receive queue: what
-    /// [`QueuePair::post_recv`] does before it charges the clock.
-    fn push_recv(&self, queue: &mut RecvQueue, recv: Posted) -> Result<()> {
-        self.check_recv_postable()?;
-        if let Posted::Request(recv) = &recv {
-            validate_sge(&recv.local)?;
-        }
-        if queue.posted.len() >= CX5_100G.max_recv_queue_depth {
-            return Err(FabricError::DeviceLimitExceeded {
-                limit: RECV_QUEUE_LIMIT,
-            });
-        }
-        queue.posted.push_back(recv);
-        Ok(())
+    /// The private receive queue, locked. (A lock pin names the caller.)
+    #[cfg_attr(debug_assertions, track_caller)]
+    pub(crate) fn recv_queue(&self) -> MutexGuard<'_, RecvQueue> {
+        self.inner.recv_queue.lock()
     }
 
     /// Number of receive work requests currently posted.
     pub fn posted_receives(&self) -> usize {
-        self.inner.recv_queue.lock().posted.len()
-    }
-
-    /// Start the slot ledger of a ring of `depth` slots of `slot_len` bytes
-    /// in `slab` ([`RingState::attach`]) and post every slot to the private
-    /// receive queue ([`ring::post_slots`]), under one lock of the queue and
-    /// with one clock advance for every slot posted.
-    pub(crate) fn attach_ring(
-        &self,
-        slab: &MemoryRegion,
-        depth: usize,
-        slot_len: usize,
-    ) -> Result<()> {
-        let (posted, result) = {
-            let mut queue = self.inner.recv_queue.lock();
-            let queue = &mut *queue;
-            RingState::attach(&mut queue.ring, slab, depth, slot_len)?;
-            match self.check_recv_postable() {
-                Ok(()) => ring::post_slots(
-                    &mut queue.posted,
-                    depth,
-                    CX5_100G.max_recv_queue_depth,
-                    RECV_QUEUE_LIMIT,
-                ),
-                Err(e) => (0, Err(e)),
-            }
-        };
-        self.inner
-            .clock
-            .advance(CX5_100G.post_recv_overhead * posted as u64);
-        result
-    }
-
-    /// Pick up ring slot `slot` and post it back as [`QueuePair::post_recv`]
-    /// does, under one lock of the receive queue. The queue consumes FIFO,
-    /// so a ring delivery is always the ledger's front slot; anything else
-    /// is a receive posted outside the ring whose `wr_id` collides with a
-    /// slot index, and is left alone (`None`).
-    pub(crate) fn repost_ring_slot(&self, slot: usize) -> Option<Result<()>> {
-        let mut queue = self.inner.recv_queue.lock();
-        let ring = queue.ring.as_mut().expect("a ring posts into this queue");
-        if ring.front() != Some(slot) || ring.deliver().is_err() {
-            return None;
-        }
-        ring.repost(slot)
-            .expect("a slot delivered just now is consumed");
-        let posted = self.push_recv(&mut queue, Posted::Slot(slot));
-        drop(queue);
-        if posted.is_ok() {
-            self.inner.clock.advance(CX5_100G.post_recv_overhead);
-        }
-        Some(posted)
+        self.recv_queue().len()
     }
 
     /// Post a send-queue work request (write, write-with-immediate, send,
@@ -622,12 +533,11 @@ impl QueuePair {
     /// clock, so timestamps stay deterministic.
     fn consume_peer_recv(peer: &QpInner) -> Result<Posted> {
         const RNR_RETRY_WINDOW: std::time::Duration = std::time::Duration::from_secs(5);
-        let Some(srq) = peer.srq() else {
+        let Some(srq) = peer.srq.get() else {
             return peer
                 .recv_queue
                 .lock()
-                .posted
-                .pop_front()
+                .pop()
                 .ok_or(FabricError::ReceiverNotReady);
         };
         let retry = |popped: &Result<Posted>| {
@@ -681,7 +591,7 @@ impl QueuePair {
     ) -> Result<()> {
         let (recv_wr_id, buffer) = match Self::consume_peer_recv(peer)? {
             Posted::Request(recv) => (recv.wr_id, recv.local),
-            Posted::Slot(slot) => (slot as u64, peer.ring_slot(slot)),
+            Posted::Slot(slot) => (slot as u64, peer.slot_buffer(slot)),
         };
         if buffer.len < local.len {
             // The message is lost and the receive is consumed, as with a real

@@ -18,21 +18,17 @@
 //!   a drained private queue produces) instead of draining the shared pool
 //!   and starving its neighbours.
 
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::Arc;
+use std::collections::BTreeMap;
+use std::sync::{Arc, MutexGuard};
 
 use sim_core::sync::Mutex;
 use sim_core::VirtualClock;
 
 use crate::device::CX5_100G;
 use crate::error::{FabricError, Result};
-use crate::memory::MemoryRegion;
 use crate::qp::Endpoint;
-use crate::ring::{self, Posted, RingState};
-use crate::verbs::{RecvRequest, Sge};
-
-/// The device limit a post to a full shared receive queue reports.
-const SRQ_LIMIT: &str = "shared receive queue depth";
+use crate::ring::{Posted, RecvQueue};
+use crate::verbs::RecvRequest;
 
 #[derive(Debug, Clone, Copy)]
 struct CreditState {
@@ -40,45 +36,42 @@ struct CreditState {
     in_flight: usize,
 }
 
-#[derive(Debug)]
-struct SrqState {
-    queue: VecDeque<Posted>,
+/// The flow-control accounting an SRQ keeps beside its receive queue, under
+/// the same lock: one acquisition covers a ring slot's pickup, the credit it
+/// returns and its repost.
+#[derive(Debug, Default)]
+pub(crate) struct Credits {
     /// Per-QP flow-control credits, keyed by `qp_num`. Ordered map so any
     /// iteration (stats, debugging) is deterministic.
-    credits: BTreeMap<u32, CreditState>,
+    per_qp: BTreeMap<u32, CreditState>,
     /// Buffers handed to QPs and not yet released (summed over all QPs).
-    total_in_flight: usize,
-    /// Highest `total_in_flight` ever observed — how deep into the shared
-    /// pool concurrent tenants actually reached.
+    in_flight: usize,
+    /// Highest `in_flight` ever observed — how deep into the shared pool
+    /// concurrent tenants actually reached.
     high_watermark: usize,
-    /// Slot ledger of the ring posting into this queue
-    /// ([`ReceiveRing::on_srq`](crate::ReceiveRing::on_srq)): one lock
-    /// covers a slot's pickup, the credit it returns and its repost.
-    ring: Option<RingState>,
 }
 
-impl SrqState {
-    fn push(&mut self, recv: Posted, max_depth: usize) -> Result<()> {
-        if self.queue.len() >= max_depth {
-            return Err(FabricError::DeviceLimitExceeded { limit: SRQ_LIMIT });
-        }
-        self.queue.push_back(recv);
-        Ok(())
-    }
-
-    fn release(&mut self, qp_num: u32) {
-        if let Some(credit) = self.credits.get_mut(&qp_num) {
+impl Credits {
+    /// Return one credit to `qp_num`.
+    pub(crate) fn release(&mut self, qp_num: u32) {
+        if let Some(credit) = self.per_qp.get_mut(&qp_num) {
             credit.in_flight = credit.in_flight.saturating_sub(1);
         }
-        self.total_in_flight = self.total_in_flight.saturating_sub(1);
+        self.in_flight = self.in_flight.saturating_sub(1);
+    }
+
+    /// Whether `qp_num` holds all the buffers its credit allows.
+    fn exhausted(&self, qp_num: u32) -> bool {
+        self.per_qp
+            .get(&qp_num)
+            .is_some_and(|c| c.in_flight >= c.limit)
     }
 }
 
 #[derive(Debug)]
 struct SrqInner {
-    max_depth: usize,
     clock: Arc<VirtualClock>,
-    state: Mutex<SrqState>,
+    state: Mutex<(RecvQueue, Credits)>,
 }
 
 /// Counters exposed by [`SharedReceiveQueue::stats`].
@@ -108,90 +101,37 @@ impl SharedReceiveQueue {
     /// Create an SRQ of at most `max_depth` posted receives. Posting charges
     /// the owning `endpoint`'s clock with the usual `post_recv` overhead.
     pub fn new(endpoint: &Endpoint, max_depth: usize) -> SharedReceiveQueue {
+        let queue = RecvQueue::new(max_depth.max(1), "shared receive queue depth");
         SharedReceiveQueue {
             inner: Arc::new(SrqInner {
-                max_depth: max_depth.max(1),
                 clock: Arc::clone(&endpoint.clock),
-                state: Mutex::new(SrqState {
-                    queue: VecDeque::new(),
-                    credits: BTreeMap::new(),
-                    total_in_flight: 0,
-                    high_watermark: 0,
-                    ring: None,
-                }),
+                state: Mutex::new((queue, Credits::default())),
             }),
         }
     }
 
-    /// Receives currently posted.
-    #[cfg(test)]
-    pub(crate) fn posted(&self) -> usize {
-        self.inner.state.lock().queue.len()
+    /// The queue and its credits, locked. (A lock pin names the caller.)
+    #[cfg_attr(debug_assertions, track_caller)]
+    pub(crate) fn lock(&self) -> MutexGuard<'_, (RecvQueue, Credits)> {
+        self.inner.state.lock()
+    }
+
+    /// The owner's clock, which every post charges.
+    pub(crate) fn clock(&self) -> &VirtualClock {
+        &self.inner.clock
     }
 
     /// Post a receive into the shared pool.
     pub fn post(&self, recv: RecvRequest) -> Result<()> {
-        let recv = Posted::Request(recv);
-        self.inner.state.lock().push(recv, self.inner.max_depth)?;
+        self.lock().0.push(Posted::Request(recv))?;
         self.inner.clock.advance(CX5_100G.post_recv_overhead);
         Ok(())
-    }
-
-    /// Start the slot ledger of a ring of `depth` slots of `slot_len` bytes
-    /// in `slab` ([`RingState::attach`]) and post every slot into this queue
-    /// ([`ring::post_slots`]), under one lock and with one clock advance for
-    /// every slot posted.
-    pub(crate) fn attach_ring(
-        &self,
-        slab: &MemoryRegion,
-        depth: usize,
-        slot_len: usize,
-    ) -> Result<()> {
-        let (posted, result) = {
-            let mut state = self.inner.state.lock();
-            let state = &mut *state;
-            RingState::attach(&mut state.ring, slab, depth, slot_len)?;
-            ring::post_slots(&mut state.queue, depth, self.inner.max_depth, SRQ_LIMIT)
-        };
-        self.inner
-            .clock
-            .advance(CX5_100G.post_recv_overhead * posted as u64);
-        result
-    }
-
-    /// The buffer of ring slot `slot`, built from the ledger's slab; `None`
-    /// when no ring posts into this queue.
-    pub(crate) fn ring_slot(&self, slot: usize) -> Option<Sge> {
-        let state = self.inner.state.lock();
-        state.ring.as_ref().map(|ring| ring.slot(slot))
-    }
-
-    /// Pick up ring slot `slot`, which `qp_num` consumed, then
-    /// [`SharedReceiveQueue::release`] `qp_num`'s credit and post the slot
-    /// back as [`SharedReceiveQueue::post`] does, under one lock. Several
-    /// QPs consume from the queue and their completions are swept in
-    /// registration order, so a delivery may be any posted slot; one that
-    /// is not (out of range, or not posted) is left alone (`None`).
-    pub(crate) fn repost_ring_slot(&self, qp_num: u32, slot: usize) -> Option<Result<()>> {
-        let posted = {
-            let mut state = self.inner.state.lock();
-            let ring = state.ring.as_mut().expect("a ring posts into this queue");
-            ring.deliver_slot(slot).ok()?;
-            ring.repost(slot)
-                .expect("a slot delivered just now is consumed");
-            state.release(qp_num);
-            state.push(Posted::Slot(slot), self.inner.max_depth)
-        };
-        if posted.is_ok() {
-            self.inner.clock.advance(CX5_100G.post_recv_overhead);
-        }
-        Some(posted)
     }
 
     /// Register `qp_num` as a consumer with a flow-control budget of
     /// `credit` concurrently held buffers. Re-attaching resets the budget.
     pub fn attach(&self, qp_num: u32, credit: usize) {
-        self.inner.state.lock().credits.insert(
+        self.lock().1.per_qp.insert(
             qp_num,
             CreditState {
                 limit: credit.max(1),
@@ -203,9 +143,9 @@ impl SharedReceiveQueue {
     /// Remove `qp_num`'s credit entry (its in-flight buffers are forgotten —
     /// call only after the QP's completions have drained).
     pub fn detach(&self, qp_num: u32) {
-        let mut state = self.inner.state.lock();
-        if let Some(credit) = state.credits.remove(&qp_num) {
-            state.total_in_flight = state.total_in_flight.saturating_sub(credit.in_flight);
+        let credits = &mut self.lock().1;
+        if let Some(credit) = credits.per_qp.remove(&qp_num) {
+            credits.in_flight = credits.in_flight.saturating_sub(credit.in_flight);
         }
     }
 
@@ -213,21 +153,17 @@ impl SharedReceiveQueue {
     /// its credit. Called by the transport when a message arrives on an
     /// attached QP. QPs without a credit entry are treated as uncapped.
     pub(crate) fn pop_for(&self, qp_num: u32) -> Result<Posted> {
-        let mut state = self.inner.state.lock();
-        if let Some(credit) = state.credits.get(&qp_num) {
-            if credit.in_flight >= credit.limit {
-                return Err(FabricError::ReceiverNotReady);
-            }
+        let mut state = self.lock();
+        let (queue, credits) = &mut *state;
+        if credits.exhausted(qp_num) {
+            return Err(FabricError::ReceiverNotReady);
         }
-        let recv = state
-            .queue
-            .pop_front()
-            .ok_or(FabricError::ReceiverNotReady)?;
-        if let Some(credit) = state.credits.get_mut(&qp_num) {
+        let recv = queue.pop().ok_or(FabricError::ReceiverNotReady)?;
+        if let Some(credit) = credits.per_qp.get_mut(&qp_num) {
             credit.in_flight += 1;
         }
-        state.total_in_flight += 1;
-        state.high_watermark = state.high_watermark.max(state.total_in_flight);
+        credits.in_flight += 1;
+        credits.high_watermark = credits.high_watermark.max(credits.in_flight);
         Ok(recv)
     }
 
@@ -236,28 +172,25 @@ impl SharedReceiveQueue {
     /// being momentarily empty, which the sending NIC absorbs with RNR
     /// retransmits.
     pub(crate) fn over_credit(&self, qp_num: u32) -> bool {
-        let state = self.inner.state.lock();
-        state
-            .credits
-            .get(&qp_num)
-            .is_some_and(|c| c.in_flight >= c.limit)
+        self.lock().1.exhausted(qp_num)
     }
 
     /// Return one credit to `qp_num` once its completion has been picked up
     /// and the buffer is free to repost.
     pub fn release(&self, qp_num: u32) {
-        self.inner.state.lock().release(qp_num);
+        self.lock().1.release(qp_num);
     }
 
     /// Snapshot of the queue's counters.
     pub fn stats(&self) -> SrqStats {
-        let state = self.inner.state.lock();
+        let state = self.lock();
+        let (queue, credits) = &*state;
         SrqStats {
-            max_depth: self.inner.max_depth,
-            posted: state.queue.len(),
-            in_flight: state.total_in_flight,
-            depth_high_watermark: state.high_watermark,
-            attached_qps: state.credits.len(),
+            max_depth: queue.max_depth(),
+            posted: queue.len(),
+            in_flight: credits.in_flight,
+            depth_high_watermark: credits.high_watermark,
+            attached_qps: credits.per_qp.len(),
         }
     }
 }
@@ -365,7 +298,7 @@ mod tests {
                             expect_fifo.push_back(next_wr);
                             next_wr += 1;
                         } else {
-                            proptest::prop_assert_eq!(srq.posted(), depth);
+                            proptest::prop_assert_eq!(srq.stats().posted, depth);
                         }
                     }
                     1 | 2 => {

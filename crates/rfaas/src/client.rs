@@ -345,7 +345,7 @@ impl WorkerConnection {
         let cq = qp.recv_cq();
         endpoint
             .fabric
-            .run_until(|| cq.pending() > 0 || cq.is_disconnected(), timeout);
+            .run_until(|| cq.pending() > 0 || !qp.is_connected(), timeout);
         let mut picked = Vec::with_capacity(1);
         cq.poll_uncharged_into(1, &mut picked);
         let wc = picked
