@@ -1012,6 +1012,74 @@ mod tests {
     }
 
     proptest::proptest! {
+        // Arbitrary interleavings of deliver/repost never lose a slot: every
+        // slot is always exactly posted or in hand, and the totals add up
+        // to the depth.
+        #[test]
+        fn prop_ring_never_loses_buffers(depth in 1usize..16, ops: Vec<u8>) {
+            let mut queue = ledger(depth);
+            let mut delivered: Vec<usize> = Vec::new();
+            for op in ops {
+                if op % 2 == 0 {
+                    match queue.deliver() {
+                        Ok(slot) => delivered.push(slot),
+                        Err(e) => {
+                            // Only an empty ring may reject a delivery.
+                            proptest::prop_assert_eq!(e, FabricError::ReceiverNotReady);
+                            proptest::prop_assert_eq!(queue.slots().0, 0);
+                        }
+                    }
+                } else if let Some(slot) = delivered.pop() {
+                    queue.repost(slot).unwrap().unwrap();
+                }
+                let (posted, in_hand, flushed) = queue.slots();
+                proptest::prop_assert_eq!(posted + in_hand, depth);
+                proptest::prop_assert_eq!(delivered.len(), in_hand);
+                proptest::prop_assert_eq!(flushed, 0);
+            }
+        }
+
+        // Deliveries come back in exactly the order slots were (re)posted.
+        #[test]
+        fn prop_ring_delivery_is_fifo(depth in 1usize..12, ops: Vec<bool>) {
+            let mut queue = ledger(depth);
+            // Shadow model: a plain FIFO of slot ids.
+            let mut model: VecDeque<usize> = (0..depth).collect();
+            let mut in_hand: VecDeque<usize> = VecDeque::new();
+            for take in ops {
+                if take {
+                    match (queue.deliver(), model.pop_front()) {
+                        (Ok(got), Some(expect)) => {
+                            proptest::prop_assert_eq!(got, expect);
+                            in_hand.push_back(got);
+                        }
+                        (Err(_), None) => {}
+                        (got, expect) => {
+                            panic!("ring and model diverged: {got:?} vs {expect:?}");
+                        }
+                    }
+                } else if let Some(slot) = in_hand.pop_front() {
+                    queue.repost(slot).unwrap().unwrap();
+                    model.push_back(slot);
+                }
+            }
+        }
+
+        // An empty ring always rejects writes, and stays rejecting until a
+        // repost; the live transport mirrors this through ReceiverNotReady.
+        #[test]
+        fn prop_empty_ring_rejects_until_repost(depth in 1usize..8) {
+            let mut queue = ledger(depth);
+            let mut slots = Vec::new();
+            for _ in 0..depth {
+                slots.push(queue.deliver().unwrap());
+            }
+            proptest::prop_assert_eq!(queue.deliver().unwrap_err(), FabricError::ReceiverNotReady);
+            proptest::prop_assert_eq!(queue.deliver().unwrap_err(), FabricError::ReceiverNotReady);
+            queue.repost(slots[0]).unwrap().unwrap();
+            proptest::prop_assert_eq!(queue.deliver().unwrap(), slots[0]);
+        }
+
         // A ring's slots, foreign receives between them, and every delivery
         // and pickup follow one posted FIFO, on a private queue pair and on
         // an SRQ (`room` below 4 makes the SRQ too shallow for the ring),
