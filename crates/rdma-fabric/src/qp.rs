@@ -594,12 +594,24 @@ impl QueuePair {
             Posted::Slot(slot) => (slot as u64, peer.slot_buffer(slot)),
         };
         if buffer.len < local.len {
-            // The message is lost and the receive is consumed, as with a real
-            // RC transport length error; report it to the initiator.
-            return Err(FabricError::ReceiveBufferTooSmall {
+            // The message is lost, as with a real RC transport length error:
+            // the receive it consumed completes in error, so its buffer comes
+            // back at the pickup, and the initiator is told. Nothing moved,
+            // so no clock is charged.
+            let error = FabricError::ReceiveBufferTooSmall {
                 message_len: local.len,
                 buffer_len: buffer.len,
+            };
+            peer.recv_cq.push(WorkCompletion {
+                wr_id: recv_wr_id,
+                opcode: OpCode::Recv,
+                status: CompletionStatus::Error(error.clone()),
+                byte_len: 0,
+                imm: None,
+                timestamp: self.inner.clock.now(),
+                qp_num: peer.qp_num,
             });
+            return Err(error);
         }
         local
             .region

@@ -411,7 +411,7 @@ mod tests {
     use crate::fabric::Fabric;
     use crate::memory::AccessFlags;
     use crate::qp::Endpoint;
-    use crate::verbs::SendRequest;
+    use crate::verbs::{CompletionStatus, SendRequest};
 
     impl RecvQueue {
         /// Deliver one message into the queue's oldest receive, a ring slot.
@@ -799,6 +799,30 @@ mod tests {
         assert_eq!(server.post_recv(foreign(&extra)), Err(CLOSED));
     }
 
+    #[test]
+    fn a_send_longer_than_its_slot_completes_it_in_error() {
+        // A 16 B SEND lands in the first of two 8 B slots: the sender's post
+        // fails, the slot's receive completes in error, and its pickup posts
+        // the slot back.
+        let (client, server) = connected_pair();
+        let ring = ReceiveRing::new(&server, 2, 8).unwrap();
+        let src = client.pd().register(16, AccessFlags::LOCAL_ONLY);
+        let before = client.clock().now();
+        let send = SendRequest::Send {
+            local: Sge::whole(&src),
+        };
+        let too_small = FabricError::ReceiveBufferTooSmall {
+            message_len: 16,
+            buffer_len: 8,
+        };
+        assert_eq!(client.post_send(0, send, false), Err(too_small.clone()));
+        assert_eq!(client.clock().now(), before, "the sender is not charged");
+        let c = ring.poll_one().expect("the consumed receive completes");
+        assert_eq!(c.wc.status, CompletionStatus::Error(too_small));
+        assert_eq!((c.wc.wr_id, c.slot, c.refused), (0, Some(0), None));
+        assert_eq!(server.recv_queue().slots(), (2, 0, 0));
+    }
+
     /// The ring slots among the receives `model` expects posted.
     fn slots_in(model: &VecDeque<Posted>) -> usize {
         let slots = model.iter().filter(|r| matches!(r, Posted::Slot(_)));
@@ -806,8 +830,9 @@ mod tests {
     }
 
     /// What a delivery left for a pickup: the receive it consumed, its
-    /// immediate (write-with-immediate) or its bytes (SEND).
-    type Landed = (Posted, Option<u32>, Option<Vec<u8>>);
+    /// immediate (write-with-immediate) or its bytes (SEND), and the status
+    /// its completion reports (an error for a SEND longer than the receive).
+    type Landed = (Posted, Option<u32>, Option<Vec<u8>>, CompletionStatus);
 
     const SLOT_LEN: usize = 8;
 
@@ -817,7 +842,8 @@ mod tests {
     /// it. `pre` foreign
     /// receives are posted before the ring is built; more join between the
     /// slots as `ops` posts them, up to filling the queue, so that a
-    /// pickup's repost may be refused; and a connection may go. After every
+    /// pickup's repost may be refused; a SEND may be longer than its receive,
+    /// which then completes in error; and a connection may go. After every
     /// step the ring's slots are posted, in hand or flushed, `depth` in all.
     fn check_slot_queue(srq_depth: Option<usize>, depth: usize, pre: usize, ops: &[u8]) {
         let fabric = Fabric::with_defaults();
@@ -933,14 +959,15 @@ mod tests {
                     }
                     connected[qp] = false;
                 }
-                // A delivery: write-with-immediate or SEND. An SRQ that is
-                // out of receives makes the sender retry, so it gets none.
+                // A delivery: write-with-immediate or SEND, which may be
+                // longer than every receive. An SRQ that is out of receives
+                // makes the sender retry, so it gets none.
                 13..=35 => {
                     if connected[qp] && srq.is_some() && model.is_empty() {
                         continue;
                     }
                     let imm = u32::from(op);
-                    let bytes = vec![op; 1 + (op as usize >> 3) % SLOT_LEN];
+                    let bytes = vec![op; 1 + (op as usize >> 3) % (SLOT_LEN + 2)];
                     let sent = if op % 2 == 0 {
                         write_with_imm(client, server, imm).map(|()| (Some(imm), None))
                     } else {
@@ -958,7 +985,13 @@ mod tests {
                         continue;
                     }
                     match (sent, model.pop_front()) {
-                        (Ok((imm, bytes)), Some(recv)) => landed[qp].push_back((recv, imm, bytes)),
+                        (Ok((imm, bytes)), Some(recv)) => {
+                            landed[qp].push_back((recv, imm, bytes, CompletionStatus::Success))
+                        }
+                        (Err(e @ FabricError::ReceiveBufferTooSmall { .. }), Some(recv)) => {
+                            let error = CompletionStatus::Error(e);
+                            landed[qp].push_back((recv, None, None, error));
+                        }
                         (Err(e), None) => assert_eq!(e, FabricError::ReceiverNotReady),
                         (sent, recv) => panic!("delivery {sent:?} into {recv:?}"),
                     }
@@ -974,8 +1007,10 @@ mod tests {
                         assert!(landed[qp].is_empty());
                         continue;
                     };
-                    let (recv, imm, bytes) = landed[qp].pop_front().expect("a delivery landed");
+                    let (recv, imm, bytes, status) =
+                        landed[qp].pop_front().expect("a delivery landed");
                     assert_eq!((c.wc.wr_id, c.wc.imm), (recv.wr_id(), imm));
+                    assert_eq!(c.wc.status, status);
                     let buffer = match recv {
                         Posted::Slot(slot) => {
                             refused.push(slot);
@@ -1083,7 +1118,8 @@ mod tests {
         // A ring's slots, foreign receives between them, and every delivery
         // and pickup follow one posted FIFO, on a private queue pair and on
         // an SRQ (`room` below 4 makes the SRQ too shallow for the ring),
-        // through full-queue reposts and a lost connection.
+        // through full-queue reposts, SENDs longer than their receive and a
+        // lost connection.
         #[test]
         fn prop_ring_slots_follow_the_posted_fifo(
             on_srq: bool,

@@ -17,6 +17,11 @@
 //!   its own credit (its posts fail with `ReceiverNotReady`, the same error
 //!   a drained private queue produces) instead of draining the shared pool
 //!   and starving its neighbours.
+//!
+//! The SRQ counts only what attached QPs hold: `SrqStats::in_flight` is the
+//! sum of their credit entries. A QP that detaches (it disconnected) takes
+//! its entry with it, so a completion of it adopted later returns nothing,
+//! and the counts balance whatever order disconnects and pickups come in.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, MutexGuard};
@@ -44,7 +49,8 @@ pub(crate) struct Credits {
     /// Per-QP flow-control credits, keyed by `qp_num`. Ordered map so any
     /// iteration (stats, debugging) is deterministic.
     per_qp: BTreeMap<u32, CreditState>,
-    /// Buffers handed to QPs and not yet released (summed over all QPs).
+    /// Buffers the attached QPs hold: the sum of `per_qp`'s `in_flight`,
+    /// moved only together with an entry.
     in_flight: usize,
     /// Highest `in_flight` ever observed — how deep into the shared pool
     /// concurrent tenants actually reached.
@@ -52,12 +58,23 @@ pub(crate) struct Credits {
 }
 
 impl Credits {
-    /// Return one credit to `qp_num`.
+    /// Return one credit to `qp_num`, if it is attached and holds one.
     pub(crate) fn release(&mut self, qp_num: u32) {
         if let Some(credit) = self.per_qp.get_mut(&qp_num) {
-            credit.in_flight = credit.in_flight.saturating_sub(1);
+            if credit.in_flight > 0 {
+                credit.in_flight -= 1;
+                self.in_flight -= 1;
+            }
         }
-        self.in_flight = self.in_flight.saturating_sub(1);
+    }
+
+    /// Count one more buffer held by `qp_num`, if it is attached.
+    fn take(&mut self, qp_num: u32) {
+        if let Some(credit) = self.per_qp.get_mut(&qp_num) {
+            credit.in_flight += 1;
+            self.in_flight += 1;
+            self.high_watermark = self.high_watermark.max(self.in_flight);
+        }
     }
 
     /// Whether `qp_num` holds all the buffers its credit allows.
@@ -81,7 +98,7 @@ pub struct SrqStats {
     pub max_depth: usize,
     /// Receives currently posted and waiting for messages.
     pub posted: usize,
-    /// Buffers currently held by consuming QPs.
+    /// Buffers currently held by attached QPs.
     pub in_flight: usize,
     /// Highest concurrent in-flight buffer count ever observed.
     pub depth_high_watermark: usize,
@@ -129,29 +146,31 @@ impl SharedReceiveQueue {
     }
 
     /// Register `qp_num` as a consumer with a flow-control budget of
-    /// `credit` concurrently held buffers. Re-attaching resets the budget.
+    /// `credit` concurrently held buffers. Re-attaching resets the budget
+    /// and forgets the buffers the entry held.
     pub fn attach(&self, qp_num: u32, credit: usize) {
-        self.lock().1.per_qp.insert(
-            qp_num,
-            CreditState {
-                limit: credit.max(1),
-                in_flight: 0,
-            },
-        );
+        let credits = &mut self.lock().1;
+        let entry = CreditState {
+            limit: credit.max(1),
+            in_flight: 0,
+        };
+        if let Some(old) = credits.per_qp.insert(qp_num, entry) {
+            credits.in_flight -= old.in_flight;
+        }
     }
 
-    /// Remove `qp_num`'s credit entry (its in-flight buffers are forgotten —
-    /// call only after the QP's completions have drained).
+    /// Remove `qp_num`'s credit entry: the buffers it holds are no longer
+    /// counted, and returning them later changes nothing.
     pub fn detach(&self, qp_num: u32) {
         let credits = &mut self.lock().1;
         if let Some(credit) = credits.per_qp.remove(&qp_num) {
-            credits.in_flight = credits.in_flight.saturating_sub(credit.in_flight);
+            credits.in_flight -= credit.in_flight;
         }
     }
 
     /// Consume the oldest posted receive on behalf of `qp_num`, honouring
     /// its credit. Called by the transport when a message arrives on an
-    /// attached QP. QPs without a credit entry are treated as uncapped.
+    /// attached QP. QPs without a credit entry are uncapped and uncounted.
     pub(crate) fn pop_for(&self, qp_num: u32) -> Result<Posted> {
         let mut state = self.lock();
         let (queue, credits) = &mut *state;
@@ -159,11 +178,7 @@ impl SharedReceiveQueue {
             return Err(FabricError::ReceiverNotReady);
         }
         let recv = queue.pop().ok_or(FabricError::ReceiverNotReady)?;
-        if let Some(credit) = credits.per_qp.get_mut(&qp_num) {
-            credit.in_flight += 1;
-        }
-        credits.in_flight += 1;
-        credits.high_watermark = credits.high_watermark.max(credits.in_flight);
+        credits.take(qp_num);
         Ok(recv)
     }
 
@@ -176,7 +191,8 @@ impl SharedReceiveQueue {
     }
 
     /// Return one credit to `qp_num` once its completion has been picked up
-    /// and the buffer is free to repost.
+    /// and the buffer is free to repost. A queue pair that is not attached
+    /// (never, or no longer) has no credit to return.
     pub fn release(&self, qp_num: u32) {
         self.lock().1.release(qp_num);
     }
@@ -200,6 +216,8 @@ mod tests {
     use super::*;
     use crate::fabric::Fabric;
     use crate::memory::AccessFlags;
+    use crate::qp::QueuePair;
+    use crate::ring::ReceiveRing;
     use crate::verbs::Sge;
 
     fn srq(depth: usize) -> (SharedReceiveQueue, Endpoint) {
@@ -274,10 +292,46 @@ mod tests {
         assert_eq!(srq.stats().attached_qps, 0);
     }
 
+    #[test]
+    fn a_detached_queue_pair_returns_no_credit_it_no_longer_holds() {
+        // Two queue pairs on one SRQ each hold a buffer; one disconnects,
+        // and the completion it left pending is adopted afterwards.
+        let fabric = Fabric::with_defaults();
+        let server_ep = Endpoint::new(&fabric, &fabric.add_node("server"));
+        let srq = SharedReceiveQueue::new(&server_ep, 4);
+        let ring = ReceiveRing::on_srq(&server_ep, &srq, 4, 8).unwrap();
+        let dst = server_ep.pd.register(8, AccessFlags::REMOTE_WRITE);
+        let pairs: Vec<(QueuePair, QueuePair)> = (0..2)
+            .map(|i| {
+                let node = fabric.add_node(&format!("client-{i}"));
+                let client = QueuePair::new(&Endpoint::new(&fabric, &node));
+                let server = QueuePair::new(&server_ep);
+                QueuePair::connect_pair(&client, &server).unwrap();
+                server.attach_srq(&srq, 4);
+                client
+                    .post_write_inline(0, &[1; 8], &dst.remote_handle(), Some(1), false)
+                    .unwrap();
+                (client, server)
+            })
+            .collect();
+        assert_eq!(srq.stats().in_flight, 2);
+        pairs[0].0.disconnect();
+        assert_eq!(srq.stats().in_flight, 1);
+        let pending = pairs[0].1.recv_cq().poll_one().unwrap();
+        assert!(ring.adopt(pending).slot.is_some());
+        assert_eq!(
+            srq.stats().in_flight,
+            1,
+            "the other queue pair still holds its buffer"
+        );
+    }
+
     proptest::proptest! {
-        // No interleaving of post/pop/release loses or duplicates a buffer:
-        // posted + in-flight never exceeds what was pushed, per-QP in-flight
-        // never exceeds its credit, and pops drain in FIFO wr_id order.
+        // No interleaving of post, pop, release, attach and detach loses or
+        // duplicates a buffer: pops drain in FIFO wr_id order, an attached
+        // QP never holds more than its credit, `in_flight` is what the
+        // attached QPs hold (a release after a detach changes nothing), and
+        // the high watermark never falls.
         #[test]
         fn prop_srq_no_loss_and_credits_hold(
             depth in 1usize..16,
@@ -290,10 +344,17 @@ mod tests {
             let mut next_wr: u64 = 0;
             let mut expect_fifo: std::collections::VecDeque<u64> =
                 std::collections::VecDeque::new();
-            let mut held: [usize; 2] = [0, 0];
+            // Per QP: whether it is attached, the buffers it holds, and how
+            // many of them its credit entry counts.
+            let mut attached = [true; 2];
+            let mut held = [0usize; 2];
+            let mut counted = [0usize; 2];
+            let mut watermark = 0;
             for op in ops {
-                match op % 4 {
-                    0 => {
+                let i = usize::from(op >> 3) % 2;
+                let qp = i as u32 + 1;
+                match op % 8 {
+                    0 | 1 => {
                         if srq.post(slot(&ep, next_wr)).is_ok() {
                             expect_fifo.push_back(next_wr);
                             next_wr += 1;
@@ -301,34 +362,49 @@ mod tests {
                             proptest::prop_assert_eq!(srq.stats().posted, depth);
                         }
                     }
-                    1 | 2 => {
-                        let qp = (op % 4) as u32;
-                        match srq.pop_for(qp) {
-                            Ok(recv) => {
-                                let expect = expect_fifo.pop_front().unwrap();
-                                proptest::prop_assert_eq!(recv.wr_id(), expect);
-                                held[qp as usize - 1] += 1;
-                            }
-                            Err(e) => {
-                                proptest::prop_assert_eq!(e, FabricError::ReceiverNotReady);
-                                proptest::prop_assert!(
-                                    expect_fifo.is_empty() || held[qp as usize - 1] >= credit
-                                );
-                            }
+                    2 | 3 => match srq.pop_for(qp) {
+                        Ok(recv) => {
+                            let expect = expect_fifo.pop_front().unwrap();
+                            proptest::prop_assert_eq!(recv.wr_id(), expect);
+                            held[i] += 1;
+                            counted[i] += usize::from(attached[i]);
+                        }
+                        Err(e) => {
+                            proptest::prop_assert_eq!(e, FabricError::ReceiverNotReady);
+                            proptest::prop_assert!(
+                                expect_fifo.is_empty() || (attached[i] && counted[i] >= credit)
+                            );
+                        }
+                    },
+                    4 | 5 => {
+                        if held[i] > 0 {
+                            srq.release(qp);
+                            held[i] -= 1;
+                            counted[i] = counted[i].saturating_sub(1);
                         }
                     }
+                    6 => {
+                        srq.detach(qp);
+                        attached[i] = false;
+                        counted[i] = 0;
+                    }
                     _ => {
-                        let qp = 1 + (op as u32 % 2);
-                        if held[qp as usize - 1] > 0 {
-                            srq.release(qp);
-                            held[qp as usize - 1] -= 1;
-                        }
+                        srq.attach(qp, credit);
+                        attached[i] = true;
+                        counted[i] = 0;
                     }
                 }
                 let stats = srq.stats();
-                proptest::prop_assert!(held[0] <= credit && held[1] <= credit);
-                proptest::prop_assert_eq!(stats.in_flight, held[0] + held[1]);
+                proptest::prop_assert!(counted[0] <= credit && counted[1] <= credit);
+                proptest::prop_assert_eq!(stats.in_flight, counted[0] + counted[1]);
                 proptest::prop_assert_eq!(stats.posted, expect_fifo.len());
+                proptest::prop_assert_eq!(
+                    stats.attached_qps,
+                    usize::from(attached[0]) + usize::from(attached[1])
+                );
+                proptest::prop_assert!(stats.depth_high_watermark >= watermark);
+                proptest::prop_assert!(stats.depth_high_watermark >= stats.in_flight);
+                watermark = stats.depth_high_watermark;
             }
         }
     }

@@ -23,7 +23,6 @@ use sim_core::SimDuration;
 use crate::codec::Codec;
 use crate::config::RECV_QUEUE_DEPTH;
 use crate::error::{RFaasError, Result};
-use crate::executor::WorkerEndpointInfo;
 use crate::protocol::{ImmValue, InvocationHeader, ResultStatus, INVOCATION_HEADER_BYTES};
 use crate::reactor::CompletionSource;
 
@@ -312,13 +311,14 @@ pub(crate) struct WorkerConnection {
 }
 
 impl WorkerConnection {
-    /// Connect to `worker` through `pool` (keyed by the executor node), and
-    /// learn where the worker's input buffer lives from its hello. Each of
-    /// the two steps gives up after `timeout` of wall-clock time. The
-    /// connection is not yet registered with any reactor.
+    /// Connect to the worker listening at `address` through `pool` (keyed
+    /// by the executor node), and learn where the worker's input buffer
+    /// lives from its hello. Each of the two steps gives up after `timeout`
+    /// of wall-clock time. The connection is not yet registered with any
+    /// reactor.
     pub(crate) fn connect(
         endpoint: &Endpoint,
-        worker: &WorkerEndpointInfo,
+        address: &str,
         pool: &ConnectionPool,
         pool_key: &str,
         timeout: std::time::Duration,
@@ -333,13 +333,12 @@ impl WorkerConnection {
         let hello = endpoint
             .pd
             .register_owned(INVOCATION_HEADER_BYTES, AccessFlags::LOCAL_ONLY);
-        let (qp, _warm) =
-            connect_pooled_with(endpoint, &worker.address, pool, pool_key, timeout, |qp| {
-                qp.post_recv(RecvRequest {
-                    wr_id: u64::MAX,
-                    local: Sge::whole(&hello),
-                })
-            })?;
+        let (qp, _warm) = connect_pooled_with(endpoint, address, pool, pool_key, timeout, |qp| {
+            qp.post_recv(RecvRequest {
+                wr_id: u64::MAX,
+                local: Sge::whole(&hello),
+            })
+        })?;
         // The worker's dispatcher sends the hello on its next turn, which this
         // wait drives; the pickup is billed as the blocking wait it models.
         let cq = qp.recv_cq();
@@ -351,9 +350,9 @@ impl WorkerConnection {
         let wc = picked
             .pop()
             .map(|wc| cq.charge_blocking_pickup(wc))
-            .ok_or_else(|| RFaasError::ExecutorLost(worker.address.clone()))?;
+            .ok_or_else(|| RFaasError::ExecutorLost(address.to_string()))?;
         if !wc.is_success() {
-            return Err(RFaasError::ExecutorLost(worker.address.clone()));
+            return Err(RFaasError::ExecutorLost(address.to_string()));
         }
         let mut advertised = [0u8; INVOCATION_HEADER_BYTES];
         hello.read_into(0, &mut advertised)?;
@@ -385,13 +384,17 @@ impl WorkerConnection {
 impl CompletionSource for WorkerConnection {
     /// Drain the receive ring into the slot table. `ring.poll_one` charges
     /// the busy-poll pickup on the client clock per completion, discarded
-    /// or not.
+    /// or not. A completion in error carries no immediate, so it names no
+    /// invocation: it is picked up (its slot goes back) and lands nothing.
     fn pump(&self) -> (usize, usize) {
         let (mut pumped, mut dispatched) = (0, 0);
         while let Some(completion) = self.ring.poll_one() {
             let wc = completion.wc;
-            let (id, status) = ImmValue::parse_response(wc.imm.unwrap_or(0));
             pumped += 1;
+            if !wc.is_success() {
+                continue;
+            }
+            let (id, status) = ImmValue::parse_response(wc.imm.unwrap_or(0));
             dispatched += usize::from(self.slots().land(id, wc.byte_len, status));
         }
         (pumped, dispatched)
@@ -494,7 +497,7 @@ mod tests {
     use crate::session::Session;
     use crate::PollingMode;
     use cluster_sim::NodeResources;
-    use rdma_fabric::Fabric;
+    use rdma_fabric::{Fabric, SendRequest};
     use sandbox::{echo_function, CodePackage, FunctionError, FunctionRegistry, SharedFunction};
     use sim_core::SimTime;
     use std::cell::Cell;
@@ -1206,15 +1209,11 @@ mod tests {
         // A listener nobody ever accepts on: the client's connect request
         // sits in the accept queue until the client gives up.
         let _silent = rdma_fabric::Listener::bind(&fabric, "rfaas://dead-node/1/1");
-        let worker = WorkerEndpointInfo {
-            address: "rfaas://dead-node/1/1".to_string(),
-            max_payload: 4096,
-        };
         let started = std::time::Instant::now();
         let pool = ConnectionPool::new();
         let err = match WorkerConnection::connect(
             &endpoint,
-            &worker,
+            "rfaas://dead-node/1/1",
             &pool,
             "dead-node",
             std::time::Duration::from_millis(50),
@@ -1233,6 +1232,43 @@ mod tests {
             "expected typed connect timeout, got {err:?}"
         );
         assert!(started.elapsed() < std::time::Duration::from_secs(5));
+    }
+
+    #[test]
+    fn a_completion_in_error_lands_no_invocation() {
+        // A SEND longer than a result slot completes the slot's receive in
+        // error, with no immediate: the pump picks it up and leaves the
+        // invocation it cannot name (the id an absent immediate parses to)
+        // in flight.
+        let fabric = Fabric::with_defaults();
+        let endpoint = Endpoint::new(&fabric, &fabric.add_node("client-0"));
+        let worker_ep = Endpoint::new(&fabric, &fabric.add_node("worker-0"));
+        let qp = QueuePair::new(&endpoint);
+        let worker = QueuePair::new(&worker_ep);
+        QueuePair::connect_pair(&qp, &worker).unwrap();
+        let connection = WorkerConnection {
+            ring: ReceiveRing::new(&qp, RECV_QUEUE_DEPTH, 8).unwrap(),
+            qp,
+            remote_input: RemoteMemoryHandle {
+                rkey: 0,
+                offset: 0,
+                len: 0,
+            },
+            overflow_scratch: endpoint.pd.register_owned(8, AccessFlags::LOCAL_ONLY),
+            slots: RefCell::default(),
+            index: 0,
+        };
+        let (id, _) = ImmValue::parse_response(0);
+        connection.slots().reserve(id);
+        let long = worker_ep.pd.register(16, AccessFlags::LOCAL_ONLY);
+        let send = SendRequest::Send {
+            local: Sge::whole(&long),
+        };
+        assert!(worker.post_send(0, send, false).is_err());
+        assert_eq!(connection.pump(), (1, 0));
+        assert_eq!(connection.slots().take(id), None, "still in flight");
+        assert_eq!(connection.slots().len(), 1);
+        assert_eq!(connection.qp.posted_receives(), RECV_QUEUE_DEPTH);
     }
 
     /// A worker connection without the wire: the test queues the ids of

@@ -22,11 +22,14 @@
 //! retrospective hot→warm demotion accounting stay exactly as a
 //! thread-per-worker executor would charge them.
 //!
-//! The dispatcher is also the one owner of whatever changes after spawn:
-//! each worker's mode, counters, clock and connection, the leased cores'
-//! busy flags, the lease deadline, a forked child's fault state and the
-//! sandbox, all behind its single lock. The [`ExecutorProcess`] the
-//! allocator keeps is an immutable descriptor pointing at it.
+//! The dispatcher is also the one owner of whatever changes after spawn,
+//! each fact in one record behind its single lock: each worker's lifecycle
+//! (listening → greeting → serving → retired, the connection living in the
+//! middle two), mode, counters and clock; the worker holding each leased
+//! core; the lease deadline; a forked child's fault state; and the sandbox.
+//! The [`ExecutorProcess`] the allocator keeps is an immutable descriptor
+//! pointing at it, and its methods are how the session reads and binds one
+//! process once [`LightweightAllocator`] has looked it up.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -179,20 +182,6 @@ impl ExecutorStateBinding {
         self.specs.insert(function.to_string(), spec);
     }
 
-    /// Virtual time on the clock this binding's state accesses charge.
-    fn now(&self) -> SimTime {
-        self.client.now()
-    }
-
-    fn sync_to(&self, t: SimTime) {
-        self.client.sync_to(t);
-    }
-
-    /// Client-side counters of the executor's state cache.
-    pub(crate) fn stats(&self) -> StateClientStats {
-        self.client.stats()
-    }
-
     /// Run the stateful `function` over the keys it declared. The window
     /// borrows every value from the cache region (the caller holds the
     /// dispatcher lock, which serialises the cache for the whole invocation); a
@@ -339,29 +328,46 @@ impl WorkerStats {
     }
 }
 
-/// Connection details a client needs to reach one worker.
-#[derive(Debug, Clone)]
-pub struct WorkerEndpointInfo {
-    /// Fabric address the worker's listener is bound to.
-    pub address: String,
-    /// Maximum payload bytes the worker's input buffer accepts.
-    pub max_payload: usize,
-}
-
 /// One worker, built at allocation time and owned by its process's
-/// dispatcher, which drives its whole lifecycle (accept → hello → serve →
-/// retire) and keeps its mode and counters.
+/// dispatcher, which drives its lifecycle and keeps its mode and counters.
 struct WorkerSlot {
     listener: Listener,
     /// The worker's endpoint; its clock is the worker's virtual clock.
     endpoint: Endpoint,
     mode: PollingMode,
     stats: WorkerStats,
-    conn: Option<WorkerConn>,
-    /// The worker finished (client gone, setup failure or the process
-    /// stopped serving). Its CQ is deregistered from the set; any stray
-    /// token in flight is ignored.
-    done: bool,
+    lifecycle: Lifecycle,
+}
+
+/// Where a worker is in its life. The dispatcher moves it forward, never
+/// back.
+enum Lifecycle {
+    /// Waiting for the lease-holding client to connect.
+    Listening,
+    /// Connected; the hello advertising the input buffer is not sent yet.
+    Greeting(WorkerConn),
+    /// Serving the client's invocations.
+    Serving(WorkerConn),
+    /// Finished: the client left, a setup step failed or the process
+    /// stopped serving. Its CQ left the set; a stray completion is ignored.
+    Retired,
+}
+
+impl Lifecycle {
+    /// The connection of a greeting or serving worker.
+    fn conn(&mut self) -> Option<&mut WorkerConn> {
+        match self {
+            Lifecycle::Greeting(conn) | Lifecycle::Serving(conn) => Some(conn),
+            Lifecycle::Listening | Lifecycle::Retired => None,
+        }
+    }
+
+    /// The hello went out: a greeting worker starts serving.
+    fn greeted(&mut self) {
+        if let Lifecycle::Greeting(conn) = std::mem::replace(self, Lifecycle::Retired) {
+            *self = Lifecycle::Serving(conn);
+        }
+    }
 }
 
 /// Live connection state of one worker, from accept until retirement.
@@ -370,10 +376,6 @@ struct WorkerConn {
     input: OwnedRegion,
     output: OwnedRegion,
     hello_region: OwnedRegion,
-    hello_sent: bool,
-    /// This worker's receive-CQ token in the dispatcher's [`CqSet`].
-    token: usize,
-    holds_core: bool,
     last_ready: Option<SimTime>,
 }
 
@@ -388,16 +390,18 @@ struct Dispatcher {
     /// whenever the lifecycle sweep has something new to act on.
     cqset: CqSet,
     workers: Vec<WorkerSlot>,
-    /// One busy flag per leased core; worker `i` runs on core
-    /// `i % cores.len()`. Warm invocations must take their core exclusively,
-    /// hot workers hold it for as long as they stay hot (Fig. 6).
-    cores: Vec<bool>,
+    /// The worker holding each leased core, if any; worker `i` runs on core
+    /// `i % cores.len()`. A hot worker holds its core for as long as it
+    /// stays hot, and an invocation runs only on a core no sibling holds
+    /// (Fig. 6).
+    cores: Vec<Option<usize>>,
     /// The lease's expiry instant. Workers check it on each invocation
     /// (Sec. III-B: the executor enforces the lease, not the client); a
     /// renewal through the manager pushes it forward, never back.
     deadline: SimTime,
     sandbox: Sandbox,
-    /// Member token -> worker index, in registration (= drain) order.
+    /// Member token -> worker index, in registration (= drain) order: a
+    /// connected worker's token is its position here.
     owner: Vec<usize>,
     /// Scratch reused across turns: the steady-state drain never allocates.
     scratch: Vec<(usize, WorkCompletion)>,
@@ -430,29 +434,12 @@ struct Dispatcher {
     state_binding: Option<ExecutorStateBinding>,
 }
 
-/// Release a worker's resources and mark it finished: the connection's
-/// queue pair is disconnected and, as the connection drops, its buffers
-/// leave the worker's protection domain — the keys the client was given
-/// stop resolving.
-fn retire_worker(slot: &mut WorkerSlot, core: &mut bool, cqset: &mut CqSet) {
-    if let Some(conn) = slot.conn.take() {
-        if conn.holds_core {
-            *core = false;
-        }
-        cqset.deregister(conn.token);
-        conn.qp.disconnect();
-    }
-    slot.done = true;
-}
-
 /// Finish a worker's setup once its client connected: register the input and
-/// output buffers, attach the QP to the process SRQ, register the receive CQ
-/// in the dispatcher's set and prepare the hello message advertising the
-/// input buffer.
+/// output buffers, attach the QP to the process SRQ and prepare the hello
+/// message advertising the input buffer.
 fn connect_worker(
     endpoint: &Endpoint,
     qp: QueuePair,
-    cqset: &mut CqSet,
     max_payload_bytes: usize,
     srq: &SharedReceiveQueue,
 ) -> Option<WorkerConn> {
@@ -482,15 +469,11 @@ fn connect_worker(
         .pd
         .register_owned(INVOCATION_HEADER_BYTES, AccessFlags::LOCAL_ONLY);
     hello_region.write(0, &hello.encode()).ok()?;
-    let token = cqset.register(qp.recv_cq());
     Some(WorkerConn {
         qp,
         input,
         output,
         hello_region,
-        hello_sent: false,
-        token,
-        holds_core: false,
         last_ready: None,
     })
 }
@@ -515,10 +498,10 @@ fn invoke_stateful(
     // The binding's clock may lag the worker's (it only moves on state
     // traffic); sync before measuring so the access is billed its real cost,
     // not the catch-up to the worker's present.
-    binding.sync_to(clock.now());
-    let state_started = binding.now();
+    binding.client.sync_to(clock.now());
+    let state_started = binding.client.now();
     let outcome = binding.invoke(function, input, output);
-    let spent = binding.now().saturating_since(state_started);
+    let spent = binding.client.now().saturating_since(state_started);
     clock.advance(spent);
     stats.state_invocations += 1;
     stats.state_time += spent;
@@ -554,87 +537,95 @@ impl Dispatcher {
         let mut progressed = false;
         let mut retrying = false;
         let core_count = self.cores.len();
-        for (index, slot) in self.workers.iter_mut().enumerate() {
-            if slot.done {
-                continue;
-            }
+        for index in 0..self.workers.len() {
+            let slot = &mut self.workers[index];
             let core = &mut self.cores[index % core_count];
-            if slot.conn.is_none() {
+            let retire = match &mut slot.lifecycle {
+                Lifecycle::Retired => false,
                 // Wait for the lease-holding client to connect.
-                match slot.listener.try_accept(&slot.endpoint) {
+                Lifecycle::Listening => match slot.listener.try_accept(&slot.endpoint) {
                     Ok(Some(qp)) => {
-                        match connect_worker(
-                            &slot.endpoint,
-                            qp,
-                            &mut self.cqset,
-                            self.max_payload_bytes,
-                            &self.srq,
-                        ) {
+                        let conn =
+                            connect_worker(&slot.endpoint, qp, self.max_payload_bytes, &self.srq);
+                        match conn {
                             Some(conn) => {
-                                debug_assert_eq!(conn.token, self.owner.len());
+                                let token = self.cqset.register(conn.qp.recv_cq());
+                                debug_assert_eq!(token, self.owner.len());
                                 self.owner.push(index);
-                                slot.conn = Some(conn);
+                                slot.lifecycle = Lifecycle::Greeting(conn);
                                 progressed = true;
+                                false
                             }
-                            None => retire_worker(slot, core, &mut self.cqset),
+                            None => true,
                         }
                     }
-                    Ok(None) => {}
-                    Err(_) => retire_worker(slot, core, &mut self.cqset),
-                }
-                continue;
-            }
-            let conn = slot.conn.as_mut().expect("connected: checked above");
-            if !conn.hello_sent {
+                    Ok(None) => false,
+                    Err(_) => true,
+                },
                 // Advertise the input buffer to the client ("hello"). The
                 // rFaaS client posts the receive for it before its
                 // connection request leaves, so this succeeds on the first
                 // sweep after the accept; any other peer is retried.
-                match conn.qp.post_send(
-                    0,
-                    SendRequest::Send {
+                Lifecycle::Greeting(conn) => {
+                    let hello = SendRequest::Send {
                         local: Sge::whole(&conn.hello_region),
-                    },
-                    false,
-                ) {
-                    Ok(()) => {
-                        conn.hello_sent = true;
-                        progressed = true;
-                    }
-                    Err(rdma_fabric::FabricError::ReceiverNotReady) => {
-                        if conn.qp.is_connected() {
+                    };
+                    match conn.qp.post_send(0, hello, false) {
+                        Ok(()) => {
+                            slot.lifecycle.greeted();
+                            progressed = true;
+                            false
+                        }
+                        Err(rdma_fabric::FabricError::ReceiverNotReady)
+                            if conn.qp.is_connected() =>
+                        {
                             retrying = true;
-                        } else {
-                            retire_worker(slot, core, &mut self.cqset);
+                            false
+                        }
+                        Err(_) => true,
+                    }
+                }
+                Lifecycle::Serving(conn) => {
+                    // Hot workers hold their core for as long as they stay
+                    // hot; a sibling holding it makes the worker retry.
+                    match (slot.mode, *core) {
+                        (PollingMode::Hot, None) => *core = Some(index),
+                        (PollingMode::Hot, Some(holder)) => retrying |= holder != index,
+                        (PollingMode::Warm, _) => {
+                            core.take_if(|holder| *holder == index);
                         }
                     }
-                    Err(_) => retire_worker(slot, core, &mut self.cqset),
+                    // A gone client retires the worker once its CQ drained:
+                    // the drain still serves completions queued before the
+                    // disconnect, exactly like a dedicated thread polling dry.
+                    let gone = !conn.qp.is_connected();
+                    let drained = conn.qp.recv_cq().pending() == 0;
+                    retrying |= gone && !drained;
+                    gone && drained
                 }
-                continue;
-            }
-            // Hot workers own their core for as long as they stay hot.
-            let hot = matches!(slot.mode, PollingMode::Hot);
-            if hot && !conn.holds_core {
-                conn.holds_core = take_core(core);
-                retrying |= !conn.holds_core;
-            }
-            if !hot && conn.holds_core {
-                *core = false;
-                conn.holds_core = false;
-            }
-            // A gone client retires the worker once its CQ drained: the
-            // drain still serves completions queued before the disconnect,
-            // exactly like a dedicated thread polling dry.
-            if !conn.qp.is_connected() {
-                if conn.qp.recv_cq().pending() == 0 {
-                    retire_worker(slot, core, &mut self.cqset);
-                } else {
-                    retrying = true;
-                }
+            };
+            if retire {
+                self.retire(index);
             }
         }
         self.unsettled = progressed || retrying;
         progressed
+    }
+
+    /// Retire worker `index`. A connected worker gives back the core it
+    /// holds and leaves the CQ set, and its queue pair is disconnected: as
+    /// the connection drops, its buffers leave the worker's protection
+    /// domain — the keys the client was given stop resolving.
+    fn retire(&mut self, index: usize) {
+        let retired = std::mem::replace(&mut self.workers[index].lifecycle, Lifecycle::Retired);
+        if let Lifecycle::Greeting(conn) | Lifecycle::Serving(conn) = retired {
+            let core_count = self.cores.len();
+            self.cores[index % core_count].take_if(|holder| *holder == index);
+            let token = self.owner.iter().position(|&owner| owner == index);
+            self.cqset
+                .deregister(token.expect("a connected worker is in the set"));
+            conn.qp.disconnect();
+        }
     }
 
     /// Drain every member CQ in registration order and serve the completions
@@ -645,12 +636,10 @@ impl Dispatcher {
         let mut served = false;
         for (token, wc) in scratch.drain(..) {
             let index = self.owner[token];
-            let slot = &self.workers[index];
-            if slot.done || slot.conn.is_none() {
-                continue;
+            if self.workers[index].lifecycle.conn().is_some() {
+                self.serve(index, wc);
+                served = true;
             }
-            self.serve(index, wc);
-            served = true;
         }
         self.scratch = scratch;
         served
@@ -679,13 +668,13 @@ impl Dispatcher {
             endpoint,
             mode: worker_mode,
             stats,
-            conn,
+            lifecycle,
             ..
         } = &mut workers[index];
         let clock = &*endpoint.clock;
         let core_count = cores.len();
         let core = &mut cores[index % core_count];
-        let Some(conn) = conn.as_mut() else {
+        let Some(conn) = lifecycle.conn() else {
             return;
         };
         // Hand the raw completion back to the shared ring for slot accounting:
@@ -730,10 +719,7 @@ impl Dispatcher {
                 usage.add_hot_poll(HOT_POLL_TIMEOUT);
                 *worker_mode = PollingMode::Warm;
                 clock.advance(conn.qp.recv_cq().blocking_penalty());
-                if conn.holds_core {
-                    *core = false;
-                    conn.holds_core = false;
-                }
+                core.take_if(|holder| *holder == index);
             } else if !spin.is_zero() {
                 stats.hot_poll_time += spin;
                 usage.add_hot_poll(spin);
@@ -779,18 +765,15 @@ impl Dispatcher {
                 return Some((result_handle, 0, ResultStatus::LeaseExpired));
             }
 
-            // Oversubscribed warm executions must grab the core; if a
-            // compute-intensive task holds it, reject immediately so the client
-            // redirects to another executor (Sec. III-D, Fig. 6).
-            let acquired_for_this = if !conn.holds_core {
-                if !take_core(core) {
-                    stats.rejected += 1;
-                    return Some((result_handle, 0, ResultStatus::Rejected));
-                }
-                true
-            } else {
-                false
-            };
+            // Oversubscribed warm executions need the core; if a sibling's
+            // compute-intensive task holds it, reject immediately so the
+            // client redirects to another executor (Sec. III-D, Fig. 6). The
+            // invocation runs to its end within this call, so it occupies
+            // the core without holding it.
+            if core.is_some_and(|holder| holder != index) {
+                stats.rejected += 1;
+                return Some((result_handle, 0, ResultStatus::Rejected));
+            }
 
             // A forked child still faulting in parent pages pays the next
             // prefetch window here: the page touches happen under this
@@ -854,9 +837,6 @@ impl Dispatcher {
                     }
                 }
             };
-            if acquired_for_this {
-                *core = false;
-            }
             Some((result_handle, out_len, status))
         });
         let reply = reply.ok().flatten();
@@ -900,9 +880,8 @@ impl Dispatcher {
 
     /// Retire every worker: the process stops serving.
     fn retire_all(&mut self) {
-        let core_count = self.cores.len();
-        for (index, slot) in self.workers.iter_mut().enumerate() {
-            retire_worker(slot, &mut self.cores[index % core_count], &mut self.cqset);
+        for index in 0..self.workers.len() {
+            self.retire(index);
         }
     }
 
@@ -925,11 +904,6 @@ impl Dispatcher {
     }
 }
 
-/// Take a core's busy flag; false if a sibling worker already holds it.
-fn take_core(busy: &mut bool) -> bool {
-    !std::mem::replace(busy, true)
-}
-
 /// The dispatcher as the fabric turns it. The turn takes the dispatcher with
 /// `try_lock`, so a pump that finds it mid-turn on another thread (or held by
 /// `stop_serving`) skips it instead of blocking.
@@ -949,35 +923,22 @@ impl Actor for DispatcherActor {
     }
 }
 
-/// Per-lease cold-start cost breakdown produced by the allocator, matching
-/// the stacked bars of Fig. 9.
-#[derive(Debug, Clone)]
-pub struct AllocationBreakdown {
-    /// Sandbox + executor-process + worker spawn costs.
-    pub spawn: SpawnBreakdown,
-    /// Cost of transferring and loading the code package.
-    pub code_submission: SimDuration,
-}
-
-impl AllocationBreakdown {
-    /// Total allocator-side cold-start cost.
-    pub fn total(&self) -> SimDuration {
-        self.spawn.total() + self.code_submission
-    }
-}
-
-/// Result of a successful allocation: where to connect, and what it cost.
+/// What a successful allocation hands the session: where to connect, what
+/// the allocator's side of the cold start cost (the stacked bars of Fig. 9),
+/// and the code package it loaded.
 #[derive(Debug)]
-pub struct AllocationResult {
+pub(crate) struct AllocationResult {
     /// Executor-process identifier.
-    pub process_id: u64,
-    /// One entry per spawned worker.
-    pub workers: Vec<WorkerEndpointInfo>,
-    /// Cold-start cost breakdown.
-    pub breakdown: AllocationBreakdown,
+    pub(crate) process_id: u64,
+    /// The fabric address of each spawned worker's listener.
+    pub(crate) workers: Vec<String>,
+    /// Sandbox, executor-process and worker spawn costs.
+    pub(crate) spawn: SpawnBreakdown,
+    /// Cost of transferring and loading the code package.
+    pub(crate) code_submission: SimDuration,
     /// The code package loaded into the executor; the client uses it to map
     /// function names to the indices carried in invocation immediates.
-    pub package: CodePackage,
+    pub(crate) package: CodePackage,
 }
 
 /// An executor process: one sandbox hosting a set of workers that all serve
@@ -1030,12 +991,28 @@ impl ExecutorProcess {
     /// Client-side counters of the process's state-plane attachment
     /// (`None` when no plane is attached).
     pub(crate) fn state_stats(&self) -> Option<StateClientStats> {
-        self.dispatcher
-            .0
-            .lock()
-            .state_binding
-            .as_ref()
-            .map(|b| b.stats())
+        let dispatcher = self.dispatcher.0.lock();
+        dispatcher.state_binding.as_ref().map(|b| b.client.stats())
+    }
+
+    /// Attach a state-plane client: stateful invocations dispatched to the
+    /// process materialise their declared keys through it. Replaces any
+    /// previous attachment.
+    pub(crate) fn attach_state_client(&self, client: StateClient) {
+        self.dispatcher.0.lock().state_binding = Some(ExecutorStateBinding::new(client));
+    }
+
+    /// Register the declared key set of `function` on the process's state
+    /// binding (bind-time validation already happened client-side).
+    pub(crate) fn bind_state_spec(&self, function: &str, spec: StateSpec) -> Result<()> {
+        let mut dispatcher = self.dispatcher.0.lock();
+        let binding = dispatcher.state_binding.as_mut().ok_or_else(|| {
+            RFaasError::StatePlane(StateError::Protocol(
+                "no state plane is attached to this executor process".into(),
+            ))
+        })?;
+        binding.bind(function, spec);
+        Ok(())
     }
 
     /// Statistics of the process-wide shared receive queue: depth, posted
@@ -1303,7 +1280,7 @@ impl LightweightAllocator {
         let cqset = CqSet::new();
         let wake = cqset.notifier().clone();
 
-        let mut infos = Vec::with_capacity(workers);
+        let mut addresses = Vec::with_capacity(workers);
         let mut slots = Vec::with_capacity(workers);
         let mut spawn_error = None;
         for worker_idx in 0..workers {
@@ -1316,18 +1293,13 @@ impl LightweightAllocator {
             let address = format!("rfaas://{}/{}/{}", self.node.name(), process_id, worker_idx);
             let listener = Listener::bind(&self.fabric, &address);
             listener.attach_notifier(&wake);
-            let endpoint = endpoint();
-            infos.push(WorkerEndpointInfo {
-                address,
-                max_payload: self.max_payload_bytes,
-            });
+            addresses.push(address);
             slots.push(WorkerSlot {
                 listener,
-                endpoint,
+                endpoint: endpoint(),
                 mode,
                 stats: WorkerStats::default(),
-                conn: None,
-                done: false,
+                lifecycle: Lifecycle::Listening,
             });
         }
 
@@ -1357,7 +1329,7 @@ impl LightweightAllocator {
                 swept_at: wake.sequence(),
                 cqset,
                 workers: slots,
-                cores: vec![false; lease.cores.max(1) as usize],
+                cores: vec![None; lease.cores.max(1) as usize],
                 deadline: lease.expires_at,
                 sandbox,
                 owner: Vec::new(),
@@ -1392,83 +1364,22 @@ impl LightweightAllocator {
 
         Ok(AllocationResult {
             process_id,
-            workers: infos,
-            breakdown: AllocationBreakdown {
-                spawn,
-                code_submission,
-            },
+            workers: addresses,
+            spawn,
+            code_submission,
             package,
         })
     }
 
-    /// Look up an executor process.
-    fn process(&self, process_id: u64) -> Option<Arc<ExecutorProcess>> {
+    /// Look up a live executor process (`None` for an unknown or already
+    /// deallocated one).
+    pub(crate) fn process(&self, process_id: u64) -> Option<Arc<ExecutorProcess>> {
         self.state.lock().processes.get(&process_id).cloned()
-    }
-
-    /// Shared-receive-queue statistics of one process (`None` for an unknown
-    /// or already deallocated process).
-    pub fn srq_stats(&self, process_id: u64) -> Option<SrqStats> {
-        self.process(process_id).map(|p| p.srq_stats())
-    }
-
-    /// Depth high watermark of one process's shared receive queue: the peak
-    /// number of receive slots simultaneously in flight across every worker
-    /// connection of the process. Zero for an unknown process.
-    pub(crate) fn srq_high_watermark(&self, process_id: u64) -> usize {
-        self.srq_stats(process_id)
-            .map(|s| s.depth_high_watermark)
-            .unwrap_or(0)
     }
 
     /// The executor's warm pool of parked fork parents.
     pub fn warm_pool(&self) -> &WarmPool {
         &self.warm_pool
-    }
-
-    /// A snapshot of a forked process's fault state (`None` for unknown
-    /// processes or cold/warm provisioning).
-    pub(crate) fn fork_state(&self, process_id: u64) -> Option<Arc<ForkFaultState>> {
-        self.process(process_id)
-            .and_then(|p| p.fork_state())
-            .map(Arc::new)
-    }
-
-    /// Attach a state-plane client to one executor process: stateful
-    /// invocations dispatched to the process materialise their declared keys
-    /// through it. Replaces any previous attachment.
-    pub(crate) fn attach_state_client(&self, process_id: u64, client: StateClient) -> Result<()> {
-        let process = self
-            .process(process_id)
-            .ok_or(RFaasError::UnknownLease(process_id))?;
-        process.dispatcher.0.lock().state_binding = Some(ExecutorStateBinding::new(client));
-        Ok(())
-    }
-
-    /// Register the declared key set of `function` on one process's state
-    /// binding (bind-time validation already happened client-side).
-    pub(crate) fn bind_state_spec(
-        &self,
-        process_id: u64,
-        function: &str,
-        spec: StateSpec,
-    ) -> Result<()> {
-        let process = self
-            .process(process_id)
-            .ok_or(RFaasError::UnknownLease(process_id))?;
-        let mut dispatcher = process.dispatcher.0.lock();
-        let binding = dispatcher.state_binding.as_mut().ok_or_else(|| {
-            RFaasError::StatePlane(StateError::Protocol(
-                "no state plane is attached to this executor process".into(),
-            ))
-        })?;
-        binding.bind(function, spec);
-        Ok(())
-    }
-
-    /// Client-side state counters of one process's plane attachment.
-    pub(crate) fn state_client_stats(&self, process_id: u64) -> Option<StateClientStats> {
-        self.process(process_id).and_then(|p| p.state_stats())
     }
 
     /// All live executor processes, in ascending process-id order (used by
@@ -1714,6 +1625,11 @@ mod tests {
             .allocate_with_policy(lease, workers, mode, policy)
     }
 
+    /// The allocator's side of an allocation's cold start.
+    fn cold_start(result: &AllocationResult) -> SimDuration {
+        result.spawn.total() + result.code_submission
+    }
+
     fn registry_with_echo() -> FunctionRegistry {
         let registry = FunctionRegistry::new();
         registry.deploy(CodePackage::minimal("echo-pkg").with_function(echo_function()));
@@ -1815,7 +1731,7 @@ mod tests {
         assert_eq!(binding.invoke(&peek, &[], &mut out), Ok(2));
         assert_eq!(out, [2, 32]);
         assert_eq!(binding.invoke(&peek, &[], &mut out), Ok(2));
-        let stats = binding.stats();
+        let stats = binding.client.stats();
         assert_eq!(stats.invalidations_applied, 1);
         assert_eq!(
             (stats.gets, stats.remote_reads, stats.cache_hits),
@@ -1843,7 +1759,7 @@ mod tests {
         assert_eq!(writer.get("log").unwrap(), vec![7, 8, 9]);
         assert_eq!(binding.invoke(&append, &[10], &mut out), Ok(5));
         assert_eq!(out[..5], [3, 7, 8, 9, 10]);
-        assert_eq!(binding.stats().puts, 2);
+        assert_eq!(binding.client.stats().puts, 2);
     }
 
     #[test]
@@ -1861,14 +1777,14 @@ mod tests {
             binding.invoke(&fail, &[], &mut out),
             Err(FunctionError::ExecutionFailed("after mutating".into()))
         );
-        assert_eq!(binding.stats().puts, 0, "nothing is written back");
+        assert_eq!(binding.client.stats().puts, 0, "nothing is written back");
         assert_eq!(writer.get("log").unwrap(), vec![7, 8]);
         // The executor's cached copy is the committed value, served as a hit.
-        let hits = binding.stats().cache_hits;
+        let hits = binding.client.stats().cache_hits;
         let peek = first_byte_function(&["log"]);
         assert_eq!(binding.invoke(&peek, &[], &mut out), Ok(2));
         assert_eq!(out, [7, 2]);
-        assert_eq!(binding.stats().cache_hits, hits + 1);
+        assert_eq!(binding.client.stats().cache_hits, hits + 1);
     }
 
     #[test]
@@ -1907,7 +1823,7 @@ mod tests {
         }
         assert_eq!(binding.invoke(&bump, &[], &mut out), Ok(3));
         assert_eq!(out, [1, 2, 13]);
-        let stats = binding.stats();
+        let stats = binding.client.stats();
         assert_eq!(
             (stats.gets, stats.remote_reads, stats.cache_hits),
             (3, 3, 0)
@@ -1930,10 +1846,10 @@ mod tests {
         assert_eq!(writer.get("model").unwrap(), vec![1u8; 16]);
     }
 
-    /// Invoke the package's first function once over the wire, the way a
-    /// client without a session does, and return the status the worker
-    /// answered with.
-    fn invoke_raw(client: &Endpoint, conn: &WorkerConnection, id: u32) -> ResultStatus {
+    /// Post one invocation of the package's first function over the wire,
+    /// the way a client without a session does. The result lands in the
+    /// returned buffer.
+    fn post_raw(client: &Endpoint, conn: &WorkerConnection, id: u32) -> Buffer {
         let output = Buffer::output(&client.pd, 64);
         let mut wire = InvocationHeader::for_result_buffer(&output.remote_handle())
             .encode()
@@ -1948,6 +1864,11 @@ mod tests {
                 false,
             )
             .unwrap();
+        output
+    }
+
+    /// Wait for the worker's answer to invocation `id` and return its status.
+    fn answer(client: &Endpoint, conn: &WorkerConnection, id: u32) -> ResultStatus {
         let mut reply = None;
         client.fabric.run_until(
             || {
@@ -1964,8 +1885,16 @@ mod tests {
         status
     }
 
-    #[test]
-    fn oversubscribed_worker_is_rejected_while_its_sibling_holds_the_core() {
+    /// Invoke once and return the status the worker answered with.
+    fn invoke_raw(client: &Endpoint, conn: &WorkerConnection, id: u32) -> ResultStatus {
+        let _output = post_raw(client, conn, id);
+        answer(client, conn, id)
+    }
+
+    /// Two hot workers sharing a one-core lease (Sec. III-D, Fig. 6), both
+    /// connected from the returned client endpoint. Worker 0 has served one
+    /// invocation, so it holds the core.
+    fn hot_pair_on_one_core() -> (Arc<SpotExecutor>, u64, Endpoint, [WorkerConnection; 2]) {
         let fabric = Fabric::with_defaults();
         let exec = SpotExecutor::new(
             &fabric,
@@ -1977,7 +1906,6 @@ mod tests {
             registry_with_echo(),
             RFaasConfig::default(),
         );
-        // Two hot workers share the lease's one core (Sec. III-D, Fig. 6).
         let allocation =
             allocate_cold(&exec, &test_lease(1, "echo-pkg"), 2, PollingMode::Hot).unwrap();
         let client = Endpoint::new(&fabric, &fabric.add_node("client"));
@@ -1989,12 +1917,42 @@ mod tests {
         };
         let first = connect(0);
         assert_eq!(invoke_raw(&client, &first, 1), ResultStatus::Success);
-        // Worker 0 polls hot and keeps the core; worker 1 cannot take it.
         let second = connect(1);
+        (exec, allocation.process_id, client, [first, second])
+    }
+
+    #[test]
+    fn oversubscribed_worker_is_rejected_while_its_sibling_holds_the_core() {
+        let (exec, process_id, client, [first, second]) = hot_pair_on_one_core();
+        // Worker 0 polls hot and keeps the core; worker 1 cannot take it.
         assert_eq!(invoke_raw(&client, &second, 2), ResultStatus::Rejected);
         assert_eq!(invoke_raw(&client, &first, 3), ResultStatus::Success);
-        let stats = exec.allocator().deallocate(allocation.process_id).unwrap();
+        // Past the hot-poll budget, worker 0's next request demotes it and
+        // frees the core: worker 1's request, served right after it in the
+        // same drain, runs instead of being rejected.
+        client.clock.advance(HOT_POLL_TIMEOUT * 2);
+        let _outputs = [post_raw(&client, &first, 4), post_raw(&client, &second, 5)];
+        assert_eq!(answer(&client, &first, 4), ResultStatus::Success);
+        assert_eq!(answer(&client, &second, 5), ResultStatus::Success);
+        let process = exec.allocator().process(process_id).unwrap();
+        assert_eq!(process.worker_mode(0), PollingMode::Warm);
+        drop(process);
+        let stats = exec.allocator().deallocate(process_id).unwrap();
+        assert_eq!((stats.invocations, stats.rejected), (4, 1));
+        assert_eq!(stats.demotions, 2, "worker 1 spun past the budget too");
+    }
+
+    #[test]
+    fn a_retired_hot_worker_gives_its_core_back() {
+        let (exec, process_id, client, [first, second]) = hot_pair_on_one_core();
+        assert_eq!(invoke_raw(&client, &second, 2), ResultStatus::Rejected);
+        // Worker 0's client leaves while the worker polls hot on the core:
+        // its retirement frees the core, and worker 1 takes it.
+        first.qp.disconnect();
+        assert_eq!(invoke_raw(&client, &second, 3), ResultStatus::Success);
+        let stats = exec.allocator().deallocate(process_id).unwrap();
         assert_eq!((stats.invocations, stats.rejected), (2, 1));
+        assert_eq!(stats.demotions, 0);
     }
 
     #[test]
@@ -2036,12 +1994,12 @@ mod tests {
     fn cold_start_breakdown_matches_sandbox_scale() {
         let exec = executor();
         let result = allocate_cold(&exec, &test_lease(1, "echo-pkg"), 1, PollingMode::Hot).unwrap();
-        let total = result.breakdown.total().as_millis_f64();
+        let total = cold_start(&result).as_millis_f64();
         assert!(
             (10.0..80.0).contains(&total),
             "bare-metal cold start {total} ms"
         );
-        assert!(result.breakdown.code_submission.as_millis_f64() < 10.0);
+        assert!(result.code_submission.as_millis_f64() < 10.0);
         exec.allocator().deallocate(result.process_id).unwrap();
     }
 
@@ -2051,7 +2009,7 @@ mod tests {
         let mut lease = test_lease(1, "echo-pkg");
         lease.sandbox = SandboxType::Docker;
         let result = allocate_cold(&exec, &lease, lease.cores as usize, PollingMode::Hot).unwrap();
-        assert!(result.breakdown.total().as_secs_f64() > 2.0);
+        assert!(cold_start(&result).as_secs_f64() > 2.0);
         exec.allocator().deallocate(result.process_id).unwrap();
     }
 
@@ -2215,13 +2173,15 @@ mod tests {
             allocate_cold(&exec, &test_lease(2, "echo-pkg"), 16, PollingMode::Warm).unwrap();
         let depth1 = exec
             .allocator()
-            .srq_stats(one.process_id)
+            .process(one.process_id)
             .unwrap()
+            .srq_stats()
             .max_depth;
         let depth16 = exec
             .allocator()
-            .srq_stats(sixteen.process_id)
+            .process(sixteen.process_id)
             .unwrap()
+            .srq_stats()
             .max_depth;
         // A single worker still gets at least its old private ring depth.
         assert!(depth1 >= RECV_QUEUE_DEPTH);
@@ -2239,8 +2199,7 @@ mod tests {
     #[test]
     fn srq_stats_of_unknown_process_are_empty() {
         let exec = executor();
-        assert!(exec.allocator().srq_stats(999).is_none());
-        assert_eq!(exec.allocator().srq_high_watermark(999), 0);
+        assert!(exec.allocator().process(999).is_none());
     }
 
     #[test]
@@ -2281,12 +2240,17 @@ mod tests {
         // Fork setup is µs-scale — orders of magnitude below the ~17 ms
         // bare-metal cold spawn — and submits no code (the snapshot already
         // holds the package).
-        let total = result.breakdown.total().as_micros_f64();
+        let total = cold_start(&result).as_micros_f64();
         assert!(total < 100.0, "forked allocation took {total} µs");
-        assert!(result.breakdown.code_submission.is_zero());
+        assert!(result.code_submission.is_zero());
         // The child starts with an empty address space: every page is still
         // to be faulted in over one-sided READs, none served yet.
-        let fork = exec.allocator().fork_state(result.process_id).unwrap();
+        let fork = exec
+            .allocator()
+            .process(result.process_id)
+            .unwrap()
+            .fork_state()
+            .unwrap();
         assert!(fork.total_pages() > 0);
         assert_eq!(fork.pages_faulted(), 0);
         assert!(!fork.is_complete());
@@ -2313,13 +2277,18 @@ mod tests {
             .unwrap();
         // A pool hit pays only the paused→running resume (150 µs scale) and
         // consumes the parked parent.
-        let total = result.breakdown.total().as_micros_f64();
+        let total = cold_start(&result).as_micros_f64();
         assert!(
             (100.0..1000.0).contains(&total),
             "warm-pool hit took {total} µs"
         );
-        assert!(result.breakdown.code_submission.is_zero());
-        assert!(exec.allocator().fork_state(result.process_id).is_none());
+        assert!(result.code_submission.is_zero());
+        assert!(exec
+            .allocator()
+            .process(result.process_id)
+            .unwrap()
+            .fork_state()
+            .is_none());
         assert_eq!(
             exec.allocator()
                 .warm_pool()
@@ -2338,10 +2307,15 @@ mod tests {
                 .allocate_with_policy(&test_lease(1, "echo-pkg"), 1, PollingMode::Hot, policy)
                 .unwrap();
             assert!(
-                result.breakdown.total().as_millis_f64() > 10.0,
+                cold_start(&result).as_millis_f64() > 10.0,
                 "a pool miss must pay the full cold spawn"
             );
-            assert!(exec.allocator().fork_state(result.process_id).is_none());
+            assert!(exec
+                .allocator()
+                .process(result.process_id)
+                .unwrap()
+                .fork_state()
+                .is_none());
             assert_eq!(exec.allocator().warm_pool().stats().misses, 1);
         }
     }

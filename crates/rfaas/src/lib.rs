@@ -80,8 +80,8 @@ pub use config::{
 };
 pub use error::{RFaasError, Result};
 pub use executor::{
-    AllocationBreakdown, AllocationPolicy, AllocationResult, ExecutorProcess, FaultBatch,
-    ForkFaultState, LightweightAllocator, SpotExecutor, WorkerEndpointInfo, WorkerStats,
+    AllocationPolicy, ExecutorProcess, FaultBatch, ForkFaultState, LightweightAllocator,
+    SpotExecutor, WorkerStats,
 };
 pub use lifecycle::{LifecycleDriver, LifecycleStats};
 pub use manager::ResourceManager;

@@ -44,9 +44,7 @@ use crate::config::{
     PollingMode, RFaasConfig, ALLOCATION_SUBMIT_COST, HEADER_WRITE_COST, STATE_CACHE_BYTES,
 };
 use crate::error::{RFaasError, Result};
-use crate::executor::{
-    AllocationPolicy, AllocationResult, ForkFaultState, SpotExecutor, WorkerEndpointInfo,
-};
+use crate::executor::{AllocationPolicy, AllocationResult, ForkFaultState, SpotExecutor};
 use crate::manager::ResourceManager;
 use crate::protocol::{
     ControlFrame, ImmValue, InvocationHeader, Lease, LeaseRequest, ResultStatus,
@@ -453,18 +451,19 @@ impl Session {
         let active = self.active.borrow();
         let process = active
             .as_ref()
-            .map(|a| (a.executor.allocator(), a.process_id));
+            .and_then(|a| a.executor.allocator().process(a.process_id));
         SessionStats {
             connections: ConnectionPlaneStats {
                 connections_opened: self.connections_opened.get(),
                 pool_hits: pool.hits,
                 pool_misses: pool.misses,
                 srq_depth_high_watermark: process
-                    .map_or(0, |(allocator, id)| allocator.srq_high_watermark(id)),
+                    .as_ref()
+                    .map_or(0, |p| p.srq_stats().depth_high_watermark),
             },
-            fork: process.and_then(|(allocator, id)| allocator.fork_state(id)),
+            fork: process.as_ref().and_then(|p| p.fork_state()),
             state_session: self.state_client.borrow().as_ref().map(StateClient::stats),
-            state_executor: process.and_then(|(allocator, id)| allocator.state_client_stats(id)),
+            state_executor: process.as_ref().and_then(|p| p.state_stats()),
             workers: active.as_ref().map_or(0, |a| a.connections.len()),
             recoveries: self.recoveries(),
         }
@@ -641,10 +640,10 @@ impl Session {
             self.mode,
             self.policy,
         )?;
-        self.clock().advance(allocation.breakdown.spawn.total());
+        self.clock().advance(allocation.spawn.total());
         breakdown.spawn_workers = self.clock().now().saturating_since(t2);
         let t3 = self.clock().now();
-        self.clock().advance(allocation.breakdown.code_submission);
+        self.clock().advance(allocation.code_submission);
         breakdown.submit_code = self.clock().now().saturating_since(t3);
         Ok((executor, allocation))
     }
@@ -686,21 +685,23 @@ impl Session {
             );
             executor
                 .allocator()
-                .attach_state_client(allocation.process_id, exec_client)?;
+                .process(allocation.process_id)
+                .ok_or(RFaasError::UnknownLease(allocation.process_id))?
+                .attach_state_client(exec_client);
         }
         Ok(())
     }
 
     fn connect_workers(
         &self,
-        workers: &[WorkerEndpointInfo],
+        addresses: &[String],
         pool_key: &str,
         connections: &mut Vec<Rc<WorkerConnection>>,
     ) -> Result<()> {
-        for (index, worker) in workers.iter().enumerate() {
+        for (index, address) in addresses.iter().enumerate() {
             let connection = Rc::new(WorkerConnection::connect(
                 &self.endpoint,
-                worker,
+                address,
                 &self.connection_pool,
                 pool_key,
                 CONNECT_TIMEOUT,
@@ -1144,7 +1145,7 @@ pub struct SessionStats {
     /// the executor's shared-receive-queue depth high watermark.
     pub connections: ConnectionPlaneStats,
     /// Fault state of a fork-provisioned sandbox (`None` otherwise).
-    pub fork: Option<Arc<ForkFaultState>>,
+    pub fork: Option<ForkFaultState>,
     /// Session-side state-cache counters (`None` without a state plane).
     pub state_session: Option<StateClientStats>,
     /// Executor-side state-cache counters (`None` without a state plane or
@@ -1304,7 +1305,9 @@ where
         active
             .executor
             .allocator()
-            .bind_state_spec(active.process_id, &self.name, spec)?;
+            .process(active.process_id)
+            .ok_or(RFaasError::UnknownLease(active.process_id))?
+            .bind_state_spec(&self.name, spec)?;
         Ok(self)
     }
 
